@@ -30,8 +30,8 @@ type RuntimeStats struct {
 	EventsByKind map[string]uint64
 	// EventsScheduled counts all schedule calls, including cancelled ones.
 	EventsScheduled uint64
-	// EventsCancelled counts cancelled events discarded by the scheduler,
-	// whether skipped at pop time or reaped during a calendar rebuild.
+	// EventsCancelled counts cancelled events discarded by the scheduler
+	// at pop time.
 	EventsCancelled uint64
 	// QueueDepthHighWater is the deepest any shard's event queue got.
 	QueueDepthHighWater uint64

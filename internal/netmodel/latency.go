@@ -40,16 +40,19 @@ type Model struct {
 	// degradation anywhere and costs the hot path one pointer check.
 	factors []float64
 
-	// jmu/jcache memoise jittered pair RTTs: deriving the per-pair jitter
-	// stream costs a rand.Rand allocation, which on the simulator's hot
-	// path (one RTT per message hop) dominated the per-event allocation
-	// budget. The cache holds only pairs actually used — overlay links and
-	// download pairs — and is capped at maxJitterCacheEntries; once full,
-	// further pairs are recomputed per call (identical values, no growth).
-	// The mutex keeps the documented concurrent-reader safety; it is
-	// uncontended in practice because each simulation owns its Model.
+	// jmu guards the jitter state. jcache memoises jittered pair RTTs so a
+	// warm link (one RTT per message hop) costs a map read; it holds only
+	// pairs actually used — overlay links and download pairs — up to jcap
+	// entries, and once full further pairs are recomputed per call
+	// (identical values, no growth). jrand draws a cold pair's jitter from
+	// jsrc (see jitter.go), re-seeded per pair. The mutex keeps the
+	// documented concurrent-reader safety; it is uncontended in practice
+	// because each simulation owns its Model.
 	jmu    sync.Mutex
 	jcache map[uint64]float64
+	jcap   int
+	jsrc   pairSource
+	jrand  *rand.Rand
 }
 
 // maxJitterCacheEntries bounds the jitter memo (~16 bytes/entry plus map
@@ -70,13 +73,16 @@ func NewModel(pts []Point, side float64, cfg LatencyConfig, jitterSeed int64) *M
 	if cfg.MaxRTT <= cfg.MinRTT {
 		cfg = DefaultLatency()
 	}
-	return &Model{
+	m := &Model{
 		cfg:    cfg,
 		pts:    pts,
 		diag:   side * math.Sqrt2,
 		jseed:  jitterSeed,
 		maxDim: side,
+		jcap:   maxJitterCacheEntries,
 	}
+	m.jrand = rand.New(&m.jsrc)
+	return m
 }
 
 // N returns the number of peers in the model.
@@ -107,27 +113,25 @@ func (m *Model) RTT(a, b int) float64 {
 	}
 	key := uint64(lo)<<32 | uint64(uint32(hi))
 	m.jmu.Lock()
-	if rtt, ok := m.jcache[key]; ok {
-		m.jmu.Unlock()
-		return m.degrade(a, b, rtt)
-	}
-	m.jmu.Unlock()
-	// Deterministic symmetric jitter: seed from unordered pair identity.
-	r := rand.New(rand.NewSource(m.jseed ^ (int64(lo)<<20 | int64(hi))))
-	factor := 1 + m.cfg.Jitter*r.NormFloat64()
-	if factor < 0.5 {
-		factor = 0.5
-	}
-	rtt := base * factor
-	if rtt < m.cfg.MinRTT {
-		rtt = m.cfg.MinRTT
-	}
-	m.jmu.Lock()
-	if m.jcache == nil {
-		m.jcache = make(map[uint64]float64, 256)
-	}
-	if len(m.jcache) < maxJitterCacheEntries {
-		m.jcache[key] = rtt
+	rtt, ok := m.jcache[key]
+	if !ok {
+		// Deterministic symmetric jitter: the first normal draw of a
+		// generator seeded from the unordered pair identity.
+		m.jsrc.Seed(m.jseed ^ (int64(lo)<<20 | int64(hi)))
+		factor := 1 + m.cfg.Jitter*m.jrand.NormFloat64()
+		if factor < 0.5 {
+			factor = 0.5
+		}
+		rtt = base * factor
+		if rtt < m.cfg.MinRTT {
+			rtt = m.cfg.MinRTT
+		}
+		if len(m.jcache) < m.jcap {
+			if m.jcache == nil {
+				m.jcache = make(map[uint64]float64, 256)
+			}
+			m.jcache[key] = rtt
+		}
 	}
 	m.jmu.Unlock()
 	return m.degrade(a, b, rtt)

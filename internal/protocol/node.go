@@ -1,6 +1,9 @@
 package protocol
 
 import (
+	"slices"
+	"strings"
+
 	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -15,9 +18,9 @@ type Node struct {
 	Gid int
 	// Loc is the node's physical locality.
 	Loc netmodel.LocID
-	// files is the shared storage: canonical name -> filename. Peers that
+	// files is the shared storage, sorted by canonical name. Peers that
 	// download a file become providers (§3.1), so this grows during a run.
-	files map[string]keywords.Filename
+	files []keywords.Filename
 	// RI is the response index (§3.2).
 	RI *cache.Index
 
@@ -89,7 +92,7 @@ func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg 
 	n.ID = id
 	n.Gid = gid
 	n.Loc = loc
-	n.files = make(map[string]keywords.Filename, 8)
+	n.files = make([]keywords.Filename, 0, 4) // the evaluation places 3 per peer
 	n.seen = make(map[QueryID]bool, 8)
 	n.RI = cache.New(cacheCfg, bloomSync{n})
 	if useBloom {
@@ -127,48 +130,54 @@ func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) {
 	}
 }
 
+// fileIndex returns where name sits in the sorted storage, or would be
+// inserted, and whether it is there.
+func (n *Node) fileIndex(name string) (int, bool) {
+	return slices.BinarySearchFunc(n.files, name, func(f keywords.Filename, name string) int {
+		return strings.Compare(f.String(), name)
+	})
+}
+
 // AddFile inserts f into the node's shared storage.
-func (n *Node) AddFile(f keywords.Filename) { n.files[f.String()] = f }
+func (n *Node) AddFile(f keywords.Filename) {
+	if i, ok := n.fileIndex(f.String()); ok {
+		n.files[i] = f
+	} else {
+		n.files = slices.Insert(n.files, i, f)
+	}
+}
 
 // RemoveFile withdraws filename f from the node's shared storage (content
 // dynamics: providers deleting files mid-run). It reports whether the file
 // was present. Response indexes elsewhere keep advertising the peer until
 // their entries age out — exactly the staleness a real withdrawal causes.
 func (n *Node) RemoveFile(f keywords.Filename) bool {
-	name := f.String()
-	if _, ok := n.files[name]; !ok {
-		return false
+	i, ok := n.fileIndex(f.String())
+	if ok {
+		n.files = slices.Delete(n.files, i, i+1)
 	}
-	delete(n.files, name)
-	return true
+	return ok
 }
 
 // HasFile reports whether the node shares filename f.
 func (n *Node) HasFile(f keywords.Filename) bool {
-	_, ok := n.files[f.String()]
+	_, ok := n.fileIndex(f.String())
 	return ok
 }
 
 // NumFiles returns the size of the node's shared storage.
 func (n *Node) NumFiles() int { return len(n.files) }
 
-// storageMatch returns a filename in storage satisfying q, if any. With
-// the small per-peer stores of the evaluation a linear scan is the right
-// tool; deterministic order comes from scanning for the smallest matching
-// name.
+// storageMatch returns the filename in storage satisfying q, if any; of
+// several, the one with the smallest name. With the small per-peer stores
+// of the evaluation a linear scan is the right tool.
 func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
-	var best keywords.Filename
-	found := false
-	for name, f := range n.files {
-		if !f.Matches(q) {
-			continue
-		}
-		if !found || name < best.String() {
-			best = f
-			found = true
+	for _, f := range n.files {
+		if f.Matches(q) {
+			return f, true
 		}
 	}
-	return best, found
+	return keywords.Filename{}, false
 }
 
 // PublishBloom refreshes the node's published Bloom snapshot from its

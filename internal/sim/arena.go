@@ -20,7 +20,7 @@ const (
 
 // eventRef addresses one event slot in an arena: slab index in the high
 // bits, slot within the slab in the low arenaSlabBits. It is the handle
-// stored in the calendar queue's lanes and inside Timers.
+// stored in the event queue's entries and inside Timers.
 type eventRef uint32
 
 type eventSlab [arenaSlabSize]event

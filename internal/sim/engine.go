@@ -11,12 +11,11 @@ import (
 // evaluation is built on.
 //
 // Pending events live in a flat slab arena (see arena.go) and are ordered
-// by a calendar queue over compact (at, seq, ref) entries (see queue.go):
-// the drain loop walks contiguous memory, and scheduling is O(1) amortised
-// instead of O(log n) heap ops.
+// by a 4-ary min-heap of compact (at, seq, ref) entries (see queue.go): the
+// heap moves 24-byte keys, never the event payloads.
 type Engine struct {
 	now     Time
-	queue   calendarQueue
+	queue   eventQueue
 	arena   eventArena
 	seq     uint64
 	stopped bool
@@ -24,8 +23,7 @@ type Engine struct {
 	processed uint64
 	// scheduled counts all Schedule calls, including later-cancelled ones.
 	scheduled uint64
-	// cancelled counts dead events discarded at pop time or reaped during a
-	// calendar rebuild.
+	// cancelled counts dead events discarded at pop time.
 	cancelled uint64
 	// horizon, when non-zero, rejects events scheduled beyond it.
 	horizon Time
@@ -76,22 +74,7 @@ func (e *Engine) recycle(r eventRef, ev *event) {
 var ErrPast = errors.New("sim: event scheduled in the past")
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.queue.arena = &e.arena
-	// Calendar rebuilds hand entries back so cancelled events are reaped
-	// (recycled and counted) instead of re-bucketed.
-	e.queue.drop = func(qe qent) bool {
-		ev := e.arena.get(qe.ref)
-		if !ev.dead {
-			return false
-		}
-		e.cancelled++
-		e.recycle(qe.ref, ev)
-		return true
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -106,8 +89,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Scheduled returns the number of events scheduled so far.
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
-// Cancelled returns the number of cancelled events discarded so far, at pop
-// time or by calendar-rebuild reaping.
+// Cancelled returns the number of cancelled events discarded so far. A
+// cancelled event stays queued until its turn to pop.
 func (e *Engine) Cancelled() uint64 { return e.cancelled }
 
 // SetHorizon rejects (silently drops) any event scheduled after t. A zero

@@ -138,76 +138,73 @@ func BenchmarkShardedEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkQueuePushPop compares the calendar queue against the binary
-// heap it replaced (kept as the test-only oracle) on a steady-state mixed
-// workload: a fixed-depth queue with near-clustered timestamps, periodic
-// far-future spills, and interleaved push/pop — the shape a protocol run
-// produces. The calendar side pays its arena alloc/release per op, exactly
-// as the engine does.
+// benchQueue is the surface BenchmarkQueuePushPop drives: the engine's
+// queue and the binary-heap oracle both have it.
+type benchQueue interface {
+	push(qent)
+	pop() (qent, bool)
+}
+
+// BenchmarkQueuePushPop measures one push plus one pop on the two queue
+// shapes a protocol run produces, for the engine's 4-ary heap and for the
+// test-only binary heap kept as its oracle. "dense" is a standing queue of
+// 4096 near-clustered timestamps with periodic far-future timers and
+// interleaved push/pop (Locaware at 20 000 peers); "sparse-burst" is
+// sparseBurst — a handful of standing timers, then a flood of ≈1400
+// link-latency deliveries, repeated (Flooding at the paper's arrival rate).
 func BenchmarkQueuePushPop(b *testing.B) {
-	const depth = 4096
-	workload := func(b *testing.B, push func(at Time, seq uint64), pop func() (Time, bool)) {
-		var seq uint64
-		var now Time
+	xorshift := func() func(mod int64) int64 {
 		x := uint64(0x9e3779b97f4a7c15)
-		next := func(mod int64) int64 {
+		return func(mod int64) int64 {
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
 			return int64(x % uint64(mod))
 		}
-		at := func() Time {
+	}
+	dense := func(b *testing.B, q benchQueue) {
+		const depth = 4096
+		var seq uint64
+		var now Time
+		next := xorshift()
+		push := func() {
+			at := now + Time(next(2000))
 			if next(50) == 0 {
-				return now + 30*Second + Time(next(int64(Second)))
+				at = now + 30*Second + Time(next(int64(Second)))
 			}
-			return now + Time(next(2000))
+			q.push(qent{at: at, seq: seq})
+			seq++
 		}
 		for i := 0; i < depth; i++ {
-			push(at(), seq)
-			seq++
+			push()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			push(at(), seq)
-			seq++
-			if t, ok := pop(); ok {
-				now = t
-			}
-		}
-		b.StopTimer()
-		for {
-			if _, ok := pop(); !ok {
-				break
-			}
+			push()
+			e, _ := q.pop()
+			now = e.at
 		}
 	}
-	b.Run("calendar", func(b *testing.B) {
-		var arena eventArena
-		var q calendarQueue
-		q.arena = &arena
-		workload(b,
-			func(at Time, seq uint64) {
-				ref, ev := arena.alloc()
-				ev.at, ev.seq = at, seq
-				q.push(qent{at: at, seq: seq, ref: ref})
+	sparse := func(b *testing.B, q benchQueue) {
+		var seq uint64
+		// One query is 1402 push+pop pairs.
+		sparseBurst(b.N/1402+1, xorshift(),
+			func(at Time) {
+				q.push(qent{at: at, seq: seq})
+				seq++
 			},
 			func() (Time, bool) {
 				e, ok := q.pop()
-				if ok {
-					arena.release(e.ref)
-				}
 				return e.at, ok
 			})
-	})
-	b.Run("heap", func(b *testing.B) {
-		var q heapQueue
-		workload(b,
-			func(at Time, seq uint64) { q.push(qent{at: at, seq: seq}) },
-			func() (Time, bool) {
-				e, ok := q.pop()
-				return e.at, ok
-			})
-	})
+	}
+	for _, shape := range []struct {
+		name string
+		run  func(*testing.B, benchQueue)
+	}{{"dense", dense}, {"sparse-burst", sparse}} {
+		b.Run(shape.name+"/quad", func(b *testing.B) { shape.run(b, &eventQueue{}) })
+		b.Run(shape.name+"/binary-oracle", func(b *testing.B) { shape.run(b, &heapQueue{}) })
+	}
 }
 
 // BenchmarkShardedDrainMode compares the persistent parked workers against

@@ -294,14 +294,10 @@ func TestHeapPropertyQuick(t *testing.T) {
 
 func TestQueueRandomizedPushPop(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	var q calendarQueue
-	q.arena = &eventArena{}
+	var q eventQueue
 	const n = 2000
 	for i := 0; i < n; i++ {
-		at := Time(r.Intn(1000))
-		ref, ev := q.arena.alloc()
-		ev.at, ev.seq = at, uint64(i)
-		q.push(qent{at: at, seq: uint64(i), ref: ref})
+		q.push(qent{at: Time(r.Intn(1000)), seq: uint64(i)})
 	}
 	var prev qent
 	for i := 0; i < n; i++ {

@@ -130,12 +130,8 @@ type event struct {
 	seq     uint64
 	handler Handler
 	typed   Event
-	// next chains this slot into its calendar lane (see queue.go); lanes
-	// are intrusive lists through the arena, so queueing an event never
-	// allocates lane storage.
-	next eventRef
-	dead bool
-	gen  uint64
+	dead    bool
+	gen     uint64
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. It names
@@ -154,8 +150,8 @@ var deadTimer = &Timer{}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op. Cancel reports whether the event was
-// still pending. The cancelled event rides the queue until popped or
-// reaped by a calendar rebuild, counted either way by Engine.Cancelled.
+// still pending. The cancelled event rides the queue until popped, when
+// Engine.Cancelled counts it.
 func (t *Timer) Cancel() bool {
 	if !t.Pending() {
 		return false

@@ -29,7 +29,7 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterVec(MetricEvents, "Events delivered by kind.", "kind")
 	reg.Gauge(MetricQueueHighWater, "Highest event-queue depth seen on any shard.")
 	reg.Counter(MetricScheduled, "Events scheduled, including later-cancelled ones.")
-	reg.Counter(MetricCancelled, "Cancelled events discarded at pop time or reaped during calendar rebuilds.")
+	reg.Counter(MetricCancelled, "Cancelled events discarded at pop time.")
 	reg.Gauge(MetricFreeList, "Largest per-shard event freelist (pooled event capacity).")
 	reg.Counter(MetricEpochs, "Sharded epochs completed.")
 	reg.Counter(MetricCrossShard, "Events routed between shards through the epoch mailbox.")

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// heapQueue is the engine's former binary min-heap, ported over qent and
-// kept test-only as the ordering oracle: the calendar queue must produce
-// the byte-identical (at, seq) pop sequence on any workload.
+// heapQueue is a textbook binary min-heap over qent, kept test-only as the
+// independent ordering oracle: the engine's queue must produce the
+// byte-identical (at, seq) pop sequence on any workload.
 type heapQueue struct {
 	ents []qent
 }
@@ -53,15 +53,14 @@ func (h *heapQueue) pop() (qent, bool) {
 	}
 }
 
-// oracleWorld drives a calendar queue (with its arena and reap callback
-// wired exactly as the engine wires them) and the heap oracle through the
+// oracleWorld drives the engine's queue (over an arena, with cancellation
+// marked on the slot as Timer.Cancel does) and the heap oracle through the
 // same stream of operations.
 type oracleWorld struct {
 	t         *testing.T
 	arena     eventArena
-	cal       calendarQueue
+	q         eventQueue
 	heap      heapQueue
-	reaped    int
 	dead      map[uint64]bool // seq -> cancelled, the heap side's view
 	pending   []qent          // live entries available to cancel
 	seq       uint64
@@ -70,18 +69,7 @@ type oracleWorld struct {
 }
 
 func newOracleWorld(t *testing.T) *oracleWorld {
-	w := &oracleWorld{t: t, dead: map[uint64]bool{}}
-	w.cal.arena = &w.arena
-	w.cal.drop = func(qe qent) bool {
-		ev := w.arena.get(qe.ref)
-		if !ev.dead {
-			return false
-		}
-		w.reaped++
-		w.arena.release(qe.ref)
-		return true
-	}
-	return w
+	return &oracleWorld{t: t, dead: map[uint64]bool{}}
 }
 
 func (w *oracleWorld) push(at Time) {
@@ -92,7 +80,7 @@ func (w *oracleWorld) push(at Time) {
 	ev.at, ev.seq = at, w.seq
 	e := qent{at: at, seq: w.seq, ref: ref}
 	w.seq++
-	w.cal.push(e)
+	w.q.push(e)
 	w.heap.push(e)
 	w.pending = append(w.pending, e)
 }
@@ -114,10 +102,10 @@ func (w *oracleWorld) cancel(r *rand.Rand) {
 // (at, seq) keys match; it mirrors the engine's dead-skip loop. Returns
 // false when both queues are exhausted.
 func (w *oracleWorld) popLive() bool {
-	var calEnt qent
-	calOK := false
+	var got qent
+	gotOK := false
 	for {
-		e, ok := w.cal.pop()
+		e, ok := w.q.pop()
 		if !ok {
 			break
 		}
@@ -128,7 +116,7 @@ func (w *oracleWorld) popLive() bool {
 		}
 		ev.dead = true
 		w.arena.release(e.ref)
-		calEnt, calOK = e, true
+		got, gotOK = e, true
 		break
 	}
 	var heapEnt qent
@@ -145,24 +133,24 @@ func (w *oracleWorld) popLive() bool {
 		heapEnt, heapOK = e, true
 		break
 	}
-	if calOK != heapOK {
-		w.t.Fatalf("after %d deliveries: calendar live=%v heap live=%v", w.delivered, calOK, heapOK)
+	if gotOK != heapOK {
+		w.t.Fatalf("after %d deliveries: queue live=%v oracle live=%v", w.delivered, gotOK, heapOK)
 	}
-	if !calOK {
+	if !gotOK {
 		return false
 	}
-	if calEnt.at != heapEnt.at || calEnt.seq != heapEnt.seq {
-		w.t.Fatalf("delivery %d diverged: calendar (%d,%d) vs heap (%d,%d)",
-			w.delivered, calEnt.at, calEnt.seq, heapEnt.at, heapEnt.seq)
+	if got.at != heapEnt.at || got.seq != heapEnt.seq {
+		w.t.Fatalf("delivery %d diverged: queue (%d,%d) vs oracle (%d,%d)",
+			w.delivered, got.at, got.seq, heapEnt.at, heapEnt.seq)
 	}
-	if calEnt.at < w.now {
-		w.t.Fatalf("delivery %d went back in time: %d after clock %d", w.delivered, calEnt.at, w.now)
+	if got.at < w.now {
+		w.t.Fatalf("delivery %d went back in time: %d after clock %d", w.delivered, got.at, w.now)
 	}
-	w.now = calEnt.at
+	w.now = got.at
 	w.delivered++
 	// Drop the delivered entry from the cancellable set.
 	for i, p := range w.pending {
-		if p.seq == calEnt.seq {
+		if p.seq == got.seq {
 			w.pending[i] = w.pending[len(w.pending)-1]
 			w.pending = w.pending[:len(w.pending)-1]
 			break
@@ -173,8 +161,8 @@ func (w *oracleWorld) popLive() bool {
 
 // TestQueueOracleRandomized locks the ordering contract: on randomized
 // push/pop/cancel streams — same-instant FIFO ties, zero delays, far-future
-// ladder spills, bursts and droughts — the calendar queue delivers the
-// byte-identical (at, seq) sequence as the binary heap it replaced.
+// timers, bursts and droughts — the engine's queue delivers the
+// byte-identical (at, seq) sequence as the binary-heap oracle.
 func TestQueueOracleRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -194,7 +182,7 @@ func TestQueueOracleRandomized(t *testing.T) {
 				case c < 9:
 					at = w.now + Time(r.Intn(int(30*Second))) // mid-range
 				default:
-					at = w.now + 30*Second + Time(r.Intn(int(Minute))) // ladder spill
+					at = w.now + 30*Second + Time(r.Intn(int(Minute))) // far future
 				}
 				if at < w.now {
 					at = w.now
@@ -209,8 +197,8 @@ func TestQueueOracleRandomized(t *testing.T) {
 		}
 		for w.popLive() {
 		}
-		if got := w.cal.Len(); got != 0 {
-			t.Fatalf("seed %d: calendar holds %d entries after exhaustion", seed, got)
+		if got := w.q.Len(); got != 0 {
+			t.Fatalf("seed %d: queue holds %d entries after exhaustion", seed, got)
 		}
 		if w.delivered == 0 {
 			t.Fatalf("seed %d: oracle run delivered nothing", seed)
@@ -218,9 +206,9 @@ func TestQueueOracleRandomized(t *testing.T) {
 	}
 }
 
-// TestQueueOracleBurstDrain covers the resize path: bursts far above the
-// lane capacity force density rebuilds, full drains force ladder
-// re-anchors, and the order must still match the heap throughout.
+// TestQueueOracleBurstDrain covers growth and full drains: bursts of
+// thousands of near-instant entries with a far-future sprinkling, a tenth
+// cancelled, drained to empty every cycle.
 func TestQueueOracleBurstDrain(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	w := newOracleWorld(t)
@@ -238,38 +226,73 @@ func TestQueueOracleBurstDrain(t *testing.T) {
 		}
 		for w.popLive() {
 		}
-		if w.cal.Len() != 0 || w.heap.Len() != 0 {
-			t.Fatalf("cycle %d: queues not drained (cal %d, heap %d)", cycle, w.cal.Len(), w.heap.Len())
+		if w.q.Len() != 0 || w.heap.Len() != 0 {
+			t.Fatalf("cycle %d: queues not drained (queue %d, oracle %d)", cycle, w.q.Len(), w.heap.Len())
 		}
 	}
 }
 
-// TestQueueCancelledReapedOnRebuild proves the mass-cancel satellite:
-// cancelled events are reaped (released, counted) when a rebuild touches
-// them, rather than riding the lanes until popped.
-func TestQueueCancelledReapedOnRebuild(t *testing.T) {
+// sparseBurst drives a queue through Flooding at the paper's arrival rate,
+// the shape a queue that sizes itself from what is queued when it drains
+// gets wrong: a query arrives every 0.6 s, arms a finalize timer 3.6 s out
+// (so a handful stand in the queue, 0.6 s apart) and floods ≈1400
+// deliveries over link latencies of 5–185 ms, each delivery forwarding to
+// four more peers while the query's budget lasts. Between bursts the queue
+// drains to the timers. The event kind rides in the two low bits of the
+// timestamp, so the driver needs nothing from the queue but push and pop.
+func sparseBurst(queries int, next func(mod int64) int64, push func(at Time), pop func() (Time, bool)) {
+	const (
+		timer = iota
+		arrival
+		delivery
+		gap   = 600 * Millisecond
+		burst = 1400
+	)
+	budget := 0
+	push(arrival)
+	for {
+		now, ok := pop()
+		if !ok {
+			return
+		}
+		fan := 0
+		switch now & 3 {
+		case arrival:
+			if queries--; queries > 0 {
+				push((now+gap)&^3 | arrival)
+			}
+			push((now+6*gap)&^3 | timer)
+			budget += burst
+			fan = 8
+		case delivery:
+			fan = 4
+		}
+		for ; fan > 0 && budget > 0; fan, budget = fan-1, budget-1 {
+			push((now+5*Millisecond+Time(next(int64(180*Millisecond))))&^3 | delivery)
+		}
+	}
+}
+
+// TestQueueOracleSparseBurst runs the sparse-burst shape against the
+// oracle.
+func TestQueueOracleSparseBurst(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
 	w := newOracleWorld(t)
-	// A ladder entry guarantees the drain ends in a rebuild.
-	w.push(w.now + 40*Second)
-	for i := 0; i < 400; i++ {
-		w.push(w.now + Time(i))
+	const queries = 25
+	sparseBurst(queries, r.Int63n, w.push, func() (Time, bool) {
+		ok := w.popLive()
+		return w.now, ok
+	})
+	if want := queries * (1400 + 2); w.delivered != want {
+		t.Fatalf("delivered %d entries, want %d", w.delivered, want)
 	}
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		w.cancel(r)
-	}
-	for w.popLive() {
-	}
-	if w.reaped == 0 {
-		t.Fatal("no cancelled entries were reaped during rebuilds")
-	}
-	if w.cal.Len() != 0 {
-		t.Fatalf("calendar holds %d entries after drain", w.cal.Len())
+	if w.q.Len() != 0 || w.heap.Len() != 0 {
+		t.Fatalf("queues not drained (queue %d, oracle %d)", w.q.Len(), w.heap.Len())
 	}
 }
 
 // TestEngineCancelledCounter checks the public surface: cancelled events
-// are counted whether discarded at pop time or reaped by a rebuild.
+// are counted when the drain discards them.
 func TestEngineCancelledCounter(t *testing.T) {
 	e := NewEngine()
 	fired := 0

@@ -58,8 +58,8 @@ type RuntimeStats struct {
 	// EventsScheduled counts all schedule calls, including events later
 	// dropped by the horizon.
 	EventsScheduled uint64
-	// EventsCancelled counts cancelled events the scheduler discarded,
-	// whether skipped at pop time or reaped during a calendar rebuild.
+	// EventsCancelled counts cancelled events the scheduler discarded
+	// at pop time.
 	EventsCancelled uint64
 	// QueueDepthHighWater is the deepest any event queue got.
 	QueueDepthHighWater uint64
