@@ -1,14 +1,17 @@
 // Benchmarks regenerating every figure of the Locaware paper's evaluation
-// (§5.2) plus the ablations and extensions documented in DESIGN.md. Each
-// figure bench runs the paired comparison at a reduced-but-representative
-// scale and reports the figure's metric per protocol via b.ReportMetric, so
-// `go test -bench=.` reproduces the paper's rows. Absolute wall-clock time
-// of a bench iteration is simulator speed, not a paper metric.
+// (§5.2) plus the ablations and extensions listed under "Command-line
+// harness" in README.md. Each figure bench runs the paired comparison at a
+// reduced-but-representative scale and reports the figure's metric per
+// protocol via b.ReportMetric, so `go test -bench=.` reproduces the paper's
+// rows. Absolute wall-clock time of a bench iteration is simulator speed,
+// not a paper metric.
 //
 // Paper-scale regeneration (1000 peers) lives in cmd/locaware-exp; the
 // benches use 400 peers so the full suite completes in minutes. The shape
-// of every comparison (who wins, by roughly what factor) is preserved; see
-// EXPERIMENTS.md for paper-scale numbers.
+// of every comparison (who wins, by roughly what factor) is preserved. The
+// README's "Command-line harness" section gives the paper-scale commands
+// (`locaware-exp -fig all`), "Scaling" the hot-path cost at 2000 peers, and
+// testdata/golden_compare_200peers.txt pins the 200-peer Fig. 3/4 table.
 package locaware
 
 import (

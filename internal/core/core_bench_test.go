@@ -1,13 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
-	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -183,22 +183,8 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 // noise of the single queue, so that multi-core hosts only see the upside.
 func BenchmarkShardedProtocolEvents(b *testing.B) {
 	const warmup, measured = 500, 2000
-	type variant struct {
-		name   string
-		shards int
-		spawn  bool
-	}
-	variants := []variant{
-		{"shards=1", 1, false},
-		{"shards=2", 2, false},
-		{"shards=4", 4, false},
-		// Legacy per-epoch goroutine spawn, for the persistent-worker delta.
-		{"shards=2-spawn", 2, true},
-		{"shards=4-spawn", 4, true},
-	}
-	for _, v := range variants {
-		shards := v.shards
-		b.Run(v.name, func(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -206,9 +192,6 @@ func BenchmarkShardedProtocolEvents(b *testing.B) {
 				cfg := benchConfig(2000, int64(i+1))
 				cfg.Shards = shards
 				s := NewSimulation(cfg, protocol.Locaware{})
-				if sh, ok := s.loop.(*sim.Sharded); ok && v.spawn {
-					sh.SetSpawnDrain(true)
-				}
 				b.StartTimer()
 				res := s.RunMeasured(warmup, measured)
 				b.StopTimer()

@@ -176,10 +176,6 @@ func TestFigureSeriesExtraction(t *testing.T) {
 			}
 		}
 	}
-	cum := cmp.CumulativeFigureSeries(Fig4SuccessRate)
-	if len(cum) != 2 || cum[0].Len() != 3 {
-		t.Fatal("cumulative series broken")
-	}
 	if got := cmp.FigureSeries("not-a-figure"); got[0].Len() != 0 {
 		t.Fatal("unknown figure should yield empty series")
 	}

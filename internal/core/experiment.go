@@ -3,14 +3,9 @@ package core
 import (
 	"sort"
 
-	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/stats"
 )
-
-// metricsWindow aliases the metrics checkpoint type used by the figure
-// extractors.
-type metricsWindow = metrics.Window
 
 // Baselines returns the paper's four compared protocols in figure order.
 func Baselines() []protocol.Behavior {
@@ -96,30 +91,9 @@ const (
 // paper reports (Locaware's download distance improving as replication
 // spreads providers, the others staying flat).
 func (c *Comparison) FigureSeries(fig string) []*stats.Series {
-	return c.figureSeries(fig, false)
-}
-
-// CumulativeFigureSeries is FigureSeries with each point computed over all
-// queries up to the checkpoint instead of the window since the previous
-// one.
-func (c *Comparison) CumulativeFigureSeries(fig string) []*stats.Series {
-	return c.figureSeries(fig, true)
-}
-
-func (c *Comparison) figureSeries(fig string, cumulative bool) []*stats.Series {
 	var out []*stats.Series
 	for _, name := range c.Order {
-		res := c.Results[name]
-		var windows []metricsWindow
-		if cumulative {
-			for _, w := range res.Collector.CumulativeWindows(c.Checkpoints) {
-				windows = append(windows, w)
-			}
-		} else {
-			for _, w := range res.Collector.Windows(c.Checkpoints) {
-				windows = append(windows, w)
-			}
-		}
+		windows := c.Results[name].Collector.Windows(c.Checkpoints)
 		s := &stats.Series{Name: name}
 		for _, w := range windows {
 			var y float64

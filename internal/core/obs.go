@@ -35,8 +35,6 @@ type RuntimeStats struct {
 	EventsCancelled uint64
 	// QueueDepthHighWater is the deepest any shard's event queue got.
 	QueueDepthHighWater uint64
-	// FreeListEvents is the pooled-event capacity left at end of run.
-	FreeListEvents int
 	// Epochs / CrossShardEvents / MaxEpochDrainSeconds describe the
 	// sharded epoch loop (zero on a single queue).
 	Epochs               uint64
@@ -74,7 +72,7 @@ func (s *Simulation) attachObs(reg *obs.Registry) {
 }
 
 // finishObs drains every cell, folds the run's end-of-run totals
-// (scheduled events, freelists, forwarding tiers, control traffic, pool
+// (scheduled events, forwarding tiers, control traffic, pool
 // occupancy) into the registry, and attaches the per-run snapshot to
 // res. No-op without an attached registry.
 func (s *Simulation) finishObs(res *RunResult) {
@@ -90,21 +88,17 @@ func (s *Simulation) finishObs(res *RunResult) {
 	s.Network.DrainObs()
 
 	var scheduled, cancelled uint64
-	freelist := 0
 	if sh, ok := s.loop.(*sim.Sharded); ok {
 		for i := 0; i < sh.Shards(); i++ {
 			scheduled += sh.Engine(i).Scheduled()
 			cancelled += sh.Engine(i).Cancelled()
-			freelist += sh.Engine(i).FreeListLen()
 		}
 	} else {
 		scheduled = s.Engine.Scheduled()
 		cancelled = s.Engine.Cancelled()
-		freelist = s.Engine.FreeListLen()
 	}
 	reg.Counter(sim.MetricScheduled, "").Add(scheduled)
 	reg.Counter(sim.MetricCancelled, "").Add(cancelled)
-	reg.Gauge(sim.MetricFreeList, "").SetMax(int64(freelist))
 
 	fwd := s.Network.Forwarding()
 	fwdVec := reg.CounterVec(protocol.MetricForwards, "", "tier")
@@ -127,7 +121,6 @@ func (s *Simulation) finishObs(res *RunResult) {
 		Shards:               s.Cfg.Shards,
 		EventsScheduled:      scheduled,
 		EventsCancelled:      cancelled,
-		FreeListEvents:       freelist,
 		Submitted:            ps.Submitted,
 		Finalized:            ps.Finalized,
 		CacheHits:            ps.CacheHits,

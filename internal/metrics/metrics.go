@@ -49,10 +49,10 @@ type QueryRecord struct {
 // CollectorConfig configures the measurement plane of one run.
 type CollectorConfig struct {
 	// Checkpoints is the ascending list of cumulative query counts at which
-	// figure windows are sealed. With checkpoints configured, Windows and
-	// CumulativeWindows are served from streaming accumulators sealed during
-	// the run; without them (and without RetainRecords) only the whole-run
-	// scalar metrics are available.
+	// figure windows are sealed. With checkpoints configured, Windows is
+	// served from streaming accumulators sealed during the run; without
+	// them (and without RetainRecords) only the whole-run scalar metrics
+	// are available.
 	Checkpoints []int
 	// Phases segments the query stream into named contiguous spans
 	// (scenario phases): each mark closes the span (prevEnd, End] under its
@@ -62,8 +62,8 @@ type CollectorConfig struct {
 	// just the three figure metrics. Ends must be ascending and positive.
 	Phases []PhaseMark
 	// RetainRecords keeps the full per-query record stream in memory, so
-	// Records() works and Windows/CumulativeWindows accept arbitrary
-	// checkpoint lists (replayed from the records). This is the
+	// Records() works and Windows accepts arbitrary checkpoint lists
+	// (replayed from the records). This is the
 	// full-fidelity trace mode; memory grows O(queries).
 	RetainRecords bool
 }
@@ -145,10 +145,9 @@ type Collector struct {
 
 	// Sealed per-checkpoint windows; nextCk indexes the first unsealed
 	// checkpoint and win accumulates the window in progress.
-	sealed    []Window
-	cumSealed []Window
-	nextCk    int
-	win       windowAcc
+	sealed []Window
+	nextCk int
+	win    windowAcc
 
 	// Sealed scenario-phase windows; nextPhase indexes the first unsealed
 	// phase mark and pacc accumulates the phase in progress.
@@ -162,7 +161,7 @@ type Collector struct {
 
 // NewCollector returns an empty streaming collector with no checkpoint grid
 // and no record retention: all whole-run scalar metrics work in O(1) state,
-// but Windows/CumulativeWindows need a grid (see NewCollectorWith).
+// but Windows needs a grid (see NewCollectorWith).
 func NewCollector() *Collector { return NewCollectorWith(CollectorConfig{}) }
 
 // NewCollectorWith returns an empty collector for the given configuration.
@@ -186,7 +185,6 @@ func NewCollectorWith(cfg CollectorConfig) *Collector {
 	c := &Collector{cfg: cfg}
 	if n := len(cfg.Checkpoints); n > 0 {
 		c.sealed = make([]Window, 0, n)
-		c.cumSealed = make([]Window, 0, n)
 	}
 	if n := len(cfg.Phases); n > 0 {
 		c.phaseSealed = make([]PhaseWindow, 0, n)
@@ -246,8 +244,7 @@ func (c *Collector) sealPhase() {
 	c.nextPhase++
 }
 
-// seal closes the in-progress window at the current query count and
-// snapshots the cumulative metrics at the same point.
+// seal closes the in-progress window at the current query count.
 func (c *Collector) seal() {
 	prev := 0
 	if n := len(c.sealed); n > 0 {
@@ -259,12 +256,6 @@ func (c *Collector) seal() {
 		MessagesPerQuery: float64(c.win.messages) / float64(n),
 		SuccessRate:      float64(c.win.successes) / float64(n),
 		DownloadRTT:      meanOrZero(c.win.rttSum, c.win.successes),
-	})
-	c.cumSealed = append(c.cumSealed, Window{
-		End:              c.submitted,
-		MessagesPerQuery: float64(c.totalMessages) / float64(c.submitted),
-		SuccessRate:      float64(c.successes) / float64(c.submitted),
-		DownloadRTT:      meanOrZero(c.rttSum, c.successes),
 	})
 	c.win = windowAcc{}
 	c.nextCk++
@@ -467,49 +458,6 @@ func (c *Collector) replayWindows(checkpoints []int) []Window {
 		if partial {
 			break
 		}
-	}
-	return out
-}
-
-// CumulativeWindows computes the metrics over queries [0, end] for each
-// checkpoint — the "effect of the number of queries" presentation used in
-// the paper's figures. Checkpoints beyond the recorded count are dropped
-// (the cumulative value at a never-reached count does not exist); this is
-// the documented truncation contract.
-//
-// The same grid rule as Windows applies: the configured checkpoint grid is
-// served from sealed accumulators, anything else requires RetainRecords.
-func (c *Collector) CumulativeWindows(checkpoints []int) []Window {
-	if len(c.cfg.Checkpoints) > 0 && slices.Equal(checkpoints, c.cfg.Checkpoints) {
-		return append([]Window(nil), c.cumSealed...)
-	}
-	if !c.cfg.RetainRecords {
-		panic("metrics: CumulativeWindows with an ad-hoc checkpoint list requires RetainRecords or the configured grid")
-	}
-	return c.replayCumulativeWindows(checkpoints)
-}
-
-// replayCumulativeWindows is the record-replay reference for
-// CumulativeWindows.
-func (c *Collector) replayCumulativeWindows(checkpoints []int) []Window {
-	var out []Window
-	for _, end := range checkpoints {
-		if end > len(c.records) || end <= 0 {
-			continue
-		}
-		w := Window{End: end}
-		var acc windowAcc
-		for _, r := range c.records[:end] {
-			acc.messages += r.Messages
-			if r.Success {
-				acc.successes++
-				acc.rttSum += r.DownloadRTT
-			}
-		}
-		w.MessagesPerQuery = float64(acc.messages) / float64(end)
-		w.SuccessRate = float64(acc.successes) / float64(end)
-		w.DownloadRTT = meanOrZero(acc.rttSum, acc.successes)
-		out = append(out, w)
 	}
 	return out
 }

@@ -145,30 +145,6 @@ func TestWindowsPartialFinal(t *testing.T) {
 	if got := s.Windows([]int{5, 10}); !reflect.DeepEqual(got, ws) {
 		t.Fatalf("streaming partial = %+v, replay = %+v", got, ws)
 	}
-	// Cumulative windows keep the documented drop-beyond-count contract.
-	if cum := s.CumulativeWindows([]int{5, 10}); len(cum) != 1 || cum[0].End != 5 {
-		t.Fatalf("cumulative truncation = %+v", cum)
-	}
-}
-
-func TestCumulativeWindows(t *testing.T) {
-	c := retaining()
-	c.Record(rec(10, true, 100, false, 1)) // q1
-	c.Record(rec(30, false, 0, false, 0))  // q2
-	c.Record(rec(20, true, 200, false, 1)) // q3
-	ws := c.CumulativeWindows([]int{1, 2, 3, 10})
-	if len(ws) != 3 {
-		t.Fatalf("windows = %d", len(ws))
-	}
-	if ws[0].SuccessRate != 1 || ws[0].MessagesPerQuery != 10 {
-		t.Fatalf("w0 = %+v", ws[0])
-	}
-	if ws[1].SuccessRate != 0.5 || ws[1].MessagesPerQuery != 20 {
-		t.Fatalf("w1 = %+v", ws[1])
-	}
-	if ws[2].SuccessRate != 2.0/3.0 || ws[2].DownloadRTT != 150 {
-		t.Fatalf("w2 = %+v", ws[2])
-	}
 }
 
 // sameWindows compares window slices bit-for-bit, treating empty and nil
@@ -189,9 +165,6 @@ func TestStreamingMatchesReplay(t *testing.T) {
 		}
 		if got, want := c.Windows(grid), c.replayWindows(grid); !sameWindows(got, want) {
 			t.Fatalf("trial %d (n=%d): streaming windows %+v != replay %+v", trial, n, got, want)
-		}
-		if got, want := c.CumulativeWindows(grid), c.replayCumulativeWindows(grid); !sameWindows(got, want) {
-			t.Fatalf("trial %d (n=%d): streaming cumulative %+v != replay %+v", trial, n, got, want)
 		}
 	}
 }

@@ -7,20 +7,18 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// This file defines the network's typed simulator events. Every hot-path
-// action that used to schedule a closure — query forwards, response hops,
-// query finalisation, Bloom gossip installs, the gossip round timer — is a
-// pooled concrete type here, so steady-state scheduling allocates nothing
+// This file defines the network's simulator events. Every hot-path action
+// — query forwards, response hops, query finalisation, Bloom gossip
+// installs, the gossip round timer — is a pooled concrete type here, so
+// steady-state scheduling allocates nothing
 // and every message-carrying event names its destination peer
 // (sim.Destined), which is what the sharded runner routes on.
 //
-// Pooling protocol: the sending shard acquires an event, fills it, posts
-// it; the event releases itself to the pool of the shard it fires on (its
-// destination's shard), resolved through the engine's shard index. Traffic
-// symmetry keeps per-shard pools balanced, and no pool is ever touched by
-// two shards within an epoch. An event dropped by the engine's horizon is
-// never fired and is reclaimed by the GC, exactly like a dropped message
-// buffer.
+// Pooling follows sim.Pool's rule: the sending shard acquires an event,
+// fills every field, posts it; the event Puts itself into the pool of the
+// shard it fires on (its destination's shard), resolved through the
+// engine's shard index. An event dropped by the engine's horizon is never
+// fired and is reclaimed by the GC, exactly like a dropped message buffer.
 
 // queryDeliverEvent delivers a forwarded query branch from src to dst.
 type queryDeliverEvent struct {
@@ -40,17 +38,11 @@ func (ev *queryDeliverEvent) Fire(e *sim.Engine) {
 	net.receiveQuery(e, st, ev.dst, ev.msg)
 	st.releaseMsg(ev.msg)
 	ev.msg = nil
-	st.qdFree = append(st.qdFree, ev)
+	st.qdPool.Put(ev)
 }
 
 func (st *shardState) acquireQueryDeliver(net *Network, src, dst overlay.PeerID, msg *QueryMsg) *queryDeliverEvent {
-	if n := len(st.qdFree); n > 0 {
-		ev := st.qdFree[n-1]
-		st.qdFree = st.qdFree[:n-1]
-		ev.src, ev.dst, ev.msg = src, dst, msg
-		return ev
-	}
-	ev := st.qdSlab.New()
+	ev := st.qdPool.Get()
 	ev.net, ev.src, ev.dst, ev.msg = net, src, dst, msg
 	return ev
 }
@@ -75,17 +67,11 @@ func (ev *responseDeliverEvent) Fire(e *sim.Engine) {
 	st := net.stateOn(e)
 	net.deliverResponse(e, st, ev.dst, ev.rsp)
 	ev.rsp = nil
-	st.rdFree = append(st.rdFree, ev)
+	st.rdPool.Put(ev)
 }
 
 func (st *shardState) acquireResponseDeliver(net *Network, src, dst overlay.PeerID, rsp *ResponseMsg) *responseDeliverEvent {
-	if n := len(st.rdFree); n > 0 {
-		ev := st.rdFree[n-1]
-		st.rdFree = st.rdFree[:n-1]
-		ev.src, ev.dst, ev.rsp = src, dst, rsp
-		return ev
-	}
-	ev := st.rdSlab.New()
+	ev := st.rdPool.Get()
 	ev.net, ev.src, ev.dst, ev.rsp = net, src, dst, rsp
 	return ev
 }
@@ -107,17 +93,11 @@ func (ev *finalizeEvent) Fire(e *sim.Engine) {
 	net := ev.net
 	st := net.stateOn(e)
 	net.finalize(st, ev.id)
-	st.finFree = append(st.finFree, ev)
+	st.finPool.Put(ev)
 }
 
 func (st *shardState) acquireFinalize(net *Network, id QueryID, dst overlay.PeerID) *finalizeEvent {
-	if n := len(st.finFree); n > 0 {
-		ev := st.finFree[n-1]
-		st.finFree = st.finFree[:n-1]
-		ev.id, ev.dst = id, dst
-		return ev
-	}
-	ev := st.finSlab.New()
+	ev := st.finPool.Get()
 	ev.net, ev.id, ev.dst = net, id, dst
 	return ev
 }
@@ -142,17 +122,11 @@ func (ev *querySubmitEvent) Fire(e *sim.Engine) {
 	st := net.stateOn(e)
 	net.runSubmit(e, st, ev.id, ev.dst, ev.q)
 	ev.q = keywords.Query{}
-	st.qsFree = append(st.qsFree, ev)
+	st.qsPool.Put(ev)
 }
 
 func (st *shardState) acquireSubmit(net *Network, id QueryID, dst overlay.PeerID, q keywords.Query) *querySubmitEvent {
-	if n := len(st.qsFree); n > 0 {
-		ev := st.qsFree[n-1]
-		st.qsFree = st.qsFree[:n-1]
-		ev.dst, ev.id, ev.q = dst, id, q
-		return ev
-	}
-	ev := st.qsSlab.New()
+	ev := st.qsPool.Get()
 	ev.net, ev.dst, ev.id, ev.q = net, dst, id, q
 	return ev
 }
@@ -196,7 +170,7 @@ func (ev *bloomInstallEvent) Fire(e *sim.Engine) {
 	snap := ev.snap
 	if ev.owned {
 		net.nodes[ev.dst].setNeighborBloom(ev.from, snap)
-		st.snapFree = append(st.snapFree, snap)
+		st.snapPool.Put(snap)
 	} else {
 		if net.nodes[ev.from].announceGenOf(snap) != ev.gen {
 			st.staleBloomFallbacks++
@@ -205,30 +179,22 @@ func (ev *bloomInstallEvent) Fire(e *sim.Engine) {
 		net.nodes[ev.dst].setNeighborBloom(ev.from, snap)
 	}
 	ev.snap = nil
-	st.biFree = append(st.biFree, ev)
+	st.biPool.Put(ev)
 }
 
 func (st *shardState) acquireBloomInstall(net *Network, dst, from overlay.PeerID, snap *bloom.Filter, gen uint64) *bloomInstallEvent {
-	if n := len(st.biFree); n > 0 {
-		ev := st.biFree[n-1]
-		st.biFree = st.biFree[:n-1]
-		ev.dst, ev.from, ev.snap, ev.gen, ev.owned = dst, from, snap, gen, false
-		return ev
-	}
-	ev := st.biSlab.New()
-	ev.net, ev.dst, ev.from, ev.snap, ev.gen = net, dst, from, snap, gen
+	ev := st.biPool.Get()
+	*ev = bloomInstallEvent{net: net, dst: dst, from: from, snap: snap, gen: gen}
 	return ev
 }
 
 // acquireBloomInstallOwned builds a cross-shard install carrying a pooled
 // copy of src (the sender's announce-time snapshot).
 func (st *shardState) acquireBloomInstallOwned(net *Network, dst, from overlay.PeerID, src *bloom.Filter) *bloomInstallEvent {
-	var snap *bloom.Filter
-	if n := len(st.snapFree); n > 0 {
-		snap = st.snapFree[n-1]
-		st.snapFree = st.snapFree[:n-1]
-	} else {
-		snap = bloom.New(src.M(), src.K())
+	snap := st.snapPool.Get()
+	if snap.M() == 0 {
+		// Fresh from the pool's block: give it the network's geometry.
+		*snap = *bloom.New(src.M(), src.K())
 	}
 	// Geometry matches by construction: all filters in one network share
 	// the configured bits/hashes.
@@ -242,10 +208,9 @@ func (st *shardState) acquireBloomInstallOwned(net *Network, dst, from overlay.P
 }
 
 // gossipRoundEvent is the periodic gossip control: one instance per shard,
-// rescheduling itself on its own engine after each round — the typed,
-// allocation-free analogue of Engine.Every. It is undestined on purpose:
-// posted on its shard's engine at build time, it stays there, and its scan
-// walks only that shard's peers.
+// rescheduling itself on its own engine after each round, allocation-free.
+// It is undestined on purpose: posted on its shard's engine at build time,
+// it stays there, and its scan walks only that shard's peers.
 type gossipRoundEvent struct {
 	net    *Network
 	st     *shardState

@@ -11,6 +11,11 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
+// fn adapts a closure to sim.Event for the tests' one-off submissions.
+type fn func(*sim.Engine)
+
+func (f fn) Fire(e *sim.Engine) { f(e) }
+
 // randomNet builds a random small world with a connected overlay, shared
 // files, and the given behaviour — the fixture for randomized invariant
 // checking across all protocols.
@@ -65,9 +70,9 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 					f := files[r.Intn(len(files))]
 					q := keywords.ExtractQuery(f, r)
 					origin := overlay.PeerID(r.Intn(120))
-					net.Engine.MustSchedule(sim.Time(i)*sim.Second, func(*sim.Engine) {
+					net.Engine.PostEvent(sim.Time(i)*sim.Second, fn(func(*sim.Engine) {
 						net.SubmitQuery(origin, q)
-					})
+					}))
 				}
 				// Bounded run: the Bloom gossip control reschedules
 				// itself forever, so an unbounded Run would never drain.
@@ -120,9 +125,9 @@ func TestPairedWorkloadIdenticalAcrossProtocols(t *testing.T) {
 			f := files[r.Intn(len(files))]
 			q := keywords.ExtractQuery(f, r)
 			origin := overlay.PeerID(r.Intn(100))
-			net.Engine.MustSchedule(sim.Time(i)*sim.Second, func(*sim.Engine) {
+			net.Engine.PostEvent(sim.Time(i)*sim.Second, fn(func(*sim.Engine) {
 				net.SubmitQuery(origin, q)
-			})
+			}))
 		}
 		net.Engine.RunUntil(40*sim.Second+net.Config.FinalizeAfter+sim.Minute, 0)
 		net.FlushPending()

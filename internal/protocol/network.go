@@ -158,34 +158,21 @@ type shardState struct {
 	eng *sim.Engine
 	rng *rand.Rand
 
-	pending  map[QueryID]*pendingQuery
-	pqFree   []*pendingQuery
-	msgFree  []*QueryMsg
-	respFree []*ResponseMsg
+	pending map[QueryID]*pendingQuery
 
-	// Typed-event pools (see events.go): recycled delivery/finalize/gossip
-	// events keep steady-state scheduling allocation-free. An event
-	// acquired on the sending shard is released to the pool of the shard
-	// it fires on; traffic symmetry keeps the pools balanced.
-	qdFree   []*queryDeliverEvent
-	rdFree   []*responseDeliverEvent
-	finFree  []*finalizeEvent
-	biFree   []*bloomInstallEvent
-	qsFree   []*querySubmitEvent
-	snapFree []*bloom.Filter
-
-	// Slab allocators back every pool's cold path: growth carves values
-	// from 64-value blocks (one allocation, contiguous storage, one
-	// GC-scanned object) instead of a heap object per value. Recycling is
-	// unchanged — slabs only replace the `new(T)` fallbacks above.
-	pqSlab   sim.Slab[pendingQuery]
-	msgSlab  sim.Slab[QueryMsg]
-	respSlab sim.Slab[ResponseMsg]
-	qdSlab   sim.Slab[queryDeliverEvent]
-	rdSlab   sim.Slab[responseDeliverEvent]
-	finSlab  sim.Slab[finalizeEvent]
-	biSlab   sim.Slab[bloomInstallEvent]
-	qsSlab   sim.Slab[querySubmitEvent]
+	// Object pools, one per pooled type, all under sim.Pool's rule: a
+	// value is acquired on the sending shard and Put back on the shard it
+	// is last used on — for the events of events.go, the shard they fire
+	// on. Recycled events keep steady-state scheduling allocation-free.
+	pqPool   sim.Pool[pendingQuery]
+	msgPool  sim.Pool[QueryMsg]
+	respPool sim.Pool[ResponseMsg]
+	qdPool   sim.Pool[queryDeliverEvent]
+	rdPool   sim.Pool[responseDeliverEvent]
+	finPool  sim.Pool[finalizeEvent]
+	biPool   sim.Pool[bloomInstallEvent]
+	qsPool   sim.Pool[querySubmitEvent]
+	snapPool sim.Pool[bloom.Filter]
 
 	// Reusable scratch buffers for the per-event selection loops. Each is
 	// filled and fully consumed within one event delivery on this shard's
@@ -610,37 +597,21 @@ func (net *Network) acquirePending(st *shardState, origin overlay.PeerID) *pendi
 	if !net.sharded {
 		col = net.Collector
 	}
-	if n := len(st.pqFree); n > 0 {
-		pq := st.pqFree[n-1]
-		st.pqFree = st.pqFree[:n-1]
-		*pq = pendingQuery{origin: origin, col: col, visited: pq.visited[:0]}
-		return pq
-	}
-	pq := st.pqSlab.New()
-	pq.origin, pq.col = origin, col
+	pq := st.pqPool.Get()
+	*pq = pendingQuery{origin: origin, col: col, visited: pq.visited[:0]}
 	return pq
 }
 
-// acquireMsg takes a QueryMsg from the shard's pool. The caller owns it
-// until it is released by the delivery wrapper in forward (or never, for
-// dropped events, in which case the GC reclaims it).
-func (st *shardState) acquireMsg() *QueryMsg {
-	if n := len(st.msgFree); n > 0 {
-		m := st.msgFree[n-1]
-		st.msgFree = st.msgFree[:n-1]
-		return m
-	}
-	return st.msgSlab.New()
-}
-
-// releaseMsg returns a fully processed query message to the shard's pool.
+// releaseMsg returns a fully processed query message to the shard's pool:
+// whoever takes one from msgPool owns it until the delivery event releases
+// it here (or never, for a dropped event, in which case the GC reclaims it).
 // KwStrs is cleared rather than reused: responses created during processing
 // may still alias the keyword-string slice (it is shared per query, not per
 // branch).
 func (st *shardState) releaseMsg(m *QueryMsg) {
 	m.Path = m.Path[:0]
 	m.KwStrs = nil
-	st.msgFree = append(st.msgFree, m)
+	st.msgPool.Put(m)
 }
 
 // gossipBlooms runs one gossip round over st's peers: every online one
@@ -772,7 +743,7 @@ func (net *Network) runSubmit(eng *sim.Engine, st *shardState, id QueryID, origi
 	if in := st.instr; in != nil {
 		in.cacheMisses.Inc()
 	}
-	msg := st.acquireMsg()
+	msg := st.msgPool.Get()
 	msg.ID = id
 	msg.Q = q
 	if net.Behavior.UsesBloom() {
@@ -814,7 +785,7 @@ func (net *Network) forward(eng *sim.Engine, st *shardState, n *Node, q *QueryMs
 		if t == n.ID || !net.Graph.Online(t) || !net.Graph.Linked(n.ID, t) {
 			continue
 		}
-		branch := st.acquireMsg()
+		branch := st.msgPool.Get()
 		branch.ID = q.ID
 		branch.Q = q.Q
 		branch.KwStrs = q.KwStrs
@@ -907,7 +878,7 @@ func (net *Network) receiveQuery(eng *sim.Engine, st *shardState, p overlay.Peer
 			in.storageHits.Inc()
 		}
 		net.emit(st, trace.StorageHit, q.ID, p, -1, f.String())
-		rsp := st.acquireResponse()
+		rsp := st.respPool.Get()
 		rsp.ID = q.ID
 		rsp.File = f
 		rsp.Providers = append(rsp.Providers[:0], cache.Provider{Peer: p, LocID: n.Loc, LastSeen: eng.Now()})
@@ -928,7 +899,7 @@ func (net *Network) receiveQuery(eng *sim.Engine, st *shardState, p overlay.Peer
 			in.cacheHits.Inc()
 		}
 		net.emit(st, trace.CacheHit, q.ID, p, -1, m.File.String())
-		rsp := st.acquireResponse()
+		rsp := st.respPool.Get()
 		rsp.ID = q.ID
 		rsp.File = m.File
 		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers[:0], m.Providers, q.OriginLoc)
@@ -948,23 +919,13 @@ func (net *Network) receiveQuery(eng *sim.Engine, st *shardState, p overlay.Peer
 	net.forward(eng, st, n, q, q.Path[len(q.Path)-2])
 }
 
-// acquireResponse takes a ResponseMsg from the shard's pool; it is released
-// when the response completes, is dropped by churn, or is superseded.
-func (st *shardState) acquireResponse() *ResponseMsg {
-	if n := len(st.respFree); n > 0 {
-		r := st.respFree[n-1]
-		st.respFree = st.respFree[:n-1]
-		return r
-	}
-	return st.respSlab.New()
-}
-
-// releaseResponse returns a finished response to the shard's pool.
+// releaseResponse returns a response to the shard's pool once it completes,
+// is dropped by churn, or is superseded.
 func (st *shardState) releaseResponse(rsp *ResponseMsg) {
 	rsp.Providers = rsp.Providers[:0]
 	rsp.Path = rsp.Path[:0]
 	rsp.QueryKws = keywords.Query{}
-	st.respFree = append(st.respFree, rsp)
+	st.respPool.Put(rsp)
 }
 
 // selectIndexMatch picks among multiple matching cached filenames: prefer
@@ -1134,7 +1095,7 @@ func (net *Network) finalize(st *shardState, id QueryID) {
 		delete(net.nodes[p].seen, id)
 	}
 	delete(st.pending, id)
-	st.pqFree = append(st.pqFree, pq)
+	st.pqPool.Put(pq)
 }
 
 // lookupPending finds a pending query across shards (the owner is the
@@ -1209,7 +1170,7 @@ func (net *Network) EpochFlush() {
 			}
 		}
 		delete(owner.pending, id)
-		owner.pqFree = append(owner.pqFree, pq)
+		owner.pqPool.Put(pq)
 		if id > net.finalizedWatermark {
 			net.finalizedWatermark = id
 		}

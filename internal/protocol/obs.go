@@ -148,15 +148,15 @@ func (net *Network) ObsStats() ObsSnapshot {
 func (net *Network) PoolSizes() map[string]int {
 	out := make(map[string]int, 8)
 	for _, st := range net.states {
-		out["pending"] += len(st.pqFree)
-		out["query-msg"] += len(st.msgFree)
-		out["response-msg"] += len(st.respFree)
-		out["query-deliver"] += len(st.qdFree)
-		out["response-deliver"] += len(st.rdFree)
-		out["finalize"] += len(st.finFree)
-		out["bloom-install"] += len(st.biFree)
-		out["query-submit"] += len(st.qsFree)
-		out["bloom-snapshot"] += len(st.snapFree)
+		out["pending"] += st.pqPool.Len()
+		out["query-msg"] += st.msgPool.Len()
+		out["response-msg"] += st.respPool.Len()
+		out["query-deliver"] += st.qdPool.Len()
+		out["response-deliver"] += st.rdPool.Len()
+		out["finalize"] += st.finPool.Len()
+		out["bloom-install"] += st.biPool.Len()
+		out["query-submit"] += st.qsPool.Len()
+		out["bloom-snapshot"] += st.snapPool.Len()
 	}
 	return out
 }

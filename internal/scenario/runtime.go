@@ -82,10 +82,8 @@ func Attach(spec *Spec, w World, churnRng, eventRng *rand.Rand) (*Runtime, error
 		// The tick is always scheduled (fixed event cadence) and the
 		// per-phase config decides whether it consumes churn randomness —
 		// so phases that pause churn cannot shift the event sequence
-		// numbers of phases that resume it. One typed event reschedules
-		// itself for the whole run: the same timing and sequence-number
-		// consumption as the closure control it replaces, without the
-		// per-run closure.
+		// numbers of phases that resume it. One event reschedules itself
+		// for the whole run.
 		w.Engine.PostEvent(spec.ChurnInterval(),
 			&churnTickEvent{rt: rt, period: spec.ChurnInterval()})
 	}
@@ -93,11 +91,10 @@ func Attach(spec *Spec, w World, churnRng, eventRng *rand.Rand) (*Runtime, error
 	return rt, nil
 }
 
-// churnTickEvent is the periodic churn process as a typed simulator event:
-// it applies one churn step when the active phase enables churn, then
-// reschedules itself — the allocation-free analogue of the Engine.Every
-// closure it replaced. It is undestined: churn rewires the whole overlay,
-// so the tick belongs to the control shard.
+// churnTickEvent is the periodic churn process as a simulator event: it
+// applies one churn step when the active phase enables churn, then
+// reschedules itself. It is undestined: churn rewires the whole overlay, so
+// the tick belongs to the control shard.
 type churnTickEvent struct {
 	rt     *Runtime
 	period sim.Time

@@ -10,28 +10,26 @@ import (
 // needs locks. This mirrors PeerSim's event-driven engine, which the paper's
 // evaluation is built on.
 //
-// Pending events live in a flat slab arena (see arena.go) and are ordered
-// by a 4-ary min-heap of compact (at, seq, ref) entries (see queue.go): the
-// heap moves 24-byte keys, never the event payloads.
+// Pending events sit in a 4-ary min-heap of (at, seq, event) entries (see
+// queue.go); the engine owns no other event storage.
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	arena   eventArena
 	seq     uint64
 	stopped bool
 	// processed counts delivered (non-cancelled) events.
 	processed uint64
-	// scheduled counts all Schedule calls, including later-cancelled ones.
+	// scheduled counts all queued events, including later-cancelled ones.
 	scheduled uint64
 	// cancelled counts dead events discarded at pop time.
 	cancelled uint64
 	// horizon, when non-zero, rejects events scheduled beyond it.
 	horizon Time
-	// route, when non-nil, may claim a typed fire-and-forget event instead
+	// route, when non-nil, may claim a fire-and-forget event instead
 	// of queueing it locally. The sharded runner installs it to divert
 	// events destined to another shard into that shard's mailbox.
 	route func(at Time, ev Event) bool
-	// observer, when non-nil, sees every delivered typed event just before
+	// observer, when non-nil, sees every delivered event just before
 	// it fires. Installed by tests and debugging harnesses (the sharded
 	// determinism test records global delivery order through it); nil costs
 	// one branch per delivery.
@@ -51,23 +49,6 @@ type Engine struct {
 // runner, or 0 for a standalone engine. Protocol state that is split by
 // shard indexes on this value from within event handlers.
 func (e *Engine) Shard() int { return e.shard }
-
-// alloc takes an event slot from the arena and fills its payload.
-func (e *Engine) alloc(at Time, h Handler, t Event) (eventRef, *event) {
-	r, ev := e.arena.alloc()
-	ev.at, ev.seq, ev.handler, ev.typed = at, e.seq, h, t
-	return r, ev
-}
-
-// recycle returns a popped slot to the arena free list. The dead mark (set
-// by the drain loop before firing, or by Cancel) plus the next alloc's
-// fresh generation stamp invalidate outstanding handles.
-func (e *Engine) recycle(r eventRef, ev *event) {
-	ev.handler = nil
-	ev.typed = nil
-	ev.dead = true
-	e.arena.release(r)
-}
 
 // ErrPast is returned when an event is scheduled before the current virtual
 // time.
@@ -98,39 +79,11 @@ func (e *Engine) Cancelled() uint64 { return e.cancelled }
 // chains from extending a bounded experiment.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
-// Schedule queues h to run after delay. A negative delay is an error; a zero
-// delay runs h at the current instant, after all events already queued for
-// that instant.
-func (e *Engine) Schedule(delay Time, h Handler) (*Timer, error) {
-	if delay < 0 {
-		return nil, ErrPast
-	}
-	return e.ScheduleAt(e.now+delay, h)
-}
-
-// ScheduleAt queues h to run at absolute virtual time at.
-func (e *Engine) ScheduleAt(at Time, h Handler) (*Timer, error) {
-	return e.scheduleAt(at, h, nil)
-}
-
-// ScheduleEventAt queues a typed event to fire at absolute virtual time at,
-// returning a cancellation handle. Timers are engine-local: the sharded
-// router never diverts a cancellable event, so schedule timers on the shard
-// that owns their state.
+// ScheduleEventAt queues ev to fire at absolute virtual time at, returning
+// a cancellation handle. Timers are engine-local: the sharded router never
+// diverts a cancellable event, so schedule timers on the shard that owns
+// their state.
 func (e *Engine) ScheduleEventAt(at Time, ev Event) (*Timer, error) {
-	return e.scheduleAt(at, nil, ev)
-}
-
-// ScheduleEvent queues a typed event to fire after delay, with a
-// cancellation handle.
-func (e *Engine) ScheduleEvent(delay Time, ev Event) (*Timer, error) {
-	if delay < 0 {
-		return nil, ErrPast
-	}
-	return e.scheduleAt(e.now+delay, nil, ev)
-}
-
-func (e *Engine) scheduleAt(at Time, h Handler, t Event) (*Timer, error) {
 	if at < e.now {
 		return nil, ErrPast
 	}
@@ -139,33 +92,29 @@ func (e *Engine) scheduleAt(at Time, h Handler, t Event) (*Timer, error) {
 		// callers near the end of a run need no special casing.
 		return deadTimer, nil
 	}
-	r, ev := e.alloc(at, h, t)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
-	return &Timer{e: e, ref: r, gen: ev.gen}, nil
+	t := &Timer{ev: ev}
+	e.push(at, t)
+	return t, nil
 }
 
-// PostAt is ScheduleAt without a cancellation handle: the hot-path variant
-// for fire-and-forget events, which schedules with zero allocations beyond
-// the handler closure. PostEventAt is the fully allocation-free typed form.
-func (e *Engine) PostAt(at Time, h Handler) error {
-	if at < e.now {
-		return ErrPast
+// ScheduleEvent queues ev to fire after delay, with a cancellation handle.
+func (e *Engine) ScheduleEvent(delay Time, ev Event) (*Timer, error) {
+	if delay < 0 {
+		return nil, ErrPast
 	}
-	if e.horizon > 0 && at > e.horizon {
-		return nil // dropped by horizon policy, as ScheduleAt
-	}
-	r, _ := e.alloc(at, h, nil)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
-	return nil
+	return e.ScheduleEventAt(e.now+delay, ev)
 }
 
-// PostEventAt queues a typed event to fire at absolute virtual time at,
-// without a cancellation handle. This is the hot-path scheduling primitive:
-// with a pooled concrete event it allocates nothing in steady state. Under
+// push queues ev at at under the next scheduling sequence number.
+func (e *Engine) push(at Time, ev Event) {
+	e.queue.push(qent{at: at, seq: e.seq, ev: ev})
+	e.seq++
+	e.scheduled++
+}
+
+// PostEventAt queues ev to fire at absolute virtual time at, without a
+// cancellation handle. This is the hot-path scheduling primitive: with a
+// pooled concrete event it allocates nothing in steady state. Under
 // the sharded runner, a Destined event posted here may be diverted to the
 // destination peer's shard.
 func (e *Engine) PostEventAt(at Time, ev Event) error {
@@ -173,20 +122,17 @@ func (e *Engine) PostEventAt(at Time, ev Event) error {
 		return ErrPast
 	}
 	if e.horizon > 0 && at > e.horizon {
-		return nil // dropped by horizon policy, as ScheduleAt
+		return nil // dropped by horizon policy, as ScheduleEventAt
 	}
 	if e.route != nil && e.route(at, ev) {
 		return nil // claimed by the shard router
 	}
-	r, _ := e.alloc(at, nil, ev)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
+	e.push(at, ev)
 	return nil
 }
 
-// PostEvent queues a typed event to fire after delay without a cancellation
-// handle; it panics on a negative delay (the only invalid input).
+// PostEvent queues ev to fire after delay without a cancellation handle; it
+// panics on a negative delay (the only invalid input).
 func (e *Engine) PostEvent(delay Time, ev Event) {
 	if delay < 0 {
 		panic(ErrPast)
@@ -194,29 +140,6 @@ func (e *Engine) PostEvent(delay Time, ev Event) {
 	if err := e.PostEventAt(e.now+delay, ev); err != nil {
 		panic(err)
 	}
-}
-
-// Post queues h to run after delay without a cancellation handle; it panics
-// on a negative delay (the only invalid input). It is the allocation-free
-// counterpart of MustSchedule.
-func (e *Engine) Post(delay Time, h Handler) {
-	if delay < 0 {
-		panic(ErrPast)
-	}
-	if err := e.PostAt(e.now+delay, h); err != nil {
-		panic(err)
-	}
-}
-
-// MustSchedule is Schedule for callers with a known-valid delay; it panics on
-// error. Protocol code uses it with delays derived from the latency model,
-// which are always non-negative.
-func (e *Engine) MustSchedule(delay Time, h Handler) *Timer {
-	t, err := e.Schedule(delay, h)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Stop makes the current Run return after the in-flight event completes.
@@ -254,36 +177,35 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 			break
 		}
 		e.queue.pop()
-		ev := e.arena.get(qe.ref)
-		if ev.dead {
-			e.cancelled++
-			e.recycle(qe.ref, ev)
-			continue
+		ev := qe.ev
+		if t, ok := ev.(*Timer); ok {
+			// A cancellable entry: discard it if cancelled, otherwise
+			// retire the handle and deliver the event it wraps.
+			if t.done {
+				e.cancelled++
+				continue
+			}
+			t.done = true
+			ev = t.ev
 		}
 		e.now = qe.at
-		ev.dead = true
-		h, t := ev.handler, ev.typed
-		e.recycle(qe.ref, ev)
 		if e.instr != nil {
-			e.instr.record(e, t)
+			e.instr.record(e, ev)
 		}
-		if t != nil {
-			if e.observer != nil {
-				e.observer(e.now, t)
-			}
-			t.Fire(e)
-		} else {
-			h(e)
+		if e.observer != nil {
+			e.observer(e.now, ev)
 		}
+		ev.Fire(e)
 		e.processed++
 		delivered++
 	}
 	return delivered
 }
 
-// SetObserver installs fn to see every delivered typed event just before it
-// fires (nil uninstalls). Handler closures are not observed; the hook
-// exists for tests and debugging harnesses that assert on delivery order.
+// SetObserver installs fn to see every delivered event just before it
+// fires (nil uninstalls); an event scheduled with a Timer is seen as
+// itself, not as the Timer. The hook exists for tests and harnesses that
+// assert on delivery order or time the events from outside.
 func (e *Engine) SetObserver(fn func(at Time, ev Event)) { e.observer = fn }
 
 // advanceTo moves the clock forward to t without delivering anything; the
@@ -304,33 +226,22 @@ func (e *Engine) peekTime() (Time, bool) {
 		if !ok {
 			return 0, false
 		}
-		ev := e.arena.get(qe.ref)
-		if !ev.dead {
+		if t, ok := qe.ev.(*Timer); !ok || !t.done {
 			return qe.at, true
 		}
 		e.queue.pop()
 		e.cancelled++
-		e.recycle(qe.ref, ev)
 	}
 }
 
-// Drain discards all pending events without running them.
+// Drain discards all pending events without running them; their Timers
+// are no longer pending afterwards.
 func (e *Engine) Drain() {
-	for {
-		qe, ok := e.queue.pop()
-		if !ok {
-			return
+	for i := range e.queue.ents {
+		if t, ok := e.queue.ents[i].ev.(*Timer); ok {
+			t.done = true
 		}
-		e.recycle(qe.ref, e.arena.get(qe.ref))
 	}
-}
-
-// capFreeList reaps pooled event storage down to the live population plus
-// one slab, so a burst's worth of recycled slots does not pin memory for
-// the rest of the run. Only whole tail slabs are returned; the sharded
-// runner calls this at the sequential epoch barrier.
-func (e *Engine) capFreeList() {
-	if limit := e.arena.live() + arenaSlabSize; e.arena.freeLen() > limit {
-		e.arena.reap(limit)
-	}
+	clear(e.queue.ents)
+	e.queue.ents = e.queue.ents[:0]
 }

@@ -5,30 +5,13 @@ import (
 	"testing"
 )
 
-// BenchmarkScheduleRun measures raw event throughput: schedule+deliver of
-// chained events, the simulator's innermost loop.
-func BenchmarkScheduleRun(b *testing.B) {
-	e := NewEngine()
-	remaining := b.N
-	var step Handler
-	step = func(eng *Engine) {
-		if remaining > 0 {
-			remaining--
-			eng.MustSchedule(Millisecond, step)
-		}
-	}
-	e.MustSchedule(Millisecond, step)
-	b.ResetTimer()
-	e.Run(0)
-}
-
 // BenchmarkQueueMixed measures heap behaviour under a realistic mixed
-// horizon: many timers at staggered deadlines.
+// horizon: many events at staggered deadlines.
 func BenchmarkQueueMixed(b *testing.B) {
 	e := NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MustSchedule(Time(i%1000)*Millisecond, func(*Engine) {})
+		e.PostEvent(Time(i%1000)*Millisecond, anonEvent{})
 		if i%1000 == 999 {
 			e.Run(0)
 		}
@@ -41,17 +24,15 @@ func BenchmarkQueueMixed(b *testing.B) {
 func BenchmarkTimerCancel(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
-		t := e.MustSchedule(Second, func(*Engine) {})
-		t.Cancel()
+		schedule(e, Second, anonEvent{}).Cancel()
 		if i%4096 == 4095 {
 			e.Drain()
 		}
 	}
 }
 
-// BenchmarkPostEvent measures typed-event throughput: the pooled,
-// closure-free counterpart of BenchmarkScheduleRun. The gap between the
-// two is the per-event closure cost the typed core removes.
+// BenchmarkPostEvent measures raw event throughput: post+deliver of one
+// chained pooled event, the simulator's innermost loop.
 func BenchmarkPostEvent(b *testing.B) {
 	e := NewEngine()
 	ev := &benchChainEvent{remaining: b.N}
@@ -204,39 +185,6 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}{{"dense", dense}, {"sparse-burst", sparse}} {
 		b.Run(shape.name+"/quad", func(b *testing.B) { shape.run(b, &eventQueue{}) })
 		b.Run(shape.name+"/binary-oracle", func(b *testing.B) { shape.run(b, &heapQueue{}) })
-	}
-}
-
-// BenchmarkShardedDrainMode compares the persistent parked workers against
-// the legacy per-epoch goroutine spawn on the BenchmarkShardedEvents
-// workload: the delta is pure epoch-barrier scheduling overhead.
-func BenchmarkShardedDrainMode(b *testing.B) {
-	for _, mode := range []string{"persistent", "spawn"} {
-		for _, shards := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
-				const peers = 64
-				s := NewSharded(ShardedOptions{
-					Shards:    shards,
-					ShardOf:   func(p int) int { return p * shards / peers },
-					Parallel:  true,
-					Lookahead: Millisecond / 2,
-				})
-				s.SetSpawnDrain(mode == "spawn")
-				chains := shards * 16
-				per := make([]int64, chains)
-				for c := 0; c < chains; c++ {
-					per[c] = int64(b.N / chains)
-					if per[c] == 0 {
-						per[c] = 1
-					}
-					s.Engine(0).PostEvent(Millisecond, &benchShardEvent{
-						dst: c * peers / chains, peers: peers, shards: shards, remaining: &per[c],
-					})
-				}
-				b.ResetTimer()
-				s.Run(0)
-			})
-		}
 	}
 }
 

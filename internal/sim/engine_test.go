@@ -2,9 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/p2prepro/locaware/internal/obs"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -41,12 +44,49 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// fn adapts a closure to Event, so test bodies can stay closure-style
+// although the engine has no closure path of its own.
+type fn func(*Engine)
+
+func (f fn) Fire(e *Engine) { f(e) }
+
+// schedule is ScheduleEvent for a delay the test knows is valid.
+func schedule(e *Engine, delay Time, ev Event) *Timer {
+	t, err := e.ScheduleEvent(delay, ev)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// countEvent is a minimal pooled-style event: it appends its tag to a
+// shared log and optionally posts a follow-up on the delivering engine.
+type countEvent struct {
+	log  *[]int
+	tag  int
+	next *countEvent
+	in   Time
+}
+
+func (ev *countEvent) Fire(e *Engine) {
+	*ev.log = append(*ev.log, ev.tag)
+	if ev.next != nil {
+		e.PostEvent(ev.in, ev.next)
+	}
+}
+
+func (ev *countEvent) EventName() string { return "count" }
+
+type anonEvent struct{}
+
+func (anonEvent) Fire(*Engine) {}
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.MustSchedule(30*Millisecond, func(*Engine) { got = append(got, 3) })
-	e.MustSchedule(10*Millisecond, func(*Engine) { got = append(got, 1) })
-	e.MustSchedule(20*Millisecond, func(*Engine) { got = append(got, 2) })
+	e.PostEvent(30*Millisecond, fn(func(*Engine) { got = append(got, 3) }))
+	e.PostEvent(10*Millisecond, fn(func(*Engine) { got = append(got, 1) }))
+	e.PostEvent(20*Millisecond, fn(func(*Engine) { got = append(got, 2) }))
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("delivery order = %v", got)
@@ -56,37 +96,77 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+func TestTypedEventDispatch(t *testing.T) {
+	e := NewEngine()
+	var log []int
+	b := &countEvent{log: &log, tag: 2}
+	a := &countEvent{log: &log, tag: 1, next: b, in: 5 * Millisecond}
+	e.PostEvent(10*Millisecond, a)
+	if n := e.Run(0); n != 2 {
+		t.Fatalf("delivered %d events, want 2", n)
+	}
+	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
+		t.Fatalf("log = %v", log)
+	}
+	if e.Now() != 15*Millisecond {
+		t.Fatalf("clock = %v, want 15ms", e.Now())
+	}
+}
+
 func TestSameInstantFIFO(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		e.MustSchedule(5*Millisecond, func(*Engine) { got = append(got, i) })
+		e.PostEvent(5*Millisecond, fn(func(*Engine) { got = append(got, i) }))
 	}
 	e.Run(0)
-	if !sort.IntsAreSorted(got) {
+	if len(got) != 50 || !sort.IntsAreSorted(got) {
 		t.Fatalf("same-instant events not FIFO: %v", got)
+	}
+}
+
+// TestTimerAndPostedEventsShareFIFO: an event queued with a cancellation
+// handle and one posted without take their turns in one scheduling order.
+func TestTimerAndPostedEventsShareFIFO(t *testing.T) {
+	e := NewEngine()
+	var log []int
+	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 0})
+	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 1})
+	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 2})
+	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 3})
+	e.Run(0)
+	if len(log) != 4 {
+		t.Fatalf("delivered %d events, want 4", len(log))
+	}
+	for i, v := range log {
+		if v != i {
+			t.Fatalf("same-instant timer/posted events not FIFO: %v", log)
+		}
 	}
 }
 
 func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
-	e.MustSchedule(10*Millisecond, func(*Engine) {})
+	e.PostEvent(10*Millisecond, anonEvent{})
 	e.Run(0)
-	if _, err := e.ScheduleAt(5*Millisecond, func(*Engine) {}); err != ErrPast {
+	if _, err := e.ScheduleEventAt(5*Millisecond, anonEvent{}); err != ErrPast {
 		t.Fatalf("expected ErrPast, got %v", err)
 	}
-	if _, err := e.Schedule(-1, func(*Engine) {}); err != ErrPast {
+	if _, err := e.ScheduleEvent(-1, anonEvent{}); err != ErrPast {
 		t.Fatalf("expected ErrPast for negative delay, got %v", err)
+	}
+	if err := e.PostEventAt(5*Millisecond, anonEvent{}); err != ErrPast {
+		t.Fatalf("PostEventAt: expected ErrPast, got %v", err)
 	}
 }
 
 func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.MustSchedule(10*Millisecond, func(eng *Engine) {
-		eng.MustSchedule(0, func(*Engine) { fired = true })
-	})
+	e.PostEvent(10*Millisecond, fn(func(eng *Engine) {
+		eng.PostEvent(0, fn(func(*Engine) { fired = true }))
+	}))
 	e.Run(0)
 	if !fired {
 		t.Fatal("zero-delay follow-up did not fire")
@@ -99,7 +179,7 @@ func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.MustSchedule(10*Millisecond, func(*Engine) { fired = true })
+	tm := schedule(e, 10*Millisecond, fn(func(*Engine) { fired = true }))
 	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -118,12 +198,36 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestScheduleEventCancel is TestCancel through the absolute-time form, with
+// a live neighbour at the same instant that must still fire.
+func TestScheduleEventCancel(t *testing.T) {
+	e := NewEngine()
+	var log []int
+	tm, err := e.ScheduleEventAt(10*Millisecond, &countEvent{log: &log, tag: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := e.ScheduleEventAt(10*Millisecond, &countEvent{log: &log, tag: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tm.Pending() || !tm.Cancel() {
+		t.Fatal("cancel of a pending timer should report pending")
+	}
+	e.Run(0)
+	if len(log) != 1 || log[0] != 2 {
+		t.Fatalf("log = %v, want only the uncancelled event", log)
+	}
+	if keep.Pending() {
+		t.Fatal("fired timer still pending")
+	}
+}
+
 func TestRunUntilDeadline(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for _, d := range []Time{10, 20, 30, 40} {
-		d := d
-		e.MustSchedule(d*Millisecond, func(eng *Engine) { got = append(got, eng.Now()) })
+		e.PostEvent(d*Millisecond, fn(func(eng *Engine) { got = append(got, eng.Now()) }))
 	}
 	n := e.RunUntil(25*Millisecond, 0)
 	if n != 2 {
@@ -142,7 +246,7 @@ func TestMaxEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.MustSchedule(Time(i)*Millisecond, func(*Engine) { count++ })
+		e.PostEvent(Time(i)*Millisecond, fn(func(*Engine) { count++ }))
 	}
 	if n := e.Run(4); n != 4 || count != 4 {
 		t.Fatalf("Run(4) delivered %d, handler ran %d times", n, count)
@@ -156,12 +260,12 @@ func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.MustSchedule(Time(i)*Millisecond, func(eng *Engine) {
+		e.PostEvent(Time(i)*Millisecond, fn(func(eng *Engine) {
 			count++
 			if count == 3 {
 				eng.Stop()
 			}
-		})
+		}))
 	}
 	e.Run(0)
 	if count != 3 {
@@ -174,53 +278,18 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Every(10*Millisecond, func(*Engine) bool {
-		ticks++
-		return ticks < 5
-	})
-	e.Run(0)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-	if e.Now() != 50*Millisecond {
-		t.Fatalf("clock = %v, want 50ms", e.Now())
-	}
-}
-
-func TestEveryCancel(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	tm := e.Every(10*Millisecond, func(*Engine) bool {
-		ticks++
-		return true
-	})
-	e.MustSchedule(35*Millisecond, func(*Engine) { tm.Cancel() })
-	e.RunUntil(200*Millisecond, 0)
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3 (cancelled at 35ms)", ticks)
-	}
-}
-
-func TestEveryPanicsOnBadPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive period")
-		}
-	}()
-	NewEngine().Every(0, func(*Engine) bool { return false })
-}
-
 func TestHorizonDropsLateEvents(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(50 * Millisecond)
 	fired := 0
-	e.MustSchedule(40*Millisecond, func(*Engine) { fired++ })
-	tm := e.MustSchedule(60*Millisecond, func(*Engine) { fired++ })
+	e.PostEvent(40*Millisecond, fn(func(*Engine) { fired++ }))
+	e.PostEvent(60*Millisecond, fn(func(*Engine) { fired++ }))
+	tm := schedule(e, 60*Millisecond, fn(func(*Engine) { fired++ }))
 	if tm.Pending() {
 		t.Fatal("beyond-horizon timer should be dead on arrival")
+	}
+	if e.Scheduled() != 1 {
+		t.Fatalf("scheduled = %d, want 1 (horizon drops are not queued)", e.Scheduled())
 	}
 	e.Run(0)
 	if fired != 1 {
@@ -228,22 +297,37 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 	}
 }
 
+// TestDrain: drained events never fire, and a handle to one is retired
+// with it.
 func TestDrain(t *testing.T) {
 	e := NewEngine()
+	var timers []*Timer
 	for i := 0; i < 5; i++ {
-		e.MustSchedule(Time(i+1)*Millisecond, func(*Engine) { t.Fatal("drained event fired") })
+		ev := fn(func(*Engine) { t.Fatal("drained event fired") })
+		e.PostEvent(Time(i+1)*Millisecond, ev)
+		timers = append(timers, schedule(e, Time(i+1)*Millisecond, ev))
 	}
 	e.Drain()
 	if e.Len() != 0 {
 		t.Fatalf("queue len = %d after drain", e.Len())
+	}
+	for _, tm := range timers {
+		if tm.Pending() || tm.Cancel() {
+			t.Fatal("drained timer still pending")
+		}
+	}
+	for _, qe := range e.queue.ents[:cap(e.queue.ents)] {
+		if qe.ev != nil {
+			t.Fatal("drained queue still references an event")
+		}
 	}
 	e.Run(0)
 }
 
 func TestProcessedScheduledCounters(t *testing.T) {
 	e := NewEngine()
-	tm := e.MustSchedule(Millisecond, func(*Engine) {})
-	e.MustSchedule(2*Millisecond, func(*Engine) {})
+	tm := schedule(e, Millisecond, anonEvent{})
+	e.PostEvent(2*Millisecond, anonEvent{})
 	tm.Cancel()
 	e.Run(0)
 	if e.Scheduled() != 2 {
@@ -251,6 +335,192 @@ func TestProcessedScheduledCounters(t *testing.T) {
 	}
 	if e.Processed() != 1 {
 		t.Fatalf("processed = %d, want 1", e.Processed())
+	}
+	if e.Cancelled() != 1 {
+		t.Fatalf("cancelled = %d, want 1", e.Cancelled())
+	}
+}
+
+// TestPostEventZeroAlloc locks the hot path: scheduling and firing a
+// pooled event allocates nothing in steady state (the queue entry holds the
+// event itself, and a pointer-typed Event in the interface field does not
+// box).
+func TestPostEventZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	var log []int
+	ev := &countEvent{log: &log, tag: 0}
+	// Warm the queue's and the log's capacity.
+	e.PostEvent(Millisecond, ev)
+	e.Run(0)
+	log = log[:0]
+	n := testing.AllocsPerRun(200, func() {
+		log = log[:0]
+		e.PostEvent(Millisecond, ev)
+		e.Run(0)
+	})
+	if n != 0 {
+		t.Fatalf("PostEvent+Run allocated %.1f per cycle, want 0", n)
+	}
+}
+
+func TestEventName(t *testing.T) {
+	if got := EventName(&countEvent{}); got != "count" {
+		t.Fatalf("EventName(named) = %q", got)
+	}
+	if got := EventName(anonEvent{}); got != "sim.anonEvent" {
+		t.Fatalf("EventName(unnamed) = %q", got)
+	}
+}
+
+// TestObserverSeesTypedEvents: the observer and the sim_events_total{kind}
+// cells see each delivered event as itself — for one scheduled with a
+// cancellation handle, the wrapped event, never the Timer.
+func TestObserverSeesTypedEvents(t *testing.T) {
+	e := NewEngine()
+	in := e.EnableObs(obs.NewRegistry())
+	var names []string
+	var ats []Time
+	e.SetObserver(func(at Time, ev Event) {
+		names = append(names, EventName(ev))
+		ats = append(ats, at)
+	})
+	var log []int
+	e.PostEvent(2*Millisecond, &countEvent{log: &log, tag: 1})
+	schedule(e, 3*Millisecond, &countEvent{log: &log, tag: 2})
+	schedule(e, 4*Millisecond, anonEvent{})
+	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 3}).Cancel()
+	e.Run(0)
+	if want := []string{"count", "count", "sim.anonEvent"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("observer saw %v, want %v", names, want)
+	}
+	if want := []Time{2 * Millisecond, 3 * Millisecond, 4 * Millisecond}; !reflect.DeepEqual(ats, want) {
+		t.Fatalf("observer times %v, want %v", ats, want)
+	}
+	if want := map[string]uint64{"count": 2, "event": 1}; !reflect.DeepEqual(in.EventsByKind(), want) {
+		t.Fatalf("events by kind = %v, want %v", in.EventsByKind(), want)
+	}
+}
+
+// TestTimerStaleGenerationInvalidated: a handle held across its event's
+// delivery is never pending again, and cancelling it cannot touch an event
+// scheduled later.
+func TestTimerStaleGenerationInvalidated(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	bump := fn(func(*Engine) { fired++ })
+	t1 := schedule(e, Millisecond, bump)
+	e.Run(0)
+	if fired != 1 {
+		t.Fatal("first event did not fire")
+	}
+	if t1.Pending() {
+		t.Fatal("fired timer still pending")
+	}
+	t2 := schedule(e, Millisecond, bump)
+	if t1.Pending() {
+		t.Fatal("fired timer reports pending once a later event is queued")
+	}
+	if t1.Cancel() {
+		t.Fatal("fired timer claims to have cancelled something")
+	}
+	if !t2.Pending() {
+		t.Fatal("cancelling a fired timer killed a later event")
+	}
+	e.Run(0)
+	if fired != 2 {
+		t.Fatalf("later event did not fire (fired=%d)", fired)
+	}
+}
+
+// TestTimerCancelledThenRecycled is the cancel-side variant: the cancelled
+// entry is discarded at its turn to pop, and the handle stays dead across
+// that and across later scheduling.
+func TestTimerCancelledThenRecycled(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	bump := fn(func(*Engine) { fired++ })
+	t1 := schedule(e, Millisecond, bump)
+	t1.Cancel()
+	e.Run(0)
+	if fired != 0 {
+		t.Fatal("cancelled event fired")
+	}
+	if e.Cancelled() != 1 {
+		t.Fatalf("cancelled = %d, want 1", e.Cancelled())
+	}
+	t2 := schedule(e, Millisecond, bump)
+	if t1.Pending() || t1.Cancel() {
+		t.Fatal("cancelled timer interacts with a later event")
+	}
+	e.Run(0)
+	if fired != 1 || t2.Pending() {
+		t.Fatalf("later event lifecycle broken: fired=%d", fired)
+	}
+}
+
+// TestTimerSafeAfterReap: after a burst of timers has fired, been
+// cancelled or been drained and the queue has refilled over the same
+// slots, none of the old handles is pending and cancelling them all leaves
+// every new event to fire.
+func TestTimerSafeAfterReap(t *testing.T) {
+	e := NewEngine()
+	const n = 1024
+	fired := 0
+	bump := fn(func(*Engine) { fired++ })
+	var old []*Timer
+	for i := 0; i < n; i++ {
+		tm := schedule(e, Time(i+1), bump)
+		if i%3 == 0 {
+			tm.Cancel()
+		}
+		old = append(old, tm)
+	}
+	e.RunUntil(n/2, 0)
+	e.Drain()
+	delivered := fired
+	for i := 0; i < n; i++ {
+		e.PostEvent(Time(i+1), bump)
+	}
+	for _, tm := range old {
+		if tm.Pending() {
+			t.Fatal("fired, cancelled or drained timer reports pending")
+		}
+		if tm.Cancel() {
+			t.Fatal("fired, cancelled or drained timer cancelled something")
+		}
+	}
+	e.Run(0)
+	if fired != delivered+n {
+		t.Fatalf("refilled queue delivered %d events, want %d", fired-delivered, n)
+	}
+}
+
+// TestDeadTimerFromHorizon covers the horizon-dropped path: scheduling
+// beyond the horizon returns a permanently dead timer, not an error.
+func TestDeadTimerFromHorizon(t *testing.T) {
+	e := NewEngine()
+	e.SetHorizon(10 * Millisecond)
+	tm, err := e.ScheduleEventAt(20*Millisecond, fn(func(*Engine) { t.Fatal("dropped event fired") }))
+	if err != nil {
+		t.Fatalf("horizon drop should not error: %v", err)
+	}
+	if tm.Pending() {
+		t.Fatal("horizon-dropped timer reports pending")
+	}
+	if tm.Cancel() {
+		t.Fatal("horizon-dropped timer claims a cancellation")
+	}
+	te, err := e.ScheduleEvent(20*Millisecond, anonEvent{})
+	if err != nil || te.Pending() || te.Cancel() {
+		t.Fatalf("relative horizon drop: pending=%v err=%v", te.Pending(), err)
+	}
+	// The dead timer must never alias a live event.
+	live := schedule(e, 5*Millisecond, anonEvent{})
+	if tm.Cancel() || !live.Pending() {
+		t.Fatal("dead timer affected a live event")
+	}
+	if n := e.Run(0); n != 1 {
+		t.Fatalf("delivered %d events, want 1 (the live one)", n)
 	}
 }
 
@@ -268,10 +538,10 @@ func TestHeapPropertyQuick(t *testing.T) {
 		}
 		var got []rec
 		for i, d := range delays {
-			i, at := i, Time(d)
-			e.MustSchedule(at, func(eng *Engine) {
+			i := i
+			e.PostEvent(Time(d), fn(func(eng *Engine) {
 				got = append(got, rec{eng.Now(), i})
-			})
+			}))
 		}
 		e.Run(0)
 		if len(got) != len(delays) {
@@ -315,6 +585,26 @@ func TestQueueRandomizedPushPop(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after draining", q.Len())
+	}
+}
+
+// TestQueuePopClearsVacatedSlot: the slot a pop vacates at the tail of the
+// heap's backing array must not keep its event reachable.
+func TestQueuePopClearsVacatedSlot(t *testing.T) {
+	var q eventQueue
+	const n = 100
+	for i := 0; i < n; i++ {
+		q.push(qent{at: Time((i * 37) % n), seq: uint64(i), ev: anonEvent{}})
+	}
+	for popped := 1; popped <= n; popped++ {
+		if e, ok := q.pop(); !ok || e.ev == nil {
+			t.Fatalf("pop %d lost its event", popped)
+		}
+		for i, e := range q.ents[:n] {
+			if live := i < n-popped; (e.ev != nil) != live {
+				t.Fatalf("after %d pops slot %d holds event=%v, want live=%v", popped, i, e.ev != nil, live)
+			}
+		}
 	}
 }
 

@@ -58,17 +58,6 @@ func FromSeconds(s float64) Time {
 	return Time(s*float64(Second) + 0.5)
 }
 
-// Handler is the callback attached to a scheduled event. It receives the
-// engine so it can schedule follow-up events.
-//
-// Handler is the legacy closure form of event dispatch: every Schedule/Post
-// of a fresh closure allocates it. Hot paths use typed Events instead
-// (PostEvent and friends), which dispatch through a pooled concrete type
-// with zero allocations; Handler remains fully supported for cold paths and
-// existing callers, and the two forms interleave in one queue with the same
-// (time, seq) FIFO ordering.
-type Handler func(e *Engine)
-
 // Event is a typed scheduled action: the engine calls Fire on the engine
 // that delivers it. Concrete implementations live with the subsystem that
 // schedules them (protocol message deliveries, scenario churn ticks, core
@@ -119,34 +108,29 @@ func EventName(ev Event) string {
 	return fmt.Sprintf("%T", ev)
 }
 
-// event is one scheduled entry's payload, stored flat in the engine's event
-// arena and addressed by eventRef handles. seq breaks timestamp ties in
-// scheduling order so same-instant events are FIFO. Exactly one of handler
-// and typed is set. Slots recycle through the arena's free list once
-// delivered or discarded; gen is a unique per-allocation stamp, so a stale
-// Timer handle can never match a later incarnation of the slot.
-type event struct {
-	at      Time
-	seq     uint64
-	handler Handler
-	typed   Event
-	dead    bool
-	gen     uint64
-}
-
-// Timer is a handle to a scheduled event that can be cancelled. It names
-// the event as an arena reference plus the generation it was issued for,
-// so it stays safe to interrogate after the event fires, recycles, or even
-// after the storage behind it is reaped.
+// Timer is a handle to a scheduled event that can be cancelled. It is the
+// queued entry itself: ScheduleEvent wraps the caller's event in a Timer
+// and queues that, so the handle and the queue share the one done flag and
+// a fired, cancelled or drained handle can never name a later event.
 type Timer struct {
-	e   *Engine
-	ref eventRef
-	gen uint64
+	ev Event
+	// done is set when the event fires, is cancelled, is drained, or was
+	// dropped by the horizon at scheduling time.
+	done bool
 }
 
 // deadTimer is the shared handle returned for events dropped by the
-// horizon; its nil engine makes it permanently non-pending.
-var deadTimer = &Timer{}
+// horizon: permanently non-pending, so nothing ever writes to it.
+var deadTimer = &Timer{done: true}
+
+// Fire makes a Timer queueable. The drain loop unwraps a Timer rather than
+// calling this, so that observers and instrumentation see the inner event.
+func (t *Timer) Fire(e *Engine) {
+	if t.Pending() {
+		t.done = true
+		t.ev.Fire(e)
+	}
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op. Cancel reports whether the event was
@@ -156,15 +140,9 @@ func (t *Timer) Cancel() bool {
 	if !t.Pending() {
 		return false
 	}
-	t.e.arena.get(t.ref).dead = true
+	t.done = true
 	return true
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
-func (t *Timer) Pending() bool {
-	if t == nil || t.e == nil || !t.e.arena.valid(t.ref) {
-		return false
-	}
-	ev := t.e.arena.get(t.ref)
-	return ev.gen == t.gen && !ev.dead
-}
+func (t *Timer) Pending() bool { return t != nil && !t.done }

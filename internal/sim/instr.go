@@ -13,7 +13,6 @@ const (
 	MetricQueueHighWater = "sim_queue_depth_high_water"
 	MetricScheduled      = "sim_events_scheduled_total"
 	MetricCancelled      = "sim_events_cancelled_total"
-	MetricFreeList       = "sim_event_freelist_len"
 	MetricEpochs         = "sim_epochs_total"
 	MetricCrossShard     = "sim_cross_shard_events_total"
 	MetricEpochDrain     = "sim_epoch_drain_seconds"
@@ -30,7 +29,6 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge(MetricQueueHighWater, "Highest event-queue depth seen on any shard.")
 	reg.Counter(MetricScheduled, "Events scheduled, including later-cancelled ones.")
 	reg.Counter(MetricCancelled, "Cancelled events discarded at pop time.")
-	reg.Gauge(MetricFreeList, "Largest per-shard event freelist (pooled event capacity).")
 	reg.Counter(MetricEpochs, "Sharded epochs completed.")
 	reg.Counter(MetricCrossShard, "Events routed between shards through the epoch mailbox.")
 	reg.Histogram(MetricEpochDrain, "Wall-clock time draining one epoch across all shards.", timingBuckets())
@@ -54,20 +52,17 @@ func NewEngineInstr(reg *obs.Registry) *EngineInstr {
 	return in
 }
 
-// record notes one delivery. ev is nil for handler closures. Steady state
-// is a map lookup and two plain increments — no atomics, no allocation.
+// record notes one delivery. Steady state is a map lookup and two plain
+// increments — no atomics, no allocation.
 func (in *EngineInstr) record(e *Engine, ev Event) {
 	in.events.Get(instrKind(ev)).Inc()
 	in.queueHW.Observe(uint64(e.queue.Len()))
 }
 
 // instrKind maps a delivered event to its metric label without
-// allocating: named events use their constant name, anonymous typed
-// events and handler closures fall into fixed buckets.
+// allocating: named events use their constant name, anonymous ones share
+// one fixed bucket.
 func instrKind(ev Event) string {
-	if ev == nil {
-		return "handler"
-	}
 	if n, ok := ev.(Named); ok {
 		return n.EventName()
 	}
@@ -89,10 +84,6 @@ func (e *Engine) EnableObs(reg *obs.Registry) *EngineInstr {
 	e.instr = in
 	return in
 }
-
-// FreeListLen returns the number of pooled event slots on the arena free
-// list (capped at the epoch barrier by capFreeList).
-func (e *Engine) FreeListLen() int { return e.arena.freeLen() }
 
 // ShardedInstr instruments the epoch loop: epoch count, cross-shard
 // mailbox traffic, wall-clock drain time per epoch and per-shard barrier

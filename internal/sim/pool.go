@@ -1,0 +1,39 @@
+package sim
+
+// Pool recycles values of one type. Get pops the LIFO free list, or carves
+// a zero T from a 64-value block when the list is empty, so growth costs
+// one allocation per block and fresh values sit contiguously; Put pushes a
+// value back. A full block is abandoned to its outstanding pointers, so
+// every pointer handed out stays valid. The zero value is ready to use.
+//
+// A Pool is not synchronised. The repo's one pooling rule: acquire on the
+// shard that sends, Put on the shard the value is last used on (for an
+// event, the shard it fires on). No pool is then touched by two shards
+// within an epoch, and symmetric traffic keeps per-shard pools balanced.
+type Pool[T any] struct {
+	free  []*T
+	block []T
+}
+
+// poolBlockLen is the number of values carved from one block.
+const poolBlockLen = 64
+
+// Get returns a recycled value, in the state it was Put in, or a zero one.
+func (p *Pool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free = p.free[:n-1]
+		return v
+	}
+	if len(p.block) == cap(p.block) {
+		p.block = make([]T, 0, poolBlockLen)
+	}
+	p.block = p.block[:len(p.block)+1]
+	return &p.block[len(p.block)-1]
+}
+
+// Put makes v available to a later Get.
+func (p *Pool[T]) Put(v *T) { p.free = append(p.free, v) }
+
+// Len returns the number of values on the free list.
+func (p *Pool[T]) Len() int { return len(p.free) }

@@ -1,10 +1,9 @@
 package sim
 
-// The engine's pending-event store is one 4-ary min-heap of flat
-// (at, seq, ref) entries; the event payloads stay in the arena and the heap
-// moves only 24-byte keys. Four children per node halve the depth of a
-// binary heap and keep a node's children on one or two cache lines, which
-// is what a pop's sift-down pays for.
+// The engine's pending-event store is one 4-ary min-heap whose entries
+// carry the event itself: (at, seq, ev). Four children per node halve the
+// depth of a binary heap and keep a node's children on adjacent cache
+// lines, which is what a pop's sift-down pays for.
 //
 // Ordering contract: pops come out in strictly increasing (at, seq). seq is
 // the engine's scheduling sequence, so same-instant events are FIFO. The
@@ -14,11 +13,13 @@ package sim
 // Cancelled events are not removed: they ride the heap until popped and
 // the engine discards them there.
 
-// qent is one queued event: its total-order key plus the arena handle.
+// qent is one queued event: its total-order key plus the event to fire —
+// the caller's own event, or the *Timer wrapping it when it was scheduled
+// with a cancellation handle.
 type qent struct {
 	at  Time
 	seq uint64
-	ref eventRef
+	ev  Event
 }
 
 // qentLess is the queue's total order: (at, seq) ascending. seq values are
@@ -72,6 +73,8 @@ func (q *eventQueue) pop() (qent, bool) {
 		return qent{}, false
 	}
 	top, last := q.ents[0], q.ents[n]
+	// The vacated tail slot must not keep its event reachable.
+	q.ents[n].ev = nil
 	q.ents = q.ents[:n]
 	if n == 0 {
 		return top, true

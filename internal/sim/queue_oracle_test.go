@@ -53,12 +53,11 @@ func (h *heapQueue) pop() (qent, bool) {
 	}
 }
 
-// oracleWorld drives the engine's queue (over an arena, with cancellation
-// marked on the slot as Timer.Cancel does) and the heap oracle through the
-// same stream of operations.
+// oracleWorld drives the engine's queue (every entry a Timer, cancelled
+// through Timer.Cancel) and the heap oracle through the same stream of
+// operations.
 type oracleWorld struct {
 	t         *testing.T
-	arena     eventArena
 	q         eventQueue
 	heap      heapQueue
 	dead      map[uint64]bool // seq -> cancelled, the heap side's view
@@ -76,16 +75,14 @@ func (w *oracleWorld) push(at Time) {
 	if at < w.now {
 		at = w.now
 	}
-	ref, ev := w.arena.alloc()
-	ev.at, ev.seq = at, w.seq
-	e := qent{at: at, seq: w.seq, ref: ref}
+	e := qent{at: at, seq: w.seq, ev: &Timer{ev: anonEvent{}}}
 	w.seq++
 	w.q.push(e)
 	w.heap.push(e)
 	w.pending = append(w.pending, e)
 }
 
-// cancel marks a random live pending entry dead, as Timer.Cancel does.
+// cancel cancels a random live pending entry.
 func (w *oracleWorld) cancel(r *rand.Rand) {
 	if len(w.pending) == 0 {
 		return
@@ -95,7 +92,9 @@ func (w *oracleWorld) cancel(r *rand.Rand) {
 	w.pending[i] = w.pending[len(w.pending)-1]
 	w.pending = w.pending[:len(w.pending)-1]
 	w.dead[e.seq] = true
-	w.arena.get(e.ref).dead = true
+	if !e.ev.(*Timer).Cancel() {
+		w.t.Fatalf("cancel of pending entry (%d,%d) reported not pending", e.at, e.seq)
+	}
 }
 
 // popLive advances both queues to their next live delivery and asserts the
@@ -109,13 +108,11 @@ func (w *oracleWorld) popLive() bool {
 		if !ok {
 			break
 		}
-		ev := w.arena.get(e.ref)
-		if ev.dead {
-			w.arena.release(e.ref)
+		tm := e.ev.(*Timer)
+		if tm.done {
 			continue
 		}
-		ev.dead = true
-		w.arena.release(e.ref)
+		tm.done = true
 		got, gotOK = e, true
 		break
 	}
@@ -296,24 +293,13 @@ func TestQueueOracleSparseBurst(t *testing.T) {
 func TestEngineCancelledCounter(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	keep, err := e.Schedule(5, func(*Engine) { fired++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var timers []*Timer
+	bump := fn(func(*Engine) { fired++ })
+	schedule(e, 5, bump)
 	for i := 0; i < 10; i++ {
-		tm, err := e.Schedule(Time(10+i), func(*Engine) { fired++ })
-		if err != nil {
-			t.Fatal(err)
-		}
-		timers = append(timers, tm)
-	}
-	for _, tm := range timers {
-		if !tm.Cancel() {
+		if !schedule(e, Time(10+i), bump).Cancel() {
 			t.Fatal("cancel failed on a pending timer")
 		}
 	}
-	_ = keep
 	e.Run(0)
 	if fired != 1 {
 		t.Fatalf("fired %d events, want 1", fired)
@@ -321,65 +307,4 @@ func TestEngineCancelledCounter(t *testing.T) {
 	if got := e.Cancelled(); got != 10 {
 		t.Fatalf("Cancelled() = %d, want 10", got)
 	}
-}
-
-// TestEngineFreeListCap checks the burst-reap satellite: after a burst
-// drains, capFreeList returns tail slabs so the pooled capacity tracks the
-// live population instead of the historical peak.
-func TestEngineFreeListCap(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 20*arenaSlabSize; i++ {
-		e.Post(Time(i%1000), func(*Engine) {})
-	}
-	e.Run(0)
-	if got := e.FreeListLen(); got < 20*arenaSlabSize {
-		t.Fatalf("free list %d after burst, want >= %d", got, 20*arenaSlabSize)
-	}
-	e.capFreeList()
-	if got := e.FreeListLen(); got > arenaSlabSize {
-		t.Fatalf("free list %d after cap, want <= %d", got, arenaSlabSize)
-	}
-	// The engine still schedules correctly from the shrunken arena.
-	ran := false
-	e.Post(1, func(*Engine) { ran = true })
-	e.Run(0)
-	if !ran {
-		t.Fatal("engine broken after free-list cap")
-	}
-}
-
-// TestTimerSafeAfterReap checks that a Timer whose storage was reaped
-// stays safely non-pending, even after the arena grows back over the same
-// slab indices.
-func TestTimerSafeAfterReap(t *testing.T) {
-	e := NewEngine()
-	var timers []*Timer
-	for i := 0; i < 4*arenaSlabSize; i++ {
-		tm, err := e.Schedule(Time(i+1), func(*Engine) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		timers = append(timers, tm)
-	}
-	e.Run(0)
-	e.capFreeList()
-	for _, tm := range timers {
-		if tm.Pending() {
-			t.Fatal("fired timer reports pending after reap")
-		}
-		if tm.Cancel() {
-			t.Fatal("fired timer cancelled after reap")
-		}
-	}
-	// Regrow over the reaped slab indices: stale handles must not match
-	// the new incarnations.
-	for i := 0; i < 4*arenaSlabSize; i++ {
-		e.Post(Time(1), func(*Engine) {})
-	}
-	for _, tm := range timers {
-		if tm.Pending() {
-			t.Fatal("stale timer matched a regrown slot")
-		}
-	}
-	e.Run(0)
 }

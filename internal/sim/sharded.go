@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -75,7 +74,7 @@ type Sharded struct {
 	// err records a barrier violation: a cross-shard event due before its
 	// destination shard's clock, i.e. a Lookahead wider than the workload's
 	// minimum cross-shard delay. It ends the run at the next epoch
-	// boundary and is surfaced through Err / ShardedRun.
+	// boundary and is surfaced through Err.
 	err error
 	// epochHook, when non-nil, runs after every epoch's drain, on the
 	// caller's goroutine (never concurrently with shard drains). The
@@ -86,13 +85,10 @@ type Sharded struct {
 	// parallel epoch through workerStart[i] (buffered, one barrier per
 	// epoch) and joined on workerDone. Started lazily by RunUntil on its
 	// first parallel epoch and stopped before it returns, so no goroutine
-	// outlives a run. Replaces the per-epoch spawn + WaitGroup cycle, whose
-	// setup cost dominated fine-grained epochs; spawnDrain restores the old
-	// cycle for benchmark comparison.
+	// outlives a run.
 	workerStart []chan Time
 	workerDone  chan struct{}
 	workerEpoch time.Time
-	spawnDrain  bool
 	// instr, when non-nil, records epoch counts, mailbox traffic and
 	// wall-clock drain/barrier timings (see EnableObs). It never affects
 	// event order.
@@ -225,11 +221,6 @@ func (s *Sharded) SetParallel(parallel bool) { s.opts.Parallel = parallel }
 // bookkeeping here.
 func (s *Sharded) SetEpochHook(fn func()) { s.epochHook = fn }
 
-// SetSpawnDrain switches the parallel drain back to the legacy per-epoch
-// goroutine spawn + WaitGroup cycle. Benchmark-only: it exists so the
-// spawn-vs-persistent-worker comparison stays measurable. Call before Run.
-func (s *Sharded) SetSpawnDrain(v bool) { s.spawnDrain = v }
-
 // Err returns the barrier-violation error that aborted the run, if any. A
 // non-nil value means the configured Lookahead exceeded the workload's
 // minimum cross-shard delay; results past that epoch are partial.
@@ -315,7 +306,10 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) uint64 {
 		return n
 	}
 	s.stopped = false
-	if s.opts.Parallel && maxEvents == 0 && !s.spawnDrain {
+	// Decided once per run: the workers started here are the ones every
+	// epoch below hands its barrier to.
+	parallel := s.opts.Parallel && maxEvents == 0
+	if parallel {
 		s.startWorkers()
 		defer s.stopWorkers()
 	}
@@ -360,7 +354,7 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) uint64 {
 		if s.instr != nil {
 			drainStart = time.Now()
 		}
-		if s.opts.Parallel && maxEvents == 0 {
+		if parallel {
 			delivered += s.drainParallel(barrier)
 		} else {
 			for _, e := range s.engines {
@@ -387,11 +381,6 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) uint64 {
 			// The epoch boundary: shard workers (if any) have joined, so
 			// cross-shard merges are race-free here.
 			s.epochHook()
-		}
-		// Return burst-sized pooled-event storage at the same sequential
-		// point; arena geometry never feeds back into event order.
-		for _, e := range s.engines {
-			e.capFreeList()
 		}
 		if s.instr != nil {
 			s.instr.endEpoch(drainDur)
@@ -448,9 +437,6 @@ func (s *Sharded) stopWorkers() {
 // deterministic flush, and each engine's delivery order is fixed by its
 // own queue.
 func (s *Sharded) drainParallel(barrier Time) uint64 {
-	if s.workerStart == nil {
-		return s.drainSpawn(barrier)
-	}
 	if s.instr != nil {
 		s.workerEpoch = time.Now()
 	}
@@ -473,56 +459,4 @@ func (s *Sharded) drainParallel(barrier Time) uint64 {
 		}
 	}
 	return n
-}
-
-// drainSpawn is the legacy per-epoch goroutine-spawn drain, kept only so
-// benchmarks can measure what the persistent workers buy (set spawnDrain
-// before Run).
-func (s *Sharded) drainSpawn(barrier Time) uint64 {
-	if s.counts == nil {
-		s.counts = make([]uint64, len(s.engines))
-	}
-	in := s.instr
-	var start time.Time
-	if in != nil {
-		start = time.Now()
-	}
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *Engine) {
-			defer wg.Done()
-			s.counts[i] = e.RunUntil(barrier, 0)
-			if in != nil {
-				in.waits[i] = time.Since(start)
-			}
-		}(i, e)
-	}
-	wg.Wait()
-	if in != nil {
-		in.recordWaits()
-	}
-	var n uint64
-	for _, c := range s.counts {
-		n += c
-	}
-	for _, e := range s.engines {
-		if e.stopped {
-			s.stopped = true
-		}
-	}
-	return n
-}
-
-// ShardedRun is the one-shot form: build the loop, let seed schedule the
-// initial events on the shard engines, then run to completion. It returns
-// the number of events delivered, and a non-nil error when the run was
-// aborted by a cross-shard barrier violation (a Lookahead wider than the
-// workload's minimum cross-shard delay); the count then covers only the
-// epochs delivered before the violation.
-func ShardedRun(opts ShardedOptions, seed func(s *Sharded)) (uint64, error) {
-	s := NewSharded(opts)
-	seed(s)
-	n := s.Run(0)
-	return n, s.Err()
 }

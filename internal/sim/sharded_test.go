@@ -213,19 +213,6 @@ func TestShardedObserverAndBudget(t *testing.T) {
 	}
 }
 
-// TestShardedRunHelper covers the one-shot entry point.
-func TestShardedRunHelper(t *testing.T) {
-	var log []hopRecord
-	n, err := ShardedRun(ShardedOptions{Shards: 2, ShardOf: func(p int) int { return p }},
-		func(s *Sharded) { seedHops(s, 2, 4, 5, &log) })
-	if err != nil {
-		t.Fatalf("ShardedRun error: %v", err)
-	}
-	if n != 12 {
-		t.Fatalf("ShardedRun delivered %d, want 12", n)
-	}
-}
-
 // TestShardedHorizon checks that the horizon drops both locally queued and
 // mailbox-routed events.
 func TestShardedHorizon(t *testing.T) {
@@ -287,17 +274,17 @@ func (p *crossPoster) Fire(e *Engine) { e.PostEvent(p.delay, p.probe) }
 // of panicking.
 func TestShardedBarrierViolationError(t *testing.T) {
 	var log []string
-	n, err := ShardedRun(ShardedOptions{
+	s := NewSharded(ShardedOptions{
 		Shards:    2,
 		ShardOf:   func(peer int) int { return peer },
 		Lookahead: 100, // far wider than the 10-tick cross-shard delay below
-	}, func(s *Sharded) {
-		// Shard 0 posts a cross-shard probe at t=10+10=20; shard 1's local
-		// event at t=50 drains in the same (lookahead-widened) epoch, so
-		// the probe arrives behind shard 1's clock at the next flush.
-		s.Engine(0).PostEvent(10, &crossPoster{delay: 10, probe: &mailProbe{dst: 1, tag: "late", log: &log}})
-		s.Engine(1).PostEvent(50, &mailProbe{dst: 1, tag: "local", log: &log})
 	})
+	// Shard 0 posts a cross-shard probe at t=10+10=20; shard 1's local
+	// event at t=50 drains in the same (lookahead-widened) epoch, so the
+	// probe arrives behind shard 1's clock at the next flush.
+	s.Engine(0).PostEvent(10, &crossPoster{delay: 10, probe: &mailProbe{dst: 1, tag: "late", log: &log}})
+	s.Engine(1).PostEvent(50, &mailProbe{dst: 1, tag: "local", log: &log})
+	n, err := s.Run(0), s.Err()
 	if err == nil {
 		t.Fatal("barrier violation did not surface as an error")
 	}
@@ -315,6 +302,36 @@ func TestShardedBarrierViolationError(t *testing.T) {
 	// The late probe was never delivered.
 	if !reflect.DeepEqual(log, []string{"local@50"}) {
 		t.Fatalf("log = %v", log)
+	}
+}
+
+// TestShardedCancelledCounter: the epoch loop finds each epoch's start by
+// discarding cancelled entries from the head of every shard's queue, and
+// those discards count in Cancelled() exactly as a plain engine's do.
+func TestShardedCancelledCounter(t *testing.T) {
+	var log []string
+	s := NewSharded(ShardedOptions{Shards: 2, ShardOf: func(p int) int { return p }})
+	for shard := 0; shard < 2; shard++ {
+		e := s.Engine(shard)
+		for i := 0; i < 3; i++ {
+			// Two cancelled entries ahead of each live one.
+			schedule(e, Time(10*i+1), &mailProbe{dst: shard, tag: "dead", log: &log}).Cancel()
+			schedule(e, Time(10*i+2), &mailProbe{dst: shard, tag: "dead", log: &log}).Cancel()
+			schedule(e, Time(10*i+3), &mailProbe{dst: shard, tag: "live", log: &log})
+		}
+	}
+	if n := s.Run(0); n != 6 {
+		t.Fatalf("delivered %d events, want 6", n)
+	}
+	for _, entry := range log {
+		if !strings.HasPrefix(entry, "live@") {
+			t.Fatalf("cancelled event fired: %v", log)
+		}
+	}
+	for shard := 0; shard < 2; shard++ {
+		if got := s.Engine(shard).Cancelled(); got != 6 {
+			t.Fatalf("shard %d Cancelled() = %d, want 6", shard, got)
+		}
 	}
 }
 

@@ -145,19 +145,18 @@ func (b *queryBuf) reset() {
 // sequential sections and needs no locking.
 //
 // Buffers are pooled: a finalized query's buffer (and, when a slowest-N
-// heap entry is evicted, its event slice) returns to a free list, so
-// steady-state recording allocates only retained data.
+// heap entry is evicted, its event slice) is recycled, so steady-state
+// recording allocates only retained data.
 type FlightRecorder struct {
 	pol    Policy
 	active map[uint64]*queryBuf
-	free   []*queryBuf
-	// block batch-allocates queryBuf structs: with a long finalize horizon
-	// every in-flight query holds a buffer, so fresh buffers are the common
-	// case and chunking divides their allocation count by blockSize. evSlab
-	// and dpSlab batch the buffers' initial event/depth windows the same way
-	// (capacity-capped three-index carves, so append past a window
-	// reallocates independently instead of clobbering a neighbour).
-	block  []queryBuf
+	// bufs recycles queryBuf structs. With a long finalize horizon every
+	// in-flight query holds a buffer, so fresh buffers are the common case;
+	// evSlab and dpSlab batch their initial event/depth windows the way the
+	// pool batches the structs (capacity-capped three-index carves, so
+	// append past a window reallocates independently instead of clobbering
+	// a neighbour).
+	bufs   sim.Pool[queryBuf]
 	evSlab []Event
 	dpSlab []depthEntry
 	spare  [][]Event // event slices recovered from evicted heap entries
@@ -306,16 +305,10 @@ func (r *FlightRecorder) seal(b *queryBuf, lat sim.Time, why string) *QueryTrace
 }
 
 func (r *FlightRecorder) acquire() *queryBuf {
-	if n := len(r.free); n > 0 {
-		b := r.free[n-1]
-		r.free = r.free[:n-1]
-		return b
+	b := r.bufs.Get()
+	if b.depth != nil {
+		return b // recycled, with its windows
 	}
-	if len(r.block) == 0 {
-		r.block = make([]queryBuf, 64)
-	}
-	b := &r.block[0]
-	r.block = r.block[1:]
 	if n := len(r.spare); n > 0 {
 		b.events = r.spare[n-1]
 		r.spare = r.spare[:n-1]
@@ -329,13 +322,11 @@ func (r *FlightRecorder) acquire() *queryBuf {
 		b.events = r.evSlab[0:0:64]
 		r.evSlab = r.evSlab[64:]
 	}
-	if b.depth == nil {
-		if len(r.dpSlab) < 64 {
-			r.dpSlab = make([]depthEntry, 64*64)
-		}
-		b.depth = r.dpSlab[0:0:64]
-		r.dpSlab = r.dpSlab[64:]
+	if len(r.dpSlab) < 64 {
+		r.dpSlab = make([]depthEntry, 64*64)
 	}
+	b.depth = r.dpSlab[0:0:64]
+	r.dpSlab = r.dpSlab[64:]
 	return b
 }
 
@@ -347,7 +338,7 @@ func (r *FlightRecorder) release(b *queryBuf) {
 		}
 	}
 	b.reset()
-	r.free = append(r.free, b)
+	r.bufs.Put(b)
 }
 
 // Traces returns the retained traces, slowest first (ties broken by

@@ -63,8 +63,6 @@ type RuntimeStats struct {
 	EventsCancelled uint64
 	// QueueDepthHighWater is the deepest any event queue got.
 	QueueDepthHighWater uint64
-	// FreeListEvents is the pooled-event capacity left at end of run.
-	FreeListEvents int
 	// Epochs, CrossShardEvents and MaxEpochDrainSeconds describe the
 	// sharded epoch loop; zero on a single queue.
 	Epochs               uint64
@@ -98,7 +96,6 @@ func liftRuntime(rs *core.RuntimeStats) *RuntimeStats {
 		EventsScheduled:      rs.EventsScheduled,
 		EventsCancelled:      rs.EventsCancelled,
 		QueueDepthHighWater:  rs.QueueDepthHighWater,
-		FreeListEvents:       rs.FreeListEvents,
 		Epochs:               rs.Epochs,
 		CrossShardEvents:     rs.CrossShardEvents,
 		MaxEpochDrainSeconds: rs.MaxEpochDrainSeconds,
@@ -129,7 +126,6 @@ func (rs *RuntimeStats) Report() string {
 	fmt.Fprintf(&b, "    %-28s %d\n", "events scheduled", rs.EventsScheduled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "events cancelled", rs.EventsCancelled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "queue depth high water", rs.QueueDepthHighWater)
-	fmt.Fprintf(&b, "    %-28s %d\n", "event freelist len", rs.FreeListEvents)
 	if rs.Epochs > 0 {
 		fmt.Fprintf(&b, "    %-28s %d\n", "epochs", rs.Epochs)
 		fmt.Fprintf(&b, "    %-28s %d\n", "cross-shard events", rs.CrossShardEvents)
