@@ -14,7 +14,7 @@ func benchWords(n int) []string {
 }
 
 func BenchmarkFilterAdd(b *testing.B) {
-	f := PaperFilter()
+	f := paperFilter()
 	words := benchWords(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -23,7 +23,7 @@ func BenchmarkFilterAdd(b *testing.B) {
 }
 
 func BenchmarkFilterTest(b *testing.B) {
-	f := PaperFilter()
+	f := paperFilter()
 	words := benchWords(1024)
 	for _, w := range words[:150] {
 		f.Add(w)
@@ -35,7 +35,7 @@ func BenchmarkFilterTest(b *testing.B) {
 }
 
 func BenchmarkFilterTestAllQuery(b *testing.B) {
-	f := PaperFilter()
+	f := paperFilter()
 	words := benchWords(150)
 	for _, w := range words {
 		f.Add(w)
@@ -58,20 +58,36 @@ func BenchmarkCountingAddRemove(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotAndDiff measures one publish from the live view: two
+// filenames' worth of keyword changes, then mark check, diff against the
+// published copy, copy, mark clear — what a changed peer pays per round.
 func BenchmarkSnapshotAndDiff(b *testing.B) {
 	c := NewCounting(1200, 6)
 	for _, w := range benchWords(60) {
 		c.Add(w)
 	}
-	prev := c.Snapshot()
-	c.Add("extra-one")
-	c.Add("extra-two")
+	published := c.View().Clone()
+	var buf []uint32
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur := c.Snapshot()
-		if _, err := DiffFilters(prev, cur); err != nil {
-			b.Fatal(err)
+		if i&1 == 0 {
+			c.Add("extra-one")
+			c.Add("extra-two")
+		} else {
+			c.Remove("extra-one")
+			c.Remove("extra-two")
 		}
+		if !c.Changed() {
+			b.Fatal("mark not raised")
+		}
+		d, err := DiffFiltersInto(published, c.View(), buf)
+		if err != nil || d.Empty() {
+			b.Fatal("no delta", err)
+		}
+		buf = d.Flipped[:0]
+		_ = published.CopyFrom(c.View())
+		c.ClearChanged()
 	}
 }
 

@@ -7,8 +7,12 @@ import (
 	"testing/quick"
 )
 
+// paperFilter returns the filter configured exactly as in §5.1: 1200 bits,
+// k optimal for 150 keywords.
+func paperFilter() *Filter { return New(1200, OptimalK(1200, 150)) }
+
 func TestNoFalseNegatives(t *testing.T) {
-	f := PaperFilter()
+	f := paperFilter()
 	var added []string
 	for i := 0; i < 150; i++ {
 		s := fmt.Sprintf("keyword-%d", i)
@@ -42,7 +46,7 @@ func TestNoFalseNegativesQuick(t *testing.T) {
 
 func TestFalsePositiveRateReasonable(t *testing.T) {
 	// Paper setting: 1200 bits for 150 keywords gives a usable FPR.
-	f := PaperFilter()
+	f := paperFilter()
 	for i := 0; i < 150; i++ {
 		f.Add(fmt.Sprintf("kw-%d", i))
 	}
@@ -207,31 +211,32 @@ func TestCountingRemoveAbsentIsSafe(t *testing.T) {
 	}
 }
 
+// TestCountingExportSnapshot: the live view tracks Add/Remove/Reset, and a
+// clone of it is a snapshot that stays put.
 func TestCountingExportSnapshot(t *testing.T) {
 	c := NewCounting(1200, 6)
 	words := []string{"a", "b", "c", "d"}
 	for _, w := range words {
 		c.Add(w)
 	}
-	snap := c.Snapshot()
+	snap := c.View().Clone()
 	for _, w := range words {
 		if !snap.Test(w) {
 			t.Fatalf("snapshot missing %q", w)
 		}
 	}
 	c.Remove("a")
-	f := New(1200, 6)
-	if err := c.Export(f); err != nil {
-		t.Fatal(err)
+	if c.View().Test("a") && !anyShareBits("a", words) {
+		t.Fatal("view retains removed element")
 	}
-	if f.Test("a") && !anyShareBits("a", words) {
-		t.Fatal("export retains removed element")
+	if !snap.Test("a") {
+		t.Fatal("a cloned snapshot moved with the live view")
 	}
-	if err := c.Export(New(600, 6)); err != ErrMismatch {
+	if err := New(600, 6).CopyFrom(c.View()); err != ErrMismatch {
 		t.Fatalf("geometry mismatch not detected: %v", err)
 	}
 	c.Reset()
-	if c.Test("b") {
+	if c.Test("b") || c.View().PopCount() != 0 {
 		t.Fatal("reset failed")
 	}
 	if c.M() != 1200 || c.K() != 6 {
@@ -291,7 +296,7 @@ func TestCountingPlainAgreement(t *testing.T) {
 			plain.Add(w)
 		}
 	}
-	if !c.Snapshot().Equal(plain) {
+	if !c.View().Equal(plain) {
 		t.Fatal("counting snapshot diverges from plain filter of live set")
 	}
 }
@@ -303,7 +308,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 	newF.Add("beta")
 	newF.Add("gamma")
 
-	d, err := DiffFilters(oldF, newF)
+	d, err := DiffFiltersInto(oldF, newF, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +333,12 @@ func TestDeltaRoundTrip(t *testing.T) {
 func TestDeltaSizeBitsPaperBound(t *testing.T) {
 	// Footnote 1: one filename (3 keywords) flips at most 3k bits; with the
 	// paper's 1200-bit vector each position costs 11 bits.
-	oldF := PaperFilter()
+	oldF := paperFilter()
 	newF := oldF.Clone()
 	for _, kw := range []string{"one", "two", "three"} {
 		newF.Add(kw)
 	}
-	d, err := DiffFilters(oldF, newF)
+	d, err := DiffFiltersInto(oldF, newF, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +353,7 @@ func TestDeltaSizeBitsPaperBound(t *testing.T) {
 
 func TestDeltaEmpty(t *testing.T) {
 	f := New(1200, 6)
-	d, err := DiffFilters(f, f.Clone())
+	d, err := DiffFiltersInto(f, f.Clone(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +366,7 @@ func TestDeltaEmpty(t *testing.T) {
 }
 
 func TestDeltaMismatch(t *testing.T) {
-	if _, err := DiffFilters(New(1200, 6), New(600, 6)); err != ErrMismatch {
+	if _, err := DiffFiltersInto(New(1200, 6), New(600, 6), nil); err != ErrMismatch {
 		t.Fatalf("size mismatch not detected: %v", err)
 	}
 	d := Delta{M: 1200, Flipped: []uint32{3}}
@@ -385,7 +390,7 @@ func TestDeltaQuickProperty(t *testing.T) {
 		for _, w := range addWords {
 			newF.Add(w)
 		}
-		d, err := DiffFilters(oldF, newF)
+		d, err := DiffFiltersInto(oldF, newF, nil)
 		if err != nil {
 			return false
 		}
@@ -434,12 +439,13 @@ func TestHotOpsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDiffFiltersInto checks buffer reuse and equivalence with DiffFilters.
+// TestDiffFiltersInto checks buffer reuse and equivalence with a nil-buffer
+// diff.
 func TestDiffFiltersInto(t *testing.T) {
 	a, b := New(256, 4), New(256, 4)
 	b.Add("alpha")
 	b.Add("beta")
-	want, err := DiffFilters(a, b)
+	want, err := DiffFiltersInto(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,41 +4,40 @@ package bloom
 // than a bit, so elements can be removed. Locaware's filter "is built
 // incrementally as new filenames are inserted in RI and existing ones
 // discarded" (§4.2) — discarding requires deletion support, which a peer
-// gets by keeping this counting filter locally and exporting its non-zero
-// positions as the plain bit vector it gossips.
+// gets by keeping this counting filter locally. The plain bit vector it
+// gossips (counter>0 → bit set) is kept current as counters cross zero, so
+// publishing costs the bits that flipped, never a walk over the counters.
 type Counting struct {
-	m      uint32
-	k      int
 	counts []uint16
+	// view is the live plain bit-vector view and carries the geometry;
+	// changed is raised whenever one of its bits flips.
+	view    Filter
+	changed bool
 }
 
 // NewCounting returns an m-position counting filter with k hash functions;
 // k is clamped to [1, 16] exactly as in New.
 func NewCounting(m, k int) *Counting {
-	if m < 8 {
-		m = 8
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > maxK {
-		k = maxK
-	}
-	return &Counting{m: uint32(m), k: k, counts: make([]uint16, m)}
+	view := New(m, k)
+	return &Counting{counts: make([]uint16, view.m), view: *view}
 }
 
 // M returns the number of positions.
-func (c *Counting) M() int { return int(c.m) }
+func (c *Counting) M() int { return int(c.view.m) }
 
 // K returns the number of hash functions.
-func (c *Counting) K() int { return c.k }
+func (c *Counting) K() int { return c.view.k }
 
 // Add inserts s, incrementing its k counters (saturating).
 func (c *Counting) Add(s string) {
 	var buf [maxK]uint32
-	idx := buf[:c.k]
-	indexes(s, c.m, idx)
+	idx := buf[:c.view.k]
+	indexes(s, c.view.m, idx)
 	for _, i := range idx {
+		if c.counts[i] == 0 {
+			c.view.setBit(i, true)
+			c.changed = true
+		}
 		if c.counts[i] < ^uint16(0) {
 			c.counts[i]++
 		}
@@ -50,9 +49,13 @@ func (c *Counting) Add(s string) {
 // add/remove pairing, and Remove defensively floors counters at zero.
 func (c *Counting) Remove(s string) {
 	var buf [maxK]uint32
-	idx := buf[:c.k]
-	indexes(s, c.m, idx)
+	idx := buf[:c.view.k]
+	indexes(s, c.view.m, idx)
 	for _, i := range idx {
+		if c.counts[i] == 1 {
+			c.view.setBit(i, false)
+			c.changed = true
+		}
 		if c.counts[i] > 0 {
 			c.counts[i]--
 		}
@@ -60,43 +63,26 @@ func (c *Counting) Remove(s string) {
 }
 
 // Test reports whether s may be present.
-func (c *Counting) Test(s string) bool {
-	var buf [maxK]uint32
-	idx := buf[:c.k]
-	indexes(s, c.m, idx)
-	for _, i := range idx {
-		if c.counts[i] == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (c *Counting) Test(s string) bool { return c.view.Test(s) }
 
-// Export writes the plain bit-vector view (counter>0 → bit set) into dst,
-// which must have matching geometry.
-func (c *Counting) Export(dst *Filter) error {
-	if dst.m != c.m || dst.k != c.k {
-		return ErrMismatch
-	}
-	dst.Reset()
-	for i, n := range c.counts {
-		if n > 0 {
-			dst.setBit(uint32(i), true)
-		}
-	}
-	return nil
-}
+// View returns the live plain bit-vector view. It is read-only and changes
+// with every Add/Remove/Reset; copy it to keep a snapshot.
+func (c *Counting) View() *Filter { return &c.view }
 
-// Snapshot allocates and returns the plain bit-vector view.
-func (c *Counting) Snapshot() *Filter {
-	f := New(int(c.m), c.k)
-	_ = c.Export(f) // geometry matches by construction
-	return f
-}
+// Changed reports whether a bit of the view flipped since ClearChanged. A
+// flip that was later undone still counts: the mark says "diff me", the
+// diff says what, if anything, to announce.
+func (c *Counting) Changed() bool { return c.changed }
+
+// ClearChanged lowers the mark; the publisher calls it once it has copied
+// the view.
+func (c *Counting) ClearChanged() { c.changed = false }
 
 // Reset zeroes all counters.
 func (c *Counting) Reset() {
 	for i := range c.counts {
 		c.counts[i] = 0
 	}
+	c.view.Reset()
+	c.changed = true
 }

@@ -15,15 +15,11 @@ type Delta struct {
 	M uint32
 }
 
-// DiffFilters computes the delta that transforms old into new.
-func DiffFilters(oldF, newF *Filter) (Delta, error) {
-	return DiffFiltersInto(oldF, newF, nil)
-}
-
-// DiffFiltersInto is DiffFilters accumulating the flipped positions into
-// buf (truncated, capacity reused), so a caller diffing every gossip round
-// amortises the position buffer to zero steady-state allocations. The
-// returned Delta aliases buf's backing array.
+// DiffFiltersInto computes the delta that transforms old into new,
+// accumulating the flipped positions into buf (truncated, capacity reused;
+// nil allocates), so a caller diffing every gossip round amortises the
+// position buffer to zero steady-state allocations. The returned Delta
+// aliases buf's backing array.
 func DiffFiltersInto(oldF, newF *Filter, buf []uint32) (Delta, error) {
 	if oldF.m != newF.m || oldF.k != newF.k {
 		return Delta{}, ErrMismatch

@@ -38,10 +38,6 @@ func New(m, k int) *Filter {
 	return &Filter{m: uint32(m), k: k, bits: make([]uint64, (m+63)/64)}
 }
 
-// PaperFilter returns the filter configured exactly as in §5.1: 1200 bits,
-// k optimal for 150 keywords.
-func PaperFilter() *Filter { return New(1200, OptimalK(1200, 150)) }
-
 // M returns the filter size in bits.
 func (f *Filter) M() int { return int(f.m) }
 

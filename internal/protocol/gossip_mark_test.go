@@ -1,0 +1,168 @@
+package protocol
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/p2prepro/locaware/internal/cache"
+	"github.com/p2prepro/locaware/internal/keywords"
+	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/sim"
+)
+
+// handRound fires one gossip round by hand, delivers its installs and
+// returns the control messages it sent.
+func handRound(net *Network) uint64 {
+	before := net.ControlMessages()
+	net.gossipBlooms(net.Engine, net.states[0])
+	net.Engine.Run(0)
+	return net.ControlMessages() - before
+}
+
+// TestOfflinePeerAnnouncesOnRejoin: a peer whose filter changed and who
+// then left announces nothing while offline — the change and the mark wait
+// — and announces on the first round after rejoining, once.
+func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
+	net := gossipWorld(6)
+	n := net.Node(2)
+	n.RI.Put(fname("held", "while", "away"), 4, 0, 0)
+	if !n.cbf.Changed() {
+		t.Fatal("caching a filename did not raise the filter's mark")
+	}
+	net.Graph.Leave(2)
+	for r := 0; r < 3; r++ {
+		if sent := handRound(net); sent != 0 {
+			t.Fatalf("offline round %d sent %d control messages", r, sent)
+		}
+	}
+	if !n.cbf.Changed() || n.PublishedBloom().PopCount() != 0 {
+		t.Fatal("offline rounds consumed the pending change")
+	}
+	if err := net.Graph.Join(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range []overlay.PeerID{1, 3} {
+		if err := net.Graph.AddLink(2, nb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := handRound(net); sent != 2 {
+		t.Fatalf("first round after rejoin sent %d control messages, want 2", sent)
+	}
+	if n.cbf.Changed() || !n.PublishedBloom().Equal(n.cbf.View()) {
+		t.Fatal("rejoin round did not publish the held change")
+	}
+	for _, nb := range []overlay.PeerID{1, 3} {
+		if got := net.Node(nb).NeighborBloom(2); got == nil || !got.Equal(n.PublishedBloom()) {
+			t.Fatalf("neighbour %d did not install the rejoin announcement", nb)
+		}
+	}
+	if sent := handRound(net); sent != 0 {
+		t.Fatalf("second round after rejoin sent %d control messages, want 0", sent)
+	}
+}
+
+// TestCancellingChangeSendsNothing: a filename cached and discarded between
+// two rounds raises the mark, but the round finds the empty delta, sends
+// nothing, bumps no announce generation and leaves the mark clear, so the
+// rounds after it are back to one flag read.
+func TestCancellingChangeSendsNothing(t *testing.T) {
+	net := gossipWorld(6)
+	n := net.Node(2)
+	n.RI.Put(fname("stays"), 4, 0, 0)
+	if sent := handRound(net); sent != 2 {
+		t.Fatalf("setup round sent %d control messages, want 2", sent)
+	}
+	gens := n.announceGens
+
+	n.RI.Put(fname("comes", "and", "goes"), 5, 0, 0)
+	if !n.cbf.Changed() {
+		t.Fatal("caching a filename did not raise the mark")
+	}
+	n.RI.RemovePeer(5) // its only provider: the filename is discarded again
+	if n.RI.Len() != 1 || !n.cbf.Changed() {
+		t.Fatal("the mark must stay raised until a round looks")
+	}
+	if sent := handRound(net); sent != 0 {
+		t.Fatalf("cancelled change sent %d control messages", sent)
+	}
+	if n.cbf.Changed() {
+		t.Fatal("the round left the mark raised")
+	}
+	if n.announceGens != gens {
+		t.Fatal("an empty delta consumed an announce buffer")
+	}
+	if d, err := n.PublishBloom(); err != nil || !d.Empty() {
+		t.Fatalf("idle PublishBloom returned %v, %v", d, err)
+	}
+}
+
+// TestLookupGuardMatchesIndex: behind the node's own filter, lookupRI
+// returns exactly what RI.Lookup returns — no false negative, identical
+// matches and provider lists — over randomized Put / TTL-expiry /
+// RemovePeer / capacity-eviction sequences, and leaves the index in the
+// same state (the twin node takes the unguarded path on the same stream).
+func TestLookupGuardMatchesIndex(t *testing.T) {
+	kws := make([]keywords.Keyword, 12)
+	for i := range kws {
+		kws[i] = keywords.Keyword(fmt.Sprintf("k%02d", i))
+	}
+	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var guarded, plain Node
+		initNode(&guarded, 0, 0, 0, cfg, true, 1200, 8)
+		initNode(&plain, 0, 0, 0, cfg, false, 0, 0)
+		pick := func(n int) []keywords.Keyword {
+			out := make([]keywords.Keyword, n)
+			for i := range out {
+				out[i] = kws[r.Intn(len(kws))]
+			}
+			return out
+		}
+		var now sim.Time
+		hits, guardedOut := 0, 0
+		for op := 0; op < 4000; op++ {
+			now += sim.Time(r.Intn(5)) * sim.Second
+			switch k := r.Intn(10); {
+			case k < 4:
+				f := keywords.NewFilename(pick(3)...)
+				p := overlay.PeerID(r.Intn(8))
+				guarded.RI.Put(f, p, 0, now)
+				plain.RI.Put(f, p, 0, now)
+			case k == 4:
+				p := overlay.PeerID(r.Intn(8))
+				guarded.RI.RemovePeer(p)
+				plain.RI.RemovePeer(p)
+			default:
+				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
+				absent := false
+				for _, kw := range q.Kws {
+					absent = absent || !guarded.cbf.Test(string(kw))
+				}
+				got, want := guarded.lookupRI(q, now), plain.lookupRI(q, now)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d: lookupRI(%v) = %v, RI.Lookup = %v", seed, op, q, got, want)
+				}
+				if absent {
+					guardedOut++
+				}
+				if len(want) != 0 {
+					hits++
+				}
+			}
+			if !reflect.DeepEqual(guarded.RI.Filenames(), plain.RI.Filenames()) ||
+				guarded.RI.Expiries() != plain.RI.Expiries() {
+				t.Fatalf("seed %d op %d: guarded and unguarded indexes diverged", seed, op)
+			}
+		}
+		if hits < 100 || guardedOut < 100 {
+			t.Fatalf("seed %d: %d hits, %d guarded-out lookups; the stream does not exercise both sides", seed, hits, guardedOut)
+		}
+		if guarded.RI.Evictions() == 0 || guarded.RI.Expiries() == 0 {
+			t.Fatalf("seed %d: %d evictions, %d expiries; want both", seed, guarded.RI.Evictions(), guarded.RI.Expiries())
+		}
+	}
+}

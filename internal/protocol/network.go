@@ -729,7 +729,7 @@ func (net *Network) runSubmit(eng *sim.Engine, st *shardState, id QueryID, origi
 		net.emit(st, trace.StorageHit, id, origin, -1, f.String())
 		return
 	}
-	if ms := n.RI.Lookup(q, eng.Now()); len(ms) != 0 {
+	if ms := n.lookupRI(q, eng.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(st, ms[0].Providers)); ok {
 			pq.fromCache = true
 			if in := st.instr; in != nil {
@@ -893,7 +893,7 @@ func (net *Network) receiveQuery(eng *sim.Engine, st *shardState, p overlay.Peer
 		return
 	}
 	// Response-index hit?
-	if ms := n.RI.Lookup(q.Q, eng.Now()); len(ms) != 0 {
+	if ms := n.lookupRI(q.Q, eng.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, q)
 		if in := st.instr; in != nil {
 			in.cacheHits.Inc()

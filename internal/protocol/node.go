@@ -9,6 +9,7 @@ import (
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // Node is one peer's protocol state.
@@ -29,13 +30,9 @@ type Node struct {
 	// neighbours. Only maintained when the behaviour uses Bloom routing.
 	cbf       *bloom.Counting
 	published *bloom.Filter
-	// snapScratch and deltaBuf are reusable gossip-round scratch: the
-	// freshly exported bit vector and the changed-position buffer of the
-	// announcement delta. Persisting them makes PublishBloom allocation-
-	// free in steady state (the remaining per-round allocator after the
-	// PR 2 hot-path refactor).
-	snapScratch *bloom.Filter
-	deltaBuf    []uint32
+	// deltaBuf is the reusable changed-position buffer of the announcement
+	// delta, so PublishBloom allocates nothing in steady state.
+	deltaBuf []uint32
 	// announceBufs double-buffer the snapshot handed to in-flight install
 	// events: round r announces one buffer while round r-1's buffer stays
 	// frozen, so installs remain correct as long as deliveries land within
@@ -98,7 +95,6 @@ func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg 
 	if useBloom {
 		n.cbf = bloom.NewCounting(bloomBits, bloomK)
 		n.published = bloom.New(bloomBits, bloomK)
-		n.snapScratch = bloom.New(bloomBits, bloomK)
 		n.neighborBF = make(map[overlay.PeerID]*bloom.Filter)
 	}
 }
@@ -181,26 +177,41 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 }
 
 // PublishBloom refreshes the node's published Bloom snapshot from its
-// counting filter and returns the delta against the previous snapshot
-// (what the node would gossip to neighbours, footnote 1). The returned
+// counting filter's live view and returns the delta against the previous
+// snapshot (what the node would gossip to neighbours, footnote 1). A filter
+// with no bit flipped since the last call costs one flag read. The returned
 // delta aliases the node's scratch buffer and is valid until the next
 // call; in steady state the whole refresh allocates nothing.
 func (n *Node) PublishBloom() (bloom.Delta, error) {
-	if n.cbf == nil {
+	if n.cbf == nil || !n.cbf.Changed() {
 		return bloom.Delta{}, nil
 	}
-	if err := n.cbf.Export(n.snapScratch); err != nil {
-		return bloom.Delta{}, err
-	}
-	d, err := bloom.DiffFiltersInto(n.published, n.snapScratch, n.deltaBuf)
+	view := n.cbf.View()
+	d, err := bloom.DiffFiltersInto(n.published, view, n.deltaBuf)
 	if err != nil {
 		return bloom.Delta{}, err
 	}
 	n.deltaBuf = d.Flipped[:0]
-	if err := n.published.CopyFrom(n.snapScratch); err != nil {
+	if err := n.published.CopyFrom(view); err != nil {
 		return bloom.Delta{}, err
 	}
+	n.cbf.ClearChanged()
 	return d, nil
+}
+
+// lookupRI is RI.Lookup behind the node's own filter: bloomSync keeps cbf
+// an exact multiset of the RI's keywords, so a query keyword absent from it
+// means no cached filename can match, and a Lookup that matches nothing has
+// no side effect. Without a filter (Flooding, Dicas) it falls through.
+func (n *Node) lookupRI(q keywords.Query, now sim.Time) []cache.Match {
+	if n.cbf != nil {
+		for _, kw := range q.Kws {
+			if !n.cbf.Test(string(kw)) {
+				return nil
+			}
+		}
+	}
+	return n.RI.Lookup(q, now)
 }
 
 // PublishedBloom returns the snapshot neighbours read, or nil when Bloom
