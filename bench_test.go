@@ -42,8 +42,8 @@ func benchCompare(b *testing.B, metric string, extract func(*Result) float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range cmp.Results {
-			b.ReportMetric(extract(r), fmt.Sprintf("%s:%s", r.Protocol, metric))
+		for _, s := range cmp.Sets {
+			b.ReportMetric(extract(s.Trials[0]), fmt.Sprintf("%s:%s", s.Protocol, metric))
 		}
 	}
 }
@@ -165,12 +165,18 @@ func BenchmarkExtensionLocationRouting(b *testing.B) {
 // BenchmarkExtensionChurn measures success degradation under peer churn
 // for single-provider (Dicas) versus multi-provider (Locaware) indexes.
 func BenchmarkExtensionChurn(b *testing.B) {
+	steady, err := ScenarioByName("steady-churn")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, p := range []Protocol{ProtocolDicas, ProtocolLocaware} {
 		for _, churn := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/churn=%v", p, churn), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					o := benchOptions(1)
-					o.Churn = churn
+					if churn {
+						o.Scenario = steady
+					}
 					r, err := Run(o, p, benchWarmup, benchQueries)
 					if err != nil {
 						b.Fatal(err)

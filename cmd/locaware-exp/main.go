@@ -24,7 +24,7 @@
 //	locaware-exp -ablation bloom       # Bloom filter size sweep
 //	locaware-exp -ablation groups      # Dicas group count M sweep
 //	locaware-exp -extension lr         # location-aware routing (§6)
-//	locaware-exp -extension churn      # churn resilience
+//	locaware-exp -extension churn      # churn resilience (steady-churn scenario)
 //
 // Scenarios (phased network dynamics with per-phase metrics):
 //
@@ -209,6 +209,17 @@ func printTraces(label string, r *locaware.Result) {
 	fmt.Printf("slowest query (q=%d):\n%s", r.Traces[0].Query, r.Traces[0].Render())
 }
 
+// printTrialZeroTraces prints every protocol's trial-0 flight-recorder
+// retentions when -flight-recorder is on.
+func printTrialZeroTraces(cmp *locaware.Comparison) {
+	if recorder == nil {
+		return
+	}
+	for _, r := range cmp.Sets {
+		printTraces(fmt.Sprintf("%s (trial 0)", r.Protocol), r.Trials[0])
+	}
+}
+
 // setFlags reports which flags were given explicitly on the command line —
 // sweep specs carry their own trials/seed/warmup/queries, so flag defaults
 // must not silently override them.
@@ -238,43 +249,20 @@ func runScenario(opts locaware.Options, arg string, warmup, queries int) {
 	opts.Scenario = sc
 	fmt.Printf("== Scenario %q: %s\n", sc.Name(), sc.Description())
 	fmt.Printf("phases: %s over %d measured queries\n\n", strings.Join(sc.PhaseNames(), " → "), queries)
-	if opts.Trials > 1 {
-		// Replicated: per-phase cells become mean±95%CI over the trials.
-		cmp, err := locaware.CompareTrials(opts, locaware.Baselines(), warmup, queries, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("(per-phase cells are mean±95%%CI over %d trials)\n\n", opts.Trials)
-		for _, r := range cmp.Sets {
-			fmt.Printf("-- %s (whole run: success=%s msgs/q=%s rtt=%sms)\n",
-				r.Protocol, r.SuccessRate, r.AvgMessagesPerQuery, r.AvgDownloadRTTMs)
-			fmt.Print(r.PhaseTable())
-			fmt.Println()
-		}
-		if recorder != nil {
-			for _, r := range cmp.Sets {
-				if len(r.Trials) > 0 {
-					printTraces(fmt.Sprintf("%s (trial 0)", r.Protocol), r.Trials[0])
-				}
-			}
-		}
-		return
-	}
 	cmp, err := locaware.Compare(opts, locaware.Baselines(), warmup, queries, nil)
 	if err != nil {
 		fatal(err)
 	}
-	for _, r := range cmp.Results {
-		fmt.Printf("-- %s (whole run: success=%.3f msgs/q=%.1f rtt=%.1fms)\n",
+	if opts.Trials > 1 {
+		fmt.Printf("(per-phase cells are mean±95%%CI over %d trials)\n\n", opts.Trials)
+	}
+	for _, r := range cmp.Sets {
+		fmt.Printf("-- %s (whole run: success=%s msgs/q=%s rtt=%sms)\n",
 			r.Protocol, r.SuccessRate, r.AvgMessagesPerQuery, r.AvgDownloadRTTMs)
-		fmt.Print(locaware.PhaseTable(r.Phases))
+		fmt.Print(r.PhaseTable())
 		fmt.Println()
 	}
-	if recorder != nil {
-		for _, r := range cmp.Results {
-			printTraces(string(r.Protocol), r)
-		}
-	}
+	printTrialZeroTraces(cmp)
 }
 
 // distOpts carries the distributed/resumable campaign flags.
@@ -489,7 +477,7 @@ func figureOf(name string) (locaware.Figure, string) {
 }
 
 func runFigures(opts locaware.Options, which string, warmup, queries int, csv bool) {
-	cmp, err := locaware.CompareTrials(opts, locaware.Baselines(), warmup, queries, nil)
+	cmp, err := locaware.Compare(opts, locaware.Baselines(), warmup, queries, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -530,19 +518,13 @@ func runFigures(opts locaware.Options, which string, warmup, queries int, csv bo
 	}
 	if statsMode {
 		for _, r := range cmp.Sets {
-			if len(r.Trials) > 0 && r.Trials[0].Runtime != nil {
+			if r.Trials[0].Runtime != nil {
 				fmt.Printf("\n== %s (trial 0) ", r.Protocol)
 				fmt.Print(r.Trials[0].Runtime.Report())
 			}
 		}
 	}
-	if recorder != nil {
-		for _, r := range cmp.Sets {
-			if len(r.Trials) > 0 {
-				printTraces(fmt.Sprintf("%s (trial 0)", r.Protocol), r.Trials[0])
-			}
-		}
-	}
+	printTrialZeroTraces(cmp)
 }
 
 func runAblation(opts locaware.Options, which string, warmup, queries int) {
@@ -602,12 +584,16 @@ func runExtension(opts locaware.Options, which string, warmup, queries int) {
 	case "churn":
 		fmt.Println("== Extension: churn resilience (stale indexes filtered at selection)")
 		fmt.Printf("%-14s %10s %14s %16s\n", "protocol", "churn", "success", "rtt(ms)")
+		steady, err := locaware.ScenarioByName("steady-churn")
+		if err != nil {
+			fatal(err)
+		}
 		for _, p := range []locaware.Protocol{locaware.ProtocolDicas, locaware.ProtocolLocaware} {
-			for _, churn := range []bool{false, true} {
+			for _, sc := range []*locaware.Scenario{nil, steady} {
 				o := opts
-				o.Churn = churn
+				o.Scenario = sc
 				r := mustTrials(o, p, warmup, queries)
-				fmt.Printf("%-14s %10v %14s %16s\n", r.Protocol, churn, r.SuccessRate, r.AvgDownloadRTTMs)
+				fmt.Printf("%-14s %10v %14s %16s\n", r.Protocol, sc != nil, r.SuccessRate, r.AvgDownloadRTTMs)
 			}
 		}
 	default:

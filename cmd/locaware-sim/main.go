@@ -33,7 +33,7 @@ func main() {
 		warmup    = flag.Int("warmup", 1000, "warmup queries (records discarded)")
 		queries   = flag.Int("queries", 2000, "measured queries")
 		seed      = flag.Int64("seed", 1, "random seed")
-		churn     = flag.Bool("churn", false, "enable peer churn")
+		churn     = flag.Bool("churn", false, "enable peer churn (the built-in steady-churn scenario)")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON")
 	)
 	flag.Parse()
@@ -50,7 +50,14 @@ func main() {
 	opts.BloomBits = *bloomBits
 	opts.QueryRate = *rate
 	opts.ZipfS = *zipf
-	opts.Churn = *churn
+	if *churn {
+		sc, err := locaware.ScenarioByName("steady-churn")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "locaware-sim:", err)
+			os.Exit(1)
+		}
+		opts.Scenario = sc
+	}
 
 	res, err := locaware.Run(opts, locaware.Protocol(*protoName), *warmup, *queries)
 	if err != nil {

@@ -57,9 +57,10 @@ func ExampleRunTrials() {
 	// independent trials spread: true
 }
 
-// ExampleCompare runs the paper's comparison on one shared world and
-// checks the Figure 3 headline: caching protocols cost a small fraction of
-// flooding's traffic.
+// ExampleCompare runs the paper's comparison on one shared world (set
+// Options.Trials for replicated worlds and error bars) and checks the
+// Figure 3 headline: caching protocols cost a small fraction of flooding's
+// traffic.
 func ExampleCompare() {
 	opts := locaware.DefaultOptions()
 	opts.Peers = 150
@@ -71,10 +72,10 @@ func ExampleCompare() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fl := cmp.Result(locaware.ProtocolFlooding)
-	la := cmp.Result(locaware.ProtocolLocaware)
-	fmt.Println("flooding finds more:", fl.SuccessRate >= la.SuccessRate)
-	fmt.Println("locaware costs far less:", la.AvgMessagesPerQuery < fl.AvgMessagesPerQuery/5)
+	fl := cmp.Set(locaware.ProtocolFlooding)
+	la := cmp.Set(locaware.ProtocolLocaware)
+	fmt.Println("flooding finds more:", fl.SuccessRate.Mean >= la.SuccessRate.Mean)
+	fmt.Println("locaware costs far less:", la.AvgMessagesPerQuery.Mean < fl.AvgMessagesPerQuery.Mean/5)
 	// Output:
 	// flooding finds more: true
 	// locaware costs far less: true

@@ -4,6 +4,7 @@
 // providers go stale and reverse paths break. Locaware stays the best
 // caching protocol under churn (its success and distance leads persist),
 // though both protocols lose a similar modest fraction of their hits.
+// Churn is the built-in "steady-churn" scenario on Options.Scenario.
 //
 //	go run ./examples/churn
 package main
@@ -29,10 +30,16 @@ func main() {
 		churn bool
 	}
 	results := map[cell]*locaware.Result{}
+	steady, err := locaware.ScenarioByName("steady-churn")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, p := range []locaware.Protocol{locaware.ProtocolDicas, locaware.ProtocolLocaware} {
 		for _, churn := range []bool{false, true} {
 			opts := base
-			opts.Churn = churn
+			if churn {
+				opts.Scenario = steady
+			}
 			r, err := locaware.Run(opts, p, 500, 1500)
 			if err != nil {
 				log.Fatal(err)

@@ -37,8 +37,8 @@ func main() {
 	fmt.Println("download distance by window (Fig. 2's trend — Locaware improves, Flooding is flat):")
 	fmt.Print(cmp.FigureTable(locaware.FigureDownloadDistance))
 
-	fl := cmp.Result(locaware.ProtocolFlooding)
-	la := cmp.Result(locaware.ProtocolLocaware)
+	fl := cmp.Set(locaware.ProtocolFlooding).Trials[0]
+	la := cmp.Set(locaware.ProtocolLocaware).Trials[0]
 	fmt.Println()
 	fmt.Printf("same-locality downloads: flooding %.1f%%, locaware %.1f%%\n",
 		100*fl.SameLocalityRate, 100*la.SameLocalityRate)

@@ -24,7 +24,8 @@ func main() {
 
 	fmt.Println()
 	fmt.Printf("%-12s %10s %12s %12s %10s\n", "protocol", "success", "msgs/query", "rtt (ms)", "same-loc")
-	for _, r := range cmp.Results {
+	for _, set := range cmp.Sets {
+		r := set.Trials[0] // one trial per protocol unless Options.Trials says otherwise
 		fmt.Printf("%-12s %10.3f %12.1f %12.1f %10.3f\n",
 			r.Protocol, r.SuccessRate, r.AvgMessagesPerQuery, r.AvgDownloadRTTMs, r.SameLocalityRate)
 	}

@@ -39,7 +39,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, r := range cmp.Results {
+		for _, set := range cmp.Sets {
+			r := set.Trials[0] // Options.Trials is 1: the set is this one run
 			fmt.Printf("\n%s (whole run: success=%.3f rtt=%.1fms msgs/q=%.1f)\n",
 				r.Protocol, r.SuccessRate, r.AvgDownloadRTTMs, r.AvgMessagesPerQuery)
 			fmt.Print(locaware.PhaseTable(r.Phases))
@@ -67,11 +68,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("== custom JSON scenario %q\n", custom.Name())
-	res, err := locaware.RunScenario(base, locaware.ProtocolLocaware, custom, 500, 2000)
+	base.Scenario = custom
+	res, err := locaware.Run(base, locaware.ProtocolLocaware, 500, 2000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(res.PhaseTable())
+	fmt.Print(locaware.PhaseTable(res.Phases))
 	fmt.Printf("\nwhole run: success=%.3f rtt=%.1fms msgs/q=%.1f (events=%d, %0.fs simulated)\n",
 		res.SuccessRate, res.AvgDownloadRTTMs, res.AvgMessagesPerQuery, res.Events, res.SimulatedSeconds)
 }

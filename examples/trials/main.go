@@ -26,7 +26,7 @@ func main() {
 	opts.Workers = 0      // one simulation per CPU
 
 	fmt.Println("== Replicated comparison (4 trials, paired worlds)")
-	cmp, err := locaware.CompareTrials(opts,
+	cmp, err := locaware.Compare(opts,
 		[]locaware.Protocol{locaware.ProtocolFlooding, locaware.ProtocolDicas, locaware.ProtocolLocaware},
 		100, 200, []int{100, 200})
 	if err != nil {

@@ -171,12 +171,12 @@ func (pr *prepared) missing() []int {
 	return out
 }
 
-// Run executes the campaign in-process with optional checkpoint/resume:
-// cells present in the checkpoint store are installed without
-// recomputation, the missing subset runs across the worker pool exactly
-// as sweep.Run would run it, and every freshly computed cell is
-// checkpointed before the campaign completes. Output is byte-identical
-// to an uninterrupted sweep.Run of the same spec — resumed cells
+// Run executes the campaign in-process; with a zero Options it is the
+// plain whole-grid run. With checkpoint/resume configured, cells present
+// in the checkpoint store are installed without recomputation, the
+// missing subset runs through the same Plan.RunCells, and every freshly
+// computed cell is checkpointed before the campaign completes. Output is
+// byte-identical to an uninterrupted run of the same spec — resumed cells
 // round-trip through JSON, which preserves every float bit — and the
 // returned stats carry the resumed/executed split the resume contract is
 // tested against.

@@ -30,7 +30,7 @@ const (
 // go quiet, deduplicates double results (first complete wins — harmless,
 // since every result for a cell is byte-identical by the determinism
 // contract), checkpoints finished cells, and folds results into the same
-// index-addressed grid sweep.Run fills, so the exported bytes are
+// index-addressed grid the in-process Run fills, so the exported bytes are
 // identical to an in-process run.
 //
 // Protocol (all bodies JSON):

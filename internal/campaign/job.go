@@ -15,7 +15,7 @@
 //     sweep.Plan at the cell-local seed.
 //
 // Every path folds results into the same index-addressed campaign grid
-// the in-process sweep.Run fills, so the exported CSV and figure bytes
+// the in-process Run fills, so the exported CSV and figure bytes
 // are identical however the cells were computed: locally, resumed from
 // disk, or fanned out across worker processes. Stale state can never
 // leak in: jobs, results and checkpoint files all carry the campaign's

@@ -14,7 +14,6 @@ import (
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
-	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 	"github.com/p2prepro/locaware/internal/workload"
 )
@@ -53,13 +52,10 @@ type Config struct {
 	// bounds, Bloom sizing).
 	Protocol protocol.Config
 
-	// Churn, when enabled, applies on/off churn every ChurnInterval. It is
-	// the legacy whole-run dynamics switch, now lowered onto the scenario
-	// engine as the built-in steady-churn spec (bit-identical output);
-	// Scenario, when set, wins.
-	ChurnEnabled  bool
-	Churn         overlay.ChurnConfig
-	ChurnInterval sim.Time
+	// Churn supplies the scenario engine's churn defaults: the degree
+	// targets for rewiring and the online-population floor. Whether and
+	// when peers churn is the Scenario's business.
+	Churn overlay.ChurnConfig
 
 	// Scenario, when non-nil, runs the simulation under a phased-dynamics
 	// timeline (churn waves, flash crowds, content and link dynamics) and
@@ -107,19 +103,18 @@ type Config struct {
 // DefaultConfig returns the paper's evaluation setup (§5.1).
 func DefaultConfig() Config {
 	return Config{
-		Seed:          1,
-		NumPeers:      1000,
-		AvgDegree:     3,
-		MaxDegree:     12,
-		Landmarks:     4,
-		Placement:     netmodel.DefaultPlacement(),
-		Latency:       netmodel.DefaultLatency(),
-		Catalog:       workload.DefaultCatalog(),
-		FilesPerPeer:  3,
-		Gen:           workload.DefaultGen(),
-		Protocol:      protocol.DefaultConfig(),
-		Churn:         overlay.DefaultChurn(),
-		ChurnInterval: 60 * sim.Second,
+		Seed:         1,
+		NumPeers:     1000,
+		AvgDegree:    3,
+		MaxDegree:    12,
+		Landmarks:    4,
+		Placement:    netmodel.DefaultPlacement(),
+		Latency:      netmodel.DefaultLatency(),
+		Catalog:      workload.DefaultCatalog(),
+		FilesPerPeer: 3,
+		Gen:          workload.DefaultGen(),
+		Protocol:     protocol.DefaultConfig(),
+		Churn:        overlay.DefaultChurn(),
 	}
 }
 
@@ -173,25 +168,10 @@ func (c Config) withDefaults() Config {
 	if c.Protocol.FinalizeAfter <= 0 {
 		c.Protocol.FinalizeAfter = d.Protocol.FinalizeAfter
 	}
-	if c.ChurnInterval <= 0 {
-		c.ChurnInterval = d.ChurnInterval
-	}
 	if c.Churn.AvgDegree <= 0 {
 		c.Churn = d.Churn
 	}
 	return c
-}
-
-// effectiveScenario returns the scenario the run executes: the explicit
-// spec, the steady-churn lowering of the legacy churn flag, or nil.
-func (c Config) effectiveScenario() *scenario.Spec {
-	if c.Scenario != nil {
-		return c.Scenario
-	}
-	if c.ChurnEnabled {
-		return scenario.SteadyChurn(c.Churn, c.ChurnInterval)
-	}
-	return nil
 }
 
 // ResolveScenario threads cfg's scenario phase grid for a run of
@@ -201,11 +181,10 @@ func (c Config) effectiveScenario() *scenario.Spec {
 // scenario. It panics on an unresolvable grid (fewer measured queries than
 // phases) — the public facade validates specs before running.
 func ResolveScenario(cfg Config, measured int) Config {
-	spec := cfg.withDefaults().effectiveScenario()
-	if spec == nil {
+	if cfg.Scenario == nil {
 		return cfg
 	}
-	marks, err := spec.Marks(measured)
+	marks, err := cfg.Scenario.Marks(measured)
 	if err != nil {
 		panic(fmt.Sprintf("core: resolving scenario: %v", err))
 	}

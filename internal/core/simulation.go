@@ -177,13 +177,11 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 		placement: placement,
 	}
 
-	// Dynamics run through the scenario engine; the legacy whole-run churn
-	// flag lowers onto the built-in steady-churn spec, which schedules the
-	// same periodic control on the same RNG stream the ad-hoc path used —
-	// departed peers' own indexes die with them, survivors' indexes
-	// pointing at them become stale and are filtered at selection time.
-	if spec := cfg.effectiveScenario(); spec != nil {
-		rt, err := scenario.Attach(spec, scenario.World{
+	// Dynamics run through the scenario engine. Under churn, departed
+	// peers' own indexes die with them; survivors' indexes pointing at
+	// them become stale and are filtered at selection time.
+	if cfg.Scenario != nil {
+		rt, err := scenario.Attach(cfg.Scenario, scenario.World{
 			Engine:        eng,
 			Graph:         graph,
 			Model:         model,

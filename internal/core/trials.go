@@ -60,11 +60,6 @@ type TrialCell struct {
 	PhaseStats []metrics.PhaseStats
 }
 
-// SummarizeTrials aggregates the headline run metrics of replicated runs
-// into cross-trial sample statistics, folding values in run (trial) order
-// so equal run sequences always produce bit-identical float sums.
-func SummarizeTrials(runs []*RunResult) TrialSummary { return summarize(runs) }
-
 // AggregateRunPhases collects every run's sealed scenario-phase windows and
 // aggregates them phase-aligned across trials. It returns nil when the runs
 // carry no phase windows (no scenario configured).
@@ -81,7 +76,10 @@ func AggregateRunPhases(runs []*RunResult) []metrics.PhaseStats {
 	return metrics.AggregatePhases(perTrial)
 }
 
-func summarize(runs []*RunResult) TrialSummary {
+// SummarizeTrials aggregates the headline run metrics of replicated runs
+// into cross-trial sample statistics, folding values in run (trial) order
+// so equal run sequences always produce bit-identical float sums.
+func SummarizeTrials(runs []*RunResult) TrialSummary {
 	n := len(runs)
 	sr := make([]float64, 0, n)
 	mpq := make([]float64, 0, n)
@@ -116,35 +114,11 @@ func summarize(runs []*RunResult) TrialSummary {
 	}
 }
 
-// RunTrials replicates one behaviour over topt.trials() independent worlds
-// across a bounded worker pool. Trial t's config is cfg with its Seed
-// replaced by sim.TrialSeed(cfg.Seed, t); everything else is shared, so the
-// trials sample seed space at one parameter point.
-func RunTrials(cfg Config, b protocol.Behavior, topt TrialOptions, warmup, measured int) *TrialCell {
-	cfg = ResolveScenario(cfg, measured)
-	trials := topt.trials()
-	seeds := make([]int64, trials)
-	for t := range seeds {
-		seeds[t] = sim.TrialSeed(cfg.Seed, t)
-	}
-	runs := exper.Map(trials, topt.Workers, func(t int) *RunResult {
-		c := cfg
-		c.Seed = seeds[t]
-		return NewSimulation(c, b).RunMeasured(warmup, measured)
-	})
-	return &TrialCell{
-		Protocol:   b.Name(),
-		Seeds:      seeds,
-		Runs:       runs,
-		Summary:    summarize(runs),
-		PhaseStats: AggregateRunPhases(runs),
-	}
-}
-
 // TrialComparison is a paired multi-protocol, multi-trial experiment: every
 // behaviour sees the identical sequence of trial worlds (trial t of every
 // behaviour shares one seed, hence one topology, placement and workload),
-// preserving the paired-comparison property of RunComparison per trial.
+// so each trial is a paired comparison. One behaviour or one trial is the
+// same experiment with that dimension pinned to 1.
 type TrialComparison struct {
 	// Cells maps protocol name to its replicated cell.
 	Cells map[string]*TrialCell
@@ -158,7 +132,11 @@ type TrialComparison struct {
 
 // RunTrialComparison fans the full (behaviour × trial) grid out across one
 // worker pool, so even a single-trial comparison parallelises across
-// behaviours. Results are identical for every worker count.
+// behaviours. Trial t's config is cfg with its Seed replaced by
+// sim.TrialSeed(cfg.Seed, t); everything else is shared, so the trials
+// sample seed space at one parameter point. Warmup queries run first and
+// their records are discarded (0 disables warmup). Results are identical
+// for every worker count.
 func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOptions, warmup, numQueries int, checkpoints []int) *TrialComparison {
 	cfg = ResolveScenario(cfg, numQueries)
 	trials := topt.trials()
@@ -175,9 +153,9 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 	runs := exper.Map(n, topt.Workers, func(j int) *RunResult {
 		c := cfg
 		c.Seed = seeds[j%trials]
-		// Thread the figure grid into the run so windows are sealed by the
-		// streaming collector during execution instead of replayed from
-		// records afterwards. The slice is shared read-only across trials.
+		// Thread the figure grid into the run so the streaming collector
+		// seals the windows during execution. The slice is shared read-only
+		// across trials.
 		c.Protocol.Collector.Checkpoints = cmp.Checkpoints
 		return NewSimulation(c, behaviors[j/trials]).RunMeasured(warmup, numQueries)
 	})
@@ -187,7 +165,7 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 			Seeds:    seeds,
 			Runs:     runs[i*trials : (i+1)*trials],
 		}
-		cell.Summary = summarize(cell.Runs)
+		cell.Summary = SummarizeTrials(cell.Runs)
 		cell.PhaseStats = AggregateRunPhases(cell.Runs)
 		cmp.Cells[b.Name()] = cell
 		cmp.Order = append(cmp.Order, b.Name())
@@ -198,15 +176,17 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 // FigureSeries extracts a figure's curves with cross-trial error bars: one
 // series per protocol, y = the trial-mean windowed metric at each
 // checkpoint, err = its 95% confidence half-width. With a single trial the
-// means equal the sequential FigureSeries values and no error bars are
-// attached, so tables and CSV render exactly as the unreplicated path.
+// means are the run's own window values and no error bars are attached, so
+// tables and CSV render bare numbers. Per-window values expose the trends
+// the paper reports (Locaware's download distance improving as replication
+// spreads providers, the others staying flat).
 func (c *TrialComparison) FigureSeries(fig string) []*stats.Series {
 	var out []*stats.Series
 	for _, name := range c.Order {
 		cell := c.Cells[name]
 		perTrial := make([][]metrics.Window, 0, len(cell.Runs))
 		for _, r := range cell.Runs {
-			perTrial = append(perTrial, r.Collector.Windows(c.Checkpoints))
+			perTrial = append(perTrial, r.Collector.Windows())
 		}
 		s := &stats.Series{Name: name}
 		for _, w := range metrics.AggregateWindows(perTrial) {
@@ -232,7 +212,8 @@ func (c *TrialComparison) FigureSeries(fig string) []*stats.Series {
 	return out
 }
 
-// Headlines computes the paper's headline claims from trial-mean metrics.
+// Headlines computes the paper's headline claims from trial-mean metrics
+// (a single trial's means are its final cumulative values).
 func (c *TrialComparison) Headlines() Headline {
 	la := c.Cells["Locaware"]
 	fl := c.Cells["Flooding"]

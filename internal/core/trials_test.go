@@ -6,14 +6,24 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
+// runTrials is the one-behaviour case of the comparison runner.
+func runTrials(cfg Config, b protocol.Behavior, topt TrialOptions, warmup, measured int) *TrialCell {
+	return RunTrialComparison(cfg, []protocol.Behavior{b}, topt, warmup, measured, nil).Cells[b.Name()]
+}
+
 func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 	cfg := smallConfig(21)
-	cell := RunTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 1}, 20, 60)
-	seq := NewSimulation(cfg, protocol.Locaware{}).RunMeasured(20, 60)
+	cell := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 1}, 20, 60)
+	// The runner threads its figure grid into every run's collector; the
+	// direct run carries the same grid so the two are comparable whole.
+	direct := cfg
+	direct.Protocol.Collector.Checkpoints = normalizeCheckpoints(nil, 60)
+	seq := NewSimulation(direct, protocol.Locaware{}).RunMeasured(20, 60)
 	if len(cell.Runs) != 1 || cell.Seeds[0] != cfg.Seed {
 		t.Fatalf("cell shape: seeds=%v runs=%d", cell.Seeds, len(cell.Runs))
 	}
@@ -28,8 +38,8 @@ func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 func TestRunTrialsWorkerCountInvariant(t *testing.T) {
 	cfg := smallConfig(22)
 	cfg.NumPeers = 120
-	a := RunTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 1}, 10, 40)
-	b := RunTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 8}, 10, 40)
+	a := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 1}, 10, 40)
+	b := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 8}, 10, 40)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Workers=1 and Workers=8 produced different aggregated results")
 	}
@@ -38,7 +48,7 @@ func TestRunTrialsWorkerCountInvariant(t *testing.T) {
 func TestRunTrialsSeedsIndependent(t *testing.T) {
 	cfg := smallConfig(23)
 	cfg.NumPeers = 120
-	cell := RunTrials(cfg, protocol.Flooding{}, TrialOptions{Trials: 3, Workers: 0}, 0, 40)
+	cell := runTrials(cfg, protocol.Flooding{}, TrialOptions{Trials: 3, Workers: 0}, 0, 40)
 	if len(cell.Runs) != 3 {
 		t.Fatalf("runs = %d", len(cell.Runs))
 	}
@@ -67,17 +77,38 @@ func TestTrialComparisonWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-func TestTrialComparisonSingleTrialMatchesRunComparison(t *testing.T) {
+// TestTrialComparisonSingleTrialMatchesCollectorWindows locks the one-trial
+// case of the comparison: every figure point is the run's own sealed window
+// value — compared with ==, no aggregation arithmetic in between — and the
+// series carry no error bars.
+func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 	cfg := smallConfig(25)
-	behaviors := Baselines()
-	tc := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 1, Workers: 4}, 20, 60, nil)
-	cmp := RunComparison(cfg, behaviors, 20, 60, nil)
-	if !reflect.DeepEqual(tc.Order, cmp.Order) || !reflect.DeepEqual(tc.Checkpoints, cmp.Checkpoints) {
-		t.Fatalf("shape mismatch: %v vs %v", tc.Order, cmp.Order)
+	tc := RunTrialComparison(cfg, Baselines(), TrialOptions{Trials: 1, Workers: 4}, 20, 60, nil)
+	if tc.Trials != 1 || len(tc.Checkpoints) != 10 {
+		t.Fatalf("shape: trials=%d checkpoints=%v", tc.Trials, tc.Checkpoints)
 	}
-	for _, name := range tc.Order {
-		if !reflect.DeepEqual(tc.Cells[name].Runs[0], cmp.Results[name]) {
-			t.Fatalf("%s: trial path diverged from comparison path", name)
+	pick := map[string]func(metrics.Window) float64{
+		Fig2DownloadDistance: func(w metrics.Window) float64 { return w.DownloadRTT },
+		Fig3SearchTraffic:    func(w metrics.Window) float64 { return w.MessagesPerQuery },
+		Fig4SuccessRate:      func(w metrics.Window) float64 { return w.SuccessRate },
+	}
+	for fig, y := range pick {
+		for i, s := range tc.FigureSeries(fig) {
+			name := tc.Order[i]
+			if len(tc.Cells[name].Runs) != 1 {
+				t.Fatalf("%s: %d runs, want 1", name, len(tc.Cells[name].Runs))
+			}
+			windows := tc.Cells[name].Runs[0].Collector.Windows()
+			if s.Name != name || s.Len() != len(windows) || s.HasErrs() {
+				t.Fatalf("%s/%s: series %q has %d points (errs=%v), run has %d windows",
+					fig, name, s.Name, s.Len(), s.HasErrs(), len(windows))
+			}
+			for j, w := range windows {
+				if s.Xs[j] != float64(w.End) || s.Ys[j] != y(w) {
+					t.Fatalf("%s/%s point %d: series (%v, %v) != window (%d, %v)",
+						fig, name, j, s.Xs[j], s.Ys[j], w.End, y(w))
+				}
+			}
 		}
 	}
 }
@@ -162,11 +193,11 @@ func TestParallelSpeedup(t *testing.T) {
 	topt := func(w int) TrialOptions { return TrialOptions{Trials: 8, Workers: w} }
 
 	t0 := time.Now()
-	seq := RunTrials(cfg, protocol.Locaware{}, topt(1), 50, 150)
+	seq := runTrials(cfg, protocol.Locaware{}, topt(1), 50, 150)
 	seqDur := time.Since(t0)
 
 	t0 = time.Now()
-	par := RunTrials(cfg, protocol.Locaware{}, topt(4), 50, 150)
+	par := runTrials(cfg, protocol.Locaware{}, topt(4), 50, 150)
 	parDur := time.Since(t0)
 
 	if !reflect.DeepEqual(seq, par) {

@@ -45,38 +45,15 @@ func Workers(requested, jobs int) int {
 }
 
 // Map runs fn(i) for every i in [0, n) across at most workers goroutines
-// and returns the results indexed by i. The result slice is identical for
-// any worker count: parallelism changes wall-clock time, never output.
-// workers <= 0 selects runtime.NumCPU(). With one worker the jobs run
-// inline on the calling goroutine in index order.
+// and returns the results indexed by i: Stream collected into a slice. The
+// result slice is identical for any worker count: parallelism changes
+// wall-clock time, never output. workers <= 0 selects runtime.NumCPU().
 func Map[T any](n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	w := Workers(workers, n)
-	if w == 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	Stream(n, workers, fn, func(i int, v T) { out[i] = v })
 	return out
 }
 

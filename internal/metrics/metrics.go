@@ -14,15 +14,12 @@
 // checkpoint. Collector state is therefore O(checkpoints), not O(queries),
 // which is what lets a million-query run fit in memory. Full per-query
 // records are available as an opt-in (CollectorConfig.RetainRecords) for
-// trace tooling and ad-hoc replay; the streaming outputs are bit-identical
-// to a replay over the retained records because both accumulate the same
-// float64 sums in the same submission order.
+// trace tooling; the streaming outputs are bit-identical to a replay over
+// the retained records because both accumulate the same float64 sums in the
+// same submission order.
 package metrics
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // QueryRecord is the outcome of one query.
 type QueryRecord struct {
@@ -51,8 +48,7 @@ type CollectorConfig struct {
 	// Checkpoints is the ascending list of cumulative query counts at which
 	// figure windows are sealed. With checkpoints configured, Windows is
 	// served from streaming accumulators sealed during the run; without
-	// them (and without RetainRecords) only the whole-run scalar metrics
-	// are available.
+	// them only the whole-run scalar metrics are available.
 	Checkpoints []int
 	// Phases segments the query stream into named contiguous spans
 	// (scenario phases): each mark closes the span (prevEnd, End] under its
@@ -62,9 +58,8 @@ type CollectorConfig struct {
 	// just the three figure metrics. Ends must be ascending and positive.
 	Phases []PhaseMark
 	// RetainRecords keeps the full per-query record stream in memory, so
-	// Records() works and Windows accepts arbitrary checkpoint lists
-	// (replayed from the records). This is the
-	// full-fidelity trace mode; memory grows O(queries).
+	// Records() works. This is the full-fidelity trace mode; memory grows
+	// O(queries).
 	RetainRecords bool
 }
 
@@ -382,81 +377,33 @@ type Window struct {
 	SuccessRate float64
 }
 
-// Windows slices the query stream at the given cumulative-count checkpoints
-// (ascending). A checkpoint beyond the recorded count yields one partial
+// Windows returns the figure windows at the configured checkpoint grid,
+// sealed by the streaming accumulators during the run (nil without a
+// grid). A grid checkpoint beyond the recorded count yields one partial
 // final window covering the queries since the last full checkpoint, with
 // End set to the actual recorded count — a short run truncates the figure's
 // x axis instead of silently losing its last row.
-//
-// With a configured checkpoint grid the windows are served from the
-// accumulators sealed during the run and checkpoints must equal the
-// configured grid; any other list requires RetainRecords (replayed from the
-// record stream) and panics otherwise.
-func (c *Collector) Windows(checkpoints []int) []Window {
-	if len(c.cfg.Checkpoints) > 0 && slices.Equal(checkpoints, c.cfg.Checkpoints) {
-		// Copy out (as Records does): the sealed slice is live collector
-		// state and the run may seal further windows after this call.
-		out := append(make([]Window, 0, len(c.sealed)+1), c.sealed...)
-		// Partial final window: queries recorded past the last sealed
-		// checkpoint, with at least one unmet checkpoint remaining.
-		if c.nextCk < len(c.cfg.Checkpoints) {
-			prev := 0
-			if n := len(out); n > 0 {
-				prev = out[n-1].End
-			}
-			if c.submitted > prev {
-				out = append(out, Window{
-					End:              c.submitted,
-					MessagesPerQuery: float64(c.win.messages) / float64(c.submitted-prev),
-					SuccessRate:      float64(c.win.successes) / float64(c.submitted-prev),
-					DownloadRTT:      meanOrZero(c.win.rttSum, c.win.successes),
-				})
-			}
-		}
-		return out
+func (c *Collector) Windows() []Window {
+	if len(c.cfg.Checkpoints) == 0 {
+		return nil
 	}
-	if !c.cfg.RetainRecords {
-		panic("metrics: Windows with an ad-hoc checkpoint list requires RetainRecords or the configured grid")
-	}
-	return c.replayWindows(checkpoints)
-}
-
-// replayWindows computes windows from the retained record stream. It is the
-// reference implementation the streaming path must match bit-for-bit.
-func (c *Collector) replayWindows(checkpoints []int) []Window {
-	var out []Window
-	prev := 0
-	for _, end := range checkpoints {
-		partial := false
-		if end > len(c.records) {
-			// Truncated run: close a partial final window over what was
-			// actually recorded, then stop.
-			end = len(c.records)
-			partial = true
+	// Copy out (as Records does): the sealed slice is live collector
+	// state and the run may seal further windows after this call.
+	out := append(make([]Window, 0, len(c.sealed)+1), c.sealed...)
+	// Partial final window: queries recorded past the last sealed
+	// checkpoint, with at least one unmet checkpoint remaining.
+	if c.nextCk < len(c.cfg.Checkpoints) {
+		prev := 0
+		if n := len(out); n > 0 {
+			prev = out[n-1].End
 		}
-		if end <= prev {
-			if partial {
-				break
-			}
-			continue
-		}
-		w := Window{End: end}
-		var acc windowAcc
-		for _, r := range c.records[prev:end] {
-			acc.messages += r.Messages
-			if r.Success {
-				acc.successes++
-				acc.rttSum += r.DownloadRTT
-			}
-		}
-		n := end - prev
-		w.MessagesPerQuery = float64(acc.messages) / float64(n)
-		w.SuccessRate = float64(acc.successes) / float64(n)
-		w.DownloadRTT = meanOrZero(acc.rttSum, acc.successes)
-		out = append(out, w)
-		prev = end
-		if partial {
-			break
+		if c.submitted > prev {
+			out = append(out, Window{
+				End:              c.submitted,
+				MessagesPerQuery: float64(c.win.messages) / float64(c.submitted-prev),
+				SuccessRate:      float64(c.win.successes) / float64(c.submitted-prev),
+				DownloadRTT:      meanOrZero(c.win.rttSum, c.win.successes),
+			})
 		}
 	}
 	return out

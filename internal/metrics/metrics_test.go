@@ -57,7 +57,7 @@ func TestEmptyCollector(t *testing.T) {
 		c.SameLocalityRate() != 0 || c.AvgHops() != 0 {
 		t.Fatal("empty collector should return zeros")
 	}
-	if len(c.Windows([]int{10})) != 0 {
+	if len(NewCollectorWith(CollectorConfig{Checkpoints: []int{10}}).Windows()) != 0 {
 		t.Fatal("windows over zero records should be empty")
 	}
 }
@@ -80,7 +80,7 @@ func TestRecordAssignsSequentialIDs(t *testing.T) {
 }
 
 func TestWindows(t *testing.T) {
-	c := retaining()
+	c := NewCollectorWith(CollectorConfig{Checkpoints: []int{5, 10}})
 	// 10 queries: first 5 succeed with rtt 100 and 10 msgs, last 5 fail
 	// with 50 msgs.
 	for i := 0; i < 5; i++ {
@@ -89,7 +89,7 @@ func TestWindows(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Record(rec(50, false, 0, false, 0))
 	}
-	ws := c.Windows([]int{5, 10})
+	ws := c.Windows()
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d", len(ws))
 	}
@@ -102,16 +102,20 @@ func TestWindows(t *testing.T) {
 }
 
 func TestWindowsSkipsBadCheckpoints(t *testing.T) {
-	c := retaining()
+	c := NewCollectorWith(CollectorConfig{Checkpoints: []int{2, 4, 99}, RetainRecords: true})
 	for i := 0; i < 4; i++ {
 		c.Record(rec(1, true, 1, false, 1))
 	}
-	// Duplicates and non-ascending entries are skipped; the trailing 99
-	// clamps to the recorded count (4), which is already covered, so no
-	// partial window appears.
-	ws := c.Windows([]int{2, 2, 1, 4, 99})
+	// The trailing 99 clamps to the recorded count (4), which is already
+	// covered, so no partial window appears.
+	ws := c.Windows()
 	if len(ws) != 2 || ws[0].End != 2 || ws[1].End != 4 {
 		t.Fatalf("windows = %+v", ws)
+	}
+	// The replay reference additionally skips the duplicates and
+	// non-ascending entries a configured grid rejects outright.
+	if got := windowsFromRecords(c.Records(), []int{2, 2, 1, 4, 99}); !sameWindows(got, ws) {
+		t.Fatalf("replay over a ragged list = %+v, want %+v", got, ws)
 	}
 }
 
@@ -119,14 +123,14 @@ func TestWindowsSkipsBadCheckpoints(t *testing.T) {
 // beyond the recorded count yields a partial final window ending at the
 // actual count instead of silently dropping the figure's last row.
 func TestWindowsPartialFinal(t *testing.T) {
-	c := retaining()
+	c := NewCollectorWith(CollectorConfig{Checkpoints: []int{5, 10}, RetainRecords: true})
 	for i := 0; i < 5; i++ {
 		c.Record(rec(10, true, 100, true, 1))
 	}
 	for i := 0; i < 2; i++ {
 		c.Record(rec(40, false, 0, false, 0))
 	}
-	ws := c.Windows([]int{5, 10})
+	ws := c.Windows()
 	if len(ws) != 2 {
 		t.Fatalf("windows = %+v", ws)
 	}
@@ -134,16 +138,9 @@ func TestWindowsPartialFinal(t *testing.T) {
 		t.Fatalf("partial final window = %+v", ws[1])
 	}
 
-	// The same truncated run served by the streaming path must agree.
-	s := NewCollectorWith(CollectorConfig{Checkpoints: []int{5, 10}})
-	for i := 0; i < 5; i++ {
-		s.Record(rec(10, true, 100, true, 1))
-	}
-	for i := 0; i < 2; i++ {
-		s.Record(rec(40, false, 0, false, 0))
-	}
-	if got := s.Windows([]int{5, 10}); !reflect.DeepEqual(got, ws) {
-		t.Fatalf("streaming partial = %+v, replay = %+v", got, ws)
+	// The same truncated run replayed from its records must agree.
+	if got := windowsFromRecords(c.Records(), []int{5, 10}); !reflect.DeepEqual(got, ws) {
+		t.Fatalf("replay partial = %+v, streaming = %+v", got, ws)
 	}
 }
 
@@ -151,9 +148,52 @@ func TestWindowsPartialFinal(t *testing.T) {
 // as equal (Window is comparable, so slices.Equal is exact equality).
 func sameWindows(a, b []Window) bool { return slices.Equal(a, b) }
 
-// TestStreamingMatchesReplay is the equivalence law of the refactor: on any
-// record stream, windows sealed incrementally during the run are
-// bit-identical to windows replayed from retained records afterwards.
+// windowsFromRecords is the reference the streaming collector must match
+// bit-for-bit: it recomputes the windows from a retained record stream,
+// one pass per window, the way the pre-streaming collector did. Duplicate
+// and non-ascending checkpoints are skipped; a checkpoint beyond the
+// record count closes one partial final window.
+func windowsFromRecords(records []QueryRecord, checkpoints []int) []Window {
+	var out []Window
+	prev := 0
+	for _, end := range checkpoints {
+		partial := false
+		if end > len(records) {
+			end = len(records)
+			partial = true
+		}
+		if end <= prev {
+			if partial {
+				break
+			}
+			continue
+		}
+		w := Window{End: end}
+		var acc windowAcc
+		for _, r := range records[prev:end] {
+			acc.messages += r.Messages
+			if r.Success {
+				acc.successes++
+				acc.rttSum += r.DownloadRTT
+			}
+		}
+		n := end - prev
+		w.MessagesPerQuery = float64(acc.messages) / float64(n)
+		w.SuccessRate = float64(acc.successes) / float64(n)
+		w.DownloadRTT = meanOrZero(acc.rttSum, acc.successes)
+		out = append(out, w)
+		prev = end
+		if partial {
+			break
+		}
+	}
+	return out
+}
+
+// TestStreamingMatchesReplay is the equivalence law of the streaming
+// collector: on any record stream, windows sealed incrementally during the
+// run are bit-identical to windows replayed from retained records
+// afterwards.
 func TestStreamingMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	grid := []int{10, 25, 40, 80, 120}
@@ -163,21 +203,20 @@ func TestStreamingMatchesReplay(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.Record(rec(r.Intn(50), r.Intn(3) > 0, 10+490*r.Float64(), r.Intn(2) == 0, r.Intn(7)))
 		}
-		if got, want := c.Windows(grid), c.replayWindows(grid); !sameWindows(got, want) {
+		if got, want := c.Windows(), windowsFromRecords(c.Records(), grid); !sameWindows(got, want) {
 			t.Fatalf("trial %d (n=%d): streaming windows %+v != replay %+v", trial, n, got, want)
 		}
 	}
 }
 
+// TestWindowsRequireGridOrRecords settles the question in its name: windows
+// exist only at a configured grid; retained records do not stand in for one.
 func TestWindowsRequireGridOrRecords(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ad-hoc Windows on a pure streaming collector must panic")
-		}
-	}()
-	c := NewCollectorWith(CollectorConfig{Checkpoints: []int{5}})
+	c := retaining()
 	c.Record(rec(1, true, 1, false, 1))
-	c.Windows([]int{3}) // not the configured grid, no records to replay
+	if ws := c.Windows(); ws != nil {
+		t.Fatalf("collector without a grid produced windows %+v", ws)
+	}
 }
 
 func TestCheckpointValidation(t *testing.T) {
@@ -309,7 +348,7 @@ func TestPhaseWindowsIndependentOfCheckpoints(t *testing.T) {
 		with.Record(r)
 		without.Record(r)
 	}
-	a, b := with.Windows(grid), without.Windows(grid)
+	a, b := with.Windows(), without.Windows()
 	if len(a) != len(b) {
 		t.Fatalf("window counts differ: %d vs %d", len(a), len(b))
 	}

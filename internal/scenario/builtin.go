@@ -4,30 +4,7 @@ import (
 	"sort"
 
 	"github.com/p2prepro/locaware/internal/overlay"
-	"github.com/p2prepro/locaware/internal/sim"
 )
-
-// SteadyChurn lowers the legacy whole-run churn flag onto the scenario
-// engine: a single phase whose periodic churn process runs cfg at the given
-// interval — the event cadence, RNG stream and ChurnStep calls are exactly
-// the ones the pre-scenario ad-hoc path produced, so enabling churn through
-// this spec is bit-identical to the old Options.Churn behaviour.
-func SteadyChurn(cfg overlay.ChurnConfig, interval sim.Time) *Spec {
-	return &Spec{
-		Name:          "steady-churn",
-		Description:   "whole-run independent leave/rejoin churn (the legacy Options.Churn behaviour)",
-		churnInterval: interval,
-		Phases: []PhaseSpec{{
-			Name:     "steady",
-			Fraction: 1,
-			Churn: &ChurnSpec{
-				LeaveProb:         cfg.LeaveProb,
-				JoinProb:          cfg.JoinProb,
-				MinOnlineFraction: cfg.MinOnlineFraction,
-			},
-		}},
-	}
-}
 
 // builtins constructs the registry afresh (specs are mutable data; every
 // caller gets its own copy).
@@ -39,7 +16,19 @@ func builtins() []*Spec {
 			Description: "single steady phase with no dynamics (the paper's static workload)",
 			Phases:      []PhaseSpec{{Name: "steady", Fraction: 1}},
 		},
-		SteadyChurn(dc, 60*sim.Second),
+		{
+			Name:        "steady-churn",
+			Description: "whole-run independent leave/rejoin churn at the default rates",
+			Phases: []PhaseSpec{{
+				Name:     "steady",
+				Fraction: 1,
+				Churn: &ChurnSpec{
+					LeaveProb:         dc.LeaveProb,
+					JoinProb:          dc.JoinProb,
+					MinOnlineFraction: dc.MinOnlineFraction,
+				},
+			}},
+		},
 		{
 			Name:        "churn-waves",
 			Description: "mass departure wave, then a recovery flood of rejoins",

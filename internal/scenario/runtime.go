@@ -40,9 +40,8 @@ type Runtime struct {
 	w    World
 
 	// churnRng drives the periodic churn process; it is a dedicated
-	// stream so scenario events never perturb it (and the steady-churn
-	// lowering of the legacy churn flag stays bit-identical). eventRng
-	// drives everything else.
+	// stream so scenario events never perturb it. eventRng drives
+	// everything else.
 	churnRng *rand.Rand
 	eventRng *rand.Rand
 

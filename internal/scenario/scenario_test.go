@@ -130,12 +130,18 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 
 func TestSteadyChurnSpec(t *testing.T) {
 	cfg := overlay.DefaultChurn()
-	s := SteadyChurn(cfg, 42*sim.Second)
+	s, ok := Lookup("steady-churn")
+	if !ok {
+		t.Fatal("steady-churn missing from the registry")
+	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.ChurnInterval() != 42*sim.Second {
-		t.Fatalf("interval %v, want exactly 42s", s.ChurnInterval())
+	if s.ChurnInterval() != 60*sim.Second {
+		t.Fatalf("interval %v, want exactly 60s", s.ChurnInterval())
+	}
+	if len(s.Phases) != 1 || s.Phases[0].Name != "steady" {
+		t.Fatalf("steady-churn phases %+v, want the single steady phase", s.Phases)
 	}
 	if !s.HasChurn() {
 		t.Fatal("steady-churn spec reports no churn")

@@ -13,8 +13,7 @@
 // timeline is reproducible for a fixed seed and invariant to the worker
 // count (every simulation owns its engine and RNG streams). Phase 0's
 // dynamics are active from simulation start — they shape the warmup too,
-// which is how the legacy whole-run churn flag lowers onto this engine
-// bit-identically.
+// which is how the built-in steady-churn scenario churns the whole run.
 //
 // The supported event kinds:
 //
@@ -55,16 +54,10 @@ type Spec struct {
 	// Description is a one-line summary for listings.
 	Description string `json:"description,omitempty"`
 	// ChurnIntervalS is the cadence, in simulated seconds, of the periodic
-	// churn process for phases that enable churn (default 60, the legacy
-	// whole-run churn interval).
+	// churn process for phases that enable churn (default 60).
 	ChurnIntervalS float64 `json:"churn_interval_s,omitempty"`
 	// Phases partition the measured queries in order.
 	Phases []PhaseSpec `json:"phases"`
-
-	// churnInterval, when set, overrides ChurnIntervalS exactly — the
-	// legacy Options.Churn lowering carries the configured sim.Time
-	// through without a float round trip.
-	churnInterval sim.Time
 }
 
 // PhaseSpec is one contiguous span of the scenario timeline.
@@ -254,9 +247,6 @@ func (s *Spec) Marks(measured int) ([]metrics.PhaseMark, error) {
 
 // ChurnInterval returns the periodic-churn cadence as simulator time.
 func (s *Spec) ChurnInterval() sim.Time {
-	if s.churnInterval > 0 {
-		return s.churnInterval
-	}
 	if s.ChurnIntervalS > 0 {
 		return sim.FromSeconds(s.ChurnIntervalS)
 	}

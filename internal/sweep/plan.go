@@ -34,8 +34,7 @@ func NewPlan(base core.Config, s *Spec) (*Plan, error) {
 		return nil, err
 	}
 	// Mirror resolve: the campaign owns dynamics configuration, so the
-	// ambient churn flag and scenario never participate in the identity.
-	base.ChurnEnabled = false
+	// ambient scenario never participates in the identity.
 	base.Scenario = nil
 	h, err := fingerprint(base, r)
 	if err != nil {
@@ -144,15 +143,17 @@ func (p *Plan) VerifyCell(cr *CellResult) error {
 	return nil
 }
 
-// RunCells executes a subset of the grid — any selection of cell indexes —
-// across a worker pool bounded by workers (<= 0 means one per CPU) and
-// delivers each completed cell to sink in ascending subset order. The
-// (cell × protocol × trial) jobs of the whole subset share one pool, so a
-// two-cell resume still saturates the machine. The fold is the full
-// campaign's fold restricted to the subset: jobs dispatch and deliver in
-// index order, trials fold into per-(cell, protocol) accumulators, and a
-// cell sinks when its last protocol aggregate collapses — so every sunk
-// CellResult is byte-identical to the cell's entry in an unrestricted Run.
+// RunCells is the one function that fans (cell × protocol × trial) worlds
+// out: it executes any selection of cell indexes — the whole grid included
+// — across a worker pool bounded by workers (<= 0 means one per CPU) and
+// delivers each completed cell to sink in ascending subset order. The jobs
+// of the whole subset share one pool, so a two-cell resume still saturates
+// the machine. Jobs dispatch and deliver in index order, trials fold into
+// per-(cell, protocol) accumulators that collapse as soon as they fill, and
+// a cell sinks when its last protocol aggregate collapses — so at most
+// O(workers) undelivered runs are alive, and every sunk CellResult is
+// byte-identical to the cell's entry in a whole-grid run at any worker
+// count.
 func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error {
 	r := p.r
 	for _, c := range cells {
@@ -217,7 +218,7 @@ func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error 
 }
 
 // RunCellAt executes one grid cell through the subset runner and returns
-// its aggregate — the exact bytes a full Run would place at that index.
+// its aggregate — the exact bytes a whole-grid run places at that index.
 // This is the unit of work a campaign worker executes per lease.
 func (p *Plan) RunCellAt(cell, workers int) (*CellResult, error) {
 	var out *CellResult

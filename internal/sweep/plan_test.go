@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/scenario"
 )
 
 // TestPlanHash locks the content-addressing contract: the hash is stable
@@ -63,9 +64,8 @@ func TestPlanHash(t *testing.T) {
 }
 
 // TestPlanHashIgnoresAmbientDynamics asserts the campaign-owns-dynamics
-// rule carries into the identity: the legacy churn flag and an ambient
-// scenario on the base configuration are cleared by resolve, so they must
-// not move the hash either.
+// rule carries into the identity: an ambient scenario on the base
+// configuration is cleared by resolve, so it must not move the hash either.
 func TestPlanHashIgnoresAmbientDynamics(t *testing.T) {
 	base := core.DefaultConfig()
 	p1, err := NewPlan(base, tinySpec())
@@ -73,23 +73,23 @@ func TestPlanHashIgnoresAmbientDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := base
-	b.ChurnEnabled = true
+	b.Scenario, _ = scenario.Lookup("steady-churn")
 	p2, err := NewPlan(b, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Hash() != p2.Hash() {
-		t.Fatal("ambient churn flag moved the campaign hash; resolve clears it, so the hash must too")
+		t.Fatal("ambient scenario moved the campaign hash; resolve clears it, so the hash must too")
 	}
 }
 
 // TestPlanRunCellsSubset locks the distributed-unit contract: any subset
 // of cells run through Plan.RunCells reproduces the corresponding cells
-// of a full Run bit for bit, and sinks them in ascending subset order.
+// of a whole-grid run bit for bit, and sinks them in ascending subset order.
 func TestPlanRunCellsSubset(t *testing.T) {
 	base := core.DefaultConfig()
 	spec := tinySpec()
-	camp, err := Run(base, spec, 4)
+	camp, err := runGrid(base, spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

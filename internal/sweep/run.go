@@ -7,7 +7,6 @@ import (
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
-	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // ProtocolCell is one protocol's replicated result at one grid point: the
@@ -17,8 +16,8 @@ type ProtocolCell struct {
 	// Protocol is the protocol name.
 	Protocol string
 	// Summary aggregates the headline metrics across the cell's trials —
-	// identical to the Summary a standalone core.RunTrials of this cell
-	// produces.
+	// identical to the Summary a standalone core.RunTrialComparison of
+	// this cell produces.
 	Summary core.TrialSummary
 	// Phases aggregates the scenario phase windows across trials; nil
 	// without a scenario.
@@ -153,10 +152,9 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 		}
 		behaviors[i] = b
 	}
-	// The campaign owns dynamics configuration: the legacy churn flag and
-	// any ambient scenario on the base config are cleared so cells run
-	// exactly what the spec says (spec/axis scenario, or nothing).
-	base.ChurnEnabled = false
+	// The campaign owns dynamics configuration: any ambient scenario on
+	// the base config is cleared so cells run exactly what the spec says
+	// (spec/axis scenario, or nothing).
 	base.Scenario = nil
 	cells := s.Cells(seed)
 	cellCfgs := make([]core.Config, len(cells))
@@ -177,78 +175,4 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 		names: names, behaviors: behaviors,
 		cells: cells, cellCfgs: cellCfgs,
 	}, nil
-}
-
-// Run executes the campaign over the base configuration across a worker
-// pool bounded by workers (<= 0 means one per CPU). The full
-// (cell × protocol × trial) job grid shares one pool, so a four-cell
-// campaign saturates the machine even at one trial per cell. Results are
-// identical for every worker count: jobs are index-addressed, folded in
-// index order, and each trial's seed depends only on (campaign seed,
-// cell index, trial index).
-//
-// Run is the whole-grid case of Plan.RunCells: every finished run streams
-// in index order into its (cell, protocol) accumulator and collapses into
-// the final aggregate immediately, so at most O(workers) undelivered
-// results plus one cell-row of pending accumulators are alive at any
-// point. The campaign layer (internal/campaign) uses the same Plan to run
-// arbitrary subsets — resumed or distributed — with identical bytes.
-func Run(base core.Config, s *Spec, workers int) (*Campaign, error) {
-	p, err := NewPlan(base, s)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	camp := p.NewCampaign()
-	all := make([]int, p.NumCells())
-	for i := range all {
-		all[i] = i
-	}
-	if err := p.RunCells(all, workers, func(cr *CellResult) { camp.Cells[cr.Index] = *cr }); err != nil {
-		return nil, err
-	}
-	camp.Elapsed = time.Since(start)
-	return camp, nil
-}
-
-// RunCell executes a single grid cell in isolation — same derivation, same
-// configuration, same aggregation as the full campaign — and returns its
-// aggregated result. The determinism contract guarantees the values equal
-// the cell's entry in a full Run byte for byte; tests lock this.
-func RunCell(base core.Config, s *Spec, cell, workers int) (*CellResult, error) {
-	r, err := resolve(base, s)
-	if err != nil {
-		return nil, err
-	}
-	if cell < 0 || cell >= len(r.cells) {
-		return nil, fmt.Errorf("sweep %q: cell %d out of range [0, %d)", s.Name, cell, len(r.cells))
-	}
-	out := &CellResult{Cell: r.cells[cell], Protocols: make([]ProtocolCell, len(r.behaviors))}
-	var exLat sim.Time
-	for p, b := range r.behaviors {
-		cfg := r.cellCfgs[cell]
-		topt := core.TrialOptions{Trials: r.trials, Workers: workers}
-		tc := core.RunTrials(withSeed(cfg, r.cells[cell].Seed), b, topt, s.Warmup, s.Queries)
-		out.Protocols[p] = ProtocolCell{
-			Protocol: r.names[p],
-			Summary:  tc.Summary,
-			Phases:   tc.PhaseStats,
-		}
-		// Same exemplar fold as Plan.RunCells, in the same (protocol, trial)
-		// order, so the cell stays byte-identical to a full Run's.
-		for trial, run := range tc.Runs {
-			if len(run.Traces) > 0 {
-				if t := run.Traces[0]; out.Exemplar == nil || t.Latency > exLat {
-					out.Exemplar = exemplarOf(run, r.names[p], trial)
-					exLat = t.Latency
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func withSeed(cfg core.Config, seed int64) core.Config {
-	cfg.Seed = seed
-	return cfg
 }

@@ -12,10 +12,11 @@
 //
 // Determinism is cell-local: cell c's root seed derives from the campaign
 // seed and c alone (CellSeed), and trial t inside the cell runs under
-// sim.TrialSeed(cellSeed, t) — exactly the derivation core.RunTrials uses.
-// Any subset of the grid therefore reproduces byte-identically: re-running
-// one cell in isolation (RunCell), or the same campaign at a different
-// worker count, yields the same numbers bit for bit.
+// sim.TrialSeed(cellSeed, t) — exactly the derivation
+// core.RunTrialComparison uses. Any subset of the grid therefore reproduces
+// byte-identically: re-running one cell in isolation (Plan.RunCellAt), or
+// the same campaign at a different worker count, yields the same numbers
+// bit for bit.
 //
 // Specs are plain data. The built-in registry (Builtins) regenerates the
 // paper's figure grids — overlay-size, cache-capacity, TTL and
@@ -336,13 +337,13 @@ func (s *Spec) Cells(root int64) []Cell {
 
 // CellSeed derives grid cell `cell`'s root seed from the campaign root.
 // Cell 0 keeps the root unchanged — the first cell of a campaign is
-// bit-for-bit a plain RunTrials at the campaign seed — and later cells
+// bit-for-bit a plain replicated comparison at the campaign seed — and later cells
 // push the pair through a SplitMix64-style finalizer (with a different
 // multiplier than sim.TrialSeed, so cell and trial derivations never
 // alias) landing neighbouring cells in decorrelated seed-space regions.
 // Trial t of the cell then runs under sim.TrialSeed(CellSeed(root, cell),
-// t), which is exactly the seed a standalone RunTrials of the cell's
-// configuration would use.
+// t), which is exactly the seed a standalone replicated comparison of the
+// cell's configuration would use.
 func CellSeed(root int64, cell int) int64 {
 	if cell == 0 {
 		return root

@@ -35,7 +35,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	b.ResetTimer()
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		camp, err := Run(base, spec, 0)
+		camp, err := runGrid(base, spec, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,6 +32,22 @@ func tinySpec() *Spec {
 	}
 }
 
+// runGrid executes the whole grid the way every campaign entry point does:
+// one plan, every cell index through Plan.RunCells.
+func runGrid(base core.Config, s *Spec, workers int) (*Campaign, error) {
+	p, err := NewPlan(base, s)
+	if err != nil {
+		return nil, err
+	}
+	camp := p.NewCampaign()
+	all := make([]int, p.NumCells())
+	for i := range all {
+		all[i] = i
+	}
+	err = p.RunCells(all, workers, func(cr *CellResult) { camp.Cells[cr.Index] = *cr })
+	return camp, err
+}
+
 func TestCellSeed(t *testing.T) {
 	for _, root := range []int64{1, 42, -7} {
 		if got := CellSeed(root, 0); got != root {
@@ -204,7 +220,7 @@ func TestScenarioAxisConfig(t *testing.T) {
 // comparison; regenerate deliberately with
 // `go test ./internal/sweep -run TestGoldenSweepCSV -update`.
 func TestGoldenSweepCSV(t *testing.T) {
-	camp, err := Run(core.DefaultConfig(), tinySpec(), 4)
+	camp, err := runGrid(core.DefaultConfig(), tinySpec(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +249,11 @@ func TestGoldenSweepCSV(t *testing.T) {
 // clause: the campaign's exported bytes are identical at any worker count.
 func TestSweepWorkerInvariance(t *testing.T) {
 	spec := tinySpec()
-	seq, err := Run(core.DefaultConfig(), spec, 1)
+	seq, err := runGrid(core.DefaultConfig(), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(core.DefaultConfig(), spec, 8)
+	par, err := runGrid(core.DefaultConfig(), spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,45 +266,45 @@ func TestSweepWorkerInvariance(t *testing.T) {
 }
 
 // TestSweepCellIsolation locks the subset-reproducibility contract: one
-// cell re-run in isolation (RunCell) — and a plain core.RunTrials at the
-// cell's derived seed and configuration — reproduce the full campaign's
-// values bit for bit.
+// cell re-run in isolation (Plan.RunCellAt) reproduces the full campaign's
+// values bit for bit, and both equal a standalone replicated comparison
+// at the cell's derived seed and configuration — an independent reference
+// for the streaming fold, which never holds a cell's runs together.
 func TestSweepCellIsolation(t *testing.T) {
 	spec := tinySpec()
-	camp, err := Run(core.DefaultConfig(), spec, 4)
+	camp, err := runGrid(core.DefaultConfig(), spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const cell = 2 // peers=90, cache=5: mid-grid, seed != campaign root
-	iso, err := RunCell(core.DefaultConfig(), spec, cell, 2)
+	plan, err := NewPlan(core.DefaultConfig(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(camp.Cells[cell].Cell, iso.Cell) {
-		t.Fatalf("cell identity drifted: %+v vs %+v", camp.Cells[cell].Cell, iso.Cell)
+	iso, err := plan.RunCellAt(cell, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(camp.Cells[cell].Protocols, iso.Protocols) {
+	if !reflect.DeepEqual(camp.Cells[cell], *iso) {
 		t.Fatalf("isolated cell re-run drifted from the full grid:\nfull: %+v\niso:  %+v",
-			camp.Cells[cell].Protocols, iso.Protocols)
+			camp.Cells[cell], *iso)
 	}
 
-	// The standalone path: lower the cell's coordinates by hand and run
-	// core.RunTrials at the derived seed — the acceptance-criteria
-	// equivalence.
-	r, err := resolve(core.DefaultConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, b := range r.behaviors {
-		cfg := r.cellCfgs[cell]
-		cfg.Seed = camp.Cells[cell].Seed
-		tc := core.RunTrials(cfg, b, core.TrialOptions{Trials: spec.Trials, Workers: 2}, spec.Warmup, spec.Queries)
-		if !reflect.DeepEqual(tc.Summary, camp.Cells[cell].Protocols[p].Summary) {
-			t.Fatalf("standalone RunTrials drifted from grid cell for %s:\ngrid: %+v\nsolo: %+v",
-				r.names[p], camp.Cells[cell].Protocols[p].Summary, tc.Summary)
+	// The standalone path: the cell's lowered configuration at its derived
+	// seed, through the core comparison runner.
+	r := plan.r
+	cfg := r.cellCfgs[cell]
+	cfg.Seed = camp.Cells[cell].Seed
+	tc := core.RunTrialComparison(cfg, r.behaviors, core.TrialOptions{Trials: spec.Trials, Workers: 2},
+		spec.Warmup, spec.Queries, nil)
+	for p, name := range r.names {
+		solo, grid := tc.Cells[name], camp.Cells[cell].Protocols[p]
+		if !reflect.DeepEqual(solo.Summary, grid.Summary) {
+			t.Fatalf("standalone comparison drifted from grid cell for %s:\ngrid: %+v\nsolo: %+v",
+				name, grid.Summary, solo.Summary)
 		}
-		if !reflect.DeepEqual(tc.PhaseStats, camp.Cells[cell].Protocols[p].Phases) {
-			t.Fatalf("standalone phase stats drifted from grid cell for %s", r.names[p])
+		if !reflect.DeepEqual(solo.PhaseStats, grid.Phases) {
+			t.Fatalf("standalone phase stats drifted from grid cell for %s", name)
 		}
 	}
 }
@@ -296,7 +312,7 @@ func TestSweepCellIsolation(t *testing.T) {
 // TestSweepScenarioProducesPhases asserts the streamed aggregator carries
 // the per-phase windows through to the campaign cells.
 func TestSweepScenarioProducesPhases(t *testing.T) {
-	camp, err := Run(core.DefaultConfig(), tinySpec(), 4)
+	camp, err := runGrid(core.DefaultConfig(), tinySpec(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +332,19 @@ func TestSweepScenarioProducesPhases(t *testing.T) {
 }
 
 func TestRunCellOutOfRange(t *testing.T) {
-	if _, err := RunCell(core.DefaultConfig(), tinySpec(), 99, 1); err == nil {
-		t.Fatal("out-of-range cell must error")
+	p, err := NewPlan(core.DefaultConfig(), tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []int{-1, 4, 99} {
+		if cr, err := p.RunCellAt(cell, 1); err == nil || cr != nil {
+			t.Fatalf("out-of-range cell %d must error, got %+v", cell, cr)
+		}
 	}
 }
 
 func TestFigureExports(t *testing.T) {
-	camp, err := Run(core.DefaultConfig(), tinySpec(), 4)
+	camp, err := runGrid(core.DefaultConfig(), tinySpec(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,10 @@
 //	if err != nil { ... }
 //	fmt.Println(agg.SuccessRate) // e.g. "0.431±0.012"
 //
-// To regenerate a paper figure, use Compare and FigureTable (single trial)
-// or CompareTrials (replicated, with error bars); see cmd/locaware-exp for
+// To regenerate a paper figure, use Compare and FigureTable: one trial
+// renders bare numbers, Options.Trials > 1 adds error bars. Dynamics
+// (churn, flash crowds, …) are Options.Scenario on any entry point, and a
+// parameter grid is a Sweep handed to RunSweep; see cmd/locaware-exp for
 // the complete harness.
 package locaware
 
@@ -39,7 +41,6 @@ import (
 	"fmt"
 
 	"github.com/p2prepro/locaware/internal/core"
-	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/stats"
@@ -118,17 +119,12 @@ type Options struct {
 	CacheProviders int
 	// BloomBits sizes the keyword Bloom filter (paper: 1200).
 	BloomBits int
-	// Churn enables peer leave/rejoin dynamics for the whole run. It is
-	// the legacy dynamics switch, equivalent to Scenario =
-	// ScenarioByName("steady-churn") (and implemented as exactly that);
-	// Scenario, when set, takes precedence.
-	Churn bool
 	// Scenario, when non-nil, runs the simulation under a phased-dynamics
 	// timeline — churn waves, flash crowds, content injection/removal,
 	// regional degradation — and reports every metric per phase
-	// (Result.Phases). Scenarios apply to every entry point: Run, Compare,
-	// RunTrials and CompareTrials all honour it, and RunScenario bundles
-	// the per-phase view.
+	// (Result.Phases). Scenarios apply to every entry point: Run, RunTraced,
+	// RunTrials and Compare all honour it. Whole-run peer leave/rejoin
+	// churn is the built-in "steady-churn" scenario.
 	Scenario *Scenario
 	// RetainRecords keeps every per-query record in memory and exposes them
 	// as Result.Records — the full-fidelity trace mode used by
@@ -137,12 +133,6 @@ type Options struct {
 	// longer grows with the query count; all aggregate metrics and figure
 	// tables are bit-identical either way.
 	RetainRecords bool
-	// Sweep, when non-nil, is the declarative campaign RunSweep executes:
-	// a grid of axes over these Options' parameters crossed with a protocol
-	// set, replicated per cell and aggregated with error bars. The other
-	// Options fields act as the campaign's base configuration. Only
-	// RunSweep consults it.
-	Sweep *Sweep
 	// Shards, when > 1, runs each simulation on the sharded event loop:
 	// peers partition into Shards per-locality event queues (occupied
 	// locIds dense-ranked, rank modulo Shards), protocol state is split
@@ -173,13 +163,13 @@ type Options struct {
 	// results are byte-identical with or without it. See FlightRecorder.
 	FlightRecorder *FlightRecorder
 	// Trials is the number of independent replications RunTrials and
-	// CompareTrials execute per protocol (<= 0 means 1). Trial t runs in
-	// its own simulated world rooted at a seed derived deterministically
-	// from (Seed, t); trial 0 reproduces the single-run Run output exactly.
+	// Compare execute per protocol (<= 0 means 1). Trial t runs in its own
+	// simulated world rooted at a seed derived deterministically from
+	// (Seed, t); trial 0 reproduces the single-run Run output exactly.
 	Trials int
 	// Workers bounds how many simulations run concurrently in RunTrials,
-	// CompareTrials and Compare (<= 0 means runtime.NumCPU()). Worker count
-	// never changes results, only wall-clock time.
+	// Compare and the sweep runners (<= 0 means runtime.NumCPU()). Worker
+	// count never changes results, only wall-clock time.
 	Workers int
 }
 
@@ -267,8 +257,6 @@ func (o Options) coreConfig() core.Config {
 	if o.Shards > 1 {
 		cfg.Shards = o.Shards
 	}
-	cfg.ChurnEnabled = o.Churn
-	cfg.Churn = overlay.DefaultChurn()
 	if o.Scenario != nil {
 		cfg.Scenario = o.Scenario.spec
 	}
@@ -327,8 +315,7 @@ type Result struct {
 	// the query count).
 	Records []QueryRecord
 	// Phases holds the per-phase metric windows, in timeline order —
-	// populated only when the run executed under a scenario (explicit
-	// Options.Scenario, or the steady-churn lowering of Options.Churn).
+	// populated only when the run executed under Options.Scenario.
 	Phases []PhaseMetrics
 	// Runtime is the run's observability snapshot — populated only when
 	// the run executed under an Observer (Options.Observer).
@@ -460,6 +447,12 @@ func behaviorsOf(protocols []Protocol) ([]Protocol, []protocol.Behavior, error) 
 // Run simulates one protocol: warmup queries bring the system to operating
 // temperature (records discarded), then queries are measured.
 func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
+	return run(o, p, warmup, queries, nil)
+}
+
+// run is the body Run and RunTraced share; a non-nil tracer receives the
+// run's protocol events.
+func run(o Options, p Protocol, warmup, queries int, tracer *trace.Buffer) (*Result, error) {
 	b, err := p.behavior()
 	if err != nil {
 		return nil, err
@@ -471,6 +464,9 @@ func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
 		return nil, err
 	}
 	s := core.NewSimulation(o.scenarioConfig(queries), b)
+	if tracer != nil {
+		s.Network.SetTracer(tracer)
+	}
 	r := s.RunMeasured(warmup, queries)
 	if err := resultErr(r); err != nil {
 		return nil, err
@@ -512,24 +508,11 @@ func (e TraceEvent) String() string {
 // summary plus up to maxEvents protocol events (submission, forwarding,
 // hits, reverse-path caching, downloads, gossip) in virtual-time order.
 func RunTraced(o Options, p Protocol, warmup, queries, maxEvents int) (*Result, []TraceEvent, error) {
-	b, err := p.behavior()
+	buf := trace.NewBuffer(maxEvents)
+	res, err := run(o, p, warmup, queries, buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := validateRun(warmup, queries); err != nil {
-		return nil, nil, err
-	}
-	if err := validateScenario(o, queries); err != nil {
-		return nil, nil, err
-	}
-	s := core.NewSimulation(o.scenarioConfig(queries), b)
-	buf := trace.NewBuffer(maxEvents)
-	s.Network.SetTracer(buf)
-	r := s.RunMeasured(warmup, queries)
-	if err := resultErr(r); err != nil {
-		return nil, nil, err
-	}
-	res := newResult(p, r)
 	events := make([]TraceEvent, 0, buf.Len())
 	for _, e := range buf.Events() {
 		events = append(events, TraceEvent{
@@ -553,39 +536,6 @@ const (
 	FigureSearchTraffic    Figure = "fig3-search-traffic"
 	FigureSuccessRate      Figure = "fig4-success-rate"
 )
-
-// Comparison is a paired multi-protocol run.
-type Comparison struct {
-	// Results holds per-protocol summaries in run order.
-	Results []*Result
-	cmp     *core.Comparison
-}
-
-// Compare runs each protocol over an identical world and workload.
-// Protocols execute concurrently across at most Options.Workers
-// simulations (<= 0 means one per CPU); results are identical to a
-// sequential loop.
-func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints []int) (*Comparison, error) {
-	protocols, behaviors, err := behaviorsOf(protocols)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateRun(warmup, queries); err != nil {
-		return nil, err
-	}
-	if err := validateScenario(o, queries); err != nil {
-		return nil, err
-	}
-	cmp := core.RunComparisonWorkers(o.coreConfig(), behaviors, o.Workers, warmup, queries, checkpoints)
-	out := &Comparison{cmp: cmp}
-	for i, name := range cmp.Order {
-		if err := resultErr(cmp.Results[name]); err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, newResult(protocols[i], cmp.Results[name]))
-	}
-	return out, nil
-}
 
 // Estimate is a cross-trial sample statistic of one metric: the mean over
 // Options.Trials independent replications with its spread.
@@ -670,39 +620,33 @@ func newTrialsResult(p Protocol, cell *core.TrialCell) *TrialsResult {
 
 // RunTrials replicates Run over Options.Trials independent simulated worlds
 // on a worker pool bounded by Options.Workers, aggregating the headline
-// metrics into mean ± stddev ± 95% CI estimates. Equal Options always yield
-// identical results regardless of worker count.
+// metrics into mean ± stddev ± 95% CI estimates: the one-protocol Compare.
 func RunTrials(o Options, p Protocol, warmup, queries int) (*TrialsResult, error) {
-	b, err := p.behavior()
+	cmp, err := Compare(o, []Protocol{p}, warmup, queries, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(warmup, queries); err != nil {
-		return nil, err
-	}
-	if err := validateScenario(o, queries); err != nil {
-		return nil, err
-	}
-	cell := core.RunTrials(o.coreConfig(), b, core.TrialOptions{Trials: o.Trials, Workers: o.Workers}, warmup, queries)
-	if err := resultErr(cell.Runs...); err != nil {
-		return nil, err
-	}
-	return newTrialsResult(p, cell), nil
+	return cmp.Sets[0], nil
 }
 
-// TrialsComparison is a paired multi-protocol, multi-trial experiment:
-// trial t of every protocol shares one world, so each trial is a paired
-// comparison and the figures come with cross-trial error bars.
-type TrialsComparison struct {
-	// Sets holds per-protocol replicated summaries in run order.
+// Comparison is a paired multi-protocol experiment over Options.Trials
+// replicated worlds: trial t of every protocol shares one world, so each
+// trial is a paired comparison. With one trial the figures are that run's
+// own values; with more they carry cross-trial error bars.
+type Comparison struct {
+	// Sets holds per-protocol replicated summaries in run order;
+	// Sets[i].Trials[0] is the single-run Result of protocol i.
 	Sets []*TrialsResult
 	cmp  *core.TrialComparison
 }
 
-// CompareTrials runs Compare over Options.Trials replicated worlds across
-// Options.Workers concurrent simulations. With Trials <= 1 the figure
-// values equal Compare's exactly (with zero-width error bars).
-func CompareTrials(o Options, protocols []Protocol, warmup, queries int, checkpoints []int) (*TrialsComparison, error) {
+// Compare runs each protocol (nil means Baselines) over an identical
+// sequence of Options.Trials worlds and workloads, across at most
+// Options.Workers concurrent simulations (<= 0 means one per CPU). Equal
+// Options always yield identical results regardless of worker count.
+// Checkpoints are the cumulative query counts the figures plot (nil means
+// ten equal steps).
+func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints []int) (*Comparison, error) {
 	protocols, behaviors, err := behaviorsOf(protocols)
 	if err != nil {
 		return nil, err
@@ -715,7 +659,7 @@ func CompareTrials(o Options, protocols []Protocol, warmup, queries int, checkpo
 	}
 	tc := core.RunTrialComparison(o.coreConfig(), behaviors,
 		core.TrialOptions{Trials: o.Trials, Workers: o.Workers}, warmup, queries, checkpoints)
-	out := &TrialsComparison{cmp: tc}
+	out := &Comparison{cmp: tc}
 	for i, name := range tc.Order {
 		if err := resultErr(tc.Cells[name].Runs...); err != nil {
 			return nil, err
@@ -727,7 +671,7 @@ func CompareTrials(o Options, protocols []Protocol, warmup, queries int, checkpo
 
 // Set returns the replicated summary for protocol p, or nil if p was not
 // compared.
-func (c *TrialsComparison) Set(p Protocol) *TrialsResult {
+func (c *Comparison) Set(p Protocol) *TrialsResult {
 	for _, s := range c.Sets {
 		if s.Protocol == p {
 			return s
@@ -738,52 +682,20 @@ func (c *TrialsComparison) Set(p Protocol) *TrialsResult {
 
 // FigureSeries returns one curve per protocol for the figure: x = number of
 // queries, y = the trial-mean metric over the window ending there, with a
-// 95% CI half-width per point.
-func (c *TrialsComparison) FigureSeries(f Figure) []*stats.Series {
-	return c.cmp.FigureSeries(string(f))
-}
-
-// FigureTable renders the figure as an aligned text table with mean±ci95
-// cells, one row per checkpoint and one column per protocol.
-func (c *TrialsComparison) FigureTable(f Figure) string {
-	return stats.Table("queries", c.cmp.FigureSeries(string(f)))
-}
-
-// FigureCSV renders the figure as CSV with a <protocol>_ci95 column per
-// protocol for external plotting with error bars.
-func (c *TrialsComparison) FigureCSV(f Figure) string {
-	return stats.CSV("queries", c.cmp.FigureSeries(string(f)))
-}
-
-// Headlines computes the headline claims from trial-mean metrics.
-func (c *TrialsComparison) Headlines() Headlines {
-	return toHeadlines(c.cmp.Headlines())
-}
-
-// Result returns the summary for protocol p, or nil if p was not compared.
-func (c *Comparison) Result(p Protocol) *Result {
-	for _, r := range c.Results {
-		if r.Protocol == p {
-			return r
-		}
-	}
-	return nil
-}
-
-// FigureSeries returns one curve per protocol for the figure: x = number
-// of queries, y = the figure's metric over the window ending there.
+// 95% CI half-width per point when more than one trial ran.
 func (c *Comparison) FigureSeries(f Figure) []*stats.Series {
 	return c.cmp.FigureSeries(string(f))
 }
 
 // FigureTable renders the figure as an aligned text table, one row per
 // checkpoint and one column per protocol — the same rows the paper's plots
-// show.
+// show; replicated cells read mean±ci95.
 func (c *Comparison) FigureTable(f Figure) string {
 	return stats.Table("queries", c.cmp.FigureSeries(string(f)))
 }
 
-// FigureCSV renders the figure as CSV for external plotting.
+// FigureCSV renders the figure as CSV for external plotting, with a
+// <protocol>_ci95 column per protocol when more than one trial ran.
 func (c *Comparison) FigureCSV(f Figure) string {
 	return stats.CSV("queries", c.cmp.FigureSeries(string(f)))
 }
@@ -808,7 +720,7 @@ func toHeadlines(h core.Headline) Headlines {
 	}
 }
 
-// Headlines computes the headline claims from the comparison.
+// Headlines computes the headline claims from trial-mean metrics.
 func (c *Comparison) Headlines() Headlines {
 	return toHeadlines(c.cmp.Headlines())
 }

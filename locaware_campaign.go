@@ -100,16 +100,14 @@ func liftStats(s campaign.RunStats) CampaignStats {
 	}
 }
 
-// campaignSpec resolves the effective spec the campaign layer runs: the
-// same Options fallbacks RunSweep applies, so every execution mode —
-// in-process, checkpointed, coordinator, worker — agrees on the campaign
-// identity (and therefore the content hash) given identical flags.
+// campaignSpec resolves the effective spec the campaign layer runs,
+// applying the Options-level trials fallback in one place so every
+// execution mode — in-process, checkpointed, coordinator, worker — agrees
+// on the campaign identity (and therefore the content hash) given
+// identical flags.
 func campaignSpec(o Options, sw *Sweep) (*sweep.Spec, error) {
 	if sw == nil {
-		sw = o.Sweep
-	}
-	if sw == nil {
-		return nil, errors.New("locaware: campaign execution needs a sweep (argument or Options.Sweep)")
+		return nil, errors.New("locaware: nil *Sweep argument (obtain one from SweepByName, ParseSweep or LoadSweep)")
 	}
 	spec := *sw.spec
 	if spec.Trials <= 0 && o.Trials > 0 {
@@ -134,12 +132,12 @@ func SweepFingerprint(o Options, sw *Sweep) (string, error) {
 	return plan.Hash(), nil
 }
 
-// RunSweepCheckpointed executes the campaign in-process like RunSweep,
-// additionally checkpointing every finished cell into copt.Checkpoint
-// and — with copt.Resume — skipping cells already present there, so an
-// interrupted campaign recomputes only the missing subset. Output is
-// byte-identical to an uninterrupted RunSweep of the same options; the
-// returned stats carry the resumed/executed split.
+// RunSweepCheckpointed executes the campaign in-process, checkpointing
+// every finished cell into copt.Checkpoint (when set) and — with
+// copt.Resume — skipping cells already present there, so an interrupted
+// campaign recomputes only the missing subset. Output is byte-identical
+// to an uninterrupted RunSweep of the same options; the returned stats
+// carry the resumed/executed split.
 func RunSweepCheckpointed(o Options, sw *Sweep, copt CampaignOptions) (*SweepResult, CampaignStats, error) {
 	spec, err := campaignSpec(o, sw)
 	if err != nil {

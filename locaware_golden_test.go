@@ -2,8 +2,10 @@ package locaware
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -92,9 +94,9 @@ func TestGoldenStreamingMatchesRecords(t *testing.T) {
 	// Record retention is opt-in: the streaming run must carry no records,
 	// the retained run exactly one per measured query — and replaying the
 	// records must reproduce the streamed scalar metrics bit-for-bit.
-	for _, r := range streamCmp.Results {
-		if r.Records != nil {
-			t.Fatalf("%s: streaming run retained records", r.Protocol)
+	for _, set := range streamCmp.Sets {
+		if set.Trials[0].Records != nil {
+			t.Fatalf("%s: streaming run retained records", set.Protocol)
 		}
 	}
 	o := goldenOptions()
@@ -128,14 +130,15 @@ func TestGoldenStreamingMatchesRecords(t *testing.T) {
 	}
 }
 
-// TestGoldenMatchesTrialsPath proves the parallel trials path reproduces
-// the golden numbers: a 1-trial CompareTrials at any worker count must
-// yield the same figure means the golden table locks.
+// TestGoldenMatchesTrialsPath proves the trial count's floor and the worker
+// pool cannot move the golden numbers: Compare with Trials = 1 at eight
+// workers is byte-identical to the default (Trials = 0, one worker per
+// CPU), and a single trial renders without error bars.
 func TestGoldenMatchesTrialsPath(t *testing.T) {
 	o := goldenOptions()
 	o.Trials = 1
 	o.Workers = 8
-	tc, err := CompareTrials(o, Baselines(), 100, 200, []int{50, 100, 150, 200})
+	tc, err := Compare(o, Baselines(), 100, 200, []int{50, 100, 150, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,26 +146,66 @@ func TestGoldenMatchesTrialsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
-		if tc.FigureTable(f) != cmp.FigureTable(f) {
-			t.Fatalf("%s: single-trial CompareTrials table not byte-identical to Compare's", f)
-		}
-		if tc.FigureCSV(f) != cmp.FigureCSV(f) {
-			t.Fatalf("%s: single-trial CompareTrials csv not byte-identical to Compare's", f)
-		}
+	if got, want := compareCapture(tc), compareCapture(cmp); got != want {
+		t.Fatalf("Trials=1/Workers=8 differs from the default Compare:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	for i, ts := range tc.FigureSeries(FigureSuccessRate) {
-		ss := cmp.FigureSeries(FigureSuccessRate)[i]
-		if ts.Name != ss.Name || len(ts.Ys) != len(ss.Ys) {
-			t.Fatalf("series shape mismatch: %s vs %s", ts.Name, ss.Name)
-		}
-		if ts.HasErrs() {
-			t.Fatalf("%s: single trial must render without error bars", ts.Name)
-		}
-		for j := range ts.Ys {
-			if ts.Ys[j] != ss.Ys[j] {
-				t.Fatalf("%s point %d: trials path %v != sequential %v", ts.Name, j, ts.Ys[j], ss.Ys[j])
+	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
+		for _, s := range tc.FigureSeries(f) {
+			if s.HasErrs() {
+				t.Fatalf("%s/%s: single trial must render without error bars", f, s.Name)
 			}
 		}
+	}
+}
+
+// compareCapture renders everything a Comparison reports — the three figure
+// tables and CSVs, the headline claims and every per-protocol estimate —
+// with floats printed by %v, the shortest form that round-trips, so string
+// equality is bit equality.
+func compareCapture(c *Comparison) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== trials=%d\n", len(c.Sets[0].Trials))
+	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
+		fmt.Fprintf(&b, "-- %s table\n%s-- %s csv\n%s", f, c.FigureTable(f), f, c.FigureCSV(f))
+	}
+	h := c.Headlines()
+	fmt.Fprintf(&b, "-- headlines\ndistance=%v traffic=%v dicas=%v dicas-keys=%v\n",
+		h.DistanceReduction, h.TrafficReductionVsFlooding, h.HitGainVsDicas, h.HitGainVsDicasKeys)
+	b.WriteString("-- protocols\n")
+	est := func(e Estimate) string { return fmt.Sprintf("%v±%v/%d", e.Mean, e.CI95, e.N) }
+	for _, s := range c.Sets {
+		fmt.Fprintf(&b, "%s success=%s msgs/q=%s rtt=%s sameLoc=%s cacheHit=%s hops=%s ctl=%s kbits=%s cached=%s\n",
+			s.Protocol, est(s.SuccessRate), est(s.AvgMessagesPerQuery), est(s.AvgDownloadRTTMs),
+			est(s.SameLocalityRate), est(s.CacheHitRate), est(s.AvgHops),
+			est(s.ControlMessages), est(s.ControlKbits), est(s.CachedFilenames))
+	}
+	return b.String()
+}
+
+// TestCompareMatchesParentCapture pins the collapse of the single-trial and
+// the replicated comparison into one function.
+// testdata/golden_compare_trials_200peers.txt was rendered by
+// compareCapture's twin at the commit before the collapse: its trials=1
+// section from the unreplicated Compare (a different code path then, with
+// its own FigureSeries and Headlines), its trials=3 section from the
+// replicated entry point. The one Compare must reproduce both byte for byte.
+func TestCompareMatchesParentCapture(t *testing.T) {
+	var b strings.Builder
+	for _, trials := range []int{1, 3} {
+		o := goldenOptions()
+		o.Trials = trials
+		cmp, err := Compare(o, Baselines(), 100, 200, []int{50, 100, 150, 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(compareCapture(cmp))
+	}
+	path := filepath.Join("testdata", "golden_compare_trials_200peers.txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading capture: %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("Compare drifted from the pre-collapse capture %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

@@ -39,7 +39,8 @@ func TestObsDeterminismInert(t *testing.T) {
 
 	// Every instrumented run carries its snapshot, and the totals are
 	// plausible: one submission counted per measured+warmup query.
-	for _, r := range cmp.Results {
+	for _, set := range cmp.Sets {
+		r := set.Trials[0]
 		if r.Runtime == nil {
 			t.Fatalf("%s: no Runtime snapshot under an Observer", r.Protocol)
 		}

@@ -91,9 +91,9 @@ func (s *Scenario) String() string {
 	return fmt.Sprintf("scenario{%s phases=%d}", s.spec.Name, len(s.spec.Phases))
 }
 
-// validateScenario checks that o's scenario (explicit or the legacy churn
-// lowering) can be resolved onto `queries` measured queries, so entry
-// points fail with an error instead of panicking deep in core.
+// validateScenario checks that o's scenario can be resolved onto `queries`
+// measured queries, so entry points fail with an error instead of
+// panicking deep in core.
 func validateScenario(o Options, queries int) error {
 	if o.Scenario == nil {
 		return nil
@@ -120,45 +120,10 @@ type PhaseMetrics struct {
 	AvgHops          float64
 }
 
-// ScenarioResult is one protocol's run under a scenario: the whole-run
-// summary plus the scenario identity. Per-phase metrics are in
-// Result.Phases.
-type ScenarioResult struct {
-	*Result
-	// Scenario names the executed scenario.
-	Scenario string
-}
-
-// RunScenario simulates protocol p under scenario sc (nil means
-// o.Scenario): warmup queries run under the first phase's dynamics, then
-// the measured stream walks the phase timeline. The result carries
-// per-phase metric windows sealed by the streaming collector during the
-// run.
-func RunScenario(o Options, p Protocol, sc *Scenario, warmup, queries int) (*ScenarioResult, error) {
-	if sc == nil {
-		sc = o.Scenario
-	}
-	if sc == nil {
-		return nil, errors.New("locaware: RunScenario needs a scenario (argument or Options.Scenario)")
-	}
-	o.Scenario = sc
-	res, err := Run(o, p, warmup, queries)
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioResult{Result: res, Scenario: sc.Name()}, nil
-}
-
-// PhaseTable renders the per-phase metrics as an aligned text table.
-func (r *ScenarioResult) PhaseTable() string {
-	return PhaseTable(r.Phases)
-}
-
 // PhaseEstimates is the cross-trial aggregation of one scenario phase:
 // every phase metric as a mean ± stddev ± 95% CI estimate pooled over the
 // replicated trials, phase-aligned (trial t's phase k contributes to
-// estimate k). Produced by RunTrials/CompareTrials when Options.Scenario
-// (or the legacy churn flag) is set.
+// estimate k). Produced by RunTrials/Compare when Options.Scenario is set.
 type PhaseEstimates struct {
 	// Phase is the phase's name from the scenario spec.
 	Phase string
@@ -210,42 +175,6 @@ func PhaseTable(phases []PhaseMetrics) string {
 			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)
 	}
 	return b.String()
-}
-
-// PhaseSeries extracts one named metric across phases for each result of a
-// scenario comparison — a per-phase counterpart of FigureSeries for ad-hoc
-// plotting. Metric is one of: success, msgs, rtt, sameloc, cachehit, hops.
-func PhaseSeries(results []*Result, metric string) (map[Protocol][]float64, error) {
-	pick := func(p PhaseMetrics) (float64, bool) {
-		switch metric {
-		case "success":
-			return p.SuccessRate, true
-		case "msgs":
-			return p.AvgMessagesPerQuery, true
-		case "rtt":
-			return p.AvgDownloadRTTMs, true
-		case "sameloc":
-			return p.SameLocalityRate, true
-		case "cachehit":
-			return p.CacheHitRate, true
-		case "hops":
-			return p.AvgHops, true
-		}
-		return 0, false
-	}
-	out := make(map[Protocol][]float64, len(results))
-	for _, r := range results {
-		vals := make([]float64, 0, len(r.Phases))
-		for _, p := range r.Phases {
-			v, ok := pick(p)
-			if !ok {
-				return nil, fmt.Errorf("locaware: unknown phase metric %q", metric)
-			}
-			vals = append(vals, v)
-		}
-		out[r.Protocol] = vals
-	}
-	return out, nil
 }
 
 // scenarioConfig lowers Options to core configuration with the scenario's

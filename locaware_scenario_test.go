@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,15 +28,23 @@ func mustScenario(t *testing.T, name string) *Scenario {
 	return sc
 }
 
+// runScenario runs protocol p under scenario sc through the one single-run
+// entry point.
+func runScenario(t *testing.T, o Options, p Protocol, sc *Scenario, warmup, queries int) *Result {
+	t.Helper()
+	o.Scenario = sc
+	r, err := Run(o, p, warmup, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestScenarioSeedReproducible locks seed determinism: the same seed and
 // scenario reproduce every whole-run and per-phase metric exactly.
 func TestScenarioSeedReproducible(t *testing.T) {
-	run := func() *ScenarioResult {
-		r, err := RunScenario(scenarioOptions(), ProtocolLocaware, mustScenario(t, "churn-waves"), 100, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	run := func() *Result {
+		return runScenario(t, scenarioOptions(), ProtocolLocaware, mustScenario(t, "churn-waves"), 100, 200)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -46,10 +55,7 @@ func TestScenarioSeedReproducible(t *testing.T) {
 	}
 	o := scenarioOptions()
 	o.Seed = 2
-	c, err := RunScenario(o, ProtocolLocaware, mustScenario(t, "churn-waves"), 100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runScenario(t, o, ProtocolLocaware, mustScenario(t, "churn-waves"), 100, 200)
 	if reflect.DeepEqual(a.Phases, c.Phases) {
 		t.Fatal("different seeds produced identical phase metrics (suspicious)")
 	}
@@ -75,8 +81,8 @@ func TestScenarioWorkerInvariance(t *testing.T) {
 			t.Fatalf("%s: figure table differs across worker counts", f)
 		}
 	}
-	for i, sr := range seq.Results {
-		pr := par.Results[i]
+	for i, set := range seq.Sets {
+		sr, pr := set.Trials[0], par.Sets[i].Trials[0]
 		if !reflect.DeepEqual(sr.Phases, pr.Phases) {
 			t.Fatalf("%s: phase metrics differ across worker counts:\n%+v\n%+v",
 				sr.Protocol, sr.Phases, pr.Phases)
@@ -87,28 +93,44 @@ func TestScenarioWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestLegacyChurnBitIdenticalToScenario is the deprecation lock for the
-// ad-hoc churn path: Options.Churn now lowers onto the built-in
-// steady-churn scenario, and enabling either must produce bit-identical
-// results.
+// renderRun prints every number of a Result and of its phase windows with
+// %v, the shortest form that round-trips a float64, so string equality is
+// bit equality.
+func renderRun(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "protocol=%s queries=%d\n", r.Protocol, r.Queries)
+	fmt.Fprintf(&b, "success=%v msgs/q=%v rtt=%v sameLoc=%v cacheHit=%v hops=%v\n",
+		r.SuccessRate, r.AvgMessagesPerQuery, r.AvgDownloadRTTMs, r.SameLocalityRate, r.CacheHitRate, r.AvgHops)
+	fmt.Fprintf(&b, "forwards bloom=%d gid=%d fallback=%d flood=%d\n",
+		r.BloomForwards, r.GidForwards, r.FallbackForwards, r.FloodForwards)
+	fmt.Fprintf(&b, "control msgs=%d kbits=%v cached files=%d providers=%d\n",
+		r.ControlMessages, r.ControlKbits, r.CachedFilenames, r.CachedProviderEntries)
+	fmt.Fprintf(&b, "simulated=%vs events=%d\n", r.SimulatedSeconds, r.Events)
+	for _, p := range r.Phases {
+		fmt.Fprintf(&b, "phase %s (%d,%d] n=%d success=%v msgs/q=%v rtt=%v sameLoc=%v cacheHit=%v hops=%v\n",
+			p.Phase, p.Start, p.End, p.Queries, p.SuccessRate, p.AvgMessagesPerQuery, p.AvgDownloadRTTMs,
+			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)
+	}
+	return b.String()
+}
+
+// TestLegacyChurnBitIdenticalToScenario is the migration proof for the
+// deleted Options.Churn flag: testdata/golden_steady_churn_200peers.txt was
+// rendered by renderRun's twin from an Options.Churn = true Locaware run at
+// the last commit that had the flag, and the built-in steady-churn scenario
+// must reproduce it byte for byte — every scalar, counter and phase window.
 func TestLegacyChurnBitIdenticalToScenario(t *testing.T) {
-	legacy := scenarioOptions()
-	legacy.Churn = true
-	viaFlag, err := Run(legacy, ProtocolLocaware, 100, 200)
+	res := runScenario(t, scenarioOptions(), ProtocolLocaware, mustScenario(t, "steady-churn"), 100, 200)
+	path := filepath.Join("testdata", "golden_steady_churn_200peers.txt")
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reading capture: %v", err)
 	}
-	explicit := scenarioOptions()
-	explicit.Scenario = mustScenario(t, "steady-churn")
-	viaScenario, err := Run(explicit, ProtocolLocaware, 100, 200)
-	if err != nil {
-		t.Fatal(err)
+	if got := renderRun(res); got != string(want) {
+		t.Fatalf("steady-churn scenario drifted from the Options.Churn capture %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
-	if !reflect.DeepEqual(viaFlag, viaScenario) {
-		t.Fatalf("Options.Churn and steady-churn scenario diverged:\n%+v\n%+v", viaFlag, viaScenario)
-	}
-	if len(viaFlag.Phases) != 1 || viaFlag.Phases[0].Phase != "steady" {
-		t.Fatalf("legacy churn run reports phases %+v, want the single steady phase", viaFlag.Phases)
+	if len(res.Phases) != 1 || res.Phases[0].Phase != "steady" {
+		t.Fatalf("steady-churn run reports phases %+v, want the single steady phase", res.Phases)
 	}
 }
 
@@ -117,10 +139,7 @@ func TestLegacyChurnBitIdenticalToScenario(t *testing.T) {
 // their query counts and message totals recompose the whole-run scalars.
 func TestScenarioPhaseAccounting(t *testing.T) {
 	const queries = 200
-	res, err := RunScenario(scenarioOptions(), ProtocolLocaware, mustScenario(t, "regional-outage"), 100, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runScenario(t, scenarioOptions(), ProtocolLocaware, mustScenario(t, "regional-outage"), 100, queries)
 	prev := 0
 	total := 0
 	var msgSum, succ float64
@@ -176,12 +195,8 @@ func TestScenarioFromJSON(t *testing.T) {
 	if got := sc.PhaseNames(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("phase names = %v", got)
 	}
-	run := func() *ScenarioResult {
-		r, err := RunScenario(scenarioOptions(), ProtocolDicas, sc, 100, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	run := func() *Result {
+		return runScenario(t, scenarioOptions(), ProtocolDicas, sc, 100, 200)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -196,27 +211,31 @@ func TestScenarioFromJSON(t *testing.T) {
 	}
 }
 
-// TestScenarioErrors locks the error surface: unknown names, missing
-// scenarios and unresolvable timelines fail with errors, not panics.
+// TestScenarioErrors locks the error surface: unknown names and
+// unresolvable timelines fail with errors, not panics, on every entry
+// point.
 func TestScenarioErrors(t *testing.T) {
 	if _, err := ScenarioByName("nope"); err == nil {
 		t.Fatal("unknown scenario name accepted")
 	}
-	if _, err := RunScenario(scenarioOptions(), ProtocolLocaware, nil, 10, 50); err == nil {
-		t.Fatal("RunScenario without a scenario accepted")
-	}
 	// 4 phases cannot tile 3 measured queries.
-	if _, err := RunScenario(scenarioOptions(), ProtocolLocaware, mustScenario(t, "flashcrowd"), 0, 3); err == nil {
-		t.Fatal("unresolvable timeline accepted")
-	}
 	o := scenarioOptions()
 	o.Scenario = mustScenario(t, "flashcrowd")
+	if _, err := Run(o, ProtocolLocaware, 0, 3); err == nil {
+		t.Fatal("Run with unresolvable timeline accepted")
+	}
+	if _, _, err := RunTraced(o, ProtocolLocaware, 0, 3, 10); err == nil {
+		t.Fatal("RunTraced with unresolvable timeline accepted")
+	}
+	if _, err := RunTrials(o, ProtocolLocaware, 0, 3); err == nil {
+		t.Fatal("RunTrials with unresolvable timeline accepted")
+	}
 	if _, err := Compare(o, Baselines(), 0, 3, nil); err == nil {
 		t.Fatal("Compare with unresolvable timeline accepted")
 	}
-	// Options.Scenario feeds RunScenario when no argument is given.
-	if res, err := RunScenario(o, ProtocolLocaware, nil, 10, 50); err != nil || res.Scenario != "flashcrowd" {
-		t.Fatalf("Options.Scenario fallback: %v, %v", res, err)
+	// Options.Scenario is the one way to hand a scenario over.
+	if res, err := Run(o, ProtocolLocaware, 10, 50); err != nil || len(res.Phases) != 4 {
+		t.Fatalf("Options.Scenario run: %v, %v", res, err)
 	}
 }
 
@@ -260,9 +279,9 @@ func TestGoldenScenarioTable(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("== fig4-success-rate under scenario flashcrowd\n")
 	b.WriteString(cmp.FigureTable(FigureSuccessRate))
-	for _, r := range cmp.Results {
-		b.WriteString("== phases: " + string(r.Protocol) + "\n")
-		b.WriteString(PhaseTable(r.Phases))
+	for _, set := range cmp.Sets {
+		b.WriteString("== phases: " + string(set.Protocol) + "\n")
+		b.WriteString(PhaseTable(set.Trials[0].Phases))
 	}
 	got := b.String()
 
@@ -315,7 +334,7 @@ func TestScenarioTrialsContract(t *testing.T) {
 }
 
 // TestScenarioPhaseEstimates locks the replicated per-phase surface:
-// RunTrials/CompareTrials under a scenario aggregate the phase windows
+// RunTrials/Compare under a scenario aggregate the phase windows
 // across trials, phase-aligned, with cross-trial spread — and a
 // single-trial comparison collapses to the per-run phase values with
 // zero-width error bars.
@@ -353,7 +372,7 @@ func TestScenarioPhaseEstimates(t *testing.T) {
 	// metrics exactly, with no spread.
 	single := scenarioOptions()
 	single.Scenario = mustScenario(t, "churn-waves")
-	cmp, err := CompareTrials(single, []Protocol{ProtocolLocaware}, 100, 200, nil)
+	cmp, err := Compare(single, []Protocol{ProtocolLocaware}, 100, 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

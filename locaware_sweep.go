@@ -28,7 +28,7 @@ func looksLikePath(arg string) bool { return strings.ContainsAny(arg, "./\\") }
 // campaign seed and c alone, and trial t inside it from that cell seed and
 // t — so any subset of the grid (one cell re-run in isolation, the same
 // campaign at a different worker count) reproduces byte-identically, and
-// every cell equals a standalone RunTrials of the same configuration.
+// every cell equals a standalone Compare of the same configuration.
 //
 // Obtain one from the built-in registry (SweepByName, SweepNames) or from
 // JSON (ParseSweep); new campaigns need no code.
@@ -194,29 +194,17 @@ type SweepResult struct {
 	campaign *sweep.Campaign
 }
 
-// RunSweep executes campaign sw (nil means Options.Sweep) over the base
-// configuration described by o: every Options field acts as the campaign's
-// base value and the axes override per cell; o.Workers bounds the worker
-// pool shared by all (cell × protocol × trial) simulations. The spec's
-// Trials and Seed win over o.Trials and o.Seed when set; dynamics come
-// exclusively from the spec (scenario name/intensity), never from
-// o.Scenario or o.Churn. Results are identical for every worker count.
+// RunSweep executes campaign sw over the base configuration described by
+// o: every Options field acts as the campaign's base value and the axes
+// override per cell; o.Workers bounds the worker pool shared by all
+// (cell × protocol × trial) simulations. The spec's Trials and Seed win
+// over o.Trials and o.Seed when set; dynamics come exclusively from the
+// spec (scenario name/intensity), never from o.Scenario. Results are
+// identical for every worker count. It is RunSweepCheckpointed with
+// nothing to checkpoint.
 func RunSweep(o Options, sw *Sweep) (*SweepResult, error) {
-	if sw == nil {
-		sw = o.Sweep
-	}
-	if sw == nil {
-		return nil, errors.New("locaware: RunSweep needs a sweep (argument or Options.Sweep)")
-	}
-	spec := *sw.spec
-	if spec.Trials <= 0 && o.Trials > 0 {
-		spec.Trials = o.Trials
-	}
-	camp, err := sweep.Run(o.coreConfig(), &spec, o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &SweepResult{campaign: camp}, nil
+	res, _, err := RunSweepCheckpointed(o, sw, CampaignOptions{})
+	return res, err
 }
 
 // Name returns the executed campaign's name.
@@ -241,7 +229,7 @@ func (r *SweepResult) Elapsed() time.Duration { return r.campaign.Elapsed }
 func (r *SweepResult) CellsPerSecond() float64 { return r.campaign.CellsPerSecond() }
 
 // CellSeed returns the derived root seed of grid cell `cell` — the seed a
-// standalone RunTrials needs to reproduce the cell exactly.
+// standalone Compare needs to reproduce the cell exactly.
 func (r *SweepResult) CellSeed(cell int) (int64, error) {
 	if cell < 0 || cell >= len(r.campaign.Cells) {
 		return 0, fmt.Errorf("locaware: cell %d out of range [0, %d)", cell, len(r.campaign.Cells))

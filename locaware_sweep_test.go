@@ -154,9 +154,9 @@ func TestSweepFromJSON(t *testing.T) {
 	}
 }
 
-// TestSweepOptionsLevel exercises the Options.Sweep surface and the
-// Options fallbacks (Trials when the spec leaves it unset, Seed as the
-// campaign root).
+// TestSweepOptionsLevel exercises the Options fallbacks (Trials when the
+// spec leaves it unset, Seed as the campaign root) and that they resolve
+// identically on every campaign entry point.
 func TestSweepOptionsLevel(t *testing.T) {
 	sw, err := ParseSweep([]byte(`{
 		"name": "opt-level", "warmup": 20, "queries": 60,
@@ -167,10 +167,9 @@ func TestSweepOptionsLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := sweepOptions()
-	o.Sweep = sw
 	o.Trials = 2
 	o.Seed = 7
-	res, err := RunSweep(o, nil)
+	res, err := RunSweep(o, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +182,29 @@ func TestSweepOptionsLevel(t *testing.T) {
 	if seed0, _ := res.CellSeed(0); seed0 != 7 {
 		t.Fatalf("cell 0 seed = %d, want campaign root (identity)", seed0)
 	}
+	// One fallback for every entry point: spelling the trials out in the
+	// spec runs the same campaign as leaving them to Options.
+	o.Trials = 0
+	ckpt, _, err := RunSweepCheckpointed(o, sw.WithTrials(2), CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.CSV() != res.CSV() {
+		t.Fatal("Options-level trials ran a different campaign than spec-level trials")
+	}
 }
 
 func TestSweepErrors(t *testing.T) {
-	if _, err := RunSweep(sweepOptions(), nil); err == nil {
-		t.Fatal("RunSweep without a sweep must error")
+	// A nil *Sweep is an error naming the argument, on every entry point.
+	_, errRun := RunSweep(sweepOptions(), nil)
+	_, _, errCkpt := RunSweepCheckpointed(sweepOptions(), nil, CampaignOptions{})
+	_, errPrint := SweepFingerprint(sweepOptions(), nil)
+	_, _, errServe := ServeSweep(sweepOptions(), nil, "127.0.0.1:0", CampaignOptions{})
+	_, errWork := WorkSweep(sweepOptions(), nil, "http://127.0.0.1:0", CampaignOptions{})
+	for _, err := range []error{errRun, errCkpt, errPrint, errServe, errWork} {
+		if err == nil || !strings.Contains(err.Error(), "nil *Sweep") {
+			t.Fatalf("nil sweep: got %v, want an error naming the *Sweep argument", err)
+		}
 	}
 	if _, err := SweepByName("no-such-campaign"); err == nil {
 		t.Fatal("unknown campaign name must error")

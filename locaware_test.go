@@ -94,16 +94,21 @@ func TestCompareAndFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Results) != 4 {
-		t.Fatalf("results = %d", len(cmp.Results))
+	if len(cmp.Sets) != 4 {
+		t.Fatalf("sets = %d", len(cmp.Sets))
 	}
-	if cmp.Result(ProtocolLocaware) == nil || cmp.Result(ProtocolLocawareLR) != nil {
-		t.Fatal("Result lookup broken")
+	if cmp.Set(ProtocolLocaware) == nil || cmp.Set(ProtocolLocawareLR) != nil {
+		t.Fatal("Set lookup broken")
+	}
+	for _, set := range cmp.Sets {
+		if len(set.Trials) != 1 || set.SuccessRate.N != 1 || set.SuccessRate.Mean != set.Trials[0].SuccessRate {
+			t.Fatalf("%s: unreplicated set is not its one run: %+v", set.Protocol, set.SuccessRate)
+		}
 	}
 	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
 		series := cmp.FigureSeries(f)
-		if len(series) != 4 {
-			t.Fatalf("%s series = %d", f, len(series))
+		if len(series) != 4 || series[0].HasErrs() {
+			t.Fatalf("%s series = %d (errs=%v)", f, len(series), series[0].HasErrs())
 		}
 		tbl := cmp.FigureTable(f)
 		if !strings.Contains(tbl, "Locaware") || !strings.Contains(tbl, "Flooding") {
@@ -126,6 +131,9 @@ func TestCompareErrors(t *testing.T) {
 	}
 	if _, err := Compare(fastOptions(7), nil, 0, 0, nil); err == nil {
 		t.Fatal("zero queries accepted")
+	}
+	if _, err := Compare(fastOptions(7), nil, -1, 10, nil); err == nil {
+		t.Fatal("negative warmup accepted")
 	}
 }
 
@@ -157,13 +165,13 @@ func TestBaselinesOrder(t *testing.T) {
 
 func TestChurnOption(t *testing.T) {
 	o := fastOptions(8)
-	o.Churn = true
+	o.Scenario = mustScenario(t, "steady-churn")
 	res, err := Run(o, ProtocolLocaware, 50, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Queries != 100 {
-		t.Fatalf("churn run measured %d", res.Queries)
+	if res.Queries != 100 || len(res.Phases) != 1 {
+		t.Fatalf("churn run measured %d queries over phases %+v", res.Queries, res.Phases)
 	}
 }
 
@@ -295,13 +303,13 @@ func TestRunTrialsErrors(t *testing.T) {
 	}
 }
 
-func TestCompareTrialsDeterministicAcrossWorkers(t *testing.T) {
+func TestCompareReplicatedDeterministicAcrossWorkers(t *testing.T) {
 	o := fastOptions(33)
 	o.Trials = 3
-	run := func(workers int) *TrialsComparison {
+	run := func(workers int) *Comparison {
 		oo := o
 		oo.Workers = workers
-		cmp, err := CompareTrials(oo, []Protocol{ProtocolFlooding, ProtocolLocaware}, 10, 40, []int{20, 40})
+		cmp, err := Compare(oo, []Protocol{ProtocolFlooding, ProtocolLocaware}, 10, 40, []int{20, 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,10 +329,10 @@ func TestCompareTrialsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCompareTrialsFiguresAndHeadlines(t *testing.T) {
+func TestCompareReplicatedFiguresAndHeadlines(t *testing.T) {
 	o := fastOptions(34)
 	o.Trials = 2
-	cmp, err := CompareTrials(o, nil, 20, 60, []int{30, 60})
+	cmp, err := Compare(o, nil, 20, 60, []int{30, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,15 +365,16 @@ func TestCompareTrialsFiguresAndHeadlines(t *testing.T) {
 	}
 }
 
-func TestCompareTrialsErrors(t *testing.T) {
+func TestCompareReplicatedErrors(t *testing.T) {
 	o := fastOptions(35)
-	if _, err := CompareTrials(o, []Protocol{"nope"}, 0, 10, nil); err == nil {
+	o.Trials = 3 // replication never bypasses validation
+	if _, err := Compare(o, []Protocol{"nope"}, 0, 10, nil); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if _, err := CompareTrials(o, nil, 0, 0, nil); err == nil {
+	if _, err := Compare(o, nil, 0, 0, nil); err == nil {
 		t.Fatal("zero queries accepted")
 	}
-	if _, err := CompareTrials(o, nil, -1, 10, nil); err == nil {
+	if _, err := Compare(o, nil, -1, 10, nil); err == nil {
 		t.Fatal("negative warmup accepted")
 	}
 }
@@ -396,7 +405,7 @@ func TestCompareHonorsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Results, b.Results) {
+	if !reflect.DeepEqual(a.Sets, b.Sets) {
 		t.Fatal("Compare results differ across worker counts")
 	}
 }
