@@ -1,13 +1,23 @@
 package campaign
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/metrics"
+	"github.com/p2prepro/locaware/internal/stats"
 	"github.com/p2prepro/locaware/internal/sweep"
 )
 
@@ -188,7 +198,7 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cell 2: well-formed but from a different campaign.
-	foreign := `{"version":1,"spec_hash":"deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef","cell":{"index":2}}`
+	foreign := fmt.Sprintf(`{"version":%d,"spec_hash":"deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef","cell":{"index":2}}`, checkpointVersion)
 	if err := os.WriteFile(store.Path(2), []byte(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -259,23 +269,106 @@ func TestStoreRejectsWrongVersion(t *testing.T) {
 	}
 }
 
+// TestCheckpointShapeGolden pins the on-disk shape of one checkpoint file
+// to the format version. Store.Load decodes without DisallowUnknownFields,
+// so a renamed or added field would half-decode an old file into zeroes
+// instead of failing; the version gate is what prevents that, and this
+// golden is what keeps the gate honest. If this test fails, do not edit
+// testdata/cell_v<N>.json: bump checkpointVersion and commit the new shape
+// as cell_v<N+1>.json beside it.
+func TestCheckpointShapeGolden(t *testing.T) {
+	sum := func(mean float64) stats.Summary {
+		return stats.Summary{N: 2, Mean: mean, StdDev: 0.25, Min: mean - 0.5, Max: mean + 0.5}
+	}
+	window := func(name string, start, end int) metrics.PhaseStats {
+		return metrics.PhaseStats{
+			Name: name, Start: start, End: end, Queries: sum(float64(end - start)),
+			DownloadRTT: sum(120.5), MessagesPerQuery: sum(30), SuccessRate: sum(0.5),
+			SameLocalityRate: sum(0.25), CacheHitRate: sum(0.125), AvgHops: sum(3),
+		}
+	}
+	cr := &sweep.CellResult{
+		Cell: sweep.Cell{Index: 7, Seed: -42, Coords: []sweep.Coordinate{
+			{Param: sweep.ParamPeers, Value: 60},
+			{Param: sweep.ParamScenario, Scenario: "churn-waves"},
+		}},
+		Protocols: []sweep.ProtocolCell{{
+			Protocol: "Locaware",
+			Summary: core.TrialSummary{
+				PhaseStats:      window("", 0, 120),
+				ControlMessages: sum(900), ControlKbits: sum(1080), CachedFilenames: sum(71.5),
+			},
+			Phases: []metrics.PhaseStats{window("calm", 0, 30), window("wave", 30, 120)},
+		}},
+		Exemplar: &sweep.ExemplarTrace{
+			Protocol: "Locaware", Trial: 1, Query: 17, LatencySeconds: 1.5, Failed: true, Hops: 7,
+			Rendered: "submit@0.000s\n",
+		},
+	}
+	store, err := OpenStore(t.TempDir(), "0123456789abcdef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(cr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(store.Path(cr.Index))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", fmt.Sprintf("cell_v%d.json", checkpointVersion))
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("no golden for checkpoint format version %d: %v", checkpointVersion, err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("checkpoint shape changed without a version bump (see the comment on this test)\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+// TestJobCodec locks the worker's half of the wire format on the live
+// decode path: a leased job survives the trip field for field, and a reply
+// carrying a field this build does not know — protocol drift between
+// coordinator and worker builds — ends the worker with an error naming the
+// field instead of half-decoding into a plausible job.
 func TestJobCodec(t *testing.T) {
-	j := &Job{SpecHash: "abc", Cell: 3, Seed: -42, Protocols: []string{"Dicas", "Locaware"}, Trials: 2}
-	data, err := EncodeJob(j)
+	// workerFor returns a worker whose coordinator answers every request
+	// with body.
+	workerFor := func(body string) *Worker {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(srv.Close)
+		w, err := NewWorker(core.DefaultConfig(), tinySpec(), srv.URL, 1, Options{Poll: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	job := &Job{SpecHash: "abc", Cell: 3, Seed: -42, Protocols: []string{"Dicas", "Locaware"}, Trials: 2}
+	data, err := json.Marshal(LeaseReply{Job: job, LeaseMs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeJob(data)
+	reply, err := workerFor(string(data)).lease()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(j, back) {
-		t.Fatalf("job round trip drifted: %+v vs %+v", j, back)
+	if !reflect.DeepEqual(reply.Job, job) || reply.LeaseMs != 5 {
+		t.Fatalf("job round trip drifted: %+v vs %+v", reply.Job, job)
 	}
-	if _, err := DecodeJob([]byte(`{"spec_hash":"x","cell":0,"surprise":true}`)); err == nil {
-		t.Fatal("unknown job fields must be rejected")
+
+	n, err := workerFor(`{"job":{"spec_hash":"x","cell":0,"surprise":true}}`).Run(context.Background())
+	if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), `"surprise"`) || n != 0 {
+		t.Fatalf("lease with an unknown job field: n=%d err=%v, want a protocol error naming it", n, err)
 	}
-	if _, err := EncodeJob(nil); err == nil {
-		t.Fatal("nil job must be rejected")
+	_, err = workerFor(`{"ok":true,"astonishment":1}`).post(&sweep.CellResult{}, nil)
+	if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), `"astonishment"`) {
+		t.Fatalf("result reply with an unknown field: err=%v, want a protocol error naming it", err)
+	}
+	// A reply cut short is not drift: it stays retryable.
+	if _, err := workerFor(`{"job":{"spec_hash":"x"`).lease(); err == nil || errors.Is(err, errProtocol) {
+		t.Fatalf("truncated lease reply: err=%v, want a plain retryable error", err)
 	}
 }

@@ -12,8 +12,11 @@ import (
 )
 
 // checkpointVersion is the on-disk format version; files with any other
-// version are skipped (and re-run) rather than guessed at.
-const checkpointVersion = 1
+// version are skipped (and re-run) rather than guessed at. Load decodes
+// leniently, so any change to the JSON shape of sweep.CellResult must bump
+// it (TestCheckpointShapeGolden holds the two together). Version 2: the
+// cell summary carries the whole-run metrics.PhaseStats.
+const checkpointVersion = 2
 
 // checkpointFile is the JSON document a Store writes per finished cell.
 type checkpointFile struct {

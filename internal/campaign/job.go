@@ -25,10 +25,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/sweep"
 )
@@ -53,26 +49,6 @@ type Job struct {
 	Protocols []string `json:"protocols"`
 	// Trials is the replication count per cell.
 	Trials int `json:"trials"`
-}
-
-// EncodeJob serializes a job as JSON.
-func EncodeJob(j *Job) ([]byte, error) {
-	if j == nil {
-		return nil, fmt.Errorf("campaign: nil job")
-	}
-	return json.Marshal(j)
-}
-
-// DecodeJob deserializes a job, rejecting unknown fields so protocol
-// drift between coordinator and worker builds fails loudly.
-func DecodeJob(data []byte) (*Job, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var j Job
-	if err := dec.Decode(&j); err != nil {
-		return nil, fmt.Errorf("campaign: decoding job: %w", err)
-	}
-	return &j, nil
 }
 
 // LeaseReply is the coordinator's answer to a lease request. Exactly one

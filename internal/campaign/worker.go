@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -77,6 +79,29 @@ func (w *Worker) Hash() string { return w.plan.Hash() }
 // at all is an error.
 const transientRetries = 5
 
+// errProtocol marks a complete coordinator reply the worker could not
+// decode. Retrying cannot help — the two builds disagree on the wire
+// format — so it ends the worker instead of counting as a transient
+// failure.
+var errProtocol = errors.New("campaign: coordinator and worker disagree on the wire format")
+
+// decodeReply decodes one coordinator reply, rejecting unknown fields so
+// protocol drift between coordinator and worker builds fails loudly
+// instead of half-decoding. A reply cut short (the coordinator went away
+// mid-write) stays an ordinary, retryable error.
+func decodeReply(r io.Reader, what string, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%s: reply cut short: %w", what, err)
+	}
+	return fmt.Errorf("%w: decoding %s reply: %v", errProtocol, what, err)
+}
+
 // Run executes the lease loop until the campaign completes, the context
 // is cancelled, or a non-recoverable protocol error occurs. It returns
 // the number of cells this worker computed.
@@ -94,6 +119,9 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			return completed, err
 		}
 		reply, err := w.lease()
+		if errors.Is(err, errProtocol) {
+			return completed, err
+		}
 		if err != nil {
 			failures++
 			if contacted && failures >= transientRetries {
@@ -189,8 +217,8 @@ func (w *Worker) lease() (*LeaseReply, error) {
 		return nil, fmt.Errorf("lease: coordinator answered %s", resp.Status)
 	}
 	var reply LeaseReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, fmt.Errorf("lease: decoding reply: %w", err)
+	if err := decodeReply(resp.Body, "lease", &reply); err != nil {
+		return nil, err
 	}
 	return &reply, nil
 }
@@ -215,10 +243,13 @@ func (w *Worker) post(cr *sweep.CellResult, deltas []obs.Sample) (*ResultReply, 
 			continue
 		}
 		var reply ResultReply
-		decErr := json.NewDecoder(resp.Body).Decode(&reply)
+		decErr := decodeReply(resp.Body, "result", &reply)
 		resp.Body.Close()
+		if errors.Is(decErr, errProtocol) {
+			return nil, decErr
+		}
 		if decErr != nil {
-			lastErr = fmt.Errorf("result: decoding reply: %w", decErr)
+			lastErr = decErr
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {

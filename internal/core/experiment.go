@@ -47,6 +47,14 @@ const (
 	Fig4SuccessRate      = "fig4-success-rate"
 )
 
+// figureMetric maps each figure to the key of the metric it plots
+// (metrics.Metrics).
+var figureMetric = map[string]string{
+	Fig2DownloadDistance: "rtt",
+	Fig3SearchTraffic:    "msgs",
+	Fig4SuccessRate:      "success",
+}
+
 // Headline summarises the paper's three headline claims over a
 // comparison.
 type Headline struct {

@@ -32,15 +32,12 @@ func (t TrialOptions) trials() int {
 // TrialSummary holds cross-trial sample statistics of the headline run
 // metrics; each Summary's N is the trial count.
 type TrialSummary struct {
-	SuccessRate      stats.Summary
-	MessagesPerQuery stats.Summary
-	DownloadRTT      stats.Summary
-	SameLocalityRate stats.Summary
-	CacheHitRate     stats.Summary
-	Hops             stats.Summary
-	ControlMessages  stats.Summary
-	ControlKbits     stats.Summary
-	CachedFilenames  stats.Summary
+	// PhaseStats is the whole-run window (0, measured] across trials: the
+	// six query metrics.
+	metrics.PhaseStats
+	ControlMessages stats.Summary
+	ControlKbits    stats.Summary
+	CachedFilenames stats.Summary
 }
 
 // TrialCell is one (behaviour × config) experiment cell replicated across
@@ -60,57 +57,45 @@ type TrialCell struct {
 	PhaseStats []metrics.PhaseStats
 }
 
-// AggregateRunPhases collects every run's sealed scenario-phase windows and
-// aggregates them phase-aligned across trials. It returns nil when the runs
-// carry no phase windows (no scenario configured).
-func AggregateRunPhases(runs []*RunResult) []metrics.PhaseStats {
-	var perTrial [][]metrics.PhaseWindow
-	for _, r := range runs {
-		if ws := r.Collector.PhaseWindows(); len(ws) > 0 {
-			perTrial = append(perTrial, ws)
-		}
-	}
-	if len(perTrial) == 0 {
-		return nil
+// aggregateRuns pools one window list per run, position-aligned across
+// trials (nil when no run has a window).
+func aggregateRuns(runs []*RunResult, windows func(*metrics.Collector) []metrics.PhaseWindow) []metrics.PhaseStats {
+	perTrial := make([][]metrics.PhaseWindow, len(runs))
+	for i, r := range runs {
+		perTrial[i] = windows(r.Collector)
 	}
 	return metrics.AggregatePhases(perTrial)
 }
 
+// AggregateRunPhases aggregates every run's scenario-phase windows
+// phase-aligned across trials. It returns nil when the runs carry no phase
+// windows (no scenario configured).
+func AggregateRunPhases(runs []*RunResult) []metrics.PhaseStats {
+	return aggregateRuns(runs, (*metrics.Collector).PhaseWindows)
+}
+
 // SummarizeTrials aggregates the headline run metrics of replicated runs
-// into cross-trial sample statistics, folding values in run (trial) order
-// so equal run sequences always produce bit-identical float sums.
+// (at least one) into cross-trial sample statistics, folding values in run
+// (trial) order so equal run sequences always produce bit-identical float
+// sums.
 func SummarizeTrials(runs []*RunResult) TrialSummary {
 	n := len(runs)
-	sr := make([]float64, 0, n)
-	mpq := make([]float64, 0, n)
-	rtt := make([]float64, 0, n)
-	loc := make([]float64, 0, n)
-	hit := make([]float64, 0, n)
-	hops := make([]float64, 0, n)
 	ctl := make([]float64, 0, n)
 	kbit := make([]float64, 0, n)
 	cached := make([]float64, 0, n)
 	for _, r := range runs {
-		sr = append(sr, r.Collector.SuccessRate())
-		mpq = append(mpq, r.Collector.AvgMessagesPerQuery())
-		rtt = append(rtt, r.Collector.AvgDownloadRTT())
-		loc = append(loc, r.Collector.SameLocalityRate())
-		hit = append(hit, r.Collector.CacheHitRate())
-		hops = append(hops, r.Collector.AvgHops())
 		ctl = append(ctl, float64(r.ControlMessages))
 		kbit = append(kbit, float64(r.ControlBits)/1000)
 		cached = append(cached, float64(r.CacheFilenames))
 	}
+	whole := aggregateRuns(runs, func(c *metrics.Collector) []metrics.PhaseWindow {
+		return []metrics.PhaseWindow{c.RunWindow()}
+	})
 	return TrialSummary{
-		SuccessRate:      stats.Summarize(sr),
-		MessagesPerQuery: stats.Summarize(mpq),
-		DownloadRTT:      stats.Summarize(rtt),
-		SameLocalityRate: stats.Summarize(loc),
-		CacheHitRate:     stats.Summarize(hit),
-		Hops:             stats.Summarize(hops),
-		ControlMessages:  stats.Summarize(ctl),
-		ControlKbits:     stats.Summarize(kbit),
-		CachedFilenames:  stats.Summarize(cached),
+		PhaseStats:      whole[0],
+		ControlMessages: stats.Summarize(ctl),
+		ControlKbits:    stats.Summarize(kbit),
+		CachedFilenames: stats.Summarize(cached),
 	}
 }
 
@@ -181,33 +166,23 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 // the paper reports (Locaware's download distance improving as replication
 // spreads providers, the others staying flat).
 func (c *TrialComparison) FigureSeries(fig string) []*stats.Series {
+	m, known := metrics.MetricByKey(figureMetric[fig])
 	var out []*stats.Series
 	for _, name := range c.Order {
 		cell := c.Cells[name]
-		perTrial := make([][]metrics.Window, 0, len(cell.Runs))
-		for _, r := range cell.Runs {
-			perTrial = append(perTrial, r.Collector.Windows())
-		}
 		s := &stats.Series{Name: name}
-		for _, w := range metrics.AggregateWindows(perTrial) {
-			var y stats.Summary
-			switch fig {
-			case Fig2DownloadDistance:
-				y = w.DownloadRTT
-			case Fig3SearchTraffic:
-				y = w.MessagesPerQuery
-			case Fig4SuccessRate:
-				y = w.SuccessRate
-			default:
-				continue
-			}
+		out = append(out, s)
+		if !known {
+			continue
+		}
+		for _, w := range aggregateRuns(cell.Runs, (*metrics.Collector).Windows) {
+			y := m.Of(&w)
 			if c.Trials > 1 {
 				s.AddErr(float64(w.End), y.Mean, y.CI95())
 			} else {
 				s.Add(float64(w.End), y.Mean)
 			}
 		}
-		out = append(out, s)
 	}
 	return out
 }

@@ -87,10 +87,10 @@ func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 	if tc.Trials != 1 || len(tc.Checkpoints) != 10 {
 		t.Fatalf("shape: trials=%d checkpoints=%v", tc.Trials, tc.Checkpoints)
 	}
-	pick := map[string]func(metrics.Window) float64{
-		Fig2DownloadDistance: func(w metrics.Window) float64 { return w.DownloadRTT },
-		Fig3SearchTraffic:    func(w metrics.Window) float64 { return w.MessagesPerQuery },
-		Fig4SuccessRate:      func(w metrics.Window) float64 { return w.SuccessRate },
+	pick := map[string]func(metrics.PhaseWindow) float64{
+		Fig2DownloadDistance: func(w metrics.PhaseWindow) float64 { return w.DownloadRTT },
+		Fig3SearchTraffic:    func(w metrics.PhaseWindow) float64 { return w.MessagesPerQuery },
+		Fig4SuccessRate:      func(w metrics.PhaseWindow) float64 { return w.SuccessRate },
 	}
 	for fig, y := range pick {
 		for i, s := range tc.FigureSeries(fig) {

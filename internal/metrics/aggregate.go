@@ -1,68 +1,13 @@
 package metrics
 
-import (
-	"sort"
+import "github.com/p2prepro/locaware/internal/stats"
 
-	"github.com/p2prepro/locaware/internal/stats"
-)
-
-// WindowStats aggregates one checkpoint window across replicated trials:
-// each figure metric becomes a cross-trial sample summary, from which the
-// figure harness draws mean curves with 95% confidence error bars.
-type WindowStats struct {
-	// End is the cumulative query count at the checkpoint (figure x value).
-	End int
-	// DownloadRTT, MessagesPerQuery and SuccessRate summarise the window's
-	// per-trial metric values.
-	DownloadRTT      stats.Summary
-	MessagesPerQuery stats.Summary
-	SuccessRate      stats.Summary
-}
-
-// AggregateWindows merges per-trial window slices into cross-trial
-// summaries, one WindowStats per distinct checkpoint in ascending order.
-// Trials are expected to share a checkpoint grid (they run the same query
-// count); a trial missing a checkpoint simply contributes no sample at it,
-// so ragged inputs degrade to smaller samples instead of failing.
-func AggregateWindows(trials [][]Window) []WindowStats {
-	type samples struct {
-		rtt, mpq, sr []float64
-	}
-	byEnd := map[int]*samples{}
-	var ends []int
-	for _, ws := range trials {
-		for _, w := range ws {
-			s, ok := byEnd[w.End]
-			if !ok {
-				s = &samples{}
-				byEnd[w.End] = s
-				ends = append(ends, w.End)
-			}
-			s.rtt = append(s.rtt, w.DownloadRTT)
-			s.mpq = append(s.mpq, w.MessagesPerQuery)
-			s.sr = append(s.sr, w.SuccessRate)
-		}
-	}
-	sort.Ints(ends)
-	out := make([]WindowStats, 0, len(ends))
-	for _, end := range ends {
-		s := byEnd[end]
-		out = append(out, WindowStats{
-			End:              end,
-			DownloadRTT:      stats.Summarize(s.rtt),
-			MessagesPerQuery: stats.Summarize(s.mpq),
-			SuccessRate:      stats.Summarize(s.sr),
-		})
-	}
-	return out
-}
-
-// PhaseStats aggregates one scenario phase across replicated trials: every
-// PhaseWindow metric becomes a cross-trial sample summary, so per-phase
-// figure cells carry mean ± 95% CI error bars like the whole-run metrics.
+// PhaseStats aggregates one window across replicated trials: every
+// PhaseWindow metric becomes a cross-trial sample summary, so figure cells
+// carry mean ± 95% CI error bars.
 type PhaseStats struct {
-	// Name, Start and End identify the phase; trials share one phase grid
-	// (same spec, same measured count), so the bounds are common.
+	// Name, Start and End identify the window; trials share one grid (same
+	// spec, same measured count), so the bounds are common.
 	Name       string
 	Start, End int
 	// Queries summarises how many queries each trial recorded in the span.
@@ -76,12 +21,13 @@ type PhaseStats struct {
 	AvgHops          stats.Summary
 }
 
-// AggregatePhases merges per-trial phase-window slices into cross-trial
-// summaries, aligned by phase position: phase k of every trial contributes
-// to PhaseStats k. Trials run the same scenario over the same measured
-// count, so their phase grids coincide; a trial with fewer sealed phases
-// (truncated run) simply contributes no sample to the tail phases, so
-// ragged inputs degrade to smaller samples instead of failing.
+// AggregatePhases merges per-trial window slices into cross-trial
+// summaries, aligned by position: window k of every trial contributes to
+// PhaseStats k, which takes its identity from the first trial that has one.
+// Trials run the same grid over the same measured count, so their windows
+// coincide; a trial with fewer windows (truncated run) simply contributes
+// no sample to the tail, so ragged inputs degrade to smaller samples
+// instead of failing.
 func AggregatePhases(trials [][]PhaseWindow) []PhaseStats {
 	n := 0
 	for _, ws := range trials {
@@ -89,19 +35,19 @@ func AggregatePhases(trials [][]PhaseWindow) []PhaseStats {
 			n = len(ws)
 		}
 	}
-	out := make([]PhaseStats, 0, n)
-	for k := 0; k < n; k++ {
-		var (
-			ps                              PhaseStats
-			q, rtt, mpq, sr, loc, hit, hops []float64
-		)
+	if n == 0 {
+		return nil
+	}
+	out := make([]PhaseStats, n)
+	for k := range out {
+		var q, rtt, mpq, sr, loc, hit, hops []float64
 		for _, ws := range trials {
 			if k >= len(ws) {
 				continue
 			}
 			w := ws[k]
-			if ps.Name == "" {
-				ps.Name, ps.Start, ps.End = w.Name, w.Start, w.End
+			if len(q) == 0 {
+				out[k].Name, out[k].Start, out[k].End = w.Name, w.Start, w.End
 			}
 			q = append(q, float64(w.Queries))
 			rtt = append(rtt, w.DownloadRTT)
@@ -111,14 +57,44 @@ func AggregatePhases(trials [][]PhaseWindow) []PhaseStats {
 			hit = append(hit, w.CacheHitRate)
 			hops = append(hops, w.AvgHops)
 		}
-		ps.Queries = stats.Summarize(q)
-		ps.DownloadRTT = stats.Summarize(rtt)
-		ps.MessagesPerQuery = stats.Summarize(mpq)
-		ps.SuccessRate = stats.Summarize(sr)
-		ps.SameLocalityRate = stats.Summarize(loc)
-		ps.CacheHitRate = stats.Summarize(hit)
-		ps.AvgHops = stats.Summarize(hops)
-		out = append(out, ps)
+		out[k].Queries = stats.Summarize(q)
+		out[k].DownloadRTT = stats.Summarize(rtt)
+		out[k].MessagesPerQuery = stats.Summarize(mpq)
+		out[k].SuccessRate = stats.Summarize(sr)
+		out[k].SameLocalityRate = stats.Summarize(loc)
+		out[k].CacheHitRate = stats.Summarize(hit)
+		out[k].AvgHops = stats.Summarize(hops)
 	}
 	return out
+}
+
+// Metric is one entry of the query-metric set: how the exporters name it
+// and where it sits in a cross-trial PhaseStats.
+type Metric struct {
+	// Key is the short name the figure exporters accept.
+	Key string
+	// Column is the tidy-CSV column stem.
+	Column string
+	// Of selects the metric's cross-trial summary.
+	Of func(*PhaseStats) stats.Summary
+}
+
+// Metrics is the query-metric set in presentation order.
+var Metrics = []Metric{
+	{"success", "success", func(s *PhaseStats) stats.Summary { return s.SuccessRate }},
+	{"msgs", "msgs_per_query", func(s *PhaseStats) stats.Summary { return s.MessagesPerQuery }},
+	{"rtt", "download_rtt_ms", func(s *PhaseStats) stats.Summary { return s.DownloadRTT }},
+	{"sameloc", "same_locality", func(s *PhaseStats) stats.Summary { return s.SameLocalityRate }},
+	{"cachehit", "cache_hit", func(s *PhaseStats) stats.Summary { return s.CacheHitRate }},
+	{"hops", "hops", func(s *PhaseStats) stats.Summary { return s.AvgHops }},
+}
+
+// MetricByKey looks a metric up by its exporter key.
+func MetricByKey(key string) (Metric, bool) {
+	for _, m := range Metrics {
+		if m.Key == key {
+			return m, true
+		}
+	}
+	return Metric{}, false
 }

@@ -114,7 +114,7 @@ func TestWindowsSkipsBadCheckpoints(t *testing.T) {
 	}
 	// The replay reference additionally skips the duplicates and
 	// non-ascending entries a configured grid rejects outright.
-	if got := windowsFromRecords(c.Records(), []int{2, 2, 1, 4, 99}); !sameWindows(got, ws) {
+	if got := windowsFromRecords(c.Records(), marks(2, 2, 1, 4, 99)); !sameWindows(got, ws) {
 		t.Fatalf("replay over a ragged list = %+v, want %+v", got, ws)
 	}
 }
@@ -139,28 +139,36 @@ func TestWindowsPartialFinal(t *testing.T) {
 	}
 
 	// The same truncated run replayed from its records must agree.
-	if got := windowsFromRecords(c.Records(), []int{5, 10}); !reflect.DeepEqual(got, ws) {
+	if got := windowsFromRecords(c.Records(), marks(5, 10)); !reflect.DeepEqual(got, ws) {
 		t.Fatalf("replay partial = %+v, streaming = %+v", got, ws)
 	}
 }
 
 // sameWindows compares window slices bit-for-bit, treating empty and nil
-// as equal (Window is comparable, so slices.Equal is exact equality).
-func sameWindows(a, b []Window) bool { return slices.Equal(a, b) }
+// as equal (PhaseWindow is comparable, so slices.Equal is exact equality).
+func sameWindows(a, b []PhaseWindow) bool { return slices.Equal(a, b) }
+
+// marks turns a checkpoint list into the nameless marks of figure windows.
+func marks(ends ...int) []PhaseMark {
+	out := make([]PhaseMark, len(ends))
+	for i, end := range ends {
+		out[i].End = end
+	}
+	return out
+}
 
 // windowsFromRecords is the reference the streaming collector must match
-// bit-for-bit: it recomputes the windows from a retained record stream,
-// one pass per window, the way the pre-streaming collector did. Duplicate
-// and non-ascending checkpoints are skipped; a checkpoint beyond the
+// bit-for-bit: it recomputes the full six-metric windows from a retained
+// record stream, one pass per window, the way the pre-streaming collector
+// did. Duplicate and non-ascending marks are skipped; a mark beyond the
 // record count closes one partial final window.
-func windowsFromRecords(records []QueryRecord, checkpoints []int) []Window {
-	var out []Window
+func windowsFromRecords(records []QueryRecord, grid []PhaseMark) []PhaseWindow {
+	var out []PhaseWindow
 	prev := 0
-	for _, end := range checkpoints {
-		partial := false
+	for _, m := range grid {
+		end, partial := m.End, false
 		if end > len(records) {
-			end = len(records)
-			partial = true
+			end, partial = len(records), true
 		}
 		if end <= prev {
 			if partial {
@@ -168,19 +176,35 @@ func windowsFromRecords(records []QueryRecord, checkpoints []int) []Window {
 			}
 			continue
 		}
-		w := Window{End: end}
-		var acc windowAcc
+		var messages, successes, sameLoc, fromCache int
+		var rttSum, hopsSum float64
 		for _, r := range records[prev:end] {
-			acc.messages += r.Messages
-			if r.Success {
-				acc.successes++
-				acc.rttSum += r.DownloadRTT
+			messages += r.Messages
+			if !r.Success {
+				continue
+			}
+			successes++
+			rttSum += r.DownloadRTT
+			hopsSum += float64(r.Hops)
+			if r.SameLocality {
+				sameLoc++
+			}
+			if r.FromCache {
+				fromCache++
 			}
 		}
 		n := end - prev
-		w.MessagesPerQuery = float64(acc.messages) / float64(n)
-		w.SuccessRate = float64(acc.successes) / float64(n)
-		w.DownloadRTT = meanOrZero(acc.rttSum, acc.successes)
+		w := PhaseWindow{
+			Name: m.Name, Start: prev, End: end, Queries: n,
+			MessagesPerQuery: float64(messages) / float64(n),
+			SuccessRate:      float64(successes) / float64(n),
+		}
+		if successes > 0 {
+			w.DownloadRTT = rttSum / float64(successes)
+			w.AvgHops = hopsSum / float64(successes)
+			w.SameLocalityRate = float64(sameLoc) / float64(successes)
+			w.CacheHitRate = float64(fromCache) / float64(successes)
+		}
 		out = append(out, w)
 		prev = end
 		if partial {
@@ -191,21 +215,58 @@ func windowsFromRecords(records []QueryRecord, checkpoints []int) []Window {
 }
 
 // TestStreamingMatchesReplay is the equivalence law of the streaming
-// collector: on any record stream, windows sealed incrementally during the
-// run are bit-identical to windows replayed from retained records
-// afterwards.
+// collector: on any record stream, the checkpoint windows, the phase
+// windows and the whole-run window accumulated incrementally during the run
+// are bit-identical to one replay over the retained records afterwards.
 func TestStreamingMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	grid := []int{10, 25, 40, 80, 120}
+	phases := []PhaseMark{{Name: "calm", End: 15}, {Name: "storm", End: 60}, {Name: "after", End: 100}}
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + r.Intn(130) // sometimes short of the last checkpoints
-		c := NewCollectorWith(CollectorConfig{Checkpoints: grid, RetainRecords: true})
+		n := 1 + r.Intn(130) // sometimes short of the last marks
+		c := NewCollectorWith(CollectorConfig{Checkpoints: grid, Phases: phases, RetainRecords: true})
 		for i := 0; i < n; i++ {
-			c.Record(rec(r.Intn(50), r.Intn(3) > 0, 10+490*r.Float64(), r.Intn(2) == 0, r.Intn(7)))
+			q := rec(r.Intn(50), r.Intn(3) > 0, 10+490*r.Float64(), r.Intn(2) == 0, r.Intn(7))
+			q.FromCache = r.Intn(3) == 0
+			c.Record(q)
 		}
-		if got, want := c.Windows(), windowsFromRecords(c.Records(), grid); !sameWindows(got, want) {
+		recs := c.Records()
+		if got, want := c.Windows(), windowsFromRecords(recs, marks(grid...)); !sameWindows(got, want) {
 			t.Fatalf("trial %d (n=%d): streaming windows %+v != replay %+v", trial, n, got, want)
 		}
+		if got, want := c.PhaseWindows(), windowsFromRecords(recs, phases); !sameWindows(got, want) {
+			t.Fatalf("trial %d (n=%d): streaming phases %+v != replay %+v", trial, n, got, want)
+		}
+		if got, want := c.RunWindow(), windowsFromRecords(recs, marks(n))[0]; got != want {
+			t.Fatalf("trial %d (n=%d): whole-run window %+v != replay %+v", trial, n, got, want)
+		}
+	}
+}
+
+// TestRunWindowEqualsScalarGetters pins the whole-run window to the six
+// scalar getters exactly: they are one set of sums read two ways.
+func TestRunWindowEqualsScalarGetters(t *testing.T) {
+	c := NewCollector()
+	if w := c.RunWindow(); w != (PhaseWindow{}) {
+		t.Fatalf("empty run window = %+v", w)
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		q := rec(r.Intn(50), r.Intn(3) > 0, 10+490*r.Float64(), r.Intn(2) == 0, r.Intn(7))
+		q.FromCache = r.Intn(3) == 0
+		c.Record(q)
+	}
+	w := c.RunWindow()
+	if w.Name != "" || w.Start != 0 || w.End != c.Submitted() || w.Queries != c.Submitted() {
+		t.Fatalf("run window span = %+v, submitted %d", w, c.Submitted())
+	}
+	if w.SuccessRate != c.SuccessRate() || w.MessagesPerQuery != c.AvgMessagesPerQuery() ||
+		w.DownloadRTT != c.AvgDownloadRTT() || w.SameLocalityRate != c.SameLocalityRate() ||
+		w.CacheHitRate != c.CacheHitRate() || w.AvgHops != c.AvgHops() {
+		t.Fatalf("run window %+v disagrees with the scalar getters of %v", w, c)
+	}
+	if w.MessagesPerQuery != float64(c.TotalMessages())/float64(c.Submitted()) {
+		t.Fatalf("msgs/q %v != total %d / submitted %d", w.MessagesPerQuery, c.TotalMessages(), c.Submitted())
 	}
 }
 
@@ -228,18 +289,21 @@ func TestCheckpointValidation(t *testing.T) {
 	NewCollectorWith(CollectorConfig{Checkpoints: []int{10, 5}})
 }
 
+// The TestAggregateWindows cases feed AggregatePhases figure checkpoint
+// windows — nameless, told apart by End alone — the way
+// TrialComparison.FigureSeries does.
 func TestAggregateWindows(t *testing.T) {
-	trial := func(sr, mpq, rtt float64) []Window {
-		return []Window{
+	trial := func(sr, mpq, rtt float64) []PhaseWindow {
+		return []PhaseWindow{
 			{End: 50, SuccessRate: sr, MessagesPerQuery: mpq, DownloadRTT: rtt},
-			{End: 100, SuccessRate: sr / 2, MessagesPerQuery: mpq, DownloadRTT: rtt},
+			{Start: 50, End: 100, SuccessRate: sr / 2, MessagesPerQuery: mpq, DownloadRTT: rtt},
 		}
 	}
-	agg := AggregateWindows([][]Window{trial(0.4, 10, 100), trial(0.6, 20, 200)})
+	agg := AggregatePhases([][]PhaseWindow{trial(0.4, 10, 100), trial(0.6, 20, 200)})
 	if len(agg) != 2 {
 		t.Fatalf("aggregated %d checkpoints", len(agg))
 	}
-	if agg[0].End != 50 || agg[1].End != 100 {
+	if agg[0].End != 50 || agg[1].Start != 50 || agg[1].End != 100 {
 		t.Fatalf("checkpoint order: %+v", agg)
 	}
 	w := agg[0]
@@ -255,26 +319,28 @@ func TestAggregateWindows(t *testing.T) {
 }
 
 func TestAggregateWindowsRaggedTrials(t *testing.T) {
-	a := []Window{{End: 10, SuccessRate: 1}, {End: 20, SuccessRate: 1}}
-	b := []Window{{End: 10, SuccessRate: 0}} // shorter trial
-	agg := AggregateWindows([][]Window{a, b})
+	a := []PhaseWindow{{End: 10, SuccessRate: 0}} // shorter trial, listed first
+	b := []PhaseWindow{{End: 10, SuccessRate: 1}, {Start: 10, End: 20, SuccessRate: 1}}
+	agg := AggregatePhases([][]PhaseWindow{a, b})
 	if len(agg) != 2 {
 		t.Fatalf("aggregated %d checkpoints", len(agg))
 	}
 	if agg[0].SuccessRate.N != 2 || agg[0].SuccessRate.Mean != 0.5 {
 		t.Fatalf("shared checkpoint = %+v", agg[0].SuccessRate)
 	}
-	if agg[1].SuccessRate.N != 1 || agg[1].SuccessRate.Mean != 1 {
-		t.Fatalf("ragged checkpoint = %+v", agg[1].SuccessRate)
+	// The tail pools only the trial that reached it, and takes its span
+	// from that trial.
+	if agg[1].SuccessRate.N != 1 || agg[1].SuccessRate.Mean != 1 || agg[1].Start != 10 || agg[1].End != 20 {
+		t.Fatalf("ragged checkpoint = %+v", agg[1])
 	}
 }
 
 func TestAggregateWindowsEmpty(t *testing.T) {
-	if got := AggregateWindows(nil); len(got) != 0 {
-		t.Fatalf("AggregateWindows(nil) = %v", got)
+	if got := AggregatePhases(nil); got != nil {
+		t.Fatalf("AggregatePhases(nil) = %v", got)
 	}
-	if got := AggregateWindows([][]Window{nil, {}}); len(got) != 0 {
-		t.Fatalf("AggregateWindows(empty) = %v", got)
+	if got := AggregatePhases([][]PhaseWindow{nil, {}}); got != nil {
+		t.Fatalf("AggregatePhases(empty) = %v", got)
 	}
 }
 

@@ -29,7 +29,6 @@ type queryDeliverEvent struct {
 }
 
 func (ev *queryDeliverEvent) EventDst() int     { return int(ev.dst) }
-func (ev *queryDeliverEvent) EventSrc() int     { return int(ev.src) }
 func (ev *queryDeliverEvent) EventName() string { return "query-deliver" }
 
 func (ev *queryDeliverEvent) Fire(e *sim.Engine) {
@@ -59,7 +58,6 @@ type responseDeliverEvent struct {
 }
 
 func (ev *responseDeliverEvent) EventDst() int     { return int(ev.dst) }
-func (ev *responseDeliverEvent) EventSrc() int     { return int(ev.src) }
 func (ev *responseDeliverEvent) EventName() string { return "response-deliver" }
 
 func (ev *responseDeliverEvent) Fire(e *sim.Engine) {
@@ -161,7 +159,6 @@ type bloomInstallEvent struct {
 }
 
 func (ev *bloomInstallEvent) EventDst() int     { return int(ev.dst) }
-func (ev *bloomInstallEvent) EventSrc() int     { return int(ev.from) }
 func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 
 func (ev *bloomInstallEvent) Fire(e *sim.Engine) {

@@ -82,16 +82,6 @@ type Destined interface {
 	EventDst() int
 }
 
-// Sourced is implemented by transfer-shaped events that also name the peer
-// the payload came from, so engine-level traces can render links
-// (src → dst) rather than bare destinations. Events synthesised without a
-// sending peer return -1.
-type Sourced interface {
-	Event
-	// EventSrc returns the source peer id, or -1 when the event has none.
-	EventSrc() int
-}
-
 // Named is implemented by events that want a stable render name in traces
 // and debugging output; see EventName.
 type Named interface {

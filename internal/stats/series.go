@@ -37,17 +37,6 @@ func (s *Series) HasErrs() bool { return len(s.Errs) > 0 }
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Xs) }
 
-// LastY returns the final y value (0 if empty).
-func (s *Series) LastY() float64 {
-	if len(s.Ys) == 0 {
-		return 0
-	}
-	return s.Ys[len(s.Ys)-1]
-}
-
-// MeanY returns the mean of the y values.
-func (s *Series) MeanY() float64 { return Mean(s.Ys) }
-
 // Table renders a set of series sharing the same x grid as an aligned
 // text table with the given x-column header. Series with mismatched grids
 // are rendered with blank cells.

@@ -104,27 +104,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median is the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// MovingAverage returns the trailing moving average of xs with the given
-// window (window <= 1 returns a copy).
-func MovingAverage(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
-	if window <= 1 {
-		copy(out, xs)
-		return out
-	}
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-			out[i] = sum / float64(window)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
-	}
-	return out
-}
-
 // RelativeChange returns (b-a)/a, guarding the zero denominator.
 func RelativeChange(a, b float64) float64 {
 	if a == 0 {

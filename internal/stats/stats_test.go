@@ -108,24 +108,6 @@ func TestPercentileQuickMonotone(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ma := MovingAverage(xs, 3)
-	if len(ma) != 6 {
-		t.Fatalf("len = %d", len(ma))
-	}
-	if !almost(ma[0], 1) || !almost(ma[1], 1.5) || !almost(ma[2], 2) {
-		t.Fatalf("warmup = %v", ma[:3])
-	}
-	if !almost(ma[5], 5) { // (4+5+6)/3
-		t.Fatalf("ma[5] = %v", ma[5])
-	}
-	cp := MovingAverage(xs, 1)
-	if !almost(cp[3], 4) {
-		t.Fatal("window=1 should copy")
-	}
-}
-
 func TestRelativeChange(t *testing.T) {
 	if !almost(RelativeChange(100, 86), -0.14) {
 		t.Fatalf("got %v", RelativeChange(100, 86))
@@ -137,12 +119,12 @@ func TestRelativeChange(t *testing.T) {
 
 func TestSeriesBasics(t *testing.T) {
 	s := &Series{Name: "locaware"}
-	if s.LastY() != 0 || s.Len() != 0 {
+	if s.Len() != 0 || s.HasErrs() {
 		t.Fatal("empty series accessors")
 	}
 	s.Add(100, 1.5)
 	s.Add(200, 2.5)
-	if s.Len() != 2 || !almost(s.LastY(), 2.5) || !almost(s.MeanY(), 2) {
+	if s.Len() != 2 || s.Xs[1] != 200 || s.Ys[1] != 2.5 || s.HasErrs() {
 		t.Fatalf("series = %+v", s)
 	}
 }

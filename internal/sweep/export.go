@@ -4,59 +4,64 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/stats"
-)
-
-// Metric keys accepted by the figure exporters.
-const (
-	MetricSuccess  = "success"
-	MetricMessages = "msgs"
-	MetricRTT      = "rtt"
-	MetricSameLoc  = "sameloc"
-	MetricCacheHit = "cachehit"
-	MetricHops     = "hops"
 )
 
 // Metrics lists the exportable metric keys in presentation order.
 func Metrics() []string {
-	return []string{MetricSuccess, MetricMessages, MetricRTT, MetricSameLoc, MetricCacheHit, MetricHops}
+	keys := make([]string, len(metrics.Metrics))
+	for i, m := range metrics.Metrics {
+		keys[i] = m.Key
+	}
+	return keys
 }
 
 // MetricSummary selects one cross-trial summary from a protocol cell by
 // metric key, reporting whether the key is known.
-func MetricSummary(p ProtocolCell, key string) (stats.Summary, bool) { return metricOf(p, key) }
-
-// metricOf selects one cross-trial summary from a protocol cell.
-func metricOf(p ProtocolCell, key string) (stats.Summary, bool) {
-	switch key {
-	case MetricSuccess:
-		return p.Summary.SuccessRate, true
-	case MetricMessages:
-		return p.Summary.MessagesPerQuery, true
-	case MetricRTT:
-		return p.Summary.DownloadRTT, true
-	case MetricSameLoc:
-		return p.Summary.SameLocalityRate, true
-	case MetricCacheHit:
-		return p.Summary.CacheHitRate, true
-	case MetricHops:
-		return p.Summary.Hops, true
+func MetricSummary(p ProtocolCell, key string) (stats.Summary, bool) {
+	m, ok := metrics.MetricByKey(key)
+	if !ok {
+		return stats.Summary{}, false
 	}
-	return stats.Summary{}, false
+	return m.Of(&p.Summary.PhaseStats), true
 }
 
-// csvMetrics are the tidy-CSV metric columns: key → (column stem, summary
-// selector), in export order.
-var csvMetrics = []struct {
-	stem string
-	key  string
-}{
-	{"success", MetricSuccess},
-	{"msgs_per_query", MetricMessages},
-	{"download_rtt_ms", MetricRTT},
-	{"same_locality", MetricSameLoc},
-	{"cache_hit", MetricCacheHit},
-	{"hops", MetricHops},
+// writeCoords appends a cell's axis-value columns to a tidy-CSV row.
+func writeCoords(b *strings.Builder, cell CellResult) {
+	for _, co := range cell.Coords {
+		b.WriteByte(',')
+		if co.Param == ParamScenario {
+			b.WriteString(co.Scenario)
+		} else {
+			b.WriteString(g(co.Value))
+		}
+	}
+}
+
+// writeMetrics appends the mean and 95% CI columns of every metric of one
+// cross-trial window to a tidy-CSV row.
+func writeMetrics(b *strings.Builder, ps *metrics.PhaseStats) {
+	for _, m := range metrics.Metrics {
+		s := m.Of(ps)
+		fmt.Fprintf(b, ",%s,%s", g(s.Mean), g(s.CI95()))
+	}
+}
+
+// csvHeader renders the tidy-CSV header: the cell index, one column per
+// axis parameter, the given row-identity columns, then a mean and a _ci95
+// column per metric.
+func (c *Campaign) csvHeader(b *strings.Builder, identity string) {
+	b.WriteString("cell")
+	for _, a := range c.Spec.Axes {
+		b.WriteByte(',')
+		b.WriteString(a.Param)
+	}
+	b.WriteString(identity)
+	for _, m := range metrics.Metrics {
+		fmt.Fprintf(b, ",%s,%s_ci95", m.Column, m.Column)
+	}
+	b.WriteByte('\n')
 }
 
 // g formats a float the way every sweep export does: shortest
@@ -71,32 +76,13 @@ func g(v float64) string { return fmt.Sprintf("%g", v) }
 // deterministic and byte-identical for every worker count.
 func (c *Campaign) CSV() string {
 	var b strings.Builder
-	b.WriteString("cell")
-	for _, a := range c.Spec.Axes {
-		b.WriteByte(',')
-		b.WriteString(a.Param)
-	}
-	b.WriteString(",protocol,trials")
-	for _, m := range csvMetrics {
-		fmt.Fprintf(&b, ",%s,%s_ci95", m.stem, m.stem)
-	}
-	b.WriteByte('\n')
+	c.csvHeader(&b, ",protocol,trials")
 	for _, cell := range c.Cells {
 		for _, p := range cell.Protocols {
 			fmt.Fprintf(&b, "%d", cell.Index)
-			for _, co := range cell.Coords {
-				b.WriteByte(',')
-				if co.Param == ParamScenario {
-					b.WriteString(co.Scenario)
-				} else {
-					b.WriteString(g(co.Value))
-				}
-			}
+			writeCoords(&b, cell)
 			fmt.Fprintf(&b, ",%s,%d", p.Protocol, c.Trials)
-			for _, m := range csvMetrics {
-				s, _ := metricOf(p, m.key)
-				fmt.Fprintf(&b, ",%s,%s", g(s.Mean), g(s.CI95()))
-			}
+			writeMetrics(&b, &p.Summary.PhaseStats)
 			b.WriteByte('\n')
 		}
 	}
@@ -107,50 +93,23 @@ func (c *Campaign) CSV() string {
 // row per (cell × protocol × phase) with mean and 95% CI columns for every
 // phase metric. It returns "" when no cell ran under a scenario.
 func (c *Campaign) PhaseCSV() string {
-	any := false
-	for _, cell := range c.Cells {
-		for _, p := range cell.Protocols {
-			if len(p.Phases) > 0 {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return ""
-	}
 	var b strings.Builder
-	b.WriteString("cell")
-	for _, a := range c.Spec.Axes {
-		b.WriteByte(',')
-		b.WriteString(a.Param)
-	}
-	b.WriteString(",protocol,phase,phase_start,phase_end")
-	for _, m := range csvMetrics {
-		fmt.Fprintf(&b, ",%s,%s_ci95", m.stem, m.stem)
-	}
-	b.WriteByte('\n')
+	c.csvHeader(&b, ",protocol,phase,phase_start,phase_end")
+	header := b.Len()
 	for _, cell := range c.Cells {
 		for _, p := range cell.Protocols {
-			for _, ph := range p.Phases {
+			for i := range p.Phases {
+				ph := &p.Phases[i]
 				fmt.Fprintf(&b, "%d", cell.Index)
-				for _, co := range cell.Coords {
-					b.WriteByte(',')
-					if co.Param == ParamScenario {
-						b.WriteString(co.Scenario)
-					} else {
-						b.WriteString(g(co.Value))
-					}
-				}
+				writeCoords(&b, cell)
 				fmt.Fprintf(&b, ",%s,%s,%d,%d", p.Protocol, ph.Name, ph.Start, ph.End)
-				for _, sum := range []stats.Summary{
-					ph.SuccessRate, ph.MessagesPerQuery, ph.DownloadRTT,
-					ph.SameLocalityRate, ph.CacheHitRate, ph.AvgHops,
-				} {
-					fmt.Fprintf(&b, ",%s,%s", g(sum.Mean), g(sum.CI95()))
-				}
+				writeMetrics(&b, ph)
 				b.WriteByte('\n')
 			}
 		}
+	}
+	if b.Len() == header {
+		return ""
 	}
 	return b.String()
 }
@@ -181,7 +140,8 @@ func (c *Campaign) FigureSeries(metric, axisParam string) ([]*stats.Series, erro
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := metricOf(ProtocolCell{}, metric); !ok {
+	m, ok := metrics.MetricByKey(metric)
+	if !ok {
 		return nil, fmt.Errorf("sweep: unknown metric %q (have %s)", metric, strings.Join(Metrics(), ", "))
 	}
 	xOf := func(cell CellResult) float64 {
@@ -220,7 +180,7 @@ func (c *Campaign) FigureSeries(metric, axisParam string) ([]*stats.Series, erro
 				byKey[key] = s
 				order = append(order, key)
 			}
-			sum, _ := metricOf(p, metric)
+			sum := m.Of(&p.Summary.PhaseStats)
 			if c.Trials > 1 {
 				s.AddErr(xOf(cell), sum.Mean, sum.CI95())
 			} else {

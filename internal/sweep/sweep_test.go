@@ -348,7 +348,7 @@ func TestFigureExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := camp.FigureSeries(MetricSuccess, ParamPeers)
+	series, err := camp.FigureSeries("success", ParamPeers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,14 +367,14 @@ func TestFigureExports(t *testing.T) {
 	if _, err := camp.FigureSeries("nope", ""); err == nil {
 		t.Fatal("unknown metric must error")
 	}
-	if _, err := camp.FigureSeries(MetricSuccess, "bloom-bits"); err == nil {
+	if _, err := camp.FigureSeries("success", "bloom-bits"); err == nil {
 		t.Fatal("unknown axis must error")
 	}
-	table, err := camp.FigureTable(MetricMessages, "")
+	table, err := camp.FigureTable("msgs", "")
 	if err != nil || !strings.Contains(table, "peers") {
 		t.Fatalf("figure table: %v\n%s", err, table)
 	}
-	csv, err := camp.FigureCSV(MetricRTT, ParamCacheFilenames)
+	csv, err := camp.FigureCSV("rtt", ParamCacheFilenames)
 	if err != nil || !strings.HasPrefix(csv, "cache-filenames,") {
 		t.Fatalf("figure csv: %v\n%s", err, csv)
 	}

@@ -38,9 +38,6 @@ func NewCollector(sink Tracer, shards int) *Collector {
 // collector's lifetime.
 func (c *Collector) Cell(i int) *Cell { return &c.cells[i] }
 
-// Sink returns the tracer the collector merges into.
-func (c *Collector) Sink() Tracer { return c.sink }
-
 // eventLess orders the merged stream: ascending time, then QueryID, with
 // the caller's shard order breaking exact ties.
 func eventLess(a, b Event) bool {

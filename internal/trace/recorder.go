@@ -176,12 +176,11 @@ func NewFlightRecorder(pol Policy) *FlightRecorder {
 func (r *FlightRecorder) Policy() Policy { return r.pol }
 
 // WantKind implements KindFilter: the recorder tails queries (plus scenario
-// phase markers), so gossip and engine-level events can be skipped at the
-// source — on a gossiping overlay those are the bulk of the stream, and
-// each would otherwise cost a detail-string allocation just to be dropped
-// in Emit.
+// phase markers), so gossip events can be skipped at the source — on a
+// gossiping overlay those are the bulk of the stream, and each would
+// otherwise cost a detail-string allocation just to be dropped in Emit.
 func (r *FlightRecorder) WantKind(k Kind) bool {
-	return k != BloomGossip && k != EngineEvent
+	return k != BloomGossip
 }
 
 // Emit implements Tracer.
@@ -192,7 +191,7 @@ func (r *FlightRecorder) Emit(e Event) {
 			r.phases = append(r.phases, e)
 		}
 		return
-	case BloomGossip, EngineEvent:
+	case BloomGossip:
 		// Not query-scoped; the recorder only tails queries.
 		return
 	case QuerySubmit:

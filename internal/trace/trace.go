@@ -39,10 +39,6 @@ const (
 	// PhaseEnter: a scenario phase entered (its dynamics events fired).
 	// Phase events carry no peer (Peer = -1) and no query id.
 	PhaseEnter
-	// EngineEvent: a typed simulator event was delivered (engine-level
-	// tracing via EventObserver). Detail carries the event's kind name;
-	// Peer carries its destination when the event names one.
-	EngineEvent
 	// QueryFinalize: the query's bookkeeping was retired. Every query emits
 	// exactly one, after its download or failure outcome, so it is the
 	// end-of-life signal flight recorders key tail-sampling decisions on.
@@ -77,33 +73,10 @@ func (k Kind) String() string {
 		return "gossip"
 	case PhaseEnter:
 		return "phase"
-	case EngineEvent:
-		return "engine"
 	case QueryFinalize:
 		return "finalize"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// EventObserver adapts a Tracer into a sim.Engine observer: every
-// delivered typed event is rendered as an EngineEvent carrying the event's
-// kind name (sim.EventName), for destined events its destination peer, and
-// for transfer-shaped events (sim.Sourced) the sending peer, so engine
-// traces show links rather than bare destinations. Install it with
-// Engine.SetObserver (or Sharded.SetObserver) to see the typed event core
-// itself — query deliveries, response hops, gossip rounds, churn ticks —
-// beneath the protocol-level trace.
-func EventObserver(tr Tracer) func(at sim.Time, ev sim.Event) {
-	return func(at sim.Time, ev sim.Event) {
-		e := Event{At: at, Kind: EngineEvent, Peer: -1, From: -1, Detail: sim.EventName(ev)}
-		if d, ok := ev.(sim.Destined); ok {
-			e.Peer = d.EventDst()
-		}
-		if s, ok := ev.(sim.Sourced); ok {
-			e.From = s.EventSrc()
-		}
-		tr.Emit(e)
 	}
 }
 

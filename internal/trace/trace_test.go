@@ -81,38 +81,3 @@ func TestForQueryAndCountKind(t *testing.T) {
 		t.Fatal("CountKind wrong")
 	}
 }
-
-type namedTestEvent struct{ dst int }
-
-func (e namedTestEvent) Fire(*sim.Engine)  {}
-func (e namedTestEvent) EventDst() int     { return e.dst }
-func (e namedTestEvent) EventName() string { return "test-event" }
-
-type unnamedTestEvent struct{}
-
-func (unnamedTestEvent) Fire(*sim.Engine) {}
-
-// TestEventObserver locks the engine-level rendering of typed events: the
-// observer emits one EngineEvent per delivery, named by kind, destined
-// events carrying their destination peer.
-func TestEventObserver(t *testing.T) {
-	eng := sim.NewEngine()
-	buf := NewBuffer(16)
-	eng.SetObserver(EventObserver(buf))
-	eng.PostEvent(sim.Millisecond, namedTestEvent{dst: 7})
-	eng.PostEvent(2*sim.Millisecond, unnamedTestEvent{})
-	eng.Run(0)
-	evs := buf.Events()
-	if len(evs) != 2 {
-		t.Fatalf("observed %d events, want 2", len(evs))
-	}
-	if evs[0].Kind != EngineEvent || evs[0].Detail != "test-event" || evs[0].Peer != 7 {
-		t.Fatalf("first event = %+v", evs[0])
-	}
-	if evs[1].Peer != -1 || evs[1].Detail != "trace.unnamedTestEvent" {
-		t.Fatalf("second event = %+v", evs[1])
-	}
-	if evs[0].Kind.String() != "engine" {
-		t.Fatalf("EngineEvent renders as %q", evs[0].Kind.String())
-	}
-}

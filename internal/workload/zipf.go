@@ -73,6 +73,3 @@ func (z *Zipf) Draw(r *rand.Rand) int {
 	}
 	return rank
 }
-
-// DrawFile samples a FileID, treating catalogue order as popularity rank.
-func (z *Zipf) DrawFile(r *rand.Rand) FileID { return FileID(z.Draw(r)) }

@@ -173,29 +173,32 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the paper's evaluation setup.
+// DefaultOptions returns the paper's evaluation setup: the values of the
+// internal default configuration, which is where they are stated.
 func DefaultOptions() Options {
+	d := core.DefaultConfig()
 	return Options{
-		Seed:           1,
-		Peers:          1000,
-		AvgDegree:      3,
-		Landmarks:      4,
-		Files:          3000,
-		FilesPerPeer:   3,
-		KeywordPool:    9000,
-		QueryRate:      0.00083,
-		ZipfS:          1.0,
-		TTL:            7,
-		Groups:         4,
-		CacheFilenames: 50,
-		CacheProviders: 5,
-		BloomBits:      1200,
+		Seed:           d.Seed,
+		Peers:          d.NumPeers,
+		AvgDegree:      d.AvgDegree,
+		Landmarks:      d.Landmarks,
+		Files:          d.Catalog.NumFiles,
+		FilesPerPeer:   d.FilesPerPeer,
+		KeywordPool:    d.Catalog.KeywordPool,
+		QueryRate:      d.Gen.RatePerPeer,
+		ZipfS:          d.Gen.ZipfS,
+		TTL:            d.Protocol.TTL,
+		Groups:         d.Protocol.GroupCount,
+		CacheFilenames: d.Protocol.Cache.MaxFilenames,
+		CacheProviders: d.Protocol.Cache.MaxProvidersPerFile,
+		BloomBits:      d.Protocol.BloomBits,
 	}
 }
 
 // coreConfig lowers Options to the internal configuration.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
+	paperRate := cfg.Gen.RatePerPeer
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -244,7 +247,7 @@ func (o Options) coreConfig() core.Config {
 	// the gossip period down proportionally to keep "queries per gossip
 	// round" constant.
 	if o.QueryRate > 0 {
-		scale := DefaultOptions().QueryRate / o.QueryRate
+		scale := paperRate / o.QueryRate
 		if scale > 1 {
 			scale = 1
 		}
@@ -364,28 +367,18 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 	}
 	var phases []PhaseMetrics
 	for _, w := range r.Collector.PhaseWindows() {
-		phases = append(phases, PhaseMetrics{
-			Phase:               w.Name,
-			Start:               w.Start,
-			End:                 w.End,
-			Queries:             w.Queries,
-			SuccessRate:         w.SuccessRate,
-			AvgMessagesPerQuery: w.MessagesPerQuery,
-			AvgDownloadRTTMs:    w.DownloadRTT,
-			SameLocalityRate:    w.SameLocalityRate,
-			CacheHitRate:        w.CacheHitRate,
-			AvgHops:             w.AvgHops,
-		})
+		phases = append(phases, liftPhaseWindow(w))
 	}
+	run := liftPhaseWindow(r.Collector.RunWindow())
 	return &Result{
 		Protocol:              p,
-		Queries:               r.Collector.Submitted(),
-		SuccessRate:           r.Collector.SuccessRate(),
-		AvgMessagesPerQuery:   r.Collector.AvgMessagesPerQuery(),
-		AvgDownloadRTTMs:      r.Collector.AvgDownloadRTT(),
-		SameLocalityRate:      r.Collector.SameLocalityRate(),
-		CacheHitRate:          r.Collector.CacheHitRate(),
-		AvgHops:               r.Collector.AvgHops(),
+		Queries:               run.Queries,
+		SuccessRate:           run.SuccessRate,
+		AvgMessagesPerQuery:   run.AvgMessagesPerQuery,
+		AvgDownloadRTTMs:      run.AvgDownloadRTTMs,
+		SameLocalityRate:      run.SameLocalityRate,
+		CacheHitRate:          run.CacheHitRate,
+		AvgHops:               run.AvgHops,
 		BloomForwards:         r.Forwarding.BloomMatched,
 		GidForwards:           r.Forwarding.GidMatched,
 		FallbackForwards:      r.Forwarding.Fallback,
@@ -581,36 +574,26 @@ type TrialsResult struct {
 	// Phases aggregates the scenario phase windows across trials,
 	// phase-aligned, so per-phase metrics carry cross-trial error bars like
 	// the headline metrics. Nil unless the runs executed under a scenario;
-	// render with PhaseEstimateTable or the PhaseTable method.
+	// render with the PhaseTable method.
 	Phases []PhaseEstimates
 }
 
 func newTrialsResult(p Protocol, cell *core.TrialCell) *TrialsResult {
+	run := liftPhaseStats(cell.Summary.PhaseStats)
 	tr := &TrialsResult{
 		Protocol:            p,
-		SuccessRate:         toEstimate(cell.Summary.SuccessRate),
-		AvgMessagesPerQuery: toEstimate(cell.Summary.MessagesPerQuery),
-		AvgDownloadRTTMs:    toEstimate(cell.Summary.DownloadRTT),
-		SameLocalityRate:    toEstimate(cell.Summary.SameLocalityRate),
-		CacheHitRate:        toEstimate(cell.Summary.CacheHitRate),
-		AvgHops:             toEstimate(cell.Summary.Hops),
+		SuccessRate:         run.SuccessRate,
+		AvgMessagesPerQuery: run.AvgMessagesPerQuery,
+		AvgDownloadRTTMs:    run.AvgDownloadRTTMs,
+		SameLocalityRate:    run.SameLocalityRate,
+		CacheHitRate:        run.CacheHitRate,
+		AvgHops:             run.AvgHops,
 		ControlMessages:     toEstimate(cell.Summary.ControlMessages),
 		ControlKbits:        toEstimate(cell.Summary.ControlKbits),
 		CachedFilenames:     toEstimate(cell.Summary.CachedFilenames),
 	}
 	for _, ps := range cell.PhaseStats {
-		tr.Phases = append(tr.Phases, PhaseEstimates{
-			Phase:               ps.Name,
-			Start:               ps.Start,
-			End:                 ps.End,
-			Queries:             toEstimate(ps.Queries),
-			SuccessRate:         toEstimate(ps.SuccessRate),
-			AvgMessagesPerQuery: toEstimate(ps.MessagesPerQuery),
-			AvgDownloadRTTMs:    toEstimate(ps.DownloadRTT),
-			SameLocalityRate:    toEstimate(ps.SameLocalityRate),
-			CacheHitRate:        toEstimate(ps.CacheHitRate),
-			AvgHops:             toEstimate(ps.AvgHops),
-		})
+		tr.Phases = append(tr.Phases, liftPhaseStats(ps))
 	}
 	for _, r := range cell.Runs {
 		tr.Trials = append(tr.Trials, newResult(p, r))
@@ -724,10 +707,6 @@ func toHeadlines(h core.Headline) Headlines {
 func (c *Comparison) Headlines() Headlines {
 	return toHeadlines(c.cmp.Headlines())
 }
-
-// Seconds is a convenience for expressing sim-time quantities in seconds
-// in user-facing configuration.
-func Seconds(s float64) int64 { return int64(sim.FromSeconds(s)) }
 
 // LocalityReport describes how a landmark set partitions the peer
 // population into physical localities — the §5.1 analysis behind the

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/scenario"
 )
 
@@ -142,20 +143,47 @@ type PhaseEstimates struct {
 	AvgHops          Estimate
 }
 
+// liftPhaseWindow lifts one sealed metric window (a phase, or the whole run) to
+// its facade form.
+func liftPhaseWindow(w metrics.PhaseWindow) PhaseMetrics {
+	return PhaseMetrics{
+		Phase:               w.Name,
+		Start:               w.Start,
+		End:                 w.End,
+		Queries:             w.Queries,
+		SuccessRate:         w.SuccessRate,
+		AvgMessagesPerQuery: w.MessagesPerQuery,
+		AvgDownloadRTTMs:    w.DownloadRTT,
+		SameLocalityRate:    w.SameLocalityRate,
+		CacheHitRate:        w.CacheHitRate,
+		AvgHops:             w.AvgHops,
+	}
+}
+
+// liftPhaseStats lifts one cross-trial metric window to its facade form.
+func liftPhaseStats(ps metrics.PhaseStats) PhaseEstimates {
+	return PhaseEstimates{
+		Phase:               ps.Name,
+		Start:               ps.Start,
+		End:                 ps.End,
+		Queries:             toEstimate(ps.Queries),
+		SuccessRate:         toEstimate(ps.SuccessRate),
+		AvgMessagesPerQuery: toEstimate(ps.MessagesPerQuery),
+		AvgDownloadRTTMs:    toEstimate(ps.DownloadRTT),
+		SameLocalityRate:    toEstimate(ps.SameLocalityRate),
+		CacheHitRate:        toEstimate(ps.CacheHitRate),
+		AvgHops:             toEstimate(ps.AvgHops),
+	}
+}
+
 // PhaseTable renders the replicated per-phase metrics as an aligned text
 // table with mean±ci95 cells — the error-barred counterpart of the
 // single-run PhaseTable.
 func (r *TrialsResult) PhaseTable() string {
-	return PhaseEstimateTable(r.Phases)
-}
-
-// PhaseEstimateTable renders cross-trial per-phase estimates as an aligned
-// text table: one row per phase, mean±ci95 per metric.
-func PhaseEstimateTable(phases []PhaseEstimates) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %13s %13s %15s %13s %13s %11s\n",
 		"phase", "queries", "success", "msgs/q", "rtt(ms)", "sameLoc", "cacheHit", "hops")
-	for _, p := range phases {
+	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "%-12s %8.0f %13s %13s %15s %13s %13s %11s\n",
 			p.Phase, p.Queries.Mean, p.SuccessRate, p.AvgMessagesPerQuery, p.AvgDownloadRTTMs,
 			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/p2prepro/locaware/internal/core"
 )
 
 // fastOptions shrinks the world so facade tests run in milliseconds.
@@ -156,6 +158,28 @@ func TestOptionsLowering(t *testing.T) {
 	}
 }
 
+// TestDefaultsStatedOnce locks the paper's §5.1 setup to one statement:
+// the facade defaults are the internal default configuration read back, so
+// default, zero and internal configs are the same value (benchmark/README.md
+// relies on it) and still carry the paper's numbers.
+func TestDefaultsStatedOnce(t *testing.T) {
+	want := core.DefaultConfig()
+	if got := DefaultOptions().coreConfig(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultOptions lowers to %+v, core default is %+v", got, want)
+	}
+	if got := (Options{}).coreConfig(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Options lower to %+v, core default is %+v", got, want)
+	}
+	paper := Options{
+		Seed: 1, Peers: 1000, AvgDegree: 3, Landmarks: 4, Files: 3000, FilesPerPeer: 3,
+		KeywordPool: 9000, QueryRate: 0.00083, ZipfS: 1, TTL: 7, Groups: 4,
+		CacheFilenames: 50, CacheProviders: 5, BloomBits: 1200,
+	}
+	if got := DefaultOptions(); !reflect.DeepEqual(got, paper) {
+		t.Fatalf("DefaultOptions() = %+v, paper setup is %+v", got, paper)
+	}
+}
+
 func TestBaselinesOrder(t *testing.T) {
 	b := Baselines()
 	if len(b) != 4 || b[0] != ProtocolFlooding || b[3] != ProtocolLocaware {
@@ -241,12 +265,6 @@ func TestLocalitiesReport(t *testing.T) {
 	}
 	if rep5.MeanPeersPerLocality >= rep4.MeanPeersPerLocality {
 		t.Fatal("5 landmarks should scatter peers more thinly (§5.1)")
-	}
-}
-
-func TestSecondsHelper(t *testing.T) {
-	if Seconds(1.5) != 1500000 {
-		t.Fatalf("Seconds(1.5) = %d", Seconds(1.5))
 	}
 }
 
