@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the Locaware paper's evaluation
-// (§5.2) plus the ablations and extensions listed under "Command-line
+// (§5.2) plus the built-in sweep campaigns listed under "Command-line
 // harness" in README.md. Each figure bench runs the paired comparison at a
 // reduced-but-representative scale and reports the figure's metric per
 // protocol via b.ReportMetric, so `go test -bench=.` reproduces the paper's
@@ -69,122 +69,37 @@ func BenchmarkFig4SuccessRate(b *testing.B) {
 	benchCompare(b, "success", func(r *Result) float64 { return r.SuccessRate })
 }
 
-// BenchmarkAblationLandmarks sweeps the landmark count (paper §5.1: 4
-// landmarks → 24 locIds; 5 landmarks scatter 1000 peers too thinly).
-func BenchmarkAblationLandmarks(b *testing.B) {
-	for _, k := range []int{3, 4, 5} {
-		b.Run(fmt.Sprintf("landmarks=%d", k), func(b *testing.B) {
+// BenchmarkBuiltinCampaigns runs every campaign of the built-in registry —
+// the figure grids and the paper's parameter studies (landmarks, cache
+// capacity, Bloom size, group count, location-aware routing, churn) — once
+// per iteration at a shrunken budget, reporting each spec'd figure metric
+// of the last cell's last protocol. A study added to the registry is
+// benchmarked, and smoke-run by CI, without an edit here.
+func BenchmarkBuiltinCampaigns(b *testing.B) {
+	for _, name := range SweepNames() {
+		b.Run(name, func(b *testing.B) {
+			sw, err := SweepByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sw, err = sw.WithTrials(1).WithBudget(100, 300).WithBase("peers", 150); err != nil {
+				b.Fatal(err)
+			}
+			protos := sw.Protocols()
 			for i := 0; i < b.N; i++ {
-				o := benchOptions(1)
-				o.Landmarks = k
-				r, err := Run(o, ProtocolLocaware, benchWarmup, benchQueries)
+				res, err := RunSweep(benchOptions(1), sw)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(r.SameLocalityRate, "same_locality")
-				b.ReportMetric(r.AvgDownloadRTTMs, "rtt_ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCacheSize sweeps the response-index capacity.
-func BenchmarkAblationCacheSize(b *testing.B) {
-	for _, capacity := range []int{10, 25, 50, 100} {
-		b.Run(fmt.Sprintf("cache=%d", capacity), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(1)
-				o.CacheFilenames = capacity
-				r, err := Run(o, ProtocolLocaware, benchWarmup, benchQueries)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.SuccessRate, "success")
-				b.ReportMetric(r.AvgMessagesPerQuery, "msgs_per_query")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBloomSize sweeps the Bloom filter size (paper: 1200
-// bits); smaller filters raise false positives and waste forwards, larger
-// ones raise gossip cost.
-func BenchmarkAblationBloomSize(b *testing.B) {
-	for _, bits := range []int{300, 600, 1200, 2400} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(1)
-				o.BloomBits = bits
-				r, err := Run(o, ProtocolLocaware, benchWarmup, benchQueries)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.SuccessRate, "success")
-				b.ReportMetric(r.ControlKbits, "gossip_kbit")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationGroupCount sweeps Dicas's M: more groups mean sparser
-// caching and more selective routing.
-func BenchmarkAblationGroupCount(b *testing.B) {
-	for _, m := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := benchOptions(1)
-				o.Groups = m
-				r, err := Run(o, ProtocolLocaware, benchWarmup, benchQueries)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.SuccessRate, "success")
-				b.ReportMetric(float64(r.CachedFilenames), "cached_filenames")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionLocationRouting compares Locaware against the §6
-// future-work location-aware routing variant.
-func BenchmarkExtensionLocationRouting(b *testing.B) {
-	for _, p := range []Protocol{ProtocolLocaware, ProtocolLocawareLR} {
-		b.Run(string(p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := Run(benchOptions(1), p, benchWarmup, benchQueries)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.AvgDownloadRTTMs, "rtt_ms")
-				b.ReportMetric(r.SameLocalityRate, "same_locality")
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionChurn measures success degradation under peer churn
-// for single-provider (Dicas) versus multi-provider (Locaware) indexes.
-func BenchmarkExtensionChurn(b *testing.B) {
-	steady, err := ScenarioByName("steady-churn")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []Protocol{ProtocolDicas, ProtocolLocaware} {
-		for _, churn := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/churn=%v", p, churn), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					o := benchOptions(1)
-					if churn {
-						o.Scenario = steady
-					}
-					r, err := Run(o, p, benchWarmup, benchQueries)
+				for _, metric := range sw.Figures() {
+					e, err := res.CellEstimate(res.NumCells()-1, protos[len(protos)-1], metric)
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.ReportMetric(r.SuccessRate, "success")
+					b.ReportMetric(e.Mean, metric)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command locaware-exp regenerates the Locaware paper's evaluation figures
-// and the ablation/extension experiments documented in DESIGN.md.
+// and runs its parameter studies as sweep campaigns.
 //
 // Figures (paper §5.2):
 //
@@ -15,16 +15,7 @@
 // any -workers value.
 //
 //	locaware-exp -fig all -trials 8             # error-barred figures
-//	locaware-exp -ablation cachesize -trials 4  # replicated sweep
-//
-// Ablations/extensions:
-//
-//	locaware-exp -ablation landmarks   # 3/4/5 landmarks (§5.1 discussion)
-//	locaware-exp -ablation cachesize   # RI capacity sweep
-//	locaware-exp -ablation bloom       # Bloom filter size sweep
-//	locaware-exp -ablation groups      # Dicas group count M sweep
-//	locaware-exp -extension lr         # location-aware routing (§6)
-//	locaware-exp -extension churn      # churn resilience (steady-churn scenario)
+//	locaware-exp -sweep cache-sweep -trials 4   # replicated study
 //
 // Scenarios (phased network dynamics with per-phase metrics):
 //
@@ -41,9 +32,20 @@
 //	locaware-exp -sweep my.json       # run a custom JSON campaign
 //	locaware-exp -sweep ttl-sweep -out results/   # also write CSV files
 //
-// A campaign prints its figure tables (mean±95%CI per cell) and its tidy
-// CSV; -out additionally writes cells.csv, phases.csv (under scenarios)
-// and one fig_<metric>.csv per headline metric into a directory. The
+// The paper's ablations and extensions are built-in campaigns, so they fan
+// out across CPUs, checkpoint, distribute and export like any other:
+//
+//	locaware-exp -sweep landmark-sweep   # 3/4/5 landmarks (§5.1 discussion)
+//	locaware-exp -sweep cache-sweep      # RI capacity
+//	locaware-exp -sweep bloom-sweep      # Bloom filter size vs gossip kbit
+//	locaware-exp -sweep group-sweep      # Dicas group count M vs cached filenames
+//	locaware-exp -sweep lr-sweep         # location-aware routing (§6)
+//	locaware-exp -sweep churn-sweep      # churn resilience (steady-churn intensity)
+//
+// A campaign prints one table per metric its spec lists under "figures"
+// (mean±95%CI per cell; default success, msgs, rtt) and its tidy CSV; -out
+// additionally writes cells.csv, phases.csv (under scenarios) and one
+// fig_<metric>.csv per figure metric into a directory. The
 // -trials/-seed/-warmup/-queries flags override the campaign spec only
 // when set explicitly on the command line.
 //
@@ -76,10 +78,16 @@ import (
 )
 
 func main() {
+	// The world's flags bind straight to the Options they set, so the
+	// paper's defaults are DefaultOptions' and nobody else's.
+	opts := locaware.DefaultOptions()
+	flag.IntVar(&opts.Peers, "peers", opts.Peers, "number of peers")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
+	flag.IntVar(&opts.Trials, "trials", 1, "independent replications per experiment cell")
+	flag.IntVar(&opts.Workers, "workers", 0, "max concurrent simulations (0 = one per CPU)")
+	flag.IntVar(&opts.Shards, "shards", 0, "per-locality event-loop shards per simulation, each drained on its own goroutine (<=1 = single queue; clamped to the occupied locality count)")
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 2|3|4|all")
-		ablation   = flag.String("ablation", "", "ablation: landmarks|cachesize|bloom|groups")
-		ext        = flag.String("extension", "", "extension: lr|churn")
 		scen       = flag.String("scenario", "", "phased-dynamics scenario: a built-in name, a JSON spec path, or 'list'")
 		sweepArg   = flag.String("sweep", "", "sweep campaign: a built-in name, a JSON spec path, or 'list'")
 		out        = flag.String("out", "", "directory to write sweep CSV exports into")
@@ -88,13 +96,8 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "with -sweep: checkpoint finished cells into this directory (one content-addressed file per cell)")
 		resume     = flag.Bool("resume", true, "with -checkpoint: load existing checkpoints and execute only the missing cells (-resume=false re-runs everything)")
 		leaseT     = flag.Duration("lease-timeout", 2*time.Minute, "with -serve: reissue a leased cell if its worker has not reported within this deadline")
-		peers      = flag.Int("peers", 1000, "number of peers")
 		warmup     = flag.Int("warmup", 1000, "warmup queries")
 		queries    = flag.Int("queries", 2000, "measured queries")
-		seed       = flag.Int64("seed", 1, "random seed")
-		trials     = flag.Int("trials", 1, "independent replications per experiment cell")
-		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = one per CPU)")
-		shards     = flag.Int("shards", 0, "per-locality event-loop shards per simulation, each drained on its own goroutine (<=1 = single queue; clamped to the occupied locality count)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -120,13 +123,6 @@ func main() {
 		memProfilePath = *memprofile
 		defer stopProfiles()
 	}
-
-	opts := locaware.DefaultOptions()
-	opts.Seed = *seed
-	opts.Peers = *peers
-	opts.Trials = *trials
-	opts.Workers = *workers
-	opts.Shards = *shards
 
 	// Observability is inert, so attach it whenever any sink wants it:
 	// the -stats report, a standalone -obs-addr scrape surface, or the
@@ -155,19 +151,21 @@ func main() {
 	switch {
 	case *fig != "":
 		runFigures(opts, *fig, *warmup, *queries, *csv)
-	case *ablation != "":
-		runAblation(opts, *ablation, *warmup, *queries)
-	case *ext != "":
-		runExtension(opts, *ext, *warmup, *queries)
 	case *scen != "":
 		runScenario(opts, *scen, *warmup, *queries)
 	case *sweepArg != "":
-		dist := distOpts{
-			serve: *serve, worker: *workerURL,
-			checkpoint: *checkpoint, resume: *resume, lease: *leaseT,
-			progress: *progress,
+		copt := locaware.CampaignOptions{
+			Checkpoint:     *checkpoint,
+			Resume:         *resume,
+			LeaseTimeout:   *leaseT,
+			Progress:       *progress,
+			Observer:       observer,
+			FlightRecorder: recorder,
+			Logf: func(format string, args ...any) {
+				fmt.Printf("campaign: "+format+"\n", args...)
+			},
 		}
-		runSweep(opts, *sweepArg, *out, setFlags(), *warmup, *queries, dist)
+		runSweep(opts, *sweepArg, *out, setFlags(), *warmup, *queries, *serve, *workerURL, copt)
 	case *serve != "" || *workerURL != "" || *checkpoint != "":
 		fatal(fmt.Errorf("-serve/-worker/-checkpoint need -sweep to name the campaign"))
 	default:
@@ -265,19 +263,10 @@ func runScenario(opts locaware.Options, arg string, warmup, queries int) {
 	printTrialZeroTraces(cmp)
 }
 
-// distOpts carries the distributed/resumable campaign flags.
-type distOpts struct {
-	serve      string
-	worker     string
-	checkpoint string
-	resume     bool
-	lease      time.Duration
-	progress   time.Duration
-}
-
-func (d distOpts) enabled() bool { return d.serve != "" || d.worker != "" || d.checkpoint != "" }
-
-func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, warmup, queries int, dist distOpts) {
+// runSweep runs a campaign in the mode the flags select: a worker for the
+// coordinator at workerURL, a coordinator on serve, or in-process
+// (checkpointed when copt.Checkpoint is set).
+func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, warmup, queries int, serve, workerURL string, copt locaware.CampaignOptions) {
 	if arg == "list" {
 		fmt.Println("== Built-in sweep campaigns")
 		for _, name := range locaware.SweepNames() {
@@ -310,72 +299,49 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 	if set["seed"] {
 		sw = sw.WithSeed(opts.Seed)
 	}
-	if set["warmup"] || set["queries"] {
-		w, q := sw.Warmup(), sw.Queries()
-		if set["warmup"] {
-			w = warmup
-		}
-		if set["queries"] {
-			q = queries
-		}
-		sw = sw.WithBudget(w, q)
+	if !set["warmup"] {
+		warmup = sw.Warmup()
 	}
-	if dist.serve != "" && dist.worker != "" {
-		fatal(fmt.Errorf("-serve and -worker are mutually exclusive: a process is a coordinator or a worker, not both"))
+	if !set["queries"] {
+		queries = sw.Queries()
 	}
-	copt := locaware.CampaignOptions{
-		Checkpoint:     dist.checkpoint,
-		Resume:         dist.resume,
-		LeaseTimeout:   dist.lease,
-		Observer:       observer,
-		FlightRecorder: recorder,
-		Progress:       dist.progress,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("campaign: "+format+"\n", args...)
-		},
-	}
+	sw = sw.WithBudget(warmup, queries)
 	var (
 		res   *locaware.SweepResult
 		stats locaware.CampaignStats
-		err2  error
 	)
 	switch {
-	case dist.worker != "":
+	case serve != "" && workerURL != "":
+		fatal(fmt.Errorf("-serve and -worker are mutually exclusive: a process is a coordinator or a worker, not both"))
+	case workerURL != "":
 		// Worker mode: execute cells for a remote coordinator; the
 		// coordinator prints the campaign tables.
-		n, err := locaware.WorkSweep(opts, sw, dist.worker, copt)
+		n, err := locaware.WorkSweep(opts, sw, workerURL, copt)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("worker done: executed %d cells\n", n)
 		return
-	case dist.serve != "":
-		res, stats, err2 = locaware.ServeSweep(opts, sw, dist.serve, copt)
-	case dist.checkpoint != "":
-		res, stats, err2 = locaware.RunSweepCheckpointed(opts, sw, copt)
+	case serve != "":
+		res, stats, err = locaware.ServeSweep(opts, sw, serve, copt)
 	default:
-		res, err2 = locaware.RunSweep(opts, sw)
+		res, stats, err = locaware.RunSweepCheckpointed(opts, sw, copt)
 	}
-	if err2 != nil {
-		fatal(err2)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("== Sweep campaign %q: %s\n", sw.Name(), sw.Description())
 	fmt.Printf("axes: %s | %d cells × %d protocols × %d trials = %d runs (seed %d)\n\n",
 		strings.Join(sw.Axes(), ", "), res.NumCells(), len(sw.Protocols()), res.Trials(), res.Runs(), res.Seed())
-	figures := []struct{ metric, title string }{
-		{"success", "success rate"},
-		{"msgs", "search traffic (messages/query)"},
-		{"rtt", "download distance (ms)"},
-	}
-	for _, f := range figures {
-		table, err := res.FigureTable(f.metric, "")
+	for _, metric := range sw.Figures() {
+		table, err := res.FigureTable(metric, "")
 		if err != nil {
 			fatal(err)
 		}
 		if res.Trials() > 1 {
-			fmt.Printf("-- %s (mean±95%%CI over %d trials)\n%s\n", f.title, res.Trials(), table)
+			fmt.Printf("-- %s (mean±95%%CI over %d trials)\n%s\n", res.FigureTitle(metric), res.Trials(), table)
 		} else {
-			fmt.Printf("-- %s\n%s\n", f.title, table)
+			fmt.Printf("-- %s\n%s\n", res.FigureTitle(metric), table)
 		}
 	}
 	fmt.Println("== Tidy CSV (cell × protocol)")
@@ -386,7 +352,7 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 	}
 	fmt.Printf("\ncompleted %d cells (%d runs) in %.1fs — %.2f cells/sec\n",
 		res.NumCells(), res.Runs(), res.Elapsed().Seconds(), res.CellsPerSecond())
-	if dist.enabled() {
+	if serve != "" || copt.Checkpoint != "" {
 		fmt.Printf("campaign: %d/%d cells resumed from checkpoints, %d executed", stats.Resumed, stats.Cells, stats.Executed)
 		if stats.Reissued > 0 || stats.Duplicates > 0 {
 			fmt.Printf(", %d leases reissued, %d duplicate results discarded", stats.Reissued, stats.Duplicates)
@@ -400,7 +366,7 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 		printExemplars(res)
 	}
 	if outDir != "" {
-		writeSweepExports(res, outDir)
+		writeSweepExports(res, sw.Figures(), outDir)
 	}
 }
 
@@ -438,8 +404,8 @@ func printExemplars(res *locaware.SweepResult) {
 
 // writeSweepExports writes the campaign's CSV artefacts into a directory:
 // cells.csv, phases.csv (scenario campaigns only) and one figure-shaped
-// fig_<metric>.csv per headline metric.
-func writeSweepExports(res *locaware.SweepResult, dir string) {
+// fig_<metric>.csv per figure metric of the spec.
+func writeSweepExports(res *locaware.SweepResult, figures []string, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
@@ -455,7 +421,7 @@ func writeSweepExports(res *locaware.SweepResult, dir string) {
 	}
 	write("cells.csv", res.CSV())
 	write("phases.csv", res.PhaseCSV())
-	for _, metric := range []string{"success", "msgs", "rtt"} {
+	for _, metric := range figures {
 		csv, err := res.FigureCSV(metric, "")
 		if err != nil {
 			fatal(err)
@@ -525,96 +491,6 @@ func runFigures(opts locaware.Options, which string, warmup, queries int, csv bo
 		}
 	}
 	printTrialZeroTraces(cmp)
-}
-
-func runAblation(opts locaware.Options, which string, warmup, queries int) {
-	trialNote(opts)
-	switch which {
-	case "landmarks":
-		fmt.Println("== Ablation: landmark count (paper §5.1: 4 landmarks → 24 locIds; 5 scatter peers too thinly)")
-		fmt.Printf("%-10s %14s %16s %14s\n", "landmarks", "success", "rtt(ms)", "sameLoc")
-		for _, k := range []int{3, 4, 5} {
-			o := opts
-			o.Landmarks = k
-			r := mustTrials(o, locaware.ProtocolLocaware, warmup, queries)
-			fmt.Printf("%-10d %14s %16s %14s\n", k, r.SuccessRate, r.AvgDownloadRTTMs, r.SameLocalityRate)
-		}
-	case "cachesize":
-		fmt.Println("== Ablation: response-index capacity (paper: 50 filenames)")
-		fmt.Printf("%-10s %14s %16s %14s\n", "capacity", "success", "rtt(ms)", "msgs/q")
-		for _, c := range []int{10, 25, 50, 100, 200} {
-			o := opts
-			o.CacheFilenames = c
-			r := mustTrials(o, locaware.ProtocolLocaware, warmup, queries)
-			fmt.Printf("%-10d %14s %16s %14s\n", c, r.SuccessRate, r.AvgDownloadRTTMs, r.AvgMessagesPerQuery)
-		}
-	case "bloom":
-		fmt.Println("== Ablation: Bloom filter size (paper: 1200 bits for 50 filenames × 3 keywords)")
-		fmt.Printf("%-10s %14s %14s %18s\n", "bits", "success", "msgs/q", "gossip kbit")
-		for _, bits := range []int{300, 600, 1200, 2400} {
-			o := opts
-			o.BloomBits = bits
-			r := mustTrials(o, locaware.ProtocolLocaware, warmup, queries)
-			fmt.Printf("%-10d %14s %14s %18s\n", bits, r.SuccessRate, r.AvgMessagesPerQuery, r.ControlKbits)
-		}
-	case "groups":
-		fmt.Println("== Ablation: Dicas group count M (caching density vs routing selectivity)")
-		fmt.Printf("%-10s %14s %14s %14s\n", "M", "success", "msgs/q", "cached")
-		for _, m := range []int{2, 4, 8, 16} {
-			o := opts
-			o.Groups = m
-			r := mustTrials(o, locaware.ProtocolLocaware, warmup, queries)
-			fmt.Printf("%-10d %14s %14s %14s\n", m, r.SuccessRate, r.AvgMessagesPerQuery, r.CachedFilenames)
-		}
-	default:
-		fatal(fmt.Errorf("unknown ablation %q", which))
-	}
-}
-
-func runExtension(opts locaware.Options, which string, warmup, queries int) {
-	trialNote(opts)
-	switch which {
-	case "lr":
-		fmt.Println("== Extension: location-aware routing (paper §6 future work)")
-		fmt.Printf("%-14s %14s %16s %14s %14s\n", "protocol", "success", "rtt(ms)", "sameLoc", "msgs/q")
-		for _, p := range []locaware.Protocol{locaware.ProtocolLocaware, locaware.ProtocolLocawareLR} {
-			r := mustTrials(opts, p, warmup, queries)
-			fmt.Printf("%-14s %14s %16s %14s %14s\n", r.Protocol, r.SuccessRate, r.AvgDownloadRTTMs, r.SameLocalityRate, r.AvgMessagesPerQuery)
-		}
-	case "churn":
-		fmt.Println("== Extension: churn resilience (stale indexes filtered at selection)")
-		fmt.Printf("%-14s %10s %14s %16s\n", "protocol", "churn", "success", "rtt(ms)")
-		steady, err := locaware.ScenarioByName("steady-churn")
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range []locaware.Protocol{locaware.ProtocolDicas, locaware.ProtocolLocaware} {
-			for _, sc := range []*locaware.Scenario{nil, steady} {
-				o := opts
-				o.Scenario = sc
-				r := mustTrials(o, p, warmup, queries)
-				fmt.Printf("%-14s %10v %14s %16s\n", r.Protocol, sc != nil, r.SuccessRate, r.AvgDownloadRTTMs)
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown extension %q", which))
-	}
-}
-
-func trialNote(opts locaware.Options) {
-	if opts.Trials > 1 {
-		fmt.Printf("(cells are mean±95%%CI over %d trials)\n", opts.Trials)
-	}
-}
-
-// mustTrials runs the replicated experiment for one cell; with -trials 1
-// the estimates collapse to the single sequential run's exact values.
-func mustTrials(o locaware.Options, p locaware.Protocol, warmup, queries int) *locaware.TrialsResult {
-	r, err := locaware.RunTrials(o, p, warmup, queries)
-	if err != nil {
-		fatal(err)
-	}
-	return r
 }
 
 // cpuProfileFile / memProfilePath hold the active profiling state so

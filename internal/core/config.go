@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/overlay"
@@ -64,20 +63,12 @@ type Config struct {
 	Scenario *scenario.Spec
 
 	// Shards, when > 1, runs the simulation on the sharded event loop:
-	// peers partition by locality (occupied locIds dense-ranked, rank
-	// modulo Shards), each shard drains its own queue epoch by epoch on
-	// its own goroutine (protocol state is split per shard), and
-	// cross-locality deliveries hop shards through a deterministic
-	// mailbox. The epoch lookahead is derived from the latency model's
-	// one-way floor plus the processing delay. Runs are fully
-	// reproducible for a fixed shard count, but the cross-shard delivery
-	// interleaving differs from the single-queue order, so results are
-	// statistically equivalent rather than bit-identical to Shards <= 1
-	// (which always uses the plain engine, byte-for-byte identical to
-	// previous releases). NewSimulation validates the value: negatives
-	// clamp to 1, and counts exceeding the number of occupied localities
-	// clamp down to it (empty shard engines would only add barrier
-	// overhead).
+	// peers partition by locality rank modulo Shards, each shard drains
+	// its own queue epoch by epoch on its own goroutine, cross-locality
+	// deliveries hop shards through a deterministic mailbox. Reproducible
+	// per shard count, statistically equivalent — not bit-identical — to
+	// Shards <= 1 (the plain engine). NewSimulation clamps the value to
+	// [1, occupied localities]. Slated for removal (ROADMAP item 2).
 	Shards int
 
 	// Obs, when non-nil, attaches the run-wide observability registry:
@@ -116,62 +107,6 @@ func DefaultConfig() Config {
 		Protocol:     protocol.DefaultConfig(),
 		Churn:        overlay.DefaultChurn(),
 	}
-}
-
-// withDefaults fills zero fields so partially specified configs stay
-// runnable.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.NumPeers <= 0 {
-		c.NumPeers = d.NumPeers
-	}
-	if c.AvgDegree <= 0 {
-		c.AvgDegree = d.AvgDegree
-	}
-	if c.MaxDegree <= 0 {
-		c.MaxDegree = d.MaxDegree
-	}
-	if c.Landmarks <= 0 {
-		c.Landmarks = d.Landmarks
-	}
-	if c.Placement.Side <= 0 {
-		c.Placement = d.Placement
-	}
-	if c.Latency.MaxRTT <= c.Latency.MinRTT {
-		c.Latency = d.Latency
-	}
-	if c.Catalog.NumFiles <= 0 {
-		c.Catalog = d.Catalog
-	}
-	if c.FilesPerPeer <= 0 {
-		c.FilesPerPeer = d.FilesPerPeer
-	}
-	if c.Gen.RatePerPeer <= 0 {
-		c.Gen = d.Gen
-	}
-	if c.Protocol.TTL <= 0 {
-		c.Protocol.TTL = d.Protocol.TTL
-	}
-	if c.Protocol.GroupCount <= 0 {
-		c.Protocol.GroupCount = d.Protocol.GroupCount
-	}
-	if c.Protocol.Cache.MaxFilenames <= 0 {
-		c.Protocol.Cache = cache.DefaultConfig()
-	}
-	if c.Protocol.BloomBits <= 0 {
-		c.Protocol.BloomBits = d.Protocol.BloomBits
-		c.Protocol.BloomK = d.Protocol.BloomK
-	}
-	if c.Protocol.BloomGossipPeriod <= 0 {
-		c.Protocol.BloomGossipPeriod = d.Protocol.BloomGossipPeriod
-	}
-	if c.Protocol.FinalizeAfter <= 0 {
-		c.Protocol.FinalizeAfter = d.Protocol.FinalizeAfter
-	}
-	if c.Churn.AvgDegree <= 0 {
-		c.Churn = d.Churn
-	}
-	return c
 }
 
 // ResolveScenario threads cfg's scenario phase grid for a run of

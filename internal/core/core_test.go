@@ -225,22 +225,6 @@ func TestChurnRun(t *testing.T) {
 	}
 }
 
-func TestWithDefaultsFillsZeroConfig(t *testing.T) {
-	var c Config
-	c = c.withDefaults()
-	d := DefaultConfig()
-	if c.NumPeers != d.NumPeers || c.Landmarks != d.Landmarks ||
-		c.Protocol.TTL != d.Protocol.TTL || c.Catalog.NumFiles != d.Catalog.NumFiles {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-	// A zero-config simulation is runnable.
-	s := NewSimulation(Config{NumPeers: 100, Gen: c.Gen}, protocol.Dicas{})
-	res := s.Run(10)
-	if res.Collector.Submitted() != 10 {
-		t.Fatal("zero-ish config run failed")
-	}
-}
-
 func TestLocawareBeatsDicasWarm(t *testing.T) {
 	// Integration check of the paper's Fig. 4 ordering at small scale:
 	// with a warmed system, Locaware's success rate must be at least

@@ -7,14 +7,7 @@ import (
 )
 
 // Baselines returns the paper's four compared protocols in figure order.
-func Baselines() []protocol.Behavior {
-	return []protocol.Behavior{
-		protocol.Flooding{},
-		protocol.Dicas{},
-		protocol.DicasKeys{},
-		protocol.Locaware{},
-	}
-}
+func Baselines() []protocol.Behavior { return protocol.Baselines() }
 
 // normalizeCheckpoints sorts, dedups and clamps checkpoints to [1,
 // numQueries]; an empty input yields ten equal steps.

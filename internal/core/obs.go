@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+	"strings"
+
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -56,6 +60,62 @@ type RuntimeStats struct {
 	TraceEventsDropped uint64
 	// PoolFree is the per-pool free-list occupancy at end of run.
 	PoolFree map[string]int
+}
+
+// Report renders the snapshot as an aligned, human-readable run report —
+// what cmd/locaware-exp prints under -stats.
+func (rs *RuntimeStats) Report() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "runtime stats:\n")
+	fmt.Fprintf(&b, "  event loop:\n")
+	shards := rs.Shards
+	if shards < 1 {
+		shards = 1
+	}
+	fmt.Fprintf(&b, "    %-28s %d\n", "shards", shards)
+	fmt.Fprintf(&b, "    %-28s %d\n", "events scheduled", rs.EventsScheduled)
+	fmt.Fprintf(&b, "    %-28s %d\n", "events cancelled", rs.EventsCancelled)
+	fmt.Fprintf(&b, "    %-28s %d\n", "queue depth high water", rs.QueueDepthHighWater)
+	if rs.Epochs > 0 {
+		fmt.Fprintf(&b, "    %-28s %d\n", "epochs", rs.Epochs)
+		fmt.Fprintf(&b, "    %-28s %d\n", "cross-shard events", rs.CrossShardEvents)
+		fmt.Fprintf(&b, "    %-28s %.6f\n", "max epoch drain (s)", rs.MaxEpochDrainSeconds)
+	}
+	if len(rs.EventsByKind) > 0 {
+		fmt.Fprintf(&b, "  events by kind:\n")
+		kinds := make([]string, 0, len(rs.EventsByKind))
+		for k := range rs.EventsByKind {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		for _, k := range kinds {
+			fmt.Fprintf(&b, "    %-28s %d\n", k, rs.EventsByKind[k])
+		}
+	}
+	fmt.Fprintf(&b, "  protocol:\n")
+	fmt.Fprintf(&b, "    %-28s %d\n", "queries submitted", rs.Submitted)
+	fmt.Fprintf(&b, "    %-28s %d\n", "queries finalized", rs.Finalized)
+	fmt.Fprintf(&b, "    %-28s %d\n", "cache hits", rs.CacheHits)
+	fmt.Fprintf(&b, "    %-28s %d\n", "cache misses", rs.CacheMisses)
+	fmt.Fprintf(&b, "    %-28s %d\n", "storage hits", rs.StorageHits)
+	fmt.Fprintf(&b, "    %-28s %d\n", "bloom install copies", rs.BloomInstallCopies)
+	fmt.Fprintf(&b, "    %-28s %d\n", "pending queries high water", rs.PendingHighWater)
+	fmt.Fprintf(&b, "    %-28s %d\n", "finalize watermark lag", rs.FinalizeWatermarkLag)
+	if rs.TraceEventsDropped > 0 {
+		fmt.Fprintf(&b, "  warning: trace buffer overflowed; %d events dropped (trace is incomplete)\n", rs.TraceEventsDropped)
+	}
+	if len(rs.PoolFree) > 0 {
+		fmt.Fprintf(&b, "  pool free lists:\n")
+		pools := make([]string, 0, len(rs.PoolFree))
+		for p := range rs.PoolFree {
+			pools = append(pools, p)
+		}
+		sort.Strings(pools)
+		for _, p := range pools {
+			fmt.Fprintf(&b, "    %-28s %d\n", p, rs.PoolFree[p])
+		}
+	}
+	return b.String()
 }
 
 // attachObs wires instrumentation into the loop and network. Called at

@@ -72,7 +72,6 @@ type runner interface {
 // config but different behaviours see the same physical world, overlay,
 // file placement and query sequence.
 func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
-	cfg = cfg.withDefaults()
 	rng := sim.NewRNG(cfg.Seed)
 
 	topoRng := rng.Stream("topology")

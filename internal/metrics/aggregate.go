@@ -75,18 +75,20 @@ type Metric struct {
 	Key string
 	// Column is the tidy-CSV column stem.
 	Column string
+	// Title heads the metric's table in reports.
+	Title string
 	// Of selects the metric's cross-trial summary.
 	Of func(*PhaseStats) stats.Summary
 }
 
 // Metrics is the query-metric set in presentation order.
 var Metrics = []Metric{
-	{"success", "success", func(s *PhaseStats) stats.Summary { return s.SuccessRate }},
-	{"msgs", "msgs_per_query", func(s *PhaseStats) stats.Summary { return s.MessagesPerQuery }},
-	{"rtt", "download_rtt_ms", func(s *PhaseStats) stats.Summary { return s.DownloadRTT }},
-	{"sameloc", "same_locality", func(s *PhaseStats) stats.Summary { return s.SameLocalityRate }},
-	{"cachehit", "cache_hit", func(s *PhaseStats) stats.Summary { return s.CacheHitRate }},
-	{"hops", "hops", func(s *PhaseStats) stats.Summary { return s.AvgHops }},
+	{"success", "success", "success rate", func(s *PhaseStats) stats.Summary { return s.SuccessRate }},
+	{"msgs", "msgs_per_query", "search traffic (messages/query)", func(s *PhaseStats) stats.Summary { return s.MessagesPerQuery }},
+	{"rtt", "download_rtt_ms", "download distance (ms)", func(s *PhaseStats) stats.Summary { return s.DownloadRTT }},
+	{"sameloc", "same_locality", "same-locality download rate", func(s *PhaseStats) stats.Summary { return s.SameLocalityRate }},
+	{"cachehit", "cache_hit", "cache hit rate", func(s *PhaseStats) stats.Summary { return s.CacheHitRate }},
+	{"hops", "hops", "hops to first hit", func(s *PhaseStats) stats.Summary { return s.AvgHops }},
 }
 
 // MetricByKey looks a metric up by its exporter key.

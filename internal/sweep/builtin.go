@@ -2,13 +2,16 @@ package sweep
 
 import "sort"
 
-// builtins constructs the registry afresh (specs are mutable data; every
-// caller gets its own copy). The campaigns regenerate the paper's figure
-// grids: every figure in the evaluation plots a metric against a swept
-// parameter for the four protocols, and these four axes — overlay size,
-// response-index capacity, TTL and dynamics intensity — are the ones its
-// discussion varies.
-func builtins() []*Spec {
+// Builtins constructs the built-in campaign registry afresh, in stable
+// order (specs are mutable data; every caller gets its own copy). The
+// campaigns regenerate the paper's figure grids — every figure in the
+// evaluation plots a metric against a swept parameter for the compared
+// protocols (overlay size, response-index capacity, TTL, dynamics
+// intensity) — and its parameter studies: landmark count (§5.1), Bloom
+// filter size, Dicas group count M, and the §6 location-aware-routing
+// extension. A study is a campaign; nothing else in the repo loops over
+// parameter values.
+func Builtins() []*Spec {
 	return []*Spec{
 		{
 			Name:        "size-sweep",
@@ -69,16 +72,62 @@ func builtins() []*Spec {
 				{Param: ParamIntensity, Values: []float64{0.5, 1, 2}},
 			},
 		},
+		{
+			Name:        "landmark-sweep",
+			Description: "landmark count (paper §5.1: 4 → 24 locIds; 5 scatter 1000 peers too thinly), Locaware",
+			Protocols:   []string{"Locaware"},
+			Warmup:      300,
+			Queries:     1000,
+			Trials:      3,
+			Axes: []Axis{
+				{Param: ParamLandmarks, Values: []float64{3, 4, 5}},
+			},
+			Figures: []string{"success", "rtt", "sameloc"},
+		},
+		{
+			Name:        "bloom-sweep",
+			Description: "Bloom filter size (paper: 1200 bits for 50 filenames × 3 keywords): false positives vs gossip cost, Locaware",
+			Protocols:   []string{"Locaware"},
+			Warmup:      300,
+			Queries:     1000,
+			Trials:      3,
+			Base:        map[string]float64{ParamPeers: 500},
+			Axes: []Axis{
+				{Param: ParamBloomBits, Values: []float64{300, 600, 1200, 2400}},
+			},
+			Figures: []string{"success", "msgs", "ctlkbits"},
+		},
+		{
+			Name:        "group-sweep",
+			Description: "Dicas group count M: caching density vs routing selectivity over the caching protocols",
+			Protocols:   []string{"Dicas", "Dicas-Keys", "Locaware"},
+			Warmup:      300,
+			Queries:     1000,
+			Trials:      3,
+			Base:        map[string]float64{ParamPeers: 500},
+			Axes: []Axis{
+				{Param: ParamGroups, Values: []float64{2, 4, 8, 16}},
+			},
+			Figures: []string{"success", "msgs", "cached"},
+		},
+		{
+			Name:        "lr-sweep",
+			Description: "location-aware routing (paper §6 future work): Locaware vs Locaware-LR per landmark count",
+			Protocols:   []string{"Locaware", "Locaware-LR"},
+			Warmup:      300,
+			Queries:     1000,
+			Trials:      3,
+			Axes: []Axis{
+				{Param: ParamLandmarks, Values: []float64{3, 4, 5}},
+			},
+			Figures: []string{"success", "rtt", "sameloc", "msgs"},
+		},
 	}
 }
 
-// Builtins returns the built-in campaign registry in stable order. The
-// returned specs are fresh copies; callers may adjust them freely.
-func Builtins() []*Spec { return builtins() }
-
 // Lookup resolves a built-in campaign by name.
 func Lookup(name string) (*Spec, bool) {
-	for _, s := range builtins() {
+	for _, s := range Builtins() {
 		if s.Name == name {
 			return s, true
 		}
@@ -88,7 +137,7 @@ func Lookup(name string) (*Spec, bool) {
 
 // Names lists the built-in campaign names, sorted.
 func Names() []string {
-	bs := builtins()
+	bs := Builtins()
 	names := make([]string, len(bs))
 	for i, s := range bs {
 		names[i] = s.Name

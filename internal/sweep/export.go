@@ -4,27 +4,68 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/stats"
 )
 
-// Metrics lists the exportable metric keys in presentation order.
+// metric is one figure-exportable quantity of a cell: its key, the title
+// a report heads its table with, and its selector on the cell's cross-trial
+// summary.
+type metric struct {
+	key, title string
+	of         func(*core.TrialSummary) stats.Summary
+}
+
+// runMetrics are the run-level summaries a cell carries beside the six
+// query metrics: figure-exportable by key, but absent from the tidy CSVs,
+// whose per-phase rows have no such value.
+var runMetrics = []metric{
+	{"ctlkbits", "Bloom gossip traffic (kbit)", func(s *core.TrialSummary) stats.Summary { return s.ControlKbits }},
+	{"cached", "cached filenames (all response indexes)", func(s *core.TrialSummary) stats.Summary { return s.CachedFilenames }},
+}
+
+// Metrics lists the figure-exportable metric keys in presentation order:
+// the query-metric set, then the run-level summaries.
 func Metrics() []string {
-	keys := make([]string, len(metrics.Metrics))
-	for i, m := range metrics.Metrics {
-		keys[i] = m.Key
+	var keys []string
+	for _, m := range metrics.Metrics {
+		keys = append(keys, m.Key)
+	}
+	for _, m := range runMetrics {
+		keys = append(keys, m.key)
 	}
 	return keys
+}
+
+// metricOf resolves a metric key, reporting whether it is known.
+func metricOf(key string) (metric, bool) {
+	if m, ok := metrics.MetricByKey(key); ok {
+		return metric{m.Key, m.Title, func(s *core.TrialSummary) stats.Summary { return m.Of(&s.PhaseStats) }}, true
+	}
+	for _, m := range runMetrics {
+		if m.key == key {
+			return m, true
+		}
+	}
+	return metric{}, false
 }
 
 // MetricSummary selects one cross-trial summary from a protocol cell by
 // metric key, reporting whether the key is known.
 func MetricSummary(p ProtocolCell, key string) (stats.Summary, bool) {
-	m, ok := metrics.MetricByKey(key)
+	m, ok := metricOf(key)
 	if !ok {
 		return stats.Summary{}, false
 	}
-	return m.Of(&p.Summary.PhaseStats), true
+	return m.of(&p.Summary), true
+}
+
+// MetricTitle returns the human-readable name a report heads the metric's
+// table with ("" for an unknown key).
+func MetricTitle(key string) string {
+	m, _ := metricOf(key)
+	return m.title
 }
 
 // writeCoords appends a cell's axis-value columns to a tidy-CSV row.
@@ -140,7 +181,7 @@ func (c *Campaign) FigureSeries(metric, axisParam string) ([]*stats.Series, erro
 	if err != nil {
 		return nil, err
 	}
-	m, ok := metrics.MetricByKey(metric)
+	m, ok := metricOf(metric)
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown metric %q (have %s)", metric, strings.Join(Metrics(), ", "))
 	}
@@ -180,7 +221,7 @@ func (c *Campaign) FigureSeries(metric, axisParam string) ([]*stats.Series, erro
 				byKey[key] = s
 				order = append(order, key)
 			}
-			sum := m.Of(&p.Summary.PhaseStats)
+			sum := m.of(&p.Summary)
 			if c.Trials > 1 {
 				s.AddErr(xOf(cell), sum.Mean, sum.CI95())
 			} else {

@@ -143,14 +143,10 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	names := s.protocols()
+	names := s.ProtocolNames()
 	behaviors := make([]protocol.Behavior, len(names))
 	for i, n := range names {
-		b, ok := behaviorOf(n)
-		if !ok {
-			return nil, fmt.Errorf("sweep %q: unknown protocol %q", s.Name, n)
-		}
-		behaviors[i] = b
+		behaviors[i], _ = protocol.ByName(n) // Validate vouched for every name
 	}
 	// The campaign owns dynamics configuration: any ambient scenario on
 	// the base config is cleared so cells run exactly what the spec says
@@ -159,10 +155,7 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 	cells := s.Cells(seed)
 	cellCfgs := make([]core.Config, len(cells))
 	for i, c := range cells {
-		cfg, err := s.cellConfig(base, c)
-		if err != nil {
-			return nil, err
-		}
+		cfg := s.cellConfig(base, c)
 		if cfg.Scenario != nil {
 			if _, err := cfg.Scenario.Marks(s.Queries); err != nil {
 				return nil, fmt.Errorf("sweep %q cell %d: %w", s.Name, c.Index, err)

@@ -18,17 +18,19 @@
 // the same campaign at a different worker count, yields the same numbers
 // bit for bit.
 //
-// Specs are plain data. The built-in registry (Builtins) regenerates the
-// paper's figure grids — overlay-size, cache-capacity, TTL and
-// churn/flash-crowd intensity sweeps — and ParseSpec loads custom
-// campaigns from JSON, so new sweeps need no code.
+// Specs are plain data. The built-in registry (Builtins) holds the paper's
+// figure grids and parameter studies — overlay size, cache capacity, TTL,
+// churn/flash-crowd intensity, landmarks, Bloom bits, group count — and
+// ParseSpec loads custom campaigns from JSON, so new sweeps need no code.
 package sweep
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/protocol"
@@ -59,22 +61,42 @@ const (
 	ParamIntensity = "scenario-intensity"
 )
 
-// numericParams lists every numeric axis parameter and how it lowers onto
-// the core configuration.
-var numericParams = map[string]func(*core.Config, float64){
-	ParamPeers:          func(c *core.Config, v float64) { c.NumPeers = int(v) },
-	ParamAvgDegree:      func(c *core.Config, v float64) { c.AvgDegree = v },
-	ParamLandmarks:      func(c *core.Config, v float64) { c.Landmarks = int(v) },
-	ParamFiles:          func(c *core.Config, v float64) { c.Catalog.NumFiles = int(v) },
-	ParamFilesPerPeer:   func(c *core.Config, v float64) { c.FilesPerPeer = int(v) },
-	ParamKeywordPool:    func(c *core.Config, v float64) { c.Catalog.KeywordPool = int(v) },
-	ParamQueryRate:      func(c *core.Config, v float64) { c.Gen.RatePerPeer = v },
-	ParamZipfS:          func(c *core.Config, v float64) { c.Gen.ZipfS = v },
-	ParamTTL:            func(c *core.Config, v float64) { c.Protocol.TTL = int(v) },
-	ParamGroups:         func(c *core.Config, v float64) { c.Protocol.GroupCount = int(v) },
-	ParamCacheFilenames: func(c *core.Config, v float64) { c.Protocol.Cache.MaxFilenames = int(v) },
-	ParamCacheProviders: func(c *core.Config, v float64) { c.Protocol.Cache.MaxProvidersPerFile = int(v) },
-	ParamBloomBits:      func(c *core.Config, v float64) { c.Protocol.BloomBits = int(v) },
+// numericParam is one numeric axis parameter: whether it counts something
+// (integer-valued) and how it lowers onto the core configuration.
+type numericParam struct {
+	integer bool
+	apply   func(*core.Config, float64)
+}
+
+// numericParams lists every numeric axis parameter. All of them must be
+// positive: a cell runs exactly the value its label shows, there is no
+// "zero means default" beneath a spec.
+var numericParams = map[string]numericParam{
+	ParamPeers:          {true, func(c *core.Config, v float64) { c.NumPeers = int(v) }},
+	ParamAvgDegree:      {false, func(c *core.Config, v float64) { c.AvgDegree = v }},
+	ParamLandmarks:      {true, func(c *core.Config, v float64) { c.Landmarks = int(v) }},
+	ParamFiles:          {true, func(c *core.Config, v float64) { c.Catalog.NumFiles = int(v) }},
+	ParamFilesPerPeer:   {true, func(c *core.Config, v float64) { c.FilesPerPeer = int(v) }},
+	ParamKeywordPool:    {true, func(c *core.Config, v float64) { c.Catalog.KeywordPool = int(v) }},
+	ParamQueryRate:      {false, func(c *core.Config, v float64) { c.Gen.RatePerPeer = v }},
+	ParamZipfS:          {false, func(c *core.Config, v float64) { c.Gen.ZipfS = v }},
+	ParamTTL:            {true, func(c *core.Config, v float64) { c.Protocol.TTL = int(v) }},
+	ParamGroups:         {true, func(c *core.Config, v float64) { c.Protocol.GroupCount = int(v) }},
+	ParamCacheFilenames: {true, func(c *core.Config, v float64) { c.Protocol.Cache.MaxFilenames = int(v) }},
+	ParamCacheProviders: {true, func(c *core.Config, v float64) { c.Protocol.Cache.MaxProvidersPerFile = int(v) }},
+	ParamBloomBits:      {true, func(c *core.Config, v float64) { c.Protocol.BloomBits = int(v) }},
+}
+
+// check rejects a value the parameter cannot run as labelled: non-positive
+// (or NaN), or fractional for an integer-valued parameter.
+func (p numericParam) check(v float64) error {
+	if !(v > 0) {
+		return fmt.Errorf("value %g must be positive", v)
+	}
+	if p.integer && v != math.Trunc(v) {
+		return fmt.Errorf("value %g must be an integer", v)
+	}
+	return nil
 }
 
 // Params lists the accepted axis parameter names, sorted — the numeric
@@ -118,6 +140,9 @@ type Spec struct {
 	// Axes span the grid; cells enumerate their cartesian product with the
 	// last axis varying fastest.
 	Axes []Axis `json:"axes"`
+	// Figures names the metrics (Metrics keys) the campaign's report
+	// tabulates against the first axis; empty means success, msgs, rtt.
+	Figures []string `json:"figures,omitempty"`
 }
 
 // Axis is one swept parameter: a numeric value list, or — for the
@@ -146,30 +171,26 @@ func (s *Spec) trials() int {
 	return s.Trials
 }
 
-// protocols returns the campaign's protocol set (default: the four
+// ProtocolNames returns the campaign's protocol set (default: the four
 // baselines, in figure order).
-func (s *Spec) protocols() []string {
+func (s *Spec) ProtocolNames() []string {
 	if len(s.Protocols) > 0 {
 		return s.Protocols
 	}
-	return []string{"Flooding", "Dicas", "Dicas-Keys", "Locaware"}
+	var names []string
+	for _, b := range protocol.Baselines() {
+		names = append(names, b.Name())
+	}
+	return names
 }
 
-// behaviorOf maps a protocol name to its behaviour implementation.
-func behaviorOf(name string) (protocol.Behavior, bool) {
-	switch name {
-	case "Flooding":
-		return protocol.Flooding{}, true
-	case "Dicas":
-		return protocol.Dicas{}, true
-	case "Dicas-Keys":
-		return protocol.DicasKeys{}, true
-	case "Locaware":
-		return protocol.Locaware{}, true
-	case "Locaware-LR":
-		return protocol.LocawareLR{}, true
+// FigureKeys returns the metrics the campaign's report tabulates (default:
+// the paper's three figures).
+func (s *Spec) FigureKeys() []string {
+	if len(s.Figures) > 0 {
+		return s.Figures
 	}
-	return nil, false
+	return []string{"success", "msgs", "rtt"}
 }
 
 // Validate checks the spec's internal consistency: a name, positive query
@@ -189,9 +210,14 @@ func (s *Spec) Validate() error {
 	if s.Warmup < 0 {
 		return fmt.Errorf("sweep %q: warmup must be non-negative", s.Name)
 	}
-	for _, p := range s.protocols() {
-		if _, ok := behaviorOf(p); !ok {
+	for _, p := range s.ProtocolNames() {
+		if _, ok := protocol.ByName(p); !ok {
 			return fmt.Errorf("sweep %q: unknown protocol %q", s.Name, p)
+		}
+	}
+	for _, key := range s.Figures {
+		if _, ok := metricOf(key); !ok {
+			return fmt.Errorf("sweep %q: unknown figure metric %q (have %s)", s.Name, key, strings.Join(Metrics(), ", "))
 		}
 	}
 	if s.Scenario != "" {
@@ -199,17 +225,19 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep %q: unknown scenario %q", s.Name, s.Scenario)
 		}
 	}
-	for param := range s.Base {
-		if _, ok := numericParams[param]; !ok {
+	for param, v := range s.Base {
+		p, ok := numericParams[param]
+		if !ok {
 			return fmt.Errorf("sweep %q: base override %q is not a numeric parameter", s.Name, param)
+		}
+		if err := p.check(v); err != nil {
+			return fmt.Errorf("sweep %q: base override %q: %w", s.Name, param, err)
 		}
 	}
 	if len(s.Axes) == 0 {
 		return fmt.Errorf("sweep %q: needs at least one axis", s.Name)
 	}
 	seen := map[string]bool{}
-	hasScenarioAxis := false
-	hasIntensityAxis := false
 	for i, a := range s.Axes {
 		if seen[a.Param] {
 			return fmt.Errorf("sweep %q: axis %d duplicates parameter %q", s.Name, i, a.Param)
@@ -217,7 +245,6 @@ func (s *Spec) Validate() error {
 		seen[a.Param] = true
 		switch {
 		case a.Param == ParamScenario:
-			hasScenarioAxis = true
 			if len(a.Scenarios) == 0 {
 				return fmt.Errorf("sweep %q: scenario axis needs scenario names", s.Name)
 			}
@@ -230,7 +257,6 @@ func (s *Spec) Validate() error {
 				}
 			}
 		case a.Param == ParamIntensity:
-			hasIntensityAxis = true
 			if len(a.Values) == 0 {
 				return fmt.Errorf("sweep %q: axis %q needs values", s.Name, a.Param)
 			}
@@ -240,16 +266,22 @@ func (s *Spec) Validate() error {
 				}
 			}
 		default:
-			if _, ok := numericParams[a.Param]; !ok {
+			p, ok := numericParams[a.Param]
+			if !ok {
 				return fmt.Errorf("sweep %q: axis %d has unknown parameter %q (have %v)",
 					s.Name, i, a.Param, Params())
 			}
 			if len(a.Values) == 0 {
 				return fmt.Errorf("sweep %q: axis %q needs values", s.Name, a.Param)
 			}
+			for _, v := range a.Values {
+				if err := p.check(v); err != nil {
+					return fmt.Errorf("sweep %q: axis %q: %w", s.Name, a.Param, err)
+				}
+			}
 		}
 	}
-	if hasIntensityAxis && s.Scenario == "" && !hasScenarioAxis {
+	if seen[ParamIntensity] && s.Scenario == "" && !seen[ParamScenario] {
 		return fmt.Errorf("sweep %q: a scenario-intensity axis needs a scenario (spec-level or a scenario axis)", s.Name)
 	}
 	return nil
@@ -360,24 +392,16 @@ func CellSeed(root int64, cell int) int64 {
 	return int64(z)
 }
 
-// cellConfig lowers one cell onto the base configuration: base overrides
-// first, then the cell's coordinates, then the scenario selection (name
-// axis over spec-level name) scaled by the intensity coordinate. The
-// returned config still needs its Seed set per trial and its scenario
-// phase grid resolved (core.ResolveScenario).
-func (s *Spec) cellConfig(base core.Config, c Cell) (core.Config, error) {
+// cellConfig lowers one cell of a validated spec onto the base
+// configuration: base overrides first (each parameter touches its own
+// field, so map order is immaterial), then the cell's coordinates, then
+// the scenario selection (name axis over spec-level name) scaled by the
+// intensity coordinate. The returned config still needs its Seed set per
+// trial and its scenario phase grid resolved (core.ResolveScenario).
+func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 	cfg := base
-	// Apply base overrides in sorted-key order; each parameter touches a
-	// distinct field, the sort just keeps the walk deterministic.
-	if len(s.Base) > 0 {
-		params := make([]string, 0, len(s.Base))
-		for p := range s.Base {
-			params = append(params, p)
-		}
-		sort.Strings(params)
-		for _, p := range params {
-			numericParams[p](&cfg, s.Base[p])
-		}
+	for p, v := range s.Base {
+		numericParams[p].apply(&cfg, v)
 	}
 	scenName := s.Scenario
 	intensity := -1.0
@@ -388,27 +412,16 @@ func (s *Spec) cellConfig(base core.Config, c Cell) (core.Config, error) {
 		case ParamIntensity:
 			intensity = co.Value
 		default:
-			apply, ok := numericParams[co.Param]
-			if !ok {
-				return cfg, fmt.Errorf("sweep %q: unknown parameter %q", s.Name, co.Param)
-			}
-			apply(&cfg, co.Value)
+			numericParams[co.Param].apply(&cfg, co.Value)
 		}
 	}
 	if scenName != "" {
-		spec, ok := scenario.Lookup(scenName)
-		if !ok {
-			return cfg, fmt.Errorf("sweep %q: unknown scenario %q", s.Name, scenName)
-		}
-		cfg.Scenario = spec
+		cfg.Scenario, _ = scenario.Lookup(scenName)
 	}
 	if intensity >= 0 {
-		if cfg.Scenario == nil {
-			return cfg, fmt.Errorf("sweep %q: scenario-intensity axis without a scenario", s.Name)
-		}
 		cfg.Scenario = cfg.Scenario.ScaleIntensity(intensity)
 	}
-	return cfg, nil
+	return cfg
 }
 
 // ParseSpec decodes and validates a JSON campaign. Unknown fields are

@@ -26,7 +26,8 @@ func benchSpec() *Spec {
 // BenchmarkSweepThroughput measures campaign throughput in grid cells per
 // second end to end: grid expansion, per-cell world builds, all
 // (cell × protocol × trial) simulations and the streamed cross-trial
-// aggregation. BENCH_pr4.json records the cells/sec headline.
+// aggregation. benchmark/history.json (source BENCH_pr4.json) records the
+// cells/sec headline.
 func BenchmarkSweepThroughput(b *testing.B) {
 	base := core.DefaultConfig()
 	base.Gen.RatePerPeer = 0.01 // accelerate arrivals, as the test worlds do
@@ -42,5 +43,5 @@ func BenchmarkSweepThroughput(b *testing.B) {
 		cells += len(camp.Cells)
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/sec")
-	b.ReportMetric(float64(cells*len(spec.protocols())*spec.trials())/b.Elapsed().Seconds(), "runs/sec")
+	b.ReportMetric(float64(cells*len(spec.ProtocolNames())*spec.trials())/b.Elapsed().Seconds(), "runs/sec")
 }

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,6 +87,7 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Warmup = -1 },
 		func(s *Spec) { s.Protocols = []string{"Chord"} },
 		func(s *Spec) { s.Scenario = "no-such-scenario" },
+		func(s *Spec) { s.Figures = []string{"success", "latency"} },
 		func(s *Spec) { s.Axes = nil },
 		func(s *Spec) { s.Axes[0].Param = "peerz" },
 		func(s *Spec) { s.Axes[0].Values = nil },
@@ -106,6 +109,43 @@ func TestSpecValidation(t *testing.T) {
 		mutate(s)
 		if err := s.Validate(); err == nil {
 			t.Fatalf("mutation %d must fail validation", i)
+		}
+	}
+}
+
+// TestNumericValuesRunAsLabelled locks the "a cell runs what its label
+// says" contract for every numeric parameter: a non-positive value, or a
+// fractional one on an integer-valued parameter, is rejected on an axis and
+// in the base overrides with an error naming the campaign, the parameter
+// and the value — nothing beneath a spec substitutes a default.
+func TestNumericValuesRunAsLabelled(t *testing.T) {
+	for param, p := range numericParams {
+		for _, tc := range []struct {
+			v  float64
+			ok bool
+		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.integer}} {
+			specs := map[string]*Spec{
+				"axis": {Name: "lbl", Queries: 10, Axes: []Axis{{Param: param, Values: []float64{3, tc.v}}}},
+				"base": {Name: "lbl", Queries: 10, Base: map[string]float64{param: tc.v},
+					Axes: []Axis{{Param: ParamScenario, Scenarios: []string{"flashcrowd"}}}},
+			}
+			for where, s := range specs {
+				err := s.Validate()
+				if tc.ok != (err == nil) {
+					t.Fatalf("%s %s=%v: accepted=%v, want %v (%v)", where, param, tc.v, err == nil, tc.ok, err)
+				}
+				if err != nil && !(strings.Contains(err.Error(), `"lbl"`) &&
+					strings.Contains(err.Error(), fmt.Sprintf("%q", param)) &&
+					strings.Contains(err.Error(), fmt.Sprintf("%g", tc.v))) {
+					t.Fatalf("%s %s=%v: error does not name campaign, parameter and value: %v", where, param, tc.v, err)
+				}
+				// The JSON loader goes through the same gate (NaN has no JSON form).
+				if data, jerr := s.JSON(); jerr == nil {
+					if _, err := ParseSpec(data); tc.ok != (err == nil) {
+						t.Fatalf("ParseSpec(%s): accepted=%v, want %v (%v)", data, err == nil, tc.ok, err)
+					}
+				}
+			}
 		}
 	}
 }
@@ -137,12 +177,30 @@ func TestBuiltinsResolve(t *testing.T) {
 		t.Fatalf("want at least 4 built-in campaigns, have %d", len(Builtins()))
 	}
 	for _, s := range Builtins() {
-		if _, err := resolve(core.DefaultConfig(), s); err != nil {
-			t.Fatalf("builtin %q does not resolve: %v", s.Name, err)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("builtin %q does not validate: %v", s.Name, err)
+		}
+		p, err := NewPlan(core.DefaultConfig(), s)
+		if err != nil {
+			t.Fatalf("builtin %q does not plan: %v", s.Name, err)
+		}
+		if p.NumCells() != s.NumCells() || len(p.Hash()) != 64 {
+			t.Fatalf("builtin %q planned %d cells (spec %d), hash %q", s.Name, p.NumCells(), s.NumCells(), p.Hash())
+		}
+		for _, key := range s.FigureKeys() {
+			if _, ok := MetricSummary(ProtocolCell{}, key); !ok {
+				t.Fatalf("builtin %q tabulates unknown metric %q", s.Name, key)
+			}
+			if MetricTitle(key) == "" {
+				t.Fatalf("builtin %q: metric %q has no title", s.Name, key)
+			}
 		}
 	}
-	if _, ok := Lookup("size-sweep"); !ok {
-		t.Fatal("size-sweep missing from registry")
+	// The paper's six parameter studies are registry entries.
+	for _, name := range []string{"landmark-sweep", "cache-sweep", "bloom-sweep", "group-sweep", "lr-sweep", "churn-sweep", "size-sweep"} {
+		if _, ok := Lookup(name); !ok {
+			t.Fatalf("%s missing from registry", name)
+		}
 	}
 	names := Names()
 	for i := 1; i < len(names); i++ {
@@ -271,12 +329,35 @@ func TestSweepWorkerInvariance(t *testing.T) {
 // at the cell's derived seed and configuration — an independent reference
 // for the streaming fold, which never holds a cell's runs together.
 func TestSweepCellIsolation(t *testing.T) {
-	spec := tinySpec()
+	// shrunk cuts a built-in study down to test size; nonZero names the
+	// run-level figure metric the study exists to show.
+	shrunk := func(name string) *Spec {
+		s, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no built-in %q", name)
+		}
+		s.Warmup, s.Queries, s.Trials = 40, 120, 2
+		s.Base = map[string]float64{ParamPeers: 90}
+		return s
+	}
+	for _, tc := range []struct {
+		spec    *Spec
+		nonZero string
+	}{
+		{tinySpec(), ""},
+		{shrunk("bloom-sweep"), "ctlkbits"},
+		{shrunk("group-sweep"), "cached"},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) { checkCellIsolation(t, tc.spec, tc.nonZero) })
+	}
+}
+
+func checkCellIsolation(t *testing.T, spec *Spec, nonZero string) {
 	camp, err := runGrid(core.DefaultConfig(), spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cell = 2 // peers=90, cache=5: mid-grid, seed != campaign root
+	const cell = 2 // mid-grid, seed != campaign root
 	plan, err := NewPlan(core.DefaultConfig(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +386,22 @@ func TestSweepCellIsolation(t *testing.T) {
 		}
 		if !reflect.DeepEqual(solo.PhaseStats, grid.Phases) {
 			t.Fatalf("standalone phase stats drifted from grid cell for %s", name)
+		}
+		if nonZero == "" {
+			continue
+		}
+		got, ok := MetricSummary(grid, nonZero)
+		want, _ := MetricSummary(ProtocolCell{Summary: solo.Summary}, nonZero)
+		if !ok || got != want || got.N != spec.Trials {
+			t.Fatalf("%s %s = %+v (known %v), standalone %+v", name, nonZero, got, ok, want)
+		}
+		if name == "Locaware" && got.Mean <= 0 {
+			t.Fatalf("%s %s estimate is %g; the study has nothing to tabulate", name, nonZero, got.Mean)
+		}
+	}
+	if nonZero != "" {
+		if _, err := camp.FigureTable(nonZero, ""); err != nil {
+			t.Fatalf("figure table for %s: %v", nonZero, err)
 		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"fmt"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/stats"
@@ -63,27 +64,23 @@ const (
 
 // Baselines returns the paper's four compared protocols in figure order.
 func Baselines() []Protocol {
-	return []Protocol{ProtocolFlooding, ProtocolDicas, ProtocolDicasKeys, ProtocolLocaware}
+	bs := protocol.Baselines()
+	out := make([]Protocol, len(bs))
+	for i, b := range bs {
+		out[i] = Protocol(b.Name())
+	}
+	return out
 }
 
 // ErrUnknownProtocol reports an unrecognised Protocol value.
 var ErrUnknownProtocol = errors.New("locaware: unknown protocol")
 
 func (p Protocol) behavior() (protocol.Behavior, error) {
-	switch p {
-	case ProtocolFlooding:
-		return protocol.Flooding{}, nil
-	case ProtocolDicas:
-		return protocol.Dicas{}, nil
-	case ProtocolDicasKeys:
-		return protocol.DicasKeys{}, nil
-	case ProtocolLocaware:
-		return protocol.Locaware{}, nil
-	case ProtocolLocawareLR:
-		return protocol.LocawareLR{}, nil
-	default:
+	b, ok := protocol.ByName(string(p))
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownProtocol, string(p))
 	}
+	return b, nil
 }
 
 // Options configures a simulation. Zero fields fall back to the paper's
@@ -133,20 +130,11 @@ type Options struct {
 	// longer grows with the query count; all aggregate metrics and figure
 	// tables are bit-identical either way.
 	RetainRecords bool
-	// Shards, when > 1, runs each simulation on the sharded event loop:
-	// peers partition into Shards per-locality event queues (occupied
-	// locIds dense-ranked, rank modulo Shards), protocol state is split
-	// per shard, and the queues of each epoch drain on one goroutine per
-	// shard — a single run uses multiple cores — with cross-locality
-	// deliveries hopping queues through a deterministic mailbox and the
-	// epoch width derived from the latency model's one-way floor. Runs are
-	// exactly reproducible for a fixed shard count; because cross-shard
-	// same-instant deliveries interleave differently than in the single
-	// queue, results are statistically equivalent rather than bit-identical
-	// to Shards <= 1 (which always takes the plain engine path, locked
-	// byte-for-byte by the golden tables). Values exceeding the occupied
-	// locality count clamp down to it. See README "Typed event core and
-	// sharding".
+	// Shards, when > 1, drains each simulation on that many per-locality
+	// event queues, one goroutine each (clamped to the occupied locality
+	// count). Reproducible per shard count, statistically equivalent — not
+	// bit-identical — to the single queue. Never measured faster; slated
+	// for removal (ROADMAP item 2).
 	Shards int
 	// Observer, when non-nil, attaches run-wide observability: every
 	// simulation executed under these Options accumulates event-loop and
@@ -195,52 +183,35 @@ func DefaultOptions() Options {
 	}
 }
 
-// coreConfig lowers Options to the internal configuration.
+// setPositive overrides a default with an option that was set: zero (or
+// negative) Options fields mean the paper's value.
+func setPositive[T int | float64](dst *T, v T) {
+	if v > 0 {
+		*dst = v
+	}
+}
+
+// coreConfig lowers Options to the internal configuration. This is the one
+// place zero means default; core.Config itself has no such layer.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
 	paperRate := cfg.Gen.RatePerPeer
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	if o.Peers > 0 {
-		cfg.NumPeers = o.Peers
-	}
-	if o.AvgDegree > 0 {
-		cfg.AvgDegree = o.AvgDegree
-	}
-	if o.Landmarks > 0 {
-		cfg.Landmarks = o.Landmarks
-	}
-	if o.Files > 0 {
-		cfg.Catalog.NumFiles = o.Files
-	}
-	if o.KeywordPool > 0 {
-		cfg.Catalog.KeywordPool = o.KeywordPool
-	}
-	if o.FilesPerPeer > 0 {
-		cfg.FilesPerPeer = o.FilesPerPeer
-	}
-	if o.QueryRate > 0 {
-		cfg.Gen.RatePerPeer = o.QueryRate
-	}
-	if o.ZipfS > 0 {
-		cfg.Gen.ZipfS = o.ZipfS
-	}
-	if o.TTL > 0 {
-		cfg.Protocol.TTL = o.TTL
-	}
-	if o.Groups > 0 {
-		cfg.Protocol.GroupCount = o.Groups
-	}
-	if o.CacheFilenames > 0 {
-		cfg.Protocol.Cache.MaxFilenames = o.CacheFilenames
-	}
-	if o.CacheProviders > 0 {
-		cfg.Protocol.Cache.MaxProvidersPerFile = o.CacheProviders
-	}
-	if o.BloomBits > 0 {
-		cfg.Protocol.BloomBits = o.BloomBits
-	}
+	setPositive(&cfg.NumPeers, o.Peers)
+	setPositive(&cfg.AvgDegree, o.AvgDegree)
+	setPositive(&cfg.Landmarks, o.Landmarks)
+	setPositive(&cfg.Catalog.NumFiles, o.Files)
+	setPositive(&cfg.Catalog.KeywordPool, o.KeywordPool)
+	setPositive(&cfg.FilesPerPeer, o.FilesPerPeer)
+	setPositive(&cfg.Gen.RatePerPeer, o.QueryRate)
+	setPositive(&cfg.Gen.ZipfS, o.ZipfS)
+	setPositive(&cfg.Protocol.TTL, o.TTL)
+	setPositive(&cfg.Protocol.GroupCount, o.Groups)
+	setPositive(&cfg.Protocol.Cache.MaxFilenames, o.CacheFilenames)
+	setPositive(&cfg.Protocol.Cache.MaxProvidersPerFile, o.CacheProviders)
+	setPositive(&cfg.Protocol.BloomBits, o.BloomBits)
 	// Bloom gossip piggybacks on ordinary data exchange (§4.2), so its
 	// cadence follows system activity: when the query rate is accelerated
 	// above the paper's 0.00083 q/s/peer for fast experimentation, scale
@@ -267,9 +238,7 @@ func (o Options) coreConfig() core.Config {
 	if o.Observer != nil {
 		cfg.Obs = o.Observer.reg
 	}
-	if o.FlightRecorder != nil {
-		cfg.TracePolicy = o.FlightRecorder.policy()
-	}
+	cfg.TracePolicy = o.FlightRecorder
 	return cfg
 }
 
@@ -391,7 +360,7 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 		Events:                r.Events,
 		Records:               records,
 		Phases:                phases,
-		Runtime:               liftRuntime(r.Runtime),
+		Runtime:               r.Runtime,
 		Traces:                liftTraces(r),
 		tracePhases:           r.TracePhases,
 	}
@@ -506,18 +475,24 @@ func RunTraced(o Options, p Protocol, warmup, queries, maxEvents int) (*Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	events := make([]TraceEvent, 0, buf.Len())
-	for _, e := range buf.Events() {
-		events = append(events, TraceEvent{
+	return res, liftEvents(buf.Events()), nil
+}
+
+// liftEvents converts internal trace events to the facade shape (virtual
+// time in seconds, kind as its name).
+func liftEvents(in []trace.Event) []TraceEvent {
+	out := make([]TraceEvent, len(in))
+	for i, e := range in {
+		out[i] = TraceEvent{
 			AtSeconds: e.At.Seconds(),
 			Kind:      e.Kind.String(),
 			Query:     e.Query,
 			Peer:      e.Peer,
 			From:      e.From,
 			Detail:    e.Detail,
-		})
+		}
 	}
-	return res, events, nil
+	return out
 }
 
 // Figure identifies one of the paper's evaluation figures.
@@ -687,26 +662,10 @@ func (c *Comparison) FigureCSV(f Figure) string {
 // comparison: download-distance reduction (paper ≈ −14%), search-traffic
 // reduction versus flooding (paper ≈ −98%), and success-rate gains versus
 // Dicas/Dicas-Keys (paper ≈ +23% / +33%).
-type Headlines struct {
-	DistanceReduction          float64
-	TrafficReductionVsFlooding float64
-	HitGainVsDicas             float64
-	HitGainVsDicasKeys         float64
-}
-
-func toHeadlines(h core.Headline) Headlines {
-	return Headlines{
-		DistanceReduction:          h.DistanceReduction,
-		TrafficReductionVsFlooding: h.TrafficReductionVsFlooding,
-		HitGainVsDicas:             h.HitGainVsDicas,
-		HitGainVsDicasKeys:         h.HitGainVsDicasKeys,
-	}
-}
+type Headlines = core.Headline
 
 // Headlines computes the headline claims from trial-mean metrics.
-func (c *Comparison) Headlines() Headlines {
-	return toHeadlines(c.cmp.Headlines())
-}
+func (c *Comparison) Headlines() Headlines { return c.cmp.Headlines() }
 
 // LocalityReport describes how a landmark set partitions the peer
 // population into physical localities — the §5.1 analysis behind the
@@ -733,7 +692,7 @@ func Localities(o Options) LocalityReport {
 	census := s.Locator.Census()
 	rep := LocalityReport{
 		Landmarks:            cfg.Landmarks,
-		PossibleLocIDs:       netmodelNumLocIDs(cfg.Landmarks),
+		PossibleLocIDs:       netmodel.NumLocIDs(cfg.Landmarks),
 		OccupiedLocIDs:       len(census),
 		MeanPeersPerLocality: s.Locator.MeanPeersPerOccupiedLocID(),
 	}
@@ -743,14 +702,4 @@ func Localities(o Options) LocalityReport {
 		}
 	}
 	return rep
-}
-
-// netmodelNumLocIDs avoids exporting the internal package in the facade
-// signature.
-func netmodelNumLocIDs(k int) int {
-	n := 1
-	for i := 2; i <= k; i++ {
-		n *= i
-	}
-	return n
 }

@@ -52,24 +52,12 @@ type CampaignOptions struct {
 	FlightRecorder *FlightRecorder
 }
 
-// CampaignStats reports how a campaign's cells were obtained.
-type CampaignStats struct {
-	// Cells is the grid size.
-	Cells int
-	// Resumed counts cells restored from the checkpoint store.
-	Resumed int
-	// Executed counts cells computed this run (locally, or — for the
-	// coordinator — received from workers).
-	Executed int
-	// Reissued counts worker leases that expired and were handed out
-	// again (coordinator only).
-	Reissued int
-	// Duplicates counts discarded double results (coordinator only).
-	Duplicates int
-	// Warnings collects non-fatal anomalies: skipped checkpoint files,
-	// rejected worker results, checkpoint write failures.
-	Warnings []string
-}
+// CampaignStats reports how a campaign's cells were obtained: the grid
+// size (Cells), how many were restored from checkpoints (Resumed) or
+// computed this run (Executed — locally, or received from workers), the
+// coordinator's Reissued leases and discarded Duplicates, and non-fatal
+// Warnings (skipped checkpoint files, rejected results, failed writes).
+type CampaignStats = campaign.RunStats
 
 func (c CampaignOptions) lower() campaign.Options {
 	opt := campaign.Options{
@@ -79,25 +67,12 @@ func (c CampaignOptions) lower() campaign.Options {
 		Poll:         c.Poll,
 		Logf:         c.Logf,
 		Progress:     c.Progress,
+		TracePolicy:  c.FlightRecorder,
 	}
 	if c.Observer != nil {
 		opt.Obs = c.Observer.reg
 	}
-	if c.FlightRecorder != nil {
-		opt.TracePolicy = c.FlightRecorder.policy()
-	}
 	return opt
-}
-
-func liftStats(s campaign.RunStats) CampaignStats {
-	return CampaignStats{
-		Cells:      s.Cells,
-		Resumed:    s.Resumed,
-		Executed:   s.Executed,
-		Reissued:   s.Reissued,
-		Duplicates: s.Duplicates,
-		Warnings:   s.Warnings,
-	}
 }
 
 // campaignSpec resolves the effective spec the campaign layer runs,
@@ -145,9 +120,9 @@ func RunSweepCheckpointed(o Options, sw *Sweep, copt CampaignOptions) (*SweepRes
 	}
 	camp, stats, err := campaign.Run(o.coreConfig(), spec, o.Workers, copt.lower())
 	if err != nil {
-		return nil, liftStats(stats), err
+		return nil, stats, err
 	}
-	return &SweepResult{campaign: camp}, liftStats(stats), nil
+	return &SweepResult{campaign: camp}, stats, nil
 }
 
 // ServeSweep runs a campaign coordinator: it binds addr, expands the
@@ -169,9 +144,9 @@ func ServeSweep(o Options, sw *Sweep, addr string, copt CampaignOptions) (*Sweep
 	}
 	camp, stats, err := coord.Serve(addr)
 	if err != nil {
-		return nil, liftStats(stats), err
+		return nil, stats, err
 	}
-	return &SweepResult{campaign: camp}, liftStats(stats), nil
+	return &SweepResult{campaign: camp}, stats, nil
 }
 
 // WorkSweep runs a campaign worker against the coordinator at url: it

@@ -65,8 +65,10 @@ func ParseSweep(data []byte) (*Sweep, error) {
 // SweepParams lists the parameter names a sweep axis may range over.
 func SweepParams() []string { return sweep.Params() }
 
-// SweepMetrics lists the metric keys the figure exporters accept:
-// success, msgs, rtt, sameloc, cachehit, hops.
+// SweepMetrics lists the metric keys the figure exporters accept: the six
+// query metrics (success, msgs, rtt, sameloc, cachehit, hops) plus the
+// run-level ctlkbits (Bloom gossip traffic) and cached (response-index
+// occupancy).
 func SweepMetrics() []string { return sweep.Metrics() }
 
 // Name returns the campaign's name.
@@ -80,10 +82,7 @@ func (s *Sweep) NumCells() int { return s.spec.NumCells() }
 
 // Protocols returns the campaign's protocol set in run order.
 func (s *Sweep) Protocols() []Protocol {
-	names := s.spec.Protocols
-	if len(names) == 0 {
-		return Baselines()
-	}
+	names := s.spec.ProtocolNames()
 	out := make([]Protocol, len(names))
 	for i, n := range names {
 		out[i] = Protocol(n)
@@ -99,6 +98,10 @@ func (s *Sweep) Axes() []string {
 	}
 	return out
 }
+
+// Figures returns the metric keys the campaign's report tabulates against
+// its first axis (the spec's "figures"; default success, msgs, rtt).
+func (s *Sweep) Figures() []string { return s.spec.FigureKeys() }
 
 // Warmup returns the campaign's per-run warmup query count.
 func (s *Sweep) Warmup() int { return s.spec.Warmup }
@@ -237,14 +240,6 @@ func (r *SweepResult) CellSeed(cell int) (int64, error) {
 	return r.campaign.Cells[cell].Seed, nil
 }
 
-// CellLabel renders grid cell `cell`'s coordinates as "param=value …".
-func (r *SweepResult) CellLabel(cell int) (string, error) {
-	if cell < 0 || cell >= len(r.campaign.Cells) {
-		return "", fmt.Errorf("locaware: cell %d out of range [0, %d)", cell, len(r.campaign.Cells))
-	}
-	return r.campaign.Cells[cell].Label(), nil
-}
-
 // CellEstimate returns one cross-trial metric estimate for (cell,
 // protocol): metric is one of SweepMetrics().
 func (r *SweepResult) CellEstimate(cell int, p Protocol, metric string) (Estimate, error) {
@@ -288,6 +283,10 @@ func (r *SweepResult) FigureSeries(metric, axisParam string) ([]*stats.Series, e
 func (r *SweepResult) FigureTable(metric, axisParam string) (string, error) {
 	return r.campaign.FigureTable(metric, axisParam)
 }
+
+// FigureTitle returns the human-readable name reports head a metric's
+// table with ("" for an unknown key).
+func (r *SweepResult) FigureTitle(metric string) string { return sweep.MetricTitle(metric) }
 
 // FigureCSV renders one campaign metric as figure-shaped CSV (x column
 // plus value and _ci95 columns per curve) for external plotting.

@@ -133,10 +133,6 @@ func TestSweepFromJSON(t *testing.T) {
 	if res.PhaseCSV() == "" {
 		t.Fatal("scenario campaign must export a phase CSV")
 	}
-	label, err := res.CellLabel(1)
-	if err != nil || label != "ttl=3 scenario-intensity=1" {
-		t.Fatalf("cell 1 label = %q, %v", label, err)
-	}
 	csv := res.CSV()
 	if !strings.HasPrefix(csv, "cell,ttl,scenario-intensity,protocol,trials,") {
 		t.Fatalf("tidy CSV header: %q", strings.SplitN(csv, "\n", 2)[0])
@@ -256,7 +252,7 @@ func TestSweepRegistry(t *testing.T) {
 	if len(SweepParams()) < 10 {
 		t.Fatalf("sweep params: %v", SweepParams())
 	}
-	if len(SweepMetrics()) != 6 {
+	if len(SweepMetrics()) != 8 { // six query metrics + ctlkbits, cached
 		t.Fatalf("sweep metrics: %v", SweepMetrics())
 	}
 }

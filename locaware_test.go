@@ -180,10 +180,31 @@ func TestDefaultsStatedOnce(t *testing.T) {
 	}
 }
 
+// TestBaselinesOrder pins the figure order and locks that facade, sweep and
+// core all read it from the one protocol registry, and that every Protocol
+// constant resolves there.
 func TestBaselinesOrder(t *testing.T) {
 	b := Baselines()
-	if len(b) != 4 || b[0] != ProtocolFlooding || b[3] != ProtocolLocaware {
-		t.Fatalf("baselines = %v", b)
+	want := []Protocol{ProtocolFlooding, ProtocolDicas, ProtocolDicasKeys, ProtocolLocaware}
+	if !reflect.DeepEqual(b, want) {
+		t.Fatalf("baselines = %v, want %v", b, want)
+	}
+	sw, err := ParseSweep([]byte(`{"name":"d","queries":10,"axes":[{"param":"ttl","values":[7]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sw.Protocols(), b) {
+		t.Fatalf("sweep default protocols = %v, facade baselines %v", sw.Protocols(), b)
+	}
+	for i, cb := range core.Baselines() {
+		if Protocol(cb.Name()) != b[i] {
+			t.Fatalf("core baseline %d is %s, facade %s", i, cb.Name(), b[i])
+		}
+	}
+	for _, p := range append(want, ProtocolLocawareLR) {
+		if beh, err := p.behavior(); err != nil || beh.Name() != string(p) {
+			t.Fatalf("%s.behavior() = %v, %v", p, beh, err)
+		}
 	}
 }
 

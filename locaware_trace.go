@@ -6,6 +6,7 @@ import (
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/sweep"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -21,34 +22,15 @@ import (
 // Recording is inert: trace events buffer in per-shard cells merged at the
 // sequential epoch barrier, so the sharded parallel drain stays enabled
 // and all metrics are byte-identical with or without a recorder attached.
-type FlightRecorder struct {
-	// SlowestN retains the N completed queries with the highest latency
-	// (download time for answered queries, time-to-finalize for failed
-	// ones), tracked in constant memory. 0 disables the criterion.
-	SlowestN int
-	// KeepFailed retains every query that finalised without an answer.
-	KeepFailed bool
-	// MinHops retains queries whose flood reached at least this forward
-	// depth. 0 disables the criterion.
-	MinHops int
-	// MaxEventsPerQuery bounds the in-flight buffer per query; overflow is
-	// counted in Trace.DroppedEvents. <= 0 means 256.
-	MaxEventsPerQuery int
-	// MaxKeep caps the KeepFailed/MinHops retentions so a pathological run
-	// cannot retain without bound. <= 0 means 64.
-	MaxKeep int
-}
-
-// policy lowers the facade recorder to the internal retention policy.
-func (fr *FlightRecorder) policy() *trace.Policy {
-	return &trace.Policy{
-		KeepFailed:        fr.KeepFailed,
-		MinHops:           fr.MinHops,
-		SlowestN:          fr.SlowestN,
-		MaxEventsPerQuery: fr.MaxEventsPerQuery,
-		MaxKeep:           fr.MaxKeep,
-	}
-}
+//
+// The criteria: SlowestN keeps the N completed queries with the highest
+// latency (download time for answered queries, time-to-finalize for failed
+// ones) in constant memory; KeepFailed keeps every query finalised without
+// an answer; MinHops keeps queries whose flood reached at least that
+// forward depth. MaxEventsPerQuery bounds the in-flight buffer per query
+// (<= 0 means 256, overflow counted in Trace.DroppedEvents) and MaxKeep
+// caps the KeepFailed/MinHops retentions (<= 0 means 64).
+type FlightRecorder = trace.Policy
 
 // Trace is one retained query's causal record (Options.FlightRecorder).
 type Trace struct {
@@ -93,17 +75,6 @@ func liftTraces(r *core.RunResult) []*Trace {
 	}
 	out := make([]*Trace, len(r.Traces))
 	for i, qt := range r.Traces {
-		events := make([]TraceEvent, len(qt.Events))
-		for j, e := range qt.Events {
-			events[j] = TraceEvent{
-				AtSeconds: e.At.Seconds(),
-				Kind:      e.Kind.String(),
-				Query:     e.Query,
-				Peer:      e.Peer,
-				From:      e.From,
-				Detail:    e.Detail,
-			}
-		}
 		out[i] = &Trace{
 			Query:          qt.Query,
 			SubmitSeconds:  qt.Submit.Seconds(),
@@ -111,7 +82,7 @@ func liftTraces(r *core.RunResult) []*Trace {
 			Hops:           qt.Hops,
 			Failed:         qt.Failed,
 			Why:            qt.Why,
-			Events:         events,
+			Events:         liftEvents(qt.Events),
 			DroppedEvents:  qt.Dropped,
 			qt:             qt,
 			processing:     r.TraceProcessing,
@@ -124,22 +95,10 @@ func liftTraces(r *core.RunResult) []*Trace {
 // highest-latency trace retained across the cell's (protocol × trial)
 // runs, pre-rendered as a text timeline. Cells carry exemplars when the
 // campaign runs with tracing enabled (Options.FlightRecorder for RunSweep,
-// CampaignOptions.FlightRecorder for the distributed modes).
-type SweepExemplar struct {
-	// Protocol and Trial locate the run that produced the trace.
-	Protocol Protocol
-	Trial    int
-	// Query is the traced query's id.
-	Query uint64
-	// LatencySeconds is the query's completion latency.
-	LatencySeconds float64
-	// Failed reports the query finalised without an answer.
-	Failed bool
-	// Hops is the deepest forward chain the query reached.
-	Hops int
-	// Rendered is the trace's span-tree text timeline.
-	Rendered string
-}
+// CampaignOptions.FlightRecorder for the distributed modes). Protocol (a
+// name) and Trial locate the run that produced the trace; Query,
+// LatencySeconds, Failed and Hops summarise it.
+type SweepExemplar = sweep.ExemplarTrace
 
 // CellExemplar returns grid cell `cell`'s worst-case query trace, or nil
 // when the cell carries none (campaign ran untraced, or no trace matched
@@ -148,19 +107,7 @@ func (r *SweepResult) CellExemplar(cell int) (*SweepExemplar, error) {
 	if cell < 0 || cell >= len(r.campaign.Cells) {
 		return nil, fmt.Errorf("locaware: cell %d out of range [0, %d)", cell, len(r.campaign.Cells))
 	}
-	ex := r.campaign.Cells[cell].Exemplar
-	if ex == nil {
-		return nil, nil
-	}
-	return &SweepExemplar{
-		Protocol:       Protocol(ex.Protocol),
-		Trial:          ex.Trial,
-		Query:          ex.Query,
-		LatencySeconds: ex.LatencySeconds,
-		Failed:         ex.Failed,
-		Hops:           ex.Hops,
-		Rendered:       ex.Rendered,
-	}, nil
+	return r.campaign.Cells[cell].Exemplar, nil
 }
 
 // WritePerfetto exports the run's retained traces in the Chrome trace-event
