@@ -85,7 +85,6 @@ func main() {
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	flag.IntVar(&opts.Trials, "trials", 1, "independent replications per experiment cell")
 	flag.IntVar(&opts.Workers, "workers", 0, "max concurrent simulations (0 = one per CPU)")
-	flag.IntVar(&opts.Shards, "shards", 0, "per-locality event-loop shards per simulation, each drained on its own goroutine (<=1 = single queue; clamped to the occupied locality count)")
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 2|3|4|all")
 		scen       = flag.String("scenario", "", "phased-dynamics scenario: a built-in name, a JSON spec path, or 'list'")

@@ -59,7 +59,7 @@ func TestCampaignObsEndToEnd(t *testing.T) {
 	for _, fam := range []string{
 		MetricCells, MetricCellsDone, MetricCellsLeased, MetricWorkersLive,
 		MetricCellsExecuted, MetricLeasesIssued, MetricUptime,
-		sim.MetricEvents, sim.MetricEpochDrain,
+		sim.MetricEvents, sim.MetricScheduled,
 		protocol.MetricSubmitted, protocol.MetricCacheHits,
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" ") {

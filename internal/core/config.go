@@ -62,18 +62,16 @@ type Config struct {
 	// phase grid with ResolveScenario before building the simulation.
 	Scenario *scenario.Spec
 
-	// Shards, when > 1, runs the simulation on the sharded event loop:
-	// peers partition by locality rank modulo Shards, each shard drains
-	// its own queue epoch by epoch on its own goroutine, cross-locality
-	// deliveries hop shards through a deterministic mailbox. Reproducible
-	// per shard count, statistically equivalent — not bit-identical — to
-	// Shards <= 1 (the plain engine). NewSimulation clamps the value to
-	// [1, occupied localities]. Slated for removal (ROADMAP item 2).
+	// Shards is read by nothing: every simulation runs on one event queue.
+	// Declared because benchmark/trace.go:205 assigns it (and because the
+	// campaign fingerprint marshals this struct, so the field keeps every
+	// campaign hash where it was); ROADMAP item 1(b) removes it.
 	Shards int
 
 	// Obs, when non-nil, attaches the run-wide observability registry:
 	// event-loop and protocol instrumentation accumulate into it through
-	// shard-confined cells, and RunResult.Runtime carries the per-run
+	// per-simulation cells (the registry may be shared by the concurrent
+	// simulations of a campaign), and RunResult.Runtime carries the per-run
 	// snapshot. Instrumentation is provably inert — it never touches RNG
 	// streams or event order, so output stays byte-identical. The json
 	// tag keeps campaign fingerprints and checkpoint identity independent
@@ -84,10 +82,9 @@ type Config struct {
 	// trace.FlightRecorder to the run: every query's events buffer only
 	// until finalize, traces matching the policy (failed / deep / slowest-N)
 	// are retained, and RunResult.Traces carries them. Like Obs, tracing is
-	// inert — per-shard trace cells merge at the sequential epoch barrier,
-	// so the parallel drain stays enabled and output is byte-identical to
-	// an untraced run — and the json tag keeps campaign fingerprints and
-	// checkpoint identity independent of whether a run is traced.
+	// inert — output is byte-identical to an untraced run — and the json
+	// tag keeps campaign fingerprints and checkpoint identity independent
+	// of whether a run is traced.
 	TracePolicy *trace.Policy `json:"-"`
 }
 

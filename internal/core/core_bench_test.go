@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -57,7 +56,7 @@ func BenchmarkMeasuredPathAllocs(b *testing.B) {
 // BenchmarkInstrumentedPathAllocs is BenchmarkMeasuredPathAllocs with the
 // observability registry attached: the instrumented hot path must stay
 // within the same per-query allocation budget, because per-event
-// accounting goes through shard-confined cells (plain increments) and the
+// accounting goes through the simulation's own cells (plain increments) and the
 // only instrumentation allocations are first-seen label series and the
 // end-of-run snapshot, both amortised over the whole run.
 func BenchmarkInstrumentedPathAllocs(b *testing.B) {
@@ -93,8 +92,7 @@ func BenchmarkInstrumentedPathAllocs(b *testing.B) {
 
 // BenchmarkFlightRecorderPathAllocs is BenchmarkMeasuredPathAllocs with a
 // tail-sampling flight recorder attached. The recorder's steady state is
-// pooled query buffers plus a bounded slowest-N heap, and trace events flow
-// through per-shard cells into reused capacity, so the measured path must
+// pooled query buffers plus a bounded slowest-N heap, so the measured path must
 // stay within a few allocs/query of the untraced baseline (~42); the
 // budget this benchmark watches is ≤ 45 allocs/query.
 func BenchmarkFlightRecorderPathAllocs(b *testing.B) {
@@ -171,41 +169,6 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(mallocs)/float64(uint64(b.N)*queries), "allocs/query")
-		})
-	}
-}
-
-// BenchmarkShardedProtocolEvents drives a full Locaware run per shard
-// count — parallel epoch drain active for shards > 1 — and reports
-// protocol events/sec. On a 1-core container the parallel drain cannot
-// show wall-clock speedup; the figure this benchmark locks is overhead
-// parity: per-shard state plus epoch batching must keep shards > 1 within
-// noise of the single queue, so that multi-core hosts only see the upside.
-func BenchmarkShardedProtocolEvents(b *testing.B) {
-	const warmup, measured = 500, 2000
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := benchConfig(2000, int64(i+1))
-				cfg.Shards = shards
-				s := NewSimulation(cfg, protocol.Locaware{})
-				b.StartTimer()
-				res := s.RunMeasured(warmup, measured)
-				b.StopTimer()
-				if res.Err != nil {
-					b.Fatalf("shards=%d: run aborted: %v", shards, res.Err)
-				}
-				if res.Collector.Submitted() != measured {
-					b.Fatalf("shards=%d: submitted %d queries", shards, res.Collector.Submitted())
-				}
-				events += res.Events
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // smallConfig returns a fast config for tests: 200 peers, accelerated
@@ -84,8 +86,13 @@ func TestRunProducesRecords(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	r1 := NewSimulation(smallConfig(3), protocol.Locaware{}).Run(80)
-	r2 := NewSimulation(smallConfig(3), protocol.Locaware{}).Run(80)
+	run := func(shards int) *RunResult {
+		cfg := smallConfig(3)
+		cfg.Shards = shards
+		cfg.Obs = obs.NewRegistry()
+		return NewSimulation(cfg, protocol.Locaware{}).Run(80)
+	}
+	r1, r2 := run(0), run(0)
 	if r1.Collector.SuccessRate() != r2.Collector.SuccessRate() {
 		t.Fatal("same-seed runs differ in success rate")
 	}
@@ -94,6 +101,34 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if r1.Events != r2.Events {
 		t.Fatal("same-seed runs differ in event count")
+	}
+	// Config.Shards is vestigial (ROADMAP item 1(b)): `benchmark --trace 1`
+	// still sets it to 2 and must get the plain run back.
+	r3 := run(2)
+	if r3.Err != nil || r3.Runtime.Epochs != 0 || r3.Runtime.CrossShardEvents != 0 {
+		t.Fatalf("Shards=2: err %v, %d epochs, %d cross-shard events; want none", r3.Err, r3.Runtime.Epochs, r3.Runtime.CrossShardEvents)
+	}
+	if r3.Events != r1.Events || r3.Runtime.EventsScheduled != r1.Runtime.EventsScheduled ||
+		r3.Collector.SuccessRate() != r1.Collector.SuccessRate() ||
+		r3.Collector.TotalMessages() != r1.Collector.TotalMessages() ||
+		r3.Collector.AvgDownloadRTT() != r1.Collector.AvgDownloadRTT() {
+		t.Fatal("Shards=2 changed the run")
+	}
+}
+
+// TestRunNeverOutlivesDeadline locks the contract deadline discovery relies
+// on: even when a periodic control's period exceeds FinalizeAfter + the
+// horizon slack (so a reschedule beyond the eventual deadline is queued
+// before the horizon exists), no event past the deadline is ever delivered.
+func TestRunNeverOutlivesDeadline(t *testing.T) {
+	cfg := benchConfig(200, 3)
+	// Gossip period far beyond FinalizeAfter + 1 minute: its
+	// self-reschedule can outlive the run deadline.
+	cfg.Protocol.BloomGossipPeriod = cfg.Protocol.FinalizeAfter + 5*sim.Minute
+	s := NewSimulation(cfg, protocol.Locaware{})
+	res := s.RunMeasured(0, 150)
+	if res.Duration > s.runDeadline {
+		t.Fatalf("run clock %v outlived deadline %v", res.Duration, s.runDeadline)
 	}
 }
 

@@ -25,34 +25,31 @@ func RegisterObsFamilies(reg *obs.Registry) {
 }
 
 // RuntimeStats is one run's observability snapshot: what this simulation
-// contributed to the registry, assembled from its own shard-confined
-// cells (the registry itself may be shared across concurrent runs).
+// contributed to the registry, assembled from its own cells (the registry
+// itself may be shared across concurrent runs).
 type RuntimeStats struct {
-	// Shards is the effective shard count the run executed with.
-	Shards int
-	// EventsByKind counts deliveries per event kind across all shards.
+	// EventsByKind counts deliveries per event kind.
 	EventsByKind map[string]uint64
 	// EventsScheduled counts all schedule calls, including cancelled ones.
 	EventsScheduled uint64
 	// EventsCancelled counts cancelled events discarded by the scheduler
 	// at pop time.
 	EventsCancelled uint64
-	// QueueDepthHighWater is the deepest any shard's event queue got.
+	// QueueDepthHighWater is the deepest the event queue got.
 	QueueDepthHighWater uint64
-	// Epochs / CrossShardEvents / MaxEpochDrainSeconds describe the
-	// sharded epoch loop (zero on a single queue).
-	Epochs               uint64
-	CrossShardEvents     uint64
-	MaxEpochDrainSeconds float64
+	// Epochs, CrossShardEvents and BloomInstallCopies are always zero.
+	// Declared because benchmark/trace.go:213, :214 and :336 read them;
+	// ROADMAP item 1(b) removes them.
+	Epochs             uint64
+	CrossShardEvents   uint64
+	BloomInstallCopies uint64
 	// Protocol-plane counters (see protocol.ObsSnapshot).
-	Submitted            uint64
-	Finalized            uint64
-	CacheHits            uint64
-	CacheMisses          uint64
-	StorageHits          uint64
-	BloomInstallCopies   uint64
-	PendingHighWater     uint64
-	FinalizeWatermarkLag uint64
+	Submitted        uint64
+	Finalized        uint64
+	CacheHits        uint64
+	CacheMisses      uint64
+	StorageHits      uint64
+	PendingHighWater uint64
 	// TraceEventsDropped counts trace events the attached tracer's buffer
 	// discarded after filling (0 when untraced or nothing dropped). A
 	// non-zero value means the trace is incomplete — raise the buffer
@@ -68,19 +65,9 @@ func (rs *RuntimeStats) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "runtime stats:\n")
 	fmt.Fprintf(&b, "  event loop:\n")
-	shards := rs.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fmt.Fprintf(&b, "    %-28s %d\n", "shards", shards)
 	fmt.Fprintf(&b, "    %-28s %d\n", "events scheduled", rs.EventsScheduled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "events cancelled", rs.EventsCancelled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "queue depth high water", rs.QueueDepthHighWater)
-	if rs.Epochs > 0 {
-		fmt.Fprintf(&b, "    %-28s %d\n", "epochs", rs.Epochs)
-		fmt.Fprintf(&b, "    %-28s %d\n", "cross-shard events", rs.CrossShardEvents)
-		fmt.Fprintf(&b, "    %-28s %.6f\n", "max epoch drain (s)", rs.MaxEpochDrainSeconds)
-	}
 	if len(rs.EventsByKind) > 0 {
 		fmt.Fprintf(&b, "  events by kind:\n")
 		kinds := make([]string, 0, len(rs.EventsByKind))
@@ -98,9 +85,7 @@ func (rs *RuntimeStats) Report() string {
 	fmt.Fprintf(&b, "    %-28s %d\n", "cache hits", rs.CacheHits)
 	fmt.Fprintf(&b, "    %-28s %d\n", "cache misses", rs.CacheMisses)
 	fmt.Fprintf(&b, "    %-28s %d\n", "storage hits", rs.StorageHits)
-	fmt.Fprintf(&b, "    %-28s %d\n", "bloom install copies", rs.BloomInstallCopies)
 	fmt.Fprintf(&b, "    %-28s %d\n", "pending queries high water", rs.PendingHighWater)
-	fmt.Fprintf(&b, "    %-28s %d\n", "finalize watermark lag", rs.FinalizeWatermarkLag)
 	if rs.TraceEventsDropped > 0 {
 		fmt.Fprintf(&b, "  warning: trace buffer overflowed; %d events dropped (trace is incomplete)\n", rs.TraceEventsDropped)
 	}
@@ -118,16 +103,12 @@ func (rs *RuntimeStats) Report() string {
 	return b.String()
 }
 
-// attachObs wires instrumentation into the loop and network. Called at
+// attachObs wires instrumentation into the engine and network. Called at
 // build time so the hot path sees stable instr pointers for the whole
 // run.
 func (s *Simulation) attachObs(reg *obs.Registry) {
 	RegisterObsFamilies(reg)
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		s.obsSh = sh.EnableObs(reg)
-	} else {
-		s.obsEng = s.Engine.EnableObs(reg)
-	}
+	s.obsEng = s.Engine.EnableObs(reg)
 	s.Network.EnableObs(reg)
 }
 
@@ -136,27 +117,14 @@ func (s *Simulation) attachObs(reg *obs.Registry) {
 // occupancy) into the registry, and attaches the per-run snapshot to
 // res. No-op without an attached registry.
 func (s *Simulation) finishObs(res *RunResult) {
-	reg := s.Cfg.Obs
-	if reg == nil {
+	if s.obsEng == nil {
 		return
 	}
-	if s.obsSh != nil {
-		s.obsSh.Drain()
-	} else if s.obsEng != nil {
-		s.obsEng.Drain()
-	}
+	reg := s.Cfg.Obs
+	s.obsEng.Drain()
 	s.Network.DrainObs()
 
-	var scheduled, cancelled uint64
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		for i := 0; i < sh.Shards(); i++ {
-			scheduled += sh.Engine(i).Scheduled()
-			cancelled += sh.Engine(i).Cancelled()
-		}
-	} else {
-		scheduled = s.Engine.Scheduled()
-		cancelled = s.Engine.Cancelled()
-	}
+	scheduled, cancelled := s.Engine.Scheduled(), s.Engine.Cancelled()
 	reg.Counter(sim.MetricScheduled, "").Add(scheduled)
 	reg.Counter(sim.MetricCancelled, "").Add(cancelled)
 
@@ -178,28 +146,17 @@ func (s *Simulation) finishObs(res *RunResult) {
 
 	ps := s.Network.ObsStats()
 	rs := &RuntimeStats{
-		Shards:               s.Cfg.Shards,
-		EventsScheduled:      scheduled,
-		EventsCancelled:      cancelled,
-		Submitted:            ps.Submitted,
-		Finalized:            ps.Finalized,
-		CacheHits:            ps.CacheHits,
-		CacheMisses:          ps.CacheMisses,
-		StorageHits:          ps.StorageHits,
-		BloomInstallCopies:   ps.BloomInstallCopies,
-		PendingHighWater:     ps.PendingHighWater,
-		FinalizeWatermarkLag: ps.WatermarkLagHighWtr,
-		PoolFree:             pools,
-	}
-	if s.obsSh != nil {
-		rs.EventsByKind = s.obsSh.EventsByKind()
-		rs.QueueDepthHighWater = s.obsSh.QueueHighWater()
-		rs.Epochs = s.obsSh.Epochs()
-		rs.CrossShardEvents = s.obsSh.CrossShardEvents()
-		rs.MaxEpochDrainSeconds = s.obsSh.MaxEpochDrainSeconds()
-	} else if s.obsEng != nil {
-		rs.EventsByKind = s.obsEng.EventsByKind()
-		rs.QueueDepthHighWater = s.obsEng.QueueHighWater()
+		EventsByKind:        s.obsEng.EventsByKind(),
+		EventsScheduled:     scheduled,
+		EventsCancelled:     cancelled,
+		QueueDepthHighWater: s.obsEng.QueueHighWater(),
+		Submitted:           ps.Submitted,
+		Finalized:           ps.Finalized,
+		CacheHits:           ps.CacheHits,
+		CacheMisses:         ps.CacheMisses,
+		StorageHits:         ps.StorageHits,
+		PendingHighWater:    ps.PendingHighWater,
+		PoolFree:            pools,
 	}
 	if dc, ok := s.Network.TracerSink().(interface{ Dropped() uint64 }); ok {
 		if d := dc.Dropped(); d > 0 {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -32,39 +30,17 @@ type Simulation struct {
 	placement *workload.Placement
 	scenario  *scenario.Runtime
 
-	// obsEng / obsSh hold the run's event-loop instrumentation when
-	// Cfg.Obs is set (exactly one is non-nil, matching the loop kind).
+	// obsEng holds the run's event-loop instrumentation when Cfg.Obs is set.
 	obsEng *sim.EngineInstr
-	obsSh  *sim.ShardedInstr
 
 	// recorder is the run's flight recorder when Cfg.TracePolicy is set; it
-	// is the tracer sink behind the network's per-shard trace cells, and
-	// RunMeasured harvests its retained traces into the result.
+	// is the network's tracer, and RunMeasured harvests its retained traces
+	// into the result.
 	recorder *trace.FlightRecorder
-
-	// forceSeq forces the sharded loop onto the sequential epoch drain.
-	// Tracing no longer needs it (per-shard trace cells merge at the
-	// barrier); it remains as the byte-identity test hook.
-	forceSeq bool
-
-	// loop drives the run: the sharded per-locality harness when
-	// Cfg.Shards > 1 (Engine then aliases shard 0, which hosts the
-	// control plane — submission chain, gossip and churn ticks, collector
-	// reset), the bare Engine otherwise.
-	loop runner
 
 	// runDeadline is fixed by the last arrival's submission event; the
 	// run's tail is bounded by it (plus the horizon).
 	runDeadline sim.Time
-}
-
-// runner is the event-loop surface RunMeasured drives, satisfied by both
-// *sim.Engine and *sim.Sharded.
-type runner interface {
-	RunUntil(deadline sim.Time, maxEvents uint64) uint64
-	SetHorizon(t sim.Time)
-	Now() sim.Time
-	Processed() uint64
 }
 
 // NewSimulation assembles a simulation for the behaviour. All randomness
@@ -87,63 +63,9 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	catalog := workload.NewCatalog(cfg.Catalog, rng.Stream("catalog"))
 	placement := workload.NewPlacement(cfg.NumPeers, cfg.FilesPerPeer, catalog, rng.Stream("placement"))
 
-	// Validate the shard count: negatives (and zero) mean one queue, and
-	// more shards than occupied localities would only create empty shard
-	// engines — clamp down to the locality count instead.
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if occupied := len(locator.Census()); cfg.Shards > occupied {
-		cfg.Shards = occupied
-	}
-
-	var eng *sim.Engine
-	var loop runner
-	var net *protocol.Network
-	if cfg.Shards > 1 {
-		// Dense-rank the occupied locIds so peers spread over all shards
-		// even when the locId space is sparse: sorted occupied ids get
-		// ranks 0,1,2,… and a peer's shard is its locality's rank modulo
-		// the shard count. No shard is ever empty.
-		census := locator.Census()
-		occupied := make([]int, 0, len(census))
-		for id := range census {
-			occupied = append(occupied, int(id))
-		}
-		sort.Ints(occupied)
-		rank := make(map[int]int, len(occupied))
-		for i, id := range occupied {
-			rank[id] = i
-		}
-		shardOf := func(peer int) int { return rank[int(locator.LocID(peer))] % cfg.Shards }
-		// The epoch lookahead is derived, not configured: the minimum
-		// cross-peer delay the workload can produce is the model's one-way
-		// latency floor plus the per-hop processing delay, and every
-		// cross-shard event is a peer-to-peer message — so epochs batch as
-		// widely as correctness allows.
-		lookahead := sim.FromMillis(model.MinOneWay()) + cfg.Protocol.ProcessingDelay
-		sharded := sim.NewSharded(sim.ShardedOptions{
-			Shards:    cfg.Shards,
-			ShardOf:   shardOf,
-			Lookahead: lookahead,
-		})
-		eng = sharded.Engine(0)
-		loop = sharded
-		// One protocol RNG stream per shard: shard 0 keeps the single-queue
-		// stream name, so tie-breaking stays on familiar streams.
-		shardRngs := make([]*rand.Rand, cfg.Shards)
-		shardRngs[0] = rng.Stream("protocol")
-		for i := 1; i < cfg.Shards; i++ {
-			shardRngs[i] = rng.StreamN("protocol-shard", i)
-		}
-		net = protocol.NewShardedNetwork(sharded, shardOf, shardRngs, lookahead,
-			graph, model, locator, b, cfg.Protocol, rng.Stream("gid"))
-	} else {
-		eng = sim.NewEngine()
-		loop = eng
-		net = protocol.NewNetwork(eng, graph, model, locator, b, cfg.Protocol,
-			rng.Stream("gid"), rng.Stream("protocol"))
-	}
+	eng := sim.NewEngine()
+	net := protocol.NewNetwork(eng, graph, model, locator, b, cfg.Protocol,
+		rng.Stream("gid"), rng.Stream("protocol"))
 
 	// Seed initial shared storage.
 	for p := 0; p < cfg.NumPeers; p++ {
@@ -165,7 +87,6 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	s := &Simulation{
 		Cfg:       cfg,
 		Engine:    eng,
-		loop:      loop,
 		Graph:     graph,
 		Model:     model,
 		Locator:   locator,
@@ -198,15 +119,9 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 		s.scenario = rt
 	}
 	if cfg.Obs != nil {
-		// Attach instrumentation last so every engine and shard state
-		// exists. Observability is shard-confined and never forces the
-		// sequential epoch drain.
 		s.attachObs(cfg.Obs)
 	}
 	if cfg.TracePolicy != nil {
-		// The flight recorder sits behind the network's per-shard trace
-		// cells, so — like the registry above — it never forces the
-		// sequential drain.
 		s.recorder = trace.NewFlightRecorder(*cfg.TracePolicy)
 		net.SetTracer(s.recorder)
 	}
@@ -234,11 +149,9 @@ type RunResult struct {
 	Duration sim.Time
 	// Events is the number of simulator events processed.
 	Events uint64
-	// Err is non-nil when a sharded run was aborted by a cross-shard
-	// barrier violation (a derived lookahead wider than the workload's
-	// minimum cross-shard delay — a harness bug, surfaced instead of
-	// crashing the campaign). The result then covers only the epochs
-	// delivered before the violation.
+	// Err is always nil: a run on the one event queue has no failure mode.
+	// Declared because benchmark/measure.go:91 and trace.go:209 read it;
+	// ROADMAP item 1(b) removes it.
 	Err error
 	// Runtime is the run's observability snapshot; nil unless Config.Obs
 	// was set.
@@ -288,36 +201,18 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 		}
 	}
 	s.runDeadline = 0
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		// Route the warmup records by query id (the sharded replacement for
-		// the mid-run collector swap), and drain epochs on one goroutine
-		// per shard unless a scenario is attached (its dynamics mutate
-		// shared substrates from shard-0 events) or a test forces the
-		// sequential drain. Tracers no longer disable parallelism: emits go
-		// to per-shard cells merged at the barrier, and both drain modes
-		// hand the sink the identical stream.
-		s.Network.SetWarmupQueries(warmup)
-		sh.SetParallel(s.scenario == nil && !s.forceSeq)
-	}
 	s.scheduleSubmit(&submitEvent{s: s, warmup: warmup, total: total, ev: s.gen.Next()})
-	// Step until the last arrival has been generated (deadline known), then
-	// run the tail out in one deadline-bounded call. Stepping is batched
-	// to spare the sharded loop its per-call epoch setup; scheduleSubmit
-	// stops the engine the instant it fixes the deadline, so a batch can
+	// Run until the last arrival has been generated (deadline known), then
+	// run the tail out in one deadline-bounded call. scheduleSubmit stops
+	// the engine the instant it fixes the deadline, so the first call can
 	// never run on past it and deliver an already-queued event (a periodic
 	// control rescheduled beyond the eventual deadline before the horizon
 	// existed) that the deadline-bounded tail would have excluded.
-	for s.runDeadline == 0 && s.loopErr() == nil {
-		if s.loop.RunUntil(sim.Time(math.MaxInt64), 256) == 0 {
-			if s.loopErr() != nil {
-				break
-			}
-			panic("core: engine drained before the workload completed")
-		}
+	s.Engine.Run(0)
+	if s.runDeadline == 0 {
+		panic("core: engine drained before the workload completed")
 	}
-	if s.loopErr() == nil {
-		s.loop.RunUntil(s.runDeadline, 0)
-	}
+	s.Engine.RunUntil(s.runDeadline, 0)
 	s.Network.FlushPending()
 
 	res := &RunResult{
@@ -326,9 +221,8 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 		ControlMessages: s.Network.ControlMessages(),
 		ControlBits:     s.Network.ControlBits(),
 		Forwarding:      s.Network.Forwarding(),
-		Duration:        s.loop.Now(),
-		Events:          s.loop.Processed(),
-		Err:             s.loopErr(),
+		Duration:        s.Engine.Now(),
+		Events:          s.Engine.Processed(),
 	}
 	for _, n := range s.Network.Nodes() {
 		res.CacheFilenames += n.RI.Len()
@@ -344,9 +238,7 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 }
 
 // submitEvent drives the streamed arrival chain: one instance per run,
-// re-posted for each successive query. It is undestined — submissions are
-// the control plane's job — while everything it triggers (forward branches,
-// finalisation) routes by destination peer.
+// re-posted for each successive query.
 type submitEvent struct {
 	s      *Simulation
 	i      int
@@ -362,7 +254,7 @@ func (se *submitEvent) Fire(*sim.Engine) {
 	if s.scenario != nil && se.i >= se.warmup {
 		s.scenario.OnSubmit(se.i - se.warmup)
 	}
-	s.Network.Submit(overlay.PeerID(se.ev.Requester), se.ev.Q)
+	s.Network.SubmitQuery(overlay.PeerID(se.ev.Requester), se.ev.Q)
 	if se.i+1 < se.total {
 		se.i++
 		se.ev = s.gen.Next()
@@ -382,7 +274,7 @@ func (ev *collectorResetEvent) Fire(*sim.Engine) { ev.s.Network.ResetCollector()
 // collector swap ahead of the first measured query, and — at the last
 // arrival — the run deadline and horizon.
 func (s *Simulation) scheduleSubmit(se *submitEvent) {
-	if se.i == se.warmup && se.warmup > 0 && !s.Network.Sharded() {
+	if se.i == se.warmup && se.warmup > 0 {
 		// Swap the collector just before the first measured query;
 		// in-flight warmup queries keep finalising into the old one.
 		if at := se.ev.At - 1; at < s.Engine.Now() {
@@ -397,23 +289,12 @@ func (s *Simulation) scheduleSubmit(se *submitEvent) {
 	if se.i == se.total-1 {
 		// The last arrival fixes the run deadline; the horizon drops
 		// anything scheduled beyond it (periodic controls, long tails).
-		// Stop ends the current stepping batch right here, so everything
-		// after this instant runs under the deadline bound (under the
-		// sharded loop the stop lands at the epoch boundary, whose events
-		// all carry the current — pre-deadline — timestamp).
+		// Stop ends the open-ended run right here, so everything after this
+		// instant runs under the deadline bound.
 		s.runDeadline = se.ev.At + s.Cfg.Protocol.FinalizeAfter + sim.Minute
-		s.loop.SetHorizon(s.runDeadline)
+		s.Engine.SetHorizon(s.runDeadline)
 		s.Engine.Stop()
 	}
-}
-
-// loopErr returns the sharded loop's barrier-violation error, or nil on
-// the plain engine (which has no failure mode).
-func (s *Simulation) loopErr() error {
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		return sh.Err()
-	}
-	return nil
 }
 
 // String identifies the simulation.

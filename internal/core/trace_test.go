@@ -9,98 +9,44 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// tracedRun executes a sharded run with the flight recorder attached,
-// optionally forcing the sequential epoch drain, and returns the rendered
-// span trees plus the metrics fingerprint.
-func tracedRun(t *testing.T, sequential bool) ([]string, shardFingerprint) {
-	t.Helper()
-	cfg := benchConfig(400, 11)
-	cfg.Shards = 4
-	cfg.TracePolicy = &trace.Policy{SlowestN: 5, KeepFailed: true}
-	s := NewSimulation(cfg, protocol.Locaware{})
-	s.forceSeq = sequential
-	res := s.RunMeasured(50, 200)
-	if res.Err != nil {
-		t.Fatalf("sequential=%v: run aborted: %v", sequential, res.Err)
-	}
-	if len(res.Traces) == 0 {
-		t.Fatalf("sequential=%v: recorder retained nothing", sequential)
-	}
-	rendered := make([]string, len(res.Traces))
-	for i, qt := range res.Traces {
-		tree := qt.Tree(res.TraceProcessing)
-		if tree == nil {
-			t.Fatalf("sequential=%v: trace %d (q=%d) built no tree", sequential, i, qt.Query)
-		}
-		rendered[i] = tree.Render()
-	}
-	return rendered, shardFingerprint{
-		Success:  res.Collector.SuccessRate(),
-		Messages: res.Collector.AvgMessagesPerQuery(),
-		RTT:      res.Collector.AvgDownloadRTT(),
-		Events:   res.Events,
-		Control:  res.ControlMessages,
-		Cache:    res.CacheFilenames,
-	}
-}
-
-// TestTracedParallelMatchesSequential locks the tentpole claim of the
-// shard-cell trace collection: with a flight recorder attached the parallel
-// epoch drain stays enabled and produces byte-identical retained traces —
-// same queries, same rendered span trees — to the sequential drain of the
-// same layout, because per-shard cells merge at the epoch barrier in
-// (time, query, shard) order regardless of drain interleaving. Run under
-// -race this also proves trace emission touches no cross-shard state.
-func TestTracedParallelMatchesSequential(t *testing.T) {
-	seqTraces, seqFp := tracedRun(t, true)
-	parTraces, parFp := tracedRun(t, false)
-	if !reflect.DeepEqual(seqFp, parFp) {
-		t.Fatalf("traced parallel drain diverged on metrics:\n  seq %+v\n  par %+v", seqFp, parFp)
-	}
-	if len(seqTraces) != len(parTraces) {
-		t.Fatalf("retained %d traces sequentially, %d in parallel", len(seqTraces), len(parTraces))
-	}
-	for i := range seqTraces {
-		if seqTraces[i] != parTraces[i] {
-			t.Fatalf("trace %d differs between drains:\n--- sequential\n%s--- parallel\n%s",
-				i, seqTraces[i], parTraces[i])
-		}
-	}
+// runFingerprint reduces a run to the values a determinism lock cares
+// about.
+type runFingerprint struct {
+	Success  float64
+	Messages float64
+	RTT      float64
+	Events   uint64
+	Control  uint64
+	Cache    int
 }
 
 // TestRecorderDoesNotPerturbRun locks the inertness contract: attaching a
 // flight recorder changes no metric and no per-query record — byte-identical
-// to the untraced run — on the single-queue and the sharded path alike.
+// to the untraced run.
 func TestRecorderDoesNotPerturbRun(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		run := func(pol *trace.Policy) (shardFingerprint, []metrics.QueryRecord) {
-			cfg := benchConfig(300, 17)
-			cfg.Shards = shards
-			cfg.Protocol.Collector = metrics.CollectorConfig{RetainRecords: true}
-			cfg.TracePolicy = pol
-			s := NewSimulation(cfg, protocol.Locaware{})
-			res := s.RunMeasured(50, 150)
-			if res.Err != nil {
-				t.Fatalf("shards=%d: run aborted: %v", shards, res.Err)
-			}
-			fp := shardFingerprint{
-				Success:  res.Collector.SuccessRate(),
-				Messages: res.Collector.AvgMessagesPerQuery(),
-				RTT:      res.Collector.AvgDownloadRTT(),
-				Events:   res.Events,
-				Control:  res.ControlMessages,
-				Cache:    res.CacheFilenames,
-			}
-			return fp, res.Collector.Records()
+	run := func(pol *trace.Policy) (runFingerprint, []metrics.QueryRecord) {
+		cfg := benchConfig(300, 17)
+		cfg.Protocol.Collector = metrics.CollectorConfig{RetainRecords: true}
+		cfg.TracePolicy = pol
+		s := NewSimulation(cfg, protocol.Locaware{})
+		res := s.RunMeasured(50, 150)
+		fp := runFingerprint{
+			Success:  res.Collector.SuccessRate(),
+			Messages: res.Collector.AvgMessagesPerQuery(),
+			RTT:      res.Collector.AvgDownloadRTT(),
+			Events:   res.Events,
+			Control:  res.ControlMessages,
+			Cache:    res.CacheFilenames,
 		}
-		plainFp, plainRecs := run(nil)
-		tracedFp, tracedRecs := run(&trace.Policy{SlowestN: 8, KeepFailed: true})
-		if !reflect.DeepEqual(plainFp, tracedFp) {
-			t.Fatalf("shards=%d: recorder perturbed metrics:\n  plain  %+v\n  traced %+v", shards, plainFp, tracedFp)
-		}
-		if !reflect.DeepEqual(plainRecs, tracedRecs) {
-			t.Fatalf("shards=%d: recorder perturbed per-query records", shards)
-		}
+		return fp, res.Collector.Records()
+	}
+	plainFp, plainRecs := run(nil)
+	tracedFp, tracedRecs := run(&trace.Policy{SlowestN: 8, KeepFailed: true})
+	if !reflect.DeepEqual(plainFp, tracedFp) {
+		t.Fatalf("recorder perturbed metrics:\n  plain  %+v\n  traced %+v", plainFp, tracedFp)
+	}
+	if !reflect.DeepEqual(plainRecs, tracedRecs) {
+		t.Fatal("recorder perturbed per-query records")
 	}
 }
 

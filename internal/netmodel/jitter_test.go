@@ -160,8 +160,7 @@ func TestRTTMatchesPerPairSeeding(t *testing.T) {
 }
 
 // TestRTTConcurrentColdPairs exercises the concurrent-reader promise in
-// Model's doc comment the way the sharded parallel drain uses it: several
-// goroutines ask one Model for overlapping sets of never-seen pairs. Run
+// Model's doc comment: several goroutines ask one Model for overlapping sets of never-seen pairs. Run
 // under -race; values must still equal the reference.
 func TestRTTConcurrentColdPairs(t *testing.T) {
 	const n, readers = 200, 6

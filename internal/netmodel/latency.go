@@ -206,6 +206,5 @@ func (m *Model) OneWay(a, b int) float64 { return m.RTT(a, b) / 2 }
 // between any two distinct peers: half the configured MinRTT. The bound
 // holds across every code path — the geometric baseline starts at MinRTT,
 // the jitter path clamps its result to MinRTT, and regional degradation
-// only inflates — so it is a safe epoch lookahead for the sharded runner:
-// no cross-peer (hence no cross-shard) message can travel faster.
+// only inflates — so no message between peers can travel faster.
 func (m *Model) MinOneWay() float64 { return m.cfg.MinRTT / 2 }

@@ -417,8 +417,8 @@ func TestLatencyFactorsDegradeAndRestore(t *testing.T) {
 	}
 }
 
-// TestMinOneWay locks the lower bound the sharded runner derives its epoch
-// lookahead from: half the configured MinRTT, never exceeded downward by
+// TestMinOneWay locks the model's latency floor: half the configured
+// MinRTT, never exceeded downward by
 // any sampled one-way latency between distinct peers — with jitter (which
 // clamps at MinRTT), without it, and under regional degradation (which only
 // inflates).

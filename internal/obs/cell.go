@@ -1,11 +1,11 @@
 package obs
 
-// Cell groups shard-local instruments. The owning shard increments plain
-// (non-atomic) fields on the hot path — no contention, no allocation —
-// and Drain folds the pending values into the shared registry atomics.
-// Drain must only run from a sequential context (the epoch barrier or
-// end of run); the locals keep lifetime totals so a run can snapshot its
-// own contribution even though the registry is shared across runs.
+// Cell groups the instruments of one simulation. Its goroutine increments
+// plain (non-atomic) fields on the hot path — no contention, no allocation
+// — and Drain, called from that same goroutine, folds the pending values
+// into the shared registry atomics. The locals keep lifetime totals so a
+// run can snapshot its own contribution even though the registry is shared
+// across the concurrent runs of a campaign.
 type Cell struct {
 	counters []*LocalCounter
 	maxes    []*LocalMax
@@ -22,7 +22,7 @@ func (c *Cell) Drain() {
 	}
 }
 
-// LocalCounter is a shard-confined counter bound to a registry Counter.
+// LocalCounter is a cell-confined counter bound to a registry Counter.
 type LocalCounter struct {
 	pend  uint64
 	total uint64
@@ -50,7 +50,7 @@ func (l *LocalCounter) drain() {
 	}
 }
 
-// LocalMax tracks a shard-confined running maximum (queue depths,
+// LocalMax tracks a cell-confined running maximum (queue depths,
 // pending-map sizes) folded into a registry Gauge via SetMax.
 type LocalMax struct {
 	cur  uint64

@@ -1,17 +1,16 @@
 // Package obs is the run-wide observability layer: a dependency-free
-// metrics registry (counters, gauges, histograms with fixed log-scale
-// buckets) with a Prometheus text exposition writer, plus the shard-local
-// cells (cell.go) that keep the simulation hot path uncontended and
-// alloc-free. Registry totals are atomics so they can be scraped from an
-// HTTP handler while runs are in flight; the hot path never touches them
-// directly — per-shard cells fold into the registry at sequential epoch
-// barriers.
+// metrics registry (counters and gauges) with a Prometheus text exposition
+// writer, plus the per-simulation cells (cell.go) that keep the simulation
+// hot path uncontended and alloc-free. Registry totals are atomics so they
+// can be scraped from an HTTP handler while runs are in flight, and so the
+// concurrent simulations of a campaign can share one registry; the hot
+// path never touches them directly — each simulation's cells fold into the
+// registry when its run ends.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +24,6 @@ type Kind uint8
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 )
 
 func (k Kind) String() string {
@@ -34,8 +32,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	}
 	return "untyped"
 }
@@ -57,11 +53,10 @@ func NewRegistry() *Registry {
 // family has at most one label key; plain (unlabeled) families hold a
 // single series under the empty label value.
 type Family struct {
-	name    string
-	help    string
-	kind    Kind
-	label   string // label key; "" for plain families
-	buckets []float64
+	name  string
+	help  string
+	kind  Kind
+	label string // label key; "" for plain families
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -71,10 +66,6 @@ type series struct {
 	c  atomic.Uint64  // counter total
 	g  atomic.Int64   // gauge value
 	fn func() float64 // gauge callback; nil for stored values
-
-	buckets []atomic.Uint64 // histogram: per-bucket counts, last is +Inf
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // histogram sum as float64 bits
 }
 
 func (f *Family) get(label string) *series {
@@ -84,14 +75,11 @@ func (f *Family) get(label string) *series {
 		return s
 	}
 	s := &series{}
-	if f.kind == KindHistogram {
-		s.buckets = make([]atomic.Uint64, len(f.buckets)+1)
-	}
 	f.series[label] = s
 	return s
 }
 
-func (r *Registry) family(name, help string, kind Kind, label string, buckets []float64) *Family {
+func (r *Registry) family(name, help string, kind Kind, label string) *Family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
@@ -100,8 +88,7 @@ func (r *Registry) family(name, help string, kind Kind, label string, buckets []
 		}
 		return f
 	}
-	f := &Family{name: name, help: help, kind: kind, label: label,
-		buckets: buckets, series: make(map[string]*series)}
+	f := &Family{name: name, help: help, kind: kind, label: label, series: make(map[string]*series)}
 	r.families[name] = f
 	return f
 }
@@ -118,7 +105,7 @@ func (c *Counter) Value() uint64 { return c.s.c.Load() }
 // Counter registers (or fetches) a plain counter family and returns its
 // single series.
 func (r *Registry) Counter(name, help string) *Counter {
-	return &Counter{r.family(name, help, KindCounter, "", nil).get("")}
+	return &Counter{r.family(name, help, KindCounter, "").get("")}
 }
 
 // CounterVec is a counter family with one label key.
@@ -126,7 +113,7 @@ type CounterVec struct{ f *Family }
 
 // CounterVec registers (or fetches) a labeled counter family.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{r.family(name, help, KindCounter, label, nil)}
+	return &CounterVec{r.family(name, help, KindCounter, label)}
 }
 
 // With returns the counter for one label value, creating it on first use.
@@ -155,14 +142,14 @@ func (g *Gauge) SetMax(v int64) {
 
 // Gauge registers (or fetches) a plain gauge family's single series.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return &Gauge{r.family(name, help, KindGauge, "", nil).get("")}
+	return &Gauge{r.family(name, help, KindGauge, "").get("")}
 }
 
 // GaugeVec is a gauge family with one label key.
 type GaugeVec struct{ f *Family }
 
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, label, nil)}
+	return &GaugeVec{r.family(name, help, KindGauge, label)}
 }
 
 func (v *GaugeVec) With(value string) *Gauge { return &Gauge{v.f.get(value)} }
@@ -170,55 +157,7 @@ func (v *GaugeVec) With(value string) *Gauge { return &Gauge{v.f.get(value)} }
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time. fn must be safe to call from the HTTP handler goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.family(name, help, KindGauge, "", nil).get("").fn = fn
-}
-
-// Histogram accumulates observations into fixed buckets (upper bounds,
-// ascending; an implicit +Inf bucket is appended). Observe is atomic and
-// allocation-free.
-type Histogram struct {
-	f *Family
-	s *series
-}
-
-// Histogram registers (or fetches) a plain histogram family. The bucket
-// layout of the first registration wins.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.family(name, help, KindHistogram, "", buckets)
-	return &Histogram{f, f.get("")}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.f.buckets, v)
-	h.s.buckets[i].Add(1)
-	h.s.count.Add(1)
-	for {
-		old := h.s.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.s.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations recorded.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
-
-// ExpBuckets returns n exponentially spaced bucket upper bounds starting
-// at start, each factor times the previous — the fixed log-scale layout
-// used for wall-clock timings.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n <= 0 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n > 0")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
+	r.family(name, help, KindGauge, "").get("").fn = fn
 }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
@@ -290,26 +229,6 @@ func writeSeries(w io.Writer, f *Family, label string, s *series) error {
 		}
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lp, s.g.Load())
 		return err
-	case KindHistogram:
-		cum := uint64(0)
-		for i, ub := range f.buckets {
-			cum += s.buckets[i].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", f.name,
-				strconv.FormatFloat(ub, 'g', -1, 64), cum); err != nil {
-				return err
-			}
-		}
-		cum += s.buckets[len(f.buckets)].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", f.name, cum); err != nil {
-			return err
-		}
-		sum := math.Float64frombits(s.sumBits.Load())
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n", f.name,
-			strconv.FormatFloat(sum, 'g', -1, 64)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count %d\n", f.name, s.count.Load())
-		return err
 	}
 	return nil
 }
@@ -372,7 +291,7 @@ func DiffCounters(before, after []Sample) []Sample {
 // families as needed — the coordinator merges worker-posted deltas here.
 func (r *Registry) AbsorbCounters(samples []Sample) {
 	for _, s := range samples {
-		f := r.family(s.Name, "", KindCounter, s.Key, nil)
+		f := r.family(s.Name, "", KindCounter, s.Key)
 		f.get(s.Label).c.Add(s.Value)
 	}
 }

@@ -35,7 +35,7 @@ func (Dicas) CacheConfig(base cache.Config) cache.Config {
 // alive.
 func (Dicas) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
 	want := q.QGid
-	out := net.targetBuf(n)
+	out := net.targetBuf()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
@@ -47,7 +47,7 @@ func (Dicas) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []
 	if len(out) == 0 {
 		return net.fallbackNeighbors(n, q, from)
 	}
-	net.stats(n).GidMatched += uint64(len(out))
+	net.forwarding.GidMatched += uint64(len(out))
 	return out
 }
 
@@ -57,7 +57,7 @@ func (Dicas) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 	if gidOfName(rsp.File.String(), net.Config.GroupCount) != n.Gid {
 		return
 	}
-	now := net.nowFor(n)
+	now := net.Engine.Now()
 	for _, p := range rsp.Providers {
 		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
 	}

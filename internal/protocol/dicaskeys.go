@@ -39,7 +39,7 @@ func (DicasKeys) CacheConfig(base cache.Config) cache.Config {
 // degenerate towards flooding.
 func (DicasKeys) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
 	want := gidOfKeyword(routingKeyword(q.Q), net.Config.GroupCount)
-	out := net.targetBuf(n)
+	out := net.targetBuf()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
@@ -51,7 +51,7 @@ func (DicasKeys) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID
 	if len(out) == 0 {
 		return net.fallbackNeighbors(n, q, from)
 	}
-	net.stats(n).GidMatched += uint64(len(out))
+	net.forwarding.GidMatched += uint64(len(out))
 	return out
 }
 
@@ -79,7 +79,7 @@ func (DicasKeys) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 	if !matched {
 		return
 	}
-	now := net.nowFor(n)
+	now := net.Engine.Now()
 	for _, p := range rsp.Providers {
 		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
 	}

@@ -31,14 +31,14 @@ func (Flooding) CacheConfig(base cache.Config) cache.Config {
 // Forward implements Behavior: all neighbours except the sender and peers
 // already on the path.
 func (Flooding) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	out := net.targetBuf(n)
+	out := net.targetBuf()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
 		}
 		out = append(out, nb)
 	}
-	net.stats(n).FloodAll += uint64(len(out))
+	net.forwarding.FloodAll += uint64(len(out))
 	return out
 }
 

@@ -16,7 +16,7 @@ import (
 // returns the control messages it sent.
 func handRound(net *Network) uint64 {
 	before := net.ControlMessages()
-	net.gossipBlooms(net.Engine, net.states[0])
+	net.gossipBlooms()
 	net.Engine.Run(0)
 	return net.ControlMessages() - before
 }

@@ -39,7 +39,7 @@ func (Locaware) CacheConfig(base cache.Config) cache.Config { return base }
 // match on all keywords → Gid match → highest-degree last resort.
 func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
 	kws := q.kwStrings()
-	bfMatched := net.targetBuf(n)
+	bfMatched := net.targetBuf()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
@@ -49,11 +49,11 @@ func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID)
 		}
 	}
 	if len(bfMatched) > 0 {
-		net.stats(n).BloomMatched += uint64(len(bfMatched))
+		net.forwarding.BloomMatched += uint64(len(bfMatched))
 		return bfMatched
 	}
 	want := q.QGid
-	gidMatched := net.targetBuf(n) // bfMatched is empty, so reuse is safe
+	gidMatched := net.targetBuf() // bfMatched is empty, so reuse is safe
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
@@ -63,7 +63,7 @@ func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID)
 		}
 	}
 	if len(gidMatched) > 0 {
-		net.stats(n).GidMatched += uint64(len(gidMatched))
+		net.forwarding.GidMatched += uint64(len(gidMatched))
 		return gidMatched
 	}
 	return net.fallbackNeighbors(n, q, from)
@@ -76,7 +76,7 @@ func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 	if gidOfName(rsp.File.String(), net.Config.GroupCount) != n.Gid {
 		return
 	}
-	now := net.nowFor(n)
+	now := net.Engine.Now()
 	for _, p := range rsp.Providers {
 		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
 	}
@@ -95,7 +95,7 @@ func (Locaware) OnAnswer(net *Network, n *Node, q *QueryMsg, f keywords.Filename
 	if q.Origin == n.ID {
 		return
 	}
-	n.RI.Put(f, q.Origin, q.OriginLoc, net.nowFor(n))
+	n.RI.Put(f, q.Origin, q.OriginLoc, net.Engine.Now())
 }
 
 // SelectProvider implements Behavior, the §5.1 rule: prefer a provider in

@@ -23,7 +23,7 @@ func (LocawareLR) Name() string { return "Locaware-LR" }
 // locality first; then the plain Locaware preference chain.
 func (l LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
 	kws := q.kwStrings()
-	sameLoc, other := net.targetBuf(n), net.targetBuf2(n)
+	sameLoc, other := net.targetBuf(), net.targetBuf2()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
@@ -38,11 +38,11 @@ func (l LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, from overlay.Pee
 		}
 	}
 	if len(sameLoc) > 0 {
-		net.stats(n).BloomMatched += uint64(len(sameLoc))
+		net.forwarding.BloomMatched += uint64(len(sameLoc))
 		return sameLoc
 	}
 	if len(other) > 0 {
-		net.stats(n).BloomMatched += uint64(len(other))
+		net.forwarding.BloomMatched += uint64(len(other))
 		return other
 	}
 	return l.Locaware.Forward(net, n, q, from)

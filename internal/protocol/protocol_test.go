@@ -421,10 +421,10 @@ func TestChurnOfflineProvidersFiltered(t *testing.T) {
 	req := net.Node(0)
 	provs := []cache.Provider{{Peer: 3, LocID: req.Loc}}
 	net.Graph.Leave(3)
-	if live := net.liveProviders(net.states[0], provs); len(live) != 0 {
+	if live := net.liveProviders(provs); len(live) != 0 {
 		t.Fatal("offline provider not filtered")
 	}
-	if _, ok := (Locaware{}).SelectProvider(net, req, net.liveProviders(net.states[0], provs)); ok {
+	if _, ok := (Locaware{}).SelectProvider(net, req, net.liveProviders(provs)); ok {
 		t.Fatal("selection should fail with all providers offline")
 	}
 }
@@ -452,7 +452,7 @@ func TestFinalizeSealsRecordOnce(t *testing.T) {
 	if net.Collector.Submitted() != 1 {
 		t.Fatalf("submitted = %d", net.Collector.Submitted())
 	}
-	net.finalize(net.states[0], id) // idempotent
+	net.finalize(id) // idempotent
 	net.FlushPending()
 	if net.Collector.Submitted() != 1 {
 		t.Fatal("double finalisation")
@@ -762,7 +762,7 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, gen := n.announceSnapshot()
-	ev := net.states[0].acquireBloomInstall(net, 1, 0, snap, gen)
+	ev := net.acquireBloomInstall(1, 0, snap, gen)
 	// Two more rounds reuse both buffers before the event fires; the
 	// second also publishes newer content ("beta").
 	n.announceSnapshot()
@@ -784,7 +784,7 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	}
 	// A fresh install still lands without the fallback counter moving.
 	snap, gen = n.announceSnapshot()
-	net.states[0].acquireBloomInstall(net, 1, 0, snap, gen).Fire(net.Engine)
+	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
 	if net.StaleBloomFallbacks() != 1 {
 		t.Fatal("fresh install miscounted as stale")
 	}

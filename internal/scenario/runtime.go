@@ -92,8 +92,7 @@ func Attach(spec *Spec, w World, churnRng, eventRng *rand.Rand) (*Runtime, error
 
 // churnTickEvent is the periodic churn process as a simulator event: it
 // applies one churn step when the active phase enables churn, then
-// reschedules itself. It is undestined: churn rewires the whole overlay, so
-// the tick belongs to the control shard.
+// reschedules itself.
 type churnTickEvent struct {
 	rt     *Runtime
 	period sim.Time
@@ -156,9 +155,6 @@ func (rt *Runtime) tracePhase(k int) {
 		}
 		detail += " events=" + fmt.Sprint(kinds)
 	}
-	// Phase boundaries fire from submission events on the control shard, so
-	// the emit routes through shard 0's trace cell rather than writing to
-	// the sink directly — direct writes would race a parallel epoch drain.
 	rt.w.Net.EmitControl(trace.PhaseEnter, detail)
 }
 

@@ -25,30 +25,15 @@ type Engine struct {
 	cancelled uint64
 	// horizon, when non-zero, rejects events scheduled beyond it.
 	horizon Time
-	// route, when non-nil, may claim a fire-and-forget event instead
-	// of queueing it locally. The sharded runner installs it to divert
-	// events destined to another shard into that shard's mailbox.
-	route func(at Time, ev Event) bool
 	// observer, when non-nil, sees every delivered event just before
-	// it fires. Installed by tests and debugging harnesses (the sharded
-	// determinism test records global delivery order through it); nil costs
-	// one branch per delivery.
+	// it fires. Installed by tests and timing harnesses; nil costs one
+	// branch per delivery.
 	observer func(at Time, ev Event)
-	// instr, when non-nil, counts every delivery into shard-confined
-	// observability cells (see internal/obs). Unlike observer it is safe
-	// under the parallel epoch drain — each engine owns its cells — and
-	// costs one branch per delivery when disabled.
+	// instr, when non-nil, counts every delivery into this engine's own
+	// observability cell (see internal/obs); nil costs one branch per
+	// delivery.
 	instr *EngineInstr
-	// shard is this engine's index under a sharded runner (0 for a plain
-	// engine). Event handlers use it to resolve shard-confined state from
-	// the engine they fire on.
-	shard int
 }
-
-// Shard returns the engine's shard index: its position under a sharded
-// runner, or 0 for a standalone engine. Protocol state that is split by
-// shard indexes on this value from within event handlers.
-func (e *Engine) Shard() int { return e.shard }
 
 // ErrPast is returned when an event is scheduled before the current virtual
 // time.
@@ -80,9 +65,7 @@ func (e *Engine) Cancelled() uint64 { return e.cancelled }
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
 // ScheduleEventAt queues ev to fire at absolute virtual time at, returning
-// a cancellation handle. Timers are engine-local: the sharded router never
-// diverts a cancellable event, so schedule timers on the shard that owns
-// their state.
+// a cancellation handle.
 func (e *Engine) ScheduleEventAt(at Time, ev Event) (*Timer, error) {
 	if at < e.now {
 		return nil, ErrPast
@@ -114,18 +97,13 @@ func (e *Engine) push(at Time, ev Event) {
 
 // PostEventAt queues ev to fire at absolute virtual time at, without a
 // cancellation handle. This is the hot-path scheduling primitive: with a
-// pooled concrete event it allocates nothing in steady state. Under
-// the sharded runner, a Destined event posted here may be diverted to the
-// destination peer's shard.
+// pooled concrete event it allocates nothing in steady state.
 func (e *Engine) PostEventAt(at Time, ev Event) error {
 	if at < e.now {
 		return ErrPast
 	}
 	if e.horizon > 0 && at > e.horizon {
 		return nil // dropped by horizon policy, as ScheduleEventAt
-	}
-	if e.route != nil && e.route(at, ev) {
-		return nil // claimed by the shard router
 	}
 	e.push(at, ev)
 	return nil
@@ -143,9 +121,6 @@ func (e *Engine) PostEvent(delay Time, ev Event) {
 }
 
 // Stop makes the current Run return after the in-flight event completes.
-// Under the sharded loop, stopping a shard's engine ends the whole
-// Sharded run: the remaining shards finish the current epoch, then the
-// epoch loop returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run processes events until the queue drains, Stop is called, or maxEvents
@@ -207,32 +182,6 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 // itself, not as the Timer. The hook exists for tests and harnesses that
 // assert on delivery order or time the events from outside.
 func (e *Engine) SetObserver(fn func(at Time, ev Event)) { e.observer = fn }
-
-// advanceTo moves the clock forward to t without delivering anything; the
-// sharded runner uses it to keep idle shards' clocks in step with the
-// epoch. It never moves the clock backwards.
-func (e *Engine) advanceTo(t Time) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// peekTime returns the timestamp of the earliest pending live event, or
-// (0, false) when the queue holds none. Cancelled events at the head are
-// discarded on the way.
-func (e *Engine) peekTime() (Time, bool) {
-	for {
-		qe, ok := e.queue.peek()
-		if !ok {
-			return 0, false
-		}
-		if t, ok := qe.ev.(*Timer); !ok || !t.done {
-			return qe.at, true
-		}
-		e.queue.pop()
-		e.cancelled++
-	}
-}
 
 // Drain discards all pending events without running them; their Timers
 // are no longer pending afterwards.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -48,74 +47,6 @@ func (ev *benchChainEvent) Fire(e *Engine) {
 	if ev.remaining > 0 {
 		ev.remaining--
 		e.PostEvent(Millisecond, ev)
-	}
-}
-
-// benchShardEvent is the sharded-throughput workload: a chain of destined
-// events that mostly stays inside its shard, crossing a shard boundary on
-// every 16th hop with a delay above the lookahead. spin models per-event
-// protocol work so the parallel drain has something to overlap.
-type benchShardEvent struct {
-	dst       int
-	peers     int
-	shards    int
-	remaining *int64
-	sink      uint64
-}
-
-func (ev *benchShardEvent) EventDst() int { return ev.dst }
-
-func (ev *benchShardEvent) Fire(e *Engine) {
-	x := uint64(ev.dst + 1)
-	for i := 0; i < 300; i++ {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-	}
-	ev.sink = x
-	n := *ev.remaining - 1
-	*ev.remaining = n
-	if n <= 0 {
-		return
-	}
-	if int(n)%16 == 0 {
-		// Cross-shard hop: land on the next shard, beyond the lookahead.
-		ev.dst = (ev.dst + ev.peers/ev.shards) % ev.peers
-		e.PostEvent(2*Millisecond, ev)
-		return
-	}
-	e.PostEvent(Millisecond, ev)
-}
-
-// BenchmarkShardedEvents measures events/sec of the sharded loop at 1, 2
-// and 4 shards with parallel epoch drains: per-shard chains with a bounded
-// cross-shard hop rate, the shape a per-locality protocol partition
-// produces. shards=1 is the sequential baseline.
-func BenchmarkShardedEvents(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const peers = 64
-			s := NewSharded(ShardedOptions{
-				Shards:    shards,
-				ShardOf:   func(p int) int { return p * shards / peers },
-				Parallel:  shards > 1,
-				Lookahead: Millisecond / 2,
-			})
-			// 16 chains per shard share each epoch, so a parallel drain
-			// has a full batch of per-event work to overlap.
-			chains := shards * 16
-			per := make([]int64, chains)
-			for c := 0; c < chains; c++ {
-				per[c] = int64(b.N / chains)
-				if per[c] == 0 {
-					per[c] = 1
-				}
-				s.Engine(0).PostEvent(Millisecond, &benchShardEvent{
-					dst: c * peers / chains, peers: peers, shards: shards, remaining: &per[c],
-				})
-			}
-			b.ResetTimer()
-			s.Run(0)
-		})
 	}
 }
 
@@ -192,6 +123,6 @@ func BenchmarkQueuePushPop(b *testing.B) {
 func BenchmarkRNGStream(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
-		_ = r.StreamN("peer", i&1023)
+		_ = r.Stream("peer")
 	}
 }

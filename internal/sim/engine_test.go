@@ -634,19 +634,3 @@ func TestRNGStreamsIndependentAndReproducible(t *testing.T) {
 		t.Fatal("Seed() mismatch")
 	}
 }
-
-func TestRNGStreamN(t *testing.T) {
-	r := NewRNG(11)
-	a := r.StreamN("peer", 0)
-	b := r.StreamN("peer", 1)
-	if a.Int63() == b.Int63() && a.Int63() == b.Int63() && a.Int63() == b.Int63() {
-		t.Fatal("indexed streams look identical")
-	}
-	x := NewRNG(11).StreamN("peer", 5)
-	y := NewRNG(11).StreamN("peer", 5)
-	for i := 0; i < 50; i++ {
-		if x.Int63() != y.Int63() {
-			t.Fatal("StreamN not reproducible")
-		}
-	}
-}

@@ -65,21 +65,10 @@ func FromSeconds(s float64) Time {
 // scheduling allocates nothing — storing a pointer-typed Event in the
 // queue's interface field does not box.
 //
-// Fire receives the delivering engine rather than a captured one so the
-// same event value works under the sharded runner, where the delivering
-// engine is the destination shard's.
+// Fire receives the delivering engine, so an event need not capture one to
+// read the clock or schedule its successor.
 type Event interface {
 	Fire(e *Engine)
-}
-
-// Destined is implemented by events that name a destination peer. The
-// sharded runner routes a Destined event to the shard owning its
-// destination; undestined events stay on the engine they were scheduled on
-// (shard 0 hosts the control plane).
-type Destined interface {
-	Event
-	// EventDst returns the destination peer id.
-	EventDst() int
 }
 
 // Named is implemented by events that want a stable render name in traces

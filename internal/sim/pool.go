@@ -6,10 +6,10 @@ package sim
 // value back. A full block is abandoned to its outstanding pointers, so
 // every pointer handed out stays valid. The zero value is ready to use.
 //
-// A Pool is not synchronised. The repo's one pooling rule: acquire on the
-// shard that sends, Put on the shard the value is last used on (for an
-// event, the shard it fires on). No pool is then touched by two shards
-// within an epoch, and symmetric traffic keeps per-shard pools balanced.
+// A Pool is not synchronised: it belongs to one simulation, whose events
+// all fire on the goroutine that runs its engine. The repo's one pooling
+// rule: the sender acquires a value, its last user Puts it back (an event
+// Puts itself when it fires).
 type Pool[T any] struct {
 	free  []*T
 	block []T

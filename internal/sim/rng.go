@@ -23,12 +23,6 @@ func (r *RNG) Stream(name string) *rand.Rand {
 	return rand.New(rand.NewSource(r.seed ^ hashName(name)))
 }
 
-// StreamN derives an indexed substream, e.g. one per peer.
-func (r *RNG) StreamN(name string, n int) *rand.Rand {
-	const golden = int64(-0x61c8864680b583eb) // 0x9e3779b97f4a7c15 as int64
-	return rand.New(rand.NewSource(r.seed ^ hashName(name) ^ (int64(n)+1)*golden))
-}
-
 // TrialSeed derives the root seed of replicated trial number trial
 // (0-based) from an experiment's root seed. Trial 0 returns root unchanged,
 // so a single-trial experiment is bit-for-bit identical to a plain

@@ -140,9 +140,8 @@ func (b *queryBuf) reset() {
 // FlightRecorder is a tail-sampling Tracer: it buffers each query's events
 // only while the query is in flight, and on QueryFinalize keeps the trace
 // iff it matches the retention policy — so the p99.9 outliers of a huge run
-// are caught in constant memory. It sits behind the shard-cell Collector
-// (or a single-queue Network directly), so Emit only ever runs on
-// sequential sections and needs no locking.
+// are caught in constant memory. A Network emits to it directly from its
+// engine's goroutine, so Emit needs no locking.
 //
 // Buffers are pooled: a finalized query's buffer (and, when a slowest-N
 // heap entry is evicted, its event slice) is recycled, so steady-state

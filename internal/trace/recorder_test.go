@@ -208,43 +208,6 @@ func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	}
 }
 
-// TestCollectorMergeOrder locks the shard-cell merge contract: cells drain
-// into the sink in ascending (time, query, shard) order, same-instant
-// out-of-order events within one cell are reordered by query id, and a
-// flush resets the cells.
-func TestCollectorMergeOrder(t *testing.T) {
-	sink := NewBuffer(64)
-	c := NewCollector(sink, 3)
-	// Shard 0: two events at t=2 emitted query-descending (same instant).
-	c.Cell(0).Emit(Event{At: 2 * sim.Millisecond, Query: 5})
-	c.Cell(0).Emit(Event{At: 2 * sim.Millisecond, Query: 3})
-	// Shard 1: earliest event overall.
-	c.Cell(1).Emit(Event{At: sim.Millisecond, Query: 9})
-	// Shard 2: ties shard 0's (t=2, q=3) — higher shard index loses.
-	c.Cell(2).Emit(Event{At: 2 * sim.Millisecond, Query: 3, Peer: 42})
-	c.Flush()
-	evs := sink.Events()
-	if len(evs) != 4 {
-		t.Fatalf("merged %d events, want 4", len(evs))
-	}
-	if evs[0].Query != 9 {
-		t.Fatalf("first merged event = %+v, want shard 1's t=1ms", evs[0])
-	}
-	if evs[1].Query != 3 || evs[1].Peer == 42 {
-		t.Fatalf("tie broke toward shard 2: %+v", evs[1])
-	}
-	if evs[2].Query != 3 || evs[2].Peer != 42 {
-		t.Fatalf("shard 2's tie event misplaced: %+v", evs[2])
-	}
-	if evs[3].Query != 5 {
-		t.Fatalf("last merged event = %+v", evs[3])
-	}
-	c.Flush() // empty flush is a no-op
-	if sink.Len() != 4 {
-		t.Fatalf("second flush re-emitted: len=%d", sink.Len())
-	}
-}
-
 // TestSpanTreeAttribution locks the span builder's latency split: a closed
 // forward span charges the processing constant and attributes the rest to
 // propagation; spans that never close render as open.

@@ -130,12 +130,6 @@ type Options struct {
 	// longer grows with the query count; all aggregate metrics and figure
 	// tables are bit-identical either way.
 	RetainRecords bool
-	// Shards, when > 1, drains each simulation on that many per-locality
-	// event queues, one goroutine each (clamped to the occupied locality
-	// count). Reproducible per shard count, statistically equivalent — not
-	// bit-identical — to the single queue. Never measured faster; slated
-	// for removal (ROADMAP item 2).
-	Shards int
 	// Observer, when non-nil, attaches run-wide observability: every
 	// simulation executed under these Options accumulates event-loop and
 	// protocol telemetry into the Observer's registry, and Result.Runtime
@@ -146,9 +140,8 @@ type Options struct {
 	// tracing: queries matching the retention policy (slowest-N, failed,
 	// deep) are kept as span trees on Result.Traces, renderable as text
 	// timelines (Trace.Render) or exportable to Perfetto
-	// (Result.WritePerfetto). Recording is inert — per-shard trace cells
-	// merge at the epoch barrier, so the parallel drain stays enabled and
-	// results are byte-identical with or without it. See FlightRecorder.
+	// (Result.WritePerfetto). Recording is inert — results are
+	// byte-identical with or without it. See FlightRecorder.
 	FlightRecorder *FlightRecorder
 	// Trials is the number of independent replications RunTrials and
 	// Compare execute per protocol (<= 0 means 1). Trial t runs in its own
@@ -227,9 +220,6 @@ func (o Options) coreConfig() core.Config {
 			period = sim.Second
 		}
 		cfg.Protocol.BloomGossipPeriod = period
-	}
-	if o.Shards > 1 {
-		cfg.Shards = o.Shards
 	}
 	if o.Scenario != nil {
 		cfg.Scenario = o.Scenario.spec
@@ -366,18 +356,6 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 	}
 }
 
-// resultErr surfaces a sharded run abort (a cross-shard barrier violation,
-// which ends the run with partial results instead of crashing) from any of
-// the given runs as a facade error.
-func resultErr(runs ...*core.RunResult) error {
-	for _, r := range runs {
-		if r != nil && r.Err != nil {
-			return fmt.Errorf("locaware: sharded run aborted: %w", r.Err)
-		}
-	}
-	return nil
-}
-
 // validateRun checks the shared warmup/queries bounds of every run entry
 // point.
 func validateRun(warmup, queries int) error {
@@ -429,11 +407,7 @@ func run(o Options, p Protocol, warmup, queries int, tracer *trace.Buffer) (*Res
 	if tracer != nil {
 		s.Network.SetTracer(tracer)
 	}
-	r := s.RunMeasured(warmup, queries)
-	if err := resultErr(r); err != nil {
-		return nil, err
-	}
-	return newResult(p, r), nil
+	return newResult(p, s.RunMeasured(warmup, queries)), nil
 }
 
 // TraceEvent is one traced protocol action in a RunTraced run.
@@ -619,9 +593,6 @@ func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints [
 		core.TrialOptions{Trials: o.Trials, Workers: o.Workers}, warmup, queries, checkpoints)
 	out := &Comparison{cmp: tc}
 	for i, name := range tc.Order {
-		if err := resultErr(tc.Cells[name].Runs...); err != nil {
-			return nil, err
-		}
 		out.Sets = append(out.Sets, newTrialsResult(protocols[i], tc.Cells[name]))
 	}
 	return out, nil

@@ -12,11 +12,11 @@ import (
 // Observer is a run-wide observability registry: attach one to
 // Options.Observer (or CampaignOptions.Observer) and every simulation
 // executed under it accumulates event-loop, protocol and campaign
-// telemetry — counters, gauges and log-scale histograms — into one
-// scrapeable surface. Instrumentation is provably inert: the hot path
-// only increments shard-confined cells (merged at the sequential epoch
-// barrier), never touches an RNG stream or event order, so results are
-// byte-identical with or without an Observer, at any shard count.
+// telemetry — counters and gauges — into one scrapeable surface.
+// Instrumentation is provably inert: the hot path only increments each
+// simulation's own cells (folded into the registry when its run ends),
+// never touches an RNG stream or event order, so results are
+// byte-identical with or without an Observer.
 //
 // One Observer may be shared across concurrent runs; totals then cover
 // all of them. Per-run snapshots are on Result.Runtime.

@@ -6,17 +6,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestObsDeterminismInert is the inertness lock of the observability
-// layer: attaching an Observer must not move a single output byte — on
-// the plain engine (checked against the golden table) and on the sharded
-// loop (checked instrumented-vs-uninstrumented, since sharded output
-// differs from the golden single-queue bytes by design). Run under -race
-// in CI, this also proves the shard-confined cells never race.
+// layer: attaching an Observer must not move a single output byte of the
+// golden table.
 func TestObsDeterminismInert(t *testing.T) {
 	// Golden path: instrumented Compare reproduces the golden bytes.
 	o := goldenOptions()
@@ -52,35 +48,6 @@ func TestObsDeterminismInert(t *testing.T) {
 		}
 	}
 
-	// Sharded path: instrumentation on vs off, field-for-field equal
-	// results (the parallel drain stays parallel under instrumentation).
-	run := func(observe bool) *Result {
-		o := goldenOptions()
-		o.Shards = 2
-		if observe {
-			o.Observer = NewObserver()
-		}
-		r, err := Run(o, ProtocolLocaware, 100, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	with, without := run(true), run(false)
-	if without.Runtime != nil {
-		t.Fatal("uninstrumented run grew a Runtime snapshot")
-	}
-	rt := with.Runtime
-	if rt == nil {
-		t.Fatal("instrumented sharded run has no Runtime snapshot")
-	}
-	if rt.Epochs == 0 || rt.Shards != 2 {
-		t.Fatalf("sharded runtime telemetry: %+v", rt)
-	}
-	with.Runtime = nil
-	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("sharded run drifted under instrumentation:\nwith:    %+v\nwithout: %+v", with, without)
-	}
 }
 
 // TestObserverEndpoints locks the Observer's scrape surface: the full
@@ -109,7 +76,7 @@ func TestObserverEndpoints(t *testing.T) {
 		t.Fatalf("/metrics answered %d", code)
 	}
 	for _, fam := range []string{
-		"sim_events_total", "sim_queue_depth_high_water", "sim_epoch_drain_seconds",
+		"sim_events_total", "sim_queue_depth_high_water", "sim_events_scheduled_total",
 		"protocol_queries_submitted_total", "protocol_cache_hits_total",
 		"campaign_cells_executed_total",
 	} {

@@ -19,9 +19,8 @@ import (
 // reverse-path response hops → download), renderable as text timelines or
 // exportable to Chrome/Perfetto via Result.WritePerfetto.
 //
-// Recording is inert: trace events buffer in per-shard cells merged at the
-// sequential epoch barrier, so the sharded parallel drain stays enabled
-// and all metrics are byte-identical with or without a recorder attached.
+// Recording is inert: all metrics are byte-identical with or without a
+// recorder attached.
 //
 // The criteria: SlowestN keeps the N completed queries with the highest
 // latency (download time for answered queries, time-to-finalize for failed
