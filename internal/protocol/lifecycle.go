@@ -1,0 +1,158 @@
+package protocol
+
+import (
+	"slices"
+
+	"github.com/p2prepro/locaware/internal/keywords"
+	"github.com/p2prepro/locaware/internal/metrics"
+	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/trace"
+)
+
+// acquirePending takes a pendingQuery from the pool.
+func (net *Network) acquirePending(origin overlay.PeerID) *pendingQuery {
+	pq := net.pqPool.Get()
+	*pq = pendingQuery{origin: origin, col: net.Collector, visited: pq.visited[:0]}
+	return pq
+}
+
+// SubmitQuery injects a query at peer origin at the current virtual time:
+// pending-query creation, finalisation scheduling, the origin's local
+// storage and index checks, and the first forwarding fan-out. It returns
+// the QueryID.
+func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID {
+	net.nextID++
+	id := net.nextID
+	pq := net.acquirePending(origin)
+	net.pending[id] = pq
+
+	if in := net.instr; in != nil {
+		in.submitted.Inc()
+		in.pendingHW.Observe(uint64(len(net.pending)))
+	}
+	net.Engine.PostEvent(net.Config.FinalizeAfter, net.acquireFinalize(id))
+	if net.traces(trace.QuerySubmit) {
+		d := q.AppendString(net.detailBuf[:0])
+		net.detailBuf = d
+		net.emit(trace.QuerySubmit, id, origin, -1, string(d))
+	}
+	if !net.Graph.Online(origin) {
+		return id
+	}
+	n := net.nodes[origin]
+	net.markSeen(n, id, pq)
+	// Local check first: the requester may already hold a matching file or
+	// index.
+	if f, ok := n.storageMatch(q); ok {
+		pq.answered = true
+		pq.rtt = 0
+		pq.sameLoc = true
+		pq.hops = 0
+		if in := net.instr; in != nil {
+			in.storageHits.Inc()
+		}
+		net.emit(trace.StorageHit, id, origin, -1, f.String())
+		return id
+	}
+	if ms := n.lookupRI(q, net.Engine.Now()); len(ms) != 0 {
+		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
+			pq.fromCache = true
+			if in := net.instr; in != nil {
+				in.cacheHits.Inc()
+			}
+			net.emit(trace.CacheHit, id, origin, -1, ms[0].File.String())
+			net.completeDownload(id, pq, n, ms[0].File, prov, 0)
+			return id
+		}
+	}
+	if in := net.instr; in != nil {
+		in.cacheMisses.Inc()
+	}
+	msg := net.msgPool.Get()
+	msg.ID = id
+	msg.Q = q
+	if net.Behavior.UsesBloom() {
+		// Computed once per query and shared by every branch: Bloom routing
+		// tests the same keyword strings at each hop.
+		msg.KwStrs = q.Strings()
+	}
+	// Cached once per query: every Gid-routing hop consults the same value.
+	msg.QGid = gidOfQuery(q, net.Config.GroupCount)
+	msg.Origin = origin
+	msg.OriginLoc = n.Loc
+	msg.TTL = net.Config.TTL
+	msg.Path = append(msg.Path[:0], origin)
+	net.forward(n, msg, origin)
+	net.releaseMsg(msg)
+	return id
+}
+
+// markSeen adds the query to n's duplicate-suppression set and registers
+// the entry on the pending query for erasure at finalisation.
+func (net *Network) markSeen(n *Node, id QueryID, pq *pendingQuery) {
+	n.seen[id] = true
+	pq.visited = append(pq.visited, n.ID)
+}
+
+// queryRecord builds the metrics record for a resolved pending query.
+func queryRecord(pq *pendingQuery) metrics.QueryRecord {
+	return metrics.QueryRecord{
+		Messages:     pq.messages,
+		Success:      pq.answered,
+		DownloadRTT:  pq.rtt,
+		SameLocality: pq.sameLoc,
+		FromCache:    pq.fromCache,
+		Hops:         pq.hops,
+	}
+}
+
+// finalize resolves query id: it seals the record, erases the query's
+// duplicate-suppression entries and recycles the bookkeeping. A query that
+// is no longer pending was already finalised.
+func (net *Network) finalize(id QueryID) {
+	pq, ok := net.pending[id]
+	if !ok {
+		return
+	}
+	if in := net.instr; in != nil {
+		in.finalized.Inc()
+	}
+	if !pq.answered {
+		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
+	}
+	net.emit(trace.QueryFinalize, id, pq.origin, -1, "")
+	pq.col.Record(queryRecord(pq))
+	for _, p := range pq.visited {
+		delete(net.nodes[p].seen, id)
+	}
+	delete(net.pending, id)
+	net.pqPool.Put(pq)
+}
+
+// FlushPending finalises all still-pending queries immediately (used at
+// the end of a bounded run), in ascending QueryID order — so trace output
+// and retained records at an early cutoff are identical run to run instead
+// of following Go's randomised map iteration.
+func (net *Network) FlushPending() {
+	if len(net.pending) == 0 {
+		return
+	}
+	ids := make([]QueryID, 0, len(net.pending))
+	for id := range net.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		net.finalize(id)
+	}
+}
+
+// ResetCollector swaps in a fresh metrics collector (same configuration)
+// and returns the old one. Queries already in flight keep finalising into
+// the collector that was active when they were submitted, so a warmup phase
+// cannot contaminate the measured phase.
+func (net *Network) ResetCollector() *metrics.Collector {
+	old := net.Collector
+	net.Collector = metrics.NewCollectorWith(net.Config.Collector)
+	return old
+}

@@ -3,8 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"strconv"
 
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -325,514 +323,6 @@ func (net *Network) targetBuf() []overlay.PeerID { return net.fwdBuf[:0] }
 // neighbours into two candidate lists (e.g. LocawareLR's same-locality
 // split).
 func (net *Network) targetBuf2() []overlay.PeerID { return net.fwdBuf2[:0] }
-
-// acquirePending takes a pendingQuery from the pool.
-func (net *Network) acquirePending(origin overlay.PeerID) *pendingQuery {
-	pq := net.pqPool.Get()
-	*pq = pendingQuery{origin: origin, col: net.Collector, visited: pq.visited[:0]}
-	return pq
-}
-
-// releaseMsg returns a fully processed query message to the pool:
-// whoever takes one from msgPool owns it until the delivery event releases
-// it here (or never, for a dropped event, in which case the GC reclaims it).
-// KwStrs is cleared rather than reused: responses created during processing
-// may still alias the keyword-string slice (it is shared per query, not per
-// branch).
-func (net *Network) releaseMsg(m *QueryMsg) {
-	m.Path = m.Path[:0]
-	m.KwStrs = nil
-	net.msgPool.Put(m)
-}
-
-// gossipBlooms runs one gossip round: every online peer whose filter
-// changed since its last announcement sends the update to each neighbour as
-// a real message, delivered after link latency (§4.2: neighbours hold
-// possibly stale copies). Traffic is charged per neighbour at the delta's
-// encoded size (footnote 1) even though the delivered payload installs the
-// full snapshot — the delta is what the wire would carry.
-func (net *Network) gossipBlooms() {
-	for _, n := range net.nodes {
-		if !net.Graph.Online(n.ID) {
-			continue
-		}
-		d, err := n.PublishBloom()
-		if err != nil || d.Empty() {
-			continue
-		}
-		// The announced snapshot is a frozen per-node double buffer:
-		// installs copy it on arrival (setNeighborBloom), and the buffer
-		// next mutates two gossip periods from now — a wide margin over
-		// any link latency — so the round is allocation-free with exact
-		// announce-time semantics.
-		snapshot, snapGen := n.announceSnapshot()
-		from := n.ID
-		sizeBits := d.SizeBits()
-		for _, nb := range net.Graph.Neighbors(n.ID) {
-			if !net.Graph.Online(nb) {
-				continue
-			}
-			net.controlMessages++
-			net.controlBits += uint64(sizeBits)
-			if net.traces(trace.BloomGossip) {
-				d := append(net.detailBuf[:0], "delta="...)
-				d = strconv.AppendInt(d, int64(sizeBits), 10)
-				d = append(d, "bits"...)
-				net.detailBuf = d
-				net.emit(trace.BloomGossip, 0, nb, from, string(d))
-			}
-			net.send(from, nb, net.acquireBloomInstall(nb, from, snapshot, snapGen))
-		}
-	}
-}
-
-// SubmitQuery injects a query at peer origin at the current virtual time:
-// pending-query creation, finalisation scheduling, the origin's local
-// storage and index checks, and the first forwarding fan-out. It returns
-// the QueryID.
-func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID {
-	net.nextID++
-	id := net.nextID
-	pq := net.acquirePending(origin)
-	net.pending[id] = pq
-
-	if in := net.instr; in != nil {
-		in.submitted.Inc()
-		in.pendingHW.Observe(uint64(len(net.pending)))
-	}
-	net.Engine.PostEvent(net.Config.FinalizeAfter, net.acquireFinalize(id))
-	if net.traces(trace.QuerySubmit) {
-		d := q.AppendString(net.detailBuf[:0])
-		net.detailBuf = d
-		net.emit(trace.QuerySubmit, id, origin, -1, string(d))
-	}
-	if !net.Graph.Online(origin) {
-		return id
-	}
-	n := net.nodes[origin]
-	net.markSeen(n, id, pq)
-	// Local check first: the requester may already hold a matching file or
-	// index.
-	if f, ok := n.storageMatch(q); ok {
-		pq.answered = true
-		pq.rtt = 0
-		pq.sameLoc = true
-		pq.hops = 0
-		if in := net.instr; in != nil {
-			in.storageHits.Inc()
-		}
-		net.emit(trace.StorageHit, id, origin, -1, f.String())
-		return id
-	}
-	if ms := n.lookupRI(q, net.Engine.Now()); len(ms) != 0 {
-		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
-			pq.fromCache = true
-			if in := net.instr; in != nil {
-				in.cacheHits.Inc()
-			}
-			net.emit(trace.CacheHit, id, origin, -1, ms[0].File.String())
-			net.completeDownload(id, pq, n, ms[0].File, prov, 0)
-			return id
-		}
-	}
-	if in := net.instr; in != nil {
-		in.cacheMisses.Inc()
-	}
-	msg := net.msgPool.Get()
-	msg.ID = id
-	msg.Q = q
-	if net.Behavior.UsesBloom() {
-		// Computed once per query and shared by every branch: Bloom routing
-		// tests the same keyword strings at each hop.
-		msg.KwStrs = q.Strings()
-	}
-	// Cached once per query: every Gid-routing hop consults the same value.
-	msg.QGid = gidOfQuery(q, net.Config.GroupCount)
-	msg.Origin = origin
-	msg.OriginLoc = n.Loc
-	msg.TTL = net.Config.TTL
-	msg.Path = append(msg.Path[:0], origin)
-	net.forward(n, msg, origin)
-	net.releaseMsg(msg)
-	return id
-}
-
-// markSeen adds the query to n's duplicate-suppression set and registers
-// the entry on the pending query for erasure at finalisation.
-func (net *Network) markSeen(n *Node, id QueryID, pq *pendingQuery) {
-	n.seen[id] = true
-	pq.visited = append(pq.visited, n.ID)
-}
-
-// forward runs the behaviour's neighbour selection and ships the query.
-func (net *Network) forward(n *Node, q *QueryMsg, from overlay.PeerID) {
-	if q.TTL <= 0 {
-		return
-	}
-	targets := net.Behavior.Forward(net, n, q, from)
-	for _, t := range targets {
-		if t == n.ID || !net.Graph.Online(t) || !net.Graph.Linked(n.ID, t) {
-			continue
-		}
-		branch := net.msgPool.Get()
-		branch.ID = q.ID
-		branch.Q = q.Q
-		branch.KwStrs = q.KwStrs
-		branch.QGid = q.QGid
-		branch.Origin = q.Origin
-		branch.OriginLoc = q.OriginLoc
-		branch.TTL = q.TTL - 1
-		branch.Path = append(append(branch.Path[:0], q.Path...), t)
-		net.send(n.ID, t, net.acquireQueryDeliver(n.ID, t, branch))
-		net.countMessage(q.ID)
-		net.emit(trace.QueryForward, q.ID, t, n.ID, "")
-	}
-}
-
-// send schedules delivery of a typed message event over link a->b with the
-// physical one-way latency plus processing delay.
-func (net *Network) send(a, b overlay.PeerID, ev sim.Event) {
-	delay := sim.FromMillis(net.Model.OneWay(int(a), int(b))) + net.Config.ProcessingDelay
-	net.Engine.PostEvent(delay, ev)
-}
-
-// countMessage attributes one overlay message to query id; finalised
-// queries stop counting.
-func (net *Network) countMessage(id QueryID) {
-	if pq, ok := net.pending[id]; ok {
-		pq.messages++
-	}
-}
-
-// receiveQuery processes an arriving query at peer p. The caller retains
-// ownership of q (it is released to the pool after this returns), so any
-// state that outlives the call — notably response reverse paths — is
-// copied, never aliased.
-func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
-	if !net.Graph.Online(p) {
-		return
-	}
-	pq := net.pending[q.ID]
-	if pq == nil {
-		// The query was already finalised: its seen entries are erased and
-		// its record sealed, so processing a straggler would mutate caches
-		// the sealed record never saw. Under the documented FinalizeAfter
-		// contract (longer than any in-flight message) this cannot happen;
-		// with a misconfigured shorter deadline, dropping here keeps the run
-		// consistent and the seen sets bounded.
-		return
-	}
-	n := net.nodes[p]
-	if n.seen[q.ID] {
-		net.emit(trace.QueryDuplicate, q.ID, p, -1, "")
-		return // duplicate: already counted at send time
-	}
-	net.markSeen(n, q.ID, pq)
-
-	// Storage hit?
-	if f, ok := n.storageMatch(q.Q); ok {
-		if in := net.instr; in != nil {
-			in.storageHits.Inc()
-		}
-		net.emit(trace.StorageHit, q.ID, p, -1, f.String())
-		rsp := net.respPool.Get()
-		rsp.ID = q.ID
-		rsp.File = f
-		rsp.Providers = append(rsp.Providers[:0], cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
-		rsp.QueryKws = q.Q
-		rsp.Origin = q.Origin
-		rsp.OriginLoc = q.OriginLoc
-		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
-		rsp.HitHops = len(q.Path) - 1
-		rsp.FromStorage = true
-		net.Behavior.OnAnswer(net, n, q, f)
-		net.sendResponse(p, rsp)
-		return
-	}
-	// Response-index hit?
-	if ms := n.lookupRI(q.Q, net.Engine.Now()); len(ms) != 0 {
-		m := net.selectIndexMatch(ms, q)
-		if in := net.instr; in != nil {
-			in.cacheHits.Inc()
-		}
-		net.emit(trace.CacheHit, q.ID, p, -1, m.File.String())
-		rsp := net.respPool.Get()
-		rsp.ID = q.ID
-		rsp.File = m.File
-		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers[:0], m.Providers, q.OriginLoc)
-		rsp.QueryKws = q.Q
-		rsp.Origin = q.Origin
-		rsp.OriginLoc = q.OriginLoc
-		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
-		rsp.HitHops = len(q.Path) - 1
-		rsp.FromStorage = false
-		net.Behavior.OnAnswer(net, n, q, m.File)
-		net.sendResponse(p, rsp)
-		return
-	}
-	if in := net.instr; in != nil {
-		in.cacheMisses.Inc()
-	}
-	net.forward(n, q, q.Path[len(q.Path)-2])
-}
-
-// releaseResponse returns a response to the pool once it completes,
-// is dropped by churn, or is superseded.
-func (net *Network) releaseResponse(rsp *ResponseMsg) {
-	rsp.Providers = rsp.Providers[:0]
-	rsp.Path = rsp.Path[:0]
-	rsp.QueryKws = keywords.Query{}
-	net.respPool.Put(rsp)
-}
-
-// selectIndexMatch picks among multiple matching cached filenames: prefer
-// the one with a provider in the origin's locality, then the one with most
-// providers.
-func (net *Network) selectIndexMatch(ms []cache.Match, q *QueryMsg) cache.Match {
-	best := ms[0]
-	bestScore := -1
-	for _, m := range ms {
-		score := len(m.Providers)
-		for _, pr := range m.Providers {
-			if pr.LocID == q.OriginLoc {
-				score += 1000
-				break
-			}
-		}
-		if score > bestScore {
-			best, bestScore = m, score
-		}
-	}
-	return best
-}
-
-// orderProvidersForOrigin appends ps to dst so providers matching the
-// origin's locality come first (the §4.1.2 answer-construction rule: the
-// response contains the entry corresponding to the originator's locId plus
-// other providers as alternatives).
-func (net *Network) orderProvidersForOrigin(dst []cache.Provider, ps []cache.Provider, origin netmodel.LocID) []cache.Provider {
-	for _, p := range ps {
-		if p.LocID == origin {
-			dst = append(dst, p)
-		}
-	}
-	for _, p := range ps {
-		if p.LocID != origin {
-			dst = append(dst, p)
-		}
-	}
-	return dst
-}
-
-// sendResponse walks the response one hop back along the reverse path,
-// letting each traversed node apply the protocol's caching rule, and
-// completes the query at the origin. The response is mutated in place as it
-// walks: exactly one scheduled event owns it at any instant.
-func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
-	if len(rsp.Path) == 0 {
-		// The answering node is the origin's neighbourless case; deliver
-		// locally (should not happen: origin handles local hits).
-		net.deliverResponse(rsp.Origin, rsp)
-		return
-	}
-	next := rsp.Path[len(rsp.Path)-1]
-	rsp.Path = rsp.Path[:len(rsp.Path)-1]
-	net.countMessage(rsp.ID)
-	net.emit(trace.ResponseHop, rsp.ID, next, from, "")
-	net.send(from, next, net.acquireResponseDeliver(from, next, rsp))
-}
-
-// deliverResponse processes the response at peer p: caching, then either
-// completion (p is the origin) or the next reverse hop.
-func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
-	if !net.Graph.Online(p) {
-		net.releaseResponse(rsp)
-		return // reverse path broken by churn; response is lost
-	}
-	n := net.nodes[p]
-	before := n.RI.Inserts() + n.RI.Refreshes()
-	net.Behavior.CacheResponse(net, n, rsp)
-	if n.RI.Inserts()+n.RI.Refreshes() != before {
-		net.emit(trace.ResponseCached, rsp.ID, p, -1, rsp.File.String())
-	}
-	if p == rsp.Origin {
-		net.completeQuery(n, rsp)
-		net.releaseResponse(rsp)
-		return
-	}
-	net.sendResponse(p, rsp)
-}
-
-// completeQuery runs requester-side provider selection and download
-// accounting for the first arriving response; later responses are ignored.
-func (net *Network) completeQuery(n *Node, rsp *ResponseMsg) {
-	pq, ok := net.pending[rsp.ID]
-	if !ok || pq.answered {
-		return
-	}
-	prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(rsp.Providers))
-	if !ok {
-		return // all advertised providers are gone; await another response
-	}
-	pq.fromCache = !rsp.FromStorage
-	net.completeDownload(rsp.ID, pq, n, rsp.File, prov, rsp.HitHops)
-}
-
-// completeDownload finalises the download bookkeeping: distance metric and
-// natural replication (the requester becomes a provider, §3.1).
-func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f keywords.Filename, prov cache.Provider, hops int) {
-	pq.answered = true
-	pq.rtt = net.Model.RTT(int(n.ID), int(prov.Peer))
-	pq.sameLoc = prov.LocID == n.Loc
-	pq.hops = hops
-	n.AddFile(f)
-	if net.tracer != nil {
-		d := append(net.detailBuf[:0], f.String()...)
-		d = append(d, " rtt="...)
-		d = strconv.AppendFloat(d, pq.rtt, 'f', 1, 64)
-		d = append(d, "ms sameLoc="...)
-		d = strconv.AppendBool(d, pq.sameLoc)
-		net.detailBuf = d
-		net.emit(trace.DownloadComplete, id, n.ID, prov.Peer, string(d))
-	}
-}
-
-// liveProviders filters out offline providers (stale indexes under churn)
-// into the provider scratch buffer, consumed synchronously by
-// SelectProvider.
-func (net *Network) liveProviders(ps []cache.Provider) []cache.Provider {
-	out := net.provBuf[:0]
-	for _, p := range ps {
-		if net.Graph.Online(p.Peer) {
-			out = append(out, p)
-		}
-	}
-	net.provBuf = out[:0]
-	return out
-}
-
-// queryRecord builds the metrics record for a resolved pending query.
-func queryRecord(pq *pendingQuery) metrics.QueryRecord {
-	return metrics.QueryRecord{
-		Messages:     pq.messages,
-		Success:      pq.answered,
-		DownloadRTT:  pq.rtt,
-		SameLocality: pq.sameLoc,
-		FromCache:    pq.fromCache,
-		Hops:         pq.hops,
-	}
-}
-
-// finalize resolves query id: it seals the record, erases the query's
-// duplicate-suppression entries and recycles the bookkeeping. A query that
-// is no longer pending was already finalised.
-func (net *Network) finalize(id QueryID) {
-	pq, ok := net.pending[id]
-	if !ok {
-		return
-	}
-	if in := net.instr; in != nil {
-		in.finalized.Inc()
-	}
-	if !pq.answered {
-		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
-	}
-	net.emit(trace.QueryFinalize, id, pq.origin, -1, "")
-	pq.col.Record(queryRecord(pq))
-	for _, p := range pq.visited {
-		delete(net.nodes[p].seen, id)
-	}
-	delete(net.pending, id)
-	net.pqPool.Put(pq)
-}
-
-// FlushPending finalises all still-pending queries immediately (used at
-// the end of a bounded run), in ascending QueryID order — so trace output
-// and retained records at an early cutoff are identical run to run instead
-// of following Go's randomised map iteration.
-func (net *Network) FlushPending() {
-	if len(net.pending) == 0 {
-		return
-	}
-	ids := make([]QueryID, 0, len(net.pending))
-	for id := range net.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		net.finalize(id)
-	}
-}
-
-// ResetCollector swaps in a fresh metrics collector (same configuration)
-// and returns the old one. Queries already in flight keep finalising into
-// the collector that was active when they were submitted, so a warmup phase
-// cannot contaminate the measured phase.
-func (net *Network) ResetCollector() *metrics.Collector {
-	old := net.Collector
-	net.Collector = metrics.NewCollectorWith(net.Config.Collector)
-	return old
-}
-
-// fallbackNeighbors implements the last-resort forwarding set shared by the
-// selective protocols: the highest-degree eligible neighbour (§4.2's
-// "highly connected neighbor") plus up to FallbackFanout-1 random other
-// eligible neighbours to keep the walk from degenerating into a single
-// path.
-func (net *Network) fallbackNeighbors(n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	best, ok := net.highestDegreeNeighbor(n, q, from)
-	if !ok {
-		return nil
-	}
-	eligible := net.eligBuf[:0]
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
-			continue
-		}
-		eligible = append(eligible, nb)
-	}
-	net.eligBuf = eligible[:0]
-	out := append(net.fbBuf[:0], best)
-	net.fbBuf = out[:0]
-	if net.Config.FallbackFanout <= 1 || len(eligible) == 1 {
-		net.forwarding.Fallback++
-		return out
-	}
-	// Random extras among the remaining eligible neighbours.
-	rest := net.restBuf[:0]
-	for _, nb := range eligible {
-		if nb != best {
-			rest = append(rest, nb)
-		}
-	}
-	net.restBuf = rest[:0]
-	net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	extra := net.Config.FallbackFanout - 1
-	if extra > len(rest) {
-		extra = len(rest)
-	}
-	out = append(out, rest[:extra]...)
-	net.forwarding.Fallback += uint64(len(out))
-	return out
-}
-
-// highestDegreeNeighbor returns n's highest-degree neighbour not on the
-// query path and not the sender — the "highly connected neighbor as a last
-// resort" rule of §4.2. Ties break towards the lower peer id for
-// determinism. ok is false when every neighbour is excluded.
-func (net *Network) highestDegreeNeighbor(n *Node, q *QueryMsg, from overlay.PeerID) (overlay.PeerID, bool) {
-	best := overlay.PeerID(-1)
-	bestDeg := -1
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
-			continue
-		}
-		if d := net.Graph.Degree(nb); d > bestDeg {
-			best, bestDeg = nb, d
-		}
-	}
-	return best, best >= 0
-}
 
 // String describes the network.
 func (net *Network) String() string {

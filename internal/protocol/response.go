@@ -1,0 +1,146 @@
+package protocol
+
+import (
+	"strconv"
+
+	"github.com/p2prepro/locaware/internal/cache"
+	"github.com/p2prepro/locaware/internal/keywords"
+	"github.com/p2prepro/locaware/internal/netmodel"
+	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/trace"
+)
+
+// releaseResponse returns a response to the pool once it completes,
+// is dropped by churn, or is superseded.
+func (net *Network) releaseResponse(rsp *ResponseMsg) {
+	rsp.Providers = rsp.Providers[:0]
+	rsp.Path = rsp.Path[:0]
+	rsp.QueryKws = keywords.Query{}
+	net.respPool.Put(rsp)
+}
+
+// selectIndexMatch picks among multiple matching cached filenames: prefer
+// the one with a provider in the origin's locality, then the one with most
+// providers.
+func (net *Network) selectIndexMatch(ms []cache.Match, q *QueryMsg) cache.Match {
+	best := ms[0]
+	bestScore := -1
+	for _, m := range ms {
+		score := len(m.Providers)
+		for _, pr := range m.Providers {
+			if pr.LocID == q.OriginLoc {
+				score += 1000
+				break
+			}
+		}
+		if score > bestScore {
+			best, bestScore = m, score
+		}
+	}
+	return best
+}
+
+// orderProvidersForOrigin appends ps to dst so providers matching the
+// origin's locality come first (the §4.1.2 answer-construction rule: the
+// response contains the entry corresponding to the originator's locId plus
+// other providers as alternatives).
+func (net *Network) orderProvidersForOrigin(dst []cache.Provider, ps []cache.Provider, origin netmodel.LocID) []cache.Provider {
+	for _, p := range ps {
+		if p.LocID == origin {
+			dst = append(dst, p)
+		}
+	}
+	for _, p := range ps {
+		if p.LocID != origin {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// sendResponse walks the response one hop back along the reverse path,
+// letting each traversed node apply the protocol's caching rule, and
+// completes the query at the origin. The response is mutated in place as it
+// walks: exactly one scheduled event owns it at any instant.
+func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
+	if len(rsp.Path) == 0 {
+		// The answering node is the origin's neighbourless case; deliver
+		// locally (should not happen: origin handles local hits).
+		net.deliverResponse(rsp.Origin, rsp)
+		return
+	}
+	next := rsp.Path[len(rsp.Path)-1]
+	rsp.Path = rsp.Path[:len(rsp.Path)-1]
+	net.countMessage(rsp.ID)
+	net.emit(trace.ResponseHop, rsp.ID, next, from, "")
+	net.send(from, next, net.acquireResponseDeliver(from, next, rsp))
+}
+
+// deliverResponse processes the response at peer p: caching, then either
+// completion (p is the origin) or the next reverse hop.
+func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
+	if !net.Graph.Online(p) {
+		net.releaseResponse(rsp)
+		return // reverse path broken by churn; response is lost
+	}
+	n := net.nodes[p]
+	before := n.RI.Inserts() + n.RI.Refreshes()
+	net.Behavior.CacheResponse(net, n, rsp)
+	if n.RI.Inserts()+n.RI.Refreshes() != before {
+		net.emit(trace.ResponseCached, rsp.ID, p, -1, rsp.File.String())
+	}
+	if p == rsp.Origin {
+		net.completeQuery(n, rsp)
+		net.releaseResponse(rsp)
+		return
+	}
+	net.sendResponse(p, rsp)
+}
+
+// completeQuery runs requester-side provider selection and download
+// accounting for the first arriving response; later responses are ignored.
+func (net *Network) completeQuery(n *Node, rsp *ResponseMsg) {
+	pq, ok := net.pending[rsp.ID]
+	if !ok || pq.answered {
+		return
+	}
+	prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(rsp.Providers))
+	if !ok {
+		return // all advertised providers are gone; await another response
+	}
+	pq.fromCache = !rsp.FromStorage
+	net.completeDownload(rsp.ID, pq, n, rsp.File, prov, rsp.HitHops)
+}
+
+// completeDownload finalises the download bookkeeping: distance metric and
+// natural replication (the requester becomes a provider, §3.1).
+func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f keywords.Filename, prov cache.Provider, hops int) {
+	pq.answered = true
+	pq.rtt = net.Model.RTT(int(n.ID), int(prov.Peer))
+	pq.sameLoc = prov.LocID == n.Loc
+	pq.hops = hops
+	n.AddFile(f)
+	if net.tracer != nil {
+		d := append(net.detailBuf[:0], f.String()...)
+		d = append(d, " rtt="...)
+		d = strconv.AppendFloat(d, pq.rtt, 'f', 1, 64)
+		d = append(d, "ms sameLoc="...)
+		d = strconv.AppendBool(d, pq.sameLoc)
+		net.detailBuf = d
+		net.emit(trace.DownloadComplete, id, n.ID, prov.Peer, string(d))
+	}
+}
+
+// liveProviders filters out offline providers (stale indexes under churn)
+// into the provider scratch buffer, consumed synchronously by
+// SelectProvider.
+func (net *Network) liveProviders(ps []cache.Provider) []cache.Provider {
+	out := net.provBuf[:0]
+	for _, p := range ps {
+		if net.Graph.Online(p.Peer) {
+			out = append(out, p)
+		}
+	}
+	net.provBuf = out[:0]
+	return out
+}

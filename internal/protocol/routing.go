@@ -1,0 +1,192 @@
+package protocol
+
+import (
+	"github.com/p2prepro/locaware/internal/cache"
+	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/trace"
+)
+
+// forward runs the behaviour's neighbour selection and ships the query.
+func (net *Network) forward(n *Node, q *QueryMsg, from overlay.PeerID) {
+	if q.TTL <= 0 {
+		return
+	}
+	targets := net.Behavior.Forward(net, n, q, from)
+	for _, t := range targets {
+		if t == n.ID || !net.Graph.Online(t) || !net.Graph.Linked(n.ID, t) {
+			continue
+		}
+		branch := net.msgPool.Get()
+		branch.ID = q.ID
+		branch.Q = q.Q
+		branch.KwStrs = q.KwStrs
+		branch.QGid = q.QGid
+		branch.Origin = q.Origin
+		branch.OriginLoc = q.OriginLoc
+		branch.TTL = q.TTL - 1
+		branch.Path = append(append(branch.Path[:0], q.Path...), t)
+		net.send(n.ID, t, net.acquireQueryDeliver(n.ID, t, branch))
+		net.countMessage(q.ID)
+		net.emit(trace.QueryForward, q.ID, t, n.ID, "")
+	}
+}
+
+// send schedules delivery of a typed message event over link a->b with the
+// physical one-way latency plus processing delay.
+func (net *Network) send(a, b overlay.PeerID, ev sim.Event) {
+	delay := sim.FromMillis(net.Model.OneWay(int(a), int(b))) + net.Config.ProcessingDelay
+	net.Engine.PostEvent(delay, ev)
+}
+
+// countMessage attributes one overlay message to query id; finalised
+// queries stop counting.
+func (net *Network) countMessage(id QueryID) {
+	if pq, ok := net.pending[id]; ok {
+		pq.messages++
+	}
+}
+
+// receiveQuery processes an arriving query at peer p. The caller retains
+// ownership of q (it is released to the pool after this returns), so any
+// state that outlives the call — notably response reverse paths — is
+// copied, never aliased.
+func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
+	if !net.Graph.Online(p) {
+		return
+	}
+	pq := net.pending[q.ID]
+	if pq == nil {
+		// The query was already finalised: its seen entries are erased and
+		// its record sealed, so processing a straggler would mutate caches
+		// the sealed record never saw. Under the documented FinalizeAfter
+		// contract (longer than any in-flight message) this cannot happen;
+		// with a misconfigured shorter deadline, dropping here keeps the run
+		// consistent and the seen sets bounded.
+		return
+	}
+	n := net.nodes[p]
+	if n.seen[q.ID] {
+		net.emit(trace.QueryDuplicate, q.ID, p, -1, "")
+		return // duplicate: already counted at send time
+	}
+	net.markSeen(n, q.ID, pq)
+
+	// Storage hit?
+	if f, ok := n.storageMatch(q.Q); ok {
+		if in := net.instr; in != nil {
+			in.storageHits.Inc()
+		}
+		net.emit(trace.StorageHit, q.ID, p, -1, f.String())
+		rsp := net.respPool.Get()
+		rsp.ID = q.ID
+		rsp.File = f
+		rsp.Providers = append(rsp.Providers[:0], cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
+		rsp.QueryKws = q.Q
+		rsp.Origin = q.Origin
+		rsp.OriginLoc = q.OriginLoc
+		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
+		rsp.HitHops = len(q.Path) - 1
+		rsp.FromStorage = true
+		net.Behavior.OnAnswer(net, n, q, f)
+		net.sendResponse(p, rsp)
+		return
+	}
+	// Response-index hit?
+	if ms := n.lookupRI(q.Q, net.Engine.Now()); len(ms) != 0 {
+		m := net.selectIndexMatch(ms, q)
+		if in := net.instr; in != nil {
+			in.cacheHits.Inc()
+		}
+		net.emit(trace.CacheHit, q.ID, p, -1, m.File.String())
+		rsp := net.respPool.Get()
+		rsp.ID = q.ID
+		rsp.File = m.File
+		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers[:0], m.Providers, q.OriginLoc)
+		rsp.QueryKws = q.Q
+		rsp.Origin = q.Origin
+		rsp.OriginLoc = q.OriginLoc
+		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
+		rsp.HitHops = len(q.Path) - 1
+		rsp.FromStorage = false
+		net.Behavior.OnAnswer(net, n, q, m.File)
+		net.sendResponse(p, rsp)
+		return
+	}
+	if in := net.instr; in != nil {
+		in.cacheMisses.Inc()
+	}
+	net.forward(n, q, q.Path[len(q.Path)-2])
+}
+
+// releaseMsg returns a fully processed query message to the pool:
+// whoever takes one from msgPool owns it until the delivery event releases
+// it here (or never, for a dropped event, in which case the GC reclaims it).
+// KwStrs is cleared rather than reused: responses created during processing
+// may still alias the keyword-string slice (it is shared per query, not per
+// branch).
+func (net *Network) releaseMsg(m *QueryMsg) {
+	m.Path = m.Path[:0]
+	m.KwStrs = nil
+	net.msgPool.Put(m)
+}
+
+// fallbackNeighbors implements the last-resort forwarding set shared by the
+// selective protocols: the highest-degree eligible neighbour (§4.2's
+// "highly connected neighbor") plus up to FallbackFanout-1 random other
+// eligible neighbours to keep the walk from degenerating into a single
+// path.
+func (net *Network) fallbackNeighbors(n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
+	best, ok := net.highestDegreeNeighbor(n, q, from)
+	if !ok {
+		return nil
+	}
+	eligible := net.eligBuf[:0]
+	for _, nb := range net.Graph.Neighbors(n.ID) {
+		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
+			continue
+		}
+		eligible = append(eligible, nb)
+	}
+	net.eligBuf = eligible[:0]
+	out := append(net.fbBuf[:0], best)
+	net.fbBuf = out[:0]
+	if net.Config.FallbackFanout <= 1 || len(eligible) == 1 {
+		net.forwarding.Fallback++
+		return out
+	}
+	// Random extras among the remaining eligible neighbours.
+	rest := net.restBuf[:0]
+	for _, nb := range eligible {
+		if nb != best {
+			rest = append(rest, nb)
+		}
+	}
+	net.restBuf = rest[:0]
+	net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	extra := net.Config.FallbackFanout - 1
+	if extra > len(rest) {
+		extra = len(rest)
+	}
+	out = append(out, rest[:extra]...)
+	net.forwarding.Fallback += uint64(len(out))
+	return out
+}
+
+// highestDegreeNeighbor returns n's highest-degree neighbour not on the
+// query path and not the sender — the "highly connected neighbor as a last
+// resort" rule of §4.2. Ties break towards the lower peer id for
+// determinism. ok is false when every neighbour is excluded.
+func (net *Network) highestDegreeNeighbor(n *Node, q *QueryMsg, from overlay.PeerID) (overlay.PeerID, bool) {
+	best := overlay.PeerID(-1)
+	bestDeg := -1
+	for _, nb := range net.Graph.Neighbors(n.ID) {
+		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
+			continue
+		}
+		if d := net.Graph.Degree(nb); d > bestDeg {
+			best, bestDeg = nb, d
+		}
+	}
+	return best, best >= 0
+}
