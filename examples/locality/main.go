@@ -25,7 +25,10 @@ func main() {
 	for _, k := range []int{3, 4, 5} {
 		opts := locaware.DefaultOptions()
 		opts.Landmarks = k
-		rep := locaware.Localities(opts)
+		rep, err := locaware.Localities(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10d %10d %10d %14.1f %10d\n",
 			rep.Landmarks, rep.PossibleLocIDs, rep.OccupiedLocIDs,
 			rep.MeanPeersPerLocality, rep.LargestLocality)

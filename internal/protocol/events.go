@@ -5,10 +5,10 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// This file defines the network's simulator events. Every hot-path action
-// — query forwards, response hops, query finalisation, Bloom gossip
-// installs, the gossip round timer — is a pooled concrete type here, so
-// steady-state scheduling allocates nothing.
+// This file and gossip.go define the network's simulator events. Every
+// hot-path action — query forwards, response hops, query finalisation,
+// Bloom gossip installs, the gossip round timer — is a pooled concrete
+// type, so steady-state scheduling allocates nothing.
 //
 // Pooling follows sim.Pool's rule: the sender acquires an event, fills
 // every field, posts it; the event Puts itself back when it fires. An event

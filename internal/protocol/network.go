@@ -249,7 +249,7 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		net.nodes[i] = n
 	}
 	if b.UsesBloom() && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
-		net.Engine.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})
+		eng.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})
 	}
 	return net
 }
@@ -271,10 +271,7 @@ func (net *Network) TraceEnabled() bool { return net.tracer != nil }
 // EmitControl emits a control-plane trace event (no peer, no query) at the
 // current virtual time; scenario phase boundaries use it.
 func (net *Network) EmitControl(k trace.Kind, detail string) {
-	if !net.traces(k) {
-		return
-	}
-	net.tracer.Emit(trace.Event{At: net.Engine.Now(), Kind: k, Peer: -1, From: -1, Detail: detail})
+	net.emit(k, 0, -1, -1, detail)
 }
 
 // emit sends a trace event when the tracer wants kind k; detail

@@ -459,6 +459,41 @@ func TestFinalizeSealsRecordOnce(t *testing.T) {
 	}
 }
 
+// TestStragglerAfterFinalizeIsDropped locks the one dead-query rule: with
+// FinalizeAfter shorter than a link delay, the query is sealed while its
+// first branch is still in flight; the branch then arrives at a peer that
+// holds the file, and must be dropped whole — no answer, no message beyond
+// the one counted at send time, no seen entry left behind on any node.
+func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FinalizeAfter = sim.Millisecond // one-way link delay is >= 5ms + processing
+	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
+	net.Node(1).AddFile(fname("late"))
+	net.SubmitQuery(0, keywords.NewQuery("late"))
+	runAll(net)
+
+	recs := net.Collector.Records()
+	if len(recs) != 1 {
+		t.Fatalf("sealed %d records, want 1", len(recs))
+	}
+	if recs[0].Success || recs[0].Messages != 1 {
+		t.Fatalf("sealed record = %+v, want unanswered with the 1 message sent before sealing", recs[0])
+	}
+	// finalize + the one in-flight delivery: the dropped straggler neither
+	// answered (a response hop) nor forwarded on to peer 2.
+	if got := net.Engine.Scheduled(); got != 2 {
+		t.Fatalf("scheduled %d events, want 2", got)
+	}
+	for _, n := range net.Nodes() {
+		if len(n.seen) != 0 {
+			t.Fatalf("peer %d keeps %d seen entries for a sealed query", n.ID, len(n.seen))
+		}
+	}
+	if len(net.pending) != 0 {
+		t.Fatalf("%d queries still pending", len(net.pending))
+	}
+}
+
 func TestHighestDegreeNeighborFallback(t *testing.T) {
 	// Star: 1 is the hub (degree 3); from node 0, fallback must pick 1.
 	cfg := DefaultConfig()

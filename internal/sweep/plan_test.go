@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/core"
@@ -61,6 +62,31 @@ func TestPlanHash(t *testing.T) {
 	b := base
 	b.Protocol.TTL = 5
 	check("different base TTL", b, tinySpec())
+}
+
+// TestPlanRejectsImpossibleCatalogue: a cell whose keyword pool cannot name
+// its files fails at plan time, naming the cell's coordinates and both
+// catalogue fields — from an axis and from a base override alike. Before
+// the check such a cell wedged the worker that leased it.
+func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
+	for where, s := range map[string]*Spec{
+		"axis": {Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{20}}}},
+		"base": {Name: "pool", Queries: 10, Base: map[string]float64{ParamKeywordPool: 20},
+			Axes: []Axis{{Param: ParamFiles, Values: []float64{1000, 3000}}}},
+	} {
+		_, err := NewPlan(core.DefaultConfig(), s)
+		if err == nil {
+			t.Fatalf("%s: keyword-pool 20 for 3000 files planned", where)
+		}
+		for _, want := range []string{`"pool"`, "KeywordPool 20", "Files 3000"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error does not name %s: %v", where, want, err)
+			}
+		}
+		if where == "axis" && !strings.Contains(err.Error(), "keyword-pool=20") {
+			t.Fatalf("axis: error does not name the axis: %v", err)
+		}
+	}
 }
 
 // TestPlanHashIgnoresAmbientDynamics asserts the campaign-owns-dynamics

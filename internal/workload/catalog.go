@@ -10,6 +10,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -47,11 +50,37 @@ func DefaultCatalog() CatalogConfig {
 	return CatalogConfig{NumFiles: 3000, KeywordPool: 9000, KeywordsPerFile: 3}
 }
 
+// nameSpace returns how many distinct filenames of k keywords a pool of n
+// keywords holds: C(n, k), with k clamped to n as Pool.RandomFilename clamps
+// it, saturating at math.MaxInt.
+func nameSpace(n, k int) int {
+	c := new(big.Int).Binomial(int64(n), int64(min(k, n)))
+	if !c.IsInt64() || c.Int64() > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(c.Int64())
+}
+
+// Validate reports whether the catalogue can exist: its NumFiles filenames
+// must be distinct, and the keyword pool holds only so many. Every entry
+// point that takes a configuration from outside the program checks it, so
+// NewCatalog never searches for a filename that does not exist.
+func (cfg CatalogConfig) Validate() error {
+	if names := nameSpace(cfg.KeywordPool, cfg.KeywordsPerFile); names < cfg.NumFiles {
+		return fmt.Errorf("workload: KeywordPool %d holds only %d distinct %d-keyword filenames, fewer than Files %d",
+			cfg.KeywordPool, names, cfg.KeywordsPerFile, cfg.NumFiles)
+	}
+	return nil
+}
+
 // NewCatalog generates a catalogue; filenames are drawn with r and
-// guaranteed unique.
+// guaranteed unique. It panics on a configuration Validate rejects.
 func NewCatalog(cfg CatalogConfig, r *rand.Rand) *Catalog {
 	if cfg.NumFiles <= 0 {
 		cfg = DefaultCatalog()
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	pool := keywords.NewPool(cfg.KeywordPool)
 	c := &Catalog{
@@ -101,14 +130,16 @@ func (c *Catalog) Add(f keywords.Filename) (FileID, bool) {
 
 // NewFiles draws n fresh unique filenames from the keyword pool with r and
 // adds them to the catalogue, returning their ids in insertion order — the
-// injection primitive behind scenario content dynamics.
+// injection primitive behind scenario content dynamics. It returns fewer
+// than n ids when the pool has no unused filenames left.
 func (c *Catalog) NewFiles(n int, r *rand.Rand) []FileID {
 	k := c.kwPerFile
 	if k <= 0 {
 		k = DefaultCatalog().KeywordsPerFile
 	}
+	room := nameSpace(c.pool.Size(), k) - c.Size()
 	ids := make([]FileID, 0, n)
-	for len(ids) < n {
+	for len(ids) < min(n, room) {
 		if id, ok := c.Add(c.pool.RandomFilename(k, r)); ok {
 			ids = append(ids, id)
 		}

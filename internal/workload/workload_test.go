@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -382,6 +384,49 @@ func TestCatalogNewFilesUniqueAndQueryable(t *testing.T) {
 		if !found {
 			t.Fatalf("injected file %d (%s) not satisfiable", id, f)
 		}
+	}
+}
+
+// TestCatalogConfigValidate locks the capacity check: a catalogue needs
+// NumFiles distinct filenames and a pool of n keywords holds only C(n, k)
+// of them (k clamped to n, as Pool.RandomFilename clamps it). Before the
+// check, the rejected rows made NewCatalog spin forever.
+func TestCatalogConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		pool, files int
+		ok          bool
+	}{
+		{20, 3000, false}, // C(20,3) = 1140
+		{2, 10, false},    // width clamps to 2: one filename
+		{3, 2, false},     // C(3,3) = 1
+		{3, 1, true},
+		{30, 3000, true}, // C(30,3) = 4060
+		{DefaultCatalog().KeywordPool, DefaultCatalog().NumFiles, true},
+		{math.MaxInt32, math.MaxInt, true}, // C overflows int64: saturates, no wrap-around
+	} {
+		cfg := CatalogConfig{NumFiles: tc.files, KeywordPool: tc.pool, KeywordsPerFile: 3}
+		err := cfg.Validate()
+		if tc.ok != (err == nil) {
+			t.Fatalf("pool %d files %d: accepted=%v, want %v (%v)", tc.pool, tc.files, err == nil, tc.ok, err)
+		}
+		if err != nil && !(strings.Contains(err.Error(), fmt.Sprintf("KeywordPool %d", tc.pool)) &&
+			strings.Contains(err.Error(), fmt.Sprintf("Files %d", tc.files))) {
+			t.Fatalf("pool %d files %d: error does not name both fields and values: %v", tc.pool, tc.files, err)
+		}
+	}
+}
+
+// TestCatalogNewFilesStopsWhenExhausted: a pool of 5 keywords holds
+// C(5,3) = 10 filenames, so a catalogue of 8 has room for two more and an
+// injection of 5 returns those two instead of searching for a third.
+func TestCatalogNewFilesStopsWhenExhausted(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	c := NewCatalog(CatalogConfig{NumFiles: 8, KeywordPool: 5, KeywordsPerFile: 3}, r)
+	if ids := c.NewFiles(5, r); len(ids) != 2 || c.Size() != 10 {
+		t.Fatalf("NewFiles(5) on a catalogue with room for 2 returned %d ids, size %d", len(ids), c.Size())
+	}
+	if ids := c.NewFiles(1, r); len(ids) != 0 {
+		t.Fatalf("NewFiles on a full name space returned %d ids", len(ids))
 	}
 }
 

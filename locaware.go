@@ -356,14 +356,23 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 	}
 }
 
-// validateRun checks the shared warmup/queries bounds of every run entry
-// point.
-func validateRun(warmup, queries int) error {
+// validateRun checks what every run entry point requires before a world is
+// built: the warmup/queries bounds, a catalogue that can exist, and a
+// scenario that resolves onto `queries` measured queries — so entry points
+// fail with an error instead of hanging or panicking deep in core.
+func validateRun(o Options, warmup, queries int) error {
 	if queries <= 0 {
 		return errors.New("locaware: queries must be positive")
 	}
 	if warmup < 0 {
 		return errors.New("locaware: warmup must be non-negative")
+	}
+	if err := o.coreConfig().Catalog.Validate(); err != nil {
+		return fmt.Errorf("locaware: %w", err)
+	}
+	if o.Scenario != nil {
+		_, err := o.Scenario.spec.Marks(queries)
+		return err
 	}
 	return nil
 }
@@ -397,10 +406,7 @@ func run(o Options, p Protocol, warmup, queries int, tracer *trace.Buffer) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(warmup, queries); err != nil {
-		return nil, err
-	}
-	if err := validateScenario(o, queries); err != nil {
+	if err := validateRun(o, warmup, queries); err != nil {
 		return nil, err
 	}
 	s := core.NewSimulation(o.scenarioConfig(queries), b)
@@ -583,10 +589,7 @@ func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints [
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(warmup, queries); err != nil {
-		return nil, err
-	}
-	if err := validateScenario(o, queries); err != nil {
+	if err := validateRun(o, warmup, queries); err != nil {
 		return nil, err
 	}
 	tc := core.RunTrialComparison(o.coreConfig(), behaviors,
@@ -657,8 +660,11 @@ type LocalityReport struct {
 
 // Localities builds the physical world of opts (without running any
 // queries) and reports its locality structure.
-func Localities(o Options) LocalityReport {
+func Localities(o Options) (LocalityReport, error) {
 	cfg := o.coreConfig()
+	if err := cfg.Catalog.Validate(); err != nil {
+		return LocalityReport{}, fmt.Errorf("locaware: %w", err)
+	}
 	s := core.NewSimulation(cfg, protocol.Flooding{})
 	census := s.Locator.Census()
 	rep := LocalityReport{
@@ -672,5 +678,5 @@ func Localities(o Options) LocalityReport {
 			rep.LargestLocality = n
 		}
 	}
-	return rep
+	return rep, nil
 }

@@ -92,17 +92,6 @@ func (s *Scenario) String() string {
 	return fmt.Sprintf("scenario{%s phases=%d}", s.spec.Name, len(s.spec.Phases))
 }
 
-// validateScenario checks that o's scenario can be resolved onto `queries`
-// measured queries, so entry points fail with an error instead of
-// panicking deep in core.
-func validateScenario(o Options, queries int) error {
-	if o.Scenario == nil {
-		return nil
-	}
-	_, err := o.Scenario.spec.Marks(queries)
-	return err
-}
-
 // PhaseMetrics is the full metric set of one scenario phase, computed by
 // the streaming collector over the measured queries in (Start, End].
 type PhaseMetrics struct {

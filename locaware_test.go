@@ -266,10 +266,38 @@ func TestRunTracedErrors(t *testing.T) {
 	}
 }
 
+// TestImpossibleCatalogueIsAnError: a keyword pool too small to name the
+// catalogue's files is refused by every entry point that takes Options,
+// naming both fields. At the parent commit each of these calls hung.
+func TestImpossibleCatalogueIsAnError(t *testing.T) {
+	o := fastOptions(21)
+	o.KeywordPool = 20 // C(20,3) = 1140 < 3000 files
+	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"Run":        func() error { _, err := Run(o, ProtocolLocaware, 0, 10); return err },
+		"RunTraced":  func() error { _, _, err := RunTraced(o, ProtocolLocaware, 0, 10, 100); return err },
+		"RunTrials":  func() error { _, err := RunTrials(o, ProtocolLocaware, 0, 10); return err },
+		"Compare":    func() error { _, err := Compare(o, nil, 0, 10, nil); return err },
+		"Localities": func() error { _, err := Localities(o); return err },
+		"RunSweep":   func() error { _, err := RunSweep(o, sw); return err },
+	} {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), "KeywordPool 20") || !strings.Contains(err.Error(), "Files 3000") {
+			t.Fatalf("%s: want an error naming KeywordPool 20 and Files 3000, got %v", name, err)
+		}
+	}
+}
+
 func TestLocalitiesReport(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Peers = 500
-	rep4 := Localities(opts)
+	rep4, err := Localities(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep4.Landmarks != 4 || rep4.PossibleLocIDs != 24 {
 		t.Fatalf("report = %+v", rep4)
 	}
@@ -280,7 +308,10 @@ func TestLocalitiesReport(t *testing.T) {
 		t.Fatalf("report = %+v", rep4)
 	}
 	opts.Landmarks = 5
-	rep5 := Localities(opts)
+	rep5, err := Localities(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep5.PossibleLocIDs != 120 {
 		t.Fatalf("5 landmarks possible = %d", rep5.PossibleLocIDs)
 	}
