@@ -33,7 +33,7 @@
 //	locaware-exp -sweep ttl-sweep -out results/   # also write CSV files
 //
 // The paper's ablations and extensions are built-in campaigns, so they fan
-// out across CPUs, checkpoint, distribute and export like any other:
+// out across CPUs, checkpoint and export like any other:
 //
 //	locaware-exp -sweep landmark-sweep   # 3/4/5 landmarks (§5.1 discussion)
 //	locaware-exp -sweep cache-sweep      # RI capacity
@@ -49,18 +49,13 @@
 // -trials/-seed/-warmup/-queries flags override the campaign spec only
 // when set explicitly on the command line.
 //
-// Distributed, resumable campaigns (see README "Distributed campaigns"):
+// Resumable campaigns (see README "Resumable campaigns"):
 //
 //	locaware-exp -sweep ttl-sweep -checkpoint ckpt/     # checkpoint per cell; re-run resumes
-//	locaware-exp -sweep ttl-sweep -serve :8080 ...      # coordinator: lease cells to workers
-//	locaware-exp -sweep ttl-sweep -worker http://host:8080  # worker: lease, run, report
 //
 // Checkpoints are bound to the campaign's content hash (spec + seed +
 // trials + protocols + base flags), so stale files are detected and
 // their cells re-run; -resume=false ignores existing checkpoints.
-// Coordinator and workers must be launched with the identical spec and
-// base flags — a fingerprint mismatch refuses work instead of silently
-// computing a different campaign.
 package main
 
 import (
@@ -72,7 +67,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	locaware "github.com/p2prepro/locaware"
 )
@@ -90,20 +84,17 @@ func main() {
 		scen       = flag.String("scenario", "", "phased-dynamics scenario: a built-in name, a JSON spec path, or 'list'")
 		sweepArg   = flag.String("sweep", "", "sweep campaign: a built-in name, a JSON spec path, or 'list'")
 		out        = flag.String("out", "", "directory to write sweep CSV exports into")
-		serve      = flag.String("serve", "", "with -sweep: run a campaign coordinator on this address (host:port) leasing cells to -worker processes")
-		workerURL  = flag.String("worker", "", "with -sweep: run a campaign worker against this coordinator URL (launch with the coordinator's exact spec and flags)")
 		checkpoint = flag.String("checkpoint", "", "with -sweep: checkpoint finished cells into this directory (one content-addressed file per cell)")
 		resume     = flag.Bool("resume", true, "with -checkpoint: load existing checkpoints and execute only the missing cells (-resume=false re-runs everything)")
-		leaseT     = flag.Duration("lease-timeout", 2*time.Minute, "with -serve: reissue a leased cell if its worker has not reported within this deadline")
 		warmup     = flag.Int("warmup", 1000, "warmup queries")
 		queries    = flag.Int("queries", 2000, "measured queries")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		stats      = flag.Bool("stats", false, "print a runtime observability report (event loop, protocol, pools) after the experiment")
-		progress   = flag.Duration("progress", 0, "with -sweep campaigns: print one progress summary per interval (done/leased/ETA) instead of per-cell lines, e.g. -progress 5s")
-		obsAddr    = flag.String("obs-addr", "", "serve /metrics and /debug/pprof/ on this address (host:port) for the lifetime of the process; the -serve coordinator exposes them on its own address automatically")
-		flightRec  = flag.Int("flight-recorder", 0, "attach a tail-sampling flight recorder keeping the N slowest plus all failed queries; figures/scenarios print trial-0 span trees, sweeps ship a worst-case exemplar per cell (coordinator serves them on /traces)")
+		progress   = flag.Duration("progress", 0, "with -sweep campaigns: print one progress summary per interval (done/rate/ETA), e.g. -progress 5s")
+		obsAddr    = flag.String("obs-addr", "", "serve /metrics and /debug/pprof/ on this address (host:port) for the lifetime of the process")
+		flightRec  = flag.Int("flight-recorder", 0, "attach a tail-sampling flight recorder keeping the N slowest plus all failed queries; figures/scenarios print trial-0 span trees, sweeps print a worst-case exemplar per cell")
 	)
 	flag.Parse()
 
@@ -124,16 +115,14 @@ func main() {
 	}
 
 	// Observability is inert, so attach it whenever any sink wants it:
-	// the -stats report, a standalone -obs-addr scrape surface, or the
-	// campaign endpoints (coordinator /metrics, worker delta posts).
-	if *stats || *obsAddr != "" || *serve != "" || *workerURL != "" {
+	// the -stats report or the -obs-addr scrape surface.
+	if *stats || *obsAddr != "" {
 		observer = locaware.NewObserver()
 		statsMode = *stats
 		opts.Observer = observer
 	}
-	// The flight recorder is likewise inert: attach it to single-run
-	// experiments through Options (trial-0 traces print after the tables)
-	// and to campaigns through CampaignOptions (cells ship exemplars).
+	// The flight recorder is likewise inert: figures and scenarios print
+	// trial-0 traces after the tables, campaign cells carry exemplars.
 	if *flightRec > 0 {
 		recorder = &locaware.FlightRecorder{SlowestN: *flightRec, KeepFailed: true}
 		opts.FlightRecorder = recorder
@@ -154,19 +143,16 @@ func main() {
 		runScenario(opts, *scen, *warmup, *queries)
 	case *sweepArg != "":
 		copt := locaware.CampaignOptions{
-			Checkpoint:     *checkpoint,
-			Resume:         *resume,
-			LeaseTimeout:   *leaseT,
-			Progress:       *progress,
-			Observer:       observer,
-			FlightRecorder: recorder,
+			Checkpoint: *checkpoint,
+			Resume:     *resume,
+			Progress:   *progress,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("campaign: "+format+"\n", args...)
 			},
 		}
-		runSweep(opts, *sweepArg, *out, setFlags(), *warmup, *queries, *serve, *workerURL, copt)
-	case *serve != "" || *workerURL != "" || *checkpoint != "":
-		fatal(fmt.Errorf("-serve/-worker/-checkpoint need -sweep to name the campaign"))
+		runSweep(opts, *sweepArg, *out, setFlags(), *warmup, *queries, copt)
+	case *checkpoint != "":
+		fatal(fmt.Errorf("-checkpoint needs -sweep to name the campaign"))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -180,8 +166,8 @@ func main() {
 }
 
 // observer / statsMode hold the process-wide observability surface when
-// any of -stats, -obs-addr, -serve or -worker enables it; recorder holds
-// the -flight-recorder tail-sampling policy.
+// -stats or -obs-addr enables it; recorder holds the -flight-recorder
+// tail-sampling policy.
 var (
 	observer  *locaware.Observer
 	statsMode bool
@@ -262,10 +248,9 @@ func runScenario(opts locaware.Options, arg string, warmup, queries int) {
 	printTrialZeroTraces(cmp)
 }
 
-// runSweep runs a campaign in the mode the flags select: a worker for the
-// coordinator at workerURL, a coordinator on serve, or in-process
-// (checkpointed when copt.Checkpoint is set).
-func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, warmup, queries int, serve, workerURL string, copt locaware.CampaignOptions) {
+// runSweep runs a campaign in-process, checkpointed when copt.Checkpoint is
+// set.
+func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, warmup, queries int, copt locaware.CampaignOptions) {
 	if arg == "list" {
 		fmt.Println("== Built-in sweep campaigns")
 		for _, name := range locaware.SweepNames() {
@@ -305,27 +290,7 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 		queries = sw.Queries()
 	}
 	sw = sw.WithBudget(warmup, queries)
-	var (
-		res   *locaware.SweepResult
-		stats locaware.CampaignStats
-	)
-	switch {
-	case serve != "" && workerURL != "":
-		fatal(fmt.Errorf("-serve and -worker are mutually exclusive: a process is a coordinator or a worker, not both"))
-	case workerURL != "":
-		// Worker mode: execute cells for a remote coordinator; the
-		// coordinator prints the campaign tables.
-		n, err := locaware.WorkSweep(opts, sw, workerURL, copt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("worker done: executed %d cells\n", n)
-		return
-	case serve != "":
-		res, stats, err = locaware.ServeSweep(opts, sw, serve, copt)
-	default:
-		res, stats, err = locaware.RunSweepCheckpointed(opts, sw, copt)
-	}
+	res, stats, err := locaware.RunSweepCheckpointed(opts, sw, copt)
 	if err != nil {
 		fatal(err)
 	}
@@ -351,12 +316,8 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 	}
 	fmt.Printf("\ncompleted %d cells (%d runs) in %.1fs — %.2f cells/sec\n",
 		res.NumCells(), res.Runs(), res.Elapsed().Seconds(), res.CellsPerSecond())
-	if serve != "" || copt.Checkpoint != "" {
-		fmt.Printf("campaign: %d/%d cells resumed from checkpoints, %d executed", stats.Resumed, stats.Cells, stats.Executed)
-		if stats.Reissued > 0 || stats.Duplicates > 0 {
-			fmt.Printf(", %d leases reissued, %d duplicate results discarded", stats.Reissued, stats.Duplicates)
-		}
-		fmt.Println()
+	if copt.Checkpoint != "" {
+		fmt.Printf("campaign: %d/%d cells resumed from checkpoints, %d executed\n", stats.Resumed, stats.Cells, stats.Executed)
 		for _, w := range stats.Warnings {
 			fmt.Println("campaign warning:", w)
 		}
@@ -370,8 +331,7 @@ func runSweep(opts locaware.Options, arg, outDir string, set map[string]bool, wa
 }
 
 // printExemplars prints each cell's worst-case query trace summary plus the
-// campaign-wide slowest one's full span tree. A -serve coordinator exposes
-// the same collection on /traces while the campaign runs.
+// campaign-wide slowest one's full span tree.
 func printExemplars(res *locaware.SweepResult) {
 	fmt.Println("\n== Exemplar traces (worst query per cell)")
 	var worst *locaware.SweepExemplar

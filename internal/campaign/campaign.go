@@ -1,3 +1,17 @@
+// Package campaign runs a sweep campaign resumably. A sweep cell is
+// byte-reproducible from (campaign content hash, cell index) alone —
+// sweep.CellSeed derives its seed, sweep.Plan.RunCells its bytes — which
+// makes a finished cell cacheable: Run executes a campaign in-process over
+// Plan.RunCells, and the checkpoint Store writes one content-addressed file
+// per finished cell (temp file + atomic rename), so a killed campaign
+// resumes by computing only the missing subset.
+//
+// Resumed and freshly computed cells fold into the same index-addressed
+// grid, so the exported CSV and figure bytes are identical however the
+// cells were obtained. Stale state can never leak in: every checkpoint file
+// carries the campaign's content hash (sweep.Plan.Hash covers the spec, the
+// resolved seed/trials/protocol identity and the base configuration), and a
+// mismatch re-runs the cell instead of merging it.
 package campaign
 
 import (
@@ -8,74 +22,36 @@ import (
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/sweep"
-	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// Options configures campaign execution — shared by the in-process
-// resumable runner, the coordinator and the worker.
+// Options configures campaign execution. Instrumentation and tracing are
+// not campaign options: set base.Obs / base.TracePolicy on the
+// configuration handed to Run (both are excluded from the content hash, so
+// checkpoints are shared with uninstrumented runs).
 type Options struct {
-	// Checkpoint is the checkpoint directory; "" disables checkpointing.
+	// Checkpoint is a directory receiving one content-addressed file per
+	// finished cell; "" disables checkpointing. Files are bound to the
+	// campaign's content hash — those from a different spec, seed, trial
+	// count or base configuration are detected and skipped.
 	Checkpoint string
 	// Resume, with Checkpoint set, loads existing checkpoints and executes
-	// only the missing cells. False ignores (but overwrites) them.
+	// only the missing cells; false re-runs everything (still writing
+	// fresh checkpoints). Corrupted, truncated or foreign files are
+	// reported in RunStats.Warnings and their cells re-run.
 	Resume bool
-	// LeaseTimeout is how long the coordinator waits for a leased cell's
-	// result before reissuing the lease to another worker; <= 0 selects
-	// DefaultLeaseTimeout.
-	LeaseTimeout time.Duration
-	// Poll is the worker's delay between lease attempts when the
-	// coordinator has nothing pending; <= 0 selects DefaultPoll.
-	Poll time.Duration
-	// Logf receives human-facing progress lines (resume counts, lease
-	// reissues, per-cell completion); nil discards them.
+	// Logf receives human-facing lines (resume counts, checkpoint
+	// warnings, progress summaries); nil discards them. With Progress set
+	// it is called from Run's ticker goroutine as well as the caller's.
 	Logf func(format string, args ...any)
-	// Obs, when non-nil, attaches the observability registry: the
-	// coordinator serves it on /metrics (plus pprof) and absorbs worker
-	// counter deltas into it; a worker instruments its cell runs with it
-	// and posts per-cell deltas; the in-process runner instruments its
-	// cell runs. Instrumentation never changes campaign bytes or the
-	// campaign content hash.
-	Obs *obs.Registry
-	// Progress, when > 0, replaces per-cell completion lines with one
-	// summary line per interval (done/leased/resumed/reissued counts,
-	// EWMA rate, ETA) on Logf.
+	// Progress, when > 0, prints one summary line per interval
+	// (done/resumed counts, EWMA rate, ETA) on Logf.
 	Progress time.Duration
-	// TracePolicy, when non-nil, attaches a tail-sampling flight recorder
-	// to every cell run; each completed cell then ships its worst-case
-	// query trace (sweep.CellResult.Exemplar) to the coordinator, which
-	// serves the collection on /traces. Like Obs, the policy is excluded
-	// from the campaign content hash, so traced and untraced campaigns
-	// share checkpoints and the coordinator/worker interlock still matches.
-	TracePolicy *trace.Policy
 }
-
-// DefaultLeaseTimeout is the lease deadline when Options.LeaseTimeout is
-// unset: generous enough for a large cell on a loaded machine, short
-// enough that a dead worker's cells reissue within one coffee.
-const DefaultLeaseTimeout = 2 * time.Minute
-
-// DefaultPoll is the worker's idle poll interval when Options.Poll is
-// unset.
-const DefaultPoll = 200 * time.Millisecond
 
 func (o Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-func (o Options) leaseTimeout() time.Duration {
-	if o.LeaseTimeout <= 0 {
-		return DefaultLeaseTimeout
-	}
-	return o.LeaseTimeout
-}
-
-func (o Options) poll() time.Duration {
-	if o.Poll <= 0 {
-		return DefaultPoll
-	}
-	return o.Poll
 }
 
 // RunStats reports how a campaign's cells were obtained.
@@ -89,18 +65,14 @@ type RunStats struct {
 	// resume contract is locked against: a resumed campaign executes
 	// exactly Cells - Resumed cells.
 	Executed int
-	// Reissued counts expired leases handed out again (coordinator only).
-	Reissued int
-	// Duplicates counts discarded double results (coordinator only).
-	Duplicates int
-	// Warnings collects non-fatal anomalies: skipped checkpoint files,
-	// rejected results, checkpoint write failures.
+	// Warnings collects non-fatal anomalies: skipped or rejected checkpoint
+	// files, checkpoint write failures.
 	Warnings []string
 }
 
-// prepared is the common startup state of every campaign entry point: the
-// resolved plan, the campaign shell, the optional checkpoint store, and
-// the set of cells already satisfied from it.
+// prepared is Run's startup state: the resolved plan, the campaign shell,
+// the optional checkpoint store, and the set of cells already satisfied
+// from it.
 type prepared struct {
 	plan  *sweep.Plan
 	camp  *sweep.Campaign
@@ -175,21 +147,14 @@ func (pr *prepared) missing() []int {
 // plain whole-grid run. With checkpoint/resume configured, cells present
 // in the checkpoint store are installed without recomputation, the
 // missing subset runs through the same Plan.RunCells, and every freshly
-// computed cell is checkpointed before the campaign completes. Output is
-// byte-identical to an uninterrupted run of the same spec — resumed cells
-// round-trip through JSON, which preserves every float bit — and the
-// returned stats carry the resumed/executed split the resume contract is
-// tested against.
+// computed cell is checkpointed before the campaign completes. A
+// checkpoint write that fails costs the cell its durability, not the
+// campaign its result: the cell still folds, and the failure is one
+// RunStats.Warnings entry. Output is byte-identical to an uninterrupted run
+// of the same spec — resumed cells round-trip through JSON, which preserves
+// every float bit — and the returned stats carry the resumed/executed split
+// the resume contract is tested against.
 func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.Campaign, RunStats, error) {
-	if opt.Obs != nil {
-		// Instrument every cell run; Obs is excluded from the content
-		// hash, so resumability and checkpoint identity are unchanged.
-		base.Obs = opt.Obs
-	}
-	if opt.TracePolicy != nil {
-		// Record every cell run; like Obs, the policy is hash-excluded.
-		base.TracePolicy = opt.TracePolicy
-	}
 	pr, err := prepare(base, spec, opt)
 	if err != nil {
 		return nil, RunStats{}, err
@@ -207,20 +172,20 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 		// Wait the ticker out so no Logf call outlives Run.
 		defer func() { close(stop); <-finished }()
 	}
-	var putErr error
 	err = pr.plan.RunCells(pr.missing(), workers, func(cr *sweep.CellResult) {
 		if pr.store != nil {
-			if err := pr.store.Put(cr); err != nil && putErr == nil {
-				putErr = err
+			if err := pr.store.Put(cr); err != nil {
+				// The cell still folds into the campaign; only its
+				// durability is lost, and a later resume recomputes it.
+				warn := fmt.Sprintf("checkpointing cell %d failed: %v", cr.Index, err)
+				pr.stats.Warnings = append(pr.stats.Warnings, warn)
+				opt.logf("%s", warn)
 			}
 		}
 		pr.camp.Cells[cr.Index] = *cr
 		pr.stats.Executed++
 		done.Add(1)
 	})
-	if err == nil {
-		err = putErr
-	}
 	if err != nil {
 		return nil, pr.stats, err
 	}
@@ -228,9 +193,8 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 	return pr.camp, pr.stats, nil
 }
 
-// runProgressLoop is the in-process analogue of the coordinator's
-// progress summary: one line per interval with completion, rate and ETA,
-// until the runner closes stop.
+// runProgressLoop prints one line per interval with completion, rate and
+// ETA, until the runner closes stop.
 func runProgressLoop(opt Options, stats RunStats, done *atomic.Int64, stop <-chan struct{}) {
 	rate := obs.NewRateEWMA(0)
 	t := time.NewTicker(opt.Progress)

@@ -1,16 +1,13 @@
 package campaign
 
 import (
-	"context"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
 )
 
-// BenchmarkCampaignInProcess is the distribution-overhead baseline: the
-// tiny 4-cell campaign run entirely in-process, no checkpointing.
+// BenchmarkCampaignInProcess is the tiny 4-cell campaign run with no
+// checkpointing.
 func BenchmarkCampaignInProcess(b *testing.B) {
 	base := core.DefaultConfig()
 	b.ReportAllocs()
@@ -21,42 +18,6 @@ func BenchmarkCampaignInProcess(b *testing.B) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(len(camp.Cells))*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		}
-	}
-}
-
-// BenchmarkCampaignLoopbackWorker1 runs the same campaign through the
-// full HTTP lease protocol with a single worker on loopback. The
-// acceptance bar is cells/s within 10% of BenchmarkCampaignInProcess:
-// the protocol overhead is a handful of JSON exchanges per multi-second
-// cell, so the two must be nearly indistinguishable.
-func BenchmarkCampaignLoopbackWorker1(b *testing.B) {
-	base := core.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		coord, err := NewCoordinator(base, tinySpec(), Options{Poll: 5 * time.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := httptest.NewServer(coord.Handler())
-		w, err := NewWorker(base, tinySpec(), srv.URL, 1, Options{Poll: 5 * time.Millisecond})
-		if err != nil {
-			srv.Close()
-			b.Fatal(err)
-		}
-		if _, err := w.Run(context.Background()); err != nil {
-			srv.Close()
-			b.Fatal(err)
-		}
-		select {
-		case <-coord.Done():
-		default:
-			srv.Close()
-			b.Fatal("worker exited before the campaign completed")
-		}
-		srv.Close()
-		if i == b.N-1 {
-			b.ReportMetric(float64(coord.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 		}
 	}
 }

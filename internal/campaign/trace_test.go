@@ -1,13 +1,8 @@
 package campaign
 
 import (
-	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/trace"
@@ -24,7 +19,8 @@ func tinyTracePolicy() *trace.Policy {
 // completed cell carries a rendered worst-case exemplar trace.
 func TestRunWithTracePolicyShipsExemplars(t *testing.T) {
 	base := core.DefaultConfig()
-	camp, stats, err := Run(base, tinySpec(), 4, Options{TracePolicy: tinyTracePolicy()})
+	base.TracePolicy = tinyTracePolicy()
+	camp, stats, err := Run(base, tinySpec(), 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,79 +45,4 @@ func TestRunWithTracePolicyShipsExemplars(t *testing.T) {
 			t.Fatalf("cell %d exemplar rendering is not a span tree:\n%s", i, ex.Rendered)
 		}
 	}
-}
-
-// TestCoordinatorServesTraces drains a traced campaign through the lease
-// protocol (worker posts carry exemplars across the wire) and exercises
-// the coordinator's /traces endpoints: the index listing, the per-cell
-// rendered timeline, and the 404/400 error paths. The folded CSV must
-// still equal the untraced golden bytes.
-func TestCoordinatorServesTraces(t *testing.T) {
-	base := core.DefaultConfig()
-	pol := tinyTracePolicy()
-	coord, err := NewCoordinator(base, tinySpec(), Options{TracePolicy: pol, Poll: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	// Before any cell completes the index must say so rather than 404.
-	if body := get(t, srv.URL+"/traces", http.StatusOK); !strings.Contains(body, "none yet") {
-		t.Fatalf("empty campaign index should say no traces yet:\n%s", body)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	w, err := NewWorker(base, tinySpec(), srv.URL, 1, Options{TracePolicy: pol, Poll: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := w.Run(ctx); err != nil || n != 4 {
-		t.Fatalf("worker executed %d cells, err %v", n, err)
-	}
-
-	if got := coord.Campaign().CSV(); got != goldenCSV(t) {
-		t.Fatal("traced distributed campaign CSV drifted from golden")
-	}
-	for i := range coord.Campaign().Cells {
-		if coord.Campaign().Cells[i].Exemplar == nil {
-			t.Fatalf("folded cell %d lost its exemplar crossing the wire", i)
-		}
-	}
-
-	// Index: one line per cell, each pointing at its detail URL.
-	index := get(t, srv.URL+"/traces", http.StatusOK)
-	for _, want := range []string{"exemplar traces", "/traces?cell=0", "/traces?cell=3"} {
-		if !strings.Contains(index, want) {
-			t.Fatalf("trace index missing %q:\n%s", want, index)
-		}
-	}
-
-	// Detail: header plus the rendered span tree.
-	detail := get(t, srv.URL+"/traces?cell=0", http.StatusOK)
-	if !strings.Contains(detail, "worst query:") || !strings.Contains(detail, "q=") {
-		t.Fatalf("cell detail is not a rendered timeline:\n%s", detail)
-	}
-
-	// Error paths: out-of-range cell and a non-integer parameter.
-	get(t, srv.URL+"/traces?cell=99", http.StatusNotFound)
-	get(t, srv.URL+"/traces?cell=bogus", http.StatusBadRequest)
-}
-
-func get(t *testing.T, url string, wantCode int) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantCode {
-		t.Fatalf("GET %s answered %d, want %d:\n%s", url, resp.StatusCode, wantCode, body)
-	}
-	return string(body)
 }

@@ -15,9 +15,9 @@ import (
 const MetricTraceDropped = "trace_events_dropped_total"
 
 // RegisterObsFamilies pre-registers every event-loop and protocol metric
-// family on reg, so a scrape surface (the campaign coordinator, a worker
-// -obs-addr) advertises the full catalog before the first instrumented
-// run reports in. Idempotent.
+// family on reg, so a scrape surface (locaware-exp -obs-addr) advertises
+// the full catalog before the first instrumented run reports in.
+// Idempotent.
 func RegisterObsFamilies(reg *obs.Registry) {
 	sim.RegisterMetrics(reg)
 	protocol.RegisterMetrics(reg)

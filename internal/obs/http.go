@@ -7,17 +7,9 @@ import (
 
 // Handler returns a mux serving the registry as Prometheus text at
 // /metrics plus the standard net/http/pprof endpoints under
-// /debug/pprof/ — the scrape surface mounted on the campaign
-// coordinator and on workers via -obs-addr.
+// /debug/pprof/ — the scrape surface locaware-exp mounts with -obs-addr.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	RegisterOn(mux, reg)
-	return mux
-}
-
-// RegisterOn mounts /metrics and /debug/pprof/* on an existing mux (the
-// coordinator shares its mux with the lease protocol).
-func RegisterOn(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
@@ -27,4 +19,5 @@ func RegisterOn(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

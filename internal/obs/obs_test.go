@@ -36,7 +36,6 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter("z_total", "last family").Add(2)
 	reg.CounterVec("a_total", "by kind", "kind").With("x").Add(3)
 	reg.Gauge("b", "a gauge").Set(-4)
-	reg.GaugeFunc("f", "func gauge", func() float64 { return 1.5 })
 	reg.CounterVec("empty_total", "no series yet", "kind")
 
 	var sb strings.Builder
@@ -49,7 +48,6 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE a_total counter",
 		`a_total{kind="x"} 3`,
 		"b -4",
-		"f 1.5",
 		"# TYPE empty_total counter", // series-less family still advertised
 		"z_total 2",
 	}
@@ -109,39 +107,6 @@ func TestCellDrainAndTotals(t *testing.T) {
 	tot := lv.Totals()
 	if tot["a"] != 2 || tot["b"] != 1 {
 		t.Fatalf("Totals = %v", tot)
-	}
-}
-
-func TestSamplesDiffAbsorb(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a_total", "").Add(5)
-	reg.CounterVec("b_total", "", "kind").With("x").Add(2)
-	before := reg.CounterSamples()
-
-	reg.Counter("a_total", "").Add(3)
-	reg.CounterVec("b_total", "", "kind").With("y").Add(7)
-	after := reg.CounterSamples()
-
-	diff := DiffCounters(before, after)
-	if len(diff) != 2 {
-		t.Fatalf("diff = %+v, want 2 entries", diff)
-	}
-	got := map[string]uint64{}
-	for _, s := range diff {
-		got[s.Name+"/"+s.Label] = s.Value
-	}
-	if got["a_total/"] != 3 || got["b_total/y"] != 7 {
-		t.Fatalf("diff values = %v", got)
-	}
-
-	other := NewRegistry()
-	other.AbsorbCounters(diff)
-	other.AbsorbCounters(diff)
-	if v := other.Counter("a_total", "").Value(); v != 6 {
-		t.Fatalf("absorbed a_total = %d, want 6", v)
-	}
-	if v := other.CounterVec("b_total", "", "kind").With("y").Value(); v != 14 {
-		t.Fatalf("absorbed b_total{y} = %d, want 14", v)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,8 +36,8 @@ func (k Kind) String() string {
 }
 
 // Registry holds metric families keyed by name. All methods are safe for
-// concurrent use; reads (WritePrometheus, CounterSamples) observe atomics
-// and may race benignly with in-flight cell drains.
+// concurrent use; WritePrometheus observes atomics and may race benignly
+// with in-flight cell drains.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*Family
@@ -63,9 +62,8 @@ type Family struct {
 }
 
 type series struct {
-	c  atomic.Uint64  // counter total
-	g  atomic.Int64   // gauge value
-	fn func() float64 // gauge callback; nil for stored values
+	c atomic.Uint64 // counter total
+	g atomic.Int64  // gauge value
 }
 
 func (f *Family) get(label string) *series {
@@ -154,12 +152,6 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 
 func (v *GaugeVec) With(value string) *Gauge { return &Gauge{v.f.get(value)} }
 
-// GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time. fn must be safe to call from the HTTP handler goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.family(name, help, KindGauge, "").get("").fn = fn
-}
-
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // WritePrometheus renders every family in Prometheus text exposition
@@ -222,76 +214,8 @@ func writeSeries(w io.Writer, f *Family, label string, s *series) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lp, s.c.Load())
 		return err
 	case KindGauge:
-		if s.fn != nil {
-			_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, lp,
-				strconv.FormatFloat(s.fn(), 'g', -1, 64))
-			return err
-		}
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lp, s.g.Load())
 		return err
 	}
 	return nil
-}
-
-// Sample is one counter series value, flattened for JSON transfer —
-// workers ship per-cell counter deltas to the coordinator this way.
-type Sample struct {
-	Name  string `json:"name"`
-	Key   string `json:"key,omitempty"`   // label key, "" for plain series
-	Label string `json:"label,omitempty"` // label value
-	Value uint64 `json:"value"`
-}
-
-// CounterSamples snapshots every counter series, sorted by (name, label).
-func (r *Registry) CounterSamples() []Sample {
-	r.mu.Lock()
-	fams := make([]*Family, 0, len(r.families))
-	for _, f := range r.families {
-		if f.kind == KindCounter {
-			fams = append(fams, f)
-		}
-	}
-	r.mu.Unlock()
-	var out []Sample
-	for _, f := range fams {
-		f.mu.Lock()
-		for l, s := range f.series {
-			out = append(out, Sample{Name: f.name, Key: f.label, Label: l, Value: s.c.Load()})
-		}
-		f.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
-}
-
-// DiffCounters returns after minus before, dropping unchanged series.
-// Series absent from before count from zero.
-func DiffCounters(before, after []Sample) []Sample {
-	base := make(map[[2]string]uint64, len(before))
-	for _, s := range before {
-		base[[2]string{s.Name, s.Label}] = s.Value
-	}
-	var out []Sample
-	for _, s := range after {
-		d := s.Value - base[[2]string{s.Name, s.Label}]
-		if d != 0 {
-			s.Value = d
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// AbsorbCounters adds counter samples into the registry, creating
-// families as needed — the coordinator merges worker-posted deltas here.
-func (r *Registry) AbsorbCounters(samples []Sample) {
-	for _, s := range samples {
-		f := r.family(s.Name, "", KindCounter, s.Key)
-		f.get(s.Label).c.Add(s.Value)
-	}
 }

@@ -106,14 +106,7 @@ func TestGossipRoundZeroAllocInstrumented(t *testing.T) {
 	}
 	ei.Drain()
 	net.DrainObs()
-	evs := reg.CounterSamples()
-	var installs uint64
-	for _, s := range evs {
-		if s.Name == sim.MetricEvents && s.Label == "bloom-install" {
-			installs = s.Value
-		}
-	}
-	if installs == 0 {
+	if reg.CounterVec(sim.MetricEvents, "", "kind").With("bloom-install").Value() == 0 {
 		t.Fatal("engine instrumentation counted no bloom-install events")
 	}
 }

@@ -13,11 +13,9 @@ import (
 
 // Plan is a validated campaign lowered onto a base configuration and
 // frozen: the expanded grid, the resolved seed/trial/protocol identity,
-// and a content hash over all of it. A Plan is the unit two processes can
-// agree on — a coordinator and its workers each build one from the same
-// spec and base configuration and compare hashes before exchanging work,
-// and a checkpoint store binds its files to the hash so cells computed
-// under a different campaign are rejected instead of silently merged.
+// and a content hash over all of it. A checkpoint store binds its files to
+// the hash, so cells computed under a different campaign are rejected
+// instead of silently merged.
 type Plan struct {
 	r    *resolved
 	hash string
@@ -67,15 +65,6 @@ func fingerprint(base core.Config, r *resolved) (string, error) {
 // Hash returns the campaign's content hash (64 hex characters).
 func (p *Plan) Hash() string { return p.hash }
 
-// Spec returns the plan's campaign definition.
-func (p *Plan) Spec() *Spec { return p.r.spec }
-
-// Seed returns the resolved campaign root seed.
-func (p *Plan) Seed() int64 { return p.r.seed }
-
-// Trials returns the resolved replication count per cell.
-func (p *Plan) Trials() int { return p.r.trials }
-
 // Protocols returns the resolved protocol set in campaign order.
 func (p *Plan) Protocols() []string {
 	out := make([]string, len(p.r.names))
@@ -86,18 +75,11 @@ func (p *Plan) Protocols() []string {
 // NumCells returns the grid size.
 func (p *Plan) NumCells() int { return len(p.r.cells) }
 
-// Cells returns the expanded grid in index order.
-func (p *Plan) Cells() []Cell {
-	out := make([]Cell, len(p.r.cells))
-	copy(out, p.r.cells)
-	return out
-}
-
 // NewCampaign returns an empty campaign shell for this plan: identity
 // fields filled, one CellResult per grid cell carrying its Cell identity
 // with no protocol aggregates yet. Callers fill Cells[i] as results arrive
-// (from RunCells, a checkpoint store, or remote workers) — the grid is
-// index-addressed, so arrival order never changes the exported bytes.
+// (from RunCells or a checkpoint store) — the grid is index-addressed, so
+// arrival order never changes the exported bytes.
 func (p *Plan) NewCampaign() *Campaign {
 	camp := &Campaign{
 		Spec: p.r.spec, Seed: p.r.seed, Trials: p.r.trials, Protocols: p.Protocols(),
@@ -110,9 +92,9 @@ func (p *Plan) NewCampaign() *Campaign {
 }
 
 // VerifyCell checks that a cell result (typically deserialized from a
-// checkpoint file or a remote worker) carries this plan's identity for its
-// index: matching seed and coordinates, the campaign's protocol set in
-// order, and trial pools of the campaign's size. It reports the first
+// checkpoint file) carries this plan's identity for its index: matching
+// seed and coordinates, the campaign's protocol set in order, and trial
+// pools of the campaign's size. It reports the first
 // mismatch — a corrupted or foreign result — so callers can discard the
 // cell and recompute it instead of folding bad data into the campaign.
 func (p *Plan) VerifyCell(cr *CellResult) error {
@@ -126,8 +108,16 @@ func (p *Plan) VerifyCell(cr *CellResult) error {
 	if cr.Seed != want.Seed {
 		return fmt.Errorf("sweep %q cell %d: seed %d, want %d", p.r.spec.Name, cr.Index, cr.Seed, want.Seed)
 	}
-	if cr.Label() != want.Label() {
-		return fmt.Errorf("sweep %q cell %d: coordinates %q, want %q", p.r.spec.Name, cr.Index, cr.Label(), want.Label())
+	// Compared coordinate by coordinate, not by label: one forged
+	// coordinate can spell a whole label, and the exporters index Coords by
+	// axis.
+	if len(cr.Coords) != len(want.Coords) {
+		return fmt.Errorf("sweep %q cell %d: %d coordinates, want %d", p.r.spec.Name, cr.Index, len(cr.Coords), len(want.Coords))
+	}
+	for i, co := range cr.Coords {
+		if co != want.Coords[i] {
+			return fmt.Errorf("sweep %q cell %d: coordinates[%d] is %q, want %q", p.r.spec.Name, cr.Index, i, co, want.Coords[i])
+		}
 	}
 	if len(cr.Protocols) != len(p.r.names) {
 		return fmt.Errorf("sweep %q cell %d: %d protocol aggregates, want %d", p.r.spec.Name, cr.Index, len(cr.Protocols), len(p.r.names))
@@ -219,7 +209,6 @@ func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error 
 
 // RunCellAt executes one grid cell through the subset runner and returns
 // its aggregate — the exact bytes a whole-grid run places at that index.
-// This is the unit of work a campaign worker executes per lease.
 func (p *Plan) RunCellAt(cell, workers int) (*CellResult, error) {
 	var out *CellResult
 	if err := p.RunCells([]int{cell}, workers, func(cr *CellResult) { out = cr }); err != nil {

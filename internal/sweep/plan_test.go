@@ -178,6 +178,9 @@ func TestPlanVerifyCell(t *testing.T) {
 		{"wrong seed", func(c *CellResult) { c.Seed++ }},
 		{"out of range", func(c *CellResult) { c.Index = 99 }},
 		{"wrong coordinates", func(c *CellResult) { c.Coords[0].Value = 1234 }},
+		{"one coordinate spelling the whole label", func(c *CellResult) {
+			c.Coords = []Coordinate{{Param: "peers=60 cache-filenames", Value: 50}}
+		}},
 		{"wrong protocol name", func(c *CellResult) { c.Protocols[0].Protocol = "Chord" }},
 		{"wrong trial pool", func(c *CellResult) { c.Protocols[1].Summary.SuccessRate.N = 7 }},
 	}

@@ -32,18 +32,18 @@ type CellResult struct {
 	// Protocols holds the per-protocol aggregates in campaign order.
 	Protocols []ProtocolCell
 	// Exemplar is the cell's worst-case query trace — the highest-latency
-	// trace any of the cell's runs retained — shipped alongside the
-	// aggregates so a distributed campaign surfaces concrete causal
-	// evidence, not just summary statistics. Nil unless the campaign ran
+	// trace any of the cell's runs retained — kept alongside the
+	// aggregates so a campaign surfaces concrete causal evidence, not just
+	// summary statistics. Nil unless the campaign ran
 	// with a trace policy (base Config.TracePolicy).
 	Exemplar *ExemplarTrace `json:",omitempty"`
 }
 
 // ExemplarTrace is one retained query trace selected as a cell's exemplar:
 // the slowest query observed across the cell's (protocol × trial) runs,
-// pre-rendered so coordinators and humans need no simulator state to read
-// it. Selection is deterministic: strictly higher latency wins, ties keep
-// the earliest (protocol, trial) in campaign order.
+// pre-rendered so a checkpoint reader needs no simulator state to read it.
+// Selection is deterministic: strictly higher latency wins, ties keep the
+// earliest (protocol, trial) in campaign order.
 type ExemplarTrace struct {
 	// Protocol and Trial locate the run that produced the trace.
 	Protocol string

@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,5 +116,24 @@ func TestCampaignFacade(t *testing.T) {
 	}
 	if res2.CSV() != plain.CSV() {
 		t.Fatal("resumed run CSV differs from plain RunSweep")
+	}
+
+	// Options.Observer is the only way to instrument a campaign: it must
+	// reach every cell run and stay inert.
+	o.Observer = NewObserver()
+	observed, err := RunSweep(o, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.CSV() != plain.CSV() {
+		t.Fatal("observed run CSV differs from plain RunSweep")
+	}
+	var sb strings.Builder
+	if err := o.Observer.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("protocol_queries_submitted_total %d\n", observed.Runs()*(sw.Warmup()+sw.Queries()))
+	if !strings.Contains(sb.String(), want) {
+		t.Fatalf("Options.Observer missed cell runs: want %q in\n%s", want, sb.String())
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"io"
 	"net/http"
 
-	"github.com/p2prepro/locaware/internal/campaign"
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/obs"
 )
 
 // Observer is a run-wide observability registry: attach one to
-// Options.Observer (or CampaignOptions.Observer) and every simulation
-// executed under it accumulates event-loop, protocol and campaign
+// Options.Observer and every simulation executed under it — single runs,
+// comparisons, every cell of a sweep — accumulates event-loop and protocol
 // telemetry — counters and gauges — into one scrapeable surface.
 // Instrumentation is provably inert: the hot path only increments each
 // simulation's own cells (folded into the registry when its run ends),
@@ -30,7 +29,6 @@ type Observer struct {
 func NewObserver() *Observer {
 	reg := obs.NewRegistry()
 	core.RegisterObsFamilies(reg)
-	campaign.RegisterMetrics(reg)
 	return &Observer{reg: reg}
 }
 

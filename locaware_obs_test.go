@@ -78,7 +78,6 @@ func TestObserverEndpoints(t *testing.T) {
 	for _, fam := range []string{
 		"sim_events_total", "sim_queue_depth_high_water", "sim_events_scheduled_total",
 		"protocol_queries_submitted_total", "protocol_cache_hits_total",
-		"campaign_cells_executed_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" ") {
 			t.Fatalf("pre-run catalog missing %s:\n%s", fam, body)

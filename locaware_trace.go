@@ -93,10 +93,9 @@ func liftTraces(r *core.RunResult) []*Trace {
 // SweepExemplar is one campaign cell's worst-case query trace: the
 // highest-latency trace retained across the cell's (protocol × trial)
 // runs, pre-rendered as a text timeline. Cells carry exemplars when the
-// campaign runs with tracing enabled (Options.FlightRecorder for RunSweep,
-// CampaignOptions.FlightRecorder for the distributed modes). Protocol (a
-// name) and Trial locate the run that produced the trace; Query,
-// LatencySeconds, Failed and Hops summarise it.
+// campaign runs with Options.FlightRecorder set. Protocol (a name) and
+// Trial locate the run that produced the trace; Query, LatencySeconds,
+// Failed and Hops summarise it.
 type SweepExemplar = sweep.ExemplarTrace
 
 // CellExemplar returns grid cell `cell`'s worst-case query trace, or nil
