@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -67,28 +68,113 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 	}
 }
 
+// matchesAll is the "BF matches q" predicate of §4.2 in the form routing
+// uses it: the positions of every keyword, hashed once and concatenated,
+// tested in one pass.
+func matchesAll(f *Filter, ss []string) bool {
+	var idx []uint32
+	for _, s := range ss {
+		idx = f.AppendIndexes(idx, s)
+	}
+	return f.TestIndexes(idx)
+}
+
 func TestTestAll(t *testing.T) {
 	f := New(1200, 6)
 	f.Add("alpha")
 	f.Add("beta")
-	if !f.TestAll([]string{"alpha", "beta"}) {
-		t.Fatal("TestAll false negative")
+	if !matchesAll(f, []string{"alpha", "beta"}) {
+		t.Fatal("all-keywords false negative")
 	}
-	if f.TestAll([]string{"alpha", "definitely-not-present-xyzzy-42"}) {
+	if matchesAll(f, []string{"alpha", "definitely-not-present-xyzzy-42"}) {
 		// Could be a false positive; retry with a fresh improbable word set.
 		misses := 0
 		for i := 0; i < 100; i++ {
-			if !f.TestAll([]string{"alpha", fmt.Sprintf("zzz-%d", i)}) {
+			if !matchesAll(f, []string{"alpha", fmt.Sprintf("zzz-%d", i)}) {
 				misses++
 			}
 		}
 		if misses == 0 {
-			t.Fatal("TestAll never rejects absent keywords")
+			t.Fatal("all-keywords test never rejects absent keywords")
 		}
 	}
-	if !f.TestAll(nil) {
+	if !matchesAll(f, nil) {
 		t.Fatal("empty query should match vacuously")
 	}
+}
+
+// checkIndexFormAgrees requires the string and index forms of a probe to
+// agree on a plain and a counting filter of geometry (m, k) holding added,
+// for every probe string; it also pins AppendIndexes' contract (appends
+// exactly K positions below M, leaves dst's prefix alone).
+func checkIndexFormAgrees(t *testing.T, m, k int, added, probes []string) {
+	t.Helper()
+	f, c := New(m, k), NewCounting(m, k)
+	for _, s := range added {
+		f.Add(s)
+		c.Add(s)
+	}
+	for _, s := range probes {
+		idx := f.AppendIndexes([]uint32{7}, s)
+		if len(idx) != 1+f.K() || idx[0] != 7 {
+			t.Fatalf("m=%d k=%d: AppendIndexes(%q) = %v, want prefix [7] + %d positions", m, k, s, idx, f.K())
+		}
+		idx = idx[1:]
+		for _, i := range idx {
+			if int(i) >= f.M() {
+				t.Fatalf("m=%d k=%d: position %d of %q out of range", m, k, i, s)
+			}
+		}
+		if got, want := f.TestIndexes(idx), f.Test(s); got != want {
+			t.Fatalf("m=%d k=%d: Filter.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
+		}
+		if got, want := c.TestIndexes(idx), c.Test(s); got != want {
+			t.Fatalf("m=%d k=%d: Counting.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
+		}
+	}
+}
+
+// TestIndexFormEquivalence is the property the query path stands on: a
+// keyword hashed once at submission and tested by position answers exactly
+// what hashing it again at every filter would, over random geometries
+// m ∈ [8, 4096], k ∈ [1, 16] and random strings, members and not.
+func TestIndexFormEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	word := func() string {
+		b := make([]byte, r.Intn(12))
+		for i := range b {
+			b[i] = byte(r.Intn(256))
+		}
+		return string(b)
+	}
+	for trial := 0; trial < 300; trial++ {
+		m, k := 8+r.Intn(4089), 1+r.Intn(16)
+		added := make([]string, r.Intn(40))
+		for i := range added {
+			added[i] = word()
+		}
+		probes := append([]string{"", "locaware"}, added...)
+		for i := 0; i < 40; i++ {
+			probes = append(probes, word())
+		}
+		checkIndexFormAgrees(t, m, k, added, probes)
+	}
+}
+
+// FuzzIndexFormEquivalence lets the fuzzer pick geometry, contents and
+// probe; seeded with the shapes the property test draws.
+func FuzzIndexFormEquivalence(f *testing.F) {
+	f.Add(uint16(1200), uint8(6), "kw00001 kw00002 kw00003", "kw00002")
+	f.Add(uint16(8), uint8(16), "a b c d e f g h", "z")
+	f.Add(uint16(4096), uint8(1), "", "")
+	f.Add(uint16(0), uint8(0), "x", "x")
+	f.Fuzz(func(t *testing.T, m uint16, k uint8, added, probe string) {
+		if m > 4096 {
+			m = 4096
+		}
+		words := strings.Fields(added)
+		checkIndexFormAgrees(t, int(m), int(k), words, append(words, probe))
+	})
 }
 
 func TestOptimalK(t *testing.T) {
@@ -436,6 +522,13 @@ func TestHotOpsZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { c.Test("locaware") }); n != 0 {
 		t.Fatalf("Counting.Test allocates %.1f/op", n)
+	}
+	idx := make([]uint32, 0, 3*f.K())
+	if n := testing.AllocsPerRun(200, func() { idx = f.AppendIndexes(idx[:0], "locaware") }); n != 0 {
+		t.Fatalf("Filter.AppendIndexes into a sized buffer allocates %.1f/op", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { f.TestIndexes(idx); c.TestIndexes(idx) }); n != 0 {
+		t.Fatalf("TestIndexes allocates %.1f/op", n)
 	}
 }
 

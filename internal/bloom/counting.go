@@ -65,6 +65,9 @@ func (c *Counting) Remove(s string) {
 // Test reports whether s may be present.
 func (c *Counting) Test(s string) bool { return c.view.Test(s) }
 
+// TestIndexes is Test by precomputed positions (see Filter.TestIndexes).
+func (c *Counting) TestIndexes(idx []uint32) bool { return c.view.TestIndexes(idx) }
+
 // View returns the live plain bit-vector view. It is read-only and changes
 // with every Add/Remove/Reset; copy it to keep a snapshot.
 func (c *Counting) View() *Filter { return &c.view }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Filter is a plain Bloom filter over strings: an m-bit vector with k hash
@@ -54,11 +55,22 @@ func (f *Filter) Add(s string) {
 	}
 }
 
-// Test reports whether s may be in the set. False means definitely absent.
-func (f *Filter) Test(s string) bool {
-	var buf [maxK]uint32
-	idx := buf[:f.k]
-	indexes(s, f.m, idx)
+// AppendIndexes appends s's k bit positions in f's geometry to dst and
+// returns the extended slice: the index form of a membership probe, for a
+// caller that tests one string against many filters of one geometry and
+// wants to hash it once.
+func (f *Filter) AppendIndexes(dst []uint32, s string) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, f.k)[:n+f.k]
+	indexes(s, f.m, dst[n:])
+	return dst
+}
+
+// TestIndexes reports whether every position in idx is set. With the
+// positions of one string (AppendIndexes) it is Test; with those of several
+// it is the "BF matches q" predicate of §4.2 (all query keywords must be
+// members). The positions must come from a filter of f's geometry.
+func (f *Filter) TestIndexes(idx []uint32) bool {
 	for _, i := range idx {
 		if f.bits[i/64]&(1<<(i%64)) == 0 {
 			return false
@@ -67,15 +79,12 @@ func (f *Filter) Test(s string) bool {
 	return true
 }
 
-// TestAll reports whether every string in ss may be in the set — the "BF
-// matches q" predicate of §4.2 (all query keywords must be members).
-func (f *Filter) TestAll(ss []string) bool {
-	for _, s := range ss {
-		if !f.Test(s) {
-			return false
-		}
-	}
-	return true
+// Test reports whether s may be in the set. False means definitely absent.
+func (f *Filter) Test(s string) bool {
+	var buf [maxK]uint32
+	idx := buf[:f.k]
+	indexes(s, f.m, idx)
+	return f.TestIndexes(idx)
 }
 
 // BitSet reports whether bit i is set.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/obs"
@@ -281,5 +282,44 @@ func TestFloodingSuccessDominates(t *testing.T) {
 	la := cmp.Cells["Locaware"].Summary.SuccessRate.Mean
 	if fl <= la {
 		t.Fatalf("flooding %0.3f should beat locaware %0.3f on success (Fig. 4)", fl, la)
+	}
+}
+
+// TestHotPathAllocBudget holds the per-message path's allocation count in
+// the tree: MemStats.Mallocs across RunMeasured on one fixed seed, measured
+// the way benchmark/measure.go measures allocs_per_query on its flood-2k and
+// locaware-2k worlds (shortened). The counts repeat for a seed to within a
+// few runtime allocations — 11.9 and 8.8 per query when the budgets were
+// set — and sit far below what per-node seen maps and a path allocated per
+// message cost (452 and 11.7 on the same worlds).
+func TestHotPathAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
+	}
+	for _, c := range []struct {
+		b                protocol.Behavior
+		warmup, measured int
+		budget           float64
+	}{
+		{protocol.Flooding{}, 0, 25, 20},
+		{protocol.Locaware{}, 500, 2000, 10},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed = 1
+		cfg.NumPeers = 2000
+		s := NewSimulation(cfg, c.b)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		res := s.RunMeasured(c.warmup, c.measured)
+		runtime.ReadMemStats(&m1)
+		if got := res.Collector.Submitted(); got != c.measured {
+			t.Fatalf("%s: %d of %d measured queries finalised", c.b.Name(), got, c.measured)
+		}
+		perQuery := float64(m1.Mallocs-m0.Mallocs) / float64(c.warmup+c.measured)
+		t.Logf("%s: %.2f allocs/query (budget %.0f)", c.b.Name(), perQuery, c.budget)
+		if perQuery > c.budget {
+			t.Fatalf("%s: %.2f allocs/query over %d queries, budget %.0f", c.b.Name(), perQuery, c.warmup+c.measured, c.budget)
+		}
 	}
 }

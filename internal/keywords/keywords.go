@@ -10,7 +10,6 @@ package keywords
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -107,10 +106,16 @@ func (f Filename) KeywordAt(i int) Keyword { return f.kws[i] }
 // construction, so calls are allocation-free).
 func (f Filename) String() string { return f.name }
 
-// Contains reports whether the filename contains keyword k.
+// Contains reports whether the filename contains keyword k. Filenames hold
+// a handful of keywords (three in the evaluation), so equality tests beat a
+// binary search's ordered string compares.
 func (f Filename) Contains(k Keyword) bool {
-	i := sort.Search(len(f.kws), func(i int) bool { return f.kws[i] >= k })
-	return i < len(f.kws) && f.kws[i] == k
+	for _, have := range f.kws {
+		if have == k {
+			return true
+		}
+	}
+	return false
 }
 
 // Matches reports whether the filename satisfies query q: every query
@@ -139,23 +144,11 @@ func NewQuery(kws ...Keyword) Query {
 	return Query{Kws: f.kws}
 }
 
-// Strings returns the query keywords as plain strings (for Bloom filter
-// membership tests).
-func (q Query) Strings() []string {
-	out := make([]string, len(q.Kws))
-	for i, k := range q.Kws {
-		out[i] = string(k)
-	}
-	return out
-}
-
 // String renders the query.
-func (q Query) String() string {
-	return "q{" + strings.Join(q.Strings(), ",") + "}"
-}
+func (q Query) String() string { return string(q.AppendString(nil)) }
 
-// AppendString appends String()'s rendering to b without intermediate
-// allocations, for callers formatting into a reused scratch buffer.
+// AppendString appends String()'s rendering to b, for callers formatting
+// into a reused scratch buffer.
 func (q Query) AppendString(b []byte) []byte {
 	b = append(b, "q{"...)
 	for i, k := range q.Kws {

@@ -89,12 +89,14 @@ func TestKeywordsReturnsCopy(t *testing.T) {
 
 func TestQueryStringForms(t *testing.T) {
 	q := NewQuery("b", "a")
-	ss := q.Strings()
-	if len(ss) != 2 || ss[0] != "a" || ss[1] != "b" {
-		t.Fatalf("Strings = %v", ss)
-	}
 	if q.String() != "q{a,b}" {
 		t.Fatalf("String = %q", q.String())
+	}
+	if got := string(q.AppendString([]byte("x "))); got != "x q{a,b}" {
+		t.Fatalf("AppendString = %q", got)
+	}
+	if got := (Query{}).String(); got != "q{}" {
+		t.Fatalf("empty String = %q", got)
 	}
 }
 

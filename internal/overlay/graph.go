@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -21,13 +22,11 @@ type PeerID int
 // marked offline (churn); offline peers keep their identity but have no
 // links.
 //
-// Adjacency is kept twice: a map per peer for O(1) Linked checks and a
-// sorted slice per peer so the hot Neighbors call returns without
-// allocating or sorting. Mutations (build, churn) pay the small insertion
-// cost; the simulator's per-event reads are free.
+// Adjacency is one ascending slice per peer: the hot Neighbors call returns
+// it without allocating or sorting, and Linked, AddLink and RemoveLink
+// binary-search it (degrees are a handful, capped at MaxDegree).
 type Graph struct {
 	n      int
-	adj    []map[PeerID]struct{}
 	nbrs   [][]PeerID
 	online []bool
 	edges  int
@@ -44,34 +43,13 @@ var (
 func NewGraph(n int) *Graph {
 	g := &Graph{
 		n:      n,
-		adj:    make([]map[PeerID]struct{}, n),
 		nbrs:   make([][]PeerID, n),
 		online: make([]bool, n),
 	}
-	for i := range g.adj {
-		g.adj[i] = make(map[PeerID]struct{})
+	for i := range g.online {
 		g.online[i] = true
 	}
 	return g
-}
-
-// insertSorted adds x to the ascending slice s, keeping order.
-func insertSorted(s []PeerID, x PeerID) []PeerID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-// removeSorted deletes x from the ascending slice s, keeping order.
-func removeSorted(s []PeerID, x PeerID) []PeerID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i < len(s) && s[i] == x {
-		copy(s[i:], s[i+1:])
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 // N returns the total number of peer slots (online and offline).
@@ -110,48 +88,37 @@ func (g *Graph) AddLink(a, b PeerID) error {
 	if !g.online[a] || !g.online[b] {
 		return ErrOffline
 	}
-	if _, ok := g.adj[a][b]; ok {
+	i, ok := slices.BinarySearch(g.nbrs[a], b)
+	if ok {
 		return nil
 	}
-	g.adj[a][b] = struct{}{}
-	g.adj[b][a] = struct{}{}
-	g.nbrs[a] = insertSorted(g.nbrs[a], b)
-	g.nbrs[b] = insertSorted(g.nbrs[b], a)
+	j, _ := slices.BinarySearch(g.nbrs[b], a)
+	g.nbrs[a] = slices.Insert(g.nbrs[a], i, b)
+	g.nbrs[b] = slices.Insert(g.nbrs[b], j, a)
 	g.edges++
 	return nil
 }
 
 // RemoveLink deletes the undirected link a—b if present.
 func (g *Graph) RemoveLink(a, b PeerID) {
-	if !g.valid(a) || !g.valid(b) {
+	i, ok := slices.BinarySearch(g.Neighbors(a), b)
+	if !ok {
 		return
 	}
-	if _, ok := g.adj[a][b]; !ok {
-		return
-	}
-	delete(g.adj[a], b)
-	delete(g.adj[b], a)
-	g.nbrs[a] = removeSorted(g.nbrs[a], b)
-	g.nbrs[b] = removeSorted(g.nbrs[b], a)
+	j, _ := slices.BinarySearch(g.nbrs[b], a)
+	g.nbrs[a] = slices.Delete(g.nbrs[a], i, i+1)
+	g.nbrs[b] = slices.Delete(g.nbrs[b], j, j+1)
 	g.edges--
 }
 
 // Linked reports whether a and b are neighbours.
 func (g *Graph) Linked(a, b PeerID) bool {
-	if !g.valid(a) || !g.valid(b) {
-		return false
-	}
-	_, ok := g.adj[a][b]
+	_, ok := slices.BinarySearch(g.Neighbors(a), b)
 	return ok
 }
 
 // Degree returns the number of neighbours of p (0 if offline or invalid).
-func (g *Graph) Degree(p PeerID) int {
-	if !g.valid(p) {
-		return 0
-	}
-	return len(g.adj[p])
-}
+func (g *Graph) Degree(p PeerID) int { return len(g.Neighbors(p)) }
 
 // Neighbors returns p's neighbour list in ascending order — deterministic
 // iteration, which the simulator relies on for reproducible runs. The
@@ -215,7 +182,7 @@ func (g *Graph) ConnectedComponents() []int {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			for q := range g.adj[p] {
+			for _, q := range g.nbrs[p] {
 				if !seen[q] {
 					seen[q] = true
 					stack = append(stack, q)

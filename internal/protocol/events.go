@@ -28,7 +28,7 @@ func (ev *queryDeliverEvent) EventName() string { return "query-deliver" }
 func (ev *queryDeliverEvent) Fire(*sim.Engine) {
 	net := ev.net
 	net.receiveQuery(ev.dst, ev.msg)
-	net.releaseMsg(ev.msg)
+	net.msgPool.Put(ev.msg)
 	ev.msg = nil
 	net.qdPool.Put(ev)
 }

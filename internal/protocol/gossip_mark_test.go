@@ -142,7 +142,7 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				for _, kw := range q.Kws {
 					absent = absent || !guarded.cbf.Test(string(kw))
 				}
-				got, want := guarded.lookupRI(q, now), plain.lookupRI(q, now)
+				got, want := guarded.lookupRI(q, guarded.bloomPositions(nil, q), now), plain.lookupRI(q, nil, now)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d op %d: lookupRI(%v) = %v, RI.Lookup = %v", seed, op, q, got, want)
 				}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/trace"
 )
 
 // fn adapts a closure to sim.Event for the tests' one-off submissions.
@@ -47,23 +49,77 @@ func randomNet(t *testing.T, b Behavior, seed int64, peers int) (*Network, []key
 	return net, files
 }
 
+// deliveryAudit counts, per (query, peer), the deliveries that reached the
+// peer online (seen by the engine observer just before they fire) minus the
+// ones the peer dropped as duplicates (seen by the tracer): how many times
+// the peer handled the query.
+type deliveryAudit struct {
+	origin  map[uint64]int
+	handled map[[2]uint64]int
+	dups    int
+}
+
+func auditDeliveries(net *Network) *deliveryAudit {
+	a := &deliveryAudit{origin: map[uint64]int{}, handled: map[[2]uint64]int{}}
+	net.SetTracer(a)
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if d, ok := ev.(*queryDeliverEvent); ok && net.Graph.Online(d.dst) {
+			a.handled[[2]uint64{uint64(d.msg.ID), uint64(d.dst)}]++
+		}
+	})
+	return a
+}
+
+func (a *deliveryAudit) Emit(ev trace.Event) {
+	switch ev.Kind {
+	case trace.QuerySubmit:
+		a.origin[ev.Query] = ev.Peer
+	case trace.QueryDuplicate:
+		a.handled[[2]uint64{ev.Query, uint64(ev.Peer)}]--
+		a.dups++
+	}
+}
+
+// check requires exactly one handling per (query, peer) a delivery reached,
+// and none at the origin, which handled the query when it submitted it.
+func (a *deliveryAudit) check(t *testing.T, label string) {
+	t.Helper()
+	if len(a.handled) == 0 {
+		t.Fatalf("%s: the audit saw no delivery", label)
+	}
+	for k, n := range a.handled {
+		want := 1
+		if int(k[1]) == a.origin[k[0]] {
+			want = 0
+		}
+		if n != want {
+			t.Fatalf("%s: peer %d handled query %d %d times, want %d", label, k[1], k[0], n, want)
+		}
+	}
+}
+
 // TestProtocolInvariantsRandomized drives every protocol over random
-// worlds and checks cross-cutting invariants the aggregate figures rely
-// on:
+// worlds, static and with peers leaving and rejoining twice a second, and
+// checks cross-cutting invariants the aggregate figures rely on:
 //
 //  1. every submitted query produces exactly one record;
 //  2. message counts are non-negative and bounded by flooding's upper
 //     bound (every peer forwards once to each neighbour);
 //  3. successful queries report an RTT within the physical model's range;
 //  4. same-locality downloads report zero-or-plausible RTTs;
-//  5. the engine fully drains (no event leaks).
+//  5. the engine fully drains (no event leaks);
+//  6. no peer handles the same query twice: every delivery to a peer after
+//     its first is dropped as a duplicate.
 func TestProtocolInvariantsRandomized(t *testing.T) {
 	behaviors := []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}, LocawareLR{}}
 	for _, b := range behaviors {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
+			for seed := int64(1); seed <= 6; seed++ {
+				churn := seed > 3
+				label := fmt.Sprintf("seed %d churn %v", seed, churn)
 				net, files := randomNet(t, b, seed, 120)
+				audit := auditDeliveries(net)
 				r := rand.New(rand.NewSource(seed * 97))
 				const queries = 60
 				for i := 0; i < queries; i++ {
@@ -74,6 +130,22 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 						net.SubmitQuery(origin, q)
 					}))
 				}
+				// Flooding upper bound: 2×edges messages for the query
+				// wave plus a response per hop (<= TTL) — generous cap.
+				// Under churn the edge set moves, so take each of the 120
+				// peers forwarding once to a full neighbour table.
+				cap := 2*net.Graph.Edges() + net.Config.TTL + 1
+				if churn {
+					cap = 120*overlay.DefaultChurn().MaxDegree + net.Config.TTL + 1
+					cr := rand.New(rand.NewSource(seed * 131))
+					for i := 0; i < 2*queries; i++ {
+						// Off the whole second, so steps land inside query
+						// waves as well as between them.
+						net.Engine.PostEvent(sim.Time(i)*sim.Second/2+20*sim.Millisecond, fn(func(*sim.Engine) {
+							overlay.ChurnStep(net.Graph, overlay.DefaultChurn(), cr)
+						}))
+					}
+				}
 				// Bounded run: the Bloom gossip control reschedules
 				// itself forever, so an unbounded Run would never drain.
 				net.Engine.RunUntil(sim.Time(queries)*sim.Second+net.Config.FinalizeAfter+sim.Minute, 0)
@@ -81,25 +153,22 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 
 				recs := net.Collector.Records()
 				if len(recs) != queries {
-					t.Fatalf("seed %d: %d records for %d queries", seed, len(recs), queries)
+					t.Fatalf("%s: %d records for %d queries", label, len(recs), queries)
 				}
-				// Flooding upper bound: 2×edges messages for the query
-				// wave plus a response per hop (<= TTL) — generous cap.
-				cap := 2*net.Graph.Edges() + net.Config.TTL + 1
 				for _, rec := range recs {
 					if rec.Messages < 0 || rec.Messages > cap {
-						t.Fatalf("seed %d: messages %d outside [0,%d]", seed, rec.Messages, cap)
+						t.Fatalf("%s: messages %d outside [0,%d]", label, rec.Messages, cap)
 					}
 					if rec.Success {
 						if rec.DownloadRTT < 0 || rec.DownloadRTT > 500*1.5 {
-							t.Fatalf("seed %d: rtt %v outside model range", seed, rec.DownloadRTT)
+							t.Fatalf("%s: rtt %v outside model range", label, rec.DownloadRTT)
 						}
 						if rec.Hops < 0 || rec.Hops > net.Config.TTL {
-							t.Fatalf("seed %d: hops %d outside [0,TTL]", seed, rec.Hops)
+							t.Fatalf("%s: hops %d outside [0,TTL]", label, rec.Hops)
 						}
 					} else {
 						if rec.DownloadRTT != 0 || rec.Hops != 0 {
-							t.Fatalf("seed %d: failed query carries outcome data: %+v", seed, rec)
+							t.Fatalf("%s: failed query carries outcome data: %+v", label, rec)
 						}
 					}
 				}
@@ -107,7 +176,11 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 				// protocols legitimately keep their periodic control
 				// pending.
 				if !b.UsesBloom() && net.Engine.Len() != 0 {
-					t.Fatalf("seed %d: %d events leaked", seed, net.Engine.Len())
+					t.Fatalf("%s: %d events leaked", label, net.Engine.Len())
+				}
+				audit.check(t, label)
+				if b.Name() == "Flooding" && audit.dups == 0 {
+					t.Fatalf("%s: flooding dropped no duplicate; the audit is not seeing them", label)
 				}
 			}
 		})

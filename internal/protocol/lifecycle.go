@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"maps"
 	"slices"
 
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -9,10 +10,17 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// acquirePending takes a pendingQuery from the pool.
-func (net *Network) acquirePending(origin overlay.PeerID) *pendingQuery {
+// acquirePending takes a pendingQuery from the pool for query id, keeping
+// the pooled value's buffers: the seen bits cleared, the positions emptied.
+func (net *Network) acquirePending(id QueryID, origin overlay.PeerID) *pendingQuery {
 	pq := net.pqPool.Get()
-	*pq = pendingQuery{origin: origin, col: net.Collector, visited: pq.visited[:0]}
+	seen := pq.seen
+	if seen == nil {
+		seen = make([]uint64, (len(net.nodes)+63)/64)
+	} else {
+		clear(seen)
+	}
+	*pq = pendingQuery{id: id, origin: origin, col: net.Collector, seen: seen, kwIdx: pq.kwIdx[:0]}
 	return pq
 }
 
@@ -23,7 +31,7 @@ func (net *Network) acquirePending(origin overlay.PeerID) *pendingQuery {
 func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID {
 	net.nextID++
 	id := net.nextID
-	pq := net.acquirePending(origin)
+	pq := net.acquirePending(id, origin)
 	net.pending[id] = pq
 
 	if in := net.instr; in != nil {
@@ -40,7 +48,10 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		return id
 	}
 	n := net.nodes[origin]
-	net.markSeen(n, id, pq)
+	pq.markSeen(origin)
+	// Hashed once per query: every hop tests its neighbours' filters and its
+	// own by these positions.
+	pq.kwIdx = n.bloomPositions(pq.kwIdx, q)
 	// Local check first: the requester may already hold a matching file or
 	// index.
 	if f, ok := n.storageMatch(q); ok {
@@ -54,7 +65,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		net.emit(trace.StorageHit, id, origin, -1, f.String())
 		return id
 	}
-	if ms := n.lookupRI(q, net.Engine.Now()); len(ms) != 0 {
+	if ms := n.lookupRI(q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
 			if in := net.instr; in != nil {
@@ -68,14 +79,10 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	if in := net.instr; in != nil {
 		in.cacheMisses.Inc()
 	}
-	msg := net.msgPool.Get()
+	msg := net.acquireMsg()
 	msg.ID = id
+	msg.pq = pq
 	msg.Q = q
-	if net.Behavior.UsesBloom() {
-		// Computed once per query and shared by every branch: Bloom routing
-		// tests the same keyword strings at each hop.
-		msg.KwStrs = q.Strings()
-	}
 	// Cached once per query: every Gid-routing hop consults the same value.
 	msg.QGid = gidOfQuery(q, net.Config.GroupCount)
 	msg.Origin = origin
@@ -83,15 +90,8 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	msg.TTL = net.Config.TTL
 	msg.Path = append(msg.Path[:0], origin)
 	net.forward(n, msg, origin)
-	net.releaseMsg(msg)
+	net.msgPool.Put(msg)
 	return id
-}
-
-// markSeen adds the query to n's duplicate-suppression set and registers
-// the entry on the pending query for erasure at finalisation.
-func (net *Network) markSeen(n *Node, id QueryID, pq *pendingQuery) {
-	n.seen[id] = true
-	pq.visited = append(pq.visited, n.ID)
 }
 
 // queryRecord builds the metrics record for a resolved pending query.
@@ -106,9 +106,9 @@ func queryRecord(pq *pendingQuery) metrics.QueryRecord {
 	}
 }
 
-// finalize resolves query id: it seals the record, erases the query's
-// duplicate-suppression entries and recycles the bookkeeping. A query that
-// is no longer pending was already finalised.
+// finalize resolves query id: it seals the record and recycles the query's
+// state, zeroing its id so messages still in flight find it stale. A query
+// that is no longer pending was already finalised.
 func (net *Network) finalize(id QueryID) {
 	pq, ok := net.pending[id]
 	if !ok {
@@ -122,10 +122,8 @@ func (net *Network) finalize(id QueryID) {
 	}
 	net.emit(trace.QueryFinalize, id, pq.origin, -1, "")
 	pq.col.Record(queryRecord(pq))
-	for _, p := range pq.visited {
-		delete(net.nodes[p].seen, id)
-	}
 	delete(net.pending, id)
+	pq.id = 0
 	net.pqPool.Put(pq)
 }
 
@@ -134,15 +132,7 @@ func (net *Network) finalize(id QueryID) {
 // and retained records at an early cutoff are identical run to run instead
 // of following Go's randomised map iteration.
 func (net *Network) FlushPending() {
-	if len(net.pending) == 0 {
-		return
-	}
-	ids := make([]QueryID, 0, len(net.pending))
-	for id := range net.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(net.pending)) {
 		net.finalize(id)
 	}
 }

@@ -38,13 +38,13 @@ func (Locaware) CacheConfig(base cache.Config) cache.Config { return base }
 // Forward implements Behavior. Neighbour preference order per §4.2: Bloom
 // match on all keywords → Gid match → highest-degree last resort.
 func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	kws := q.kwStrings()
+	kwIdx := q.pq.kwIdx
 	bfMatched := net.targetBuf()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
 		}
-		if bf := n.NeighborBloom(nb); bf != nil && bf.TestAll(kws) {
+		if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(kwIdx) {
 			bfMatched = append(bfMatched, nb)
 		}
 	}

@@ -22,14 +22,14 @@ func (LocawareLR) Name() string { return "Locaware-LR" }
 // Forward implements Behavior: Bloom-matched neighbours in the origin's
 // locality first; then the plain Locaware preference chain.
 func (l LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	kws := q.kwStrings()
+	kwIdx := q.pq.kwIdx
 	sameLoc, other := net.targetBuf(), net.targetBuf2()
 	for _, nb := range net.Graph.Neighbors(n.ID) {
 		if nb == from || q.onPath(nb) {
 			continue
 		}
 		node := net.nodes[nb]
-		if bf := n.NeighborBloom(nb); bf != nil && bf.TestAll(kws) {
+		if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(kwIdx) {
 			if node.Loc == q.OriginLoc {
 				sameLoc = append(sameLoc, nb)
 			} else {

@@ -32,15 +32,15 @@ type QueryID uint64
 // that outlives the event (response paths) must be copied out.
 type QueryMsg struct {
 	ID QueryID
+	// pq is the query's shared state (seen bits, Bloom positions, message
+	// count), copied branch to branch so a delivery looks nothing up by ID.
+	// Once the query is finalised the pooled value may serve a newer one,
+	// which receiveQuery detects by pq.id != ID.
+	pq *pendingQuery
 	// Q is the keyword set.
 	Q keywords.Query
-	// KwStrs caches Q's keywords as strings for Bloom membership tests;
-	// computed once at submission (Bloom-routing behaviours only) and
-	// shared read-only by every branch of the query.
-	KwStrs []string
 	// QGid caches gidOfQuery(Q, M): the group id every Gid-routing hop
-	// would otherwise recompute by rebuilding the query's canonical
-	// filename string.
+	// consults.
 	QGid int
 	// Origin is the requesting peer; OriginLoc its locality (§4.1.2: the
 	// answering peer selects providers according to the locId of the
@@ -52,15 +52,6 @@ type QueryMsg struct {
 	// Path is the peers traversed so far, Origin first. Responses follow
 	// the reverse of this path (§3.1).
 	Path []overlay.PeerID
-}
-
-// kwStrings returns the query's keywords as strings, preferring the
-// per-query cached slice (set at submission for Bloom-routing behaviours).
-func (q *QueryMsg) kwStrings() []string {
-	if q.KwStrs != nil {
-		return q.KwStrs
-	}
-	return q.Q.Strings()
 }
 
 // onPath reports whether p already appears on the query's path.

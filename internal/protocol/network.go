@@ -91,9 +91,18 @@ type Behavior interface {
 	SelectProvider(net *Network, requester *Node, provs []cache.Provider) (cache.Provider, bool)
 }
 
-// pendingQuery is requester-side bookkeeping for one in-flight query.
+// pendingQuery is everything the network keeps for one in-flight query: the
+// requester-side record and the state every delivery consults. Each
+// QueryMsg points at it, so the per-message path looks nothing up.
 // Instances are pooled: finalize returns them to the network's free list.
+// Memory is seen's N/8 bytes per in-flight query: 2.5 KB at 20 000 peers,
+// ≈1.4 MB at that scale's high-water mark of ≈560 queries in flight, ≈31 MB
+// at 100 000 peers and the paper's arrival rate.
 type pendingQuery struct {
+	// id is the query this value serves; finalize zeroes it and a recycled
+	// value carries a newer one, so a message whose ID differs is a
+	// straggler of a finalised query.
+	id     QueryID
 	origin overlay.PeerID
 	// col is the collector the query will finalise into; captured at
 	// submission so a mid-run collector reset (warmup) does not leak
@@ -105,10 +114,23 @@ type pendingQuery struct {
 	sameLoc   bool
 	fromCache bool
 	hops      int
-	// visited lists the peers whose duplicate-suppression set holds this
-	// query, so finalisation can erase the entries and keep per-node seen
-	// state bounded by the in-flight query count instead of the run length.
-	visited []overlay.PeerID
+	// seen is the duplicate-suppression set (Gnutella semantics): one bit
+	// per peer, set when the peer first handles the query. The array stays
+	// with the pooled value and is cleared on acquire.
+	seen []uint64
+	// kwIdx holds the Bloom positions of the query's keywords (K each, in
+	// the network's one filter geometry), hashed once at submission: "BF
+	// matches q" (§4.2) is "every position set". Empty without Bloom routing.
+	kwIdx []uint32
+}
+
+// markSeen records that peer p handles the query and reports whether it
+// already had.
+func (pq *pendingQuery) markSeen(p overlay.PeerID) (dup bool) {
+	w, bit := uint(p)/64, uint64(1)<<(uint(p)%64)
+	dup = pq.seen[w]&bit != 0
+	pq.seen[w] |= bit
+	return dup
 }
 
 // ForwardStats counts routing decisions, for diagnosis and the routing
@@ -147,8 +169,10 @@ type Network struct {
 
 	// nextID assigns query ids.
 	nextID QueryID
-	// pending holds the in-flight queries. A query absent from it has been
-	// finalised: its record is sealed and its seen entries erased.
+	// pending is the id → state registry of the in-flight queries, touched
+	// at submission, completion and finalisation only (messages carry the
+	// pointer). A query absent from it has been finalised and its record
+	// sealed.
 	pending map[QueryID]*pendingQuery
 
 	// Object pools, one per pooled type, all under sim.Pool's rule: the
@@ -162,6 +186,9 @@ type Network struct {
 	rdPool   sim.Pool[responseDeliverEvent]
 	finPool  sim.Pool[finalizeEvent]
 	biPool   sim.Pool[bloomInstallEvent]
+	// pathBlock is the unused rest of the block fresh messages' Path arrays
+	// are carved from (see acquireMsg).
+	pathBlock []overlay.PeerID
 
 	// Reusable scratch buffers for the per-event selection loops. Each is
 	// filled and fully consumed within one event delivery.

@@ -48,11 +48,16 @@ type Node struct {
 	// filters (§4.2: "peer n stores its direct neighbors' Gid and BF"),
 	// updated by gossip messages after link latency — so routing decisions
 	// run on possibly stale local knowledge, exactly as deployed peers
-	// would.
-	neighborBF map[overlay.PeerID]*bloom.Filter
+	// would. One entry per peer that ever announced to this node, never
+	// pruned: a re-linked neighbour's old copy is what routing sees until
+	// its next announcement. Degrees are a handful, so the search is linear.
+	neighborBF []neighborFilter
+}
 
-	// seen suppresses duplicate query deliveries (Gnutella semantics).
-	seen map[QueryID]bool
+// neighborFilter is one neighbour's filter as this node last received it.
+type neighborFilter struct {
+	peer overlay.PeerID
+	bf   *bloom.Filter
 }
 
 // bloomSync wires cache events into the node's counting filter, keeping
@@ -82,20 +87,16 @@ func (b bloomSync) FilenameEvicted(f keywords.Filename) {
 
 // initNode initialises a node in place (nodes live in the network's flat
 // state table); useBloom enables the Bloom filter machinery (Locaware
-// variants only). The seen set is sized for the steady-state in-flight
-// query count — finalisation erases entries, so it does not grow with the
-// run length.
+// variants only).
 func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) {
 	n.ID = id
 	n.Gid = gid
 	n.Loc = loc
 	n.files = make([]keywords.Filename, 0, 4) // the evaluation places 3 per peer
-	n.seen = make(map[QueryID]bool, 8)
 	n.RI = cache.New(cacheCfg, bloomSync{n})
 	if useBloom {
 		n.cbf = bloom.NewCounting(bloomBits, bloomK)
 		n.published = bloom.New(bloomBits, bloomK)
-		n.neighborBF = make(map[overlay.PeerID]*bloom.Filter)
 	}
 }
 
@@ -103,10 +104,12 @@ func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg 
 // filter, or nil when none has been received yet (new link, pre-gossip, or
 // Bloom routing disabled).
 func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
-	if n.neighborBF == nil {
-		return nil
+	for i := range n.neighborBF {
+		if n.neighborBF[i].peer == nb {
+			return n.neighborBF[i].bf
+		}
 	}
-	return n.neighborBF[nb]
+	return nil
 }
 
 // setNeighborBloom installs a received announcement by copying it into
@@ -117,12 +120,10 @@ func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
 // only ever changes when a gossip message actually arrives, exactly the
 // stale-copy semantics of §4.2.
 func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) {
-	if n.neighborBF == nil {
-		return
-	}
-	dst := n.neighborBF[nb]
-	if dst == nil || dst.CopyFrom(f) != nil {
-		n.neighborBF[nb] = f.Clone()
+	if dst := n.NeighborBloom(nb); dst != nil {
+		_ = dst.CopyFrom(f) // cannot mismatch: one geometry per network
+	} else {
+		n.neighborBF = append(n.neighborBF, neighborFilter{nb, f.Clone()})
 	}
 }
 
@@ -199,17 +200,27 @@ func (n *Node) PublishBloom() (bloom.Delta, error) {
 	return d, nil
 }
 
+// bloomPositions appends the Bloom positions of q's keywords to dst — K per
+// keyword, in the one filter geometry every peer of a network shares — and
+// nothing when Bloom routing is disabled.
+func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
+	if n.cbf == nil {
+		return dst
+	}
+	for _, kw := range q.Kws {
+		dst = n.cbf.View().AppendIndexes(dst, string(kw))
+	}
+	return dst
+}
+
 // lookupRI is RI.Lookup behind the node's own filter: bloomSync keeps cbf
 // an exact multiset of the RI's keywords, so a query keyword absent from it
 // means no cached filename can match, and a Lookup that matches nothing has
-// no side effect. Without a filter (Flooding, Dicas) it falls through.
-func (n *Node) lookupRI(q keywords.Query, now sim.Time) []cache.Match {
-	if n.cbf != nil {
-		for _, kw := range q.Kws {
-			if !n.cbf.Test(string(kw)) {
-				return nil
-			}
-		}
+// no side effect. kwIdx is q's Bloom positions (pendingQuery.kwIdx).
+// Without a filter (Flooding, Dicas) it falls through.
+func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.Match {
+	if n.cbf != nil && !n.cbf.TestIndexes(kwIdx) {
+		return nil
 	}
 	return n.RI.Lookup(q, now)
 }
@@ -256,16 +267,18 @@ func (n *Node) announceGenOf(f *bloom.Filter) uint64 {
 // hash/fnv's 32-bit variant) so the per-hop routing and caching decisions
 // hash without allocating a hasher or a byte-slice copy.
 func gidOfName(name string, m int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
+	return int(fnv1a(fnvOffset32, name) % uint32(m))
+}
+
+const fnvOffset32 = 2166136261
+
+// fnv1a folds s into the running 32-bit FNV-1a hash h.
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
 	}
-	return int(h % uint32(m))
+	return h
 }
 
 // gidOfKeyword maps a single keyword to a group id (Dicas-Keys).
@@ -277,7 +290,16 @@ func gidOfKeyword(kw keywords.Keyword, m int) int {
 // filename — the only Gid a requester can compute without knowing the full
 // filename. This is exactly the mismatch that "misleads keyword queries"
 // in Dicas (§5.2): it equals gidOfName(f) only when the query contains all
-// of f's keywords.
+// of f's keywords. A Query's keywords are already canonical (every
+// constructor sorts and dedups), so the filename string — the keywords
+// joined by '_' — is hashed in place rather than built.
 func gidOfQuery(q keywords.Query, m int) int {
-	return gidOfName(keywords.NewFilename(q.Kws...).String(), m)
+	h := uint32(fnvOffset32)
+	for i, kw := range q.Kws {
+		if i > 0 {
+			h = fnv1a(h, "_")
+		}
+		h = fnv1a(h, string(kw))
+	}
+	return int(h % uint32(m))
 }

@@ -347,12 +347,14 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	n2.RI.Put(f, 3, 0, 0)
 
 	// Before gossip, node 2's published BF is empty -> no match.
-	q := &QueryMsg{Origin: 0, Q: keywords.NewQuery("bloomy"), TTL: 7, Path: []overlay.PeerID{0, 1}}
 	n1 := net.Node(1)
+	kw := keywords.NewQuery("bloomy")
+	q := &QueryMsg{Origin: 0, Q: kw, TTL: 7, Path: []overlay.PeerID{0, 1},
+		pq: &pendingQuery{kwIdx: n1.bloomPositions(nil, kw)}}
 	targets := Locaware{}.Forward(net, n1, q, 0)
 	for _, tgt := range targets {
 		if tgt == 2 {
-			if bf := n2.PublishedBloom(); bf.TestAll([]string{"bloomy"}) {
+			if bf := n2.PublishedBloom(); bf.Test("bloomy") {
 				t.Fatal("published BF should be empty before gossip")
 			}
 		}
@@ -463,13 +465,14 @@ func TestFinalizeSealsRecordOnce(t *testing.T) {
 // FinalizeAfter shorter than a link delay, the query is sealed while its
 // first branch is still in flight; the branch then arrives at a peer that
 // holds the file, and must be dropped whole — no answer, no message beyond
-// the one counted at send time, no seen entry left behind on any node.
+// the one counted at send time — which it is because finalisation zeroed
+// the id of the state the branch points at.
 func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FinalizeAfter = sim.Millisecond // one-way link delay is >= 5ms + processing
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Node(1).AddFile(fname("late"))
-	net.SubmitQuery(0, keywords.NewQuery("late"))
+	pq := net.pending[net.SubmitQuery(0, keywords.NewQuery("late"))]
 	runAll(net)
 
 	recs := net.Collector.Records()
@@ -484,13 +487,68 @@ func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 	if got := net.Engine.Scheduled(); got != 2 {
 		t.Fatalf("scheduled %d events, want 2", got)
 	}
-	for _, n := range net.Nodes() {
-		if len(n.seen) != 0 {
-			t.Fatalf("peer %d keeps %d seen entries for a sealed query", n.ID, len(n.seen))
-		}
+	if pq.id != 0 {
+		t.Fatalf("finalised query state keeps id %d, so its stragglers would still be handled", pq.id)
 	}
 	if len(net.pending) != 0 {
 		t.Fatalf("%d queries still pending", len(net.pending))
+	}
+}
+
+// TestStragglerOfRecycledStateIsDropped is the ABA case of the rule above:
+// query A is sealed with a branch in flight, query B is submitted and
+// reuses A's pooled state, and only then does A's branch land — on a peer
+// that holds the file, while B is pending. The branch points at state that
+// is live again, so only the id comparison tells it is stale. It must be
+// dropped whole: no bit in B's seen array (which would make B's own branch
+// a duplicate at that peer), no message on B's count, no response.
+func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FinalizeAfter = sim.Millisecond
+	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
+	net.Node(1).AddFile(fname("late"))
+	q := keywords.NewQuery("late")
+
+	idA := net.SubmitQuery(0, q)
+	pqA := net.pending[idA]
+	if net.Engine.Run(1); len(net.pending) != 0 {
+		t.Fatal("fixture: A not sealed by the first event")
+	}
+	net.Config.FinalizeAfter = 30 * sim.Second // B outlives every message
+	idB := net.SubmitQuery(2, q)
+	pqB := net.pending[idB]
+	if pqB != pqA {
+		t.Fatal("fixture: B did not reuse A's pooled state")
+	}
+	scheduled := net.Engine.Scheduled()
+
+	src := overlay.PeerID(-1)
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) { src = ev.(*queryDeliverEvent).src })
+	net.Engine.Run(1)
+	net.Engine.SetObserver(nil)
+	if src != 0 {
+		t.Fatalf("fixture: the next delivery came from peer %d, want A's branch from peer 0 ahead of B's", src)
+	}
+	if pqB.id != idB || pqB.messages != 1 {
+		t.Fatalf("B's state after A's straggler: id %d messages %d, want id %d messages 1", pqB.id, pqB.messages, idB)
+	}
+	if len(pqB.seen) != 1 || pqB.seen[0] != 1<<2 {
+		t.Fatalf("B's seen bits = %b, want only its origin, peer 2: A's straggler marked a peer", pqB.seen)
+	}
+	if got := net.Engine.Scheduled(); got != scheduled {
+		t.Fatalf("A's straggler scheduled %d events", got-scheduled)
+	}
+
+	runAll(net)
+	recs := net.Collector.Records()
+	if len(recs) != 2 {
+		t.Fatalf("sealed %d records, want 2", len(recs))
+	}
+	if recs[0].Success || recs[0].Messages != 1 {
+		t.Fatalf("A's record = %+v, want unanswered with 1 message", recs[0])
+	}
+	if !recs[1].Success || recs[1].Messages != 2 || recs[1].Hops != 1 {
+		t.Fatalf("B's record = %+v, want answered by peer 1 in 1 hop and 2 messages", recs[1])
 	}
 }
 
@@ -597,7 +655,9 @@ func TestLocawareLRPrefersSameLocality(t *testing.T) {
 		n.RI.Put(f, overlay.PeerID(i), n.Loc, 0)
 	}
 	net.Engine.RunUntil(2*sim.Second, 0) // publish blooms
-	q := &QueryMsg{Origin: 0, OriginLoc: net.Node(0).Loc, Q: keywords.NewQuery("lr"), TTL: 7, Path: []overlay.PeerID{0}}
+	kw := keywords.NewQuery("lr")
+	q := &QueryMsg{Origin: 0, OriginLoc: net.Node(0).Loc, Q: kw, TTL: 7, Path: []overlay.PeerID{0},
+		pq: &pendingQuery{kwIdx: net.Node(0).bloomPositions(nil, kw)}}
 	targets := LocawareLR{}.Forward(net, net.Node(0), q, 0)
 	if len(targets) != 1 || targets[0] != 2 {
 		t.Fatalf("LR targets = %v, want same-locality [2]", targets)
@@ -616,6 +676,25 @@ func TestGidHelpers(t *testing.T) {
 	}
 	if gidOfKeyword("k1", m) < 0 || gidOfKeyword("k1", m) >= m {
 		t.Fatal("keyword gid out of range")
+	}
+}
+
+// TestGidOfQueryHashesTheFilenameString locks gidOfQuery's in-place hash to
+// its definition: the Gid of the filename the query's keywords would spell.
+func TestGidOfQueryHashesTheFilenameString(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	pool := keywords.NewPool(500)
+	for i := 0; i < 3000; i++ {
+		q := keywords.ExtractQuery(pool.RandomFilename(3, r), r)
+		name := keywords.NewFilename(q.Kws...).String()
+		for _, m := range []int{1, 4, 7} {
+			if got, want := gidOfQuery(q, m), gidOfName(name, m); got != want {
+				t.Fatalf("gidOfQuery(%v, %d) = %d, gidOfName(%q) = %d", q, m, got, name, want)
+			}
+		}
+	}
+	if got, want := gidOfQuery(keywords.Query{}, 4), gidOfName("", 4); got != want {
+		t.Fatalf("empty query: gid %d, want %d", got, want)
 	}
 }
 

@@ -71,7 +71,9 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 	}
 	next := rsp.Path[len(rsp.Path)-1]
 	rsp.Path = rsp.Path[:len(rsp.Path)-1]
-	net.countMessage(rsp.ID)
+	if pq, ok := net.pending[rsp.ID]; ok { // finalised queries stop counting
+		pq.messages++
+	}
 	net.emit(trace.ResponseHop, rsp.ID, next, from, "")
 	net.send(from, next, net.acquireResponseDeliver(from, next, rsp))
 }

@@ -17,17 +17,17 @@ func (net *Network) forward(n *Node, q *QueryMsg, from overlay.PeerID) {
 		if t == n.ID || !net.Graph.Online(t) || !net.Graph.Linked(n.ID, t) {
 			continue
 		}
-		branch := net.msgPool.Get()
+		branch := net.acquireMsg()
 		branch.ID = q.ID
+		branch.pq = q.pq
 		branch.Q = q.Q
-		branch.KwStrs = q.KwStrs
 		branch.QGid = q.QGid
 		branch.Origin = q.Origin
 		branch.OriginLoc = q.OriginLoc
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
 		net.send(n.ID, t, net.acquireQueryDeliver(n.ID, t, branch))
-		net.countMessage(q.ID)
+		q.pq.messages++ // forward only runs for a query still pending
 		net.emit(trace.QueryForward, q.ID, t, n.ID, "")
 	}
 }
@@ -39,14 +39,6 @@ func (net *Network) send(a, b overlay.PeerID, ev sim.Event) {
 	net.Engine.PostEvent(delay, ev)
 }
 
-// countMessage attributes one overlay message to query id; finalised
-// queries stop counting.
-func (net *Network) countMessage(id QueryID) {
-	if pq, ok := net.pending[id]; ok {
-		pq.messages++
-	}
-}
-
 // receiveQuery processes an arriving query at peer p. The caller retains
 // ownership of q (it is released to the pool after this returns), so any
 // state that outlives the call — notably response reverse paths — is
@@ -55,22 +47,21 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	if !net.Graph.Online(p) {
 		return
 	}
-	pq := net.pending[q.ID]
-	if pq == nil {
-		// The query was already finalised: its seen entries are erased and
-		// its record sealed, so processing a straggler would mutate caches
-		// the sealed record never saw. Under the documented FinalizeAfter
-		// contract (longer than any in-flight message) this cannot happen;
-		// with a misconfigured shorter deadline, dropping here keeps the run
-		// consistent and the seen sets bounded.
+	pq := q.pq
+	if pq.id != q.ID {
+		// The query was already finalised (its state zeroed, or recycled for
+		// a newer query): its record is sealed, so processing a straggler
+		// would mutate caches the sealed record never saw. Under the
+		// documented FinalizeAfter contract (longer than any in-flight
+		// message) this cannot happen; with a misconfigured shorter deadline,
+		// dropping here keeps the run consistent.
 		return
 	}
-	n := net.nodes[p]
-	if n.seen[q.ID] {
+	if pq.markSeen(p) {
 		net.emit(trace.QueryDuplicate, q.ID, p, -1, "")
 		return // duplicate: already counted at send time
 	}
-	net.markSeen(n, q.ID, pq)
+	n := net.nodes[p]
 
 	// Storage hit?
 	if f, ok := n.storageMatch(q.Q); ok {
@@ -93,7 +84,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		return
 	}
 	// Response-index hit?
-	if ms := n.lookupRI(q.Q, net.Engine.Now()); len(ms) != 0 {
+	if ms := n.lookupRI(q.Q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, q)
 		if in := net.instr; in != nil {
 			in.cacheHits.Inc()
@@ -119,16 +110,21 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	net.forward(n, q, q.Path[len(q.Path)-2])
 }
 
-// releaseMsg returns a fully processed query message to the pool:
-// whoever takes one from msgPool owns it until the delivery event releases
-// it here (or never, for a dropped event, in which case the GC reclaims it).
-// KwStrs is cleared rather than reused: responses created during processing
-// may still alias the keyword-string slice (it is shared per query, not per
-// branch).
-func (net *Network) releaseMsg(m *QueryMsg) {
-	m.Path = m.Path[:0]
-	m.KwStrs = nil
-	net.msgPool.Put(m)
+// acquireMsg takes a query message from the pool; whoever does owns it
+// until its delivery event has fired and Puts it back (a dropped event's is
+// left to the GC). A fresh one gets its Path sized for the longest path
+// there is (the origin plus TTL hops), so it never regrows; the backing
+// arrays are carved from blocks, as the pool carves the messages.
+func (net *Network) acquireMsg() *QueryMsg {
+	m := net.msgPool.Get()
+	if m.Path == nil {
+		n := net.Config.TTL + 1
+		if len(net.pathBlock) < n {
+			net.pathBlock = make([]overlay.PeerID, 64*n)
+		}
+		m.Path, net.pathBlock = net.pathBlock[:0:n], net.pathBlock[n:]
+	}
+	return m
 }
 
 // fallbackNeighbors implements the last-resort forwarding set shared by the
