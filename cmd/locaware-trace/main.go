@@ -114,6 +114,9 @@ func main() {
 	}
 	fmt.Printf("\n%d events shown; run summary: success=%.3f msgs/query=%.1f rtt=%.1fms\n",
 		printed, res.SuccessRate, res.AvgMessagesPerQuery, res.AvgDownloadRTTMs)
+	if res.TraceDropped > 0 {
+		fmt.Printf("warning: %d events dropped; raise -max-events\n", res.TraceDropped)
+	}
 }
 
 // runRecorded is the flight-recorder mode: run with tail sampling, print

@@ -6,7 +6,6 @@ import (
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/obs"
-	"github.com/p2prepro/locaware/internal/protocol"
 )
 
 // TestRunProgressAndObsByteIdentity checks the in-process resumable
@@ -33,7 +32,7 @@ func TestRunProgressAndObsByteIdentity(t *testing.T) {
 	if got := camp.CSV(); got != goldenCSV(t) {
 		t.Fatalf("instrumented in-process campaign drifted from golden:\n%s", got)
 	}
-	if got := reg.Counter(protocol.MetricSubmitted, "").Value(); got == 0 {
+	if got := reg.Counter("protocol_queries_submitted_total", "").Value(); got == 0 {
 		t.Fatal("registry counted no submitted queries across the campaign")
 	}
 	_ = lines // progress lines are timing-dependent; their absence is not a failure

@@ -13,6 +13,7 @@ import (
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
+	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 	"github.com/p2prepro/locaware/internal/workload"
 )
@@ -68,14 +69,14 @@ type Config struct {
 	// campaign hash where it was); ROADMAP item 1(b) removes it.
 	Shards int
 
-	// Obs, when non-nil, attaches the run-wide observability registry:
-	// event-loop and protocol instrumentation accumulate into it through
-	// per-simulation cells (the registry may be shared by the concurrent
-	// simulations of a campaign), and RunResult.Runtime carries the per-run
-	// snapshot. Instrumentation is provably inert — it never touches RNG
-	// streams or event order, so output stays byte-identical. The json
-	// tag keeps campaign fingerprints and checkpoint identity independent
-	// of whether a run is instrumented.
+	// Obs, when non-nil, attaches the run-wide observability registry: the
+	// run's event-loop and protocol counts are folded into it once, when the
+	// run ends (the registry may be shared by the concurrent simulations of
+	// a campaign), and RunResult.Runtime carries the per-run snapshot.
+	// Instrumentation is provably inert — it never touches RNG streams or
+	// event order, so output stays byte-identical. The json tag keeps
+	// campaign fingerprints and checkpoint identity independent of whether
+	// a run is instrumented.
 	Obs *obs.Registry `json:"-"`
 
 	// TracePolicy, when non-nil, attaches a tail-sampling
@@ -104,6 +105,20 @@ func DefaultConfig() Config {
 		Protocol:     protocol.DefaultConfig(),
 		Churn:        overlay.DefaultChurn(),
 	}
+}
+
+// SetQueryRate sets the per-peer query rate and, with it, the Bloom gossip
+// period: gossip piggybacks on ordinary data exchange (§4.2), so its cadence
+// follows system activity. A rate accelerated above the paper's shrinks the
+// period in proportion (never below 1 s), keeping "queries per gossip round"
+// constant. Both values are absolute in the rate — derived from
+// DefaultConfig's rate and period, not c's — so every way of naming a rate
+// (Options.QueryRate, a sweep's query-rate base or axis) runs the same world.
+func (c *Config) SetQueryRate(rate float64) {
+	d := DefaultConfig()
+	c.Gen.RatePerPeer = rate
+	scale := min(d.Gen.RatePerPeer/rate, 1)
+	c.Protocol.BloomGossipPeriod = max(sim.Time(float64(d.Protocol.BloomGossipPeriod)*scale), sim.Second)
 }
 
 // ResolveScenario threads cfg's scenario phase grid for a run of

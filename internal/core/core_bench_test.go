@@ -56,9 +56,9 @@ func BenchmarkMeasuredPathAllocs(b *testing.B) {
 // BenchmarkInstrumentedPathAllocs is BenchmarkMeasuredPathAllocs with the
 // observability registry attached: the instrumented hot path must stay
 // within the same per-query allocation budget, because per-event
-// accounting goes through the simulation's own cells (plain increments) and the
-// only instrumentation allocations are first-seen label series and the
-// end-of-run snapshot, both amortised over the whole run.
+// accounting is plain increments on the engine and the network and the
+// only instrumentation allocations are first-seen event kinds and the
+// end-of-run fold, both amortised over the whole run.
 func BenchmarkInstrumentedPathAllocs(b *testing.B) {
 	const queries = 500
 	b.ReportAllocs()

@@ -7,26 +7,58 @@ import (
 
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/protocol"
-	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// MetricTraceDropped counts trace events discarded because the attached
-// tracer sink's buffer overflowed (see trace.Buffer).
-const MetricTraceDropped = "trace_events_dropped_total"
-
-// RegisterObsFamilies pre-registers every event-loop and protocol metric
-// family on reg, so a scrape surface (locaware-exp -obs-addr) advertises
-// the full catalog before the first instrumented run reports in.
-// Idempotent.
-func RegisterObsFamilies(reg *obs.Registry) {
-	sim.RegisterMetrics(reg)
-	protocol.RegisterMetrics(reg)
-	reg.Counter(MetricTraceDropped, "Trace events dropped by a full tracer buffer.")
+// obsFamilies is the metric catalogue: every family a run reports, named
+// and described here and nowhere else.
+type obsFamilies struct {
+	events       *obs.CounterVec
+	queueHW      *obs.Gauge
+	scheduled    *obs.Counter
+	cancelled    *obs.Counter
+	submitted    *obs.Counter
+	finalized    *obs.Counter
+	cacheHits    *obs.Counter
+	cacheMisses  *obs.Counter
+	storageHits  *obs.Counter
+	pendingHW    *obs.Gauge
+	forwards     *obs.CounterVec
+	controlMsgs  *obs.Counter
+	controlBits  *obs.Counter
+	staleBlooms  *obs.Counter
+	poolFree     *obs.GaugeVec
+	traceDropped *obs.Counter
 }
 
+// registerFamilies registers (or fetches) the catalogue on reg.
+func registerFamilies(reg *obs.Registry) obsFamilies {
+	return obsFamilies{
+		events:       reg.CounterVec("sim_events_total", "Events delivered by kind.", "kind"),
+		queueHW:      reg.Gauge("sim_queue_depth_high_water", "Highest event-queue depth seen."),
+		scheduled:    reg.Counter("sim_events_scheduled_total", "Events scheduled, including later-cancelled ones."),
+		cancelled:    reg.Counter("sim_events_cancelled_total", "Cancelled events discarded at pop time."),
+		submitted:    reg.Counter("protocol_queries_submitted_total", "Queries submitted."),
+		finalized:    reg.Counter("protocol_queries_finalized_total", "Queries finalized."),
+		cacheHits:    reg.Counter("protocol_cache_hits_total", "Response-index (cache) lookup hits."),
+		cacheMisses:  reg.Counter("protocol_cache_misses_total", "Response-index lookups that missed and forwarded."),
+		storageHits:  reg.Counter("protocol_storage_hits_total", "Local storage matches."),
+		pendingHW:    reg.Gauge("protocol_pending_queries_high_water", "Highest in-flight pending-query count."),
+		forwards:     reg.CounterVec("protocol_forwards_total", "Forwarding decisions by selection tier.", "tier"),
+		controlMsgs:  reg.Counter("protocol_control_messages_total", "Gossip-plane control messages."),
+		controlBits:  reg.Counter("protocol_control_bits_total", "Gossip-plane control traffic in bits."),
+		staleBlooms:  reg.Counter("protocol_stale_bloom_fallbacks_total", "Bloom installs that fell back to the published filter."),
+		poolFree:     reg.GaugeVec("protocol_pool_free", "Pooled objects on free lists at end of run, by pool.", "pool"),
+		traceDropped: reg.Counter("trace_events_dropped_total", "Trace events dropped by a full tracer buffer."),
+	}
+}
+
+// RegisterObsFamilies pre-registers every metric family on reg, so a scrape
+// surface (locaware-exp -obs-addr) advertises the full catalog before the
+// first instrumented run reports in. Idempotent.
+func RegisterObsFamilies(reg *obs.Registry) { registerFamilies(reg) }
+
 // RuntimeStats is one run's observability snapshot: what this simulation
-// contributed to the registry, assembled from its own cells (the registry
-// itself may be shared across concurrent runs).
+// added to the registry (which may be shared across concurrent runs).
 type RuntimeStats struct {
 	// EventsByKind counts deliveries per event kind.
 	EventsByKind map[string]uint64
@@ -43,13 +75,8 @@ type RuntimeStats struct {
 	Epochs             uint64
 	CrossShardEvents   uint64
 	BloomInstallCopies uint64
-	// Protocol-plane counters (see protocol.ObsSnapshot).
-	Submitted        uint64
-	Finalized        uint64
-	CacheHits        uint64
-	CacheMisses      uint64
-	StorageHits      uint64
-	PendingHighWater uint64
+	// Counts holds the protocol-plane tallies.
+	protocol.Counts
 	// TraceEventsDropped counts trace events the attached tracer's buffer
 	// discarded after filling (0 when untraced or nothing dropped). A
 	// non-zero value means the trace is incomplete — raise the buffer
@@ -103,66 +130,52 @@ func (rs *RuntimeStats) Report() string {
 	return b.String()
 }
 
-// attachObs wires instrumentation into the engine and network. Called at
-// build time so the hot path sees stable instr pointers for the whole
-// run.
-func (s *Simulation) attachObs(reg *obs.Registry) {
-	RegisterObsFamilies(reg)
-	s.obsEng = s.Engine.EnableObs(reg)
-	s.Network.EnableObs(reg)
-}
-
-// finishObs drains every cell, folds the run's end-of-run totals
-// (scheduled events, forwarding tiers, control traffic, pool
-// occupancy) into the registry, and attaches the per-run snapshot to
-// res. No-op without an attached registry.
+// finishObs folds the run's counts — kept as plain fields by the engine and
+// the network — into the registry, once, and attaches the per-run snapshot
+// to res. The registry may be shared by the concurrent runs of a campaign:
+// each adds (or, for a high-water mark, raises) one atomic per series. No-op
+// without an attached registry.
 func (s *Simulation) finishObs(res *RunResult) {
-	if s.obsEng == nil {
+	if s.Cfg.Obs == nil {
 		return
 	}
-	reg := s.Cfg.Obs
-	s.obsEng.Drain()
-	s.Network.DrainObs()
+	f := registerFamilies(s.Cfg.Obs)
+	rs := &RuntimeStats{
+		EventsByKind:        s.Engine.EventsByKind(),
+		EventsScheduled:     s.Engine.Scheduled(),
+		EventsCancelled:     s.Engine.Cancelled(),
+		QueueDepthHighWater: uint64(s.Engine.QueueHighWater()),
+		Counts:              s.Network.Counts(),
+		PoolFree:            s.Network.PoolSizes(),
+	}
+	for kind, n := range rs.EventsByKind {
+		f.events.With(kind).Add(n)
+	}
+	f.queueHW.SetMax(int64(rs.QueueDepthHighWater))
+	f.scheduled.Add(rs.EventsScheduled)
+	f.cancelled.Add(rs.EventsCancelled)
 
-	scheduled, cancelled := s.Engine.Scheduled(), s.Engine.Cancelled()
-	reg.Counter(sim.MetricScheduled, "").Add(scheduled)
-	reg.Counter(sim.MetricCancelled, "").Add(cancelled)
+	f.submitted.Add(rs.Submitted)
+	f.finalized.Add(rs.Finalized)
+	f.cacheHits.Add(rs.CacheHits)
+	f.cacheMisses.Add(rs.CacheMisses)
+	f.storageHits.Add(rs.StorageHits)
+	f.pendingHW.SetMax(int64(rs.PendingHighWater))
 
 	fwd := s.Network.Forwarding()
-	fwdVec := reg.CounterVec(protocol.MetricForwards, "", "tier")
-	fwdVec.With("bloom").Add(fwd.BloomMatched)
-	fwdVec.With("gid").Add(fwd.GidMatched)
-	fwdVec.With("fallback").Add(fwd.Fallback)
-	fwdVec.With("flood").Add(fwd.FloodAll)
-	reg.Counter(protocol.MetricControlMsgs, "").Add(s.Network.ControlMessages())
-	reg.Counter(protocol.MetricControlBits, "").Add(s.Network.ControlBits())
-	reg.Counter(protocol.MetricStaleBlooms, "").Add(s.Network.StaleBloomFallbacks())
-
-	pools := s.Network.PoolSizes()
-	poolVec := reg.GaugeVec(protocol.MetricPoolFree, "", "pool")
-	for name, n := range pools {
-		poolVec.With(name).SetMax(int64(n))
-	}
-
-	ps := s.Network.ObsStats()
-	rs := &RuntimeStats{
-		EventsByKind:        s.obsEng.EventsByKind(),
-		EventsScheduled:     scheduled,
-		EventsCancelled:     cancelled,
-		QueueDepthHighWater: s.obsEng.QueueHighWater(),
-		Submitted:           ps.Submitted,
-		Finalized:           ps.Finalized,
-		CacheHits:           ps.CacheHits,
-		CacheMisses:         ps.CacheMisses,
-		StorageHits:         ps.StorageHits,
-		PendingHighWater:    ps.PendingHighWater,
-		PoolFree:            pools,
+	f.forwards.With("bloom").Add(fwd.BloomMatched)
+	f.forwards.With("gid").Add(fwd.GidMatched)
+	f.forwards.With("fallback").Add(fwd.Fallback)
+	f.forwards.With("flood").Add(fwd.FloodAll)
+	f.controlMsgs.Add(s.Network.ControlMessages())
+	f.controlBits.Add(s.Network.ControlBits())
+	f.staleBlooms.Add(s.Network.StaleBloomFallbacks())
+	for pool, n := range rs.PoolFree {
+		f.poolFree.With(pool).SetMax(int64(n))
 	}
 	if dc, ok := s.Network.TracerSink().(interface{ Dropped() uint64 }); ok {
-		if d := dc.Dropped(); d > 0 {
-			reg.Counter(MetricTraceDropped, "").Add(d)
-			rs.TraceEventsDropped = d
-		}
+		rs.TraceEventsDropped = dc.Dropped()
+		f.traceDropped.Add(rs.TraceEventsDropped)
 	}
 	res.Runtime = rs
 }

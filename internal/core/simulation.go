@@ -30,9 +30,6 @@ type Simulation struct {
 	placement *workload.Placement
 	scenario  *scenario.Runtime
 
-	// obsEng holds the run's event-loop instrumentation when Cfg.Obs is set.
-	obsEng *sim.EngineInstr
-
 	// recorder is the run's flight recorder when Cfg.TracePolicy is set; it
 	// is the network's tracer, and RunMeasured harvests its retained traces
 	// into the result.
@@ -119,7 +116,7 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 		s.scenario = rt
 	}
 	if cfg.Obs != nil {
-		s.attachObs(cfg.Obs)
+		eng.CountKinds()
 	}
 	if cfg.TracePolicy != nil {
 		s.recorder = trace.NewFlightRecorder(*cfg.TracePolicy)

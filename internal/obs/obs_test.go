@@ -10,7 +10,7 @@ import (
 func TestCounterGauge(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "a counter")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -20,7 +20,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 
 	g := reg.Gauge("g", "a gauge")
-	g.Set(7)
+	g.SetMax(7)
 	g.SetMax(3) // lower: no-op
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
@@ -35,7 +35,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("z_total", "last family").Add(2)
 	reg.CounterVec("a_total", "by kind", "kind").With("x").Add(3)
-	reg.Gauge("b", "a gauge").Set(-4)
+	reg.Gauge("b", "a gauge").SetMax(4)
 	reg.CounterVec("empty_total", "no series yet", "kind")
 
 	var sb strings.Builder
@@ -47,7 +47,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP a_total by kind",
 		"# TYPE a_total counter",
 		`a_total{kind="x"} 3`,
-		"b -4",
+		"b 4",
 		"# TYPE empty_total counter", // series-less family still advertised
 		"z_total 2",
 	}
@@ -62,57 +62,9 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestCellDrainAndTotals(t *testing.T) {
-	reg := NewRegistry()
-	sinkC := reg.Counter("c_total", "")
-	sinkG := reg.Gauge("g_hw", "")
-	vec := reg.CounterVec("v_total", "", "kind")
-
-	var cell Cell
-	lc := cell.Counter(sinkC)
-	lm := cell.Max(sinkG)
-	lv := cell.CounterVec(vec)
-
-	lc.Inc()
-	lc.Add(9)
-	lm.Observe(4)
-	lm.Observe(2)
-	lv.Get("a").Inc()
-	lv.Get("a").Inc()
-	lv.Get("b").Inc()
-
-	if sinkC.Value() != 0 {
-		t.Fatal("registry saw increments before drain")
-	}
-	if lc.Total() != 10 {
-		t.Fatalf("local total = %d, want 10 before drain", lc.Total())
-	}
-	cell.Drain()
-	if sinkC.Value() != 10 || sinkG.Value() != 4 {
-		t.Fatalf("after drain: counter=%d gauge=%d, want 10/4", sinkC.Value(), sinkG.Value())
-	}
-	if vec.With("a").Value() != 2 || vec.With("b").Value() != 1 {
-		t.Fatal("vector drain mismatch")
-	}
-	// Second drain with no new increments must not double-count.
-	cell.Drain()
-	if sinkC.Value() != 10 {
-		t.Fatalf("double drain changed counter to %d", sinkC.Value())
-	}
-	lm.Observe(3) // below lifetime max: gauge must stay at 4
-	cell.Drain()
-	if sinkG.Value() != 4 || lm.Max() != 4 {
-		t.Fatalf("max regressed: gauge=%d local=%d", sinkG.Value(), lm.Max())
-	}
-	tot := lv.Totals()
-	if tot["a"] != 2 || tot["b"] != 1 {
-		t.Fatalf("Totals = %v", tot)
-	}
-}
-
 func TestHandlerServesMetricsAndPprof(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits_total", "hits").Inc()
+	reg.Counter("hits_total", "hits").Add(1)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 

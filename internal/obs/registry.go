@@ -1,11 +1,10 @@
 // Package obs is the run-wide observability layer: a dependency-free
 // metrics registry (counters and gauges) with a Prometheus text exposition
-// writer, plus the per-simulation cells (cell.go) that keep the simulation
-// hot path uncontended and alloc-free. Registry totals are atomics so they
-// can be scraped from an HTTP handler while runs are in flight, and so the
-// concurrent simulations of a campaign can share one registry; the hot
-// path never touches them directly — each simulation's cells fold into the
-// registry when its run ends.
+// writer. Registry totals are atomics so they can be scraped from an HTTP
+// handler while runs are in flight, and so the concurrent simulations of a
+// campaign can share one registry; the simulation hot path never touches
+// them — a run counts in plain fields of its own and core folds them into
+// the registry once, when the run ends.
 package obs
 
 import (
@@ -36,8 +35,8 @@ func (k Kind) String() string {
 }
 
 // Registry holds metric families keyed by name. All methods are safe for
-// concurrent use; WritePrometheus observes atomics and may race benignly
-// with in-flight cell drains.
+// concurrent use; WritePrometheus observes atomics, so a scrape taken while
+// a run folds its counts in may see some families updated and not others.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*Family
@@ -91,12 +90,11 @@ func (r *Registry) family(name, help string, kind Kind, label string) *Family {
 	return f
 }
 
-// Counter is a monotonically increasing uint64. Add/Inc are atomic and
-// safe from any goroutine; the simulation hot path should go through a
-// cell's LocalCounter instead.
+// Counter is a monotonically increasing uint64. Add is atomic and safe from
+// any goroutine; it is meant for end-of-run totals, not the simulation hot
+// path.
 type Counter struct{ s *series }
 
-func (c *Counter) Inc()          { c.s.c.Add(1) }
 func (c *Counter) Add(n uint64)  { c.s.c.Add(n) }
 func (c *Counter) Value() uint64 { return c.s.c.Load() }
 
@@ -117,12 +115,10 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // With returns the counter for one label value, creating it on first use.
 func (v *CounterVec) With(value string) *Counter { return &Counter{v.f.get(value)} }
 
-// Gauge is a settable int64 level (queue depths, high-waters, pool
-// sizes). SetMax keeps a running maximum across concurrent writers.
+// Gauge is an int64 level (queue depths, high-waters, pool sizes) that
+// SetMax raises: a running maximum across concurrent writers.
 type Gauge struct{ s *series }
 
-func (g *Gauge) Set(v int64)  { g.s.g.Store(v) }
-func (g *Gauge) Add(d int64)  { g.s.g.Add(d) }
 func (g *Gauge) Value() int64 { return g.s.g.Load() }
 
 // SetMax raises the gauge to v if v exceeds the current value.

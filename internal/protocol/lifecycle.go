@@ -34,10 +34,8 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	pq := net.acquirePending(id, origin)
 	net.pending[id] = pq
 
-	if in := net.instr; in != nil {
-		in.submitted.Inc()
-		in.pendingHW.Observe(uint64(len(net.pending)))
-	}
+	net.counts.Submitted++
+	net.counts.PendingHighWater = max(net.counts.PendingHighWater, uint64(len(net.pending)))
 	net.Engine.PostEvent(net.Config.FinalizeAfter, net.acquireFinalize(id))
 	if net.traces(trace.QuerySubmit) {
 		d := q.AppendString(net.detailBuf[:0])
@@ -59,26 +57,20 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		pq.rtt = 0
 		pq.sameLoc = true
 		pq.hops = 0
-		if in := net.instr; in != nil {
-			in.storageHits.Inc()
-		}
+		net.counts.StorageHits++
 		net.emit(trace.StorageHit, id, origin, -1, f.String())
 		return id
 	}
 	if ms := n.lookupRI(q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
-			if in := net.instr; in != nil {
-				in.cacheHits.Inc()
-			}
+			net.counts.CacheHits++
 			net.emit(trace.CacheHit, id, origin, -1, ms[0].File.String())
 			net.completeDownload(id, pq, n, ms[0].File, prov, 0)
 			return id
 		}
 	}
-	if in := net.instr; in != nil {
-		in.cacheMisses.Inc()
-	}
+	net.counts.CacheMisses++
 	msg := net.acquireMsg()
 	msg.ID = id
 	msg.pq = pq
@@ -114,9 +106,7 @@ func (net *Network) finalize(id QueryID) {
 	if !ok {
 		return
 	}
-	if in := net.instr; in != nil {
-		in.finalized.Inc()
-	}
+	net.counts.Finalized++
 	if !pq.answered {
 		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
 	}

@@ -146,6 +146,19 @@ type ForwardStats struct {
 	FloodAll uint64
 }
 
+// Counts tallies the run's query lifecycle and per-peer lookups.
+type Counts struct {
+	// Submitted and Finalized count queries injected and sealed.
+	Submitted, Finalized uint64
+	// CacheHits counts response-index lookups that answered; CacheMisses
+	// those that missed, so the peer forwarded the query on.
+	CacheHits, CacheMisses uint64
+	// StorageHits counts queries matched by a peer's shared storage.
+	StorageHits uint64
+	// PendingHighWater is the most queries ever in flight at once.
+	PendingHighWater uint64
+}
+
 // Network binds the substrates and one protocol behaviour into a runnable
 // system. It is single-threaded: every event fires on the goroutine that
 // runs Engine, so none of its state needs a lock.
@@ -199,16 +212,13 @@ type Network struct {
 	fbBuf   []overlay.PeerID
 	provBuf []cache.Provider
 
-	// forwarding / control counters tally the run's traffic.
+	// forwarding / control / lifecycle counters tally the run; whoever
+	// reports them reads them once, when the run is over.
 	forwarding          ForwardStats
 	controlMessages     uint64
 	controlBits         uint64
 	staleBloomFallbacks uint64
-
-	// instr, when non-nil, is the network's observability cell (see obs.go):
-	// plain local counters folded into the shared registry at the end of the
-	// run, so the hot path stays uncontended and alloc-free.
-	instr *netInstr
+	counts              Counts
 
 	// tracer, when non-nil, receives a structured event for every
 	// significant protocol action (set via SetTracer). Tracing a
@@ -337,6 +347,9 @@ func (net *Network) StaleBloomFallbacks() uint64 { return net.staleBloomFallback
 
 // Forwarding returns the run's routing-tier tallies.
 func (net *Network) Forwarding() ForwardStats { return net.forwarding }
+
+// Counts returns the run's query lifecycle and lookup tallies.
+func (net *Network) Counts() Counts { return net.counts }
 
 // targetBuf returns the empty buffer Behavior.Forward implementations
 // accumulate their target list into. The buffer is valid until the next

@@ -715,6 +715,17 @@ func TestNetworkStringAndAccessors(t *testing.T) {
 	}
 }
 
+// countKind returns how many of buf's retained events have kind k.
+func countKind(buf *trace.Buffer, k trace.Kind) int {
+	n := 0
+	for _, e := range buf.Events() {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTracingLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(4), lineEdges(4), cfg)
@@ -726,26 +737,26 @@ func TestTracingLifecycle(t *testing.T) {
 	runAll(net)
 	net.FlushPending()
 
-	if buf.CountKind(trace.QuerySubmit) != 1 {
-		t.Fatalf("submits = %d", buf.CountKind(trace.QuerySubmit))
+	if countKind(buf, trace.QuerySubmit) != 1 {
+		t.Fatalf("submits = %d", countKind(buf, trace.QuerySubmit))
 	}
-	if buf.CountKind(trace.QueryForward) != 3 {
-		t.Fatalf("forwards = %d, want 3 (line)", buf.CountKind(trace.QueryForward))
+	if countKind(buf, trace.QueryForward) != 3 {
+		t.Fatalf("forwards = %d, want 3 (line)", countKind(buf, trace.QueryForward))
 	}
-	if buf.CountKind(trace.StorageHit) != 1 {
-		t.Fatalf("storage hits = %d", buf.CountKind(trace.StorageHit))
+	if countKind(buf, trace.StorageHit) != 1 {
+		t.Fatalf("storage hits = %d", countKind(buf, trace.StorageHit))
 	}
-	if buf.CountKind(trace.ResponseHop) != 3 {
-		t.Fatalf("response hops = %d", buf.CountKind(trace.ResponseHop))
+	if countKind(buf, trace.ResponseHop) != 3 {
+		t.Fatalf("response hops = %d", countKind(buf, trace.ResponseHop))
 	}
-	if buf.CountKind(trace.DownloadComplete) != 1 {
-		t.Fatalf("downloads = %d", buf.CountKind(trace.DownloadComplete))
+	if countKind(buf, trace.DownloadComplete) != 1 {
+		t.Fatalf("downloads = %d", countKind(buf, trace.DownloadComplete))
 	}
-	if buf.CountKind(trace.QueryFailed) != 0 {
+	if countKind(buf, trace.QueryFailed) != 0 {
 		t.Fatal("successful query traced as failed")
 	}
 	// Events for query 1 are a coherent story in time order.
-	evs := buf.ForQuery(1)
+	evs := buf.Events() // the run's only query
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatal("trace not in time order")
@@ -763,10 +774,10 @@ func TestTracingFailureAndDuplicate(t *testing.T) {
 	net.SubmitQuery(0, keywords.NewQuery("absent"))
 	runAll(net)
 	net.FlushPending()
-	if buf.CountKind(trace.QueryFailed) != 1 {
-		t.Fatalf("failed = %d", buf.CountKind(trace.QueryFailed))
+	if countKind(buf, trace.QueryFailed) != 1 {
+		t.Fatalf("failed = %d", countKind(buf, trace.QueryFailed))
 	}
-	if buf.CountKind(trace.QueryDuplicate) == 0 {
+	if countKind(buf, trace.QueryDuplicate) == 0 {
 		t.Fatal("diamond should produce a duplicate delivery")
 	}
 }
@@ -782,7 +793,7 @@ func TestTracingGossip(t *testing.T) {
 	n1.Gid = gidOfName(f.String(), cfg.GroupCount)
 	n1.RI.Put(f, 2, 0, 0)
 	net.Engine.RunUntil(3*sim.Second, 0)
-	if buf.CountKind(trace.BloomGossip) == 0 {
+	if countKind(buf, trace.BloomGossip) == 0 {
 		t.Fatal("no gossip events traced")
 	}
 	// Neighbour copies installed after delivery.

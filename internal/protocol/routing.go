@@ -65,9 +65,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 
 	// Storage hit?
 	if f, ok := n.storageMatch(q.Q); ok {
-		if in := net.instr; in != nil {
-			in.storageHits.Inc()
-		}
+		net.counts.StorageHits++
 		net.emit(trace.StorageHit, q.ID, p, -1, f.String())
 		rsp := net.respPool.Get()
 		rsp.ID = q.ID
@@ -86,9 +84,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	// Response-index hit?
 	if ms := n.lookupRI(q.Q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, q)
-		if in := net.instr; in != nil {
-			in.cacheHits.Inc()
-		}
+		net.counts.CacheHits++
 		net.emit(trace.CacheHit, q.ID, p, -1, m.File.String())
 		rsp := net.respPool.Get()
 		rsp.ID = q.ID
@@ -104,9 +100,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		net.sendResponse(p, rsp)
 		return
 	}
-	if in := net.instr; in != nil {
-		in.cacheMisses.Inc()
-	}
+	net.counts.CacheMisses++
 	net.forward(n, q, q.Path[len(q.Path)-2])
 }
 

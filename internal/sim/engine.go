@@ -29,10 +29,11 @@ type Engine struct {
 	// it fires. Installed by tests and timing harnesses; nil costs one
 	// branch per delivery.
 	observer func(at Time, ev Event)
-	// instr, when non-nil, counts every delivery into this engine's own
-	// observability cell (see internal/obs); nil costs one branch per
-	// delivery.
-	instr *EngineInstr
+	// kinds, when non-nil, tallies deliveries per event kind, and queueHW
+	// the deepest queue a delivery left behind (see CountKinds); nil costs
+	// one branch per delivery.
+	kinds   map[string]uint64
+	queueHW int
 }
 
 // ErrPast is returned when an event is scheduled before the current virtual
@@ -164,8 +165,16 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 			ev = t.ev
 		}
 		e.now = qe.at
-		if e.instr != nil {
-			e.instr.record(e, ev)
+		if e.kinds != nil {
+			// Named events count under their constant name, anonymous ones
+			// share one bucket: a map update and a compare, no allocation
+			// once every kind has been seen.
+			kind := "event"
+			if n, ok := ev.(Named); ok {
+				kind = n.EventName()
+			}
+			e.kinds[kind]++
+			e.queueHW = max(e.queueHW, e.queue.Len())
 		}
 		if e.observer != nil {
 			e.observer(e.now, ev)
@@ -176,6 +185,18 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 	}
 	return delivered
 }
+
+// CountKinds makes the engine tally every delivery by event kind and track
+// the queue-depth high water; call it before the run. Off, EventsByKind and
+// QueueHighWater stay zero.
+func (e *Engine) CountKinds() { e.kinds = make(map[string]uint64) }
+
+// EventsByKind returns the deliveries counted per kind so far — the engine's
+// own map, not a copy: a later Run keeps counting into it.
+func (e *Engine) EventsByKind() map[string]uint64 { return e.kinds }
+
+// QueueHighWater returns the deepest the queue was seen just after a pop.
+func (e *Engine) QueueHighWater() int { return e.queueHW }
 
 // SetObserver installs fn to see every delivered event just before it
 // fires (nil uninstalls); an event scheduled with a Timer is seen as

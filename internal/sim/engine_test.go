@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"github.com/p2prepro/locaware/internal/obs"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -372,12 +370,12 @@ func TestEventName(t *testing.T) {
 	}
 }
 
-// TestObserverSeesTypedEvents: the observer and the sim_events_total{kind}
-// cells see each delivered event as itself — for one scheduled with a
-// cancellation handle, the wrapped event, never the Timer.
+// TestObserverSeesTypedEvents: the observer and the per-kind tally behind
+// sim_events_total{kind} see each delivered event as itself — for one
+// scheduled with a cancellation handle, the wrapped event, never the Timer.
 func TestObserverSeesTypedEvents(t *testing.T) {
 	e := NewEngine()
-	in := e.EnableObs(obs.NewRegistry())
+	e.CountKinds()
 	var names []string
 	var ats []Time
 	e.SetObserver(func(at Time, ev Event) {
@@ -396,8 +394,8 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 	if want := []Time{2 * Millisecond, 3 * Millisecond, 4 * Millisecond}; !reflect.DeepEqual(ats, want) {
 		t.Fatalf("observer times %v, want %v", ats, want)
 	}
-	if want := map[string]uint64{"count": 2, "event": 1}; !reflect.DeepEqual(in.EventsByKind(), want) {
-		t.Fatalf("events by kind = %v, want %v", in.EventsByKind(), want)
+	if want := map[string]uint64{"count": 2, "event": 1}; !reflect.DeepEqual(e.EventsByKind(), want) {
+		t.Fatalf("events by kind = %v, want %v", e.EventsByKind(), want)
 	}
 }
 

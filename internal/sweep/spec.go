@@ -78,7 +78,7 @@ var numericParams = map[string]numericParam{
 	ParamFiles:          {true, func(c *core.Config, v float64) { c.Catalog.NumFiles = int(v) }},
 	ParamFilesPerPeer:   {true, func(c *core.Config, v float64) { c.FilesPerPeer = int(v) }},
 	ParamKeywordPool:    {true, func(c *core.Config, v float64) { c.Catalog.KeywordPool = int(v) }},
-	ParamQueryRate:      {false, func(c *core.Config, v float64) { c.Gen.RatePerPeer = v }},
+	ParamQueryRate:      {false, func(c *core.Config, v float64) { c.SetQueryRate(v) }},
 	ParamZipfS:          {false, func(c *core.Config, v float64) { c.Gen.ZipfS = v }},
 	ParamTTL:            {true, func(c *core.Config, v float64) { c.Protocol.TTL = int(v) }},
 	ParamGroups:         {true, func(c *core.Config, v float64) { c.Protocol.GroupCount = int(v) }},

@@ -81,8 +81,8 @@ type spanBuilder struct {
 }
 
 // BuildSpanTree reconstructs query q's span tree from its flat events
-// (merged-stream order, as stored by a FlightRecorder or returned by
-// Buffer.ForQuery). processing is the protocol's per-hop processing delay,
+// (merged-stream order, as stored by a FlightRecorder or retained by a
+// Buffer). processing is the protocol's per-hop processing delay,
 // used to split each closed link span's latency into processing +
 // propagation. Non-query events (gossip, phases, engine) in the slice are
 // ignored. Returns nil when the events contain no QuerySubmit.

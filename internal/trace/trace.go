@@ -144,11 +144,6 @@ type Buffer struct {
 	cap     int
 	events  []Event
 	dropped uint64
-	// byQuery indexes retained event positions by query id. Built lazily on
-	// the first ForQuery after a mutation and invalidated on Emit, so span
-	// reconstruction's repeated per-query lookups cost O(hits) instead of
-	// O(all events).
-	byQuery map[uint64][]int32
 }
 
 // NewBuffer returns a tracer retaining at most capacity events
@@ -166,7 +161,6 @@ func (b *Buffer) Emit(e Event) {
 		b.dropped++
 		return
 	}
-	b.byQuery = nil
 	b.events = append(b.events, e)
 }
 
@@ -179,36 +173,3 @@ func (b *Buffer) Events() []Event {
 
 // Dropped returns how many events were discarded after the buffer filled.
 func (b *Buffer) Dropped() uint64 { return b.dropped }
-
-// Len returns the retained event count.
-func (b *Buffer) Len() int { return len(b.events) }
-
-// ForQuery filters the retained events to one query id, in emission order.
-func (b *Buffer) ForQuery(q uint64) []Event {
-	if b.byQuery == nil && len(b.events) > 0 {
-		b.byQuery = make(map[uint64][]int32)
-		for i, e := range b.events {
-			b.byQuery[e.Query] = append(b.byQuery[e.Query], int32(i))
-		}
-	}
-	idx := b.byQuery[q]
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]Event, len(idx))
-	for i, j := range idx {
-		out[i] = b.events[j]
-	}
-	return out
-}
-
-// CountKind returns how many retained events have kind k.
-func (b *Buffer) CountKind(k Kind) int {
-	n := 0
-	for _, e := range b.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}

@@ -43,8 +43,8 @@ func TestBufferRetainsAndDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Emit(Event{Query: uint64(i)})
 	}
-	if b.Len() != 3 {
-		t.Fatalf("len = %d", b.Len())
+	if n := len(b.Events()); n != 3 {
+		t.Fatalf("len = %d", n)
 	}
 	if b.Dropped() != 2 {
 		t.Fatalf("dropped = %d", b.Dropped())
@@ -64,9 +64,31 @@ func TestBufferDefaultCapacity(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		b.Emit(Event{})
 	}
-	if b.Len() != 4096 {
-		t.Fatalf("default cap = %d", b.Len())
+	if n := len(b.Events()); n != 4096 {
+		t.Fatalf("default cap = %d", n)
 	}
+}
+
+// forQuery filters events to one query id, in emission order.
+func forQuery(evs []Event, q uint64) []Event {
+	var out []Event
+	for _, e := range evs {
+		if e.Query == q {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// countKind returns how many events have kind k.
+func countKind(evs []Event, k Kind) int {
+	n := 0
+	for _, e := range evs {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 func TestForQueryAndCountKind(t *testing.T) {
@@ -74,10 +96,11 @@ func TestForQueryAndCountKind(t *testing.T) {
 	b.Emit(Event{Query: 1, Kind: QuerySubmit})
 	b.Emit(Event{Query: 1, Kind: QueryForward})
 	b.Emit(Event{Query: 2, Kind: QuerySubmit})
-	if got := b.ForQuery(1); len(got) != 2 {
-		t.Fatalf("ForQuery(1) = %d", len(got))
+	evs := b.Events()
+	if got := forQuery(evs, 1); len(got) != 2 {
+		t.Fatalf("forQuery(1) = %d", len(got))
 	}
-	if b.CountKind(QuerySubmit) != 2 || b.CountKind(QueryFailed) != 0 {
-		t.Fatal("CountKind wrong")
+	if countKind(evs, QuerySubmit) != 2 || countKind(evs, QueryFailed) != 0 {
+		t.Fatal("countKind wrong")
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/protocol"
-	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/stats"
 	"github.com/p2prepro/locaware/internal/trace"
 )
@@ -188,7 +187,6 @@ func setPositive[T int | float64](dst *T, v T) {
 // place zero means default; core.Config itself has no such layer.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
-	paperRate := cfg.Gen.RatePerPeer
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
@@ -198,28 +196,14 @@ func (o Options) coreConfig() core.Config {
 	setPositive(&cfg.Catalog.NumFiles, o.Files)
 	setPositive(&cfg.Catalog.KeywordPool, o.KeywordPool)
 	setPositive(&cfg.FilesPerPeer, o.FilesPerPeer)
-	setPositive(&cfg.Gen.RatePerPeer, o.QueryRate)
 	setPositive(&cfg.Gen.ZipfS, o.ZipfS)
 	setPositive(&cfg.Protocol.TTL, o.TTL)
 	setPositive(&cfg.Protocol.GroupCount, o.Groups)
 	setPositive(&cfg.Protocol.Cache.MaxFilenames, o.CacheFilenames)
 	setPositive(&cfg.Protocol.Cache.MaxProvidersPerFile, o.CacheProviders)
 	setPositive(&cfg.Protocol.BloomBits, o.BloomBits)
-	// Bloom gossip piggybacks on ordinary data exchange (§4.2), so its
-	// cadence follows system activity: when the query rate is accelerated
-	// above the paper's 0.00083 q/s/peer for fast experimentation, scale
-	// the gossip period down proportionally to keep "queries per gossip
-	// round" constant.
 	if o.QueryRate > 0 {
-		scale := paperRate / o.QueryRate
-		if scale > 1 {
-			scale = 1
-		}
-		period := sim.Time(float64(cfg.Protocol.BloomGossipPeriod) * scale)
-		if period < sim.Second {
-			period = sim.Second
-		}
-		cfg.Protocol.BloomGossipPeriod = period
+		cfg.SetQueryRate(o.QueryRate) // the gossip cadence follows the rate
 	}
 	if o.Scenario != nil {
 		cfg.Scenario = o.Scenario.spec
@@ -286,6 +270,10 @@ type Result struct {
 	// first — populated only when the run executed under a recorder
 	// (Options.FlightRecorder). Export them with WritePerfetto.
 	Traces []*Trace
+	// TraceDropped counts the events a RunTraced run emitted past its
+	// maxEvents buffer and discarded; non-zero means the returned events are
+	// only the run's first maxEvents.
+	TraceDropped uint64
 
 	tracePhases []trace.Event
 }
@@ -449,12 +437,14 @@ func (e TraceEvent) String() string {
 // RunTraced is Run with structured event tracing: it returns the run's
 // summary plus up to maxEvents protocol events (submission, forwarding,
 // hits, reverse-path caching, downloads, gossip) in virtual-time order.
+// Events past maxEvents are dropped and counted in Result.TraceDropped.
 func RunTraced(o Options, p Protocol, warmup, queries, maxEvents int) (*Result, []TraceEvent, error) {
 	buf := trace.NewBuffer(maxEvents)
 	res, err := run(o, p, warmup, queries, buf)
 	if err != nil {
 		return nil, nil, err
 	}
+	res.TraceDropped = buf.Dropped()
 	return res, liftEvents(buf.Events()), nil
 }
 

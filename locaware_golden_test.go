@@ -11,6 +11,30 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
+// checkGolden compares got with testdata/<file> byte for byte, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
 // goldenOptions is the fixed golden world: 200 peers, seed 1, accelerated
 // arrivals. Any change to these values invalidates the golden file on
 // purpose — the point is that refactors must not silently drift the
@@ -39,24 +63,7 @@ func TestGoldenCompareTable(t *testing.T) {
 		"== fig4-success-rate\n" +
 		cmp.FigureTable(FigureSuccessRate)
 
-	path := filepath.Join("testdata", "golden_compare_200peers.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("figure table drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
+	checkGolden(t, "golden_compare_200peers.txt", got)
 }
 
 // TestGoldenStreamingMatchesRecords is the streaming-vs-records

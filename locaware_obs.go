@@ -13,8 +13,8 @@ import (
 // comparisons, every cell of a sweep — accumulates event-loop and protocol
 // telemetry — counters and gauges — into one scrapeable surface.
 // Instrumentation is provably inert: the hot path only increments each
-// simulation's own cells (folded into the registry when its run ends),
-// never touches an RNG stream or event order, so results are
+// simulation's own plain counts (folded into the registry once, when its
+// run ends), never touches an RNG stream or event order, so results are
 // byte-identical with or without an Observer.
 //
 // One Observer may be shared across concurrent runs; totals then cover
@@ -41,7 +41,7 @@ func (o *Observer) Handler() http.Handler { return obs.Handler(o.reg) }
 func (o *Observer) WriteMetrics(w io.Writer) error { return o.reg.WritePrometheus(w) }
 
 // RuntimeStats is one run's observability snapshot — what that run
-// contributed to its Observer, assembled from the run's own cells, so it
+// contributed to its Observer, taken from the run's own counts, so it
 // is meaningful even when the Observer is shared. Report renders it as the
 // aligned text cmd/locaware-exp prints under -stats.
 type RuntimeStats = core.RuntimeStats

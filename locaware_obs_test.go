@@ -1,11 +1,15 @@
 package locaware
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -116,5 +120,133 @@ func TestObserverEndpoints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("Report() missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestGoldenObsReport locks the observability output byte for byte: the
+// -stats report of trial 0 per protocol and the Observer's Prometheus dump
+// after the golden comparison. Every value repeats for a seed — event
+// counts, high-water marks and end-of-run pool occupancy included — so a
+// refactor of how a run counts must reproduce the file exactly; a change
+// that legitimately moves a count (a protocol or pooling change) regenerates
+// it with `go test -run TestGoldenObsReport -update .` and justifies the diff.
+func TestGoldenObsReport(t *testing.T) {
+	o := goldenOptions()
+	o.Observer = NewObserver()
+	cmp, err := Compare(o, Baselines(), 100, 200, []int{50, 100, 150, 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, set := range cmp.Sets {
+		fmt.Fprintf(&sb, "== %s\n%s", set.Protocol, set.Trials[0].Runtime.Report())
+	}
+	sb.WriteString("== metrics\n")
+	if err := o.Observer.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_obs_200peers.txt", sb.String())
+}
+
+// scrape parses an Observer's Prometheus dump into series → value.
+func scrape(t *testing.T, o *Observer) map[string]uint64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := o.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]uint64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseUint(line[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestSharedObserverSumsRuns is the shared-registry lock: one Observer under
+// a 2-worker sweep ends with every counter equal to the sum, and every gauge
+// to the maximum, of what the campaign's runs counted one by one. A sweep
+// keeps no per-run snapshot, so the runs are taken again as the standalone
+// Compare each cell is documented to equal, each under its own Observer.
+func TestSharedObserverSumsRuns(t *testing.T) {
+	caches := []float64{5, 50}
+	sw, err := ParseSweep([]byte(`{
+		"name": "shared-obs", "warmup": 30, "queries": 90, "trials": 2,
+		"protocols": ["Dicas", "Locaware"],
+		"base": {"peers": 60},
+		"axes": [{"param": "cache-filenames", "values": [5, 50]}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := sweepOptions()
+	shared.Workers = 2
+	shared.Observer = NewObserver()
+	res, err := RunSweep(shared, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Families no per-run snapshot carries read zero on a run that outlives
+	// no announce buffer and attaches no tracer.
+	want := map[string]uint64{
+		"protocol_stale_bloom_fallbacks_total": 0,
+		"trace_events_dropped_total":           0,
+	}
+	sum := func(series string, v uint64) { want[series] += v }
+	peak := func(series string, v uint64) { want[series] = max(want[series], v) }
+	for cell, c := range caches {
+		o := sweepOptions()
+		o.Peers = 60
+		o.CacheFilenames = int(c)
+		o.Trials = sw.Trials()
+		o.Observer = NewObserver()
+		if o.Seed, err = res.CellSeed(cell); err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := Compare(o, sw.Protocols(), sw.Warmup(), sw.Queries(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range cmp.Sets {
+			for _, r := range set.Trials {
+				rs := r.Runtime
+				for k, n := range rs.EventsByKind {
+					sum(`sim_events_total{kind="`+k+`"}`, n)
+				}
+				sum("sim_events_scheduled_total", rs.EventsScheduled)
+				sum("sim_events_cancelled_total", rs.EventsCancelled)
+				peak("sim_queue_depth_high_water", rs.QueueDepthHighWater)
+				sum("protocol_queries_submitted_total", rs.Submitted)
+				sum("protocol_queries_finalized_total", rs.Finalized)
+				sum("protocol_cache_hits_total", rs.CacheHits)
+				sum("protocol_cache_misses_total", rs.CacheMisses)
+				sum("protocol_storage_hits_total", rs.StorageHits)
+				peak("protocol_pending_queries_high_water", rs.PendingHighWater)
+				for p, n := range rs.PoolFree {
+					peak(`protocol_pool_free{pool="`+p+`"}`, uint64(n))
+				}
+				sum(`protocol_forwards_total{tier="bloom"}`, r.BloomForwards)
+				sum(`protocol_forwards_total{tier="gid"}`, r.GidForwards)
+				sum(`protocol_forwards_total{tier="fallback"}`, r.FallbackForwards)
+				sum(`protocol_forwards_total{tier="flood"}`, r.FloodForwards)
+				sum("protocol_control_messages_total", r.ControlMessages)
+				sum("protocol_control_bits_total", uint64(math.Round(r.ControlKbits*1000)))
+			}
+		}
+	}
+	if got := scrape(t, shared.Observer); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared registry is not the sum of its runs:\n got %v\nwant %v", got, want)
+	}
+	if want["protocol_queries_submitted_total"] != uint64(res.Runs()*(sw.Warmup()+sw.Queries())) {
+		t.Fatalf("runs counted %d submissions, want %d runs x %d queries",
+			want["protocol_queries_submitted_total"], res.Runs(), sw.Warmup()+sw.Queries())
 	}
 }

@@ -285,21 +285,7 @@ func TestGoldenScenarioTable(t *testing.T) {
 	}
 	got := b.String()
 
-	path := filepath.Join("testdata", "golden_scenario_flashcrowd_200peers.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("scenario output drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
+	checkGolden(t, "golden_scenario_flashcrowd_200peers.txt", got)
 }
 
 // TestScenarioTrialsContract locks replication under scenarios: trial 0 of

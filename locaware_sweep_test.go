@@ -100,6 +100,53 @@ func TestSweepAcceptance(t *testing.T) {
 	}
 }
 
+// TestSweepQueryRateCellEqualsCompare: a campaign that names query-rate, as
+// an axis or as a base value, runs the world Options.QueryRate runs — the
+// gossip period follows the rate on both paths — so the cell equals the
+// standalone RunTrials down to the gossip traffic. The campaign's own base
+// is the paper's rate, so the spec's value is the only thing accelerating it.
+func TestSweepQueryRateCellEqualsCompare(t *testing.T) {
+	for _, spec := range []string{
+		`{"name": "rate-axis", "warmup": 100, "queries": 300, "protocols": ["Locaware"],
+		  "base": {"peers": 150}, "axes": [{"param": "query-rate", "values": [0.01]}]}`,
+		`{"name": "rate-base", "warmup": 100, "queries": 300, "protocols": ["Locaware"],
+		  "base": {"query-rate": 0.01}, "axes": [{"param": "peers", "values": [150]}]}`,
+	} {
+		sw, err := ParseSweep([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := DefaultOptions()
+		o.Seed = 5
+		res, err := RunSweep(o, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Seed, err = res.CellSeed(0); err != nil {
+			t.Fatal(err)
+		}
+		o.Peers = 150
+		o.QueryRate = 0.01
+		tr, err := RunTrials(o, ProtocolLocaware, sw.Warmup(), sw.Queries())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for metric, want := range map[string]Estimate{
+			"success":  tr.SuccessRate,
+			"msgs":     tr.AvgMessagesPerQuery,
+			"ctlkbits": tr.ControlKbits,
+		} {
+			got, err := res.CellEstimate(0, ProtocolLocaware, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s %s: campaign %+v != standalone RunTrials %+v", sw.Name(), metric, got, want)
+			}
+		}
+	}
+}
+
 // TestSweepFromJSON drives the JSON path: a custom campaign parses, runs,
 // and rejects malformed input loudly.
 func TestSweepFromJSON(t *testing.T) {

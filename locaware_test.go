@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // fastOptions shrinks the world so facade tests run in milliseconds.
@@ -15,6 +16,32 @@ func fastOptions(seed int64) Options {
 	o.Peers = 150
 	o.QueryRate = 0.01
 	return o
+}
+
+// TestQueryRateSetsGossipCadence pins what Options.QueryRate lowers to: the
+// rate itself and the Bloom gossip period that follows it (§4.2) — the
+// paper's 30 s at or below the paper's rate, shrinking in proportion above
+// it, floored at 1 s — and nothing else. The periods are the literal values
+// the lowering produced before the rule moved into core.
+func TestQueryRateSetsGossipCadence(t *testing.T) {
+	for _, c := range []struct {
+		queryRate, rate float64
+		period          sim.Time
+	}{
+		{0, 0.00083, 30 * sim.Second},
+		{0.00083, 0.00083, 30 * sim.Second},
+		{0.005, 0.005, 4980 * sim.Millisecond},
+		{0.01, 0.01, 2490 * sim.Millisecond},
+		{1, 1, sim.Second},
+	} {
+		want := core.DefaultConfig()
+		want.Gen.RatePerPeer = c.rate
+		want.Protocol.BloomGossipPeriod = c.period
+		if got := (Options{QueryRate: c.queryRate}).coreConfig(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("QueryRate %g lowers to rate %g, gossip period %v; want %g, %v and the defaults otherwise",
+				c.queryRate, got.Gen.RatePerPeer, got.Protocol.BloomGossipPeriod, c.rate, c.period)
+		}
+	}
 }
 
 func TestRunBasic(t *testing.T) {
@@ -251,6 +278,24 @@ func TestRunTraced(t *testing.T) {
 	}
 	if outcomes != 20 {
 		t.Fatalf("outcomes = %d, want one per query", outcomes)
+	}
+	if res.TraceDropped != 0 {
+		t.Fatalf("a buffer that held the whole run reports %d events dropped", res.TraceDropped)
+	}
+
+	// A buffer too small for the run says so: it keeps the first maxEvents
+	// and counts the rest, so kept + dropped is what the run emitted.
+	const tiny = 50
+	cut, head, err := RunTraced(fastOptions(20), ProtocolLocaware, 0, 20, tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(head) != tiny || !reflect.DeepEqual(head, events[:tiny]) {
+		t.Fatalf("tiny buffer kept %d events, want the run's first %d", len(head), tiny)
+	}
+	if got, want := uint64(len(head))+cut.TraceDropped, uint64(len(events)); got != want {
+		t.Fatalf("kept %d + dropped %d = %d events, want the %d an unbounded run keeps",
+			len(head), cut.TraceDropped, got, want)
 	}
 }
 
