@@ -3,7 +3,6 @@ package bloom
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -115,12 +114,6 @@ func (f *Filter) PopCount() int {
 
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return float64(f.PopCount()) / float64(f.m) }
-
-// EstimatedFPR estimates the current false-positive rate from the fill
-// ratio: (fill)^k.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
 
 // Clone returns an independent copy.
 func (f *Filter) Clone() *Filter {

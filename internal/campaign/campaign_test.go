@@ -52,7 +52,8 @@ func tinyPlan(t testing.TB) *sweep.Plan {
 
 func TestStoreRoundTrip(t *testing.T) {
 	plan := tinyPlan(t)
-	store, err := OpenStore(t.TempDir(), plan.Hash())
+	dir := t.TempDir()
+	store, err := OpenStore(dir, plan.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint round trip drifted:\nput:    %+v\nloaded: %+v", *cr, *got)
 	}
 	// No stray temp files after committed writes.
-	entries, err := os.ReadDir(store.Dir())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ func OpenStore(dir, specHash string) (*Store, error) {
 	return &Store{dir: dir, hash: specHash}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the checkpoint file path for a cell index.
 func (s *Store) Path(cell int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("cell_%06d.json", cell))

@@ -10,7 +10,6 @@ import (
 
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/obs"
-	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -51,11 +50,6 @@ type Config struct {
 	// Protocol holds the message-plane parameters (TTL 7, M groups, cache
 	// bounds, Bloom sizing).
 	Protocol protocol.Config
-
-	// Churn supplies the scenario engine's churn defaults: the degree
-	// targets for rewiring and the online-population floor. Whether and
-	// when peers churn is the Scenario's business.
-	Churn overlay.ChurnConfig
 
 	// Scenario, when non-nil, runs the simulation under a phased-dynamics
 	// timeline (churn waves, flash crowds, content and link dynamics) and
@@ -103,7 +97,6 @@ func DefaultConfig() Config {
 		FilesPerPeer: 3,
 		Gen:          workload.DefaultGen(),
 		Protocol:     protocol.DefaultConfig(),
-		Churn:        overlay.DefaultChurn(),
 	}
 }
 

@@ -1,11 +1,12 @@
-// Package exper is the deterministic parallel-execution substrate of the
+package core
+
+// This file is the deterministic parallel-execution substrate of the
 // experiment harness. Replicated simulation trials are embarrassingly
 // parallel — every trial owns an isolated engine, world and RNG streams —
-// so the only job of this package is to fan index-addressed work out across
-// a bounded worker pool while keeping results bit-for-bit independent of
-// scheduling: results are written into a slot per index, never appended, so
-// the output order is the input order no matter which worker finishes
-// first.
+// so its only job is to fan index-addressed work out across a bounded
+// worker pool while keeping results bit-for-bit independent of scheduling:
+// results are delivered by index, so the output order is the input order
+// no matter which worker finishes first.
 //
 // # The Stream dispatch-window contract
 //
@@ -20,17 +21,16 @@
 // once (in flight plus parked in the reorder buffer). Workloads whose jobs
 // block on one another are outside the contract unless every dependency
 // chain fits inside one window (see TestStreamLastJobFinishesFirst).
-package exper
 
 import (
 	"runtime"
 	"sync"
 )
 
-// Workers resolves a requested worker count against a job count:
+// clampWorkers resolves a requested worker count against a job count:
 // requested <= 0 means one worker per CPU, and the result is clamped to
 // [1, jobs] so no goroutine ever sits idle.
-func Workers(requested, jobs int) int {
+func clampWorkers(requested, jobs int) int {
 	w := requested
 	if w <= 0 {
 		w = runtime.NumCPU()
@@ -44,26 +44,12 @@ func Workers(requested, jobs int) int {
 	return w
 }
 
-// Map runs fn(i) for every i in [0, n) across at most workers goroutines
-// and returns the results indexed by i: Stream collected into a slice. The
-// result slice is identical for any worker count: parallelism changes
-// wall-clock time, never output. workers <= 0 selects runtime.NumCPU().
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	Stream(n, workers, fn, func(i int, v T) { out[i] = v })
-	return out
-}
-
 // Stream runs fn(i) for every i in [0, n) across at most workers goroutines
 // and delivers each result to consume(i, v) on the calling goroutine in
 // strict index order — the same order a sequential loop would produce, for
-// any worker count. Unlike Map it never materialises the full result slice:
-// a consumed result can be folded into an aggregate and dropped, so a
-// campaign of thousands of jobs holds O(workers) results in memory instead
-// of O(n). Dispatch is windowed to 2×workers outstanding jobs, which bounds
+// any worker count. It never materialises the full result slice: a consumed
+// result can be folded into an aggregate and dropped, so a campaign of
+// thousands of jobs holds O(workers) results in memory instead of O(n). Dispatch is windowed to 2×workers outstanding jobs, which bounds
 // the reorder buffer even when job 0 is the slowest of the batch.
 // workers <= 0 selects runtime.NumCPU(). With one worker the jobs run
 // inline in index order.
@@ -71,7 +57,7 @@ func Stream[T any](n, workers int, fn func(i int) T, consume func(i int, v T)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers, n)
+	w := clampWorkers(workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			consume(i, fn(i))

@@ -1,4 +1,4 @@
-package exper
+package core
 
 import (
 	"runtime"
@@ -12,80 +12,22 @@ func TestWorkersClamping(t *testing.T) {
 	if want > 100 {
 		want = 100
 	}
-	if got := Workers(0, 100); got != want {
-		t.Fatalf("Workers(0, 100) = %d, want %d", got, want)
+	if got := clampWorkers(0, 100); got != want {
+		t.Fatalf("clampWorkers(0, 100) = %d, want %d", got, want)
 	}
-	if got := Workers(8, 3); got != 3 {
-		t.Fatalf("Workers(8, 3) = %d, want clamp to jobs", got)
+	if got := clampWorkers(8, 3); got != 3 {
+		t.Fatalf("clampWorkers(8, 3) = %d, want clamp to jobs", got)
 	}
-	if got := Workers(-2, 1); got != 1 {
-		t.Fatalf("Workers(-2, 1) = %d", got)
+	if got := clampWorkers(-2, 1); got != 1 {
+		t.Fatalf("clampWorkers(-2, 1) = %d", got)
 	}
-	if got := Workers(5, 100); got != 5 {
-		t.Fatalf("Workers(5, 100) = %d", got)
-	}
-}
-
-func TestMapIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 0} {
-		got := Map(50, workers, func(i int) int { return i * i })
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	if got := Map(0, 4, func(i int) int { return i }); got != nil {
-		t.Fatalf("Map(0) = %v", got)
-	}
-	if got := Map(-3, 4, func(i int) int { return i }); got != nil {
-		t.Fatalf("Map(-3) = %v", got)
-	}
-}
-
-func TestMapRunsEveryJobExactlyOnce(t *testing.T) {
-	var calls [256]int32
-	Map(len(calls), 8, func(i int) struct{} {
-		atomic.AddInt32(&calls[i], 1)
-		return struct{}{}
-	})
-	for i, c := range calls {
-		if c != 1 {
-			t.Fatalf("job %d ran %d times", i, c)
-		}
-	}
-}
-
-// TestMapHammer floods the pool with many tiny jobs; under -race this
-// catches slot aliasing or unsynchronised completion.
-func TestMapHammer(t *testing.T) {
-	var total int64
-	out := Map(2000, 16, func(i int) int {
-		atomic.AddInt64(&total, 1)
-		return i
-	})
-	if total != 2000 || len(out) != 2000 {
-		t.Fatalf("ran %d jobs, got %d results", total, len(out))
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapMoreWorkersThanJobs(t *testing.T) {
-	got := Map(2, 64, func(i int) int { return i + 1 })
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
+	if got := clampWorkers(5, 100); got != 5 {
+		t.Fatalf("clampWorkers(5, 100) = %d", got)
 	}
 }
 
 func TestStreamDeliversInIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 0} {
+	for _, workers := range []int{1, 2, 8, 0, 256} { // 256: more workers than jobs
 		var seen []int
 		Stream(200, workers, func(i int) int { return i * 3 }, func(i, v int) {
 			if v != i*3 {
@@ -113,10 +55,12 @@ func TestStreamEmpty(t *testing.T) {
 	}
 }
 
+// TestStreamRunsEveryJobExactlyOnce floods the pool with many tiny jobs;
+// under -race this also catches unsynchronised completion.
 func TestStreamRunsEveryJobExactlyOnce(t *testing.T) {
-	var calls [512]int32
+	var calls [2000]int32
 	delivered := 0
-	Stream(len(calls), 8, func(i int) struct{} {
+	Stream(len(calls), 16, func(i int) struct{} {
 		atomic.AddInt32(&calls[i], 1)
 		return struct{}{}
 	}, func(int, struct{}) { delivered++ })

@@ -15,7 +15,6 @@ type obsFamilies struct {
 	events       *obs.CounterVec
 	queueHW      *obs.Gauge
 	scheduled    *obs.Counter
-	cancelled    *obs.Counter
 	submitted    *obs.Counter
 	finalized    *obs.Counter
 	cacheHits    *obs.Counter
@@ -35,8 +34,7 @@ func registerFamilies(reg *obs.Registry) obsFamilies {
 	return obsFamilies{
 		events:       reg.CounterVec("sim_events_total", "Events delivered by kind.", "kind"),
 		queueHW:      reg.Gauge("sim_queue_depth_high_water", "Highest event-queue depth seen."),
-		scheduled:    reg.Counter("sim_events_scheduled_total", "Events scheduled, including later-cancelled ones."),
-		cancelled:    reg.Counter("sim_events_cancelled_total", "Cancelled events discarded at pop time."),
+		scheduled:    reg.Counter("sim_events_scheduled_total", "Events scheduled."),
 		submitted:    reg.Counter("protocol_queries_submitted_total", "Queries submitted."),
 		finalized:    reg.Counter("protocol_queries_finalized_total", "Queries finalized."),
 		cacheHits:    reg.Counter("protocol_cache_hits_total", "Response-index (cache) lookup hits."),
@@ -62,16 +60,14 @@ func RegisterObsFamilies(reg *obs.Registry) { registerFamilies(reg) }
 type RuntimeStats struct {
 	// EventsByKind counts deliveries per event kind.
 	EventsByKind map[string]uint64
-	// EventsScheduled counts all schedule calls, including cancelled ones.
+	// EventsScheduled counts the events queued.
 	EventsScheduled uint64
-	// EventsCancelled counts cancelled events discarded by the scheduler
-	// at pop time.
-	EventsCancelled uint64
 	// QueueDepthHighWater is the deepest the event queue got.
 	QueueDepthHighWater uint64
-	// Epochs, CrossShardEvents and BloomInstallCopies are always zero.
-	// Declared because benchmark/trace.go:213, :214 and :336 read them;
-	// ROADMAP item 1(b) removes them.
+	// EventsCancelled, Epochs, CrossShardEvents and BloomInstallCopies are
+	// always zero. Declared because benchmark/trace.go:330, :213, :214 and
+	// :336 read them; ROADMAP item 1(b) removes them.
+	EventsCancelled    uint64
 	Epochs             uint64
 	CrossShardEvents   uint64
 	BloomInstallCopies uint64
@@ -93,7 +89,6 @@ func (rs *RuntimeStats) Report() string {
 	fmt.Fprintf(&b, "runtime stats:\n")
 	fmt.Fprintf(&b, "  event loop:\n")
 	fmt.Fprintf(&b, "    %-28s %d\n", "events scheduled", rs.EventsScheduled)
-	fmt.Fprintf(&b, "    %-28s %d\n", "events cancelled", rs.EventsCancelled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "queue depth high water", rs.QueueDepthHighWater)
 	if len(rs.EventsByKind) > 0 {
 		fmt.Fprintf(&b, "  events by kind:\n")
@@ -143,7 +138,6 @@ func (s *Simulation) finishObs(res *RunResult) {
 	rs := &RuntimeStats{
 		EventsByKind:        s.Engine.EventsByKind(),
 		EventsScheduled:     s.Engine.Scheduled(),
-		EventsCancelled:     s.Engine.Cancelled(),
 		QueueDepthHighWater: uint64(s.Engine.QueueHighWater()),
 		Counts:              s.Network.Counts(),
 		PoolFree:            s.Network.PoolSizes(),
@@ -153,7 +147,6 @@ func (s *Simulation) finishObs(res *RunResult) {
 	}
 	f.queueHW.SetMax(int64(rs.QueueDepthHighWater))
 	f.scheduled.Add(rs.EventsScheduled)
-	f.cancelled.Add(rs.EventsCancelled)
 
 	f.submitted.Add(rs.Submitted)
 	f.finalized.Add(rs.Finalized)

@@ -96,17 +96,22 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 
 	// Dynamics run through the scenario engine. Under churn, departed
 	// peers' own indexes die with them; survivors' indexes pointing at
-	// them become stale and are filtered at selection time.
+	// them become stale and are filtered at selection time. A rejoining
+	// peer rewires to the degree targets the overlay was built with.
 	if cfg.Scenario != nil {
 		rt, err := scenario.Attach(cfg.Scenario, scenario.World{
-			Engine:        eng,
-			Graph:         graph,
-			Model:         model,
-			Locator:       locator,
-			Catalog:       catalog,
-			Gen:           s.gen,
-			Net:           net,
-			ChurnDefaults: cfg.Churn,
+			Engine:  eng,
+			Graph:   graph,
+			Model:   model,
+			Locator: locator,
+			Catalog: catalog,
+			Gen:     s.gen,
+			Net:     net,
+			ChurnDefaults: overlay.ChurnConfig{
+				AvgDegree:         cfg.AvgDegree,
+				MaxDegree:         cfg.MaxDegree,
+				MinOnlineFraction: overlay.DefaultChurn().MinOnlineFraction,
+			},
 		}, rng.Stream("churn"), rng.Stream("scenario"))
 		if err != nil {
 			// The facade validates specs before building; reaching here is

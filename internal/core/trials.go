@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/p2prepro/locaware/internal/exper"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -134,8 +133,8 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 	for t := range seeds {
 		seeds[t] = sim.TrialSeed(cfg.Seed, t)
 	}
-	n := len(behaviors) * trials
-	runs := exper.Map(n, topt.Workers, func(j int) *RunResult {
+	runs := make([]*RunResult, len(behaviors)*trials)
+	Stream(len(runs), topt.Workers, func(j int) *RunResult {
 		c := cfg
 		c.Seed = seeds[j%trials]
 		// Thread the figure grid into the run so the streaming collector
@@ -143,7 +142,7 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 		// across trials.
 		c.Protocol.Collector.Checkpoints = cmp.Checkpoints
 		return NewSimulation(c, behaviors[j/trials]).RunMeasured(warmup, numQueries)
-	})
+	}, func(j int, r *RunResult) { runs[j] = r })
 	for i, b := range behaviors {
 		cell := &TrialCell{
 			Protocol: b.Name(),

@@ -74,20 +74,6 @@ func joinKeywords(kws []Keyword) string {
 	return b.String()
 }
 
-// ParseFilename tokenises a canonical filename string back into keywords —
-// the "predefined rules" of §3.1 (split on underscores, lower-case).
-func ParseFilename(s string) Filename {
-	parts := strings.Split(strings.ToLower(s), "_")
-	kws := make([]Keyword, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			kws = append(kws, Keyword(p))
-		}
-	}
-	return NewFilename(kws...)
-}
-
 // Keywords returns the filename's keywords in canonical order.
 func (f Filename) Keywords() []Keyword {
 	out := make([]Keyword, len(f.kws))

@@ -31,21 +31,6 @@ func TestNewFilenameDedupAndEmpty(t *testing.T) {
 	}
 }
 
-func TestParseFilenameRoundTrip(t *testing.T) {
-	f := NewFilename("red", "green", "blue")
-	g := ParseFilename(f.String())
-	if f.String() != g.String() {
-		t.Fatalf("round trip: %q -> %q", f, g)
-	}
-	h := ParseFilename("  Mixed_CASE__extra  ")
-	if !h.Contains("mixed") || !h.Contains("case") || !h.Contains("extra") {
-		t.Fatalf("tokenizer mangled input: %v", h.Keywords())
-	}
-	if h.K() != 3 {
-		t.Fatalf("K = %d", h.K())
-	}
-}
-
 func TestContains(t *testing.T) {
 	f := NewFilename("alpha", "beta", "gamma")
 	for _, k := range []Keyword{"alpha", "beta", "gamma"} {

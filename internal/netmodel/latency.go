@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -60,9 +59,6 @@ type Model struct {
 // it without limit.
 const maxJitterCacheEntries = 1 << 22
 
-// ErrPeerRange reports an out-of-range peer id.
-var ErrPeerRange = errors.New("netmodel: peer id out of range")
-
 // NewModel builds a model over the given peer positions. side is the plane
 // side length used for distance normalisation (pass the PlacementConfig.Side
 // that produced pts). jitterSeed fixes the per-pair jitter stream.
@@ -87,14 +83,6 @@ func NewModel(pts []Point, side float64, cfg LatencyConfig, jitterSeed int64) *M
 
 // N returns the number of peers in the model.
 func (m *Model) N() int { return len(m.pts) }
-
-// Position returns the coordinates of peer i.
-func (m *Model) Position(i int) (Point, error) {
-	if i < 0 || i >= len(m.pts) {
-		return Point{}, ErrPeerRange
-	}
-	return m.pts[i], nil
-}
 
 // RTT returns the round-trip time in milliseconds between peers a and b.
 // It is symmetric, zero on the diagonal, and always within
@@ -201,10 +189,3 @@ func (m *Model) rttTo(p, q Point) float64 {
 // OneWay returns the one-way link latency (half the RTT) in milliseconds;
 // this is the delay the simulator applies to a single message hop.
 func (m *Model) OneWay(a, b int) float64 { return m.RTT(a, b) / 2 }
-
-// MinOneWay returns a lower bound, in milliseconds, on the one-way latency
-// between any two distinct peers: half the configured MinRTT. The bound
-// holds across every code path — the geometric baseline starts at MinRTT,
-// the jitter path clamps its result to MinRTT, and regional degradation
-// only inflates — so no message between peers can travel faster.
-func (m *Model) MinOneWay() float64 { return m.cfg.MinRTT / 2 }

@@ -129,22 +129,6 @@ func TestRTTMonotoneInDistance(t *testing.T) {
 	}
 }
 
-func TestPositionRange(t *testing.T) {
-	m, _ := testModel(t, 10, 1)
-	if _, err := m.Position(5); err != nil {
-		t.Fatalf("valid position errored: %v", err)
-	}
-	if _, err := m.Position(-1); err != ErrPeerRange {
-		t.Fatal("expected ErrPeerRange for -1")
-	}
-	if _, err := m.Position(10); err != ErrPeerRange {
-		t.Fatal("expected ErrPeerRange for 10")
-	}
-	if m.N() != 10 {
-		t.Fatalf("N = %d", m.N())
-	}
-}
-
 func TestNewModelFallbacks(t *testing.T) {
 	pts := []Point{{0, 0}, {10, 10}}
 	m := NewModel(pts, -1, LatencyConfig{MinRTT: 5, MaxRTT: 5}, 0)
@@ -414,45 +398,5 @@ func TestLatencyFactorsDegradeAndRestore(t *testing.T) {
 	m.ClearLatencyFactors()
 	if got := m.RTT(0, 1); got != healthy01 {
 		t.Fatalf("restore drifted: %v vs healthy %v", got, healthy01)
-	}
-}
-
-// TestMinOneWay locks the model's latency floor: half the configured
-// MinRTT, never exceeded downward by
-// any sampled one-way latency between distinct peers — with jitter (which
-// clamps at MinRTT), without it, and under regional degradation (which only
-// inflates).
-func TestMinOneWay(t *testing.T) {
-	m, _ := testModel(t, 150, 11)
-	if got := m.MinOneWay(); got != DefaultLatency().MinRTT/2 {
-		t.Fatalf("MinOneWay = %v, want %v", got, DefaultLatency().MinRTT/2)
-	}
-	check := func(label string) {
-		bound := m.MinOneWay()
-		for a := 0; a < 150; a++ {
-			for b := a + 1; b < 150; b++ {
-				if ow := m.OneWay(a, b); ow < bound {
-					t.Fatalf("%s: OneWay(%d,%d)=%v below MinOneWay %v", label, a, b, ow, bound)
-				}
-			}
-		}
-	}
-	check("jittered")
-	m.SetLatencyFactor(3, 4.5)
-	check("degraded")
-	m.ClearLatencyFactors()
-
-	r := rand.New(rand.NewSource(12))
-	pts := Place(100, PlacementConfig{Side: 1000}, r)
-	nj := NewModel(pts, 1000, LatencyConfig{MinRTT: 24, MaxRTT: 300}, 12)
-	if got := nj.MinOneWay(); got != 12 {
-		t.Fatalf("MinOneWay = %v, want 12", got)
-	}
-	for a := 0; a < 100; a++ {
-		for b := a + 1; b < 100; b++ {
-			if ow := nj.OneWay(a, b); ow < nj.MinOneWay() {
-				t.Fatalf("no-jitter: OneWay(%d,%d)=%v below MinOneWay %v", a, b, ow, nj.MinOneWay())
-			}
-		}
 	}
 }

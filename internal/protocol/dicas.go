@@ -30,25 +30,11 @@ func (Dicas) CacheConfig(base cache.Config) cache.Config {
 	return base
 }
 
-// Forward implements Behavior: neighbours whose Gid matches the query's
+// Forward implements Behavior: candidates whose Gid matches the query's
 // filename hash; if none, the highest-degree neighbour keeps the query
 // alive.
-func (Dicas) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	want := q.QGid
-	out := net.targetBuf()
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
-		if net.nodes[nb].Gid == want {
-			out = append(out, nb)
-		}
-	}
-	if len(out) == 0 {
-		return net.fallbackNeighbors(n, q, from)
-	}
-	net.forwarding.GidMatched += uint64(len(out))
-	return out
+func (Dicas) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	return net.gidOrFallback(q.pq.gid, elig)
 }
 
 // CacheResponse implements Behavior: cache at matching-Gid peers on the

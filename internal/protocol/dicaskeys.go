@@ -37,22 +37,8 @@ func (DicasKeys) CacheConfig(base cache.Config) cache.Config {
 // (the paper's Fig. 3 shows all caching approaches ≈98% below flooding);
 // matching any keyword's group would branch on most neighbours and
 // degenerate towards flooding.
-func (DicasKeys) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	want := gidOfKeyword(routingKeyword(q.Q), net.Config.GroupCount)
-	out := net.targetBuf()
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
-		if net.nodes[nb].Gid == want {
-			out = append(out, nb)
-		}
-	}
-	if len(out) == 0 {
-		return net.fallbackNeighbors(n, q, from)
-	}
-	net.forwarding.GidMatched += uint64(len(out))
-	return out
+func (DicasKeys) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	return net.gidOrFallback(gidOfKeyword(routingKeyword(q.pq.q), net.Config.GroupCount), elig)
 }
 
 // routingKeyword returns the query's designated routing keyword (first in

@@ -28,18 +28,10 @@ func (Flooding) CacheConfig(base cache.Config) cache.Config {
 	return base
 }
 
-// Forward implements Behavior: all neighbours except the sender and peers
-// already on the path.
-func (Flooding) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	out := net.targetBuf()
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
-		out = append(out, nb)
-	}
-	net.forwarding.FloodAll += uint64(len(out))
-	return out
+// Forward implements Behavior: every candidate.
+func (Flooding) Forward(net *Network, _ *Node, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	net.forwarding.FloodAll += uint64(len(elig))
+	return elig
 }
 
 // CacheResponse implements Behavior: flooding caches nothing.

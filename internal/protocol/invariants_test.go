@@ -52,19 +52,33 @@ func randomNet(t *testing.T, b Behavior, seed int64, peers int) (*Network, []key
 // deliveryAudit counts, per (query, peer), the deliveries that reached the
 // peer online (seen by the engine observer just before they fire) minus the
 // ones the peer dropped as duplicates (seen by the tracer): how many times
-// the peer handled the query.
+// the peer handled the query. It also holds every delivered branch to the
+// shape forwarding promises: a simple path no longer than the TTL allows.
 type deliveryAudit struct {
 	origin  map[uint64]int
 	handled map[[2]uint64]int
 	dups    int
+	badPath string
 }
 
 func auditDeliveries(net *Network) *deliveryAudit {
 	a := &deliveryAudit{origin: map[uint64]int{}, handled: map[[2]uint64]int{}}
 	net.SetTracer(a)
 	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
-		if d, ok := ev.(*queryDeliverEvent); ok && net.Graph.Online(d.dst) {
-			a.handled[[2]uint64{uint64(d.msg.ID), uint64(d.dst)}]++
+		q, ok := ev.(*QueryMsg)
+		if !ok {
+			return
+		}
+		distinct := map[overlay.PeerID]bool{}
+		for _, p := range q.Path {
+			distinct[p] = true
+		}
+		if hops := len(q.Path) - 1; a.badPath == "" &&
+			(len(distinct) != len(q.Path) || hops < 1 || hops > net.Config.TTL || q.TTL != net.Config.TTL-hops) {
+			a.badPath = fmt.Sprintf("query %d delivered with path %v, TTL %d of %d", q.ID, q.Path, q.TTL, net.Config.TTL)
+		}
+		if dst := q.Path[len(q.Path)-1]; net.Graph.Online(dst) {
+			a.handled[[2]uint64{uint64(q.ID), uint64(dst)}]++
 		}
 	})
 	return a
@@ -86,6 +100,9 @@ func (a *deliveryAudit) check(t *testing.T, label string) {
 	t.Helper()
 	if len(a.handled) == 0 {
 		t.Fatalf("%s: the audit saw no delivery", label)
+	}
+	if a.badPath != "" {
+		t.Fatalf("%s: %s; want distinct peers and hops + TTL left = TTL", label, a.badPath)
 	}
 	for k, n := range a.handled {
 		want := 1
@@ -109,7 +126,8 @@ func (a *deliveryAudit) check(t *testing.T, label string) {
 //  4. same-locality downloads report zero-or-plausible RTTs;
 //  5. the engine fully drains (no event leaks);
 //  6. no peer handles the same query twice: every delivery to a peer after
-//     its first is dropped as a duplicate.
+//     its first is dropped as a duplicate;
+//  7. every delivered branch has walked a simple path of at most TTL hops.
 func TestProtocolInvariantsRandomized(t *testing.T) {
 	behaviors := []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}, LocawareLR{}}
 	for _, b := range behaviors {

@@ -12,7 +12,7 @@ import (
 
 // acquirePending takes a pendingQuery from the pool for query id, keeping
 // the pooled value's buffers: the seen bits cleared, the positions emptied.
-func (net *Network) acquirePending(id QueryID, origin overlay.PeerID) *pendingQuery {
+func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords.Query) *pendingQuery {
 	pq := net.pqPool.Get()
 	seen := pq.seen
 	if seen == nil {
@@ -20,7 +20,12 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID) *pendingQu
 	} else {
 		clear(seen)
 	}
-	*pq = pendingQuery{id: id, origin: origin, col: net.Collector, seen: seen, kwIdx: pq.kwIdx[:0]}
+	*pq = pendingQuery{
+		id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
+		// Hashed once per query: every Gid-routing hop consults the same value.
+		gid: gidOfQuery(q, net.Config.GroupCount),
+		col: net.Collector, seen: seen, kwIdx: pq.kwIdx[:0],
+	}
 	return pq
 }
 
@@ -31,7 +36,7 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID) *pendingQu
 func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID {
 	net.nextID++
 	id := net.nextID
-	pq := net.acquirePending(id, origin)
+	pq := net.acquirePending(id, origin, q)
 	net.pending[id] = pq
 
 	net.counts.Submitted++
@@ -74,14 +79,9 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	msg := net.acquireMsg()
 	msg.ID = id
 	msg.pq = pq
-	msg.Q = q
-	// Cached once per query: every Gid-routing hop consults the same value.
-	msg.QGid = gidOfQuery(q, net.Config.GroupCount)
-	msg.Origin = origin
-	msg.OriginLoc = n.Loc
 	msg.TTL = net.Config.TTL
 	msg.Path = append(msg.Path[:0], origin)
-	net.forward(n, msg, origin)
+	net.forward(n, msg)
 	net.msgPool.Put(msg)
 	return id
 }

@@ -37,13 +37,10 @@ func (Locaware) CacheConfig(base cache.Config) cache.Config { return base }
 
 // Forward implements Behavior. Neighbour preference order per §4.2: Bloom
 // match on all keywords → Gid match → highest-degree last resort.
-func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
+func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
 	kwIdx := q.pq.kwIdx
 	bfMatched := net.targetBuf()
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
+	for _, nb := range elig {
 		if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(kwIdx) {
 			bfMatched = append(bfMatched, nb)
 		}
@@ -52,21 +49,7 @@ func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID)
 		net.forwarding.BloomMatched += uint64(len(bfMatched))
 		return bfMatched
 	}
-	want := q.QGid
-	gidMatched := net.targetBuf() // bfMatched is empty, so reuse is safe
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
-		if net.nodes[nb].Gid == want {
-			gidMatched = append(gidMatched, nb)
-		}
-	}
-	if len(gidMatched) > 0 {
-		net.forwarding.GidMatched += uint64(len(gidMatched))
-		return gidMatched
-	}
-	return net.fallbackNeighbors(n, q, from)
+	return net.gidOrFallback(q.pq.gid, elig)
 }
 
 // CacheResponse implements Behavior: matching-Gid peers cache every
@@ -92,10 +75,10 @@ func (Locaware) OnAnswer(net *Network, n *Node, q *QueryMsg, f keywords.Filename
 	if gidOfName(f.String(), net.Config.GroupCount) != n.Gid {
 		return
 	}
-	if q.Origin == n.ID {
+	if q.pq.origin == n.ID {
 		return
 	}
-	n.RI.Put(f, q.Origin, q.OriginLoc, net.Engine.Now())
+	n.RI.Put(f, q.pq.origin, q.pq.originLoc, net.Engine.Now())
 }
 
 // SelectProvider implements Behavior, the §5.1 rule: prefer a provider in

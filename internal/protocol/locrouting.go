@@ -19,18 +19,15 @@ var _ Behavior = LocawareLR{}
 // Name implements Behavior.
 func (LocawareLR) Name() string { return "Locaware-LR" }
 
-// Forward implements Behavior: Bloom-matched neighbours in the origin's
-// locality first; then the plain Locaware preference chain.
-func (l LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
+// Forward implements Behavior: Bloom-matched candidates in the origin's
+// locality first, then the other Bloom-matched ones, then — nothing having
+// matched — the rest of Locaware's preference chain.
+func (LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
 	kwIdx := q.pq.kwIdx
 	sameLoc, other := net.targetBuf(), net.targetBuf2()
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) {
-			continue
-		}
-		node := net.nodes[nb]
+	for _, nb := range elig {
 		if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(kwIdx) {
-			if node.Loc == q.OriginLoc {
+			if net.nodes[nb].Loc == q.pq.originLoc {
 				sameLoc = append(sameLoc, nb)
 			} else {
 				other = append(other, nb)
@@ -45,5 +42,5 @@ func (l LocawareLR) Forward(net *Network, n *Node, q *QueryMsg, from overlay.Pee
 		net.forwarding.BloomMatched += uint64(len(other))
 		return other
 	}
-	return l.Locaware.Forward(net, n, q, from)
+	return net.gidOrFallback(q.pq.gid, elig)
 }

@@ -17,59 +17,66 @@
 package protocol
 
 import (
+	"slices"
+
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // QueryID identifies a query across the network.
 type QueryID uint64
 
-// QueryMsg is a keyword query in flight (§3.1: a query is expressed by some
-// keywords related to the queried filename). Instances are pooled by the
-// network: a message is valid only during its delivery event, and state
-// that outlives the event (response paths) must be copied out.
+// QueryMsg is one branch of a keyword query in flight (§3.1: a query is
+// expressed by some keywords related to the queried filename) and the
+// simulator event that delivers it to Path[len-1]. What is constant for the
+// query — keywords, group id, requester — lives on pq. Instances are pooled
+// by the network: a message is valid only during its delivery, and state
+// that outlives it (response paths) must be copied out.
 type QueryMsg struct {
-	ID QueryID
-	// pq is the query's shared state (seen bits, Bloom positions, message
-	// count), copied branch to branch so a delivery looks nothing up by ID.
-	// Once the query is finalised the pooled value may serve a newer one,
-	// which receiveQuery detects by pq.id != ID.
+	net *Network
+	ID  QueryID
+	// pq is the query's shared state, copied branch to branch so a delivery
+	// looks nothing up by ID. Once the query is finalised the pooled value
+	// may serve a newer one, which receiveQuery detects by pq.id != ID;
+	// nothing else of pq is read before that check.
 	pq *pendingQuery
-	// Q is the keyword set.
-	Q keywords.Query
-	// QGid caches gidOfQuery(Q, M): the group id every Gid-routing hop
-	// consults.
-	QGid int
-	// Origin is the requesting peer; OriginLoc its locality (§4.1.2: the
-	// answering peer selects providers according to the locId of the
-	// querying peer, so the query carries it).
-	Origin    overlay.PeerID
-	OriginLoc netmodel.LocID
 	// TTL is the remaining hop budget; the paper bounds searches at 7.
 	TTL int
-	// Path is the peers traversed so far, Origin first. Responses follow
+	// Path is the peers traversed so far, the requester first and the
+	// receiving peer last, so the sender is Path[len-2]. Responses follow
 	// the reverse of this path (§3.1).
 	Path []overlay.PeerID
 }
 
+// EventName implements sim.Named.
+func (q *QueryMsg) EventName() string { return "query-deliver" }
+
+// Fire implements sim.Event: the branch lands on the last peer of its path
+// and returns to the pool.
+func (q *QueryMsg) Fire(*sim.Engine) {
+	q.net.receiveQuery(q.Path[len(q.Path)-1], q)
+	q.net.msgPool.Put(q)
+}
+
 // onPath reports whether p already appears on the query's path.
 func (q *QueryMsg) onPath(p overlay.PeerID) bool {
-	for _, x := range q.Path {
-		if x == p {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(q.Path, p)
 }
 
 // ResponseMsg is a query response travelling the reverse path (§3.1: "query
-// responses follow the reverse path of their corresponding q"). Instances
-// are pooled and mutated in place as they walk the reverse path: exactly
-// one scheduled delivery owns a response at any instant.
+// responses follow the reverse path of their corresponding q") and the
+// simulator event that delivers it to dst. Instances are pooled and mutated
+// in place as they walk the reverse path: the queue holds a response at
+// most once at any instant. It carries its own copies of the requester and
+// the keywords because it outlives the query's finalisation.
 type ResponseMsg struct {
-	ID QueryID
+	net *Network
+	// dst is the peer the scheduled delivery lands on; sendResponse sets it.
+	dst overlay.PeerID
+	ID  QueryID
 	// File is the satisfying filename.
 	File keywords.Filename
 	// Providers lists known providers of File, most preferred first. A
@@ -83,8 +90,8 @@ type ResponseMsg struct {
 	// treat as a new provider of File in Locaware (§4.1.2).
 	Origin    overlay.PeerID
 	OriginLoc netmodel.LocID
-	// Path is the remaining reverse path to walk; Path[len-1] is the next
-	// hop already consumed by the network layer as it advances.
+	// Path is the remaining reverse path to walk, the next hop last;
+	// sendResponse pops it into dst.
 	Path []overlay.PeerID
 	// HitHops is the overlay distance from origin to the answering peer.
 	HitHops int
@@ -92,3 +99,10 @@ type ResponseMsg struct {
 	// or a response index (false).
 	FromStorage bool
 }
+
+// EventName implements sim.Named.
+func (rsp *ResponseMsg) EventName() string { return "response-deliver" }
+
+// Fire implements sim.Event. The response stays with its delivery chain:
+// deliverResponse either completes and releases it or posts the next hop.
+func (rsp *ResponseMsg) Fire(*sim.Engine) { rsp.net.deliverResponse(rsp.dst, rsp) }

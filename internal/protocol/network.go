@@ -73,12 +73,14 @@ type Behavior interface {
 	// response index in Locaware has for each file more possibilities of
 	// providers than in Dicas").
 	CacheConfig(base cache.Config) cache.Config
-	// Forward selects the neighbours of n to forward q to; from is the
-	// peer the query arrived from (the origin itself on first hop). The
-	// returned slice is consumed before the next Forward call, so
-	// implementations may return the network's target buffer
-	// (Network.targetBuf()).
-	Forward(net *Network, n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID
+	// Forward selects, among elig, the peers n forwards q to. elig is the
+	// candidate slice Network.forward built for this hop: n's neighbours
+	// the query has not visited, in neighbour order. It is the network's
+	// scratch — an implementation may read it and return it or a subslice
+	// of it, never write to it or keep it. The returned slice is consumed
+	// before the next Forward call, so implementations may also return the
+	// network's target buffer (Network.targetBuf()).
+	Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID
 	// CacheResponse lets reverse-path node n cache the response per the
 	// protocol's placement rule.
 	CacheResponse(net *Network, n *Node, rsp *ResponseMsg)
@@ -102,8 +104,16 @@ type pendingQuery struct {
 	// id is the query this value serves; finalize zeroes it and a recycled
 	// value carries a newer one, so a message whose ID differs is a
 	// straggler of a finalised query.
-	id     QueryID
-	origin overlay.PeerID
+	id QueryID
+	// q is the keyword set and gid caches gidOfQuery(q, M), the group id
+	// every Gid-routing hop consults.
+	q   keywords.Query
+	gid int
+	// origin is the requesting peer and originLoc its locality (§4.1.2: the
+	// answering peer selects providers according to the locId of the
+	// querying peer, so the query carries it).
+	origin    overlay.PeerID
+	originLoc netmodel.LocID
 	// col is the collector the query will finalise into; captured at
 	// submission so a mid-run collector reset (warmup) does not leak
 	// in-flight queries into the measured phase.
@@ -182,33 +192,33 @@ type Network struct {
 
 	// nextID assigns query ids.
 	nextID QueryID
-	// pending is the id → state registry of the in-flight queries, touched
-	// at submission, completion and finalisation only (messages carry the
-	// pointer). A query absent from it has been finalised and its record
-	// sealed.
+	// pending is the id → state registry of the in-flight queries, read at
+	// submission, finalisation and on every response hop (a response may
+	// outlive its query, so it carries the id, not the pointer; query
+	// branches carry the pointer). A query absent from it has been finalised
+	// and its record sealed.
 	pending map[QueryID]*pendingQuery
 
 	// Object pools, one per pooled type, all under sim.Pool's rule: the
-	// sender acquires a value and its last user Puts it back — the events
-	// of events.go Put themselves when they fire. Recycled events keep
-	// steady-state scheduling allocation-free.
+	// sender acquires a value and its last user Puts it back — an event
+	// Puts itself when it fires, a response when its walk ends. Recycled
+	// values keep steady-state scheduling allocation-free.
 	pqPool   sim.Pool[pendingQuery]
 	msgPool  sim.Pool[QueryMsg]
 	respPool sim.Pool[ResponseMsg]
-	qdPool   sim.Pool[queryDeliverEvent]
-	rdPool   sim.Pool[responseDeliverEvent]
 	finPool  sim.Pool[finalizeEvent]
 	biPool   sim.Pool[bloomInstallEvent]
 	// pathBlock is the unused rest of the block fresh messages' Path arrays
 	// are carved from (see acquireMsg).
 	pathBlock []overlay.PeerID
 
-	// Reusable scratch buffers for the per-event selection loops. Each is
-	// filled and fully consumed within one event delivery.
+	// Reusable scratch buffers for the per-event selection loops, each
+	// filled and fully consumed within one event delivery: the hop's
+	// candidates, the behaviour's two target lists, the fallback set, the
+	// live providers.
+	eligBuf []overlay.PeerID
 	fwdBuf  []overlay.PeerID
 	fwdBuf2 []overlay.PeerID
-	eligBuf []overlay.PeerID
-	restBuf []overlay.PeerID
 	fbBuf   []overlay.PeerID
 	provBuf []cache.Provider
 
@@ -269,10 +279,9 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		// Selection scratch: sized past the default MaxDegree (12) so the
 		// per-event loops run allocation-free; pathological degrees merely
 		// cost a transient grow.
+		eligBuf: make([]overlay.PeerID, 0, 64),
 		fwdBuf:  make([]overlay.PeerID, 0, 64),
 		fwdBuf2: make([]overlay.PeerID, 0, 64),
-		eligBuf: make([]overlay.PeerID, 0, 64),
-		restBuf: make([]overlay.PeerID, 0, 64),
 		fbBuf:   make([]overlay.PeerID, 0, 64),
 		provBuf: make([]cache.Provider, 0, 16),
 	}

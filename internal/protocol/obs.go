@@ -5,12 +5,10 @@ package protocol
 // snapshot paths only.
 func (net *Network) PoolSizes() map[string]int {
 	return map[string]int{
-		"pending":          net.pqPool.Len(),
-		"query-msg":        net.msgPool.Len(),
-		"response-msg":     net.respPool.Len(),
-		"query-deliver":    net.qdPool.Len(),
-		"response-deliver": net.rdPool.Len(),
-		"finalize":         net.finPool.Len(),
-		"bloom-install":    net.biPool.Len(),
+		"pending":       net.pqPool.Len(),
+		"query-msg":     net.msgPool.Len(),
+		"response-msg":  net.respPool.Len(),
+		"finalize":      net.finPool.Len(),
+		"bloom-install": net.biPool.Len(),
 	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -58,6 +59,31 @@ func fname(kws ...keywords.Keyword) keywords.Filename { return keywords.NewFilen
 
 func runAll(net *Network) {
 	net.Engine.Run(0)
+}
+
+// testBranch builds the branch of a query for q that has walked path, with
+// the per-query state SubmitQuery would have given it.
+func testBranch(net *Network, q keywords.Query, path ...overlay.PeerID) *QueryMsg {
+	origin := net.Node(path[0])
+	pq := &pendingQuery{
+		q: q, gid: gidOfQuery(q, net.Config.GroupCount), origin: origin.ID, originLoc: origin.Loc,
+		kwIdx: origin.bloomPositions(nil, q),
+	}
+	return &QueryMsg{net: net, pq: pq, TTL: net.Config.TTL - (len(path) - 1), Path: path}
+}
+
+// eligOf is forward's candidate set by the predicate the six Forward loops
+// used to spell: the neighbours of the branch's last peer that are neither
+// the sender nor anywhere on the path.
+func eligOf(net *Network, q *QueryMsg) []overlay.PeerID {
+	var elig []overlay.PeerID
+	for _, nb := range net.Graph.Neighbors(q.Path[len(q.Path)-1]) {
+		if len(q.Path) > 1 && nb == q.Path[len(q.Path)-2] || slices.Contains(q.Path, nb) {
+			continue
+		}
+		elig = append(elig, nb)
+	}
+	return elig
 }
 
 func TestFloodingFindsStorageHit(t *testing.T) {
@@ -286,7 +312,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	f := fname("ans")
 	n1 := net.Node(1)
 	n1.Gid = gidOfName(f.String(), cfg.GroupCount)
-	q := &QueryMsg{Origin: 2, OriginLoc: 9, Q: keywords.NewQuery("ans")}
+	q := &QueryMsg{pq: &pendingQuery{origin: 2, originLoc: 9}}
 	Locaware{}.OnAnswer(net, n1, q, f)
 	ps := n1.RI.Providers(f, net.Engine.Now())
 	if len(ps) != 1 || ps[0].Peer != 2 || ps[0].LocID != 9 {
@@ -349,9 +375,8 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	// Before gossip, node 2's published BF is empty -> no match.
 	n1 := net.Node(1)
 	kw := keywords.NewQuery("bloomy")
-	q := &QueryMsg{Origin: 0, Q: kw, TTL: 7, Path: []overlay.PeerID{0, 1},
-		pq: &pendingQuery{kwIdx: n1.bloomPositions(nil, kw)}}
-	targets := Locaware{}.Forward(net, n1, q, 0)
+	q := testBranch(net, kw, 0, 1)
+	targets := Locaware{}.Forward(net, n1, q, eligOf(net, q))
 	for _, tgt := range targets {
 		if tgt == 2 {
 			if bf := n2.PublishedBloom(); bf.Test("bloomy") {
@@ -361,7 +386,7 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	}
 	// Run past one gossip period; now BF matches and routing prefers 2.
 	net.Engine.RunUntil(6*sim.Second, 0)
-	targets = Locaware{}.Forward(net, n1, q, 0)
+	targets = Locaware{}.Forward(net, n1, q, eligOf(net, q))
 	if len(targets) != 1 || targets[0] != 2 {
 		t.Fatalf("BF routing targets = %v, want [2]", targets)
 	}
@@ -523,7 +548,7 @@ func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	scheduled := net.Engine.Scheduled()
 
 	src := overlay.PeerID(-1)
-	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) { src = ev.(*queryDeliverEvent).src })
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) { p := ev.(*QueryMsg).Path; src = p[len(p)-2] })
 	net.Engine.Run(1)
 	net.Engine.SetObserver(nil)
 	if src != 0 {
@@ -558,17 +583,16 @@ func TestHighestDegreeNeighborFallback(t *testing.T) {
 	pts := []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 100}, {X: 300, Y: 100}, {X: 200, Y: 200}, {X: 50, Y: 50}}
 	edges := [][2]int{{0, 1}, {1, 2}, {1, 3}, {0, 4}}
 	net := testNet(t, Dicas{}, pts, edges, cfg)
-	n0 := net.Node(0)
-	q := &QueryMsg{Origin: 0, Q: keywords.NewQuery("zzz"), TTL: 7, Path: []overlay.PeerID{0}}
-	nb, ok := net.highestDegreeNeighbor(n0, q, -1)
-	if !ok || nb != 1 {
-		t.Fatalf("fallback = %d,%v, want 1", nb, ok)
+	net.Config.FallbackFanout = 1 // the highest-degree candidate alone
+	if out := net.fallbackNeighbors([]overlay.PeerID{1, 4}); len(out) != 1 || out[0] != 1 {
+		t.Fatalf("fallback = %v, want [1]", out)
 	}
-	// Exclude the hub via path; falls to 4.
-	q2 := &QueryMsg{Origin: 0, Q: keywords.NewQuery("zzz"), TTL: 7, Path: []overlay.PeerID{0, 1}}
-	nb, ok = net.highestDegreeNeighbor(n0, q2, -1)
-	if !ok || nb != 4 {
-		t.Fatalf("fallback with exclusion = %d,%v, want 4", nb, ok)
+	// The hub is no candidate (on the path); falls to 4.
+	if out := net.fallbackNeighbors([]overlay.PeerID{4}); len(out) != 1 || out[0] != 4 {
+		t.Fatalf("fallback with exclusion = %v, want [4]", out)
+	}
+	if out := net.fallbackNeighbors(nil); out != nil {
+		t.Fatalf("fallback with no candidate = %v, want nil", out)
 	}
 }
 
@@ -593,12 +617,11 @@ func TestOrderProvidersForOrigin(t *testing.T) {
 func TestSelectIndexMatchPrefersOriginLocality(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), cfg)
-	q := &QueryMsg{OriginLoc: 7}
 	ms := []cache.Match{
 		{File: fname("many"), Providers: []cache.Provider{{Peer: 1, LocID: 1}, {Peer: 2, LocID: 2}, {Peer: 3, LocID: 3}}},
 		{File: fname("right"), Providers: []cache.Provider{{Peer: 4, LocID: 7}}},
 	}
-	got := net.selectIndexMatch(ms, q)
+	got := net.selectIndexMatch(ms, 7)
 	if got.File.String() != "right" {
 		t.Fatalf("selected %q, want locality match", got.File.String())
 	}
@@ -656,9 +679,8 @@ func TestLocawareLRPrefersSameLocality(t *testing.T) {
 	}
 	net.Engine.RunUntil(2*sim.Second, 0) // publish blooms
 	kw := keywords.NewQuery("lr")
-	q := &QueryMsg{Origin: 0, OriginLoc: net.Node(0).Loc, Q: kw, TTL: 7, Path: []overlay.PeerID{0},
-		pq: &pendingQuery{kwIdx: net.Node(0).bloomPositions(nil, kw)}}
-	targets := LocawareLR{}.Forward(net, net.Node(0), q, 0)
+	q := testBranch(net, kw, 0)
+	targets := LocawareLR{}.Forward(net, net.Node(0), q, eligOf(net, q))
 	if len(targets) != 1 || targets[0] != 2 {
 		t.Fatalf("LR targets = %v, want same-locality [2]", targets)
 	}
@@ -832,12 +854,11 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	edges := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
 	net := testNet(t, Dicas{}, pts, edges, cfg)
 	// Force all neighbours to a non-matching Gid.
-	q := &QueryMsg{Origin: 0, Q: keywords.NewQuery("zzz"), TTL: 7, Path: []overlay.PeerID{0}}
-	want := gidOfQuery(q.Q, cfg.GroupCount)
+	q := testBranch(net, keywords.NewQuery("zzz"), 0)
 	for i := 1; i <= 4; i++ {
-		net.Node(overlay.PeerID(i)).Gid = (want + 1) % cfg.GroupCount
+		net.Node(overlay.PeerID(i)).Gid = (q.pq.gid + 1) % cfg.GroupCount
 	}
-	targets := Dicas{}.Forward(net, net.Node(0), q, -1)
+	targets := Dicas{}.Forward(net, net.Node(0), q, eligOf(net, q))
 	if len(targets) != 3 {
 		t.Fatalf("fallback fanout produced %d targets, want 3", len(targets))
 	}

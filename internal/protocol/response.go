@@ -22,13 +22,13 @@ func (net *Network) releaseResponse(rsp *ResponseMsg) {
 // selectIndexMatch picks among multiple matching cached filenames: prefer
 // the one with a provider in the origin's locality, then the one with most
 // providers.
-func (net *Network) selectIndexMatch(ms []cache.Match, q *QueryMsg) cache.Match {
+func (net *Network) selectIndexMatch(ms []cache.Match, origin netmodel.LocID) cache.Match {
 	best := ms[0]
 	bestScore := -1
 	for _, m := range ms {
 		score := len(m.Providers)
 		for _, pr := range m.Providers {
-			if pr.LocID == q.OriginLoc {
+			if pr.LocID == origin {
 				score += 1000
 				break
 			}
@@ -61,7 +61,7 @@ func (net *Network) orderProvidersForOrigin(dst []cache.Provider, ps []cache.Pro
 // sendResponse walks the response one hop back along the reverse path,
 // letting each traversed node apply the protocol's caching rule, and
 // completes the query at the origin. The response is mutated in place as it
-// walks: exactly one scheduled event owns it at any instant.
+// walks and is its own delivery event, so it is queued at most once.
 func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 	if len(rsp.Path) == 0 {
 		// The answering node is the origin's neighbourless case; deliver
@@ -69,13 +69,13 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 		net.deliverResponse(rsp.Origin, rsp)
 		return
 	}
-	next := rsp.Path[len(rsp.Path)-1]
+	rsp.dst = rsp.Path[len(rsp.Path)-1]
 	rsp.Path = rsp.Path[:len(rsp.Path)-1]
 	if pq, ok := net.pending[rsp.ID]; ok { // finalised queries stop counting
 		pq.messages++
 	}
-	net.emit(trace.ResponseHop, rsp.ID, next, from, "")
-	net.send(from, next, net.acquireResponseDeliver(from, next, rsp))
+	net.emit(trace.ResponseHop, rsp.ID, rsp.dst, from, "")
+	net.send(from, rsp.dst, rsp)
 }
 
 // deliverResponse processes the response at peer p: caching, then either

@@ -2,31 +2,37 @@ package protocol
 
 import (
 	"github.com/p2prepro/locaware/internal/cache"
+	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// forward runs the behaviour's neighbour selection and ships the query.
-func (net *Network) forward(n *Node, q *QueryMsg, from overlay.PeerID) {
+// forward ships q from n to the neighbours the behaviour selects among the
+// candidates: n's neighbours the query has not visited. The sender is on the
+// path and a graph has no self-loops, so that one test is the whole
+// predicate — and this is its only call site.
+func (net *Network) forward(n *Node, q *QueryMsg) {
 	if q.TTL <= 0 {
 		return
 	}
-	targets := net.Behavior.Forward(net, n, q, from)
-	for _, t := range targets {
-		if t == n.ID || !net.Graph.Online(t) || !net.Graph.Linked(n.ID, t) {
+	elig := net.eligBuf[:0]
+	for _, nb := range net.Graph.Neighbors(n.ID) {
+		if !q.onPath(nb) {
+			elig = append(elig, nb)
+		}
+	}
+	net.eligBuf = elig[:0]
+	for _, t := range net.Behavior.Forward(net, n, q, elig) {
+		if !net.Graph.Online(t) {
 			continue
 		}
 		branch := net.acquireMsg()
 		branch.ID = q.ID
 		branch.pq = q.pq
-		branch.Q = q.Q
-		branch.QGid = q.QGid
-		branch.Origin = q.Origin
-		branch.OriginLoc = q.OriginLoc
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
-		net.send(n.ID, t, net.acquireQueryDeliver(n.ID, t, branch))
+		net.send(n.ID, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
 		net.emit(trace.QueryForward, q.ID, t, n.ID, "")
 	}
@@ -64,54 +70,59 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	n := net.nodes[p]
 
 	// Storage hit?
-	if f, ok := n.storageMatch(q.Q); ok {
+	if f, ok := n.storageMatch(pq.q); ok {
 		net.counts.StorageHits++
 		net.emit(trace.StorageHit, q.ID, p, -1, f.String())
-		rsp := net.respPool.Get()
-		rsp.ID = q.ID
-		rsp.File = f
-		rsp.Providers = append(rsp.Providers[:0], cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
-		rsp.QueryKws = q.Q
-		rsp.Origin = q.Origin
-		rsp.OriginLoc = q.OriginLoc
-		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
-		rsp.HitHops = len(q.Path) - 1
-		rsp.FromStorage = true
+		rsp := net.newResponse(q, f, true)
+		rsp.Providers = append(rsp.Providers, cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
 		net.Behavior.OnAnswer(net, n, q, f)
 		net.sendResponse(p, rsp)
 		return
 	}
 	// Response-index hit?
-	if ms := n.lookupRI(q.Q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
-		m := net.selectIndexMatch(ms, q)
+	if ms := n.lookupRI(pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
+		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
 		net.emit(trace.CacheHit, q.ID, p, -1, m.File.String())
-		rsp := net.respPool.Get()
-		rsp.ID = q.ID
-		rsp.File = m.File
-		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers[:0], m.Providers, q.OriginLoc)
-		rsp.QueryKws = q.Q
-		rsp.Origin = q.Origin
-		rsp.OriginLoc = q.OriginLoc
-		rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
-		rsp.HitHops = len(q.Path) - 1
-		rsp.FromStorage = false
+		rsp := net.newResponse(q, m.File, false)
+		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers, m.Providers, pq.originLoc)
 		net.Behavior.OnAnswer(net, n, q, m.File)
 		net.sendResponse(p, rsp)
 		return
 	}
 	net.counts.CacheMisses++
-	net.forward(n, q, q.Path[len(q.Path)-2])
+	net.forward(n, q)
+}
+
+// newResponse takes a response from the pool and fills in everything but
+// the providers: what it copies from the query (q is released when its
+// delivery returns, pq when the query is finalised) and the reverse path.
+func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool) *ResponseMsg {
+	pq := q.pq
+	rsp := net.respPool.Get()
+	rsp.net = net
+	rsp.ID = q.ID
+	rsp.File = f
+	rsp.Providers = rsp.Providers[:0]
+	rsp.QueryKws = pq.q
+	rsp.Origin = pq.origin
+	rsp.OriginLoc = pq.originLoc
+	rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
+	rsp.HitHops = len(q.Path) - 1
+	rsp.FromStorage = fromStorage
+	return rsp
 }
 
 // acquireMsg takes a query message from the pool; whoever does owns it
 // until its delivery event has fired and Puts it back (a dropped event's is
-// left to the GC). A fresh one gets its Path sized for the longest path
-// there is (the origin plus TTL hops), so it never regrows; the backing
-// arrays are carved from blocks, as the pool carves the messages.
+// left to the GC). A fresh one is bound to the network and gets its Path
+// sized for the longest path there is (the origin plus TTL hops), so it
+// never regrows; the backing arrays are carved from blocks, as the pool
+// carves the messages.
 func (net *Network) acquireMsg() *QueryMsg {
 	m := net.msgPool.Get()
 	if m.Path == nil {
+		m.net = net
 		n := net.Config.TTL + 1
 		if len(net.pathBlock) < n {
 			net.pathBlock = make([]overlay.PeerID, 64*n)
@@ -121,62 +132,56 @@ func (net *Network) acquireMsg() *QueryMsg {
 	return m
 }
 
-// fallbackNeighbors implements the last-resort forwarding set shared by the
-// selective protocols: the highest-degree eligible neighbour (§4.2's
-// "highly connected neighbor") plus up to FallbackFanout-1 random other
-// eligible neighbours to keep the walk from degenerating into a single
-// path.
-func (net *Network) fallbackNeighbors(n *Node, q *QueryMsg, from overlay.PeerID) []overlay.PeerID {
-	best, ok := net.highestDegreeNeighbor(n, q, from)
-	if !ok {
-		return nil
-	}
-	eligible := net.eligBuf[:0]
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
-			continue
-		}
-		eligible = append(eligible, nb)
-	}
-	net.eligBuf = eligible[:0]
-	out := append(net.fbBuf[:0], best)
-	net.fbBuf = out[:0]
-	if net.Config.FallbackFanout <= 1 || len(eligible) == 1 {
-		net.forwarding.Fallback++
-		return out
-	}
-	// Random extras among the remaining eligible neighbours.
-	rest := net.restBuf[:0]
-	for _, nb := range eligible {
-		if nb != best {
-			rest = append(rest, nb)
+// gidOrFallback is the tail every selective protocol's preference chain
+// ends in: the candidates in group want, or, when there is none, the
+// last-resort set.
+func (net *Network) gidOrFallback(want int, elig []overlay.PeerID) []overlay.PeerID {
+	out := net.targetBuf()
+	for _, nb := range elig {
+		if net.nodes[nb].Gid == want {
+			out = append(out, nb)
 		}
 	}
-	net.restBuf = rest[:0]
-	net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	extra := net.Config.FallbackFanout - 1
-	if extra > len(rest) {
-		extra = len(rest)
+	if len(out) == 0 {
+		return net.fallbackNeighbors(elig)
 	}
-	out = append(out, rest[:extra]...)
-	net.forwarding.Fallback += uint64(len(out))
+	net.forwarding.GidMatched += uint64(len(out))
 	return out
 }
 
-// highestDegreeNeighbor returns n's highest-degree neighbour not on the
-// query path and not the sender — the "highly connected neighbor as a last
-// resort" rule of §4.2. Ties break towards the lower peer id for
-// determinism. ok is false when every neighbour is excluded.
-func (net *Network) highestDegreeNeighbor(n *Node, q *QueryMsg, from overlay.PeerID) (overlay.PeerID, bool) {
-	best := overlay.PeerID(-1)
-	bestDeg := -1
-	for _, nb := range net.Graph.Neighbors(n.ID) {
-		if nb == from || q.onPath(nb) || !net.Graph.Online(nb) {
+// fallbackNeighbors implements the last-resort forwarding set shared by the
+// selective protocols: the highest-degree online candidate (§4.2's "highly
+// connected neighbor"; ties break towards the lower peer id, the earlier
+// one in neighbour order) plus up to FallbackFanout-1 random other online
+// candidates to keep the walk from degenerating into a single path. It is
+// nil when every candidate is offline.
+func (net *Network) fallbackNeighbors(elig []overlay.PeerID) []overlay.PeerID {
+	out := net.fbBuf[:0]
+	best, bestDeg := 0, -1
+	for _, nb := range elig {
+		if !net.Graph.Online(nb) {
 			continue
 		}
 		if d := net.Graph.Degree(nb); d > bestDeg {
-			best, bestDeg = nb, d
+			best, bestDeg = len(out), d
 		}
+		out = append(out, nb)
 	}
-	return best, best >= 0
+	net.fbBuf = out[:0]
+	if len(out) == 0 {
+		return nil
+	}
+	// The best moves to the front; the rest keep neighbour order, which is
+	// the order the shuffle permutes.
+	b := out[best]
+	copy(out[1:best+1], out[:best])
+	out[0] = b
+	keep := 1
+	if net.Config.FallbackFanout > 1 {
+		rest := out[1:]
+		net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		keep += min(net.Config.FallbackFanout-1, len(rest))
+	}
+	net.forwarding.Fallback += uint64(keep)
+	return out[:keep]
 }

@@ -15,14 +15,11 @@ import (
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	seq     uint64
 	stopped bool
-	// processed counts delivered (non-cancelled) events.
+	// processed counts delivered events.
 	processed uint64
-	// scheduled counts all queued events, including later-cancelled ones.
+	// scheduled counts queued events; the next one's sequence number.
 	scheduled uint64
-	// cancelled counts dead events discarded at pop time.
-	cancelled uint64
 	// horizon, when non-zero, rejects events scheduled beyond it.
 	horizon Time
 	// observer, when non-nil, sees every delivered event just before
@@ -46,8 +43,7 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len returns the number of events currently queued, including cancelled
-// events that have not yet been discarded.
+// Len returns the number of events currently queued.
 func (e *Engine) Len() int { return e.queue.Len() }
 
 // Processed returns the number of events delivered so far.
@@ -56,62 +52,29 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Scheduled returns the number of events scheduled so far.
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
-// Cancelled returns the number of cancelled events discarded so far. A
-// cancelled event stays queued until its turn to pop.
-func (e *Engine) Cancelled() uint64 { return e.cancelled }
-
 // SetHorizon rejects (silently drops) any event scheduled after t. A zero
 // horizon disables the limit. It is used to keep long-tailed retransmission
 // chains from extending a bounded experiment.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
-// ScheduleEventAt queues ev to fire at absolute virtual time at, returning
-// a cancellation handle.
-func (e *Engine) ScheduleEventAt(at Time, ev Event) (*Timer, error) {
-	if at < e.now {
-		return nil, ErrPast
-	}
-	if e.horizon > 0 && at > e.horizon {
-		// Dropped by horizon policy: return a dead timer, not an error, so
-		// callers near the end of a run need no special casing.
-		return deadTimer, nil
-	}
-	t := &Timer{ev: ev}
-	e.push(at, t)
-	return t, nil
-}
-
-// ScheduleEvent queues ev to fire after delay, with a cancellation handle.
-func (e *Engine) ScheduleEvent(delay Time, ev Event) (*Timer, error) {
-	if delay < 0 {
-		return nil, ErrPast
-	}
-	return e.ScheduleEventAt(e.now+delay, ev)
-}
-
-// push queues ev at at under the next scheduling sequence number.
-func (e *Engine) push(at Time, ev Event) {
-	e.queue.push(qent{at: at, seq: e.seq, ev: ev})
-	e.seq++
-	e.scheduled++
-}
-
-// PostEventAt queues ev to fire at absolute virtual time at, without a
-// cancellation handle. This is the hot-path scheduling primitive: with a
-// pooled concrete event it allocates nothing in steady state.
+// PostEventAt queues ev to fire at absolute virtual time at. With a pooled
+// concrete event it allocates nothing in steady state. An event beyond the
+// horizon is dropped without error, so callers near the end of a run need
+// no special casing.
 func (e *Engine) PostEventAt(at Time, ev Event) error {
 	if at < e.now {
 		return ErrPast
 	}
 	if e.horizon > 0 && at > e.horizon {
-		return nil // dropped by horizon policy, as ScheduleEventAt
+		return nil
 	}
-	e.push(at, ev)
+	e.queue.push(qent{at: at, seq: e.scheduled, ev: ev})
+	e.scheduled++
 	return nil
 }
 
-// PostEvent queues ev to fire after delay without a cancellation handle; it
-// panics on a negative delay (the only invalid input).
+// PostEvent queues ev to fire after delay; it panics on a negative delay
+// (the only invalid input).
 func (e *Engine) PostEvent(delay Time, ev Event) {
 	if delay < 0 {
 		panic(ErrPast)
@@ -153,33 +116,22 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 			break
 		}
 		e.queue.pop()
-		ev := qe.ev
-		if t, ok := ev.(*Timer); ok {
-			// A cancellable entry: discard it if cancelled, otherwise
-			// retire the handle and deliver the event it wraps.
-			if t.done {
-				e.cancelled++
-				continue
-			}
-			t.done = true
-			ev = t.ev
-		}
 		e.now = qe.at
 		if e.kinds != nil {
 			// Named events count under their constant name, anonymous ones
 			// share one bucket: a map update and a compare, no allocation
 			// once every kind has been seen.
 			kind := "event"
-			if n, ok := ev.(Named); ok {
+			if n, ok := qe.ev.(Named); ok {
 				kind = n.EventName()
 			}
 			e.kinds[kind]++
 			e.queueHW = max(e.queueHW, e.queue.Len())
 		}
 		if e.observer != nil {
-			e.observer(e.now, ev)
+			e.observer(e.now, qe.ev)
 		}
-		ev.Fire(e)
+		qe.ev.Fire(e)
 		e.processed++
 		delivered++
 	}
@@ -199,19 +151,6 @@ func (e *Engine) EventsByKind() map[string]uint64 { return e.kinds }
 func (e *Engine) QueueHighWater() int { return e.queueHW }
 
 // SetObserver installs fn to see every delivered event just before it
-// fires (nil uninstalls); an event scheduled with a Timer is seen as
-// itself, not as the Timer. The hook exists for tests and harnesses that
+// fires (nil uninstalls). The hook exists for tests and harnesses that
 // assert on delivery order or time the events from outside.
 func (e *Engine) SetObserver(fn func(at Time, ev Event)) { e.observer = fn }
-
-// Drain discards all pending events without running them; their Timers
-// are no longer pending afterwards.
-func (e *Engine) Drain() {
-	for i := range e.queue.ents {
-		if t, ok := e.queue.ents[i].ev.(*Timer); ok {
-			t.done = true
-		}
-	}
-	clear(e.queue.ents)
-	e.queue.ents = e.queue.ents[:0]
-}

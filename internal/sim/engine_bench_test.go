@@ -18,18 +18,6 @@ func BenchmarkQueueMixed(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkTimerCancel measures schedule+cancel churn (retransmission
-// timers that usually do not fire).
-func BenchmarkTimerCancel(b *testing.B) {
-	e := NewEngine()
-	for i := 0; i < b.N; i++ {
-		schedule(e, Second, anonEvent{}).Cancel()
-		if i%4096 == 4095 {
-			e.Drain()
-		}
-	}
-}
-
 // BenchmarkPostEvent measures raw event throughput: post+deliver of one
 // chained pooled event, the simulator's innermost loop.
 func BenchmarkPostEvent(b *testing.B) {

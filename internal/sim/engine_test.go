@@ -48,15 +48,6 @@ type fn func(*Engine)
 
 func (f fn) Fire(e *Engine) { f(e) }
 
-// schedule is ScheduleEvent for a delay the test knows is valid.
-func schedule(e *Engine, delay Time, ev Event) *Timer {
-	t, err := e.ScheduleEvent(delay, ev)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // countEvent is a minimal pooled-style event: it appends its tag to a
 // shared log and optionally posts a follow-up on the delivering engine.
 type countEvent struct {
@@ -124,39 +115,19 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
-// TestTimerAndPostedEventsShareFIFO: an event queued with a cancellation
-// handle and one posted without take their turns in one scheduling order.
-func TestTimerAndPostedEventsShareFIFO(t *testing.T) {
-	e := NewEngine()
-	var log []int
-	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 0})
-	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 1})
-	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 2})
-	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 3})
-	e.Run(0)
-	if len(log) != 4 {
-		t.Fatalf("delivered %d events, want 4", len(log))
-	}
-	for i, v := range log {
-		if v != i {
-			t.Fatalf("same-instant timer/posted events not FIFO: %v", log)
-		}
-	}
-}
-
 func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
 	e.PostEvent(10*Millisecond, anonEvent{})
 	e.Run(0)
-	if _, err := e.ScheduleEventAt(5*Millisecond, anonEvent{}); err != ErrPast {
-		t.Fatalf("expected ErrPast, got %v", err)
-	}
-	if _, err := e.ScheduleEvent(-1, anonEvent{}); err != ErrPast {
-		t.Fatalf("expected ErrPast for negative delay, got %v", err)
-	}
 	if err := e.PostEventAt(5*Millisecond, anonEvent{}); err != ErrPast {
 		t.Fatalf("PostEventAt: expected ErrPast, got %v", err)
 	}
+	defer func() {
+		if r := recover(); r != ErrPast {
+			t.Fatalf("PostEvent(-1) panicked with %v, want ErrPast", r)
+		}
+	}()
+	e.PostEvent(-1, anonEvent{})
 }
 
 func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
@@ -171,53 +142,6 @@ func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 	}
 	if e.Now() != 10*Millisecond {
 		t.Fatalf("clock advanced unexpectedly: %v", e.Now())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	tm := schedule(e, 10*Millisecond, fn(func(*Engine) { fired = true }))
-	if !tm.Pending() {
-		t.Fatal("timer should be pending")
-	}
-	if !tm.Cancel() {
-		t.Fatal("first cancel should succeed")
-	}
-	if tm.Cancel() {
-		t.Fatal("second cancel should report false")
-	}
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Processed() != 0 {
-		t.Fatalf("processed = %d, want 0", e.Processed())
-	}
-}
-
-// TestScheduleEventCancel is TestCancel through the absolute-time form, with
-// a live neighbour at the same instant that must still fire.
-func TestScheduleEventCancel(t *testing.T) {
-	e := NewEngine()
-	var log []int
-	tm, err := e.ScheduleEventAt(10*Millisecond, &countEvent{log: &log, tag: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep, err := e.ScheduleEventAt(10*Millisecond, &countEvent{log: &log, tag: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tm.Pending() || !tm.Cancel() {
-		t.Fatal("cancel of a pending timer should report pending")
-	}
-	e.Run(0)
-	if len(log) != 1 || log[0] != 2 {
-		t.Fatalf("log = %v, want only the uncancelled event", log)
-	}
-	if keep.Pending() {
-		t.Fatal("fired timer still pending")
 	}
 }
 
@@ -282,9 +206,8 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 	fired := 0
 	e.PostEvent(40*Millisecond, fn(func(*Engine) { fired++ }))
 	e.PostEvent(60*Millisecond, fn(func(*Engine) { fired++ }))
-	tm := schedule(e, 60*Millisecond, fn(func(*Engine) { fired++ }))
-	if tm.Pending() {
-		t.Fatal("beyond-horizon timer should be dead on arrival")
+	if err := e.PostEventAt(60*Millisecond, fn(func(*Engine) { fired++ })); err != nil {
+		t.Fatalf("horizon drop should not error: %v", err)
 	}
 	if e.Scheduled() != 1 {
 		t.Fatalf("scheduled = %d, want 1 (horizon drops are not queued)", e.Scheduled())
@@ -295,47 +218,16 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 	}
 }
 
-// TestDrain: drained events never fire, and a handle to one is retired
-// with it.
-func TestDrain(t *testing.T) {
-	e := NewEngine()
-	var timers []*Timer
-	for i := 0; i < 5; i++ {
-		ev := fn(func(*Engine) { t.Fatal("drained event fired") })
-		e.PostEvent(Time(i+1)*Millisecond, ev)
-		timers = append(timers, schedule(e, Time(i+1)*Millisecond, ev))
-	}
-	e.Drain()
-	if e.Len() != 0 {
-		t.Fatalf("queue len = %d after drain", e.Len())
-	}
-	for _, tm := range timers {
-		if tm.Pending() || tm.Cancel() {
-			t.Fatal("drained timer still pending")
-		}
-	}
-	for _, qe := range e.queue.ents[:cap(e.queue.ents)] {
-		if qe.ev != nil {
-			t.Fatal("drained queue still references an event")
-		}
-	}
-	e.Run(0)
-}
-
 func TestProcessedScheduledCounters(t *testing.T) {
 	e := NewEngine()
-	tm := schedule(e, Millisecond, anonEvent{})
+	e.PostEvent(Millisecond, anonEvent{})
 	e.PostEvent(2*Millisecond, anonEvent{})
-	tm.Cancel()
-	e.Run(0)
+	e.RunUntil(Millisecond, 0)
 	if e.Scheduled() != 2 {
 		t.Fatalf("scheduled = %d, want 2", e.Scheduled())
 	}
 	if e.Processed() != 1 {
 		t.Fatalf("processed = %d, want 1", e.Processed())
-	}
-	if e.Cancelled() != 1 {
-		t.Fatalf("cancelled = %d, want 1", e.Cancelled())
 	}
 }
 
@@ -371,8 +263,7 @@ func TestEventName(t *testing.T) {
 }
 
 // TestObserverSeesTypedEvents: the observer and the per-kind tally behind
-// sim_events_total{kind} see each delivered event as itself — for one
-// scheduled with a cancellation handle, the wrapped event, never the Timer.
+// sim_events_total{kind} see each delivered event as itself.
 func TestObserverSeesTypedEvents(t *testing.T) {
 	e := NewEngine()
 	e.CountKinds()
@@ -384,9 +275,8 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 	})
 	var log []int
 	e.PostEvent(2*Millisecond, &countEvent{log: &log, tag: 1})
-	schedule(e, 3*Millisecond, &countEvent{log: &log, tag: 2})
-	schedule(e, 4*Millisecond, anonEvent{})
-	schedule(e, 5*Millisecond, &countEvent{log: &log, tag: 3}).Cancel()
+	e.PostEvent(3*Millisecond, &countEvent{log: &log, tag: 2})
+	e.PostEvent(4*Millisecond, anonEvent{})
 	e.Run(0)
 	if want := []string{"count", "count", "sim.anonEvent"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("observer saw %v, want %v", names, want)
@@ -396,129 +286,6 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 	}
 	if want := map[string]uint64{"count": 2, "event": 1}; !reflect.DeepEqual(e.EventsByKind(), want) {
 		t.Fatalf("events by kind = %v, want %v", e.EventsByKind(), want)
-	}
-}
-
-// TestTimerStaleGenerationInvalidated: a handle held across its event's
-// delivery is never pending again, and cancelling it cannot touch an event
-// scheduled later.
-func TestTimerStaleGenerationInvalidated(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	bump := fn(func(*Engine) { fired++ })
-	t1 := schedule(e, Millisecond, bump)
-	e.Run(0)
-	if fired != 1 {
-		t.Fatal("first event did not fire")
-	}
-	if t1.Pending() {
-		t.Fatal("fired timer still pending")
-	}
-	t2 := schedule(e, Millisecond, bump)
-	if t1.Pending() {
-		t.Fatal("fired timer reports pending once a later event is queued")
-	}
-	if t1.Cancel() {
-		t.Fatal("fired timer claims to have cancelled something")
-	}
-	if !t2.Pending() {
-		t.Fatal("cancelling a fired timer killed a later event")
-	}
-	e.Run(0)
-	if fired != 2 {
-		t.Fatalf("later event did not fire (fired=%d)", fired)
-	}
-}
-
-// TestTimerCancelledThenRecycled is the cancel-side variant: the cancelled
-// entry is discarded at its turn to pop, and the handle stays dead across
-// that and across later scheduling.
-func TestTimerCancelledThenRecycled(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	bump := fn(func(*Engine) { fired++ })
-	t1 := schedule(e, Millisecond, bump)
-	t1.Cancel()
-	e.Run(0)
-	if fired != 0 {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Cancelled() != 1 {
-		t.Fatalf("cancelled = %d, want 1", e.Cancelled())
-	}
-	t2 := schedule(e, Millisecond, bump)
-	if t1.Pending() || t1.Cancel() {
-		t.Fatal("cancelled timer interacts with a later event")
-	}
-	e.Run(0)
-	if fired != 1 || t2.Pending() {
-		t.Fatalf("later event lifecycle broken: fired=%d", fired)
-	}
-}
-
-// TestTimerSafeAfterReap: after a burst of timers has fired, been
-// cancelled or been drained and the queue has refilled over the same
-// slots, none of the old handles is pending and cancelling them all leaves
-// every new event to fire.
-func TestTimerSafeAfterReap(t *testing.T) {
-	e := NewEngine()
-	const n = 1024
-	fired := 0
-	bump := fn(func(*Engine) { fired++ })
-	var old []*Timer
-	for i := 0; i < n; i++ {
-		tm := schedule(e, Time(i+1), bump)
-		if i%3 == 0 {
-			tm.Cancel()
-		}
-		old = append(old, tm)
-	}
-	e.RunUntil(n/2, 0)
-	e.Drain()
-	delivered := fired
-	for i := 0; i < n; i++ {
-		e.PostEvent(Time(i+1), bump)
-	}
-	for _, tm := range old {
-		if tm.Pending() {
-			t.Fatal("fired, cancelled or drained timer reports pending")
-		}
-		if tm.Cancel() {
-			t.Fatal("fired, cancelled or drained timer cancelled something")
-		}
-	}
-	e.Run(0)
-	if fired != delivered+n {
-		t.Fatalf("refilled queue delivered %d events, want %d", fired-delivered, n)
-	}
-}
-
-// TestDeadTimerFromHorizon covers the horizon-dropped path: scheduling
-// beyond the horizon returns a permanently dead timer, not an error.
-func TestDeadTimerFromHorizon(t *testing.T) {
-	e := NewEngine()
-	e.SetHorizon(10 * Millisecond)
-	tm, err := e.ScheduleEventAt(20*Millisecond, fn(func(*Engine) { t.Fatal("dropped event fired") }))
-	if err != nil {
-		t.Fatalf("horizon drop should not error: %v", err)
-	}
-	if tm.Pending() {
-		t.Fatal("horizon-dropped timer reports pending")
-	}
-	if tm.Cancel() {
-		t.Fatal("horizon-dropped timer claims a cancellation")
-	}
-	te, err := e.ScheduleEvent(20*Millisecond, anonEvent{})
-	if err != nil || te.Pending() || te.Cancel() {
-		t.Fatalf("relative horizon drop: pending=%v err=%v", te.Pending(), err)
-	}
-	// The dead timer must never alias a live event.
-	live := schedule(e, 5*Millisecond, anonEvent{})
-	if tm.Cancel() || !live.Pending() {
-		t.Fatal("dead timer affected a live event")
-	}
-	if n := e.Run(0); n != 1 {
-		t.Fatalf("delivered %d events, want 1 (the live one)", n)
 	}
 }
 

@@ -86,42 +86,3 @@ func EventName(ev Event) string {
 	}
 	return fmt.Sprintf("%T", ev)
 }
-
-// Timer is a handle to a scheduled event that can be cancelled. It is the
-// queued entry itself: ScheduleEvent wraps the caller's event in a Timer
-// and queues that, so the handle and the queue share the one done flag and
-// a fired, cancelled or drained handle can never name a later event.
-type Timer struct {
-	ev Event
-	// done is set when the event fires, is cancelled, is drained, or was
-	// dropped by the horizon at scheduling time.
-	done bool
-}
-
-// deadTimer is the shared handle returned for events dropped by the
-// horizon: permanently non-pending, so nothing ever writes to it.
-var deadTimer = &Timer{done: true}
-
-// Fire makes a Timer queueable. The drain loop unwraps a Timer rather than
-// calling this, so that observers and instrumentation see the inner event.
-func (t *Timer) Fire(e *Engine) {
-	if t.Pending() {
-		t.done = true
-		t.ev.Fire(e)
-	}
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op. Cancel reports whether the event was
-// still pending. The cancelled event rides the queue until popped, when
-// Engine.Cancelled counts it.
-func (t *Timer) Cancel() bool {
-	if !t.Pending() {
-		return false
-	}
-	t.done = true
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (t *Timer) Pending() bool { return t != nil && !t.done }

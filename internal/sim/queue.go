@@ -8,14 +8,9 @@ package sim
 // Ordering contract: pops come out in strictly increasing (at, seq). seq is
 // the engine's scheduling sequence, so same-instant events are FIFO. The
 // oracle test runs this queue beside an independent binary heap on
-// randomized push/pop/cancel streams.
-//
-// Cancelled events are not removed: they ride the heap until popped and
-// the engine discards them there.
+// randomized push/pop streams.
 
-// qent is one queued event: its total-order key plus the event to fire —
-// the caller's own event, or the *Timer wrapping it when it was scheduled
-// with a cancellation handle.
+// qent is one queued event: its total-order key plus the event to fire.
 type qent struct {
 	at  Time
 	seq uint64
@@ -38,8 +33,7 @@ type eventQueue struct {
 	ents []qent
 }
 
-// Len returns the number of queued entries, including cancelled events not
-// yet discarded.
+// Len returns the number of queued entries.
 func (q *eventQueue) Len() int { return len(q.ents) }
 
 // push inserts e.

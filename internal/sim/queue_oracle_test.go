@@ -53,85 +53,36 @@ func (h *heapQueue) pop() (qent, bool) {
 	}
 }
 
-// oracleWorld drives the engine's queue (every entry a Timer, cancelled
-// through Timer.Cancel) and the heap oracle through the same stream of
-// operations.
+// oracleWorld drives the engine's queue and the heap oracle through the
+// same stream of operations.
 type oracleWorld struct {
 	t         *testing.T
 	q         eventQueue
 	heap      heapQueue
-	dead      map[uint64]bool // seq -> cancelled, the heap side's view
-	pending   []qent          // live entries available to cancel
 	seq       uint64
 	now       Time // engine clock: pops are monotone, pushes never precede it
 	delivered int
 }
 
-func newOracleWorld(t *testing.T) *oracleWorld {
-	return &oracleWorld{t: t, dead: map[uint64]bool{}}
-}
+func newOracleWorld(t *testing.T) *oracleWorld { return &oracleWorld{t: t} }
 
 func (w *oracleWorld) push(at Time) {
 	if at < w.now {
 		at = w.now
 	}
-	e := qent{at: at, seq: w.seq, ev: &Timer{ev: anonEvent{}}}
+	e := qent{at: at, seq: w.seq, ev: anonEvent{}}
 	w.seq++
 	w.q.push(e)
 	w.heap.push(e)
-	w.pending = append(w.pending, e)
 }
 
-// cancel cancels a random live pending entry.
-func (w *oracleWorld) cancel(r *rand.Rand) {
-	if len(w.pending) == 0 {
-		return
-	}
-	i := r.Intn(len(w.pending))
-	e := w.pending[i]
-	w.pending[i] = w.pending[len(w.pending)-1]
-	w.pending = w.pending[:len(w.pending)-1]
-	w.dead[e.seq] = true
-	if !e.ev.(*Timer).Cancel() {
-		w.t.Fatalf("cancel of pending entry (%d,%d) reported not pending", e.at, e.seq)
-	}
-}
-
-// popLive advances both queues to their next live delivery and asserts the
-// (at, seq) keys match; it mirrors the engine's dead-skip loop. Returns
-// false when both queues are exhausted.
-func (w *oracleWorld) popLive() bool {
-	var got qent
-	gotOK := false
-	for {
-		e, ok := w.q.pop()
-		if !ok {
-			break
-		}
-		tm := e.ev.(*Timer)
-		if tm.done {
-			continue
-		}
-		tm.done = true
-		got, gotOK = e, true
-		break
-	}
-	var heapEnt qent
-	heapOK := false
-	for {
-		e, ok := w.heap.pop()
-		if !ok {
-			break
-		}
-		if w.dead[e.seq] {
-			delete(w.dead, e.seq)
-			continue
-		}
-		heapEnt, heapOK = e, true
-		break
-	}
+// pop advances both queues to their next delivery and asserts the (at, seq)
+// keys match. Returns false when both queues are exhausted.
+func (w *oracleWorld) pop() bool {
+	got, gotOK := w.q.pop()
+	heapEnt, heapOK := w.heap.pop()
 	if gotOK != heapOK {
-		w.t.Fatalf("after %d deliveries: queue live=%v oracle live=%v", w.delivered, gotOK, heapOK)
+		w.t.Fatalf("after %d deliveries: queue ok=%v oracle ok=%v", w.delivered, gotOK, heapOK)
 	}
 	if !gotOK {
 		return false
@@ -145,20 +96,12 @@ func (w *oracleWorld) popLive() bool {
 	}
 	w.now = got.at
 	w.delivered++
-	// Drop the delivered entry from the cancellable set.
-	for i, p := range w.pending {
-		if p.seq == got.seq {
-			w.pending[i] = w.pending[len(w.pending)-1]
-			w.pending = w.pending[:len(w.pending)-1]
-			break
-		}
-	}
 	return true
 }
 
 // TestQueueOracleRandomized locks the ordering contract: on randomized
-// push/pop/cancel streams — same-instant FIFO ties, zero delays, far-future
-// timers, bursts and droughts — the engine's queue delivers the
+// push/pop streams — same-instant FIFO ties, zero delays, far-future
+// events, bursts and droughts — the engine's queue delivers the
 // byte-identical (at, seq) sequence as the binary-heap oracle.
 func TestQueueOracleRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -186,13 +129,11 @@ func TestQueueOracleRandomized(t *testing.T) {
 				}
 				lastAt = at
 				w.push(at)
-			case k < 70: // cancel a random pending entry
-				w.cancel(r)
 			default: // deliver
-				w.popLive()
+				w.pop()
 			}
 		}
-		for w.popLive() {
+		for w.pop() {
 		}
 		if got := w.q.Len(); got != 0 {
 			t.Fatalf("seed %d: queue holds %d entries after exhaustion", seed, got)
@@ -204,8 +145,8 @@ func TestQueueOracleRandomized(t *testing.T) {
 }
 
 // TestQueueOracleBurstDrain covers growth and full drains: bursts of
-// thousands of near-instant entries with a far-future sprinkling, a tenth
-// cancelled, drained to empty every cycle.
+// thousands of near-instant entries with a far-future sprinkling, drained to
+// empty every cycle.
 func TestQueueOracleBurstDrain(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	w := newOracleWorld(t)
@@ -218,10 +159,7 @@ func TestQueueOracleBurstDrain(t *testing.T) {
 			}
 			w.push(at)
 		}
-		for i := 0; i < n/10; i++ {
-			w.cancel(r)
-		}
-		for w.popLive() {
+		for w.pop() {
 		}
 		if w.q.Len() != 0 || w.heap.Len() != 0 {
 			t.Fatalf("cycle %d: queues not drained (queue %d, oracle %d)", cycle, w.q.Len(), w.heap.Len())
@@ -277,7 +215,7 @@ func TestQueueOracleSparseBurst(t *testing.T) {
 	w := newOracleWorld(t)
 	const queries = 25
 	sparseBurst(queries, r.Int63n, w.push, func() (Time, bool) {
-		ok := w.popLive()
+		ok := w.pop()
 		return w.now, ok
 	})
 	if want := queries * (1400 + 2); w.delivered != want {
@@ -285,26 +223,5 @@ func TestQueueOracleSparseBurst(t *testing.T) {
 	}
 	if w.q.Len() != 0 || w.heap.Len() != 0 {
 		t.Fatalf("queues not drained (queue %d, oracle %d)", w.q.Len(), w.heap.Len())
-	}
-}
-
-// TestEngineCancelledCounter checks the public surface: cancelled events
-// are counted when the drain discards them.
-func TestEngineCancelledCounter(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	bump := fn(func(*Engine) { fired++ })
-	schedule(e, 5, bump)
-	for i := 0; i < 10; i++ {
-		if !schedule(e, Time(10+i), bump).Cancel() {
-			t.Fatal("cancel failed on a pending timer")
-		}
-	}
-	e.Run(0)
-	if fired != 1 {
-		t.Fatalf("fired %d events, want 1", fired)
-	}
-	if got := e.Cancelled(); got != 10 {
-		t.Fatalf("Cancelled() = %d, want 10", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"github.com/p2prepro/locaware/internal/core"
-	"github.com/p2prepro/locaware/internal/exper"
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
@@ -158,7 +157,7 @@ func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error 
 	accs := make([][]*core.RunResult, len(cells)*nProtos)
 	exemplars := make([]*ExemplarTrace, len(cells))
 	exLat := make([]sim.Time, len(cells))
-	exper.Stream(n, workers, func(j int) *core.RunResult {
+	core.Stream(n, workers, func(j int) *core.RunResult {
 		pos := j / perCell
 		rem := j % perCell
 		proto := rem / r.trials

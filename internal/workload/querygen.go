@@ -161,12 +161,3 @@ func (g *Generator) Next() QueryEvent {
 		Q:         keywords.ExtractQuery(f, g.r),
 	}
 }
-
-// Take generates the next k events.
-func (g *Generator) Take(k int) []QueryEvent {
-	out := make([]QueryEvent, k)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}

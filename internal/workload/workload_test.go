@@ -243,7 +243,10 @@ func TestGeneratorRateAndAttribution(t *testing.T) {
 	if math.Abs(g.AggregateRate()-0.83) > 1e-9 {
 		t.Fatalf("aggregate rate = %v, want 0.83", g.AggregateRate())
 	}
-	events := g.Take(5000)
+	events := make([]QueryEvent, 5000)
+	for i := range events {
+		events[i] = g.Next()
+	}
 	var prev QueryEvent
 	requesters := map[int]bool{}
 	for i, ev := range events {

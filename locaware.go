@@ -437,8 +437,12 @@ func (e TraceEvent) String() string {
 // RunTraced is Run with structured event tracing: it returns the run's
 // summary plus up to maxEvents protocol events (submission, forwarding,
 // hits, reverse-path caching, downloads, gossip) in virtual-time order.
-// Events past maxEvents are dropped and counted in Result.TraceDropped.
+// Events past maxEvents are dropped and counted in Result.TraceDropped. A
+// network has one tracer, so Options.FlightRecorder cannot be set as well.
 func RunTraced(o Options, p Protocol, warmup, queries, maxEvents int) (*Result, []TraceEvent, error) {
+	if o.FlightRecorder != nil {
+		return nil, nil, errors.New("locaware: RunTraced's event buffer and Options.FlightRecorder cannot share a run's one tracer; use Run with the flight recorder")
+	}
 	buf := trace.NewBuffer(maxEvents)
 	res, err := run(o, p, warmup, queries, buf)
 	if err != nil {

@@ -222,7 +222,6 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 					sum(`sim_events_total{kind="`+k+`"}`, n)
 				}
 				sum("sim_events_scheduled_total", rs.EventsScheduled)
-				sum("sim_events_cancelled_total", rs.EventsCancelled)
 				peak("sim_queue_depth_high_water", rs.QueueDepthHighWater)
 				sum("protocol_queries_submitted_total", rs.Submitted)
 				sum("protocol_queries_finalized_total", rs.Finalized)

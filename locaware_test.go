@@ -311,6 +311,23 @@ func TestRunTracedErrors(t *testing.T) {
 	}
 }
 
+// TestRunTracedRefusesFlightRecorder: a network has one tracer, and RunTraced
+// used to replace the recorder NewSimulation had attached — the same Options
+// gave Run its retained traces and RunTraced none, silently. The combination
+// is an error naming both.
+func TestRunTracedRefusesFlightRecorder(t *testing.T) {
+	o := fastOptions(20)
+	o.FlightRecorder = &FlightRecorder{SlowestN: 3, KeepFailed: true}
+	res, err := Run(o, ProtocolLocaware, 0, 20)
+	if err != nil || len(res.Traces) == 0 {
+		t.Fatalf("fixture: Run retained %d traces, err %v", len(res.Traces), err)
+	}
+	_, _, err = RunTraced(o, ProtocolLocaware, 0, 20, 5000)
+	if err == nil || !strings.Contains(err.Error(), "RunTraced") || !strings.Contains(err.Error(), "FlightRecorder") {
+		t.Fatalf("RunTraced with a flight recorder: err = %v, want one naming RunTraced and FlightRecorder", err)
+	}
+}
+
 // TestImpossibleCatalogueIsAnError: a keyword pool too small to name the
 // catalogue's files is refused by every entry point that takes Options,
 // naming both fields. At the parent commit each of these calls hung.
