@@ -12,41 +12,39 @@ import (
 // obsFamilies is the metric catalogue: every family a run reports, named
 // and described here and nowhere else.
 type obsFamilies struct {
-	events       *obs.CounterVec
-	queueHW      *obs.Gauge
-	scheduled    *obs.Counter
-	submitted    *obs.Counter
-	finalized    *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	storageHits  *obs.Counter
-	pendingHW    *obs.Gauge
-	forwards     *obs.CounterVec
-	controlMsgs  *obs.Counter
-	controlBits  *obs.Counter
-	staleBlooms  *obs.Counter
-	poolFree     *obs.GaugeVec
-	traceDropped *obs.Counter
+	events      *obs.CounterVec
+	queueHW     *obs.Gauge
+	scheduled   *obs.Counter
+	submitted   *obs.Counter
+	finalized   *obs.Counter
+	cacheHits   *obs.Counter
+	cacheMisses *obs.Counter
+	storageHits *obs.Counter
+	pendingHW   *obs.Gauge
+	forwards    *obs.CounterVec
+	controlMsgs *obs.Counter
+	controlBits *obs.Counter
+	staleBlooms *obs.Counter
+	poolFree    *obs.GaugeVec
 }
 
 // registerFamilies registers (or fetches) the catalogue on reg.
 func registerFamilies(reg *obs.Registry) obsFamilies {
 	return obsFamilies{
-		events:       reg.CounterVec("sim_events_total", "Events delivered by kind.", "kind"),
-		queueHW:      reg.Gauge("sim_queue_depth_high_water", "Highest event-queue depth seen."),
-		scheduled:    reg.Counter("sim_events_scheduled_total", "Events scheduled."),
-		submitted:    reg.Counter("protocol_queries_submitted_total", "Queries submitted."),
-		finalized:    reg.Counter("protocol_queries_finalized_total", "Queries finalized."),
-		cacheHits:    reg.Counter("protocol_cache_hits_total", "Response-index (cache) lookup hits."),
-		cacheMisses:  reg.Counter("protocol_cache_misses_total", "Response-index lookups that missed and forwarded."),
-		storageHits:  reg.Counter("protocol_storage_hits_total", "Local storage matches."),
-		pendingHW:    reg.Gauge("protocol_pending_queries_high_water", "Highest in-flight pending-query count."),
-		forwards:     reg.CounterVec("protocol_forwards_total", "Forwarding decisions by selection tier.", "tier"),
-		controlMsgs:  reg.Counter("protocol_control_messages_total", "Gossip-plane control messages."),
-		controlBits:  reg.Counter("protocol_control_bits_total", "Gossip-plane control traffic in bits."),
-		staleBlooms:  reg.Counter("protocol_stale_bloom_fallbacks_total", "Bloom installs that fell back to the published filter."),
-		poolFree:     reg.GaugeVec("protocol_pool_free", "Pooled objects on free lists at end of run, by pool.", "pool"),
-		traceDropped: reg.Counter("trace_events_dropped_total", "Trace events dropped by a full tracer buffer."),
+		events:      reg.CounterVec("sim_events_total", "Events delivered by kind.", "kind"),
+		queueHW:     reg.Gauge("sim_queue_depth_high_water", "Highest event-queue depth seen."),
+		scheduled:   reg.Counter("sim_events_scheduled_total", "Events scheduled."),
+		submitted:   reg.Counter("protocol_queries_submitted_total", "Queries submitted."),
+		finalized:   reg.Counter("protocol_queries_finalized_total", "Queries finalized."),
+		cacheHits:   reg.Counter("protocol_cache_hits_total", "Response-index (cache) lookup hits."),
+		cacheMisses: reg.Counter("protocol_cache_misses_total", "Response-index lookups that missed and forwarded."),
+		storageHits: reg.Counter("protocol_storage_hits_total", "Local storage matches."),
+		pendingHW:   reg.Gauge("protocol_pending_queries_high_water", "Highest in-flight pending-query count."),
+		forwards:    reg.CounterVec("protocol_forwards_total", "Forwarding decisions by selection tier.", "tier"),
+		controlMsgs: reg.Counter("protocol_control_messages_total", "Gossip-plane control messages."),
+		controlBits: reg.Counter("protocol_control_bits_total", "Gossip-plane control traffic in bits."),
+		staleBlooms: reg.Counter("protocol_stale_bloom_fallbacks_total", "Bloom installs that fell back to the published filter."),
+		poolFree:    reg.GaugeVec("protocol_pool_free", "Pooled objects on free lists at end of run, by pool.", "pool"),
 	}
 }
 
@@ -73,11 +71,6 @@ type RuntimeStats struct {
 	BloomInstallCopies uint64
 	// Counts holds the protocol-plane tallies.
 	protocol.Counts
-	// TraceEventsDropped counts trace events the attached tracer's buffer
-	// discarded after filling (0 when untraced or nothing dropped). A
-	// non-zero value means the trace is incomplete — raise the buffer
-	// capacity or switch to a sampling flight recorder.
-	TraceEventsDropped uint64
 	// PoolFree is the per-pool free-list occupancy at end of run.
 	PoolFree map[string]int
 }
@@ -108,9 +101,6 @@ func (rs *RuntimeStats) Report() string {
 	fmt.Fprintf(&b, "    %-28s %d\n", "cache misses", rs.CacheMisses)
 	fmt.Fprintf(&b, "    %-28s %d\n", "storage hits", rs.StorageHits)
 	fmt.Fprintf(&b, "    %-28s %d\n", "pending queries high water", rs.PendingHighWater)
-	if rs.TraceEventsDropped > 0 {
-		fmt.Fprintf(&b, "  warning: trace buffer overflowed; %d events dropped (trace is incomplete)\n", rs.TraceEventsDropped)
-	}
 	if len(rs.PoolFree) > 0 {
 		fmt.Fprintf(&b, "  pool free lists:\n")
 		pools := make([]string, 0, len(rs.PoolFree))
@@ -165,10 +155,6 @@ func (s *Simulation) finishObs(res *RunResult) {
 	f.staleBlooms.Add(s.Network.StaleBloomFallbacks())
 	for pool, n := range rs.PoolFree {
 		f.poolFree.With(pool).SetMax(int64(n))
-	}
-	if dc, ok := s.Network.TracerSink().(interface{ Dropped() uint64 }); ok {
-		rs.TraceEventsDropped = dc.Dropped()
-		f.traceDropped.Add(rs.TraceEventsDropped)
 	}
 	res.Runtime = rs
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
+	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -75,5 +79,70 @@ func TestRunResultCarriesTraces(t *testing.T) {
 	res2 := s2.RunMeasured(0, 100)
 	if res2.Traces != nil || res2.TraceProcessing != 0 {
 		t.Fatalf("untraced run carries trace state: %d traces, processing %v", len(res2.Traces), res2.TraceProcessing)
+	}
+}
+
+// tee hands every event to both the raw log and the recorder.
+type tee struct {
+	log []trace.Event
+	rec *trace.FlightRecorder
+}
+
+func (t *tee) Emit(e trace.Event) {
+	t.log = append(t.log, e)
+	t.rec.Emit(e)
+}
+
+// TestKeepAllRecorderIsTheRawStream is the oracle behind locaware-trace's
+// one sink: a recorder whose slowest-N heap is as large as the run keeps
+// every query, and each kept trace is exactly the raw stream's events for
+// that query in emission order, less the finalize marker the recorder
+// consumes; its phases are exactly the raw stream's phase entries. Small
+// randomized worlds, three protocols, static and under churn-waves.
+func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for _, b := range []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}, protocol.Locaware{}} {
+		for _, scen := range []string{"", "churn-waves"} {
+			seed, warmup, measured := r.Int63n(1000)+1, r.Intn(20), 40+r.Intn(40)
+			cfg := smallConfig(seed)
+			cfg.NumPeers = 60 + r.Intn(60)
+			if scen != "" {
+				cfg.Scenario, _ = scenario.Lookup(scen)
+				cfg = ResolveScenario(cfg, measured)
+			}
+			s := NewSimulation(cfg, b)
+			sink := &tee{rec: trace.NewFlightRecorder(trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20})}
+			s.Network.SetTracer(sink)
+			s.RunMeasured(warmup, measured)
+
+			want := map[uint64][]trace.Event{}
+			var phases []trace.Event
+			for _, e := range sink.log {
+				switch {
+				case e.Kind == trace.PhaseEnter:
+					phases = append(phases, e)
+				case e.Kind != trace.QueryFinalize:
+					want[e.Query] = append(want[e.Query], e)
+				}
+			}
+			label := fmt.Sprintf("%s/%q seed %d", b.Name(), scen, seed)
+			kept := sink.rec.Traces()
+			if len(kept) != warmup+measured || len(want) != len(kept) {
+				t.Fatalf("%s: recorder kept %d traces, raw stream has %d queries, run submitted %d",
+					label, len(kept), len(want), warmup+measured)
+			}
+			for _, qt := range kept {
+				if !slices.Equal(qt.Events, want[qt.Query]) || qt.Dropped != 0 {
+					t.Fatalf("%s: query %d: recorder kept %d events (%d dropped), raw stream has %d",
+						label, qt.Query, len(qt.Events), qt.Dropped, len(want[qt.Query]))
+				}
+			}
+			if got := sink.rec.Phases(); !slices.Equal(got, phases) {
+				t.Fatalf("%s: recorder phases %v, raw stream %v", label, got, phases)
+			}
+			if scen != "" && len(phases) != 4 {
+				t.Fatalf("%s: %d phase entries, want 4", label, len(phases))
+			}
+		}
 	}
 }

@@ -1,12 +1,9 @@
 package protocol
 
 import (
-	"strconv"
-
 	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
-	"github.com/p2prepro/locaware/internal/trace"
 )
 
 // gossipBlooms runs one gossip round: every online peer whose filter
@@ -14,7 +11,8 @@ import (
 // a real message, delivered after link latency (§4.2: neighbours hold
 // possibly stale copies). Traffic is charged per neighbour at the delta's
 // encoded size (footnote 1) even though the delivered payload installs the
-// full snapshot — the delta is what the wire would carry.
+// full snapshot — the delta is what the wire would carry. An online peer's
+// neighbours are online: the graph never lists an offline peer's links.
 func (net *Network) gossipBlooms() {
 	for _, n := range net.nodes {
 		if !net.Graph.Online(n.ID) {
@@ -33,18 +31,8 @@ func (net *Network) gossipBlooms() {
 		from := n.ID
 		sizeBits := d.SizeBits()
 		for _, nb := range net.Graph.Neighbors(n.ID) {
-			if !net.Graph.Online(nb) {
-				continue
-			}
 			net.controlMessages++
 			net.controlBits += uint64(sizeBits)
-			if net.traces(trace.BloomGossip) {
-				d := append(net.detailBuf[:0], "delta="...)
-				d = strconv.AppendInt(d, int64(sizeBits), 10)
-				d = append(d, "bits"...)
-				net.detailBuf = d
-				net.emit(trace.BloomGossip, 0, nb, from, string(d))
-			}
 			net.send(from, nb, net.acquireBloomInstall(nb, from, snapshot, snapGen))
 		}
 	}

@@ -42,7 +42,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	net.counts.Submitted++
 	net.counts.PendingHighWater = max(net.counts.PendingHighWater, uint64(len(net.pending)))
 	net.Engine.PostEvent(net.Config.FinalizeAfter, net.acquireFinalize(id))
-	if net.traces(trace.QuerySubmit) {
+	if net.tracer != nil {
 		d := q.AppendString(net.detailBuf[:0])
 		net.detailBuf = d
 		net.emit(trace.QuerySubmit, id, origin, -1, string(d))

@@ -230,24 +230,15 @@ type Network struct {
 	staleBloomFallbacks uint64
 	counts              Counts
 
-	// tracer, when non-nil, receives a structured event for every
-	// significant protocol action (set via SetTracer). Tracing a
-	// paper-scale run is cheap with a bounded trace.Buffer or a sampling
-	// trace.FlightRecorder.
+	// tracer, when non-nil, receives a structured event for every step of a
+	// query's life and every scenario phase entry (set via SetTracer). In a
+	// run it is the trace.FlightRecorder core attaches; every emit, and
+	// every detail string, is skipped when it is nil.
 	tracer trace.Tracer
-	// traceWant is the tracer's kind-interest bitmask (trace.WantMask): emits
-	// of kinds it discards — gossip under a flight recorder — are skipped
-	// before the event (or its detail string) is built.
-	traceWant uint32
 	// detailBuf is the reusable scratch trace-detail strings are built in,
 	// so a traced hot path pays one string copy per annotated event instead
 	// of a fmt.Sprintf.
 	detailBuf []byte
-}
-
-// traces reports whether kind k should be emitted.
-func (net *Network) traces(k trace.Kind) bool {
-	return net.traceWant&(1<<k) != 0
 }
 
 // NewNetwork assembles a network. gidRng draws each node's random Gid;
@@ -302,13 +293,7 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 
 // SetTracer attaches (or, with nil, detaches) a tracer. Call before the
 // run starts.
-func (net *Network) SetTracer(tr trace.Tracer) {
-	net.tracer, net.traceWant = tr, trace.WantMask(tr)
-}
-
-// TracerSink returns the tracer attached with SetTracer (nil when
-// untraced).
-func (net *Network) TracerSink() trace.Tracer { return net.tracer }
+func (net *Network) SetTracer(tr trace.Tracer) { net.tracer = tr }
 
 // TraceEnabled reports whether a tracer is attached; callers use it to
 // skip building detail strings on untraced runs.
@@ -320,11 +305,11 @@ func (net *Network) EmitControl(k trace.Kind, detail string) {
 	net.emit(k, 0, -1, -1, detail)
 }
 
-// emit sends a trace event when the tracer wants kind k; detail
-// annotations that cost an allocation are built by the call sites behind
-// their own traces check.
+// emit sends a trace event when a tracer is attached; detail annotations
+// that cost an allocation are built by the call sites behind their own
+// tracer check.
 func (net *Network) emit(k trace.Kind, query QueryID, peer, from overlay.PeerID, detail string) {
-	if !net.traces(k) {
+	if net.tracer == nil {
 		return
 	}
 	net.tracer.Emit(trace.Event{

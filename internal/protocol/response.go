@@ -10,15 +10,6 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// releaseResponse returns a response to the pool once it completes,
-// is dropped by churn, or is superseded.
-func (net *Network) releaseResponse(rsp *ResponseMsg) {
-	rsp.Providers = rsp.Providers[:0]
-	rsp.Path = rsp.Path[:0]
-	rsp.QueryKws = keywords.Query{}
-	net.respPool.Put(rsp)
-}
-
 // selectIndexMatch picks among multiple matching cached filenames: prefer
 // the one with a provider in the origin's locality, then the one with most
 // providers.
@@ -82,7 +73,7 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 // completion (p is the origin) or the next reverse hop.
 func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 	if !net.Graph.Online(p) {
-		net.releaseResponse(rsp)
+		net.respPool.Put(rsp)
 		return // reverse path broken by churn; response is lost
 	}
 	n := net.nodes[p]
@@ -93,7 +84,7 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 	}
 	if p == rsp.Origin {
 		net.completeQuery(n, rsp)
-		net.releaseResponse(rsp)
+		net.respPool.Put(rsp)
 		return
 	}
 	net.sendResponse(p, rsp)

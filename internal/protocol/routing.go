@@ -24,9 +24,6 @@ func (net *Network) forward(n *Node, q *QueryMsg) {
 	}
 	net.eligBuf = elig[:0]
 	for _, t := range net.Behavior.Forward(net, n, q, elig) {
-		if !net.Graph.Online(t) {
-			continue
-		}
 		branch := net.acquireMsg()
 		branch.ID = q.ID
 		branch.pq = q.pq
@@ -94,22 +91,20 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	net.forward(n, q)
 }
 
-// newResponse takes a response from the pool and fills in everything but
-// the providers: what it copies from the query (q is released when its
-// delivery returns, pq when the query is finalised) and the reverse path.
+// newResponse takes a response from the pool and resets every field, keeping
+// the pooled value's buffers: everything but the providers is what it copies
+// from the query (q is released when its delivery returns, pq when the query
+// is finalised) and the reverse path. It is the one place a pooled response
+// is reset; the walk's end only Puts it back.
 func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool) *ResponseMsg {
 	pq := q.pq
 	rsp := net.respPool.Get()
-	rsp.net = net
-	rsp.ID = q.ID
-	rsp.File = f
-	rsp.Providers = rsp.Providers[:0]
-	rsp.QueryKws = pq.q
-	rsp.Origin = pq.origin
-	rsp.OriginLoc = pq.originLoc
-	rsp.Path = append(rsp.Path[:0], q.Path[:len(q.Path)-1]...)
-	rsp.HitHops = len(q.Path) - 1
-	rsp.FromStorage = fromStorage
+	*rsp = ResponseMsg{
+		net: net, ID: q.ID, File: f, Providers: rsp.Providers[:0],
+		QueryKws: pq.q, Origin: pq.origin, OriginLoc: pq.originLoc,
+		HitHops: len(q.Path) - 1, FromStorage: fromStorage,
+		Path: append(rsp.Path[:0], q.Path[:len(q.Path)-1]...),
+	}
 	return rsp
 }
 
@@ -150,18 +145,15 @@ func (net *Network) gidOrFallback(want int, elig []overlay.PeerID) []overlay.Pee
 }
 
 // fallbackNeighbors implements the last-resort forwarding set shared by the
-// selective protocols: the highest-degree online candidate (§4.2's "highly
+// selective protocols: the highest-degree candidate (§4.2's "highly
 // connected neighbor"; ties break towards the lower peer id, the earlier
-// one in neighbour order) plus up to FallbackFanout-1 random other online
+// one in neighbour order) plus up to FallbackFanout-1 random other
 // candidates to keep the walk from degenerating into a single path. It is
-// nil when every candidate is offline.
+// nil when there is no candidate (every neighbour is on the query's path).
 func (net *Network) fallbackNeighbors(elig []overlay.PeerID) []overlay.PeerID {
 	out := net.fbBuf[:0]
 	best, bestDeg := 0, -1
 	for _, nb := range elig {
-		if !net.Graph.Online(nb) {
-			continue
-		}
 		if d := net.Graph.Degree(nb); d > bestDeg {
 			best, bestDeg = len(out), d
 		}

@@ -140,8 +140,8 @@ func (rt *Runtime) OnSubmit(measuredIdx int) {
 }
 
 // tracePhase emits a phase-entry event when the simulation is being traced.
-// The tracer is read at event time, not attach time: tracing harnesses
-// install it on the network after the simulation is built.
+// The tracer is read at event time, not attach time: core installs the
+// flight recorder on the network after attaching the scenario.
 func (rt *Runtime) tracePhase(k int) {
 	if rt.w.Net == nil || !rt.w.Net.TraceEnabled() {
 		return

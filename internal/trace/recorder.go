@@ -7,7 +7,9 @@ import (
 )
 
 // Policy selects which query traces a FlightRecorder retains after
-// finalize. The zero value keeps nothing; enable at least one criterion.
+// finalize. The zero value keeps nothing; enable at least one criterion. A
+// SlowestN at least the run's query count keeps every query: the heap never
+// fills, so it never evicts.
 type Policy struct {
 	// KeepFailed retains every query finalised without an answer.
 	KeepFailed bool
@@ -26,9 +28,6 @@ type Policy struct {
 	// a pathological run cannot grow without bound. <= 0 means 64.
 	MaxKeep int
 }
-
-// enabled reports whether any retention criterion is active.
-func (p Policy) enabled() bool { return p.KeepFailed || p.MinHops > 0 || p.SlowestN > 0 }
 
 // maxEvents returns the effective per-query event cap.
 func (p Policy) maxEvents() int {
@@ -171,17 +170,6 @@ func NewFlightRecorder(pol Policy) *FlightRecorder {
 	return &FlightRecorder{pol: pol, active: make(map[uint64]*queryBuf)}
 }
 
-// Policy returns the recorder's retention policy.
-func (r *FlightRecorder) Policy() Policy { return r.pol }
-
-// WantKind implements KindFilter: the recorder tails queries (plus scenario
-// phase markers), so gossip events can be skipped at the source — on a
-// gossiping overlay those are the bulk of the stream, and each would
-// otherwise cost a detail-string allocation just to be dropped in Emit.
-func (r *FlightRecorder) WantKind(k Kind) bool {
-	return k != BloomGossip
-}
-
 // Emit implements Tracer.
 func (r *FlightRecorder) Emit(e Event) {
 	switch e.Kind {
@@ -189,9 +177,6 @@ func (r *FlightRecorder) Emit(e Event) {
 		if len(r.phases) < 4096 {
 			r.phases = append(r.phases, e)
 		}
-		return
-	case BloomGossip:
-		// Not query-scoped; the recorder only tails queries.
 		return
 	case QuerySubmit:
 		b := r.acquire()
@@ -360,12 +345,6 @@ func (r *FlightRecorder) Phases() []Event {
 	copy(out, r.phases)
 	return out
 }
-
-// InFlight returns how many queries are currently buffered.
-func (r *FlightRecorder) InFlight() int { return len(r.active) }
-
-// KeptOverflow counts unconditional retentions discarded by Policy.MaxKeep.
-func (r *FlightRecorder) KeptOverflow() uint64 { return r.keptOverflow }
 
 // slowLess reports whether heap entry (aLat, aQ) ranks strictly below a
 // candidate (lat, q): the candidate displaces the minimum iff it is

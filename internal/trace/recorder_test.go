@@ -42,8 +42,8 @@ func TestFlightRecorderKeepFailed(t *testing.T) {
 	if tr.Latency != 30*sim.Second {
 		t.Fatalf("failed latency = %v, want 30s", tr.Latency)
 	}
-	if r.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after finalize", r.InFlight())
+	if len(r.active) != 0 {
+		t.Fatalf("in-flight = %d after finalize", len(r.active))
 	}
 }
 
@@ -143,8 +143,8 @@ func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
 	if got := len(r.Traces()); got != 2 {
 		t.Fatalf("kept %d traces, want MaxKeep=2", got)
 	}
-	if r.KeptOverflow() != 3 {
-		t.Fatalf("overflow = %d, want 3", r.KeptOverflow())
+	if r.keptOverflow != 3 {
+		t.Fatalf("overflow = %d, want 3", r.keptOverflow)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	if ph := r.Phases(); len(ph) != 1 || ph[0].Detail != "surge" {
 		t.Fatalf("phases = %+v", ph)
 	}
-	if len(r.Traces()) != 0 || r.InFlight() != 0 {
+	if len(r.Traces()) != 0 || len(r.active) != 0 {
 		t.Fatal("straggler events must be ignored")
 	}
 }

@@ -24,12 +24,10 @@ type Span struct {
 	// Open marks a link span that never closed: the message died in flight
 	// (TTL exhausted at the target, target offline, or the run ended).
 	Open bool
-	// Propagation, Processing and Queueing split a closed link span's
-	// latency: Processing is the per-hop protocol processing cost (clipped
-	// to the span), Propagation the remaining wire time. Queueing is
-	// reserved for a future bandwidth/queueing network model and is always
-	// 0 today.
-	Propagation, Processing, Queueing sim.Time
+	// Propagation and Processing split a closed link span's latency:
+	// Processing is the per-hop protocol processing cost (clipped to the
+	// span), Propagation the remaining wire time.
+	Propagation, Processing sim.Time
 	// Detail is the source event's annotation.
 	Detail string
 	// Children are causally dependent spans, in event order.
@@ -81,11 +79,11 @@ type spanBuilder struct {
 }
 
 // BuildSpanTree reconstructs query q's span tree from its flat events
-// (merged-stream order, as stored by a FlightRecorder or retained by a
-// Buffer). processing is the protocol's per-hop processing delay,
-// used to split each closed link span's latency into processing +
-// propagation. Non-query events (gossip, phases, engine) in the slice are
-// ignored. Returns nil when the events contain no QuerySubmit.
+// (emission order, as a FlightRecorder stores them). processing is the
+// protocol's per-hop processing delay, used to split each closed link
+// span's latency into processing + propagation. Events of other queries
+// and phase entries in the slice are ignored. Returns nil when the events
+// contain no QuerySubmit.
 func BuildSpanTree(q uint64, events []Event, processing sim.Time) *SpanTree {
 	b := &spanBuilder{
 		processing: processing,

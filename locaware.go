@@ -118,8 +118,8 @@ type Options struct {
 	// Scenario, when non-nil, runs the simulation under a phased-dynamics
 	// timeline — churn waves, flash crowds, content injection/removal,
 	// regional degradation — and reports every metric per phase
-	// (Result.Phases). Scenarios apply to every entry point: Run, RunTraced,
-	// RunTrials and Compare all honour it. Whole-run peer leave/rejoin
+	// (Result.Phases). Scenarios apply to every entry point: Run, RunTrials
+	// and Compare all honour it. Whole-run peer leave/rejoin
 	// churn is the built-in "steady-churn" scenario.
 	Scenario *Scenario
 	// RetainRecords keeps every per-query record in memory and exposes them
@@ -140,7 +140,8 @@ type Options struct {
 	// deep) are kept as span trees on Result.Traces, renderable as text
 	// timelines (Trace.Render) or exportable to Perfetto
 	// (Result.WritePerfetto). Recording is inert — results are
-	// byte-identical with or without it. See FlightRecorder.
+	// byte-identical with or without it. A policy with no retention
+	// criterion is an error. See FlightRecorder.
 	FlightRecorder *FlightRecorder
 	// Trials is the number of independent replications RunTrials and
 	// Compare execute per protocol (<= 0 means 1). Trial t runs in its own
@@ -270,12 +271,10 @@ type Result struct {
 	// first — populated only when the run executed under a recorder
 	// (Options.FlightRecorder). Export them with WritePerfetto.
 	Traces []*Trace
-	// TraceDropped counts the events a RunTraced run emitted past its
-	// maxEvents buffer and discarded; non-zero means the returned events are
-	// only the run's first maxEvents.
-	TraceDropped uint64
-
-	tracePhases []trace.Event
+	// TracePhases holds the scenario phase entries the flight recorder saw,
+	// in timeline order — populated only when a recorded run executed under
+	// Options.Scenario. WritePerfetto exports them as global instants.
+	TracePhases []TraceEvent
 }
 
 // QueryRecord is the outcome of one measured query (RetainRecords mode).
@@ -340,14 +339,15 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 		Phases:                phases,
 		Runtime:               r.Runtime,
 		Traces:                liftTraces(r),
-		tracePhases:           r.TracePhases,
+		TracePhases:           liftEvents(r.TracePhases),
 	}
 }
 
 // validateRun checks what every run entry point requires before a world is
-// built: the warmup/queries bounds, a catalogue that can exist, and a
-// scenario that resolves onto `queries` measured queries — so entry points
-// fail with an error instead of hanging or panicking deep in core.
+// built: the warmup/queries bounds, a catalogue that can exist, a flight
+// recorder that keeps something, and a scenario that resolves onto `queries`
+// measured queries — so entry points fail with an error instead of hanging
+// or panicking deep in core.
 func validateRun(o Options, warmup, queries int) error {
 	if queries <= 0 {
 		return errors.New("locaware: queries must be positive")
@@ -357,6 +357,9 @@ func validateRun(o Options, warmup, queries int) error {
 	}
 	if err := o.coreConfig().Catalog.Validate(); err != nil {
 		return fmt.Errorf("locaware: %w", err)
+	}
+	if err := checkRecorder(o.FlightRecorder); err != nil {
+		return err
 	}
 	if o.Scenario != nil {
 		_, err := o.Scenario.spec.Marks(queries)
@@ -381,15 +384,18 @@ func behaviorsOf(protocols []Protocol) ([]Protocol, []protocol.Behavior, error) 
 	return protocols, behaviors, nil
 }
 
+// checkRecorder refuses a flight-recorder policy with no retention
+// criterion: it would buffer every query and return no trace.
+func checkRecorder(fr *FlightRecorder) error {
+	if fr != nil && !fr.KeepFailed && fr.MinHops <= 0 && fr.SlowestN <= 0 {
+		return errors.New("locaware: Options.FlightRecorder keeps nothing; set SlowestN, KeepFailed or MinHops")
+	}
+	return nil
+}
+
 // Run simulates one protocol: warmup queries bring the system to operating
 // temperature (records discarded), then queries are measured.
 func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
-	return run(o, p, warmup, queries, nil)
-}
-
-// run is the body Run and RunTraced share; a non-nil tracer receives the
-// run's protocol events.
-func run(o Options, p Protocol, warmup, queries int, tracer *trace.Buffer) (*Result, error) {
 	b, err := p.behavior()
 	if err != nil {
 		return nil, err
@@ -398,20 +404,18 @@ func run(o Options, p Protocol, warmup, queries int, tracer *trace.Buffer) (*Res
 		return nil, err
 	}
 	s := core.NewSimulation(o.scenarioConfig(queries), b)
-	if tracer != nil {
-		s.Network.SetTracer(tracer)
-	}
 	return newResult(p, s.RunMeasured(warmup, queries)), nil
 }
 
-// TraceEvent is one traced protocol action in a RunTraced run.
+// TraceEvent is one traced action of a recorded run (Trace.Events,
+// Result.TracePhases).
 type TraceEvent struct {
 	// AtSeconds is the virtual timestamp in seconds.
 	AtSeconds float64
 	// Kind is the action name: submit, forward, duplicate, storage-hit,
-	// cache-hit, response-hop, cached, download, failed, gossip, phase.
+	// cache-hit, response-hop, cached, download, failed, phase.
 	Kind string
-	// Query is the query's sequence number (0 for gossip and phase events).
+	// Query is the query's sequence number (0 for phase events).
 	Query uint64
 	// Peer is the acting peer; From the counterpart peer for link-crossing
 	// actions (-1 otherwise). Network-wide events (scenario phase entries)
@@ -434,27 +438,12 @@ func (e TraceEvent) String() string {
 	return fmt.Sprintf("%9.3fs q=%-4d %-12s peer=%-4d           %s", e.AtSeconds, e.Query, e.Kind, e.Peer, e.Detail)
 }
 
-// RunTraced is Run with structured event tracing: it returns the run's
-// summary plus up to maxEvents protocol events (submission, forwarding,
-// hits, reverse-path caching, downloads, gossip) in virtual-time order.
-// Events past maxEvents are dropped and counted in Result.TraceDropped. A
-// network has one tracer, so Options.FlightRecorder cannot be set as well.
-func RunTraced(o Options, p Protocol, warmup, queries, maxEvents int) (*Result, []TraceEvent, error) {
-	if o.FlightRecorder != nil {
-		return nil, nil, errors.New("locaware: RunTraced's event buffer and Options.FlightRecorder cannot share a run's one tracer; use Run with the flight recorder")
-	}
-	buf := trace.NewBuffer(maxEvents)
-	res, err := run(o, p, warmup, queries, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.TraceDropped = buf.Dropped()
-	return res, liftEvents(buf.Events()), nil
-}
-
 // liftEvents converts internal trace events to the facade shape (virtual
 // time in seconds, kind as its name).
 func liftEvents(in []trace.Event) []TraceEvent {
+	if len(in) == 0 {
+		return nil
+	}
 	out := make([]TraceEvent, len(in))
 	for i, e := range in {
 		out[i] = TraceEvent{
@@ -658,6 +647,9 @@ func Localities(o Options) (LocalityReport, error) {
 	cfg := o.coreConfig()
 	if err := cfg.Catalog.Validate(); err != nil {
 		return LocalityReport{}, fmt.Errorf("locaware: %w", err)
+	}
+	if err := checkRecorder(o.FlightRecorder); err != nil {
+		return LocalityReport{}, err
 	}
 	s := core.NewSimulation(cfg, protocol.Flooding{})
 	census := s.Locator.Census()

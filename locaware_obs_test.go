@@ -194,11 +194,10 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Families no per-run snapshot carries read zero on a run that outlives
-	// no announce buffer and attaches no tracer.
+	// The family no per-run snapshot carries reads zero on a run that
+	// outlives no announce buffer.
 	want := map[string]uint64{
 		"protocol_stale_bloom_fallbacks_total": 0,
-		"trace_events_dropped_total":           0,
 	}
 	sum := func(series string, v uint64) { want[series] += v }
 	peak := func(series string, v uint64) { want[series] = max(want[series], v) }

@@ -224,9 +224,6 @@ func TestScenarioErrors(t *testing.T) {
 	if _, err := Run(o, ProtocolLocaware, 0, 3); err == nil {
 		t.Fatal("Run with unresolvable timeline accepted")
 	}
-	if _, _, err := RunTraced(o, ProtocolLocaware, 0, 3, 10); err == nil {
-		t.Fatal("RunTraced with unresolvable timeline accepted")
-	}
 	if _, err := RunTrials(o, ProtocolLocaware, 0, 3); err == nil {
 		t.Fatal("RunTrials with unresolvable timeline accepted")
 	}
@@ -375,22 +372,18 @@ func TestScenarioPhaseEstimates(t *testing.T) {
 }
 
 // TestScenarioTraceAnnotations locks the phase-entry trace surface: a
-// traced scenario run emits one "phase" event per phase, inline and in
-// timeline order, with no acting peer.
+// recorded scenario run reports one "phase" event per phase on
+// Result.TracePhases, in timeline order, with no acting peer.
 func TestScenarioTraceAnnotations(t *testing.T) {
 	o := scenarioOptions()
 	o.Peers = 80
 	o.Scenario = mustScenario(t, "churn-waves")
-	_, events, err := RunTraced(o, ProtocolLocaware, 0, 40, 100000)
+	o.FlightRecorder = &FlightRecorder{SlowestN: 40}
+	res, err := Run(o, ProtocolLocaware, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var phases []TraceEvent
-	for _, e := range events {
-		if e.Kind == "phase" {
-			phases = append(phases, e)
-		}
-	}
+	phases := res.TracePhases
 	if len(phases) != 4 {
 		t.Fatalf("traced run emitted %d phase events, want 4", len(phases))
 	}

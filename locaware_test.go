@@ -247,108 +247,100 @@ func TestChurnOption(t *testing.T) {
 	}
 }
 
-func TestRunTraced(t *testing.T) {
-	res, events, err := RunTraced(fastOptions(20), ProtocolLocaware, 0, 20, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries != 20 {
-		t.Fatalf("queries = %d", res.Queries)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events traced")
-	}
-	submits, outcomes := 0, 0
-	for i, e := range events {
-		if e.Kind == "submit" {
-			submits++
+// TestFlightRecorderKeepsEveryQuery: a slowest-N heap as large as the run
+// never evicts, so the recorder keeps every query — the keep-all mode
+// locaware-trace prints as a timeline. Each trace tells one whole story (one
+// submit, one download-or-failed outcome, in time order), and a per-query
+// cap keeps each query's first events and counts the rest.
+func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
+	const queries = 20
+	run := func(maxEvents int) *Result {
+		o := fastOptions(20)
+		o.FlightRecorder = &FlightRecorder{SlowestN: queries, MaxEventsPerQuery: maxEvents}
+		res, err := Run(o, ProtocolLocaware, 0, queries)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.Kind == "download" || e.Kind == "failed" {
-			outcomes++
+		if len(res.Traces) != queries {
+			t.Fatalf("retained %d traces, want one per query (%d)", len(res.Traces), queries)
 		}
-		if i > 0 && e.AtSeconds < events[i-1].AtSeconds {
-			t.Fatal("events out of time order")
+		return res
+	}
+	full := run(0)
+	byQuery := map[uint64]*Trace{}
+	for _, tr := range full.Traces {
+		byQuery[tr.Query] = tr
+		submits, outcomes := 0, 0
+		for i, e := range tr.Events {
+			switch e.Kind {
+			case "submit":
+				submits++
+			case "download", "failed":
+				outcomes++
+			}
+			if i > 0 && e.AtSeconds < tr.Events[i-1].AtSeconds {
+				t.Fatalf("query %d: events out of time order", tr.Query)
+			}
 		}
-		if e.String() == "" {
-			t.Fatal("empty event string")
+		if submits != 1 || outcomes != 1 || tr.DroppedEvents != 0 {
+			t.Fatalf("query %d: %d submits, %d outcomes, %d dropped; want 1, 1, 0", tr.Query, submits, outcomes, tr.DroppedEvents)
 		}
 	}
-	if submits != 20 {
-		t.Fatalf("submits = %d, want 20", submits)
-	}
-	if outcomes != 20 {
-		t.Fatalf("outcomes = %d, want one per query", outcomes)
-	}
-	if res.TraceDropped != 0 {
-		t.Fatalf("a buffer that held the whole run reports %d events dropped", res.TraceDropped)
+	if len(byQuery) != queries {
+		t.Fatalf("traces cover %d distinct queries, want %d", len(byQuery), queries)
 	}
 
-	// A buffer too small for the run says so: it keeps the first maxEvents
-	// and counts the rest, so kept + dropped is what the run emitted.
-	const tiny = 50
-	cut, head, err := RunTraced(fastOptions(20), ProtocolLocaware, 0, 20, tiny)
-	if err != nil {
-		t.Fatal(err)
+	const tiny = 3
+	dropped := 0
+	for _, tr := range run(tiny).Traces {
+		whole := byQuery[tr.Query]
+		if n := min(tiny, len(whole.Events)); !reflect.DeepEqual(tr.Events, whole.Events[:n]) {
+			t.Fatalf("query %d: capped trace kept %d events, want the query's first %d", tr.Query, len(tr.Events), n)
+		}
+		if len(tr.Events)+tr.DroppedEvents != len(whole.Events) {
+			t.Fatalf("query %d: kept %d + dropped %d, want the %d an uncapped run keeps",
+				tr.Query, len(tr.Events), tr.DroppedEvents, len(whole.Events))
+		}
+		dropped += tr.DroppedEvents
 	}
-	if len(head) != tiny || !reflect.DeepEqual(head, events[:tiny]) {
-		t.Fatalf("tiny buffer kept %d events, want the run's first %d", len(head), tiny)
-	}
-	if got, want := uint64(len(head))+cut.TraceDropped, uint64(len(events)); got != want {
-		t.Fatalf("kept %d + dropped %d = %d events, want the %d an unbounded run keeps",
-			len(head), cut.TraceDropped, got, want)
+	if dropped == 0 {
+		t.Fatal("a 3-event cap dropped nothing")
 	}
 }
 
-func TestRunTracedErrors(t *testing.T) {
-	if _, _, err := RunTraced(fastOptions(21), Protocol("nope"), 0, 5, 100); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, _, err := RunTraced(fastOptions(21), ProtocolLocaware, 0, 0, 100); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-	if _, _, err := RunTraced(fastOptions(21), ProtocolLocaware, -5, 5, 100); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
-}
-
-// TestRunTracedRefusesFlightRecorder: a network has one tracer, and RunTraced
-// used to replace the recorder NewSimulation had attached — the same Options
-// gave Run its retained traces and RunTraced none, silently. The combination
-// is an error naming both.
-func TestRunTracedRefusesFlightRecorder(t *testing.T) {
-	o := fastOptions(20)
-	o.FlightRecorder = &FlightRecorder{SlowestN: 3, KeepFailed: true}
-	res, err := Run(o, ProtocolLocaware, 0, 20)
-	if err != nil || len(res.Traces) == 0 {
-		t.Fatalf("fixture: Run retained %d traces, err %v", len(res.Traces), err)
-	}
-	_, _, err = RunTraced(o, ProtocolLocaware, 0, 20, 5000)
-	if err == nil || !strings.Contains(err.Error(), "RunTraced") || !strings.Contains(err.Error(), "FlightRecorder") {
-		t.Fatalf("RunTraced with a flight recorder: err = %v, want one naming RunTraced and FlightRecorder", err)
-	}
-}
-
-// TestImpossibleCatalogueIsAnError: a keyword pool too small to name the
-// catalogue's files is refused by every entry point that takes Options,
-// naming both fields. At the parent commit each of these calls hung.
+// TestImpossibleCatalogueIsAnError: Options no run could honour are refused
+// by every entry point that takes Options, with an error naming the fields:
+// a keyword pool too small to name the catalogue's files (at the parent
+// commit each of these calls hung), and a flight recorder with no retention
+// criterion (it buffered every query and silently returned no trace).
 func TestImpossibleCatalogueIsAnError(t *testing.T) {
-	o := fastOptions(21)
-	o.KeywordPool = 20 // C(20,3) = 1140 < 3000 files
 	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, call := range map[string]func() error{
-		"Run":        func() error { _, err := Run(o, ProtocolLocaware, 0, 10); return err },
-		"RunTraced":  func() error { _, _, err := RunTraced(o, ProtocolLocaware, 0, 10, 100); return err },
-		"RunTrials":  func() error { _, err := RunTrials(o, ProtocolLocaware, 0, 10); return err },
-		"Compare":    func() error { _, err := Compare(o, nil, 0, 10, nil); return err },
-		"Localities": func() error { _, err := Localities(o); return err },
-		"RunSweep":   func() error { _, err := RunSweep(o, sw); return err },
+	for _, row := range []struct {
+		name  string
+		set   func(*Options)
+		names []string
+	}{
+		{"catalogue", func(o *Options) { o.KeywordPool = 20 }, []string{"KeywordPool 20", "Files 3000"}}, // C(20,3) = 1140 < 3000 files
+		{"zero recorder", func(o *Options) { o.FlightRecorder = &FlightRecorder{} }, []string{"SlowestN", "KeepFailed", "MinHops"}},
 	} {
-		err := call()
-		if err == nil || !strings.Contains(err.Error(), "KeywordPool 20") || !strings.Contains(err.Error(), "Files 3000") {
-			t.Fatalf("%s: want an error naming KeywordPool 20 and Files 3000, got %v", name, err)
+		o := fastOptions(21)
+		row.set(&o)
+		for entry, call := range map[string]func() error{
+			"Run":        func() error { _, err := Run(o, ProtocolLocaware, 0, 10); return err },
+			"RunTrials":  func() error { _, err := RunTrials(o, ProtocolLocaware, 0, 10); return err },
+			"Compare":    func() error { _, err := Compare(o, nil, 0, 10, nil); return err },
+			"Localities": func() error { _, err := Localities(o); return err },
+			"RunSweep":   func() error { _, err := RunSweep(o, sw); return err },
+		} {
+			err := call()
+			for _, name := range row.names {
+				if err == nil || !strings.Contains(err.Error(), name) {
+					t.Fatalf("%s, %s: want an error naming %v, got %v", row.name, entry, row.names, err)
+				}
+			}
 		}
 	}
 }

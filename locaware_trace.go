@@ -26,9 +26,12 @@ import (
 // latency (download time for answered queries, time-to-finalize for failed
 // ones) in constant memory; KeepFailed keeps every query finalised without
 // an answer; MinHops keeps queries whose flood reached at least that
-// forward depth. MaxEventsPerQuery bounds the in-flight buffer per query
-// (<= 0 means 256, overflow counted in Trace.DroppedEvents) and MaxKeep
-// caps the KeepFailed/MinHops retentions (<= 0 means 64).
+// forward depth. A policy needs at least one of the three: with none it
+// would keep nothing, and every entry point refuses it. SlowestN at least
+// the run's query count (warmup included) keeps every query.
+// MaxEventsPerQuery bounds the in-flight buffer per query (<= 0 means 256,
+// overflow counted in Trace.DroppedEvents) and MaxKeep caps the
+// KeepFailed/MinHops retentions (<= 0 means 64).
 type FlightRecorder = trace.Policy
 
 // Trace is one retained query's causal record (Options.FlightRecorder).
@@ -47,7 +50,7 @@ type Trace struct {
 	// Why names the retention criteria that kept the trace ("failed",
 	// "hops", "slowest", comma-joined).
 	Why string
-	// Events is the query's flat event log in virtual-time order.
+	// Events is the query's flat event log in emission (virtual-time) order.
 	Events []TraceEvent
 	// DroppedEvents counts events discarded by MaxEventsPerQuery.
 	DroppedEvents int
@@ -111,8 +114,9 @@ func (r *SweepResult) CellExemplar(cell int) (*SweepExemplar, error) {
 // WritePerfetto exports the run's retained traces in the Chrome trace-event
 // JSON format, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing:
 // one track per participating peer, one complete event per span, and a
-// global instant per scenario phase entry. It is a no-op JSON document when
-// the run retained no traces; it errors only on writer failure.
+// global instant per scenario phase entry (Result.TracePhases). It is a
+// no-op JSON document when the run retained no traces; it errors only on
+// writer failure.
 func (r *Result) WritePerfetto(w io.Writer) error {
 	trees := make([]*trace.SpanTree, 0, len(r.Traces))
 	for _, t := range r.Traces {
@@ -120,5 +124,9 @@ func (r *Result) WritePerfetto(w io.Writer) error {
 			trees = append(trees, tree)
 		}
 	}
-	return trace.WritePerfetto(w, trees, r.tracePhases)
+	phases := make([]trace.Event, len(r.TracePhases))
+	for i, e := range r.TracePhases {
+		phases[i] = trace.Event{At: sim.FromSeconds(e.AtSeconds), Kind: trace.PhaseEnter, Peer: -1, From: -1, Detail: e.Detail}
+	}
+	return trace.WritePerfetto(w, trees, phases)
 }
