@@ -53,8 +53,8 @@ type Config struct {
 
 	// Scenario, when non-nil, runs the simulation under a phased-dynamics
 	// timeline (churn waves, flash crowds, content and link dynamics) and
-	// segments the measured metrics per phase. Entry points resolve the
-	// phase grid with ResolveScenario before building the simulation.
+	// segments the measured metrics per phase. RunMeasured resolves the
+	// phase grid for its measured count; callers pass the spec as is.
 	Scenario *scenario.Spec
 
 	// Shards is read by nothing: every simulation runs on one event queue.
@@ -116,10 +116,13 @@ func (c *Config) SetQueryRate(rate float64) {
 
 // ResolveScenario threads cfg's scenario phase grid for a run of
 // `measured` measured queries into the collector configuration, so the
-// streaming collector seals a full-metric window per phase during the run.
-// Every entry point calls it before NewSimulation; it is a no-op without a
-// scenario. It panics on an unresolvable grid (fewer measured queries than
-// phases) — the public facade validates specs before running.
+// streaming collector seals a full-metric window per phase during the run;
+// it is a no-op without a scenario. RunMeasured is its one caller in the
+// simulator and resolves every run's grid; it stays exported because the
+// benchmark harness (benchmark/campaign.go) calls it, and a config resolved
+// ahead of RunMeasured is simply resolved again. It panics on an
+// unresolvable grid (fewer measured queries than phases) — the public
+// facade and the sweep planner validate specs before running.
 func ResolveScenario(cfg Config, measured int) Config {
 	if cfg.Scenario == nil {
 		return cfg

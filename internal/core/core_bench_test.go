@@ -148,7 +148,6 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 				cfg.Protocol.Collector.Checkpoints = []int{100, 200, 300, 400, 500}
 				if withScenario {
 					cfg.Scenario, _ = scenario.Lookup("baseline")
-					cfg = ResolveScenario(cfg, queries)
 				}
 				s := NewSimulation(cfg, protocol.Locaware{})
 				var m0, m1 runtime.MemStats

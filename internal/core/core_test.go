@@ -117,19 +117,57 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunNeverOutlivesDeadline locks the contract deadline discovery relies
-// on: even when a periodic control's period exceeds FinalizeAfter + the
-// horizon slack (so a reschedule beyond the eventual deadline is queued
-// before the horizon exists), no event past the deadline is ever delivered.
+// TestRunNeverOutlivesDeadline locks how a run ends: at the last
+// submission + FinalizeAfter + 1 min. It holds even when a periodic
+// control's period exceeds that slack, so a reschedule beyond the end is
+// queued before the last submission sets the horizon: no event past the end
+// is delivered, and the clock rests on it.
 func TestRunNeverOutlivesDeadline(t *testing.T) {
 	cfg := benchConfig(200, 3)
 	// Gossip period far beyond FinalizeAfter + 1 minute: its
 	// self-reschedule can outlive the run deadline.
 	cfg.Protocol.BloomGossipPeriod = cfg.Protocol.FinalizeAfter + 5*sim.Minute
 	s := NewSimulation(cfg, protocol.Locaware{})
+	var lastSubmit, lastDelivery sim.Time
+	s.Engine.SetObserver(func(at sim.Time, ev sim.Event) {
+		lastDelivery = at
+		if n, ok := ev.(sim.Named); ok && n.EventName() == "query-submit" {
+			lastSubmit = at
+		}
+	})
 	res := s.RunMeasured(0, 150)
-	if res.Duration > s.runDeadline {
-		t.Fatalf("run clock %v outlived deadline %v", res.Duration, s.runDeadline)
+	end := lastSubmit + cfg.Protocol.FinalizeAfter + sim.Minute
+	if lastDelivery > end || res.Duration != end {
+		t.Fatalf("last delivery %v, run clock %v; want both at most, and the clock at, the end %v", lastDelivery, res.Duration, end)
+	}
+}
+
+// TestRunResolvesThePhaseGrid: the scenario phase grid follows the run's
+// measured count, whatever the config says. A churn-waves config never
+// resolved, and one resolved for 100 queries, both run 400 measured queries
+// with phase windows ending exactly at the spec's marks for 400.
+func TestRunResolvesThePhaseGrid(t *testing.T) {
+	spec, _ := scenario.Lookup("churn-waves")
+	want, err := spec.Marks(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unresolved := smallConfig(14)
+	unresolved.Scenario = spec
+	for name, cfg := range map[string]Config{
+		"unresolved":       unresolved,
+		"resolved for 100": ResolveScenario(unresolved, 100),
+	} {
+		res := NewSimulation(cfg, protocol.Dicas{}).RunMeasured(20, 400)
+		ws := res.Collector.PhaseWindows()
+		if len(ws) != len(want) {
+			t.Fatalf("%s: %d phase windows, want %d", name, len(ws), len(want))
+		}
+		for i, w := range ws {
+			if w.Name != want[i].Name || w.End != want[i].End {
+				t.Fatalf("%s: window %d is %s ending at %d, want %s ending at %d", name, i, w.Name, w.End, want[i].Name, want[i].End)
+			}
+		}
 	}
 }
 
@@ -270,7 +308,7 @@ func TestChurnRewiresAtTheWorldsDegree(t *testing.T) {
 	cfg.AvgDegree = 6
 	cfg.Scenario, _ = scenario.Lookup("steady-churn")
 	cfg.Scenario.ChurnIntervalS = 5
-	s := NewSimulation(ResolveScenario(cfg, 400), protocol.Dicas{})
+	s := NewSimulation(cfg, protocol.Dicas{})
 	if d := s.Graph.AvgDegree(); d < 5.5 {
 		t.Fatalf("fixture: overlay built at mean degree %.2f, want ≈ 6", d)
 	}

@@ -34,10 +34,6 @@ type Simulation struct {
 	// is the network's tracer, and RunMeasured harvests its retained traces
 	// into the result.
 	recorder *trace.FlightRecorder
-
-	// runDeadline is fixed by the last arrival's submission event; the
-	// run's tail is bounded by it (plus the horizon).
-	runDeadline sim.Time
 }
 
 // NewSimulation assembles a simulation for the behaviour. All randomness
@@ -100,10 +96,6 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	// peer rewires to the degree targets the overlay was built with.
 	if cfg.Scenario != nil {
 		rt, err := scenario.Attach(cfg.Scenario, scenario.World{
-			Engine:  eng,
-			Graph:   graph,
-			Model:   model,
-			Locator: locator,
 			Catalog: catalog,
 			Gen:     s.gen,
 			Net:     net,
@@ -179,45 +171,30 @@ func (s *Simulation) Run(numQueries int) *RunResult {
 // RunMeasured runs warmup queries to bring caches, Bloom filters and
 // natural replication to operating temperature, then measures the next
 // measured queries. Warmup queries execute with full protocol effect but
-// their records are discarded: only the measured phase appears in the
-// returned result.
+// are not recorded: only the measured phase appears in the returned result.
 //
 // Arrivals are streamed: each submission event generates and schedules its
 // successor, so the engine queue holds O(in-flight) events instead of the
-// whole workload — a million-query run no longer materialises a
-// million-entry schedule up front. The generator's RNG is consumed in the
-// same sequential order as the old bulk schedule, so results are unchanged.
-// The chain is one reused typed event (submitEvent), so driving the whole
-// workload allocates nothing per query.
+// whole workload. The chain is one reused typed event (submitEvent), so
+// driving the whole workload allocates nothing per query. The last
+// submission sets the engine's horizon, and the horizon ends the run: one
+// Engine.Run drives it all.
 func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 	total := warmup + measured
 	if total <= 0 {
 		panic("core: RunMeasured needs at least one query")
 	}
+	// The scenario phase grid is resolved here, once, for this run's measured
+	// count: the collector seals a window per phase at the same marks the
+	// timeline enters its phases at, and phase entries ride the submission
+	// events below, so the whole timeline is part of the event order.
+	colCfg := ResolveScenario(s.Cfg, measured).Protocol.Collector
+	s.Network.Measure(metrics.NewCollectorWith(colCfg), warmup)
 	if s.scenario != nil {
-		// Fix the phase timeline now that the measured count is known;
-		// phase entries then ride the submission events below, so the
-		// whole timeline is part of the deterministic event order.
-		if err := s.scenario.BeginMeasured(measured); err != nil {
-			panic(fmt.Sprintf("core: scenario timeline: %v", err))
-		}
+		s.scenario.BeginMeasured(colCfg.Phases)
 	}
-	s.runDeadline = 0
 	s.scheduleSubmit(&submitEvent{s: s, warmup: warmup, total: total, ev: s.gen.Next()})
-	// Run until the last arrival has been generated (deadline known), then
-	// run the tail out in one deadline-bounded call. scheduleSubmit stops
-	// the engine the instant it fixes the deadline, so the first call can
-	// never run on past it and deliver an already-queued event (a periodic
-	// control rescheduled beyond the eventual deadline before the horizon
-	// existed) that the deadline-bounded tail would have excluded. (A
-	// one-query workload fixed its deadline in the call above.)
-	if s.runDeadline == 0 {
-		s.Engine.Run(0)
-		if s.runDeadline == 0 {
-			panic("core: engine drained before the workload completed")
-		}
-	}
-	s.Engine.RunUntil(s.runDeadline, 0)
+	s.Engine.Run(0)
 	s.Network.FlushPending()
 
 	res := &RunResult{
@@ -267,38 +244,16 @@ func (se *submitEvent) Fire(*sim.Engine) {
 	}
 }
 
-// collectorResetEvent swaps in the measured-phase collector just before
-// the first measured query (see scheduleSubmit).
-type collectorResetEvent struct{ s *Simulation }
-
-func (ev *collectorResetEvent) EventName() string { return "collector-reset" }
-
-func (ev *collectorResetEvent) Fire(*sim.Engine) { ev.s.Network.ResetCollector() }
-
-// scheduleSubmit posts the submission event for its current arrival, the
-// collector swap ahead of the first measured query, and — at the last
-// arrival — the run deadline and horizon.
+// scheduleSubmit posts the submission event for its current arrival. The
+// last arrival fixes the run's end: every query has finalised by then, and
+// the horizon keeps anything queued or scheduled past it (periodic controls,
+// long tails) from being delivered.
 func (s *Simulation) scheduleSubmit(se *submitEvent) {
-	if se.i == se.warmup && se.warmup > 0 {
-		// Swap the collector just before the first measured query;
-		// in-flight warmup queries keep finalising into the old one.
-		if at := se.ev.At - 1; at < s.Engine.Now() {
-			s.Network.ResetCollector()
-		} else if err := s.Engine.PostEventAt(at, &collectorResetEvent{s: s}); err != nil {
-			panic(fmt.Sprintf("core: scheduling collector reset: %v", err))
-		}
-	}
 	if err := s.Engine.PostEventAt(se.ev.At, se); err != nil {
 		panic(fmt.Sprintf("core: scheduling query: %v", err))
 	}
 	if se.i == se.total-1 {
-		// The last arrival fixes the run deadline; the horizon drops
-		// anything scheduled beyond it (periodic controls, long tails).
-		// Stop ends the open-ended run right here, so everything after this
-		// instant runs under the deadline bound.
-		s.runDeadline = se.ev.At + s.Cfg.Protocol.FinalizeAfter + sim.Minute
-		s.Engine.SetHorizon(s.runDeadline)
-		s.Engine.Stop()
+		s.Engine.SetHorizon(se.ev.At + s.Cfg.Protocol.FinalizeAfter + sim.Minute)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
+	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -108,7 +109,6 @@ func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 			cfg.NumPeers = 60 + r.Intn(60)
 			if scen != "" {
 				cfg.Scenario, _ = scenario.Lookup(scen)
-				cfg = ResolveScenario(cfg, measured)
 			}
 			s := NewSimulation(cfg, b)
 			sink := &tee{rec: trace.NewFlightRecorder(trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20})}
@@ -142,6 +142,44 @@ func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 			}
 			if scen != "" && len(phases) != 4 {
 				t.Fatalf("%s: %d phase entries, want 4", label, len(phases))
+			}
+		}
+	}
+}
+
+// TestSpanTreeForwardsMatchTheModel is the span builder's ground truth: a
+// forward is delivered exactly its link's one-way latency plus the
+// processing delay after it is sent, so every closed forward span of every
+// query, kept by a keep-all recorder, must last exactly that long. A span
+// paired with the wrong link reads another link's latency. Four protocols,
+// static and under churn-waves.
+func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
+	const warmup, measured = 40, 120
+	for _, b := range Baselines() {
+		for _, scen := range []string{"", "churn-waves"} {
+			cfg := benchConfig(300, 17)
+			cfg.TracePolicy = &trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20}
+			cfg.Scenario, _ = scenario.Lookup(scen)
+			s := NewSimulation(cfg, b)
+			res := s.RunMeasured(warmup, measured)
+			closed, wrong := 0, 0
+			var walk func(*trace.Span)
+			walk = func(sp *trace.Span) {
+				if sp.Kind == trace.QueryForward && !sp.Open {
+					closed++
+					if sp.End-sp.Start != sim.FromMillis(s.Model.OneWay(sp.From, sp.Peer))+cfg.Protocol.ProcessingDelay {
+						wrong++
+					}
+				}
+				for _, c := range sp.Children {
+					walk(c)
+				}
+			}
+			for _, qt := range res.Traces {
+				walk(qt.Tree(res.TraceProcessing).Root)
+			}
+			if closed == 0 || wrong != 0 {
+				t.Errorf("%s/%q: %d of %d closed forward spans on the wrong link", b.Name(), scen, wrong, closed)
 			}
 		}
 	}

@@ -122,7 +122,6 @@ type TrialComparison struct {
 // their records are discarded (0 disables warmup). Results are identical
 // for every worker count.
 func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOptions, warmup, numQueries int, checkpoints []int) *TrialComparison {
-	cfg = ResolveScenario(cfg, numQueries)
 	trials := topt.trials()
 	cmp := &TrialComparison{
 		Cells:       make(map[string]*TrialCell, len(behaviors)),

@@ -45,7 +45,7 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	cfg.Seed = 14
 	cfg.NumPeers = 300
 	cfg.Scenario = spec
-	s := core.NewSimulation(core.ResolveScenario(cfg, measured), protocol.Locaware{})
+	s := core.NewSimulation(cfg, protocol.Locaware{})
 	net, g := s.Network, s.Graph
 
 	type announce struct {

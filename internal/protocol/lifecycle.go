@@ -23,8 +23,8 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 	*pq = pendingQuery{
 		id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
 		// Hashed once per query: every Gid-routing hop consults the same value.
-		gid: gidOfQuery(q, net.Config.GroupCount),
-		col: net.Collector, seen: seen, kwIdx: pq.kwIdx[:0],
+		gid:  gidOfQuery(q, net.Config.GroupCount),
+		seen: seen, kwIdx: pq.kwIdx[:0],
 	}
 	return pq
 }
@@ -98,9 +98,10 @@ func queryRecord(pq *pendingQuery) metrics.QueryRecord {
 	}
 }
 
-// finalize resolves query id: it seals the record and recycles the query's
-// state, zeroing its id so messages still in flight find it stale. A query
-// that is no longer pending was already finalised.
+// finalize resolves query id: it seals the record — into the collector
+// unless id is a warmup query — and recycles the query's state, zeroing its
+// id so messages still in flight find it stale. A query that is no longer
+// pending was already finalised.
 func (net *Network) finalize(id QueryID) {
 	pq, ok := net.pending[id]
 	if !ok {
@@ -111,7 +112,9 @@ func (net *Network) finalize(id QueryID) {
 		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
 	}
 	net.emit(trace.QueryFinalize, id, pq.origin, -1, "")
-	pq.col.Record(queryRecord(pq))
+	if id > net.warmup {
+		net.Collector.Record(queryRecord(pq))
+	}
 	delete(net.pending, id)
 	pq.id = 0
 	net.pqPool.Put(pq)
@@ -127,12 +130,12 @@ func (net *Network) FlushPending() {
 	}
 }
 
-// ResetCollector swaps in a fresh metrics collector (same configuration)
-// and returns the old one. Queries already in flight keep finalising into
-// the collector that was active when they were submitted, so a warmup phase
-// cannot contaminate the measured phase.
-func (net *Network) ResetCollector() *metrics.Collector {
-	old := net.Collector
-	net.Collector = metrics.NewCollectorWith(net.Config.Collector)
-	return old
+// Measure makes col the collector of the run about to start and its first
+// warmup queries unmeasured: they run with full protocol effect, but
+// finalize records only the queries after them. Ids follow submission order,
+// so a warmup query still in flight when the first measured one is
+// submitted stays out of col. Call it before the first submission.
+func (net *Network) Measure(col *metrics.Collector, warmup int) {
+	net.Collector = col
+	net.warmup = QueryID(warmup)
 }

@@ -114,10 +114,6 @@ type pendingQuery struct {
 	// querying peer, so the query carries it).
 	origin    overlay.PeerID
 	originLoc netmodel.LocID
-	// col is the collector the query will finalise into; captured at
-	// submission so a mid-run collector reset (warmup) does not leak
-	// in-flight queries into the measured phase.
-	col       *metrics.Collector
 	messages  int
 	answered  bool
 	rtt       float64
@@ -190,8 +186,10 @@ type Network struct {
 	// rng drives protocol tie-breaking (stream "protocol").
 	rng *rand.Rand
 
-	// nextID assigns query ids.
+	// nextID assigns query ids; queries with ids up to warmup are not
+	// recorded (see Measure).
 	nextID QueryID
+	warmup QueryID
 	// pending is the id → state registry of the in-flight queries, read at
 	// submission, finalisation and on every response hop (a response may
 	// outlive its query, so it carries the id, not the pointer; query

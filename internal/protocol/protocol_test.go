@@ -829,21 +829,30 @@ func TestTracingGossip(t *testing.T) {
 	}
 }
 
-func TestResetCollectorIsolatesInFlightQueries(t *testing.T) {
+// TestWarmupQueriesStayUnrecorded: warmup query 1 (answerable) is still in
+// flight when measured query 2 (unanswerable) is submitted, and only query 2
+// reaches the run's collector.
+func TestWarmupQueriesStayUnrecorded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FinalizeAfter = 10 * sim.Second
 	net := testNet(t, Flooding{}, linePoints(4), lineEdges(4), cfg)
+	col := metrics.NewCollector()
+	net.Measure(col, 1)
 	net.Node(3).AddFile(fname("late"))
 	net.SubmitQuery(0, keywords.NewQuery("late"))
-	// Swap collectors while the query is still in flight.
-	old := net.ResetCollector()
+	net.Engine.RunUntil(sim.Second, 0)
+	if c := net.Counts(); c.Submitted != 1 || c.Finalized != 0 {
+		t.Fatalf("fixture: warmup query not in flight: %+v", c)
+	}
+	net.SubmitQuery(0, keywords.NewQuery("absent"))
 	runAll(net)
 	net.FlushPending()
-	if old.Submitted() != 1 {
-		t.Fatalf("in-flight query leaked out of its collector: old=%d", old.Submitted())
+	if net.Collector != col || col.Submitted() != 1 || col.SuccessRate() != 0 {
+		t.Fatalf("collector recorded %d queries at success %.2f, want only the unanswered measured one",
+			col.Submitted(), col.SuccessRate())
 	}
-	if net.Collector.Submitted() != 0 {
-		t.Fatalf("new collector contaminated: %d", net.Collector.Submitted())
+	if c := net.Counts(); c.Finalized != 2 {
+		t.Fatalf("finalised %d queries, want both", c.Finalized)
 	}
 }
 

@@ -60,8 +60,10 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		// dropping here keeps the run consistent.
 		return
 	}
+	// The sender: a traced duplicate or hit names the link it arrived over.
+	from := q.Path[len(q.Path)-2]
 	if pq.markSeen(p) {
-		net.emit(trace.QueryDuplicate, q.ID, p, -1, "")
+		net.emit(trace.QueryDuplicate, q.ID, p, from, "")
 		return // duplicate: already counted at send time
 	}
 	n := net.nodes[p]
@@ -69,7 +71,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	// Storage hit?
 	if f, ok := n.storageMatch(pq.q); ok {
 		net.counts.StorageHits++
-		net.emit(trace.StorageHit, q.ID, p, -1, f.String())
+		net.emit(trace.StorageHit, q.ID, p, from, f.String())
 		rsp := net.newResponse(q, f, true)
 		rsp.Providers = append(rsp.Providers, cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
 		net.Behavior.OnAnswer(net, n, q, f)
@@ -80,7 +82,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	if ms := n.lookupRI(pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
-		net.emit(trace.CacheHit, q.ID, p, -1, m.File.String())
+		net.emit(trace.CacheHit, q.ID, p, from, m.File.String())
 		rsp := net.newResponse(q, m.File, false)
 		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers, m.Providers, pq.originLoc)
 		net.Behavior.OnAnswer(net, n, q, m.File)

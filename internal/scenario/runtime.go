@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
@@ -13,15 +14,12 @@ import (
 	"github.com/p2prepro/locaware/internal/workload"
 )
 
-// World is the assembled simulation a scenario acts on. All pointers are
-// owned by one simulation; the runtime mutates them only from the engine
-// goroutine, between events, so no protocol code ever observes a
-// half-applied phase.
+// World is the assembled simulation a scenario acts on: the network (whose
+// engine, overlay, latency model and locator the runtime reaches through
+// it) and the workload beside it. All pointers are owned by one simulation;
+// the runtime mutates them only from the engine goroutine, between events,
+// so no protocol code ever observes a half-applied phase.
 type World struct {
-	Engine  *sim.Engine
-	Graph   *overlay.Graph
-	Model   *netmodel.Model
-	Locator *netmodel.Locator
 	Catalog *workload.Catalog
 	Gen     *workload.Generator
 	Net     *protocol.Network
@@ -83,7 +81,7 @@ func Attach(spec *Spec, w World, churnRng, eventRng *rand.Rand) (*Runtime, error
 		// so phases that pause churn cannot shift the event sequence
 		// numbers of phases that resume it. One event reschedules itself
 		// for the whole run.
-		w.Engine.PostEvent(spec.ChurnInterval(),
+		w.Net.Engine.PostEvent(spec.ChurnInterval(),
 			&churnTickEvent{rt: rt, period: spec.ChurnInterval()})
 	}
 	rt.enterPhase(0)
@@ -103,7 +101,7 @@ func (ev *churnTickEvent) EventName() string { return "churn-tick" }
 func (ev *churnTickEvent) Fire(e *sim.Engine) {
 	rt := ev.rt
 	if rt.activeChurn != nil {
-		overlay.ChurnStep(rt.w.Graph, *rt.activeChurn, rt.churnRng)
+		overlay.ChurnStep(rt.w.Net.Graph, *rt.activeChurn, rt.churnRng)
 	}
 	e.PostEvent(ev.period, ev)
 }
@@ -111,14 +109,11 @@ func (ev *churnTickEvent) Fire(e *sim.Engine) {
 // Spec returns the scenario being executed.
 func (rt *Runtime) Spec() *Spec { return rt.spec }
 
-// BeginMeasured resolves the phase boundaries for a run of `measured`
-// measured queries. The experiment loop calls it once, before the first
-// submission.
-func (rt *Runtime) BeginMeasured(measured int) error {
-	marks, err := rt.spec.Marks(measured)
-	if err != nil {
-		return err
-	}
+// BeginMeasured fixes the phase boundaries: marks is the spec's grid
+// resolved for the run's measured query count (Spec.Marks), the same marks
+// the run's collector seals its phase windows at. The experiment loop calls
+// it once, before the first submission.
+func (rt *Runtime) BeginMeasured(marks []metrics.PhaseMark) {
 	rt.starts = make([]int, len(marks))
 	for i := 1; i < len(marks); i++ {
 		rt.starts[i] = marks[i-1].End
@@ -126,7 +121,6 @@ func (rt *Runtime) BeginMeasured(measured int) error {
 	// Phase 0 entered at Attach, before any tracer could be installed;
 	// announce it now so a traced run shows the full timeline.
 	rt.tracePhase(rt.current)
-	return nil
 }
 
 // OnSubmit advances the phase timeline; the experiment loop calls it with
@@ -143,7 +137,7 @@ func (rt *Runtime) OnSubmit(measuredIdx int) {
 // The tracer is read at event time, not attach time: core installs the
 // flight recorder on the network after attaching the scenario.
 func (rt *Runtime) tracePhase(k int) {
-	if rt.w.Net == nil || !rt.w.Net.TraceEnabled() {
+	if !rt.w.Net.TraceEnabled() {
 		return
 	}
 	p := rt.spec.Phases[k]
@@ -184,10 +178,10 @@ func (rt *Runtime) enterPhase(k int) {
 func (rt *Runtime) apply(e EventSpec) {
 	switch e.Kind {
 	case KindChurnWave:
-		overlay.BurstLeave(rt.w.Graph, e.Frac, rt.w.ChurnDefaults.MinOnlineFraction,
+		overlay.BurstLeave(rt.w.Net.Graph, e.Frac, rt.w.ChurnDefaults.MinOnlineFraction,
 			rt.w.ChurnDefaults.MaxDegree, rt.eventRng)
 	case KindRejoin:
-		overlay.BurstJoin(rt.w.Graph, e.Frac, rt.w.ChurnDefaults.AvgDegree,
+		overlay.BurstJoin(rt.w.Net.Graph, e.Frac, rt.w.ChurnDefaults.AvgDegree,
 			rt.w.ChurnDefaults.MaxDegree, rt.eventRng)
 	case KindFlashCrowd:
 		rt.flashCrowd(e)
@@ -204,7 +198,7 @@ func (rt *Runtime) apply(e EventSpec) {
 	case KindDegradeRegion:
 		rt.degradeRegion(e)
 	case KindRestoreRegion:
-		rt.w.Model.ClearLatencyFactors()
+		rt.w.Net.Model.ClearLatencyFactors()
 	default:
 		// Validate rejects unknown kinds before Attach; reaching here is a
 		// programming error.
@@ -250,7 +244,7 @@ func (rt *Runtime) injectFiles(e EventSpec) {
 		f := rt.w.Catalog.File(id)
 		excluded := make(map[overlay.PeerID]bool, copies)
 		for c := 0; c < copies; c++ {
-			p := rt.w.Graph.RandomOnlinePeer(rt.eventRng, excluded)
+			p := rt.w.Net.Graph.RandomOnlinePeer(rt.eventRng, excluded)
 			if p < 0 {
 				break
 			}
@@ -294,7 +288,7 @@ func (rt *Runtime) migrateProviders(e EventSpec) {
 			}
 		}
 		for c := 0; c < moved; c++ {
-			p := rt.w.Graph.RandomOnlinePeer(rt.eventRng, excluded)
+			p := rt.w.Net.Graph.RandomOnlinePeer(rt.eventRng, excluded)
 			if p < 0 {
 				break
 			}
@@ -324,13 +318,13 @@ func (rt *Runtime) pickTargets(n int) []workload.FileID {
 func (rt *Runtime) degradeRegion(e EventSpec) {
 	region := rt.topLocalities(e.Localities)
 	inRegion := func(p overlay.PeerID) bool {
-		_, ok := region[rt.w.Locator.LocID(int(p))]
+		_, ok := region[rt.w.Net.Locator.LocID(int(p))]
 		return ok
 	}
 	if e.LatencyFactor > 1 {
-		for i := 0; i < rt.w.Graph.N(); i++ {
+		for i := 0; i < rt.w.Net.Graph.N(); i++ {
 			if inRegion(overlay.PeerID(i)) {
-				rt.w.Model.SetLatencyFactor(i, e.LatencyFactor)
+				rt.w.Net.Model.SetLatencyFactor(i, e.LatencyFactor)
 			}
 		}
 	}
@@ -339,9 +333,9 @@ func (rt *Runtime) degradeRegion(e EventSpec) {
 		// neighbour lists Neighbors aliases.
 		type link struct{ a, b overlay.PeerID }
 		var candidates []link
-		for i := 0; i < rt.w.Graph.N(); i++ {
+		for i := 0; i < rt.w.Net.Graph.N(); i++ {
 			a := overlay.PeerID(i)
-			for _, b := range rt.w.Graph.Neighbors(a) {
+			for _, b := range rt.w.Net.Graph.Neighbors(a) {
 				if b > a && (inRegion(a) || inRegion(b)) {
 					candidates = append(candidates, link{a, b})
 				}
@@ -349,7 +343,7 @@ func (rt *Runtime) degradeRegion(e EventSpec) {
 		}
 		for _, l := range candidates {
 			if rt.eventRng.Float64() < e.LinkDropFrac {
-				rt.w.Graph.RemoveLink(l.a, l.b)
+				rt.w.Net.Graph.RemoveLink(l.a, l.b)
 			}
 		}
 	}
@@ -358,7 +352,7 @@ func (rt *Runtime) degradeRegion(e EventSpec) {
 // topLocalities returns the `n` most populous locIds (ties to the lower
 // id, for determinism).
 func (rt *Runtime) topLocalities(n int) map[netmodel.LocID]struct{} {
-	census := rt.w.Locator.Census()
+	census := rt.w.Net.Locator.Census()
 	ids := make([]netmodel.LocID, 0, len(census))
 	for id := range census {
 		ids = append(ids, id)

@@ -13,14 +13,14 @@ import (
 // Pending events sit in a 4-ary min-heap of (at, seq, event) entries (see
 // queue.go); the engine owns no other event storage.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	stopped bool
+	now   Time
+	queue eventQueue
 	// processed counts delivered events.
 	processed uint64
 	// scheduled counts queued events; the next one's sequence number.
 	scheduled uint64
-	// horizon, when non-zero, rejects events scheduled beyond it.
+	// horizon, when non-zero, is the last instant the engine schedules or
+	// delivers an event at.
 	horizon Time
 	// observer, when non-nil, sees every delivered event just before
 	// it fires. Installed by tests and timing harnesses; nil costs one
@@ -52,9 +52,10 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Scheduled returns the number of events scheduled so far.
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
-// SetHorizon rejects (silently drops) any event scheduled after t. A zero
-// horizon disables the limit. It is used to keep long-tailed retransmission
-// chains from extending a bounded experiment.
+// SetHorizon ends the simulation at t: events scheduled after t are
+// dropped, and events already queued beyond t stay queued and are never
+// delivered (see RunUntil). A zero horizon disables the limit. A run that
+// learns its end while running sets it then and keeps running.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
 // PostEventAt queues ev to fire at absolute virtual time at. With a pooled
@@ -84,34 +85,32 @@ func (e *Engine) PostEvent(delay Time, ev Event) {
 	}
 }
 
-// Stop makes the current Run return after the in-flight event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run processes events until the queue drains, Stop is called, or maxEvents
-// events have been delivered (0 means no limit). It returns the number of
-// events delivered during this call.
+// Run processes events until the queue drains, the next event lies beyond
+// the horizon, or maxEvents events have been delivered (0 means no limit).
+// It returns the number of events delivered during this call.
 func (e *Engine) Run(maxEvents uint64) uint64 {
 	return e.RunUntil(Time(math.MaxInt64), maxEvents)
 }
 
-// RunUntil processes events with timestamps <= deadline, subject to the same
-// stopping conditions as Run. The clock is left at the timestamp of the last
-// delivered event (or at deadline if the next event lies beyond it and at
-// least one event was inspected).
+// RunUntil processes events with timestamps <= deadline and <= the horizon,
+// subject to the same stopping conditions as Run. The horizon is read before
+// every delivery, so one set by an event bounds the rest of the same call.
+// The clock is left at the timestamp of the last delivered event, or at the
+// bound when the next event lies beyond it.
 func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
-	e.stopped = false
 	var delivered uint64
-	for !e.stopped {
-		if maxEvents > 0 && delivered >= maxEvents {
-			break
-		}
+	for maxEvents == 0 || delivered < maxEvents {
 		qe, ok := e.queue.peek()
 		if !ok {
 			break
 		}
-		if qe.at > deadline {
-			if deadline > e.now && deadline != Time(math.MaxInt64) {
-				e.now = deadline
+		end := deadline
+		if e.horizon > 0 {
+			end = min(end, e.horizon)
+		}
+		if qe.at > end {
+			if end > e.now && end != Time(math.MaxInt64) {
+				e.now = end
 			}
 			break
 		}

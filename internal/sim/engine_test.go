@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -178,25 +179,27 @@ func TestMaxEvents(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
+// TestHorizonBoundsQueuedEvents: a horizon set after an event beyond it was
+// queued — here by an event, as a run learns its end — still ends Run at the
+// horizon. The late event stays queued, undelivered, and the clock rests on
+// the horizon.
+func TestHorizonBoundsQueuedEvents(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.PostEvent(Time(i)*Millisecond, fn(func(eng *Engine) {
-			count++
-			if count == 3 {
-				eng.Stop()
-			}
-		}))
+	var fired []Time
+	e.PostEvent(90*Millisecond, fn(func(eng *Engine) { fired = append(fired, eng.Now()) }))
+	e.PostEvent(10*Millisecond, fn(func(eng *Engine) {
+		fired = append(fired, eng.Now())
+		eng.SetHorizon(50 * Millisecond)
+	}))
+	e.PostEvent(40*Millisecond, fn(func(eng *Engine) { fired = append(fired, eng.Now()) }))
+	if n := e.Run(0); n != 2 || !slices.Equal(fired, []Time{10 * Millisecond, 40 * Millisecond}) {
+		t.Fatalf("delivered %d events at %v, want 2 at [10ms 40ms]", n, fired)
 	}
-	e.Run(0)
-	if count != 3 {
-		t.Fatalf("stopped after %d events, want 3", count)
+	if e.Len() != 1 {
+		t.Fatalf("queue holds %d events, want the one beyond the horizon", e.Len())
 	}
-	// A subsequent Run resumes.
-	e.Run(0)
-	if count != 10 {
-		t.Fatalf("after resume count = %d, want 10", count)
+	if e.Now() != 50*Millisecond {
+		t.Fatalf("clock = %v, want the 50ms horizon", e.Now())
 	}
 }
 

@@ -119,8 +119,8 @@ func (c *Campaign) Runs() int {
 }
 
 // resolved holds a validated spec lowered onto a base configuration:
-// expanded cells, per-cell configs with their scenario grids resolved, and
-// the behaviour set.
+// expanded cells, per-cell configs (a scenario's grid is checked here and
+// resolved by each run) and the behaviour set.
 type resolved struct {
 	spec      *Spec
 	seed      int64
@@ -164,7 +164,7 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 				return nil, fmt.Errorf("sweep %q cell %d: %w", s.Name, c.Index, err)
 			}
 		}
-		cellCfgs[i] = core.ResolveScenario(cfg, s.Queries)
+		cellCfgs[i] = cfg
 	}
 	return &resolved{
 		spec: s, seed: seed, trials: s.trials(),

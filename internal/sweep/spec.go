@@ -397,7 +397,7 @@ func CellSeed(root int64, cell int) int64 {
 // field, so map order is immaterial), then the cell's coordinates, then
 // the scenario selection (name axis over spec-level name) scaled by the
 // intensity coordinate. The returned config still needs its Seed set per
-// trial and its scenario phase grid resolved (core.ResolveScenario).
+// trial; RunMeasured resolves its scenario phase grid.
 func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 	cfg := base
 	for p, v := range s.Base {

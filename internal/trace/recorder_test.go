@@ -208,20 +208,25 @@ func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	}
 }
 
-// TestSpanTreeAttribution locks the span builder's latency split: a closed
-// forward span charges the processing constant and attributes the rest to
-// propagation; spans that never close render as open.
+// TestSpanTreeAttribution locks the span builder's link pairing and latency
+// split. A closed forward span charges the processing constant and
+// attributes the rest to propagation. Duplicates and hits name the link they
+// arrived over, so peer 2's hit closes the 1→2 forward although the 0→2
+// forward was sent earlier; that one closes when it arrives as a duplicate.
 func TestSpanTreeAttribution(t *testing.T) {
 	const proc = sim.Millisecond
 	t0 := sim.Second
 	events := []Event{
 		{At: t0, Kind: QuerySubmit, Query: 1, Peer: 0, From: -1, Detail: "q{a}"},
 		{At: t0, Kind: QueryForward, Query: 1, Peer: 1, From: 0},
+		{At: t0, Kind: QueryForward, Query: 1, Peer: 2, From: 0},
 		// Peer 1 received + processed, forwards on at +10ms.
 		{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 1, Peer: 2, From: 1},
-		// Peer 2 hits at +25ms; peer 1→2 link therefore took 15ms.
-		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Peer: 2, From: -1},
+		// Peer 2 hits at +25ms over 1→2, so that link took 15ms.
+		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Peer: 2, From: 1},
 		{At: t0 + 30*sim.Millisecond, Kind: ResponseHop, Query: 1, Peer: 1, From: 2},
+		// The slow 0→2 forward arrives at +40ms, a duplicate.
+		{At: t0 + 40*sim.Millisecond, Kind: QueryDuplicate, Query: 1, Peer: 2, From: 0},
 		{At: t0 + 40*sim.Millisecond, Kind: ResponseHop, Query: 1, Peer: 0, From: 1},
 		{At: t0 + 55*sim.Millisecond, Kind: DownloadComplete, Query: 1, Peer: 0, From: 2},
 		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Peer: 0, From: -1},
@@ -233,10 +238,10 @@ func TestSpanTreeAttribution(t *testing.T) {
 	if tree.Failed || tree.Latency != 55*sim.Millisecond {
 		t.Fatalf("tree latency=%v failed=%v", tree.Latency, tree.Failed)
 	}
-	if len(tree.Root.Children) != 1 {
-		t.Fatalf("root fan-out = %d, want 1", len(tree.Root.Children))
+	if len(tree.Root.Children) != 2 {
+		t.Fatalf("root fan-out = %d, want 2", len(tree.Root.Children))
 	}
-	fwd01 := tree.Root.Children[0]
+	fwd01, fwd02 := tree.Root.Children[0], tree.Root.Children[1]
 	if fwd01.Kind != QueryForward || fwd01.Peer != 1 || fwd01.From != 0 {
 		t.Fatalf("first hop = %+v", fwd01)
 	}
@@ -250,8 +255,15 @@ func TestSpanTreeAttribution(t *testing.T) {
 	if fwd12.Propagation != 14*sim.Millisecond || fwd12.Processing != proc {
 		t.Fatalf("hop 1→2 split prop=%v proc=%v", fwd12.Propagation, fwd12.Processing)
 	}
+	if len(fwd12.Children) != 1 || fwd12.Children[0].Kind != StorageHit {
+		t.Fatalf("hop 1→2 children = %+v, want the storage hit", fwd12.Children)
+	}
+	if fwd02.Peer != 2 || fwd02.From != 0 || fwd02.Propagation != 39*sim.Millisecond ||
+		len(fwd02.Children) != 1 || fwd02.Children[0].Kind != QueryDuplicate {
+		t.Fatalf("hop 0→2 = %+v, want closed at +40ms by the duplicate", fwd02)
+	}
 	out := tree.Render()
-	for _, want := range []string{"fwd 0→1", "fwd 1→2", "storage-hit", "resp 2→1", "resp 1→0", "download"} {
+	for _, want := range []string{"fwd 0→1", "fwd 1→2", "fwd 0→2", "storage-hit", "duplicate", "resp 2→1", "resp 1→0", "download"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered tree missing %q:\n%s", want, out)
 		}

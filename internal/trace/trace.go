@@ -84,7 +84,9 @@ type Event struct {
 	// Query is the query id the action belongs to (0 for phase entries).
 	Query uint64
 	// Peer is the acting peer; From the counterpart peer when the action
-	// crosses a link (-1 otherwise).
+	// crosses a link (-1 otherwise). A duplicate or a hit at a peer the
+	// query reached over a link names its sender, so each pairs with the
+	// forward it closes; a hit at submission has no sender.
 	Peer, From int
 	// Detail is a short human-readable annotation (filename, provider,
 	// metric).

@@ -403,7 +403,7 @@ func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
 	if err := validateRun(o, warmup, queries); err != nil {
 		return nil, err
 	}
-	s := core.NewSimulation(o.scenarioConfig(queries), b)
+	s := core.NewSimulation(o.coreConfig(), b)
 	return newResult(p, s.RunMeasured(warmup, queries)), nil
 }
 
@@ -418,8 +418,9 @@ type TraceEvent struct {
 	// Query is the query's sequence number (0 for phase events).
 	Query uint64
 	// Peer is the acting peer; From the counterpart peer for link-crossing
-	// actions (-1 otherwise). Network-wide events (scenario phase entries)
-	// carry no acting peer and set both to -1.
+	// actions (-1 otherwise): a duplicate or a hit names the peer that sent
+	// the query, unless the hit is at submission. Network-wide events
+	// (scenario phase entries) carry no acting peer and set both to -1.
 	Peer, From int
 	// Detail is a short annotation (filename, provider, delta size,
 	// scenario phase identity).

@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/scenario"
 )
@@ -192,10 +191,4 @@ func PhaseTable(phases []PhaseMetrics) string {
 			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)
 	}
 	return b.String()
-}
-
-// scenarioConfig lowers Options to core configuration with the scenario's
-// phase grid resolved for `queries` measured queries.
-func (o Options) scenarioConfig(queries int) core.Config {
-	return core.ResolveScenario(o.coreConfig(), queries)
 }
