@@ -18,38 +18,29 @@ import (
 )
 
 func main() {
+	// Every world flag binds straight to its Options field, so the paper's
+	// defaults are DefaultOptions' and nobody else's.
+	opts := locaware.DefaultOptions()
+	flag.IntVar(&opts.Peers, "peers", opts.Peers, "number of peers (paper: 1000)")
+	flag.Float64Var(&opts.AvgDegree, "degree", opts.AvgDegree, "average overlay degree (paper: 3)")
+	flag.IntVar(&opts.Landmarks, "landmarks", opts.Landmarks, "number of landmarks (paper: 4)")
+	flag.IntVar(&opts.Files, "files", opts.Files, "catalogue size (paper: 3000)")
+	flag.IntVar(&opts.TTL, "ttl", opts.TTL, "query TTL (paper: 7)")
+	flag.IntVar(&opts.Groups, "groups", opts.Groups, "Dicas group count M")
+	flag.IntVar(&opts.CacheFilenames, "cache", opts.CacheFilenames, "response-index capacity in filenames (paper: 50)")
+	flag.IntVar(&opts.BloomBits, "bloombits", opts.BloomBits, "Bloom filter size in bits (paper: 1200)")
+	flag.Float64Var(&opts.QueryRate, "rate", opts.QueryRate, "queries/second/peer (paper: 0.00083)")
+	flag.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "Zipf popularity exponent")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	var (
 		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware|Locaware-LR")
-		peers     = flag.Int("peers", 1000, "number of peers (paper: 1000)")
-		degree    = flag.Float64("degree", 3, "average overlay degree (paper: 3)")
-		landmarks = flag.Int("landmarks", 4, "number of landmarks (paper: 4)")
-		files     = flag.Int("files", 3000, "catalogue size (paper: 3000)")
-		ttl       = flag.Int("ttl", 7, "query TTL (paper: 7)")
-		groups    = flag.Int("groups", 4, "Dicas group count M")
-		cacheCap  = flag.Int("cache", 50, "response-index capacity in filenames (paper: 50)")
-		bloomBits = flag.Int("bloombits", 1200, "Bloom filter size in bits (paper: 1200)")
-		rate      = flag.Float64("rate", 0.00083, "queries/second/peer (paper: 0.00083)")
-		zipf      = flag.Float64("zipf", 1.0, "Zipf popularity exponent")
 		warmup    = flag.Int("warmup", 1000, "warmup queries (records discarded)")
 		queries   = flag.Int("queries", 2000, "measured queries")
-		seed      = flag.Int64("seed", 1, "random seed")
 		churn     = flag.Bool("churn", false, "enable peer churn (the built-in steady-churn scenario)")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON")
 	)
 	flag.Parse()
 
-	opts := locaware.DefaultOptions()
-	opts.Seed = *seed
-	opts.Peers = *peers
-	opts.AvgDegree = *degree
-	opts.Landmarks = *landmarks
-	opts.Files = *files
-	opts.TTL = *ttl
-	opts.Groups = *groups
-	opts.CacheFilenames = *cacheCap
-	opts.BloomBits = *bloomBits
-	opts.QueryRate = *rate
-	opts.ZipfS = *zipf
 	if *churn {
 		sc, err := locaware.ScenarioByName("steady-churn")
 		if err != nil {
@@ -76,7 +67,7 @@ func main() {
 	}
 
 	fmt.Printf("protocol            %s\n", res.Protocol)
-	fmt.Printf("peers               %d\n", *peers)
+	fmt.Printf("peers               %d\n", opts.Peers)
 	fmt.Printf("measured queries    %d (after %d warmup)\n", res.Queries, *warmup)
 	fmt.Printf("simulated time      %.1f s\n", res.SimulatedSeconds)
 	fmt.Printf("events processed    %d\n", res.Events)
@@ -88,6 +79,6 @@ func main() {
 	fmt.Printf("avg hops to hit     %.2f\n", res.AvgHops)
 	fmt.Println()
 	fmt.Printf("bloom gossip        %d messages, %.2f kbit\n", res.ControlMessages, res.ControlKbits)
-	fmt.Printf("cached filenames    %d (%.2f per peer)\n", res.CachedFilenames, float64(res.CachedFilenames)/float64(*peers))
+	fmt.Printf("cached filenames    %d (%.2f per peer)\n", res.CachedFilenames, float64(res.CachedFilenames)/float64(opts.Peers))
 	fmt.Printf("provider entries    %d\n", res.CachedProviderEntries)
 }

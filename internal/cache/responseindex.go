@@ -253,24 +253,6 @@ func (x *Index) Filenames() []keywords.Filename {
 	return out
 }
 
-// RemovePeer drops every provider entry naming p (used when churn removes a
-// peer and its indexes become stale). Filenames left empty are evicted.
-func (x *Index) RemovePeer(p overlay.PeerID) {
-	for name, e := range x.entries {
-		kept := e.providers[:0]
-		for _, pr := range e.providers {
-			if pr.Peer != p {
-				kept = append(kept, pr)
-			}
-		}
-		e.providers = kept
-		if len(e.providers) == 0 {
-			delete(x.entries, name)
-			x.events.FilenameEvicted(e.file)
-		}
-	}
-}
-
 // TotalProviderEntries counts provider entries across all filenames — the
 // storage-overhead metric of §4.1.2.
 func (x *Index) TotalProviderEntries() int {

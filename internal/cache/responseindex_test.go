@@ -198,25 +198,6 @@ func TestFilenames(t *testing.T) {
 	}
 }
 
-func TestRemovePeer(t *testing.T) {
-	rec := &recorder{}
-	x := New(DefaultConfig(), rec)
-	f1, f2 := fn("f1"), fn("f2")
-	x.Put(f1, 1, 0, sim.Second)
-	x.Put(f1, 2, 0, sim.Second)
-	x.Put(f2, 1, 0, sim.Second)
-	x.RemovePeer(1)
-	if ps := x.Providers(f1, 2*sim.Second); len(ps) != 1 || ps[0].Peer != 2 {
-		t.Fatalf("f1 providers = %+v", ps)
-	}
-	if x.Providers(f2, 2*sim.Second) != nil {
-		t.Fatal("f2 should be gone — only provider removed")
-	}
-	if len(rec.evicted) != 1 || rec.evicted[0] != "f2" {
-		t.Fatalf("evicted = %v", rec.evicted)
-	}
-}
-
 func TestTotalProviderEntries(t *testing.T) {
 	x := New(DefaultConfig(), nil)
 	x.Put(fn("a"), 1, 0, sim.Second)
@@ -282,7 +263,7 @@ func TestInvariantsQuick(t *testing.T) {
 	}
 }
 
-// Fuzz-ish randomized run mixing Put/Lookup/RemovePeer with clock advance.
+// Fuzz-ish randomized run mixing Put/Lookup/Providers with clock advance.
 func TestRandomizedMixedOps(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	x := New(Config{MaxFilenames: 20, MaxProvidersPerFile: 4, TTL: 30 * sim.Second}, nil)
@@ -309,7 +290,11 @@ func TestRandomizedMixedOps(t *testing.T) {
 				}
 			}
 		case 3:
-			x.RemovePeer(overlay.PeerID(r.Intn(30)))
+			for _, p := range x.Providers(names[r.Intn(len(names))], clock) {
+				if clock-p.LastSeen > 30*sim.Second {
+					t.Fatal("providers returned stale entry")
+				}
+			}
 		}
 		if x.Len() > 20 {
 			t.Fatal("capacity bound violated")

@@ -142,6 +142,26 @@ func TestRunNeverOutlivesDeadline(t *testing.T) {
 	}
 }
 
+// TestRunSealsEveryQuery: a run ends at its horizon, which lies past every
+// query's finalize event, so every submitted query has been finalised by
+// then — for every protocol, static and under churn and outage. Nothing
+// flushes after the engine returns; this is the invariant that lets it not.
+func TestRunSealsEveryQuery(t *testing.T) {
+	for _, scen := range []string{"", "steady-churn", "regional-outage"} {
+		for _, b := range append(protocol.Baselines(), protocol.LocawareLR{}) {
+			cfg := smallConfig(9)
+			if scen != "" {
+				cfg.Scenario, _ = scenario.Lookup(scen)
+			}
+			s := NewSimulation(cfg, b)
+			s.RunMeasured(20, 60)
+			if c := s.Network.Counts(); c.Submitted != 80 || c.Finalized != c.Submitted {
+				t.Fatalf("%s %q: %d submitted, %d finalised; want all 80 sealed", b.Name(), scen, c.Submitted, c.Finalized)
+			}
+		}
+	}
+}
+
 // TestRunResolvesThePhaseGrid: the scenario phase grid follows the run's
 // measured count, whatever the config says. A churn-waves config never
 // resolved, and one resolved for 100 queries, both run 400 measured queries

@@ -195,7 +195,6 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 	}
 	s.scheduleSubmit(&submitEvent{s: s, warmup: warmup, total: total, ev: s.gen.Next()})
 	s.Engine.Run(0)
-	s.Network.FlushPending()
 
 	res := &RunResult{
 		Protocol:        s.Behavior.Name(),

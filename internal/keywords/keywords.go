@@ -74,18 +74,11 @@ func joinKeywords(kws []Keyword) string {
 	return b.String()
 }
 
-// Keywords returns the filename's keywords in canonical order.
-func (f Filename) Keywords() []Keyword {
-	out := make([]Keyword, len(f.kws))
-	copy(out, f.kws)
-	return out
-}
-
 // K returns the number of keywords in the filename.
 func (f Filename) K() int { return len(f.kws) }
 
 // KeywordAt returns the i-th keyword in canonical order without copying
-// the keyword slice (the allocation-free counterpart of Keywords).
+// the keyword slice.
 func (f Filename) KeywordAt(i int) Keyword { return f.kws[i] }
 
 // String returns the canonical filename string (precomputed at

@@ -63,15 +63,6 @@ func TestMatches(t *testing.T) {
 	}
 }
 
-func TestKeywordsReturnsCopy(t *testing.T) {
-	f := NewFilename("a", "b")
-	ks := f.Keywords()
-	ks[0] = "mutated"
-	if !f.Contains("a") {
-		t.Fatal("Keywords() exposed internal storage")
-	}
-}
-
 func TestQueryStringForms(t *testing.T) {
 	q := NewQuery("b", "a")
 	if q.String() != "q{a,b}" {
@@ -167,7 +158,7 @@ func TestMatchesQuick(t *testing.T) {
 	prop := func(mask uint8, foreign bool) bool {
 		f := NewFilename("k1", "k2", "k3")
 		var kws []Keyword
-		all := f.Keywords()
+		all := f.kws
 		for i := 0; i < 3; i++ {
 			if mask&(1<<i) != 0 {
 				kws = append(kws, all[i])

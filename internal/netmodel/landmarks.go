@@ -52,13 +52,6 @@ func FixedLandmarks(pts []Point) *Landmarks {
 // K returns the number of landmarks.
 func (l *Landmarks) K() int { return len(l.pts) }
 
-// Points returns a copy of the landmark coordinates.
-func (l *Landmarks) Points() []Point {
-	cp := make([]Point, len(l.pts))
-	copy(cp, l.pts)
-	return cp
-}
-
 // Ordering returns the landmark indices sorted by increasing RTT from peer a
 // under model m — the peer's landmark ordering from §4.1.1.
 func (l *Landmarks) Ordering(m *Model, a int) []int {

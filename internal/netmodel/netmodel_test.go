@@ -144,9 +144,9 @@ func TestLandmarkSpread(t *testing.T) {
 	if lm.K() != 4 {
 		t.Fatalf("K = %d", lm.K())
 	}
-	pts := lm.Points()
+	pts := lm.pts
 	if len(pts) != 4 {
-		t.Fatalf("Points len = %d", len(pts))
+		t.Fatalf("%d landmark points", len(pts))
 	}
 	// Farthest-point placement should keep landmarks well apart.
 	for i := range pts {
@@ -178,7 +178,7 @@ func TestOrderingIsPermutationSortedByRTT(t *testing.T) {
 			}
 			seen[v] = true
 		}
-		pts := lm.Points()
+		pts := lm.pts
 		for i := 1; i < len(ord); i++ {
 			if m.RTTToPoint(a, pts[ord[i-1]]) > m.RTTToPoint(a, pts[ord[i]]) {
 				t.Fatalf("ordering %v not sorted by RTT for peer %d", ord, a)

@@ -12,9 +12,6 @@ type BuildConfig struct {
 	MaxDegree int
 }
 
-// DefaultBuild matches the paper's topology: average degree 3.
-func DefaultBuild() BuildConfig { return BuildConfig{AvgDegree: 3, MaxDegree: 12} }
-
 // BuildRandom constructs a connected random overlay of n peers with the
 // requested average degree, using r for all choices. The construction mimics
 // Gnutella bootstrap: each arriving peer links to a uniformly random peer

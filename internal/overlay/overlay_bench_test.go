@@ -9,7 +9,7 @@ import (
 func BenchmarkBuildRandom(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		_ = BuildRandom(1000, DefaultBuild(), r)
+		_ = BuildRandom(1000, paperBuild, r)
 	}
 }
 
@@ -17,7 +17,7 @@ func BenchmarkBuildRandom(b *testing.B) {
 // per-hop operation of every forwarding decision.
 func BenchmarkNeighbors(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
-	g := BuildRandom(1000, DefaultBuild(), r)
+	g := BuildRandom(1000, paperBuild, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Neighbors(PeerID(i % 1000))
@@ -27,7 +27,7 @@ func BenchmarkNeighbors(b *testing.B) {
 // BenchmarkChurnStep measures one full churn round over 1000 peers.
 func BenchmarkChurnStep(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
-	g := BuildRandom(1000, DefaultBuild(), r)
+	g := BuildRandom(1000, paperBuild, r)
 	cfg := DefaultChurn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +39,7 @@ func BenchmarkChurnStep(b *testing.B) {
 // builders and tests.
 func BenchmarkConnectedComponents(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
-	g := BuildRandom(1000, DefaultBuild(), r)
+	g := BuildRandom(1000, paperBuild, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.ConnectedComponents()

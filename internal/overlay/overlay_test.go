@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// paperBuild is the paper's topology, average degree 3, with the degree cap
+// core's default world uses.
+var paperBuild = BuildConfig{AvgDegree: 3, MaxDegree: 12}
+
 func TestGraphBasics(t *testing.T) {
 	g := NewGraph(5)
 	if g.N() != 5 || g.Edges() != 0 || g.OnlineCount() != 5 {
@@ -122,7 +126,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestBuildRandomPaperScale(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	g := BuildRandom(1000, DefaultBuild(), r)
+	g := BuildRandom(1000, paperBuild, r)
 	if !g.IsConnected() {
 		t.Fatal("built overlay disconnected")
 	}
@@ -142,13 +146,13 @@ func TestBuildRandomPaperScale(t *testing.T) {
 
 func TestBuildRandomSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	if g := BuildRandom(0, DefaultBuild(), r); g.N() != 0 {
+	if g := BuildRandom(0, paperBuild, r); g.N() != 0 {
 		t.Fatal("empty build broken")
 	}
-	if g := BuildRandom(1, DefaultBuild(), r); g.Edges() != 0 {
+	if g := BuildRandom(1, paperBuild, r); g.Edges() != 0 {
 		t.Fatal("single-node build has edges")
 	}
-	g := BuildRandom(2, DefaultBuild(), r)
+	g := BuildRandom(2, paperBuild, r)
 	if !g.Linked(0, 1) {
 		t.Fatal("two-node build should link the pair")
 	}
@@ -160,8 +164,8 @@ func TestBuildRandomSmall(t *testing.T) {
 }
 
 func TestBuildRandomDeterministic(t *testing.T) {
-	g1 := BuildRandom(300, DefaultBuild(), rand.New(rand.NewSource(5)))
-	g2 := BuildRandom(300, DefaultBuild(), rand.New(rand.NewSource(5)))
+	g1 := BuildRandom(300, paperBuild, rand.New(rand.NewSource(5)))
+	g2 := BuildRandom(300, paperBuild, rand.New(rand.NewSource(5)))
 	if g1.Edges() != g2.Edges() {
 		t.Fatal("same-seed builds differ in edge count")
 	}
@@ -197,7 +201,7 @@ func TestRandomOnlinePeer(t *testing.T) {
 
 func TestRewireJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	g := BuildRandom(100, DefaultBuild(), r)
+	g := BuildRandom(100, paperBuild, r)
 	former := g.Leave(42)
 	RepairAfterLeave(g, former, 3, 12)
 	if err := g.Join(42); err != nil {
@@ -214,7 +218,7 @@ func TestRewireJoin(t *testing.T) {
 
 func TestRepairAfterLeaveKeepsConnectivity(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	g := BuildRandom(200, DefaultBuild(), r)
+	g := BuildRandom(200, paperBuild, r)
 	for i := 0; i < 30; i++ {
 		p := g.RandomOnlinePeer(r, nil)
 		former := g.Leave(p)
@@ -232,7 +236,7 @@ func TestRepairAfterLeaveKeepsConnectivity(t *testing.T) {
 
 func TestChurnStep(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	g := BuildRandom(300, DefaultBuild(), r)
+	g := BuildRandom(300, paperBuild, r)
 	cfg := DefaultChurn()
 	var totalLeft, totalJoined int
 	for round := 0; round < 50; round++ {
@@ -256,7 +260,7 @@ func TestChurnPreservesDensity(t *testing.T) {
 	// churn: leave-repair plus rejoin-rewiring must roughly balance the
 	// links each departure removes.
 	r := rand.New(rand.NewSource(19))
-	g := BuildRandom(400, DefaultBuild(), r)
+	g := BuildRandom(400, paperBuild, r)
 	before := g.AvgDegree()
 	cfg := DefaultChurn()
 	for round := 0; round < 200; round++ {
@@ -278,7 +282,7 @@ func TestChurnPreservesDensity(t *testing.T) {
 
 func TestChurnFloorEnforced(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	g := BuildRandom(100, DefaultBuild(), r)
+	g := BuildRandom(100, paperBuild, r)
 	cfg := ChurnConfig{LeaveProb: 1.0, JoinProb: 0, AvgDegree: 3, MaxDegree: 12, MinOnlineFraction: 0.7}
 	for i := 0; i < 10; i++ {
 		ChurnStep(g, cfg, r)
@@ -324,7 +328,7 @@ func mustLink(t *testing.T, g *Graph, a, b PeerID) {
 
 func TestBurstLeaveAndJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	g := BuildRandom(200, DefaultBuild(), r)
+	g := BuildRandom(200, paperBuild, r)
 
 	left := BurstLeave(g, 0.25, 0.5, 12, r)
 	if len(left) != 50 {
@@ -366,7 +370,7 @@ func TestBurstLeaveAndJoin(t *testing.T) {
 
 func TestBurstLeaveDeterministic(t *testing.T) {
 	build := func() (*Graph, []PeerID) {
-		g := BuildRandom(120, DefaultBuild(), rand.New(rand.NewSource(5)))
+		g := BuildRandom(120, paperBuild, rand.New(rand.NewSource(5)))
 		return g, BurstLeave(g, 0.3, 0.2, 12, rand.New(rand.NewSource(6)))
 	}
 	g1, l1 := build()

@@ -77,12 +77,14 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	}
 	gens := n.announceGens
 
-	n.RI.Put(fname("comes", "and", "goes"), 5, 0, 0)
+	goes := fname("comes", "and", "goes")
+	n.RI.Put(goes, 5, 0, 0)
 	if !n.cbf.Changed() {
 		t.Fatal("caching a filename did not raise the mark")
 	}
-	n.RI.RemovePeer(5) // its only provider: the filename is discarded again
-	if n.RI.Len() != 1 || !n.cbf.Changed() {
+	// Read past its TTL, its only provider expires: the filename is
+	// discarded again.
+	if n.RI.Providers(goes, cache.DefaultConfig().TTL+1) != nil || n.RI.Len() != 1 || !n.cbf.Changed() {
 		t.Fatal("the mark must stay raised until a round looks")
 	}
 	if sent := handRound(net); sent != 0 {
@@ -102,7 +104,7 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 // TestLookupGuardMatchesIndex: behind the node's own filter, lookupRI
 // returns exactly what RI.Lookup returns — no false negative, identical
 // matches and provider lists — over randomized Put / TTL-expiry /
-// RemovePeer / capacity-eviction sequences, and leaves the index in the
+// Providers / capacity-eviction sequences, and leaves the index in the
 // same state (the twin node takes the unguarded path on the same stream).
 func TestLookupGuardMatchesIndex(t *testing.T) {
 	kws := make([]keywords.Keyword, 12)
@@ -133,9 +135,9 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				guarded.RI.Put(f, p, 0, now)
 				plain.RI.Put(f, p, 0, now)
 			case k == 4:
-				p := overlay.PeerID(r.Intn(8))
-				guarded.RI.RemovePeer(p)
-				plain.RI.RemovePeer(p)
+				f := keywords.NewFilename(pick(3)...)
+				guarded.RI.Providers(f, now)
+				plain.RI.Providers(f, now)
 			default:
 				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
 				absent := false

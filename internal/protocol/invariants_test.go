@@ -28,7 +28,7 @@ func randomNet(t *testing.T, b Behavior, seed int64, peers int) (*Network, []key
 	model := netmodel.NewModel(pts, 1000, netmodel.DefaultLatency(), seed)
 	lm := netmodel.NewLandmarks(4, 1000, r)
 	loc := netmodel.NewLocator(model, lm)
-	g := overlay.BuildRandom(peers, overlay.DefaultBuild(), r)
+	g := overlay.BuildRandom(peers, overlay.BuildConfig{AvgDegree: 3, MaxDegree: 12}, r)
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Collector.RetainRecords = true // invariants inspect per-query records
@@ -167,7 +167,6 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 				// Bounded run: the Bloom gossip control reschedules
 				// itself forever, so an unbounded Run would never drain.
 				net.Engine.RunUntil(sim.Time(queries)*sim.Second+net.Config.FinalizeAfter+sim.Minute, 0)
-				net.FlushPending()
 
 				recs := net.Collector.Records()
 				if len(recs) != queries {
@@ -221,7 +220,6 @@ func TestPairedWorkloadIdenticalAcrossProtocols(t *testing.T) {
 			}))
 		}
 		net.Engine.RunUntil(40*sim.Second+net.Config.FinalizeAfter+sim.Minute, 0)
-		net.FlushPending()
 		return net.Collector.Records()
 	}
 	a := collect(Flooding{})

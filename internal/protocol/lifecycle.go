@@ -1,9 +1,6 @@
 package protocol
 
 import (
-	"maps"
-	"slices"
-
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/overlay"
@@ -21,7 +18,7 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 		clear(seen)
 	}
 	*pq = pendingQuery{
-		id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
+		net: net, id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
 		// Hashed once per query: every Gid-routing hop consults the same value.
 		gid:  gidOfQuery(q, net.Config.GroupCount),
 		seen: seen, kwIdx: pq.kwIdx[:0],
@@ -30,18 +27,17 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 }
 
 // SubmitQuery injects a query at peer origin at the current virtual time:
-// pending-query creation, finalisation scheduling, the origin's local
-// storage and index checks, and the first forwarding fan-out. It returns
-// the QueryID.
+// pending-query creation, posted as its own finalize event, the origin's
+// local storage and index checks, and the first forwarding fan-out. It
+// returns the QueryID.
 func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID {
 	net.nextID++
 	id := net.nextID
 	pq := net.acquirePending(id, origin, q)
-	net.pending[id] = pq
 
 	net.counts.Submitted++
-	net.counts.PendingHighWater = max(net.counts.PendingHighWater, uint64(len(net.pending)))
-	net.Engine.PostEvent(net.Config.FinalizeAfter, net.acquireFinalize(id))
+	net.counts.PendingHighWater = max(net.counts.PendingHighWater, net.counts.Submitted-net.counts.Finalized)
+	net.Engine.PostEvent(net.Config.FinalizeAfter, pq)
 	if net.tracer != nil {
 		d := q.AppendString(net.detailBuf[:0])
 		net.detailBuf = d
@@ -98,15 +94,12 @@ func queryRecord(pq *pendingQuery) metrics.QueryRecord {
 	}
 }
 
-// finalize resolves query id: it seals the record — into the collector
-// unless id is a warmup query — and recycles the query's state, zeroing its
-// id so messages still in flight find it stale. A query that is no longer
-// pending was already finalised.
-func (net *Network) finalize(id QueryID) {
-	pq, ok := net.pending[id]
-	if !ok {
-		return
-	}
+// finalize resolves the query when its own event fires: it seals the
+// record — into the collector unless the query is a warmup one — and
+// recycles the state, zeroing its id so messages still in flight find it
+// stale.
+func (net *Network) finalize(pq *pendingQuery) {
+	id := pq.id
 	net.counts.Finalized++
 	if !pq.answered {
 		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
@@ -115,19 +108,8 @@ func (net *Network) finalize(id QueryID) {
 	if id > net.warmup {
 		net.Collector.Record(queryRecord(pq))
 	}
-	delete(net.pending, id)
 	pq.id = 0
 	net.pqPool.Put(pq)
-}
-
-// FlushPending finalises all still-pending queries immediately (used at
-// the end of a bounded run), in ascending QueryID order — so trace output
-// and retained records at an early cutoff are identical run to run instead
-// of following Go's randomised map iteration.
-func (net *Network) FlushPending() {
-	for _, id := range slices.Sorted(maps.Keys(net.pending)) {
-		net.finalize(id)
-	}
 }
 
 // Measure makes col the collector of the run about to start and its first

@@ -77,6 +77,10 @@ type ResponseMsg struct {
 	// dst is the peer the scheduled delivery lands on; sendResponse sets it.
 	dst overlay.PeerID
 	ID  QueryID
+	// pq is the query's state, read only after checking pq.id == ID, as a
+	// branch does: once the query is finalised the pooled value may serve a
+	// newer one.
+	pq *pendingQuery
 	// File is the satisfying filename.
 	File keywords.Filename
 	// Providers lists known providers of File, most preferred first. A

@@ -95,12 +95,15 @@ type Behavior interface {
 
 // pendingQuery is everything the network keeps for one in-flight query: the
 // requester-side record and the state every delivery consults. Each
-// QueryMsg points at it, so the per-message path looks nothing up.
-// Instances are pooled: finalize returns them to the network's free list.
+// QueryMsg and ResponseMsg points at it, so no delivery looks anything up.
+// It is also the query's finalize event, posted once at submission
+// FinalizeAfter ahead (see Fire). Instances are pooled: finalize returns
+// them to the network's free list.
 // Memory is seen's N/8 bytes per in-flight query: 2.5 KB at 20 000 peers,
 // ≈1.4 MB at that scale's high-water mark of ≈560 queries in flight, ≈31 MB
 // at 100 000 peers and the paper's arrival rate.
 type pendingQuery struct {
+	net *Network
 	// id is the query this value serves; finalize zeroes it and a recycled
 	// value carries a newer one, so a message whose ID differs is a
 	// straggler of a finalised query.
@@ -138,6 +141,13 @@ func (pq *pendingQuery) markSeen(p overlay.PeerID) (dup bool) {
 	pq.seen[w] |= bit
 	return dup
 }
+
+// EventName implements sim.Named.
+func (pq *pendingQuery) EventName() string { return "query-finalize" }
+
+// Fire implements sim.Event: the query's record is sealed FinalizeAfter
+// after submission.
+func (pq *pendingQuery) Fire(*sim.Engine) { pq.net.finalize(pq) }
 
 // ForwardStats counts routing decisions, for diagnosis and the routing
 // ablations: how often each selection tier fired.
@@ -190,21 +200,17 @@ type Network struct {
 	// recorded (see Measure).
 	nextID QueryID
 	warmup QueryID
-	// pending is the id → state registry of the in-flight queries, read at
-	// submission, finalisation and on every response hop (a response may
-	// outlive its query, so it carries the id, not the pointer; query
-	// branches carry the pointer). A query absent from it has been finalised
-	// and its record sealed.
-	pending map[QueryID]*pendingQuery
 
 	// Object pools, one per pooled type, all under sim.Pool's rule: the
-	// sender acquires a value and its last user Puts it back — an event
-	// Puts itself when it fires, a response when its walk ends. Recycled
-	// values keep steady-state scheduling allocation-free.
+	// sender acquires a value, fills every field and posts it; its last user
+	// Puts it back — an event when it fires, a response when its walk ends,
+	// a query's state when it finalises. Recycled values keep steady-state
+	// scheduling allocation-free. An event dropped by the engine's horizon
+	// is never fired and is reclaimed by the GC. The gossip round timer is
+	// one unpooled value per network.
 	pqPool   sim.Pool[pendingQuery]
 	msgPool  sim.Pool[QueryMsg]
 	respPool sim.Pool[ResponseMsg]
-	finPool  sim.Pool[finalizeEvent]
 	biPool   sim.Pool[bloomInstallEvent]
 	// pathBlock is the unused rest of the block fresh messages' Path arrays
 	// are carved from (see acquireMsg).
@@ -264,7 +270,6 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		Collector: metrics.NewCollectorWith(cfg.Collector),
 		Config:    cfg,
 		rng:       protoRng,
-		pending:   make(map[QueryID]*pendingQuery),
 		// Selection scratch: sized past the default MaxDegree (12) so the
 		// per-event loops run allocation-free; pathological degrees merely
 		// cost a transient grow.

@@ -156,12 +156,6 @@ func (n *Node) RemoveFile(f keywords.Filename) bool {
 	return ok
 }
 
-// HasFile reports whether the node shares filename f.
-func (n *Node) HasFile(f keywords.Filename) bool {
-	_, ok := n.fileIndex(f.String())
-	return ok
-}
-
 // NumFiles returns the size of the node's shared storage.
 func (n *Node) NumFiles() int { return len(n.files) }
 

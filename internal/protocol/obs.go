@@ -8,7 +8,6 @@ func (net *Network) PoolSizes() map[string]int {
 		"pending":       net.pqPool.Len(),
 		"query-msg":     net.msgPool.Len(),
 		"response-msg":  net.respPool.Len(),
-		"finalize":      net.finPool.Len(),
 		"bloom-install": net.biPool.Len(),
 	}
 }

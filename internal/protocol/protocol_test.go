@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -94,7 +93,6 @@ func TestFloodingFindsStorageHit(t *testing.T) {
 
 	net.SubmitQuery(0, keywords.NewQuery("needle"))
 	runAll(net)
-	net.FlushPending()
 
 	c := net.Collector
 	if c.Submitted() != 1 {
@@ -112,7 +110,7 @@ func TestFloodingFindsStorageHit(t *testing.T) {
 		t.Fatalf("messages = %d, want 8", recs[0].Messages)
 	}
 	// The requester became a provider (natural replication, §3.1).
-	if !net.Node(0).HasFile(f) {
+	if _, ok := net.Node(0).fileIndex(f.String()); !ok {
 		t.Fatal("requester did not become a provider")
 	}
 }
@@ -124,7 +122,6 @@ func TestFloodingTTLBounds(t *testing.T) {
 	net.Node(5).AddFile(fname("far"))
 	net.SubmitQuery(0, keywords.NewQuery("far"))
 	runAll(net)
-	net.FlushPending()
 	if net.Collector.SuccessRate() != 0 {
 		t.Fatal("TTL 3 must not reach 5 hops away")
 	}
@@ -143,7 +140,6 @@ func TestFloodingDuplicateSuppression(t *testing.T) {
 	net.Node(3).AddFile(fname("dup"))
 	net.SubmitQuery(0, keywords.NewQuery("dup"))
 	runAll(net)
-	net.FlushPending()
 	recs := net.Collector.Records()
 	if !recs[0].Success {
 		t.Fatal("diamond search failed")
@@ -164,7 +160,6 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 	net.Node(0).AddFile(f)
 	net.SubmitQuery(0, keywords.NewQuery("mine"))
 	runAll(net)
-	net.FlushPending()
 	rec := net.Collector.Records()[0]
 	if !rec.Success || rec.Messages != 0 || rec.DownloadRTT != 0 {
 		t.Fatalf("local hit: %+v", rec)
@@ -176,7 +171,6 @@ func TestQueryFailureRecorded(t *testing.T) {
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.SubmitQuery(0, keywords.NewQuery("absent"))
 	runAll(net)
-	net.FlushPending()
 	rec := net.Collector.Records()[0]
 	if rec.Success {
 		t.Fatal("phantom success")
@@ -200,9 +194,8 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 	net.Node(4).Gid = (want + 1) % cfg.GroupCount
 
 	// Full-filename query (Dicas's intended mode) so routing is correct.
-	net.SubmitQuery(0, keywords.NewQuery(f.Keywords()...))
+	net.SubmitQuery(0, keywords.NewQuery("dicas", "file"))
 	runAll(net)
-	net.FlushPending()
 	if net.Collector.SuccessRate() != 1 {
 		t.Fatal("dicas full-filename query failed on a line")
 	}
@@ -242,7 +235,7 @@ func TestDicasRoutingMisledByPartialQuery(t *testing.T) {
 	// gidOfQuery equals gidOfName only when the query carries all keywords.
 	f := fname("aaa", "bbb", "ccc")
 	m := 64 // large M to make accidental collisions unlikely
-	full := keywords.NewQuery(f.Keywords()...)
+	full := keywords.NewQuery("aaa", "bbb", "ccc")
 	if gidOfQuery(full, m) != gidOfName(f.String(), m) {
 		t.Fatal("full-filename query must hash like the filename")
 	}
@@ -427,7 +420,6 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	_ = before
 	net.SubmitQuery(1, keywords.NewQuery("song"))
 	net.Engine.RunUntil(80*sim.Second, 0)
-	net.FlushPending()
 	recs := net.Collector.Records()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
@@ -462,27 +454,36 @@ func TestOfflineOriginDropsQuery(t *testing.T) {
 	net.Graph.Leave(0)
 	net.SubmitQuery(0, keywords.NewQuery("x"))
 	runAll(net)
-	net.FlushPending()
 	rec := net.Collector.Records()[0]
 	if rec.Success || rec.Messages != 0 {
 		t.Fatalf("offline origin should produce a dead query: %+v", rec)
 	}
 }
 
+// TestFinalizeSealsRecordOnce: a query's state is its own finalize event,
+// posted once at submission, so a drained run has fired it once, sealed one
+// record and put the state back on its free list.
 func TestFinalizeSealsRecordOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FinalizeAfter = 5 * sim.Second
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Node(2).AddFile(fname("seal"))
-	id := net.SubmitQuery(0, keywords.NewQuery("seal"))
+	fired := 0
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if sim.EventName(ev) == "query-finalize" {
+			fired++
+		}
+	})
+	net.SubmitQuery(0, keywords.NewQuery("seal"))
 	runAll(net)
-	if net.Collector.Submitted() != 1 {
-		t.Fatalf("submitted = %d", net.Collector.Submitted())
+	if fired != 1 || net.Collector.Submitted() != 1 {
+		t.Fatalf("finalize fired %d times and sealed %d records, want 1 and 1", fired, net.Collector.Submitted())
 	}
-	net.finalize(id) // idempotent
-	net.FlushPending()
-	if net.Collector.Submitted() != 1 {
-		t.Fatal("double finalisation")
+	if c := net.Counts(); c.Submitted != 1 || c.Finalized != 1 || c.PendingHighWater != 1 {
+		t.Fatalf("counts = %+v, want one query submitted, finalised and in flight at most", c)
+	}
+	if net.pqPool.Len() != 1 {
+		t.Fatalf("%d query states on the free list, want the one finalised", net.pqPool.Len())
 	}
 }
 
@@ -497,7 +498,13 @@ func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 	cfg.FinalizeAfter = sim.Millisecond // one-way link delay is >= 5ms + processing
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Node(1).AddFile(fname("late"))
-	pq := net.pending[net.SubmitQuery(0, keywords.NewQuery("late"))]
+	var pq *pendingQuery
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if p, ok := ev.(*pendingQuery); ok {
+			pq = p
+		}
+	})
+	net.SubmitQuery(0, keywords.NewQuery("late"))
 	runAll(net)
 
 	recs := net.Collector.Records()
@@ -512,11 +519,11 @@ func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 	if got := net.Engine.Scheduled(); got != 2 {
 		t.Fatalf("scheduled %d events, want 2", got)
 	}
-	if pq.id != 0 {
-		t.Fatalf("finalised query state keeps id %d, so its stragglers would still be handled", pq.id)
+	if pq == nil || pq.id != 0 {
+		t.Fatalf("finalised query state %+v keeps its id, so its stragglers would still be handled", pq)
 	}
-	if len(net.pending) != 0 {
-		t.Fatalf("%d queries still pending", len(net.pending))
+	if c := net.Counts(); c.Finalized != c.Submitted {
+		t.Fatalf("counts = %+v: a query is still pending", c)
 	}
 }
 
@@ -534,15 +541,16 @@ func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	net.Node(1).AddFile(fname("late"))
 	q := keywords.NewQuery("late")
 
-	idA := net.SubmitQuery(0, q)
-	pqA := net.pending[idA]
-	if net.Engine.Run(1); len(net.pending) != 0 {
+	net.SubmitQuery(0, q)
+	var pqA *pendingQuery
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) { pqA, _ = ev.(*pendingQuery) })
+	if net.Engine.Run(1); pqA == nil || net.Counts().Finalized != 1 {
 		t.Fatal("fixture: A not sealed by the first event")
 	}
 	net.Config.FinalizeAfter = 30 * sim.Second // B outlives every message
 	idB := net.SubmitQuery(2, q)
-	pqB := net.pending[idB]
-	if pqB != pqA {
+	pqB := pqA
+	if pqB.id != idB {
 		t.Fatal("fixture: B did not reuse A's pooled state")
 	}
 	scheduled := net.Engine.Scheduled()
@@ -574,6 +582,61 @@ func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	}
 	if !recs[1].Success || recs[1].Messages != 2 || recs[1].Hops != 1 {
 		t.Fatalf("B's record = %+v, want answered by peer 1 in 1 hop and 2 messages", recs[1])
+	}
+}
+
+// TestResponseOfRecycledStateIsDropped is the response-side ABA case: query
+// A is answered two hops out, sealed while its response walks back, and its
+// pooled state is recycled for query B before the response's last two
+// deliveries. The response points at state that is live again, so only the
+// id comparison tells it is stale: its hop from peer 1 must not count on B,
+// and its arrival at A's origin must not complete B.
+func TestResponseOfRecycledStateIsDropped(t *testing.T) {
+	cfg := DefaultConfig()
+	net := testNet(t, Flooding{}, linePoints(4), lineEdges(4), cfg)
+	f := fname("late")
+	net.Node(2).AddFile(f)
+	net.Graph.Leave(3) // B's origin: its state is posted and never touched
+	hop := func(a, b overlay.PeerID) sim.Time {
+		return sim.FromMillis(net.Model.OneWay(int(a), int(b))) + cfg.ProcessingDelay
+	}
+	// A's response leaves peer 2 when the branch lands there and reaches
+	// peer 1 one hop later; A is sealed half-way between.
+	net.Config.FinalizeAfter = hop(0, 1) + hop(1, 2) + hop(1, 2)/2
+
+	net.SubmitQuery(0, keywords.NewQuery("late"))
+	var pqA *pendingQuery
+	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if p, ok := ev.(*pendingQuery); ok {
+			pqA = p
+		}
+	})
+	for net.Counts().Finalized == 0 {
+		net.Engine.Run(1)
+	}
+	net.Engine.SetObserver(nil)
+	if net.Engine.Len() != 1 {
+		t.Fatalf("fixture: %d events queued when A was sealed, want its one response", net.Engine.Len())
+	}
+	net.Config.FinalizeAfter = 30 * sim.Second
+	idB := net.SubmitQuery(3, keywords.NewQuery("late"))
+	if pqA.id != idB {
+		t.Fatal("fixture: B did not reuse A's pooled state")
+	}
+
+	runAll(net)
+	recs := net.Collector.Records()
+	if len(recs) != 2 {
+		t.Fatalf("sealed %d records, want 2", len(recs))
+	}
+	if recs[0].Success || recs[0].Messages != 3 {
+		t.Fatalf("A's record = %+v, want unanswered with its 2 query hops and the 1 response hop sent before sealing", recs[0])
+	}
+	if recs[1].Success || recs[1].Messages != 0 {
+		t.Fatalf("B's record = %+v, want unanswered with no message: A's response counted on or completed B", recs[1])
+	}
+	if _, ok := net.Node(0).fileIndex(f.String()); ok {
+		t.Fatal("A's origin downloaded the file after A was sealed")
 	}
 }
 
@@ -762,7 +825,6 @@ func TestTracingLifecycle(t *testing.T) {
 	net.Node(3).AddFile(f)
 	net.SubmitQuery(0, keywords.NewQuery("traced"))
 	runAll(net)
-	net.FlushPending()
 
 	if countKind(buf, trace.QuerySubmit) != 1 {
 		t.Fatalf("submits = %d", countKind(buf, trace.QuerySubmit))
@@ -800,7 +862,6 @@ func TestTracingFailureAndDuplicate(t *testing.T) {
 	net.SetTracer(buf)
 	net.SubmitQuery(0, keywords.NewQuery("absent"))
 	runAll(net)
-	net.FlushPending()
 	if countKind(buf, trace.QueryFailed) != 1 {
 		t.Fatalf("failed = %d", countKind(buf, trace.QueryFailed))
 	}
@@ -846,7 +907,6 @@ func TestWarmupQueriesStayUnrecorded(t *testing.T) {
 	}
 	net.SubmitQuery(0, keywords.NewQuery("absent"))
 	runAll(net)
-	net.FlushPending()
 	if net.Collector != col || col.Submitted() != 1 || col.SuccessRate() != 0 {
 		t.Fatalf("collector recorded %d queries at success %.2f, want only the unanswered measured one",
 			col.Submitted(), col.SuccessRate())
@@ -944,55 +1004,5 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
 	if net.StaleBloomFallbacks() != 1 {
 		t.Fatal("fresh install miscounted as stale")
-	}
-}
-
-// TestFlushPendingDeterministicOrder is the regression lock for the
-// end-of-run flush: queries still in flight when a bounded run is cut off
-// finalise in ascending QueryID order — not Go's randomised map order — so
-// two identical truncated runs produce byte-identical trace output and
-// retained records. Before the fix this test was flaky by construction:
-// twelve pending queries in one map gave the flush 12! possible orders.
-func TestFlushPendingDeterministicOrder(t *testing.T) {
-	const queries = 12
-	run := func() ([]trace.Event, []metrics.QueryRecord) {
-		cfg := DefaultConfig()
-		// Finalisation far beyond the cutoff: every query is still in
-		// flight when the run stops, so FlushPending seals all of them.
-		cfg.FinalizeAfter = 10 * sim.Minute
-		net := testNet(t, Flooding{}, linePoints(8), lineEdges(8), cfg)
-		buf := &eventLog{}
-		net.SetTracer(buf)
-		for i := 0; i < queries; i++ {
-			net.SubmitQuery(overlay.PeerID(i%8), keywords.NewQuery("no-such-file"))
-		}
-		net.Engine.RunUntil(5*sim.Second, 0)
-		net.FlushPending()
-		return *buf, net.Collector.Records()
-	}
-	ev1, rec1 := run()
-	ev2, rec2 := run()
-	if !reflect.DeepEqual(ev1, ev2) {
-		t.Fatal("two identical truncated runs produced different traces")
-	}
-	if !reflect.DeepEqual(rec1, rec2) {
-		t.Fatal("two identical truncated runs produced different records")
-	}
-	if len(rec1) != queries {
-		t.Fatalf("flush sealed %d records, want %d", len(rec1), queries)
-	}
-	var failed []uint64
-	for _, e := range ev1 {
-		if e.Kind == trace.QueryFailed {
-			failed = append(failed, e.Query)
-		}
-	}
-	if len(failed) != queries {
-		t.Fatalf("flush emitted %d failure traces, want %d", len(failed), queries)
-	}
-	for i := 1; i < len(failed); i++ {
-		if failed[i] <= failed[i-1] {
-			t.Fatalf("flush finalisation order not ascending by id: %v", failed)
-		}
 	}
 }

@@ -62,8 +62,8 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 	}
 	rsp.dst = rsp.Path[len(rsp.Path)-1]
 	rsp.Path = rsp.Path[:len(rsp.Path)-1]
-	if pq, ok := net.pending[rsp.ID]; ok { // finalised queries stop counting
-		pq.messages++
+	if rsp.pq.id == rsp.ID { // finalised queries stop counting
+		rsp.pq.messages++
 	}
 	net.emit(trace.ResponseHop, rsp.ID, rsp.dst, from, "")
 	net.send(from, rsp.dst, rsp)
@@ -93,8 +93,8 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 // completeQuery runs requester-side provider selection and download
 // accounting for the first arriving response; later responses are ignored.
 func (net *Network) completeQuery(n *Node, rsp *ResponseMsg) {
-	pq, ok := net.pending[rsp.ID]
-	if !ok || pq.answered {
+	pq := rsp.pq
+	if pq.id != rsp.ID || pq.answered {
 		return
 	}
 	prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(rsp.Providers))

@@ -95,14 +95,15 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 
 // newResponse takes a response from the pool and resets every field, keeping
 // the pooled value's buffers: everything but the providers is what it copies
-// from the query (q is released when its delivery returns, pq when the query
-// is finalised) and the reverse path. It is the one place a pooled response
-// is reset; the walk's end only Puts it back.
+// from the query (q is released when its delivery returns, pq may be
+// recycled once the query is finalised, so the response keeps pq only for
+// the id-checked accounting) and the reverse path. It is the one place a
+// pooled response is reset; the walk's end only Puts it back.
 func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool) *ResponseMsg {
 	pq := q.pq
 	rsp := net.respPool.Get()
 	*rsp = ResponseMsg{
-		net: net, ID: q.ID, File: f, Providers: rsp.Providers[:0],
+		net: net, ID: q.ID, pq: pq, File: f, Providers: rsp.Providers[:0],
 		QueryKws: pq.q, Origin: pq.origin, OriginLoc: pq.originLoc,
 		HitHops: len(q.Path) - 1, FromStorage: fromStorage,
 		Path: append(rsp.Path[:0], q.Path[:len(q.Path)-1]...),

@@ -211,8 +211,8 @@ func TestMessagePoolsReachSteadyState(t *testing.T) {
 			}
 		}
 		runAll(net)
-		if len(net.pending) != 0 {
-			t.Fatalf("%s batch: %d queries still pending after the engine drained", label, len(net.pending))
+		if c := net.Counts(); c.Finalized != c.Submitted {
+			t.Fatalf("%s batch: %d queries still pending after the engine drained", label, c.Submitted-c.Finalized)
 		}
 		if net.msgPool.Len() != len(msgs) || net.respPool.Len() != len(resps) {
 			t.Fatalf("%s batch: free lists hold %d messages and %d responses; deliveries carried %d and %d distinct ones",

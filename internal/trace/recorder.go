@@ -24,10 +24,11 @@ type Policy struct {
 	// the earliest events are kept and the overflow counted in
 	// QueryTrace.Dropped. <= 0 means 256.
 	MaxEventsPerQuery int
-	// MaxKeep caps the unconditional retentions (KeepFailed / MinHops) so
-	// a pathological run cannot grow without bound. <= 0 means 64.
-	MaxKeep int
 }
+
+// maxKeep caps the unconditional retentions (KeepFailed / MinHops) so a
+// pathological run cannot grow without bound; later matches are discarded.
+const maxKeep = 64
 
 // maxEvents returns the effective per-query event cap.
 func (p Policy) maxEvents() int {
@@ -35,14 +36,6 @@ func (p Policy) maxEvents() int {
 		return p.MaxEventsPerQuery
 	}
 	return 256
-}
-
-// maxKeep returns the effective unconditional-retention cap.
-func (p Policy) maxKeep() int {
-	if p.MaxKeep > 0 {
-		return p.MaxKeep
-	}
-	return 64
 }
 
 // QueryTrace is one retained query's causal record.
@@ -161,8 +154,6 @@ type FlightRecorder struct {
 	kept   []*QueryTrace
 	slow   slowHeap
 	phases []Event
-	// keptOverflow counts unconditional retentions discarded by MaxKeep.
-	keptOverflow uint64
 }
 
 // NewFlightRecorder returns a recorder with the given retention policy.
@@ -245,8 +236,7 @@ func (r *FlightRecorder) finish(fin Event, b *queryBuf) {
 		}
 	}
 	if why != "" {
-		if len(r.kept) >= r.pol.maxKeep() {
-			r.keptOverflow++
+		if len(r.kept) >= maxKeep {
 			r.release(b)
 			return
 		}

@@ -134,17 +134,25 @@ func TestFlightRecorderLocalStorageHit(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderMaxKeepOverflow: criteria retentions stop at maxKeep;
+// the first maxKeep matches are kept and the overflow is discarded.
 func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true, MaxKeep: 2})
-	for q := uint64(1); q <= 5; q++ {
+	r := NewFlightRecorder(Policy{KeepFailed: true})
+	for q := uint64(1); q <= maxKeep+3; q++ {
 		t0 := sim.Time(q) * sim.Second
 		emitQuery(r, q, int(q), t0, 1, 0, t0+30*sim.Second, true)
 	}
-	if got := len(r.Traces()); got != 2 {
-		t.Fatalf("kept %d traces, want MaxKeep=2", got)
+	traces := r.Traces()
+	if len(traces) != maxKeep {
+		t.Fatalf("kept %d traces, want maxKeep=%d", len(traces), maxKeep)
 	}
-	if r.keptOverflow != 3 {
-		t.Fatalf("overflow = %d, want 3", r.keptOverflow)
+	for _, tr := range traces {
+		if tr.Query > maxKeep {
+			t.Fatalf("kept query %d, an overflow past the first %d", tr.Query, maxKeep)
+		}
+	}
+	if len(r.active) != 0 {
+		t.Fatalf("%d overflowed buffers still in flight", len(r.active))
 	}
 }
 

@@ -56,12 +56,6 @@ type Generator struct {
 	rateFactor float64
 }
 
-// NewGenerator creates a generator over n peers targeting the whole
-// catalogue.
-func NewGenerator(n int, cfg GenConfig, cat *Catalog, r *rand.Rand) *Generator {
-	return NewGeneratorOver(n, cfg, cat, nil, r)
-}
-
 // NewGeneratorOver creates a generator whose queries target only the given
 // files (nil means the whole catalogue). Targets should be in ascending id
 // order: catalogue ids are popularity ranks, so the Zipf head lands on the

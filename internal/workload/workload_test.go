@@ -58,13 +58,22 @@ func TestCatalogDefaultFallback(t *testing.T) {
 	}
 }
 
+// fileKeywords spells f's keywords in canonical order.
+func fileKeywords(f keywords.Filename) []keywords.Keyword {
+	kws := make([]keywords.Keyword, f.K())
+	for i := range kws {
+		kws[i] = f.KeywordAt(i)
+	}
+	return kws
+}
+
 func TestMatchingFilesGroundTruth(t *testing.T) {
 	c, r := paperCatalog(4)
 	// A full-filename query must match at least its own file.
 	for trial := 0; trial < 50; trial++ {
 		id := FileID(r.Intn(c.Size()))
 		f := c.File(id)
-		q := keywords.NewQuery(f.Keywords()...)
+		q := keywords.NewQuery(fileKeywords(f)...)
 		matches := c.MatchingFiles(q)
 		found := false
 		for _, m := range matches {
@@ -239,7 +248,7 @@ func TestPlacementClampsToCatalog(t *testing.T) {
 
 func TestGeneratorRateAndAttribution(t *testing.T) {
 	c, r := paperCatalog(13)
-	g := NewGenerator(1000, DefaultGen(), c, r)
+	g := NewGeneratorOver(1000, DefaultGen(), c, nil, r)
 	if math.Abs(g.AggregateRate()-0.83) > 1e-9 {
 		t.Fatalf("aggregate rate = %v, want 0.83", g.AggregateRate())
 	}
@@ -280,7 +289,7 @@ func TestGeneratorRateAndAttribution(t *testing.T) {
 
 func TestGeneratorZipfTargetSkew(t *testing.T) {
 	c, r := paperCatalog(14)
-	g := NewGenerator(1000, DefaultGen(), c, r)
+	g := NewGeneratorOver(1000, DefaultGen(), c, nil, r)
 	counts := map[FileID]int{}
 	for i := 0; i < 20000; i++ {
 		counts[g.Next().Target]++
@@ -293,8 +302,8 @@ func TestGeneratorZipfTargetSkew(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	c1, r1 := paperCatalog(15)
 	c2, r2 := paperCatalog(15)
-	g1 := NewGenerator(100, DefaultGen(), c1, r1)
-	g2 := NewGenerator(100, DefaultGen(), c2, r2)
+	g1 := NewGeneratorOver(100, DefaultGen(), c1, nil, r1)
+	g2 := NewGeneratorOver(100, DefaultGen(), c2, nil, r2)
 	for i := 0; i < 200; i++ {
 		a, b := g1.Next(), g2.Next()
 		if a.At != b.At || a.Requester != b.Requester || a.Target != b.Target || a.Q.String() != b.Q.String() {
@@ -305,7 +314,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 
 func TestGeneratorRateFallback(t *testing.T) {
 	c, r := paperCatalog(16)
-	g := NewGenerator(10, GenConfig{RatePerPeer: -1, ZipfS: 0.8}, c, r)
+	g := NewGeneratorOver(10, GenConfig{RatePerPeer: -1, ZipfS: 0.8}, c, nil, r)
 	if g.AggregateRate() <= 0 {
 		t.Fatal("rate fallback missing")
 	}
@@ -377,7 +386,7 @@ func TestCatalogNewFilesUniqueAndQueryable(t *testing.T) {
 	}
 	for _, id := range ids {
 		f := c.File(id)
-		got := c.MatchingFiles(keywords.Query{Kws: f.Keywords()})
+		got := c.MatchingFiles(keywords.NewQuery(fileKeywords(f)...))
 		found := false
 		for _, g := range got {
 			if g == id {
@@ -436,7 +445,7 @@ func TestCatalogNewFilesStopsWhenExhausted(t *testing.T) {
 func TestGeneratorDynamics(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	c := NewCatalog(CatalogConfig{NumFiles: 60, KeywordPool: 120, KeywordsPerFile: 3}, r)
-	g := NewGenerator(40, GenConfig{RatePerPeer: 0.01, ZipfS: 1.0}, c, rand.New(rand.NewSource(11)))
+	g := NewGeneratorOver(40, GenConfig{RatePerPeer: 0.01, ZipfS: 1.0}, c, nil, rand.New(rand.NewSource(11)))
 
 	base := g.AggregateRate()
 	g.SetRateFactor(4)

@@ -30,8 +30,8 @@ import (
 // would keep nothing, and every entry point refuses it. SlowestN at least
 // the run's query count (warmup included) keeps every query.
 // MaxEventsPerQuery bounds the in-flight buffer per query (<= 0 means 256,
-// overflow counted in Trace.DroppedEvents) and MaxKeep caps the
-// KeepFailed/MinHops retentions (<= 0 means 64).
+// overflow counted in Trace.DroppedEvents); the KeepFailed/MinHops
+// retentions are capped at the first 64.
 type FlightRecorder = trace.Policy
 
 // Trace is one retained query's causal record (Options.FlightRecorder).
