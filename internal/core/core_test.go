@@ -262,15 +262,15 @@ func TestFigureSeriesExtraction(t *testing.T) {
 			t.Fatalf("%s: %d series", fig, len(series))
 		}
 		for _, s := range series {
-			if s.Len() != 3 {
-				t.Fatalf("%s/%s: %d points, want 3", fig, s.Name, s.Len())
+			if len(s.Xs) != 3 {
+				t.Fatalf("%s/%s: %d points, want 3", fig, s.Name, len(s.Xs))
 			}
 			if s.Xs[0] != 20 || s.Xs[2] != 60 {
 				t.Fatalf("%s/%s xs = %v", fig, s.Name, s.Xs)
 			}
 		}
 	}
-	if got := cmp.FigureSeries("not-a-figure"); got[0].Len() != 0 {
+	if got := cmp.FigureSeries("not-a-figure"); len(got[0].Xs) != 0 {
 		t.Fatal("unknown figure should yield empty series")
 	}
 }

@@ -99,9 +99,9 @@ func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 				t.Fatalf("%s: %d runs, want 1", name, len(tc.Cells[name].Runs))
 			}
 			windows := tc.Cells[name].Runs[0].Collector.Windows()
-			if s.Name != name || s.Len() != len(windows) || s.HasErrs() {
+			if s.Name != name || len(s.Xs) != len(windows) || s.HasErrs() {
 				t.Fatalf("%s/%s: series %q has %d points (errs=%v), run has %d windows",
-					fig, name, s.Name, s.Len(), s.HasErrs(), len(windows))
+					fig, name, s.Name, len(s.Xs), s.HasErrs(), len(windows))
 			}
 			for j, w := range windows {
 				if s.Xs[j] != float64(w.End) || s.Ys[j] != y(w) {
@@ -137,15 +137,15 @@ func TestTrialComparisonFigureSeriesErrorBars(t *testing.T) {
 			t.Fatalf("%s: %d series", fig, len(series))
 		}
 		for _, s := range series {
-			if s.Len() != 2 {
-				t.Fatalf("%s/%s: %d points", fig, s.Name, s.Len())
+			if len(s.Xs) != 2 {
+				t.Fatalf("%s/%s: %d points", fig, s.Name, len(s.Xs))
 			}
-			if !s.HasErrs() || len(s.Errs) != s.Len() {
+			if !s.HasErrs() || len(s.Errs) != len(s.Xs) {
 				t.Fatalf("%s/%s: missing error bars", fig, s.Name)
 			}
 		}
 	}
-	if got := tc.FigureSeries("not-a-figure"); got[0].Len() != 0 {
+	if got := tc.FigureSeries("not-a-figure"); len(got[0].Xs) != 0 {
 		t.Fatal("unknown figure should yield empty series")
 	}
 }

@@ -2,74 +2,92 @@ package obs
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c_total", "a counter")
-	c.Add(1)
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if again := reg.Counter("c_total", "ignored"); again.Value() != 5 {
-		t.Fatal("re-registration did not return the same series")
-	}
-
-	g := reg.Gauge("g", "a gauge")
-	g.SetMax(7)
-	g.SetMax(3) // lower: no-op
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
-	g.SetMax(11)
-	if got := g.Value(); got != 11 {
-		t.Fatalf("gauge after SetMax = %d, want 11", got)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("z_total", "last family").Add(2)
-	reg.CounterVec("a_total", "by kind", "kind").With("x").Add(3)
-	reg.Gauge("b", "a gauge").SetMax(4)
-	reg.CounterVec("empty_total", "no series yet", "kind")
-
+func render(t *testing.T, reg *Registry) string {
+	t.Helper()
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	wantLines := []string{
-		"# HELP a_total by kind",
-		"# TYPE a_total counter",
-		`a_total{kind="x"} 3`,
-		"b 4",
-		"# TYPE empty_total counter", // series-less family still advertised
-		"z_total 2",
-	}
-	for _, l := range wantLines {
-		if !strings.Contains(out, l+"\n") {
+	return sb.String()
+}
+
+func wantLines(t *testing.T, out string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains(out, "\n"+l+"\n") {
 			t.Fatalf("output missing %q:\n%s", l, out)
 		}
 	}
-	// Families must be sorted: a_total before z_total.
-	if strings.Index(out, "a_total") > strings.Index(out, "z_total") {
+}
+
+// TestCounterGauge: counters add across runs, gauges keep the maximum, in
+// plain and labelled families alike.
+func TestCounterGauge(t *testing.T) {
+	reg := NewRegistry()
+	reg.Add(Stats{Submitted: 1, QueueDepthHighWater: 7,
+		EventsByKind: map[string]uint64{"query-submit": 1}, PoolFree: map[string]uint64{"pending": 5}})
+	reg.Add(Stats{Submitted: 4, QueueDepthHighWater: 3,
+		EventsByKind: map[string]uint64{"query-submit": 2}, PoolFree: map[string]uint64{"pending": 2}})
+	wantLines(t, render(t, reg),
+		"protocol_queries_submitted_total 5",
+		"sim_queue_depth_high_water 7",
+		`sim_events_total{kind="query-submit"} 3`,
+		`protocol_pool_free{pool="pending"} 5`,
+	)
+	reg.Add(Stats{QueueDepthHighWater: 11})
+	wantLines(t, render(t, reg), "protocol_queries_submitted_total 5", "sim_queue_depth_high_water 11")
+}
+
+// TestWritePrometheus: the full catalogue renders before the first Add
+// (plain families at 0, labelled ones with no series), families in name
+// order, and a labelled family's series are the union of every run's
+// labels in sorted order.
+func TestWritePrometheus(t *testing.T) {
+	reg := NewRegistry()
+	before := render(t, reg)
+	var names []string
+	for _, f := range families {
+		names = append(names, f.name)
+		wantLines(t, "\n"+before, "# HELP "+f.name+" "+f.help, "# TYPE "+f.name+" "+f.kind)
+		if f.label == "" {
+			wantLines(t, before, f.name+" 0")
+		} else if strings.Contains(before, f.name+"{") {
+			t.Fatalf("%s has a series before any run:\n%s", f.name, before)
+		}
+	}
+	if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+		t.Fatalf("family table is not sorted by unique name: %v", names)
+	}
+
+	reg.Add(Stats{ForwardsByTier: map[string]uint64{"gid": 2, "bloom": 1}})
+	reg.Add(Stats{ForwardsByTier: map[string]uint64{"flood": 4, "bloom": 3}})
+	out := render(t, reg)
+	want := "# TYPE protocol_forwards_total counter\n" +
+		`protocol_forwards_total{tier="bloom"} 4` + "\n" +
+		`protocol_forwards_total{tier="flood"} 4` + "\n" +
+		`protocol_forwards_total{tier="gid"} 2` + "\n"
+	if !strings.Contains(out, want) {
+		t.Fatalf("labelled series not the sorted union of the runs':\n%s", out)
+	}
+	if strings.Index(out, "protocol_cache_hits_total") > strings.Index(out, "sim_queue_depth_high_water") {
 		t.Fatalf("families not sorted:\n%s", out)
 	}
 }
 
 func TestHandlerServesMetricsAndPprof(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits_total", "hits").Add(1)
+	reg.Add(Stats{CacheHits: 1})
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	for path, want := range map[string]string{
-		"/metrics":          "hits_total 1",
+		"/metrics":          "protocol_cache_hits_total 1",
 		"/debug/pprof/heap": "", // just must answer 200
 	} {
 		resp, err := srv.Client().Get(srv.URL + path + "?debug=1")

@@ -1,217 +1,155 @@
-// Package obs is the run-wide observability layer: a dependency-free
-// metrics registry (counters and gauges) with a Prometheus text exposition
-// writer. Registry totals are atomics so they can be scraped from an HTTP
-// handler while runs are in flight, and so the concurrent simulations of a
-// campaign can share one registry; the simulation hot path never touches
-// them — a run counts in plain fields of its own and core folds them into
-// the registry once, when the run ends.
+// Package obs is the run-wide observability layer: Stats, the counts a run
+// reports; a Registry that sums them across runs; and the registry's
+// Prometheus text exposition. The simulation hot path never touches it — a
+// run counts in plain fields of its own, and core builds one Stats from them
+// when the run ends and adds it to the registry, so the concurrent
+// simulations of a campaign can share one registry and a scrape can read it
+// while runs are in flight.
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Kind classifies a metric family for the exposition format.
-type Kind uint8
-
-const (
-	KindCounter Kind = iota
-	KindGauge
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	}
-	return "untyped"
+// Stats is every value a metric family reports, for one run or, inside a
+// Registry, summed over many: counters add, high waters and pool sizes keep
+// the maximum.
+type Stats struct {
+	// EventsByKind counts deliveries per event kind.
+	EventsByKind map[string]uint64
+	// EventsScheduled counts the events queued.
+	EventsScheduled uint64
+	// QueueDepthHighWater is the deepest the event queue got.
+	QueueDepthHighWater uint64
+	// Submitted and Finalized count queries injected and sealed.
+	Submitted, Finalized uint64
+	// CacheHits counts response-index lookups that answered; CacheMisses
+	// those that missed, so the peer forwarded the query on.
+	CacheHits, CacheMisses uint64
+	// StorageHits counts queries matched by a peer's shared storage.
+	StorageHits uint64
+	// PendingHighWater is the most queries ever in flight at once.
+	PendingHighWater uint64
+	// ForwardsByTier counts forwarding decisions by selection tier (bloom,
+	// gid, fallback, flood).
+	ForwardsByTier map[string]uint64
+	// ControlMessages and ControlBits are the gossip plane's traffic.
+	ControlMessages, ControlBits uint64
+	// StaleBloomFallbacks counts Bloom installs that outlived their
+	// announce buffer and fell back to the sender's published filter.
+	StaleBloomFallbacks uint64
+	// PoolFree is the free-list occupancy per pooled type at end of run.
+	PoolFree map[string]uint64
 }
 
-// Registry holds metric families keyed by name. All methods are safe for
-// concurrent use; WritePrometheus observes atomics, so a scrape taken while
-// a run folds its counts in may see some families updated and not others.
+// family is one metric family: its exposition name, help and type, and the
+// Stats field it reads — value for a plain family, series for one with a
+// label key.
+type family struct {
+	name, help, kind, label string
+	value                   func(*Stats) *uint64
+	series                  func(*Stats) *map[string]uint64
+}
+
+// families is the metric catalogue, sorted by name: every family a run
+// reports is named, typed and described here and nowhere else.
+var families = []family{
+	{name: "protocol_cache_hits_total", help: "Response-index (cache) lookup hits.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.CacheHits }},
+	{name: "protocol_cache_misses_total", help: "Response-index lookups that missed and forwarded.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.CacheMisses }},
+	{name: "protocol_control_bits_total", help: "Gossip-plane control traffic in bits.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.ControlBits }},
+	{name: "protocol_control_messages_total", help: "Gossip-plane control messages.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.ControlMessages }},
+	{name: "protocol_forwards_total", help: "Forwarding decisions by selection tier.", kind: "counter", label: "tier",
+		series: func(s *Stats) *map[string]uint64 { return &s.ForwardsByTier }},
+	{name: "protocol_pending_queries_high_water", help: "Highest in-flight pending-query count.", kind: "gauge",
+		value: func(s *Stats) *uint64 { return &s.PendingHighWater }},
+	{name: "protocol_pool_free", help: "Pooled objects on free lists at end of run, by pool.", kind: "gauge", label: "pool",
+		series: func(s *Stats) *map[string]uint64 { return &s.PoolFree }},
+	{name: "protocol_queries_finalized_total", help: "Queries finalized.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.Finalized }},
+	{name: "protocol_queries_submitted_total", help: "Queries submitted.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.Submitted }},
+	{name: "protocol_stale_bloom_fallbacks_total", help: "Bloom installs that fell back to the published filter.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.StaleBloomFallbacks }},
+	{name: "protocol_storage_hits_total", help: "Local storage matches.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.StorageHits }},
+	{name: "sim_events_scheduled_total", help: "Events scheduled.", kind: "counter",
+		value: func(s *Stats) *uint64 { return &s.EventsScheduled }},
+	{name: "sim_events_total", help: "Events delivered by kind.", kind: "counter", label: "kind",
+		series: func(s *Stats) *map[string]uint64 { return &s.EventsByKind }},
+	{name: "sim_queue_depth_high_water", help: "Highest event-queue depth seen.", kind: "gauge",
+		value: func(s *Stats) *uint64 { return &s.QueueDepthHighWater }},
+}
+
+// merge folds one run's value into the family's running total.
+func (f family) merge(total, v uint64) uint64 {
+	if f.kind == "gauge" {
+		return max(total, v)
+	}
+	return total + v
+}
+
+// Registry is the running sum of every Stats added to it. All methods are
+// safe for concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*Family
+	mu  sync.Mutex
+	sum Stats
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*Family)}
-}
+// NewRegistry returns a registry whose sum is zero.
+func NewRegistry() *Registry { return &Registry{} }
 
-// Family is one named metric with zero or more label-value series. A
-// family has at most one label key; plain (unlabeled) families hold a
-// single series under the empty label value.
-type Family struct {
-	name  string
-	help  string
-	kind  Kind
-	label string // label key; "" for plain families
-
-	mu     sync.Mutex
-	series map[string]*series
-}
-
-type series struct {
-	c atomic.Uint64 // counter total
-	g atomic.Int64  // gauge value
-}
-
-func (f *Family) get(label string) *series {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.series[label]; ok {
-		return s
-	}
-	s := &series{}
-	f.series[label] = s
-	return s
-}
-
-func (r *Registry) family(name, help string, kind Kind, label string) *Family {
+// Add folds one run's Stats into the sum.
+func (r *Registry) Add(s Stats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.kind != kind {
-			panic("obs: metric " + name + " re-registered as " + kind.String() + ", was " + f.kind.String())
+	for _, f := range families {
+		if f.series == nil {
+			total := f.value(&r.sum)
+			*total = f.merge(*total, *f.value(&s))
+			continue
 		}
-		return f
-	}
-	f := &Family{name: name, help: help, kind: kind, label: label, series: make(map[string]*series)}
-	r.families[name] = f
-	return f
-}
-
-// Counter is a monotonically increasing uint64. Add is atomic and safe from
-// any goroutine; it is meant for end-of-run totals, not the simulation hot
-// path.
-type Counter struct{ s *series }
-
-func (c *Counter) Add(n uint64)  { c.s.c.Add(n) }
-func (c *Counter) Value() uint64 { return c.s.c.Load() }
-
-// Counter registers (or fetches) a plain counter family and returns its
-// single series.
-func (r *Registry) Counter(name, help string) *Counter {
-	return &Counter{r.family(name, help, KindCounter, "").get("")}
-}
-
-// CounterVec is a counter family with one label key.
-type CounterVec struct{ f *Family }
-
-// CounterVec registers (or fetches) a labeled counter family.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{r.family(name, help, KindCounter, label)}
-}
-
-// With returns the counter for one label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter { return &Counter{v.f.get(value)} }
-
-// Gauge is an int64 level (queue depths, high-waters, pool sizes) that
-// SetMax raises: a running maximum across concurrent writers.
-type Gauge struct{ s *series }
-
-func (g *Gauge) Value() int64 { return g.s.g.Load() }
-
-// SetMax raises the gauge to v if v exceeds the current value.
-func (g *Gauge) SetMax(v int64) {
-	for {
-		old := g.s.g.Load()
-		if v <= old {
-			return
+		total := f.series(&r.sum)
+		if *total == nil {
+			*total = make(map[string]uint64)
 		}
-		if g.s.g.CompareAndSwap(old, v) {
-			return
+		for label, v := range *f.series(&s) {
+			(*total)[label] = f.merge((*total)[label], v)
 		}
 	}
 }
-
-// Gauge registers (or fetches) a plain gauge family's single series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return &Gauge{r.family(name, help, KindGauge, "").get("")}
-}
-
-// GaugeVec is a gauge family with one label key.
-type GaugeVec struct{ f *Family }
-
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, label)}
-}
-
-func (v *GaugeVec) With(value string) *Gauge { return &Gauge{v.f.get(value)} }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// WritePrometheus renders every family in Prometheus text exposition
-// format (version 0.0.4): families sorted by name, series by label
-// value, HELP/TYPE headers emitted even for series-less families so the
-// full catalog is visible before the first run.
+// WritePrometheus renders the sum in Prometheus text exposition format
+// (version 0.0.4): families sorted by name, a labelled family's series by
+// label value. Every family's HELP and TYPE lines are written even before
+// the first Add, so a scrape advertises the full catalogue; a plain family
+// then reads 0 and a labelled one has no series yet.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b bytes.Buffer
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	fams := make([]*Family, len(names))
-	sort.Strings(names)
-	for i, n := range names {
-		fams[i] = r.families[n]
+	for _, f := range families {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		if f.series == nil {
+			fmt.Fprintf(&b, "%s %d\n", f.name, *f.value(&r.sum))
+			continue
+		}
+		series := *f.series(&r.sum)
+		for _, label := range slices.Sorted(maps.Keys(series)) {
+			fmt.Fprintf(&b, "%s{%s=\"%s\"} %d\n", f.name, f.label, labelEscaper.Replace(label), series[label])
+		}
 	}
 	r.mu.Unlock()
-
-	for _, f := range fams {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		f.mu.Lock()
-		labels := make([]string, 0, len(f.series))
-		for l := range f.series {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		sers := make([]*series, len(labels))
-		for i, l := range labels {
-			sers[i] = f.series[l]
-		}
-		f.mu.Unlock()
-		for i, s := range sers {
-			if err := writeSeries(w, f, labels[i], s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func labelPair(f *Family, label string) string {
-	if f.label == "" {
-		return ""
-	}
-	return "{" + f.label + `="` + labelEscaper.Replace(label) + `"}`
-}
-
-func writeSeries(w io.Writer, f *Family, label string, s *series) error {
-	lp := labelPair(f, label)
-	switch f.kind {
-	case KindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lp, s.c.Load())
-		return err
-	case KindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, lp, s.g.Load())
-		return err
-	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -34,9 +34,6 @@ func (s *Series) AddErr(x, y, err float64) {
 // HasErrs reports whether the series carries error bars.
 func (s *Series) HasErrs() bool { return len(s.Errs) > 0 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Xs) }
-
 // Table renders a set of series sharing the same x grid as an aligned
 // text table with the given x-column header. Series with mismatched grids
 // are rendered with blank cells.

@@ -1,13 +1,9 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: summary statistics, percentiles, windowed series and
-// confidence intervals. Stdlib only.
+// harness uses: summary statistics, confidence intervals and the series
+// figures print. Stdlib only.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds the usual moments of a sample.
 type Summary struct {
@@ -47,11 +43,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f", s.N, s.Mean, s.StdDev, s.Min, s.Max)
-}
-
 // CI95 returns the half-width of the 95% normal-approximation confidence
 // interval of the mean.
 func (s Summary) CI95() float64 {
@@ -60,49 +51,6 @@ func (s Summary) CI95() float64 {
 	}
 	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
 }
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It copies and sorts its input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0]
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// Median is the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // RelativeChange returns (b-a)/a, guarding the zero denominator.
 func RelativeChange(a, b float64) float64 {

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -194,9 +195,9 @@ func (s *Spec) FigureKeys() []string {
 }
 
 // Validate checks the spec's internal consistency: a name, positive query
-// counts, known protocols, at least one axis with at least one point per
-// axis, no duplicated axis parameters, resolvable scenario names, and an
-// intensity axis only alongside a scenario.
+// counts, known protocols named once each, at least one axis with at least
+// one point per axis, no parameter or point named twice, resolvable
+// scenario names, and an intensity axis only alongside a scenario.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("sweep: nil spec")
@@ -214,6 +215,9 @@ func (s *Spec) Validate() error {
 		if _, ok := protocol.ByName(p); !ok {
 			return fmt.Errorf("sweep %q: unknown protocol %q", s.Name, p)
 		}
+	}
+	if p, ok := repeated(s.Protocols); ok {
+		return fmt.Errorf("sweep %q: protocol %q is listed twice", s.Name, p)
 	}
 	for _, key := range s.Figures {
 		if _, ok := metricOf(key); !ok {
@@ -256,6 +260,9 @@ func (s *Spec) Validate() error {
 					return fmt.Errorf("sweep %q: unknown scenario %q on the scenario axis", s.Name, name)
 				}
 			}
+			if name, ok := repeated(a.Scenarios); ok {
+				return fmt.Errorf("sweep %q: scenario axis lists %q twice", s.Name, name)
+			}
 		case a.Param == ParamIntensity:
 			if len(a.Values) == 0 {
 				return fmt.Errorf("sweep %q: axis %q needs values", s.Name, a.Param)
@@ -280,11 +287,25 @@ func (s *Spec) Validate() error {
 				}
 			}
 		}
+		if v, ok := repeated(a.Values); ok {
+			return fmt.Errorf("sweep %q: axis %q lists value %g twice", s.Name, a.Param, v)
+		}
 	}
 	if seen[ParamIntensity] && s.Scenario == "" && !seen[ParamScenario] {
 		return fmt.Errorf("sweep %q: a scenario-intensity axis needs a scenario (spec-level or a scenario axis)", s.Name)
 	}
 	return nil
+}
+
+// repeated returns the first element of xs that occurs earlier in xs.
+func repeated[T comparable](xs []T) (T, bool) {
+	for i, x := range xs {
+		if slices.Contains(xs[:i], x) {
+			return x, true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // NumCells returns the grid size (the product of the axis lengths).

@@ -104,6 +104,22 @@ func TestSpecValidation(t *testing.T) {
 			s.Axes = []Axis{{Param: ParamIntensity, Values: []float64{-1}}}
 		},
 	}
+	// A protocol or an axis point named twice would run a cell twice, and
+	// the figures would show it once: refused, naming spec and repeat.
+	repeats := map[string]func(*Spec){
+		`protocol "Locaware" is listed twice`: func(s *Spec) { s.Protocols = []string{"Locaware", "Dicas", "Locaware"} },
+		`axis "peers" lists value 60 twice`:   func(s *Spec) { s.Axes[0].Values = []float64{60, 90, 60} },
+		`scenario axis lists "flashcrowd" twice`: func(s *Spec) {
+			s.Axes = append(s.Axes, Axis{Param: ParamScenario, Scenarios: []string{"flashcrowd", "flashcrowd"}})
+		},
+	}
+	for want, mutate := range repeats {
+		s := tinySpec()
+		mutate(s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `sweep "tiny": `+want) {
+			t.Fatalf("repeat must fail validation with %q, got %v", want, err)
+		}
+	}
 	for i, mutate := range bad {
 		s := tinySpec()
 		mutate(s)
@@ -125,7 +141,7 @@ func TestNumericValuesRunAsLabelled(t *testing.T) {
 			ok bool
 		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.integer}} {
 			specs := map[string]*Spec{
-				"axis": {Name: "lbl", Queries: 10, Axes: []Axis{{Param: param, Values: []float64{3, tc.v}}}},
+				"axis": {Name: "lbl", Queries: 10, Axes: []Axis{{Param: param, Values: []float64{4, tc.v}}}},
 				"base": {Name: "lbl", Queries: 10, Base: map[string]float64{param: tc.v},
 					Axes: []Axis{{Param: ParamScenario, Scenarios: []string{"flashcrowd"}}}},
 			}
@@ -454,8 +470,8 @@ func TestFigureExports(t *testing.T) {
 		t.Fatalf("got %d series, want 4", len(series))
 	}
 	for _, s := range series {
-		if s.Len() != 2 || !s.HasErrs() {
-			t.Fatalf("series %q: %d points, errs=%v", s.Name, s.Len(), s.HasErrs())
+		if len(s.Xs) != 2 || !s.HasErrs() {
+			t.Fatalf("series %q: %d points, errs=%v", s.Name, len(s.Xs), s.HasErrs())
 		}
 		if s.Xs[0] != 60 || s.Xs[1] != 90 {
 			t.Fatalf("series %q x grid = %v", s.Name, s.Xs)

@@ -26,7 +26,8 @@ type FileID int
 type Catalog struct {
 	pool  *keywords.Pool
 	files []keywords.Filename
-	// byName maps canonical filename strings back to ids.
+	// byName maps canonical filename strings back to ids, so Add refuses
+	// a duplicate.
 	byName map[string]FileID
 	// byKeyword is the inverted index: keyword -> ascending ids of the
 	// files whose names contain it. Ground-truth satisfiability
@@ -101,12 +102,6 @@ func (c *Catalog) Size() int { return len(c.files) }
 
 // File returns the filename of id.
 func (c *Catalog) File(id FileID) keywords.Filename { return c.files[id] }
-
-// Lookup resolves a canonical filename string to its id.
-func (c *Catalog) Lookup(name string) (FileID, bool) {
-	id, ok := c.byName[name]
-	return id, ok
-}
 
 // Add inserts a new file into the catalogue, indexing its keywords, and
 // returns its id. A duplicate filename returns the existing id with ok

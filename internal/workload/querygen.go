@@ -100,9 +100,6 @@ func (g *Generator) SetRateFactor(f float64) {
 	}
 }
 
-// RateFactor returns the current arrival-rate multiplier.
-func (g *Generator) RateFactor() float64 { return g.rateFactor }
-
 // SetZipfS rebuilds the popularity sampler with exponent s over the
 // current target ranking. Rebuilding consumes no randomness.
 func (g *Generator) SetZipfS(s float64) {

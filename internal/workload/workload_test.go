@@ -38,15 +38,16 @@ func TestCatalogPaperScale(t *testing.T) {
 	}
 }
 
+// TestCatalogLookup: the catalogue resolves a filename it holds to that
+// file's id, so adding it again is refused.
 func TestCatalogLookup(t *testing.T) {
 	c, _ := paperCatalog(2)
 	f := c.File(42)
-	id, ok := c.Lookup(f.String())
-	if !ok || id != 42 {
-		t.Fatalf("Lookup(%q) = %d,%v", f.String(), id, ok)
+	if id, ok := c.Add(f); ok || id != 42 {
+		t.Fatalf("Add(%q) of file 42 = %d,%v", f.String(), id, ok)
 	}
-	if _, ok := c.Lookup("nonexistent_name_here"); ok {
-		t.Fatal("phantom lookup")
+	if c.Size() != 3000 {
+		t.Fatalf("refused Add grew the catalogue to %d", c.Size())
 	}
 }
 
@@ -371,8 +372,8 @@ func TestCatalogAddIndexesNewFiles(t *testing.T) {
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("injected file not found via index: %v", got)
 	}
-	if lid, ok := c.Lookup(f.String()); !ok || lid != id {
-		t.Fatalf("Lookup(%q) = (%d, %v)", f.String(), lid, ok)
+	if got := c.File(id); got.String() != f.String() {
+		t.Fatalf("File(%d) = %q, want %q", id, got.String(), f.String())
 	}
 }
 
@@ -449,11 +450,11 @@ func TestGeneratorDynamics(t *testing.T) {
 
 	base := g.AggregateRate()
 	g.SetRateFactor(4)
-	if g.AggregateRate() != 4*base || g.RateFactor() != 4 {
-		t.Fatalf("rate factor: %v at factor %v", g.AggregateRate(), g.RateFactor())
+	if g.AggregateRate() != 4*base {
+		t.Fatalf("rate at factor 4: %v, want %v", g.AggregateRate(), 4*base)
 	}
 	g.SetRateFactor(0) // ignored
-	if g.RateFactor() != 4 {
+	if g.AggregateRate() != 4*base {
 		t.Fatal("non-positive rate factor not ignored")
 	}
 	g.SetRateFactor(1)

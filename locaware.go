@@ -39,6 +39,7 @@ package locaware
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/netmodel"
@@ -369,12 +370,16 @@ func validateRun(o Options, warmup, queries int) error {
 }
 
 // behaviorsOf lowers a protocol list (nil means Baselines) to behaviours.
+// A protocol named twice is an error: its results would share one cell.
 func behaviorsOf(protocols []Protocol) ([]Protocol, []protocol.Behavior, error) {
 	if len(protocols) == 0 {
 		protocols = Baselines()
 	}
 	behaviors := make([]protocol.Behavior, 0, len(protocols))
-	for _, p := range protocols {
+	for i, p := range protocols {
+		if slices.Contains(protocols[:i], p) {
+			return nil, nil, fmt.Errorf("locaware: protocol %q is listed twice", string(p))
+		}
 		b, err := p.behavior()
 		if err != nil {
 			return nil, nil, err

@@ -10,10 +10,10 @@ import (
 
 // Observer is a run-wide observability registry: attach one to
 // Options.Observer and every simulation executed under it — single runs,
-// comparisons, every cell of a sweep — accumulates event-loop and protocol
-// telemetry — counters and gauges — into one scrapeable surface.
+// comparisons, every cell of a sweep — adds its event-loop and protocol
+// counts to one scrapeable sum (counters add, gauges keep the maximum).
 // Instrumentation is provably inert: the hot path only increments each
-// simulation's own plain counts (folded into the registry once, when its
+// simulation's own plain counts (added to the registry once, when its
 // run ends), never touches an RNG stream or event order, so results are
 // byte-identical with or without an Observer.
 //
@@ -23,14 +23,9 @@ type Observer struct {
 	reg *obs.Registry
 }
 
-// NewObserver returns an Observer with the full metric catalog
-// pre-registered, so a scrape before the first run still advertises
-// every family.
-func NewObserver() *Observer {
-	reg := obs.NewRegistry()
-	core.RegisterObsFamilies(reg)
-	return &Observer{reg: reg}
-}
+// NewObserver returns an Observer whose totals are zero. A scrape before
+// the first run already advertises every metric family.
+func NewObserver() *Observer { return &Observer{reg: obs.NewRegistry()} }
 
 // Handler returns an http.Handler serving the Prometheus text exposition
 // on /metrics and the runtime profiles on /debug/pprof/.

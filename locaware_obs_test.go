@@ -148,15 +148,21 @@ func TestGoldenObsReport(t *testing.T) {
 	checkGolden(t, "golden_obs_200peers.txt", sb.String())
 }
 
+// scrapeText renders an Observer's Prometheus dump. It reports a failed
+// write with t.Error, so a scraping goroutine may call it.
+func scrapeText(t *testing.T, o *Observer) string {
+	var sb strings.Builder
+	if err := o.WriteMetrics(&sb); err != nil {
+		t.Error(err)
+	}
+	return sb.String()
+}
+
 // scrape parses an Observer's Prometheus dump into series → value.
 func scrape(t *testing.T, o *Observer) map[string]uint64 {
 	t.Helper()
-	var sb strings.Builder
-	if err := o.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
 	out := map[string]uint64{}
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(scrapeText(t, o), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -194,11 +200,7 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The family no per-run snapshot carries reads zero on a run that
-	// outlives no announce buffer.
-	want := map[string]uint64{
-		"protocol_stale_bloom_fallbacks_total": 0,
-	}
+	want := map[string]uint64{}
 	sum := func(series string, v uint64) { want[series] += v }
 	peak := func(series string, v uint64) { want[series] = max(want[series], v) }
 	for cell, c := range caches {
@@ -229,7 +231,7 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 				sum("protocol_storage_hits_total", rs.StorageHits)
 				peak("protocol_pending_queries_high_water", rs.PendingHighWater)
 				for p, n := range rs.PoolFree {
-					peak(`protocol_pool_free{pool="`+p+`"}`, uint64(n))
+					peak(`protocol_pool_free{pool="`+p+`"}`, n)
 				}
 				sum(`protocol_forwards_total{tier="bloom"}`, r.BloomForwards)
 				sum(`protocol_forwards_total{tier="gid"}`, r.GidForwards)
@@ -237,6 +239,7 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 				sum(`protocol_forwards_total{tier="flood"}`, r.FloodForwards)
 				sum("protocol_control_messages_total", r.ControlMessages)
 				sum("protocol_control_bits_total", uint64(math.Round(r.ControlKbits*1000)))
+				sum("protocol_stale_bloom_fallbacks_total", rs.StaleBloomFallbacks)
 			}
 		}
 	}
@@ -246,5 +249,55 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 	if want["protocol_queries_submitted_total"] != uint64(res.Runs()*(sw.Warmup()+sw.Queries())) {
 		t.Fatalf("runs counted %d submissions, want %d runs x %d queries",
 			want["protocol_queries_submitted_total"], res.Runs(), sw.Warmup()+sw.Queries())
+	}
+}
+
+// TestObserverScrapesDuringSweep scrapes one Observer in a loop while a
+// 2-worker sweep adds its runs to it: under -race this is the lock on the
+// registry's concurrent Add and WritePrometheus. Every scrape must render
+// the whole catalogue, and the last one the sweep's full submission count.
+func TestObserverScrapesDuringSweep(t *testing.T) {
+	sw, err := ParseSweep([]byte(`{
+		"name": "scrape", "warmup": 10, "queries": 40, "trials": 2,
+		"protocols": ["Flooding", "Locaware"],
+		"base": {"peers": 60},
+		"axes": [{"param": "ttl", "values": [3, 5]}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := sweepOptions()
+	o.Workers = 2
+	o.Observer = NewObserver()
+	families := strings.Count(scrapeText(t, o.Observer), "# TYPE ")
+
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scrapes <- n
+				return
+			default:
+			}
+			if got := strings.Count(scrapeText(t, o.Observer), "# TYPE "); got != families {
+				t.Errorf("a scrape during the sweep rendered %d families, want %d", got, families)
+			}
+			n++
+		}
+	}()
+	res, err := RunSweep(o, sw)
+	close(done)
+	if n := <-scrapes; n == 0 {
+		t.Error("no scrape ran during the sweep")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(res.Runs() * (sw.Warmup() + sw.Queries()))
+	if got := scrape(t, o.Observer)["protocol_queries_submitted_total"]; got != want {
+		t.Fatalf("after the sweep the Observer counted %d submissions, want %d", got, want)
 	}
 }

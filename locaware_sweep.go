@@ -135,7 +135,8 @@ func (s *Sweep) WithSeed(seed int64) *Sweep {
 }
 
 // WithBudget returns a copy of the campaign with its per-run warmup and
-// measured query counts replaced; non-positive values keep the spec's.
+// measured query counts replaced. A negative warmup keeps the spec's (0
+// means no warmup), and so does a non-positive query count.
 func (s *Sweep) WithBudget(warmup, queries int) *Sweep {
 	spec := *s.spec
 	if warmup >= 0 {

@@ -166,6 +166,21 @@ func TestCompareErrors(t *testing.T) {
 	}
 }
 
+// TestRepeatedProtocolRefused: a protocol named twice would run twice and
+// report once (a comparison keys its cells by name, a figure shows one
+// column), so Compare and a sweep spec refuse it, naming the repeat.
+func TestRepeatedProtocolRefused(t *testing.T) {
+	_, err := Compare(fastOptions(7), []Protocol{ProtocolLocaware, ProtocolDicas, ProtocolLocaware}, 0, 10, nil)
+	if err == nil || !strings.Contains(err.Error(), `"Locaware"`) {
+		t.Fatalf("Compare with Locaware twice: %v", err)
+	}
+	_, err = ParseSweep([]byte(`{"name": "twice", "queries": 10, "protocols": ["Locaware", "Locaware"],
+		"axes": [{"param": "ttl", "values": [3, 5]}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"twice"`) || !strings.Contains(err.Error(), `"Locaware"`) {
+		t.Fatalf("sweep spec with Locaware twice: %v", err)
+	}
+}
+
 func TestOptionsLowering(t *testing.T) {
 	o := DefaultOptions()
 	o.Peers = 123
