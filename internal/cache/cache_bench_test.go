@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -13,11 +12,7 @@ import (
 func benchFilenames(n int) []keywords.Filename {
 	out := make([]keywords.Filename, n)
 	for i := range out {
-		out[i] = keywords.NewFilename(
-			keywords.Keyword(fmt.Sprintf("kwa%03d", i%37)),
-			keywords.Keyword(fmt.Sprintf("kwb%03d", i%53)),
-			keywords.Keyword(fmt.Sprintf("kwc%03d", i)),
-		)
+		out[i] = keywords.NewFilename(keywords.ID(i%37), keywords.ID(1000+i%53), keywords.ID(2000+i))
 	}
 	return out
 }
@@ -40,7 +35,7 @@ func BenchmarkLookup(b *testing.B) {
 	for i, f := range files {
 		x.Put(f, overlay.PeerID(i%30), 0, sim.Time(i))
 	}
-	q := keywords.NewQuery("kwa003")
+	q := keywords.NewQuery(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Lookup(q, sim.Time(i))

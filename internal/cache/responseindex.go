@@ -14,7 +14,7 @@
 package cache
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/netmodel"
@@ -32,7 +32,6 @@ type Provider struct {
 
 // entry is the per-filename record.
 type entry struct {
-	name      string
 	file      keywords.Filename
 	providers []Provider // most recent first
 	touched   sim.Time   // last insertion/refresh, drives filename LRU
@@ -74,7 +73,7 @@ func (nopEvents) FilenameEvicted(keywords.Filename) {}
 // the simulator is single-threaded by design.
 type Index struct {
 	cfg     Config
-	entries map[string]*entry
+	entries map[keywords.Filename]*entry
 	events  Events
 
 	// counters for observability and tests
@@ -93,7 +92,7 @@ func New(cfg Config, events Events) *Index {
 	if events == nil {
 		events = nopEvents{}
 	}
-	return &Index{cfg: cfg, entries: make(map[string]*entry), events: events}
+	return &Index{cfg: cfg, entries: make(map[keywords.Filename]*entry), events: events}
 }
 
 // Len returns the number of cached filenames.
@@ -119,12 +118,11 @@ func (x *Index) Expiries() uint64 { return x.expiries }
 // entries replace the oldest ones"). Inserting a new filename may evict the
 // least-recently-touched filename.
 func (x *Index) Put(f keywords.Filename, p overlay.PeerID, loc netmodel.LocID, now sim.Time) {
-	name := f.String()
-	e, ok := x.entries[name]
+	e, ok := x.entries[f]
 	if !ok {
 		x.makeRoom(now)
-		e = &entry{name: name, file: f}
-		x.entries[name] = e
+		e = &entry{file: f}
+		x.entries[f] = e
 		x.events.FilenameAdded(f)
 	}
 	e.touched = now
@@ -157,14 +155,14 @@ func (x *Index) makeRoom(now sim.Time) {
 		var victim *entry
 		for _, e := range x.entries {
 			if victim == nil || e.touched < victim.touched ||
-				(e.touched == victim.touched && e.name < victim.name) {
+				(e.touched == victim.touched && e.file.Compare(victim.file) < 0) {
 				victim = e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		delete(x.entries, victim.name)
+		delete(x.entries, victim.file)
 		x.evictions++
 		x.events.FilenameEvicted(victim.file)
 	}
@@ -186,7 +184,7 @@ func (x *Index) expire(e *entry, now sim.Time) bool {
 	}
 	e.providers = kept
 	if len(e.providers) == 0 {
-		delete(x.entries, e.name)
+		delete(x.entries, e.file)
 		x.events.FilenameEvicted(e.file)
 		return true
 	}
@@ -196,7 +194,7 @@ func (x *Index) expire(e *entry, now sim.Time) bool {
 // Providers returns the live provider list for filename f at time now,
 // most recent first. Stale entries are expired on access.
 func (x *Index) Providers(f keywords.Filename, now sim.Time) []Provider {
-	e, ok := x.entries[f.String()]
+	e, ok := x.entries[f]
 	if !ok {
 		return nil
 	}
@@ -219,16 +217,15 @@ type Match struct {
 // provider lists, deterministic (sorted by filename). The response index of
 // a Locaware peer answers keyword queries from exactly this set.
 func (x *Index) Lookup(q keywords.Query, now sim.Time) []Match {
-	var names []string
-	for name, e := range x.entries {
+	var hits []*entry
+	for _, e := range x.entries {
 		if e.file.Matches(q) {
-			names = append(names, name)
+			hits = append(hits, e)
 		}
 	}
-	sort.Strings(names)
+	slices.SortFunc(hits, func(a, b *entry) int { return a.file.Compare(b.file) })
 	var out []Match
-	for _, name := range names {
-		e := x.entries[name]
+	for _, e := range hits {
 		if x.expire(e, now) {
 			continue
 		}
@@ -241,15 +238,11 @@ func (x *Index) Lookup(q keywords.Query, now sim.Time) []Match {
 
 // Filenames returns the cached filenames, sorted.
 func (x *Index) Filenames() []keywords.Filename {
-	names := make([]string, 0, len(x.entries))
-	for name := range x.entries {
-		names = append(names, name)
+	out := make([]keywords.Filename, 0, len(x.entries))
+	for f := range x.entries {
+		out = append(out, f)
 	}
-	sort.Strings(names)
-	out := make([]keywords.Filename, len(names))
-	for i, name := range names {
-		out[i] = x.entries[name].file
-	}
+	slices.SortFunc(out, keywords.Filename.Compare)
 	return out
 }
 

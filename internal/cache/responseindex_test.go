@@ -18,11 +18,11 @@ type recorder struct {
 func (r *recorder) FilenameAdded(f keywords.Filename)   { r.added = append(r.added, f.String()) }
 func (r *recorder) FilenameEvicted(f keywords.Filename) { r.evicted = append(r.evicted, f.String()) }
 
-func fn(kws ...keywords.Keyword) keywords.Filename { return keywords.NewFilename(kws...) }
+func fn(kws ...keywords.ID) keywords.Filename { return keywords.NewFilename(kws...) }
 
 func TestPutAndProviders(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	f := fn("a", "b", "c")
+	f := fn(1, 2, 3)
 	x.Put(f, 7, 3, 100*sim.Second)
 	ps := x.Providers(f, 100*sim.Second)
 	if len(ps) != 1 || ps[0].Peer != 7 || ps[0].LocID != 3 {
@@ -35,7 +35,7 @@ func TestPutAndProviders(t *testing.T) {
 
 func TestMostRecentFirst(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	f := fn("x", "y", "z")
+	f := fn(24, 25, 26)
 	for i := 0; i < 4; i++ {
 		x.Put(f, overlay.PeerID(i), netmodel.LocID(i), sim.Time(i)*sim.Second)
 	}
@@ -53,7 +53,7 @@ func TestMostRecentFirst(t *testing.T) {
 func TestProviderCapDropsOldest(t *testing.T) {
 	cfg := Config{MaxFilenames: 10, MaxProvidersPerFile: 3}
 	x := New(cfg, nil)
-	f := fn("p", "q", "r")
+	f := fn(16, 17, 18)
 	for i := 0; i < 5; i++ {
 		x.Put(f, overlay.PeerID(i), 0, sim.Time(i)*sim.Second)
 	}
@@ -73,7 +73,7 @@ func TestProviderCapDropsOldest(t *testing.T) {
 
 func TestRefreshMovesToFront(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	f := fn("m", "n", "o")
+	f := fn(13, 14, 15)
 	x.Put(f, 1, 5, 1*sim.Second)
 	x.Put(f, 2, 5, 2*sim.Second)
 	x.Put(f, 1, 6, 3*sim.Second) // refresh peer 1 with new locId
@@ -93,7 +93,7 @@ func TestFilenameLRUEviction(t *testing.T) {
 	rec := &recorder{}
 	cfg := Config{MaxFilenames: 3, MaxProvidersPerFile: 5}
 	x := New(cfg, rec)
-	f1, f2, f3, f4 := fn("a1"), fn("a2"), fn("a3"), fn("a4")
+	f1, f2, f3, f4 := fn(101), fn(102), fn(103), fn(104)
 	x.Put(f1, 1, 0, 1*sim.Second)
 	x.Put(f2, 1, 0, 2*sim.Second)
 	x.Put(f3, 1, 0, 3*sim.Second)
@@ -120,7 +120,7 @@ func TestTTLExpiry(t *testing.T) {
 	rec := &recorder{}
 	cfg := Config{MaxFilenames: 10, MaxProvidersPerFile: 5, TTL: 10 * sim.Second}
 	x := New(cfg, rec)
-	f := fn("t1", "t2")
+	f := fn(201, 202)
 	x.Put(f, 1, 0, 0)
 	x.Put(f, 2, 0, 8*sim.Second)
 	ps := x.Providers(f, 15*sim.Second)
@@ -145,7 +145,7 @@ func TestTTLExpiry(t *testing.T) {
 func TestTTLDisabled(t *testing.T) {
 	cfg := Config{MaxFilenames: 10, MaxProvidersPerFile: 5, TTL: 0}
 	x := New(cfg, nil)
-	f := fn("u1")
+	f := fn(301)
 	x.Put(f, 1, 0, 0)
 	if ps := x.Providers(f, 1000*sim.Hour); len(ps) != 1 {
 		t.Fatal("TTL=0 should never expire")
@@ -154,19 +154,19 @@ func TestTTLDisabled(t *testing.T) {
 
 func TestLookupKeywordSubset(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	x.Put(fn("red", "green", "blue"), 1, 0, sim.Second)
-	x.Put(fn("red", "yellow", "pink"), 2, 0, sim.Second)
-	x.Put(fn("cyan", "mauve"), 3, 0, sim.Second)
+	x.Put(fn(1, 2, 3), 1, 0, sim.Second)
+	x.Put(fn(1, 4, 5), 2, 0, sim.Second)
+	x.Put(fn(6, 7), 3, 0, sim.Second)
 
-	ms := x.Lookup(keywords.NewQuery("red"), 2*sim.Second)
+	ms := x.Lookup(keywords.NewQuery(1), 2*sim.Second)
 	if len(ms) != 2 {
 		t.Fatalf("lookup(red) = %d matches", len(ms))
 	}
-	ms = x.Lookup(keywords.NewQuery("red", "green"), 2*sim.Second)
-	if len(ms) != 1 || ms[0].File.String() != "blue_green_red" {
+	ms = x.Lookup(keywords.NewQuery(1, 2), 2*sim.Second)
+	if len(ms) != 1 || ms[0].File.String() != "kw00001_kw00002_kw00003" {
 		t.Fatalf("lookup(red,green) = %+v", ms)
 	}
-	if got := x.Lookup(keywords.NewQuery("absent"), 2*sim.Second); got != nil {
+	if got := x.Lookup(keywords.NewQuery(99), 2*sim.Second); got != nil {
 		t.Fatalf("phantom match: %+v", got)
 	}
 	if got := x.Lookup(keywords.Query{}, 2*sim.Second); got != nil {
@@ -176,10 +176,10 @@ func TestLookupKeywordSubset(t *testing.T) {
 
 func TestLookupDeterministicOrder(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	x.Put(fn("k", "zz"), 1, 0, sim.Second)
-	x.Put(fn("k", "aa"), 2, 0, sim.Second)
-	x.Put(fn("k", "mm"), 3, 0, sim.Second)
-	ms := x.Lookup(keywords.NewQuery("k"), 2*sim.Second)
+	x.Put(fn(10, 30), 1, 0, sim.Second)
+	x.Put(fn(10, 11), 2, 0, sim.Second)
+	x.Put(fn(10, 20), 3, 0, sim.Second)
+	ms := x.Lookup(keywords.NewQuery(10), 2*sim.Second)
 	if len(ms) != 3 {
 		t.Fatalf("matches = %d", len(ms))
 	}
@@ -190,19 +190,19 @@ func TestLookupDeterministicOrder(t *testing.T) {
 
 func TestFilenames(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	x.Put(fn("b"), 1, 0, sim.Second)
-	x.Put(fn("a"), 1, 0, sim.Second)
+	x.Put(fn(2), 1, 0, sim.Second)
+	x.Put(fn(1), 1, 0, sim.Second)
 	fs := x.Filenames()
-	if len(fs) != 2 || fs[0].String() != "a" || fs[1].String() != "b" {
+	if len(fs) != 2 || fs[0].String() != "kw00001" || fs[1].String() != "kw00002" {
 		t.Fatalf("filenames = %v", fs)
 	}
 }
 
 func TestTotalProviderEntries(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	x.Put(fn("a"), 1, 0, sim.Second)
-	x.Put(fn("a"), 2, 0, sim.Second)
-	x.Put(fn("b"), 3, 0, sim.Second)
+	x.Put(fn(1), 1, 0, sim.Second)
+	x.Put(fn(1), 2, 0, sim.Second)
+	x.Put(fn(2), 3, 0, sim.Second)
 	if n := x.TotalProviderEntries(); n != 3 {
 		t.Fatalf("total = %d", n)
 	}
@@ -210,7 +210,7 @@ func TestTotalProviderEntries(t *testing.T) {
 
 func TestConfigFallbacks(t *testing.T) {
 	x := New(Config{}, nil)
-	f := fn("c1")
+	f := fn(41)
 	x.Put(f, 1, 0, sim.Second)
 	if x.Len() != 1 {
 		t.Fatal("zero config unusable")
@@ -219,7 +219,7 @@ func TestConfigFallbacks(t *testing.T) {
 
 func TestProvidersReturnsCopy(t *testing.T) {
 	x := New(DefaultConfig(), nil)
-	f := fn("copy")
+	f := fn(42)
 	x.Put(f, 1, 2, sim.Second)
 	ps := x.Providers(f, 2*sim.Second)
 	ps[0].Peer = 99
@@ -241,7 +241,7 @@ func TestInvariantsQuick(t *testing.T) {
 		var clock sim.Time
 		for _, op := range ops {
 			clock += sim.Time(op.At) + 1
-			f := fn(keywords.Keyword([]string{"fa", "fb", "fc", "fd", "fe", "ff", "fg", "fh"}[op.File%8]))
+			f := fn(keywords.ID(op.File % 8))
 			x.Put(f, overlay.PeerID(op.Peer%10), 0, clock)
 			if x.Len() > 5 {
 				return false
@@ -269,7 +269,7 @@ func TestRandomizedMixedOps(t *testing.T) {
 	x := New(Config{MaxFilenames: 20, MaxProvidersPerFile: 4, TTL: 30 * sim.Second}, nil)
 	names := []keywords.Filename{}
 	for i := 0; i < 40; i++ {
-		names = append(names, fn(keywords.Keyword("w"+string(rune('a'+i%26))), keywords.Keyword("x"+string(rune('a'+i/26)))))
+		names = append(names, fn(keywords.ID(i%26), keywords.ID(100+i/26)))
 	}
 	var clock sim.Time
 	for op := 0; op < 5000; op++ {

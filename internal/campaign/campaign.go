@@ -163,11 +163,14 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 	var done atomic.Int64
 	done.Store(int64(pr.stats.Resumed))
 	if opt.Progress > 0 {
+		// The loop gets the stats as they stand before any cell runs: the
+		// cell callback below writes pr.stats while the loop is live.
+		stats := pr.stats
 		stop := make(chan struct{})
 		finished := make(chan struct{})
 		go func() {
 			defer close(finished)
-			runProgressLoop(opt, pr.stats, &done, stop)
+			runProgressLoop(opt, stats, &done, stop)
 		}()
 		// Wait the ticker out so no Logf call outlives Run.
 		defer func() { close(stop); <-finished }()

@@ -369,9 +369,10 @@ func TestFloodingSuccessDominates(t *testing.T) {
 // the tree: MemStats.Mallocs across RunMeasured on one fixed seed, measured
 // the way benchmark/measure.go measures allocs_per_query on its flood-2k and
 // locaware-2k worlds (shortened). The counts repeat for a seed to within a
-// few runtime allocations — 10.3 and 8.8 per query when the budgets were
+// few runtime allocations — 6.0 and 5.1 per query when the budgets were
 // set — and sit far below what per-node seen maps and a path allocated per
-// message cost (452 and 11.7 on the same worlds).
+// message cost (452 and 11.7 on the same worlds), or what spelling
+// keywords as strings cost (9.8 and 8.8).
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
@@ -381,8 +382,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 		warmup, measured int
 		budget           float64
 	}{
-		{protocol.Flooding{}, 0, 25, 13},
-		{protocol.Locaware{}, 500, 2000, 10},
+		{protocol.Flooding{}, 0, 25, 8},
+		{protocol.Locaware{}, 500, 2000, 6},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
@@ -401,5 +402,30 @@ func TestHotPathAllocBudget(t *testing.T) {
 		if perQuery > c.budget {
 			t.Fatalf("%s: %.2f allocs/query over %d queries, budget %.0f", c.b.Name(), perQuery, c.warmup+c.measured, c.budget)
 		}
+	}
+}
+
+// TestWorldBuildAllocBudget holds the allocation count of building a world
+// in the tree: MemStats.Mallocs across NewSimulation of a 200-peer Locaware
+// world with the paper's catalogue. It read 3566 when the budget was set
+// (measured + 10 %), against 39 980 when the catalogue spelt its keywords
+// as strings and the placement kept a map per peer.
+func TestWorldBuildAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
+	}
+	const budget = 3922
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.NumPeers = 200
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	NewSimulation(cfg, protocol.Locaware{})
+	runtime.ReadMemStats(&m1)
+	got := m1.Mallocs - m0.Mallocs
+	t.Logf("NewSimulation: %d allocs (budget %d)", got, budget)
+	if got > budget {
+		t.Fatalf("NewSimulation of a 200-peer Locaware world: %d allocs, budget %d", got, budget)
 	}
 }

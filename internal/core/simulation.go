@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/netmodel"
@@ -60,22 +59,23 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	net := protocol.NewNetwork(eng, graph, model, locator, b, cfg.Protocol,
 		rng.Stream("gid"), rng.Stream("protocol"))
 
-	// Seed initial shared storage.
+	// Seed initial shared storage. Queries target PF, the set of popularly
+	// shared files (§3.3): only files some peer actually provides are
+	// queryable. Catalogue ids are popularity ranks, so ascending id order
+	// keeps the Zipf head on popular files.
+	provided := make([]bool, catalog.Size())
 	for p := 0; p < cfg.NumPeers; p++ {
 		for _, fid := range placement.Files(p) {
 			net.Node(overlay.PeerID(p)).AddFile(catalog.File(fid))
+			provided[fid] = true
 		}
 	}
-
-	// Queries target PF, the set of popularly shared files (§3.3): only
-	// files some peer actually provides are queryable. Catalogue ids are
-	// popularity ranks, so sorting keeps the Zipf head on popular files.
-	providerMap := placement.Providers()
-	targets := make([]workload.FileID, 0, len(providerMap))
-	for fid := range providerMap {
-		targets = append(targets, fid)
+	var targets []workload.FileID
+	for fid, ok := range provided {
+		if ok {
+			targets = append(targets, workload.FileID(fid))
+		}
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 
 	s := &Simulation{
 		Cfg:       cfg,

@@ -40,7 +40,7 @@ func (Dicas) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) 
 // CacheResponse implements Behavior: cache at matching-Gid peers on the
 // reverse path (Eq. 1), storing the responding provider only.
 func (Dicas) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	if gidOfName(rsp.File.String(), net.Config.GroupCount) != n.Gid {
+	if gidOfName(rsp.File, net.Config.GroupCount) != n.Gid {
 		return
 	}
 	now := net.Engine.Now()

@@ -38,16 +38,18 @@ func (DicasKeys) CacheConfig(base cache.Config) cache.Config {
 // matching any keyword's group would branch on most neighbours and
 // degenerate towards flooding.
 func (DicasKeys) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	return net.gidOrFallback(gidOfKeyword(routingKeyword(q.pq.q), net.Config.GroupCount), elig)
+	return net.gidOrFallback(gidOfQuery(routingKeyword(q.pq.q), net.Config.GroupCount), elig)
 }
 
 // routingKeyword returns the query's designated routing keyword (first in
-// canonical order; queries are deduplicated and sorted on construction).
-func routingKeyword(q keywords.Query) keywords.Keyword {
-	if len(q.Kws) == 0 {
-		return ""
+// canonical order; queries are deduplicated and sorted on construction) as
+// a one-keyword query, whose hash is the keyword's; an empty query routes
+// as itself.
+func routingKeyword(q keywords.Query) keywords.Query {
+	if q.K() == 0 {
+		return q
 	}
-	return q.Kws[0]
+	return keywords.NewQuery(q.KeywordAt(0))
 }
 
 // CacheResponse implements Behavior: cache wherever the node's Gid matches
@@ -56,8 +58,8 @@ func routingKeyword(q keywords.Query) keywords.Keyword {
 func (DicasKeys) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 	m := net.Config.GroupCount
 	matched := false
-	for _, kw := range rsp.QueryKws.Kws {
-		if gidOfKeyword(kw, m) == n.Gid {
+	for i := range rsp.QueryKws.K() {
+		if gidOfKeyword(rsp.QueryKws.KeywordAt(i), m) == n.Gid {
 			matched = true
 			break
 		}

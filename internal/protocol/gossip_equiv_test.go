@@ -22,7 +22,7 @@ func riView(n *protocol.Node) *bloom.Filter {
 	f := bloom.New(n.PublishedBloom().M(), n.PublishedBloom().K())
 	for _, name := range n.RI.Filenames() {
 		for i := 0; i < name.K(); i++ {
-			f.Add(string(name.KeywordAt(i)))
+			f.Add(name.KeywordAt(i).String())
 		}
 	}
 	return f

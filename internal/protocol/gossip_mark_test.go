@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -107,20 +106,16 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 // Providers / capacity-eviction sequences, and leaves the index in the
 // same state (the twin node takes the unguarded path on the same stream).
 func TestLookupGuardMatchesIndex(t *testing.T) {
-	kws := make([]keywords.Keyword, 12)
-	for i := range kws {
-		kws[i] = keywords.Keyword(fmt.Sprintf("k%02d", i))
-	}
 	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		var guarded, plain Node
 		initNode(&guarded, 0, 0, 0, cfg, true, 1200, 8)
 		initNode(&plain, 0, 0, 0, cfg, false, 0, 0)
-		pick := func(n int) []keywords.Keyword {
-			out := make([]keywords.Keyword, n)
+		pick := func(n int) []keywords.ID {
+			out := make([]keywords.ID, n)
 			for i := range out {
-				out[i] = kws[r.Intn(len(kws))]
+				out[i] = keywords.ID(r.Intn(12))
 			}
 			return out
 		}
@@ -141,8 +136,8 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 			default:
 				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
 				absent := false
-				for _, kw := range q.Kws {
-					absent = absent || !guarded.cbf.Test(string(kw))
+				for i := range q.K() {
+					absent = absent || !guarded.cbf.Test(q.KeywordAt(i).String())
 				}
 				got, want := guarded.lookupRI(q, guarded.bloomPositions(nil, q), now), plain.lookupRI(q, nil, now)
 				if !reflect.DeepEqual(got, want) {

@@ -59,14 +59,14 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		pq.sameLoc = true
 		pq.hops = 0
 		net.counts.StorageHits++
-		net.emit(trace.StorageHit, id, origin, -1, f.String())
+		net.emitFile(trace.StorageHit, id, origin, -1, f)
 		return id
 	}
 	if ms := n.lookupRI(q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
 			net.counts.CacheHits++
-			net.emit(trace.CacheHit, id, origin, -1, ms[0].File.String())
+			net.emitFile(trace.CacheHit, id, origin, -1, ms[0].File)
 			net.completeDownload(id, pq, n, ms[0].File, prov, 0)
 			return id
 		}

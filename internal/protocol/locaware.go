@@ -56,7 +56,7 @@ func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerI
 // provider in the response plus the requester as a new provider (§4.1.2's
 // worked example: B caches (D,1) and (A,3)).
 func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	if gidOfName(rsp.File.String(), net.Config.GroupCount) != n.Gid {
+	if gidOfName(rsp.File, net.Config.GroupCount) != n.Gid {
 		return
 	}
 	now := net.Engine.Now()
@@ -72,7 +72,7 @@ func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 // as a new provider when its Gid matches the filename ("peer B then adds
 // in its RI the entry (E,1) as a new provider of f", §4.1.2).
 func (Locaware) OnAnswer(net *Network, n *Node, q *QueryMsg, f keywords.Filename) {
-	if gidOfName(f.String(), net.Config.GroupCount) != n.Gid {
+	if gidOfName(f, net.Config.GroupCount) != n.Gid {
 		return
 	}
 	if q.pq.origin == n.ID {

@@ -325,6 +325,16 @@ func (net *Network) emit(k trace.Kind, query QueryID, peer, from overlay.PeerID,
 	})
 }
 
+// emitFile is emit with f's name as the detail, spelt only when a tracer
+// is attached.
+func (net *Network) emitFile(k trace.Kind, query QueryID, peer, from overlay.PeerID, f keywords.Filename) {
+	if net.tracer == nil {
+		return
+	}
+	net.detailBuf = f.AppendName(net.detailBuf[:0])
+	net.emit(k, query, peer, from, string(net.detailBuf))
+}
+
 // Node returns peer p's protocol state.
 func (net *Network) Node(p overlay.PeerID) *Node { return net.nodes[p] }
 

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"slices"
-	"strings"
 
 	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
@@ -19,7 +18,7 @@ type Node struct {
 	Gid int
 	// Loc is the node's physical locality.
 	Loc netmodel.LocID
-	// files is the shared storage, sorted by canonical name. Peers that
+	// files is the shared storage, in filename order. Peers that
 	// download a file become providers (§3.1), so this grows during a run.
 	files []keywords.Filename
 	// RI is the response index (§3.2).
@@ -71,8 +70,9 @@ func (b bloomSync) FilenameAdded(f keywords.Filename) {
 	if b.n.cbf == nil {
 		return
 	}
-	for i := 0; i < f.K(); i++ {
-		b.n.cbf.Add(string(f.KeywordAt(i)))
+	var buf [16]byte
+	for i := range f.K() {
+		b.n.cbf.Add(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 }
 
@@ -80,8 +80,9 @@ func (b bloomSync) FilenameEvicted(f keywords.Filename) {
 	if b.n.cbf == nil {
 		return
 	}
-	for i := 0; i < f.K(); i++ {
-		b.n.cbf.Remove(string(f.KeywordAt(i)))
+	var buf [16]byte
+	for i := range f.K() {
+		b.n.cbf.Remove(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 }
 
@@ -127,17 +128,15 @@ func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) {
 	}
 }
 
-// fileIndex returns where name sits in the sorted storage, or would be
+// fileIndex returns where f sits in the sorted storage, or would be
 // inserted, and whether it is there.
-func (n *Node) fileIndex(name string) (int, bool) {
-	return slices.BinarySearchFunc(n.files, name, func(f keywords.Filename, name string) int {
-		return strings.Compare(f.String(), name)
-	})
+func (n *Node) fileIndex(f keywords.Filename) (int, bool) {
+	return slices.BinarySearchFunc(n.files, f, keywords.Filename.Compare)
 }
 
 // AddFile inserts f into the node's shared storage.
 func (n *Node) AddFile(f keywords.Filename) {
-	if i, ok := n.fileIndex(f.String()); ok {
+	if i, ok := n.fileIndex(f); ok {
 		n.files[i] = f
 	} else {
 		n.files = slices.Insert(n.files, i, f)
@@ -149,7 +148,7 @@ func (n *Node) AddFile(f keywords.Filename) {
 // was present. Response indexes elsewhere keep advertising the peer until
 // their entries age out — exactly the staleness a real withdrawal causes.
 func (n *Node) RemoveFile(f keywords.Filename) bool {
-	i, ok := n.fileIndex(f.String())
+	i, ok := n.fileIndex(f)
 	if ok {
 		n.files = slices.Delete(n.files, i, i+1)
 	}
@@ -201,8 +200,9 @@ func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
 	if n.cbf == nil {
 		return dst
 	}
-	for _, kw := range q.Kws {
-		dst = n.cbf.View().AppendIndexes(dst, string(kw))
+	var buf [16]byte
+	for i := range q.K() {
+		dst = n.cbf.View().AppendIndexes(dst, string(q.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 	return dst
 }
@@ -256,44 +256,23 @@ func (n *Node) announceGenOf(f *bloom.Filter) uint64 {
 	}
 }
 
-// gidOfName maps a canonical filename string to its group id:
-// hash(f) mod M (Eq. 1). The FNV-1a hash is inlined (bit-identical to
-// hash/fnv's 32-bit variant) so the per-hop routing and caching decisions
-// hash without allocating a hasher or a byte-slice copy.
-func gidOfName(name string, m int) int {
-	return int(fnv1a(fnvOffset32, name) % uint32(m))
+// gidOfName maps a filename to its group id: hash(f) mod M (Eq. 1), with
+// the FNV-1a hash of the canonical name computed once per filename.
+func gidOfName(f keywords.Filename, m int) int {
+	return int(f.Hash() % uint32(m))
 }
 
-const fnvOffset32 = 2166136261
-
-// fnv1a folds s into the running 32-bit FNV-1a hash h.
-func fnv1a(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// gidOfKeyword maps a single keyword to a group id (Dicas-Keys).
-func gidOfKeyword(kw keywords.Keyword, m int) int {
-	return gidOfName(string(kw), m)
+// gidOfKeyword maps a single keyword to a group id (Dicas-Keys): the hash
+// of its spelling, the canonical name of a one-keyword query.
+func gidOfKeyword(kw keywords.ID, m int) int {
+	return gidOfQuery(keywords.NewQuery(kw), m)
 }
 
 // gidOfQuery treats the query's canonical keyword string as if it were the
 // filename — the only Gid a requester can compute without knowing the full
 // filename. This is exactly the mismatch that "misleads keyword queries"
 // in Dicas (§5.2): it equals gidOfName(f) only when the query contains all
-// of f's keywords. A Query's keywords are already canonical (every
-// constructor sorts and dedups), so the filename string — the keywords
-// joined by '_' — is hashed in place rather than built.
+// of f's keywords.
 func gidOfQuery(q keywords.Query, m int) int {
-	h := uint32(fnvOffset32)
-	for i, kw := range q.Kws {
-		if i > 0 {
-			h = fnv1a(h, "_")
-		}
-		h = fnv1a(h, string(kw))
-	}
-	return int(h % uint32(m))
+	return int(q.Hash() % uint32(m))
 }

@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -54,7 +56,37 @@ func lineEdges(n int) [][2]int {
 	return es
 }
 
-func fname(kws ...keywords.Keyword) keywords.Filename { return keywords.NewFilename(kws...) }
+// vocab spells the tests' keywords: a word's keyword id is its index, so
+// id order is the words' alphabetical order.
+var vocab = []string{
+	"aaa", "absent", "alpha", "and", "ans", "aware", "away", "bbb",
+	"bloomy", "ccc", "comes", "dicas", "dup", "far", "file", "goes",
+	"gossiped", "held", "in", "k", "k1", "k2", "k3", "kx",
+	"ky", "kz", "late", "loc", "lr", "many", "mine", "needle",
+	"pop", "right", "seal", "single", "song", "stack", "stays", "test",
+	"traced", "while", "x", "zeta", "zzz",
+}
+
+// kw returns word's keyword id.
+func kw(word string) keywords.ID {
+	i, ok := slices.BinarySearch(vocab, word)
+	if !ok {
+		panic("keyword " + word + " is not in vocab")
+	}
+	return keywords.ID(i)
+}
+
+func kws(words []string) []keywords.ID {
+	out := make([]keywords.ID, len(words))
+	for i, w := range words {
+		out[i] = kw(w)
+	}
+	return out
+}
+
+func fname(words ...string) keywords.Filename { return keywords.NewFilename(kws(words)...) }
+
+func query(words ...string) keywords.Query { return keywords.NewQuery(kws(words)...) }
 
 func runAll(net *Network) {
 	net.Engine.Run(0)
@@ -91,7 +123,7 @@ func TestFloodingFindsStorageHit(t *testing.T) {
 	f := fname("needle", "in", "stack")
 	net.Node(4).AddFile(f)
 
-	net.SubmitQuery(0, keywords.NewQuery("needle"))
+	net.SubmitQuery(0, query("needle"))
 	runAll(net)
 
 	c := net.Collector
@@ -110,7 +142,7 @@ func TestFloodingFindsStorageHit(t *testing.T) {
 		t.Fatalf("messages = %d, want 8", recs[0].Messages)
 	}
 	// The requester became a provider (natural replication, §3.1).
-	if _, ok := net.Node(0).fileIndex(f.String()); !ok {
+	if _, ok := net.Node(0).fileIndex(f); !ok {
 		t.Fatal("requester did not become a provider")
 	}
 }
@@ -120,7 +152,7 @@ func TestFloodingTTLBounds(t *testing.T) {
 	cfg.TTL = 3
 	net := testNet(t, Flooding{}, linePoints(6), lineEdges(6), cfg)
 	net.Node(5).AddFile(fname("far"))
-	net.SubmitQuery(0, keywords.NewQuery("far"))
+	net.SubmitQuery(0, query("far"))
 	runAll(net)
 	if net.Collector.SuccessRate() != 0 {
 		t.Fatal("TTL 3 must not reach 5 hops away")
@@ -138,7 +170,7 @@ func TestFloodingDuplicateSuppression(t *testing.T) {
 	net := testNet(t, Flooding{}, []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 50}, {X: 200, Y: 150}, {X: 300, Y: 100}},
 		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
 	net.Node(3).AddFile(fname("dup"))
-	net.SubmitQuery(0, keywords.NewQuery("dup"))
+	net.SubmitQuery(0, query("dup"))
 	runAll(net)
 	recs := net.Collector.Records()
 	if !recs[0].Success {
@@ -158,7 +190,7 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("mine")
 	net.Node(0).AddFile(f)
-	net.SubmitQuery(0, keywords.NewQuery("mine"))
+	net.SubmitQuery(0, query("mine"))
 	runAll(net)
 	rec := net.Collector.Records()[0]
 	if !rec.Success || rec.Messages != 0 || rec.DownloadRTT != 0 {
@@ -169,7 +201,7 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 func TestQueryFailureRecorded(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
-	net.SubmitQuery(0, keywords.NewQuery("absent"))
+	net.SubmitQuery(0, query("absent"))
 	runAll(net)
 	rec := net.Collector.Records()[0]
 	if rec.Success {
@@ -185,7 +217,7 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 	net := testNet(t, Dicas{}, linePoints(5), lineEdges(5), cfg)
 	f := fname("dicas", "file")
 	net.Node(4).AddFile(f)
-	want := gidOfName(f.String(), cfg.GroupCount)
+	want := gidOfName(f, cfg.GroupCount)
 	// Arrange Gids: nodes 1 and 3 match, 2 does not.
 	net.Node(0).Gid = (want + 1) % cfg.GroupCount
 	net.Node(1).Gid = want
@@ -194,7 +226,7 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 	net.Node(4).Gid = (want + 1) % cfg.GroupCount
 
 	// Full-filename query (Dicas's intended mode) so routing is correct.
-	net.SubmitQuery(0, keywords.NewQuery("dicas", "file"))
+	net.SubmitQuery(0, query("dicas", "file"))
 	runAll(net)
 	if net.Collector.SuccessRate() != 1 {
 		t.Fatal("dicas full-filename query failed on a line")
@@ -216,7 +248,7 @@ func TestDicasSingleProviderPerFile(t *testing.T) {
 	net := testNet(t, Dicas{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("single")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f.String(), cfg.GroupCount)
+	n1.Gid = gidOfName(f, cfg.GroupCount)
 	rsp := &ResponseMsg{
 		File: f,
 		Providers: []cache.Provider{
@@ -235,12 +267,12 @@ func TestDicasRoutingMisledByPartialQuery(t *testing.T) {
 	// gidOfQuery equals gidOfName only when the query carries all keywords.
 	f := fname("aaa", "bbb", "ccc")
 	m := 64 // large M to make accidental collisions unlikely
-	full := keywords.NewQuery("aaa", "bbb", "ccc")
-	if gidOfQuery(full, m) != gidOfName(f.String(), m) {
+	full := query("aaa", "bbb", "ccc")
+	if gidOfQuery(full, m) != gidOfName(f, m) {
 		t.Fatal("full-filename query must hash like the filename")
 	}
-	partial := keywords.NewQuery("aaa")
-	if gidOfQuery(partial, m) == gidOfName(f.String(), m) {
+	partial := query("aaa")
+	if gidOfQuery(partial, m) == gidOfName(f, m) {
 		t.Fatal("partial query accidentally matches (improbable with M=64); mechanism broken")
 	}
 }
@@ -249,12 +281,12 @@ func TestDicasKeysCachesPerQueryKeyword(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, DicasKeys{}, linePoints(4), lineEdges(4), cfg)
 	f := fname("kx", "ky", "kz")
-	q := keywords.NewQuery("kx", "ky")
+	q := query("kx", "ky")
 	n1, n2 := net.Node(1), net.Node(2)
-	n1.Gid = gidOfKeyword("kx", cfg.GroupCount)
+	n1.Gid = gidOfKeyword(kw("kx"), cfg.GroupCount)
 	// Give node2 a gid matching neither query keyword.
 	g2 := 0
-	for g2 == gidOfKeyword("kx", cfg.GroupCount) || g2 == gidOfKeyword("ky", cfg.GroupCount) {
+	for g2 == gidOfKeyword(kw("kx"), cfg.GroupCount) || g2 == gidOfKeyword(kw("ky"), cfg.GroupCount) {
 		g2++
 	}
 	n2.Gid = g2
@@ -276,7 +308,7 @@ func TestLocawareCachesProvidersAndRequester(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(5), lineEdges(5), cfg)
 	f := fname("loc", "aware")
 	n2 := net.Node(2)
-	n2.Gid = gidOfName(f.String(), cfg.GroupCount)
+	n2.Gid = gidOfName(f, cfg.GroupCount)
 	rsp := &ResponseMsg{
 		File:      f,
 		Providers: []cache.Provider{{Peer: 4, LocID: 7}},
@@ -304,7 +336,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("ans")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f.String(), cfg.GroupCount)
+	n1.Gid = gidOfName(f, cfg.GroupCount)
 	q := &QueryMsg{pq: &pendingQuery{origin: 2, originLoc: 9}}
 	Locaware{}.OnAnswer(net, n1, q, f)
 	ps := n1.RI.Providers(f, net.Engine.Now())
@@ -362,12 +394,12 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(4), lineEdges(4), cfg)
 	f := fname("bloomy", "file")
 	n2 := net.Node(2)
-	n2.Gid = gidOfName(f.String(), cfg.GroupCount)
+	n2.Gid = gidOfName(f, cfg.GroupCount)
 	n2.RI.Put(f, 3, 0, 0)
 
 	// Before gossip, node 2's published BF is empty -> no match.
 	n1 := net.Node(1)
-	kw := keywords.NewQuery("bloomy")
+	kw := query("bloomy")
 	q := testBranch(net, kw, 0, 1)
 	targets := Locaware{}.Forward(net, n1, q, eligOf(net, q))
 	for _, tgt := range targets {
@@ -400,11 +432,11 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	f := fname("pop", "song")
 	net.Node(5).AddFile(f)
 	// Make middle nodes cache-eligible.
-	want := gidOfName(f.String(), cfg.GroupCount)
+	want := gidOfName(f, cfg.GroupCount)
 	for i := overlay.PeerID(1); i <= 4; i++ {
 		net.Node(i).Gid = want
 	}
-	net.SubmitQuery(0, keywords.NewQuery("pop"))
+	net.SubmitQuery(0, query("pop"))
 	net.Engine.RunUntil(40*sim.Second, 0)
 	// Caches along the path now hold f with providers {5, 0}.
 	cached := 0
@@ -418,7 +450,7 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	}
 	before := net.Collector.Submitted()
 	_ = before
-	net.SubmitQuery(1, keywords.NewQuery("song"))
+	net.SubmitQuery(1, query("song"))
 	net.Engine.RunUntil(80*sim.Second, 0)
 	recs := net.Collector.Records()
 	if len(recs) != 2 {
@@ -452,7 +484,7 @@ func TestOfflineOriginDropsQuery(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Graph.Leave(0)
-	net.SubmitQuery(0, keywords.NewQuery("x"))
+	net.SubmitQuery(0, query("x"))
 	runAll(net)
 	rec := net.Collector.Records()[0]
 	if rec.Success || rec.Messages != 0 {
@@ -474,7 +506,7 @@ func TestFinalizeSealsRecordOnce(t *testing.T) {
 			fired++
 		}
 	})
-	net.SubmitQuery(0, keywords.NewQuery("seal"))
+	net.SubmitQuery(0, query("seal"))
 	runAll(net)
 	if fired != 1 || net.Collector.Submitted() != 1 {
 		t.Fatalf("finalize fired %d times and sealed %d records, want 1 and 1", fired, net.Collector.Submitted())
@@ -504,7 +536,7 @@ func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 			pq = p
 		}
 	})
-	net.SubmitQuery(0, keywords.NewQuery("late"))
+	net.SubmitQuery(0, query("late"))
 	runAll(net)
 
 	recs := net.Collector.Records()
@@ -539,7 +571,7 @@ func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	cfg.FinalizeAfter = sim.Millisecond
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Node(1).AddFile(fname("late"))
-	q := keywords.NewQuery("late")
+	q := query("late")
 
 	net.SubmitQuery(0, q)
 	var pqA *pendingQuery
@@ -604,7 +636,7 @@ func TestResponseOfRecycledStateIsDropped(t *testing.T) {
 	// peer 1 one hop later; A is sealed half-way between.
 	net.Config.FinalizeAfter = hop(0, 1) + hop(1, 2) + hop(1, 2)/2
 
-	net.SubmitQuery(0, keywords.NewQuery("late"))
+	net.SubmitQuery(0, query("late"))
 	var pqA *pendingQuery
 	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
 		if p, ok := ev.(*pendingQuery); ok {
@@ -619,7 +651,7 @@ func TestResponseOfRecycledStateIsDropped(t *testing.T) {
 		t.Fatalf("fixture: %d events queued when A was sealed, want its one response", net.Engine.Len())
 	}
 	net.Config.FinalizeAfter = 30 * sim.Second
-	idB := net.SubmitQuery(3, keywords.NewQuery("late"))
+	idB := net.SubmitQuery(3, query("late"))
 	if pqA.id != idB {
 		t.Fatal("fixture: B did not reuse A's pooled state")
 	}
@@ -635,7 +667,7 @@ func TestResponseOfRecycledStateIsDropped(t *testing.T) {
 	if recs[1].Success || recs[1].Messages != 0 {
 		t.Fatalf("B's record = %+v, want unanswered with no message: A's response counted on or completed B", recs[1])
 	}
-	if _, ok := net.Node(0).fileIndex(f.String()); ok {
+	if _, ok := net.Node(0).fileIndex(f); ok {
 		t.Fatal("A's origin downloaded the file after A was sealed")
 	}
 }
@@ -685,8 +717,8 @@ func TestSelectIndexMatchPrefersOriginLocality(t *testing.T) {
 		{File: fname("right"), Providers: []cache.Provider{{Peer: 4, LocID: 7}}},
 	}
 	got := net.selectIndexMatch(ms, 7)
-	if got.File.String() != "right" {
-		t.Fatalf("selected %q, want locality match", got.File.String())
+	if got.File != fname("right") {
+		t.Fatalf("selected %v, want locality match", got.File)
 	}
 }
 
@@ -737,11 +769,11 @@ func TestLocawareLRPrefersSameLocality(t *testing.T) {
 	f := fname("lr", "test")
 	for _, i := range []overlay.PeerID{1, 2} {
 		n := net.Node(i)
-		n.Gid = gidOfName(f.String(), cfg.GroupCount)
+		n.Gid = gidOfName(f, cfg.GroupCount)
 		n.RI.Put(f, overlay.PeerID(i), n.Loc, 0)
 	}
 	net.Engine.RunUntil(2*sim.Second, 0) // publish blooms
-	kw := keywords.NewQuery("lr")
+	kw := query("lr")
 	q := testBranch(net, kw, 0)
 	targets := LocawareLR{}.Forward(net, net.Node(0), q, eligOf(net, q))
 	if len(targets) != 1 || targets[0] != 2 {
@@ -752,14 +784,14 @@ func TestLocawareLRPrefersSameLocality(t *testing.T) {
 func TestGidHelpers(t *testing.T) {
 	m := 8
 	f := fname("k1", "k2", "k3")
-	g := gidOfName(f.String(), m)
+	g := gidOfName(f, m)
 	if g < 0 || g >= m {
 		t.Fatalf("gid %d out of range", g)
 	}
-	if gidOfName(f.String(), m) != g {
+	if gidOfName(f, m) != g {
 		t.Fatal("gid not deterministic")
 	}
-	if gidOfKeyword("k1", m) < 0 || gidOfKeyword("k1", m) >= m {
+	if gidOfKeyword(kw("k1"), m) < 0 || gidOfKeyword(kw("k1"), m) >= m {
 		t.Fatal("keyword gid out of range")
 	}
 }
@@ -771,14 +803,18 @@ func TestGidOfQueryHashesTheFilenameString(t *testing.T) {
 	pool := keywords.NewPool(500)
 	for i := 0; i < 3000; i++ {
 		q := keywords.ExtractQuery(pool.RandomFilename(3, r), r)
-		name := keywords.NewFilename(q.Kws...).String()
+		var ids []keywords.ID
+		for i := range q.K() {
+			ids = append(ids, q.KeywordAt(i))
+		}
+		name := keywords.NewFilename(ids...)
 		for _, m := range []int{1, 4, 7} {
 			if got, want := gidOfQuery(q, m), gidOfName(name, m); got != want {
-				t.Fatalf("gidOfQuery(%v, %d) = %d, gidOfName(%q) = %d", q, m, got, name, want)
+				t.Fatalf("gidOfQuery(%v, %d) = %d, gidOfName(%v) = %d", q, m, got, name, want)
 			}
 		}
 	}
-	if got, want := gidOfQuery(keywords.Query{}, 4), gidOfName("", 4); got != want {
+	if got, want := gidOfQuery(keywords.Query{}, 4), gidOfName(keywords.NewFilename(), 4); got != want {
 		t.Fatalf("empty query: gid %d, want %d", got, want)
 	}
 }
@@ -823,7 +859,7 @@ func TestTracingLifecycle(t *testing.T) {
 	net.SetTracer(buf)
 	f := fname("traced", "file")
 	net.Node(3).AddFile(f)
-	net.SubmitQuery(0, keywords.NewQuery("traced"))
+	net.SubmitQuery(0, query("traced"))
 	runAll(net)
 
 	if countKind(buf, trace.QuerySubmit) != 1 {
@@ -860,7 +896,7 @@ func TestTracingFailureAndDuplicate(t *testing.T) {
 		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
 	buf := &eventLog{}
 	net.SetTracer(buf)
-	net.SubmitQuery(0, keywords.NewQuery("absent"))
+	net.SubmitQuery(0, query("absent"))
 	runAll(net)
 	if countKind(buf, trace.QueryFailed) != 1 {
 		t.Fatalf("failed = %d", countKind(buf, trace.QueryFailed))
@@ -878,7 +914,7 @@ func TestTracingGossip(t *testing.T) {
 	net.SetTracer(buf)
 	f := fname("gossiped")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f.String(), cfg.GroupCount)
+	n1.Gid = gidOfName(f, cfg.GroupCount)
 	n1.RI.Put(f, 2, 0, 0)
 	net.Engine.RunUntil(3*sim.Second, 0)
 	// Neighbour copies installed after delivery.
@@ -900,12 +936,12 @@ func TestWarmupQueriesStayUnrecorded(t *testing.T) {
 	col := metrics.NewCollector()
 	net.Measure(col, 1)
 	net.Node(3).AddFile(fname("late"))
-	net.SubmitQuery(0, keywords.NewQuery("late"))
+	net.SubmitQuery(0, query("late"))
 	net.Engine.RunUntil(sim.Second, 0)
 	if c := net.Counts(); c.Submitted != 1 || c.Finalized != 0 {
 		t.Fatalf("fixture: warmup query not in flight: %+v", c)
 	}
-	net.SubmitQuery(0, keywords.NewQuery("absent"))
+	net.SubmitQuery(0, query("absent"))
 	runAll(net)
 	if net.Collector != col || col.Submitted() != 1 || col.SuccessRate() != 0 {
 		t.Fatalf("collector recorded %d queries at success %.2f, want only the unanswered measured one",
@@ -925,7 +961,7 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	edges := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}
 	net := testNet(t, Dicas{}, pts, edges, cfg)
 	// Force all neighbours to a non-matching Gid.
-	q := testBranch(net, keywords.NewQuery("zzz"), 0)
+	q := testBranch(net, query("zzz"), 0)
 	for i := 1; i <= 4; i++ {
 		net.Node(overlay.PeerID(i)).Gid = (q.pq.gid + 1) % cfg.GroupCount
 	}
@@ -942,12 +978,54 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	}
 }
 
-func TestDicasKeysRoutingKeyword(t *testing.T) {
-	q := keywords.NewQuery("zeta", "alpha")
-	if routingKeyword(q) != "alpha" {
-		t.Fatalf("routing keyword = %q, want canonical first", routingKeyword(q))
+// TestIDHashesMatchSpellings locks the interned keywords to the strings
+// they replaced: for every keyword of pools at the paper's size and at both
+// ends of the allowed range, the Bloom positions, gidOfKeyword, gidOfName
+// and gidOfQuery equal what hashing the kw%05d spellings gives — the sorted
+// spellings joined by '_' for a name — so every digest stays the same.
+func TestIDHashesMatchSpellings(t *testing.T) {
+	var n Node
+	initNode(&n, 0, 0, 0, cache.DefaultConfig(), true, 1200, 8)
+	fnv := func(s string, m int) int {
+		h := uint32(2166136261)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+		return int(h % uint32(m))
 	}
-	if routingKeyword(keywords.Query{}) != "" {
+	for _, size := range []int{20, 9000, keywords.MaxPool} {
+		for id := 0; id < size; id++ {
+			ids := []keywords.ID{keywords.ID(id), keywords.ID((id*7919 + 1) % size), keywords.ID((id*104729 + 2) % size)}
+			words := make([]string, len(ids))
+			for i, k := range ids {
+				words[i] = fmt.Sprintf("kw%05d", k)
+			}
+			if got, want := n.bloomPositions(nil, keywords.NewQuery(ids[0])), n.cbf.View().AppendIndexes(nil, words[0]); !slices.Equal(got, want) {
+				t.Fatalf("pool %d: Bloom positions of %s = %v, want %v", size, words[0], got, want)
+			}
+			slices.Sort(words)
+			name := strings.Join(slices.Compact(words), "_")
+			for _, m := range []int{4, 7} {
+				if got, want := gidOfKeyword(ids[0], m), fnv(fmt.Sprintf("kw%05d", id), m); got != want {
+					t.Fatalf("pool %d: gidOfKeyword(%d, %d) = %d, want %d", size, id, m, got, want)
+				}
+				if got, want := gidOfName(keywords.NewFilename(ids...), m), fnv(name, m); got != want {
+					t.Fatalf("pool %d: gidOfName(%s, %d) = %d, want %d", size, name, m, got, want)
+				}
+				if got, want := gidOfQuery(keywords.NewQuery(ids...), m), fnv(name, m); got != want {
+					t.Fatalf("pool %d: gidOfQuery(%s, %d) = %d, want %d", size, name, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestDicasKeysRoutingKeyword(t *testing.T) {
+	q := query("zeta", "alpha")
+	if routingKeyword(q) != query("alpha") {
+		t.Fatalf("routing keyword = %v, want canonical first", routingKeyword(q))
+	}
+	if routingKeyword(keywords.Query{}) != (keywords.Query{}) {
 		t.Fatal("empty query routing keyword should be empty")
 	}
 }

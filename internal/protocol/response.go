@@ -80,7 +80,7 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 	before := n.RI.Inserts() + n.RI.Refreshes()
 	net.Behavior.CacheResponse(net, n, rsp)
 	if n.RI.Inserts()+n.RI.Refreshes() != before {
-		net.emit(trace.ResponseCached, rsp.ID, p, -1, rsp.File.String())
+		net.emitFile(trace.ResponseCached, rsp.ID, p, -1, rsp.File)
 	}
 	if p == rsp.Origin {
 		net.completeQuery(n, rsp)
@@ -114,7 +114,7 @@ func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f ke
 	pq.hops = hops
 	n.AddFile(f)
 	if net.tracer != nil {
-		d := append(net.detailBuf[:0], f.String()...)
+		d := f.AppendName(net.detailBuf[:0])
 		d = append(d, " rtt="...)
 		d = strconv.AppendFloat(d, pq.rtt, 'f', 1, 64)
 		d = append(d, "ms sameLoc="...)

@@ -71,7 +71,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	// Storage hit?
 	if f, ok := n.storageMatch(pq.q); ok {
 		net.counts.StorageHits++
-		net.emit(trace.StorageHit, q.ID, p, from, f.String())
+		net.emitFile(trace.StorageHit, q.ID, p, from, f)
 		rsp := net.newResponse(q, f, true)
 		rsp.Providers = append(rsp.Providers, cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
 		net.Behavior.OnAnswer(net, n, q, f)
@@ -82,7 +82,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	if ms := n.lookupRI(pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
-		net.emit(trace.CacheHit, q.ID, p, from, m.File.String())
+		net.emitFile(trace.CacheHit, q.ID, p, from, m.File)
 		rsp := net.newResponse(q, m.File, false)
 		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers, m.Providers, pq.originLoc)
 		net.Behavior.OnAnswer(net, n, q, m.File)

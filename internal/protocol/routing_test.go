@@ -62,7 +62,7 @@ func TestForwardCandidatesMatchDeletedPredicate(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			// TTL-1 hops at most, so the branch still has budget to forward.
 			path := randomSimplePath(net.Graph, net.Config.TTL-1, r)
-			q := testBranch(net, keywords.NewQuery("k"), path...)
+			q := testBranch(net, query("k"), path...)
 			n := net.Node(path[len(path)-1])
 			calls := rec.calls
 			net.forward(n, q)
@@ -143,7 +143,7 @@ func TestFallbackMatchesTwoPassReference(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			net.Config.FallbackFanout = 1 + i%3
 			path := randomSimplePath(net.Graph, net.Config.TTL-1, r)
-			q := testBranch(net, keywords.NewQuery("k"), path...)
+			q := testBranch(net, query("k"), path...)
 			n := net.Node(path[len(path)-1])
 			from := path[0] // the first hop's "sender" was the origin itself
 			if len(path) > 1 {

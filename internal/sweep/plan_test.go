@@ -67,24 +67,30 @@ func TestPlanHash(t *testing.T) {
 // TestPlanRejectsImpossibleCatalogue: a cell whose keyword pool cannot name
 // its files fails at plan time, naming the cell's coordinates and both
 // catalogue fields — from an axis and from a base override alike. Before
-// the check such a cell wedged the worker that leased it.
+// the check such a cell wedged the worker that leased it. So does a pool
+// wider than keywords spell at one width, which would otherwise be built
+// for each of the cell's worlds.
 func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
-	for where, s := range map[string]*Spec{
-		"axis": {Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{20}}}},
-		"base": {Name: "pool", Queries: 10, Base: map[string]float64{ParamKeywordPool: 20},
+	for where, tc := range map[string]struct {
+		s    *Spec
+		want []string
+	}{
+		"axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{20}}}},
+			[]string{`"pool"`, "KeywordPool 20", "Files 3000", "keyword-pool=20"}},
+		"base": {&Spec{Name: "pool", Queries: 10, Base: map[string]float64{ParamKeywordPool: 20},
 			Axes: []Axis{{Param: ParamFiles, Values: []float64{1000, 3000}}}},
+			[]string{`"pool"`, "KeywordPool 20", "Files 3000"}},
+		"wide axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{9000, 2e9}}}},
+			[]string{`"pool"`, "KeywordPool 2000000000"}},
 	} {
-		_, err := NewPlan(core.DefaultConfig(), s)
+		_, err := NewPlan(core.DefaultConfig(), tc.s)
 		if err == nil {
-			t.Fatalf("%s: keyword-pool 20 for 3000 files planned", where)
+			t.Fatalf("%s: impossible catalogue planned", where)
 		}
-		for _, want := range []string{`"pool"`, "KeywordPool 20", "Files 3000"} {
+		for _, want := range tc.want {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("%s: error does not name %s: %v", where, want, err)
 			}
-		}
-		if where == "axis" && !strings.Contains(err.Error(), "keyword-pool=20") {
-			t.Fatalf("axis: error does not name the axis: %v", err)
 		}
 	}
 }

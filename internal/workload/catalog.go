@@ -5,14 +5,11 @@
 // peer, each query expressed with 1–3 keywords of the target filename.
 //
 // The catalogue is mutable mid-run: scenario content dynamics inject new
-// releases and the generator re-ranks popularity, so satisfiability lookups
-// go through an inverted keyword index instead of a linear scan.
+// releases and the generator re-ranks popularity.
 package workload
 
 import (
 	"fmt"
-	"math"
-	"math/big"
 	"math/rand"
 
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -22,19 +19,18 @@ import (
 // popularity rank: FileID 0 is the most queried file.
 type FileID int
 
-// Catalog is the universe of shared files.
+// Catalog is the universe of shared files. It is not safe for concurrent
+// use.
 type Catalog struct {
-	pool  *keywords.Pool
+	pool  keywords.Pool
 	files []keywords.Filename
-	// byName maps canonical filename strings back to ids, so Add refuses
-	// a duplicate.
-	byName map[string]FileID
-	// byKeyword is the inverted index: keyword -> ascending ids of the
-	// files whose names contain it. Ground-truth satisfiability
-	// (MatchingFiles) intersects posting lists instead of scanning the
-	// whole catalogue, which keeps it cheap when scenarios inject files
-	// mid-run and re-check satisfiability per phase.
-	byKeyword map[keywords.Keyword][]FileID
+	// byName maps filenames back to ids, so Add refuses a duplicate.
+	byName map[keywords.Filename]FileID
+	// byKeyword is the inverted index MatchingFiles keeps, keyword id ->
+	// ascending ids of the files whose names contain it, over the first
+	// indexed files (none until its first call; no simulation makes one).
+	byKeyword [][]FileID
+	indexed   int
 	// kwPerFile is the filename width used for generated files (paper: 3).
 	kwPerFile int
 }
@@ -53,20 +49,29 @@ func DefaultCatalog() CatalogConfig {
 
 // nameSpace returns how many distinct filenames of k keywords a pool of n
 // keywords holds: C(n, k), with k clamped to n as Pool.RandomFilename clamps
-// it, saturating at math.MaxInt.
+// it; within Validate's bounds, at most C(MaxPool, MaxK) ≈ 1.7e14.
 func nameSpace(n, k int) int {
-	c := new(big.Int).Binomial(int64(n), int64(min(k, n)))
-	if !c.IsInt64() || c.Int64() > math.MaxInt {
-		return math.MaxInt
+	c := 1
+	for i := range min(k, n) {
+		c = c * (n - i) / (i + 1)
 	}
-	return int(c.Int64())
+	return c
 }
 
-// Validate reports whether the catalogue can exist: its NumFiles filenames
-// must be distinct, and the keyword pool holds only so many. Every entry
-// point that takes a configuration from outside the program checks it, so
-// NewCatalog never searches for a filename that does not exist.
+// Validate reports whether the catalogue can exist: its keywords spell at
+// one width, its filenames fit a Filename, and the pool holds NumFiles
+// distinct filenames. Every entry point that takes a configuration from
+// outside the program checks it, so NewCatalog never searches for a
+// filename that does not exist.
 func (cfg CatalogConfig) Validate() error {
+	if cfg.KeywordPool > keywords.MaxPool {
+		return fmt.Errorf("workload: KeywordPool %d exceeds %d, the largest pool whose keywords spell at one width",
+			cfg.KeywordPool, keywords.MaxPool)
+	}
+	if cfg.KeywordsPerFile > keywords.MaxK {
+		return fmt.Errorf("workload: KeywordsPerFile %d exceeds %d, the most keywords a filename holds",
+			cfg.KeywordsPerFile, keywords.MaxK)
+	}
 	if names := nameSpace(cfg.KeywordPool, cfg.KeywordsPerFile); names < cfg.NumFiles {
 		return fmt.Errorf("workload: KeywordPool %d holds only %d distinct %d-keyword filenames, fewer than Files %d",
 			cfg.KeywordPool, names, cfg.KeywordsPerFile, cfg.NumFiles)
@@ -83,16 +88,14 @@ func NewCatalog(cfg CatalogConfig, r *rand.Rand) *Catalog {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	pool := keywords.NewPool(cfg.KeywordPool)
 	c := &Catalog{
-		pool:      pool,
+		pool:      *keywords.NewPool(cfg.KeywordPool),
 		files:     make([]keywords.Filename, 0, cfg.NumFiles),
-		byName:    make(map[string]FileID, cfg.NumFiles),
-		byKeyword: make(map[keywords.Keyword][]FileID, cfg.KeywordPool),
+		byName:    make(map[keywords.Filename]FileID, cfg.NumFiles),
 		kwPerFile: cfg.KeywordsPerFile,
 	}
 	for len(c.files) < cfg.NumFiles {
-		c.Add(pool.RandomFilename(cfg.KeywordsPerFile, r))
+		c.Add(c.pool.RandomFilename(cfg.KeywordsPerFile, r))
 	}
 	return c
 }
@@ -103,23 +106,16 @@ func (c *Catalog) Size() int { return len(c.files) }
 // File returns the filename of id.
 func (c *Catalog) File(id FileID) keywords.Filename { return c.files[id] }
 
-// Add inserts a new file into the catalogue, indexing its keywords, and
-// returns its id. A duplicate filename returns the existing id with ok
-// false. Content dynamics use it to inject files mid-run.
+// Add inserts a new file, whose keywords must be the pool's, into the
+// catalogue and returns its id. A duplicate filename returns the existing
+// id with ok false. Content dynamics use it to inject files mid-run.
 func (c *Catalog) Add(f keywords.Filename) (FileID, bool) {
-	name := f.String()
-	if id, dup := c.byName[name]; dup {
+	if id, dup := c.byName[f]; dup {
 		return id, false
 	}
 	id := FileID(len(c.files))
-	c.byName[name] = id
+	c.byName[f] = id
 	c.files = append(c.files, f)
-	// Files are only ever appended, so posting lists stay ascending and
-	// MatchingFiles returns ids in the same order a full scan would.
-	for i := 0; i < f.K(); i++ {
-		kw := f.KeywordAt(i)
-		c.byKeyword[kw] = append(c.byKeyword[kw], id)
-	}
 	return id, true
 }
 
@@ -143,23 +139,29 @@ func (c *Catalog) NewFiles(n int, r *rand.Rand) []FileID {
 }
 
 // MatchingFiles returns the ids of all files whose names satisfy q, in
-// ascending id order. The evaluation uses it to decide ground-truth query
-// satisfiability. It probes the inverted index with q's rarest keyword and
-// verifies only that posting list, so cost scales with the keyword's
-// selectivity, not the catalogue size.
+// ascending id order: ground-truth query satisfiability. It first indexes
+// the files added since its last call (files are only ever appended, so
+// posting lists stay ascending), then probes the inverted index with q's
+// rarest keyword and verifies only that posting list, so cost scales with
+// the keyword's selectivity, not the catalogue size.
 func (c *Catalog) MatchingFiles(q keywords.Query) []FileID {
-	if len(q.Kws) == 0 {
-		return nil
+	if c.byKeyword == nil {
+		c.byKeyword = make([][]FileID, c.pool.Size())
 	}
-	// Shortest posting list bounds the candidate set; a keyword absent
-	// from the index means no file can satisfy the query.
+	for ; c.indexed < len(c.files); c.indexed++ {
+		for f, i := c.files[c.indexed], 0; i < f.K(); i++ {
+			c.byKeyword[f.KeywordAt(i)] = append(c.byKeyword[f.KeywordAt(i)], FileID(c.indexed))
+		}
+	}
+	// Shortest posting list bounds the candidate set; a keyword outside
+	// the pool means no file can satisfy the query.
 	var candidates []FileID
-	for i, kw := range q.Kws {
-		post, ok := c.byKeyword[kw]
-		if !ok {
+	for i := range q.K() {
+		kw := q.KeywordAt(i)
+		if int(kw) >= len(c.byKeyword) {
 			return nil
 		}
-		if i == 0 || len(post) < len(candidates) {
+		if post := c.byKeyword[kw]; i == 0 || len(post) < len(candidates) {
 			candidates = post
 		}
 	}
@@ -173,4 +175,4 @@ func (c *Catalog) MatchingFiles(q keywords.Query) []FileID {
 }
 
 // Pool exposes the keyword pool behind the catalogue.
-func (c *Catalog) Pool() *keywords.Pool { return c.pool }
+func (c *Catalog) Pool() *keywords.Pool { return &c.pool }

@@ -1,54 +1,48 @@
 package workload
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Placement records which peers initially share which files ("each peer
 // initially shares 3 files, randomly chosen from a pool of 3000", §5.1).
 type Placement struct {
-	// shared[p] lists the FileIDs peer p starts with.
-	shared [][]FileID
+	// shared holds each peer's files in turn, per of them apiece.
+	shared []FileID
+	n, per int
 }
 
 // NewPlacement assigns filesPerPeer random distinct files to each of n
-// peers.
+// peers. A peer's draws are deduplicated by scanning the few drawn so far.
 func NewPlacement(n, filesPerPeer int, cat *Catalog, r *rand.Rand) *Placement {
-	if filesPerPeer > cat.Size() {
-		filesPerPeer = cat.Size()
-	}
-	p := &Placement{shared: make([][]FileID, n)}
+	per := min(filesPerPeer, cat.Size())
+	p := &Placement{shared: make([]FileID, 0, n*per), n: n, per: per}
 	for i := 0; i < n; i++ {
-		seen := make(map[FileID]bool, filesPerPeer)
-		files := make([]FileID, 0, filesPerPeer)
-		for len(files) < filesPerPeer {
-			id := FileID(r.Intn(cat.Size()))
-			if seen[id] {
-				continue
+		files := p.shared[len(p.shared):len(p.shared)]
+		for len(files) < per {
+			if id := FileID(r.Intn(cat.Size())); !slices.Contains(files, id) {
+				files = append(files, id)
 			}
-			seen[id] = true
-			files = append(files, id)
 		}
-		p.shared[i] = files
+		p.shared = p.shared[:len(p.shared)+per]
 	}
 	return p
 }
 
-// Files returns the initial file set of peer p.
+// Files returns a copy of the initial file set of peer p.
 func (pl *Placement) Files(p int) []FileID {
-	out := make([]FileID, len(pl.shared[p]))
-	copy(out, pl.shared[p])
-	return out
+	return slices.Clone(pl.shared[p*pl.per : (p+1)*pl.per])
 }
 
 // N returns the number of peers in the placement.
-func (pl *Placement) N() int { return len(pl.shared) }
+func (pl *Placement) N() int { return pl.n }
 
 // Providers returns, for each file, the peers that initially share it.
 func (pl *Placement) Providers() map[FileID][]int {
 	m := make(map[FileID][]int)
-	for p, files := range pl.shared {
-		for _, f := range files {
-			m[f] = append(m[f], p)
-		}
+	for i, f := range pl.shared {
+		m[f] = append(m[f], i/pl.per)
 	}
 	return m
 }

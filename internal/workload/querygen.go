@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -70,9 +71,7 @@ func NewGeneratorOver(n int, cfg GenConfig, cat *Catalog, targets []FileID, r *r
 			targets[i] = FileID(i)
 		}
 	} else {
-		cp := make([]FileID, len(targets))
-		copy(cp, targets)
-		targets = cp
+		targets = slices.Clone(targets)
 	}
 	return &Generator{
 		cfg:        cfg,
@@ -113,9 +112,7 @@ func (g *Generator) ZipfS() float64 { return g.cfg.ZipfS }
 // Targets returns a copy of the current target ranking (most popular
 // first).
 func (g *Generator) Targets() []FileID {
-	out := make([]FileID, len(g.targets))
-	copy(out, g.targets)
-	return out
+	return slices.Clone(g.targets)
 }
 
 // SetTargets replaces the target ranking — position is popularity rank, so

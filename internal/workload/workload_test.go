@@ -59,9 +59,9 @@ func TestCatalogDefaultFallback(t *testing.T) {
 	}
 }
 
-// fileKeywords spells f's keywords in canonical order.
-func fileKeywords(f keywords.Filename) []keywords.Keyword {
-	kws := make([]keywords.Keyword, f.K())
+// fileKeywords lists f's keywords in canonical order.
+func fileKeywords(f keywords.Filename) []keywords.ID {
+	kws := make([]keywords.ID, f.K())
 	for i := range kws {
 		kws[i] = f.KeywordAt(i)
 	}
@@ -269,8 +269,8 @@ func TestGeneratorRateAndAttribution(t *testing.T) {
 		if ev.Target < 0 || int(ev.Target) >= c.Size() {
 			t.Fatalf("target %d out of range", ev.Target)
 		}
-		if len(ev.Q.Kws) < 1 || len(ev.Q.Kws) > 3 {
-			t.Fatalf("query size %d", len(ev.Q.Kws))
+		if ev.Q.K() < 1 || ev.Q.K() > 3 {
+			t.Fatalf("query size %d", ev.Q.K())
 		}
 		if !c.File(ev.Target).Matches(ev.Q) {
 			t.Fatal("query does not match its target file")
@@ -348,8 +348,8 @@ func TestMatchingFilesEqualsLinearScan(t *testing.T) {
 			}
 		}
 	}
-	// Queries with unknown keywords match nothing, cheaply.
-	if got := c.MatchingFiles(keywords.NewQuery("zz-not-in-pool")); got != nil {
+	// Queries with keywords outside the pool match nothing, cheaply.
+	if got := c.MatchingFiles(keywords.NewQuery(1, 300)); got != nil {
 		t.Fatalf("unknown keyword matched %v", got)
 	}
 	if got := c.MatchingFiles(keywords.Query{}); got != nil {
@@ -360,7 +360,7 @@ func TestMatchingFilesEqualsLinearScan(t *testing.T) {
 func TestCatalogAddIndexesNewFiles(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	c := NewCatalog(CatalogConfig{NumFiles: 50, KeywordPool: 200, KeywordsPerFile: 3}, r)
-	f := keywords.NewFilename("brand", "new", "release")
+	f := keywords.NewFilename(197, 198, 199)
 	id, ok := c.Add(f)
 	if !ok || int(id) != c.Size()-1 {
 		t.Fatalf("Add returned (%d, %v), want fresh tail id", id, ok)
@@ -368,7 +368,7 @@ func TestCatalogAddIndexesNewFiles(t *testing.T) {
 	if id2, ok2 := c.Add(f); ok2 || id2 != id {
 		t.Fatalf("duplicate Add returned (%d, %v)", id2, ok2)
 	}
-	got := c.MatchingFiles(keywords.NewQuery("brand", "release"))
+	got := c.MatchingFiles(keywords.NewQuery(197, 199))
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("injected file not found via index: %v", got)
 	}
@@ -415,7 +415,7 @@ func TestCatalogConfigValidate(t *testing.T) {
 		{3, 1, true},
 		{30, 3000, true}, // C(30,3) = 4060
 		{DefaultCatalog().KeywordPool, DefaultCatalog().NumFiles, true},
-		{math.MaxInt32, math.MaxInt, true}, // C overflows int64: saturates, no wrap-around
+		{keywords.MaxPool, math.MaxInt, false}, // C(100000,3) ≈ 1.7e14 fits an int
 	} {
 		cfg := CatalogConfig{NumFiles: tc.files, KeywordPool: tc.pool, KeywordsPerFile: 3}
 		err := cfg.Validate()
@@ -426,6 +426,27 @@ func TestCatalogConfigValidate(t *testing.T) {
 			strings.Contains(err.Error(), fmt.Sprintf("Files %d", tc.files))) {
 			t.Fatalf("pool %d files %d: error does not name both fields and values: %v", tc.pool, tc.files, err)
 		}
+	}
+}
+
+// TestCatalogConfigValidateBounds: a pool wider than keywords.MaxPool
+// would spell its keywords at two widths, and a filename holds at most
+// keywords.MaxK keywords; each is refused naming the field and the value.
+func TestCatalogConfigValidateBounds(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  CatalogConfig
+		want string
+	}{
+		{CatalogConfig{NumFiles: 3000, KeywordPool: keywords.MaxPool + 1, KeywordsPerFile: 3}, "KeywordPool 100001"},
+		{CatalogConfig{NumFiles: 3000, KeywordPool: 2_000_000_000, KeywordsPerFile: 3}, "KeywordPool 2000000000"},
+		{CatalogConfig{NumFiles: 3000, KeywordPool: 9000, KeywordsPerFile: 4}, "KeywordsPerFile 4"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error %v, want one naming %q", tc.cfg, err, tc.want)
+		}
+	}
+	if err := (CatalogConfig{NumFiles: 3000, KeywordPool: keywords.MaxPool, KeywordsPerFile: 3}).Validate(); err != nil {
+		t.Fatalf("the widest pool was refused: %v", err)
 	}
 }
 

@@ -326,8 +326,10 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 // TestImpossibleCatalogueIsAnError: Options no run could honour are refused
 // by every entry point that takes Options, with an error naming the fields:
 // a keyword pool too small to name the catalogue's files (at the parent
-// commit each of these calls hung), and a flight recorder with no retention
-// criterion (it buffered every query and silently returned no trace).
+// commit each of these calls hung), one wider than keywords spell at one
+// width (it would have spelt two billion strings per world), and a flight
+// recorder with no retention criterion (it buffered every query and
+// silently returned no trace).
 func TestImpossibleCatalogueIsAnError(t *testing.T) {
 	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
 	if err != nil {
@@ -339,6 +341,7 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 		names []string
 	}{
 		{"catalogue", func(o *Options) { o.KeywordPool = 20 }, []string{"KeywordPool 20", "Files 3000"}}, // C(20,3) = 1140 < 3000 files
+		{"wide pool", func(o *Options) { o.KeywordPool = 2_000_000_000 }, []string{"KeywordPool 2000000000", "100000"}},
 		{"zero recorder", func(o *Options) { o.FlightRecorder = &FlightRecorder{} }, []string{"SlowestN", "KeepFailed", "MinHops"}},
 	} {
 		o := fastOptions(21)
