@@ -76,8 +76,9 @@ type Index struct {
 	entries map[keywords.Filename]*entry
 	events  Events
 
-	// counters for observability and tests
-	inserts, refreshes, evictions, expiries uint64
+	// inserts and refreshes count provider writes; a peer compares them
+	// around a caching step to tell whether it cached anything.
+	inserts, refreshes uint64
 }
 
 // New returns an empty index with the given bounds and an optional event
@@ -104,12 +105,6 @@ func (x *Index) Inserts() uint64 { return x.inserts }
 // Refreshes returns the number of provider refreshes (existing peer seen
 // again).
 func (x *Index) Refreshes() uint64 { return x.refreshes }
-
-// Evictions returns the number of filename evictions due to capacity.
-func (x *Index) Evictions() uint64 { return x.evictions }
-
-// Expiries returns the number of provider entries dropped for staleness.
-func (x *Index) Expiries() uint64 { return x.expiries }
 
 // Put records that peer p (at locality loc) provides file f, observed at
 // time now. If p is already listed for f, its entry is refreshed and moved
@@ -163,7 +158,6 @@ func (x *Index) makeRoom(now sim.Time) {
 			return
 		}
 		delete(x.entries, victim.file)
-		x.evictions++
 		x.events.FilenameEvicted(victim.file)
 	}
 }
@@ -178,8 +172,6 @@ func (x *Index) expire(e *entry, now sim.Time) bool {
 	for _, p := range e.providers {
 		if now-p.LastSeen <= x.cfg.TTL {
 			kept = append(kept, p)
-		} else {
-			x.expiries++
 		}
 	}
 	e.providers = kept

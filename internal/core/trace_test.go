@@ -147,13 +147,9 @@ func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 	}
 }
 
-// TestSpanTreeForwardsMatchTheModel is the span builder's ground truth: a
-// forward is delivered exactly its link's one-way latency plus the
-// processing delay after it is sent, so every closed forward span of every
-// query, kept by a keep-all recorder, must last exactly that long. A span
-// paired with the wrong link reads another link's latency. Four protocols,
-// static and under churn-waves.
-func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
+// keepAllRuns runs each baseline protocol, static and under churn-waves, on
+// a 300-peer world with a keep-all recorder, and hands check each run.
+func keepAllRuns(t *testing.T, check func(label string, s *Simulation, res *RunResult)) {
 	const warmup, measured = 40, 120
 	for _, b := range Baselines() {
 		for _, scen := range []string{"", "churn-waves"} {
@@ -161,26 +157,68 @@ func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
 			cfg.TracePolicy = &trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20}
 			cfg.Scenario, _ = scenario.Lookup(scen)
 			s := NewSimulation(cfg, b)
-			res := s.RunMeasured(warmup, measured)
-			closed, wrong := 0, 0
-			var walk func(*trace.Span)
-			walk = func(sp *trace.Span) {
-				if sp.Kind == trace.QueryForward && !sp.Open {
-					closed++
-					if sp.End-sp.Start != sim.FromMillis(s.Model.OneWay(sp.From, sp.Peer))+cfg.Protocol.ProcessingDelay {
-						wrong++
-					}
-				}
-				for _, c := range sp.Children {
-					walk(c)
-				}
-			}
-			for _, qt := range res.Traces {
-				walk(qt.Tree(res.TraceProcessing).Root)
-			}
-			if closed == 0 || wrong != 0 {
-				t.Errorf("%s/%q: %d of %d closed forward spans on the wrong link", b.Name(), scen, wrong, closed)
-			}
+			check(fmt.Sprintf("%s/%q", b.Name(), scen), s, s.RunMeasured(warmup, measured))
 		}
 	}
+}
+
+// TestSpanTreeForwardsMatchTheModel is the span builder's ground truth: a
+// forward or a response hop is delivered exactly its link's one-way latency
+// plus the processing delay after it is sent, so every closed link span of
+// every query, kept by a keep-all recorder, must last exactly that long. A
+// span hung under the wrong link reads another link's latency. Four
+// protocols, static and under churn-waves.
+func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
+	keepAllRuns(t, func(label string, s *Simulation, res *RunResult) {
+		closed := map[trace.Kind]int{}
+		wrong := 0
+		var walk func(*trace.Span)
+		walk = func(sp *trace.Span) {
+			if (sp.Kind == trace.QueryForward || sp.Kind == trace.ResponseHop) && !sp.Open {
+				closed[sp.Kind]++
+				if sp.End-sp.Start != sim.FromMillis(s.Model.OneWay(sp.From, sp.Peer))+res.TraceProcessing {
+					wrong++
+				}
+			}
+			for _, c := range sp.Children {
+				walk(c)
+			}
+		}
+		for _, qt := range res.Traces {
+			walk(qt.Tree(res.TraceProcessing).Root)
+		}
+		if closed[trace.QueryForward] == 0 || closed[trace.ResponseHop] == 0 || wrong != 0 {
+			t.Errorf("%s: %d of %d closed link spans (%d forwards, %d response hops) on the wrong link", label, wrong,
+				closed[trace.QueryForward]+closed[trace.ResponseHop], closed[trace.QueryForward], closed[trace.ResponseHop])
+		}
+	})
+}
+
+// TestTraceHopsMatchTheTree: a retained trace's Hops, which the recorder
+// keeps while the query is in flight, is the deepest chain of forwards in
+// the trace's own span tree. MinHops retention keys on it.
+func TestTraceHopsMatchTheTree(t *testing.T) {
+	keepAllRuns(t, func(label string, _ *Simulation, res *RunResult) {
+		var deepest func(*trace.Span) int
+		deepest = func(sp *trace.Span) int {
+			d := 0
+			for _, c := range sp.Children {
+				d = max(d, deepest(c))
+			}
+			if sp.Kind == trace.QueryForward {
+				d++
+			}
+			return d
+		}
+		bad, deep := 0, 0
+		for _, qt := range res.Traces {
+			if qt.Hops != deepest(qt.Tree(res.TraceProcessing).Root) {
+				bad++
+			}
+			deep = max(deep, qt.Hops)
+		}
+		if bad != 0 || deep < 2 {
+			t.Errorf("%s: %d of %d traces disagree with their tree on Hops (deepest %d)", label, bad, len(res.Traces), deep)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -120,13 +121,17 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 			return out
 		}
 		var now sim.Time
-		hits, guardedOut := 0, 0
+		hits, guardedOut, evictions, expiries := 0, 0, 0, 0
 		for op := 0; op < 4000; op++ {
 			now += sim.Time(r.Intn(5)) * sim.Second
-			switch k := r.Intn(10); {
+			entries, k := plain.RI.TotalProviderEntries(), r.Intn(10)
+			switch {
 			case k < 4:
 				f := keywords.NewFilename(pick(3)...)
 				p := overlay.PeerID(r.Intn(8))
+				if plain.RI.Len() == cfg.MaxFilenames && !slices.Contains(plain.RI.Filenames(), f) {
+					evictions++
+				}
 				guarded.RI.Put(f, p, 0, now)
 				plain.RI.Put(f, p, 0, now)
 			case k == 4:
@@ -151,15 +156,18 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(guarded.RI.Filenames(), plain.RI.Filenames()) ||
-				guarded.RI.Expiries() != plain.RI.Expiries() {
+				guarded.RI.TotalProviderEntries() != plain.RI.TotalProviderEntries() {
 				t.Fatalf("seed %d op %d: guarded and unguarded indexes diverged", seed, op)
+			}
+			if k >= 4 && plain.RI.TotalProviderEntries() < entries {
+				expiries++ // a read dropped stale entries
 			}
 		}
 		if hits < 100 || guardedOut < 100 {
 			t.Fatalf("seed %d: %d hits, %d guarded-out lookups; the stream does not exercise both sides", seed, hits, guardedOut)
 		}
-		if guarded.RI.Evictions() == 0 || guarded.RI.Expiries() == 0 {
-			t.Fatalf("seed %d: %d evictions, %d expiries; want both", seed, guarded.RI.Evictions(), guarded.RI.Expiries())
+		if evictions == 0 || expiries == 0 {
+			t.Fatalf("seed %d: %d evictions, %d expiring reads; want both", seed, evictions, expiries)
 		}
 	}
 }

@@ -74,7 +74,7 @@ func auditDeliveries(net *Network) *deliveryAudit {
 			distinct[p] = true
 		}
 		if hops := len(q.Path) - 1; a.badPath == "" &&
-			(len(distinct) != len(q.Path) || hops < 1 || hops > net.Config.TTL || q.TTL != net.Config.TTL-hops) {
+			(len(distinct) != len(q.Path) || hops < 1 || hops > net.Config.TTL || int(q.TTL) != net.Config.TTL-hops) {
 			a.badPath = fmt.Sprintf("query %d delivered with path %v, TTL %d of %d", q.ID, q.Path, q.TTL, net.Config.TTL)
 		}
 		if dst := q.Path[len(q.Path)-1]; net.Graph.Online(dst) {

@@ -41,7 +41,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	if net.tracer != nil {
 		d := q.AppendString(net.detailBuf[:0])
 		net.detailBuf = d
-		net.emit(trace.QuerySubmit, id, origin, -1, string(d))
+		net.emit(trace.QuerySubmit, pq, id, 0, origin, -1, string(d))
 	}
 	if !net.Graph.Online(origin) {
 		return id
@@ -59,15 +59,15 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		pq.sameLoc = true
 		pq.hops = 0
 		net.counts.StorageHits++
-		net.emitFile(trace.StorageHit, id, origin, -1, f)
+		net.emitFile(trace.StorageHit, pq, id, trace.RootSpan, origin, -1, f)
 		return id
 	}
 	if ms := n.lookupRI(q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
 			net.counts.CacheHits++
-			net.emitFile(trace.CacheHit, id, origin, -1, ms[0].File)
-			net.completeDownload(id, pq, n, ms[0].File, prov, 0)
+			hit := net.emitFile(trace.CacheHit, pq, id, trace.RootSpan, origin, -1, ms[0].File)
+			net.completeDownload(id, pq, n, ms[0].File, prov, 0, hit)
 			return id
 		}
 	}
@@ -75,7 +75,8 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	msg := net.acquireMsg()
 	msg.ID = id
 	msg.pq = pq
-	msg.TTL = net.Config.TTL
+	msg.TTL = int32(net.Config.TTL)
+	msg.span = trace.RootSpan
 	msg.Path = append(msg.Path[:0], origin)
 	net.forward(n, msg)
 	net.msgPool.Put(msg)
@@ -102,9 +103,9 @@ func (net *Network) finalize(pq *pendingQuery) {
 	id := pq.id
 	net.counts.Finalized++
 	if !pq.answered {
-		net.emit(trace.QueryFailed, id, pq.origin, -1, "")
+		net.emit(trace.QueryFailed, pq, id, trace.RootSpan, pq.origin, -1, "")
 	}
-	net.emit(trace.QueryFinalize, id, pq.origin, -1, "")
+	net.emit(trace.QueryFinalize, pq, id, trace.RootSpan, pq.origin, -1, "")
 	if id > net.warmup {
 		net.Collector.Record(queryRecord(pq))
 	}

@@ -44,7 +44,12 @@ type QueryMsg struct {
 	// nothing else of pq is read before that check.
 	pq *pendingQuery
 	// TTL is the remaining hop budget; the paper bounds searches at 7.
-	TTL int
+	TTL int32
+	// span is the trace span of the forward that carries this branch (the
+	// root for the origin's own), which everything it causes hangs under;
+	// 0 untraced. TTL and span are 32-bit so that together they fill one
+	// word: every in-flight branch is a pooled QueryMsg.
+	span int32
 	// Path is the peers traversed so far, the requester first and the
 	// receiving peer last, so the sender is Path[len-2]. Responses follow
 	// the reverse of this path (§3.1).
@@ -102,6 +107,9 @@ type ResponseMsg struct {
 	// FromStorage reports whether the hit came from shared storage (true)
 	// or a response index (false).
 	FromStorage bool
+	// span is the trace span of the hop that delivered the response, or of
+	// the hit before its first hop; 0 untraced.
+	span int32
 }
 
 // EventName implements sim.Named.

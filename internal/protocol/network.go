@@ -122,7 +122,11 @@ type pendingQuery struct {
 	rtt       float64
 	sameLoc   bool
 	fromCache bool
-	hops      int
+	// spans is the last trace span id emit gave one of the query's events;
+	// it counts only while a tracer is attached. It sits beside the bools,
+	// in their word's padding.
+	spans int32
+	hops  int
 	// seen is the duplicate-suppression set (Gnutella semantics): one bit
 	// per peer, set when the peer first handles the query. The array stays
 	// with the pooled value and is cleared on acquire.
@@ -305,34 +309,47 @@ func (net *Network) TraceEnabled() bool { return net.tracer != nil }
 // EmitControl emits a control-plane trace event (no peer, no query) at the
 // current virtual time; scenario phase boundaries use it.
 func (net *Network) EmitControl(k trace.Kind, detail string) {
-	net.emit(k, 0, -1, -1, detail)
+	if net.tracer != nil {
+		net.tracer.Emit(trace.Event{At: net.Engine.Now(), Kind: k, Peer: -1, From: -1, Detail: detail})
+	}
 }
 
-// emit sends a trace event when a tracer is attached; detail annotations
-// that cost an allocation are built by the call sites behind their own
-// tracer check.
-func (net *Network) emit(k trace.Kind, query QueryID, peer, from overlay.PeerID, detail string) {
+// emit sends one of query id's trace events when a tracer is attached and
+// returns the span id it gave the event: the query's next one, hung under
+// parent. A response that outlives its query finds pq recycled (pq.id !=
+// id); its event gets span 0 and leaves the newer query's counter alone.
+// Untraced, emit returns 0 after one nil test; detail annotations that cost
+// an allocation are built by the call sites behind their own tracer check.
+func (net *Network) emit(k trace.Kind, pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID, detail string) int32 {
 	if net.tracer == nil {
-		return
+		return 0
+	}
+	var span int32
+	if pq.id == id {
+		pq.spans++
+		span = pq.spans
 	}
 	net.tracer.Emit(trace.Event{
 		At:     net.Engine.Now(),
 		Kind:   k,
-		Query:  uint64(query),
+		Query:  uint64(id),
+		Span:   span,
+		Parent: parent,
 		Peer:   int(peer),
 		From:   int(from),
 		Detail: detail,
 	})
+	return span
 }
 
 // emitFile is emit with f's name as the detail, spelt only when a tracer
 // is attached.
-func (net *Network) emitFile(k trace.Kind, query QueryID, peer, from overlay.PeerID, f keywords.Filename) {
+func (net *Network) emitFile(k trace.Kind, pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID, f keywords.Filename) int32 {
 	if net.tracer == nil {
-		return
+		return 0
 	}
 	net.detailBuf = f.AppendName(net.detailBuf[:0])
-	net.emit(k, query, peer, from, string(net.detailBuf))
+	return net.emit(k, pq, id, parent, peer, from, string(net.detailBuf))
 }
 
 // Node returns peer p's protocol state.

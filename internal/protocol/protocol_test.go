@@ -100,7 +100,7 @@ func testBranch(net *Network, q keywords.Query, path ...overlay.PeerID) *QueryMs
 		q: q, gid: gidOfQuery(q, net.Config.GroupCount), origin: origin.ID, originLoc: origin.Loc,
 		kwIdx: origin.bloomPositions(nil, q),
 	}
-	return &QueryMsg{net: net, pq: pq, TTL: net.Config.TTL - (len(path) - 1), Path: path}
+	return &QueryMsg{net: net, pq: pq, TTL: int32(net.Config.TTL - (len(path) - 1)), Path: path}
 }
 
 // eligOf is forward's candidate set by the predicate the six Forward loops

@@ -65,7 +65,7 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 	if rsp.pq.id == rsp.ID { // finalised queries stop counting
 		rsp.pq.messages++
 	}
-	net.emit(trace.ResponseHop, rsp.ID, rsp.dst, from, "")
+	rsp.span = net.emit(trace.ResponseHop, rsp.pq, rsp.ID, rsp.span, rsp.dst, from, "")
 	net.send(from, rsp.dst, rsp)
 }
 
@@ -80,7 +80,7 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 	before := n.RI.Inserts() + n.RI.Refreshes()
 	net.Behavior.CacheResponse(net, n, rsp)
 	if n.RI.Inserts()+n.RI.Refreshes() != before {
-		net.emitFile(trace.ResponseCached, rsp.ID, p, -1, rsp.File)
+		net.emitFile(trace.ResponseCached, rsp.pq, rsp.ID, rsp.span, p, -1, rsp.File)
 	}
 	if p == rsp.Origin {
 		net.completeQuery(n, rsp)
@@ -102,12 +102,13 @@ func (net *Network) completeQuery(n *Node, rsp *ResponseMsg) {
 		return // all advertised providers are gone; await another response
 	}
 	pq.fromCache = !rsp.FromStorage
-	net.completeDownload(rsp.ID, pq, n, rsp.File, prov, rsp.HitHops)
+	net.completeDownload(rsp.ID, pq, n, rsp.File, prov, rsp.HitHops, rsp.span)
 }
 
 // completeDownload finalises the download bookkeeping: distance metric and
-// natural replication (the requester becomes a provider, §3.1).
-func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f keywords.Filename, prov cache.Provider, hops int) {
+// natural replication (the requester becomes a provider, §3.1). Its trace
+// event hangs under span parent, whatever delivered the answer.
+func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f keywords.Filename, prov cache.Provider, hops int, parent int32) {
 	pq.answered = true
 	pq.rtt = net.Model.RTT(int(n.ID), int(prov.Peer))
 	pq.sameLoc = prov.LocID == n.Loc
@@ -120,7 +121,7 @@ func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f ke
 		d = append(d, "ms sameLoc="...)
 		d = strconv.AppendBool(d, pq.sameLoc)
 		net.detailBuf = d
-		net.emit(trace.DownloadComplete, id, n.ID, prov.Peer, string(d))
+		net.emit(trace.DownloadComplete, pq, id, parent, n.ID, prov.Peer, string(d))
 	}
 }
 

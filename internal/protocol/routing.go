@@ -29,9 +29,9 @@ func (net *Network) forward(n *Node, q *QueryMsg) {
 		branch.pq = q.pq
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
+		branch.span = net.emit(trace.QueryForward, q.pq, q.ID, q.span, t, n.ID, "")
 		net.send(n.ID, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
-		net.emit(trace.QueryForward, q.ID, t, n.ID, "")
 	}
 }
 
@@ -60,10 +60,11 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		// dropping here keeps the run consistent.
 		return
 	}
-	// The sender: a traced duplicate or hit names the link it arrived over.
+	// The sender: a traced duplicate or hit names it, and hangs under the
+	// forward it arrived on.
 	from := q.Path[len(q.Path)-2]
 	if pq.markSeen(p) {
-		net.emit(trace.QueryDuplicate, q.ID, p, from, "")
+		net.emit(trace.QueryDuplicate, pq, q.ID, q.span, p, from, "")
 		return // duplicate: already counted at send time
 	}
 	n := net.nodes[p]
@@ -71,8 +72,8 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	// Storage hit?
 	if f, ok := n.storageMatch(pq.q); ok {
 		net.counts.StorageHits++
-		net.emitFile(trace.StorageHit, q.ID, p, from, f)
-		rsp := net.newResponse(q, f, true)
+		hit := net.emitFile(trace.StorageHit, pq, q.ID, q.span, p, from, f)
+		rsp := net.newResponse(q, f, true, hit)
 		rsp.Providers = append(rsp.Providers, cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
 		net.Behavior.OnAnswer(net, n, q, f)
 		net.sendResponse(p, rsp)
@@ -82,8 +83,8 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	if ms := n.lookupRI(pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
-		net.emitFile(trace.CacheHit, q.ID, p, from, m.File)
-		rsp := net.newResponse(q, m.File, false)
+		hit := net.emitFile(trace.CacheHit, pq, q.ID, q.span, p, from, m.File)
+		rsp := net.newResponse(q, m.File, false, hit)
 		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers, m.Providers, pq.originLoc)
 		net.Behavior.OnAnswer(net, n, q, m.File)
 		net.sendResponse(p, rsp)
@@ -97,15 +98,16 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 // the pooled value's buffers: everything but the providers is what it copies
 // from the query (q is released when its delivery returns, pq may be
 // recycled once the query is finalised, so the response keeps pq only for
-// the id-checked accounting) and the reverse path. It is the one place a
-// pooled response is reset; the walk's end only Puts it back.
-func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool) *ResponseMsg {
+// the id-checked accounting) and the reverse path; hit is the hit's trace
+// span. It is the one place a pooled response is reset; the walk's end only
+// Puts it back.
+func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool, hit int32) *ResponseMsg {
 	pq := q.pq
 	rsp := net.respPool.Get()
 	*rsp = ResponseMsg{
 		net: net, ID: q.ID, pq: pq, File: f, Providers: rsp.Providers[:0],
 		QueryKws: pq.q, Origin: pq.origin, OriginLoc: pq.originLoc,
-		HitHops: len(q.Path) - 1, FromStorage: fromStorage,
+		HitHops: len(q.Path) - 1, FromStorage: fromStorage, span: hit,
 		Path: append(rsp.Path[:0], q.Path[:len(q.Path)-1]...),
 	}
 	return rsp

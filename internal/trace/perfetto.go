@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // pfArgs is a Perfetto event's args payload. Name is set only on
@@ -47,17 +47,14 @@ type pfFile struct {
 // depth-first, then phases. Load the file at ui.perfetto.dev or
 // chrome://tracing.
 func WritePerfetto(w io.Writer, trees []*SpanTree, phases []Event) error {
-	peers := map[int]bool{}
+	var ids []int
 	for _, t := range trees {
 		if t != nil {
-			collectPeers(t.Root, peers)
+			ids = appendPeers(ids, t.Root)
 		}
 	}
-	ids := make([]int, 0, len(peers))
-	for p := range peers {
-		ids = append(ids, p)
-	}
-	sort.Ints(ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 
 	evs := make([]pfEvent, 0, 2*len(ids))
 	for _, p := range ids {
@@ -80,16 +77,15 @@ func WritePerfetto(w io.Writer, trees []*SpanTree, phases []Event) error {
 	return enc.Encode(pfFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-func collectPeers(s *Span, peers map[int]bool) {
-	if s == nil {
-		return
-	}
+// appendPeers appends the peer of every span in s's subtree to ids.
+func appendPeers(ids []int, s *Span) []int {
 	if s.Peer >= 0 {
-		peers[s.Peer] = true
+		ids = append(ids, s.Peer)
 	}
 	for _, c := range s.Children {
-		collectPeers(c, peers)
+		ids = appendPeers(ids, c)
 	}
+	return ids
 }
 
 func appendSpan(evs []pfEvent, s *Span, query uint64) []pfEvent {

@@ -16,11 +16,11 @@ import (
 func TestWritePerfettoShape(t *testing.T) {
 	t0 := sim.Second
 	events := []Event{
-		{At: t0, Kind: QuerySubmit, Query: 1, Peer: 0, From: -1, Detail: "q{a}"},
-		{At: t0, Kind: QueryForward, Query: 1, Peer: 1, From: 0},
-		{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 1, Peer: 2, From: 1},
-		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Peer: 2, From: -1},
-		{At: t0 + 40*sim.Millisecond, Kind: DownloadComplete, Query: 1, Peer: 0, From: 2},
+		{At: t0, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 0, From: -1, Detail: "q{a}"},
+		{At: t0, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0},
+		{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 1, Span: 3, Parent: 2, Peer: 2, From: 1},
+		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Span: 4, Parent: 3, Peer: 2, From: -1},
+		{At: t0 + 40*sim.Millisecond, Kind: DownloadComplete, Query: 1, Span: 5, Parent: 4, Peer: 0, From: 2},
 	}
 	tree := BuildSpanTree(1, events, sim.Millisecond)
 	if tree == nil {
@@ -104,9 +104,9 @@ func TestWritePerfettoDeterministic(t *testing.T) {
 	mk := func() *bytes.Buffer {
 		t0 := sim.Second
 		events := []Event{
-			{At: t0, Kind: QuerySubmit, Query: 3, Peer: 4, From: -1},
-			{At: t0, Kind: QueryForward, Query: 3, Peer: 9, From: 4},
-			{At: t0 + 20*sim.Millisecond, Kind: QueryFailed, Query: 3, Peer: 4, From: -1},
+			{At: t0, Kind: QuerySubmit, Query: 3, Span: 1, Peer: 4, From: -1},
+			{At: t0, Kind: QueryForward, Query: 3, Span: 2, Parent: 1, Peer: 9, From: 4},
+			{At: t0 + 20*sim.Millisecond, Kind: QueryFailed, Query: 3, Span: 3, Parent: 1, Peer: 4, From: -1},
 		}
 		tree := BuildSpanTree(3, events, sim.Millisecond)
 		var buf bytes.Buffer

@@ -76,18 +76,12 @@ func (t *QueryTrace) Tree(processing sim.Time) *SpanTree {
 	return tree
 }
 
-// depthEntry records one peer's forward depth from the origin. A linear
-// slice beats a map here: a query touches a few dozen peers, scans stay in
-// cache, and — unlike a map — the backing array recycles with the buffer.
-type depthEntry struct {
-	peer  int
-	depth int
-}
-
 // queryBuf holds one in-flight query's events until finalize.
 type queryBuf struct {
-	events   []Event
-	depth    []depthEntry
+	events []Event
+	// depth is each forward's chain length by span id (0 for the root and
+	// point spans): a forward is one deeper than the span it hangs under.
+	depth    []int32
 	maxDepth int
 	origin   int // submitting peer
 	submit   sim.Time
@@ -95,29 +89,6 @@ type queryBuf struct {
 	hasDone  bool
 	failed   bool
 	dropped  int
-}
-
-// depthOf returns peer's recorded forward depth (0 if unseen).
-func (b *queryBuf) depthOf(peer int) int {
-	for _, d := range b.depth {
-		if d.peer == peer {
-			return d.depth
-		}
-	}
-	return 0
-}
-
-// noteDepth records depth d for peer, keeping the minimum on revisits.
-func (b *queryBuf) noteDepth(peer, d int) {
-	for i := range b.depth {
-		if b.depth[i].peer == peer {
-			if d < b.depth[i].depth {
-				b.depth[i].depth = d
-			}
-			return
-		}
-	}
-	b.depth = append(b.depth, depthEntry{peer: peer, depth: d})
 }
 
 func (b *queryBuf) reset() {
@@ -143,13 +114,11 @@ type FlightRecorder struct {
 	active map[uint64]*queryBuf
 	// bufs recycles queryBuf structs. With a long finalize horizon every
 	// in-flight query holds a buffer, so fresh buffers are the common case;
-	// evSlab and dpSlab batch their initial event/depth windows the way the
-	// pool batches the structs (capacity-capped three-index carves, so
-	// append past a window reallocates independently instead of clobbering
-	// a neighbour).
+	// evSlab batches their initial event windows the way the pool batches
+	// the structs (capacity-capped three-index carves, so append past a
+	// window reallocates independently instead of clobbering a neighbour).
 	bufs   sim.Pool[queryBuf]
 	evSlab []Event
-	dpSlab []depthEntry
 	spare  [][]Event // event slices recovered from evicted heap entries
 	kept   []*QueryTrace
 	slow   slowHeap
@@ -193,11 +162,15 @@ func (r *FlightRecorder) Emit(e Event) {
 	}
 	switch e.Kind {
 	case QueryForward:
-		d := b.depthOf(e.From) + 1
-		b.noteDepth(e.Peer, d)
-		if d > b.maxDepth {
-			b.maxDepth = d
+		d := int32(1)
+		if int(e.Parent) < len(b.depth) {
+			d += b.depth[e.Parent]
 		}
+		for int(e.Span) >= len(b.depth) {
+			b.depth = append(b.depth, 0)
+		}
+		b.depth[e.Span] = d
+		b.maxDepth = max(b.maxDepth, int(d))
 	case DownloadComplete:
 		b.doneAt, b.hasDone = e.At, true
 	case StorageHit:
@@ -279,8 +252,8 @@ func (r *FlightRecorder) seal(b *queryBuf, lat sim.Time, why string) *QueryTrace
 
 func (r *FlightRecorder) acquire() *queryBuf {
 	b := r.bufs.Get()
-	if b.depth != nil {
-		return b // recycled, with its windows
+	if b.events != nil {
+		return b // recycled, with its window
 	}
 	if n := len(r.spare); n > 0 {
 		b.events = r.spare[n-1]
@@ -295,11 +268,6 @@ func (r *FlightRecorder) acquire() *queryBuf {
 		b.events = r.evSlab[0:0:64]
 		r.evSlab = r.evSlab[64:]
 	}
-	if len(r.dpSlab) < 64 {
-		r.dpSlab = make([]depthEntry, 64*64)
-	}
-	b.depth = r.dpSlab[0:0:64]
-	r.dpSlab = r.dpSlab[64:]
 	return b
 }
 

@@ -7,23 +7,23 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// query emits a minimal query lifecycle into r: submit at t0 on origin,
-// depth forwards, then either a download at doneAt or a failure, and the
-// finalize marker at finAt.
+// query emits a minimal query lifecycle into r: submit at t0 on origin, a
+// chain of depth forwards, each under the one before, then either a download
+// at doneAt or a failure, and the finalize marker at finAt.
 func emitQuery(r *FlightRecorder, q uint64, origin int, t0 sim.Time, depth int, doneAt, finAt sim.Time, failed bool) {
-	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: q, Peer: origin, From: -1})
-	prev := origin
+	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: origin, From: -1})
+	prev, span := origin, RootSpan
 	for i := 0; i < depth; i++ {
 		at := t0 + sim.Time(i+1)*sim.Millisecond
-		r.Emit(Event{At: at, Kind: QueryForward, Query: q, Peer: prev + 100 + i, From: prev})
-		prev = prev + 100 + i
+		r.Emit(Event{At: at, Kind: QueryForward, Query: q, Span: span + 1, Parent: span, Peer: prev + 100 + i, From: prev})
+		prev, span = prev+100+i, span+1
 	}
 	if failed {
-		r.Emit(Event{At: finAt, Kind: QueryFailed, Query: q, Peer: origin, From: -1})
+		r.Emit(Event{At: finAt, Kind: QueryFailed, Query: q, Span: span + 1, Parent: RootSpan, Peer: origin, From: -1})
 	} else if doneAt > 0 {
-		r.Emit(Event{At: doneAt, Kind: DownloadComplete, Query: q, Peer: origin, From: -1})
+		r.Emit(Event{At: doneAt, Kind: DownloadComplete, Query: q, Span: span + 1, Parent: span, Peer: origin, From: -1})
 	}
-	r.Emit(Event{At: finAt, Kind: QueryFinalize, Query: q, Peer: origin, From: -1})
+	r.Emit(Event{At: finAt, Kind: QueryFinalize, Query: q, Span: span + 2, Parent: RootSpan, Peer: origin, From: -1})
 }
 
 func TestFlightRecorderKeepFailed(t *testing.T) {
@@ -111,16 +111,16 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 func TestFlightRecorderLocalStorageHit(t *testing.T) {
 	r := NewFlightRecorder(Policy{SlowestN: 2})
 	// Query 1: local storage hit at submit time.
-	r.Emit(Event{At: sim.Second, Kind: QuerySubmit, Query: 1, Peer: 5, From: -1})
-	r.Emit(Event{At: sim.Second, Kind: StorageHit, Query: 1, Peer: 5, From: -1})
-	r.Emit(Event{At: sim.Second + 30*sim.Second, Kind: QueryFinalize, Query: 1, Peer: 5, From: -1})
+	r.Emit(Event{At: sim.Second, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 5, From: -1})
+	r.Emit(Event{At: sim.Second, Kind: StorageHit, Query: 1, Span: 2, Parent: 1, Peer: 5, From: -1})
+	r.Emit(Event{At: sim.Second + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 3, Parent: 1, Peer: 5, From: -1})
 	// Query 2: remote storage hit, download completes 80ms in.
 	t0 := 2 * sim.Second
-	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: 2, Peer: 6, From: -1})
-	r.Emit(Event{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 2, Peer: 7, From: 6})
-	r.Emit(Event{At: t0 + 30*sim.Millisecond, Kind: StorageHit, Query: 2, Peer: 7, From: -1})
-	r.Emit(Event{At: t0 + 80*sim.Millisecond, Kind: DownloadComplete, Query: 2, Peer: 6, From: 7})
-	r.Emit(Event{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 2, Peer: 6, From: -1})
+	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: 2, Span: 1, Peer: 6, From: -1})
+	r.Emit(Event{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 2, Span: 2, Parent: 1, Peer: 7, From: 6})
+	r.Emit(Event{At: t0 + 30*sim.Millisecond, Kind: StorageHit, Query: 2, Span: 3, Parent: 2, Peer: 7, From: -1})
+	r.Emit(Event{At: t0 + 80*sim.Millisecond, Kind: DownloadComplete, Query: 2, Span: 4, Parent: 3, Peer: 6, From: 7})
+	r.Emit(Event{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 2, Span: 5, Parent: 1, Peer: 6, From: -1})
 	traces := r.Traces()
 	if len(traces) != 2 {
 		t.Fatalf("kept %d traces, want 2", len(traces))
@@ -206,8 +206,8 @@ func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	r := NewFlightRecorder(Policy{KeepFailed: true})
 	r.Emit(Event{At: sim.Second, Kind: PhaseEnter, Detail: "surge"})
 	// Events for a query never submitted (e.g. in flight before attach).
-	r.Emit(Event{At: sim.Second, Kind: QueryForward, Query: 9, Peer: 1, From: 0})
-	r.Emit(Event{At: 2 * sim.Second, Kind: QueryFinalize, Query: 9, Peer: 0, From: -1})
+	r.Emit(Event{At: sim.Second, Kind: QueryForward, Query: 9, Span: 2, Parent: 1, Peer: 1, From: 0})
+	r.Emit(Event{At: 2 * sim.Second, Kind: QueryFinalize, Query: 9, Span: 3, Parent: 1, Peer: 0, From: -1})
 	if ph := r.Phases(); len(ph) != 1 || ph[0].Detail != "surge" {
 		t.Fatalf("phases = %+v", ph)
 	}
@@ -216,28 +216,28 @@ func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	}
 }
 
-// TestSpanTreeAttribution locks the span builder's link pairing and latency
+// TestSpanTreeAttribution locks the span builder's parent links and latency
 // split. A closed forward span charges the processing constant and
-// attributes the rest to propagation. Duplicates and hits name the link they
-// arrived over, so peer 2's hit closes the 1→2 forward although the 0→2
-// forward was sent earlier; that one closes when it arrives as a duplicate.
+// attributes the rest to propagation. Each event names the span it hangs
+// under, so peer 2's hit closes the 1→2 forward although the 0→2 forward
+// was sent earlier; that one closes when it arrives as a duplicate.
 func TestSpanTreeAttribution(t *testing.T) {
 	const proc = sim.Millisecond
 	t0 := sim.Second
 	events := []Event{
-		{At: t0, Kind: QuerySubmit, Query: 1, Peer: 0, From: -1, Detail: "q{a}"},
-		{At: t0, Kind: QueryForward, Query: 1, Peer: 1, From: 0},
-		{At: t0, Kind: QueryForward, Query: 1, Peer: 2, From: 0},
+		{At: t0, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 0, From: -1, Detail: "q{a}"},
+		{At: t0, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0},
+		{At: t0, Kind: QueryForward, Query: 1, Span: 3, Parent: 1, Peer: 2, From: 0},
 		// Peer 1 received + processed, forwards on at +10ms.
-		{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 1, Peer: 2, From: 1},
+		{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 1, Span: 4, Parent: 2, Peer: 2, From: 1},
 		// Peer 2 hits at +25ms over 1→2, so that link took 15ms.
-		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Peer: 2, From: 1},
-		{At: t0 + 30*sim.Millisecond, Kind: ResponseHop, Query: 1, Peer: 1, From: 2},
+		{At: t0 + 25*sim.Millisecond, Kind: StorageHit, Query: 1, Span: 5, Parent: 4, Peer: 2, From: 1},
+		{At: t0 + 30*sim.Millisecond, Kind: ResponseHop, Query: 1, Span: 6, Parent: 5, Peer: 1, From: 2},
 		// The slow 0→2 forward arrives at +40ms, a duplicate.
-		{At: t0 + 40*sim.Millisecond, Kind: QueryDuplicate, Query: 1, Peer: 2, From: 0},
-		{At: t0 + 40*sim.Millisecond, Kind: ResponseHop, Query: 1, Peer: 0, From: 1},
-		{At: t0 + 55*sim.Millisecond, Kind: DownloadComplete, Query: 1, Peer: 0, From: 2},
-		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Peer: 0, From: -1},
+		{At: t0 + 40*sim.Millisecond, Kind: QueryDuplicate, Query: 1, Span: 7, Parent: 3, Peer: 2, From: 0},
+		{At: t0 + 40*sim.Millisecond, Kind: ResponseHop, Query: 1, Span: 8, Parent: 6, Peer: 0, From: 1},
+		{At: t0 + 55*sim.Millisecond, Kind: DownloadComplete, Query: 1, Span: 9, Parent: 8, Peer: 0, From: 2},
+		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 10, Parent: 1, Peer: 0, From: -1},
 	}
 	tree := BuildSpanTree(1, events, proc)
 	if tree == nil {
@@ -281,21 +281,77 @@ func TestSpanTreeAttribution(t *testing.T) {
 	}
 }
 
+// TestSpanTreeCrossingResponses: two responses from different hits pass
+// through peer 1 and arrive there in the reverse of their send order, and
+// peer 1 caches the second-sent one between the two arrivals. Pairing the
+// hops first-in first-out at peer 1 would close the 2→1 hop at the 3→1
+// hop's arrival and hang the cached span under it. With each event naming
+// its parent, every hop closes on its own link and the cached span hangs
+// under the hop that delivered it.
+func TestSpanTreeCrossingResponses(t *testing.T) {
+	const proc = sim.Millisecond
+	ms := sim.Millisecond
+	t0 := sim.Second
+	events := []Event{
+		{At: t0, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 0, From: -1},
+		{At: t0, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0},
+		{At: t0 + 10*ms, Kind: QueryForward, Query: 1, Span: 3, Parent: 2, Peer: 2, From: 1},
+		{At: t0 + 10*ms, Kind: QueryForward, Query: 1, Span: 4, Parent: 2, Peer: 3, From: 1},
+		{At: t0 + 20*ms, Kind: StorageHit, Query: 1, Span: 5, Parent: 3, Peer: 2, From: 1},
+		// Sent first over the slow 2→1 link: it arrives at +50ms.
+		{At: t0 + 20*ms, Kind: ResponseHop, Query: 1, Span: 6, Parent: 5, Peer: 1, From: 2},
+		{At: t0 + 25*ms, Kind: CacheHit, Query: 1, Span: 7, Parent: 4, Peer: 3, From: 1},
+		// Sent second over the fast 3→1 link: it arrives at +30ms.
+		{At: t0 + 25*ms, Kind: ResponseHop, Query: 1, Span: 8, Parent: 7, Peer: 1, From: 3},
+		{At: t0 + 30*ms, Kind: ResponseCached, Query: 1, Span: 9, Parent: 8, Peer: 1, From: -1},
+		{At: t0 + 30*ms, Kind: ResponseHop, Query: 1, Span: 10, Parent: 8, Peer: 0, From: 1},
+		{At: t0 + 40*ms, Kind: DownloadComplete, Query: 1, Span: 11, Parent: 10, Peer: 0, From: 3},
+		{At: t0 + 50*ms, Kind: ResponseHop, Query: 1, Span: 12, Parent: 6, Peer: 0, From: 1},
+		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 13, Parent: 1, Peer: 0, From: -1},
+	}
+	tree := BuildSpanTree(1, events, proc)
+	if tree == nil || tree.Spans != 12 || tree.Latency != 40*ms {
+		t.Fatalf("tree = %+v", tree)
+	}
+	fwd := tree.Root.Children[0]
+	if len(fwd.Children) != 2 {
+		t.Fatalf("peer 1 fan-out = %d, want 2", len(fwd.Children))
+	}
+	hopA := fwd.Children[0].Children[0].Children[0] // fwd 1→2, storage hit, resp 2→1
+	hopB := fwd.Children[1].Children[0].Children[0] // fwd 1→3, cache hit, resp 3→1
+	if hopA.Kind != ResponseHop || hopA.From != 2 || hopA.Open || hopA.End-hopA.Start != 30*ms {
+		t.Fatalf("resp 2→1 = %+v, want closed at +50ms after 30ms", hopA)
+	}
+	if hopB.Kind != ResponseHop || hopB.From != 3 || hopB.Open || hopB.End-hopB.Start != 5*ms {
+		t.Fatalf("resp 3→1 = %+v, want closed at +30ms after 5ms", hopB)
+	}
+	if len(hopB.Children) != 2 || hopB.Children[0].Kind != ResponseCached || hopB.Children[1].Kind != ResponseHop {
+		t.Fatalf("resp 3→1 children = %+v, want the cached span and the next hop", hopB.Children)
+	}
+	if next := hopB.Children[1]; next.Open || next.End-next.Start != 10*ms ||
+		len(next.Children) != 1 || next.Children[0].Kind != DownloadComplete {
+		t.Fatalf("resp 1→0 after 3→1 = %+v, want closed by the download", next)
+	}
+	if len(hopA.Children) != 1 || hopA.Children[0].Kind != ResponseHop || !hopA.Children[0].Open {
+		t.Fatalf("resp 2→1 children = %+v, want the one open 1→0 hop", hopA.Children)
+	}
+}
+
 func TestSpanTreeOpenSpans(t *testing.T) {
 	t0 := sim.Second
 	events := []Event{
-		{At: t0, Kind: QuerySubmit, Query: 1, Peer: 0, From: -1},
-		{At: t0, Kind: QueryForward, Query: 1, Peer: 1, From: 0},
-		{At: t0 + 30*sim.Second, Kind: QueryFailed, Query: 1, Peer: 0, From: -1},
-		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Peer: 0, From: -1},
+		{At: t0, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 0, From: -1},
+		{At: t0, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0},
+		{At: t0 + 30*sim.Second, Kind: QueryFailed, Query: 1, Span: 3, Parent: 1, Peer: 0, From: -1},
+		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 4, Parent: 1, Peer: 0, From: -1},
 	}
 	tree := BuildSpanTree(1, events, sim.Millisecond)
 	if tree == nil || !tree.Failed {
 		t.Fatalf("tree = %+v", tree)
 	}
 	fwd := tree.Root.Children[0]
-	if !fwd.Open {
-		t.Fatalf("never-received forward should be open: %+v", fwd)
+	if !fwd.Open || fwd.End != tree.Root.End {
+		t.Fatalf("never-received forward should be open to the tree's end: %+v", fwd)
 	}
 	if !strings.Contains(tree.Render(), "open") {
 		t.Fatalf("render missing open marker:\n%s", tree.Render())
@@ -303,7 +359,7 @@ func TestSpanTreeOpenSpans(t *testing.T) {
 }
 
 func TestSpanTreeNoSubmit(t *testing.T) {
-	events := []Event{{At: sim.Second, Kind: QueryForward, Query: 1, Peer: 1, From: 0}}
+	events := []Event{{At: sim.Second, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0}}
 	if tree := BuildSpanTree(1, events, sim.Millisecond); tree != nil {
 		t.Fatalf("tree without submit = %+v", tree)
 	}

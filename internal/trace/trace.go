@@ -75,6 +75,9 @@ func (k Kind) String() string {
 	}
 }
 
+// RootSpan is the span id of a query's submit event, the root of its tree.
+const RootSpan int32 = 1
+
 // Event is one traced protocol action.
 type Event struct {
 	// At is the virtual timestamp.
@@ -83,10 +86,19 @@ type Event struct {
 	Kind Kind
 	// Query is the query id the action belongs to (0 for phase entries).
 	Query uint64
+	// Span is the event's own id within its query, and Parent the id of the
+	// span it hangs under. The simulator numbers a query's events from
+	// RootSpan in emission order, and names the parent it knows: a forward
+	// hangs under the forward that delivered the query to its sender (the
+	// root at the origin), a duplicate or a hit under the forward it arrived
+	// on, a response hop under the previous hop or the hit, a cached or
+	// download event under the hop that delivered the response, a failure
+	// under the root. 0 names no span: phase entries, and the events of a
+	// response that outlives its query.
+	Span, Parent int32
 	// Peer is the acting peer; From the counterpart peer when the action
-	// crosses a link (-1 otherwise). A duplicate or a hit at a peer the
-	// query reached over a link names its sender, so each pairs with the
-	// forward it closes; a hit at submission has no sender.
+	// crosses a link (-1 otherwise): the sender of a forward, a response
+	// hop, a duplicate or a hit, the provider of a download.
 	Peer, From int
 	// Detail is a short human-readable annotation (filename, provider,
 	// metric).
