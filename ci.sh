@@ -25,9 +25,9 @@ step scenario
 # override the spec's budget) with figure tables, tidy CSV and file export.
 # A parameter study is a campaign whose spec names its figure metrics:
 # bloom-sweep must print and export the run-level gossip-traffic table. A
-# cell must run what its label says, and once: a non-positive axis value, a
-# protocol named twice and an axis value given twice are refused, naming
-# what is wrong.
+# cell must run what its label says, and once: a non-positive axis value, an
+# integer value too large for its parameter, a protocol named twice and an
+# axis value given twice are refused, naming what is wrong.
 step sweep
 "$exp" -sweep list
 "$exp" -sweep churn-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/sweep-smoke"
@@ -44,6 +44,7 @@ refused() { # spec JSON, then the text the error must contain
 	grep -qF -- "$2" "$tmp/refused.err"
 }
 refused '{"name":"zero","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"ttl","values":[0,7]}]}' 'axis "ttl"'
+refused '{"name":"wide","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"ttl","values":[1e19]}]}' 'axis "ttl": value 1e+19 exceeds'
 refused '{"name":"twice","queries":40,"protocols":["Dicas","Dicas"],"axes":[{"param":"ttl","values":[3,5]}]}' 'protocol "Dicas" is listed twice'
 refused '{"name":"twice","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[3,3]}]}' 'axis "ttl" lists value 3 twice'
 

@@ -102,10 +102,11 @@ func BenchmarkSnapshotAndDiff(b *testing.B) {
 // index: 50 filenames × 3 keywords = 150 elements). This is the
 // data-structure-level justification for §5.1's 1200-bit choice.
 func BenchmarkBloomSizing(b *testing.B) {
-	for _, bits := range []int{300, 600, 1200, 2400} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+	// k is the false-positive optimum for 150 elements, round((m/150) ln 2).
+	for _, g := range []struct{ bits, k int }{{300, 1}, {600, 3}, {1200, 6}, {2400, 11}} {
+		b.Run(fmt.Sprintf("bits=%d", g.bits), func(b *testing.B) {
 			for iter := 0; iter < b.N; iter++ {
-				f := New(bits, OptimalK(bits, 150))
+				f := New(g.bits, g.k)
 				for _, w := range benchWords(150) {
 					f.Add(w)
 				}

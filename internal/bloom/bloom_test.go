@@ -10,7 +10,7 @@ import (
 
 // paperFilter returns the filter configured exactly as in §5.1: 1200 bits,
 // k optimal for 150 keywords.
-func paperFilter() *Filter { return New(1200, OptimalK(1200, 150)) }
+func paperFilter() *Filter { return New(1200, 6) }
 
 func TestNoFalseNegatives(t *testing.T) {
 	f := paperFilter()
@@ -124,7 +124,7 @@ func checkIndexFormAgrees(t *testing.T, m, k int, added, probes []string) {
 		if got, want := f.TestIndexes(idx), f.Test(s); got != want {
 			t.Fatalf("m=%d k=%d: Filter.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
 		}
-		if got, want := c.TestIndexes(idx), c.Test(s); got != want {
+		if got, want := c.TestIndexes(idx), c.View().Test(s); got != want {
 			t.Fatalf("m=%d k=%d: Counting.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
 		}
 	}
@@ -173,18 +173,6 @@ func FuzzIndexFormEquivalence(f *testing.F) {
 	})
 }
 
-func TestOptimalK(t *testing.T) {
-	if k := OptimalK(1200, 150); k < 4 || k > 8 {
-		t.Fatalf("OptimalK(1200,150) = %d, expected ~6", k)
-	}
-	if OptimalK(0, 10) != 1 || OptimalK(10, 0) != 1 {
-		t.Fatal("degenerate OptimalK should be 1")
-	}
-	if OptimalK(100000, 1) != 16 {
-		t.Fatal("OptimalK should cap at 16")
-	}
-}
-
 func TestGeometryClamps(t *testing.T) {
 	f := New(0, 0)
 	if f.M() < 8 || f.K() < 1 {
@@ -196,7 +184,7 @@ func TestGeometryClamps(t *testing.T) {
 	}
 }
 
-func TestCloneEqualReset(t *testing.T) {
+func TestCloneEqual(t *testing.T) {
 	f := New(1200, 6)
 	f.Add("one")
 	f.Add("two")
@@ -207,10 +195,6 @@ func TestCloneEqualReset(t *testing.T) {
 	g.Add("three")
 	if f.Equal(g) && g.PopCount() != f.PopCount() {
 		t.Fatal("clone shares storage")
-	}
-	f.Reset()
-	if f.PopCount() != 0 {
-		t.Fatal("reset failed")
 	}
 	if f.Equal(New(600, 6)) {
 		t.Fatal("different geometry reported equal")
@@ -234,13 +218,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestBitSetBounds(t *testing.T) {
-	f := New(64, 2)
-	if f.BitSet(-1) || f.BitSet(64) {
-		t.Fatal("out-of-range BitSet should be false")
-	}
-}
-
 func TestPopCountFillRatio(t *testing.T) {
 	f := New(128, 1)
 	if f.PopCount() != 0 || f.FillRatio() != 0 {
@@ -261,11 +238,11 @@ func TestStringer(t *testing.T) {
 func TestCountingAddRemove(t *testing.T) {
 	c := NewCounting(1200, 6)
 	c.Add("word")
-	if !c.Test("word") {
+	if !c.View().Test("word") {
 		t.Fatal("counting filter false negative")
 	}
 	c.Remove("word")
-	if c.Test("word") {
+	if c.View().Test("word") {
 		t.Fatal("removed element still present")
 	}
 }
@@ -275,11 +252,11 @@ func TestCountingMultiplicity(t *testing.T) {
 	c.Add("dup")
 	c.Add("dup")
 	c.Remove("dup")
-	if !c.Test("dup") {
+	if !c.View().Test("dup") {
 		t.Fatal("one of two copies removed should leave element present")
 	}
 	c.Remove("dup")
-	if c.Test("dup") {
+	if c.View().Test("dup") {
 		t.Fatal("both copies removed, element still present")
 	}
 }
@@ -288,12 +265,12 @@ func TestCountingRemoveAbsentIsSafe(t *testing.T) {
 	c := NewCounting(1200, 6)
 	c.Remove("never-added") // must not underflow
 	c.Add("x")
-	if !c.Test("x") {
+	if !c.View().Test("x") {
 		t.Fatal("filter corrupted by spurious remove")
 	}
 }
 
-// TestCountingExportSnapshot: the live view tracks Add/Remove/Reset, and a
+// TestCountingExportSnapshot: the live view tracks Add and Remove, and a
 // clone of it is a snapshot that stays put.
 func TestCountingExportSnapshot(t *testing.T) {
 	c := NewCounting(1200, 6)
@@ -317,12 +294,8 @@ func TestCountingExportSnapshot(t *testing.T) {
 	if err := New(600, 6).CopyFrom(c.View()); err != ErrMismatch {
 		t.Fatalf("geometry mismatch not detected: %v", err)
 	}
-	c.Reset()
-	if c.Test("b") || c.View().PopCount() != 0 {
-		t.Fatal("reset failed")
-	}
-	if c.M() != 1200 || c.K() != 6 {
-		t.Fatal("accessors wrong")
+	if v := c.View(); v.M() != 1200 || v.K() != 6 {
+		t.Fatal("view geometry wrong")
 	}
 }
 
@@ -351,7 +324,7 @@ func anyShareBits(w string, words []string) bool {
 
 func TestCountingGeometryClamps(t *testing.T) {
 	c := NewCounting(0, 0)
-	if c.M() < 8 || c.K() < 1 {
+	if c.View().M() < 8 || c.View().K() < 1 {
 		t.Fatal("clamps not applied")
 	}
 }
@@ -383,6 +356,14 @@ func TestCountingPlainAgreement(t *testing.T) {
 	}
 }
 
+// applyDelta flips d's positions in f: the receiver's side of a gossiped
+// delta, which the simulator models by copying the sender's filter.
+func applyDelta(d Delta, f *Filter) {
+	for _, p := range d.Flipped {
+		f.setBit(p, f.bits[p/64]&(1<<(p%64)) == 0)
+	}
+}
+
 func TestDeltaRoundTrip(t *testing.T) {
 	oldF := New(1200, 6)
 	oldF.Add("alpha")
@@ -397,16 +378,12 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("delta unexpectedly empty")
 	}
-	if err := d.Apply(oldF); err != nil {
-		t.Fatal(err)
-	}
+	applyDelta(d, oldF)
 	if !oldF.Equal(newF) {
 		t.Fatal("applying delta did not reproduce new filter")
 	}
 	// XOR semantics: applying again undoes.
-	if err := d.Apply(oldF); err != nil {
-		t.Fatal(err)
-	}
+	applyDelta(d, oldF)
 	if oldF.Equal(newF) {
 		t.Fatal("double apply should undo")
 	}
@@ -442,22 +419,14 @@ func TestDeltaEmpty(t *testing.T) {
 	if !d.Empty() || d.SizeBits() != 0 {
 		t.Fatal("identical filters should give empty delta")
 	}
-	if err := d.Apply(f); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDeltaMismatch(t *testing.T) {
 	if _, err := DiffFiltersInto(New(1200, 6), New(600, 6), nil); err != ErrMismatch {
 		t.Fatalf("size mismatch not detected: %v", err)
 	}
-	d := Delta{M: 1200, Flipped: []uint32{3}}
-	if err := d.Apply(New(600, 6)); err != ErrMismatch {
-		t.Fatalf("apply mismatch not detected: %v", err)
-	}
-	bad := Delta{M: 1200, Flipped: []uint32{5000}}
-	if err := bad.Apply(New(1200, 6)); err != ErrMismatch {
-		t.Fatalf("out-of-range position not detected: %v", err)
+	if _, err := DiffFiltersInto(New(1200, 6), New(1200, 4), nil); err != ErrMismatch {
+		t.Fatalf("k mismatch not detected: %v", err)
 	}
 }
 
@@ -477,9 +446,7 @@ func TestDeltaQuickProperty(t *testing.T) {
 			return false
 		}
 		cp := oldF.Clone()
-		if err := d.Apply(cp); err != nil {
-			return false
-		}
+		applyDelta(d, cp)
 		return cp.Equal(newF)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
@@ -516,7 +483,7 @@ func TestHotOpsZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { c.Add("x"); c.Remove("x") }); n != 0 {
 		t.Fatalf("Counting.Add/Remove allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.Test("locaware") }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { c.View().Test("locaware") }); n != 0 {
 		t.Fatalf("Counting.Test allocates %.1f/op", n)
 	}
 	idx := make([]uint32, 0, 3*f.K())
@@ -571,7 +538,7 @@ func TestKCapped(t *testing.T) {
 	if f := New(4096, 99); f.K() != 16 {
 		t.Fatalf("Filter k = %d, want capped at 16", f.K())
 	}
-	if c := NewCounting(4096, 99); c.K() != 16 {
-		t.Fatalf("Counting k = %d, want capped at 16", c.K())
+	if c := NewCounting(4096, 99); c.View().K() != 16 {
+		t.Fatalf("Counting k = %d, want capped at 16", c.View().K())
 	}
 }

@@ -22,12 +22,6 @@ func NewCounting(m, k int) *Counting {
 	return &Counting{counts: make([]uint16, view.m), view: *view}
 }
 
-// M returns the number of positions.
-func (c *Counting) M() int { return int(c.view.m) }
-
-// K returns the number of hash functions.
-func (c *Counting) K() int { return c.view.k }
-
 // Add inserts s, incrementing its k counters (saturating).
 func (c *Counting) Add(s string) {
 	var buf [maxK]uint32
@@ -62,14 +56,11 @@ func (c *Counting) Remove(s string) {
 	}
 }
 
-// Test reports whether s may be present.
-func (c *Counting) Test(s string) bool { return c.view.Test(s) }
-
 // TestIndexes is Test by precomputed positions (see Filter.TestIndexes).
 func (c *Counting) TestIndexes(idx []uint32) bool { return c.view.TestIndexes(idx) }
 
 // View returns the live plain bit-vector view. It is read-only and changes
-// with every Add/Remove/Reset; copy it to keep a snapshot.
+// with every Add and Remove; copy it to keep a snapshot.
 func (c *Counting) View() *Filter { return &c.view }
 
 // Changed reports whether a bit of the view flipped since ClearChanged. A
@@ -80,12 +71,3 @@ func (c *Counting) Changed() bool { return c.changed }
 // ClearChanged lowers the mark; the publisher calls it once it has copied
 // the view.
 func (c *Counting) ClearChanged() { c.changed = false }
-
-// Reset zeroes all counters.
-func (c *Counting) Reset() {
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
-	c.view.Reset()
-	c.changed = true
-}

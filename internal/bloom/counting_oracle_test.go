@@ -10,7 +10,7 @@ import (
 // peer every gossip round, kept as the reference for the live view the way
 // the binary heapQueue stayed behind as the event queue's oracle.
 func scanExport(c *Counting) *Filter {
-	f := New(c.M(), c.K())
+	f := New(c.View().M(), c.View().K())
 	for i, n := range c.counts {
 		if n > 0 {
 			f.setBit(uint32(i), true)
@@ -22,10 +22,10 @@ func scanExport(c *Counting) *Filter {
 // driveCountingView interprets ops as a stream of (kind, word) byte pairs
 // against one counting filter and checks after every operation that the
 // live view equals the counter scan and that the mark is raised iff a bit
-// flipped (or Reset ran) since the mark was last cleared. Besides Add and
-// Remove — which on never-added words exercises the zero floor — the stream
-// publishes (ClearChanged), pins a word's counters at 65 535 so later Adds
-// saturate, and Resets.
+// flipped since the mark was last cleared. Besides Add and Remove — which on
+// never-added words exercises the zero floor — the stream publishes
+// (ClearChanged) and pins a word's counters at 65 535 so later Adds
+// saturate.
 func driveCountingView(t testing.TB, m, k, nWords int, ops []byte) {
 	c := NewCounting(m, k)
 	words := make([]string, nWords)
@@ -45,16 +45,13 @@ func driveCountingView(t testing.TB, m, k, nWords int, ops []byte) {
 		case kind < 30:
 			c.ClearChanged()
 			mark = false
-		case kind == 30:
+		default:
 			c.Add(w)
-			idx := make([]uint32, c.K())
-			indexes(w, uint32(c.M()), idx)
+			idx := make([]uint32, c.View().K())
+			indexes(w, uint32(c.View().M()), idx)
 			for _, p := range idx {
 				c.counts[p] = ^uint16(0)
 			}
-		default:
-			c.Reset()
-			mark = true
 		}
 		got := scanExport(c)
 		if !got.Equal(want) {
@@ -67,7 +64,7 @@ func driveCountingView(t testing.TB, m, k, nWords int, ops []byte) {
 		if c.Changed() != mark {
 			t.Fatalf("op %d (kind %d, %q): Changed() = %v, want %v", i/2, kind, w, c.Changed(), mark)
 		}
-		if c.Test(w) != want.Test(w) {
+		if c.View().Test(w) != want.Test(w) {
 			t.Fatalf("op %d (kind %d, %q): Test disagrees with the counter scan", i/2, kind, w)
 		}
 	}
@@ -91,10 +88,9 @@ func TestCountingViewOracle(t *testing.T) {
 	}
 }
 
-// TestCountingViewEdges pins the three cases the random streams reach only
-// by chance: a saturated counter ignores further Adds and still clears only
-// at zero, Remove on a zero counter floors without touching view or mark,
-// and Reset clears the view and raises the mark.
+// TestCountingViewEdges pins the two cases the random streams reach only by
+// chance: a saturated counter ignores further Adds and still clears only at
+// zero, and Remove on a zero counter floors without touching view or mark.
 func TestCountingViewEdges(t *testing.T) {
 	c := NewCounting(64, 1)
 	var idx [1]uint32
@@ -113,19 +109,15 @@ func TestCountingViewEdges(t *testing.T) {
 		t.Fatal("saturated Add wrapped or raised the mark")
 	}
 	c.Remove("x")
-	if !c.View().BitSet(int(p)) || c.Changed() {
+	if c.View().PopCount() != 1 || c.Changed() {
 		t.Fatal("65535→65534 cleared the bit or raised the mark")
-	}
-	c.Reset()
-	if !c.Changed() || c.View().PopCount() != 0 || c.counts[p] != 0 {
-		t.Fatal("Reset left counters, view bits or a clear mark behind")
 	}
 }
 
 func FuzzCountingView(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 14, 1, 27, 0, 0, 1, 14, 1})    // add, remove, publish, add, remove
-	f.Add([]byte{14, 7, 30, 7, 0, 7, 14, 7, 31, 0})   // floor, pin, saturate, remove, reset
+	f.Add([]byte{14, 7, 30, 7, 0, 7, 14, 7, 31, 0})   // floor, pin, saturate, remove, pin
 	f.Add([]byte{0, 1, 0, 2, 27, 0, 14, 1, 0, 1, 27}) // cancelling pair between publishes
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, g := range countingViewGeometries {

@@ -39,21 +39,6 @@ func DiffFiltersInto(oldF, newF *Filter, buf []uint32) (Delta, error) {
 	return d, nil
 }
 
-// Apply flips the delta's positions in f, transforming the old vector into
-// the new one. Applying a delta twice undoes it (XOR semantics).
-func (d Delta) Apply(f *Filter) error {
-	if f.m != d.M {
-		return ErrMismatch
-	}
-	for _, pos := range d.Flipped {
-		if pos >= f.m {
-			return ErrMismatch
-		}
-		f.setBit(pos, !f.BitSet(int(pos)))
-	}
-	return nil
-}
-
 // SizeBits returns the encoded size of the delta in bits: one position
 // costs ceil(log2(M)) bits. This is the quantity footnote 1 bounds.
 func (d Delta) SizeBits() int {

@@ -23,8 +23,8 @@ var ErrMismatch = errors.New("bloom: filter geometry mismatch")
 // New returns an m-bit filter with k hash functions. The paper's setting is
 // m=1200 (covering an enlarged response index of 50 filenames × 3 keywords)
 // with k near optimal for 150 elements. k is clamped to [1, 16]: the upper
-// bound (which OptimalK never exceeds) is what lets every filter operation
-// compute its bit positions on the stack.
+// bound is what lets every filter operation compute its bit positions on
+// the stack.
 func New(m, k int) *Filter {
 	if m < 8 {
 		m = 8
@@ -86,15 +86,7 @@ func (f *Filter) Test(s string) bool {
 	return f.TestIndexes(idx)
 }
 
-// BitSet reports whether bit i is set.
-func (f *Filter) BitSet(i int) bool {
-	if i < 0 || uint32(i) >= f.m {
-		return false
-	}
-	return f.bits[i/64]&(1<<(uint(i)%64)) != 0
-}
-
-// setBit forces bit i to v; used when applying deltas.
+// setBit forces bit i to v.
 func (f *Filter) setBit(i uint32, v bool) {
 	if v {
 		f.bits[i/64] |= 1 << (i % 64)
@@ -120,13 +112,6 @@ func (f *Filter) Clone() *Filter {
 	cp := &Filter{m: f.m, k: f.k, bits: make([]uint64, len(f.bits))}
 	copy(cp.bits, f.bits)
 	return cp
-}
-
-// Reset clears all bits.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
 }
 
 // Equal reports whether two filters have identical geometry and contents.

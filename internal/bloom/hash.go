@@ -7,7 +7,8 @@
 // per update for a 1200-bit filter).
 package bloom
 
-// maxK caps the number of hash functions (OptimalK never exceeds 16). The
+// maxK caps the number of hash functions (the optimum k = (m/n) ln 2
+// reaches 16 only past 23 bits per element). The
 // fixed bound lets every filter operation compute its bit positions in a
 // stack array instead of a heap slice — membership tests run on the
 // per-hop routing path, where a slice allocation per Test was the single
@@ -54,20 +55,4 @@ func indexes(s string, m uint32, idx []uint32) {
 	for i := range idx {
 		idx[i] = uint32((h1 + uint64(i)*h2) % uint64(m))
 	}
-}
-
-// OptimalK returns the false-positive-minimising number of hash functions
-// for an m-bit filter expected to hold n elements: k = (m/n) ln 2.
-func OptimalK(m, n int) int {
-	if n <= 0 || m <= 0 {
-		return 1
-	}
-	k := int(float64(m)/float64(n)*0.6931471805599453 + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return k
 }

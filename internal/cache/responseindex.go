@@ -183,21 +183,6 @@ func (x *Index) expire(e *entry, now sim.Time) bool {
 	return false
 }
 
-// Providers returns the live provider list for filename f at time now,
-// most recent first. Stale entries are expired on access.
-func (x *Index) Providers(f keywords.Filename, now sim.Time) []Provider {
-	e, ok := x.entries[f]
-	if !ok {
-		return nil
-	}
-	if x.expire(e, now) {
-		return nil
-	}
-	out := make([]Provider, len(e.providers))
-	copy(out, e.providers)
-	return out
-}
-
 // Match is a query hit against the index: the cached filename and its live
 // providers.
 type Match struct {

@@ -11,6 +11,22 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
+// providers is f's live provider list at now, most recent first, as Lookup
+// answers a query naming every keyword of f (nil when f is not cached or
+// its providers expired).
+func providers(x *Index, f keywords.Filename, now sim.Time) []Provider {
+	ids := make([]keywords.ID, f.K())
+	for i := range ids {
+		ids[i] = f.KeywordAt(i)
+	}
+	for _, m := range x.Lookup(keywords.NewQuery(ids...), now) {
+		if m.File.Compare(f) == 0 {
+			return m.Providers
+		}
+	}
+	return nil
+}
+
 type recorder struct {
 	added, evicted []string
 }
@@ -24,7 +40,7 @@ func TestPutAndProviders(t *testing.T) {
 	x := New(DefaultConfig(), nil)
 	f := fn(1, 2, 3)
 	x.Put(f, 7, 3, 100*sim.Second)
-	ps := x.Providers(f, 100*sim.Second)
+	ps := providers(x, f, 100*sim.Second)
 	if len(ps) != 1 || ps[0].Peer != 7 || ps[0].LocID != 3 {
 		t.Fatalf("providers = %+v", ps)
 	}
@@ -39,7 +55,7 @@ func TestMostRecentFirst(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		x.Put(f, overlay.PeerID(i), netmodel.LocID(i), sim.Time(i)*sim.Second)
 	}
-	ps := x.Providers(f, 10*sim.Second)
+	ps := providers(x, f, 10*sim.Second)
 	if len(ps) != 4 {
 		t.Fatalf("len = %d", len(ps))
 	}
@@ -57,7 +73,7 @@ func TestProviderCapDropsOldest(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		x.Put(f, overlay.PeerID(i), 0, sim.Time(i)*sim.Second)
 	}
-	ps := x.Providers(f, 10*sim.Second)
+	ps := providers(x, f, 10*sim.Second)
 	if len(ps) != 3 {
 		t.Fatalf("provider list = %d, want 3", len(ps))
 	}
@@ -77,7 +93,7 @@ func TestRefreshMovesToFront(t *testing.T) {
 	x.Put(f, 1, 5, 1*sim.Second)
 	x.Put(f, 2, 5, 2*sim.Second)
 	x.Put(f, 1, 6, 3*sim.Second) // refresh peer 1 with new locId
-	ps := x.Providers(f, 5*sim.Second)
+	ps := providers(x, f, 5*sim.Second)
 	if len(ps) != 2 {
 		t.Fatalf("refresh duplicated entry: %+v", ps)
 	}
@@ -102,10 +118,10 @@ func TestFilenameLRUEviction(t *testing.T) {
 	if x.Len() != 3 {
 		t.Fatalf("len = %d", x.Len())
 	}
-	if x.Providers(f2, 6*sim.Second) != nil {
+	if providers(x, f2, 6*sim.Second) != nil {
 		t.Fatal("f2 should have been evicted (LRU)")
 	}
-	if x.Providers(f1, 6*sim.Second) == nil {
+	if providers(x, f1, 6*sim.Second) == nil {
 		t.Fatal("recently touched f1 evicted")
 	}
 	if len(rec.added) != 4 || len(rec.evicted) != 1 || rec.evicted[0] != f2.String() {
@@ -120,12 +136,12 @@ func TestTTLExpiry(t *testing.T) {
 	f := fn(201, 202)
 	x.Put(f, 1, 0, 0)
 	x.Put(f, 2, 0, 8*sim.Second)
-	ps := x.Providers(f, 15*sim.Second)
+	ps := providers(x, f, 15*sim.Second)
 	if len(ps) != 1 || ps[0].Peer != 2 {
 		t.Fatalf("expiry wrong: %+v", ps)
 	}
 	// All providers stale -> filename disappears and event fires.
-	if got := x.Providers(f, 60*sim.Second); got != nil {
+	if got := providers(x, f, 60*sim.Second); got != nil {
 		t.Fatalf("stale entry survived: %+v", got)
 	}
 	if x.Len() != 0 {
@@ -141,7 +157,7 @@ func TestTTLDisabled(t *testing.T) {
 	x := New(cfg, nil)
 	f := fn(301)
 	x.Put(f, 1, 0, 0)
-	if ps := x.Providers(f, 1000*sim.Hour); len(ps) != 1 {
+	if ps := providers(x, f, 1000*sim.Hour); len(ps) != 1 {
 		t.Fatal("TTL=0 should never expire")
 	}
 }
@@ -211,14 +227,15 @@ func TestConfigFallbacks(t *testing.T) {
 	}
 }
 
+// TestProvidersReturnsCopy: the provider lists Lookup returns are copies.
 func TestProvidersReturnsCopy(t *testing.T) {
 	x := New(DefaultConfig(), nil)
 	f := fn(42)
 	x.Put(f, 1, 2, sim.Second)
-	ps := x.Providers(f, 2*sim.Second)
+	ps := providers(x, f, 2*sim.Second)
 	ps[0].Peer = 99
-	if x.Providers(f, 2*sim.Second)[0].Peer != 1 {
-		t.Fatal("Providers exposed internal storage")
+	if providers(x, f, 2*sim.Second)[0].Peer != 1 {
+		t.Fatal("Lookup exposed internal storage")
 	}
 }
 
@@ -240,7 +257,7 @@ func TestInvariantsQuick(t *testing.T) {
 			if x.Len() > 5 {
 				return false
 			}
-			ps := x.Providers(f, clock)
+			ps := providers(x, f, clock)
 			if len(ps) > 3 {
 				return false
 			}
@@ -284,7 +301,7 @@ func TestRandomizedMixedOps(t *testing.T) {
 				}
 			}
 		case 3:
-			for _, p := range x.Providers(names[r.Intn(len(names))], clock) {
+			for _, p := range providers(x, names[r.Intn(len(names))], clock) {
 				if clock-p.LastSeen > 30*sim.Second {
 					t.Fatal("providers returned stale entry")
 				}

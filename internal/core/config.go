@@ -100,6 +100,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxLandmarks is the largest landmark count k whose k! locIds fit in an
+// int64: 20! ≈ 2.4e18, and 21! overflows.
+const maxLandmarks = 20
+
+// Validate refuses a configuration no world can be built from: a catalogue
+// that cannot exist, or more landmarks than a locId can number. Each error
+// names the field and its value.
+func (c Config) Validate() error {
+	if err := c.Catalog.Validate(); err != nil {
+		return err
+	}
+	if c.Landmarks > maxLandmarks {
+		return fmt.Errorf("Landmarks %d: a locId numbers one of k! landmark orderings, and k! overflows past %d landmarks",
+			c.Landmarks, maxLandmarks)
+	}
+	return nil
+}
+
 // SetQueryRate sets the per-peer query rate and, with it, the Bloom gossip
 // period: gossip piggybacks on ordinary data exchange (§4.2), so its cadence
 // follows system activity. A rate accelerated above the paper's shrinks the

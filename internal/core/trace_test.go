@@ -176,7 +176,7 @@ func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
 		walk = func(sp *trace.Span) {
 			if (sp.Kind == trace.QueryForward || sp.Kind == trace.ResponseHop) && !sp.Open {
 				closed[sp.Kind]++
-				if sp.End-sp.Start != sim.FromMillis(s.Model.OneWay(sp.From, sp.Peer))+res.TraceProcessing {
+				if sp.End-sp.Start != sim.FromMillis(s.Network.Model.OneWay(sp.From, sp.Peer))+res.TraceProcessing {
 					wrong++
 				}
 			}

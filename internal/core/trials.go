@@ -42,10 +42,6 @@ type TrialSummary struct {
 // TrialCell is one (behaviour × config) experiment cell replicated across
 // trials: per-trial run results in trial order plus their aggregation.
 type TrialCell struct {
-	// Protocol is the behaviour's name.
-	Protocol string
-	// Seeds[t] is the root seed trial t ran under.
-	Seeds []int64
 	// Runs[t] is trial t's full result.
 	Runs []*RunResult
 	// Summary aggregates the headline metrics across trials.
@@ -143,11 +139,7 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOpt
 		return NewSimulation(c, behaviors[j/trials]).RunMeasured(warmup, numQueries)
 	}, func(j int, r *RunResult) { runs[j] = r })
 	for i, b := range behaviors {
-		cell := &TrialCell{
-			Protocol: b.Name(),
-			Seeds:    seeds,
-			Runs:     runs[i*trials : (i+1)*trials],
-		}
+		cell := &TrialCell{Runs: runs[i*trials : (i+1)*trials]}
 		cell.Summary = SummarizeTrials(cell.Runs)
 		cell.PhaseStats = AggregateRunPhases(cell.Runs)
 		cmp.Cells[b.Name()] = cell

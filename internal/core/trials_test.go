@@ -24,8 +24,8 @@ func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 	direct := cfg
 	direct.Protocol.Collector.Checkpoints = normalizeCheckpoints(nil, 60)
 	seq := NewSimulation(direct, protocol.Locaware{}).RunMeasured(20, 60)
-	if len(cell.Runs) != 1 || cell.Seeds[0] != cfg.Seed {
-		t.Fatalf("cell shape: seeds=%v runs=%d", cell.Seeds, len(cell.Runs))
+	if len(cell.Runs) != 1 {
+		t.Fatalf("cell shape: runs=%d", len(cell.Runs))
 	}
 	if !reflect.DeepEqual(cell.Runs[0], seq) {
 		t.Fatalf("single trial diverged from sequential run:\n%+v\nvs\n%+v", cell.Runs[0], seq)
@@ -53,9 +53,6 @@ func TestRunTrialsSeedsIndependent(t *testing.T) {
 		t.Fatalf("runs = %d", len(cell.Runs))
 	}
 	for tr := 1; tr < 3; tr++ {
-		if cell.Seeds[tr] == cell.Seeds[0] {
-			t.Fatalf("trial %d reused trial 0's seed", tr)
-		}
 		if cell.Runs[tr].Events == cell.Runs[0].Events &&
 			cell.Runs[tr].Collector.TotalMessages() == cell.Runs[0].Collector.TotalMessages() {
 			t.Fatalf("trial %d is byte-identical to trial 0: seeds not independent", tr)
@@ -114,15 +111,22 @@ func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 }
 
 func TestTrialComparisonPairedAcrossBehaviors(t *testing.T) {
-	// Trial t of every behaviour must share one world: same seed per trial
-	// index keeps the comparison paired, trial by trial.
+	// Trial t of every behaviour must share one world: every behaviour's
+	// trial t is the run at trial seed t, which keeps the comparison paired,
+	// trial by trial.
 	cfg := smallConfig(26)
 	cfg.NumPeers = 120
-	tc := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}},
-		TrialOptions{Trials: 2, Workers: 4}, 0, 30, nil)
-	fl, di := tc.Cells["Flooding"], tc.Cells["Dicas"]
-	if !reflect.DeepEqual(fl.Seeds, di.Seeds) {
-		t.Fatalf("behaviours saw different trial seeds: %v vs %v", fl.Seeds, di.Seeds)
+	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}}
+	tc := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 2, Workers: 4}, 0, 30, nil)
+	for _, b := range behaviors {
+		for tr, run := range tc.Cells[b.Name()].Runs {
+			direct := cfg
+			direct.Seed = sim.TrialSeed(cfg.Seed, tr)
+			direct.Protocol.Collector.Checkpoints = tc.Checkpoints
+			if !reflect.DeepEqual(run, NewSimulation(direct, b).RunMeasured(0, 30)) {
+				t.Fatalf("%s trial %d is not the run at trial seed %d", b.Name(), tr, tr)
+			}
+		}
 	}
 }
 

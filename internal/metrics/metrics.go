@@ -233,9 +233,6 @@ func NewCollectorWith(cfg CollectorConfig) *Collector {
 	}
 }
 
-// Config returns the collector's configuration.
-func (c *Collector) Config() CollectorConfig { return c.cfg }
-
 // Record folds a query outcome into the whole-run window and the
 // checkpoint and phase windows in progress (and stores it when records are
 // retained).

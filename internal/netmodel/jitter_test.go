@@ -137,7 +137,7 @@ func TestRTTMatchesPerPairSeeding(t *testing.T) {
 				t.Helper()
 				for a := 0; a < n; a++ {
 					for b := 0; b < n; b++ {
-						want := ref[a][b] * max(m.LatencyFactor(a), m.LatencyFactor(b))
+						want := ref[a][b] * max(factor(m, a), factor(m, b))
 						if got := m.RTT(a, b); got != want {
 							t.Fatalf("%s: RTT(%d,%d) = %v, reference %v", pass, a, b, got, want)
 						}

@@ -49,9 +49,6 @@ func FixedLandmarks(pts []Point) *Landmarks {
 	return &Landmarks{pts: cp}
 }
 
-// K returns the number of landmarks.
-func (l *Landmarks) K() int { return len(l.pts) }
-
 // Ordering returns the landmark indices sorted by increasing RTT from peer a
 // under model m — the peer's landmark ordering from §4.1.1.
 func (l *Landmarks) Ordering(m *Model, a int) []int {

@@ -28,11 +28,10 @@ func DefaultLatency() LatencyConfig {
 // (regional-degradation dynamics) are written only between events on the
 // owning simulation's engine goroutine.
 type Model struct {
-	cfg    LatencyConfig
-	pts    []Point
-	diag   float64 // plane diagonal used for normalisation
-	jseed  int64
-	maxDim float64
+	cfg   LatencyConfig
+	pts   []Point
+	diag  float64 // plane diagonal used for normalisation
+	jseed int64
 
 	// factors, when non-nil, holds a per-peer RTT inflation multiplier
 	// (>= 1); a path's factor is the max of its endpoints'. nil means no
@@ -70,12 +69,11 @@ func NewModel(pts []Point, side float64, cfg LatencyConfig, jitterSeed int64) *M
 		cfg = DefaultLatency()
 	}
 	m := &Model{
-		cfg:    cfg,
-		pts:    pts,
-		diag:   side * math.Sqrt2,
-		jseed:  jitterSeed,
-		maxDim: side,
-		jcap:   maxJitterCacheEntries,
+		cfg:   cfg,
+		pts:   pts,
+		diag:  side * math.Sqrt2,
+		jseed: jitterSeed,
+		jcap:  maxJitterCacheEntries,
 	}
 	m.jrand = rand.New(&m.jsrc)
 	return m
@@ -106,7 +104,7 @@ func (m *Model) RTT(a, b int) float64 {
 		// Deterministic symmetric jitter: the first normal draw of a
 		// generator seeded from the unordered pair identity.
 		m.jsrc.Seed(m.jseed ^ (int64(lo)<<20 | int64(hi)))
-		factor := 1 + m.cfg.Jitter*m.jrand.NormFloat64()
+		factor := 1 + float64(m.cfg.Jitter*m.jrand.NormFloat64())
 		if factor < 0.5 {
 			factor = 0.5
 		}
@@ -163,14 +161,6 @@ func (m *Model) SetLatencyFactor(i int, factor float64) {
 	m.factors[i] = factor
 }
 
-// LatencyFactor returns peer i's current RTT inflation (1 when healthy).
-func (m *Model) LatencyFactor(i int) float64 {
-	if m.factors == nil || i < 0 || i >= len(m.factors) {
-		return 1
-	}
-	return m.factors[i]
-}
-
 // ClearLatencyFactors restores every path to its healthy latency.
 func (m *Model) ClearLatencyFactors() { m.factors = nil }
 
@@ -183,7 +173,7 @@ func (m *Model) RTTToPoint(a int, p Point) float64 {
 
 func (m *Model) rttTo(p, q Point) float64 {
 	d := p.Dist(q) / m.diag // 0..1
-	return m.cfg.MinRTT + d*(m.cfg.MaxRTT-m.cfg.MinRTT)
+	return m.cfg.MinRTT + float64(d*(m.cfg.MaxRTT-m.cfg.MinRTT))
 }
 
 // OneWay returns the one-way link latency (half the RTT) in milliseconds;

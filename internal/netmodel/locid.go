@@ -65,13 +65,10 @@ func DecodeLocID(id LocID, k int) []int {
 	return perm
 }
 
-// Locator assigns locIds to peers: it bundles the model and landmark set and
-// caches each peer's computed locId (peers compute it once at arrival,
-// §4.1.1).
+// Locator holds each peer's locId, computed once against the landmark set
+// as a peer computes it on arrival (§4.1.1).
 type Locator struct {
-	model *Model
-	lm    *Landmarks
-	ids   []LocID
+	ids []LocID
 }
 
 // NewLocator computes locIds for every peer in m against landmark set lm.
@@ -80,14 +77,11 @@ func NewLocator(m *Model, lm *Landmarks) *Locator {
 	for i := range ids {
 		ids[i] = EncodeOrdering(lm.Ordering(m, i))
 	}
-	return &Locator{model: m, lm: lm, ids: ids}
+	return &Locator{ids: ids}
 }
 
 // LocID returns peer a's locality identifier.
 func (l *Locator) LocID(a int) LocID { return l.ids[a] }
-
-// K returns the number of landmarks behind this locator.
-func (l *Locator) K() int { return l.lm.K() }
 
 // Census returns, for each locId value in [0, K!), how many peers map to it.
 func (l *Locator) Census() map[LocID]int {

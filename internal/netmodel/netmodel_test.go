@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// factor is peer i's current RTT inflation, 1 when healthy.
+func factor(m *Model, i int) float64 {
+	if m.factors == nil {
+		return 1
+	}
+	return m.factors[i]
+}
+
 func testModel(t *testing.T, n int, seed int64) (*Model, *rand.Rand) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -141,8 +149,8 @@ func TestNewModelFallbacks(t *testing.T) {
 func TestLandmarkSpread(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	lm := NewLandmarks(4, 1000, r)
-	if lm.K() != 4 {
-		t.Fatalf("K = %d", lm.K())
+	if len(lm.pts) != 4 {
+		t.Fatalf("K = %d", len(lm.pts))
 	}
 	pts := lm.pts
 	if len(pts) != 4 {
@@ -161,8 +169,8 @@ func TestLandmarkSpread(t *testing.T) {
 func TestLandmarksDegenerate(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	lm := NewLandmarks(0, 0, r)
-	if lm.K() != 1 {
-		t.Fatalf("K = %d, want clamped 1", lm.K())
+	if len(lm.pts) != 1 {
+		t.Fatalf("K = %d, want clamped 1", len(lm.pts))
 	}
 }
 
@@ -265,9 +273,6 @@ func TestLocatorPaperScale(t *testing.T) {
 	m := NewModel(pts, 1000, DefaultLatency(), 99)
 	lm4 := NewLandmarks(4, 1000, r)
 	loc4 := NewLocator(m, lm4)
-	if loc4.K() != 4 {
-		t.Fatalf("K = %d", loc4.K())
-	}
 	for a := 0; a < 1000; a++ {
 		if id := loc4.LocID(a); id < 0 || int(id) >= 24 {
 			t.Fatalf("locId %d out of range", id)
@@ -380,8 +385,8 @@ func TestLatencyFactorsDegradeAndRestore(t *testing.T) {
 	if got := m.RTT(2, 3); got != healthy23 {
 		t.Fatalf("unrelated pair inflated: %v vs %v", got, healthy23)
 	}
-	if m.LatencyFactor(0) != 3 || m.LatencyFactor(1) != 1 {
-		t.Fatalf("factors = %v, %v", m.LatencyFactor(0), m.LatencyFactor(1))
+	if factor(m, 0) != 3 || factor(m, 1) != 1 {
+		t.Fatalf("factors = %v, %v", factor(m, 0), factor(m, 1))
 	}
 	// A path's factor is the max of its endpoints', and factors below 1
 	// clamp to 1 (no acceleration).
@@ -389,8 +394,8 @@ func TestLatencyFactorsDegradeAndRestore(t *testing.T) {
 	if got := m.RTT(0, 1); got != 3*healthy01 {
 		t.Fatalf("max-endpoint rule broken: %v", got)
 	}
-	if m.LatencyFactor(1) != 1 {
-		t.Fatalf("sub-1 factor not clamped: %v", m.LatencyFactor(1))
+	if factor(m, 1) != 1 {
+		t.Fatalf("sub-1 factor not clamped: %v", factor(m, 1))
 	}
 	if m.RTT(0, 0) != 0 {
 		t.Fatal("self RTT must stay zero")

@@ -24,8 +24,8 @@ type Point struct {
 
 // Dist returns the Euclidean distance between two points.
 func (p Point) Dist(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
+	dx, dy := float64(p.X)-float64(q.X), float64(p.Y)-float64(q.Y)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // String renders the point with two decimals, for traces.
@@ -76,8 +76,8 @@ func Place(n int, cfg PlacementConfig, r *rand.Rand) []Point {
 	for i := range pts {
 		c := centres[r.Intn(len(centres))]
 		pts[i] = Point{
-			X: clamp(c.X+r.NormFloat64()*sigma, 0, cfg.Side),
-			Y: clamp(c.Y+r.NormFloat64()*sigma, 0, cfg.Side),
+			X: clamp(c.X+float64(r.NormFloat64()*sigma), 0, cfg.Side),
+			Y: clamp(c.Y+float64(r.NormFloat64()*sigma), 0, cfg.Side),
 		}
 	}
 	return pts

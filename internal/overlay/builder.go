@@ -37,7 +37,7 @@ func BuildRandom(n int, cfg BuildConfig, r *rand.Rand) *Graph {
 		_ = g.AddLink(PeerID(i), target)
 	}
 	// Extra random links up to the edge budget.
-	budget := int(float64(n)*cfg.AvgDegree/2 + 0.5)
+	budget := int(float64(float64(n)*cfg.AvgDegree/2) + 0.5)
 	for tries := 0; g.Edges() < budget && tries < budget*64; tries++ {
 		a := PeerID(r.Intn(n))
 		b := PeerID(r.Intn(n))

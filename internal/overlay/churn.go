@@ -45,7 +45,7 @@ func BurstLeave(g *Graph, frac, minOnlineFrac float64, maxDegree int, r *rand.Ra
 			online = append(online, PeerID(i))
 		}
 	}
-	count := int(frac*float64(len(online)) + 0.5)
+	count := int(float64(frac*float64(len(online))) + 0.5)
 	if floor := int(minOnlineFrac * float64(g.N())); len(online)-count < floor {
 		count = len(online) - floor
 	}
@@ -75,7 +75,7 @@ func BurstJoin(g *Graph, frac, avgDegree float64, maxDegree int, r *rand.Rand) [
 			offline = append(offline, p)
 		}
 	}
-	count := int(frac*float64(len(offline)) + 0.5)
+	count := int(float64(frac*float64(len(offline))) + 0.5)
 	if count > len(offline) {
 		count = len(offline)
 	}

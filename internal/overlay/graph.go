@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // PeerID identifies a peer; it doubles as the peer's index into the physical
@@ -164,41 +163,6 @@ func (g *Graph) Join(p PeerID) error {
 	}
 	g.online[p] = true
 	return nil
-}
-
-// ConnectedComponents returns the sizes of connected components among online
-// peers, largest first.
-func (g *Graph) ConnectedComponents() []int {
-	seen := make([]bool, g.n)
-	var sizes []int
-	for start := 0; start < g.n; start++ {
-		if seen[start] || !g.online[start] {
-			continue
-		}
-		size := 0
-		stack := []PeerID{PeerID(start)}
-		seen[start] = true
-		for len(stack) > 0 {
-			p := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			size++
-			for _, q := range g.nbrs[p] {
-				if !seen[q] {
-					seen[q] = true
-					stack = append(stack, q)
-				}
-			}
-		}
-		sizes = append(sizes, size)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
-// IsConnected reports whether all online peers form one component.
-func (g *Graph) IsConnected() bool {
-	cc := g.ConnectedComponents()
-	return len(cc) <= 1
 }
 
 // RandomOnlinePeer returns a uniformly random online peer, excluding those

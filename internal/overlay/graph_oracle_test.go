@@ -104,7 +104,7 @@ func (o *setGraph) components() []int {
 // TestGraphMatchesSetOracle drives Graph and the oracle through the same
 // random AddLink / RemoveLink / Leave / Join / RewireJoin sequence and
 // requires every read — Linked, Degree, Neighbors (ascending), Edges,
-// Online, ConnectedComponents — to agree after every step. Graph keeps
+// Online, component sizes — to agree after every step. Graph keeps
 // adjacency once, as sorted slices; the oracle is what the deleted
 // per-peer maps were.
 func TestGraphMatchesSetOracle(t *testing.T) {
@@ -163,7 +163,7 @@ func TestGraphMatchesSetOracle(t *testing.T) {
 			if g.Edges() != edges/2 {
 				t.Fatalf("seed %d step %d: Edges = %d, oracle %d", seed, step, g.Edges(), edges/2)
 			}
-			if got, want := g.ConnectedComponents(), o.components(); !slices.Equal(got, want) {
+			if got, want := components(g), o.components(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: components %v, oracle %v", seed, step, got, want)
 			}
 		}

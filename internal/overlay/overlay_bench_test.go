@@ -34,14 +34,3 @@ func BenchmarkChurnStep(b *testing.B) {
 		ChurnStep(g, cfg, r)
 	}
 }
-
-// BenchmarkConnectedComponents measures the connectivity check used by
-// builders and tests.
-func BenchmarkConnectedComponents(b *testing.B) {
-	r := rand.New(rand.NewSource(4))
-	g := BuildRandom(1000, paperBuild, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.ConnectedComponents()
-	}
-}

@@ -46,7 +46,7 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	cfg.NumPeers = 300
 	cfg.Scenario = spec
 	s := core.NewSimulation(cfg, protocol.Locaware{})
-	net, g := s.Network, s.Graph
+	net, g := s.Network, s.Network.Graph
 
 	type announce struct {
 		peer    overlay.PeerID

@@ -84,7 +84,7 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	}
 	// Read past its TTL, its only provider expires: the filename is
 	// discarded again.
-	if n.RI.Providers(goes, cache.DefaultConfig().TTL+1) != nil || n.RI.Len() != 1 || !n.cbf.Changed() {
+	if providers(n.RI, goes, cache.DefaultConfig().TTL+1) != nil || n.RI.Len() != 1 || !n.cbf.Changed() {
 		t.Fatal("the mark must stay raised until a round looks")
 	}
 	if sent := handRound(net); sent != 0 {
@@ -104,8 +104,9 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 // TestLookupGuardMatchesIndex: behind the node's own filter, lookupRI
 // returns exactly what RI.Lookup returns — no false negative, identical
 // matches and provider lists — over randomized Put / TTL-expiry /
-// Providers / capacity-eviction sequences, and leaves the index in the
-// same state (the twin node takes the unguarded path on the same stream).
+// single-filename lookup / capacity-eviction sequences, and leaves the
+// index in the same state (the twin node takes the unguarded path on the
+// same stream).
 func TestLookupGuardMatchesIndex(t *testing.T) {
 	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -136,13 +137,13 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				plain.RI.Put(f, p, 0, now)
 			case k == 4:
 				f := keywords.NewFilename(pick(3)...)
-				guarded.RI.Providers(f, now)
-				plain.RI.Providers(f, now)
+				providers(guarded.RI, f, now)
+				providers(plain.RI, f, now)
 			default:
 				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
 				absent := false
 				for i := range q.K() {
-					absent = absent || !guarded.cbf.Test(q.KeywordAt(i).String())
+					absent = absent || !guarded.cbf.View().Test(q.KeywordAt(i).String())
 				}
 				got, want := guarded.lookupRI(q, guarded.bloomPositions(nil, q), now), plain.lookupRI(q, nil, now)
 				if !reflect.DeepEqual(got, want) {

@@ -192,8 +192,8 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 				// Non-gossiping protocols must fully drain; gossiping
 				// protocols legitimately keep their periodic control
 				// pending.
-				if !b.UsesBloom() && net.Engine.Len() != 0 {
-					t.Fatalf("%s: %d events leaked", label, net.Engine.Len())
+				if !b.UsesBloom() && queued(net.Engine) != 0 {
+					t.Fatalf("%s: %d events leaked", label, queued(net.Engine))
 				}
 				audit.check(t, label)
 				if b.Name() == "Flooding" && audit.dups == 0 {

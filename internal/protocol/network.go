@@ -23,7 +23,7 @@ type Config struct {
 	Cache cache.Config
 	// BloomBits / BloomK size the keyword Bloom filter; paper: 1200 bits.
 	// BloomK values above 16 are clamped (the filter computes its bit
-	// positions in a fixed-size stack array; OptimalK never exceeds 16).
+	// positions in a fixed-size stack array).
 	BloomBits, BloomK int
 	// BloomGossipPeriod is how often peers push BF updates to neighbours.
 	BloomGossipPeriod sim.Time

@@ -155,9 +155,6 @@ func (n *Node) RemoveFile(f keywords.Filename) bool {
 	return ok
 }
 
-// NumFiles returns the size of the node's shared storage.
-func (n *Node) NumFiles() int { return len(n.files) }
-
 // storageMatch returns the filename in storage satisfying q, if any; of
 // several, the one with the smallest name. With the small per-peer stores
 // of the evaluation a linear scan is the right tool.

@@ -16,6 +16,26 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
+// queued is the number of events posted to e and not yet delivered; no
+// fixture here sets a horizon, so none is dropped.
+func queued(e *sim.Engine) uint64 { return e.Scheduled() - e.Processed() }
+
+// providers is f's live provider list at now, most recent first, as Lookup
+// answers a query naming every keyword of f (nil when f is not cached or
+// its providers expired).
+func providers(x *cache.Index, f keywords.Filename, now sim.Time) []cache.Provider {
+	ids := make([]keywords.ID, f.K())
+	for i := range ids {
+		ids[i] = f.KeywordAt(i)
+	}
+	for _, m := range x.Lookup(keywords.NewQuery(ids...), now) {
+		if m.File.Compare(f) == 0 {
+			return m.Providers
+		}
+	}
+	return nil
+}
+
 // testNet builds a deterministic network: explicit positions, explicit
 // edges, corner landmarks, configurable behaviour.
 func testNet(t *testing.T, b Behavior, pts []netmodel.Point, edges [][2]int, cfg Config) *Network {
@@ -232,13 +252,13 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 		t.Fatal("dicas full-filename query failed on a line")
 	}
 	now := net.Engine.Now()
-	if ps := net.Node(1).RI.Providers(f, now); len(ps) != 1 || ps[0].Peer != 4 {
+	if ps := providers(net.Node(1).RI, f, now); len(ps) != 1 || ps[0].Peer != 4 {
 		t.Fatalf("node1 (matching gid) cache = %+v", ps)
 	}
-	if ps := net.Node(3).RI.Providers(f, now); len(ps) != 1 {
+	if ps := providers(net.Node(3).RI, f, now); len(ps) != 1 {
 		t.Fatalf("node3 (matching gid) cache = %+v", ps)
 	}
-	if ps := net.Node(2).RI.Providers(f, now); ps != nil {
+	if ps := providers(net.Node(2).RI, f, now); ps != nil {
 		t.Fatalf("node2 (non-matching gid) cached: %+v", ps)
 	}
 }
@@ -257,7 +277,7 @@ func TestDicasSingleProviderPerFile(t *testing.T) {
 		Origin: 0,
 	}
 	Dicas{}.CacheResponse(net, n1, rsp)
-	ps := n1.RI.Providers(f, net.Engine.Now())
+	ps := providers(n1.RI, f, net.Engine.Now())
 	if len(ps) != 1 {
 		t.Fatalf("dicas cached %d providers, want 1", len(ps))
 	}
@@ -295,10 +315,10 @@ func TestDicasKeysCachesPerQueryKeyword(t *testing.T) {
 	DicasKeys{}.CacheResponse(net, n1, rsp)
 	DicasKeys{}.CacheResponse(net, n2, rsp)
 	now := net.Engine.Now()
-	if n1.RI.Providers(f, now) == nil {
+	if providers(n1.RI, f, now) == nil {
 		t.Fatal("keyword-group node did not cache")
 	}
-	if n2.RI.Providers(f, now) != nil {
+	if providers(n2.RI, f, now) != nil {
 		t.Fatal("non-matching node cached")
 	}
 }
@@ -316,7 +336,7 @@ func TestLocawareCachesProvidersAndRequester(t *testing.T) {
 		OriginLoc: 3,
 	}
 	Locaware{}.CacheResponse(net, n2, rsp)
-	ps := n2.RI.Providers(f, net.Engine.Now())
+	ps := providers(n2.RI, f, net.Engine.Now())
 	if len(ps) != 2 {
 		t.Fatalf("cached %d providers, want provider+requester: %+v", len(ps), ps)
 	}
@@ -339,7 +359,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	n1.Gid = gidOfName(f, cfg.GroupCount)
 	q := &QueryMsg{pq: &pendingQuery{origin: 2, originLoc: 9}}
 	Locaware{}.OnAnswer(net, n1, q, f)
-	ps := n1.RI.Providers(f, net.Engine.Now())
+	ps := providers(n1.RI, f, net.Engine.Now())
 	if len(ps) != 1 || ps[0].Peer != 2 || ps[0].LocID != 9 {
 		t.Fatalf("OnAnswer cache = %+v", ps)
 	}
@@ -347,7 +367,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	n0 := net.Node(0)
 	n0.Gid = (n1.Gid + 1) % cfg.GroupCount
 	Locaware{}.OnAnswer(net, n0, q, f)
-	if n0.RI.Providers(f, net.Engine.Now()) != nil {
+	if providers(n0.RI, f, net.Engine.Now()) != nil {
 		t.Fatal("non-matching gid node cached on answer")
 	}
 }
@@ -441,7 +461,7 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	// Caches along the path now hold f with providers {5, 0}.
 	cached := 0
 	for i := overlay.PeerID(1); i <= 4; i++ {
-		if net.Node(i).RI.Providers(f, net.Engine.Now()) != nil {
+		if providers(net.Node(i).RI, f, net.Engine.Now()) != nil {
 			cached++
 		}
 	}
@@ -647,8 +667,8 @@ func TestResponseOfRecycledStateIsDropped(t *testing.T) {
 		net.Engine.Run(1)
 	}
 	net.Engine.SetObserver(nil)
-	if net.Engine.Len() != 1 {
-		t.Fatalf("fixture: %d events queued when A was sealed, want its one response", net.Engine.Len())
+	if queued(net.Engine) != 1 {
+		t.Fatalf("fixture: %d events queued when A was sealed, want its one response", queued(net.Engine))
 	}
 	net.Config.FinalizeAfter = 30 * sim.Second
 	idB := net.SubmitQuery(3, query("late"))
@@ -831,7 +851,7 @@ func TestNetworkStringAndAccessors(t *testing.T) {
 	if net.Node(1).ID != 1 {
 		t.Fatal("Node accessor broken")
 	}
-	if net.Node(0).NumFiles() != 0 {
+	if len(net.Node(0).files) != 0 {
 		t.Fatal("fresh node has files")
 	}
 }

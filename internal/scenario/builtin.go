@@ -96,10 +96,6 @@ func builtins() []*Spec {
 	}
 }
 
-// Builtins returns the built-in scenario registry in stable order. The
-// returned specs are fresh copies; callers may adjust them freely.
-func Builtins() []*Spec { return builtins() }
-
 // Lookup resolves a built-in scenario by name.
 func Lookup(name string) (*Spec, bool) {
 	for _, s := range builtins() {

@@ -96,7 +96,7 @@ func scaleExcess(factor, f float64) float64 {
 	if factor == 0 {
 		return 0
 	}
-	return 1 + (factor-1)*f
+	return 1 + float64((factor-1)*f)
 }
 
 // scaleCount rounds a set size to count·f, never below zero.
@@ -104,7 +104,7 @@ func scaleCount(n int, f float64) int {
 	if n <= 0 {
 		return n
 	}
-	scaled := int(float64(n)*f + 0.5)
+	scaled := int(float64(float64(n)*f) + 0.5)
 	if scaled < 0 {
 		return 0
 	}

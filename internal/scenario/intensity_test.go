@@ -1,12 +1,13 @@
 package scenario
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 func TestScaleIntensityIdentity(t *testing.T) {
-	for _, s := range Builtins() {
+	for _, s := range builtins() {
 		scaled := s.ScaleIntensity(1)
 		if !reflect.DeepEqual(s, scaled) {
 			t.Fatalf("%q: intensity 1 must be the identity\nwant %+v\ngot  %+v", s.Name, s, scaled)
@@ -16,9 +17,9 @@ func TestScaleIntensityIdentity(t *testing.T) {
 
 func TestScaleIntensityDoesNotMutateSource(t *testing.T) {
 	src, _ := Lookup("churn-waves")
-	before, _ := src.JSON()
+	before, _ := json.Marshal(src)
 	src.ScaleIntensity(0.25)
-	after, _ := src.JSON()
+	after, _ := json.Marshal(src)
 	if string(before) != string(after) {
 		t.Fatal("scaling mutated the source spec")
 	}
@@ -57,7 +58,7 @@ func TestScaleIntensityClampsAndValidates(t *testing.T) {
 	// Every builtin must stay valid across the whole factor range,
 	// including the degenerate endpoints and over-amplification that must
 	// clamp probabilities and fractions to 1.
-	for _, s := range Builtins() {
+	for _, s := range builtins() {
 		for _, f := range []float64{0, 0.1, 1, 2.5, 100, -3} {
 			scaled := s.ScaleIntensity(f)
 			if err := scaled.Validate(); err != nil {

@@ -106,9 +106,6 @@ func (ev *churnTickEvent) Fire(e *sim.Engine) {
 	e.PostEvent(ev.period, ev)
 }
 
-// Spec returns the scenario being executed.
-func (rt *Runtime) Spec() *Spec { return rt.spec }
-
 // BeginMeasured fixes the phase boundaries: marks is the spec's grid
 // resolved for the run's measured query count (Spec.Marks), the same marks
 // the run's collector seals its phase windows at. The experiment loop calls

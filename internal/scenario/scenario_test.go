@@ -10,10 +10,10 @@ import (
 )
 
 func TestBuiltinsValidateAndResolve(t *testing.T) {
-	if len(Builtins()) < 6 {
-		t.Fatalf("registry has %d built-ins, want >= 6", len(Builtins()))
+	if len(builtins()) < 6 {
+		t.Fatalf("registry has %d built-ins, want >= 6", len(builtins()))
 	}
-	for _, s := range Builtins() {
+	for _, s := range builtins() {
 		if err := s.Validate(); err != nil {
 			t.Errorf("built-in %q invalid: %v", s.Name, err)
 		}
@@ -104,8 +104,8 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestParseSpecJSONRoundTrip(t *testing.T) {
-	for _, s := range Builtins() {
-		data, err := s.JSON()
+	for _, s := range builtins() {
+		data, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("%s: JSON: %v", s.Name, err)
 		}

@@ -231,7 +231,7 @@ func (s *Spec) Marks(measured int) ([]metrics.PhaseMark, error) {
 	prev := 0
 	for i, p := range s.Phases {
 		cum += p.Fraction
-		end := int(cum/total*float64(measured) + 0.5)
+		end := int(float64(cum/total*float64(measured)) + 0.5)
 		if end <= prev {
 			end = prev + 1 // at least one query per phase
 		}
@@ -277,10 +277,4 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// JSON renders the spec as indented JSON — the exact format ParseSpec
-// accepts, so every built-in doubles as a template for custom scenarios.
-func (s *Spec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

@@ -43,9 +43,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len returns the number of events currently queued.
-func (e *Engine) Len() int { return e.queue.Len() }
-
 // Processed returns the number of events delivered so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 

@@ -47,7 +47,7 @@ func FromMillis(ms float64) Time {
 	if ms < 0 {
 		ms = 0
 	}
-	return Time(ms*1000 + 0.5)
+	return Time(float64(ms*1000) + 0.5)
 }
 
 // FromSeconds converts floating-point seconds into a Time.
@@ -55,7 +55,7 @@ func FromSeconds(s float64) Time {
 	if s < 0 {
 		s = 0
 	}
-	return Time(s*float64(Second) + 0.5)
+	return Time(float64(s*float64(Second)) + 0.5)
 }
 
 // Event is a typed scheduled action: the engine calls Fire on the engine

@@ -14,9 +14,6 @@ type RNG struct {
 // NewRNG returns a splitter rooted at seed.
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
-// Seed returns the root seed.
-func (r *RNG) Seed() int64 { return r.seed }
-
 // Stream derives an independent *rand.Rand for the named subsystem. The same
 // (seed, name) pair always yields the same stream.
 func (r *RNG) Stream(name string) *rand.Rand {

@@ -36,7 +36,7 @@ func Summarize(xs []float64) Summary {
 		var sq float64
 		for _, x := range xs {
 			d := x - s.Mean
-			sq += d * d
+			sq += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(sq / float64(len(xs)-1))
 	}

@@ -82,6 +82,8 @@ func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
 			[]string{`"pool"`, "KeywordPool 20", "Files 3000"}},
 		"wide axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{9000, 2e9}}}},
 			[]string{`"pool"`, "KeywordPool 2000000000"}},
+		"landmarks": {&Spec{Name: "lm", Queries: 10, Axes: []Axis{{Param: ParamLandmarks, Values: []float64{20, 21}}}},
+			[]string{`"lm"`, "Landmarks 21", "landmarks=21"}},
 	} {
 		_, err := NewPlan(core.DefaultConfig(), tc.s)
 		if err == nil {

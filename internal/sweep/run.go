@@ -156,7 +156,7 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 	cellCfgs := make([]core.Config, len(cells))
 	for i, c := range cells {
 		cfg := s.cellConfig(base, c)
-		if err := cfg.Catalog.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep %q cell %d (%s): %w", s.Name, c.Index, c.Label(), err)
 		}
 		if cfg.Scenario != nil {

@@ -89,13 +89,17 @@ var numericParams = map[string]numericParam{
 }
 
 // check rejects a value the parameter cannot run as labelled: non-positive
-// (or NaN), or fractional for an integer-valued parameter.
+// (or NaN), or, for an integer-valued parameter, fractional or too large
+// for the int it lowers to.
 func (p numericParam) check(v float64) error {
 	if !(v > 0) {
 		return fmt.Errorf("value %g must be positive", v)
 	}
 	if p.integer && v != math.Trunc(v) {
 		return fmt.Errorf("value %g must be an integer", v)
+	}
+	if p.integer && v > math.MaxInt32 {
+		return fmt.Errorf("value %g exceeds %d", v, math.MaxInt32)
 	}
 	return nil
 }
@@ -459,10 +463,4 @@ func ParseSpec(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// JSON renders the spec as indented JSON — the exact format ParseSpec
-// accepts, so every built-in doubles as a template for custom campaigns.
-func (s *Spec) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

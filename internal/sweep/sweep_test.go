@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -139,7 +140,8 @@ func TestNumericValuesRunAsLabelled(t *testing.T) {
 		for _, tc := range []struct {
 			v  float64
 			ok bool
-		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.integer}} {
+		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.integer},
+			{math.MaxInt32 + 1, !p.integer}, {1e19, !p.integer}} {
 			specs := map[string]*Spec{
 				"axis": {Name: "lbl", Queries: 10, Axes: []Axis{{Param: param, Values: []float64{4, tc.v}}}},
 				"base": {Name: "lbl", Queries: 10, Base: map[string]float64{param: tc.v},
@@ -156,7 +158,7 @@ func TestNumericValuesRunAsLabelled(t *testing.T) {
 					t.Fatalf("%s %s=%v: error does not name campaign, parameter and value: %v", where, param, tc.v, err)
 				}
 				// The JSON loader goes through the same gate (NaN has no JSON form).
-				if data, jerr := s.JSON(); jerr == nil {
+				if data, jerr := json.Marshal(s); jerr == nil {
 					if _, err := ParseSpec(data); tc.ok != (err == nil) {
 						t.Fatalf("ParseSpec(%s): accepted=%v, want %v (%v)", data, err == nil, tc.ok, err)
 					}
@@ -174,7 +176,7 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	for _, s := range Builtins() {
-		data, err := s.JSON()
+		data, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}

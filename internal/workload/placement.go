@@ -10,14 +10,14 @@ import (
 type Placement struct {
 	// shared holds each peer's files in turn, per of them apiece.
 	shared []FileID
-	n, per int
+	per    int
 }
 
 // NewPlacement assigns filesPerPeer random distinct files to each of n
 // peers. A peer's draws are deduplicated by scanning the few drawn so far.
 func NewPlacement(n, filesPerPeer int, cat *Catalog, r *rand.Rand) *Placement {
 	per := min(filesPerPeer, cat.Size())
-	p := &Placement{shared: make([]FileID, 0, n*per), n: n, per: per}
+	p := &Placement{shared: make([]FileID, 0, n*per), per: per}
 	for i := 0; i < n; i++ {
 		files := p.shared[len(p.shared):len(p.shared)]
 		for len(files) < per {
@@ -34,9 +34,6 @@ func NewPlacement(n, filesPerPeer int, cat *Catalog, r *rand.Rand) *Placement {
 func (pl *Placement) Files(p int) []FileID {
 	return slices.Clone(pl.shared[p*pl.per : (p+1)*pl.per])
 }
-
-// N returns the number of peers in the placement.
-func (pl *Placement) N() int { return pl.n }
 
 // Providers returns, for each file, the peers that initially share it.
 func (pl *Placement) Providers() map[FileID][]int {

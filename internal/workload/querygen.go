@@ -10,11 +10,10 @@ import (
 )
 
 // QueryEvent is one generated query: at time At, peer Requester submits
-// query Q targeting file Target.
+// query Q, extracted from the file it targets.
 type QueryEvent struct {
 	At        sim.Time
 	Requester int
-	Target    FileID
 	Q         keywords.Query
 }
 
@@ -140,12 +139,10 @@ func (g *Generator) Next() QueryEvent {
 		gap = 1 / lambda
 	}
 	g.now += sim.FromSeconds(gap)
-	target := g.targets[g.zipf.Draw(g.r)]
-	f := g.cat.File(target)
+	f := g.cat.File(g.targets[g.zipf.Draw(g.r)])
 	return QueryEvent{
 		At:        g.now,
 		Requester: g.r.Intn(g.n),
-		Target:    target,
 		Q:         keywords.ExtractQuery(f, g.r),
 	}
 }

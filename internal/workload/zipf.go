@@ -36,12 +36,6 @@ func NewZipf(n int, s float64, r *rand.Rand) *Zipf {
 	return zp
 }
 
-// N returns the rank-space size.
-func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Draw samples a rank in [0, n).
 func (z *Zipf) Draw(r *rand.Rand) int {
 	if z.n == 1 {
@@ -60,7 +54,7 @@ func (z *Zipf) Draw(r *rand.Rand) int {
 	var k float64
 	if oneMinus > 1e-9 {
 		nPow := math.Pow(float64(z.n), oneMinus)
-		k = math.Pow(u*(nPow-1)+1, 1/oneMinus)
+		k = math.Pow(float64(u*(nPow-1))+1, 1/oneMinus)
 	} else {
 		k = math.Pow(float64(z.n), u)
 	}

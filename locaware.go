@@ -356,7 +356,7 @@ func validateRun(o Options, warmup, queries int) error {
 	if warmup < 0 {
 		return errors.New("locaware: warmup must be non-negative")
 	}
-	if err := o.coreConfig().Catalog.Validate(); err != nil {
+	if err := o.coreConfig().Validate(); err != nil {
 		return fmt.Errorf("locaware: %w", err)
 	}
 	if err := checkRecorder(o.FlightRecorder); err != nil {
@@ -601,13 +601,6 @@ func (c *Comparison) Set(p Protocol) *TrialsResult {
 	return nil
 }
 
-// FigureSeries returns one curve per protocol for the figure: x = number of
-// queries, y = the trial-mean metric over the window ending there, with a
-// 95% CI half-width per point when more than one trial ran.
-func (c *Comparison) FigureSeries(f Figure) []*stats.Series {
-	return c.cmp.FigureSeries(string(f))
-}
-
 // FigureTable renders the figure as an aligned text table, one row per
 // checkpoint and one column per protocol — the same rows the paper's plots
 // show; replicated cells read mean±ci95.
@@ -651,7 +644,7 @@ type LocalityReport struct {
 // queries) and reports its locality structure.
 func Localities(o Options) (LocalityReport, error) {
 	cfg := o.coreConfig()
-	if err := cfg.Catalog.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return LocalityReport{}, fmt.Errorf("locaware: %w", err)
 	}
 	if err := checkRecorder(o.FlightRecorder); err != nil {

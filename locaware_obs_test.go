@@ -209,9 +209,7 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 		o.CacheFilenames = int(c)
 		o.Trials = sw.Trials()
 		o.Observer = NewObserver()
-		if o.Seed, err = res.CellSeed(cell); err != nil {
-			t.Fatal(err)
-		}
+		o.Seed = res.campaign.Cells[cell].Seed
 		cmp, err := Compare(o, sw.Protocols(), sw.Warmup(), sw.Queries(), nil)
 		if err != nil {
 			t.Fatal(err)

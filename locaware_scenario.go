@@ -82,10 +82,6 @@ func (s *Scenario) PhaseNames() []string {
 	return out
 }
 
-// JSON renders the scenario as indented JSON — the exact format
-// ParseScenario accepts, so built-ins double as templates for custom specs.
-func (s *Scenario) JSON() ([]byte, error) { return s.spec.JSON() }
-
 // String identifies the scenario.
 func (s *Scenario) String() string {
 	return fmt.Sprintf("scenario{%s phases=%d}", s.spec.Name, len(s.spec.Phases))
@@ -174,20 +170,6 @@ func (r *TrialsResult) PhaseTable() string {
 	for _, p := range r.Phases {
 		fmt.Fprintf(&b, "%-12s %8.0f %13s %13s %15s %13s %13s %11s\n",
 			p.Phase, p.Queries.Mean, p.SuccessRate, p.AvgMessagesPerQuery, p.AvgDownloadRTTMs,
-			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)
-	}
-	return b.String()
-}
-
-// PhaseTable renders per-phase metrics as an aligned text table: one row
-// per phase, one column per metric.
-func PhaseTable(phases []PhaseMetrics) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %8s %9s %8s %10s %9s %10s %7s\n",
-		"phase", "queries", "success", "msgs/q", "rtt(ms)", "sameLoc", "cacheHit", "hops")
-	for _, p := range phases {
-		fmt.Fprintf(&b, "%-12s %8d %9.3f %8.1f %10.1f %9.3f %10.3f %7.2f\n",
-			p.Phase, p.Queries, p.SuccessRate, p.AvgMessagesPerQuery, p.AvgDownloadRTTMs,
 			p.SameLocalityRate, p.CacheHitRate, p.AvgHops)
 	}
 	return b.String()

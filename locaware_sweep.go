@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/p2prepro/locaware/internal/stats"
 	"github.com/p2prepro/locaware/internal/sweep"
 )
 
@@ -61,15 +60,6 @@ func ParseSweep(data []byte) (*Sweep, error) {
 	}
 	return &Sweep{spec: spec}, nil
 }
-
-// SweepParams lists the parameter names a sweep axis may range over.
-func SweepParams() []string { return sweep.Params() }
-
-// SweepMetrics lists the metric keys the figure exporters accept: the six
-// query metrics (success, msgs, rtt, sameloc, cachehit, hops) plus the
-// run-level ctlkbits (Bloom gossip traffic) and cached (response-index
-// occupancy).
-func SweepMetrics() []string { return sweep.Metrics() }
 
 // Name returns the campaign's name.
 func (s *Sweep) Name() string { return s.spec.Name }
@@ -151,7 +141,7 @@ func (s *Sweep) WithBudget(warmup, queries int) *Sweep {
 // WithBase returns a copy of the campaign with one base-configuration
 // override set or replaced — e.g. WithBase("peers", 100) shrinks a
 // campaign whose spec pins its own overlay size. The parameter must be a
-// numeric sweep parameter (SweepParams, minus the scenario pair).
+// numeric sweep parameter (any axis parameter but the scenario pair).
 func (s *Sweep) WithBase(param string, value float64) (*Sweep, error) {
 	spec := *s.spec
 	spec.Base = make(map[string]float64, len(s.spec.Base)+1)
@@ -181,10 +171,6 @@ func LoadSweep(nameOrPath string) (*Sweep, error) {
 	return ParseSweep(data)
 }
 
-// JSON renders the campaign as indented JSON — the exact format ParseSweep
-// accepts, so built-ins double as templates for custom campaigns.
-func (s *Sweep) JSON() ([]byte, error) { return s.spec.JSON() }
-
 // String identifies the campaign.
 func (s *Sweep) String() string {
 	return fmt.Sprintf("sweep{%s cells=%d}", s.spec.Name, s.spec.NumCells())
@@ -211,9 +197,6 @@ func RunSweep(o Options, sw *Sweep) (*SweepResult, error) {
 	return res, err
 }
 
-// Name returns the executed campaign's name.
-func (r *SweepResult) Name() string { return r.campaign.Spec.Name }
-
 // Seed returns the campaign root seed every cell seed derives from.
 func (r *SweepResult) Seed() int64 { return r.campaign.Seed }
 
@@ -232,17 +215,9 @@ func (r *SweepResult) Elapsed() time.Duration { return r.campaign.Elapsed }
 // CellsPerSecond reports campaign throughput in grid cells per second.
 func (r *SweepResult) CellsPerSecond() float64 { return r.campaign.CellsPerSecond() }
 
-// CellSeed returns the derived root seed of grid cell `cell` — the seed a
-// standalone Compare needs to reproduce the cell exactly.
-func (r *SweepResult) CellSeed(cell int) (int64, error) {
-	if cell < 0 || cell >= len(r.campaign.Cells) {
-		return 0, fmt.Errorf("locaware: cell %d out of range [0, %d)", cell, len(r.campaign.Cells))
-	}
-	return r.campaign.Cells[cell].Seed, nil
-}
-
 // CellEstimate returns one cross-trial metric estimate for (cell,
-// protocol): metric is one of SweepMetrics().
+// protocol): metric is a figure metric key (success, msgs, rtt, sameloc,
+// cachehit, hops, ctlkbits or cached).
 func (r *SweepResult) CellEstimate(cell int, p Protocol, metric string) (Estimate, error) {
 	if cell < 0 || cell >= len(r.campaign.Cells) {
 		return Estimate{}, fmt.Errorf("locaware: cell %d out of range [0, %d)", cell, len(r.campaign.Cells))
@@ -270,14 +245,6 @@ func (r *SweepResult) CSV() string { return r.campaign.CSV() }
 // (a row per cell × protocol × phase), or "" when no cell ran under a
 // scenario.
 func (r *SweepResult) PhaseCSV() string { return r.campaign.PhaseCSV() }
-
-// FigureSeries extracts the campaign as figure curves: one series per
-// protocol (per fixed combination of the non-x axes), x = the chosen axis
-// value, y = the trial-mean metric with a 95% CI half-width. axisParam ""
-// selects the first axis.
-func (r *SweepResult) FigureSeries(metric, axisParam string) ([]*stats.Series, error) {
-	return r.campaign.FigureSeries(metric, axisParam)
-}
 
 // FigureTable renders one campaign metric as an aligned text table with
 // mean±ci95 cells, one row per axis value and one column per curve.

@@ -135,7 +135,7 @@ func TestCompareAndFigures(t *testing.T) {
 		}
 	}
 	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
-		series := cmp.FigureSeries(f)
+		series := cmp.cmp.FigureSeries(string(f))
 		if len(series) != 4 || series[0].HasErrs() {
 			t.Fatalf("%s series = %d (errs=%v)", f, len(series), series[0].HasErrs())
 		}
@@ -327,9 +327,10 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 // by every entry point that takes Options, with an error naming the fields:
 // a keyword pool too small to name the catalogue's files (at the parent
 // commit each of these calls hung), one wider than keywords spell at one
-// width (it would have spelt two billion strings per world), and a flight
-// recorder with no retention criterion (it buffered every query and
-// silently returned no trace).
+// width (it would have spelt two billion strings per world), more
+// landmarks than a locId can number (21! overflows), and a flight recorder
+// with no retention criterion (it buffered every query and silently
+// returned no trace).
 func TestImpossibleCatalogueIsAnError(t *testing.T) {
 	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
 	if err != nil {
@@ -342,6 +343,7 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 	}{
 		{"catalogue", func(o *Options) { o.KeywordPool = 20 }, []string{"KeywordPool 20", "Files 3000"}}, // C(20,3) = 1140 < 3000 files
 		{"wide pool", func(o *Options) { o.KeywordPool = 2_000_000_000 }, []string{"KeywordPool 2000000000", "100000"}},
+		{"landmarks", func(o *Options) { o.Landmarks = 21 }, []string{"Landmarks 21", "20"}}, // 21! overflows a locId
 		{"zero recorder", func(o *Options) { o.FlightRecorder = &FlightRecorder{} }, []string{"SlowestN", "KeepFailed", "MinHops"}},
 	} {
 		o := fastOptions(21)
@@ -492,7 +494,7 @@ func TestCompareReplicatedFiguresAndHeadlines(t *testing.T) {
 	if !strings.Contains(csv, "Locaware_ci95") {
 		t.Fatalf("csv missing ci column: %q", strings.SplitN(csv, "\n", 2)[0])
 	}
-	series := cmp.FigureSeries(FigureSearchTraffic)
+	series := cmp.cmp.FigureSeries(string(FigureSearchTraffic))
 	if len(series) != 4 || !series[0].HasErrs() {
 		t.Fatal("series missing error bars")
 	}
