@@ -66,13 +66,13 @@ func BenchmarkCountingAddRemove(b *testing.B) {
 
 // BenchmarkSnapshotAndDiff measures one publish from the live view: two
 // filenames' worth of keyword changes, then mark check, diff against the
-// published copy, copy, mark clear — what a changed peer pays per round.
+// last announced copy, copy, mark clear — what a changed peer pays per round.
 func BenchmarkSnapshotAndDiff(b *testing.B) {
 	c := NewCounting(1200, 6)
 	for _, w := range benchWords(60) {
 		c.Add(w)
 	}
-	published := c.View().Clone()
+	announced := c.View().Clone()
 	var buf []uint32
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -87,12 +87,12 @@ func BenchmarkSnapshotAndDiff(b *testing.B) {
 		if !c.Changed() {
 			b.Fatal("mark not raised")
 		}
-		d, err := DiffFiltersInto(published, c.View(), buf)
+		d, err := DiffFiltersInto(announced, c.View(), buf)
 		if err != nil || d.Empty() {
 			b.Fatal("no delta", err)
 		}
 		buf = d.Flipped[:0]
-		_ = published.CopyFrom(c.View())
+		_ = announced.CopyFrom(c.View())
 		c.ClearChanged()
 	}
 }

@@ -7,8 +7,14 @@ package bloom
 // gets by keeping this counting filter locally. The plain bit vector it
 // gossips (counter>0 → bit set) is kept current as counters cross zero, so
 // publishing costs the bits that flipped, never a walk over the counters.
+//
+// Counters are 4 bits (Fan et al.'s Summary Cache bound). Counts above 15
+// spill to an exact map, allocated on the first overflow, so the filter is
+// an exact multiset at any configuration; the largest counter any measured
+// run reaches is 9, so the spill stays cold.
 type Counting struct {
-	counts []uint16
+	counts []byte // two 4-bit counters per byte
+	over   map[uint32]uint32
 	// view is the live plain bit-vector view and carries the geometry;
 	// changed is raised whenever one of its bits flips.
 	view    Filter
@@ -19,22 +25,30 @@ type Counting struct {
 // k is clamped to [1, 16] exactly as in New.
 func NewCounting(m, k int) *Counting {
 	view := New(m, k)
-	return &Counting{counts: make([]uint16, view.m), view: *view}
+	return &Counting{counts: make([]byte, (view.m+1)/2), view: *view}
 }
 
-// Add inserts s, incrementing its k counters (saturating).
+// nibble returns counter i's 4-bit value; 15 means "15 plus over[i]".
+func (c *Counting) nibble(i uint32) byte { return c.counts[i/2] >> (4 * (i % 2)) & 0xf }
+
+// Add inserts s, incrementing its k counters.
 func (c *Counting) Add(s string) {
 	var buf [maxK]uint32
 	idx := buf[:c.view.k]
 	indexes(s, c.view.m, idx)
 	for _, i := range idx {
-		if c.counts[i] == 0 {
+		switch c.nibble(i) {
+		case 15:
+			if c.over == nil {
+				c.over = make(map[uint32]uint32)
+			}
+			c.over[i]++
+			continue
+		case 0:
 			c.view.setBit(i, true)
 			c.changed = true
 		}
-		if c.counts[i] < ^uint16(0) {
-			c.counts[i]++
-		}
+		c.counts[i/2] += 1 << (4 * (i % 2))
 	}
 }
 
@@ -46,12 +60,17 @@ func (c *Counting) Remove(s string) {
 	idx := buf[:c.view.k]
 	indexes(s, c.view.m, idx)
 	for _, i := range idx {
-		if c.counts[i] == 1 {
-			c.view.setBit(i, false)
-			c.changed = true
-		}
-		if c.counts[i] > 0 {
-			c.counts[i]--
+		switch n := c.nibble(i); {
+		case n == 15 && c.over[i] > 0:
+			if c.over[i]--; c.over[i] == 0 {
+				delete(c.over, i)
+			}
+		case n > 0:
+			if n == 1 {
+				c.view.setBit(i, false)
+				c.changed = true
+			}
+			c.counts[i/2] -= 1 << (4 * (i % 2))
 		}
 	}
 }

@@ -399,16 +399,20 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWorldBuildAllocBudget holds the allocation count of building a world
-// in the tree: MemStats.Mallocs across NewSimulation of a 200-peer Locaware
-// world with the paper's catalogue. It read 3566 when the budget was set
-// (measured + 10 %), against 39 980 when the catalogue spelt its keywords
-// as strings and the placement kept a map per peer.
+// TestWorldBuildAllocBudget holds the allocation count and bytes of
+// building a world in the tree: MemStats.Mallocs and TotalAlloc across
+// NewSimulation of a 200-peer Locaware world with the paper's catalogue.
+// The count read 3566 when its budget was set (measured + 10 %), against
+// 39 980 when the catalogue spelt its keywords as strings and the placement
+// kept a map per peer; it reads 3166 since each peer stopped keeping a
+// published copy of its filter. The bytes read 616 696 when their budget
+// was set (measured + 10 %), against 1 067 896 with 16-bit Bloom counters
+// and the published copy.
 func TestWorldBuildAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
 	}
-	const budget = 3922
+	const budget, byteBudget = 3922, 678366
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	cfg.NumPeers = 200
@@ -418,8 +422,12 @@ func TestWorldBuildAllocBudget(t *testing.T) {
 	NewSimulation(cfg, protocol.Locaware{})
 	runtime.ReadMemStats(&m1)
 	got := m1.Mallocs - m0.Mallocs
-	t.Logf("NewSimulation: %d allocs (budget %d)", got, budget)
+	gotBytes := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("NewSimulation: %d allocs (budget %d), %d B (budget %d)", got, budget, gotBytes, byteBudget)
 	if got > budget {
 		t.Fatalf("NewSimulation of a 200-peer Locaware world: %d allocs, budget %d", got, budget)
+	}
+	if gotBytes > byteBudget {
+		t.Fatalf("NewSimulation of a 200-peer Locaware world: %d B allocated, budget %d", gotBytes, byteBudget)
 	}
 }

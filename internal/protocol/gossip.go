@@ -18,16 +18,11 @@ func (net *Network) gossipBlooms() {
 		if !net.Graph.Online(n.ID) {
 			continue
 		}
-		d, err := n.PublishBloom()
-		if err != nil || d.Empty() {
+		// The snapshot stays frozen two rounds; installs copy it on arrival.
+		d, snapshot, snapGen := n.PublishBloom()
+		if snapshot == nil {
 			continue
 		}
-		// The announced snapshot is a frozen per-node double buffer:
-		// installs copy it on arrival (setNeighborBloom), and the buffer
-		// next mutates two gossip periods from now — a wide margin over
-		// any link latency — so the round is allocation-free with exact
-		// announce-time semantics.
-		snapshot, snapGen := n.announceSnapshot()
 		from := n.ID
 		sizeBits := d.SizeBits()
 		for _, nb := range net.Graph.Neighbors(n.ID) {
@@ -47,7 +42,7 @@ func (net *Network) gossipBlooms() {
 // has been reused before the event lands (a gossip period shorter than
 // twice the link delay — a misconfiguration, but a reachable one under
 // extreme degrade-region scenarios), the install falls back to a copy of
-// the sender's current published filter and is counted. The fallback keeps
+// the sender's newest announce buffer and is counted. The fallback keeps
 // gossip convergent — the neighbour receives a valid (fresher) snapshot
 // instead of silently keeping round-r's content forever when later deltas
 // are empty — without ever installing torn buffer contents.

@@ -16,16 +16,25 @@ import (
 // response index: every keyword of every cached filename, added to a plain
 // filter. It never looks at the counting filter, its live view or its mark,
 // so it stands in for the per-round full scan (which the bloom package's
-// scanExport oracle proves equal to the live view) from one layer further
-// out.
-func riView(n *protocol.Node) *bloom.Filter {
-	f := bloom.New(n.PublishedBloom().M(), n.PublishedBloom().K())
+// reference-count oracle proves equal to the live view) from one layer
+// further out.
+func riView(net *protocol.Network, n *protocol.Node) *bloom.Filter {
+	f := bloom.New(net.Config.BloomBits, net.Config.BloomK)
 	for _, name := range n.RI.Filenames() {
 		for i := 0; i < name.K(); i++ {
 			f.Add(name.KeywordAt(i).String())
 		}
 	}
 	return f
+}
+
+// lastAnnounced is what n last announced: its newest announce buffer, or
+// an empty filter before its first announcement.
+func lastAnnounced(net *protocol.Network, n *protocol.Node) *bloom.Filter {
+	if f := n.PublishedBloom(); f != nil {
+		return f
+	}
+	return bloom.New(net.Config.BloomBits, net.Config.BloomK)
 }
 
 // TestGossipRoundsMatchFullScanOracle replays every gossip round of a
@@ -55,8 +64,8 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	announced := make([]*bloom.Filter, cfg.NumPeers) // oracle's copy of each peer's last announcement
 	before := make([]*bloom.Filter, cfg.NumPeers)    // the network's, frozen just before the round
 	for i, n := range net.Nodes() {
-		announced[i] = n.PublishedBloom().Clone()
-		before[i] = n.PublishedBloom().Clone()
+		announced[i] = lastAnnounced(net, n).Clone()
+		before[i] = lastAnnounced(net, n).Clone()
 	}
 	var (
 		want               []announce
@@ -74,7 +83,7 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 		pending = false
 		var got []announce
 		for i, n := range net.Nodes() {
-			d, err := bloom.DiffFiltersInto(before[i], n.PublishedBloom(), nil)
+			d, err := bloom.DiffFiltersInto(before[i], lastAnnounced(net, n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,8 +110,8 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 		want = want[:0]
 		for i, n := range net.Nodes() {
 			pid := overlay.PeerID(i)
-			_ = before[i].CopyFrom(n.PublishedBloom())
-			view := riView(n)
+			_ = before[i].CopyFrom(lastAnnounced(net, n))
+			view := riView(net, n)
 			if !g.Online(pid) {
 				if !held[i] && !view.Equal(announced[i]) {
 					held[i] = true

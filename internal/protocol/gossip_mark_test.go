@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
@@ -37,7 +38,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 			t.Fatalf("offline round %d sent %d control messages", r, sent)
 		}
 	}
-	if !n.cbf.Changed() || n.PublishedBloom().PopCount() != 0 {
+	if !n.cbf.Changed() || n.PublishedBloom() != nil {
 		t.Fatal("offline rounds consumed the pending change")
 	}
 	if err := net.Graph.Join(2); err != nil {
@@ -67,7 +68,8 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 // TestCancellingChangeSendsNothing: a filename cached and discarded between
 // two rounds raises the mark, but the round finds the empty delta, sends
 // nothing, bumps no announce generation and leaves the mark clear, so the
-// rounds after it are back to one flag read.
+// rounds after it are back to one flag read. A peer that never announced
+// allocates no announce buffer for such a change.
 func TestCancellingChangeSendsNothing(t *testing.T) {
 	net := gossipWorld(6)
 	n := net.Node(2)
@@ -78,26 +80,35 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	gens := n.announceGens
 
 	goes := fname("comes", "and", "goes")
-	n.RI.Put(goes, 5, 0, 0)
-	if !n.cbf.Changed() {
-		t.Fatal("caching a filename did not raise the mark")
+	fresh := net.Node(4)
+	for _, p := range []*Node{n, fresh} {
+		p.RI.Put(goes, 5, 0, 0)
+		if !p.cbf.Changed() {
+			t.Fatal("caching a filename did not raise the mark")
+		}
+		// Read past its TTL, its only provider expires: the filename is
+		// discarded again.
+		if providers(p.RI, goes, cache.DefaultConfig().TTL+1) != nil || !p.cbf.Changed() {
+			t.Fatal("the mark must stay raised until a round looks")
+		}
 	}
-	// Read past its TTL, its only provider expires: the filename is
-	// discarded again.
-	if providers(n.RI, goes, cache.DefaultConfig().TTL+1) != nil || n.RI.Len() != 1 || !n.cbf.Changed() {
-		t.Fatal("the mark must stay raised until a round looks")
+	if n.RI.Len() != 1 {
+		t.Fatal("the expiry took the setup filename too")
 	}
 	if sent := handRound(net); sent != 0 {
 		t.Fatalf("cancelled change sent %d control messages", sent)
 	}
-	if n.cbf.Changed() {
+	if n.cbf.Changed() || fresh.cbf.Changed() {
 		t.Fatal("the round left the mark raised")
 	}
 	if n.announceGens != gens {
 		t.Fatal("an empty delta consumed an announce buffer")
 	}
-	if d, err := n.PublishBloom(); err != nil || !d.Empty() {
-		t.Fatalf("idle PublishBloom returned %v, %v", d, err)
+	if fresh.announceBufs != [2]*bloom.Filter{} {
+		t.Fatal("a peer that never announced allocated an announce buffer")
+	}
+	if d, snap, gen := n.PublishBloom(); snap != nil || !d.Empty() || gen != 0 {
+		t.Fatalf("idle PublishBloom returned %v, %v, %d", d, snap, gen)
 	}
 }
 

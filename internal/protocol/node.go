@@ -25,21 +25,18 @@ type Node struct {
 	RI *cache.Index
 
 	// cbf is the local counting Bloom filter over keywords of cached
-	// filenames; published is the snapshot most recently announced to
-	// neighbours. Only maintained when the behaviour uses Bloom routing.
-	cbf       *bloom.Counting
-	published *bloom.Filter
+	// filenames. Only maintained when the behaviour uses Bloom routing.
+	cbf *bloom.Counting
 	// deltaBuf is the reusable changed-position buffer of the announcement
 	// delta, so PublishBloom allocates nothing in steady state.
 	deltaBuf []uint32
 	// announceBufs double-buffer the snapshot handed to in-flight install
 	// events: round r announces one buffer while round r-1's buffer stays
-	// frozen, so installs remain correct as long as deliveries land within
-	// two gossip periods — a wide margin over the documented
-	// period-exceeds-link-latency assumption, without cloning per round.
-	// announceGens stamp each buffer's content generation; an install that
-	// outlives its generation is dropped rather than applied (see
-	// bloomInstallEvent).
+	// frozen, so installs remain correct as long as deliveries land within two
+	// gossip periods — a wide margin over the documented
+	// period-exceeds-link-latency assumption, without cloning per round. The
+	// newest buffer is what the node last announced. announceGens stamp each
+	// buffer's content generation (see bloomInstallEvent).
 	announceBufs [2]*bloom.Filter
 	announceGens [2]uint64
 	announceFlip int
@@ -97,7 +94,6 @@ func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg 
 	n.RI = cache.New(cacheCfg, bloomSync{n})
 	if useBloom {
 		n.cbf = bloom.NewCounting(bloomBits, bloomK)
-		n.published = bloom.New(bloomBits, bloomK)
 	}
 }
 
@@ -167,27 +163,39 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 	return keywords.Filename{}, false
 }
 
-// PublishBloom refreshes the node's published Bloom snapshot from its
-// counting filter's live view and returns the delta against the previous
-// snapshot (what the node would gossip to neighbours, footnote 1). A filter
-// with no bit flipped since the last call costs one flag read. The returned
-// delta aliases the node's scratch buffer and is valid until the next
-// call; in steady state the whole refresh allocates nothing.
-func (n *Node) PublishBloom() (bloom.Delta, error) {
+// PublishBloom diffs the counting filter's live view against the newest
+// announce buffer (empty before the first announcement) and, if a bit
+// flipped, writes the view into the other buffer, allocated on first use,
+// and returns the delta (footnote 1), that snapshot and its generation; a
+// nil snapshot otherwise. The delta aliases a scratch buffer valid until
+// the next call.
+func (n *Node) PublishBloom() (bloom.Delta, *bloom.Filter, uint64) {
 	if n.cbf == nil || !n.cbf.Changed() {
-		return bloom.Delta{}, nil
-	}
-	view := n.cbf.View()
-	d, err := bloom.DiffFiltersInto(n.published, view, n.deltaBuf)
-	if err != nil {
-		return bloom.Delta{}, err
-	}
-	n.deltaBuf = d.Flipped[:0]
-	if err := n.published.CopyFrom(view); err != nil {
-		return bloom.Delta{}, err
+		return bloom.Delta{}, nil, 0
 	}
 	n.cbf.ClearChanged()
-	return d, nil
+	view := n.cbf.View()
+	i := n.announceFlip
+	last := n.announceBufs[i^1]
+	if last == nil { // nothing announced yet: diff against buffer i, still empty
+		if view.PopCount() == 0 {
+			return bloom.Delta{}, nil, 0
+		}
+		last = bloom.New(view.M(), view.K())
+		n.announceBufs[i] = last
+	}
+	d, _ := bloom.DiffFiltersInto(last, view, n.deltaBuf) // one geometry per node
+	n.deltaBuf = d.Flipped[:0]
+	if d.Empty() {
+		return bloom.Delta{}, nil, 0
+	}
+	if n.announceBufs[i] == nil {
+		n.announceBufs[i] = bloom.New(view.M(), view.K())
+	}
+	_ = n.announceBufs[i].CopyFrom(view)
+	n.announceFlip = i ^ 1
+	n.announceGens[i]++
+	return d, n.announceBufs[i], n.announceGens[i]
 }
 
 // bloomPositions appends the Bloom positions of q's keywords to dst — K per
@@ -216,41 +224,18 @@ func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.
 	return n.RI.Lookup(q, now)
 }
 
-// PublishedBloom returns the snapshot neighbours read, or nil when Bloom
-// routing is disabled.
-func (n *Node) PublishedBloom() *bloom.Filter { return n.published }
-
-// announceSnapshot returns a frozen copy of the published filter to carry
-// in this round's install events, plus its content generation. The two
-// per-node buffers alternate between rounds (allocated lazily, reused
-// forever), so a round's announcement stays intact while the next round's
-// is being built and the gossip plane still allocates nothing in steady
-// state.
-func (n *Node) announceSnapshot() (*bloom.Filter, uint64) {
-	i := n.announceFlip
-	buf := n.announceBufs[i]
-	if buf == nil {
-		buf = bloom.New(n.published.M(), n.published.K())
-		n.announceBufs[i] = buf
-	}
-	n.announceFlip = i ^ 1
-	n.announceGens[i]++
-	// Geometry matches by construction.
-	_ = buf.CopyFrom(n.published)
-	return buf, n.announceGens[i]
-}
+// PublishedBloom returns the snapshot this node last announced, if any.
+func (n *Node) PublishedBloom() *bloom.Filter { return n.announceBufs[n.announceFlip^1] }
 
 // announceGenOf returns the current content generation of one of this
 // node's announce buffers (0 for an unknown filter).
 func (n *Node) announceGenOf(f *bloom.Filter) uint64 {
-	switch f {
-	case n.announceBufs[0]:
-		return n.announceGens[0]
-	case n.announceBufs[1]:
-		return n.announceGens[1]
-	default:
-		return 0
+	for i, b := range n.announceBufs {
+		if b == f {
+			return n.announceGens[i]
+		}
 	}
+	return 0
 }
 
 // gidOfName maps a filename to its group id: hash(f) mod M (Eq. 1), with

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -417,15 +418,15 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	n2.Gid = gidOfName(f, cfg.GroupCount)
 	n2.RI.Put(f, 3, 0, 0)
 
-	// Before gossip, node 2's published BF is empty -> no match.
+	// Before gossip, node 2 has announced no BF -> no match.
 	n1 := net.Node(1)
 	kw := query("bloomy")
 	q := testBranch(net, kw, 0, 1)
 	targets := Locaware{}.Forward(net, n1, q, eligOf(net, q))
 	for _, tgt := range targets {
 		if tgt == 2 {
-			if bf := n2.PublishedBloom(); bf.Test("bloomy") {
-				t.Fatal("published BF should be empty before gossip")
+			if n2.PublishedBloom() != nil {
+				t.Fatal("node 2 announced a BF before gossip")
 			}
 		}
 	}
@@ -1067,25 +1068,26 @@ func TestConfigFallbacks(t *testing.T) {
 // TestStaleBloomInstallFallsBack locks the announce-buffer generation
 // guard: an install event that outlives two gossip rounds (its buffer was
 // reused in flight) never applies the torn buffer — it installs a copy of
-// the sender's current published filter instead and is counted, so the
+// the sender's newest announce buffer instead and is counted, so the
 // neighbour's view stays a valid snapshot and gossip stays convergent.
 func TestStaleBloomInstallFallsBack(t *testing.T) {
-	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), Config{BloomGossipPeriod: 0})
+	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), Config{BloomBits: 1200, BloomK: 6, BloomGossipPeriod: 0})
 	n := net.Node(0)
-	n.cbf.Add("alpha")
-	if _, err := n.PublishBloom(); err != nil {
-		t.Fatal(err)
+	// publish announces the given keyword into the next buffer.
+	publish := func(kw string) (*bloom.Filter, uint64) {
+		n.cbf.Add(kw)
+		_, snap, gen := n.PublishBloom()
+		if snap == nil {
+			t.Fatalf("adding %q announced nothing", kw)
+		}
+		return snap, gen
 	}
-	snap, gen := n.announceSnapshot()
+	snap, gen := publish("alpha")
 	ev := net.acquireBloomInstall(1, 0, snap, gen)
-	// Two more rounds reuse both buffers before the event fires; the
-	// second also publishes newer content ("beta").
-	n.announceSnapshot()
-	n.cbf.Add("beta")
-	if _, err := n.PublishBloom(); err != nil {
-		t.Fatal(err)
-	}
-	n.announceSnapshot()
+	// Two more rounds reuse both buffers before the event fires, each with
+	// newer content.
+	publish("beta")
+	publish("gamma")
 	ev.Fire(net.Engine)
 	if got := net.StaleBloomFallbacks(); got != 1 {
 		t.Fatalf("StaleBloomFallbacks = %d, want 1", got)
@@ -1094,11 +1096,11 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	if got == nil {
 		t.Fatal("stale install dropped entirely; want fallback to published")
 	}
-	if !got.Equal(n.PublishedBloom()) {
-		t.Fatal("fallback install does not match the sender's published filter")
+	if !got.Equal(n.PublishedBloom()) || !got.Equal(n.cbf.View()) {
+		t.Fatal("fallback install does not match the sender's newest announcement")
 	}
 	// A fresh install still lands without the fallback counter moving.
-	snap, gen = n.announceSnapshot()
+	snap, gen = publish("delta")
 	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
 	if net.StaleBloomFallbacks() != 1 {
 		t.Fatal("fresh install miscounted as stale")
