@@ -83,8 +83,10 @@ test "$(grep -c -- '------ phase .*scenario=churn-waves' "$tmp/trace-phases.log"
 # Campaign resume: the 2x2x2 golden grid run in-process, then checkpointed;
 # one checkpoint file is deleted and another truncated, and the re-run must
 # restore the two intact cells, name the damaged file, recompute the rest
-# and export a cells.csv byte-identical to the in-process run. A last
-# re-run restores all 4 cells.
+# and export a cells.csv byte-identical to the in-process run. A re-run
+# restores all 4 cells. Then one digit of a mean is edited, which leaves
+# valid JSON: the resume must name the file, re-run that cell and still
+# export the in-process bytes.
 step campaign resume
 cat > "$tmp/tiny.json" <<'EOF'
 {
@@ -111,5 +113,11 @@ grep -q "campaign warning: checkpoint cell_000002.json" "$tmp/camp-resume.log"
 diff "$tmp/camp-inproc/cells.csv" "$tmp/camp-resume/cells.csv"
 "$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt" | tee "$tmp/camp-resume2.log"
 grep -q "resumed 4/4 cells" "$tmp/camp-resume2.log"
+grep -q '"Mean":0.5625' "$ckpt/cell_000001.json"
+sed -i 's/"Mean":0.5625/"Mean":0.5626/' "$ckpt/cell_000001.json"
+"$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt" -out "$tmp/camp-edited" | tee "$tmp/camp-edited.log"
+grep -q "resumed 3/4 cells" "$tmp/camp-edited.log"
+grep -q "campaign warning: checkpoint cell_000001.json: cell content does not match its SHA-256" "$tmp/camp-edited.log"
+diff "$tmp/camp-inproc/cells.csv" "$tmp/camp-edited/cells.csv"
 
 step "all CLI smokes passed"

@@ -23,7 +23,7 @@ var deadCodeAllowed = map[string]string{
 	"netmodel.FixedLandmarks":           "fixture: the locality tests pin landmarks at known points",
 	"netmodel.DecodeLocID":              "oracle: the round-trip tests invert EncodeLocID through it",
 	"cache.Index.Filenames":             "oracle: the gossip equivalence test rebuilds a node's filter from it",
-	"bloom.Filter.Equal":                "oracle: the gossip and counting-view tests compare filters through it",
+	"bloom.Filter.Equal":                "oracle: the gossip and filter-rebuild tests compare filters through it",
 	"locaware.SweepResult.CellEstimate": "benchmark/bench_test.go compares a campaign cell with direct runs through it",
 }
 

@@ -53,47 +53,28 @@ func BenchmarkFilterTestIndexesQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkCountingAddRemove(b *testing.B) {
-	c := NewCounting(1200, 6)
-	words := benchWords(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := words[i&255]
-		c.Add(w)
-		c.Remove(w)
-	}
-}
-
-// BenchmarkSnapshotAndDiff measures one publish from the live view: two
-// filenames' worth of keyword changes, then mark check, diff against the
-// last announced copy, copy, mark clear — what a changed peer pays per round.
+// BenchmarkSnapshotAndDiff measures one publish by a peer whose response
+// index changed: clear the filter, re-add the keywords of the filenames the
+// index holds (20 keywords, two of which come and go), diff against the
+// last announced copy and copy — what a changed peer pays per round.
 func BenchmarkSnapshotAndDiff(b *testing.B) {
-	c := NewCounting(1200, 6)
-	for _, w := range benchWords(60) {
-		c.Add(w)
-	}
-	announced := c.View().Clone()
+	f := New(1200, 6)
+	words := benchWords(20)
+	announced := New(1200, 6)
 	var buf []uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i&1 == 0 {
-			c.Add("extra-one")
-			c.Add("extra-two")
-		} else {
-			c.Remove("extra-one")
-			c.Remove("extra-two")
+		f.Reset()
+		for _, w := range words[:18+2*(i&1)] {
+			f.Add(w)
 		}
-		if !c.Changed() {
-			b.Fatal("mark not raised")
-		}
-		d, err := DiffFiltersInto(announced, c.View(), buf)
+		d, err := DiffFiltersInto(announced, f, buf)
 		if err != nil || d.Empty() {
 			b.Fatal("no delta", err)
 		}
 		buf = d.Flipped[:0]
-		_ = announced.CopyFrom(c.View())
-		c.ClearChanged()
+		_ = announced.CopyFrom(f)
 	}
 }
 

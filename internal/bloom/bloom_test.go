@@ -100,15 +100,14 @@ func TestTestAll(t *testing.T) {
 }
 
 // checkIndexFormAgrees requires the string and index forms of a probe to
-// agree on a plain and a counting filter of geometry (m, k) holding added,
+// agree on a filter of geometry (m, k) holding added,
 // for every probe string; it also pins AppendIndexes' contract (appends
 // exactly K positions below M, leaves dst's prefix alone).
 func checkIndexFormAgrees(t *testing.T, m, k int, added, probes []string) {
 	t.Helper()
-	f, c := New(m, k), NewCounting(m, k)
+	f := New(m, k)
 	for _, s := range added {
 		f.Add(s)
-		c.Add(s)
 	}
 	for _, s := range probes {
 		idx := f.AppendIndexes([]uint32{7}, s)
@@ -123,9 +122,6 @@ func checkIndexFormAgrees(t *testing.T, m, k int, added, probes []string) {
 		}
 		if got, want := f.TestIndexes(idx), f.Test(s); got != want {
 			t.Fatalf("m=%d k=%d: Filter.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
-		}
-		if got, want := c.TestIndexes(idx), c.View().Test(s); got != want {
-			t.Fatalf("m=%d k=%d: Counting.TestIndexes(%q) = %v, Test = %v", m, k, s, got, want)
 		}
 	}
 }
@@ -235,124 +231,24 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-func TestCountingAddRemove(t *testing.T) {
-	c := NewCounting(1200, 6)
-	c.Add("word")
-	if !c.View().Test("word") {
-		t.Fatal("counting filter false negative")
+// TestReset: a reset filter is empty, keeps its geometry and, re-fed a
+// live set, equals a fresh filter fed the same set — the rebuild a peer
+// runs in place of §4.2's counting-filter deletes.
+func TestReset(t *testing.T) {
+	f, fresh := New(1200, 6), New(1200, 6)
+	for _, w := range []string{"a", "b", "c", "d"} {
+		f.Add(w)
 	}
-	c.Remove("word")
-	if c.View().Test("word") {
-		t.Fatal("removed element still present")
+	f.Reset()
+	if f.PopCount() != 0 || f.M() != 1200 || f.K() != 6 {
+		t.Fatalf("reset left %v", f)
 	}
-}
-
-func TestCountingMultiplicity(t *testing.T) {
-	c := NewCounting(1200, 6)
-	c.Add("dup")
-	c.Add("dup")
-	c.Remove("dup")
-	if !c.View().Test("dup") {
-		t.Fatal("one of two copies removed should leave element present")
+	for _, w := range []string{"b", "d"} {
+		f.Add(w)
+		fresh.Add(w)
 	}
-	c.Remove("dup")
-	if c.View().Test("dup") {
-		t.Fatal("both copies removed, element still present")
-	}
-}
-
-func TestCountingRemoveAbsentIsSafe(t *testing.T) {
-	c := NewCounting(1200, 6)
-	c.Remove("never-added") // must not underflow
-	c.Add("x")
-	if !c.View().Test("x") {
-		t.Fatal("filter corrupted by spurious remove")
-	}
-}
-
-// TestCountingExportSnapshot: the live view tracks Add and Remove, and a
-// clone of it is a snapshot that stays put.
-func TestCountingExportSnapshot(t *testing.T) {
-	c := NewCounting(1200, 6)
-	words := []string{"a", "b", "c", "d"}
-	for _, w := range words {
-		c.Add(w)
-	}
-	snap := c.View().Clone()
-	for _, w := range words {
-		if !snap.Test(w) {
-			t.Fatalf("snapshot missing %q", w)
-		}
-	}
-	c.Remove("a")
-	if c.View().Test("a") && !anyShareBits("a", words) {
-		t.Fatal("view retains removed element")
-	}
-	if !snap.Test("a") {
-		t.Fatal("a cloned snapshot moved with the live view")
-	}
-	if err := New(600, 6).CopyFrom(c.View()); err != ErrMismatch {
-		t.Fatalf("geometry mismatch not detected: %v", err)
-	}
-	if v := c.View(); v.M() != 1200 || v.K() != 6 {
-		t.Fatal("view geometry wrong")
-	}
-}
-
-// anyShareBits reports whether w's bit positions are fully covered by the
-// other words' positions (making a residual true Test unavoidable).
-func anyShareBits(w string, words []string) bool {
-	cover := map[uint32]bool{}
-	idx := make([]uint32, 6)
-	for _, o := range words {
-		if o == w {
-			continue
-		}
-		indexes(o, 1200, idx)
-		for _, i := range idx {
-			cover[i] = true
-		}
-	}
-	indexes(w, 1200, idx)
-	for _, i := range idx {
-		if !cover[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestCountingGeometryClamps(t *testing.T) {
-	c := NewCounting(0, 0)
-	if c.View().M() < 8 || c.View().K() < 1 {
-		t.Fatal("clamps not applied")
-	}
-}
-
-func TestCountingPlainAgreement(t *testing.T) {
-	// Counting filter's snapshot must agree with a plain filter fed the same
-	// live set, across random add/remove sequences.
-	r := rand.New(rand.NewSource(4))
-	c := NewCounting(1200, 6)
-	live := map[string]int{}
-	for op := 0; op < 2000; op++ {
-		w := fmt.Sprintf("w%d", r.Intn(80))
-		if r.Float64() < 0.6 {
-			c.Add(w)
-			live[w]++
-		} else if live[w] > 0 {
-			c.Remove(w)
-			live[w]--
-		}
-	}
-	plain := New(1200, 6)
-	for w, n := range live {
-		if n > 0 {
-			plain.Add(w)
-		}
-	}
-	if !c.View().Equal(plain) {
-		t.Fatal("counting snapshot diverges from plain filter of live set")
+	if !f.Equal(fresh) {
+		t.Fatal("rebuilt filter differs from a fresh filter of the live set")
 	}
 }
 
@@ -360,7 +256,7 @@ func TestCountingPlainAgreement(t *testing.T) {
 // delta, which the simulator models by copying the sender's filter.
 func applyDelta(d Delta, f *Filter) {
 	for _, p := range d.Flipped {
-		f.setBit(p, f.bits[p/64]&(1<<(p%64)) == 0)
+		f.bits[p/64] ^= 1 << (p % 64)
 	}
 }
 
@@ -467,30 +363,25 @@ func TestHashPairStability(t *testing.T) {
 }
 
 // TestHotOpsZeroAlloc locks the stack-allocated hashing path: membership
-// tests and counter updates run on the simulator's per-hop routing path
-// and must not allocate.
+// tests and inserts run on the simulator's per-hop routing path and must
+// not allocate.
 func TestHotOpsZeroAlloc(t *testing.T) {
 	f := New(1200, 6)
-	c := NewCounting(1200, 6)
 	f.Add("locaware")
-	c.Add("locaware")
 	if n := testing.AllocsPerRun(200, func() { f.Test("locaware") }); n != 0 {
 		t.Fatalf("Filter.Test allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { f.Add("locaware") }); n != 0 {
 		t.Fatalf("Filter.Add allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { c.Add("x"); c.Remove("x") }); n != 0 {
-		t.Fatalf("Counting.Add/Remove allocates %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { c.View().Test("locaware") }); n != 0 {
-		t.Fatalf("Counting.Test allocates %.1f/op", n)
+	if n := testing.AllocsPerRun(200, func() { f.Reset(); f.Add("locaware") }); n != 0 {
+		t.Fatalf("Filter.Reset allocates %.1f/op", n)
 	}
 	idx := make([]uint32, 0, 3*f.K())
 	if n := testing.AllocsPerRun(200, func() { idx = f.AppendIndexes(idx[:0], "locaware") }); n != 0 {
 		t.Fatalf("Filter.AppendIndexes into a sized buffer allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { f.TestIndexes(idx); c.TestIndexes(idx) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { f.TestIndexes(idx) }); n != 0 {
 		t.Fatalf("TestIndexes allocates %.1f/op", n)
 	}
 }
@@ -537,8 +428,5 @@ func TestDiffFiltersInto(t *testing.T) {
 func TestKCapped(t *testing.T) {
 	if f := New(4096, 99); f.K() != 16 {
 		t.Fatalf("Filter k = %d, want capped at 16", f.K())
-	}
-	if c := NewCounting(4096, 99); c.View().K() != 16 {
-		t.Fatalf("Counting k = %d, want capped at 16", c.View().K())
 	}
 }

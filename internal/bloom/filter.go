@@ -86,14 +86,8 @@ func (f *Filter) Test(s string) bool {
 	return f.TestIndexes(idx)
 }
 
-// setBit forces bit i to v.
-func (f *Filter) setBit(i uint32, v bool) {
-	if v {
-		f.bits[i/64] |= 1 << (i % 64)
-	} else {
-		f.bits[i/64] &^= 1 << (i % 64)
-	}
-}
+// Reset clears every bit, keeping the geometry.
+func (f *Filter) Reset() { clear(f.bits) }
 
 // PopCount returns the number of set bits.
 func (f *Filter) PopCount() int {

@@ -1,10 +1,10 @@
 // Package bloom implements the Bloom filters Locaware uses to summarise the
-// keywords of filenames cached in a peer's response index (§4.2). It
-// provides a plain bit-vector filter (what peers gossip to neighbours), a
-// counting filter (what a peer maintains locally so keyword deletions are
-// possible when indexes are evicted), and the compact changed-bit delta
+// keywords of filenames cached in a peer's response index (§4.2): the plain
+// bit-vector filter peers keep and gossip, and the compact changed-bit delta
 // encoding of footnote 1 (≤12 changed bits × 11 bits of position = 0.132 Kb
-// per update for a 1200-bit filter).
+// per update for a 1200-bit filter). §4.2's counting filter, there only so a
+// discarded filename can take its keywords out, is replaced by clearing the
+// filter (Reset) and re-adding what the index still holds.
 package bloom
 
 // maxK caps the number of hash functions (the optimum k = (m/n) ln 2

@@ -14,6 +14,8 @@
 package cache
 
 import (
+	"iter"
+	"maps"
 	"slices"
 
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -213,14 +215,13 @@ func (x *Index) Lookup(q keywords.Query, now sim.Time) []Match {
 	return out
 }
 
+// Files yields the cached filenames in no particular order, allocating
+// nothing.
+func (x *Index) Files() iter.Seq[keywords.Filename] { return maps.Keys(x.entries) }
+
 // Filenames returns the cached filenames, sorted.
 func (x *Index) Filenames() []keywords.Filename {
-	out := make([]keywords.Filename, 0, len(x.entries))
-	for f := range x.entries {
-		out = append(out, f)
-	}
-	slices.SortFunc(out, keywords.Filename.Compare)
-	return out
+	return slices.SortedFunc(x.Files(), keywords.Filename.Compare)
 }
 
 // TotalProviderEntries counts provider entries across all filenames — the

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -236,6 +238,69 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	if stats2.Resumed != 4 || stats2.Executed != 0 || len(stats2.Warnings) != 0 {
 		t.Fatalf("post-recovery resume: resumed %d executed %d warnings %v, want 4/0/none",
 			stats2.Resumed, stats2.Executed, stats2.Warnings)
+	}
+}
+
+// TestResumeAfterByteFlips damages one checkpoint file a byte at a time —
+// a seeded sample of positions with random bit flips, plus the one-digit
+// edit of a mean that stays valid JSON — and resumes after each: the
+// resume either skips the cell, naming its file, or exports a CSV
+// byte-identical to the in-process run. A damaged value is never merged.
+func TestResumeAfterByteFlips(t *testing.T) {
+	base := core.DefaultConfig()
+	golden := goldenCSV(t)
+	dir := t.TempDir()
+	if _, _, err := Run(base, tinySpec(), 2, Options{Checkpoint: dir}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(dir, tinyPlan(t).Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path(1)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(18))
+	type flip struct {
+		at   int
+		mask byte
+	}
+	// The one-digit edit: "Mean":0.5625 becomes 0.5626.
+	edit := bytes.Index(intact, []byte(`"Mean":0.5625`))
+	if edit < 0 {
+		t.Fatal(`cell 1's checkpoint has no "Mean":0.5625 to edit`)
+	}
+	flips := []flip{{edit + len(`"Mean":0.5625`) - 1, '5' ^ '6'}}
+	for range 40 {
+		flips = append(flips, flip{r.Intn(len(intact)), byte(1 << r.Intn(8))})
+	}
+	skipped := 0
+	for _, f := range flips {
+		data := bytes.Clone(intact)
+		data[f.at] ^= f.mask
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		camp, stats, err := Run(base, tinySpec(), 2, Options{Checkpoint: dir, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case stats.Resumed == 3 && len(stats.Warnings) == 1 && strings.Contains(stats.Warnings[0], filepath.Base(path)):
+			skipped++
+		case stats.Resumed == 4 && len(stats.Warnings) == 0:
+		default:
+			t.Fatalf("byte %d ^ %#x: resumed %d, warnings %q; want the cell skipped with one warning naming it, or resumed", f.at, f.mask, stats.Resumed, stats.Warnings)
+		}
+		if camp.CSV() != golden {
+			t.Fatalf("byte %d ^ %#x (%q): resumed %d cells and the CSV drifted from the in-process run", f.at, f.mask, data[max(0, f.at-20):min(len(data), f.at+20)], stats.Resumed)
+		}
+	}
+	t.Logf("%d of %d flips skipped, the rest resumed byte-identical", skipped, len(flips))
+	if skipped < len(flips)/2 {
+		t.Fatalf("only %d of %d flips were caught as damage", skipped, len(flips))
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -23,34 +24,50 @@ func FuzzStoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// encode renders cell 1's checkpoint document after damaging it.
-	encode := func(damage func(*checkpointFile)) []byte {
-		cf := checkpointFile{Version: checkpointVersion, SpecHash: plan.Hash(), Cell: *cr}
-		cf.Cell.Coords = append([]sweep.Coordinate(nil), cr.Coords...)
-		cf.Cell.Protocols = append([]sweep.ProtocolCell(nil), cr.Protocols...)
-		damage(&cf)
+	// encode renders cell 1's checkpoint document after damaging it; the
+	// cell's recorded SHA-256 is that of the damaged cell unless the damage
+	// sets one.
+	encode := func(damage func(*checkpointFile, *sweep.CellResult)) []byte {
+		c := *cr
+		c.Coords = append([]sweep.Coordinate(nil), cr.Coords...)
+		c.Protocols = append([]sweep.ProtocolCell(nil), cr.Protocols...)
+		cf := checkpointFile{Version: checkpointVersion, SpecHash: plan.Hash()}
+		damage(&cf, &c)
+		cell, err := json.Marshal(&c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cf.Cell = cell
+		if cf.CellSHA256 == "" {
+			cf.CellSHA256 = cellSum(cell)
+		}
 		data, err := json.Marshal(cf)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return data
 	}
-	valid := encode(func(*checkpointFile) {})
+	valid := encode(func(*checkpointFile, *sweep.CellResult) {})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("{this is not json"))
-	for _, damage := range []func(*checkpointFile){
-		func(cf *checkpointFile) { cf.Version = 99 },
-		func(cf *checkpointFile) { cf.SpecHash = strings.Repeat("deadbeef", 8) },
-		func(cf *checkpointFile) { cf.Cell.Index = 2 },
-		func(cf *checkpointFile) { cf.Cell.Index = 99 },
-		func(cf *checkpointFile) { cf.Cell.Index = -1 },
-		func(cf *checkpointFile) { cf.Cell.Protocols = cf.Cell.Protocols[:1] },
-		func(cf *checkpointFile) { cf.Cell.Protocols[1].Summary.SuccessRate.N = 7 },
+	// One digit of a mean edited: valid JSON, the recorded SHA-256 stale.
+	edited := bytes.Clone(valid)
+	edited[bytes.Index(edited, []byte(`"Mean":`))+len(`"Mean":`)] ^= 1
+	f.Add(edited)
+	for _, damage := range []func(*checkpointFile, *sweep.CellResult){
+		func(cf *checkpointFile, _ *sweep.CellResult) { cf.Version = 99 },
+		func(cf *checkpointFile, _ *sweep.CellResult) { cf.SpecHash = strings.Repeat("deadbeef", 8) },
+		func(cf *checkpointFile, _ *sweep.CellResult) { cf.CellSHA256 = strings.Repeat("0", 64) },
+		func(_ *checkpointFile, c *sweep.CellResult) { c.Index = 2 },
+		func(_ *checkpointFile, c *sweep.CellResult) { c.Index = 99 },
+		func(_ *checkpointFile, c *sweep.CellResult) { c.Index = -1 },
+		func(_ *checkpointFile, c *sweep.CellResult) { c.Protocols = c.Protocols[:1] },
+		func(_ *checkpointFile, c *sweep.CellResult) { c.Protocols[1].Summary.SuccessRate.N = 7 },
 		// One coordinate spelling the whole label: index-by-axis exporters
 		// would run off the end of Coords.
-		func(cf *checkpointFile) {
-			cf.Cell.Coords = []sweep.Coordinate{{Param: "peers=60 cache-filenames", Value: 50}}
+		func(_ *checkpointFile, c *sweep.CellResult) {
+			c.Coords = []sweep.Coordinate{{Param: "peers=60 cache-filenames", Value: 50}}
 		},
 	} {
 		f.Add(encode(damage))

@@ -12,12 +12,10 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// riView rebuilds the bit vector a peer should gossip from nothing but its
-// response index: every keyword of every cached filename, added to a plain
-// filter. It never looks at the counting filter, its live view or its mark,
-// so it stands in for the per-round full scan (which the bloom package's
-// reference-count oracle proves equal to the live view) from one layer
-// further out.
+// riView is the specification of the bit vector a peer gossips: every
+// keyword of every filename in its response index, added by spelling to a
+// fresh filter. It never looks at the node's own filter or its dirty mark,
+// so it checks the insert-at-once, rebuild-on-publish filter from outside.
 func riView(net *protocol.Network, n *protocol.Node) *bloom.Filter {
 	f := bloom.New(net.Config.BloomBits, net.Config.BloomK)
 	for _, name := range n.RI.Filenames() {
@@ -38,9 +36,9 @@ func lastAnnounced(net *protocol.Network, n *protocol.Node) *bloom.Filter {
 }
 
 // TestGossipRoundsMatchFullScanOracle replays every gossip round of a
-// 300-peer Locaware run under the churn-waves scenario against the oracle:
-// each round, in ascending peer id, every online peer diffs its rebuilt
-// view against what it last announced, announces if the diff is non-empty
+// 300-peer Locaware run under the churn-waves scenario against riView:
+// each round, in ascending peer id, every online peer diffs riView
+// against what it last announced, announces if the diff is non-empty
 // and is charged the delta's size per online neighbour. The set of
 // announcing peers, every delta's flipped positions and the running
 // ControlMessages/ControlBits must equal what the network did.

@@ -29,7 +29,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 	net := gossipWorld(6)
 	n := net.Node(2)
 	n.RI.Put(fname("held", "while", "away"), 4, 0, 0)
-	if !n.cbf.Changed() {
+	if !n.dirty {
 		t.Fatal("caching a filename did not raise the filter's mark")
 	}
 	net.Graph.Leave(2)
@@ -38,7 +38,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 			t.Fatalf("offline round %d sent %d control messages", r, sent)
 		}
 	}
-	if !n.cbf.Changed() || n.PublishedBloom() != nil {
+	if !n.dirty || n.PublishedBloom() != nil {
 		t.Fatal("offline rounds consumed the pending change")
 	}
 	if err := net.Graph.Join(2); err != nil {
@@ -52,7 +52,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 	if sent := handRound(net); sent != 2 {
 		t.Fatalf("first round after rejoin sent %d control messages, want 2", sent)
 	}
-	if n.cbf.Changed() || !n.PublishedBloom().Equal(n.cbf.View()) {
+	if n.dirty || !n.PublishedBloom().Equal(n.bf) {
 		t.Fatal("rejoin round did not publish the held change")
 	}
 	for _, nb := range []overlay.PeerID{1, 3} {
@@ -83,12 +83,12 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	fresh := net.Node(4)
 	for _, p := range []*Node{n, fresh} {
 		p.RI.Put(goes, 5, 0, 0)
-		if !p.cbf.Changed() {
+		if !p.dirty {
 			t.Fatal("caching a filename did not raise the mark")
 		}
 		// Read past its TTL, its only provider expires: the filename is
 		// discarded again.
-		if providers(p.RI, goes, cache.DefaultConfig().TTL+1) != nil || !p.cbf.Changed() {
+		if providers(p.RI, goes, cache.DefaultConfig().TTL+1) != nil || !p.dirty {
 			t.Fatal("the mark must stay raised until a round looks")
 		}
 	}
@@ -98,7 +98,7 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	if sent := handRound(net); sent != 0 {
 		t.Fatalf("cancelled change sent %d control messages", sent)
 	}
-	if n.cbf.Changed() || fresh.cbf.Changed() {
+	if n.dirty || fresh.dirty {
 		t.Fatal("the round left the mark raised")
 	}
 	if n.announceGens != gens {
@@ -112,12 +112,26 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	}
 }
 
+// exactFilter is the filter n's RI calls for: every keyword of every cached
+// filename, added to a fresh filter by its spelling.
+func exactFilter(n *Node) *bloom.Filter {
+	f := bloom.New(n.bf.M(), n.bf.K())
+	for name := range n.RI.Files() {
+		for i := range name.K() {
+			f.Add(name.KeywordAt(i).String())
+		}
+	}
+	return f
+}
+
 // TestLookupGuardMatchesIndex: behind the node's own filter, lookupRI
 // returns exactly what RI.Lookup returns — no false negative, identical
 // matches and provider lists — over randomized Put / TTL-expiry /
-// single-filename lookup / capacity-eviction sequences, and leaves the
-// index in the same state (the twin node takes the unguarded path on the
-// same stream).
+// single-filename lookup / capacity-eviction / PublishBloom sequences, and
+// leaves the index in the same state (the twin node takes the unguarded
+// path on the same stream). Lookups run both against a filter a discarded
+// filename left stale — a strict superset of the exact one, letting through
+// queries the exact filter would stop — and against a freshly rebuilt one.
 func TestLookupGuardMatchesIndex(t *testing.T) {
 	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -134,9 +148,10 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 		}
 		var now sim.Time
 		hits, guardedOut, evictions, expiries := 0, 0, 0, 0
+		staleLookups, staleLetThrough, exactLookups := 0, 0, 0
 		for op := 0; op < 4000; op++ {
 			now += sim.Time(r.Intn(5)) * sim.Second
-			entries, k := plain.RI.TotalProviderEntries(), r.Intn(10)
+			entries, k := plain.RI.TotalProviderEntries(), r.Intn(11)
 			switch {
 			case k < 4:
 				f := keywords.NewFilename(pick(3)...)
@@ -150,17 +165,34 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				f := keywords.NewFilename(pick(3)...)
 				providers(guarded.RI, f, now)
 				providers(plain.RI, f, now)
+			case k == 10:
+				guarded.PublishBloom()
 			default:
 				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
-				absent := false
-				for i := range q.K() {
-					absent = absent || !guarded.cbf.View().Test(q.KeywordAt(i).String())
+				kwIdx := guarded.bloomPositions(nil, q)
+				exact := exactFilter(&guarded)
+				extra, err := bloom.DiffFiltersInto(exact, guarded.bf, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, want := guarded.lookupRI(q, guarded.bloomPositions(nil, q), now), plain.lookupRI(q, nil, now)
+				for _, i := range extra.Flipped {
+					if !guarded.bf.TestIndexes([]uint32{i}) {
+						t.Fatalf("seed %d op %d: the filter lost bit %d of a cached keyword", seed, op, i)
+					}
+				}
+				if extra.Empty() {
+					exactLookups++
+				} else {
+					staleLookups++
+					if !exact.TestIndexes(kwIdx) && guarded.bf.TestIndexes(kwIdx) {
+						staleLetThrough++
+					}
+				}
+				got, want := guarded.lookupRI(q, kwIdx, now), plain.lookupRI(q, nil, now)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d op %d: lookupRI(%v) = %v, RI.Lookup = %v", seed, op, q, got, want)
 				}
-				if absent {
+				if !guarded.bf.TestIndexes(kwIdx) {
 					guardedOut++
 				}
 				if len(want) != 0 {
@@ -171,7 +203,7 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				guarded.RI.TotalProviderEntries() != plain.RI.TotalProviderEntries() {
 				t.Fatalf("seed %d op %d: guarded and unguarded indexes diverged", seed, op)
 			}
-			if k >= 4 && plain.RI.TotalProviderEntries() < entries {
+			if k >= 4 && k < 10 && plain.RI.TotalProviderEntries() < entries {
 				expiries++ // a read dropped stale entries
 			}
 		}
@@ -181,5 +213,10 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 		if evictions == 0 || expiries == 0 {
 			t.Fatalf("seed %d: %d evictions, %d expiring reads; want both", seed, evictions, expiries)
 		}
+		if staleLookups < 100 || staleLetThrough == 0 || exactLookups < 100 {
+			t.Fatalf("seed %d: %d lookups on a stale filter (%d let through only by it), %d on an exact one; want both",
+				seed, staleLookups, staleLetThrough, exactLookups)
+		}
+		t.Logf("seed %d: %d stale lookups (%d let through only by staleness), %d exact", seed, staleLookups, staleLetThrough, exactLookups)
 	}
 }

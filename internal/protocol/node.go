@@ -24,9 +24,12 @@ type Node struct {
 	// RI is the response index (§3.2).
 	RI *cache.Index
 
-	// cbf is the local counting Bloom filter over keywords of cached
-	// filenames. Only maintained when the behaviour uses Bloom routing.
-	cbf *bloom.Counting
+	// bf is BF_n over the keywords of RI's filenames (§4.2), nil without
+	// Bloom routing. A cached filename's keywords go in at once; a
+	// discarded one raises dirty, and until PublishBloom rebuilds bf from
+	// RI (in place of §4.2's counting filter) bf is a superset, never less.
+	bf    *bloom.Filter
+	dirty bool
 	// deltaBuf is the reusable changed-position buffer of the announcement
 	// delta, so PublishBloom allocates nothing in steady state.
 	deltaBuf []uint32
@@ -56,30 +59,25 @@ type neighborFilter struct {
 	bf   *bloom.Filter
 }
 
-// bloomSync wires cache events into the node's counting filter, keeping
-// BF_n consistent with RI_n as §4.2 requires ("whenever n overhears a
-// response qrf such that f matches Gid_n, n caches qrf in RI_n, and then
-// inserts each keyword of f as an element of BF_n"; discarded filenames
-// remove their keywords).
+// bloomSync wires cache events into the node's filter as §4.2 requires
+// ("whenever n overhears a response qrf such that f matches Gid_n, n caches
+// qrf in RI_n, and then inserts each keyword of f as an element of BF_n").
 type bloomSync struct{ n *Node }
 
 func (b bloomSync) FilenameAdded(f keywords.Filename) {
-	if b.n.cbf == nil {
-		return
+	if b.n.bf != nil {
+		b.n.addKeywords(f)
 	}
-	var buf [16]byte
-	for i := range f.K() {
-		b.n.cbf.Add(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
-	}
+	b.n.dirty = true
 }
 
-func (b bloomSync) FilenameEvicted(f keywords.Filename) {
-	if b.n.cbf == nil {
-		return
-	}
+func (b bloomSync) FilenameEvicted(keywords.Filename) { b.n.dirty = true }
+
+// addKeywords inserts each keyword of f into bf.
+func (n *Node) addKeywords(f keywords.Filename) {
 	var buf [16]byte
 	for i := range f.K() {
-		b.n.cbf.Remove(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
+		n.bf.Add(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 }
 
@@ -93,7 +91,7 @@ func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg 
 	n.files = make([]keywords.Filename, 0, 4) // the evaluation places 3 per peer
 	n.RI = cache.New(cacheCfg, bloomSync{n})
 	if useBloom {
-		n.cbf = bloom.NewCounting(bloomBits, bloomK)
+		n.bf = bloom.New(bloomBits, bloomK)
 	}
 }
 
@@ -163,18 +161,22 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 	return keywords.Filename{}, false
 }
 
-// PublishBloom diffs the counting filter's live view against the newest
+// PublishBloom does nothing unless RI changed since the last call. Then it
+// rebuilds the filter from RI's filenames, diffs it against the newest
 // announce buffer (empty before the first announcement) and, if a bit
-// flipped, writes the view into the other buffer, allocated on first use,
-// and returns the delta (footnote 1), that snapshot and its generation; a
-// nil snapshot otherwise. The delta aliases a scratch buffer valid until
-// the next call.
+// flipped, writes it into the other buffer, allocated on first use, and
+// returns the delta (footnote 1), that snapshot and its generation; a nil
+// snapshot otherwise. The delta aliases a scratch buffer until the next call.
 func (n *Node) PublishBloom() (bloom.Delta, *bloom.Filter, uint64) {
-	if n.cbf == nil || !n.cbf.Changed() {
+	if n.bf == nil || !n.dirty {
 		return bloom.Delta{}, nil, 0
 	}
-	n.cbf.ClearChanged()
-	view := n.cbf.View()
+	n.dirty = false
+	view := n.bf
+	view.Reset()
+	for f := range n.RI.Files() {
+		n.addKeywords(f)
+	}
 	i := n.announceFlip
 	last := n.announceBufs[i^1]
 	if last == nil { // nothing announced yet: diff against buffer i, still empty
@@ -202,23 +204,24 @@ func (n *Node) PublishBloom() (bloom.Delta, *bloom.Filter, uint64) {
 // keyword, in the one filter geometry every peer of a network shares — and
 // nothing when Bloom routing is disabled.
 func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
-	if n.cbf == nil {
+	if n.bf == nil {
 		return dst
 	}
 	var buf [16]byte
 	for i := range q.K() {
-		dst = n.cbf.View().AppendIndexes(dst, string(q.KeywordAt(i).AppendSpelling(buf[:0])))
+		dst = n.bf.AppendIndexes(dst, string(q.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 	return dst
 }
 
-// lookupRI is RI.Lookup behind the node's own filter: bloomSync keeps cbf
-// an exact multiset of the RI's keywords, so a query keyword absent from it
-// means no cached filename can match, and a Lookup that matches nothing has
-// no side effect. kwIdx is q's Bloom positions (pendingQuery.kwIdx).
-// Without a filter (Flooding, Dicas) it falls through.
+// lookupRI is RI.Lookup behind the node's own filter: bf holds every
+// keyword of every cached filename, so a query keyword absent from it means
+// no cached filename can match. A stale bf (a superset) lets more queries
+// through, but a Lookup that matches nothing has no side effect. kwIdx is
+// q's Bloom positions (pendingQuery.kwIdx). Without a filter (Flooding,
+// Dicas) it falls through.
 func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.Match {
-	if n.cbf != nil && !n.cbf.TestIndexes(kwIdx) {
+	if n.bf != nil && !n.bf.TestIndexes(kwIdx) {
 		return nil
 	}
 	return n.RI.Lookup(q, now)

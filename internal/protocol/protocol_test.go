@@ -1021,7 +1021,7 @@ func TestIDHashesMatchSpellings(t *testing.T) {
 			for i, k := range ids {
 				words[i] = fmt.Sprintf("kw%05d", k)
 			}
-			if got, want := n.bloomPositions(nil, keywords.NewQuery(ids[0])), n.cbf.View().AppendIndexes(nil, words[0]); !slices.Equal(got, want) {
+			if got, want := n.bloomPositions(nil, keywords.NewQuery(ids[0])), n.bf.AppendIndexes(nil, words[0]); !slices.Equal(got, want) {
 				t.Fatalf("pool %d: Bloom positions of %s = %v, want %v", size, words[0], got, want)
 			}
 			slices.Sort(words)
@@ -1073,9 +1073,10 @@ func TestConfigFallbacks(t *testing.T) {
 func TestStaleBloomInstallFallsBack(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), Config{BloomBits: 1200, BloomK: 6, BloomGossipPeriod: 0})
 	n := net.Node(0)
-	// publish announces the given keyword into the next buffer.
+	// publish caches a filename of the given keyword and announces it into
+	// the next buffer.
 	publish := func(kw string) (*bloom.Filter, uint64) {
-		n.cbf.Add(kw)
+		n.RI.Put(fname(kw), 1, 0, 0)
 		_, snap, gen := n.PublishBloom()
 		if snap == nil {
 			t.Fatalf("adding %q announced nothing", kw)
@@ -1086,8 +1087,8 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	ev := net.acquireBloomInstall(1, 0, snap, gen)
 	// Two more rounds reuse both buffers before the event fires, each with
 	// newer content.
-	publish("beta")
-	publish("gamma")
+	publish("far")
+	publish("song")
 	ev.Fire(net.Engine)
 	if got := net.StaleBloomFallbacks(); got != 1 {
 		t.Fatalf("StaleBloomFallbacks = %d, want 1", got)
@@ -1096,11 +1097,11 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	if got == nil {
 		t.Fatal("stale install dropped entirely; want fallback to published")
 	}
-	if !got.Equal(n.PublishedBloom()) || !got.Equal(n.cbf.View()) {
+	if !got.Equal(n.PublishedBloom()) || !got.Equal(n.bf) {
 		t.Fatal("fallback install does not match the sender's newest announcement")
 	}
 	// A fresh install still lands without the fallback counter moving.
-	snap, gen = publish("delta")
+	snap, gen = publish("zeta")
 	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
 	if net.StaleBloomFallbacks() != 1 {
 		t.Fatal("fresh install miscounted as stale")
