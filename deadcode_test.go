@@ -24,6 +24,7 @@ var deadCodeAllowed = map[string]string{
 	"netmodel.DecodeLocID":              "oracle: the round-trip tests invert EncodeLocID through it",
 	"cache.Index.Filenames":             "oracle: the gossip equivalence test rebuilds a node's filter from it",
 	"bloom.Filter.Equal":                "oracle: the gossip and filter-rebuild tests compare filters through it",
+	"protocol.Node.PublishedBloom":      "oracle: the gossip equivalence test diffs each peer's last announcement through it",
 	"locaware.SweepResult.CellEstimate": "benchmark/bench_test.go compares a campaign cell with direct runs through it",
 }
 

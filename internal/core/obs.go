@@ -75,10 +75,9 @@ func (s *Simulation) finishObs(res *RunResult) {
 		ForwardsByTier: map[string]uint64{
 			"bloom": fwd.BloomMatched, "gid": fwd.GidMatched, "fallback": fwd.Fallback, "flood": fwd.FloodAll,
 		},
-		ControlMessages:     net.ControlMessages(),
-		ControlBits:         net.ControlBits(),
-		StaleBloomFallbacks: net.StaleBloomFallbacks(),
-		PoolFree:            net.PoolSizes(),
+		ControlMessages: net.ControlMessages(),
+		ControlBits:     net.ControlBits(),
+		PoolFree:        net.PoolSizes(),
 	}}
 	s.Cfg.Obs.Add(rs.Stats)
 	res.Runtime = rs

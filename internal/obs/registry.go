@@ -41,9 +41,6 @@ type Stats struct {
 	ForwardsByTier map[string]uint64
 	// ControlMessages and ControlBits are the gossip plane's traffic.
 	ControlMessages, ControlBits uint64
-	// StaleBloomFallbacks counts Bloom installs that outlived their
-	// announce buffer and fell back to the sender's published filter.
-	StaleBloomFallbacks uint64
 	// PoolFree is the free-list occupancy per pooled type at end of run.
 	PoolFree map[string]uint64
 }
@@ -78,8 +75,6 @@ var families = []family{
 		value: func(s *Stats) *uint64 { return &s.Finalized }},
 	{name: "protocol_queries_submitted_total", help: "Queries submitted.", kind: "counter",
 		value: func(s *Stats) *uint64 { return &s.Submitted }},
-	{name: "protocol_stale_bloom_fallbacks_total", help: "Bloom installs that fell back to the published filter.", kind: "counter",
-		value: func(s *Stats) *uint64 { return &s.StaleBloomFallbacks }},
 	{name: "protocol_storage_hits_total", help: "Local storage matches.", kind: "counter",
 		value: func(s *Stats) *uint64 { return &s.StorageHits }},
 	{name: "sim_events_scheduled_total", help: "Events scheduled.", kind: "counter",

@@ -18,59 +18,49 @@ func (net *Network) gossipBlooms() {
 		if !net.Graph.Online(n.ID) {
 			continue
 		}
-		// The snapshot stays frozen two rounds; installs copy it on arrival.
-		d, snapshot, snapGen := n.PublishBloom()
-		if snapshot == nil {
+		d := n.PublishBloom()
+		if d.Empty() {
 			continue
 		}
-		from := n.ID
 		sizeBits := d.SizeBits()
 		for _, nb := range net.Graph.Neighbors(n.ID) {
 			net.controlMessages++
 			net.controlBits += uint64(sizeBits)
-			net.send(from, nb, net.acquireBloomInstall(nb, from, snapshot, snapGen))
+			net.send(n.ID, nb, net.acquireBloomInstall(nb, n))
 		}
 	}
 }
 
-// bloomInstallEvent delivers one Bloom gossip announcement: dst installs
-// (copies) from's announced filter after link latency.
-//
-// The event carries one of from's two alternating announce buffers, frozen
-// until from's next-but-one gossip round — the install copies rather than
-// retains it. gen is the buffer generation at announce time: if the buffer
-// has been reused before the event lands (a gossip period shorter than
-// twice the link delay — a misconfiguration, but a reachable one under
-// extreme degrade-region scenarios), the install falls back to a copy of
-// the sender's newest announce buffer and is counted. The fallback keeps
-// gossip convergent — the neighbour receives a valid (fresher) snapshot
-// instead of silently keeping round-r's content forever when later deltas
-// are empty — without ever installing torn buffer contents.
+// bloomInstallEvent delivers one Bloom gossip announcement: after link
+// latency dst installs bf, the sender's announcement as it was when sent.
+// The event owns bf, so a late delivery installs exactly what was sent and
+// the sender's next announcement cannot touch it. The install is a swap:
+// bf becomes dst's copy of from's filter, and the copy it replaces rides
+// back to the pool with the event, to carry a later send.
 type bloomInstallEvent struct {
 	net  *Network
 	dst  overlay.PeerID
 	from overlay.PeerID
-	snap *bloom.Filter
-	gen  uint64
+	bf   *bloom.Filter // nil on a new event, or one whose filter a new link kept
 }
 
 func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 
 func (ev *bloomInstallEvent) Fire(*sim.Engine) {
-	net := ev.net
-	snap := ev.snap
-	if net.nodes[ev.from].announceGenOf(snap) != ev.gen {
-		net.staleBloomFallbacks++
-		snap = net.nodes[ev.from].PublishedBloom()
-	}
-	net.nodes[ev.dst].setNeighborBloom(ev.from, snap)
-	ev.snap = nil
-	net.biPool.Put(ev)
+	ev.bf = ev.net.nodes[ev.dst].setNeighborBloom(ev.from, ev.bf)
+	ev.net.biPool.Put(ev)
 }
 
-func (net *Network) acquireBloomInstall(dst, from overlay.PeerID, snap *bloom.Filter, gen uint64) *bloomInstallEvent {
+// acquireBloomInstall returns an install event carrying a copy of from's
+// announcement to dst, cloning a filter only for an event that has none.
+func (net *Network) acquireBloomInstall(dst overlay.PeerID, from *Node) *bloomInstallEvent {
 	ev := net.biPool.Get()
-	*ev = bloomInstallEvent{net: net, dst: dst, from: from, snap: snap, gen: gen}
+	if ev.bf == nil {
+		ev.bf = from.announced.Clone()
+	} else {
+		_ = ev.bf.CopyFrom(from.announced) // cannot mismatch: one geometry per network
+	}
+	ev.net, ev.dst, ev.from = net, dst, from.ID
 	return ev
 }
 

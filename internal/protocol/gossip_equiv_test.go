@@ -26,8 +26,8 @@ func riView(net *protocol.Network, n *protocol.Node) *bloom.Filter {
 	return f
 }
 
-// lastAnnounced is what n last announced: its newest announce buffer, or
-// an empty filter before its first announcement.
+// lastAnnounced is what n last announced, or an empty filter before its
+// first announcement.
 func lastAnnounced(net *protocol.Network, n *protocol.Node) *bloom.Filter {
 	if f := n.PublishedBloom(); f != nil {
 		return f
@@ -157,4 +157,35 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	}
 	t.Logf("%d rounds, %d announcements, %d held while offline, %d announced on rejoin, %d control msgs",
 		rounds, announces, heldOffline, rejoinAnnounces, wantMsgs)
+}
+
+// TestInstallEventsOwnTheirFilters: over a churn-waves Locaware run, every
+// bloom-install event fires with a filter of its own — never the sender's
+// announcement, any peer's filter or any neighbour copy — so a late
+// delivery installs exactly what was sent and the install can be a swap.
+func TestInstallEventsOwnTheirFilters(t *testing.T) {
+	spec, ok := scenario.Lookup("churn-waves")
+	if !ok {
+		t.Fatal("built-in churn-waves scenario missing")
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = 14
+	cfg.NumPeers = 300
+	cfg.Scenario = spec
+	s := core.NewSimulation(cfg, protocol.Locaware{})
+	installs := 0
+	s.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if sim.EventName(ev) != "bloom-install" {
+			return
+		}
+		installs++
+		if what := protocol.InstallSharing(s.Network, ev); what != "" {
+			t.Fatalf("install %d shares its filter with %s", installs, what)
+		}
+	})
+	s.RunMeasured(200, 4000)
+	if installs < 1000 {
+		t.Fatalf("only %d installs; the check is near-vacuous", installs)
+	}
+	t.Logf("%d installs, each with its own filter", installs)
 }

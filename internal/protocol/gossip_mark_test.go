@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -38,7 +39,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 			t.Fatalf("offline round %d sent %d control messages", r, sent)
 		}
 	}
-	if !n.dirty || n.PublishedBloom() != nil {
+	if !n.dirty || n.announced != nil {
 		t.Fatal("offline rounds consumed the pending change")
 	}
 	if err := net.Graph.Join(2); err != nil {
@@ -52,11 +53,11 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 	if sent := handRound(net); sent != 2 {
 		t.Fatalf("first round after rejoin sent %d control messages, want 2", sent)
 	}
-	if n.dirty || !n.PublishedBloom().Equal(n.bf) {
+	if n.dirty || !n.announced.Equal(n.bf) {
 		t.Fatal("rejoin round did not publish the held change")
 	}
 	for _, nb := range []overlay.PeerID{1, 3} {
-		if got := net.Node(nb).NeighborBloom(2); got == nil || !got.Equal(n.PublishedBloom()) {
+		if got := net.Node(nb).NeighborBloom(2); got == nil || !got.Equal(n.announced) {
 			t.Fatalf("neighbour %d did not install the rejoin announcement", nb)
 		}
 	}
@@ -67,9 +68,9 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 
 // TestCancellingChangeSendsNothing: a filename cached and discarded between
 // two rounds raises the mark, but the round finds the empty delta, sends
-// nothing, bumps no announce generation and leaves the mark clear, so the
+// nothing, leaves the announcement as it was and the mark clear, so the
 // rounds after it are back to one flag read. A peer that never announced
-// allocates no announce buffer for such a change.
+// allocates no announce filter for such a change.
 func TestCancellingChangeSendsNothing(t *testing.T) {
 	net := gossipWorld(6)
 	n := net.Node(2)
@@ -77,7 +78,7 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	if sent := handRound(net); sent != 2 {
 		t.Fatalf("setup round sent %d control messages, want 2", sent)
 	}
-	gens := n.announceGens
+	announced, sent := n.announced, n.announced.Clone()
 
 	goes := fname("comes", "and", "goes")
 	fresh := net.Node(4)
@@ -101,15 +102,43 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	if n.dirty || fresh.dirty {
 		t.Fatal("the round left the mark raised")
 	}
-	if n.announceGens != gens {
-		t.Fatal("an empty delta consumed an announce buffer")
+	if n.announced != announced || !n.announced.Equal(sent) {
+		t.Fatal("an empty delta changed the announcement")
 	}
-	if fresh.announceBufs != [2]*bloom.Filter{} {
-		t.Fatal("a peer that never announced allocated an announce buffer")
+	if fresh.announced != nil {
+		t.Fatal("a peer that never announced allocated an announce filter")
 	}
-	if d, snap, gen := n.PublishBloom(); snap != nil || !d.Empty() || gen != 0 {
-		t.Fatalf("idle PublishBloom returned %v, %v, %d", d, snap, gen)
+	if d := n.PublishBloom(); !d.Empty() {
+		t.Fatalf("idle PublishBloom returned %v", d)
 	}
+}
+
+// InstallSharing is the in-package half of TestInstallEventsOwnTheirFilters
+// (gossip_equiv_test.go, which drives a core churn-waves run this package
+// cannot import): for an event about to fire, it names the node state a
+// bloom-install event's filter is shared with, or "" when the event owns
+// its filter (or is no install).
+func InstallSharing(net *Network, ev sim.Event) string {
+	bi, ok := ev.(*bloomInstallEvent)
+	switch {
+	case !ok:
+		return ""
+	case bi.bf == nil:
+		return "nothing: the install carries no filter"
+	case bi.bf == net.nodes[bi.from].announced:
+		return fmt.Sprintf("peer %d's announcement", bi.from)
+	}
+	for _, n := range net.nodes {
+		if bi.bf == n.bf {
+			return fmt.Sprintf("peer %d's own filter", n.ID)
+		}
+		for _, nf := range n.neighborBF {
+			if bi.bf == nf.bf {
+				return fmt.Sprintf("peer %d's copy of peer %d's filter", n.ID, nf.peer)
+			}
+		}
+	}
+	return ""
 }
 
 // exactFilter is the filter n's RI calls for: every keyword of every cached

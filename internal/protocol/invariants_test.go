@@ -53,7 +53,9 @@ func randomNet(t *testing.T, b Behavior, seed int64, peers int) (*Network, []key
 // peer online (seen by the engine observer just before they fire) minus the
 // ones the peer dropped as duplicates (seen by the tracer): how many times
 // the peer handled the query. It also holds every delivered branch to the
-// shape forwarding promises: a simple path no longer than the TTL allows.
+// shape forwarding promises: a simple path no longer than the TTL allows;
+// and every response hop to the reverse path's: a non-empty path left,
+// ending at the origin, until the hop that lands on the origin.
 type deliveryAudit struct {
 	origin  map[uint64]int
 	handled map[[2]uint64]int
@@ -65,6 +67,14 @@ func auditDeliveries(net *Network) *deliveryAudit {
 	a := &deliveryAudit{origin: map[uint64]int{}, handled: map[[2]uint64]int{}}
 	net.SetTracer(a)
 	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
+		if r, ok := ev.(*ResponseMsg); ok {
+			atOrigin := r.dst == r.Origin
+			if a.badPath == "" && (atOrigin != (len(r.Path) == 0) || !atOrigin && r.Path[0] != r.Origin) {
+				a.badPath = fmt.Sprintf("response to query %d delivered to %d with reverse path %v left, origin %d",
+					r.ID, r.dst, r.Path, r.Origin)
+			}
+			return
+		}
 		q, ok := ev.(*QueryMsg)
 		if !ok {
 			return
@@ -102,7 +112,7 @@ func (a *deliveryAudit) check(t *testing.T, label string) {
 		t.Fatalf("%s: the audit saw no delivery", label)
 	}
 	if a.badPath != "" {
-		t.Fatalf("%s: %s; want distinct peers and hops + TTL left = TTL", label, a.badPath)
+		t.Fatalf("%s: %s; want distinct peers, hops + TTL left = TTL and a reverse path to the origin", label, a.badPath)
 	}
 	for k, n := range a.handled {
 		want := 1
@@ -127,7 +137,9 @@ func (a *deliveryAudit) check(t *testing.T, label string) {
 //  5. the engine fully drains (no event leaks);
 //  6. no peer handles the same query twice: every delivery to a peer after
 //     its first is dropped as a duplicate;
-//  7. every delivered branch has walked a simple path of at most TTL hops.
+//  7. every delivered branch has walked a simple path of at most TTL hops,
+//     and every response hop short of the origin has the origin's reverse
+//     path left to walk.
 func TestProtocolInvariantsRandomized(t *testing.T) {
 	behaviors := []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}, LocawareLR{}}
 	for _, b := range behaviors {

@@ -232,11 +232,10 @@ type Network struct {
 
 	// forwarding / control / lifecycle counters tally the run; whoever
 	// reports them reads them once, when the run is over.
-	forwarding          ForwardStats
-	controlMessages     uint64
-	controlBits         uint64
-	staleBloomFallbacks uint64
-	counts              Counts
+	forwarding      ForwardStats
+	controlMessages uint64
+	controlBits     uint64
+	counts          Counts
 
 	// tracer, when non-nil, receives a structured event for every step of a
 	// query's life and every scenario phase entry (set via SetTracer). In a
@@ -364,10 +363,10 @@ func (net *Network) ControlMessages() uint64 { return net.controlMessages }
 // ControlBits returns the total gossiped delta payload in bits.
 func (net *Network) ControlBits() uint64 { return net.controlBits }
 
-// StaleBloomFallbacks returns how many gossip installs outlived their
-// announce buffer and fell back to the sender's current published
-// snapshot (see bloomInstallEvent).
-func (net *Network) StaleBloomFallbacks() uint64 { return net.staleBloomFallbacks }
+// StaleBloomFallbacks returns 0: an install event carries its own copy of
+// the announcement, so no install can outlive what it delivers. Kept for
+// the benchmark harness, which still reports it.
+func (net *Network) StaleBloomFallbacks() uint64 { return 0 }
 
 // Forwarding returns the run's routing-tier tallies.
 func (net *Network) Forwarding() ForwardStats { return net.forwarding }

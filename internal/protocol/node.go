@@ -33,16 +33,9 @@ type Node struct {
 	// deltaBuf is the reusable changed-position buffer of the announcement
 	// delta, so PublishBloom allocates nothing in steady state.
 	deltaBuf []uint32
-	// announceBufs double-buffer the snapshot handed to in-flight install
-	// events: round r announces one buffer while round r-1's buffer stays
-	// frozen, so installs remain correct as long as deliveries land within two
-	// gossip periods — a wide margin over the documented
-	// period-exceeds-link-latency assumption, without cloning per round. The
-	// newest buffer is what the node last announced. announceGens stamp each
-	// buffer's content generation (see bloomInstallEvent).
-	announceBufs [2]*bloom.Filter
-	announceGens [2]uint64
-	announceFlip int
+	// announced is what the node last announced, nil before its first
+	// announcement; install events carry their own copies of it.
+	announced *bloom.Filter
 	// neighborBF holds this node's copies of its neighbours' announced
 	// filters (§4.2: "peer n stores its direct neighbors' Gid and BF"),
 	// updated by gossip messages after link latency — so routing decisions
@@ -107,19 +100,21 @@ func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
 	return nil
 }
 
-// setNeighborBloom installs a received announcement by copying it into
-// this node's own per-neighbour filter (allocated once per link, reused
-// for every later update). Copy-on-install means the sender's announced
-// buffer is never retained across rounds, so gossip reuses one buffer per
-// peer instead of cloning a snapshot per round — and a neighbour's view
-// only ever changes when a gossip message actually arrives, exactly the
-// stale-copy semantics of §4.2.
-func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) {
-	if dst := n.NeighborBloom(nb); dst != nil {
-		_ = dst.CopyFrom(f) // cannot mismatch: one geometry per network
-	} else {
-		n.neighborBF = append(n.neighborBF, neighborFilter{nb, f.Clone()})
+// setNeighborBloom installs f, a received announcement the caller hands
+// over, as this node's copy of neighbour nb's filter, and returns the copy
+// it replaces (nil on a new link) for the caller to reuse. A neighbour's
+// view only ever changes when a gossip message actually arrives, exactly
+// the stale-copy semantics of §4.2.
+func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) *bloom.Filter {
+	for i := range n.neighborBF {
+		if n.neighborBF[i].peer == nb {
+			old := n.neighborBF[i].bf
+			n.neighborBF[i].bf = f
+			return old
+		}
 	}
+	n.neighborBF = append(n.neighborBF, neighborFilter{nb, f})
+	return nil
 }
 
 // fileIndex returns where f sits in the sorted storage, or would be
@@ -162,14 +157,14 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 }
 
 // PublishBloom does nothing unless RI changed since the last call. Then it
-// rebuilds the filter from RI's filenames, diffs it against the newest
-// announce buffer (empty before the first announcement) and, if a bit
-// flipped, writes it into the other buffer, allocated on first use, and
-// returns the delta (footnote 1), that snapshot and its generation; a nil
-// snapshot otherwise. The delta aliases a scratch buffer until the next call.
-func (n *Node) PublishBloom() (bloom.Delta, *bloom.Filter, uint64) {
+// rebuilds the filter from RI's filenames, diffs it against announced
+// (empty before the first announcement, allocated on first use) and, if a
+// bit flipped, copies it into announced. It returns the delta (footnote 1),
+// empty when there is nothing to send; the delta aliases a scratch buffer
+// until the next call.
+func (n *Node) PublishBloom() bloom.Delta {
 	if n.bf == nil || !n.dirty {
-		return bloom.Delta{}, nil, 0
+		return bloom.Delta{}
 	}
 	n.dirty = false
 	view := n.bf
@@ -177,27 +172,18 @@ func (n *Node) PublishBloom() (bloom.Delta, *bloom.Filter, uint64) {
 	for f := range n.RI.Files() {
 		n.addKeywords(f)
 	}
-	i := n.announceFlip
-	last := n.announceBufs[i^1]
-	if last == nil { // nothing announced yet: diff against buffer i, still empty
+	if n.announced == nil {
 		if view.PopCount() == 0 {
-			return bloom.Delta{}, nil, 0
+			return bloom.Delta{}
 		}
-		last = bloom.New(view.M(), view.K())
-		n.announceBufs[i] = last
+		n.announced = bloom.New(view.M(), view.K())
 	}
-	d, _ := bloom.DiffFiltersInto(last, view, n.deltaBuf) // one geometry per node
+	d, _ := bloom.DiffFiltersInto(n.announced, view, n.deltaBuf) // one geometry per node
 	n.deltaBuf = d.Flipped[:0]
-	if d.Empty() {
-		return bloom.Delta{}, nil, 0
+	if !d.Empty() {
+		_ = n.announced.CopyFrom(view)
 	}
-	if n.announceBufs[i] == nil {
-		n.announceBufs[i] = bloom.New(view.M(), view.K())
-	}
-	_ = n.announceBufs[i].CopyFrom(view)
-	n.announceFlip = i ^ 1
-	n.announceGens[i]++
-	return d, n.announceBufs[i], n.announceGens[i]
+	return d
 }
 
 // bloomPositions appends the Bloom positions of q's keywords to dst — K per
@@ -227,19 +213,8 @@ func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.
 	return n.RI.Lookup(q, now)
 }
 
-// PublishedBloom returns the snapshot this node last announced, if any.
-func (n *Node) PublishedBloom() *bloom.Filter { return n.announceBufs[n.announceFlip^1] }
-
-// announceGenOf returns the current content generation of one of this
-// node's announce buffers (0 for an unknown filter).
-func (n *Node) announceGenOf(f *bloom.Filter) uint64 {
-	for i, b := range n.announceBufs {
-		if b == f {
-			return n.announceGens[i]
-		}
-	}
-	return 0
-}
+// PublishedBloom returns the filter this node last announced, if any.
+func (n *Node) PublishedBloom() *bloom.Filter { return n.announced }
 
 // gidOfName maps a filename to its group id: hash(f) mod M (Eq. 1), with
 // the FNV-1a hash of the canonical name computed once per filename.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -425,7 +424,7 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	targets := Locaware{}.Forward(net, n1, q, eligOf(net, q))
 	for _, tgt := range targets {
 		if tgt == 2 {
-			if n2.PublishedBloom() != nil {
+			if n2.announced != nil {
 				t.Fatal("node 2 announced a BF before gossip")
 			}
 		}
@@ -730,16 +729,31 @@ func TestOrderProvidersForOrigin(t *testing.T) {
 	}
 }
 
+// TestSelectIndexMatchPrefersOriginLocality: locality outranks any
+// provider count — a non-local match with 1 500 providers loses to a local
+// one with 1, in either order — count breaks ties within a class, and of
+// equals the earliest wins.
 func TestSelectIndexMatchPrefersOriginLocality(t *testing.T) {
-	cfg := DefaultConfig()
-	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), cfg)
-	ms := []cache.Match{
-		{File: fname("many"), Providers: []cache.Provider{{Peer: 1, LocID: 1}, {Peer: 2, LocID: 2}, {Peer: 3, LocID: 3}}},
-		{File: fname("right"), Providers: []cache.Provider{{Peer: 4, LocID: 7}}},
+	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), DefaultConfig())
+	crowd := make([]cache.Provider, 1500)
+	for i := range crowd {
+		crowd[i] = cache.Provider{Peer: overlay.PeerID(i + 10), LocID: 1}
 	}
-	got := net.selectIndexMatch(ms, 7)
-	if got.File != fname("right") {
-		t.Fatalf("selected %v, want locality match", got.File)
+	local := []cache.Provider{{Peer: 4, LocID: 7}}
+	cases := []struct {
+		ms   []cache.Match
+		want string
+	}{
+		{[]cache.Match{{File: fname("many"), Providers: crowd[:3]}, {File: fname("right"), Providers: local}}, "right"},
+		{[]cache.Match{{File: fname("many"), Providers: crowd}, {File: fname("right"), Providers: local}}, "right"},
+		{[]cache.Match{{File: fname("right"), Providers: local}, {File: fname("many"), Providers: crowd}}, "right"},
+		{[]cache.Match{{File: fname("right"), Providers: local}, {File: fname("pop"), Providers: append(crowd[:1:1], local...)}}, "pop"},
+		{[]cache.Match{{File: fname("aaa"), Providers: crowd[:2]}, {File: fname("bbb"), Providers: crowd[2:4]}}, "aaa"},
+	}
+	for _, c := range cases {
+		if got := net.selectIndexMatch(c.ms, 7); got.File != fname(c.want) {
+			t.Fatalf("selected %v of %d matches, want %q", got.File, len(c.ms), c.want)
+		}
 	}
 }
 
@@ -1065,45 +1079,36 @@ func TestConfigFallbacks(t *testing.T) {
 	}
 }
 
-// TestStaleBloomInstallFallsBack locks the announce-buffer generation
-// guard: an install event that outlives two gossip rounds (its buffer was
-// reused in flight) never applies the torn buffer — it installs a copy of
-// the sender's newest announce buffer instead and is counted, so the
-// neighbour's view stays a valid snapshot and gossip stays convergent.
-func TestStaleBloomInstallFallsBack(t *testing.T) {
+// TestLateBloomInstallIsWhatWasSent: an install event owns the copy of
+// the announcement it was sent with, so one that fires after two more
+// announcements installs what it carried, not the sender's newer filter,
+// and a later install replaces it with what that one carried.
+func TestLateBloomInstallIsWhatWasSent(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), Config{BloomBits: 1200, BloomK: 6, BloomGossipPeriod: 0})
 	n := net.Node(0)
-	// publish caches a filename of the given keyword and announces it into
-	// the next buffer.
-	publish := func(kw string) (*bloom.Filter, uint64) {
+	// publish caches a filename of the given keyword and announces it.
+	publish := func(kw string) {
 		n.RI.Put(fname(kw), 1, 0, 0)
-		_, snap, gen := n.PublishBloom()
-		if snap == nil {
+		if n.PublishBloom().Empty() {
 			t.Fatalf("adding %q announced nothing", kw)
 		}
-		return snap, gen
 	}
-	snap, gen := publish("alpha")
-	ev := net.acquireBloomInstall(1, 0, snap, gen)
-	// Two more rounds reuse both buffers before the event fires, each with
-	// newer content.
+	publish("alpha")
+	sent := n.announced.Clone()
+	late := net.acquireBloomInstall(1, n)
 	publish("far")
 	publish("song")
-	ev.Fire(net.Engine)
-	if got := net.StaleBloomFallbacks(); got != 1 {
-		t.Fatalf("StaleBloomFallbacks = %d, want 1", got)
-	}
+	late.Fire(net.Engine)
 	got := net.Node(1).NeighborBloom(0)
-	if got == nil {
-		t.Fatal("stale install dropped entirely; want fallback to published")
+	if got == nil || !got.Equal(sent) {
+		t.Fatal("the late install did not install the announcement it was sent with")
 	}
-	if !got.Equal(n.PublishedBloom()) || !got.Equal(n.bf) {
-		t.Fatal("fallback install does not match the sender's newest announcement")
+	if got.Equal(n.announced) || got == n.announced {
+		t.Fatal("the late install picked up the sender's newer announcement")
 	}
-	// A fresh install still lands without the fallback counter moving.
-	snap, gen = publish("zeta")
-	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
-	if net.StaleBloomFallbacks() != 1 {
-		t.Fatal("fresh install miscounted as stale")
+	publish("zeta")
+	net.acquireBloomInstall(1, n).Fire(net.Engine)
+	if got := net.Node(1).NeighborBloom(0); !got.Equal(n.announced) || got == n.announced {
+		t.Fatal("a later install did not replace the copy with its own")
 	}
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"strconv"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -11,24 +12,22 @@ import (
 )
 
 // selectIndexMatch picks among multiple matching cached filenames: prefer
-// the one with a provider in the origin's locality, then the one with most
-// providers.
+// one with a provider in the origin's locality, then the one with most
+// providers; of equals, the earliest.
 func (net *Network) selectIndexMatch(ms []cache.Match, origin netmodel.LocID) cache.Match {
-	best := ms[0]
-	bestScore := -1
-	for _, m := range ms {
-		score := len(m.Providers)
-		for _, pr := range m.Providers {
-			if pr.LocID == origin {
-				score += 1000
-				break
-			}
-		}
-		if score > bestScore {
-			best, bestScore = m, score
+	best, bestLocal := ms[0], hasLocal(ms[0].Providers, origin)
+	for _, m := range ms[1:] {
+		local := hasLocal(m.Providers, origin)
+		if local && !bestLocal || local == bestLocal && len(m.Providers) > len(best.Providers) {
+			best, bestLocal = m, local
 		}
 	}
 	return best
+}
+
+// hasLocal reports whether a provider sits in locality loc.
+func hasLocal(ps []cache.Provider, loc netmodel.LocID) bool {
+	return slices.ContainsFunc(ps, func(p cache.Provider) bool { return p.LocID == loc })
 }
 
 // orderProvidersForOrigin appends ps to dst so providers matching the
@@ -54,12 +53,6 @@ func (net *Network) orderProvidersForOrigin(dst []cache.Provider, ps []cache.Pro
 // completes the query at the origin. The response is mutated in place as it
 // walks and is its own delivery event, so it is queued at most once.
 func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
-	if len(rsp.Path) == 0 {
-		// The answering node is the origin's neighbourless case; deliver
-		// locally (should not happen: origin handles local hits).
-		net.deliverResponse(rsp.Origin, rsp)
-		return
-	}
 	rsp.dst = rsp.Path[len(rsp.Path)-1]
 	rsp.Path = rsp.Path[:len(rsp.Path)-1]
 	if rsp.pq.id == rsp.ID { // finalised queries stop counting

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"container/heap"
 	"sort"
 
 	"github.com/p2prepro/locaware/internal/sim"
@@ -218,12 +219,14 @@ func (r *FlightRecorder) finish(fin Event, b *queryBuf) {
 	}
 	if r.pol.SlowestN > 0 {
 		if len(r.slow) < r.pol.SlowestN {
-			r.slow.push(r.seal(b, lat, "slowest"))
+			heap.Push(&r.slow, r.seal(b, lat, "slowest"))
 			return
 		}
 		if slowLess(r.slow[0].Latency, r.slow[0].Query, lat, fin.Query) {
-			evicted := r.slow.replaceMin(r.seal(b, lat, "slowest"))
-			r.spare = append(r.spare, evicted.Events[:0])
+			t := r.seal(b, lat, "slowest")
+			r.spare = append(r.spare, r.slow[0].Events[:0])
+			r.slow[0] = t
+			heap.Fix(&r.slow, 0)
 			return
 		}
 	}
@@ -315,50 +318,27 @@ func slowLess(aLat sim.Time, aQ uint64, lat sim.Time, q uint64) bool {
 	return q < aQ
 }
 
-// slowHeap is a min-heap of retained traces keyed by (Latency, then
-// descending Query), so the root is always the entry the next slower
-// candidate evicts.
+// slowHeap is a container/heap min-heap of retained traces keyed by
+// (Latency, then descending Query), so the root is always the entry the
+// next slower candidate evicts.
 type slowHeap []*QueryTrace
 
-func (h slowHeap) less(i, j int) bool {
+func (h slowHeap) Len() int { return len(h) }
+
+func (h slowHeap) Less(i, j int) bool {
 	if h[i].Latency != h[j].Latency {
 		return h[i].Latency < h[j].Latency
 	}
 	return h[i].Query > h[j].Query
 }
 
-func (h *slowHeap) push(t *QueryTrace) {
-	*h = append(*h, t)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
+func (h slowHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-// replaceMin swaps the heap minimum for t and returns the evicted entry.
-func (h *slowHeap) replaceMin(t *QueryTrace) *QueryTrace {
-	old := (*h)[0]
-	(*h)[0] = t
-	i, n := 0, len(*h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return old
+func (h *slowHeap) Push(x any) { *h = append(*h, x.(*QueryTrace)) }
+
+func (h *slowHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return t
 }

@@ -237,7 +237,6 @@ func TestSharedObserverSumsRuns(t *testing.T) {
 				sum(`protocol_forwards_total{tier="flood"}`, r.FloodForwards)
 				sum("protocol_control_messages_total", r.ControlMessages)
 				sum("protocol_control_bits_total", uint64(math.Round(r.ControlKbits*1000)))
-				sum("protocol_stale_bloom_fallbacks_total", rs.StaleBloomFallbacks)
 			}
 		}
 	}
