@@ -27,7 +27,8 @@ step scenario
 # bloom-sweep must print and export the run-level gossip-traffic table. A
 # cell must run what its label says, and once: a non-positive axis value, an
 # integer value too large for its parameter, a protocol named twice and an
-# axis value given twice are refused, naming what is wrong.
+# axis value given twice are refused, naming what is wrong. So are a spec
+# followed by more data and the deleted Locaware-LR routing extension.
 step sweep
 "$exp" -sweep list
 "$exp" -sweep churn-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/sweep-smoke"
@@ -47,6 +48,8 @@ refused '{"name":"zero","queries":40,"protocols":["Dicas"],"base":{"peers":100},
 refused '{"name":"wide","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"ttl","values":[1e19]}]}' 'axis "ttl": value 1e+19 exceeds'
 refused '{"name":"twice","queries":40,"protocols":["Dicas","Dicas"],"axes":[{"param":"ttl","values":[3,5]}]}' 'protocol "Dicas" is listed twice'
 refused '{"name":"twice","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[3,3]}]}' 'axis "ttl" lists value 3 twice'
+refused '{"name":"tail","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[7]}]}{"name":"second"} trailing garbage' 'data after the spec'
+refused '{"name":"lr","queries":40,"protocols":["Locaware","Locaware-LR"],"axes":[{"param":"ttl","values":[7]}]}' 'unknown protocol "Locaware-LR"'
 
 # Observability: the runtime report and the Prometheus dump render end to
 # end. The locks (golden byte-identity with an Observer attached, the

@@ -39,7 +39,6 @@
 //	locaware-exp -sweep cache-sweep      # RI capacity
 //	locaware-exp -sweep bloom-sweep      # Bloom filter size vs gossip kbit
 //	locaware-exp -sweep group-sweep      # Dicas group count M vs cached filenames
-//	locaware-exp -sweep lr-sweep         # location-aware routing (§6)
 //	locaware-exp -sweep churn-sweep      # churn resilience (steady-churn intensity)
 //
 // A campaign prints one table per metric its spec lists under "figures"

@@ -5,7 +5,7 @@
 //
 //	locaware-sim -protocol Locaware -peers 1000 -warmup 1000 -queries 2000
 //
-// Protocols: Flooding, Dicas, Dicas-Keys, Locaware, Locaware-LR.
+// Protocols: Flooding, Dicas, Dicas-Keys, Locaware.
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 	flag.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "Zipf popularity exponent")
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	var (
-		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware|Locaware-LR")
+		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware")
 		warmup    = flag.Int("warmup", 1000, "warmup queries (records discarded)")
 		queries   = flag.Int("queries", 2000, "measured queries")
 		churn     = flag.Bool("churn", false, "enable peer churn (the built-in steady-churn scenario)")

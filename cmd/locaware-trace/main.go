@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware|Locaware-LR")
+		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware")
 		peers     = flag.Int("peers", 100, "number of peers")
 		warmup    = flag.Int("warmup", 0, "warmup queries before the traced phase")
 		queries   = flag.Int("queries", 10, "traced queries")

@@ -142,7 +142,7 @@ func TestRunNeverOutlivesDeadline(t *testing.T) {
 // flushes after the engine returns; this is the invariant that lets it not.
 func TestRunSealsEveryQuery(t *testing.T) {
 	for _, scen := range []string{"", "steady-churn", "regional-outage"} {
-		for _, b := range append(protocol.Baselines(), protocol.LocawareLR{}) {
+		for _, b := range protocol.Baselines() {
 			cfg := smallConfig(9)
 			if scen != "" {
 				cfg.Scenario, _ = scenario.Lookup(scen)

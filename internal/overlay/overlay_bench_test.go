@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,13 +25,18 @@ func BenchmarkNeighbors(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnStep measures one full churn round over 1000 peers.
+// BenchmarkChurnStep measures one full churn round at the paper's 1000
+// peers and at the 20 000 of the large-world benchmark.
 func BenchmarkChurnStep(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	g := BuildRandom(1000, paperBuild, r)
-	cfg := DefaultChurn()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ChurnStep(g, cfg, r)
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(3))
+			g := BuildRandom(n, paperBuild, r)
+			cfg := DefaultChurn()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ChurnStep(g, cfg, r)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"github.com/p2prepro/locaware/internal/cache"
-	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 )
 
@@ -13,15 +12,12 @@ import (
 // ignores physical location. Under the keyword workload its routing is
 // misled: a requester can only hash the keywords it has, which matches
 // hash(f) only for full-filename queries (§5.2).
-type Dicas struct{}
+type Dicas struct{ blind }
 
 var _ Behavior = Dicas{}
 
 // Name implements Behavior.
 func (Dicas) Name() string { return "Dicas" }
-
-// UsesBloom implements Behavior.
-func (Dicas) UsesBloom() bool { return false }
 
 // CacheConfig implements Behavior: one provider per filename — Locaware's
 // multi-provider index is one of its two advantages over Dicas (§5.2).
@@ -40,23 +36,17 @@ func (Dicas) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) 
 // CacheResponse implements Behavior: cache at matching-Gid peers on the
 // reverse path (Eq. 1), storing the responding provider only.
 func (Dicas) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	if gidOfName(rsp.File, net.Config.GroupCount) != n.Gid {
-		return
+	if gidOfName(rsp.File, net.Config.GroupCount) == n.Gid {
+		cacheProviders(net, n, rsp)
 	}
+}
+
+// cacheProviders stores every provider rsp carries in n's response index,
+// the insertion Dicas, Dicas-Keys and Locaware share once their placement
+// rule has picked n.
+func cacheProviders(net *Network, n *Node, rsp *ResponseMsg) {
 	now := net.Engine.Now()
 	for _, p := range rsp.Providers {
 		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
 	}
-}
-
-// OnAnswer implements Behavior: Dicas does not learn from requesters.
-func (Dicas) OnAnswer(*Network, *Node, *QueryMsg, keywords.Filename) {}
-
-// SelectProvider implements Behavior: first provider, no location
-// awareness.
-func (Dicas) SelectProvider(_ *Network, _ *Node, provs []cache.Provider) (cache.Provider, bool) {
-	if len(provs) == 0 {
-		return cache.Provider{}, false
-	}
-	return provs[0], true
 }

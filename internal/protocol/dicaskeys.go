@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 )
@@ -13,22 +12,14 @@ import (
 // indexes": the same filename is cached once per query keyword group,
 // displacing other entries from the bounded response index — the storage
 // cost Fig. 4 quantifies as the lowest success rate of the caching
-// protocols.
-type DicasKeys struct{}
+// protocols. It embeds Dicas for everything else: one provider per
+// filename, no Bloom filters, no answering-side state, the first provider.
+type DicasKeys struct{ Dicas }
 
 var _ Behavior = DicasKeys{}
 
 // Name implements Behavior.
 func (DicasKeys) Name() string { return "Dicas-Keys" }
-
-// UsesBloom implements Behavior.
-func (DicasKeys) UsesBloom() bool { return false }
-
-// CacheConfig implements Behavior: like Dicas, one provider per filename.
-func (DicasKeys) CacheConfig(base cache.Config) cache.Config {
-	base.MaxProvidersPerFile = 1
-	return base
-}
 
 // Forward implements Behavior: the query routes towards the group of its
 // routing keyword — the first keyword in canonical order, fixed for the
@@ -64,22 +55,7 @@ func (DicasKeys) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 			break
 		}
 	}
-	if !matched {
-		return
+	if matched {
+		cacheProviders(net, n, rsp)
 	}
-	now := net.Engine.Now()
-	for _, p := range rsp.Providers {
-		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
-	}
-}
-
-// OnAnswer implements Behavior: no answering-side state.
-func (DicasKeys) OnAnswer(*Network, *Node, *QueryMsg, keywords.Filename) {}
-
-// SelectProvider implements Behavior: first provider.
-func (DicasKeys) SelectProvider(_ *Network, _ *Node, provs []cache.Provider) (cache.Provider, bool) {
-	if len(provs) == 0 {
-		return cache.Provider{}, false
-	}
-	return provs[0], true
 }

@@ -10,15 +10,34 @@ import (
 // neighbours (except the sender) until TTL expires, with no index caching
 // and no location awareness. It anchors the traffic comparison of Fig. 3
 // and the success-rate ceiling of Fig. 4.
-type Flooding struct{}
+type Flooding struct{ blind }
 
 var _ Behavior = Flooding{}
 
-// Name implements Behavior.
-func (Flooding) Name() string { return "Flooding" }
+// blind holds the three rules the location-blind baselines share: no
+// Bloom filters, no answering-side state, and the first advertised
+// provider as the download source. Flooding and Dicas embed it; Dicas-Keys
+// inherits it through Dicas.
+type blind struct{}
 
 // UsesBloom implements Behavior.
-func (Flooding) UsesBloom() bool { return false }
+func (blind) UsesBloom() bool { return false }
+
+// OnAnswer implements Behavior: no answering-side state.
+func (blind) OnAnswer(*Network, *Node, *QueryMsg, keywords.Filename) {}
+
+// SelectProvider implements Behavior: take the first advertised provider —
+// a protocol blind to location has no basis for preferring one copy over
+// another.
+func (blind) SelectProvider(_ *Network, _ *Node, provs []cache.Provider) (cache.Provider, bool) {
+	if len(provs) == 0 {
+		return cache.Provider{}, false
+	}
+	return provs[0], true
+}
+
+// Name implements Behavior.
+func (Flooding) Name() string { return "Flooding" }
 
 // CacheConfig implements Behavior. Flooding performs no index caching; the
 // cache is kept at minimum size and never written.
@@ -36,15 +55,3 @@ func (Flooding) Forward(net *Network, _ *Node, _ *QueryMsg, elig []overlay.PeerI
 
 // CacheResponse implements Behavior: flooding caches nothing.
 func (Flooding) CacheResponse(*Network, *Node, *ResponseMsg) {}
-
-// OnAnswer implements Behavior: no answering-side state.
-func (Flooding) OnAnswer(*Network, *Node, *QueryMsg, keywords.Filename) {}
-
-// SelectProvider implements Behavior: take the first advertised provider —
-// blind search has no basis for preferring one copy over another.
-func (Flooding) SelectProvider(_ *Network, _ *Node, provs []cache.Provider) (cache.Provider, bool) {
-	if len(provs) == 0 {
-		return cache.Provider{}, false
-	}
-	return provs[0], true
-}

@@ -141,7 +141,7 @@ func (a *deliveryAudit) check(t *testing.T, label string) {
 //     and every response hop short of the origin has the origin's reverse
 //     path left to walk.
 func TestProtocolInvariantsRandomized(t *testing.T) {
-	behaviors := []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}, LocawareLR{}}
+	behaviors := []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}}
 	for _, b := range behaviors {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {

@@ -59,12 +59,9 @@ func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 	if gidOfName(rsp.File, net.Config.GroupCount) != n.Gid {
 		return
 	}
-	now := net.Engine.Now()
-	for _, p := range rsp.Providers {
-		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
-	}
+	cacheProviders(net, n, rsp)
 	if rsp.Origin != n.ID {
-		n.RI.Put(rsp.File, rsp.Origin, rsp.OriginLoc, now)
+		n.RI.Put(rsp.File, rsp.Origin, rsp.OriginLoc, net.Engine.Now())
 	}
 }
 

@@ -8,9 +8,7 @@
 //     routes on hashed query keywords, the paper's second baseline;
 //   - Locaware — Gid-restricted caching with location-aware provider
 //     entries, requester-as-new-provider insertion, and Bloom-filter
-//     keyword routing (§4);
-//   - Locaware-LR — the §6 future-work extension that also biases routing
-//     towards the requester's locality.
+//     keyword routing (§4).
 //
 // All protocols share one message plane (query forwarding with TTL 7 and
 // reverse-path responses) so their traffic is counted identically.

@@ -222,11 +222,10 @@ type Network struct {
 
 	// Reusable scratch buffers for the per-event selection loops, each
 	// filled and fully consumed within one event delivery: the hop's
-	// candidates, the behaviour's two target lists, the fallback set, the
-	// live providers.
+	// candidates, the behaviour's target list, the fallback set, the live
+	// providers.
 	eligBuf []overlay.PeerID
 	fwdBuf  []overlay.PeerID
-	fwdBuf2 []overlay.PeerID
 	fbBuf   []overlay.PeerID
 	provBuf []cache.Provider
 
@@ -248,22 +247,11 @@ type Network struct {
 	detailBuf []byte
 }
 
-// NewNetwork assembles a network. gidRng draws each node's random Gid;
-// protoRng drives protocol tie-breaking.
+// NewNetwork assembles a network. cfg is used as given: callers start from
+// DefaultConfig, which states every default once. gidRng draws each node's
+// random Gid; protoRng drives protocol tie-breaking.
 func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmodel.Locator,
 	b Behavior, cfg Config, gidRng, protoRng *rand.Rand) *Network {
-	if cfg.TTL <= 0 {
-		cfg.TTL = 7
-	}
-	if cfg.GroupCount <= 0 {
-		cfg.GroupCount = 4
-	}
-	if cfg.FinalizeAfter <= 0 {
-		cfg.FinalizeAfter = 30 * sim.Second
-	}
-	if cfg.FallbackFanout <= 0 {
-		cfg.FallbackFanout = 2
-	}
 	net := &Network{
 		Engine:    eng,
 		Graph:     g,
@@ -278,7 +266,6 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		// cost a transient grow.
 		eligBuf: make([]overlay.PeerID, 0, 64),
 		fwdBuf:  make([]overlay.PeerID, 0, 64),
-		fwdBuf2: make([]overlay.PeerID, 0, 64),
 		fbBuf:   make([]overlay.PeerID, 0, 64),
 		provBuf: make([]cache.Provider, 0, 16),
 	}
@@ -378,11 +365,6 @@ func (net *Network) Counts() Counts { return net.counts }
 // accumulate their target list into. The buffer is valid until the next
 // Forward call; the network consumes it immediately.
 func (net *Network) targetBuf() []overlay.PeerID { return net.fwdBuf[:0] }
-
-// targetBuf2 is a second target buffer for behaviours that partition
-// neighbours into two candidate lists (e.g. LocawareLR's same-locality
-// split).
-func (net *Network) targetBuf2() []overlay.PeerID { return net.fwdBuf2[:0] }
 
 // String describes the network.
 func (net *Network) String() string {

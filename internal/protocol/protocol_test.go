@@ -767,7 +767,6 @@ func TestBehaviorNamesAndBloomFlags(t *testing.T) {
 		{Dicas{}, "Dicas", false},
 		{DicasKeys{}, "Dicas-Keys", false},
 		{Locaware{}, "Locaware", true},
-		{LocawareLR{}, "Locaware-LR", true},
 	}
 	for _, c := range cases {
 		if c.b.Name() != c.name {
@@ -792,27 +791,6 @@ func TestCacheConfigAdaptation(t *testing.T) {
 	}
 	if got := (Flooding{}).CacheConfig(base); got.MaxFilenames != 1 {
 		t.Fatal("flooding cache should be degenerate")
-	}
-}
-
-func TestLocawareLRPrefersSameLocality(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BloomGossipPeriod = sim.Second
-	// Peers 1 and 2 both neighbours of 0; 2 shares origin's locality.
-	pts := []netmodel.Point{{X: 50, Y: 50}, {X: 900, Y: 900}, {X: 60, Y: 60}}
-	net := testNet(t, LocawareLR{}, pts, [][2]int{{0, 1}, {0, 2}}, cfg)
-	f := fname("lr", "test")
-	for _, i := range []overlay.PeerID{1, 2} {
-		n := net.Node(i)
-		n.Gid = gidOfName(f, cfg.GroupCount)
-		n.RI.Put(f, overlay.PeerID(i), n.Loc, 0)
-	}
-	net.Engine.RunUntil(2*sim.Second, 0) // publish blooms
-	kw := query("lr")
-	q := testBranch(net, kw, 0)
-	targets := LocawareLR{}.Forward(net, net.Node(0), q, eligOf(net, q))
-	if len(targets) != 1 || targets[0] != 2 {
-		t.Fatalf("LR targets = %v, want same-locality [2]", targets)
 	}
 }
 
@@ -1065,6 +1043,9 @@ func TestDicasKeysRoutingKeyword(t *testing.T) {
 	}
 }
 
+// TestConfigFallbacks: the protocol plane's defaults are stated once, in
+// DefaultConfig — the paper's TTL 7 and M 4, a 30 s finalize and fallback
+// fanout 2 — and NewNetwork runs them as given.
 func TestConfigFallbacks(t *testing.T) {
 	eng := sim.NewEngine()
 	pts := linePoints(2)
@@ -1073,9 +1054,10 @@ func TestConfigFallbacks(t *testing.T) {
 	loc := netmodel.NewLocator(model, lm)
 	g := overlay.NewGraph(2)
 	_ = g.AddLink(0, 1)
-	net := NewNetwork(eng, g, model, loc, Flooding{}, Config{}, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
-	if net.Config.TTL != 7 || net.Config.GroupCount != 4 {
-		t.Fatalf("fallbacks not applied: %+v", net.Config)
+	net := NewNetwork(eng, g, model, loc, Flooding{}, DefaultConfig(), rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+	c := net.Config
+	if c.TTL != 7 || c.GroupCount != 4 || c.FinalizeAfter != 30*sim.Second || c.FallbackFanout != 2 {
+		t.Fatalf("defaults are not the paper's: %+v", c)
 	}
 }
 
@@ -1084,7 +1066,9 @@ func TestConfigFallbacks(t *testing.T) {
 // announcements installs what it carried, not the sender's newer filter,
 // and a later install replaces it with what that one carried.
 func TestLateBloomInstallIsWhatWasSent(t *testing.T) {
-	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), Config{BloomBits: 1200, BloomK: 6, BloomGossipPeriod: 0})
+	cfg := DefaultConfig()
+	cfg.BloomGossipPeriod = 0
+	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), cfg)
 	n := net.Node(0)
 	// publish caches a filename of the given keyword and announces it.
 	publish := func(kw string) {

@@ -5,11 +5,11 @@ func Baselines() []Behavior {
 	return []Behavior{Flooding{}, Dicas{}, DicasKeys{}, Locaware{}}
 }
 
-// ByName resolves a behaviour by its Name(): the four baselines plus the
-// §6 location-aware-routing extension. Every layer that accepts a protocol
-// name — facade, sweep specs, CLIs — resolves it here.
+// ByName resolves a behaviour by its Name(): exactly the four baselines.
+// Every layer that accepts a protocol name — facade, sweep specs, CLIs —
+// resolves it here.
 func ByName(name string) (Behavior, bool) {
-	for _, b := range append(Baselines(), LocawareLR{}) {
+	for _, b := range Baselines() {
 		if b.Name() == name {
 			return b, true
 		}

@@ -128,6 +128,21 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsTrailingData: a scenario file holds one spec. A
+// second value or stray bytes after it are refused, not silently ignored;
+// trailing whitespace is not data.
+func TestParseSpecRejectsTrailingData(t *testing.T) {
+	const valid = `{"name":"x","phases":[{"name":"p","fraction":1}]}`
+	if _, err := ParseSpec([]byte(valid + "\n")); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+	for _, tail := range []string{`{"name":"second"} trailing garbage`, `xyz`} {
+		if _, err := ParseSpec([]byte(valid + tail)); err == nil || !strings.Contains(err.Error(), "after the spec") {
+			t.Errorf("spec followed by %q: %v", tail, err)
+		}
+	}
+}
+
 func TestSteadyChurnSpec(t *testing.T) {
 	cfg := overlay.DefaultChurn()
 	s, ok := Lookup("steady-churn")

@@ -41,6 +41,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -263,18 +264,30 @@ func (s *Spec) HasChurn() bool {
 	return false
 }
 
-// ParseSpec decodes and validates a JSON scenario. Unknown fields are
-// rejected so a typo in a hand-written spec fails loudly instead of
-// silently running the wrong experiment.
-func ParseSpec(data []byte) (*Spec, error) {
+// ParseSpec decodes and validates a JSON scenario (see DecodeSpec).
+func ParseSpec(data []byte) (*Spec, error) { return DecodeSpec[Spec]("scenario", data) }
+
+// DecodeSpec is the one strict loader of hand-written JSON specs, scenario
+// and sweep: data must hold exactly one JSON value, which decodes into a
+// fresh S and passes its Validate. Unknown fields are refused, so a typo
+// fails loudly instead of silently running the wrong experiment, and so is
+// anything after the value, which would otherwise be ignored. pkg prefixes
+// the decode errors.
+func DecodeSpec[S any, PS interface {
+	*S
+	Validate() error
+}](pkg string, data []byte) (*S, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: parsing spec: %w", err)
+	s := new(S)
+	if err := dec.Decode(s); err != nil {
+		return nil, fmt.Errorf("%s: parsing spec: %w", pkg, err)
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: parsing spec: data after the spec", pkg)
+	}
+	if err := PS(s).Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }

@@ -23,6 +23,8 @@ func FuzzScenarioParseSpec(f *testing.F) {
 		`{"name":"negative","phases":[{"name":"a","fraction":-1}]}`,
 		`{"name":"typo","phases":[{"name":"a","fraction":1}],"phasez":[]}`,
 		`{"name":"kind","phases":[{"name":"a","fraction":1,"events":[{"kind":"no-such-event"}]}]}`,
+		`{"name":"tail","phases":[{"name":"a","fraction":1}]}{"name":"second"} trailing garbage`,
+		`{"name":"tail","phases":[{"name":"a","fraction":1}]}xyz`,
 	} {
 		f.Add([]byte(refused))
 	}

@@ -110,18 +110,6 @@ func Builtins() []*Spec {
 			},
 			Figures: []string{"success", "msgs", "cached"},
 		},
-		{
-			Name:        "lr-sweep",
-			Description: "location-aware routing (paper §6 future work): Locaware vs Locaware-LR per landmark count",
-			Protocols:   []string{"Locaware", "Locaware-LR"},
-			Warmup:      300,
-			Queries:     1000,
-			Trials:      3,
-			Axes: []Axis{
-				{Param: ParamLandmarks, Values: []float64{3, 4, 5}},
-			},
-			Figures: []string{"success", "rtt", "sameloc", "msgs"},
-		},
 	}
 }
 

@@ -25,8 +25,6 @@
 package sweep
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -449,18 +447,6 @@ func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 	return cfg
 }
 
-// ParseSpec decodes and validates a JSON campaign. Unknown fields are
-// rejected so a typo in a hand-written spec fails loudly instead of
-// silently sweeping the wrong grid.
-func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("sweep: parsing spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
+// ParseSpec decodes and validates a JSON campaign with the strict spec
+// loader scenario.DecodeSpec.
+func ParseSpec(data []byte) (*Spec, error) { return scenario.DecodeSpec[Spec]("sweep", data) }

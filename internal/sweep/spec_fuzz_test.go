@@ -23,6 +23,9 @@ func FuzzSweepParseSpec(f *testing.F) {
 		`{"name":"wide","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"ttl","values":[1e19]}]}`,
 		`{"name":"twice","queries":40,"protocols":["Dicas","Dicas"],"axes":[{"param":"ttl","values":[3,5]}]}`,
 		`{"name":"twice","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[3,3]}]}`,
+		`{"name":"lr","queries":40,"protocols":["Locaware","Locaware-LR"],"axes":[{"param":"ttl","values":[7]}]}`,
+		`{"name":"tail","queries":40,"axes":[{"param":"ttl","values":[7]}]}{"name":"second"} trailing garbage`,
+		`{"name":"tail","queries":40,"axes":[{"param":"ttl","values":[7]}]}xyz`,
 	} {
 		f.Add([]byte(refused))
 	}

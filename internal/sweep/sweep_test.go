@@ -174,6 +174,21 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsTrailingData: a spec file holds one spec. A second
+// value or stray bytes after it are refused, not silently ignored; trailing
+// whitespace is not data.
+func TestParseSpecRejectsTrailingData(t *testing.T) {
+	const valid = `{"name":"x","queries":10,"axes":[{"param":"peers","values":[10]}]}`
+	if _, err := ParseSpec([]byte(valid + "\n")); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+	for _, tail := range []string{`{"name":"second"} trailing garbage`, `xyz`} {
+		if _, err := ParseSpec([]byte(valid + tail)); err == nil || !strings.Contains(err.Error(), "after the spec") {
+			t.Errorf("spec followed by %q: %v", tail, err)
+		}
+	}
+}
+
 func TestSpecJSONRoundTrip(t *testing.T) {
 	for _, s := range Builtins() {
 		data, err := json.Marshal(s)
@@ -215,7 +230,7 @@ func TestBuiltinsResolve(t *testing.T) {
 		}
 	}
 	// The paper's six parameter studies are registry entries.
-	for _, name := range []string{"landmark-sweep", "cache-sweep", "bloom-sweep", "group-sweep", "lr-sweep", "churn-sweep", "size-sweep"} {
+	for _, name := range []string{"landmark-sweep", "cache-sweep", "bloom-sweep", "group-sweep", "churn-sweep", "size-sweep"} {
 		if _, ok := Lookup(name); !ok {
 			t.Fatalf("%s missing from registry", name)
 		}

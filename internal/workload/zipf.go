@@ -18,16 +18,13 @@ type Zipf struct {
 	s float64
 }
 
-// NewZipf returns a Zipf sampler over ranks 0..n-1 with exponent s. The
-// Gnutella measurement literature reports exponents between 0.6 and 1.0;
-// the harness default is 0.8. rand.Zipf requires s > 1, so the common
-// s ≤ 1 range is handled by a bounded rejection transform.
+// NewZipf returns a Zipf sampler over ranks 0..n-1 with exponent s > 0. The
+// Gnutella measurement literature reports exponents between 0.6 and 1.0.
+// rand.Zipf requires s > 1, so the common s ≤ 1 range draws from an
+// analytic inverse CDF (see Draw).
 func NewZipf(n int, s float64, r *rand.Rand) *Zipf {
 	if n < 1 {
 		n = 1
-	}
-	if s <= 0 {
-		s = 0.8
 	}
 	zp := &Zipf{n: n, s: s}
 	if s > 1.001 {

@@ -51,15 +51,12 @@ import (
 // Protocol selects a search/caching protocol.
 type Protocol string
 
-// The five available protocols. The first four are the paper's §5
-// comparison; ProtocolLocawareLR adds the location-aware routing extension
-// proposed in §6.
+// The four available protocols: the paper's §5 comparison.
 const (
-	ProtocolFlooding   Protocol = "Flooding"
-	ProtocolDicas      Protocol = "Dicas"
-	ProtocolDicasKeys  Protocol = "Dicas-Keys"
-	ProtocolLocaware   Protocol = "Locaware"
-	ProtocolLocawareLR Protocol = "Locaware-LR"
+	ProtocolFlooding  Protocol = "Flooding"
+	ProtocolDicas     Protocol = "Dicas"
+	ProtocolDicasKeys Protocol = "Dicas-Keys"
+	ProtocolLocaware  Protocol = "Locaware"
 )
 
 // Baselines returns the paper's four compared protocols in figure order.

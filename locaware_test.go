@@ -64,7 +64,7 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunAllProtocols(t *testing.T) {
-	for _, p := range []Protocol{ProtocolFlooding, ProtocolDicas, ProtocolDicasKeys, ProtocolLocaware, ProtocolLocawareLR} {
+	for _, p := range []Protocol{ProtocolFlooding, ProtocolDicas, ProtocolDicasKeys, ProtocolLocaware} {
 		res, err := Run(fastOptions(2), p, 20, 40)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
@@ -126,7 +126,7 @@ func TestCompareAndFigures(t *testing.T) {
 	if len(cmp.Sets) != 4 {
 		t.Fatalf("sets = %d", len(cmp.Sets))
 	}
-	if cmp.Set(ProtocolLocaware) == nil || cmp.Set(ProtocolLocawareLR) != nil {
+	if cmp.Set(ProtocolLocaware) == nil || cmp.Set("bogus") != nil {
 		t.Fatal("Set lookup broken")
 	}
 	for _, set := range cmp.Sets {
@@ -243,9 +243,24 @@ func TestBaselinesOrder(t *testing.T) {
 			t.Fatalf("core baseline %d is %s, facade %s", i, cb.Name(), b[i])
 		}
 	}
-	for _, p := range append(want, ProtocolLocawareLR) {
+	for _, p := range want {
 		if beh, err := p.behavior(); err != nil || beh.Name() != string(p) {
 			t.Fatalf("%s.behavior() = %v, %v", p, beh, err)
+		}
+	}
+}
+
+// TestRoutingExtensionRefused: the §6 location-aware routing extension was
+// measured against Locaware, won in no cell, and was deleted. Every entry
+// point that takes a protocol name refuses it, naming it.
+func TestRoutingExtensionRefused(t *testing.T) {
+	const name = "Locaware-LR"
+	_, runErr := Run(fastOptions(3), Protocol(name), 0, 10)
+	_, cmpErr := Compare(fastOptions(3), []Protocol{ProtocolLocaware, Protocol(name)}, 0, 10, nil)
+	_, sweepErr := ParseSweep([]byte(`{"name":"lr","queries":10,"protocols":["Locaware","` + name + `"],"axes":[{"param":"ttl","values":[7]}]}`))
+	for entry, err := range map[string]error{"Run": runErr, "Compare": cmpErr, "ParseSweep": sweepErr} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s accepted %s or did not name it: %v", entry, name, err)
 		}
 	}
 }
@@ -483,7 +498,7 @@ func TestCompareReplicatedFiguresAndHeadlines(t *testing.T) {
 	if len(cmp.Sets) != 4 {
 		t.Fatalf("sets = %d", len(cmp.Sets))
 	}
-	if cmp.Set(ProtocolLocaware) == nil || cmp.Set(ProtocolLocawareLR) != nil {
+	if cmp.Set(ProtocolLocaware) == nil || cmp.Set("bogus") != nil {
 		t.Fatal("Set lookup broken")
 	}
 	tbl := cmp.FigureTable(FigureSuccessRate)
