@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CLI smokes: drive every run mode of locaware-exp and locaware-trace end to
-# end on tiny worlds. CI runs this script, and so does anyone verifying a
+# CLI smokes: drive every run mode of locaware-exp, locaware-sim and
+# locaware-trace end to end on tiny worlds. CI runs this script, and so does anyone verifying a
 # change by hand (`./ci.sh` from anywhere in the repository; under a minute
 # on one core). The determinism and golden locks live in the test suite;
 # these steps catch a broken command-line surface. Scratch files go to a
@@ -10,10 +10,34 @@ cd "$(dirname "$0")"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/locaware-exp" ./cmd/locaware-exp
+go build -o "$tmp/locaware-sim" ./cmd/locaware-sim
 go build -o "$tmp/locaware-trace" ./cmd/locaware-trace
 exp=$tmp/locaware-exp
+simcmd=$tmp/locaware-sim
 trace=$tmp/locaware-trace
 step() { printf '\n== %s\n' "$*"; }
+
+# Single run: a -json result must parse and carry the headline keys, a
+# churning run must finish, and a degree no overlay is built at and the
+# deleted Locaware-LR protocol are refused, naming what is wrong.
+step single run
+"$simcmd" -peers 100 -warmup 40 -queries 120 -json > "$tmp/sim.json"
+python3 - "$tmp/sim.json" <<'EOF'
+import json, sys
+res = json.load(open(sys.argv[1]))
+for key in ("Protocol", "SuccessRate", "AvgMessagesPerQuery"):
+    assert key in res, "no %s in the -json result" % key
+EOF
+"$simcmd" -churn -peers 100 -warmup 40 -queries 120
+sim_refused() { # the text the error must contain, then the flags
+	if "$simcmd" -peers 100 -warmup 0 -queries 10 "${@:2}" 2> "$tmp/sim.err"; then
+		echo "accepted: ${*:2}" >&2
+		exit 1
+	fi
+	grep -qF -- "$1" "$tmp/sim.err"
+}
+sim_refused 'AvgDegree 0.5 budgets 25 links for 100 peers, below the 99 links' -degree 0.5
+sim_refused 'unknown protocol: "Locaware-LR"' -protocol Locaware-LR
 
 # Scenario: registry listing plus a tiny flashcrowd run with per-phase
 # tables.
@@ -28,7 +52,8 @@ step scenario
 # cell must run what its label says, and once: a non-positive axis value, an
 # integer value too large for its parameter, a protocol named twice and an
 # axis value given twice are refused, naming what is wrong. So are a spec
-# followed by more data and the deleted Locaware-LR routing extension.
+# followed by more data, the deleted Locaware-LR routing extension, and a
+# degree, filter size or share count the world's builders cannot honour.
 step sweep
 "$exp" -sweep list
 "$exp" -sweep churn-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/sweep-smoke"
@@ -50,6 +75,10 @@ refused '{"name":"twice","queries":40,"protocols":["Dicas","Dicas"],"axes":[{"pa
 refused '{"name":"twice","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[3,3]}]}' 'axis "ttl" lists value 3 twice'
 refused '{"name":"tail","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[7]}]}{"name":"second"} trailing garbage' 'data after the spec'
 refused '{"name":"lr","queries":40,"protocols":["Locaware","Locaware-LR"],"axes":[{"param":"ttl","values":[7]}]}' 'unknown protocol "Locaware-LR"'
+refused '{"name":"thin","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"avg-degree","values":[0.5]}]}' 'AvgDegree 0.5 budgets 25 links for 100 peers'
+refused '{"name":"dense","queries":40,"protocols":["Dicas"],"axes":[{"param":"avg-degree","values":[20]}]}' 'AvgDegree 20 exceeds MaxDegree 12'
+refused '{"name":"bits","queries":40,"protocols":["Locaware"],"axes":[{"param":"bloom-bits","values":[4]}]}' 'BloomBits 4 is below 8'
+refused '{"name":"shares","queries":40,"protocols":["Dicas"],"base":{"files":10},"axes":[{"param":"files-per-peer","values":[11]}]}' 'FilesPerPeer 11 exceeds Files 10'
 
 # Observability: the runtime report and the Prometheus dump render end to
 # end. The locks (golden byte-identity with an Observer attached, the

@@ -20,14 +20,17 @@ type Filter struct {
 // ErrMismatch reports an operation across filters of different geometry.
 var ErrMismatch = errors.New("bloom: filter geometry mismatch")
 
+// MinBits is the smallest filter New builds: a smaller m is raised to it.
+const MinBits = 8
+
 // New returns an m-bit filter with k hash functions. The paper's setting is
 // m=1200 (covering an enlarged response index of 50 filenames × 3 keywords)
 // with k near optimal for 150 elements. k is clamped to [1, 16]: the upper
 // bound is what lets every filter operation compute its bit positions on
 // the stack.
 func New(m, k int) *Filter {
-	if m < 8 {
-		m = 8
+	if m < MinBits {
+		m = MinBits
 	}
 	if k < 1 {
 		k = 1

@@ -86,12 +86,6 @@ type Index struct {
 // New returns an empty index with the given bounds and an optional event
 // listener (nil is allowed).
 func New(cfg Config, events Events) *Index {
-	if cfg.MaxFilenames <= 0 {
-		cfg.MaxFilenames = DefaultConfig().MaxFilenames
-	}
-	if cfg.MaxProvidersPerFile <= 0 {
-		cfg.MaxProvidersPerFile = DefaultConfig().MaxProvidersPerFile
-	}
 	if events == nil {
 		events = nopEvents{}
 	}

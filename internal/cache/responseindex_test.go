@@ -218,15 +218,6 @@ func TestTotalProviderEntries(t *testing.T) {
 	}
 }
 
-func TestConfigFallbacks(t *testing.T) {
-	x := New(Config{}, nil)
-	f := fn(41)
-	x.Put(f, 1, 0, sim.Second)
-	if x.Len() != 1 {
-		t.Fatal("zero config unusable")
-	}
-}
-
 // TestProvidersReturnsCopy: the provider lists Lookup returns are copies.
 func TestProvidersReturnsCopy(t *testing.T) {
 	x := New(DefaultConfig(), nil)

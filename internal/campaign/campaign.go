@@ -199,7 +199,7 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 // runProgressLoop prints one line per interval with completion, rate and
 // ETA, until the runner closes stop.
 func runProgressLoop(opt Options, stats RunStats, done *atomic.Int64, stop <-chan struct{}) {
-	rate := obs.NewRateEWMA(0)
+	var rate obs.RateEWMA
 	t := time.NewTicker(opt.Progress)
 	defer t.Stop()
 	for {

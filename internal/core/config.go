@@ -8,8 +8,10 @@ package core
 import (
 	"fmt"
 
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/obs"
+	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -104,9 +106,12 @@ func DefaultConfig() Config {
 // int64: 20! ≈ 2.4e18, and 21! overflows.
 const maxLandmarks = 20
 
-// Validate refuses a configuration no world can be built from: a catalogue
-// that cannot exist, or more landmarks than a locId can number. Each error
-// names the field and its value.
+// Validate refuses a configuration no world can be built from as it
+// reads: a catalogue that cannot exist, more landmarks than a locId can
+// number, a degree whose link budget cannot connect the peers or that
+// exceeds MaxDegree, a Bloom filter below the smallest one bloom.New
+// builds, or more files per peer than the catalogue holds. Each error names
+// the field, its value and the bound.
 func (c Config) Validate() error {
 	if err := c.Catalog.Validate(); err != nil {
 		return err
@@ -114,6 +119,21 @@ func (c Config) Validate() error {
 	if c.Landmarks > maxLandmarks {
 		return fmt.Errorf("Landmarks %d: a locId numbers one of k! landmark orderings, and k! overflows past %d landmarks",
 			c.Landmarks, maxLandmarks)
+	}
+	if links := overlay.LinkBudget(c.NumPeers, c.AvgDegree); links < c.NumPeers-1 {
+		return fmt.Errorf("AvgDegree %g budgets %d links for %d peers, below the %d links of the arrival tree that connects them",
+			c.AvgDegree, links, c.NumPeers, c.NumPeers-1)
+	}
+	if c.MaxDegree > 0 && c.AvgDegree > float64(c.MaxDegree) {
+		return fmt.Errorf("AvgDegree %g exceeds MaxDegree %d", c.AvgDegree, c.MaxDegree)
+	}
+	if c.Protocol.BloomBits < bloom.MinBits {
+		return fmt.Errorf("BloomBits %d is below %d, the smallest filter bloom.New builds",
+			c.Protocol.BloomBits, bloom.MinBits)
+	}
+	if c.FilesPerPeer > c.Catalog.NumFiles {
+		return fmt.Errorf("FilesPerPeer %d exceeds Files %d: a peer's initial files are distinct",
+			c.FilesPerPeer, c.Catalog.NumFiles)
 	}
 	return nil
 }

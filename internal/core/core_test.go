@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/obs"
@@ -31,6 +32,52 @@ func TestNewSimulationAssembly(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestValidateRefusesWhatBuildersWouldChange: a value a builder could not
+// honour as given is refused, naming the field, the value and the bound,
+// and each bound itself is accepted: a budget of exactly the n-1 links of
+// the arrival tree, a degree of exactly MaxDegree, the 8-bit filter and a
+// peer sharing the whole catalogue.
+func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want []string // nil: accepted
+	}{
+		{"degree 0.5", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 0.5 }, []string{"AvgDegree 0.5", "budgets 50 links", "199"}},
+		{"degree 1.5 on 8 peers", func(c *Config) { c.NumPeers, c.AvgDegree = 8, 1.5 }, []string{"AvgDegree 1.5", "budgets 6 links", "7"}},
+		{"n-1 links exactly", func(c *Config) { c.NumPeers, c.AvgDegree = 8, 1.75 }, nil},
+		{"degree 2", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 2 }, nil},
+		{"degree 3", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 3 }, nil},
+		{"degree MaxDegree", func(c *Config) { c.AvgDegree = 12 }, nil},
+		{"degree 20", func(c *Config) { c.AvgDegree = 20 }, []string{"AvgDegree 20", "MaxDegree 12"}},
+		{"degree above MaxDegree", func(c *Config) { c.AvgDegree = 12.5 }, []string{"AvgDegree 12.5", "MaxDegree 12"}},
+		{"uncapped degree", func(c *Config) { c.AvgDegree, c.MaxDegree = 20, 0 }, nil},
+		{"bloom 8 bits", func(c *Config) { c.Protocol.BloomBits = 8 }, nil},
+		{"bloom 4 bits", func(c *Config) { c.Protocol.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
+		{"whole catalogue per peer", func(c *Config) { c.FilesPerPeer = c.Catalog.NumFiles }, nil},
+		{"files per peer above files", func(c *Config) { c.FilesPerPeer = 3001 }, []string{"FilesPerPeer 3001", "Files 3000"}},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		err := cfg.Validate()
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: refused: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error does not name %q: %v", tc.name, w, err)
+			}
+		}
 	}
 }
 

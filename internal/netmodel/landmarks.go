@@ -12,17 +12,11 @@ type Landmarks struct {
 	pts []Point
 }
 
-// NewLandmarks places k landmarks to maximise spread: the first is uniform,
-// each subsequent landmark is the best of a candidate batch by
+// NewLandmarks places k >= 1 landmarks to maximise spread: the first is
+// uniform, each subsequent landmark is the best of a candidate batch by
 // farthest-point distance. With the paper's k=4 this yields 24 possible
 // orderings that partition the plane into contiguous localities.
 func NewLandmarks(k int, side float64, r *rand.Rand) *Landmarks {
-	if k < 1 {
-		k = 1
-	}
-	if side <= 0 {
-		side = 1000
-	}
 	pts := make([]Point, 0, k)
 	pts = append(pts, Point{X: r.Float64() * side, Y: r.Float64() * side})
 	const candidates = 64

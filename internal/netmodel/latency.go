@@ -62,12 +62,6 @@ const maxJitterCacheEntries = 1 << 22
 // side length used for distance normalisation (pass the PlacementConfig.Side
 // that produced pts). jitterSeed fixes the per-pair jitter stream.
 func NewModel(pts []Point, side float64, cfg LatencyConfig, jitterSeed int64) *Model {
-	if side <= 0 {
-		side = 1000
-	}
-	if cfg.MaxRTT <= cfg.MinRTT {
-		cfg = DefaultLatency()
-	}
 	m := &Model{
 		cfg:   cfg,
 		pts:   pts,

@@ -54,9 +54,6 @@ func DefaultPlacement() PlacementConfig {
 // Place positions n peers in the plane according to cfg, using r for all
 // randomness. It returns one point per peer.
 func Place(n int, cfg PlacementConfig, r *rand.Rand) []Point {
-	if cfg.Side <= 0 {
-		cfg.Side = 1000
-	}
 	pts := make([]Point, n)
 	if cfg.Clusters <= 0 {
 		for i := range pts {
@@ -68,11 +65,7 @@ func Place(n int, cfg PlacementConfig, r *rand.Rand) []Point {
 	for i := range centres {
 		centres[i] = Point{X: r.Float64() * cfg.Side, Y: r.Float64() * cfg.Side}
 	}
-	spread := cfg.ClusterSpread
-	if spread <= 0 {
-		spread = 0.04
-	}
-	sigma := spread * cfg.Side
+	sigma := cfg.ClusterSpread * cfg.Side
 	for i := range pts {
 		c := centres[r.Intn(len(centres))]
 		pts[i] = Point{

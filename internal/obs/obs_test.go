@@ -107,14 +107,14 @@ func TestHandlerServesMetricsAndPprof(t *testing.T) {
 }
 
 func TestRateEWMA(t *testing.T) {
-	r := NewRateEWMA(10 * time.Second)
+	var r RateEWMA
 	t0 := time.Unix(1000, 0)
 	r.Observe(0, t0)
 	if r.Rate() != 0 {
 		t.Fatal("rate before second sample should be 0")
 	}
-	// 2 items/sec sustained for several half-lives converges near 2.
-	for i := 1; i <= 12; i++ {
+	// 2 items/sec sustained for four 30 s half-lives converges near 2.
+	for i := 1; i <= 24; i++ {
 		r.Observe(float64(2*5*i), t0.Add(time.Duration(i)*5*time.Second))
 	}
 	if rate := r.Rate(); rate < 1.5 || rate > 2.5 {
@@ -127,7 +127,8 @@ func TestRateEWMA(t *testing.T) {
 	if eta < 5*time.Second || eta > 15*time.Second {
 		t.Fatalf("ETA = %v, want ~10s", eta)
 	}
-	if _, ok := NewRateEWMA(0).ETA(5); ok {
+	var unprimed RateEWMA
+	if _, ok := unprimed.ETA(5); ok {
 		t.Fatal("ETA from unprimed tracker should be unavailable")
 	}
 }

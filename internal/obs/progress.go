@@ -10,10 +10,8 @@ import (
 // monotonically increasing count (cells completed). The instantaneous
 // rate between consecutive samples is blended with half-life decay, so
 // the ETA a progress line prints tracks recent throughput rather than
-// the lifetime average.
+// the lifetime average. The zero value is ready to use.
 type RateEWMA struct {
-	halfLife time.Duration
-
 	mu        sync.Mutex
 	primed    bool
 	lastCount float64
@@ -21,13 +19,8 @@ type RateEWMA struct {
 	rate      float64
 }
 
-// NewRateEWMA returns a tracker with the given half-life (<= 0: 30s).
-func NewRateEWMA(halfLife time.Duration) *RateEWMA {
-	if halfLife <= 0 {
-		halfLife = 30 * time.Second
-	}
-	return &RateEWMA{halfLife: halfLife}
-}
+// rateHalfLife is the age at which a rate sample's weight has halved.
+const rateHalfLife = 30 * time.Second
 
 // Observe feeds the current cumulative count at time now.
 func (r *RateEWMA) Observe(count float64, now time.Time) {
@@ -43,7 +36,7 @@ func (r *RateEWMA) Observe(count float64, now time.Time) {
 		return
 	}
 	inst := (count - r.lastCount) / dt
-	alpha := 1 - math.Exp(-dt*math.Ln2/r.halfLife.Seconds())
+	alpha := 1 - math.Exp(-dt*math.Ln2/rateHalfLife.Seconds())
 	r.rate += alpha * (inst - r.rate)
 	r.lastCount, r.lastT = count, now
 }

@@ -17,14 +17,12 @@ type BuildConfig struct {
 // Gnutella bootstrap: each arriving peer links to a uniformly random peer
 // already in the overlay (guaranteeing connectivity, like an arrival
 // spanning tree), after which extra random links are added until the edge
-// budget n*AvgDegree/2 is met.
+// budget round(n*AvgDegree/2) is met. A budget below the tree's n-1 links
+// leaves the tree as it is.
 func BuildRandom(n int, cfg BuildConfig, r *rand.Rand) *Graph {
 	g := NewGraph(n)
 	if n <= 1 {
 		return g
-	}
-	if cfg.AvgDegree < 1 {
-		cfg.AvgDegree = 3
 	}
 	// Arrival spanning tree.
 	for i := 1; i < n; i++ {
@@ -37,7 +35,7 @@ func BuildRandom(n int, cfg BuildConfig, r *rand.Rand) *Graph {
 		_ = g.AddLink(PeerID(i), target)
 	}
 	// Extra random links up to the edge budget.
-	budget := int(float64(float64(n)*cfg.AvgDegree/2) + 0.5)
+	budget := LinkBudget(n, cfg.AvgDegree)
 	for tries := 0; g.Edges() < budget && tries < budget*64; tries++ {
 		a := PeerID(r.Intn(n))
 		b := PeerID(r.Intn(n))
@@ -52,14 +50,17 @@ func BuildRandom(n int, cfg BuildConfig, r *rand.Rand) *Graph {
 	return g
 }
 
+// LinkBudget is the link count BuildRandom fills an n-peer overlay up to at
+// average degree avgDegree: round(n*avgDegree/2).
+func LinkBudget(n int, avgDegree float64) int {
+	return int(float64(float64(n)*avgDegree/2) + 0.5)
+}
+
 // RewireJoin wires a (re)joining peer p into g with approximately avgDegree
 // links to random online peers, respecting maxDegree. It is the repair step
 // used after churn joins.
 func RewireJoin(g *Graph, p PeerID, avgDegree float64, maxDegree int, r *rand.Rand) {
 	want := int(avgDegree + 0.5)
-	if want < 1 {
-		want = 1
-	}
 	excluded := map[PeerID]bool{p: true}
 	for g.Degree(p) < want {
 		q := g.RandomOnlinePeer(r, excluded)
@@ -84,9 +85,6 @@ func RewireJoin(g *Graph, p PeerID, avgDegree float64, maxDegree int, r *rand.Ra
 // metric).
 func RepairAfterLeave(g *Graph, former []PeerID, avgDegree float64, maxDegree int) {
 	target := int(avgDegree + 0.5)
-	if target < 1 {
-		target = 1
-	}
 	for i := 1; i < len(former); i++ {
 		a, b := former[i-1], former[i]
 		if !g.Online(a) || !g.Online(b) || g.Linked(a, b) {

@@ -170,11 +170,6 @@ func TestBuildRandomSmall(t *testing.T) {
 	if !g.Linked(0, 1) {
 		t.Fatal("two-node build should link the pair")
 	}
-	// Degenerate config falls back.
-	g = BuildRandom(50, BuildConfig{AvgDegree: 0}, r)
-	if !connected(g) {
-		t.Fatal("fallback config disconnected")
-	}
 }
 
 func TestBuildRandomDeterministic(t *testing.T) {
@@ -306,19 +301,15 @@ func TestChurnFloorEnforced(t *testing.T) {
 	}
 }
 
-// Property: BuildRandom always yields a connected graph whose average degree
-// is within 25%% of the target, for any size and reasonable degree.
+// Property: BuildRandom always yields a connected graph with exactly its
+// link budget, round(n*d/2) links, for any size and reasonable degree.
 func TestBuildRandomQuick(t *testing.T) {
 	prop := func(nRaw, degRaw, seed uint8) bool {
 		n := 10 + int(nRaw)%490
 		deg := 2 + float64(degRaw%4)
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := BuildRandom(n, BuildConfig{AvgDegree: deg, MaxDegree: 16}, r)
-		if !connected(g) {
-			return false
-		}
-		avg := g.AvgDegree()
-		return avg >= deg*0.72 && avg <= deg*1.28
+		return connected(g) && g.Edges() == LinkBudget(n, deg)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,8 @@ import "sort"
 // evaluation plots a metric against a swept parameter for the compared
 // protocols (overlay size, response-index capacity, TTL, dynamics
 // intensity) — and its parameter studies: landmark count (§5.1), Bloom
-// filter size, Dicas group count M, and the §6 location-aware-routing
-// extension. A study is a campaign; nothing else in the repo loops over
-// parameter values.
+// filter size and Dicas group count M. A study is a campaign; nothing else
+// in the repo loops over parameter values.
 func Builtins() []*Spec {
 	return []*Spec{
 		{

@@ -30,10 +30,7 @@ func NewPlan(base core.Config, s *Spec) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Mirror resolve: the campaign owns dynamics configuration, so the
-	// ambient scenario never participates in the identity.
-	base.Scenario = nil
-	h, err := fingerprint(base, r)
+	h, err := fingerprint(r)
 	if err != nil {
 		return nil, err
 	}
@@ -41,18 +38,18 @@ func NewPlan(base core.Config, s *Spec) (*Plan, error) {
 }
 
 // fingerprint content-addresses the campaign: a SHA-256 over the canonical
-// JSON of the spec, the resolved seed/trials/protocol set, and the
-// dynamics-cleared base configuration (every field of which can move cell
+// JSON of the spec, the resolved seed/trials/protocol set, and the base
+// configuration as resolve cleared it (every field of which can move cell
 // bytes). Struct fields marshal in declaration order and the config holds
 // no maps, so the encoding — and therefore the hash — is deterministic.
-func fingerprint(base core.Config, r *resolved) (string, error) {
+func fingerprint(r *resolved) (string, error) {
 	payload := struct {
 		Spec      *Spec       `json:"spec"`
 		Seed      int64       `json:"seed"`
 		Trials    int         `json:"trials"`
 		Protocols []string    `json:"protocols"`
 		Base      core.Config `json:"base"`
-	}{r.spec, r.seed, r.trials, r.names, base}
+	}{r.spec, r.seed, r.trials, r.names, r.base}
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return "", fmt.Errorf("sweep: fingerprinting campaign %q: %w", r.spec.Name, err)

@@ -84,6 +84,11 @@ func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
 			[]string{`"pool"`, "KeywordPool 2000000000"}},
 		"landmarks": {&Spec{Name: "lm", Queries: 10, Axes: []Axis{{Param: ParamLandmarks, Values: []float64{20, 21}}}},
 			[]string{`"lm"`, "Landmarks 21", "landmarks=21"}},
+		"degree": {&Spec{Name: "deg", Queries: 10, Axes: []Axis{{Param: ParamAvgDegree, Values: []float64{3, 0.5}}}},
+			[]string{`"deg"`, "AvgDegree 0.5", "avg-degree=0.5"}},
+		"shares": {&Spec{Name: "fpp", Queries: 10, Base: map[string]float64{ParamFiles: 10},
+			Axes: []Axis{{Param: ParamFilesPerPeer, Values: []float64{3, 11}}}},
+			[]string{`"fpp"`, "FilesPerPeer 11", "Files 10", "files-per-peer=11"}},
 	} {
 		_, err := NewPlan(core.DefaultConfig(), tc.s)
 		if err == nil {

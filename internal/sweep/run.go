@@ -123,6 +123,7 @@ func (c *Campaign) Runs() int {
 // resolved by each run) and the behaviour set.
 type resolved struct {
 	spec      *Spec
+	base      core.Config // campaign-owned fields cleared
 	seed      int64
 	trials    int
 	names     []string
@@ -148,10 +149,13 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 	for i, n := range names {
 		behaviors[i], _ = protocol.ByName(n) // Validate vouched for every name
 	}
-	// The campaign owns dynamics configuration: any ambient scenario on
-	// the base config is cleared so cells run exactly what the spec says
-	// (spec/axis scenario, or nothing).
+	// The campaign owns dynamics and measurement configuration: the ambient
+	// scenario is cleared so cells run exactly what the spec says
+	// (spec/axis scenario, or nothing), and the collector configuration so
+	// a cell neither retains records it would drop nor hashes differently
+	// for asking to.
 	base.Scenario = nil
+	base.Protocol.Collector = metrics.CollectorConfig{}
 	cells := s.Cells(seed)
 	cellCfgs := make([]core.Config, len(cells))
 	for i, c := range cells {
@@ -167,7 +171,7 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 		cellCfgs[i] = cfg
 	}
 	return &resolved{
-		spec: s, seed: seed, trials: s.trials(),
+		spec: s, base: base, seed: seed, trials: s.trials(),
 		names: names, behaviors: behaviors,
 		cells: cells, cellCfgs: cellCfgs,
 	}, nil

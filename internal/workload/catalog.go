@@ -82,9 +82,6 @@ func (cfg CatalogConfig) Validate() error {
 // NewCatalog generates a catalogue; filenames are drawn with r and
 // guaranteed unique. It panics on a configuration Validate rejects.
 func NewCatalog(cfg CatalogConfig, r *rand.Rand) *Catalog {
-	if cfg.NumFiles <= 0 {
-		cfg = DefaultCatalog()
-	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -124,14 +121,10 @@ func (c *Catalog) Add(f keywords.Filename) (FileID, bool) {
 // injection primitive behind scenario content dynamics. It returns fewer
 // than n ids when the pool has no unused filenames left.
 func (c *Catalog) NewFiles(n int, r *rand.Rand) []FileID {
-	k := c.kwPerFile
-	if k <= 0 {
-		k = DefaultCatalog().KeywordsPerFile
-	}
-	room := nameSpace(c.pool.Size(), k) - c.Size()
+	room := nameSpace(c.pool.Size(), c.kwPerFile) - c.Size()
 	ids := make([]FileID, 0, n)
 	for len(ids) < min(n, room) {
-		if id, ok := c.Add(c.pool.RandomFilename(k, r)); ok {
+		if id, ok := c.Add(c.pool.RandomFilename(c.kwPerFile, r)); ok {
 			ids = append(ids, id)
 		}
 	}

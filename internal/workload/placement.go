@@ -13,10 +13,10 @@ type Placement struct {
 	per    int
 }
 
-// NewPlacement assigns filesPerPeer random distinct files to each of n
-// peers. A peer's draws are deduplicated by scanning the few drawn so far.
-func NewPlacement(n, filesPerPeer int, cat *Catalog, r *rand.Rand) *Placement {
-	per := min(filesPerPeer, cat.Size())
+// NewPlacement assigns per random distinct files to each of n peers; per
+// must not exceed the catalogue size. A peer's draws are deduplicated by
+// scanning the few drawn so far.
+func NewPlacement(n, per int, cat *Catalog, r *rand.Rand) *Placement {
 	p := &Placement{shared: make([]FileID, 0, n*per), per: per}
 	for i := 0; i < n; i++ {
 		files := p.shared[len(p.shared):len(p.shared)]

@@ -57,25 +57,14 @@ type Generator struct {
 }
 
 // NewGeneratorOver creates a generator whose queries target only the given
-// files (nil means the whole catalogue). Targets should be in ascending id
-// order: catalogue ids are popularity ranks, so the Zipf head lands on the
-// most popular queryable files.
+// files. Targets should be in ascending id order: catalogue ids are
+// popularity ranks, so the Zipf head lands on the most popular queryable
+// files.
 func NewGeneratorOver(n int, cfg GenConfig, cat *Catalog, targets []FileID, r *rand.Rand) *Generator {
-	if cfg.RatePerPeer <= 0 {
-		cfg.RatePerPeer = DefaultGen().RatePerPeer
-	}
-	if len(targets) == 0 {
-		targets = make([]FileID, cat.Size())
-		for i := range targets {
-			targets[i] = FileID(i)
-		}
-	} else {
-		targets = slices.Clone(targets)
-	}
 	return &Generator{
 		cfg:        cfg,
 		cat:        cat,
-		targets:    targets,
+		targets:    slices.Clone(targets),
 		zipf:       NewZipf(len(targets), cfg.ZipfS, r),
 		n:          n,
 		r:          r,

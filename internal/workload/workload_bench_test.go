@@ -22,7 +22,7 @@ func BenchmarkZipfDraw(b *testing.B) {
 func BenchmarkGeneratorNext(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	cat := NewCatalog(DefaultCatalog(), r)
-	g := NewGeneratorOver(1000, DefaultGen(), cat, nil, r)
+	g := NewGeneratorOver(1000, DefaultGen(), cat, allFiles(cat), r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Next()

@@ -16,6 +16,16 @@ func paperCatalog(seed int64) (*Catalog, *rand.Rand) {
 	return NewCatalog(DefaultCatalog(), r), r
 }
 
+// allFiles lists every file of c in id order, the target set of a
+// generator over the whole catalogue.
+func allFiles(c *Catalog) []FileID {
+	ids := make([]FileID, c.Size())
+	for i := range ids {
+		ids[i] = FileID(i)
+	}
+	return ids
+}
+
 func TestCatalogPaperScale(t *testing.T) {
 	c, _ := paperCatalog(1)
 	if c.Size() != 3000 {
@@ -48,14 +58,6 @@ func TestCatalogLookup(t *testing.T) {
 	}
 	if c.Size() != 3000 {
 		t.Fatalf("refused Add grew the catalogue to %d", c.Size())
-	}
-}
-
-func TestCatalogDefaultFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	c := NewCatalog(CatalogConfig{}, r)
-	if c.Size() != 3000 {
-		t.Fatalf("zero config did not fall back: size=%d", c.Size())
 	}
 }
 
@@ -232,18 +234,9 @@ func TestPlacementFilesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestPlacementClampsToCatalog(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	c := NewCatalog(CatalogConfig{NumFiles: 2, KeywordPool: 100, KeywordsPerFile: 3}, r)
-	pl := NewPlacement(3, 10, c, r)
-	if len(pl.Files(0)) != 2 {
-		t.Fatalf("clamp failed: %d files", len(pl.Files(0)))
-	}
-}
-
 func TestGeneratorRateAndAttribution(t *testing.T) {
 	c, r := paperCatalog(13)
-	g := NewGeneratorOver(1000, DefaultGen(), c, nil, r)
+	g := NewGeneratorOver(1000, DefaultGen(), c, allFiles(c), r)
 	if math.Abs(g.AggregateRate()-0.83) > 1e-9 {
 		t.Fatalf("aggregate rate = %v, want 0.83", g.AggregateRate())
 	}
@@ -281,7 +274,7 @@ func TestGeneratorRateAndAttribution(t *testing.T) {
 
 func TestGeneratorZipfTargetSkew(t *testing.T) {
 	c, r := paperCatalog(14)
-	g := NewGeneratorOver(1000, DefaultGen(), c, nil, r)
+	g := NewGeneratorOver(1000, DefaultGen(), c, allFiles(c), r)
 	counts := map[FileID]int{}
 	for i := 0; i < 20000; i++ {
 		q := g.Next().Q
@@ -299,21 +292,13 @@ func TestGeneratorZipfTargetSkew(t *testing.T) {
 func TestGeneratorDeterministic(t *testing.T) {
 	c1, r1 := paperCatalog(15)
 	c2, r2 := paperCatalog(15)
-	g1 := NewGeneratorOver(100, DefaultGen(), c1, nil, r1)
-	g2 := NewGeneratorOver(100, DefaultGen(), c2, nil, r2)
+	g1 := NewGeneratorOver(100, DefaultGen(), c1, allFiles(c1), r1)
+	g2 := NewGeneratorOver(100, DefaultGen(), c2, allFiles(c2), r2)
 	for i := 0; i < 200; i++ {
 		a, b := g1.Next(), g2.Next()
 		if a != b {
 			t.Fatalf("generators diverged at %d", i)
 		}
-	}
-}
-
-func TestGeneratorRateFallback(t *testing.T) {
-	c, r := paperCatalog(16)
-	g := NewGeneratorOver(10, GenConfig{RatePerPeer: -1, ZipfS: 0.8}, c, nil, r)
-	if g.AggregateRate() <= 0 {
-		t.Fatal("rate fallback missing")
 	}
 }
 
@@ -463,7 +448,7 @@ func TestCatalogNewFilesStopsWhenExhausted(t *testing.T) {
 func TestGeneratorDynamics(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	c := NewCatalog(CatalogConfig{NumFiles: 60, KeywordPool: 120, KeywordsPerFile: 3}, r)
-	g := NewGeneratorOver(40, GenConfig{RatePerPeer: 0.01, ZipfS: 1.0}, c, nil, rand.New(rand.NewSource(11)))
+	g := NewGeneratorOver(40, GenConfig{RatePerPeer: 0.01, ZipfS: 1.0}, c, allFiles(c), rand.New(rand.NewSource(11)))
 
 	base := g.AggregateRate()
 	g.SetRateFactor(4)

@@ -9,8 +9,7 @@
 // Bloom filters. This package exposes the full evaluation apparatus: a
 // discrete-event simulator, a BRITE-style latency model with landmarks, an
 // unstructured overlay with churn, the workload of §5.1, and the four
-// compared protocols (Flooding, Dicas, Dicas-Keys, Locaware) plus the
-// location-aware-routing extension sketched in the paper's conclusion.
+// compared protocols (Flooding, Dicas, Dicas-Keys, Locaware).
 //
 // Quick start:
 //

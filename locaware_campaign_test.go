@@ -137,3 +137,32 @@ func TestCampaignFacade(t *testing.T) {
 		t.Fatalf("Options.Observer missed cell runs: want %q in\n%s", want, sb.String())
 	}
 }
+
+// TestFingerprintIgnoresRecordRetention: RetainRecords changes no cell
+// byte, so it must not change the campaign's identity either (before the
+// sweep cleared the base collector configuration, toggling it orphaned
+// every checkpoint). The plain hash is pinned, so checkpoints written
+// before that fix still resume.
+func TestFingerprintIgnoresRecordRetention(t *testing.T) {
+	sw, err := SweepByName("ttl-sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plain = "7039989b5b4fcfc519f4f41b2377991bd99b568ab6a6934b7adf144f4c361a6a"
+	o := DefaultOptions()
+	for name, set := range map[string]func(*Options){
+		"plain":         func(*Options) {},
+		"RetainRecords": func(o *Options) { o.RetainRecords = true },
+		"Observer":      func(o *Options) { o.Observer = NewObserver() },
+	} {
+		opt := o
+		set(&opt)
+		h, err := SweepFingerprint(opt, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != plain {
+			t.Errorf("%s: fingerprint %s, want %s", name, h, plain)
+		}
+	}
+}

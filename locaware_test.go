@@ -343,9 +343,11 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 // a keyword pool too small to name the catalogue's files (at the parent
 // commit each of these calls hung), one wider than keywords spell at one
 // width (it would have spelt two billion strings per world), more
-// landmarks than a locId can number (21! overflows), and a flight recorder
+// landmarks than a locId can number (21! overflows), a flight recorder
 // with no retention criterion (it buffered every query and silently
-// returned no trace).
+// returned no trace), and a degree, filter size or share count the world's
+// builders would have silently replaced (0.5 built degree 3, 20 built
+// 11.99, 4 bits built 8, 11 of 10 files shared 10).
 func TestImpossibleCatalogueIsAnError(t *testing.T) {
 	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
 	if err != nil {
@@ -360,6 +362,10 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 		{"wide pool", func(o *Options) { o.KeywordPool = 2_000_000_000 }, []string{"KeywordPool 2000000000", "100000"}},
 		{"landmarks", func(o *Options) { o.Landmarks = 21 }, []string{"Landmarks 21", "20"}}, // 21! overflows a locId
 		{"zero recorder", func(o *Options) { o.FlightRecorder = &FlightRecorder{} }, []string{"SlowestN", "KeepFailed", "MinHops"}},
+		{"thin degree", func(o *Options) { o.AvgDegree = 0.5 }, []string{"AvgDegree 0.5", "links for", "arrival tree"}},
+		{"dense degree", func(o *Options) { o.AvgDegree = 20 }, []string{"AvgDegree 20", "MaxDegree 12"}},
+		{"tiny filter", func(o *Options) { o.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
+		{"shares", func(o *Options) { o.Files, o.FilesPerPeer = 10, 11 }, []string{"FilesPerPeer 11", "Files 10"}},
 	} {
 		o := fastOptions(21)
 		row.set(&o)
