@@ -18,8 +18,9 @@ trace=$tmp/locaware-trace
 step() { printf '\n== %s\n' "$*"; }
 
 # Single run: a -json result must parse and carry the headline keys, a
-# churning run must finish, and a degree no overlay is built at and the
-# deleted Locaware-LR protocol are refused, naming what is wrong.
+# churning run must finish, and a degree no overlay is built at, the
+# deleted Locaware-LR protocol and a negative TTL or peer count are
+# refused, naming what is wrong.
 step single run
 "$simcmd" -peers 100 -warmup 40 -queries 120 -json > "$tmp/sim.json"
 python3 - "$tmp/sim.json" <<'EOF'
@@ -38,6 +39,8 @@ sim_refused() { # the text the error must contain, then the flags
 }
 sim_refused 'AvgDegree 0.5 budgets 25 links for 100 peers, below the 99 links' -degree 0.5
 sim_refused 'unknown protocol: "Locaware-LR"' -protocol Locaware-LR
+sim_refused 'TTL -1' -ttl -1
+sim_refused 'NumPeers -5' -peers -5
 
 # Scenario: registry listing plus a tiny flashcrowd run with per-phase
 # tables.

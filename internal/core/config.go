@@ -107,12 +107,33 @@ func DefaultConfig() Config {
 const maxLandmarks = 20
 
 // Validate refuses a configuration no world can be built from as it
-// reads: a catalogue that cannot exist, more landmarks than a locId can
-// number, a degree whose link budget cannot connect the peers or that
-// exceeds MaxDegree, a Bloom filter below the smallest one bloom.New
-// builds, or more files per peer than the catalogue holds. Each error names
-// the field, its value and the bound.
+// reads: a non-positive count, rate or bound that a sweep axis can set, a
+// catalogue that cannot exist, more landmarks than a locId can number, a
+// degree whose link budget cannot connect the peers or that exceeds
+// MaxDegree, a Bloom filter below the smallest one bloom.New builds, more
+// files per peer than the catalogue holds, or a flight recorder that keeps
+// nothing. Each error names the field, its value and the bound.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"NumPeers", float64(c.NumPeers)},
+		{"Landmarks", float64(c.Landmarks)},
+		{"Files", float64(c.Catalog.NumFiles)},
+		{"KeywordPool", float64(c.Catalog.KeywordPool)},
+		{"FilesPerPeer", float64(c.FilesPerPeer)},
+		{"RatePerPeer", c.Gen.RatePerPeer},
+		{"ZipfS", c.Gen.ZipfS},
+		{"TTL", float64(c.Protocol.TTL)},
+		{"GroupCount", float64(c.Protocol.GroupCount)},
+		{"MaxFilenames", float64(c.Protocol.Cache.MaxFilenames)},
+		{"MaxProvidersPerFile", float64(c.Protocol.Cache.MaxProvidersPerFile)},
+	} {
+		if !(f.v > 0) {
+			return fmt.Errorf("%s %g must be positive", f.name, f.v)
+		}
+	}
 	if err := c.Catalog.Validate(); err != nil {
 		return err
 	}
@@ -134,6 +155,38 @@ func (c Config) Validate() error {
 	if c.FilesPerPeer > c.Catalog.NumFiles {
 		return fmt.Errorf("FilesPerPeer %d exceeds Files %d: a peer's initial files are distinct",
 			c.FilesPerPeer, c.Catalog.NumFiles)
+	}
+	if p := c.TracePolicy; p != nil && !p.KeepFailed && p.MinHops <= 0 && p.SlowestN <= 0 {
+		return fmt.Errorf("TracePolicy keeps nothing; set SlowestN, KeepFailed or MinHops")
+	}
+	return nil
+}
+
+// ValidateRun is the one gate a run passes: positive measured and
+// non-negative warmup query counts, then Validate, then a scenario whose
+// phases fit the measured queries and figure checkpoints that ascend
+// strictly within [1, measured].
+func (c Config) ValidateRun(warmup, measured int) error {
+	if measured <= 0 {
+		return fmt.Errorf("measured queries %d must be positive", measured)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("warmup queries %d must be non-negative", warmup)
+	}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Scenario != nil {
+		if _, err := c.Scenario.Marks(measured); err != nil {
+			return err
+		}
+	}
+	prev := 0
+	for _, cp := range c.Protocol.Collector.Checkpoints {
+		if cp <= prev || cp > measured {
+			return fmt.Errorf("checkpoint %d after %d: checkpoints must ascend strictly within [1, %d], the measured queries", cp, prev, measured)
+		}
+		prev = cp
 	}
 	return nil
 }
@@ -159,8 +212,8 @@ func (c *Config) SetQueryRate(rate float64) {
 // simulator and resolves every run's grid; it stays exported because the
 // benchmark harness (benchmark/campaign.go) calls it, and a config resolved
 // ahead of RunMeasured is simply resolved again. It panics on an
-// unresolvable grid (fewer measured queries than phases) — the public
-// facade and the sweep planner validate specs before running.
+// unresolvable grid (fewer measured queries than phases), which
+// ValidateRun refuses before any run.
 func ResolveScenario(cfg Config, measured int) Config {
 	if cfg.Scenario == nil {
 		return cfg

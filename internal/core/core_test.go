@@ -10,6 +10,7 @@ import (
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/trace"
 )
 
 // smallConfig returns a fast config for tests: 200 peers, accelerated
@@ -36,11 +37,14 @@ func TestNewSimulationAssembly(t *testing.T) {
 }
 
 // TestValidateRefusesWhatBuildersWouldChange: a value a builder could not
-// honour as given is refused, naming the field, the value and the bound,
-// and each bound itself is accepted: a budget of exactly the n-1 links of
-// the arrival tree, a degree of exactly MaxDegree, the 8-bit filter and a
-// peer sharing the whole catalogue.
+// honour as given, and a run no collector or scenario could measure, is
+// refused by ValidateRun, naming the field, the value and the bound, and
+// each bound itself is accepted: a budget of exactly the n-1 links of the
+// arrival tree, a degree of exactly MaxDegree, the 8-bit filter, a peer
+// sharing the whole catalogue and a checkpoint at the last measured query.
 func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
+	var warmup, measured int
+	churnWaves, _ := scenario.Lookup("churn-waves")
 	for _, tc := range []struct {
 		name string
 		set  func(*Config)
@@ -59,10 +63,24 @@ func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
 		{"bloom 4 bits", func(c *Config) { c.Protocol.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
 		{"whole catalogue per peer", func(c *Config) { c.FilesPerPeer = c.Catalog.NumFiles }, nil},
 		{"files per peer above files", func(c *Config) { c.FilesPerPeer = 3001 }, []string{"FilesPerPeer 3001", "Files 3000"}},
+		{"measured 0", func(*Config) { measured = 0 }, []string{"measured queries 0"}},
+		{"warmup -1", func(*Config) { warmup = -1 }, []string{"warmup queries -1"}},
+		{"keep-nothing recorder", func(c *Config) { c.TracePolicy = &trace.Policy{MaxEventsPerQuery: 8} }, []string{"TracePolicy", "SlowestN", "KeepFailed", "MinHops"}},
+		{"recorder keeping failures", func(c *Config) { c.TracePolicy = &trace.Policy{KeepFailed: true} }, nil},
+		{"phases above measured", func(c *Config) { c.Scenario, measured = churnWaves, 3 }, []string{"4 phases", "got 3"}},
+		{"checkpoint grid", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{20, 20, 500, -3} }, []string{"checkpoint 20 after 20", "[1, 100]"}},
+		{"checkpoint past measured", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{50, 500} }, []string{"checkpoint 500", "[1, 100]"}},
+		{"checkpoint -3", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{-3} }, []string{"checkpoint -3", "[1, 100]"}},
+		{"checkpoint at measured", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{1, 100} }, nil},
+		{"TTL -1", func(c *Config) { c.Protocol.TTL = -1 }, []string{"TTL -1"}},
+		{"NumPeers -5", func(c *Config) { c.NumPeers = -5 }, []string{"NumPeers -5"}},
+		{"ZipfS 0", func(c *Config) { c.Gen.ZipfS = 0 }, []string{"ZipfS 0"}},
+		{"cache bound 0", func(c *Config) { c.Protocol.Cache.MaxProvidersPerFile = 0 }, []string{"MaxProvidersPerFile 0"}},
 	} {
 		cfg := DefaultConfig()
+		warmup, measured = 0, 100
 		tc.set(&cfg)
-		err := cfg.Validate()
+		err := cfg.ValidateRun(warmup, measured)
 		if tc.want == nil {
 			if err != nil {
 				t.Errorf("%s: refused: %v", tc.name, err)
@@ -273,7 +291,7 @@ func TestFloodingCachesNothing(t *testing.T) {
 
 func TestRunComparisonPaired(t *testing.T) {
 	cfg := smallConfig(8)
-	cmp := RunTrialComparison(cfg, Baselines(), TrialOptions{}, 50, 100, nil)
+	cmp := RunTrialComparison(cfg, Baselines(), 1, 50, 100, 0)
 	if len(cmp.Cells) != 4 || len(cmp.Order) != 4 {
 		t.Fatalf("results: %v", cmp.Order)
 	}
@@ -296,7 +314,8 @@ func TestRunComparisonPaired(t *testing.T) {
 
 func TestFigureSeriesExtraction(t *testing.T) {
 	cfg := smallConfig(9)
-	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, TrialOptions{}, 20, 60, []int{20, 40, 60})
+	cfg.Protocol.Collector.Checkpoints = []int{20, 40, 60}
+	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 1, 20, 60, 0)
 	for _, fig := range []string{Fig2DownloadDistance, Fig3SearchTraffic, Fig4SuccessRate} {
 		series := cmp.FigureSeries(fig)
 		if len(series) != 2 {
@@ -316,30 +335,27 @@ func TestFigureSeriesExtraction(t *testing.T) {
 	}
 }
 
-func TestNormalizeCheckpoints(t *testing.T) {
-	got := normalizeCheckpoints([]int{50, 10, 10, -3, 200}, 100)
-	if len(got) != 2 || got[0] != 10 || got[1] != 50 {
-		t.Fatalf("normalized = %v (out-of-range and duplicate checkpoints must drop)", got)
-	}
-	auto := normalizeCheckpoints(nil, 100)
+// TestTenSteps: nil checkpoints mean ten equal steps, and every query of a
+// run shorter than ten.
+func TestTenSteps(t *testing.T) {
+	auto := tenSteps(100)
 	if len(auto) != 10 || auto[0] != 10 || auto[9] != 100 {
 		t.Fatalf("auto checkpoints = %v", auto)
 	}
-	tiny := normalizeCheckpoints(nil, 3)
-	if len(tiny) == 0 {
-		t.Fatal("tiny run has no checkpoints")
+	if tiny := tenSteps(3); len(tiny) != 3 || tiny[2] != 3 {
+		t.Fatalf("tiny run checkpoints = %v", tiny)
 	}
 }
 
 func TestHeadlines(t *testing.T) {
 	cfg := smallConfig(10)
-	cmp := RunTrialComparison(cfg, Baselines(), TrialOptions{}, 150, 150, nil)
+	cmp := RunTrialComparison(cfg, Baselines(), 1, 150, 150, 0)
 	h := cmp.Headlines()
 	if h.TrafficReductionVsFlooding > -0.5 {
 		t.Fatalf("traffic reduction %v, expected strongly negative", h.TrafficReductionVsFlooding)
 	}
 	// Partial comparisons do not panic.
-	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}}, TrialOptions{}, 0, 30, nil)
+	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}}, 1, 0, 30, 0)
 	_ = partial.Headlines()
 	empty := &TrialComparison{Cells: map[string]*TrialCell{}}
 	_ = empty.Headlines()
@@ -388,7 +404,7 @@ func TestLocawareBeatsDicasWarm(t *testing.T) {
 	// Dicas's (the +23% claim is validated at paper scale in the bench
 	// harness; here we assert non-inferiority to keep the test robust).
 	cfg := smallConfig(12)
-	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Dicas{}, protocol.Locaware{}}, TrialOptions{}, 400, 400, nil)
+	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Dicas{}, protocol.Locaware{}}, 1, 400, 400, 0)
 	di := cmp.Cells["Dicas"].Summary.SuccessRate.Mean
 	la := cmp.Cells["Locaware"].Summary.SuccessRate.Mean
 	if la < di*0.95 {
@@ -398,7 +414,7 @@ func TestLocawareBeatsDicasWarm(t *testing.T) {
 
 func TestFloodingSuccessDominates(t *testing.T) {
 	cfg := smallConfig(13)
-	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, TrialOptions{}, 100, 200, nil)
+	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 1, 100, 200, 0)
 	fl := cmp.Cells["Flooding"].Summary.SuccessRate.Mean
 	la := cmp.Cells["Locaware"].Summary.SuccessRate.Mean
 	if fl <= la {

@@ -1,36 +1,19 @@
 package core
 
-import (
-	"sort"
-
-	"github.com/p2prepro/locaware/internal/protocol"
-)
+import "github.com/p2prepro/locaware/internal/protocol"
 
 // Baselines returns the paper's four compared protocols in figure order.
 func Baselines() []protocol.Behavior { return protocol.Baselines() }
 
-// normalizeCheckpoints sorts, dedups and clamps checkpoints to [1,
-// numQueries]; an empty input yields ten equal steps.
-func normalizeCheckpoints(cps []int, numQueries int) []int {
-	if len(cps) == 0 {
-		step := numQueries / 10
-		if step < 1 {
-			step = 1
-		}
-		for x := step; x <= numQueries; x += step {
-			cps = append(cps, x)
-		}
+// tenSteps is the default figure grid: ten equal steps of a run of
+// measured queries (every query when there are fewer than ten).
+func tenSteps(measured int) []int {
+	step := max(measured/10, 1)
+	var cps []int
+	for x := step; x <= measured; x += step {
+		cps = append(cps, x)
 	}
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range cps {
-		if c >= 1 && c <= numQueries && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return cps
 }
 
 // Figure identifiers for the paper's three evaluation figures.

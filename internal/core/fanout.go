@@ -49,21 +49,16 @@ func clampWorkers(requested, jobs int) int {
 // strict index order — the same order a sequential loop would produce, for
 // any worker count. It never materialises the full result slice: a consumed
 // result can be folded into an aggregate and dropped, so a campaign of
-// thousands of jobs holds O(workers) results in memory instead of O(n). Dispatch is windowed to 2×workers outstanding jobs, which bounds
-// the reorder buffer even when job 0 is the slowest of the batch.
-// workers <= 0 selects runtime.NumCPU(). With one worker the jobs run
-// inline in index order.
+// thousands of jobs holds O(workers) results in memory instead of O(n).
+// Dispatch is windowed to 2×workers outstanding jobs, which bounds the
+// reorder buffer even when job 0 is the slowest of the batch. workers <= 0
+// selects runtime.NumCPU(); one worker takes the same path, running its
+// jobs one at a time on one goroutine, in index order.
 func Stream[T any](n, workers int, fn func(i int) T, consume func(i int, v T)) {
 	if n <= 0 {
 		return
 	}
 	w := clampWorkers(workers, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			consume(i, fn(i))
-		}
-		return
-	}
 	type item struct {
 		i int
 		v T
@@ -71,11 +66,8 @@ func Stream[T any](n, workers int, fn func(i int) T, consume func(i int, v T)) {
 	var (
 		jobs    = make(chan int)
 		results = make(chan item, w)
-		// window caps dispatched-but-unconsumed jobs. The consumer releases
-		// a slot only after delivering a result, and jobs are dispatched in
-		// index order, so the lowest undelivered index is always in flight:
-		// the pipeline can never deadlock, and at most 2w results exist at
-		// once (in flight + parked in the reorder buffer).
+		// window caps dispatched-but-unconsumed jobs: the dispatch-window
+		// contract above.
 		window = make(chan struct{}, 2*w)
 		wg     sync.WaitGroup
 	)

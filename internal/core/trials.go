@@ -7,27 +7,6 @@ import (
 	"github.com/p2prepro/locaware/internal/stats"
 )
 
-// TrialOptions configures replicated execution of experiment cells.
-type TrialOptions struct {
-	// Trials is the number of independent replications per (behaviour ×
-	// config) cell; values below 1 mean a single trial. Trial t runs on its
-	// own Engine rooted at sim.TrialSeed(cfg.Seed, t), so trial 0
-	// reproduces the sequential single-run output exactly.
-	Trials int
-	// Workers bounds how many simulations run concurrently; <= 0 selects
-	// runtime.NumCPU(). The worker count never changes results, only
-	// wall-clock time: every cell is an isolated engine with its own RNG
-	// streams and results are gathered by index, not completion order.
-	Workers int
-}
-
-func (t TrialOptions) trials() int {
-	if t.Trials < 1 {
-		return 1
-	}
-	return t.Trials
-}
-
 // TrialSummary holds cross-trial sample statistics of the headline run
 // metrics; each Summary's N is the trial count.
 type TrialSummary struct {
@@ -104,47 +83,55 @@ type TrialComparison struct {
 	Cells map[string]*TrialCell
 	// Order preserves behaviour order for stable presentation.
 	Order []string
-	// Checkpoints are the cumulative query counts of figure points.
-	Checkpoints []int
 	// Trials is the replication count.
 	Trials int
 }
 
-// RunTrialComparison fans the full (behaviour × trial) grid out across one
-// worker pool, so even a single-trial comparison parallelises across
-// behaviours. Trial t's config is cfg with its Seed replaced by
-// sim.TrialSeed(cfg.Seed, t); everything else is shared, so the trials
-// sample seed space at one parameter point. Warmup queries run first and
-// their records are discarded (0 disables warmup). Results are identical
-// for every worker count.
-func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, topt TrialOptions, warmup, numQueries int, checkpoints []int) *TrialComparison {
-	trials := topt.trials()
-	cmp := &TrialComparison{
-		Cells:       make(map[string]*TrialCell, len(behaviors)),
-		Checkpoints: normalizeCheckpoints(checkpoints, numQueries),
-		Trials:      trials,
+// TrialCount is the number of trials a request for n runs: n, or one when
+// n is below 1.
+func TrialCount(n int) int { return max(n, 1) }
+
+// RunGrid is the one fan-out of paired runs: it maps job j to a (config,
+// behaviour, trial) triple across one worker pool (workers <= 0 means one
+// per CPU). Trial t of cfgs[c] runs under sim.TrialSeed(cfgs[c].Seed, t);
+// everything else in the config is shared, so the trials sample seed space
+// at one parameter point and trial t of every behaviour sees one world.
+// Warmup queries run first and their records are discarded. sink receives
+// each (config, behaviour)'s runs in trial order, configs and behaviours
+// in index order, on the calling goroutine. Results are identical for
+// every worker count.
+func RunGrid(cfgs []Config, behaviors []protocol.Behavior, trials, warmup, measured, workers int, sink func(cfg, behavior int, runs []*RunResult)) {
+	trials = TrialCount(trials)
+	perCfg := len(behaviors) * trials
+	var runs []*RunResult
+	Stream(len(cfgs)*perCfg, workers, func(j int) *RunResult {
+		cfg := cfgs[j/perCfg]
+		cfg.Seed = sim.TrialSeed(cfg.Seed, j%trials)
+		return NewSimulation(cfg, behaviors[j%perCfg/trials]).RunMeasured(warmup, measured)
+	}, func(j int, r *RunResult) {
+		runs = append(runs, r)
+		if len(runs) == trials {
+			sink(j/perCfg, j%perCfg/trials, runs)
+			runs = nil
+		}
+	})
+}
+
+// RunTrialComparison runs every behaviour over the same trials of cfg
+// through RunGrid. The figure checkpoints are cfg's collector checkpoints,
+// ten equal steps when none are set; the streaming collector seals their
+// windows during each run.
+func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, trials, warmup, measured, workers int) *TrialComparison {
+	if len(cfg.Protocol.Collector.Checkpoints) == 0 {
+		cfg.Protocol.Collector.Checkpoints = tenSteps(measured)
 	}
-	seeds := make([]int64, trials)
-	for t := range seeds {
-		seeds[t] = sim.TrialSeed(cfg.Seed, t)
-	}
-	runs := make([]*RunResult, len(behaviors)*trials)
-	Stream(len(runs), topt.Workers, func(j int) *RunResult {
-		c := cfg
-		c.Seed = seeds[j%trials]
-		// Thread the figure grid into the run so the streaming collector
-		// seals the windows during execution. The slice is shared read-only
-		// across trials.
-		c.Protocol.Collector.Checkpoints = cmp.Checkpoints
-		return NewSimulation(c, behaviors[j/trials]).RunMeasured(warmup, numQueries)
-	}, func(j int, r *RunResult) { runs[j] = r })
-	for i, b := range behaviors {
-		cell := &TrialCell{Runs: runs[i*trials : (i+1)*trials]}
-		cell.Summary = SummarizeTrials(cell.Runs)
-		cell.PhaseStats = AggregateRunPhases(cell.Runs)
-		cmp.Cells[b.Name()] = cell
-		cmp.Order = append(cmp.Order, b.Name())
-	}
+	cmp := &TrialComparison{Cells: make(map[string]*TrialCell, len(behaviors))}
+	RunGrid([]Config{cfg}, behaviors, trials, warmup, measured, workers, func(_, b int, runs []*RunResult) {
+		name := behaviors[b].Name()
+		cmp.Cells[name] = &TrialCell{Runs: runs, Summary: SummarizeTrials(runs), PhaseStats: AggregateRunPhases(runs)}
+		cmp.Order = append(cmp.Order, name)
+		cmp.Trials = len(runs)
+	})
 	return cmp
 }
 

@@ -12,17 +12,17 @@ import (
 )
 
 // runTrials is the one-behaviour case of the comparison runner.
-func runTrials(cfg Config, b protocol.Behavior, topt TrialOptions, warmup, measured int) *TrialCell {
-	return RunTrialComparison(cfg, []protocol.Behavior{b}, topt, warmup, measured, nil).Cells[b.Name()]
+func runTrials(cfg Config, b protocol.Behavior, trials, warmup, measured, workers int) *TrialCell {
+	return RunTrialComparison(cfg, []protocol.Behavior{b}, trials, warmup, measured, workers).Cells[b.Name()]
 }
 
 func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 	cfg := smallConfig(21)
-	cell := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 1}, 20, 60)
+	cell := runTrials(cfg, protocol.Locaware{}, 1, 20, 60, 0)
 	// The runner threads its figure grid into every run's collector; the
 	// direct run carries the same grid so the two are comparable whole.
 	direct := cfg
-	direct.Protocol.Collector.Checkpoints = normalizeCheckpoints(nil, 60)
+	direct.Protocol.Collector.Checkpoints = tenSteps(60)
 	seq := NewSimulation(direct, protocol.Locaware{}).RunMeasured(20, 60)
 	if len(cell.Runs) != 1 {
 		t.Fatalf("cell shape: runs=%d", len(cell.Runs))
@@ -38,8 +38,8 @@ func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 func TestRunTrialsWorkerCountInvariant(t *testing.T) {
 	cfg := smallConfig(22)
 	cfg.NumPeers = 120
-	a := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 1}, 10, 40)
-	b := runTrials(cfg, protocol.Locaware{}, TrialOptions{Trials: 4, Workers: 8}, 10, 40)
+	a := runTrials(cfg, protocol.Locaware{}, 4, 10, 40, 1)
+	b := runTrials(cfg, protocol.Locaware{}, 4, 10, 40, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Workers=1 and Workers=8 produced different aggregated results")
 	}
@@ -48,7 +48,7 @@ func TestRunTrialsWorkerCountInvariant(t *testing.T) {
 func TestRunTrialsSeedsIndependent(t *testing.T) {
 	cfg := smallConfig(23)
 	cfg.NumPeers = 120
-	cell := runTrials(cfg, protocol.Flooding{}, TrialOptions{Trials: 3, Workers: 0}, 0, 40)
+	cell := runTrials(cfg, protocol.Flooding{}, 3, 0, 40, 0)
 	if len(cell.Runs) != 3 {
 		t.Fatalf("runs = %d", len(cell.Runs))
 	}
@@ -66,9 +66,10 @@ func TestRunTrialsSeedsIndependent(t *testing.T) {
 func TestTrialComparisonWorkerCountInvariant(t *testing.T) {
 	cfg := smallConfig(24)
 	cfg.NumPeers = 120
+	cfg.Protocol.Collector.Checkpoints = []int{20, 40}
 	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}
-	a := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 3, Workers: 1}, 10, 40, []int{20, 40})
-	b := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 3, Workers: 8}, 10, 40, []int{20, 40})
+	a := RunTrialComparison(cfg, behaviors, 3, 10, 40, 1)
+	b := RunTrialComparison(cfg, behaviors, 3, 10, 40, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("trial comparison differs across worker counts")
 	}
@@ -80,9 +81,9 @@ func TestTrialComparisonWorkerCountInvariant(t *testing.T) {
 // series carry no error bars.
 func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 	cfg := smallConfig(25)
-	tc := RunTrialComparison(cfg, Baselines(), TrialOptions{Trials: 1, Workers: 4}, 20, 60, nil)
-	if tc.Trials != 1 || len(tc.Checkpoints) != 10 {
-		t.Fatalf("shape: trials=%d checkpoints=%v", tc.Trials, tc.Checkpoints)
+	tc := RunTrialComparison(cfg, Baselines(), 1, 20, 60, 4)
+	if w := tc.Cells["Locaware"].Runs[0].Collector.Windows(); tc.Trials != 1 || len(w) != 10 {
+		t.Fatalf("shape: trials=%d windows=%d, want ten equal steps", tc.Trials, len(w))
 	}
 	pick := map[string]func(metrics.PhaseWindow) float64{
 		Fig2DownloadDistance: func(w metrics.PhaseWindow) float64 { return w.DownloadRTT },
@@ -117,12 +118,12 @@ func TestTrialComparisonPairedAcrossBehaviors(t *testing.T) {
 	cfg := smallConfig(26)
 	cfg.NumPeers = 120
 	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}}
-	tc := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 2, Workers: 4}, 0, 30, nil)
+	tc := RunTrialComparison(cfg, behaviors, 2, 0, 30, 4)
 	for _, b := range behaviors {
 		for tr, run := range tc.Cells[b.Name()].Runs {
 			direct := cfg
 			direct.Seed = sim.TrialSeed(cfg.Seed, tr)
-			direct.Protocol.Collector.Checkpoints = tc.Checkpoints
+			direct.Protocol.Collector.Checkpoints = tenSteps(30)
 			if !reflect.DeepEqual(run, NewSimulation(direct, b).RunMeasured(0, 30)) {
 				t.Fatalf("%s trial %d is not the run at trial seed %d", b.Name(), tr, tr)
 			}
@@ -133,8 +134,8 @@ func TestTrialComparisonPairedAcrossBehaviors(t *testing.T) {
 func TestTrialComparisonFigureSeriesErrorBars(t *testing.T) {
 	cfg := smallConfig(27)
 	cfg.NumPeers = 120
-	tc := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}},
-		TrialOptions{Trials: 3, Workers: 0}, 10, 60, []int{30, 60})
+	cfg.Protocol.Collector.Checkpoints = []int{30, 60}
+	tc := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 3, 10, 60, 0)
 	for _, fig := range []string{Fig2DownloadDistance, Fig3SearchTraffic, Fig4SuccessRate} {
 		series := tc.FigureSeries(fig)
 		if len(series) != 2 {
@@ -157,13 +158,13 @@ func TestTrialComparisonFigureSeriesErrorBars(t *testing.T) {
 func TestTrialHeadlines(t *testing.T) {
 	cfg := smallConfig(28)
 	cfg.NumPeers = 120
-	tc := RunTrialComparison(cfg, Baselines(), TrialOptions{Trials: 2, Workers: 0}, 50, 100, nil)
+	tc := RunTrialComparison(cfg, Baselines(), 2, 50, 100, 0)
 	h := tc.Headlines()
 	if h.TrafficReductionVsFlooding >= 0 {
 		t.Fatalf("traffic reduction = %v, want negative", h.TrafficReductionVsFlooding)
 	}
 	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}},
-		TrialOptions{Trials: 1}, 0, 20, nil)
+		1, 0, 20, 0)
 	_ = partial.Headlines()
 	empty := &TrialComparison{Cells: map[string]*TrialCell{}}
 	_ = empty.Headlines()
@@ -177,8 +178,8 @@ func TestTrialsHammer(t *testing.T) {
 	cfg := smallConfig(29)
 	cfg.NumPeers = 60
 	behaviors := Baselines()
-	par := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 6, Workers: 16}, 0, 15, nil)
-	seq := RunTrialComparison(cfg, behaviors, TrialOptions{Trials: 6, Workers: 1}, 0, 15, nil)
+	par := RunTrialComparison(cfg, behaviors, 6, 0, 15, 16)
+	seq := RunTrialComparison(cfg, behaviors, 6, 0, 15, 1)
 	if !reflect.DeepEqual(par, seq) {
 		t.Fatal("hammered parallel run diverged from sequential run")
 	}
@@ -194,14 +195,12 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Skip("speedup measurement skipped in -short mode")
 	}
 	cfg := smallConfig(30)
-	topt := func(w int) TrialOptions { return TrialOptions{Trials: 8, Workers: w} }
-
 	t0 := time.Now()
-	seq := runTrials(cfg, protocol.Locaware{}, topt(1), 50, 150)
+	seq := runTrials(cfg, protocol.Locaware{}, 8, 50, 150, 1)
 	seqDur := time.Since(t0)
 
 	t0 = time.Now()
-	par := runTrials(cfg, protocol.Locaware{}, topt(4), 50, 150)
+	par := runTrials(cfg, protocol.Locaware{}, 8, 50, 150, 4)
 	parDur := time.Since(t0)
 
 	if !reflect.DeepEqual(seq, par) {
@@ -218,15 +217,50 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 }
 
-func TestTrialOptionsDefaults(t *testing.T) {
-	if (TrialOptions{}).trials() != 1 || (TrialOptions{Trials: -3}).trials() != 1 {
-		t.Fatal("trial floor broken")
+// TestRunGrid locks the one fan-out: over 2 configs × 2 behaviours × 3
+// trials, sink sees each (config, behaviour) once, in index order, with its
+// runs in trial order; every run is the direct run at its trial seed, and
+// the worker count changes nothing.
+func TestRunGrid(t *testing.T) {
+	a, b := smallConfig(31), smallConfig(32)
+	a.NumPeers, b.NumPeers = 60, 80
+	cfgs := []Config{a, b}
+	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}
+	const trials = 3
+	grid := func(workers int) [][]*RunResult {
+		var got [][]*RunResult
+		RunGrid(cfgs, behaviors, trials, 5, 20, workers, func(c, bi int, runs []*RunResult) {
+			if want := len(got); c*len(behaviors)+bi != want {
+				t.Fatalf("workers %d: sink got (config %d, behaviour %d) at position %d", workers, c, bi, want)
+			}
+			if len(runs) != trials {
+				t.Fatalf("workers %d: (config %d, behaviour %d) has %d runs, want %d", workers, c, bi, len(runs), trials)
+			}
+			got = append(got, runs)
+		})
+		if len(got) != len(cfgs)*len(behaviors) {
+			t.Fatalf("workers %d: sink called %d times, want %d", workers, len(got), len(cfgs)*len(behaviors))
+		}
+		return got
 	}
-	if (TrialOptions{Trials: 5}).trials() != 5 {
-		t.Fatal("trial count lost")
+	one := grid(1)
+	for k, runs := range one {
+		cfg, b := cfgs[k/len(behaviors)], behaviors[k%len(behaviors)]
+		for tr, run := range runs {
+			direct := cfg
+			direct.Seed = sim.TrialSeed(cfg.Seed, tr)
+			if !reflect.DeepEqual(run, NewSimulation(direct, b).RunMeasured(5, 20)) {
+				t.Fatalf("config %d %s trial %d is not the run at its trial seed", k/len(behaviors), b.Name(), tr)
+			}
+		}
 	}
-	// Trial 0 must always reuse the root seed (sequential reproducibility).
-	if sim.TrialSeed(99, 0) != 99 {
-		t.Fatal("trial 0 seed not identity")
+	for _, workers := range []int{2, 8} {
+		for k, runs := range grid(workers) {
+			for tr, run := range runs {
+				if run.Events != one[k][tr].Events || run.Collector.RunWindow() != one[k][tr].Collector.RunWindow() {
+					t.Fatalf("workers %d: job (%d, trial %d) differs from workers 1", workers, k, tr)
+				}
+			}
+		}
 	}
 }

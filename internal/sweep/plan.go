@@ -129,74 +129,43 @@ func (p *Plan) VerifyCell(cr *CellResult) error {
 	return nil
 }
 
-// RunCells is the one function that fans (cell × protocol × trial) worlds
-// out: it executes any selection of cell indexes — the whole grid included
-// — across a worker pool bounded by workers (<= 0 means one per CPU) and
-// delivers each completed cell to sink in ascending subset order. The jobs
-// of the whole subset share one pool, so a two-cell resume still saturates
-// the machine. Jobs dispatch and deliver in index order, trials fold into
-// per-(cell, protocol) accumulators that collapse as soon as they fill, and
-// a cell sinks when its last protocol aggregate collapses — so at most
-// O(workers) undelivered runs are alive, and every sunk CellResult is
-// byte-identical to the cell's entry in a whole-grid run at any worker
-// count.
+// RunCells executes any selection of cell indexes — the whole grid
+// included — through core.RunGrid, on a worker pool bounded by workers
+// (<= 0 means one per CPU), and delivers each completed cell to sink in
+// ascending subset order. The jobs of the whole subset share one pool, so
+// a two-cell resume still saturates the machine. RunGrid hands over each
+// (cell, protocol)'s trials in index order, so one cell is in progress at
+// a time and every sunk CellResult is byte-identical to the cell's entry
+// in a whole-grid run at any worker count.
 func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error {
 	r := p.r
-	for _, c := range cells {
+	cfgs := make([]core.Config, len(cells))
+	for i, c := range cells {
 		if c < 0 || c >= len(r.cells) {
 			return fmt.Errorf("sweep %q: cell %d out of range [0, %d)", r.spec.Name, c, len(r.cells))
 		}
+		cfgs[i] = r.cellCfgs[c]
 	}
-	nProtos := len(r.behaviors)
-	perCell := nProtos * r.trials
-	n := len(cells) * perCell
-	building := make([]*CellResult, len(cells))
-	accs := make([][]*core.RunResult, len(cells)*nProtos)
-	exemplars := make([]*ExemplarTrace, len(cells))
-	exLat := make([]sim.Time, len(cells))
-	core.Stream(n, workers, func(j int) *core.RunResult {
-		pos := j / perCell
-		rem := j % perCell
-		proto := rem / r.trials
-		trial := rem % r.trials
-		cell := cells[pos]
-		cfg := r.cellCfgs[cell]
-		cfg.Seed = sim.TrialSeed(r.cells[cell].Seed, trial)
-		return core.NewSimulation(cfg, r.behaviors[proto]).RunMeasured(r.spec.Warmup, r.spec.Queries)
-	}, func(j int, run *core.RunResult) {
-		pos := j / perCell
-		rem := j % perCell
-		proto := rem / r.trials
-		k := pos*nProtos + proto
-		// Exemplar fold: delivery is strict index order, so strictly-greater
-		// latency keeps the earliest (protocol, trial) on exact ties —
-		// deterministic for any worker count.
-		if len(run.Traces) > 0 {
-			if t := run.Traces[0]; exemplars[pos] == nil || t.Latency > exLat[pos] {
-				exemplars[pos] = exemplarOf(run, r.names[proto], rem%r.trials)
-				exLat[pos] = t.Latency
+	var cr *CellResult
+	var exLat sim.Time
+	core.RunGrid(cfgs, r.behaviors, r.trials, r.spec.Warmup, r.spec.Queries, workers, func(pos, proto int, runs []*core.RunResult) {
+		if proto == 0 {
+			cr = &CellResult{Cell: r.cells[cells[pos]], Protocols: make([]ProtocolCell, len(r.behaviors))}
+		}
+		// Exemplar fold: strictly slower wins, so ties keep the earliest
+		// (protocol, trial).
+		for t, run := range runs {
+			if len(run.Traces) > 0 && (cr.Exemplar == nil || run.Traces[0].Latency > exLat) {
+				cr.Exemplar = exemplarOf(run, r.names[proto], t)
+				exLat = run.Traces[0].Latency
 			}
 		}
-		accs[k] = append(accs[k], run)
-		if len(accs[k]) < r.trials {
-			return
-		}
-		if building[pos] == nil {
-			cell := cells[pos]
-			building[pos] = &CellResult{Cell: r.cells[cell], Protocols: make([]ProtocolCell, nProtos)}
-		}
-		building[pos].Protocols[proto] = ProtocolCell{
+		cr.Protocols[proto] = ProtocolCell{
 			Protocol: r.names[proto],
-			Summary:  core.SummarizeTrials(accs[k]),
-			Phases:   core.AggregateRunPhases(accs[k]),
+			Summary:  core.SummarizeTrials(runs),
+			Phases:   core.AggregateRunPhases(runs),
 		}
-		accs[k] = nil
-		// Delivery is index-ordered, so the last protocol completing means
-		// every earlier one already has.
-		if proto == nProtos-1 {
-			cr := building[pos]
-			cr.Exemplar = exemplars[pos]
-			building[pos], exemplars[pos] = nil, nil
+		if proto == len(r.behaviors)-1 {
 			sink(cr)
 		}
 	})

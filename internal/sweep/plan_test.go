@@ -7,6 +7,7 @@ import (
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/scenario"
+	"github.com/p2prepro/locaware/internal/trace"
 )
 
 // TestPlanHash locks the content-addressing contract: the hash is stable
@@ -99,6 +100,13 @@ func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
 				t.Fatalf("%s: error does not name %s: %v", where, want, err)
 			}
 		}
+	}
+	// The base configuration passes the same gate as a facade run: a flight
+	// recorder that keeps nothing is refused, not run trace-less.
+	base := core.DefaultConfig()
+	base.TracePolicy = &trace.Policy{}
+	if _, err := NewPlan(base, tinySpec()); err == nil || !strings.Contains(err.Error(), "TracePolicy keeps nothing") {
+		t.Fatalf("keep-nothing recorder: want a refusal naming TracePolicy, got %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ type ProtocolCell struct {
 	Protocol string
 	// Summary aggregates the headline metrics across the cell's trials —
 	// identical to the Summary a standalone core.RunTrialComparison of
-	// this cell produces.
+	// this cell produces, since both fan out through core.RunGrid.
 	Summary core.TrialSummary
 	// Phases aggregates the scenario phase windows across trials; nil
 	// without a scenario.
@@ -119,8 +119,8 @@ func (c *Campaign) Runs() int {
 }
 
 // resolved holds a validated spec lowered onto a base configuration:
-// expanded cells, per-cell configs (a scenario's grid is checked here and
-// resolved by each run) and the behaviour set.
+// expanded cells, per-cell configs (each at its cell seed, passed through
+// core.Config.ValidateRun) and the behaviour set.
 type resolved struct {
 	spec      *Spec
 	base      core.Config // campaign-owned fields cleared
@@ -160,18 +160,13 @@ func resolve(base core.Config, s *Spec) (*resolved, error) {
 	cellCfgs := make([]core.Config, len(cells))
 	for i, c := range cells {
 		cfg := s.cellConfig(base, c)
-		if err := cfg.Validate(); err != nil {
+		if err := cfg.ValidateRun(s.Warmup, s.Queries); err != nil {
 			return nil, fmt.Errorf("sweep %q cell %d (%s): %w", s.Name, c.Index, c.Label(), err)
-		}
-		if cfg.Scenario != nil {
-			if _, err := cfg.Scenario.Marks(s.Queries); err != nil {
-				return nil, fmt.Errorf("sweep %q cell %d: %w", s.Name, c.Index, err)
-			}
 		}
 		cellCfgs[i] = cfg
 	}
 	return &resolved{
-		spec: s, base: base, seed: seed, trials: s.trials(),
+		spec: s, base: base, seed: seed, trials: core.TrialCount(s.Trials),
 		names: names, behaviors: behaviors,
 		cells: cells, cellCfgs: cellCfgs,
 	}, nil

@@ -5,18 +5,18 @@
 // simulation parameters (overlay size, cache capacity, TTL, scenario
 // intensity, …), a protocol set and a trials-per-cell count; the engine
 // expands the cartesian grid into cells, fans the (cell × protocol ×
-// trial) jobs out across the deterministic worker pool, streams every
-// finished run into a cross-trial, per-phase aggregator (no per-query
-// records are ever held), and exports tidy CSV plus paper-figure series
-// keyed by axis value with mean ± 95% CI error bars.
+// trial) jobs out through core.RunGrid's deterministic worker pool,
+// streams every finished run into a cross-trial, per-phase aggregator (no
+// per-query records are ever held), and exports tidy CSV plus
+// paper-figure series keyed by axis value with mean ± 95% CI error bars.
 //
 // Determinism is cell-local: cell c's root seed derives from the campaign
 // seed and c alone (CellSeed), and trial t inside the cell runs under
-// sim.TrialSeed(cellSeed, t) — exactly the derivation
-// core.RunTrialComparison uses. Any subset of the grid therefore reproduces
-// byte-identically: re-running one cell in isolation (Plan.RunCellAt), or
-// the same campaign at a different worker count, yields the same numbers
-// bit for bit.
+// sim.TrialSeed(cellSeed, t) — cells fan out through core.RunGrid, the
+// same runner core.RunTrialComparison uses. Any subset of the grid
+// therefore reproduces byte-identically: re-running one cell in isolation
+// (Plan.RunCellAt), or the same campaign at a different worker count,
+// yields the same numbers bit for bit.
 //
 // Specs are plain data. The built-in registry (Builtins) holds the paper's
 // figure grids and parameter studies — overlay size, cache capacity, TTL,
@@ -165,13 +165,6 @@ func (a Axis) points() int {
 		return len(a.Scenarios)
 	}
 	return len(a.Values)
-}
-
-func (s *Spec) trials() int {
-	if s.Trials < 1 {
-		return 1
-	}
-	return s.Trials
 }
 
 // ProtocolNames returns the campaign's protocol set (default: the four
@@ -419,10 +412,12 @@ func CellSeed(root int64, cell int) int64 {
 // configuration: base overrides first (each parameter touches its own
 // field, so map order is immaterial), then the cell's coordinates, then
 // the scenario selection (name axis over spec-level name) scaled by the
-// intensity coordinate. The returned config still needs its Seed set per
-// trial; RunMeasured resolves its scenario phase grid.
+// intensity coordinate. The returned config carries the cell seed, from
+// which core.RunGrid derives each trial's; RunMeasured resolves its
+// scenario phase grid.
 func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 	cfg := base
+	cfg.Seed = c.Seed
 	for p, v := range s.Base {
 		numericParams[p].apply(&cfg, v)
 	}

@@ -43,5 +43,5 @@ func BenchmarkSweepThroughput(b *testing.B) {
 		cells += len(camp.Cells)
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/sec")
-	b.ReportMetric(float64(cells*len(spec.ProtocolNames())*spec.trials())/b.Elapsed().Seconds(), "runs/sec")
+	b.ReportMetric(float64(cells*len(spec.ProtocolNames())*core.TrialCount(spec.Trials))/b.Elapsed().Seconds(), "runs/sec")
 }

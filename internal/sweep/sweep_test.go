@@ -409,8 +409,7 @@ func checkCellIsolation(t *testing.T, spec *Spec, nonZero string) {
 	r := plan.r
 	cfg := r.cellCfgs[cell]
 	cfg.Seed = camp.Cells[cell].Seed
-	tc := core.RunTrialComparison(cfg, r.behaviors, core.TrialOptions{Trials: spec.Trials, Workers: 2},
-		spec.Warmup, spec.Queries, nil)
+	tc := core.RunTrialComparison(cfg, r.behaviors, spec.Trials, spec.Warmup, spec.Queries, 2)
 	for p, name := range r.names {
 		solo, grid := tc.Cells[name], camp.Cells[cell].Protocols[p]
 		if !reflect.DeepEqual(solo.Summary, grid.Summary) {

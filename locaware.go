@@ -79,8 +79,8 @@ func (p Protocol) behavior() (protocol.Behavior, error) {
 	return b, nil
 }
 
-// Options configures a simulation. Zero fields fall back to the paper's
-// §5.1 values (see DefaultOptions).
+// Options configures a simulation. Zero fields fall back to the paper's §5.1
+// values (see DefaultOptions); a negative count, rate or bound is an error.
 type Options struct {
 	// Seed roots every random stream; equal seeds give identical worlds
 	// and workloads across protocols.
@@ -173,10 +173,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// setPositive overrides a default with an option that was set: zero (or
-// negative) Options fields mean the paper's value.
-func setPositive[T int | float64](dst *T, v T) {
-	if v > 0 {
+// setNonZero overrides a default with an option that was set: zero
+// Options fields mean the paper's value, and any other value is kept for
+// core.Config.Validate to judge.
+func setNonZero[T int | float64](dst *T, v T) {
+	if v != 0 {
 		*dst = v
 	}
 }
@@ -188,19 +189,19 @@ func (o Options) coreConfig() core.Config {
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	setPositive(&cfg.NumPeers, o.Peers)
-	setPositive(&cfg.AvgDegree, o.AvgDegree)
-	setPositive(&cfg.Landmarks, o.Landmarks)
-	setPositive(&cfg.Catalog.NumFiles, o.Files)
-	setPositive(&cfg.Catalog.KeywordPool, o.KeywordPool)
-	setPositive(&cfg.FilesPerPeer, o.FilesPerPeer)
-	setPositive(&cfg.Gen.ZipfS, o.ZipfS)
-	setPositive(&cfg.Protocol.TTL, o.TTL)
-	setPositive(&cfg.Protocol.GroupCount, o.Groups)
-	setPositive(&cfg.Protocol.Cache.MaxFilenames, o.CacheFilenames)
-	setPositive(&cfg.Protocol.Cache.MaxProvidersPerFile, o.CacheProviders)
-	setPositive(&cfg.Protocol.BloomBits, o.BloomBits)
-	if o.QueryRate > 0 {
+	setNonZero(&cfg.NumPeers, o.Peers)
+	setNonZero(&cfg.AvgDegree, o.AvgDegree)
+	setNonZero(&cfg.Landmarks, o.Landmarks)
+	setNonZero(&cfg.Catalog.NumFiles, o.Files)
+	setNonZero(&cfg.Catalog.KeywordPool, o.KeywordPool)
+	setNonZero(&cfg.FilesPerPeer, o.FilesPerPeer)
+	setNonZero(&cfg.Gen.ZipfS, o.ZipfS)
+	setNonZero(&cfg.Protocol.TTL, o.TTL)
+	setNonZero(&cfg.Protocol.GroupCount, o.Groups)
+	setNonZero(&cfg.Protocol.Cache.MaxFilenames, o.CacheFilenames)
+	setNonZero(&cfg.Protocol.Cache.MaxProvidersPerFile, o.CacheProviders)
+	setNonZero(&cfg.Protocol.BloomBits, o.BloomBits)
+	if o.QueryRate != 0 {
 		cfg.SetQueryRate(o.QueryRate) // the gossip cadence follows the rate
 	}
 	if o.Scenario != nil {
@@ -340,31 +341,6 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 	}
 }
 
-// validateRun checks what every run entry point requires before a world is
-// built: the warmup/queries bounds, a catalogue that can exist, a flight
-// recorder that keeps something, and a scenario that resolves onto `queries`
-// measured queries — so entry points fail with an error instead of hanging
-// or panicking deep in core.
-func validateRun(o Options, warmup, queries int) error {
-	if queries <= 0 {
-		return errors.New("locaware: queries must be positive")
-	}
-	if warmup < 0 {
-		return errors.New("locaware: warmup must be non-negative")
-	}
-	if err := o.coreConfig().Validate(); err != nil {
-		return fmt.Errorf("locaware: %w", err)
-	}
-	if err := checkRecorder(o.FlightRecorder); err != nil {
-		return err
-	}
-	if o.Scenario != nil {
-		_, err := o.Scenario.spec.Marks(queries)
-		return err
-	}
-	return nil
-}
-
 // behaviorsOf lowers a protocol list (nil means Baselines) to behaviours.
 // A protocol named twice is an error: its results would share one cell.
 func behaviorsOf(protocols []Protocol) ([]Protocol, []protocol.Behavior, error) {
@@ -385,15 +361,6 @@ func behaviorsOf(protocols []Protocol) ([]Protocol, []protocol.Behavior, error) 
 	return protocols, behaviors, nil
 }
 
-// checkRecorder refuses a flight-recorder policy with no retention
-// criterion: it would buffer every query and return no trace.
-func checkRecorder(fr *FlightRecorder) error {
-	if fr != nil && !fr.KeepFailed && fr.MinHops <= 0 && fr.SlowestN <= 0 {
-		return errors.New("locaware: Options.FlightRecorder keeps nothing; set SlowestN, KeepFailed or MinHops")
-	}
-	return nil
-}
-
 // Run simulates one protocol: warmup queries bring the system to operating
 // temperature (records discarded), then queries are measured.
 func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
@@ -401,10 +368,11 @@ func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(o, warmup, queries); err != nil {
-		return nil, err
+	cfg := o.coreConfig()
+	if err := cfg.ValidateRun(warmup, queries); err != nil {
+		return nil, fmt.Errorf("locaware: %w", err)
 	}
-	s := core.NewSimulation(o.coreConfig(), b)
+	s := core.NewSimulation(cfg, b)
 	return newResult(p, s.RunMeasured(warmup, queries)), nil
 }
 
@@ -567,18 +535,19 @@ type Comparison struct {
 // sequence of Options.Trials worlds and workloads, across at most
 // Options.Workers concurrent simulations (<= 0 means one per CPU). Equal
 // Options always yield identical results regardless of worker count.
-// Checkpoints are the cumulative query counts the figures plot (nil means
-// ten equal steps).
+// Checkpoints are the cumulative query counts the figures plot, strictly
+// ascending within [1, queries]; nil means ten equal steps.
 func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints []int) (*Comparison, error) {
 	protocols, behaviors, err := behaviorsOf(protocols)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateRun(o, warmup, queries); err != nil {
-		return nil, err
+	cfg := o.coreConfig()
+	cfg.Protocol.Collector.Checkpoints = checkpoints
+	if err := cfg.ValidateRun(warmup, queries); err != nil {
+		return nil, fmt.Errorf("locaware: %w", err)
 	}
-	tc := core.RunTrialComparison(o.coreConfig(), behaviors,
-		core.TrialOptions{Trials: o.Trials, Workers: o.Workers}, warmup, queries, checkpoints)
+	tc := core.RunTrialComparison(cfg, behaviors, o.Trials, warmup, queries, o.Workers)
 	out := &Comparison{cmp: tc}
 	for i, name := range tc.Order {
 		out.Sets = append(out.Sets, newTrialsResult(protocols[i], tc.Cells[name]))
@@ -642,9 +611,6 @@ func Localities(o Options) (LocalityReport, error) {
 	cfg := o.coreConfig()
 	if err := cfg.Validate(); err != nil {
 		return LocalityReport{}, fmt.Errorf("locaware: %w", err)
-	}
-	if err := checkRecorder(o.FlightRecorder); err != nil {
-		return LocalityReport{}, err
 	}
 	s := core.NewSimulation(cfg, protocol.Flooding{})
 	census := s.Locator.Census()

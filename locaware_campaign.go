@@ -24,16 +24,12 @@ type CampaignOptions = campaign.Options
 type CampaignStats = campaign.RunStats
 
 // campaignSpec resolves the effective spec the campaign layer runs,
-// refusing a flight recorder that keeps nothing and applying the
-// Options-level trials fallback in one place so RunSweep,
+// applying the Options-level trials fallback in one place so RunSweep,
 // RunSweepCheckpointed and SweepFingerprint agree on the campaign identity
 // (and therefore the content hash) given identical options.
 func campaignSpec(o Options, sw *Sweep) (*sweep.Spec, error) {
 	if sw == nil {
 		return nil, errors.New("locaware: nil *Sweep argument (obtain one from SweepByName, ParseSweep or LoadSweep)")
-	}
-	if err := checkRecorder(o.FlightRecorder); err != nil {
-		return nil, err
 	}
 	spec := *sw.spec
 	if spec.Trials <= 0 && o.Trials > 0 {

@@ -345,11 +345,12 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 // width (it would have spelt two billion strings per world), more
 // landmarks than a locId can number (21! overflows), a flight recorder
 // with no retention criterion (it buffered every query and silently
-// returned no trace), and a degree, filter size or share count the world's
+// returned no trace), a degree, filter size or share count the world's
 // builders would have silently replaced (0.5 built degree 3, 20 built
-// 11.99, 4 bits built 8, 11 of 10 files shared 10).
+// 11.99, 4 bits built 8, 11 of 10 files shared 10), and a negative option
+// (TTL -1 ran TTL 7, Peers -5 ran 1 000 peers).
 func TestImpossibleCatalogueIsAnError(t *testing.T) {
-	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"peers","values":[50]}]}`))
+	sw, err := ParseSweep([]byte(`{"name":"p","queries":10,"axes":[{"param":"groups","values":[2]}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +367,8 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 		{"dense degree", func(o *Options) { o.AvgDegree = 20 }, []string{"AvgDegree 20", "MaxDegree 12"}},
 		{"tiny filter", func(o *Options) { o.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
 		{"shares", func(o *Options) { o.Files, o.FilesPerPeer = 10, 11 }, []string{"FilesPerPeer 11", "Files 10"}},
+		{"negative TTL", func(o *Options) { o.TTL = -1 }, []string{"TTL -1"}},
+		{"negative peers", func(o *Options) { o.Peers = -5 }, []string{"NumPeers -5"}},
 	} {
 		o := fastOptions(21)
 		row.set(&o)
@@ -383,6 +386,36 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompareRefusesCheckpointsItCannotPlot: a figure grid that does not
+// ascend strictly within [1, queries] is an error naming the first bad
+// checkpoint and the bound, where it used to be sorted, deduplicated and
+// clipped to a one-row figure; nil still plots ten equal steps.
+func TestCompareRefusesCheckpointsItCannotPlot(t *testing.T) {
+	o := fastOptions(22)
+	for _, tc := range []struct {
+		cps  []int
+		want string
+	}{
+		{[]int{20, 20, 500, -3}, "checkpoint 20 after 20"},
+		{[]int{20, 20}, "checkpoint 20 after 20"},
+		{[]int{20, 500}, "checkpoint 500 after 20"},
+		{[]int{-3}, "checkpoint -3"},
+		{[]int{30, 20}, "checkpoint 20 after 30"},
+	} {
+		_, err := Compare(o, []Protocol{ProtocolFlooding}, 0, 40, tc.cps)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "[1, 40]") {
+			t.Fatalf("checkpoints %v: want an error naming %q and [1, 40], got %v", tc.cps, tc.want, err)
+		}
+	}
+	cmp, err := Compare(o, []Protocol{ProtocolFlooding}, 0, 40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(cmp.FigureTable(FigureSuccessRate), "\n"); rows != 11 {
+		t.Fatalf("nil checkpoints: %d table lines, want a header and ten steps:\n%s", rows, cmp.FigureTable(FigureSuccessRate))
 	}
 }
 
