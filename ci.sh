@@ -18,9 +18,10 @@ trace=$tmp/locaware-trace
 step() { printf '\n== %s\n' "$*"; }
 
 # Single run: a -json result must parse and carry the headline keys, a
-# churning run must finish, and a degree no overlay is built at, the
-# deleted Locaware-LR protocol and a negative TTL or peer count are
-# refused, naming what is wrong.
+# churning run must finish, the world flags are the sweep parameters (a run
+# through three of them must finish, an old spelling is gone), and a degree
+# no overlay is built at, the deleted Locaware-LR protocol and a negative
+# TTL or peer count are refused, naming what is wrong.
 step single run
 "$simcmd" -peers 100 -warmup 40 -queries 120 -json > "$tmp/sim.json"
 python3 - "$tmp/sim.json" <<'EOF'
@@ -30,6 +31,7 @@ for key in ("Protocol", "SuccessRate", "AvgMessagesPerQuery"):
     assert key in res, "no %s in the -json result" % key
 EOF
 "$simcmd" -churn -peers 100 -warmup 40 -queries 120
+"$simcmd" -peers 100 -warmup 40 -queries 120 -bloom-bits 600 -cache-filenames 20 -query-rate 0.01
 sim_refused() { # the text the error must contain, then the flags
 	if "$simcmd" -peers 100 -warmup 0 -queries 10 "${@:2}" 2> "$tmp/sim.err"; then
 		echo "accepted: ${*:2}" >&2
@@ -37,10 +39,28 @@ sim_refused() { # the text the error must contain, then the flags
 	fi
 	grep -qF -- "$1" "$tmp/sim.err"
 }
-sim_refused 'AvgDegree 0.5 budgets 25 links for 100 peers, below the 99 links' -degree 0.5
+sim_refused 'avg-degree 0.5 budgets 25 links for 100 peers, below the 99 links' -avg-degree 0.5
 sim_refused 'unknown protocol: "Locaware-LR"' -protocol Locaware-LR
-sim_refused 'TTL -1' -ttl -1
-sim_refused 'NumPeers -5' -peers -5
+sim_refused 'ttl: value -1 must be positive' -ttl -1
+sim_refused 'peers: value -5 must be positive' -peers -5
+sim_refused 'flag provided but not defined: -bloombits' -bloombits 600
+
+# Modes: locaware-exp runs one of -fig, -scenario and -sweep, and refuses
+# a second mode, a sweep-only flag outside -sweep and an explicit budget
+# the campaign cannot run, naming the flag or value, where each used to be
+# dropped or replaced by the spec's.
+step modes
+exp_refused() { # the text the error must contain, then the flags
+	if "$exp" "${@:2}" > /dev/null 2> "$tmp/exp.err"; then
+		echo "accepted: ${*:2}" >&2
+		exit 1
+	fi
+	grep -qF -- "$1" "$tmp/exp.err"
+}
+exp_refused '-checkpoint needs -sweep' -fig 2 -checkpoint "$tmp/no-ckpt"
+test ! -e "$tmp/no-ckpt"
+exp_refused '-fig, -scenario and -sweep each name a mode' -fig 2 -sweep ttl-sweep
+exp_refused 'queries 0 must be positive' -sweep ttl-sweep -queries 0
 
 # Scenario: registry listing plus a tiny flashcrowd run with per-phase
 # tables.
@@ -78,10 +98,10 @@ refused '{"name":"twice","queries":40,"protocols":["Dicas","Dicas"],"axes":[{"pa
 refused '{"name":"twice","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[3,3]}]}' 'axis "ttl" lists value 3 twice'
 refused '{"name":"tail","queries":40,"protocols":["Dicas"],"axes":[{"param":"ttl","values":[7]}]}{"name":"second"} trailing garbage' 'data after the spec'
 refused '{"name":"lr","queries":40,"protocols":["Locaware","Locaware-LR"],"axes":[{"param":"ttl","values":[7]}]}' 'unknown protocol "Locaware-LR"'
-refused '{"name":"thin","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"avg-degree","values":[0.5]}]}' 'AvgDegree 0.5 budgets 25 links for 100 peers'
-refused '{"name":"dense","queries":40,"protocols":["Dicas"],"axes":[{"param":"avg-degree","values":[20]}]}' 'AvgDegree 20 exceeds MaxDegree 12'
-refused '{"name":"bits","queries":40,"protocols":["Locaware"],"axes":[{"param":"bloom-bits","values":[4]}]}' 'BloomBits 4 is below 8'
-refused '{"name":"shares","queries":40,"protocols":["Dicas"],"base":{"files":10},"axes":[{"param":"files-per-peer","values":[11]}]}' 'FilesPerPeer 11 exceeds Files 10'
+refused '{"name":"thin","queries":40,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"avg-degree","values":[0.5]}]}' 'avg-degree 0.5 budgets 25 links for 100 peers'
+refused '{"name":"dense","queries":40,"protocols":["Dicas"],"axes":[{"param":"avg-degree","values":[20]}]}' 'avg-degree 20 exceeds MaxDegree 12'
+refused '{"name":"bits","queries":40,"protocols":["Locaware"],"axes":[{"param":"bloom-bits","values":[4]}]}' 'bloom-bits 4 is below 8'
+refused '{"name":"shares","queries":40,"protocols":["Dicas"],"base":{"files":10},"axes":[{"param":"files-per-peer","values":[11]}]}' 'files-per-peer 11 exceeds files 10'
 
 # Observability: the runtime report and the Prometheus dump render end to
 # end. The locks (golden byte-identity with an Observer attached, the

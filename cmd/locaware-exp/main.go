@@ -96,6 +96,15 @@ func main() {
 		flightRec  = flag.Int("flight-recorder", 0, "attach a tail-sampling flight recorder keeping the N slowest plus all failed queries; figures/scenarios print trial-0 span trees, sweeps print a worst-case exemplar per cell")
 	)
 	flag.Parse()
+	set := setFlags()
+	if set["fig"] && set["scenario"] || (set["fig"] || set["scenario"]) && set["sweep"] {
+		fatal(fmt.Errorf("-fig, -scenario and -sweep each name a mode: give one"))
+	}
+	for _, rule := range [][2]string{{"checkpoint", "sweep"}, {"resume", "sweep"}, {"out", "sweep"}, {"progress", "sweep"}, {"csv", "fig"}} {
+		if set[rule[0]] && !set[rule[1]] {
+			fatal(fmt.Errorf("-%s needs -%s", rule[0], rule[1]))
+		}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -149,9 +158,7 @@ func main() {
 				fmt.Printf("campaign: "+format+"\n", args...)
 			},
 		}
-		runSweep(opts, *sweepArg, *out, setFlags(), *warmup, *queries, copt)
-	case *checkpoint != "":
-		fatal(fmt.Errorf("-checkpoint needs -sweep to name the campaign"))
+		runSweep(opts, *sweepArg, *out, set, *warmup, *queries, copt)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -204,7 +211,8 @@ func printTrialZeroTraces(cmp *locaware.Comparison) {
 
 // setFlags reports which flags were given explicitly on the command line —
 // sweep specs carry their own trials/seed/warmup/queries, so flag defaults
-// must not silently override them.
+// must not silently override them, and a flag of one mode given with
+// another is refused, not dropped.
 func setFlags() map[string]bool {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

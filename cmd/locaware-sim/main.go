@@ -18,19 +18,11 @@ import (
 )
 
 func main() {
-	// Every world flag binds straight to its Options field, so the paper's
-	// defaults are DefaultOptions' and nobody else's.
+	// Every world flag is a sweep parameter bound straight to its Options
+	// field (Options.BindFlags), so the paper's defaults are
+	// DefaultOptions' and nobody else's.
 	opts := locaware.DefaultOptions()
-	flag.IntVar(&opts.Peers, "peers", opts.Peers, "number of peers (paper: 1000)")
-	flag.Float64Var(&opts.AvgDegree, "degree", opts.AvgDegree, "average overlay degree (paper: 3)")
-	flag.IntVar(&opts.Landmarks, "landmarks", opts.Landmarks, "number of landmarks (paper: 4)")
-	flag.IntVar(&opts.Files, "files", opts.Files, "catalogue size (paper: 3000)")
-	flag.IntVar(&opts.TTL, "ttl", opts.TTL, "query TTL (paper: 7)")
-	flag.IntVar(&opts.Groups, "groups", opts.Groups, "Dicas group count M")
-	flag.IntVar(&opts.CacheFilenames, "cache", opts.CacheFilenames, "response-index capacity in filenames (paper: 50)")
-	flag.IntVar(&opts.BloomBits, "bloombits", opts.BloomBits, "Bloom filter size in bits (paper: 1200)")
-	flag.Float64Var(&opts.QueryRate, "rate", opts.QueryRate, "queries/second/peer (paper: 0.00083)")
-	flag.Float64Var(&opts.ZipfS, "zipf", opts.ZipfS, "Zipf popularity exponent")
+	opts.BindFlags(flag.CommandLine)
 	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	var (
 		protoName = flag.String("protocol", "Locaware", "protocol: Flooding|Dicas|Dicas-Keys|Locaware")

@@ -29,7 +29,7 @@ func tinySpec() *sweep.Spec {
 		Scenario:  "churn-waves",
 		Axes: []sweep.Axis{
 			{Param: sweep.ParamPeers, Values: []float64{60, 90}},
-			{Param: sweep.ParamCacheFilenames, Values: []float64{5, 50}},
+			{Param: "cache-filenames", Values: []float64{5, 50}},
 		},
 	}
 }

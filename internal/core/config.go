@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/netmodel"
@@ -106,54 +107,94 @@ func DefaultConfig() Config {
 // int64: 20! ≈ 2.4e18, and 21! overflows.
 const maxLandmarks = 20
 
+// Param is one numeric world parameter: its name (as sweeps, flags and
+// errors spell it), a one-line doc, whether it counts something, and how it
+// reads from and writes onto a Config.
+type Param struct {
+	Name, Doc string
+	Integer   bool
+	Get       func(*Config) float64
+	Set       func(*Config, float64)
+}
+
+// Params is the one table of numeric world parameters, in the order every
+// surface lists them: the sweep's axes and base overrides, Validate, the
+// facade's Options and locaware-sim's flags all read it. The paper's values
+// stay in DefaultConfig.
+var Params = []Param{
+	field("peers", "number of peers", func(c *Config) *int { return &c.NumPeers }),
+	field("avg-degree", "average overlay degree", func(c *Config) *float64 { return &c.AvgDegree }),
+	field("landmarks", "number of landmarks (k landmarks number k! locIds)", func(c *Config) *int { return &c.Landmarks }),
+	field("files", "catalogue size in files", func(c *Config) *int { return &c.Catalog.NumFiles }),
+	field("files-per-peer", "files each peer shares at start", func(c *Config) *int { return &c.FilesPerPeer }),
+	field("keyword-pool", "keyword universe size", func(c *Config) *int { return &c.Catalog.KeywordPool }),
+	{"query-rate", "queries/second/peer; the Bloom gossip period follows it", false,
+		func(c *Config) float64 { return c.Gen.RatePerPeer }, (*Config).SetQueryRate},
+	field("zipf-s", "Zipf popularity exponent", func(c *Config) *float64 { return &c.Gen.ZipfS }),
+	field("ttl", "query TTL in hops", func(c *Config) *int { return &c.Protocol.TTL }),
+	field("groups", "Dicas group count M", func(c *Config) *int { return &c.Protocol.GroupCount }),
+	field("cache-filenames", "response-index capacity in filenames", func(c *Config) *int { return &c.Protocol.Cache.MaxFilenames }),
+	field("cache-providers", "providers kept per cached filename", func(c *Config) *int { return &c.Protocol.Cache.MaxProvidersPerFile }),
+	field("bloom-bits", "Bloom filter size in bits", func(c *Config) *int { return &c.Protocol.BloomBits }),
+}
+
+// field builds the row of a parameter that is one int or float64 field.
+func field[T int | float64](name, doc string, at func(*Config) *T) Param {
+	_, integer := any(T(0)).(int)
+	return Param{name, doc, integer,
+		func(c *Config) float64 { return float64(*at(c)) },
+		func(c *Config, v float64) { *at(c) = T(v) }}
+}
+
+// Check rejects a value the parameter cannot run as given: non-positive
+// (or NaN), or, for an integer parameter, fractional or too large for the
+// int it lowers to.
+func (p Param) Check(v float64) error {
+	if !(v > 0) {
+		return fmt.Errorf("value %g must be positive", v)
+	}
+	if p.Integer && v != math.Trunc(v) {
+		return fmt.Errorf("value %g must be an integer", v)
+	}
+	if p.Integer && v > math.MaxInt32 {
+		return fmt.Errorf("value %g exceeds %d", v, math.MaxInt32)
+	}
+	return nil
+}
+
 // Validate refuses a configuration no world can be built from as it
-// reads: a non-positive count, rate or bound that a sweep axis can set, a
-// catalogue that cannot exist, more landmarks than a locId can number, a
-// degree whose link budget cannot connect the peers or that exceeds
-// MaxDegree, a Bloom filter below the smallest one bloom.New builds, more
-// files per peer than the catalogue holds, or a flight recorder that keeps
-// nothing. Each error names the field, its value and the bound.
+// reads: a parameter of Params that Check refuses, a catalogue that cannot
+// exist, more landmarks than a locId can number, a degree whose link budget
+// cannot connect the peers or that exceeds MaxDegree, a Bloom filter below
+// the smallest one bloom.New builds, more files per peer than the catalogue
+// holds, or a flight recorder that keeps nothing. Each error names the
+// parameter, its value and the bound.
 func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"NumPeers", float64(c.NumPeers)},
-		{"Landmarks", float64(c.Landmarks)},
-		{"Files", float64(c.Catalog.NumFiles)},
-		{"KeywordPool", float64(c.Catalog.KeywordPool)},
-		{"FilesPerPeer", float64(c.FilesPerPeer)},
-		{"RatePerPeer", c.Gen.RatePerPeer},
-		{"ZipfS", c.Gen.ZipfS},
-		{"TTL", float64(c.Protocol.TTL)},
-		{"GroupCount", float64(c.Protocol.GroupCount)},
-		{"MaxFilenames", float64(c.Protocol.Cache.MaxFilenames)},
-		{"MaxProvidersPerFile", float64(c.Protocol.Cache.MaxProvidersPerFile)},
-	} {
-		if !(f.v > 0) {
-			return fmt.Errorf("%s %g must be positive", f.name, f.v)
+	for _, p := range Params {
+		if err := p.Check(p.Get(&c)); err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
 		}
 	}
 	if err := c.Catalog.Validate(); err != nil {
 		return err
 	}
 	if c.Landmarks > maxLandmarks {
-		return fmt.Errorf("Landmarks %d: a locId numbers one of k! landmark orderings, and k! overflows past %d landmarks",
+		return fmt.Errorf("landmarks %d: a locId numbers one of k! landmark orderings, and k! overflows past %d landmarks",
 			c.Landmarks, maxLandmarks)
 	}
 	if links := overlay.LinkBudget(c.NumPeers, c.AvgDegree); links < c.NumPeers-1 {
-		return fmt.Errorf("AvgDegree %g budgets %d links for %d peers, below the %d links of the arrival tree that connects them",
+		return fmt.Errorf("avg-degree %g budgets %d links for %d peers, below the %d links of the arrival tree that connects them",
 			c.AvgDegree, links, c.NumPeers, c.NumPeers-1)
 	}
 	if c.MaxDegree > 0 && c.AvgDegree > float64(c.MaxDegree) {
-		return fmt.Errorf("AvgDegree %g exceeds MaxDegree %d", c.AvgDegree, c.MaxDegree)
+		return fmt.Errorf("avg-degree %g exceeds MaxDegree %d", c.AvgDegree, c.MaxDegree)
 	}
 	if c.Protocol.BloomBits < bloom.MinBits {
-		return fmt.Errorf("BloomBits %d is below %d, the smallest filter bloom.New builds",
+		return fmt.Errorf("bloom-bits %d is below %d, the smallest filter bloom.New builds",
 			c.Protocol.BloomBits, bloom.MinBits)
 	}
 	if c.FilesPerPeer > c.Catalog.NumFiles {
-		return fmt.Errorf("FilesPerPeer %d exceeds Files %d: a peer's initial files are distinct",
+		return fmt.Errorf("files-per-peer %d exceeds files %d: a peer's initial files are distinct",
 			c.FilesPerPeer, c.Catalog.NumFiles)
 	}
 	if p := c.TracePolicy; p != nil && !p.KeepFailed && p.MinHops <= 0 && p.SlowestN <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -37,32 +38,34 @@ func TestNewSimulationAssembly(t *testing.T) {
 }
 
 // TestValidateRefusesWhatBuildersWouldChange: a value a builder could not
-// honour as given, and a run no collector or scenario could measure, is
-// refused by ValidateRun, naming the field, the value and the bound, and
+// honour as given, every Params row at 0 and -1, and a run no collector or
+// scenario could measure, is refused by ValidateRun, naming the parameter,
+// the value and the bound, and
 // each bound itself is accepted: a budget of exactly the n-1 links of the
 // arrival tree, a degree of exactly MaxDegree, the 8-bit filter, a peer
 // sharing the whole catalogue and a checkpoint at the last measured query.
 func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
 	var warmup, measured int
 	churnWaves, _ := scenario.Lookup("churn-waves")
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		set  func(*Config)
 		want []string // nil: accepted
-	}{
-		{"degree 0.5", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 0.5 }, []string{"AvgDegree 0.5", "budgets 50 links", "199"}},
-		{"degree 1.5 on 8 peers", func(c *Config) { c.NumPeers, c.AvgDegree = 8, 1.5 }, []string{"AvgDegree 1.5", "budgets 6 links", "7"}},
+	}
+	rows := []row{
+		{"degree 0.5", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 0.5 }, []string{"avg-degree 0.5", "budgets 50 links", "199"}},
+		{"degree 1.5 on 8 peers", func(c *Config) { c.NumPeers, c.AvgDegree = 8, 1.5 }, []string{"avg-degree 1.5", "budgets 6 links", "7"}},
 		{"n-1 links exactly", func(c *Config) { c.NumPeers, c.AvgDegree = 8, 1.75 }, nil},
 		{"degree 2", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 2 }, nil},
 		{"degree 3", func(c *Config) { c.NumPeers, c.AvgDegree = 200, 3 }, nil},
 		{"degree MaxDegree", func(c *Config) { c.AvgDegree = 12 }, nil},
-		{"degree 20", func(c *Config) { c.AvgDegree = 20 }, []string{"AvgDegree 20", "MaxDegree 12"}},
-		{"degree above MaxDegree", func(c *Config) { c.AvgDegree = 12.5 }, []string{"AvgDegree 12.5", "MaxDegree 12"}},
+		{"degree 20", func(c *Config) { c.AvgDegree = 20 }, []string{"avg-degree 20", "MaxDegree 12"}},
+		{"degree above MaxDegree", func(c *Config) { c.AvgDegree = 12.5 }, []string{"avg-degree 12.5", "MaxDegree 12"}},
 		{"uncapped degree", func(c *Config) { c.AvgDegree, c.MaxDegree = 20, 0 }, nil},
 		{"bloom 8 bits", func(c *Config) { c.Protocol.BloomBits = 8 }, nil},
-		{"bloom 4 bits", func(c *Config) { c.Protocol.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
+		{"bloom 4 bits", func(c *Config) { c.Protocol.BloomBits = 4 }, []string{"bloom-bits 4", "8"}},
 		{"whole catalogue per peer", func(c *Config) { c.FilesPerPeer = c.Catalog.NumFiles }, nil},
-		{"files per peer above files", func(c *Config) { c.FilesPerPeer = 3001 }, []string{"FilesPerPeer 3001", "Files 3000"}},
+		{"files per peer above files", func(c *Config) { c.FilesPerPeer = 3001 }, []string{"files-per-peer 3001", "files 3000"}},
 		{"measured 0", func(*Config) { measured = 0 }, []string{"measured queries 0"}},
 		{"warmup -1", func(*Config) { warmup = -1 }, []string{"warmup queries -1"}},
 		{"keep-nothing recorder", func(c *Config) { c.TracePolicy = &trace.Policy{MaxEventsPerQuery: 8} }, []string{"TracePolicy", "SlowestN", "KeepFailed", "MinHops"}},
@@ -72,11 +75,15 @@ func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
 		{"checkpoint past measured", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{50, 500} }, []string{"checkpoint 500", "[1, 100]"}},
 		{"checkpoint -3", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{-3} }, []string{"checkpoint -3", "[1, 100]"}},
 		{"checkpoint at measured", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{1, 100} }, nil},
-		{"TTL -1", func(c *Config) { c.Protocol.TTL = -1 }, []string{"TTL -1"}},
-		{"NumPeers -5", func(c *Config) { c.NumPeers = -5 }, []string{"NumPeers -5"}},
-		{"ZipfS 0", func(c *Config) { c.Gen.ZipfS = 0 }, []string{"ZipfS 0"}},
-		{"cache bound 0", func(c *Config) { c.Protocol.Cache.MaxProvidersPerFile = 0 }, []string{"MaxProvidersPerFile 0"}},
-	} {
+	}
+	// Every table parameter is refused at 0 and below, by its table name.
+	for _, p := range Params {
+		for _, v := range []float64{0, -1} {
+			rows = append(rows, row{fmt.Sprintf("%s %g", p.Name, v), func(c *Config) { p.Set(c, v) },
+				[]string{fmt.Sprintf("%s: value %g must be positive", p.Name, v)}})
+		}
+	}
+	for _, tc := range rows {
 		cfg := DefaultConfig()
 		warmup, measured = 0, 100
 		tc.set(&cfg)

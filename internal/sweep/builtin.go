@@ -19,7 +19,7 @@ func Builtins() []*Spec {
 			Queries:     1000,
 			Trials:      3,
 			Axes: []Axis{
-				{Param: ParamPeers, Values: []float64{250, 500, 1000, 2000}},
+				{Param: "peers", Values: []float64{250, 500, 1000, 2000}},
 			},
 		},
 		{
@@ -29,9 +29,9 @@ func Builtins() []*Spec {
 			Warmup:      300,
 			Queries:     1000,
 			Trials:      3,
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
-				{Param: ParamCacheFilenames, Values: []float64{10, 25, 50, 100, 200}},
+				{Param: "cache-filenames", Values: []float64{10, 25, 50, 100, 200}},
 			},
 		},
 		{
@@ -40,9 +40,9 @@ func Builtins() []*Spec {
 			Warmup:      300,
 			Queries:     1000,
 			Trials:      3,
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
-				{Param: ParamTTL, Values: []float64{3, 5, 7, 9}},
+				{Param: "ttl", Values: []float64{3, 5, 7, 9}},
 			},
 		},
 		{
@@ -53,7 +53,7 @@ func Builtins() []*Spec {
 			Queries:     1000,
 			Trials:      3,
 			Scenario:    "steady-churn",
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
 				{Param: ParamIntensity, Values: []float64{0, 0.5, 1, 2}},
 			},
@@ -66,7 +66,7 @@ func Builtins() []*Spec {
 			Queries:     1200,
 			Trials:      3,
 			Scenario:    "flashcrowd",
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
 				{Param: ParamIntensity, Values: []float64{0.5, 1, 2}},
 			},
@@ -79,7 +79,7 @@ func Builtins() []*Spec {
 			Queries:     1000,
 			Trials:      3,
 			Axes: []Axis{
-				{Param: ParamLandmarks, Values: []float64{3, 4, 5}},
+				{Param: "landmarks", Values: []float64{3, 4, 5}},
 			},
 			Figures: []string{"success", "rtt", "sameloc"},
 		},
@@ -90,9 +90,9 @@ func Builtins() []*Spec {
 			Warmup:      300,
 			Queries:     1000,
 			Trials:      3,
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
-				{Param: ParamBloomBits, Values: []float64{300, 600, 1200, 2400}},
+				{Param: "bloom-bits", Values: []float64{300, 600, 1200, 2400}},
 			},
 			Figures: []string{"success", "msgs", "ctlkbits"},
 		},
@@ -103,9 +103,9 @@ func Builtins() []*Spec {
 			Warmup:      300,
 			Queries:     1000,
 			Trials:      3,
-			Base:        map[string]float64{ParamPeers: 500},
+			Base:        map[string]float64{"peers": 500},
 			Axes: []Axis{
-				{Param: ParamGroups, Values: []float64{2, 4, 8, 16}},
+				{Param: "groups", Values: []float64{2, 4, 8, 16}},
 			},
 			Figures: []string{"success", "msgs", "cached"},
 		},

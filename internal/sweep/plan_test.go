@@ -76,20 +76,20 @@ func TestPlanRejectsImpossibleCatalogue(t *testing.T) {
 		s    *Spec
 		want []string
 	}{
-		"axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{20}}}},
+		"axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: "keyword-pool", Values: []float64{20}}}},
 			[]string{`"pool"`, "KeywordPool 20", "Files 3000", "keyword-pool=20"}},
-		"base": {&Spec{Name: "pool", Queries: 10, Base: map[string]float64{ParamKeywordPool: 20},
-			Axes: []Axis{{Param: ParamFiles, Values: []float64{1000, 3000}}}},
+		"base": {&Spec{Name: "pool", Queries: 10, Base: map[string]float64{"keyword-pool": 20},
+			Axes: []Axis{{Param: "files", Values: []float64{1000, 3000}}}},
 			[]string{`"pool"`, "KeywordPool 20", "Files 3000"}},
-		"wide axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: ParamKeywordPool, Values: []float64{9000, 2e9}}}},
+		"wide axis": {&Spec{Name: "pool", Queries: 10, Axes: []Axis{{Param: "keyword-pool", Values: []float64{9000, 2e9}}}},
 			[]string{`"pool"`, "KeywordPool 2000000000"}},
-		"landmarks": {&Spec{Name: "lm", Queries: 10, Axes: []Axis{{Param: ParamLandmarks, Values: []float64{20, 21}}}},
-			[]string{`"lm"`, "Landmarks 21", "landmarks=21"}},
-		"degree": {&Spec{Name: "deg", Queries: 10, Axes: []Axis{{Param: ParamAvgDegree, Values: []float64{3, 0.5}}}},
-			[]string{`"deg"`, "AvgDegree 0.5", "avg-degree=0.5"}},
-		"shares": {&Spec{Name: "fpp", Queries: 10, Base: map[string]float64{ParamFiles: 10},
-			Axes: []Axis{{Param: ParamFilesPerPeer, Values: []float64{3, 11}}}},
-			[]string{`"fpp"`, "FilesPerPeer 11", "Files 10", "files-per-peer=11"}},
+		"landmarks": {&Spec{Name: "lm", Queries: 10, Axes: []Axis{{Param: "landmarks", Values: []float64{20, 21}}}},
+			[]string{`"lm"`, "landmarks 21", "landmarks=21"}},
+		"degree": {&Spec{Name: "deg", Queries: 10, Axes: []Axis{{Param: "avg-degree", Values: []float64{3, 0.5}}}},
+			[]string{`"deg"`, "avg-degree 0.5", "avg-degree=0.5"}},
+		"shares": {&Spec{Name: "fpp", Queries: 10, Base: map[string]float64{"files": 10},
+			Axes: []Axis{{Param: "files-per-peer", Values: []float64{3, 11}}}},
+			[]string{`"fpp"`, "files-per-peer 11 exceeds files 10", "files-per-peer=11"}},
 	} {
 		_, err := NewPlan(core.DefaultConfig(), tc.s)
 		if err == nil {

@@ -26,7 +26,6 @@ package sweep
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -36,21 +35,11 @@ import (
 	"github.com/p2prepro/locaware/internal/scenario"
 )
 
-// Axis parameter names accepted by Axis.Param and Spec.Base.
+// Axis parameter names spelt as constants. The numeric parameters are
+// core.Params' rows, named by their Name.
 const (
-	ParamPeers          = "peers"
-	ParamAvgDegree      = "avg-degree"
-	ParamLandmarks      = "landmarks"
-	ParamFiles          = "files"
-	ParamFilesPerPeer   = "files-per-peer"
-	ParamKeywordPool    = "keyword-pool"
-	ParamQueryRate      = "query-rate"
-	ParamZipfS          = "zipf-s"
-	ParamTTL            = "ttl"
-	ParamGroups         = "groups"
-	ParamCacheFilenames = "cache-filenames"
-	ParamCacheProviders = "cache-providers"
-	ParamBloomBits      = "bloom-bits"
+	// ParamPeers names core.Params' overlay size for specs built in code.
+	ParamPeers = "peers"
 	// ParamScenario is the one string-valued axis: its Axis.Scenarios lists
 	// built-in scenario names the campaign steps through.
 	ParamScenario = "scenario"
@@ -60,56 +49,24 @@ const (
 	ParamIntensity = "scenario-intensity"
 )
 
-// numericParam is one numeric axis parameter: whether it counts something
-// (integer-valued) and how it lowers onto the core configuration.
-type numericParam struct {
-	integer bool
-	apply   func(*core.Config, float64)
-}
-
-// numericParams lists every numeric axis parameter. All of them must be
-// positive: a cell runs exactly the value its label shows, there is no
-// "zero means default" beneath a spec.
-var numericParams = map[string]numericParam{
-	ParamPeers:          {true, func(c *core.Config, v float64) { c.NumPeers = int(v) }},
-	ParamAvgDegree:      {false, func(c *core.Config, v float64) { c.AvgDegree = v }},
-	ParamLandmarks:      {true, func(c *core.Config, v float64) { c.Landmarks = int(v) }},
-	ParamFiles:          {true, func(c *core.Config, v float64) { c.Catalog.NumFiles = int(v) }},
-	ParamFilesPerPeer:   {true, func(c *core.Config, v float64) { c.FilesPerPeer = int(v) }},
-	ParamKeywordPool:    {true, func(c *core.Config, v float64) { c.Catalog.KeywordPool = int(v) }},
-	ParamQueryRate:      {false, func(c *core.Config, v float64) { c.SetQueryRate(v) }},
-	ParamZipfS:          {false, func(c *core.Config, v float64) { c.Gen.ZipfS = v }},
-	ParamTTL:            {true, func(c *core.Config, v float64) { c.Protocol.TTL = int(v) }},
-	ParamGroups:         {true, func(c *core.Config, v float64) { c.Protocol.GroupCount = int(v) }},
-	ParamCacheFilenames: {true, func(c *core.Config, v float64) { c.Protocol.Cache.MaxFilenames = int(v) }},
-	ParamCacheProviders: {true, func(c *core.Config, v float64) { c.Protocol.Cache.MaxProvidersPerFile = int(v) }},
-	ParamBloomBits:      {true, func(c *core.Config, v float64) { c.Protocol.BloomBits = int(v) }},
-}
-
-// check rejects a value the parameter cannot run as labelled: non-positive
-// (or NaN), or, for an integer-valued parameter, fractional or too large
-// for the int it lowers to.
-func (p numericParam) check(v float64) error {
-	if !(v > 0) {
-		return fmt.Errorf("value %g must be positive", v)
+// numeric returns the core.Params row named name. A spec's value must pass
+// its Check: a cell runs exactly the value its label shows.
+func numeric(name string) (core.Param, bool) {
+	i := slices.IndexFunc(core.Params, func(p core.Param) bool { return p.Name == name })
+	if i < 0 {
+		return core.Param{}, false
 	}
-	if p.integer && v != math.Trunc(v) {
-		return fmt.Errorf("value %g must be an integer", v)
-	}
-	if p.integer && v > math.MaxInt32 {
-		return fmt.Errorf("value %g exceeds %d", v, math.MaxInt32)
-	}
-	return nil
+	return core.Params[i], true
 }
 
 // Params lists the accepted axis parameter names, sorted — the numeric
-// configuration axes plus the scenario name/intensity pair.
+// configuration parameters of core.Params plus the scenario
+// name/intensity pair.
 func Params() []string {
-	out := make([]string, 0, len(numericParams)+2)
-	for p := range numericParams {
-		out = append(out, p)
+	out := []string{ParamScenario, ParamIntensity}
+	for _, p := range core.Params {
+		out = append(out, p.Name)
 	}
-	out = append(out, ParamScenario, ParamIntensity)
 	sort.Strings(out)
 	return out
 }
@@ -151,7 +108,7 @@ type Spec struct {
 // Axis is one swept parameter: a numeric value list, or — for the
 // "scenario" parameter — a list of built-in scenario names.
 type Axis struct {
-	// Param is one of the Param… constants.
+	// Param names a core.Params row or one of the Param… constants.
 	Param string `json:"param"`
 	// Values holds the numeric axis points, in sweep order.
 	Values []float64 `json:"values,omitempty"`
@@ -201,10 +158,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: spec needs a name")
 	}
 	if s.Queries <= 0 {
-		return fmt.Errorf("sweep %q: queries must be positive", s.Name)
+		return fmt.Errorf("sweep %q: queries %d must be positive", s.Name, s.Queries)
 	}
 	if s.Warmup < 0 {
-		return fmt.Errorf("sweep %q: warmup must be non-negative", s.Name)
+		return fmt.Errorf("sweep %q: warmup %d must be non-negative", s.Name, s.Warmup)
 	}
 	for _, p := range s.ProtocolNames() {
 		if _, ok := protocol.ByName(p); !ok {
@@ -225,11 +182,11 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for param, v := range s.Base {
-		p, ok := numericParams[param]
+		p, ok := numeric(param)
 		if !ok {
 			return fmt.Errorf("sweep %q: base override %q is not a numeric parameter", s.Name, param)
 		}
-		if err := p.check(v); err != nil {
+		if err := p.Check(v); err != nil {
 			return fmt.Errorf("sweep %q: base override %q: %w", s.Name, param, err)
 		}
 	}
@@ -268,7 +225,7 @@ func (s *Spec) Validate() error {
 				}
 			}
 		default:
-			p, ok := numericParams[a.Param]
+			p, ok := numeric(a.Param)
 			if !ok {
 				return fmt.Errorf("sweep %q: axis %d has unknown parameter %q (have %v)",
 					s.Name, i, a.Param, Params())
@@ -277,7 +234,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("sweep %q: axis %q needs values", s.Name, a.Param)
 			}
 			for _, v := range a.Values {
-				if err := p.check(v); err != nil {
+				if err := p.Check(v); err != nil {
 					return fmt.Errorf("sweep %q: axis %q: %w", s.Name, a.Param, err)
 				}
 			}
@@ -418,8 +375,9 @@ func CellSeed(root int64, cell int) int64 {
 func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 	cfg := base
 	cfg.Seed = c.Seed
-	for p, v := range s.Base {
-		numericParams[p].apply(&cfg, v)
+	for name, v := range s.Base {
+		p, _ := numeric(name)
+		p.Set(&cfg, v)
 	}
 	scenName := s.Scenario
 	intensity := -1.0
@@ -430,7 +388,8 @@ func (s *Spec) cellConfig(base core.Config, c Cell) core.Config {
 		case ParamIntensity:
 			intensity = co.Value
 		default:
-			numericParams[co.Param].apply(&cfg, co.Value)
+			p, _ := numeric(co.Param)
+			p.Set(&cfg, co.Value)
 		}
 	}
 	if scenName != "" {

@@ -18,7 +18,7 @@ func benchSpec() *Spec {
 		Protocols: []string{"Dicas", "Locaware"},
 		Base:      map[string]float64{ParamPeers: 200},
 		Axes: []Axis{
-			{Param: ParamTTL, Values: []float64{3, 5, 7, 9}},
+			{Param: "ttl", Values: []float64{3, 5, 7, 9}},
 		},
 	}
 }

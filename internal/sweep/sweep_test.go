@@ -30,7 +30,7 @@ func tinySpec() *Spec {
 		Scenario:  "churn-waves",
 		Axes: []Axis{
 			{Param: ParamPeers, Values: []float64{60, 90}},
-			{Param: ParamCacheFilenames, Values: []float64{5, 50}},
+			{Param: "cache-filenames", Values: []float64{5, 50}},
 		},
 	}
 }
@@ -136,12 +136,13 @@ func TestSpecValidation(t *testing.T) {
 // in the base overrides with an error naming the campaign, the parameter
 // and the value — nothing beneath a spec substitutes a default.
 func TestNumericValuesRunAsLabelled(t *testing.T) {
-	for param, p := range numericParams {
+	for _, p := range core.Params {
+		param := p.Name
 		for _, tc := range []struct {
 			v  float64
 			ok bool
-		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.integer},
-			{math.MaxInt32 + 1, !p.integer}, {1e19, !p.integer}} {
+		}{{3, true}, {0, false}, {-2, false}, {math.NaN(), false}, {2.5, !p.Integer},
+			{math.MaxInt32 + 1, !p.Integer}, {1e19, !p.Integer}} {
 			specs := map[string]*Spec{
 				"axis": {Name: "lbl", Queries: 10, Axes: []Axis{{Param: param, Values: []float64{4, tc.v}}}},
 				"base": {Name: "lbl", Queries: 10, Base: map[string]float64{param: tc.v},
@@ -248,7 +249,7 @@ func TestCellsExpansionOrder(t *testing.T) {
 		Name: "order", Queries: 10,
 		Axes: []Axis{
 			{Param: ParamPeers, Values: []float64{100, 200}},
-			{Param: ParamTTL, Values: []float64{3, 5, 7}},
+			{Param: "ttl", Values: []float64{3, 5, 7}},
 		},
 	}
 	cells := s.Cells(1)
@@ -503,7 +504,7 @@ func TestFigureExports(t *testing.T) {
 	if err != nil || !strings.Contains(table, "peers") {
 		t.Fatalf("figure table: %v\n%s", err, table)
 	}
-	csv, err := camp.FigureCSV("rtt", ParamCacheFilenames)
+	csv, err := camp.FigureCSV("rtt", "cache-filenames")
 	if err != nil || !strings.HasPrefix(csv, "cache-filenames,") {
 		t.Fatalf("figure csv: %v\n%s", err, csv)
 	}

@@ -37,6 +37,7 @@ package locaware
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
 
@@ -151,58 +152,62 @@ type Options struct {
 	Workers int
 }
 
+// numeric pairs each numeric Options field with its core.Params row:
+// field i is row i's value, an *int or a *float64.
+func (o *Options) numeric() []any {
+	return []any{&o.Peers, &o.AvgDegree, &o.Landmarks, &o.Files, &o.FilesPerPeer, &o.KeywordPool,
+		&o.QueryRate, &o.ZipfS, &o.TTL, &o.Groups, &o.CacheFilenames, &o.CacheProviders, &o.BloomBits}
+}
+
 // DefaultOptions returns the paper's evaluation setup: the values of the
 // internal default configuration, which is where they are stated.
 func DefaultOptions() Options {
 	d := core.DefaultConfig()
-	return Options{
-		Seed:           d.Seed,
-		Peers:          d.NumPeers,
-		AvgDegree:      d.AvgDegree,
-		Landmarks:      d.Landmarks,
-		Files:          d.Catalog.NumFiles,
-		FilesPerPeer:   d.FilesPerPeer,
-		KeywordPool:    d.Catalog.KeywordPool,
-		QueryRate:      d.Gen.RatePerPeer,
-		ZipfS:          d.Gen.ZipfS,
-		TTL:            d.Protocol.TTL,
-		Groups:         d.Protocol.GroupCount,
-		CacheFilenames: d.Protocol.Cache.MaxFilenames,
-		CacheProviders: d.Protocol.Cache.MaxProvidersPerFile,
-		BloomBits:      d.Protocol.BloomBits,
+	o := Options{Seed: d.Seed}
+	for i, f := range o.numeric() {
+		if p, ok := f.(*int); ok {
+			*p = int(core.Params[i].Get(&d))
+		} else {
+			*f.(*float64) = core.Params[i].Get(&d)
+		}
 	}
+	return o
 }
 
-// setNonZero overrides a default with an option that was set: zero
-// Options fields mean the paper's value, and any other value is kept for
-// core.Config.Validate to judge.
-func setNonZero[T int | float64](dst *T, v T) {
-	if v != 0 {
-		*dst = v
+// BindFlags defines one flag per numeric world parameter on fs, named as
+// sweeps name it, documented by its core.Params row and defaulting to o's
+// value; parsing writes the given values into o.
+func (o *Options) BindFlags(fs *flag.FlagSet) {
+	for i, f := range o.numeric() {
+		p := core.Params[i]
+		switch f := f.(type) {
+		case *int:
+			fs.IntVar(f, p.Name, *f, p.Doc)
+		case *float64:
+			fs.Float64Var(f, p.Name, *f, p.Doc)
+		}
 	}
 }
 
 // coreConfig lowers Options to the internal configuration. This is the one
-// place zero means default; core.Config itself has no such layer.
+// place zero means default; core.Config itself has no such layer. Any other
+// value is written through its core.Params row for core.Config.Validate to
+// judge.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
 	if o.Seed != 0 {
 		cfg.Seed = o.Seed
 	}
-	setNonZero(&cfg.NumPeers, o.Peers)
-	setNonZero(&cfg.AvgDegree, o.AvgDegree)
-	setNonZero(&cfg.Landmarks, o.Landmarks)
-	setNonZero(&cfg.Catalog.NumFiles, o.Files)
-	setNonZero(&cfg.Catalog.KeywordPool, o.KeywordPool)
-	setNonZero(&cfg.FilesPerPeer, o.FilesPerPeer)
-	setNonZero(&cfg.Gen.ZipfS, o.ZipfS)
-	setNonZero(&cfg.Protocol.TTL, o.TTL)
-	setNonZero(&cfg.Protocol.GroupCount, o.Groups)
-	setNonZero(&cfg.Protocol.Cache.MaxFilenames, o.CacheFilenames)
-	setNonZero(&cfg.Protocol.Cache.MaxProvidersPerFile, o.CacheProviders)
-	setNonZero(&cfg.Protocol.BloomBits, o.BloomBits)
-	if o.QueryRate != 0 {
-		cfg.SetQueryRate(o.QueryRate) // the gossip cadence follows the rate
+	for i, f := range o.numeric() {
+		var v float64
+		if p, ok := f.(*int); ok {
+			v = float64(*p)
+		} else {
+			v = *f.(*float64)
+		}
+		if v != 0 {
+			core.Params[i].Set(&cfg, v)
+		}
 	}
 	if o.Scenario != nil {
 		cfg.Scenario = o.Scenario.spec

@@ -103,11 +103,8 @@ func (s *Sweep) Queries() int { return s.spec.Queries }
 func (s *Sweep) Trials() int { return s.spec.Trials }
 
 // WithTrials returns a copy of the campaign with the per-cell replication
-// count replaced; n <= 0 returns the campaign unchanged.
+// count replaced (<= 0 means 1, as in a spec).
 func (s *Sweep) WithTrials(n int) *Sweep {
-	if n <= 0 {
-		return s
-	}
 	spec := *s.spec
 	spec.Trials = n
 	return &Sweep{spec: &spec}
@@ -125,16 +122,11 @@ func (s *Sweep) WithSeed(seed int64) *Sweep {
 }
 
 // WithBudget returns a copy of the campaign with its per-run warmup and
-// measured query counts replaced. A negative warmup keeps the spec's (0
-// means no warmup), and so does a non-positive query count.
+// measured query counts replaced. Running it refuses a negative warmup or
+// a non-positive query count, as a spec's own.
 func (s *Sweep) WithBudget(warmup, queries int) *Sweep {
 	spec := *s.spec
-	if warmup >= 0 {
-		spec.Warmup = warmup
-	}
-	if queries > 0 {
-		spec.Queries = queries
-	}
+	spec.Warmup, spec.Queries = warmup, queries
 	return &Sweep{spec: &spec}
 }
 

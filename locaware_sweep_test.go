@@ -232,6 +232,32 @@ func TestSweepOptionsLevel(t *testing.T) {
 	}
 }
 
+// TestSweepOverridesStoreWhatTheyAreGiven: WithBudget and WithTrials
+// replace the spec's counts with the explicit ones, never the spec's own
+// back: a query count of 0 or a negative warmup is refused naming the
+// value, where it used to run the spec's, and 0 trials runs one.
+func TestSweepOverridesStoreWhatTheyAreGiven(t *testing.T) {
+	sw, err := ParseSweep([]byte(`{"name":"o","warmup":300,"queries":1000,"trials":3,"protocols":["Dicas"],"base":{"peers":100},"axes":[{"param":"ttl","values":[5]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sw   *Sweep
+		want string
+	}{{sw.WithBudget(10, 0), "queries 0"}, {sw.WithBudget(-5, 20), "warmup -5"}} {
+		if _, err := RunSweep(sweepOptions(), tc.sw); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want an error naming %q, got %v", tc.want, err)
+		}
+	}
+	res, err := RunSweep(sweepOptions(), sw.WithTrials(0).WithBudget(0, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trials() != 1 || res.Runs() != 1 {
+		t.Fatalf("WithTrials(0) ran %d trials (%d runs), want 1", res.Trials(), res.Runs())
+	}
+}
+
 func TestSweepErrors(t *testing.T) {
 	// A nil *Sweep is an error naming the argument, on every entry point.
 	_, errRun := RunSweep(sweepOptions(), nil)

@@ -1,7 +1,9 @@
 package locaware
 
 import (
+	"flag"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,6 +202,55 @@ func TestOptionsLowering(t *testing.T) {
 	}
 }
 
+// TestOptionsFollowTheParamTable: each numeric Options field is paired
+// with its own core.Params row — lowering distinct values reads each back
+// through its row, defaults lower row for row, and BindFlags defines exactly
+// the table's names and writes the fields they set.
+func TestOptionsFollowTheParamTable(t *testing.T) {
+	var o Options
+	for i, f := range o.numeric() {
+		switch f := f.(type) {
+		case *int:
+			*f = 100 + i
+		case *float64:
+			*f = 100.5 + float64(i)
+		}
+	}
+	cfg, def := o.coreConfig(), core.DefaultConfig()
+	dcfg := DefaultOptions().coreConfig()
+	for i, p := range core.Params {
+		want := 100 + float64(i)
+		if !p.Integer {
+			want += 0.5
+		}
+		if got := p.Get(&cfg); got != want {
+			t.Errorf("%s lowers to %g, want its field's %g", p.Name, got, want)
+		}
+		if got, want := p.Get(&dcfg), p.Get(&def); got != want {
+			t.Errorf("%s: DefaultOptions lowers to %g, DefaultConfig holds %g", p.Name, got, want)
+		}
+	}
+	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
+	o = DefaultOptions()
+	o.BindFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	var rows []string
+	for _, p := range core.Params {
+		rows = append(rows, p.Name)
+	}
+	slices.Sort(rows)
+	if !slices.Equal(names, rows) {
+		t.Fatalf("BindFlags defines %v, the table is %v", names, rows)
+	}
+	if err := fs.Parse([]string{"-ttl", "5", "-bloom-bits", "600"}); err != nil {
+		t.Fatal(err)
+	}
+	if o.TTL != 5 || o.BloomBits != 600 {
+		t.Fatalf("-ttl 5 -bloom-bits 600 set TTL %d and BloomBits %d", o.TTL, o.BloomBits)
+	}
+}
+
 // TestDefaultsStatedOnce locks the paper's §5.1 setup to one statement:
 // the facade defaults are the internal default configuration read back, so
 // default, zero and internal configs are the same value (benchmark/README.md
@@ -361,14 +412,14 @@ func TestImpossibleCatalogueIsAnError(t *testing.T) {
 	}{
 		{"catalogue", func(o *Options) { o.KeywordPool = 20 }, []string{"KeywordPool 20", "Files 3000"}}, // C(20,3) = 1140 < 3000 files
 		{"wide pool", func(o *Options) { o.KeywordPool = 2_000_000_000 }, []string{"KeywordPool 2000000000", "100000"}},
-		{"landmarks", func(o *Options) { o.Landmarks = 21 }, []string{"Landmarks 21", "20"}}, // 21! overflows a locId
+		{"landmarks", func(o *Options) { o.Landmarks = 21 }, []string{"landmarks 21", "20"}}, // 21! overflows a locId
 		{"zero recorder", func(o *Options) { o.FlightRecorder = &FlightRecorder{} }, []string{"SlowestN", "KeepFailed", "MinHops"}},
-		{"thin degree", func(o *Options) { o.AvgDegree = 0.5 }, []string{"AvgDegree 0.5", "links for", "arrival tree"}},
-		{"dense degree", func(o *Options) { o.AvgDegree = 20 }, []string{"AvgDegree 20", "MaxDegree 12"}},
-		{"tiny filter", func(o *Options) { o.BloomBits = 4 }, []string{"BloomBits 4", "8"}},
-		{"shares", func(o *Options) { o.Files, o.FilesPerPeer = 10, 11 }, []string{"FilesPerPeer 11", "Files 10"}},
-		{"negative TTL", func(o *Options) { o.TTL = -1 }, []string{"TTL -1"}},
-		{"negative peers", func(o *Options) { o.Peers = -5 }, []string{"NumPeers -5"}},
+		{"thin degree", func(o *Options) { o.AvgDegree = 0.5 }, []string{"avg-degree 0.5", "links for", "arrival tree"}},
+		{"dense degree", func(o *Options) { o.AvgDegree = 20 }, []string{"avg-degree 20", "MaxDegree 12"}},
+		{"tiny filter", func(o *Options) { o.BloomBits = 4 }, []string{"bloom-bits 4", "8"}},
+		{"shares", func(o *Options) { o.Files, o.FilesPerPeer = 10, 11 }, []string{"files-per-peer 11", "files 10"}},
+		{"negative TTL", func(o *Options) { o.TTL = -1 }, []string{"ttl: value -1"}},
+		{"negative peers", func(o *Options) { o.Peers = -5 }, []string{"peers: value -5"}},
 	} {
 		o := fastOptions(21)
 		row.set(&o)
