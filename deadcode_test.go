@@ -29,8 +29,8 @@ var deadCodeAllowed = map[string]string{
 }
 
 // TestNoTestOnlyProductionCode type-checks both modules — the library with
-// its CLIs and examples, and benchmark/ — and fails on production code that
-// only tests need:
+// its CLIs, and benchmark/ — and fails on production code that only tests
+// need (the facade's Example functions count as production, not as tests):
 //   - a function or method declared outside benchmark/ that no production
 //     file uses (called only by tests, or by nothing);
 //   - a struct field declared outside benchmark/ that no production file
@@ -222,6 +222,24 @@ func (g *deadCodeGate) check(path string, files []*ast.File, imp types.Importer)
 	for _, f := range files {
 		g.markWrites(f)
 	}
+	// The facade's Example functions are its runnable documentation, as the
+	// example programs they replaced were: a use inside one is production.
+	var examples []*ast.FuncDecl
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && path == gateModule+"_test" && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				examples = append(examples, fn)
+			}
+		}
+	}
+	inExample := func(pos token.Pos) bool {
+		for _, fn := range examples {
+			if fn.Pos() <= pos && pos < fn.End() {
+				return true
+			}
+		}
+		return false
+	}
 	for id, obj := range info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
@@ -234,7 +252,7 @@ func (g *deadCodeGate) check(path string, files []*ast.File, imp types.Importer)
 		default:
 			continue
 		}
-		if strings.HasSuffix(g.fset.File(id.Pos()).Name(), "_test.go") {
+		if strings.HasSuffix(g.fset.File(id.Pos()).Name(), "_test.go") && !inExample(id.Pos()) {
 			g.testUse[obj.Pos()] = true
 		} else {
 			g.prodUse[obj.Pos()] = true

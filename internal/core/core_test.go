@@ -429,25 +429,29 @@ func TestFloodingSuccessDominates(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocBudget holds the per-message path's allocation count in
-// the tree: MemStats.Mallocs across RunMeasured on one fixed seed, measured
-// the way benchmark/measure.go measures allocs_per_query on its flood-2k and
-// locaware-2k worlds (shortened). The counts repeat for a seed to within a
-// few runtime allocations — 6.0 and 5.1 per query when the budgets were
-// set — and sit far below what per-node seen maps and a path allocated per
-// message cost (452 and 11.7 on the same worlds), or what spelling
-// keywords as strings cost (9.8 and 8.8).
+// TestHotPathAllocBudget holds the per-message path's allocation count and
+// bytes in the tree: MemStats.Mallocs and TotalAlloc across RunMeasured on
+// one fixed seed, measured the way benchmark/measure.go measures
+// allocs_per_query and bytes_per_query on its flood-2k and locaware-2k
+// worlds (shortened). The counts repeat for a seed to within a few runtime
+// allocations — 6.0 and 5.1 per query when the budgets were set — and sit
+// far below what per-node seen maps and a path allocated per message cost
+// (452 and 11.7 on the same worlds), or what spelling keywords as strings
+// cost (9.8 and 8.8). The byte budgets are the measured 19 200 and 429 B per
+// query + 10 %; with the pairwise RTT memo (a map holding every pair a
+// message or download had crossed) these rows read 24 735 and 516, and the
+// benchmark's flood-2k 19 408 B/query against ≈ 13 650 without it.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
 	}
 	for _, c := range []struct {
-		b                protocol.Behavior
-		warmup, measured int
-		budget           float64
+		b                  protocol.Behavior
+		warmup, measured   int
+		budget, byteBudget float64
 	}{
-		{protocol.Flooding{}, 0, 25, 8},
-		{protocol.Locaware{}, 500, 2000, 6},
+		{protocol.Flooding{}, 0, 25, 8, 21120},
+		{protocol.Locaware{}, 500, 2000, 6, 472},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
@@ -461,10 +465,14 @@ func TestHotPathAllocBudget(t *testing.T) {
 		if got := res.Collector.Submitted(); got != c.measured {
 			t.Fatalf("%s: %d of %d measured queries finalised", c.b.Name(), got, c.measured)
 		}
-		perQuery := float64(m1.Mallocs-m0.Mallocs) / float64(c.warmup+c.measured)
-		t.Logf("%s: %.2f allocs/query (budget %.0f)", c.b.Name(), perQuery, c.budget)
+		n := float64(c.warmup + c.measured)
+		perQuery, bytes := float64(m1.Mallocs-m0.Mallocs)/n, float64(m1.TotalAlloc-m0.TotalAlloc)/n
+		t.Logf("%s: %.2f allocs/query (budget %.0f), %.0f B/query (budget %.0f)", c.b.Name(), perQuery, c.budget, bytes, c.byteBudget)
 		if perQuery > c.budget {
 			t.Fatalf("%s: %.2f allocs/query over %d queries, budget %.0f", c.b.Name(), perQuery, c.warmup+c.measured, c.budget)
+		}
+		if bytes > c.byteBudget {
+			t.Fatalf("%s: %.0f B/query over %d queries, budget %.0f", c.b.Name(), bytes, c.warmup+c.measured, c.byteBudget)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package netmodel
 
-import (
-	"math"
-	"math/rand"
-	"sync"
-)
+import "math"
 
 // LatencyConfig maps plane distances to round-trip times.
 type LatencyConfig struct {
@@ -23,10 +19,11 @@ func DefaultLatency() LatencyConfig {
 }
 
 // Model is a physical-network instance: peer coordinates plus the
-// distance→RTT mapping. The geometry is immutable and all read methods are
-// safe for concurrent readers; the optional per-peer latency factors
-// (regional-degradation dynamics) are written only between events on the
-// owning simulation's engine goroutine.
+// distance→RTT mapping. A pair's RTT is computed on every call from the
+// geometry and the pair's jitter (jitter.go), with no memo: the read methods
+// write no shared state and are safe for concurrent readers. The optional
+// per-peer latency factors (regional-degradation dynamics) are written only
+// between events on the owning simulation's engine goroutine.
 type Model struct {
 	cfg   LatencyConfig
 	pts   []Point
@@ -37,40 +34,18 @@ type Model struct {
 	// (>= 1); a path's factor is the max of its endpoints'. nil means no
 	// degradation anywhere and costs the hot path one pointer check.
 	factors []float64
-
-	// jmu guards the jitter state. jcache memoises jittered pair RTTs so a
-	// warm link (one RTT per message hop) costs a map read; it holds only
-	// pairs actually used — overlay links and download pairs — up to jcap
-	// entries, and once full further pairs are recomputed per call
-	// (identical values, no growth). jrand draws a cold pair's jitter from
-	// jsrc (see jitter.go), re-seeded per pair. The mutex keeps the
-	// documented concurrent-reader safety; it is uncontended in practice
-	// because each simulation owns its Model.
-	jmu    sync.Mutex
-	jcache map[uint64]float64
-	jcap   int
-	jsrc   pairSource
-	jrand  *rand.Rand
 }
-
-// maxJitterCacheEntries bounds the jitter memo (~16 bytes/entry plus map
-// overhead, ≈100 MB at the cap) so a very long churn-heavy run cannot grow
-// it without limit.
-const maxJitterCacheEntries = 1 << 22
 
 // NewModel builds a model over the given peer positions. side is the plane
 // side length used for distance normalisation (pass the PlacementConfig.Side
 // that produced pts). jitterSeed fixes the per-pair jitter stream.
 func NewModel(pts []Point, side float64, cfg LatencyConfig, jitterSeed int64) *Model {
-	m := &Model{
+	return &Model{
 		cfg:   cfg,
 		pts:   pts,
 		diag:  side * math.Sqrt2,
 		jseed: jitterSeed,
-		jcap:  maxJitterCacheEntries,
 	}
-	m.jrand = rand.New(&m.jsrc)
-	return m
 }
 
 // N returns the number of peers in the model.
@@ -91,35 +66,22 @@ func (m *Model) RTT(a, b int) float64 {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	key := uint64(lo)<<32 | uint64(uint32(hi))
-	m.jmu.Lock()
-	rtt, ok := m.jcache[key]
-	if !ok {
-		// Deterministic symmetric jitter: the first normal draw of a
-		// generator seeded from the unordered pair identity.
-		m.jsrc.Seed(m.jseed ^ (int64(lo)<<20 | int64(hi)))
-		factor := 1 + float64(m.cfg.Jitter*m.jrand.NormFloat64())
-		if factor < 0.5 {
-			factor = 0.5
-		}
-		rtt = base * factor
-		if rtt < m.cfg.MinRTT {
-			rtt = m.cfg.MinRTT
-		}
-		if len(m.jcache) < m.jcap {
-			if m.jcache == nil {
-				m.jcache = make(map[uint64]float64, 256)
-			}
-			m.jcache[key] = rtt
-		}
+	// Deterministic symmetric jitter: the first normal draw of a generator
+	// seeded from the unordered pair identity.
+	factor := 1 + float64(m.cfg.Jitter*pairNorm(m.jseed^(int64(lo)<<20|int64(hi))))
+	if factor < 0.5 {
+		factor = 0.5
 	}
-	m.jmu.Unlock()
+	rtt := base * factor
+	if rtt < m.cfg.MinRTT {
+		rtt = m.cfg.MinRTT
+	}
 	return m.degrade(a, b, rtt)
 }
 
-// degrade applies the regional-degradation factor to a path's RTT: the
-// jitter cache stores healthy values, so clearing the factors restores the
-// exact pre-degradation latencies.
+// degrade applies the regional-degradation factor to a path's healthy RTT
+// on read, so clearing the factors restores the exact pre-degradation
+// latencies.
 func (m *Model) degrade(a, b int, rtt float64) float64 {
 	if m.factors == nil {
 		return rtt
