@@ -180,6 +180,42 @@ func TestGeometryClamps(t *testing.T) {
 	}
 }
 
+// TestTableWindowsAreDisjoint: the filters of a table share one bits
+// array, each in a window capped at its own words, so setting every bit of
+// filter i leaves i-1 and i+1 empty, and an append to i's words cannot
+// reach i+1's. A geometry whose m is not a multiple of 64 leaves a partial
+// last word, the place a miscut window would spill into.
+func TestTableWindowsAreDisjoint(t *testing.T) {
+	const n, m = 5, 1000
+	fs := NewTable(n, m, 6)
+	for i := range fs {
+		if len(fs[i].bits) != (m+63)/64 || cap(fs[i].bits) != len(fs[i].bits) {
+			t.Fatalf("filter %d: window len %d cap %d, want both %d", i, len(fs[i].bits), cap(fs[i].bits), (m+63)/64)
+		}
+	}
+	for i := range fs {
+		for j := range fs {
+			fs[j].Reset()
+		}
+		for w := 0; w < 300; w++ {
+			fs[i].Add(fmt.Sprintf("filter-%d-word-%d", i, w))
+		}
+		fs[i].bits[len(fs[i].bits)-1] = ^uint64(0) // the last word's tail too
+		for _, j := range []int{i - 1, i + 1} {
+			if j >= 0 && j < n && fs[j].PopCount() != 0 {
+				t.Fatalf("bits set in filter %d show in filter %d", i, j)
+			}
+		}
+		grown := append(fs[i].bits, ^uint64(0))
+		if i+1 < n && (&grown[0] == &fs[i].bits[0] || fs[i+1].PopCount() != 0) {
+			t.Fatalf("append to filter %d's words wrote into filter %d's", i, i+1)
+		}
+	}
+	if one := New(m, 6); len(one.bits) != cap(one.bits) || one.M() != m || one.K() != 6 {
+		t.Fatalf("New(%d, 6) = %v with %d/%d words, want a one-filter table", m, one, len(one.bits), cap(one.bits))
+	}
+}
+
 func TestCloneEqual(t *testing.T) {
 	f := New(1200, 6)
 	f.Add("one")

@@ -20,25 +20,28 @@ type Filter struct {
 // ErrMismatch reports an operation across filters of different geometry.
 var ErrMismatch = errors.New("bloom: filter geometry mismatch")
 
-// MinBits is the smallest filter New builds: a smaller m is raised to it.
+// MinBits is the smallest filter NewTable builds: a smaller m is raised to it.
 const MinBits = 8
 
-// New returns an m-bit filter with k hash functions. The paper's setting is
-// m=1200 (covering an enlarged response index of 50 filenames × 3 keywords)
-// with k near optimal for 150 elements. k is clamped to [1, 16]: the upper
-// bound is what lets every filter operation compute its bit positions on
-// the stack.
-func New(m, k int) *Filter {
-	if m < MinBits {
-		m = MinBits
+// New returns an m-bit filter with k hash functions: a table of one
+// (NewTable). The paper's setting is m=1200 (covering an enlarged response
+// index of 50 filenames × 3 keywords) with k near optimal for 150 elements.
+func New(m, k int) *Filter { return &NewTable(1, m, k)[0] }
+
+// NewTable returns n empty m-bit filters with k hash functions in two
+// allocations: the headers, and one bits array of which each filter holds a
+// window capped at its own words. An m below MinBits is raised to it, and k
+// is clamped to [1, 16], which lets every operation hash on the stack.
+func NewTable(n, m, k int) []Filter {
+	m = max(m, MinBits)
+	k = min(max(k, 1), maxK)
+	words := (m + 63) / 64
+	bits := make([]uint64, n*words)
+	fs := make([]Filter, n)
+	for i := range fs {
+		fs[i] = Filter{m: uint32(m), k: k, bits: bits[i*words : (i+1)*words : (i+1)*words]}
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > maxK {
-		k = maxK
-	}
-	return &Filter{m: uint32(m), k: k, bits: make([]uint64, (m+63)/64)}
+	return fs
 }
 
 // M returns the filter size in bits.

@@ -14,6 +14,7 @@
 package cache
 
 import (
+	"cmp"
 	"iter"
 	"maps"
 	"slices"
@@ -84,12 +85,19 @@ type Index struct {
 }
 
 // New returns an empty index with the given bounds and an optional event
-// listener (nil is allowed).
+// listener (nil is allowed): a table of one (NewTable).
 func New(cfg Config, events Events) *Index {
-	if events == nil {
-		events = nopEvents{}
+	return &NewTable(1, cfg, func(int) Events { return events })[0]
+}
+
+// NewTable returns n empty indexes with the given bounds in one slice, each
+// with its map made; events(i) is index i's listener (nil is allowed).
+func NewTable(n int, cfg Config, events func(i int) Events) []Index {
+	xs := make([]Index, n)
+	for i := range xs {
+		xs[i] = Index{cfg: cfg, entries: make(map[keywords.Filename]*entry), events: cmp.Or(events(i), Events(nopEvents{}))}
 	}
-	return &Index{cfg: cfg, entries: make(map[keywords.Filename]*entry), events: events}
+	return xs
 }
 
 // Len returns the number of cached filenames.

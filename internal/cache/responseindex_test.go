@@ -36,6 +36,39 @@ func (r *recorder) FilenameEvicted(f keywords.Filename) { r.evicted = append(r.e
 
 func fn(kws ...keywords.ID) keywords.Filename { return keywords.NewFilename(kws...) }
 
+// TestTableIndexesAreIndependent: a Put into index i of a table caches in
+// i alone, and only i's listener hears it. Every index's map is made with
+// the table, not by its first Put, which would move one allocation per
+// peer from building a world into running it.
+func TestTableIndexesAreIndependent(t *testing.T) {
+	const n = 4
+	f := fn(1, 2, 3)
+	for i := 0; i < n; i++ {
+		recs := make([]recorder, n)
+		xs := NewTable(n, DefaultConfig(), func(j int) Events { return &recs[j] })
+		if xs[i].entries == nil {
+			t.Fatalf("index %d of a new table has no map", i)
+		}
+		xs[i].Put(f, overlay.PeerID(i), 0, sim.Second)
+		for j := range xs {
+			want := 0
+			if j == i {
+				want = 1
+			}
+			if xs[j].Len() != want || len(recs[j].added) != want {
+				t.Fatalf("after a Put into index %d: index %d holds %d filenames and heard %d adds, want %d",
+					i, j, xs[j].Len(), len(recs[j].added), want)
+			}
+		}
+		if ps := providers(&xs[i], f, sim.Second); len(ps) != 1 || ps[0].Peer != overlay.PeerID(i) {
+			t.Fatalf("index %d: providers %+v, want peer %d alone", i, ps, i)
+		}
+	}
+	if x := NewTable(1, DefaultConfig(), func(int) Events { return nil }); x[0].events != (nopEvents{}) {
+		t.Fatalf("a nil listener became %T, want nopEvents", x[0].events)
+	}
+}
+
 func TestPutAndProviders(t *testing.T) {
 	x := New(DefaultConfig(), nil)
 	f := fn(1, 2, 3)

@@ -1,9 +1,6 @@
 package netmodel
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Landmarks is a set of well-known reference machines spread across the
 // latency plane (§4.1.1). A peer orders the set by increasing RTT; the
@@ -43,23 +40,18 @@ func FixedLandmarks(pts []Point) *Landmarks {
 	return &Landmarks{pts: cp}
 }
 
-// Ordering returns the landmark indices sorted by increasing RTT from peer a
-// under model m — the peer's landmark ordering from §4.1.1.
-func (l *Landmarks) Ordering(m *Model, a int) []int {
-	type probe struct {
-		idx int
-		rtt float64
+// order fills perm, one slot per landmark like the scratch rtt, with peer
+// a's landmark ordering under m (§4.1.1): the indices by increasing RTT, in
+// a stable insertion sort, so tied landmarks keep index order.
+func (l *Landmarks) order(m *Model, a int, rtt []float64, perm []int) {
+	for j, p := range l.pts {
+		r := m.RTTToPoint(a, p)
+		i := j
+		for ; i > 0 && rtt[i-1] > r; i-- {
+			rtt[i], perm[i] = rtt[i-1], perm[i-1]
+		}
+		rtt[i], perm[i] = r, j
 	}
-	probes := make([]probe, len(l.pts))
-	for i, p := range l.pts {
-		probes[i] = probe{i, m.RTTToPoint(a, p)}
-	}
-	sort.SliceStable(probes, func(i, j int) bool { return probes[i].rtt < probes[j].rtt })
-	out := make([]int, len(probes))
-	for i, p := range probes {
-		out[i] = p.idx
-	}
-	return out
 }
 
 func minDist(p Point, pts []Point) float64 {

@@ -1,6 +1,9 @@
 package netmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LocID identifies a physical locality: each distinct landmark-RTT ordering
 // maps to one LocID in [0, K!). With the paper's 4 landmarks there are 24
@@ -18,51 +21,22 @@ func NumLocIDs(k int) int {
 }
 
 // EncodeOrdering converts a landmark ordering (a permutation of 0..k-1) into
-// its Lehmer-code rank, a canonical LocID. It panics if perm is not a
-// permutation, since that indicates a programming error upstream.
+// its Lehmer-code rank, a canonical LocID, allocating nothing. It panics if
+// perm is not a permutation: that is a programming error upstream.
 func EncodeOrdering(perm []int) LocID {
 	k := len(perm)
-	seen := make([]bool, k)
+	var seen uint64 // bit v: v placed already
 	rank := 0
 	fact := NumLocIDs(k)
 	for i, v := range perm {
-		if v < 0 || v >= k || seen[v] {
+		if v < 0 || v >= k || v >= 64 || seen&(1<<v) != 0 {
 			panic(fmt.Sprintf("netmodel: invalid permutation %v", perm))
 		}
-		seen[v] = true
 		fact /= k - i
-		smaller := 0
-		for u := 0; u < v; u++ {
-			if !seen[u] {
-				smaller++
-			}
-		}
-		rank += smaller * fact
+		rank += (v - bits.OnesCount64(seen&(1<<v-1))) * fact // unplaced indices below v
+		seen |= 1 << v
 	}
 	return LocID(rank)
-}
-
-// DecodeLocID inverts EncodeOrdering, returning the landmark ordering for a
-// LocID with k landmarks. It panics on an out-of-range id.
-func DecodeLocID(id LocID, k int) []int {
-	if id < 0 || int(id) >= NumLocIDs(k) {
-		panic(fmt.Sprintf("netmodel: locId %d out of range for %d landmarks", id, k))
-	}
-	avail := make([]int, k)
-	for i := range avail {
-		avail[i] = i
-	}
-	perm := make([]int, 0, k)
-	rem := int(id)
-	fact := NumLocIDs(k)
-	for i := 0; i < k; i++ {
-		fact /= k - i
-		idx := rem / fact
-		rem %= fact
-		perm = append(perm, avail[idx])
-		avail = append(avail[:idx], avail[idx+1:]...)
-	}
-	return perm
 }
 
 // Locator holds each peer's locId, computed once against the landmark set
@@ -74,8 +48,10 @@ type Locator struct {
 // NewLocator computes locIds for every peer in m against landmark set lm.
 func NewLocator(m *Model, lm *Landmarks) *Locator {
 	ids := make([]LocID, m.N())
+	rtt, perm := make([]float64, len(lm.pts)), make([]int, len(lm.pts))
 	for i := range ids {
-		ids[i] = EncodeOrdering(lm.Ordering(m, i))
+		lm.order(m, i, rtt, perm)
+		ids[i] = EncodeOrdering(perm)
 	}
 	return &Locator{ids: ids}
 }

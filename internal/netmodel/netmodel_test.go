@@ -1,8 +1,11 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +16,49 @@ func factor(m *Model, i int) float64 {
 		return 1
 	}
 	return m.factors[i]
+}
+
+// ordering is peer a's landmark ordering under m, in fresh buffers.
+func ordering(lm *Landmarks, m *Model, a int) []int {
+	rtt, perm := make([]float64, len(lm.pts)), make([]int, len(lm.pts))
+	lm.order(m, a, rtt, perm)
+	return perm
+}
+
+// sortedOrdering is the reference ordering: the landmark indices stably
+// sorted by RTT from peer a.
+func sortedOrdering(lm *Landmarks, m *Model, a int) []int {
+	perm := make([]int, len(lm.pts))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool {
+		return m.RTTToPoint(a, lm.pts[perm[i]]) < m.RTTToPoint(a, lm.pts[perm[j]])
+	})
+	return perm
+}
+
+// DecodeLocID inverts EncodeOrdering, returning the landmark ordering for a
+// LocID with k landmarks. It panics on an out-of-range id.
+func DecodeLocID(id LocID, k int) []int {
+	if id < 0 || int(id) >= NumLocIDs(k) {
+		panic(fmt.Sprintf("netmodel: locId %d out of range for %d landmarks", id, k))
+	}
+	avail := make([]int, k)
+	for i := range avail {
+		avail[i] = i
+	}
+	perm := make([]int, 0, k)
+	rem := int(id)
+	fact := NumLocIDs(k)
+	for i := 0; i < k; i++ {
+		fact /= k - i
+		idx := rem / fact
+		rem %= fact
+		perm = append(perm, avail[idx])
+		avail = append(avail[:idx], avail[idx+1:]...)
+	}
+	return perm
 }
 
 func testModel(t *testing.T, n int, seed int64) (*Model, *rand.Rand) {
@@ -159,7 +205,7 @@ func TestOrderingIsPermutationSortedByRTT(t *testing.T) {
 	m, r := testModel(t, 50, 31)
 	lm := NewLandmarks(4, 1000, r)
 	for a := 0; a < 50; a++ {
-		ord := lm.Ordering(m, a)
+		ord := ordering(lm, m, a)
 		seen := make(map[int]bool)
 		for _, v := range ord {
 			if v < 0 || v >= 4 || seen[v] {
@@ -173,6 +219,57 @@ func TestOrderingIsPermutationSortedByRTT(t *testing.T) {
 				t.Fatalf("ordering %v not sorted by RTT for peer %d", ord, a)
 			}
 		}
+	}
+}
+
+// TestOrderingMatchesStableSort: the in-place insertion sort NewLocator
+// orders each peer with gives sort.SliceStable's order, ties included. The
+// first world is 1 000 random peers under random landmarks; the second
+// puts four landmarks on the corners of a square and every peer on a grid
+// that includes both axes of symmetry and both diagonals, so many peers sit
+// exactly equidistant from two or four landmarks.
+func TestOrderingMatchesStableSort(t *testing.T) {
+	m, r := testModel(t, 1000, 37)
+	lm := NewLandmarks(5, 1000, r)
+	for a := 0; a < m.N(); a++ {
+		if got, want := ordering(lm, m, a), sortedOrdering(lm, m, a); !slices.Equal(got, want) {
+			t.Fatalf("random peer %d: ordering %v, stable sort %v", a, got, want)
+		}
+	}
+
+	var pts []Point
+	for x := 0; x <= 1000; x += 25 {
+		for y := 0; y <= 1000; y += 25 {
+			pts = append(pts, Point{float64(x), float64(y)})
+		}
+	}
+	sym := NewModel(pts, 1000, LatencyConfig{MinRTT: 10, MaxRTT: 500}, 0)
+	square := FixedLandmarks([]Point{{200, 200}, {800, 200}, {200, 800}, {800, 800}})
+	ties := 0
+	for a := range pts {
+		got, want := ordering(square, sym, a), sortedOrdering(square, sym, a)
+		if !slices.Equal(got, want) {
+			t.Fatalf("grid peer %v: ordering %v, stable sort %v", pts[a], got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if sym.RTTToPoint(a, square.pts[got[i-1]]) == sym.RTTToPoint(a, square.pts[got[i]]) {
+				ties++
+				break
+			}
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("only %d grid peers have an exact RTT tie; the tie check is near-vacuous", ties)
+	}
+	t.Logf("%d of %d grid peers have an exact RTT tie", ties, len(pts))
+}
+
+// TestEncodeOrderingAllocatesNothing: ranking an ordering is a bitmask walk,
+// so locating a peer allocates nothing per peer.
+func TestEncodeOrderingAllocatesNothing(t *testing.T) {
+	perm := []int{3, 0, 2, 1}
+	if n := testing.AllocsPerRun(100, func() { EncodeOrdering(perm) }); n != 0 {
+		t.Fatalf("EncodeOrdering allocates %g per call, want 0", n)
 	}
 }
 
@@ -300,12 +397,12 @@ func TestLocIDQuickProperty(t *testing.T) {
 		px := float64(x%1000) + 0.5 // avoid exact ties on the grid
 		py := float64(y%1000) + 0.25
 		m := NewModel([]Point{{px, py}}, 1000, LatencyConfig{MinRTT: 10, MaxRTT: 500}, 0)
-		ord := lm.Ordering(m, 0)
+		ord := ordering(lm, m, 0)
 		id := EncodeOrdering(ord)
 		if id < 0 || int(id) >= 24 {
 			return false
 		}
-		ord2 := lm.Ordering(m, 0)
+		ord2 := ordering(lm, m, 0)
 		return EncodeOrdering(ord2) == id
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,6 +1,9 @@
 package overlay
 
-import "math/rand"
+import (
+	"cmp"
+	"math/rand"
+)
 
 // BuildConfig parameterises random overlay construction.
 type BuildConfig struct {
@@ -19,10 +22,17 @@ type BuildConfig struct {
 // spanning tree), after which extra random links are added until the edge
 // budget round(n*AvgDegree/2) is met. A budget below the tree's n-1 links
 // leaves the tree as it is.
+// Every adjacency starts as a capped window of ⌊AvgDegree⌋+1 slots (at most
+// MaxDegree) of one block: a peer that outgrows its window reallocates alone.
 func BuildRandom(n int, cfg BuildConfig, r *rand.Rand) *Graph {
 	g := NewGraph(n)
 	if n <= 1 {
 		return g
+	}
+	per := max(1, min(int(cfg.AvgDegree)+1, n-1, cmp.Or(cfg.MaxDegree, n)))
+	block := make([]PeerID, n*per)
+	for i := range g.nbrs {
+		g.nbrs[i] = block[i*per : i*per : (i+1)*per]
 	}
 	// Arrival spanning tree.
 	for i := 1; i < n; i++ {

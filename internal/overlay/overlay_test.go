@@ -158,6 +158,41 @@ func TestBuildRandomPaperScale(t *testing.T) {
 	}
 }
 
+// TestBuildRandomWindowsAreDisjoint: BuildRandom carves every adjacency
+// from one block, each window capped at its own slots. Growing one peer far
+// past its window, and its twenty new neighbours one slot each, must leave
+// every other peer's list as it was, bar the new links.
+func TestBuildRandomWindowsAreDisjoint(t *testing.T) {
+	g := BuildRandom(200, paperBuild, rand.New(rand.NewSource(3)))
+	before := make([][]PeerID, g.N())
+	for p := range before {
+		before[p] = slices.Clone(g.Neighbors(PeerID(p)))
+	}
+	hub, added := PeerID(100), map[PeerID]bool{}
+	for q := PeerID(0); len(added) < 20; q++ {
+		if q != hub && !g.Linked(hub, q) {
+			if err := g.AddLink(hub, q); err != nil {
+				t.Fatal(err)
+			}
+			added[q] = true
+		}
+	}
+	for p := range before {
+		want := slices.Clone(before[p])
+		if PeerID(p) == hub {
+			for q := range added {
+				want = append(want, q)
+			}
+		} else if added[PeerID(p)] {
+			want = append(want, hub)
+		}
+		slices.Sort(want)
+		if got := g.Neighbors(PeerID(p)); !slices.Equal(got, want) {
+			t.Fatalf("peer %d: neighbours %v, want %v", p, got, want)
+		}
+	}
+}
+
 func TestBuildRandomSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	if g := BuildRandom(0, paperBuild, r); g.N() != 0 {

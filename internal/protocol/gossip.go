@@ -18,10 +18,11 @@ func (net *Network) gossipBlooms() {
 		if !net.Graph.Online(n.ID) {
 			continue
 		}
-		d := n.PublishBloom()
+		d := n.PublishBloom(net.flipBuf)
 		if d.Empty() {
-			continue
+			continue // an empty delta must not reset the scratch
 		}
+		net.flipBuf = d.Flipped[:0]
 		sizeBits := d.SizeBits()
 		for _, nb := range net.Graph.Neighbors(n.ID) {
 			net.controlMessages++
@@ -47,7 +48,7 @@ type bloomInstallEvent struct {
 func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 
 func (ev *bloomInstallEvent) Fire(*sim.Engine) {
-	ev.bf = ev.net.nodes[ev.dst].setNeighborBloom(ev.from, ev.bf)
+	ev.bf = ev.net.nodes[ev.dst].setNeighborBloom(ev.from, ev.bf, ev.net.Graph.Degree(ev.dst))
 	ev.net.biPool.Put(ev)
 }
 

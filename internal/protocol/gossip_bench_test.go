@@ -64,16 +64,17 @@ func gossipRound(net *Network, round int) {
 	net.Engine.Run(0)
 }
 
-// roundAllocs runs rounds [from, from+rounds) of gossipRound and returns
-// the mean allocations of a round's publish, rebuild, announce, deliver and
-// install, leaving out the response-index changes that feed it (a cached
-// filename allocates its index entry).
-func roundAllocs(net *Network, from, rounds int) float64 {
+// roundAllocs runs rounds [from, from+rounds), changing every stride-th
+// node's response index before each, and returns the mean allocations of a
+// round's publish, rebuild, announce, deliver and install, leaving out the
+// response-index changes that feed it (a cached filename allocates its
+// index entry).
+func roundAllocs(net *Network, from, rounds, stride int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for r := from; r < from+rounds; r++ {
-		churnFilters(net, r, 1)
+		churnFilters(net, r, stride)
 		runtime.ReadMemStats(&before)
 		net.gossipBlooms()
 		net.Engine.Run(0)
@@ -87,7 +88,10 @@ func roundAllocs(net *Network, from, rounds int) float64 {
 // event refactor: a steady-state gossip round — rebuild, diff, announce to
 // every neighbour, deliver and install every update — allocates nothing.
 // Before the refactor each round cloned a snapshot per node, allocated a
-// fresh delta, and scheduled a closure per neighbour.
+// fresh delta, and scheduled a closure per neighbour. Rounds where every
+// node changed come first, then rounds where one node in three did: every
+// node publishes into one network scratch, and an idle node between two
+// changed ones must leave it as it found it.
 func TestGossipRoundZeroAlloc(t *testing.T) {
 	net := gossipWorld(64)
 	// Warm pools: first rounds allocate per-link install filters, event
@@ -95,8 +99,15 @@ func TestGossipRoundZeroAlloc(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		gossipRound(net, r)
 	}
-	if n := roundAllocs(net, 4, 50); n != 0 {
+	if n := roundAllocs(net, 4, 50, 1); n != 0 {
 		t.Fatalf("gossip round allocates %g/round, want 0", n)
+	}
+	sent := net.ControlMessages()
+	if n := roundAllocs(net, 54, 50, 3); n != 0 {
+		t.Fatalf("gossip round with changed and idle peers mixed allocates %g/round, want 0", n)
+	}
+	if net.ControlMessages()-sent != 50*22*2 {
+		t.Fatalf("mixed rounds sent %d control messages, want 22 changed peers × 2 neighbours × 50 rounds", net.ControlMessages()-sent)
 	}
 	if net.ControlMessages() == 0 {
 		t.Fatal("no gossip traffic generated; the zero-alloc assertion is vacuous")
@@ -116,7 +127,7 @@ func TestGossipRoundZeroAllocInstrumented(t *testing.T) {
 	for r := 0; r < 100; r++ {
 		gossipRound(net, r)
 	}
-	if n := roundAllocs(net, 100, 50); n != 0 {
+	if n := roundAllocs(net, 100, 50, 1); n != 0 {
 		t.Fatalf("instrumented gossip round allocates %g/round, want 0", n)
 	}
 	if net.Engine.EventsByKind()["bloom-install"] == 0 {

@@ -108,10 +108,14 @@ func TestCancellingChangeSendsNothing(t *testing.T) {
 	if fresh.announced != nil {
 		t.Fatal("a peer that never announced allocated an announce filter")
 	}
-	if d := n.PublishBloom(); !d.Empty() {
+	if d := n.PublishBloom(nil); !d.Empty() {
 		t.Fatalf("idle PublishBloom returned %v", d)
 	}
 }
+
+// PublishedBloom returns the filter n last announced, nil before its first
+// announcement: the in-package half of lastAnnounced (gossip_equiv_test.go).
+func (n *Node) PublishedBloom() *bloom.Filter { return n.announced }
 
 // InstallSharing is the in-package half of TestInstallEventsOwnTheirFilters
 // (gossip_equiv_test.go, which drives a core churn-waves run this package
@@ -165,9 +169,7 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		var guarded, plain Node
-		initNode(&guarded, 0, 0, 0, cfg, true, 1200, 8)
-		initNode(&plain, 0, 0, 0, cfg, false, 0, 0)
+		guarded, plain := newNodes(1, cfg, true, 1200, 8)[0], newNodes(1, cfg, false, 0, 0)[0]
 		pick := func(n int) []keywords.ID {
 			out := make([]keywords.ID, n)
 			for i := range out {
@@ -195,11 +197,11 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 				providers(guarded.RI, f, now)
 				providers(plain.RI, f, now)
 			case k == 10:
-				guarded.PublishBloom()
+				guarded.PublishBloom(nil)
 			default:
 				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
 				kwIdx := guarded.bloomPositions(nil, q)
-				exact := exactFilter(&guarded)
+				exact := exactFilter(guarded)
 				extra, err := bloom.DiffFiltersInto(exact, guarded.bf, nil)
 				if err != nil {
 					t.Fatal(err)

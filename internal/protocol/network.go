@@ -191,11 +191,10 @@ type Network struct {
 	Collector *metrics.Collector
 	Config    Config
 
-	// nodes is the flat per-peer state table, allocated in one block at
-	// network build (the tendermint-simulator layout: contiguous state,
-	// pointer-stable because the slice never grows).
-	nodes   []*Node
-	nodeArr []Node
+	// nodes is the flat per-peer state table, built table by table at
+	// network build (newNodes; the tendermint-simulator layout: contiguous
+	// state, pointer-stable because no table ever grows).
+	nodes []*Node
 
 	// rng drives protocol tie-breaking (stream "protocol").
 	rng *rand.Rand
@@ -228,6 +227,9 @@ type Network struct {
 	fwdBuf  []overlay.PeerID
 	fbBuf   []overlay.PeerID
 	provBuf []cache.Provider
+	// flipBuf is the one announcement-delta buffer every node's PublishBloom
+	// fills in turn in a gossip round, which reads only each delta's size.
+	flipBuf []uint32
 
 	// forwarding / control / lifecycle counters tally the run; whoever
 	// reports them reads them once, when the run is over.
@@ -269,14 +271,9 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		fbBuf:   make([]overlay.PeerID, 0, 64),
 		provBuf: make([]cache.Provider, 0, 16),
 	}
-	cacheCfg := b.CacheConfig(cfg.Cache)
-	net.nodeArr = make([]Node, g.N())
-	net.nodes = make([]*Node, g.N())
-	for i := range net.nodeArr {
-		n := &net.nodeArr[i]
-		initNode(n, overlay.PeerID(i), gidRng.Intn(cfg.GroupCount),
-			loc.LocID(i), cacheCfg, b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
-		net.nodes[i] = n
+	net.nodes = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
+	for i, n := range net.nodes {
+		n.Gid, n.Loc = gidRng.Intn(cfg.GroupCount), loc.LocID(i)
 	}
 	if b.UsesBloom() && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
 		eng.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})

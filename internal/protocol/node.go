@@ -30,9 +30,6 @@ type Node struct {
 	// RI (in place of §4.2's counting filter) bf is a superset, never less.
 	bf    *bloom.Filter
 	dirty bool
-	// deltaBuf is the reusable changed-position buffer of the announcement
-	// delta, so PublishBloom allocates nothing in steady state.
-	deltaBuf []uint32
 	// announced is what the node last announced, nil before its first
 	// announcement; install events carry their own copies of it.
 	announced *bloom.Filter
@@ -43,6 +40,7 @@ type Node struct {
 	// would. One entry per peer that ever announced to this node, never
 	// pruned: a re-linked neighbour's old copy is what routing sees until
 	// its next announcement. Degrees are a handful, so the search is linear.
+	// The table is made on the first install, at the node's degree then.
 	neighborBF []neighborFilter
 }
 
@@ -74,18 +72,31 @@ func (n *Node) addKeywords(f keywords.Filename) {
 	}
 }
 
-// initNode initialises a node in place (nodes live in the network's flat
-// state table); useBloom enables the Bloom filter machinery (Locaware
-// variants only).
-func initNode(n *Node, id overlay.PeerID, gid int, loc netmodel.LocID, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) {
-	n.ID = id
-	n.Gid = gid
-	n.Loc = loc
-	n.files = make([]keywords.Filename, 0, 4) // the evaluation places 3 per peer
-	n.RI = cache.New(cacheCfg, bloomSync{n})
+const storageWindow = 4 // a node's first storage capacity: the evaluation places 3 files per peer
+
+// newNodes builds count nodes table by table, one allocation per table: the
+// nodes and pointers to them, their response indexes, their storage windows
+// (capped, so a node that outgrows one reallocates alone) and, when useBloom
+// (Locaware variants only), their Bloom filters. The caller sets Gid and Loc.
+func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) []*Node {
+	nodes, ptrs := make([]Node, count), make([]*Node, count)
+	ris := cache.NewTable(count, cacheCfg, func(i int) cache.Events { return bloomSync{&nodes[i]} })
+	var bfs []bloom.Filter
 	if useBloom {
-		n.bf = bloom.New(bloomBits, bloomK)
+		bfs = bloom.NewTable(count, bloomBits, bloomK)
 	}
+	files := make([]keywords.Filename, count*storageWindow)
+	for i := range nodes {
+		n := &nodes[i]
+		n.ID = overlay.PeerID(i)
+		n.files = files[i*storageWindow : i*storageWindow : (i+1)*storageWindow]
+		n.RI = &ris[i]
+		if useBloom {
+			n.bf = &bfs[i]
+		}
+		ptrs[i] = n
+	}
+	return ptrs
 }
 
 // NeighborBloom returns this node's copy of neighbour nb's announced
@@ -104,14 +115,18 @@ func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
 // over, as this node's copy of neighbour nb's filter, and returns the copy
 // it replaces (nil on a new link) for the caller to reuse. A neighbour's
 // view only ever changes when a gossip message actually arrives, exactly
-// the stale-copy semantics of §4.2.
-func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) *bloom.Filter {
+// the stale-copy semantics of §4.2. degree sizes the table on the first
+// install.
+func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter, degree int) *bloom.Filter {
 	for i := range n.neighborBF {
 		if n.neighborBF[i].peer == nb {
 			old := n.neighborBF[i].bf
 			n.neighborBF[i].bf = f
 			return old
 		}
+	}
+	if n.neighborBF == nil {
+		n.neighborBF = make([]neighborFilter, 0, degree)
 	}
 	n.neighborBF = append(n.neighborBF, neighborFilter{nb, f})
 	return nil
@@ -160,9 +175,10 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 // rebuilds the filter from RI's filenames, diffs it against announced
 // (empty before the first announcement, allocated on first use) and, if a
 // bit flipped, copies it into announced. It returns the delta (footnote 1),
-// empty when there is nothing to send; the delta aliases a scratch buffer
-// until the next call.
-func (n *Node) PublishBloom() bloom.Delta {
+// empty when there is nothing to send, with its positions accumulated into
+// buf (truncated, capacity reused; nil allocates): one scratch serves every
+// node of a network.
+func (n *Node) PublishBloom(buf []uint32) bloom.Delta {
 	if n.bf == nil || !n.dirty {
 		return bloom.Delta{}
 	}
@@ -178,8 +194,7 @@ func (n *Node) PublishBloom() bloom.Delta {
 		}
 		n.announced = bloom.New(view.M(), view.K())
 	}
-	d, _ := bloom.DiffFiltersInto(n.announced, view, n.deltaBuf) // one geometry per node
-	n.deltaBuf = d.Flipped[:0]
+	d, _ := bloom.DiffFiltersInto(n.announced, view, buf) // one geometry per node
 	if !d.Empty() {
 		_ = n.announced.CopyFrom(view)
 	}
@@ -212,9 +227,6 @@ func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.
 	}
 	return n.RI.Lookup(q, now)
 }
-
-// PublishedBloom returns the filter this node last announced, if any.
-func (n *Node) PublishedBloom() *bloom.Filter { return n.announced }
 
 // gidOfName maps a filename to its group id: hash(f) mod M (Eq. 1), with
 // the FNV-1a hash of the canonical name computed once per filename.

@@ -997,8 +997,7 @@ func TestFallbackFanoutRespected(t *testing.T) {
 // and gidOfQuery equal what hashing the kw%05d spellings gives — the sorted
 // spellings joined by '_' for a name — so every digest stays the same.
 func TestIDHashesMatchSpellings(t *testing.T) {
-	var n Node
-	initNode(&n, 0, 0, 0, cache.DefaultConfig(), true, 1200, 8)
+	n := newNodes(1, cache.DefaultConfig(), true, 1200, 8)[0]
 	fnv := func(s string, m int) int {
 		h := uint32(2166136261)
 		for i := 0; i < len(s); i++ {
@@ -1073,7 +1072,7 @@ func TestLateBloomInstallIsWhatWasSent(t *testing.T) {
 	// publish caches a filename of the given keyword and announces it.
 	publish := func(kw string) {
 		n.RI.Put(fname(kw), 1, 0, 0)
-		if n.PublishBloom().Empty() {
+		if n.PublishBloom(nil).Empty() {
 			t.Fatalf("adding %q announced nothing", kw)
 		}
 	}
