@@ -6,11 +6,11 @@
 // rows. Absolute wall-clock time of a bench iteration is simulator speed,
 // not a paper metric.
 //
-// Paper-scale regeneration (1000 peers) lives in cmd/locaware-exp; the
+// Paper-scale regeneration (1000 peers) lives in cmd/locaware; the
 // benches use 400 peers so the full suite completes in minutes. The shape
 // of every comparison (who wins, by roughly what factor) is preserved. The
 // README's "Command-line harness" section gives the paper-scale commands
-// (`locaware-exp -fig all`), "Scaling" the hot-path cost at 2000 peers, and
+// (`locaware fig all`), "Scaling" the hot-path cost at 2000 peers, and
 // testdata/golden_compare_200peers.txt pins the 200-peer Fig. 3/4 table.
 package locaware
 

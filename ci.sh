@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CLI smokes: drive every run mode of locaware-exp, locaware-sim and
-# locaware-trace end to end on tiny worlds. CI runs this script, and so does anyone verifying a
-# change by hand (`./ci.sh` from anywhere in the repository; under a minute
+# CLI smokes: drive every subcommand of the locaware command end to end on
+# tiny worlds. CI runs this script, and so does anyone verifying a change by
+# hand (`./ci.sh` from anywhere in the repository; under a minute
 # on one core). The determinism and golden locks live in the test suite;
 # these steps catch a broken command-line surface. Scratch files go to a
 # temporary directory that is removed on exit.
@@ -9,12 +9,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/locaware-exp" ./cmd/locaware-exp
-go build -o "$tmp/locaware-sim" ./cmd/locaware-sim
-go build -o "$tmp/locaware-trace" ./cmd/locaware-trace
-exp=$tmp/locaware-exp
-simcmd=$tmp/locaware-sim
-trace=$tmp/locaware-trace
+go build -o "$tmp/locaware" ./cmd/locaware
+cli=$tmp/locaware
 step() { printf '\n== %s\n' "$*"; }
 
 # Single run: a -json result must parse and carry the headline keys, a
@@ -23,50 +19,78 @@ step() { printf '\n== %s\n' "$*"; }
 # no overlay is built at, the deleted Locaware-LR protocol and a negative
 # TTL or peer count are refused, naming what is wrong.
 step single run
-"$simcmd" -peers 100 -warmup 40 -queries 120 -json > "$tmp/sim.json"
-python3 - "$tmp/sim.json" <<'EOF'
+"$cli" run -peers 100 -warmup 40 -queries 120 -json > "$tmp/run.json"
+python3 - "$tmp/run.json" <<'EOF'
 import json, sys
 res = json.load(open(sys.argv[1]))
 for key in ("Protocol", "SuccessRate", "AvgMessagesPerQuery"):
     assert key in res, "no %s in the -json result" % key
 EOF
-"$simcmd" -churn -peers 100 -warmup 40 -queries 120
-"$simcmd" -peers 100 -warmup 40 -queries 120 -bloom-bits 600 -cache-filenames 20 -query-rate 0.01
-sim_refused() { # the text the error must contain, then the flags
-	if "$simcmd" -peers 100 -warmup 0 -queries 10 "${@:2}" 2> "$tmp/sim.err"; then
+"$cli" run -scenario steady-churn -peers 100 -warmup 40 -queries 120
+"$cli" run -peers 100 -warmup 40 -queries 120 -bloom-bits 600 -cache-filenames 20 -query-rate 0.01
+run_refused() { # the text the error must contain, then the flags
+	if "$cli" run -peers 100 -warmup 0 -queries 10 "${@:2}" 2> "$tmp/run.err"; then
 		echo "accepted: ${*:2}" >&2
 		exit 1
 	fi
-	grep -qF -- "$1" "$tmp/sim.err"
+	grep -qF -- "$1" "$tmp/run.err"
 }
-sim_refused 'avg-degree 0.5 budgets 25 links for 100 peers, below the 99 links' -avg-degree 0.5
-sim_refused 'unknown protocol: "Locaware-LR"' -protocol Locaware-LR
-sim_refused 'ttl: value -1 must be positive' -ttl -1
-sim_refused 'peers: value -5 must be positive' -peers -5
-sim_refused 'flag provided but not defined: -bloombits' -bloombits 600
+run_refused 'avg-degree 0.5 budgets 25 links for 100 peers, below the 99 links' -avg-degree 0.5
+run_refused 'unknown protocol: "Locaware-LR"' -protocol Locaware-LR
+run_refused 'ttl: value -1 must be positive' -ttl -1
+run_refused 'peers: value -5 must be positive' -peers -5
+run_refused 'flag provided but not defined: -bloombits' -bloombits 600
 
-# Modes: locaware-exp runs one of -fig, -scenario and -sweep, and refuses
-# a second mode, a sweep-only flag outside -sweep and an explicit budget
-# the campaign cannot run, naming the flag or value, where each used to be
-# dropped or replaced by the spec's.
-step modes
-exp_refused() { # the text the error must contain, then the flags
-	if "$exp" "${@:2}" > /dev/null 2> "$tmp/exp.err"; then
+# Subcommands: each takes only its own flags, so a sweep flag given to fig
+# is a flag-parser error (exit 2) that creates nothing, as are an unknown
+# subcommand and a stray argument. An unknown figure is refused before any
+# simulation runs (the paper-scale trials would take far longer than the
+# timeout), and a budget the campaign cannot run is refused naming the
+# value. A world flag given to sweep beats a spec that pins the parameter:
+# a spec pinning ttl 7 run with -ttl 3 must export the cells of one pinning
+# ttl 3, and differ without the flag.
+step subcommands
+exits2() { # the text stderr must contain, then the arguments
+	if "$cli" "${@:2}" > "$tmp/cli.out" 2> "$tmp/cli.err"; then
 		echo "accepted: ${*:2}" >&2
 		exit 1
+	else
+		test $? -eq 2
 	fi
-	grep -qF -- "$1" "$tmp/exp.err"
+	grep -qF -- "$1" "$tmp/cli.err"
 }
-exp_refused '-checkpoint needs -sweep' -fig 2 -checkpoint "$tmp/no-ckpt"
+exits2 'flag provided but not defined: -checkpoint' fig 2 -checkpoint "$tmp/no-ckpt"
 test ! -e "$tmp/no-ckpt"
-exp_refused '-fig, -scenario and -sweep each name a mode' -fig 2 -sweep ttl-sweep
-exp_refused 'queries 0 must be positive' -sweep ttl-sweep -queries 0
+exits2 'usage: locaware run|fig|scenario|sweep|trace' bogus
+exits2 'unexpected argument "extra"' run extra
+if timeout 5 "$cli" fig 7 -trials 64 > "$tmp/fig7.out" 2> "$tmp/fig7.err"; then
+	echo "accepted: fig 7" >&2
+	exit 1
+fi
+grep -qF 'unknown figure "7": want 2, 3, 4 or all' "$tmp/fig7.err"
+test ! -s "$tmp/fig7.out"
+if "$cli" sweep ttl-sweep -queries 0 > /dev/null 2> "$tmp/cli.err"; then
+	echo "accepted: sweep ttl-sweep -queries 0" >&2
+	exit 1
+fi
+grep -qF 'queries 0 must be positive' "$tmp/cli.err"
+pin() { echo '{"name":"pin","warmup":20,"queries":60,"protocols":["Dicas","Locaware"],"base":{"peers":80,"ttl":'"$1"'},"axes":[{"param":"cache-filenames","values":[5,50]}]}' > "$tmp/pin$1.json"; }
+pin 7
+pin 3
+"$cli" sweep "$tmp/pin7.json" -ttl 3 -out "$tmp/pin7-ttl3" > /dev/null
+"$cli" sweep "$tmp/pin3.json" -out "$tmp/pin3" > /dev/null
+"$cli" sweep "$tmp/pin7.json" -out "$tmp/pin7" > /dev/null
+cmp "$tmp/pin7-ttl3/cells.csv" "$tmp/pin3/cells.csv"
+if cmp -s "$tmp/pin7-ttl3/cells.csv" "$tmp/pin7/cells.csv"; then
+	echo "-ttl 3 did not reach the spec's base" >&2
+	exit 1
+fi
 
 # Scenario: registry listing plus a tiny flashcrowd run with per-phase
 # tables.
 step scenario
-"$exp" -scenario list
-"$exp" -scenario flashcrowd -peers 120 -warmup 50 -queries 200
+"$cli" scenario list
+"$cli" scenario flashcrowd -peers 120 -warmup 50 -queries 200
 
 # Sweep: registry listing plus a shrunken built-in campaign (explicit flags
 # override the spec's budget) with figure tables, tidy CSV and file export.
@@ -78,15 +102,15 @@ step scenario
 # followed by more data, the deleted Locaware-LR routing extension, and a
 # degree, filter size or share count the world's builders cannot honour.
 step sweep
-"$exp" -sweep list
-"$exp" -sweep churn-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/sweep-smoke"
+"$cli" sweep list
+"$cli" sweep churn-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/sweep-smoke"
 test -s "$tmp/sweep-smoke/cells.csv" && test -s "$tmp/sweep-smoke/fig_success.csv"
-"$exp" -sweep bloom-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/bloom-smoke" | tee "$tmp/bloom-smoke.log"
+"$cli" sweep bloom-sweep -peers 100 -warmup 40 -queries 160 -trials 2 -out "$tmp/bloom-smoke" | tee "$tmp/bloom-smoke.log"
 grep -q -- '-- Bloom gossip traffic (kbit)' "$tmp/bloom-smoke.log"
 grep -q '^bloom-bits,Locaware,Locaware_ci95' "$tmp/bloom-smoke/fig_ctlkbits.csv"
 refused() { # spec JSON, then the text the error must contain
 	echo "$1" > "$tmp/refused.json"
-	if "$exp" -sweep "$tmp/refused.json" 2> "$tmp/refused.err"; then
+	if "$cli" sweep "$tmp/refused.json" 2> "$tmp/refused.err"; then
 		echo "accepted: $1" >&2
 		exit 1
 	fi
@@ -109,18 +133,19 @@ refused '{"name":"shares","queries":40,"protocols":["Dicas"],"base":{"files":10}
 # racing a sweep, the instrumented zero-alloc gossip round) run in the test
 # suite, with and without -race.
 step observability
-"$exp" -fig 4 -peers 100 -warmup 40 -queries 120 -stats | tee "$tmp/stats-smoke.log"
+"$cli" fig 4 -peers 100 -warmup 40 -queries 120 -stats | tee "$tmp/stats-smoke.log"
 grep -q 'protocol_queries_submitted_total' "$tmp/stats-smoke.log"
 grep -q 'queries submitted' "$tmp/stats-smoke.log"
 
 # Tracing: the flight recorder end to end, and the Perfetto export must
 # parse with at least one peer track and one span; a keep-all Flooding run
 # overflows a 100-event per-query cap (a flooding query emits hundreds) and
-# must say so; a churn-waves run prints its four phase entries inline.
+# must say so; a churn-waves run prints its four phase entries inline; and
+# trace takes every world flag, a TTL and a cache size among them.
 # Recorder inertness against an untraced twin, the keep-all oracle and the
 # per-cell exemplars run in the test suite.
 step tracing
-"$trace" -peers 120 -warmup 40 -queries 200 -slowest 3 -keep-failed -trace-out "$tmp/perfetto.json" | tee "$tmp/trace-smoke.log"
+"$cli" trace -peers 120 -warmup 40 -queries 200 -slowest 3 -keep-failed -trace-out "$tmp/perfetto.json" | tee "$tmp/trace-smoke.log"
 grep -q 'submit@' "$tmp/trace-smoke.log"
 python3 - "$tmp/perfetto.json" <<'EOF'
 import json, sys
@@ -130,10 +155,12 @@ assert doc["displayTimeUnit"] == "ms"
 assert any(e["ph"] == "M" and e["name"] == "thread_name" for e in evs), "no peer track"
 assert any(e["ph"] == "X" for e in evs), "no spans"
 EOF
-"$trace" -protocol Flooding -peers 200 -queries 40 -max-events 100 > "$tmp/trace-cut.log"
+"$cli" trace -protocol Flooding -peers 200 -queries 40 -max-events 100 > "$tmp/trace-cut.log"
 grep -q 'events dropped; raise -max-events' "$tmp/trace-cut.log"
-"$trace" -scenario churn-waves -queries 40 > "$tmp/trace-phases.log"
+"$cli" trace -scenario churn-waves -queries 40 > "$tmp/trace-phases.log"
 test "$(grep -c -- '------ phase .*scenario=churn-waves' "$tmp/trace-phases.log")" -eq 4
+"$cli" trace -ttl 3 -cache-filenames 20 -queries 5 > "$tmp/trace-world.log"
+grep -q '^5 of 5 retained traces shown' "$tmp/trace-world.log"
 
 # Campaign resume: the 2x2x2 golden grid run in-process, then checkpointed;
 # one checkpoint file is deleted and another truncated, and the re-run must
@@ -158,19 +185,19 @@ cat > "$tmp/tiny.json" <<'EOF'
 }
 EOF
 ckpt=$tmp/camp-ckpt
-"$exp" -sweep "$tmp/tiny.json" -out "$tmp/camp-inproc"
-"$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt"
+"$cli" sweep "$tmp/tiny.json" -out "$tmp/camp-inproc"
+"$cli" sweep "$tmp/tiny.json" -checkpoint "$ckpt"
 rm "$ckpt/cell_000001.json"
 head -c 200 "$ckpt/cell_000002.json" > "$tmp/cell-truncated" && mv "$tmp/cell-truncated" "$ckpt/cell_000002.json"
-"$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt" -out "$tmp/camp-resume" | tee "$tmp/camp-resume.log"
+"$cli" sweep "$tmp/tiny.json" -checkpoint "$ckpt" -out "$tmp/camp-resume" | tee "$tmp/camp-resume.log"
 grep -q "resumed 2/4 cells" "$tmp/camp-resume.log"
 grep -q "campaign warning: checkpoint cell_000002.json" "$tmp/camp-resume.log"
 diff "$tmp/camp-inproc/cells.csv" "$tmp/camp-resume/cells.csv"
-"$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt" | tee "$tmp/camp-resume2.log"
+"$cli" sweep "$tmp/tiny.json" -checkpoint "$ckpt" | tee "$tmp/camp-resume2.log"
 grep -q "resumed 4/4 cells" "$tmp/camp-resume2.log"
 grep -q '"Mean":0.5625' "$ckpt/cell_000001.json"
 sed -i 's/"Mean":0.5625/"Mean":0.5626/' "$ckpt/cell_000001.json"
-"$exp" -sweep "$tmp/tiny.json" -checkpoint "$ckpt" -out "$tmp/camp-edited" | tee "$tmp/camp-edited.log"
+"$cli" sweep "$tmp/tiny.json" -checkpoint "$ckpt" -out "$tmp/camp-edited" | tee "$tmp/camp-edited.log"
 grep -q "resumed 3/4 cells" "$tmp/camp-edited.log"
 grep -q "campaign warning: checkpoint cell_000001.json: cell content does not match its SHA-256" "$tmp/camp-edited.log"
 diff "$tmp/camp-inproc/cells.csv" "$tmp/camp-edited/cells.csv"

@@ -119,7 +119,7 @@ type Param struct {
 
 // Params is the one table of numeric world parameters, in the order every
 // surface lists them: the sweep's axes and base overrides, Validate, the
-// facade's Options and locaware-sim's flags all read it. The paper's values
+// facade's Options and the locaware command's flags all read it. The paper's values
 // stay in DefaultConfig.
 var Params = []Param{
 	field("peers", "number of peers", func(c *Config) *int { return &c.NumPeers }),

@@ -24,7 +24,7 @@ type RuntimeStats struct {
 }
 
 // Report renders the snapshot as an aligned, human-readable run report —
-// what cmd/locaware-exp prints under -stats.
+// what `locaware fig -stats` prints.
 func (rs *RuntimeStats) Report() string {
 	var b strings.Builder
 	row := func(name string, v uint64) { fmt.Fprintf(&b, "    %-28s %d\n", name, v) }

@@ -94,7 +94,7 @@ func (t *tee) Emit(e trace.Event) {
 	t.rec.Emit(e)
 }
 
-// TestKeepAllRecorderIsTheRawStream is the oracle behind locaware-trace's
+// TestKeepAllRecorderIsTheRawStream is the oracle behind `locaware trace`'s
 // one sink: a recorder whose slowest-N heap is as large as the run keeps
 // every query, and each kept trace is exactly the raw stream's events for
 // that query in emission order, less the finalize marker the recorder

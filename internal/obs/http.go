@@ -7,7 +7,8 @@ import (
 
 // Handler returns a mux serving the registry as Prometheus text at
 // /metrics plus the standard net/http/pprof endpoints under
-// /debug/pprof/ — the scrape surface locaware-exp mounts with -obs-addr.
+// /debug/pprof/ — the scrape surface the locaware command mounts with
+// -obs-addr.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

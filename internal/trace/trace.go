@@ -3,7 +3,7 @@
 // decision, hit, reverse-path caching, download completion, finalisation)
 // and each scenario phase entry emits an Event. The FlightRecorder is the
 // one production sink: it groups the stream per query and rebuilds each
-// retained query's story as a span tree for the locaware-trace CLI,
+// retained query's story as a span tree for `locaware trace`,
 // Perfetto export and campaign exemplars.
 package trace
 

@@ -31,8 +31,8 @@
 // To regenerate a paper figure, use Compare and FigureTable: one trial
 // renders bare numbers, Options.Trials > 1 adds error bars. Dynamics
 // (churn, flash crowds, …) are Options.Scenario on any entry point, and a
-// parameter grid is a Sweep handed to RunSweep; see cmd/locaware-exp for
-// the complete harness.
+// parameter grid is a Sweep handed to RunSweep; see cmd/locaware for the
+// complete harness.
 package locaware
 
 import (
@@ -121,8 +121,8 @@ type Options struct {
 	// churn is the built-in "steady-churn" scenario.
 	Scenario *Scenario
 	// RetainRecords keeps every per-query record in memory and exposes them
-	// as Result.Records — the full-fidelity trace mode used by
-	// cmd/locaware-trace. Off (the default), the measurement plane is a
+	// as Result.Records — the full-fidelity trace mode of
+	// `locaware trace -records`. Off (the default), the measurement plane is a
 	// streaming accumulator whose state is O(checkpoints), so memory no
 	// longer grows with the query count; all aggregate metrics and figure
 	// tables are bit-identical either way.

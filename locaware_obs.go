@@ -38,5 +38,5 @@ func (o *Observer) WriteMetrics(w io.Writer) error { return o.reg.WritePrometheu
 // RuntimeStats is one run's observability snapshot — what that run
 // contributed to its Observer, taken from the run's own counts, so it
 // is meaningful even when the Observer is shared. Report renders it as the
-// aligned text cmd/locaware-exp prints under -stats.
+// aligned text `locaware fig -stats` prints.
 type RuntimeStats = core.RuntimeStats

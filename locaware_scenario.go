@@ -52,8 +52,8 @@ func ParseScenario(data []byte) (*Scenario, error) {
 
 // LoadScenario resolves a CLI-style scenario argument: a built-in name
 // first; an argument containing path characters is read as a JSON spec
-// file instead. Both CLIs (locaware-exp, locaware-trace) resolve their
-// -scenario flags through this helper.
+// file instead. The locaware command resolves every scenario argument
+// (scenario NAME|PATH, and -scenario on run and trace) through it.
 func LoadScenario(nameOrPath string) (*Scenario, error) {
 	if sc, err := ScenarioByName(nameOrPath); err == nil {
 		return sc, nil

@@ -330,7 +330,7 @@ func TestChurnOption(t *testing.T) {
 
 // TestFlightRecorderKeepsEveryQuery: a slowest-N heap as large as the run
 // never evicts, so the recorder keeps every query — the keep-all mode
-// locaware-trace prints as a timeline. Each trace tells one whole story (one
+// `locaware trace` prints as a timeline. Each trace tells one whole story (one
 // submit, one download-or-failed outcome, in time order), and a per-query
 // cap keeps each query's first events and counts the rest.
 func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
