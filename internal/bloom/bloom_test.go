@@ -116,7 +116,7 @@ func checkIndexFormAgrees(t *testing.T, m, k int, added, probes []string) {
 		}
 		idx = idx[1:]
 		for _, i := range idx {
-			if int(i) >= f.M() {
+			if i >= f.m {
 				t.Fatalf("m=%d k=%d: position %d of %q out of range", m, k, i, s)
 			}
 		}
@@ -171,8 +171,8 @@ func FuzzIndexFormEquivalence(f *testing.F) {
 
 func TestGeometryClamps(t *testing.T) {
 	f := New(0, 0)
-	if f.M() < 8 || f.K() < 1 {
-		t.Fatalf("clamps not applied: m=%d k=%d", f.M(), f.K())
+	if f.m < 8 || f.K() < 1 {
+		t.Fatalf("clamps not applied: m=%d k=%d", f.m, f.K())
 	}
 	f.Add("x")
 	if !f.Test("x") {
@@ -211,16 +211,23 @@ func TestTableWindowsAreDisjoint(t *testing.T) {
 			t.Fatalf("append to filter %d's words wrote into filter %d's", i, i+1)
 		}
 	}
-	if one := New(m, 6); len(one.bits) != cap(one.bits) || one.M() != m || one.K() != 6 {
+	if one := New(m, 6); len(one.bits) != cap(one.bits) || int(one.m) != m || one.K() != 6 {
 		t.Fatalf("New(%d, 6) = %v with %d/%d words, want a one-filter table", m, one, len(one.bits), cap(one.bits))
 	}
+}
+
+// clone returns an independent copy of f.
+func clone(f *Filter) *Filter {
+	cp := New(int(f.m), f.K())
+	_ = cp.CopyFrom(f)
+	return cp
 }
 
 func TestCloneEqual(t *testing.T) {
 	f := New(1200, 6)
 	f.Add("one")
 	f.Add("two")
-	g := f.Clone()
+	g := clone(f)
 	if !f.Equal(g) {
 		t.Fatal("clone not equal")
 	}
@@ -276,7 +283,7 @@ func TestReset(t *testing.T) {
 		f.Add(w)
 	}
 	f.Reset()
-	if f.PopCount() != 0 || f.M() != 1200 || f.K() != 6 {
+	if f.PopCount() != 0 || f.m != 1200 || f.K() != 6 {
 		t.Fatalf("reset left %v", f)
 	}
 	for _, w := range []string{"b", "d"} {
@@ -299,7 +306,7 @@ func applyDelta(d Delta, f *Filter) {
 func TestDeltaRoundTrip(t *testing.T) {
 	oldF := New(1200, 6)
 	oldF.Add("alpha")
-	newF := oldF.Clone()
+	newF := clone(oldF)
 	newF.Add("beta")
 	newF.Add("gamma")
 
@@ -325,7 +332,7 @@ func TestDeltaSizeBitsPaperBound(t *testing.T) {
 	// Footnote 1: one filename (3 keywords) flips at most 3k bits; with the
 	// paper's 1200-bit vector each position costs 11 bits.
 	oldF := paperFilter()
-	newF := oldF.Clone()
+	newF := clone(oldF)
 	for _, kw := range []string{"one", "two", "three"} {
 		newF.Add(kw)
 	}
@@ -344,7 +351,7 @@ func TestDeltaSizeBitsPaperBound(t *testing.T) {
 
 func TestDeltaEmpty(t *testing.T) {
 	f := New(1200, 6)
-	d, err := DiffFiltersInto(f, f.Clone(), nil)
+	d, err := DiffFiltersInto(f, clone(f), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +376,7 @@ func TestDeltaQuickProperty(t *testing.T) {
 		for _, w := range oldWords {
 			oldF.Add(w)
 		}
-		newF := oldF.Clone()
+		newF := clone(oldF)
 		for _, w := range addWords {
 			newF.Add(w)
 		}
@@ -377,7 +384,7 @@ func TestDeltaQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cp := oldF.Clone()
+		cp := clone(oldF)
 		applyDelta(d, cp)
 		return cp.Equal(newF)
 	}

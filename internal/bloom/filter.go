@@ -44,9 +44,6 @@ func NewTable(n, m, k int) []Filter {
 	return fs
 }
 
-// M returns the filter size in bits.
-func (f *Filter) M() int { return int(f.m) }
-
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.k }
 
@@ -106,13 +103,6 @@ func (f *Filter) PopCount() int {
 
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return float64(f.PopCount()) / float64(f.m) }
-
-// Clone returns an independent copy.
-func (f *Filter) Clone() *Filter {
-	cp := &Filter{m: f.m, k: f.k, bits: make([]uint64, len(f.bits))}
-	copy(cp.bits, f.bits)
-	return cp
-}
 
 // Equal reports whether two filters have identical geometry and contents.
 func (f *Filter) Equal(o *Filter) bool {

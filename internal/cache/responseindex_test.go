@@ -37,18 +37,16 @@ func (r *recorder) FilenameEvicted(f keywords.Filename) { r.evicted = append(r.e
 func fn(kws ...keywords.ID) keywords.Filename { return keywords.NewFilename(kws...) }
 
 // TestTableIndexesAreIndependent: a Put into index i of a table caches in
-// i alone, and only i's listener hears it. Every index's map is made with
-// the table, not by its first Put, which would move one allocation per
-// peer from building a world into running it.
+// i alone, and only i's listener hears it. The indexes of a table carve
+// their first windows from one shared block: a first Put into each of 64
+// costs two allocations in all, where an index made lazily on its own
+// would cost at least one each.
 func TestTableIndexesAreIndependent(t *testing.T) {
 	const n = 4
 	f := fn(1, 2, 3)
 	for i := 0; i < n; i++ {
 		recs := make([]recorder, n)
 		xs := NewTable(n, DefaultConfig(), func(j int) Events { return &recs[j] })
-		if xs[i].entries == nil {
-			t.Fatalf("index %d of a new table has no map", i)
-		}
 		xs[i].Put(f, overlay.PeerID(i), 0, sim.Second)
 		for j := range xs {
 			want := 0
@@ -66,6 +64,17 @@ func TestTableIndexesAreIndependent(t *testing.T) {
 	}
 	if x := NewTable(1, DefaultConfig(), func(int) Events { return nil }); x[0].events != (nopEvents{}) {
 		t.Fatalf("a nil listener became %T, want nopEvents", x[0].events)
+	}
+	table := func() []Index { return NewTable(64, DefaultConfig(), func(int) Events { return nil }) }
+	built := testing.AllocsPerRun(10, func() { table() })
+	filled := testing.AllocsPerRun(10, func() {
+		xs := table()
+		for i := range xs {
+			xs[i].Put(f, overlay.PeerID(i), 0, sim.Second)
+		}
+	})
+	if filled-built > 2 {
+		t.Fatalf("a first Put into each of 64 indexes of a table made %v allocations, want at most 2", filled-built)
 	}
 }
 
@@ -334,5 +343,52 @@ func TestRandomizedMixedOps(t *testing.T) {
 		if x.Len() > 20 {
 			t.Fatal("capacity bound violated")
 		}
+	}
+}
+
+// evictionCounter counts evictions without allocating.
+type evictionCounter struct {
+	nopEvents
+	n int
+}
+
+func (c *evictionCounter) FilenameEvicted(keywords.Filename) { c.n++ }
+
+// TestWarmIndexAllocatesNothing: once an index has grown to its bound, a
+// refresh, an insert that evicts and a lookup into reused buffers allocate
+// nothing.
+func TestWarmIndexAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	evictions := &evictionCounter{}
+	x := New(cfg, evictions)
+	names := make([]keywords.Filename, cfg.MaxFilenames+10)
+	for i := range names {
+		names[i] = fn(keywords.ID(i%7), keywords.ID(100+i))
+	}
+	var now sim.Time
+	for _, f := range names {
+		now += sim.Second
+		x.Put(f, 1, 0, now)
+	}
+	f := names[len(names)-1]
+	if got := testing.AllocsPerRun(100, func() { now += sim.Second; x.Put(f, 1, 2, now) }); got != 0 {
+		t.Fatalf("a refresh made %v allocations", got)
+	}
+	k, evicted := 0, evictions.n
+	if got := testing.AllocsPerRun(100, func() {
+		now += sim.Second
+		x.Put(names[k%len(names)], overlay.PeerID(k%9), 0, now)
+		k++
+	}); got != 0 {
+		t.Fatalf("an insert that evicts made %v allocations", got)
+	}
+	if evictions.n-evicted != k {
+		t.Fatalf("%d inserts evicted %d filenames", k, evictions.n-evicted)
+	}
+	var ms []Match
+	var ps []Provider
+	q := keywords.NewQuery(3)
+	if got := testing.AllocsPerRun(100, func() { ms, ps = x.AppendMatches(ms[:0], ps[:0], q, now) }); got != 0 || len(ms) == 0 {
+		t.Fatalf("AppendMatches made %v allocations for %d matches", got, len(ms))
 	}
 }

@@ -443,9 +443,14 @@ func TestFloodingSuccessDominates(t *testing.T) {
 // benchmark's flood-2k 19 408 B/query against ≈ 13 650 without it. The
 // Locaware row read 5.02 allocs and 428 B per query until each node's
 // neighbour-filter table was made once at its degree and the announcement
-// delta shared one network scratch; it reads 3.90 and 393 since, and its
-// budgets are those + 10 %. The Flooding row moves 5.32–5.64 between
-// identical runs (sync.Pool empties at GC) and keeps its budgets.
+// delta shared one network scratch; it read 3.90 and 393 then. The response
+// index became a sorted slice carved from blocks, lookups came to fill the
+// network's scratch, and Bloom copies, neighbour-filter tables and query
+// positions came to be carved from blocks: the Locaware row went from 3.90
+// allocs and 393 B per query to 0.142 and 320, the Dicas-Keys row from 2.19
+// and 199 to 0.170 and 87. Their budgets are those + 10 %. The Flooding row
+// moves 5.32–5.64 between identical runs (sync.Pool empties at GC) and
+// keeps its budgets.
 func TestHotPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
@@ -456,7 +461,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 		budget, byteBudget float64
 	}{
 		{protocol.Flooding{}, 0, 25, 8, 21120},
-		{protocol.Locaware{}, 500, 2000, 4.3, 433},
+		{protocol.Locaware{}, 500, 2000, 0.156, 352},
+		{protocol.DicasKeys{}, 500, 2000, 0.187, 96},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
@@ -493,11 +499,12 @@ func TestHotPathAllocBudget(t *testing.T) {
 // built table by table — one allocation per table for the filters, the
 // response indexes, the storage and the adjacency, and none to locate a
 // peer — and the 200-peer world went from 2964 allocs and 476 168 B to 504
-// and 432 632. At 20 000 peers it went from 14.5 allocs per peer to 2.2
-// (what is left is each index's map, each peer's copy of its placed files
-// and the adjacencies that outgrow their windows) and reads 659 B per peer.
-// The budgets are the measured values + 10 %, bar the 20 000-peer count,
-// held at 3 per peer.
+// and 432 632. At 20 000 peers it went from 14.5 allocs per peer to 2.2,
+// and read 659 B per peer. Then the response indexes dropped their maps for
+// sorted slices carved on first use: 2.525 → 1.530 allocs per peer at 200
+// peers (2163 → 2155 B), 2.181 → 1.182 at 20 000 (659 → 643 B). What is
+// left is each peer's copy of its placed files and the adjacencies that
+// outgrow their windows. The budgets are the measured values + 10 %.
 func TestWorldBuildAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
@@ -506,8 +513,8 @@ func TestWorldBuildAllocBudget(t *testing.T) {
 		peers                    int
 		allocBudget, bytesBudget float64 // per peer
 	}{
-		{200, 2.772, 2380},
-		{20000, 3, 725},
+		{200, 1.683, 2371},
+		{20000, 1.3, 707},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1

@@ -10,6 +10,7 @@
 package keywords
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -115,7 +116,15 @@ func (f Filename) Hash() uint32 { return f.hash }
 
 // Compare orders filenames as strings.Compare orders their canonical names
 // (while every id is below MaxPool): keyword by keyword, a prefix first.
-func (f Filename) Compare(o Filename) int { return slices.Compare(f.ids[:f.n], o.ids[:o.n]) }
+// slices.Compare would move both operands to the heap where this inlines.
+func (f Filename) Compare(o Filename) int {
+	for i := range min(f.n, o.n) {
+		if c := cmp.Compare(f.ids[i], o.ids[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(f.n, o.n)
+}
 
 // AppendName appends the canonical name to b.
 func (f Filename) AppendName(b []byte) []byte { return f.appendName(b, '_') }

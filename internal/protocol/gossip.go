@@ -48,19 +48,22 @@ type bloomInstallEvent struct {
 func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 
 func (ev *bloomInstallEvent) Fire(*sim.Engine) {
-	ev.bf = ev.net.nodes[ev.dst].setNeighborBloom(ev.from, ev.bf, ev.net.Graph.Degree(ev.dst))
+	n := ev.net.nodes[ev.dst]
+	if n.neighborBF == nil {
+		n.neighborBF = carve(&ev.net.nbBlock, ev.net.Graph.Degree(ev.dst))
+	}
+	ev.bf = n.setNeighborBloom(ev.from, ev.bf)
 	ev.net.biPool.Put(ev)
 }
 
 // acquireBloomInstall returns an install event carrying a copy of from's
-// announcement to dst, cloning a filter only for an event that has none.
+// announcement to dst, carving a filter only for an event that has none.
 func (net *Network) acquireBloomInstall(dst overlay.PeerID, from *Node) *bloomInstallEvent {
 	ev := net.biPool.Get()
 	if ev.bf == nil {
-		ev.bf = from.announced.Clone()
-	} else {
-		_ = ev.bf.CopyFrom(from.announced) // cannot mismatch: one geometry per network
+		ev.bf = from.filters.carve()
 	}
+	_ = ev.bf.CopyFrom(from.announced) // cannot mismatch: one geometry per network
 	ev.net, ev.dst, ev.from = net, dst, from.ID
 	return ev
 }

@@ -62,8 +62,8 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	announced := make([]*bloom.Filter, cfg.NumPeers) // oracle's copy of each peer's last announcement
 	before := make([]*bloom.Filter, cfg.NumPeers)    // the network's, frozen just before the round
 	for i, n := range net.Nodes() {
-		announced[i] = lastAnnounced(net, n).Clone()
-		before[i] = lastAnnounced(net, n).Clone()
+		announced[i] = protocol.CloneFilter(net, lastAnnounced(net, n))
+		before[i] = protocol.CloneFilter(net, lastAnnounced(net, n))
 	}
 	var (
 		want               []announce

@@ -9,11 +9,16 @@ import (
 
 // acquirePending takes a pendingQuery from the pool for query id, keeping
 // the pooled value's buffers: the seen bits cleared, the positions emptied.
+// A fresh value under Bloom routing gets positions carved for MaxK keywords
+// of K each, as acquireMsg carves a path.
 func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords.Query) *pendingQuery {
 	pq := net.pqPool.Get()
 	seen := pq.seen
 	if seen == nil {
 		seen = make([]uint64, (len(net.nodes)+63)/64)
+		if bf := net.nodes[origin].bf; bf != nil {
+			pq.kwIdx = carve(&net.kwBlock, keywords.MaxK*bf.K())
+		}
 	} else {
 		clear(seen)
 	}
@@ -62,7 +67,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		net.emitFile(trace.StorageHit, pq, id, trace.RootSpan, origin, -1, f)
 		return id
 	}
-	if ms := n.lookupRI(q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
+	if ms := net.lookupRI(n, q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
 			net.counts.CacheHits++

@@ -215,18 +215,22 @@ type Network struct {
 	msgPool  sim.Pool[QueryMsg]
 	respPool sim.Pool[ResponseMsg]
 	biPool   sim.Pool[bloomInstallEvent]
-	// pathBlock is the unused rest of the block fresh messages' Path arrays
-	// are carved from (see acquireMsg).
+	// What is left of the blocks carve cuts windows from: fresh messages'
+	// paths, fresh queries' Bloom positions, nodes' neighbour-filter tables.
 	pathBlock []overlay.PeerID
+	kwBlock   []uint32
+	nbBlock   []neighborFilter
 
 	// Reusable scratch buffers for the per-event selection loops, each
 	// filled and fully consumed within one event delivery: the hop's
 	// candidates, the behaviour's target list, the fallback set, the live
-	// providers.
-	eligBuf []overlay.PeerID
-	fwdBuf  []overlay.PeerID
-	fbBuf   []overlay.PeerID
-	provBuf []cache.Provider
+	// providers, and a response-index lookup's matches and their providers.
+	eligBuf  []overlay.PeerID
+	fwdBuf   []overlay.PeerID
+	fbBuf    []overlay.PeerID
+	provBuf  []cache.Provider
+	matchBuf []cache.Match
+	riBuf    []cache.Provider
 	// flipBuf is the one announcement-delta buffer every node's PublishBloom
 	// fills in turn in a gossip round, which reads only each delta's size.
 	flipBuf []uint32

@@ -31,8 +31,10 @@ type Node struct {
 	bf    *bloom.Filter
 	dirty bool
 	// announced is what the node last announced, nil before its first
-	// announcement; install events carry their own copies of it.
+	// announcement; install events carry their own copies of it. Both are
+	// carved from filters, which the network's nodes share.
 	announced *bloom.Filter
+	filters   *filterBlock
 	// neighborBF holds this node's copies of its neighbours' announced
 	// filters (§4.2: "peer n stores its direct neighbors' Gid and BF"),
 	// updated by gossip messages after link latency — so routing decisions
@@ -40,8 +42,24 @@ type Node struct {
 	// would. One entry per peer that ever announced to this node, never
 	// pruned: a re-linked neighbour's old copy is what routing sees until
 	// its next announcement. Degrees are a handful, so the search is linear.
-	// The table is made on the first install, at the node's degree then.
+	// The table is carved on the first install, at the node's degree then.
 	neighborBF []neighborFilter
+}
+
+// filterBlock carves Bloom filters of one geometry from tables of 64, for
+// nodes' first announcements and the copies install events carry.
+type filterBlock struct {
+	m, k int
+	free []bloom.Filter
+}
+
+func (b *filterBlock) carve() *bloom.Filter {
+	if len(b.free) == 0 {
+		b.free = bloom.NewTable(64, b.m, b.k)
+	}
+	f := &b.free[0]
+	b.free = b.free[1:]
+	return f
 }
 
 // neighborFilter is one neighbour's filter as this node last received it.
@@ -82,8 +100,9 @@ func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK
 	nodes, ptrs := make([]Node, count), make([]*Node, count)
 	ris := cache.NewTable(count, cacheCfg, func(i int) cache.Events { return bloomSync{&nodes[i]} })
 	var bfs []bloom.Filter
+	var filters *filterBlock
 	if useBloom {
-		bfs = bloom.NewTable(count, bloomBits, bloomK)
+		bfs, filters = bloom.NewTable(count, bloomBits, bloomK), &filterBlock{m: bloomBits, k: bloomK}
 	}
 	files := make([]keywords.Filename, count*storageWindow)
 	for i := range nodes {
@@ -92,7 +111,7 @@ func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK
 		n.files = files[i*storageWindow : i*storageWindow : (i+1)*storageWindow]
 		n.RI = &ris[i]
 		if useBloom {
-			n.bf = &bfs[i]
+			n.bf, n.filters = &bfs[i], filters
 		}
 		ptrs[i] = n
 	}
@@ -115,18 +134,14 @@ func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
 // over, as this node's copy of neighbour nb's filter, and returns the copy
 // it replaces (nil on a new link) for the caller to reuse. A neighbour's
 // view only ever changes when a gossip message actually arrives, exactly
-// the stale-copy semantics of §4.2. degree sizes the table on the first
-// install.
-func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter, degree int) *bloom.Filter {
+// the stale-copy semantics of §4.2.
+func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) *bloom.Filter {
 	for i := range n.neighborBF {
 		if n.neighborBF[i].peer == nb {
 			old := n.neighborBF[i].bf
 			n.neighborBF[i].bf = f
 			return old
 		}
-	}
-	if n.neighborBF == nil {
-		n.neighborBF = make([]neighborFilter, 0, degree)
 	}
 	n.neighborBF = append(n.neighborBF, neighborFilter{nb, f})
 	return nil
@@ -173,7 +188,7 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 
 // PublishBloom does nothing unless RI changed since the last call. Then it
 // rebuilds the filter from RI's filenames, diffs it against announced
-// (empty before the first announcement, allocated on first use) and, if a
+// (empty before the first announcement, carved on first use) and, if a
 // bit flipped, copies it into announced. It returns the delta (footnote 1),
 // empty when there is nothing to send, with its positions accumulated into
 // buf (truncated, capacity reused; nil allocates): one scratch serves every
@@ -192,7 +207,7 @@ func (n *Node) PublishBloom(buf []uint32) bloom.Delta {
 		if view.PopCount() == 0 {
 			return bloom.Delta{}
 		}
-		n.announced = bloom.New(view.M(), view.K())
+		n.announced = n.filters.carve()
 	}
 	d, _ := bloom.DiffFiltersInto(n.announced, view, buf) // one geometry per node
 	if !d.Empty() {
@@ -215,17 +230,20 @@ func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
 	return dst
 }
 
-// lookupRI is RI.Lookup behind the node's own filter: bf holds every
+// lookupRI is n's RI.Lookup behind its own filter, into the network's
+// match and provider scratch, valid until the next lookup: bf holds every
 // keyword of every cached filename, so a query keyword absent from it means
 // no cached filename can match. A stale bf (a superset) lets more queries
-// through, but a Lookup that matches nothing has no side effect. kwIdx is
+// through, but a lookup that matches nothing has no side effect. kwIdx is
 // q's Bloom positions (pendingQuery.kwIdx). Without a filter (Flooding,
 // Dicas) it falls through.
-func (n *Node) lookupRI(q keywords.Query, kwIdx []uint32, now sim.Time) []cache.Match {
+func (net *Network) lookupRI(n *Node, q keywords.Query, kwIdx []uint32, now sim.Time) []cache.Match {
 	if n.bf != nil && !n.bf.TestIndexes(kwIdx) {
 		return nil
 	}
-	return n.RI.Lookup(q, now)
+	ms, ps := n.RI.AppendMatches(net.matchBuf[:0], net.riBuf[:0], q, now)
+	net.matchBuf, net.riBuf = ms, ps
+	return ms
 }
 
 // gidOfName maps a filename to its group id: hash(f) mod M (Eq. 1), with

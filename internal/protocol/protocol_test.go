@@ -1077,7 +1077,7 @@ func TestLateBloomInstallIsWhatWasSent(t *testing.T) {
 		}
 	}
 	publish("alpha")
-	sent := n.announced.Clone()
+	sent := CloneFilter(net, n.announced)
 	late := net.acquireBloomInstall(1, n)
 	publish("far")
 	publish("song")

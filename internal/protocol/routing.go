@@ -80,7 +80,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		return
 	}
 	// Response-index hit?
-	if ms := n.lookupRI(pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
+	if ms := net.lookupRI(n, pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
 		hit := net.emitFile(trace.CacheHit, pq, q.ID, q.span, p, from, m.File)
@@ -123,13 +123,21 @@ func (net *Network) acquireMsg() *QueryMsg {
 	m := net.msgPool.Get()
 	if m.Path == nil {
 		m.net = net
-		n := net.Config.TTL + 1
-		if len(net.pathBlock) < n {
-			net.pathBlock = make([]overlay.PeerID, 64*n)
-		}
-		m.Path, net.pathBlock = net.pathBlock[:0:n], net.pathBlock[n:]
+		m.Path = carve(&net.pathBlock, net.Config.TTL+1)
 	}
 	return m
+}
+
+// carve cuts an empty window of capacity n from the block's unused rest,
+// replacing a block that runs short with one of 64 windows; a window that
+// outgrows n reallocates alone.
+func carve[T any](block *[]T, n int) []T {
+	if len(*block) < n {
+		*block = make([]T, 64*n)
+	}
+	w := (*block)[:0:n]
+	*block = (*block)[n:]
+	return w
 }
 
 // gidOrFallback is the tail every selective protocol's preference chain
