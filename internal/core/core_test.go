@@ -502,9 +502,13 @@ func TestHotPathAllocBudget(t *testing.T) {
 // and 432 632. At 20 000 peers it went from 14.5 allocs per peer to 2.2,
 // and read 659 B per peer. Then the response indexes dropped their maps for
 // sorted slices carved on first use: 2.525 → 1.530 allocs per peer at 200
-// peers (2163 → 2155 B), 2.181 → 1.182 at 20 000 (659 → 643 B). What is
-// left is each peer's copy of its placed files and the adjacencies that
-// outgrow their windows. The budgets are the measured values + 10 %.
+// peers (2163 → 2155 B), 2.181 → 1.182 at 20 000 (659 → 643 B). Then the
+// placement handed out views instead of each peer's copy of its files and
+// the catalogue's name map became an open-addressed table of int32: 1.530 →
+// 0.490 allocs per peer at 200 peers (2155 → 1477 B), 1.182 → 0.181 at
+// 20 000 (643 → 613 B). What is left is mostly the adjacencies that outgrow
+// their windows and the growth of the target list. The budgets are the
+// measured values + 10 %.
 func TestWorldBuildAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
@@ -513,8 +517,8 @@ func TestWorldBuildAllocBudget(t *testing.T) {
 		peers                    int
 		allocBudget, bytesBudget float64 // per peer
 	}{
-		{200, 1.683, 2371},
-		{20000, 1.3, 707},
+		{200, 0.539, 1625},
+		{20000, 0.199, 674},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
@@ -531,5 +535,42 @@ func TestWorldBuildAllocBudget(t *testing.T) {
 			t.Fatalf("NewSimulation of a %d-peer Locaware world: %.3f allocs and %.0f B per peer, budgets %g and %g",
 				c.peers, allocs, bytes, c.allocBudget, c.bytesBudget)
 		}
+	}
+}
+
+// TestRunGridSharesTheWorld guards the one world per (config, trial): a
+// RunGrid of the four baselines × 1 trial at 1 000 peers, with no warm-up
+// and one measured query, allocates what one world and four networks cost,
+// not four worlds. It read 0.784 × the bytes of the four NewSimulation
+// builds, and 1.048 when RunGrid called NewSimulation per job; each run's
+// own nodes, response-index tables and graph copy keep the ratio above
+// 0.75 at this size. The budget is the measured ratio + 10 %.
+func TestRunGridSharesTheWorld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.NumPeers = 1000
+	bytes := func(f func()) float64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	builds := bytes(func() {
+		for _, b := range protocol.Baselines() {
+			NewSimulation(cfg, b)
+		}
+	})
+	grid := bytes(func() {
+		RunGrid([]Config{cfg}, protocol.Baselines(), 1, 0, 1, 1, func(int, int, []*RunResult) {})
+	})
+	t.Logf("RunGrid %.0f B, four builds %.0f B: ratio %.3f (budget 0.86)", grid, builds, grid/builds)
+	if grid > 0.86*builds {
+		t.Fatalf("RunGrid of the four baselines allocated %.0f B, %.3f × the %.0f B of four NewSimulation builds; budget 0.86",
+			grid, grid/builds, builds)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/netmodel"
@@ -31,18 +32,40 @@ type Simulation struct {
 	recorder *trace.FlightRecorder
 }
 
-// NewSimulation assembles a simulation for the behaviour. All randomness
-// derives from cfg.Seed via named streams, so two simulations with the same
-// config but different behaviours see the same physical world, overlay,
-// file placement and query sequence.
-func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
-	rng := sim.NewRNG(cfg.Seed)
+// World is one (config, trial)'s physical world, built once from the
+// topology, landmarks, overlay, catalog and placement streams; Simulation
+// cuts a run per behaviour from it, drawing the run's own gid, protocol,
+// workload, churn and scenario streams. A stream is a pure function of
+// (seed, name), so a cut run is the run NewSimulation builds.
+//
+// The points, locator, placement and targets are shared read-only. What a
+// run mutates is its own: every run gets a fresh Model over the points (the
+// degradation factors); the last run gets the graph (churn) and the
+// catalogue (injected files) themselves and earlier runs get copies, cut
+// under the world's mutex before the originals leave it. So a single run
+// copies nothing, and the last cut drops every reference the world holds.
+type World struct {
+	mu   sync.Mutex
+	runs int // still to be cut
+	w    world
+}
 
-	topoRng := rng.Stream("topology")
-	pts := netmodel.Place(cfg.NumPeers, cfg.Placement, topoRng)
-	model := netmodel.NewModel(pts, cfg.Placement.Side, cfg.Latency, cfg.Seed)
+type world struct {
+	cfg       Config
+	pts       []netmodel.Point
+	locator   *netmodel.Locator
+	graph     *overlay.Graph
+	catalog   *workload.Catalog
+	placement *workload.Placement
+	targets   []workload.FileID
+}
+
+// NewWorld builds cfg's physical world for runs runs.
+func NewWorld(cfg Config, runs int) *World {
+	rng := sim.NewRNG(cfg.Seed)
+	pts := netmodel.Place(cfg.NumPeers, cfg.Placement, rng.Stream("topology"))
 	lm := netmodel.NewLandmarks(cfg.Landmarks, cfg.Placement.Side, rng.Stream("landmarks"))
-	locator := netmodel.NewLocator(model, lm)
+	locator := netmodel.NewLocator(netmodel.NewModel(pts, cfg.Placement.Side, cfg.Latency, cfg.Seed), lm)
 
 	graph := overlay.BuildRandom(cfg.NumPeers,
 		overlay.BuildConfig{AvgDegree: cfg.AvgDegree, MaxDegree: cfg.MaxDegree},
@@ -51,18 +74,13 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	catalog := workload.NewCatalog(cfg.Catalog, rng.Stream("catalog"))
 	placement := workload.NewPlacement(cfg.NumPeers, cfg.FilesPerPeer, catalog, rng.Stream("placement"))
 
-	eng := sim.NewEngine()
-	net := protocol.NewNetwork(eng, graph, model, locator, b, cfg.Protocol,
-		rng.Stream("gid"), rng.Stream("protocol"))
-
-	// Seed initial shared storage. Queries target PF, the set of popularly
-	// shared files (§3.3): only files some peer actually provides are
-	// queryable. Catalogue ids are popularity ranks, so ascending id order
-	// keeps the Zipf head on popular files.
+	// Queries target PF, the set of popularly shared files (§3.3): only
+	// files some peer actually provides are queryable. Catalogue ids are
+	// popularity ranks, so ascending id order keeps the Zipf head on
+	// popular files.
 	provided := make([]bool, catalog.Size())
-	for p := 0; p < cfg.NumPeers; p++ {
+	for p := range cfg.NumPeers {
 		for _, fid := range placement.Files(p) {
-			net.Node(overlay.PeerID(p)).AddFile(catalog.File(fid))
 			provided[fid] = true
 		}
 	}
@@ -72,14 +90,51 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 			targets = append(targets, workload.FileID(fid))
 		}
 	}
+	return &World{runs: runs, w: world{cfg, pts, locator, graph, catalog, placement, targets}}
+}
+
+// NewSimulation assembles a simulation for the behaviour over a world of
+// its own, copying nothing. All randomness derives from cfg.Seed via named
+// streams, so two simulations with the same config but different behaviours
+// see the same physical world, overlay, file placement and query sequence.
+func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
+	return NewWorld(cfg, 1).Simulation(b)
+}
+
+// Simulation cuts the world's next run, for behaviour b. It is safe for
+// concurrent use and panics once every run has been cut.
+func (w *World) Simulation(b protocol.Behavior) *Simulation {
+	w.mu.Lock()
+	ws := w.w
+	switch w.runs--; {
+	case w.runs > 0:
+		ws.graph, ws.catalog = ws.graph.Clone(), ws.catalog.Clone()
+	case w.runs == 0:
+		w.w = world{}
+	default:
+		panic("core: every run of this world has been cut")
+	}
+	w.mu.Unlock()
+
+	cfg := ws.cfg
+	rng := sim.NewRNG(cfg.Seed)
+	model := netmodel.NewModel(ws.pts, cfg.Placement.Side, cfg.Latency, cfg.Seed)
+	eng := sim.NewEngine()
+	net := protocol.NewNetwork(eng, ws.graph, model, ws.locator, b, cfg.Protocol,
+		rng.Stream("gid"), rng.Stream("protocol"))
+	for p := range cfg.NumPeers {
+		for _, fid := range ws.placement.Files(p) {
+			net.Node(overlay.PeerID(p)).AddFile(ws.catalog.File(fid))
+		}
+	}
 
 	s := &Simulation{
 		Cfg:      cfg,
 		Engine:   eng,
-		Locator:  locator,
+		Locator:  ws.locator,
 		Network:  net,
 		Behavior: b,
-		gen:      workload.NewGeneratorOver(cfg.NumPeers, cfg.Gen, catalog, targets, rng.Stream("workload")),
+		gen:      workload.NewGeneratorOver(cfg.NumPeers, cfg.Gen, ws.catalog, ws.targets, rng.Stream("workload")),
 	}
 
 	// Dynamics run through the scenario engine. Under churn, departed
@@ -88,7 +143,7 @@ func NewSimulation(cfg Config, b protocol.Behavior) *Simulation {
 	// peer rewires to the degree targets the overlay was built with.
 	if cfg.Scenario != nil {
 		rt, err := scenario.Attach(cfg.Scenario, scenario.World{
-			Catalog: catalog,
+			Catalog: ws.catalog,
 			Gen:     s.gen,
 			Net:     net,
 			ChurnDefaults: overlay.ChurnConfig{

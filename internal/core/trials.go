@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -92,27 +94,42 @@ type TrialComparison struct {
 func TrialCount(n int) int { return max(n, 1) }
 
 // RunGrid is the one fan-out of paired runs: it maps job j to a (config,
-// behaviour, trial) triple across one worker pool (workers <= 0 means one
+// trial, behaviour) triple across one worker pool (workers <= 0 means one
 // per CPU). Trial t of cfgs[c] runs under sim.TrialSeed(cfgs[c].Seed, t);
 // everything else in the config is shared, so the trials sample seed space
-// at one parameter point and trial t of every behaviour sees one world.
-// Warmup queries run first and their records are discarded. sink receives
-// each (config, behaviour)'s runs in trial order, configs and behaviours
-// in index order, on the calling goroutine. Results are identical for
-// every worker count.
+// at one parameter point. A trial's behaviours are cut from one World,
+// built by the first of its jobs to start and released after its last: the
+// last run cut gets its graph and catalogue, the others copies. Warmup
+// queries run first and their records are discarded. sink receives each
+// (config, behaviour)'s runs in trial order, configs and behaviours in
+// index order, on the calling goroutine. Results are identical for every
+// worker count.
 func RunGrid(cfgs []Config, behaviors []protocol.Behavior, trials, warmup, measured, workers int, sink func(cfg, behavior int, runs []*RunResult)) {
 	trials = TrialCount(trials)
-	perCfg := len(behaviors) * trials
-	var runs []*RunResult
-	Stream(len(cfgs)*perCfg, workers, func(j int) *RunResult {
-		cfg := cfgs[j/perCfg]
-		cfg.Seed = sim.TrialSeed(cfg.Seed, j%trials)
-		return NewSimulation(cfg, behaviors[j%perCfg/trials]).RunMeasured(warmup, measured)
+	nb := len(behaviors)
+	worlds := make([]*World, len(cfgs)*trials) // by config*trials + trial
+	built := make([]sync.Once, len(worlds))
+	cell := make([][]*RunResult, nb) // the config's runs by behaviour
+	Stream(len(worlds)*nb, workers, func(j int) *RunResult {
+		k := j / nb
+		built[k].Do(func() {
+			cfg := cfgs[k/trials]
+			cfg.Seed = sim.TrialSeed(cfg.Seed, k%trials)
+			worlds[k] = NewWorld(cfg, nb)
+		})
+		return worlds[k].Simulation(behaviors[j%nb]).RunMeasured(warmup, measured)
 	}, func(j int, r *RunResult) {
-		runs = append(runs, r)
-		if len(runs) == trials {
-			sink(j/perCfg, j%perCfg/trials, runs)
-			runs = nil
+		k, b := j/nb, j%nb
+		if cell[b] = append(cell[b], r); b < nb-1 {
+			return
+		}
+		worlds[k] = nil
+		if k%trials < trials-1 {
+			return
+		}
+		for b, runs := range cell {
+			sink(k/trials, b, runs)
+			cell[b] = nil
 		}
 	})
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/protocol"
+	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
@@ -217,49 +220,58 @@ func TestParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestRunGrid locks the one fan-out: over 2 configs × 2 behaviours × 3
-// trials, sink sees each (config, behaviour) once, in index order, with its
-// runs in trial order; every run is the direct run at its trial seed, and
-// the worker count changes nothing.
+// TestRunGrid locks the one fan-out: over three scenario configs × the
+// four baselines × 2 trials, in both behaviour orders, sink sees each
+// (config, behaviour) once, in index order, with its runs in trial order,
+// and every run equals the direct run at its trial seed for workers 1, 2
+// and 8. The scenarios mutate what a world hands each run as its own: the
+// graph (steady-churn), the catalogue (content-shift's injected files) and
+// the model's factors (regional-outage). Reversing the behaviours hands the
+// world's originals to a different run.
 func TestRunGrid(t *testing.T) {
-	a, b := smallConfig(31), smallConfig(32)
-	a.NumPeers, b.NumPeers = 60, 80
-	cfgs := []Config{a, b}
-	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}
-	const trials = 3
-	grid := func(workers int) [][]*RunResult {
-		var got [][]*RunResult
-		RunGrid(cfgs, behaviors, trials, 5, 20, workers, func(c, bi int, runs []*RunResult) {
-			if want := len(got); c*len(behaviors)+bi != want {
-				t.Fatalf("workers %d: sink got (config %d, behaviour %d) at position %d", workers, c, bi, want)
-			}
-			if len(runs) != trials {
-				t.Fatalf("workers %d: (config %d, behaviour %d) has %d runs, want %d", workers, c, bi, len(runs), trials)
-			}
-			got = append(got, runs)
-		})
-		if len(got) != len(cfgs)*len(behaviors) {
-			t.Fatalf("workers %d: sink called %d times, want %d", workers, len(got), len(cfgs)*len(behaviors))
-		}
-		return got
+	var cfgs []Config
+	for i, scen := range []string{"steady-churn", "content-shift", "regional-outage"} {
+		cfg := smallConfig(int64(31 + i))
+		cfg.NumPeers = 60 + 10*i
+		cfg.Gen.RatePerPeer = 0.002 // 25 queries span several 60 s churn ticks
+		cfg.Scenario, _ = scenario.Lookup(scen)
+		cfgs = append(cfgs, cfg)
 	}
-	one := grid(1)
-	for k, runs := range one {
-		cfg, b := cfgs[k/len(behaviors)], behaviors[k%len(behaviors)]
-		for tr, run := range runs {
-			direct := cfg
-			direct.Seed = sim.TrialSeed(cfg.Seed, tr)
-			if !reflect.DeepEqual(run, NewSimulation(direct, b).RunMeasured(5, 20)) {
-				t.Fatalf("config %d %s trial %d is not the run at its trial seed", k/len(behaviors), b.Name(), tr)
-			}
+	const trials, warmup, measured = 2, 5, 20
+	direct := map[string]*RunResult{}
+	want := func(c int, b protocol.Behavior, tr int) *RunResult {
+		key := fmt.Sprint(c, b.Name(), tr)
+		if direct[key] == nil {
+			cfg := cfgs[c]
+			cfg.Seed = sim.TrialSeed(cfg.Seed, tr)
+			direct[key] = NewSimulation(cfg, b).RunMeasured(warmup, measured)
 		}
+		return direct[key]
 	}
-	for _, workers := range []int{2, 8} {
-		for k, runs := range grid(workers) {
-			for tr, run := range runs {
-				if run.Events != one[k][tr].Events || run.Collector.RunWindow() != one[k][tr].Collector.RunWindow() {
-					t.Fatalf("workers %d: job (%d, trial %d) differs from workers 1", workers, k, tr)
+	forward := protocol.Baselines()
+	reversed := slices.Clone(forward)
+	slices.Reverse(reversed)
+	for _, behaviors := range [][]protocol.Behavior{forward, reversed} {
+		for _, workers := range []int{1, 2, 8} {
+			sunk := 0
+			RunGrid(cfgs, behaviors, trials, warmup, measured, workers, func(c, bi int, runs []*RunResult) {
+				b := behaviors[bi]
+				if c*len(behaviors)+bi != sunk {
+					t.Fatalf("workers %d: sink got (config %d, %s) at position %d", workers, c, b.Name(), sunk)
 				}
+				sunk++
+				if len(runs) != trials {
+					t.Fatalf("workers %d: (config %d, %s) has %d runs, want %d", workers, c, b.Name(), len(runs), trials)
+				}
+				for tr, run := range runs {
+					if !reflect.DeepEqual(run, want(c, b, tr)) {
+						t.Fatalf("workers %d, %s first: config %d %s trial %d is not the run at its trial seed",
+							workers, behaviors[0].Name(), c, b.Name(), tr)
+					}
+				}
+			})
+			if sunk != len(cfgs)*len(behaviors) {
+				t.Fatalf("workers %d: sink called %d times, want %d", workers, sunk, len(cfgs)*len(behaviors))
 			}
 		}
 	}

@@ -167,18 +167,41 @@ func (g *Graph) Join(p PeerID) error {
 
 // RandomOnlinePeer returns a uniformly random online peer, excluding those
 // in the excluded set. It returns -1 if none is available.
+// It counts the eligible peers and walks to the drawn one: no allocation.
 func (g *Graph) RandomOnlinePeer(r *rand.Rand, excluded map[PeerID]bool) PeerID {
-	candidates := make([]PeerID, 0, g.n)
-	for i := 0; i < g.n; i++ {
-		p := PeerID(i)
-		if g.online[i] && !excluded[p] {
-			candidates = append(candidates, p)
+	count := 0
+	for p := range PeerID(g.n) {
+		if g.online[p] && !excluded[p] {
+			count++
 		}
 	}
-	if len(candidates) == 0 {
+	if count == 0 {
 		return -1
 	}
-	return candidates[r.Intn(len(candidates))]
+	for p, k := PeerID(0), r.Intn(count); ; p++ {
+		if g.online[p] && !excluded[p] {
+			if k == 0 {
+				return p
+			}
+			k--
+		}
+	}
+}
+
+// Clone returns an independent copy of g. Every adjacency keeps its
+// capacity as a window of one block, so the copy grows as g would.
+func (g *Graph) Clone() *Graph {
+	slots := 0
+	for _, nb := range g.nbrs {
+		slots += cap(nb)
+	}
+	block := make([]PeerID, slots)
+	c := &Graph{n: g.n, nbrs: make([][]PeerID, g.n), online: slices.Clone(g.online), edges: g.edges}
+	for i, nb := range g.nbrs {
+		c.nbrs[i] = append(block[:0:cap(nb)], nb...)
+		block = block[cap(nb):]
+	}
+	return c
 }
 
 // String summarises the graph for traces.

@@ -174,3 +174,94 @@ func TestGraphMatchesSetOracle(t *testing.T) {
 		}
 	}
 }
+
+// randomOnlinePeerByList is the candidate-list algorithm RandomOnlinePeer
+// replaced: collect every eligible peer, then draw one index among them.
+func randomOnlinePeerByList(g *Graph, r *rand.Rand, excluded map[PeerID]bool) PeerID {
+	var candidates []PeerID
+	for i := 0; i < g.N(); i++ {
+		if p := PeerID(i); g.Online(p) && !excluded[p] {
+			candidates = append(candidates, p)
+		}
+	}
+	if len(candidates) == 0 {
+		return -1
+	}
+	return candidates[r.Intn(len(candidates))]
+}
+
+// TestRandomOnlinePeerMatchesListOracle holds the counting walk to the
+// candidate list over random graphs with offline peers and excluded sets,
+// every peer excluded included: the same peer and the same draws from r,
+// and no allocation.
+func TestRandomOnlinePeerMatchesListOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		setup := rand.New(rand.NewSource(seed))
+		n := 1 + setup.Intn(60)
+		g := BuildRandom(n, BuildConfig{AvgDegree: 3, MaxDegree: 8}, setup)
+		for i := 0; i < n; i++ {
+			if setup.Float64() < 0.3 {
+				g.Leave(PeerID(i))
+			}
+		}
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 50; draw++ {
+			excluded := map[PeerID]bool{}
+			switch draw % 5 {
+			case 0: // none
+			case 1: // every peer
+				for i := 0; i < n; i++ {
+					excluded[PeerID(i)] = true
+				}
+			default:
+				for i := 0; i < n; i++ {
+					if setup.Float64() < 0.2*float64(draw%5) {
+						excluded[PeerID(i)] = true
+					}
+				}
+			}
+			got, want := g.RandomOnlinePeer(a, excluded), randomOnlinePeerByList(g, b, excluded)
+			if got != want || a.Int63() != b.Int63() {
+				t.Fatalf("seed %d draw %d: RandomOnlinePeer = %d, the list oracle %d (or their draws parted)", seed, draw, got, want)
+			}
+		}
+	}
+	g := BuildRandom(200, BuildConfig{AvgDegree: 3, MaxDegree: 8}, rand.New(rand.NewSource(1)))
+	r, excluded := rand.New(rand.NewSource(2)), map[PeerID]bool{3: true}
+	if allocs := testing.AllocsPerRun(100, func() { g.RandomOnlinePeer(r, excluded) }); allocs != 0 {
+		t.Fatalf("RandomOnlinePeer allocates %.0f times per call", allocs)
+	}
+}
+
+// TestCloneIsIndependent holds Graph.Clone: the copy answers as the
+// original did, and churn on either side is invisible to the other.
+func TestCloneIsIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g := BuildRandom(50, BuildConfig{AvgDegree: 3, MaxDegree: 8}, r)
+	snapshot := func(g *Graph) (adj [][]PeerID, online []bool, edges int) {
+		for i := 0; i < g.N(); i++ {
+			adj = append(adj, slices.Clone(g.Neighbors(PeerID(i))))
+			online = append(online, g.Online(PeerID(i)))
+		}
+		return adj, online, g.Edges()
+	}
+	adj0, on0, e0 := snapshot(g)
+	c := g.Clone()
+	churn := ChurnConfig{LeaveProb: 0.3, JoinProb: 0.5, AvgDegree: 4, MaxDegree: 8, MinOnlineFraction: 0.2}
+	for range 20 {
+		ChurnStep(c, churn, r)
+	}
+	if adj, on, e := snapshot(g); !slices.EqualFunc(adj, adj0, slices.Equal) || !slices.Equal(on, on0) || e != e0 {
+		t.Fatal("churn on the copy reached the original")
+	}
+	c = g.Clone()
+	if adj, on, e := snapshot(c); !slices.EqualFunc(adj, adj0, slices.Equal) || !slices.Equal(on, on0) || e != e0 {
+		t.Fatal("a fresh copy differs from its original")
+	}
+	for range 20 {
+		ChurnStep(g, churn, r)
+	}
+	if adj, on, e := snapshot(c); !slices.EqualFunc(adj, adj0, slices.Equal) || !slices.Equal(on, on0) || e != e0 {
+		t.Fatal("churn on the original reached the copy")
+	}
+}

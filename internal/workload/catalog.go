@@ -10,7 +10,9 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"github.com/p2prepro/locaware/internal/keywords"
 )
@@ -20,12 +22,14 @@ import (
 type FileID int
 
 // Catalog is the universe of shared files. It is not safe for concurrent
-// use.
+// use, but a catalogue and its copies (Clone) may be used concurrently.
 type Catalog struct {
 	pool  keywords.Pool
 	files []keywords.Filename
-	// byName maps filenames back to ids, so Add refuses a duplicate.
-	byName map[keywords.Filename]FileID
+	// byName indexes filenames back to ids, so Add refuses a duplicate: an
+	// open-addressed table of id+1 (0 is empty), probed linearly from the
+	// filename's stored hash and kept at most half full.
+	byName []int32
 	// byKeyword is the inverted index MatchingFiles keeps, keyword id ->
 	// ascending ids of the files whose names contain it, over the first
 	// indexed files (none until its first call; no simulation makes one).
@@ -88,9 +92,9 @@ func NewCatalog(cfg CatalogConfig, r *rand.Rand) *Catalog {
 	c := &Catalog{
 		pool:      *keywords.NewPool(cfg.KeywordPool),
 		files:     make([]keywords.Filename, 0, cfg.NumFiles),
-		byName:    make(map[keywords.Filename]FileID, cfg.NumFiles),
 		kwPerFile: cfg.KeywordsPerFile,
 	}
+	c.reindex(cfg.NumFiles)
 	for len(c.files) < cfg.NumFiles {
 		c.Add(c.pool.RandomFilename(cfg.KeywordsPerFile, r))
 	}
@@ -107,13 +111,43 @@ func (c *Catalog) File(id FileID) keywords.Filename { return c.files[id] }
 // catalogue and returns its id. A duplicate filename returns the existing
 // id with ok false. Content dynamics use it to inject files mid-run.
 func (c *Catalog) Add(f keywords.Filename) (FileID, bool) {
-	if id, dup := c.byName[f]; dup {
-		return id, false
+	if 2*(len(c.files)+1) > len(c.byName) {
+		c.reindex(len(c.files) + 1)
 	}
-	id := FileID(len(c.files))
-	c.byName[f] = id
+	i := c.slot(f)
+	if id := c.byName[i]; id != 0 {
+		return FileID(id - 1), false
+	}
+	c.byName[i] = int32(len(c.files) + 1)
 	c.files = append(c.files, f)
-	return id, true
+	return FileID(len(c.files) - 1), true
+}
+
+// slot returns the index of f's slot in byName: the one holding f, or the
+// empty one where f goes.
+func (c *Catalog) slot(f keywords.Filename) int {
+	mask := len(c.byName) - 1
+	for i := int(f.Hash()) & mask; ; i = (i + 1) & mask {
+		if id := c.byName[i]; id == 0 || c.files[id-1] == f {
+			return i
+		}
+	}
+}
+
+// reindex rebuilds byName over the files with room for n: a power of two
+// above 2n slots.
+func (c *Catalog) reindex(n int) {
+	c.byName = make([]int32, 1<<bits.Len(uint(2*n)))
+	for id, f := range c.files {
+		c.byName[c.slot(f)] = int32(id + 1)
+	}
+}
+
+// Clone returns an independent copy in O(1). Files are only appended, so
+// the copy shares them, clipped so that neither side's appends reach the
+// other; it builds its own indexes on its first Add and MatchingFiles.
+func (c *Catalog) Clone() *Catalog {
+	return &Catalog{pool: c.pool, files: slices.Clip(c.files), kwPerFile: c.kwPerFile}
 }
 
 // NewFiles draws n fresh unique filenames from the keyword pool with r and

@@ -30,9 +30,11 @@ func NewPlacement(n, per int, cat *Catalog, r *rand.Rand) *Placement {
 	return p
 }
 
-// Files returns a copy of the initial file set of peer p.
+// Files returns the initial file set of peer p as a view, not a copy: the
+// caller must not write it, and an append to it reallocates (the view is
+// capped at p's last file), so it never reaches peer p+1's files.
 func (pl *Placement) Files(p int) []FileID {
-	return slices.Clone(pl.shared[p*pl.per : (p+1)*pl.per])
+	return pl.shared[p*pl.per : (p+1)*pl.per : (p+1)*pl.per]
 }
 
 // Providers returns, for each file, the peers that initially share it.

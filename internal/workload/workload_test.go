@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,13 +225,21 @@ func TestPlacementProvidersConsistent(t *testing.T) {
 	}
 }
 
-func TestPlacementFilesReturnsCopy(t *testing.T) {
+// TestPlacementFilesAreCappedViews pins Files' contract: it hands out a
+// view of the placement, not a copy, capped at the peer's last file, so an
+// append to peer p's view reallocates and leaves peer p+1's files as they
+// were.
+func TestPlacementFilesAreCappedViews(t *testing.T) {
 	c, r := paperCatalog(11)
 	pl := NewPlacement(5, 3, c, r)
-	fs := pl.Files(0)
-	fs[0] = -99
-	if pl.Files(0)[0] == -99 {
-		t.Fatal("Files exposed internal storage")
+	for p := 0; p < 4; p++ {
+		next := slices.Clone(pl.Files(p + 1))
+		if grown := append(pl.Files(p), -99); len(grown) != 4 || !slices.Equal(pl.Files(p+1), next) {
+			t.Fatalf("an append to peer %d's files changed peer %d's: %v, was %v", p, p+1, pl.Files(p+1), next)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pl.Files(2) }); allocs != 0 {
+		t.Fatalf("Files allocates %.0f times per call; it is a view", allocs)
 	}
 }
 
@@ -495,5 +504,152 @@ func TestGeneratorDynamics(t *testing.T) {
 	}
 	if !seen {
 		t.Fatalf("injected target %d never drawn", ids[0])
+	}
+}
+
+// mapCatalog is the oracle for Catalog's name index: the files with a
+// map from filename to id, the index Catalog kept before its
+// open-addressed table. clone deep-copies it.
+type mapCatalog struct {
+	pool, k int
+	files   []keywords.Filename
+	ids     map[keywords.Filename]FileID
+}
+
+func newMapCatalog(cfg CatalogConfig, r *rand.Rand) *mapCatalog {
+	o := &mapCatalog{pool: cfg.KeywordPool, k: cfg.KeywordsPerFile, ids: map[keywords.Filename]FileID{}}
+	for len(o.files) < cfg.NumFiles {
+		o.add(keywords.NewPool(o.pool).RandomFilename(o.k, r))
+	}
+	return o
+}
+
+func (o *mapCatalog) add(f keywords.Filename) (FileID, bool) {
+	if id, dup := o.ids[f]; dup {
+		return id, false
+	}
+	o.ids[f] = FileID(len(o.files))
+	o.files = append(o.files, f)
+	return FileID(len(o.files) - 1), true
+}
+
+func (o *mapCatalog) newFiles(n int, r *rand.Rand) []FileID {
+	var ids []FileID
+	for room := nameSpace(o.pool, o.k) - len(o.files); len(ids) < min(n, room); {
+		if id, ok := o.add(keywords.NewPool(o.pool).RandomFilename(o.k, r)); ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+func (o *mapCatalog) clone() *mapCatalog {
+	c := *o
+	c.files = slices.Clone(o.files)
+	c.ids = make(map[keywords.Filename]FileID, len(o.ids))
+	for f, id := range o.ids {
+		c.ids[f] = id
+	}
+	return &c
+}
+
+// TestCatalogMatchesMapOracle drives catalogues and their copies through
+// random Adds (fresh and repeated names), NewFiles, Clones and
+// MatchingFiles beside the map oracle. After every step every catalogue
+// must equal its own oracle, so an Add on either side of a Clone is
+// invisible to the other. The 4-keyword pools hold only 4 and 6 names:
+// duplicates dominate and NewFiles exhausts the name space.
+func TestCatalogMatchesMapOracle(t *testing.T) {
+	type pair struct {
+		c *Catalog
+		o *mapCatalog
+	}
+	for _, tc := range []struct {
+		cfg   CatalogConfig
+		steps int
+	}{
+		{CatalogConfig{NumFiles: 1, KeywordPool: 4, KeywordsPerFile: 3}, 200},
+		{CatalogConfig{NumFiles: 2, KeywordPool: 4, KeywordsPerFile: 2}, 200},
+		{CatalogConfig{NumFiles: 50, KeywordPool: 30, KeywordsPerFile: 3}, 400},
+		{DefaultCatalog(), 100},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			ops := rand.New(rand.NewSource(-seed))
+			pairs := []pair{{
+				NewCatalog(tc.cfg, rand.New(rand.NewSource(seed))),
+				newMapCatalog(tc.cfg, rand.New(rand.NewSource(seed))),
+			}}
+			for step := 0; step < tc.steps; step++ {
+				p := pairs[ops.Intn(len(pairs))]
+				what := fmt.Sprintf("%+v seed %d step %d", tc.cfg, seed, step)
+				switch op := ops.Intn(6); op {
+				case 0, 1: // a random name, or one already there
+					f := p.c.Pool().RandomFilename(tc.cfg.KeywordsPerFile, ops)
+					if op == 1 {
+						f = p.o.files[ops.Intn(len(p.o.files))]
+					}
+					id, ok := p.c.Add(f)
+					if oid, ook := p.o.add(f); id != oid || ok != ook {
+						t.Fatalf("%s: Add(%s) = (%d, %v), the oracle (%d, %v)", what, f, id, ok, oid, ook)
+					}
+				case 2:
+					n, src := ops.Intn(8), ops.Int63()
+					ids := p.c.NewFiles(n, rand.New(rand.NewSource(src)))
+					if oids := p.o.newFiles(n, rand.New(rand.NewSource(src))); !slices.Equal(ids, oids) {
+						t.Fatalf("%s: NewFiles(%d) = %v, the oracle %v", what, n, ids, oids)
+					}
+				case 3, 4:
+					if len(pairs) < 6 {
+						pairs = append(pairs, pair{p.c.Clone(), p.o.clone()})
+					}
+				case 5:
+					q := keywords.ExtractQuery(p.o.files[ops.Intn(len(p.o.files))], ops)
+					var want []FileID
+					for id, f := range p.o.files {
+						if f.Matches(q) {
+							want = append(want, FileID(id))
+						}
+					}
+					if got := p.c.MatchingFiles(q); !slices.Equal(got, want) {
+						t.Fatalf("%s: MatchingFiles(%v) = %v, the oracle %v", what, q, got, want)
+					}
+				}
+				for k, p := range pairs {
+					if p.c.Size() != len(p.o.files) {
+						t.Fatalf("%s: catalogue %d holds %d files, its oracle %d", what, k, p.c.Size(), len(p.o.files))
+					}
+					for id, f := range p.o.files {
+						if p.c.File(FileID(id)) != f {
+							t.Fatalf("%s: catalogue %d file %d is %s, its oracle's %s", what, k, id, p.c.File(FileID(id)), f)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCatalogTellsCollidingNamesApart: two distinct filenames with one
+// stored hash probe the same slots, so Add must compare names, not hashes.
+func TestCatalogTellsCollidingNamesApart(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pool := keywords.NewPool(keywords.MaxPool)
+	seen := map[uint32]keywords.Filename{}
+	var a, b keywords.Filename
+	for a == b {
+		f := pool.RandomFilename(3, r)
+		if g, ok := seen[f.Hash()]; ok && g != f {
+			a, b = g, f
+		}
+		seen[f.Hash()] = f
+	}
+	c := NewCatalog(CatalogConfig{NumFiles: 1, KeywordPool: keywords.MaxPool, KeywordsPerFile: 3}, r)
+	ida, oka := c.Add(a)
+	idb, okb := c.Add(b)
+	if !oka || !okb || ida == idb {
+		t.Fatalf("%s and %s share hash %#x: Add gave (%d, %v) and (%d, %v), want two fresh ids", a, b, a.Hash(), ida, oka, idb, okb)
+	}
+	if id, ok := c.Add(b); ok || id != idb {
+		t.Fatalf("re-adding %s gave (%d, %v), want (%d, false)", b, id, ok, idb)
 	}
 }
