@@ -141,9 +141,11 @@ grep -q 'queries submitted' "$tmp/stats-smoke.log"
 # parse with at least one peer track and one span; a keep-all Flooding run
 # overflows a 100-event per-query cap (a flooding query emits hundreds) and
 # must say so; a churn-waves run prints its four phase entries inline; and
-# trace takes every world flag, a TTL and a cache size among them.
-# Recorder inertness against an untraced twin, the keep-all oracle and the
-# per-cell exemplars run in the test suite.
+# trace takes every world flag, a TTL and a cache size among them. The
+# records table prints one row per measured query. A negative recorder
+# bound is refused (exit 1) naming the policy field, not read as another
+# mode. Recorder inertness against an untraced twin, the keep-all oracle and
+# the per-cell exemplars run in the test suite.
 step tracing
 "$cli" trace -peers 120 -warmup 40 -queries 200 -slowest 3 -keep-failed -trace-out "$tmp/perfetto.json" | tee "$tmp/trace-smoke.log"
 grep -q 'submit@' "$tmp/trace-smoke.log"
@@ -161,6 +163,22 @@ grep -q 'events dropped; raise -max-events' "$tmp/trace-cut.log"
 test "$(grep -c -- '------ phase .*scenario=churn-waves' "$tmp/trace-phases.log")" -eq 4
 "$cli" trace -ttl 3 -cache-filenames 20 -queries 5 > "$tmp/trace-world.log"
 grep -q '^5 of 5 retained traces shown' "$tmp/trace-world.log"
+"$cli" trace -records -queries 20 > "$tmp/trace-records.log"
+grep -q '^query  success  msgs' "$tmp/trace-records.log"
+test "$(grep -cE '^[0-9]+ +(true|false) ' "$tmp/trace-records.log")" -eq 20
+exits1() { # the text stderr must contain, then the arguments
+	if "$cli" "${@:2}" > /dev/null 2> "$tmp/cli.err"; then
+		echo "accepted: ${*:2}" >&2
+		exit 1
+	else
+		test $? -eq 1
+	fi
+	grep -qF -- "$1" "$tmp/cli.err"
+}
+exits1 'TracePolicy.SlowestN -3 must be non-negative' trace -slowest -3
+exits1 'TracePolicy.MaxEventsPerQuery -5 must be non-negative' trace -max-events -5
+exits1 'TracePolicy.MinHops -2 must be non-negative' trace -min-hops -2 -keep-failed
+exits1 'TracePolicy.SlowestN -1 must be non-negative' fig 2 -flight-recorder -1 -peers 100 -warmup 0 -queries 10
 
 # Campaign resume: the 2x2x2 golden grid run in-process, then checkpointed;
 # one checkpoint file is deleted and another truncated, and the re-run must

@@ -169,7 +169,7 @@ func (c *config) startHarness() {
 		c.observer = locaware.NewObserver()
 		c.opts.Observer = c.observer
 	}
-	if c.flightRec > 0 {
+	if c.flightRec != 0 {
 		c.opts.FlightRecorder = &locaware.FlightRecorder{SlowestN: c.flightRec, KeepFailed: true}
 	}
 	if c.obsAddr != "" {
@@ -323,7 +323,7 @@ func (c *config) printTrialZeroTraces(cmp *locaware.Comparison) {
 		fmt.Printf("\n== Flight recorder: %s (trial 0) — %d trace(s) retained\n", set.Protocol, len(r.Traces))
 		for _, t := range r.Traces {
 			fmt.Printf("kept=%-16s q=%-6d latency=%8.3fs hops=%-3d %s\n",
-				t.Why, t.Query, t.LatencySeconds, t.Hops, status[t.Failed])
+				t.Why, t.Query, t.Latency.Seconds(), t.Hops, status[t.Failed])
 		}
 		fmt.Printf("slowest query (q=%d):\n%s", r.Traces[0].Query, r.Traces[0].Render())
 	}
@@ -462,7 +462,7 @@ func writeSweepExports(res *locaware.SweepResult, figures []string, dir string) 
 
 func runTrace(c *config) {
 	pol := locaware.FlightRecorder{SlowestN: c.slowest, KeepFailed: c.keepFailed, MinHops: c.minHops, MaxEventsPerQuery: c.maxEvents}
-	trees := pol.SlowestN > 0 || pol.KeepFailed || pol.MinHops > 0
+	trees := pol.SlowestN != 0 || pol.KeepFailed || pol.MinHops != 0
 	if !trees {
 		pol.SlowestN = c.warmup + c.queries
 	}
@@ -481,7 +481,7 @@ func runTrace(c *config) {
 	for _, t := range res.Traces {
 		if c.query == 0 || t.Query == c.query {
 			shown = append(shown, t)
-			dropped += t.DroppedEvents
+			dropped += t.Dropped
 		}
 	}
 	if trees {
@@ -505,7 +505,7 @@ func runTrace(c *config) {
 				continue
 			}
 			fmt.Printf("%-6d %-8v %-8d %10.1f %8v %8v %6d\n",
-				qid, r.Success, r.Messages, r.DownloadRTTMs, r.SameLocality, r.FromCache, r.Hops)
+				qid, r.Success, r.Messages, r.DownloadRTT, r.SameLocality, r.FromCache, r.Hops)
 		}
 	}
 	if c.traceOut != "" {
@@ -534,7 +534,7 @@ func printTimeline(traces []*locaware.Trace, phases []locaware.TraceEvent) {
 	for _, t := range byQuery {
 		events = append(events, t.Events...)
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].AtSeconds < events[j].AtSeconds })
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	for _, e := range events {
 		fmt.Println(e)
 	}

@@ -185,12 +185,8 @@ func (x *Index) insert(f keywords.Filename) int {
 	}
 	if t := x.t; x.ents == nil { // a first Put: carve a window for two filenames
 		w := min(2, t.cfg.MaxFilenames)
-		s := w * t.cfg.MaxProvidersPerFile
-		if len(t.ents) < w {
-			t.ents, t.provs = make([]entry, 64*w), make([]Provider, 64*s)
-		}
-		x.ents, t.ents = t.ents[:0:w], t.ents[w:]
-		x.provs, t.provs = t.provs[:0:s], t.provs[s:]
+		x.ents = sim.Carve(&t.ents, w)
+		x.provs = sim.Carve(&t.provs, w*t.cfg.MaxProvidersPerFile)
 	}
 	i, _ := x.find(f)
 	s, n := x.t.cfg.MaxProvidersPerFile, len(x.provs)

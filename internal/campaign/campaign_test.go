@@ -370,26 +370,37 @@ func TestRunSurvivesCheckpointWriteFailure(t *testing.T) {
 }
 
 // TestStoreRejectsWrongVersion covers the format-version gate separately
-// since Run-level tests can't produce a future version.
+// since Run-level tests can't produce another version: a future one, and
+// the committed golden of every earlier one (a checkpoint an older build
+// left behind), must be skipped with a warning naming the version.
 func TestStoreRejectsWrongVersion(t *testing.T) {
 	plan := tinyPlan(t)
-	store, err := OpenStore(t.TempDir(), plan.Hash())
-	if err != nil {
-		t.Fatal(err)
+	docs := map[int][]byte{99: []byte(`{"version":99,"spec_hash":"` + plan.Hash() + `","cell":{"index":0}}`)}
+	for v := 2; v < checkpointVersion; v++ {
+		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("cell_v%d.json", v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[v] = data
 	}
-	doc := `{"version":99,"spec_hash":"` + plan.Hash() + `","cell":{"index":0}}`
-	if err := os.WriteFile(store.Path(0), []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cells, warnings, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 {
-		t.Fatal("future-version checkpoint must not load")
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "format version 99") {
-		t.Fatalf("want a version warning, got %v", warnings)
+	for v, doc := range docs {
+		store, err := OpenStore(t.TempDir(), plan.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(store.Path(0), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cells, warnings, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != 0 {
+			t.Fatalf("version %d checkpoint must not load", v)
+		}
+		if len(warnings) != 1 || !strings.Contains(warnings[0], fmt.Sprintf("format version %d", v)) {
+			t.Fatalf("version %d: want a version warning, got %v", v, warnings)
+		}
 	}
 }
 
@@ -406,8 +417,8 @@ func TestCheckpointShapeGolden(t *testing.T) {
 	}
 	window := func(name string, start, end int) metrics.PhaseStats {
 		return metrics.PhaseStats{
-			Name: name, Start: start, End: end, Queries: sum(float64(end - start)),
-			DownloadRTT: sum(120.5), MessagesPerQuery: sum(30), SuccessRate: sum(0.5),
+			Phase: name, Start: start, End: end, Queries: sum(float64(end - start)),
+			AvgDownloadRTTMs: sum(120.5), AvgMessagesPerQuery: sum(30), SuccessRate: sum(0.5),
 			SameLocalityRate: sum(0.25), CacheHitRate: sum(0.125), AvgHops: sum(3),
 		}
 	}

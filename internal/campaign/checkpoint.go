@@ -15,8 +15,10 @@ import (
 // leniently, so any change to the JSON shape of sweep.CellResult must bump
 // it (TestCheckpointShapeGolden holds the two together). Version 2: the
 // cell summary carries the whole-run metrics.PhaseStats. Version 3: the
-// file carries the SHA-256 of its cell's bytes.
-const checkpointVersion = 3
+// file carries the SHA-256 of its cell's bytes. Version 4: the metric
+// windows take the facade's names (Phase, AvgMessagesPerQuery,
+// AvgDownloadRTTMs) and order.
+const checkpointVersion = 4
 
 // checkpointFile is the JSON document a Store writes per finished cell.
 // CellSHA256 covers Cell's bytes as written: an edited digit is valid JSON.

@@ -197,8 +197,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("files-per-peer %d exceeds files %d: a peer's initial files are distinct",
 			c.FilesPerPeer, c.Catalog.NumFiles)
 	}
-	if p := c.TracePolicy; p != nil && !p.KeepFailed && p.MinHops <= 0 && p.SlowestN <= 0 {
-		return fmt.Errorf("TracePolicy keeps nothing; set SlowestN, KeepFailed or MinHops")
+	if p := c.TracePolicy; p != nil {
+		names := []string{"SlowestN", "MinHops", "MaxEventsPerQuery"}
+		for i, v := range []int{p.SlowestN, p.MinHops, p.MaxEventsPerQuery} {
+			if v < 0 {
+				return fmt.Errorf("TracePolicy.%s %d must be non-negative", names[i], v)
+			}
+		}
+		if !p.KeepFailed && p.MinHops == 0 && p.SlowestN == 0 {
+			return fmt.Errorf("TracePolicy keeps nothing; set SlowestN, KeepFailed or MinHops")
+		}
 	}
 	return nil
 }

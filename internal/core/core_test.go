@@ -70,6 +70,9 @@ func TestValidateRefusesWhatBuildersWouldChange(t *testing.T) {
 		{"warmup -1", func(*Config) { warmup = -1 }, []string{"warmup queries -1"}},
 		{"keep-nothing recorder", func(c *Config) { c.TracePolicy = &trace.Policy{MaxEventsPerQuery: 8} }, []string{"TracePolicy", "SlowestN", "KeepFailed", "MinHops"}},
 		{"recorder keeping failures", func(c *Config) { c.TracePolicy = &trace.Policy{KeepFailed: true} }, nil},
+		{"recorder SlowestN -1", func(c *Config) { c.TracePolicy = &trace.Policy{SlowestN: -1, KeepFailed: true} }, []string{"TracePolicy.SlowestN -1 must be non-negative"}},
+		{"recorder MinHops -2", func(c *Config) { c.TracePolicy = &trace.Policy{MinHops: -2, KeepFailed: true} }, []string{"TracePolicy.MinHops -2 must be non-negative"}},
+		{"recorder MaxEventsPerQuery -5", func(c *Config) { c.TracePolicy = &trace.Policy{SlowestN: 3, MaxEventsPerQuery: -5} }, []string{"TracePolicy.MaxEventsPerQuery -5 must be non-negative"}},
 		{"phases above measured", func(c *Config) { c.Scenario, measured = churnWaves, 3 }, []string{"4 phases", "got 3"}},
 		{"checkpoint grid", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{20, 20, 500, -3} }, []string{"checkpoint 20 after 20", "[1, 100]"}},
 		{"checkpoint past measured", func(c *Config) { c.Protocol.Collector.Checkpoints = []int{50, 500} }, []string{"checkpoint 500", "[1, 100]"}},
@@ -250,8 +253,8 @@ func TestRunResolvesThePhaseGrid(t *testing.T) {
 			t.Fatalf("%s: %d phase windows, want %d", name, len(ws), len(want))
 		}
 		for i, w := range ws {
-			if w.Name != want[i].Name || w.End != want[i].End {
-				t.Fatalf("%s: window %d is %s ending at %d, want %s ending at %d", name, i, w.Name, w.End, want[i].Name, want[i].End)
+			if w.Phase != want[i].Name || w.End != want[i].End {
+				t.Fatalf("%s: window %d is %s ending at %d, want %s ending at %d", name, i, w.Phase, w.End, want[i].Name, want[i].End)
 			}
 		}
 	}
@@ -312,8 +315,8 @@ func TestRunComparisonPaired(t *testing.T) {
 		}
 	}
 	// Flooding must dominate traffic.
-	fl := cmp.Cells["Flooding"].Summary.MessagesPerQuery.Mean
-	la := cmp.Cells["Locaware"].Summary.MessagesPerQuery.Mean
+	fl := cmp.Cells["Flooding"].Summary.AvgMessagesPerQuery.Mean
+	la := cmp.Cells["Locaware"].Summary.AvgMessagesPerQuery.Mean
 	if la >= fl {
 		t.Fatalf("locaware traffic %v >= flooding %v", la, fl)
 	}

@@ -163,7 +163,7 @@ func (w *World) Simulation(b protocol.Behavior) *Simulation {
 		eng.CountKinds()
 	}
 	if cfg.TracePolicy != nil {
-		s.recorder = trace.NewFlightRecorder(*cfg.TracePolicy)
+		s.recorder = trace.NewFlightRecorder(*cfg.TracePolicy, cfg.Protocol.ProcessingDelay)
 		net.SetTracer(s.recorder)
 	}
 	return s
@@ -203,9 +203,6 @@ type RunResult struct {
 	// TracePhases holds the scenario phase-entry events the recorder saw,
 	// for export alongside Traces.
 	TracePhases []trace.Event
-	// TraceProcessing is the per-hop processing delay the run used — the
-	// attribution constant QueryTrace.Tree needs. Set iff Traces is.
-	TraceProcessing sim.Time
 }
 
 // RunMeasured runs warmup queries to bring caches, Bloom filters and
@@ -253,7 +250,6 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 	if s.recorder != nil {
 		res.Traces = s.recorder.Traces()
 		res.TracePhases = s.recorder.Phases()
-		res.TraceProcessing = s.Cfg.Protocol.ProcessingDelay
 	}
 	return res
 }

@@ -56,8 +56,9 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestRunResultCarriesTraces locks the harvest plumbing: a traced run
-// surfaces retained traces, the scenario phase events and the processing
-// constant; an untraced run leaves all three zero.
+// surfaces its retained traces slowest first; an untraced run carries
+// none. (TestSpanTreeForwardsMatchTheModel checks that every trace carries
+// the run's processing delay.)
 func TestRunResultCarriesTraces(t *testing.T) {
 	cfg := benchConfig(200, 5)
 	cfg.TracePolicy = &trace.Policy{SlowestN: 3}
@@ -65,9 +66,6 @@ func TestRunResultCarriesTraces(t *testing.T) {
 	res := s.RunMeasured(0, 100)
 	if len(res.Traces) == 0 || len(res.Traces) > 3 {
 		t.Fatalf("retained %d traces, want 1..3", len(res.Traces))
-	}
-	if res.TraceProcessing != cfg.Protocol.ProcessingDelay {
-		t.Fatalf("TraceProcessing = %v, want %v", res.TraceProcessing, cfg.Protocol.ProcessingDelay)
 	}
 	for i := 1; i < len(res.Traces); i++ {
 		if res.Traces[i-1].Latency < res.Traces[i].Latency {
@@ -78,8 +76,8 @@ func TestRunResultCarriesTraces(t *testing.T) {
 	cfg2 := benchConfig(200, 5)
 	s2 := NewSimulation(cfg2, protocol.Locaware{})
 	res2 := s2.RunMeasured(0, 100)
-	if res2.Traces != nil || res2.TraceProcessing != 0 {
-		t.Fatalf("untraced run carries trace state: %d traces, processing %v", len(res2.Traces), res2.TraceProcessing)
+	if res2.Traces != nil || res2.TracePhases != nil {
+		t.Fatalf("untraced run carries trace state: %d traces, %d phases", len(res2.Traces), len(res2.TracePhases))
 	}
 }
 
@@ -111,7 +109,7 @@ func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 				cfg.Scenario, _ = scenario.Lookup(scen)
 			}
 			s := NewSimulation(cfg, b)
-			sink := &tee{rec: trace.NewFlightRecorder(trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20})}
+			sink := &tee{rec: trace.NewFlightRecorder(trace.Policy{SlowestN: warmup + measured, MaxEventsPerQuery: 1 << 20}, cfg.Protocol.ProcessingDelay)}
 			s.Network.SetTracer(sink)
 			s.RunMeasured(warmup, measured)
 
@@ -165,8 +163,9 @@ func keepAllRuns(t *testing.T, check func(label string, s *Simulation, res *RunR
 // TestSpanTreeForwardsMatchTheModel is the span builder's ground truth: a
 // forward or a response hop is delivered exactly its link's one-way latency
 // plus the processing delay after it is sent, so every closed link span of
-// every query, kept by a keep-all recorder, must last exactly that long. A
-// span hung under the wrong link reads another link's latency. Four
+// every query, kept by a keep-all recorder, must last exactly that long,
+// the run's processing delay its processing share. A span hung under the
+// wrong link reads another link's latency. Four
 // protocols, static and under churn-waves.
 func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
 	keepAllRuns(t, func(label string, s *Simulation, res *RunResult) {
@@ -176,7 +175,8 @@ func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
 		walk = func(sp *trace.Span) {
 			if (sp.Kind == trace.QueryForward || sp.Kind == trace.ResponseHop) && !sp.Open {
 				closed[sp.Kind]++
-				if sp.End-sp.Start != sim.FromMillis(s.Network.Model.OneWay(sp.From, sp.Peer))+res.TraceProcessing {
+				proc := s.Cfg.Protocol.ProcessingDelay
+				if sp.Processing != proc || sp.End-sp.Start != sim.FromMillis(s.Network.Model.OneWay(sp.From, sp.Peer))+proc {
 					wrong++
 				}
 			}
@@ -185,7 +185,7 @@ func TestSpanTreeForwardsMatchTheModel(t *testing.T) {
 			}
 		}
 		for _, qt := range res.Traces {
-			walk(qt.Tree(res.TraceProcessing).Root)
+			walk(qt.Tree().Root)
 		}
 		if closed[trace.QueryForward] == 0 || closed[trace.ResponseHop] == 0 || wrong != 0 {
 			t.Errorf("%s: %d of %d closed link spans (%d forwards, %d response hops) on the wrong link", label, wrong,
@@ -212,7 +212,7 @@ func TestTraceHopsMatchTheTree(t *testing.T) {
 		}
 		bad, deep := 0, 0
 		for _, qt := range res.Traces {
-			if qt.Hops != deepest(qt.Tree(res.TraceProcessing).Root) {
+			if qt.Hops != deepest(qt.Tree().Root) {
 				bad++
 			}
 			deep = max(deep, qt.Hops)

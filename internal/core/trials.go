@@ -193,12 +193,12 @@ func (c *TrialComparison) Headlines() Headline {
 		return h
 	}
 	if fl != nil && di != nil && dk != nil {
-		others := (fl.Summary.DownloadRTT.Mean + di.Summary.DownloadRTT.Mean + dk.Summary.DownloadRTT.Mean) / 3
-		h.DistanceReduction = stats.RelativeChange(others, la.Summary.DownloadRTT.Mean)
+		others := (fl.Summary.AvgDownloadRTTMs.Mean + di.Summary.AvgDownloadRTTMs.Mean + dk.Summary.AvgDownloadRTTMs.Mean) / 3
+		h.DistanceReduction = stats.RelativeChange(others, la.Summary.AvgDownloadRTTMs.Mean)
 	}
 	if fl != nil {
 		h.TrafficReductionVsFlooding = stats.RelativeChange(
-			fl.Summary.MessagesPerQuery.Mean, la.Summary.MessagesPerQuery.Mean)
+			fl.Summary.AvgMessagesPerQuery.Mean, la.Summary.AvgMessagesPerQuery.Mean)
 	}
 	if di != nil {
 		h.HitGainVsDicas = stats.RelativeChange(di.Summary.SuccessRate.Mean, la.Summary.SuccessRate.Mean)

@@ -61,7 +61,7 @@ func TestRunTrialsSeedsIndependent(t *testing.T) {
 			t.Fatalf("trial %d is byte-identical to trial 0: seeds not independent", tr)
 		}
 	}
-	if cell.Summary.SuccessRate.StdDev == 0 && cell.Summary.MessagesPerQuery.StdDev == 0 {
+	if cell.Summary.SuccessRate.StdDev == 0 && cell.Summary.AvgMessagesPerQuery.StdDev == 0 {
 		t.Fatal("independent trials show zero spread on every metric")
 	}
 }
@@ -89,8 +89,8 @@ func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 		t.Fatalf("shape: trials=%d windows=%d, want ten equal steps", tc.Trials, len(w))
 	}
 	pick := map[string]func(metrics.PhaseWindow) float64{
-		Fig2DownloadDistance: func(w metrics.PhaseWindow) float64 { return w.DownloadRTT },
-		Fig3SearchTraffic:    func(w metrics.PhaseWindow) float64 { return w.MessagesPerQuery },
+		Fig2DownloadDistance: func(w metrics.PhaseWindow) float64 { return w.AvgDownloadRTTMs },
+		Fig3SearchTraffic:    func(w metrics.PhaseWindow) float64 { return w.AvgMessagesPerQuery },
 		Fig4SuccessRate:      func(w metrics.PhaseWindow) float64 { return w.SuccessRate },
 	}
 	for fig, y := range pick {

@@ -6,19 +6,19 @@ import "github.com/p2prepro/locaware/internal/stats"
 // PhaseWindow metric becomes a cross-trial sample summary, so figure cells
 // carry mean ± 95% CI error bars.
 type PhaseStats struct {
-	// Name, Start and End identify the window; trials share one grid (same
+	// Phase, Start and End identify the window; trials share one grid (same
 	// spec, same measured count), so the bounds are common.
-	Name       string
+	Phase      string
 	Start, End int
 	// Queries summarises how many queries each trial recorded in the span.
 	Queries stats.Summary
 	// The full PhaseWindow metric set, summarised across trials.
-	DownloadRTT      stats.Summary
-	MessagesPerQuery stats.Summary
-	SuccessRate      stats.Summary
-	SameLocalityRate stats.Summary
-	CacheHitRate     stats.Summary
-	AvgHops          stats.Summary
+	SuccessRate         stats.Summary
+	AvgMessagesPerQuery stats.Summary
+	AvgDownloadRTTMs    stats.Summary
+	SameLocalityRate    stats.Summary
+	CacheHitRate        stats.Summary
+	AvgHops             stats.Summary
 }
 
 // AggregatePhases merges per-trial window slices into cross-trial
@@ -47,19 +47,19 @@ func AggregatePhases(trials [][]PhaseWindow) []PhaseStats {
 			}
 			w := ws[k]
 			if len(q) == 0 {
-				out[k].Name, out[k].Start, out[k].End = w.Name, w.Start, w.End
+				out[k].Phase, out[k].Start, out[k].End = w.Phase, w.Start, w.End
 			}
 			q = append(q, float64(w.Queries))
-			rtt = append(rtt, w.DownloadRTT)
-			mpq = append(mpq, w.MessagesPerQuery)
+			rtt = append(rtt, w.AvgDownloadRTTMs)
+			mpq = append(mpq, w.AvgMessagesPerQuery)
 			sr = append(sr, w.SuccessRate)
 			loc = append(loc, w.SameLocalityRate)
 			hit = append(hit, w.CacheHitRate)
 			hops = append(hops, w.AvgHops)
 		}
 		out[k].Queries = stats.Summarize(q)
-		out[k].DownloadRTT = stats.Summarize(rtt)
-		out[k].MessagesPerQuery = stats.Summarize(mpq)
+		out[k].AvgDownloadRTTMs = stats.Summarize(rtt)
+		out[k].AvgMessagesPerQuery = stats.Summarize(mpq)
 		out[k].SuccessRate = stats.Summarize(sr)
 		out[k].SameLocalityRate = stats.Summarize(loc)
 		out[k].CacheHitRate = stats.Summarize(hit)
@@ -84,8 +84,8 @@ type Metric struct {
 // Metrics is the query-metric set in presentation order.
 var Metrics = []Metric{
 	{"success", "success", "success rate", func(s *PhaseStats) stats.Summary { return s.SuccessRate }},
-	{"msgs", "msgs_per_query", "search traffic (messages/query)", func(s *PhaseStats) stats.Summary { return s.MessagesPerQuery }},
-	{"rtt", "download_rtt_ms", "download distance (ms)", func(s *PhaseStats) stats.Summary { return s.DownloadRTT }},
+	{"msgs", "msgs_per_query", "search traffic (messages/query)", func(s *PhaseStats) stats.Summary { return s.AvgMessagesPerQuery }},
+	{"rtt", "download_rtt_ms", "download distance (ms)", func(s *PhaseStats) stats.Summary { return s.AvgDownloadRTTMs }},
 	{"sameloc", "same_locality", "same-locality download rate", func(s *PhaseStats) stats.Summary { return s.SameLocalityRate }},
 	{"cachehit", "cache_hit", "cache hit rate", func(s *PhaseStats) stats.Summary { return s.CacheHitRate }},
 	{"hops", "hops", "hops to first hit", func(s *PhaseStats) stats.Summary { return s.AvgHops }},

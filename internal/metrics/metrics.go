@@ -77,15 +77,16 @@ type PhaseMark struct {
 // the measured stream: a scenario phase, a figure checkpoint window (no
 // name) or the whole run (no name, Start 0).
 type PhaseWindow struct {
-	// Name is the phase's name from the scenario spec.
-	Name string
+	// Phase is the phase's name from the scenario spec ("" for a checkpoint
+	// window or the whole run).
+	Phase string
 	// Start (exclusive) and End (inclusive) bound the window's cumulative
 	// query counts; Queries is the number actually recorded in the span.
 	Start, End, Queries int
-	// The §5 figure metrics over the window.
-	DownloadRTT      float64
-	MessagesPerQuery float64
-	SuccessRate      float64
+	// The §5 figure metrics over the window (the RTT in milliseconds).
+	SuccessRate         float64
+	AvgMessagesPerQuery float64
+	AvgDownloadRTTMs    float64
 	// The secondary metrics over the window, over successful queries only.
 	SameLocalityRate float64
 	CacheHitRate     float64
@@ -123,13 +124,13 @@ func (a *acc) add(r *QueryRecord) {
 
 // window converts the accumulator into a sealed PhaseWindow.
 func (a *acc) window(name string, start, end int) PhaseWindow {
-	w := PhaseWindow{Name: name, Start: start, End: end, Queries: a.queries}
+	w := PhaseWindow{Phase: name, Start: start, End: end, Queries: a.queries}
 	if a.queries > 0 {
-		w.MessagesPerQuery = float64(a.messages) / float64(a.queries)
+		w.AvgMessagesPerQuery = float64(a.messages) / float64(a.queries)
 		w.SuccessRate = float64(a.successes) / float64(a.queries)
 	}
 	if a.successes > 0 {
-		w.DownloadRTT = a.rttSum / float64(a.successes)
+		w.AvgDownloadRTTMs = a.rttSum / float64(a.successes)
 		w.AvgHops = a.hopsSum / float64(a.successes)
 		w.SameLocalityRate = float64(a.sameLoc) / float64(a.successes)
 		w.CacheHitRate = float64(a.fromCache) / float64(a.successes)
@@ -272,11 +273,11 @@ func (c *Collector) TotalMessages() uint64 { return uint64(c.run.messages) }
 func (c *Collector) SuccessRate() float64 { return c.RunWindow().SuccessRate }
 
 // AvgMessagesPerQuery returns mean messages per query over the whole run.
-func (c *Collector) AvgMessagesPerQuery() float64 { return c.RunWindow().MessagesPerQuery }
+func (c *Collector) AvgMessagesPerQuery() float64 { return c.RunWindow().AvgMessagesPerQuery }
 
 // AvgDownloadRTT returns the mean download distance over successful
 // queries.
-func (c *Collector) AvgDownloadRTT() float64 { return c.RunWindow().DownloadRTT }
+func (c *Collector) AvgDownloadRTT() float64 { return c.RunWindow().AvgDownloadRTTMs }
 
 // SameLocalityRate returns the fraction of successful downloads served from
 // the requester's own locality.
@@ -305,5 +306,5 @@ func (c *Collector) Records() []QueryRecord {
 func (c *Collector) String() string {
 	w := c.RunWindow()
 	return fmt.Sprintf("metrics{n=%d success=%.3f msgs/q=%.1f rtt=%.1fms}",
-		w.Queries, w.SuccessRate, w.MessagesPerQuery, w.DownloadRTT)
+		w.Queries, w.SuccessRate, w.AvgMessagesPerQuery, w.AvgDownloadRTTMs)
 }

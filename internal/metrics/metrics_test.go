@@ -93,10 +93,10 @@ func TestWindows(t *testing.T) {
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d", len(ws))
 	}
-	if ws[0].End != 5 || ws[0].SuccessRate != 1 || ws[0].MessagesPerQuery != 10 || ws[0].DownloadRTT != 100 {
+	if ws[0].End != 5 || ws[0].SuccessRate != 1 || ws[0].AvgMessagesPerQuery != 10 || ws[0].AvgDownloadRTTMs != 100 {
 		t.Fatalf("w0 = %+v", ws[0])
 	}
-	if ws[1].End != 10 || ws[1].SuccessRate != 0 || ws[1].MessagesPerQuery != 50 || ws[1].DownloadRTT != 0 {
+	if ws[1].End != 10 || ws[1].SuccessRate != 0 || ws[1].AvgMessagesPerQuery != 50 || ws[1].AvgDownloadRTTMs != 0 {
 		t.Fatalf("w1 = %+v", ws[1])
 	}
 }
@@ -134,7 +134,7 @@ func TestWindowsPartialFinal(t *testing.T) {
 	if len(ws) != 2 {
 		t.Fatalf("windows = %+v", ws)
 	}
-	if ws[1].End != 7 || ws[1].MessagesPerQuery != 40 || ws[1].SuccessRate != 0 {
+	if ws[1].End != 7 || ws[1].AvgMessagesPerQuery != 40 || ws[1].SuccessRate != 0 {
 		t.Fatalf("partial final window = %+v", ws[1])
 	}
 
@@ -195,12 +195,12 @@ func windowsFromRecords(records []QueryRecord, grid []PhaseMark) []PhaseWindow {
 		}
 		n := end - prev
 		w := PhaseWindow{
-			Name: m.Name, Start: prev, End: end, Queries: n,
-			MessagesPerQuery: float64(messages) / float64(n),
-			SuccessRate:      float64(successes) / float64(n),
+			Phase: m.Name, Start: prev, End: end, Queries: n,
+			AvgMessagesPerQuery: float64(messages) / float64(n),
+			SuccessRate:         float64(successes) / float64(n),
 		}
 		if successes > 0 {
-			w.DownloadRTT = rttSum / float64(successes)
+			w.AvgDownloadRTTMs = rttSum / float64(successes)
 			w.AvgHops = hopsSum / float64(successes)
 			w.SameLocalityRate = float64(sameLoc) / float64(successes)
 			w.CacheHitRate = float64(fromCache) / float64(successes)
@@ -257,16 +257,16 @@ func TestRunWindowEqualsScalarGetters(t *testing.T) {
 		c.Record(q)
 	}
 	w := c.RunWindow()
-	if w.Name != "" || w.Start != 0 || w.End != c.Submitted() || w.Queries != c.Submitted() {
+	if w.Phase != "" || w.Start != 0 || w.End != c.Submitted() || w.Queries != c.Submitted() {
 		t.Fatalf("run window span = %+v, submitted %d", w, c.Submitted())
 	}
-	if w.SuccessRate != c.SuccessRate() || w.MessagesPerQuery != c.AvgMessagesPerQuery() ||
-		w.DownloadRTT != c.AvgDownloadRTT() || w.SameLocalityRate != c.SameLocalityRate() ||
+	if w.SuccessRate != c.SuccessRate() || w.AvgMessagesPerQuery != c.AvgMessagesPerQuery() ||
+		w.AvgDownloadRTTMs != c.AvgDownloadRTT() || w.SameLocalityRate != c.SameLocalityRate() ||
 		w.CacheHitRate != c.CacheHitRate() || w.AvgHops != c.AvgHops() {
 		t.Fatalf("run window %+v disagrees with the scalar getters of %v", w, c)
 	}
-	if w.MessagesPerQuery != float64(c.TotalMessages())/float64(c.Submitted()) {
-		t.Fatalf("msgs/q %v != total %d / submitted %d", w.MessagesPerQuery, c.TotalMessages(), c.Submitted())
+	if w.AvgMessagesPerQuery != float64(c.TotalMessages())/float64(c.Submitted()) {
+		t.Fatalf("msgs/q %v != total %d / submitted %d", w.AvgMessagesPerQuery, c.TotalMessages(), c.Submitted())
 	}
 }
 
@@ -295,8 +295,8 @@ func TestCheckpointValidation(t *testing.T) {
 func TestAggregateWindows(t *testing.T) {
 	trial := func(sr, mpq, rtt float64) []PhaseWindow {
 		return []PhaseWindow{
-			{End: 50, SuccessRate: sr, MessagesPerQuery: mpq, DownloadRTT: rtt},
-			{Start: 50, End: 100, SuccessRate: sr / 2, MessagesPerQuery: mpq, DownloadRTT: rtt},
+			{End: 50, SuccessRate: sr, AvgMessagesPerQuery: mpq, AvgDownloadRTTMs: rtt},
+			{Start: 50, End: 100, SuccessRate: sr / 2, AvgMessagesPerQuery: mpq, AvgDownloadRTTMs: rtt},
 		}
 	}
 	agg := AggregatePhases([][]PhaseWindow{trial(0.4, 10, 100), trial(0.6, 20, 200)})
@@ -310,7 +310,7 @@ func TestAggregateWindows(t *testing.T) {
 	if w.SuccessRate.N != 2 || w.SuccessRate.Mean != 0.5 {
 		t.Fatalf("success summary = %+v", w.SuccessRate)
 	}
-	if w.MessagesPerQuery.Mean != 15 || w.DownloadRTT.Mean != 150 {
+	if w.AvgMessagesPerQuery.Mean != 15 || w.AvgDownloadRTTMs.Mean != 150 {
 		t.Fatalf("window summary = %+v", w)
 	}
 	if w.SuccessRate.StdDev == 0 || w.SuccessRate.CI95() == 0 {
@@ -360,30 +360,30 @@ func TestPhaseWindows(t *testing.T) {
 		t.Fatalf("got %d phase windows, want 3: %+v", len(ws), ws)
 	}
 	calm := ws[0]
-	if calm.Name != "calm" || calm.Start != 0 || calm.End != 2 || calm.Queries != 2 {
+	if calm.Phase != "calm" || calm.Start != 0 || calm.End != 2 || calm.Queries != 2 {
 		t.Fatalf("calm span = %+v", calm)
 	}
-	if calm.MessagesPerQuery != 15 || calm.SuccessRate != 0.5 || calm.DownloadRTT != 100 {
+	if calm.AvgMessagesPerQuery != 15 || calm.SuccessRate != 0.5 || calm.AvgDownloadRTTMs != 100 {
 		t.Fatalf("calm figures = %+v", calm)
 	}
 	if calm.SameLocalityRate != 1 || calm.CacheHitRate != 1 || calm.AvgHops != 2 {
 		t.Fatalf("calm secondary = %+v", calm)
 	}
 	storm := ws[1]
-	if storm.Name != "storm" || storm.Start != 2 || storm.End != 4 || storm.Queries != 2 {
+	if storm.Phase != "storm" || storm.Start != 2 || storm.End != 4 || storm.Queries != 2 {
 		t.Fatalf("storm span = %+v", storm)
 	}
-	if storm.SuccessRate != 1 || storm.DownloadRTT != 60 || storm.AvgHops != 3 {
+	if storm.SuccessRate != 1 || storm.AvgDownloadRTTMs != 60 || storm.AvgHops != 3 {
 		t.Fatalf("storm figures = %+v", storm)
 	}
 	if storm.SameLocalityRate != 0.5 || storm.CacheHitRate != 0 {
 		t.Fatalf("storm secondary = %+v", storm)
 	}
 	partial := ws[2]
-	if partial.Name != "after" || partial.Start != 4 || partial.End != 5 || partial.Queries != 1 {
+	if partial.Phase != "after" || partial.Start != 4 || partial.End != 5 || partial.Queries != 1 {
 		t.Fatalf("partial span = %+v", partial)
 	}
-	if partial.MessagesPerQuery != 8 || partial.SuccessRate != 0 {
+	if partial.AvgMessagesPerQuery != 8 || partial.SuccessRate != 0 {
 		t.Fatalf("partial figures = %+v", partial)
 	}
 
@@ -393,7 +393,7 @@ func TestPhaseWindows(t *testing.T) {
 	if len(ws) != 3 || ws[2].End != 6 || ws[2].Queries != 2 {
 		t.Fatalf("final phase = %+v", ws[len(ws)-1])
 	}
-	if ws[2].MessagesPerQuery != 7 || ws[2].SuccessRate != 0.5 || ws[2].DownloadRTT != 30 {
+	if ws[2].AvgMessagesPerQuery != 7 || ws[2].SuccessRate != 0.5 || ws[2].AvgDownloadRTTMs != 30 {
 		t.Fatalf("final figures = %+v", ws[2])
 	}
 }
@@ -424,7 +424,7 @@ func TestPhaseWindowsIndependentOfCheckpoints(t *testing.T) {
 		}
 	}
 	ws := with.PhaseWindows()
-	if len(ws) != 1 || ws[0].Queries != 4 || ws[0].MessagesPerQuery != 6 || ws[0].SuccessRate != 0.5 {
+	if len(ws) != 1 || ws[0].Queries != 4 || ws[0].AvgMessagesPerQuery != 6 || ws[0].SuccessRate != 0.5 {
 		t.Fatalf("phase window = %+v", ws)
 	}
 	if without.PhaseWindows() != nil {
@@ -444,12 +444,12 @@ func TestPhaseMarkValidation(t *testing.T) {
 func TestAggregatePhases(t *testing.T) {
 	trials := [][]PhaseWindow{
 		{
-			{Name: "calm", Start: 0, End: 4, Queries: 4, SuccessRate: 0.5, MessagesPerQuery: 6, DownloadRTT: 100, SameLocalityRate: 0.5, CacheHitRate: 0.25, AvgHops: 2},
-			{Name: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.25, MessagesPerQuery: 8, DownloadRTT: 140, SameLocalityRate: 0, CacheHitRate: 0.5, AvgHops: 3},
+			{Phase: "calm", Start: 0, End: 4, Queries: 4, SuccessRate: 0.5, AvgMessagesPerQuery: 6, AvgDownloadRTTMs: 100, SameLocalityRate: 0.5, CacheHitRate: 0.25, AvgHops: 2},
+			{Phase: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.25, AvgMessagesPerQuery: 8, AvgDownloadRTTMs: 140, SameLocalityRate: 0, CacheHitRate: 0.5, AvgHops: 3},
 		},
 		{
-			{Name: "calm", Start: 0, End: 4, Queries: 4, SuccessRate: 0.7, MessagesPerQuery: 4, DownloadRTT: 80, SameLocalityRate: 0.3, CacheHitRate: 0.75, AvgHops: 4},
-			{Name: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.35, MessagesPerQuery: 6, DownloadRTT: 120, SameLocalityRate: 0.2, CacheHitRate: 0.7, AvgHops: 5},
+			{Phase: "calm", Start: 0, End: 4, Queries: 4, SuccessRate: 0.7, AvgMessagesPerQuery: 4, AvgDownloadRTTMs: 80, SameLocalityRate: 0.3, CacheHitRate: 0.75, AvgHops: 4},
+			{Phase: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.35, AvgMessagesPerQuery: 6, AvgDownloadRTTMs: 120, SameLocalityRate: 0.2, CacheHitRate: 0.7, AvgHops: 5},
 		},
 	}
 	ps := AggregatePhases(trials)
@@ -457,24 +457,24 @@ func TestAggregatePhases(t *testing.T) {
 		t.Fatalf("got %d phase stats, want 2", len(ps))
 	}
 	calm := ps[0]
-	if calm.Name != "calm" || calm.Start != 0 || calm.End != 4 {
+	if calm.Phase != "calm" || calm.Start != 0 || calm.End != 4 {
 		t.Fatalf("phase 0 identity = %+v", calm)
 	}
 	if calm.SuccessRate.N != 2 || calm.SuccessRate.Mean != 0.6 {
 		t.Fatalf("calm success = %+v", calm.SuccessRate)
 	}
-	if calm.MessagesPerQuery.Mean != 5 || calm.DownloadRTT.Mean != 90 {
-		t.Fatalf("calm msgs/rtt = %+v / %+v", calm.MessagesPerQuery, calm.DownloadRTT)
+	if calm.AvgMessagesPerQuery.Mean != 5 || calm.AvgDownloadRTTMs.Mean != 90 {
+		t.Fatalf("calm msgs/rtt = %+v / %+v", calm.AvgMessagesPerQuery, calm.AvgDownloadRTTMs)
 	}
-	if ps[1].Name != "wave" || ps[1].SuccessRate.Mean != 0.3 {
+	if ps[1].Phase != "wave" || ps[1].SuccessRate.Mean != 0.3 {
 		t.Fatalf("wave = %+v", ps[1])
 	}
 }
 
 func TestAggregatePhasesRagged(t *testing.T) {
 	trials := [][]PhaseWindow{
-		{{Name: "a", End: 5, Queries: 5, SuccessRate: 0.4}},
-		{{Name: "a", End: 5, Queries: 5, SuccessRate: 0.6}, {Name: "b", Start: 5, End: 10, Queries: 5, SuccessRate: 1}},
+		{{Phase: "a", End: 5, Queries: 5, SuccessRate: 0.4}},
+		{{Phase: "a", End: 5, Queries: 5, SuccessRate: 0.6}, {Phase: "b", Start: 5, End: 10, Queries: 5, SuccessRate: 1}},
 	}
 	ps := AggregatePhases(trials)
 	if len(ps) != 2 {

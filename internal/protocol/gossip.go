@@ -50,7 +50,7 @@ func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 func (ev *bloomInstallEvent) Fire(*sim.Engine) {
 	n := ev.net.nodes[ev.dst]
 	if n.neighborBF == nil {
-		n.neighborBF = carve(&ev.net.nbBlock, ev.net.Graph.Degree(ev.dst))
+		n.neighborBF = sim.Carve(&ev.net.nbBlock, ev.net.Graph.Degree(ev.dst))
 	}
 	ev.bf = n.setNeighborBloom(ev.from, ev.bf)
 	ev.net.biPool.Put(ev)

@@ -4,6 +4,7 @@ import (
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -17,7 +18,7 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 	if seen == nil {
 		seen = make([]uint64, (len(net.nodes)+63)/64)
 		if bf := net.nodes[origin].bf; bf != nil {
-			pq.kwIdx = carve(&net.kwBlock, keywords.MaxK*bf.K())
+			pq.kwIdx = sim.Carve(&net.kwBlock, keywords.MaxK*bf.K())
 		}
 	} else {
 		clear(seen)

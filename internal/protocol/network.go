@@ -32,13 +32,6 @@ type Config struct {
 	FinalizeAfter sim.Time
 	// ProcessingDelay models per-hop forwarding cost added to link latency.
 	ProcessingDelay sim.Time
-	// FallbackFanout is how many neighbours a selective protocol falls
-	// back to when no neighbour matches its routing predicate (the
-	// highest-degree neighbour plus FallbackFanout-1 random others). 1
-	// reproduces a pure "highly connected neighbour as a last resort"
-	// walk; the default 2 keeps enough branching for the walk to cover a
-	// useful fraction of the overlay within TTL.
-	FallbackFanout int
 	// Collector configures the measurement plane: the streaming checkpoint
 	// grid for figure windows and whether full per-query records are
 	// retained (see metrics.CollectorConfig). The zero value is a pure
@@ -57,7 +50,6 @@ func DefaultConfig() Config {
 		BloomGossipPeriod: 30 * sim.Second,
 		FinalizeAfter:     30 * sim.Second,
 		ProcessingDelay:   sim.Millisecond,
-		FallbackFanout:    2,
 	}
 }
 
@@ -215,7 +207,7 @@ type Network struct {
 	msgPool  sim.Pool[QueryMsg]
 	respPool sim.Pool[ResponseMsg]
 	biPool   sim.Pool[bloomInstallEvent]
-	// What is left of the blocks carve cuts windows from: fresh messages'
+	// What is left of the blocks sim.Carve cuts windows from: fresh messages'
 	// paths, fresh queries' Bloom positions, nodes' neighbour-filter tables.
 	pathBlock []overlay.PeerID
 	kwBlock   []uint32

@@ -698,9 +698,9 @@ func TestHighestDegreeNeighborFallback(t *testing.T) {
 	pts := []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 100}, {X: 300, Y: 100}, {X: 200, Y: 200}, {X: 50, Y: 50}}
 	edges := [][2]int{{0, 1}, {1, 2}, {1, 3}, {0, 4}}
 	net := testNet(t, Dicas{}, pts, edges, cfg)
-	net.Config.FallbackFanout = 1 // the highest-degree candidate alone
-	if out := net.fallbackNeighbors([]overlay.PeerID{1, 4}); len(out) != 1 || out[0] != 1 {
-		t.Fatalf("fallback = %v, want [1]", out)
+	// The hub first, then the one other candidate.
+	if out := net.fallbackNeighbors([]overlay.PeerID{1, 4}); !slices.Equal(out, []overlay.PeerID{1, 4}) {
+		t.Fatalf("fallback = %v, want [1 4]", out)
 	}
 	// The hub is no candidate (on the path); falls to 4.
 	if out := net.fallbackNeighbors([]overlay.PeerID{4}); len(out) != 1 || out[0] != 4 {
@@ -967,7 +967,6 @@ func TestWarmupQueriesStayUnrecorded(t *testing.T) {
 
 func TestFallbackFanoutRespected(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FallbackFanout = 3
 	// Star: node 0 has 4 neighbours, none matching any predicate for an
 	// absent keyword, so fallback fires.
 	pts := []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 100}, {X: 150, Y: 200}, {X: 50, Y: 200}, {X: 100, Y: 20}}
@@ -979,8 +978,8 @@ func TestFallbackFanoutRespected(t *testing.T) {
 		net.Node(overlay.PeerID(i)).Gid = (q.pq.gid + 1) % cfg.GroupCount
 	}
 	targets := Dicas{}.Forward(net, net.Node(0), q, eligOf(net, q))
-	if len(targets) != 3 {
-		t.Fatalf("fallback fanout produced %d targets, want 3", len(targets))
+	if len(targets) != fallbackFanout {
+		t.Fatalf("fallback fanout produced %d targets, want %d", len(targets), fallbackFanout)
 	}
 	seen := map[overlay.PeerID]bool{}
 	for _, tg := range targets {
@@ -1055,7 +1054,7 @@ func TestConfigFallbacks(t *testing.T) {
 	_ = g.AddLink(0, 1)
 	net := NewNetwork(eng, g, model, loc, Flooding{}, DefaultConfig(), rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
 	c := net.Config
-	if c.TTL != 7 || c.GroupCount != 4 || c.FinalizeAfter != 30*sim.Second || c.FallbackFanout != 2 {
+	if c.TTL != 7 || c.GroupCount != 4 || c.FinalizeAfter != 30*sim.Second {
 		t.Fatalf("defaults are not the paper's: %+v", c)
 	}
 }

@@ -123,21 +123,9 @@ func (net *Network) acquireMsg() *QueryMsg {
 	m := net.msgPool.Get()
 	if m.Path == nil {
 		m.net = net
-		m.Path = carve(&net.pathBlock, net.Config.TTL+1)
+		m.Path = sim.Carve(&net.pathBlock, net.Config.TTL+1)
 	}
 	return m
-}
-
-// carve cuts an empty window of capacity n from the block's unused rest,
-// replacing a block that runs short with one of 64 windows; a window that
-// outgrows n reallocates alone.
-func carve[T any](block *[]T, n int) []T {
-	if len(*block) < n {
-		*block = make([]T, 64*n)
-	}
-	w := (*block)[:0:n]
-	*block = (*block)[n:]
-	return w
 }
 
 // gidOrFallback is the tail every selective protocol's preference chain
@@ -157,10 +145,18 @@ func (net *Network) gidOrFallback(want int, elig []overlay.PeerID) []overlay.Pee
 	return out
 }
 
+// fallbackFanout is how many neighbours a selective protocol falls back to
+// when no neighbour matches its routing predicate: the highest-degree
+// neighbour plus fallbackFanout-1 random others. 1 would reproduce a pure
+// "highly connected neighbour as a last resort" walk; 2 keeps enough
+// branching for the walk to cover a useful fraction of the overlay within
+// TTL.
+const fallbackFanout = 2
+
 // fallbackNeighbors implements the last-resort forwarding set shared by the
 // selective protocols: the highest-degree candidate (§4.2's "highly
 // connected neighbor"; ties break towards the lower peer id, the earlier
-// one in neighbour order) plus up to FallbackFanout-1 random other
+// one in neighbour order) plus up to fallbackFanout-1 random other
 // candidates to keep the walk from degenerating into a single path. It is
 // nil when there is no candidate (every neighbour is on the query's path).
 func (net *Network) fallbackNeighbors(elig []overlay.PeerID) []overlay.PeerID {
@@ -181,12 +177,9 @@ func (net *Network) fallbackNeighbors(elig []overlay.PeerID) []overlay.PeerID {
 	b := out[best]
 	copy(out[1:best+1], out[:best])
 	out[0] = b
-	keep := 1
-	if net.Config.FallbackFanout > 1 {
-		rest := out[1:]
-		net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-		keep += min(net.Config.FallbackFanout-1, len(rest))
-	}
+	rest := out[1:]
+	net.rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	keep := 1 + min(fallbackFanout-1, len(rest))
 	net.forwarding.Fallback += uint64(keep)
 	return out[:keep]
 }

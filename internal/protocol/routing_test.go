@@ -108,7 +108,7 @@ func refFallback(net *Network, rng *rand.Rand, n *Node, q *QueryMsg, from overla
 		eligible = append(eligible, nb)
 	}
 	out := []overlay.PeerID{best}
-	if net.Config.FallbackFanout <= 1 || len(eligible) == 1 {
+	if len(eligible) == 1 {
 		return out, 1
 	}
 	var rest []overlay.PeerID
@@ -118,7 +118,7 @@ func refFallback(net *Network, rng *rand.Rand, n *Node, q *QueryMsg, from overla
 		}
 	}
 	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	extra := net.Config.FallbackFanout - 1
+	extra := fallbackFanout - 1
 	if extra > len(rest) {
 		extra = len(rest)
 	}
@@ -127,9 +127,9 @@ func refFallback(net *Network, rng *rand.Rand, n *Node, q *QueryMsg, from overla
 }
 
 // TestFallbackMatchesTwoPassReference: over random overlays with departed
-// peers and FallbackFanout 1–3, the single-pass fallbackNeighbors returns the
-// reference's targets in its order, adds the same to ForwardStats.Fallback
-// and leaves the protocol RNG where the reference leaves its twin.
+// peers, the single-pass fallbackNeighbors returns the reference's targets
+// in its order, adds the same to ForwardStats.Fallback and leaves the
+// protocol RNG where the reference leaves its twin.
 func TestFallbackMatchesTwoPassReference(t *testing.T) {
 	multi := 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -141,7 +141,6 @@ func TestFallbackMatchesTwoPassReference(t *testing.T) {
 			overlay.ChurnStep(net.Graph, overlay.DefaultChurn(), r)
 		}
 		for i := 0; i < 400; i++ {
-			net.Config.FallbackFanout = 1 + i%3
 			path := randomSimplePath(net.Graph, net.Config.TTL-1, r)
 			q := testBranch(net, query("k"), path...)
 			n := net.Node(path[len(path)-1])
@@ -153,7 +152,7 @@ func TestFallbackMatchesTwoPassReference(t *testing.T) {
 			before := net.forwarding.Fallback
 			got := net.fallbackNeighbors(eligOf(net, q))
 			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d path %v fanout %d: fallback %v, want %v", seed, path, net.Config.FallbackFanout, got, want)
+				t.Fatalf("seed %d path %v: fallback %v, want %v", seed, path, got, want)
 			}
 			if tally := net.forwarding.Fallback - before; tally != wantTally {
 				t.Fatalf("seed %d path %v: Fallback += %d, want %d", seed, path, tally, wantTally)

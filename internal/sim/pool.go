@@ -32,6 +32,19 @@ func (p *Pool[T]) Get() *T {
 	return &p.block[len(p.block)-1]
 }
 
+// Carve cuts an empty window of capacity n from the block's unused rest,
+// replacing a block that runs short with one of poolBlockLen windows, so
+// windows sit contiguously the way a Pool's values do. A window that
+// outgrows n reallocates alone instead of clobbering its neighbour.
+func Carve[T any](block *[]T, n int) []T {
+	if len(*block) < n {
+		*block = make([]T, poolBlockLen*n)
+	}
+	w := (*block)[:0:n]
+	*block = (*block)[n:]
+	return w
+}
+
 // Put makes v available to a later Get.
 func (p *Pool[T]) Put(v *T) { p.free = append(p.free, v) }
 

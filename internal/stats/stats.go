@@ -3,7 +3,10 @@
 // figures print. Stdlib only.
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Summary holds the usual moments of a sample.
 type Summary struct {
@@ -50,6 +53,15 @@ func (s Summary) CI95() float64 {
 		return 0
 	}
 	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
+}
+
+// String renders the summary as "mean±ci95", or the bare mean when it pools
+// fewer than two samples (a single number has no spread).
+func (s Summary) String() string {
+	if s.N < 2 {
+		return fmt.Sprintf("%.3f", s.Mean)
+	}
+	return fmt.Sprintf("%.3f±%.3f", s.Mean, s.CI95())
 }
 
 // RelativeChange returns (b-a)/a, guarding the zero denominator.

@@ -143,7 +143,7 @@ func (c *Campaign) PhaseCSV() string {
 				ph := &p.Phases[i]
 				fmt.Fprintf(&b, "%d", cell.Index)
 				writeCoords(&b, cell)
-				fmt.Fprintf(&b, ",%s,%s,%d,%d", p.Protocol, ph.Name, ph.Start, ph.End)
+				fmt.Fprintf(&b, ",%s,%s,%d,%d", p.Protocol, ph.Phase, ph.Start, ph.End)
 				writeMetrics(&b, ph)
 				b.WriteByte('\n')
 			}

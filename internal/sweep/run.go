@@ -67,10 +67,6 @@ func exemplarOf(run *core.RunResult, protocol string, trial int) *ExemplarTrace 
 		return nil
 	}
 	t := run.Traces[0]
-	rendered := ""
-	if tree := t.Tree(run.TraceProcessing); tree != nil {
-		rendered = tree.Render()
-	}
 	return &ExemplarTrace{
 		Protocol:       protocol,
 		Trial:          trial,
@@ -78,7 +74,7 @@ func exemplarOf(run *core.RunResult, protocol string, trial int) *ExemplarTrace 
 		LatencySeconds: t.Latency.Seconds(),
 		Failed:         t.Failed,
 		Hops:           t.Hops,
-		Rendered:       rendered,
+		Rendered:       t.Render(),
 	}
 }
 

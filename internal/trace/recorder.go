@@ -10,7 +10,8 @@ import (
 // Policy selects which query traces a FlightRecorder retains after
 // finalize. The zero value keeps nothing; enable at least one criterion. A
 // SlowestN at least the run's query count keeps every query: the heap never
-// fills, so it never evicts.
+// fills, so it never evicts. The counts are non-negative: core.Config.Validate
+// refuses a negative one, naming it.
 type Policy struct {
 	// KeepFailed retains every query finalised without an answer.
 	KeepFailed bool
@@ -23,7 +24,7 @@ type Policy struct {
 	SlowestN int
 	// MaxEventsPerQuery bounds the in-flight buffer per query; beyond it
 	// the earliest events are kept and the overflow counted in
-	// QueryTrace.Dropped. <= 0 means 256.
+	// QueryTrace.Dropped. 0 means 256.
 	MaxEventsPerQuery int
 }
 
@@ -41,12 +42,11 @@ func (p Policy) maxEvents() int {
 
 // QueryTrace is one retained query's causal record.
 type QueryTrace struct {
-	// Query is the query id.
+	// Query is the query id (its 1-based submission sequence number).
 	Query uint64
-	// Submit is the submission timestamp.
-	Submit sim.Time
-	// Latency is completion latency: download time minus submit for
-	// answered queries, finalize time minus submit for failed ones.
+	// Latency is completion latency in virtual time: download time minus
+	// submit for answered queries, finalize time minus submit for failed
+	// ones.
 	Latency sim.Time
 	// Hops is the deepest forward chain the query reached.
 	Hops int
@@ -57,24 +57,37 @@ type QueryTrace struct {
 	Why string
 	// Events are the query's trace events in merged stream order.
 	Events []Event
-	// Dropped counts events discarded by the per-query buffer cap.
+	// Dropped counts events discarded by the per-query buffer cap
+	// (Policy.MaxEventsPerQuery).
 	Dropped int
+	// processing is the run's per-hop processing delay, for Tree.
+	processing sim.Time
 }
 
-// Tree reconstructs the trace's span tree. processing is the per-hop
-// protocol processing delay used for latency attribution. The recorder's
-// outcome fields overlay the reconstruction: they are computed from the
-// full event stream, while Events may have lost its tail to the
-// per-query buffer cap (a truncated failed query would otherwise render
-// as "ok" with the latency of its last retained event).
-func (t *QueryTrace) Tree(processing sim.Time) *SpanTree {
-	tree := BuildSpanTree(t.Query, t.Events, processing)
+// Tree reconstructs the trace's span tree, splitting each closed hop's
+// latency at the run's per-hop processing delay. The recorder's outcome
+// fields overlay the reconstruction: they are computed from the full event
+// stream, while Events may have lost its tail to the per-query buffer cap
+// (a truncated failed query would otherwise render as "ok" with the
+// latency of its last retained event).
+func (t *QueryTrace) Tree() *SpanTree {
+	tree := BuildSpanTree(t.Query, t.Events, t.processing)
 	if tree == nil {
 		return nil
 	}
 	tree.Failed = t.Failed
 	tree.Latency = t.Latency
 	return tree
+}
+
+// Render formats the trace's span tree as an indented text timeline (see
+// SpanTree.Render), or "" when its events hold no submission.
+func (t *QueryTrace) Render() string {
+	tree := t.Tree()
+	if tree == nil {
+		return ""
+	}
+	return tree.Render()
 }
 
 // queryBuf holds one in-flight query's events until finalize.
@@ -111,24 +124,26 @@ func (b *queryBuf) reset() {
 // heap entry is evicted, its event slice) is recycled, so steady-state
 // recording allocates only retained data.
 type FlightRecorder struct {
-	pol    Policy
-	active map[uint64]*queryBuf
+	pol        Policy
+	processing sim.Time
+	active     map[uint64]*queryBuf
 	// bufs recycles queryBuf structs. With a long finalize horizon every
 	// in-flight query holds a buffer, so fresh buffers are the common case;
-	// evSlab batches their initial event windows the way the pool batches
-	// the structs (capacity-capped three-index carves, so append past a
-	// window reallocates independently instead of clobbering a neighbour).
-	bufs   sim.Pool[queryBuf]
-	evSlab []Event
-	spare  [][]Event // event slices recovered from evicted heap entries
-	kept   []*QueryTrace
-	slow   slowHeap
-	phases []Event
+	// their initial event windows are carved from evBlock the way the pool
+	// carves the structs.
+	bufs    sim.Pool[queryBuf]
+	evBlock []Event
+	spare   [][]Event // event slices recovered from evicted heap entries
+	kept    []*QueryTrace
+	slow    slowHeap
+	phases  []Event
 }
 
 // NewFlightRecorder returns a recorder with the given retention policy.
-func NewFlightRecorder(pol Policy) *FlightRecorder {
-	return &FlightRecorder{pol: pol, active: make(map[uint64]*queryBuf)}
+// processing is the run's per-hop processing delay; every retained trace
+// carries it for QueryTrace.Tree.
+func NewFlightRecorder(pol Policy, processing sim.Time) *FlightRecorder {
+	return &FlightRecorder{pol: pol, processing: processing, active: make(map[uint64]*queryBuf)}
 }
 
 // Emit implements Tracer.
@@ -239,14 +254,14 @@ func (r *FlightRecorder) finish(fin Event, b *queryBuf) {
 func (r *FlightRecorder) seal(b *queryBuf, lat sim.Time, why string) *QueryTrace {
 	q := b.events[0].Query
 	t := &QueryTrace{
-		Query:   q,
-		Submit:  b.submit,
-		Latency: lat,
-		Hops:    b.maxDepth,
-		Failed:  b.failed,
-		Why:     why,
-		Events:  b.events,
-		Dropped: b.dropped,
+		Query:      q,
+		Latency:    lat,
+		Hops:       b.maxDepth,
+		Failed:     b.failed,
+		Why:        why,
+		Events:     b.events,
+		Dropped:    b.dropped,
+		processing: r.processing,
 	}
 	b.events = nil
 	r.release(b)
@@ -265,11 +280,7 @@ func (r *FlightRecorder) acquire() *queryBuf {
 		// Pre-sized for a typical flood: growth chains per in-flight query
 		// would dominate (buffers recycle only after finalize, 30 virtual
 		// seconds out, so most queries pay the initial window).
-		if len(r.evSlab) < 64 {
-			r.evSlab = make([]Event, 64*64)
-		}
-		b.events = r.evSlab[0:0:64]
-		r.evSlab = r.evSlab[64:]
+		b.events = sim.Carve(&r.evBlock, 64)
 	}
 	return b
 }

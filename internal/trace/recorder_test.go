@@ -27,7 +27,7 @@ func emitQuery(r *FlightRecorder, q uint64, origin int, t0 sim.Time, depth int, 
 }
 
 func TestFlightRecorderKeepFailed(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true})
+	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
 	emitQuery(r, 1, 5, sim.Second, 2, 0, sim.Second+30*sim.Second, true)
 	emitQuery(r, 2, 6, 2*sim.Second, 2, 2*sim.Second+200*sim.Millisecond, 2*sim.Second+30*sim.Second, false)
 	traces := r.Traces()
@@ -48,7 +48,7 @@ func TestFlightRecorderKeepFailed(t *testing.T) {
 }
 
 func TestFlightRecorderMinHops(t *testing.T) {
-	r := NewFlightRecorder(Policy{MinHops: 3})
+	r := NewFlightRecorder(Policy{MinHops: 3}, sim.Millisecond)
 	emitQuery(r, 1, 5, sim.Second, 2, sim.Second+sim.Millisecond*50, sim.Second+30*sim.Second, false)
 	emitQuery(r, 2, 6, 2*sim.Second, 4, 2*sim.Second+sim.Millisecond*50, 2*sim.Second+30*sim.Second, false)
 	traces := r.Traces()
@@ -62,7 +62,7 @@ func TestFlightRecorderMinHops(t *testing.T) {
 // smaller id) candidates displacing the minimum, and Traces() returning
 // them slowest-first.
 func TestFlightRecorderSlowestN(t *testing.T) {
-	r := NewFlightRecorder(Policy{SlowestN: 3})
+	r := NewFlightRecorder(Policy{SlowestN: 3}, sim.Millisecond)
 	lat := []sim.Time{ // per query 1..6, in ms
 		40 * sim.Millisecond,
 		90 * sim.Millisecond,
@@ -93,7 +93,7 @@ func TestFlightRecorderSlowestN(t *testing.T) {
 // TestFlightRecorderSlowestTie pins the eviction tie-break: an equally-slow
 // later query must NOT displace an earlier one already in a full heap.
 func TestFlightRecorderSlowestTie(t *testing.T) {
-	r := NewFlightRecorder(Policy{SlowestN: 1})
+	r := NewFlightRecorder(Policy{SlowestN: 1}, sim.Millisecond)
 	const l = 25 * sim.Millisecond
 	emitQuery(r, 1, 0, sim.Second, 1, sim.Second+l, sim.Second+30*sim.Second, false)
 	emitQuery(r, 2, 1, 2*sim.Second, 1, 2*sim.Second+l, 2*sim.Second+30*sim.Second, false)
@@ -109,7 +109,7 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 // locally answered query would rank as a slowest-N outlier. A storage hit
 // at a *remote* peer must not complete the query (its download does).
 func TestFlightRecorderLocalStorageHit(t *testing.T) {
-	r := NewFlightRecorder(Policy{SlowestN: 2})
+	r := NewFlightRecorder(Policy{SlowestN: 2}, sim.Millisecond)
 	// Query 1: local storage hit at submit time.
 	r.Emit(Event{At: sim.Second, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 5, From: -1})
 	r.Emit(Event{At: sim.Second, Kind: StorageHit, Query: 1, Span: 2, Parent: 1, Peer: 5, From: -1})
@@ -137,7 +137,7 @@ func TestFlightRecorderLocalStorageHit(t *testing.T) {
 // TestFlightRecorderMaxKeepOverflow: criteria retentions stop at maxKeep;
 // the first maxKeep matches are kept and the overflow is discarded.
 func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true})
+	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
 	for q := uint64(1); q <= maxKeep+3; q++ {
 		t0 := sim.Time(q) * sim.Second
 		emitQuery(r, q, int(q), t0, 1, 0, t0+30*sim.Second, true)
@@ -157,7 +157,7 @@ func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
 }
 
 func TestFlightRecorderEventCap(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true, MaxEventsPerQuery: 4})
+	r := NewFlightRecorder(Policy{KeepFailed: true, MaxEventsPerQuery: 4}, sim.Millisecond)
 	emitQuery(r, 1, 5, sim.Second, 10, 0, sim.Second+30*sim.Second, true)
 	traces := r.Traces()
 	if len(traces) != 1 {
@@ -179,7 +179,7 @@ func TestFlightRecorderEventCap(t *testing.T) {
 	// The QueryFailed event was truncated away, but the tree must still
 	// carry the recorder's authoritative outcome, not reconstruct a bogus
 	// "ok" from the surviving prefix.
-	tree := tr.Tree(sim.Millisecond)
+	tree := tr.Tree()
 	if tree == nil || !tree.Failed {
 		t.Fatalf("truncated failed query reconstructed as ok: %+v", tree)
 	}
@@ -191,7 +191,7 @@ func TestFlightRecorderEventCap(t *testing.T) {
 // TestFlightRecorderWhyCombines checks a trace matching several criteria
 // reports them all and is kept once.
 func TestFlightRecorderWhyCombines(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true, MinHops: 2})
+	r := NewFlightRecorder(Policy{KeepFailed: true, MinHops: 2}, sim.Millisecond)
 	emitQuery(r, 1, 5, sim.Second, 3, 0, sim.Second+30*sim.Second, true)
 	traces := r.Traces()
 	if len(traces) != 1 {
@@ -203,7 +203,7 @@ func TestFlightRecorderWhyCombines(t *testing.T) {
 }
 
 func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true})
+	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
 	r.Emit(Event{At: sim.Second, Kind: PhaseEnter, Detail: "surge"})
 	// Events for a query never submitted (e.g. in flight before attach).
 	r.Emit(Event{At: sim.Second, Kind: QueryForward, Query: 9, Span: 2, Parent: 1, Peer: 1, From: 0})

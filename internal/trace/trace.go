@@ -105,6 +105,21 @@ type Event struct {
 	Detail string
 }
 
+// String renders the event as a log line: the virtual time in seconds, the
+// query, the kind's name, the acting peer and, for a link-crossing action,
+// its counterpart. A network-wide event (Peer < 0, a phase entry) prints
+// its kind and detail only.
+func (e Event) String() string {
+	at := e.At.Seconds()
+	if e.Peer < 0 {
+		return fmt.Sprintf("%9.3fs ------ %-12s %s", at, e.Kind, e.Detail)
+	}
+	if e.From >= 0 {
+		return fmt.Sprintf("%9.3fs q=%-4d %-12s peer=%-4d from=%-4d %s", at, e.Query, e.Kind, e.Peer, e.From, e.Detail)
+	}
+	return fmt.Sprintf("%9.3fs q=%-4d %-12s peer=%-4d           %s", at, e.Query, e.Kind, e.Peer, e.Detail)
+}
+
 // Tracer consumes events. Implementations must be cheap: the simulator
 // calls Emit on hot paths. FlightRecorder is the one production
 // implementation; tests implement it to watch the raw stream.

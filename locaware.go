@@ -42,6 +42,7 @@ import (
 	"slices"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/stats"
@@ -280,45 +281,14 @@ type Result struct {
 	TracePhases []TraceEvent
 }
 
-// QueryRecord is the outcome of one measured query (RetainRecords mode).
-type QueryRecord struct {
-	// ID is the query's 1-based submission sequence number.
-	ID uint64
-	// Messages is the overlay message count the query produced.
-	Messages int
-	// Success reports whether the query was satisfied.
-	Success bool
-	// DownloadRTTMs is the requester→provider RTT in ms (successes only).
-	DownloadRTTMs float64
-	// SameLocality reports a download served from the requester's locality.
-	SameLocality bool
-	// FromCache reports a hit answered from a response index.
-	FromCache bool
-	// Hops is the overlay hop count to the first hit.
-	Hops int
-}
+// QueryRecord is one measured query's outcome (RetainRecords mode): ID, its
+// 1-based measured sequence number; Messages; Success; DownloadRTT, the
+// requester→provider RTT in ms (successes only); SameLocality; FromCache, a
+// response-index hit; Hops, the overlay hops to the first hit.
+type QueryRecord = metrics.QueryRecord
 
 func newResult(p Protocol, r *core.RunResult) *Result {
-	var records []QueryRecord
-	if recs := r.Collector.Records(); recs != nil {
-		records = make([]QueryRecord, len(recs))
-		for i, rec := range recs {
-			records[i] = QueryRecord{
-				ID:            rec.ID,
-				Messages:      rec.Messages,
-				Success:       rec.Success,
-				DownloadRTTMs: rec.DownloadRTT,
-				SameLocality:  rec.SameLocality,
-				FromCache:     rec.FromCache,
-				Hops:          rec.Hops,
-			}
-		}
-	}
-	var phases []PhaseMetrics
-	for _, w := range r.Collector.PhaseWindows() {
-		phases = append(phases, liftPhaseWindow(w))
-	}
-	run := liftPhaseWindow(r.Collector.RunWindow())
+	run := r.Collector.RunWindow()
 	return &Result{
 		Protocol:              p,
 		Queries:               run.Queries,
@@ -338,11 +308,11 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 		CachedProviderEntries: r.CacheProviderEntries,
 		SimulatedSeconds:      r.Duration.Seconds(),
 		Events:                r.Events,
-		Records:               records,
-		Phases:                phases,
+		Records:               r.Collector.Records(),
+		Phases:                r.Collector.PhaseWindows(),
 		Runtime:               r.Runtime,
-		Traces:                liftTraces(r),
-		TracePhases:           liftEvents(r.TracePhases),
+		Traces:                r.Traces,
+		TracePhases:           r.TracePhases,
 	}
 }
 
@@ -381,57 +351,14 @@ func Run(o Options, p Protocol, warmup, queries int) (*Result, error) {
 	return newResult(p, s.RunMeasured(warmup, queries)), nil
 }
 
-// TraceEvent is one traced action of a recorded run (Trace.Events,
-// Result.TracePhases).
-type TraceEvent struct {
-	// AtSeconds is the virtual timestamp in seconds.
-	AtSeconds float64
-	// Kind is the action name: submit, forward, duplicate, storage-hit,
-	// cache-hit, response-hop, cached, download, failed, phase.
-	Kind string
-	// Query is the query's sequence number (0 for phase events).
-	Query uint64
-	// Peer is the acting peer; From the counterpart peer for link-crossing
-	// actions (-1 otherwise): a duplicate or a hit names the peer that sent
-	// the query, unless the hit is at submission. Network-wide events
-	// (scenario phase entries) carry no acting peer and set both to -1.
-	Peer, From int
-	// Detail is a short annotation (filename, provider, delta size,
-	// scenario phase identity).
-	Detail string
-}
-
-// String renders the event as a log line.
-func (e TraceEvent) String() string {
-	if e.Peer < 0 {
-		// Network-wide event (scenario phase entry): no query, no peer.
-		return fmt.Sprintf("%9.3fs ------ %-12s %s", e.AtSeconds, e.Kind, e.Detail)
-	}
-	if e.From >= 0 {
-		return fmt.Sprintf("%9.3fs q=%-4d %-12s peer=%-4d from=%-4d %s", e.AtSeconds, e.Query, e.Kind, e.Peer, e.From, e.Detail)
-	}
-	return fmt.Sprintf("%9.3fs q=%-4d %-12s peer=%-4d           %s", e.AtSeconds, e.Query, e.Kind, e.Peer, e.Detail)
-}
-
-// liftEvents converts internal trace events to the facade shape (virtual
-// time in seconds, kind as its name).
-func liftEvents(in []trace.Event) []TraceEvent {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]TraceEvent, len(in))
-	for i, e := range in {
-		out[i] = TraceEvent{
-			AtSeconds: e.At.Seconds(),
-			Kind:      e.Kind.String(),
-			Query:     e.Query,
-			Peer:      e.Peer,
-			From:      e.From,
-			Detail:    e.Detail,
-		}
-	}
-	return out
-}
+// TraceEvent is one traced action (Trace.Events, Result.TracePhases): At,
+// its virtual time (a sim.Time; At.Seconds() in seconds); Kind, whose
+// Kind.String() names it (submit, forward, duplicate, storage-hit,
+// cache-hit, response-hop, cached, download, failed, phase); Query (0 for a
+// phase); Span and Parent, its place in the query's tree; Peer, and From,
+// the counterpart of a link-crossing action (-1 otherwise; both -1 for a
+// phase); Detail. String renders it as a log line.
+type TraceEvent = trace.Event
 
 // Figure identifies one of the paper's evaluation figures.
 type Figure string
@@ -443,29 +370,12 @@ const (
 	FigureSuccessRate      Figure = "fig4-success-rate"
 )
 
-// Estimate is a cross-trial sample statistic of one metric: the mean over
-// Options.Trials independent replications with its spread.
-type Estimate struct {
-	// N is the number of trials the estimate pools.
-	N int
-	// Mean, StdDev and CI95 are the sample mean, the sample standard
-	// deviation, and the 95% normal-approximation confidence half-width of
-	// the mean (0 for a single trial).
-	Mean, StdDev, CI95 float64
-}
-
-// String renders the estimate as "mean±ci95", or the bare mean when it
-// pools fewer than two trials (a single number has no spread).
-func (e Estimate) String() string {
-	if e.N < 2 {
-		return fmt.Sprintf("%.3f", e.Mean)
-	}
-	return fmt.Sprintf("%.3f±%.3f", e.Mean, e.CI95)
-}
-
-func toEstimate(s stats.Summary) Estimate {
-	return Estimate{N: s.N, Mean: s.Mean, StdDev: s.StdDev, CI95: s.CI95()}
-}
+// Estimate is a cross-trial sample statistic of one metric, in the
+// metric's unit: N, the number of trials it pools; Mean, StdDev, Min and
+// Max, the sample mean, standard deviation and range; CI95(), the 95%
+// normal-approximation confidence half-width of the mean (0 for a single
+// trial). String renders it as "mean±ci95", or the bare mean when N < 2.
+type Estimate = stats.Summary
 
 // TrialsResult summarises one protocol replicated over independent trials.
 type TrialsResult struct {
@@ -492,21 +402,19 @@ type TrialsResult struct {
 }
 
 func newTrialsResult(p Protocol, cell *core.TrialCell) *TrialsResult {
-	run := liftPhaseStats(cell.Summary.PhaseStats)
+	sum := cell.Summary
 	tr := &TrialsResult{
 		Protocol:            p,
-		SuccessRate:         run.SuccessRate,
-		AvgMessagesPerQuery: run.AvgMessagesPerQuery,
-		AvgDownloadRTTMs:    run.AvgDownloadRTTMs,
-		SameLocalityRate:    run.SameLocalityRate,
-		CacheHitRate:        run.CacheHitRate,
-		AvgHops:             run.AvgHops,
-		ControlMessages:     toEstimate(cell.Summary.ControlMessages),
-		ControlKbits:        toEstimate(cell.Summary.ControlKbits),
-		CachedFilenames:     toEstimate(cell.Summary.CachedFilenames),
-	}
-	for _, ps := range cell.PhaseStats {
-		tr.Phases = append(tr.Phases, liftPhaseStats(ps))
+		SuccessRate:         sum.SuccessRate,
+		AvgMessagesPerQuery: sum.AvgMessagesPerQuery,
+		AvgDownloadRTTMs:    sum.AvgDownloadRTTMs,
+		SameLocalityRate:    sum.SameLocalityRate,
+		CacheHitRate:        sum.CacheHitRate,
+		AvgHops:             sum.AvgHops,
+		ControlMessages:     sum.ControlMessages,
+		ControlKbits:        sum.ControlKbits,
+		CachedFilenames:     sum.CachedFilenames,
+		Phases:              cell.PhaseStats,
 	}
 	for _, r := range cell.Runs {
 		tr.Trials = append(tr.Trials, newResult(p, r))

@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -121,7 +122,7 @@ func TestGoldenStreamingMatchesRecords(t *testing.T) {
 		msgs += rec.Messages
 		if rec.Success {
 			succ++
-			rttSum += rec.DownloadRTTMs
+			rttSum += rec.DownloadRTT
 		}
 	}
 	if got := float64(succ) / 200; got != res.SuccessRate {
@@ -179,7 +180,7 @@ func compareCapture(c *Comparison) string {
 	fmt.Fprintf(&b, "-- headlines\ndistance=%v traffic=%v dicas=%v dicas-keys=%v\n",
 		h.DistanceReduction, h.TrafficReductionVsFlooding, h.HitGainVsDicas, h.HitGainVsDicasKeys)
 	b.WriteString("-- protocols\n")
-	est := func(e Estimate) string { return fmt.Sprintf("%v±%v/%d", e.Mean, e.CI95, e.N) }
+	est := func(e Estimate) string { return fmt.Sprintf("%v±%v/%d", e.Mean, e.CI95(), e.N) }
 	for _, s := range c.Sets {
 		fmt.Fprintf(&b, "%s success=%s msgs/q=%s rtt=%s sameLoc=%s cacheHit=%s hops=%s ctl=%s kbits=%s cached=%s\n",
 			s.Protocol, est(s.SuccessRate), est(s.AvgMessagesPerQuery), est(s.AvgDownloadRTTMs),
@@ -215,4 +216,28 @@ func TestCompareMatchesParentCapture(t *testing.T) {
 	if got := b.String(); got != string(want) {
 		t.Fatalf("Compare drifted from the pre-collapse capture %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
+}
+
+// TestGoldenRunJSON pins what `locaware run -json` prints: Run's result
+// under churn-waves (so Phases is non-empty), encoded as cmd/locaware
+// encodes it. The keys, their order and every value are the command's
+// output contract; regenerate with -update only for a deliberate change.
+func TestGoldenRunJSON(t *testing.T) {
+	o := goldenOptions()
+	sc, err := ScenarioByName("churn-waves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Scenario = sc
+	res, err := Run(o, ProtocolLocaware, 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_run_json_churn_waves_200peers.json", b.String())
 }

@@ -87,82 +87,24 @@ func (s *Scenario) String() string {
 	return fmt.Sprintf("scenario{%s phases=%d}", s.spec.Name, len(s.spec.Phases))
 }
 
-// PhaseMetrics is the full metric set of one scenario phase, computed by
-// the streaming collector over the measured queries in (Start, End].
-type PhaseMetrics struct {
-	// Phase is the phase's name from the scenario spec.
-	Phase string
-	// Start (exclusive) and End (inclusive) bound the phase's span of
-	// cumulative measured query counts; Queries is the span's size.
-	Start, End, Queries int
-	// The figure metrics over the phase.
-	SuccessRate         float64
-	AvgMessagesPerQuery float64
-	AvgDownloadRTTMs    float64
-	// The secondary metrics over the phase (success-conditioned).
-	SameLocalityRate float64
-	CacheHitRate     float64
-	AvgHops          float64
-}
+// PhaseMetrics is the full metric set of one scenario phase (Result.Phases),
+// computed by the streaming collector over the measured queries in
+// (Start, End]: Phase, the phase's name from the scenario spec; Start
+// (exclusive) and End (inclusive), the span's cumulative measured query
+// counts, and Queries, its size; the figure metrics SuccessRate,
+// AvgMessagesPerQuery and AvgDownloadRTTMs (milliseconds); and the
+// success-conditioned SameLocalityRate, CacheHitRate and AvgHops.
+type PhaseMetrics = metrics.PhaseWindow
 
-// PhaseEstimates is the cross-trial aggregation of one scenario phase:
-// every phase metric as a mean ± stddev ± 95% CI estimate pooled over the
-// replicated trials, phase-aligned (trial t's phase k contributes to
-// estimate k). Produced by RunTrials/Compare when Options.Scenario is set.
-type PhaseEstimates struct {
-	// Phase is the phase's name from the scenario spec.
-	Phase string
-	// Start (exclusive) and End (inclusive) bound the phase's span of
-	// cumulative measured query counts, shared by all trials.
-	Start, End int
-	// Queries estimates how many queries each trial recorded in the span.
-	Queries Estimate
-	// The figure metrics over the phase.
-	SuccessRate         Estimate
-	AvgMessagesPerQuery Estimate
-	AvgDownloadRTTMs    Estimate
-	// The secondary metrics over the phase (success-conditioned).
-	SameLocalityRate Estimate
-	CacheHitRate     Estimate
-	AvgHops          Estimate
-}
-
-// liftPhaseWindow lifts one sealed metric window (a phase, or the whole run) to
-// its facade form.
-func liftPhaseWindow(w metrics.PhaseWindow) PhaseMetrics {
-	return PhaseMetrics{
-		Phase:               w.Name,
-		Start:               w.Start,
-		End:                 w.End,
-		Queries:             w.Queries,
-		SuccessRate:         w.SuccessRate,
-		AvgMessagesPerQuery: w.MessagesPerQuery,
-		AvgDownloadRTTMs:    w.DownloadRTT,
-		SameLocalityRate:    w.SameLocalityRate,
-		CacheHitRate:        w.CacheHitRate,
-		AvgHops:             w.AvgHops,
-	}
-}
-
-// liftPhaseStats lifts one cross-trial metric window to its facade form.
-func liftPhaseStats(ps metrics.PhaseStats) PhaseEstimates {
-	return PhaseEstimates{
-		Phase:               ps.Name,
-		Start:               ps.Start,
-		End:                 ps.End,
-		Queries:             toEstimate(ps.Queries),
-		SuccessRate:         toEstimate(ps.SuccessRate),
-		AvgMessagesPerQuery: toEstimate(ps.MessagesPerQuery),
-		AvgDownloadRTTMs:    toEstimate(ps.DownloadRTT),
-		SameLocalityRate:    toEstimate(ps.SameLocalityRate),
-		CacheHitRate:        toEstimate(ps.CacheHitRate),
-		AvgHops:             toEstimate(ps.AvgHops),
-	}
-}
+// PhaseEstimates is one scenario phase across trials (TrialsResult.Phases,
+// under Options.Scenario): PhaseMetrics' fields, Queries and each metric an
+// Estimate pooled phase-aligned over the trials (trial t's phase k feeds
+// estimate k); Phase, Start and End are shared by all trials.
+type PhaseEstimates = metrics.PhaseStats
 
 // PhaseTable renders the replicated per-phase metrics as an aligned text
-// table with mean±ci95 cells — the error-barred counterpart of the
-// single-run PhaseTable.
+// table, one row per phase, with mean±ci95 cells (a bare mean for a single
+// trial).
 func (r *TrialsResult) PhaseTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %8s %13s %13s %15s %13s %13s %11s\n",

@@ -379,7 +379,7 @@ func TestScenarioPhaseEstimates(t *testing.T) {
 	}
 	for i, ph := range set.Phases {
 		got := set.Trials[0].Phases[i]
-		if ph.SuccessRate.Mean != got.SuccessRate || ph.SuccessRate.CI95 != 0 {
+		if ph.SuccessRate.Mean != got.SuccessRate || ph.SuccessRate.CI95() != 0 {
 			t.Fatalf("phase %d: single-trial estimate %+v != run value %g", i, ph.SuccessRate, got.SuccessRate)
 		}
 	}
@@ -408,7 +408,7 @@ func TestScenarioTraceAnnotations(t *testing.T) {
 		if !strings.Contains(e.Detail, "scenario=churn-waves") {
 			t.Fatalf("phase event %d detail = %q", i, e.Detail)
 		}
-		if i > 0 && e.AtSeconds < phases[i-1].AtSeconds {
+		if i > 0 && e.At < phases[i-1].At {
 			t.Fatalf("phase events out of timeline order: %+v", phases)
 		}
 		if !strings.Contains(e.String(), "phase") {

@@ -223,7 +223,7 @@ func (r *SweepResult) CellEstimate(cell int, p Protocol, metric string) (Estimat
 			return Estimate{}, fmt.Errorf("locaware: unknown sweep metric %q (have %s)",
 				metric, strings.Join(sweep.Metrics(), ", "))
 		}
-		return toEstimate(sum), nil
+		return sum, nil
 	}
 	return Estimate{}, fmt.Errorf("locaware: protocol %q not in campaign", p)
 }

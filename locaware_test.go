@@ -353,18 +353,18 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 		byQuery[tr.Query] = tr
 		submits, outcomes := 0, 0
 		for i, e := range tr.Events {
-			switch e.Kind {
+			switch e.Kind.String() {
 			case "submit":
 				submits++
 			case "download", "failed":
 				outcomes++
 			}
-			if i > 0 && e.AtSeconds < tr.Events[i-1].AtSeconds {
+			if i > 0 && e.At < tr.Events[i-1].At {
 				t.Fatalf("query %d: events out of time order", tr.Query)
 			}
 		}
-		if submits != 1 || outcomes != 1 || tr.DroppedEvents != 0 {
-			t.Fatalf("query %d: %d submits, %d outcomes, %d dropped; want 1, 1, 0", tr.Query, submits, outcomes, tr.DroppedEvents)
+		if submits != 1 || outcomes != 1 || tr.Dropped != 0 {
+			t.Fatalf("query %d: %d submits, %d outcomes, %d dropped; want 1, 1, 0", tr.Query, submits, outcomes, tr.Dropped)
 		}
 	}
 	if len(byQuery) != queries {
@@ -378,11 +378,11 @@ func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
 		if n := min(tiny, len(whole.Events)); !reflect.DeepEqual(tr.Events, whole.Events[:n]) {
 			t.Fatalf("query %d: capped trace kept %d events, want the query's first %d", tr.Query, len(tr.Events), n)
 		}
-		if len(tr.Events)+tr.DroppedEvents != len(whole.Events) {
+		if len(tr.Events)+tr.Dropped != len(whole.Events) {
 			t.Fatalf("query %d: kept %d + dropped %d, want the %d an uncapped run keeps",
-				tr.Query, len(tr.Events), tr.DroppedEvents, len(whole.Events))
+				tr.Query, len(tr.Events), tr.Dropped, len(whole.Events))
 		}
-		dropped += tr.DroppedEvents
+		dropped += tr.Dropped
 	}
 	if dropped == 0 {
 		t.Fatal("a 3-event cap dropped nothing")
@@ -516,7 +516,7 @@ func TestRunTrialsSingleTrialMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(agg.Trials[0], single) {
 		t.Fatalf("Trials=1 diverged from Run:\n%+v\nvs\n%+v", agg.Trials[0], single)
 	}
-	if agg.SuccessRate.Mean != single.SuccessRate || agg.SuccessRate.CI95 != 0 {
+	if agg.SuccessRate.Mean != single.SuccessRate || agg.SuccessRate.CI95() != 0 {
 		t.Fatalf("estimate = %+v", agg.SuccessRate)
 	}
 }
@@ -629,7 +629,7 @@ func TestCompareReplicatedErrors(t *testing.T) {
 }
 
 func TestEstimateString(t *testing.T) {
-	e := Estimate{N: 8, Mean: 0.431, StdDev: 0.02, CI95: 0.014}
+	e := Estimate{N: 8, Mean: 0.431, StdDev: 0.02} // CI95() = 1.96·0.02/√8 ≈ 0.0139
 	if e.String() != "0.431±0.014" {
 		t.Fatalf("Estimate.String() = %q", e.String())
 	}

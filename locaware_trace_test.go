@@ -38,9 +38,9 @@ func TestFlightRecorderFacade(t *testing.T) {
 			t.Fatalf("trace %d incomplete: why=%q events=%d", i, tr.Why, len(tr.Events))
 		}
 		if i > 0 && !res.Traces[i].Failed && !res.Traces[i-1].Failed &&
-			res.Traces[i].LatencySeconds > res.Traces[i-1].LatencySeconds {
-			t.Fatalf("traces not slowest-first at %d: %f > %f",
-				i, res.Traces[i].LatencySeconds, res.Traces[i-1].LatencySeconds)
+			res.Traces[i].Latency > res.Traces[i-1].Latency {
+			t.Fatalf("traces not slowest-first at %d: %s > %s",
+				i, res.Traces[i].Latency, res.Traces[i-1].Latency)
 		}
 	}
 	rendered := res.Traces[0].Render()
