@@ -24,6 +24,7 @@ var deadCodeAllowed = map[string]string{
 	"cache.Index.Filenames":             "oracle: the gossip equivalence test rebuilds a node's filter from it",
 	"bloom.Filter.Equal":                "oracle: the gossip and filter-rebuild tests compare filters through it",
 	"locaware.SweepResult.CellEstimate": "benchmark/bench_test.go compares a campaign cell with direct runs through it",
+	"core.RunResult.Digest":             "ROADMAP 23: the benchmark's sim_digest, pinned in core's tests; benchmark/ keeps its own copy until 1(b)",
 }
 
 // TestNoTestOnlyProductionCode type-checks both modules — the library with

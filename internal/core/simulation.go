@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -203,6 +205,20 @@ type RunResult struct {
 	// TracePhases holds the scenario phase-entry events the recorder saw,
 	// for export alongside Traces.
 	TracePhases []trace.Event
+}
+
+// Digest hashes every simulated statistic of the run into hex SHA-256, in
+// the format benchmark/'s sim_digest hashes: a change that only speeds the
+// simulator up must leave it identical.
+func (r *RunResult) Digest() string {
+	c := r.Collector
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s events=%d duration=%d submitted=%d messages=%d success=%v msgs=%v rtt=%v sameloc=%v cachehit=%v hops=%v control=%d/%d fwd=%+v cache=%d/%d err=%v\n",
+		r.Protocol, r.Events, r.Duration, c.Submitted(), c.TotalMessages(),
+		c.SuccessRate(), c.AvgMessagesPerQuery(), c.AvgDownloadRTT(),
+		c.SameLocalityRate(), c.CacheHitRate(), c.AvgHops(),
+		r.ControlMessages, r.ControlBits, r.Forwarding,
+		r.CacheFilenames, r.CacheProviderEntries, r.Err))
+	return hex.EncodeToString(sum[:])
 }
 
 // RunMeasured runs warmup queries to bring caches, Bloom filters and

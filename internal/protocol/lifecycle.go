@@ -9,25 +9,22 @@ import (
 )
 
 // acquirePending takes a pendingQuery from the pool for query id, keeping
-// the pooled value's buffers: the seen bits cleared, the positions emptied.
+// the pooled value's buffers: the seen set emptied, the positions emptied.
 // A fresh value under Bloom routing gets positions carved for MaxK keywords
 // of K each, as acquireMsg carves a path.
 func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords.Query) *pendingQuery {
 	pq := net.pqPool.Get()
-	seen := pq.seen
-	if seen == nil {
-		seen = make([]uint64, (len(net.nodes)+63)/64)
+	if pq.seen == nil {
 		if bf := net.nodes[origin].bf; bf != nil {
 			pq.kwIdx = sim.Carve(&net.kwBlock, keywords.MaxK*bf.K())
 		}
-	} else {
-		clear(seen)
 	}
+	seen, seenN := net.resetSeen(pq.seen)
 	*pq = pendingQuery{
 		net: net, id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
 		// Hashed once per query: every Gid-routing hop consults the same value.
 		gid:  gidOfQuery(q, net.Config.GroupCount),
-		seen: seen, kwIdx: pq.kwIdx[:0],
+		seen: seen, seenN: seenN, kwIdx: pq.kwIdx[:0],
 	}
 	return pq
 }

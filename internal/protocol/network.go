@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -91,9 +92,10 @@ type Behavior interface {
 // It is also the query's finalize event, posted once at submission
 // FinalizeAfter ahead (see Fire). Instances are pooled: finalize returns
 // them to the network's free list.
-// Memory is seen's N/8 bytes per in-flight query: 2.5 KB at 20 000 peers,
-// ≈1.4 MB at that scale's high-water mark of ≈560 queries in flight, ≈31 MB
-// at 100 000 peers and the paper's arrival rate.
+// Memory is O(visited) per in-flight query: seen is a 1 KB table that
+// doubles at half full, and the N/8-byte bitmap only where the bitmap is the
+// smaller. After 25 000 Locaware queries at 100 000 peers the heap holds
+// 678 B per peer, against 995 when every query held the bitmap.
 type pendingQuery struct {
 	net *Network
 	// id is the query this value serves; finalize zeroes it and a recycled
@@ -110,32 +112,101 @@ type pendingQuery struct {
 	origin    overlay.PeerID
 	originLoc netmodel.LocID
 	messages  int
-	answered  bool
 	rtt       float64
+	answered  bool
 	sameLoc   bool
 	fromCache bool
 	// spans is the last trace span id emit gave one of the query's events;
 	// it counts only while a tracer is attached. It sits beside the bools,
 	// in their word's padding.
 	spans int32
+	// seenN is how many keys seen's table holds, or -1 while seen is the
+	// bitmap; it sits in the padding before hops.
+	seenN int32
 	hops  int
-	// seen is the duplicate-suppression set (Gnutella semantics): one bit
-	// per peer, set when the peer first handles the query. The array stays
-	// with the pooled value and is cleared on acquire.
-	seen []uint64
+	// seen is the duplicate-suppression set (Gnutella semantics), the peers
+	// that handled the query: an open-addressed table of peer+1 keys (0 is
+	// empty; Fibonacci hash, high bits, linear probing), or one bit per peer
+	// in ⌈N/32⌉ words where that is smaller. It stays with the pooled value.
+	seen []uint32
 	// kwIdx holds the Bloom positions of the query's keywords (K each, in
 	// the network's one filter geometry), hashed once at submission: "BF
 	// matches q" (§4.2) is "every position set". Empty without Bloom routing.
 	kwIdx []uint32
 }
 
+// seenSlots is a fresh table's size, 1 KB, an 8 192-peer bitmap's bytes: at
+// 20 000 peers 97.5 % of queries visit fewer than 128 peers and never grow it.
+const seenSlots = 256
+
 // markSeen records that peer p handles the query and reports whether it
-// already had.
+// already had. Suppression is by first arrival: a later copy is a duplicate
+// whatever TTL it carries, so a longer-TTL copy that arrives second reaches
+// no further than the first (unspecified by the paper).
 func (pq *pendingQuery) markSeen(p overlay.PeerID) (dup bool) {
-	w, bit := uint(p)/64, uint64(1)<<(uint(p)%64)
-	dup = pq.seen[w]&bit != 0
-	pq.seen[w] |= bit
-	return dup
+	if pq.seenN < 0 {
+		w, bit := uint(p)/32, uint32(1)<<(uint(p)%32)
+		dup = pq.seen[w]&bit != 0
+		pq.seen[w] |= bit
+		return dup
+	}
+	key, mask := uint32(p)+1, uint32(len(pq.seen)-1)
+	for i := key * 0x9E3779B9 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
+		switch pq.seen[i] {
+		case key:
+			return true
+		case 0:
+			pq.seen[i] = key
+			if pq.seenN++; 2*int(pq.seenN) >= len(pq.seen) {
+				pq.net.growSeen(pq)
+			}
+			return false
+		}
+	}
+}
+
+// resetSeen empties a pooled value's set, clearing only what its last query
+// used, or makes a fresh value's: the bitmap where it is no larger than a
+// fresh table (N ≤ 8 192), else a table carved from the network's block.
+func (net *Network) resetSeen(seen []uint32) ([]uint32, int32) {
+	clear(seen)
+	if words := (len(net.nodes) + 31) / 32; words <= seenSlots {
+		if seen == nil {
+			seen = make([]uint32, words)
+		}
+		return seen, -1
+	}
+	if seen == nil {
+		seen = sim.Carve(&net.seenBlock, seenSlots)
+	}
+	return seen[:seenSlots], 0
+}
+
+// growSeen doubles pq's half-full table, or makes it the bitmap (a flood's
+// one-word test) when the doubled table would be no smaller. Both reuse the
+// array if it has room: past the part in use it is zero.
+func (net *Network) growSeen(pq *pendingQuery) {
+	keys := net.seenBuf[:0]
+	for _, k := range pq.seen {
+		if k != 0 {
+			keys = append(keys, k)
+		}
+	}
+	net.seenBuf = keys[:0]
+	n, words := 2*len(pq.seen), (len(net.nodes)+31)/32
+	pq.seenN = 0
+	if n >= words {
+		n, pq.seenN = words, -1
+	}
+	clear(pq.seen)
+	if cap(pq.seen) < n {
+		pq.seen = make([]uint32, n)
+	} else {
+		pq.seen = pq.seen[:n]
+	}
+	for _, k := range keys {
+		pq.markSeen(overlay.PeerID(k - 1))
+	}
 }
 
 // EventName implements sim.Named.
@@ -208,9 +279,11 @@ type Network struct {
 	respPool sim.Pool[ResponseMsg]
 	biPool   sim.Pool[bloomInstallEvent]
 	// What is left of the blocks sim.Carve cuts windows from: fresh messages'
-	// paths, fresh queries' Bloom positions, nodes' neighbour-filter tables.
+	// paths, fresh queries' Bloom positions and visited tables, nodes'
+	// neighbour-filter tables.
 	pathBlock []overlay.PeerID
 	kwBlock   []uint32
+	seenBlock []uint32
 	nbBlock   []neighborFilter
 
 	// Reusable scratch buffers for the per-event selection loops, each
@@ -226,6 +299,8 @@ type Network struct {
 	// flipBuf is the one announcement-delta buffer every node's PublishBloom
 	// fills in turn in a gossip round, which reads only each delta's size.
 	flipBuf []uint32
+	// seenBuf holds a visited table's keys while growSeen rebuilds it.
+	seenBuf []uint32
 
 	// forwarding / control / lifecycle counters tally the run; whoever
 	// reports them reads them once, when the run is over.

@@ -584,7 +584,7 @@ func TestStragglerAfterFinalizeIsDropped(t *testing.T) {
 // reuses A's pooled state, and only then does A's branch land — on a peer
 // that holds the file, while B is pending. The branch points at state that
 // is live again, so only the id comparison tells it is stale. It must be
-// dropped whole: no bit in B's seen array (which would make B's own branch
+// dropped whole: no peer in B's seen set (which would make B's own branch
 // a duplicate at that peer), no message on B's count, no response.
 func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	cfg := DefaultConfig()
@@ -617,8 +617,8 @@ func TestStragglerOfRecycledStateIsDropped(t *testing.T) {
 	if pqB.id != idB || pqB.messages != 1 {
 		t.Fatalf("B's state after A's straggler: id %d messages %d, want id %d messages 1", pqB.id, pqB.messages, idB)
 	}
-	if len(pqB.seen) != 1 || pqB.seen[0] != 1<<2 {
-		t.Fatalf("B's seen bits = %b, want only its origin, peer 2: A's straggler marked a peer", pqB.seen)
+	if in := seenPeers(pqB); !slices.Equal(in, []overlay.PeerID{2}) {
+		t.Fatalf("B's seen set = %v, want only its origin, peer 2: A's straggler marked a peer", in)
 	}
 	if got := net.Engine.Scheduled(); got != scheduled {
 		t.Fatalf("A's straggler scheduled %d events", got-scheduled)
