@@ -30,7 +30,7 @@ func (Dicas) CacheConfig(base cache.Config) cache.Config {
 // filename hash; if none, the highest-degree neighbour keeps the query
 // alive.
 func (Dicas) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	return net.gidOrFallback(q.pq.gid, elig)
+	return net.gidOrFallback(int(q.pq.gid), elig)
 }
 
 // CacheResponse implements Behavior: cache at matching-Gid peers on the

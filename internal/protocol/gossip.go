@@ -61,7 +61,7 @@ func (ev *bloomInstallEvent) Fire(*sim.Engine) {
 func (net *Network) acquireBloomInstall(dst overlay.PeerID, from *Node) *bloomInstallEvent {
 	ev := net.biPool.Get()
 	if ev.bf == nil {
-		ev.bf = from.filters.carve()
+		ev.bf = from.shared.filters.carve()
 	}
 	_ = ev.bf.CopyFrom(from.announced) // cannot mismatch: one geometry per network
 	ev.net, ev.dst, ev.from = net, dst, from.ID

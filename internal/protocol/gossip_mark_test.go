@@ -2,14 +2,10 @@ package protocol
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
-	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
 )
@@ -150,112 +146,4 @@ func InstallSharing(net *Network, ev sim.Event) string {
 		}
 	}
 	return ""
-}
-
-// exactFilter is the filter n's RI calls for: every keyword of every cached
-// filename, added to a fresh filter by its spelling.
-func exactFilter(n *Node) *bloom.Filter {
-	f := bloom.New(n.filters.m, n.filters.k)
-	for name := range n.RI.Files() {
-		for i := range name.K() {
-			f.Add(name.KeywordAt(i).String())
-		}
-	}
-	return f
-}
-
-// TestLookupGuardMatchesIndex: behind the node's own filter, lookupRI
-// returns exactly what RI.Lookup returns — no false negative, identical
-// matches and provider lists — over randomized Put / TTL-expiry /
-// single-filename lookup / capacity-eviction / PublishBloom sequences, and
-// leaves the index in the same state (the twin node takes the unguarded
-// path on the same stream). Lookups run both against a filter a discarded
-// filename left stale — a strict superset of the exact one, letting through
-// queries the exact filter would stop — and against a freshly rebuilt one.
-func TestLookupGuardMatchesIndex(t *testing.T) {
-	cfg := cache.Config{MaxFilenames: 6, MaxProvidersPerFile: 3, TTL: 40 * sim.Second}
-	for seed := int64(1); seed <= 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		guarded, plain := newNodes(1, cfg, true, 1200, 8)[0], newNodes(1, cfg, false, 0, 0)[0]
-		var gnet, pnet Network // each side's lookup scratch
-		pick := func(n int) []keywords.ID {
-			out := make([]keywords.ID, n)
-			for i := range out {
-				out[i] = keywords.ID(r.Intn(12))
-			}
-			return out
-		}
-		var now sim.Time
-		hits, guardedOut, evictions, expiries := 0, 0, 0, 0
-		staleLookups, staleLetThrough, exactLookups := 0, 0, 0
-		for op := 0; op < 4000; op++ {
-			now += sim.Time(r.Intn(5)) * sim.Second
-			entries, k := plain.RI.TotalProviderEntries(), r.Intn(11)
-			switch {
-			case k < 4:
-				f := keywords.NewFilename(pick(3)...)
-				p := overlay.PeerID(r.Intn(8))
-				if plain.RI.Len() == cfg.MaxFilenames && !slices.Contains(plain.RI.Filenames(), f) {
-					evictions++
-				}
-				guarded.RI.Put(f, p, 0, now)
-				plain.RI.Put(f, p, 0, now)
-			case k == 4:
-				f := keywords.NewFilename(pick(3)...)
-				providers(guarded.RI, f, now)
-				providers(plain.RI, f, now)
-			case k == 10:
-				guarded.PublishBloom(nil)
-			default:
-				q := keywords.NewQuery(pick(1 + r.Intn(2))...)
-				kwIdx := guarded.bloomPositions(nil, q)
-				exact := exactFilter(guarded)
-				extra, err := bloom.DiffFiltersInto(exact, guarded.bf, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, i := range extra.Flipped {
-					if !guarded.bf.TestIndexes([]uint32{i}) {
-						t.Fatalf("seed %d op %d: the filter lost bit %d of a cached keyword", seed, op, i)
-					}
-				}
-				if extra.Empty() {
-					exactLookups++
-				} else {
-					staleLookups++
-					if !exact.TestIndexes(kwIdx) && guarded.bf.TestIndexes(kwIdx) {
-						staleLetThrough++
-					}
-				}
-				got, want := gnet.lookupRI(guarded, q, kwIdx, now), pnet.lookupRI(plain, q, nil, now)
-				if len(got)+len(want) != 0 && !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d op %d: lookupRI(%v) = %v, RI.Lookup = %v", seed, op, q, got, want)
-				}
-				if !guarded.bf.TestIndexes(kwIdx) {
-					guardedOut++
-				}
-				if len(want) != 0 {
-					hits++
-				}
-			}
-			if !reflect.DeepEqual(guarded.RI.Filenames(), plain.RI.Filenames()) ||
-				guarded.RI.TotalProviderEntries() != plain.RI.TotalProviderEntries() {
-				t.Fatalf("seed %d op %d: guarded and unguarded indexes diverged", seed, op)
-			}
-			if k >= 4 && k < 10 && plain.RI.TotalProviderEntries() < entries {
-				expiries++ // a read dropped stale entries
-			}
-		}
-		if hits < 100 || guardedOut < 100 {
-			t.Fatalf("seed %d: %d hits, %d guarded-out lookups; the stream does not exercise both sides", seed, hits, guardedOut)
-		}
-		if evictions == 0 || expiries == 0 {
-			t.Fatalf("seed %d: %d evictions, %d expiring reads; want both", seed, evictions, expiries)
-		}
-		if staleLookups < 100 || staleLetThrough == 0 || exactLookups < 100 {
-			t.Fatalf("seed %d: %d lookups on a stale filter (%d let through only by it), %d on an exact one; want both",
-				seed, staleLookups, staleLetThrough, exactLookups)
-		}
-		t.Logf("seed %d: %d stale lookups (%d let through only by staleness), %d exact", seed, staleLookups, staleLetThrough, exactLookups)
-	}
 }

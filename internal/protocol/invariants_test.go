@@ -21,7 +21,7 @@ func (f fn) Fire(e *sim.Engine) { f(e) }
 // randomNet builds a random small world with a connected overlay, shared
 // files, and the given behaviour — the fixture for randomized invariant
 // checking across all protocols.
-func randomNet(t *testing.T, b Behavior, seed int64, peers int) (*Network, []keywords.Filename) {
+func randomNet(t testing.TB, b Behavior, seed int64, peers int) (*Network, []keywords.Filename) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	pts := netmodel.Place(peers, netmodel.DefaultPlacement(), r)

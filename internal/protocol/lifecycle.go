@@ -10,6 +10,7 @@ import (
 
 // acquirePending takes a pendingQuery from the pool for query id, keeping
 // the pooled value's buffers: the seen set emptied, the positions emptied.
+// The query's signature is computed here, once.
 // A fresh value under Bloom routing gets positions carved for MaxK keywords
 // of K each, as acquireMsg carves a path.
 func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords.Query) *pendingQuery {
@@ -23,7 +24,7 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 	*pq = pendingQuery{
 		net: net, id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
 		// Hashed once per query: every Gid-routing hop consults the same value.
-		gid:  gidOfQuery(q, net.Config.GroupCount),
+		gid: int32(gidOfQuery(q, net.Config.GroupCount)), sig: querySig(q),
 		seen: seen, seenN: seenN, kwIdx: pq.kwIdx[:0],
 	}
 	return pq
@@ -51,12 +52,12 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	}
 	n := net.nodes[origin]
 	pq.markSeen(origin)
-	// Hashed once per query: every hop tests its neighbours' filters and its
-	// own by these positions.
+	// Hashed once per query: every hop tests its neighbours' filters by
+	// these positions.
 	pq.kwIdx = n.bloomPositions(pq.kwIdx, q)
 	// Local check first: the requester may already hold a matching file or
 	// index.
-	if f, ok := n.storageMatch(q); ok {
+	if f, ok := net.storageMatch(origin, q, pq.sig); ok {
 		pq.answered = true
 		pq.rtt = 0
 		pq.sameLoc = true
@@ -65,7 +66,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		net.emitFile(trace.StorageHit, pq, id, trace.RootSpan, origin, -1, f)
 		return id
 	}
-	if ms := net.lookupRI(n, q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
+	if ms := net.lookupRI(origin, q, pq.sig, net.Engine.Now()); len(ms) != 0 {
 		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
 			pq.fromCache = true
 			net.counts.CacheHits++
@@ -81,7 +82,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	msg.TTL = int32(net.Config.TTL)
 	msg.span = trace.RootSpan
 	msg.Path = append(msg.Path[:0], origin)
-	net.forward(n, msg)
+	net.forward(origin, msg)
 	net.msgPool.Put(msg)
 	return id
 }
@@ -94,7 +95,7 @@ func queryRecord(pq *pendingQuery) metrics.QueryRecord {
 		DownloadRTT:  pq.rtt,
 		SameLocality: pq.sameLoc,
 		FromCache:    pq.fromCache,
-		Hops:         pq.hops,
+		Hops:         int(pq.hops),
 	}
 }
 

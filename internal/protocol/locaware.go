@@ -49,7 +49,7 @@ func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerI
 		net.forwarding.BloomMatched += uint64(len(bfMatched))
 		return bfMatched
 	}
-	return net.gidOrFallback(q.pq.gid, elig)
+	return net.gidOrFallback(int(q.pq.gid), elig)
 }
 
 // CacheResponse implements Behavior: matching-Gid peers cache every

@@ -102,10 +102,10 @@ type pendingQuery struct {
 	// value carries a newer one, so a message whose ID differs is a
 	// straggler of a finalised query.
 	id QueryID
-	// q is the keyword set and gid caches gidOfQuery(q, M), the group id
-	// every Gid-routing hop consults.
+	// q is the keyword set and sig its signature (querySig), which every
+	// delivery tests against the receiver's signatures before anything else.
 	q   keywords.Query
-	gid int
+	sig uint64
 	// origin is the requesting peer and originLoc its locality (§4.1.2: the
 	// answering peer selects providers according to the locId of the
 	// querying peer, so the query carries it).
@@ -121,9 +121,12 @@ type pendingQuery struct {
 	// in their word's padding.
 	spans int32
 	// seenN is how many keys seen's table holds, or -1 while seen is the
-	// bitmap; it sits in the padding before hops.
+	// bitmap.
 	seenN int32
-	hops  int
+	// gid caches gidOfQuery(q, M), the group id every Gid-routing hop
+	// consults. It and hops are 32-bit so that together they fill one word,
+	// which keeps pendingQuery at 144 B with sig.
+	gid, hops int32
 	// seen is the duplicate-suppression set (Gnutella semantics), the peers
 	// that handled the query: an open-addressed table of peer+1 keys (0 is
 	// empty; Fibonacci hash, high bits, linear probing), or one bit per peer
@@ -131,7 +134,8 @@ type pendingQuery struct {
 	seen []uint32
 	// kwIdx holds the Bloom positions of the query's keywords (K each, in
 	// the network's one filter geometry), hashed once at submission: "BF
-	// matches q" (§4.2) is "every position set". Empty without Bloom routing.
+	// matches q" (§4.2) is "every position set". Only neighbour-filter
+	// routing reads them. Empty without Bloom routing.
 	kwIdx []uint32
 }
 
@@ -256,8 +260,11 @@ type Network struct {
 
 	// nodes is the flat per-peer state table, built table by table at
 	// network build (newNodes; the tendermint-simulator layout: contiguous
-	// state, pointer-stable because no table ever grows).
+	// state, pointer-stable because no table ever grows). sigs is the
+	// signature column newNodes builds with it, indexed by peer: a delivery
+	// reads a peer's row first, and its node only if the row lets it.
 	nodes []*Node
+	sigs  []peerSig
 
 	// rng drives protocol tie-breaking (stream "protocol").
 	rng *rand.Rand
@@ -342,7 +349,7 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		fbBuf:   make([]overlay.PeerID, 0, 64),
 		provBuf: make([]cache.Provider, 0, 16),
 	}
-	net.nodes = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
+	net.nodes, net.sigs = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
 	for i, n := range net.nodes {
 		n.Gid, n.Loc = gidRng.Intn(cfg.GroupCount), loc.LocID(i)
 	}

@@ -23,18 +23,21 @@ type Node struct {
 	files []keywords.Filename
 	// RI is the response index (§3.2).
 	RI *cache.Index
+	// shared is what the network's nodes share: the signature column, whose
+	// row ID (sig) the node keeps exact as its storage and RI change, and
+	// the block its filter copies are carved from.
+	shared *nodeTables
 
 	// bf is BF_n over the keywords of RI's filenames (§4.2), nil without
-	// Bloom routing. A cached filename's keywords go in at once; a
-	// discarded one raises dirty, and until PublishBloom rebuilds bf from
-	// RI (in place of §4.2's counting filter) bf is a superset, never less.
+	// Bloom routing. Any change to RI raises dirty, and PublishBloom
+	// rebuilds bf from RI (in place of §4.2's counting filter); nothing
+	// reads it in between.
 	bf    *bloom.Filter
 	dirty bool
 	// announced is what the node last announced, nil before its first
 	// announcement; install events carry their own copies of it. Both are
-	// carved from filters, which the network's nodes share.
+	// carved from shared.filters.
 	announced *bloom.Filter
-	filters   *filterBlock
 	// neighborBF holds this node's copies of its neighbours' announced
 	// filters (§4.2: "peer n stores its direct neighbors' Gid and BF"),
 	// updated by gossip messages after link latency — so routing decisions
@@ -45,6 +48,15 @@ type Node struct {
 	// The table is carved on the first install, at the node's degree then.
 	neighborBF []neighborFilter
 }
+
+// nodeTables is what the nodes of one network share.
+type nodeTables struct {
+	sigs    []peerSig
+	filters filterBlock
+}
+
+// sig returns the node's row of the signature column.
+func (n *Node) sig() *peerSig { return &n.shared.sigs[n.ID] }
 
 // filterBlock carves Bloom filters of one geometry from tables of 64, for
 // nodes' first announcements and the copies install events carry.
@@ -68,19 +80,55 @@ type neighborFilter struct {
 	bf   *bloom.Filter
 }
 
-// bloomSync wires cache events into the node's filter as §4.2 requires
-// ("whenever n overhears a response qrf such that f matches Gid_n, n caches
-// qrf in RI_n, and then inserts each keyword of f as an element of BF_n").
+// peerSig is one peer's row of the signature column: a 64-bit keyword
+// signature of its storage and one of its response index. A keyword sets
+// one bit (keywordBit); a set bit means some stored file, or some cached
+// filename, may hold a keyword on it, and a clear one that none does. So a
+// query with a bit its peer's signature lacks cannot match there, and the
+// delivery reads nothing else of the peer. The column is dense, 16 B a
+// peer, where the state it screens is spread over the node, its storage
+// window, its index's windows and its filter.
+type peerSig struct{ storage, index uint64 }
+
+// keywordBit is keyword id's bit: the top six bits of its Fibonacci hash.
+func keywordBit(id keywords.ID) uint64 { return 1 << (uint64(id) * 0x9E3779B97F4A7C15 >> 58) }
+
+// fileSig and querySig OR the bits of a filename's or a query's keywords.
+func fileSig(f keywords.Filename) (sig uint64) {
+	for i := range f.K() {
+		sig |= keywordBit(f.KeywordAt(i))
+	}
+	return sig
+}
+
+func querySig(q keywords.Query) (sig uint64) {
+	for i := range q.K() {
+		sig |= keywordBit(q.KeywordAt(i))
+	}
+	return sig
+}
+
+// bloomSync wires cache events into the node's filter, which §4.2 has take
+// each keyword of a cached filename ("n caches qrf in RI_n, and then inserts
+// each keyword of f as an element of BF_n") and which the node's next
+// publish rebuilds, and into its index signature: an added filename ORs its
+// bits in, and a discarded one, already gone from RI when this fires, has
+// the signature recomputed from the ≤ MaxFilenames filenames left.
 type bloomSync struct{ n *Node }
 
 func (b bloomSync) FilenameAdded(f keywords.Filename) {
-	if b.n.bf != nil {
-		b.n.addKeywords(f)
-	}
 	b.n.dirty = true
+	b.n.sig().index |= fileSig(f)
 }
 
-func (b bloomSync) FilenameEvicted(keywords.Filename) { b.n.dirty = true }
+func (b bloomSync) FilenameEvicted(keywords.Filename) {
+	b.n.dirty = true
+	sig := b.n.sig()
+	sig.index = 0
+	for f := range b.n.RI.Files() {
+		sig.index |= fileSig(f)
+	}
+}
 
 // addKeywords inserts each keyword of f into bf.
 func (n *Node) addKeywords(f keywords.Filename) {
@@ -93,29 +141,30 @@ func (n *Node) addKeywords(f keywords.Filename) {
 const storageWindow = 4 // a node's first storage capacity: the evaluation places 3 files per peer
 
 // newNodes builds count nodes table by table, one allocation per table: the
-// nodes and pointers to them, their response indexes, their storage windows
-// (capped, so a node that outgrows one reallocates alone) and, when useBloom
-// (Locaware variants only), their Bloom filters. The caller sets Gid and Loc.
-func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) []*Node {
+// nodes and pointers to them, their signature column, their response
+// indexes, their storage windows (capped, so a node that outgrows one
+// reallocates alone) and, when useBloom (Locaware variants only), their
+// Bloom filters. The caller sets Gid and Loc.
+func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) ([]*Node, []peerSig) {
 	nodes, ptrs := make([]Node, count), make([]*Node, count)
+	shared := &nodeTables{sigs: make([]peerSig, count), filters: filterBlock{m: bloomBits, k: bloomK}}
 	ris := cache.NewTable(count, cacheCfg, func(i int) cache.Events { return bloomSync{&nodes[i]} })
 	var bfs []bloom.Filter
-	var filters *filterBlock
 	if useBloom {
-		bfs, filters = bloom.NewTable(count, bloomBits, bloomK), &filterBlock{m: bloomBits, k: bloomK}
+		bfs = bloom.NewTable(count, bloomBits, bloomK)
 	}
 	files := make([]keywords.Filename, count*storageWindow)
 	for i := range nodes {
 		n := &nodes[i]
 		n.ID = overlay.PeerID(i)
 		n.files = files[i*storageWindow : i*storageWindow : (i+1)*storageWindow]
-		n.RI = &ris[i]
+		n.RI, n.shared = &ris[i], shared
 		if useBloom {
-			n.bf, n.filters = &bfs[i], filters
+			n.bf = &bfs[i]
 		}
 		ptrs[i] = n
 	}
-	return ptrs
+	return ptrs, shared.sigs
 }
 
 // NeighborBloom returns this node's copy of neighbour nb's announced
@@ -160,6 +209,7 @@ func (n *Node) AddFile(f keywords.Filename) {
 	} else {
 		n.files = slices.Insert(n.files, i, f)
 	}
+	n.sig().storage |= fileSig(f)
 }
 
 // RemoveFile withdraws filename f from the node's shared storage (content
@@ -170,15 +220,25 @@ func (n *Node) RemoveFile(f keywords.Filename) bool {
 	i, ok := n.fileIndex(f)
 	if ok {
 		n.files = slices.Delete(n.files, i, i+1)
+		sig := n.sig()
+		sig.storage = 0
+		for _, g := range n.files {
+			sig.storage |= fileSig(g)
+		}
 	}
 	return ok
 }
 
-// storageMatch returns the filename in storage satisfying q, if any; of
-// several, the one with the smallest name. With the small per-peer stores
-// of the evaluation a linear scan is the right tool.
-func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
-	for _, f := range n.files {
+// storageMatch returns the filename in peer p's storage satisfying q, whose
+// signature is qsig, if any; of several, the one with the smallest name. A
+// query bit missing from p's storage signature ends it before p's node is
+// read; past that, with the small per-peer stores of the evaluation, a
+// linear scan is the right tool.
+func (net *Network) storageMatch(p overlay.PeerID, q keywords.Query, qsig uint64) (keywords.Filename, bool) {
+	if qsig&^net.sigs[p].storage != 0 {
+		return keywords.Filename{}, false
+	}
+	for _, f := range net.nodes[p].files {
 		if f.Matches(q) {
 			return f, true
 		}
@@ -207,7 +267,7 @@ func (n *Node) PublishBloom(buf []uint32) bloom.Delta {
 		if view.PopCount() == 0 {
 			return bloom.Delta{}
 		}
-		n.announced = n.filters.carve()
+		n.announced = n.shared.filters.carve()
 	}
 	d, _ := bloom.DiffFiltersInto(n.announced, view, buf) // one geometry per node
 	if !d.Empty() {
@@ -230,18 +290,18 @@ func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
 	return dst
 }
 
-// lookupRI is n's RI.Lookup behind its own filter, into the network's
-// match and provider scratch, valid until the next lookup: bf holds every
-// keyword of every cached filename, so a query keyword absent from it means
-// no cached filename can match. A stale bf (a superset) lets more queries
-// through, but a lookup that matches nothing has no side effect. kwIdx is
-// q's Bloom positions (pendingQuery.kwIdx). Without a filter (Flooding,
-// Dicas) it falls through.
-func (net *Network) lookupRI(n *Node, q keywords.Query, kwIdx []uint32, now sim.Time) []cache.Match {
-	if n.bf != nil && !n.bf.TestIndexes(kwIdx) {
+// lookupRI is peer p's RI.Lookup behind its index signature, into the
+// network's match and provider scratch, valid until the next lookup. qsig
+// is q's signature: a bit of it missing from p's index signature means no
+// cached filename holds that keyword, and the lookup ends before p's node
+// or index is read. A lookup that matches nothing has no side effect
+// (AppendMatches expires only matching entries), so the guard changes no
+// outcome, in every protocol.
+func (net *Network) lookupRI(p overlay.PeerID, q keywords.Query, qsig uint64, now sim.Time) []cache.Match {
+	if qsig&^net.sigs[p].index != 0 {
 		return nil
 	}
-	ms, ps := n.RI.AppendMatches(net.matchBuf[:0], net.riBuf[:0], q, now)
+	ms, ps := net.nodes[p].RI.AppendMatches(net.matchBuf[:0], net.riBuf[:0], q, now)
 	net.matchBuf, net.riBuf = ms, ps
 	return ms
 }

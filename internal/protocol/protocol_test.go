@@ -117,7 +117,7 @@ func runAll(net *Network) {
 func testBranch(net *Network, q keywords.Query, path ...overlay.PeerID) *QueryMsg {
 	origin := net.Node(path[0])
 	pq := &pendingQuery{
-		q: q, gid: gidOfQuery(q, net.Config.GroupCount), origin: origin.ID, originLoc: origin.Loc,
+		q: q, sig: querySig(q), gid: int32(gidOfQuery(q, net.Config.GroupCount)), origin: origin.ID, originLoc: origin.Loc,
 		kwIdx: origin.bloomPositions(nil, q),
 	}
 	return &QueryMsg{net: net, pq: pq, TTL: int32(net.Config.TTL - (len(path) - 1)), Path: path}
@@ -975,7 +975,7 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	// Force all neighbours to a non-matching Gid.
 	q := testBranch(net, query("zzz"), 0)
 	for i := 1; i <= 4; i++ {
-		net.Node(overlay.PeerID(i)).Gid = (q.pq.gid + 1) % cfg.GroupCount
+		net.Node(overlay.PeerID(i)).Gid = (int(q.pq.gid) + 1) % cfg.GroupCount
 	}
 	targets := Dicas{}.Forward(net, net.Node(0), q, eligOf(net, q))
 	if len(targets) != fallbackFanout {
@@ -996,7 +996,8 @@ func TestFallbackFanoutRespected(t *testing.T) {
 // and gidOfQuery equal what hashing the kw%05d spellings gives — the sorted
 // spellings joined by '_' for a name — so every digest stays the same.
 func TestIDHashesMatchSpellings(t *testing.T) {
-	n := newNodes(1, cache.DefaultConfig(), true, 1200, 8)[0]
+	nodes, _ := newNodes(1, cache.DefaultConfig(), true, 1200, 8)
+	n := nodes[0]
 	fnv := func(s string, m int) int {
 		h := uint32(2166136261)
 		for i := 0; i < len(s); i++ {

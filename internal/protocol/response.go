@@ -105,7 +105,7 @@ func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f ke
 	pq.answered = true
 	pq.rtt = net.Model.RTT(int(n.ID), int(prov.Peer))
 	pq.sameLoc = prov.LocID == n.Loc
-	pq.hops = hops
+	pq.hops = int32(hops)
 	n.AddFile(f)
 	if net.tracer != nil {
 		d := f.AppendName(net.detailBuf[:0])

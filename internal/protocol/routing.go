@@ -8,16 +8,18 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// forward ships q from n to the neighbours the behaviour selects among the
-// candidates: n's neighbours the query has not visited. The sender is on the
-// path and a graph has no self-loops, so that one test is the whole
-// predicate — and this is its only call site.
-func (net *Network) forward(n *Node, q *QueryMsg) {
+// forward ships q from peer p to the neighbours the behaviour selects among
+// the candidates: p's neighbours the query has not visited. The sender is
+// on the path and a graph has no self-loops, so that one test is the whole
+// predicate — and this is its only call site. A query out of TTL ends here,
+// before p's node is read.
+func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 	if q.TTL <= 0 {
 		return
 	}
+	n := net.nodes[p]
 	elig := net.eligBuf[:0]
-	for _, nb := range net.Graph.Neighbors(n.ID) {
+	for _, nb := range net.Graph.Neighbors(p) {
 		if !q.onPath(nb) {
 			elig = append(elig, nb)
 		}
@@ -29,8 +31,8 @@ func (net *Network) forward(n *Node, q *QueryMsg) {
 		branch.pq = q.pq
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
-		branch.span = net.emit(trace.QueryForward, q.pq, q.ID, q.span, t, n.ID, "")
-		net.send(n.ID, t, branch)
+		branch.span = net.emit(trace.QueryForward, q.pq, q.ID, q.span, t, p, "")
+		net.send(p, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
 	}
 }
@@ -45,7 +47,8 @@ func (net *Network) send(a, b overlay.PeerID, ev sim.Event) {
 // receiveQuery processes an arriving query at peer p. The caller retains
 // ownership of q (it is released to the pool after this returns), so any
 // state that outlives the call — notably response reverse paths — is
-// copied, never aliased.
+// copied, never aliased. p's signature row screens the storage and index
+// checks, so at a peer that cannot answer only forward reads the node.
 func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	if !net.Graph.Online(p) {
 		return
@@ -67,10 +70,9 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		net.emit(trace.QueryDuplicate, pq, q.ID, q.span, p, from, "")
 		return // duplicate: already counted at send time
 	}
-	n := net.nodes[p]
-
 	// Storage hit?
-	if f, ok := n.storageMatch(pq.q); ok {
+	if f, ok := net.storageMatch(p, pq.q, pq.sig); ok {
+		n := net.nodes[p]
 		net.counts.StorageHits++
 		hit := net.emitFile(trace.StorageHit, pq, q.ID, q.span, p, from, f)
 		rsp := net.newResponse(q, f, true, hit)
@@ -80,7 +82,8 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		return
 	}
 	// Response-index hit?
-	if ms := net.lookupRI(n, pq.q, pq.kwIdx, net.Engine.Now()); len(ms) != 0 {
+	if ms := net.lookupRI(p, pq.q, pq.sig, net.Engine.Now()); len(ms) != 0 {
+		n := net.nodes[p]
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
 		hit := net.emitFile(trace.CacheHit, pq, q.ID, q.span, p, from, m.File)
@@ -91,7 +94,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		return
 	}
 	net.counts.CacheMisses++
-	net.forward(n, q)
+	net.forward(p, q)
 }
 
 // newResponse takes a response from the pool and resets every field, keeping

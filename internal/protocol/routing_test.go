@@ -63,9 +63,8 @@ func TestForwardCandidatesMatchDeletedPredicate(t *testing.T) {
 			// TTL-1 hops at most, so the branch still has budget to forward.
 			path := randomSimplePath(net.Graph, net.Config.TTL-1, r)
 			q := testBranch(net, query("k"), path...)
-			n := net.Node(path[len(path)-1])
 			calls := rec.calls
-			net.forward(n, q)
+			net.forward(path[len(path)-1], q)
 			if rec.calls != calls+1 {
 				t.Fatalf("seed %d path %v: forward called the behaviour %d times", seed, path, rec.calls-calls)
 			}
