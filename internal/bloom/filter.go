@@ -81,6 +81,25 @@ func (f *Filter) TestIndexes(idx []uint32) bool {
 	return true
 }
 
+// Fold returns the OR of f's 64-bit words: bit b is set iff some position
+// p ≡ b (mod 64) is. A set of positions that all pass TestIndexes has every
+// bit of its FoldIndexes within f's fold, so a fold bit the filter lacks
+// rules the set out without a probe.
+func (f *Filter) Fold() (fold uint64) {
+	for _, w := range f.bits {
+		fold |= w
+	}
+	return fold
+}
+
+// FoldIndexes is the fold of a filter holding exactly the positions in idx.
+func FoldIndexes(idx []uint32) (fold uint64) {
+	for _, i := range idx {
+		fold |= 1 << (i % 64)
+	}
+	return fold
+}
+
 // Test reports whether s may be in the set. False means definitely absent.
 func (f *Filter) Test(s string) bool {
 	var buf [maxK]uint32

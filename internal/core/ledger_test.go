@@ -147,13 +147,10 @@ func ledgerGrid() ledgerRow {
 // TestWorkLedger recomputes the work ledger, four fixed-seed runs, and
 // holds each against testdata/ledger.json: a digest, or events, messages
 // or pushes per query that differ at all fail it, and so do allocations,
-// bytes per query or heap bytes per peer more than 1 % above the row. The
-// Flooding row's allocations are held to TestHotPathAllocBudget's bound
-// instead: the RTT model's sync.Pool of generators empties at GC and is per
-// P, so they move 5.3–5.6 per query between identical runs. Within the
-// test a run has one P and no GC, which makes every other count repeat.
-// -update rewrites the file; a change that moves a row shows the old and
-// new rows in CHANGES.md.
+// bytes per query or heap bytes per peer more than 1 % above the row.
+// Within the test a run has one P and no GC, which makes every count
+// repeat. -update rewrites the file; a change that moves a row shows the
+// old and new rows in CHANGES.md.
 func TestWorkLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
@@ -196,15 +193,11 @@ func TestWorkLedger(t *testing.T) {
 			t.Errorf("%s: simulated work moved\n got %+v\nwant %+v", w.Name, got, w)
 			continue
 		}
-		allocBound := 1.01 * w.AllocsPerQuery
-		if got.Name == "Flooding 2000 peers" {
-			allocBound = 8 // TestHotPathAllocBudget's Flooding budget
-		}
 		for _, c := range []struct {
 			what       string
 			got, bound float64
 		}{
-			{"allocs/query", got.AllocsPerQuery, allocBound},
+			{"allocs/query", got.AllocsPerQuery, 1.01 * w.AllocsPerQuery},
 			{"bytes/query", got.BytesPerQuery, 1.01 * w.BytesPerQuery},
 			{"heap bytes/peer built", got.HeapPerPeerBuilt, 1.01 * w.HeapPerPeerBuilt},
 			{"heap bytes/peer run", got.HeapPerPeerRun, 1.01 * w.HeapPerPeerRun},

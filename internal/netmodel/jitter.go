@@ -21,7 +21,7 @@ import (
 // no word it reads has been overwritten yet. The ziggurat behind
 // NormFloat64 accepts its first draw j (a signed 32-bit value) when
 // |j| < kn[j&127], returning j·wn[j&127]; the 2.8 % of pairs it rejects
-// draw on from a pooled generator over pairSource.
+// draw on from a generator over pairSource, kept on the Model's free list.
 //
 // No table is copied from the standard library: cooked is recovered from
 // one seeded generator's output, and each ziggurat strip's threshold and
@@ -86,16 +86,17 @@ func draw(x uint64, k int) int64 {
 	return ((rawWord(x, a) ^ cooked[a]) + (rawWord(x, b) ^ cooked[b])) & (1<<63 - 1)
 }
 
-// pairNorm returns rand.New(rand.NewSource(seed)).NormFloat64(). It writes
-// no shared state, so concurrent callers need no lock.
-func pairNorm(seed int64) float64 {
+// pairNorm returns rand.New(rand.NewSource(seed)).NormFloat64(). The
+// closed form writes no shared state; only a rejected first draw takes a
+// generator from spare, under its lock, and returns it.
+func pairNorm(seed int64, spare *pairRands) float64 {
 	if v, ok := zigFirst(int32(draw(lehmerSeed(seed), 1) >> 31)); ok {
 		return v
 	}
-	r := pairRands.Get().(*pairRand)
+	r := spare.get()
 	r.src.Seed(seed)
 	v := r.NormFloat64()
-	pairRands.Put(r)
+	spare.put(r)
 	return v
 }
 
@@ -110,18 +111,42 @@ func zigFirst(j int32) (float64, bool) {
 	return float64(j) * zigWidth[i], abs < zigLimit[i]
 }
 
-// pairRand is a generator over its own pairSource, pooled for the rejected
-// first draws.
+// pairRand is a generator over its own pairSource, kept for the rejected
+// first draws; next links a free list.
 type pairRand struct {
 	src pairSource
-	*rand.Rand
+	rand.Rand
+	next *pairRand
 }
 
-var pairRands = sync.Pool{New: func() any {
-	r := new(pairRand)
-	r.Rand = rand.New(&r.src)
+// pairRands is a free list of generators behind a mutex. A generator is
+// made only when every one made so far is in use, so a run on one
+// goroutine makes one, whatever its GC and scheduling do, and concurrent
+// readers at most one each. A generator is one allocation.
+type pairRands struct {
+	mu   sync.Mutex
+	free *pairRand
+}
+
+func (l *pairRands) get() *pairRand {
+	l.mu.Lock()
+	r := l.free
+	if r != nil {
+		l.free = r.next
+	}
+	l.mu.Unlock()
+	if r == nil {
+		r = new(pairRand)
+		r.Rand = *rand.New(&r.src)
+	}
 	return r
-}}
+}
+
+func (l *pairRands) put(r *pairRand) {
+	l.mu.Lock()
+	r.next, l.free = l.free, r
+	l.mu.Unlock()
+}
 
 // pairSource is a rand.Source reproducing rand.NewSource(seed)'s stream:
 // draws 1–273 in closed form, and only past those (which no NormFloat64 in

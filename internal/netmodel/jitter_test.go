@@ -56,6 +56,7 @@ func checkSeeds(t *testing.T, seeds []int64, start, stride int) {
 	ref := firstDraw{Source: rand.NewSource(0)}
 	want := rand.New(&ref)
 	checked, fallbacks := 0, 0
+	var spare pairRands
 	for i := start; i < len(seeds); i += stride {
 		seed := seeds[i]
 		ref.Seed(seed)
@@ -70,12 +71,12 @@ func checkSeeds(t *testing.T, seeds []int64, start, stride int) {
 		if ok && math.Float64bits(fast) != math.Float64bits(b) {
 			t.Fatalf("seed %d: fast path = %v, NormFloat64 = %v", seed, fast, b)
 		}
-		if a := pairNorm(seed); math.Float64bits(a) != math.Float64bits(b) {
+		if a := pairNorm(seed, &spare); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("seed %d: pairNorm = %v, NormFloat64 = %v (after %d draws)", seed, a, b, ref.drawn)
 		}
 		// And every 512th against a freshly allocated generator.
 		if checked%512 == 0 {
-			if a, b := pairNorm(seed), rand.New(rand.NewSource(seed)).NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+			if a, b := pairNorm(seed, &spare), rand.New(rand.NewSource(seed)).NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d: pairNorm = %v, %v from a fresh generator", seed, a, b)
 			}
 		}
@@ -282,25 +283,26 @@ func TestRTTConcurrentColdPairs(t *testing.T) {
 }
 
 // TestRTTNoAlloc: an RTT costs a closed-form draw, not a generator, and the
-// pairs the ziggurat rejects reuse a pooled one. Skipped under -short: the
-// race pass runs short, and sync.Pool drops items at random under -race.
+// pairs the ziggurat rejects reuse the one generator on the Model's free
+// list. AllocsPerRun rounds down, so the rejected pairs are also timed on
+// their own, where a generator made per call would count one.
 func TestRTTNoAlloc(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sync.Pool drops items under -race")
-	}
 	const n = 400
 	m, _ := testModel(t, n, 44)
 	seed := func(a, b int) int64 { return m.jseed ^ (int64(a)<<20 | int64(b)) }
-	rejected := 0
+	var rejected []int
 	for b := 2; b < n; b++ {
 		if _, ok := zigFirst(int32(draw(lehmerSeed(seed(1, b)), 1) >> 31)); !ok {
-			if rejected++; rejected == 1 {
-				m.RTT(1, b) // the pool's first fill
-			}
+			rejected = append(rejected, b)
 		}
 	}
-	if rejected == 0 {
+	if len(rejected) == 0 {
 		t.Fatal("no pair of peer 1 takes the fallback path")
+	}
+	m.RTT(1, rejected[0]) // the free list's first generator
+	i := 0
+	if allocs := testing.AllocsPerRun(500, func() { m.RTT(1, rejected[i%len(rejected)]); i++ }); allocs != 0 {
+		t.Fatalf("a rejected pair's RTT allocates %v objects per call, want 0", allocs)
 	}
 	a, b := 1, 2
 	allocs := testing.AllocsPerRun(5000, func() {

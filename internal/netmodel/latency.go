@@ -21,14 +21,17 @@ func DefaultLatency() LatencyConfig {
 // Model is a physical-network instance: peer coordinates plus the
 // distance→RTT mapping. A pair's RTT is computed on every call from the
 // geometry and the pair's jitter (jitter.go), with no memo: the read methods
-// write no shared state and are safe for concurrent readers. The optional
-// per-peer latency factors (regional-degradation dynamics) are written only
-// between events on the owning simulation's engine goroutine.
+// are safe for concurrent readers, and the one shared state they touch is
+// spare, the generators for the pairs the closed form cannot draw, behind
+// its mutex. The optional per-peer latency factors (regional-degradation
+// dynamics) are written only between events on the owning simulation's
+// engine goroutine.
 type Model struct {
 	cfg   LatencyConfig
 	pts   []Point
 	diag  float64 // plane diagonal used for normalisation
 	jseed int64
+	spare pairRands
 
 	// factors, when non-nil, holds a per-peer RTT inflation multiplier
 	// (>= 1); a path's factor is the max of its endpoints'. nil means no
@@ -68,7 +71,7 @@ func (m *Model) RTT(a, b int) float64 {
 	}
 	// Deterministic symmetric jitter: the first normal draw of a generator
 	// seeded from the unordered pair identity.
-	factor := 1 + float64(m.cfg.Jitter*pairNorm(m.jseed^(int64(lo)<<20|int64(hi))))
+	factor := 1 + float64(m.cfg.Jitter*pairNorm(m.jseed^(int64(lo)<<20|int64(hi)), &m.spare))
 	if factor < 0.5 {
 		factor = 0.5
 	}

@@ -29,14 +29,14 @@ func (Dicas) CacheConfig(base cache.Config) cache.Config {
 // Forward implements Behavior: candidates whose Gid matches the query's
 // filename hash; if none, the highest-degree neighbour keeps the query
 // alive.
-func (Dicas) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	return net.gidOrFallback(int(q.pq.gid), elig)
+func (Dicas) Forward(net *Network, _ overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	return net.gidOrFallback(q.pq.gid, elig)
 }
 
 // CacheResponse implements Behavior: cache at matching-Gid peers on the
 // reverse path (Eq. 1), storing the responding provider only.
 func (Dicas) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	if gidOfName(rsp.File, net.Config.GroupCount) == n.Gid {
+	if gidOfName(rsp.File, net.Config.GroupCount) == int(net.gids[n.ID]) {
 		cacheProviders(net, n, rsp)
 	}
 }

@@ -28,8 +28,8 @@ func (DicasKeys) Name() string { return "Dicas-Keys" }
 // (the paper's Fig. 3 shows all caching approaches ≈98% below flooding);
 // matching any keyword's group would branch on most neighbours and
 // degenerate towards flooding.
-func (DicasKeys) Forward(net *Network, _ *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	return net.gidOrFallback(gidOfQuery(routingKeyword(q.pq.q), net.Config.GroupCount), elig)
+func (DicasKeys) Forward(net *Network, _ overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	return net.gidOrFallback(int32(gidOfQuery(routingKeyword(q.pq.q), net.Config.GroupCount)), elig)
 }
 
 // routingKeyword returns the query's designated routing keyword (first in
@@ -47,10 +47,10 @@ func routingKeyword(q keywords.Query) keywords.Query {
 // the hash of any keyword of the originating query — the keyword-hash
 // placement that duplicates indexes across groups.
 func (DicasKeys) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	m := net.Config.GroupCount
+	m, gid := net.Config.GroupCount, int(net.gids[n.ID])
 	matched := false
 	for i := range rsp.QueryKws.K() {
-		if gidOfKeyword(rsp.QueryKws.KeywordAt(i), m) == n.Gid {
+		if gidOfKeyword(rsp.QueryKws.KeywordAt(i), m) == gid {
 			matched = true
 			break
 		}

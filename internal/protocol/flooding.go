@@ -48,7 +48,7 @@ func (Flooding) CacheConfig(base cache.Config) cache.Config {
 }
 
 // Forward implements Behavior: every candidate.
-func (Flooding) Forward(net *Network, _ *Node, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+func (Flooding) Forward(net *Network, _ overlay.PeerID, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
 	net.forwarding.FloodAll += uint64(len(elig))
 	return elig
 }

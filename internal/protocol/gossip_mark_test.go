@@ -49,7 +49,7 @@ func TestOfflinePeerAnnouncesOnRejoin(t *testing.T) {
 	if sent := handRound(net); sent != 2 {
 		t.Fatalf("first round after rejoin sent %d control messages, want 2", sent)
 	}
-	if n.dirty || !n.announced.Equal(n.bf) {
+	if n.dirty || !n.announced.Equal(n.shared.scratch) { // the round's one rebuild
 		t.Fatal("rejoin round did not publish the held change")
 	}
 	for _, nb := range []overlay.PeerID{1, 3} {
@@ -134,11 +134,10 @@ func InstallSharing(net *Network, ev sim.Event) string {
 		return "nothing: the install carries no filter"
 	case bi.bf == net.nodes[bi.from].announced:
 		return fmt.Sprintf("peer %d's announcement", bi.from)
+	case bi.bf == net.nodes[bi.from].shared.scratch:
+		return "the network's rebuild filter"
 	}
 	for _, n := range net.nodes {
-		if bi.bf == n.bf {
-			return fmt.Sprintf("peer %d's own filter", n.ID)
-		}
 		for _, nf := range n.neighborBF {
 			if bi.bf == nf.bf {
 				return fmt.Sprintf("peer %d's copy of peer %d's filter", n.ID, nf.peer)

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
 	"github.com/p2prepro/locaware/internal/overlay"
@@ -16,7 +17,7 @@ import (
 func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords.Query) *pendingQuery {
 	pq := net.pqPool.Get()
 	if pq.seen == nil {
-		if bf := net.nodes[origin].bf; bf != nil {
+		if bf := net.nodes[origin].shared.scratch; bf != nil {
 			pq.kwIdx = sim.Carve(&net.kwBlock, keywords.MaxK*bf.K())
 		}
 	}
@@ -53,8 +54,9 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	n := net.nodes[origin]
 	pq.markSeen(origin)
 	// Hashed once per query: every hop tests its neighbours' filters by
-	// these positions.
+	// these positions, and first their fold against its own nbFold.
 	pq.kwIdx = n.bloomPositions(pq.kwIdx, q)
+	pq.fold = bloom.FoldIndexes(pq.kwIdx)
 	// Local check first: the requester may already hold a matching file or
 	// index.
 	if f, ok := net.storageMatch(origin, q, pq.sig); ok {
@@ -90,7 +92,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 // queryRecord builds the metrics record for a resolved pending query.
 func queryRecord(pq *pendingQuery) metrics.QueryRecord {
 	return metrics.QueryRecord{
-		Messages:     pq.messages,
+		Messages:     int(pq.messages),
 		Success:      pq.answered,
 		DownloadRTT:  pq.rtt,
 		SameLocality: pq.sameLoc,

@@ -36,27 +36,32 @@ func (Locaware) UsesBloom() bool { return true }
 func (Locaware) CacheConfig(base cache.Config) cache.Config { return base }
 
 // Forward implements Behavior. Neighbour preference order per §4.2: Bloom
-// match on all keywords → Gid match → highest-degree last resort.
-func (Locaware) Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	kwIdx := q.pq.kwIdx
-	bfMatched := net.targetBuf()
-	for _, nb := range elig {
-		if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(kwIdx) {
-			bfMatched = append(bfMatched, nb)
+// match on all keywords → Gid match → highest-degree last resort. The
+// Bloom tier reads p's node and copies only when the query's fold lies
+// within p's nbFold; otherwise none of the copies can match.
+func (Locaware) Forward(net *Network, p overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+	pq := q.pq
+	if pq.fold&^net.sigs[p].nbFold == 0 {
+		n := net.nodes[p]
+		bfMatched := net.targetBuf()
+		for _, nb := range elig {
+			if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(pq.kwIdx) {
+				bfMatched = append(bfMatched, nb)
+			}
+		}
+		if len(bfMatched) > 0 {
+			net.forwarding.BloomMatched += uint64(len(bfMatched))
+			return bfMatched
 		}
 	}
-	if len(bfMatched) > 0 {
-		net.forwarding.BloomMatched += uint64(len(bfMatched))
-		return bfMatched
-	}
-	return net.gidOrFallback(int(q.pq.gid), elig)
+	return net.gidOrFallback(pq.gid, elig)
 }
 
 // CacheResponse implements Behavior: matching-Gid peers cache every
 // provider in the response plus the requester as a new provider (§4.1.2's
 // worked example: B caches (D,1) and (A,3)).
 func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
-	if gidOfName(rsp.File, net.Config.GroupCount) != n.Gid {
+	if gidOfName(rsp.File, net.Config.GroupCount) != int(net.gids[n.ID]) {
 		return
 	}
 	cacheProviders(net, n, rsp)
@@ -69,7 +74,7 @@ func (Locaware) CacheResponse(net *Network, n *Node, rsp *ResponseMsg) {
 // as a new provider when its Gid matches the filename ("peer B then adds
 // in its RI the entry (E,1) as a new provider of f", §4.1.2).
 func (Locaware) OnAnswer(net *Network, n *Node, q *QueryMsg, f keywords.Filename) {
-	if gidOfName(f, net.Config.GroupCount) != n.Gid {
+	if gidOfName(f, net.Config.GroupCount) != int(net.gids[n.ID]) {
 		return
 	}
 	if q.pq.origin == n.ID {

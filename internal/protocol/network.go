@@ -66,14 +66,15 @@ type Behavior interface {
 	// response index in Locaware has for each file more possibilities of
 	// providers than in Dicas").
 	CacheConfig(base cache.Config) cache.Config
-	// Forward selects, among elig, the peers n forwards q to. elig is the
-	// candidate slice Network.forward built for this hop: n's neighbours
-	// the query has not visited, in neighbour order. It is the network's
-	// scratch — an implementation may read it and return it or a subslice
-	// of it, never write to it or keep it. The returned slice is consumed
-	// before the next Forward call, so implementations may also return the
-	// network's target buffer (Network.targetBuf()).
-	Forward(net *Network, n *Node, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID
+	// Forward selects, among elig, the peers p forwards q to. p is an id,
+	// not a node: a hop reads the peer's dense rows, and its node only if
+	// it must. elig is the candidate slice Network.forward built for this
+	// hop: p's neighbours the query has not visited, in neighbour order. It
+	// is the network's scratch — an implementation may read it and return
+	// it or a subslice of it, never write to it or keep it. The returned
+	// slice is consumed before the next Forward call, so implementations
+	// may also return the network's target buffer (Network.targetBuf()).
+	Forward(net *Network, p overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID
 	// CacheResponse lets reverse-path node n cache the response per the
 	// protocol's placement rule.
 	CacheResponse(net *Network, n *Node, rsp *ResponseMsg)
@@ -111,7 +112,9 @@ type pendingQuery struct {
 	// querying peer, so the query carries it).
 	origin    overlay.PeerID
 	originLoc netmodel.LocID
-	messages  int
+	// fold is kwIdx's fold (bloom.FoldIndexes), set with it: a Locaware hop
+	// whose peer's nbFold lacks one of its bits skips the Bloom tier.
+	fold      uint64
 	rtt       float64
 	answered  bool
 	sameLoc   bool
@@ -124,9 +127,10 @@ type pendingQuery struct {
 	// bitmap.
 	seenN int32
 	// gid caches gidOfQuery(q, M), the group id every Gid-routing hop
-	// consults. It and hops are 32-bit so that together they fill one word,
-	// which keeps pendingQuery at 144 B with sig.
-	gid, hops int32
+	// consults. It, hops and messages are 32-bit so that they fill the
+	// words beside seenN, which keeps pendingQuery at 144 B with sig and
+	// fold.
+	gid, hops, messages int32
 	// seen is the duplicate-suppression set (Gnutella semantics), the peers
 	// that handled the query: an open-addressed table of peer+1 keys (0 is
 	// empty; Fibonacci hash, high bits, linear probing), or one bit per peer
@@ -261,10 +265,13 @@ type Network struct {
 	// nodes is the flat per-peer state table, built table by table at
 	// network build (newNodes; the tendermint-simulator layout: contiguous
 	// state, pointer-stable because no table ever grows). sigs is the
-	// signature column newNodes builds with it, indexed by peer: a delivery
-	// reads a peer's row first, and its node only if the row lets it.
+	// signature column newNodes builds with it and gids the group id of
+	// each peer in [0, M) (§3.2), both indexed by peer: a delivery reads a
+	// peer's rows first, and its node only if the rows let it. gids is
+	// int32 because M is bounded only by MaxInt32.
 	nodes []*Node
 	sigs  []peerSig
+	gids  []int32
 
 	// rng drives protocol tie-breaking (stream "protocol").
 	rng *rand.Rand
@@ -350,8 +357,9 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		provBuf: make([]cache.Provider, 0, 16),
 	}
 	net.nodes, net.sigs = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
+	net.gids = make([]int32, len(net.nodes))
 	for i, n := range net.nodes {
-		n.Gid, n.Loc = gidRng.Intn(cfg.GroupCount), loc.LocID(i)
+		net.gids[i], n.Loc = int32(gidRng.Intn(cfg.GroupCount)), loc.LocID(i)
 	}
 	if b.UsesBloom() && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
 		eng.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})

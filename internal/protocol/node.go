@@ -11,11 +11,10 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// Node is one peer's protocol state.
+// Node is one peer's protocol state. Its group id is not here: routing
+// reads every candidate's, so it lives in the network's dense gids column.
 type Node struct {
 	ID overlay.PeerID
-	// Gid is the node's randomly chosen group id in [0, M) (§3.2).
-	Gid int
 	// Loc is the node's physical locality.
 	Loc netmodel.LocID
 	// files is the shared storage, in filename order. Peers that
@@ -24,15 +23,15 @@ type Node struct {
 	// RI is the response index (§3.2).
 	RI *cache.Index
 	// shared is what the network's nodes share: the signature column, whose
-	// row ID (sig) the node keeps exact as its storage and RI change, and
-	// the block its filter copies are carved from.
+	// row ID (sig) the node keeps exact as its storage, RI and neighbour
+	// filters change, the block its filter copies are carved from, and the
+	// filter its publish rebuilds into.
 	shared *nodeTables
 
-	// bf is BF_n over the keywords of RI's filenames (§4.2), nil without
-	// Bloom routing. Any change to RI raises dirty, and PublishBloom
-	// rebuilds bf from RI (in place of §4.2's counting filter); nothing
-	// reads it in between.
-	bf    *bloom.Filter
+	// dirty is raised by any change to RI: BF_n over the keywords of RI's
+	// filenames (§4.2) has changed, and PublishBloom rebuilds it from RI (in
+	// place of §4.2's counting filter). Between publishes nothing reads it,
+	// so a node keeps no filter of its own.
 	dirty bool
 	// announced is what the node last announced, nil before its first
 	// announcement; install events carry their own copies of it. Both are
@@ -49,10 +48,13 @@ type Node struct {
 	neighborBF []neighborFilter
 }
 
-// nodeTables is what the nodes of one network share.
+// nodeTables is what the nodes of one network share. scratch is the one
+// filter every PublishBloom rebuilds into and the geometry bloomPositions
+// hashes in; nil means no Bloom routing.
 type nodeTables struct {
 	sigs    []peerSig
 	filters filterBlock
+	scratch *bloom.Filter
 }
 
 // sig returns the node's row of the signature column.
@@ -81,14 +83,17 @@ type neighborFilter struct {
 }
 
 // peerSig is one peer's row of the signature column: a 64-bit keyword
-// signature of its storage and one of its response index. A keyword sets
-// one bit (keywordBit); a set bit means some stored file, or some cached
-// filename, may hold a keyword on it, and a clear one that none does. So a
-// query with a bit its peer's signature lacks cannot match there, and the
-// delivery reads nothing else of the peer. The column is dense, 16 B a
-// peer, where the state it screens is spread over the node, its storage
-// window, its index's windows and its filter.
-type peerSig struct{ storage, index uint64 }
+// signature of its storage and one of its response index, and the fold of
+// the neighbour filters it holds. A keyword sets one bit (keywordBit); a
+// set bit means some stored file, or some cached filename, may hold a
+// keyword on it, and a clear one that none does. So a query with a bit its
+// peer's signature lacks cannot match there, and the delivery reads nothing
+// else of the peer. nbFold is the OR of every held copy's Fold: a query
+// whose positions' fold (pendingQuery.fold) has a bit outside it matches
+// none of them, and the hop skips the Bloom tier without reading the node.
+// The column is dense, 24 B a peer, where the state it screens is spread
+// over the node, its storage window, its index's windows and its copies.
+type peerSig struct{ storage, index, nbFold uint64 }
 
 // keywordBit is keyword id's bit: the top six bits of its Fibonacci hash.
 func keywordBit(id keywords.ID) uint64 { return 1 << (uint64(id) * 0x9E3779B97F4A7C15 >> 58) }
@@ -108,12 +113,13 @@ func querySig(q keywords.Query) (sig uint64) {
 	return sig
 }
 
-// bloomSync wires cache events into the node's filter, which §4.2 has take
-// each keyword of a cached filename ("n caches qrf in RI_n, and then inserts
-// each keyword of f as an element of BF_n") and which the node's next
-// publish rebuilds, and into its index signature: an added filename ORs its
-// bits in, and a discarded one, already gone from RI when this fires, has
-// the signature recomputed from the ≤ MaxFilenames filenames left.
+// bloomSync wires cache events into the node's dirty mark, since §4.2 has
+// BF_n take each keyword of a cached filename ("n caches qrf in RI_n, and
+// then inserts each keyword of f as an element of BF_n") and the node's
+// next publish rebuilds it, and into its index signature: an added filename
+// ORs its bits in, and a discarded one, already gone from RI when this
+// fires, has the signature recomputed from the ≤ MaxFilenames filenames
+// left.
 type bloomSync struct{ n *Node }
 
 func (b bloomSync) FilenameAdded(f keywords.Filename) {
@@ -130,38 +136,26 @@ func (b bloomSync) FilenameEvicted(keywords.Filename) {
 	}
 }
 
-// addKeywords inserts each keyword of f into bf.
-func (n *Node) addKeywords(f keywords.Filename) {
-	var buf [16]byte
-	for i := range f.K() {
-		n.bf.Add(string(f.KeywordAt(i).AppendSpelling(buf[:0])))
-	}
-}
-
 const storageWindow = 4 // a node's first storage capacity: the evaluation places 3 files per peer
 
 // newNodes builds count nodes table by table, one allocation per table: the
 // nodes and pointers to them, their signature column, their response
-// indexes, their storage windows (capped, so a node that outgrows one
-// reallocates alone) and, when useBloom (Locaware variants only), their
-// Bloom filters. The caller sets Gid and Loc.
+// indexes and their storage windows (capped, so a node that outgrows one
+// reallocates alone); when useBloom (Locaware variants only), one scratch
+// filter serves them all. The caller sets Loc.
 func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) ([]*Node, []peerSig) {
 	nodes, ptrs := make([]Node, count), make([]*Node, count)
 	shared := &nodeTables{sigs: make([]peerSig, count), filters: filterBlock{m: bloomBits, k: bloomK}}
-	ris := cache.NewTable(count, cacheCfg, func(i int) cache.Events { return bloomSync{&nodes[i]} })
-	var bfs []bloom.Filter
 	if useBloom {
-		bfs = bloom.NewTable(count, bloomBits, bloomK)
+		shared.scratch = bloom.New(bloomBits, bloomK)
 	}
+	ris := cache.NewTable(count, cacheCfg, func(i int) cache.Events { return bloomSync{&nodes[i]} })
 	files := make([]keywords.Filename, count*storageWindow)
 	for i := range nodes {
 		n := &nodes[i]
 		n.ID = overlay.PeerID(i)
 		n.files = files[i*storageWindow : i*storageWindow : (i+1)*storageWindow]
 		n.RI, n.shared = &ris[i], shared
-		if useBloom {
-			n.bf = &bfs[i]
-		}
 		ptrs[i] = n
 	}
 	return ptrs, shared.sigs
@@ -183,16 +177,27 @@ func (n *Node) NeighborBloom(nb overlay.PeerID) *bloom.Filter {
 // over, as this node's copy of neighbour nb's filter, and returns the copy
 // it replaces (nil on a new link) for the caller to reuse. A neighbour's
 // view only ever changes when a gossip message actually arrives, exactly
-// the stale-copy semantics of §4.2.
+// the stale-copy semantics of §4.2. The node's nbFold takes f's bits; only
+// when the replaced copy had a bit f lacks is it refolded from every copy.
 func (n *Node) setNeighborBloom(nb overlay.PeerID, f *bloom.Filter) *bloom.Filter {
+	sig, fold := n.sig(), f.Fold()
 	for i := range n.neighborBF {
 		if n.neighborBF[i].peer == nb {
 			old := n.neighborBF[i].bf
 			n.neighborBF[i].bf = f
+			if old.Fold()&^fold == 0 {
+				sig.nbFold |= fold
+				return old
+			}
+			sig.nbFold = 0
+			for _, c := range n.neighborBF {
+				sig.nbFold |= c.bf.Fold()
+			}
 			return old
 		}
 	}
 	n.neighborBF = append(n.neighborBF, neighborFilter{nb, f})
+	sig.nbFold |= fold
 	return nil
 }
 
@@ -247,21 +252,24 @@ func (net *Network) storageMatch(p overlay.PeerID, q keywords.Query, qsig uint64
 }
 
 // PublishBloom does nothing unless RI changed since the last call. Then it
-// rebuilds the filter from RI's filenames, diffs it against announced
-// (empty before the first announcement, carved on first use) and, if a
-// bit flipped, copies it into announced. It returns the delta (footnote 1),
-// empty when there is nothing to send, with its positions accumulated into
-// buf (truncated, capacity reused; nil allocates): one scratch serves every
-// node of a network.
+// rebuilds BF_n from RI's filenames into the network's scratch filter,
+// diffs it against announced (empty before the first announcement, carved
+// on first use) and, if a bit flipped, copies it into announced. It
+// returns the delta (footnote 1), empty when there is nothing to send, with
+// its positions accumulated into buf (truncated, capacity reused; nil
+// allocates): one scratch serves every node of a network.
 func (n *Node) PublishBloom(buf []uint32) bloom.Delta {
-	if n.bf == nil || !n.dirty {
+	view := n.shared.scratch
+	if view == nil || !n.dirty {
 		return bloom.Delta{}
 	}
 	n.dirty = false
-	view := n.bf
 	view.Reset()
+	var spelling [16]byte
 	for f := range n.RI.Files() {
-		n.addKeywords(f)
+		for i := range f.K() {
+			view.Add(string(f.KeywordAt(i).AppendSpelling(spelling[:0])))
+		}
 	}
 	if n.announced == nil {
 		if view.PopCount() == 0 {
@@ -280,12 +288,13 @@ func (n *Node) PublishBloom(buf []uint32) bloom.Delta {
 // keyword, in the one filter geometry every peer of a network shares — and
 // nothing when Bloom routing is disabled.
 func (n *Node) bloomPositions(dst []uint32, q keywords.Query) []uint32 {
-	if n.bf == nil {
+	bf := n.shared.scratch
+	if bf == nil {
 		return dst
 	}
 	var buf [16]byte
 	for i := range q.K() {
-		dst = n.bf.AppendIndexes(dst, string(q.KeywordAt(i).AppendSpelling(buf[:0])))
+		dst = bf.AppendIndexes(dst, string(q.KeywordAt(i).AppendSpelling(buf[:0])))
 	}
 	return dst
 }

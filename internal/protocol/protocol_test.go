@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -116,9 +117,10 @@ func runAll(net *Network) {
 // the per-query state SubmitQuery would have given it.
 func testBranch(net *Network, q keywords.Query, path ...overlay.PeerID) *QueryMsg {
 	origin := net.Node(path[0])
+	kwIdx := origin.bloomPositions(nil, q)
 	pq := &pendingQuery{
 		q: q, sig: querySig(q), gid: int32(gidOfQuery(q, net.Config.GroupCount)), origin: origin.ID, originLoc: origin.Loc,
-		kwIdx: origin.bloomPositions(nil, q),
+		kwIdx: kwIdx, fold: bloom.FoldIndexes(kwIdx),
 	}
 	return &QueryMsg{net: net, pq: pq, TTL: int32(net.Config.TTL - (len(path) - 1)), Path: path}
 }
@@ -239,11 +241,11 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 	net.Node(4).AddFile(f)
 	want := gidOfName(f, cfg.GroupCount)
 	// Arrange Gids: nodes 1 and 3 match, 2 does not.
-	net.Node(0).Gid = (want + 1) % cfg.GroupCount
-	net.Node(1).Gid = want
-	net.Node(2).Gid = (want + 1) % cfg.GroupCount
-	net.Node(3).Gid = want
-	net.Node(4).Gid = (want + 1) % cfg.GroupCount
+	net.gids[0] = int32((want + 1) % cfg.GroupCount)
+	net.gids[1] = int32(want)
+	net.gids[2] = int32((want + 1) % cfg.GroupCount)
+	net.gids[3] = int32(want)
+	net.gids[4] = int32((want + 1) % cfg.GroupCount)
 
 	// Full-filename query (Dicas's intended mode) so routing is correct.
 	net.SubmitQuery(0, query("dicas", "file"))
@@ -268,7 +270,7 @@ func TestDicasSingleProviderPerFile(t *testing.T) {
 	net := testNet(t, Dicas{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("single")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f, cfg.GroupCount)
+	net.gids[n1.ID] = int32(gidOfName(f, cfg.GroupCount))
 	rsp := &ResponseMsg{
 		File: f,
 		Providers: []cache.Provider{
@@ -303,13 +305,13 @@ func TestDicasKeysCachesPerQueryKeyword(t *testing.T) {
 	f := fname("kx", "ky", "kz")
 	q := query("kx", "ky")
 	n1, n2 := net.Node(1), net.Node(2)
-	n1.Gid = gidOfKeyword(kw("kx"), cfg.GroupCount)
+	net.gids[n1.ID] = int32(gidOfKeyword(kw("kx"), cfg.GroupCount))
 	// Give node2 a gid matching neither query keyword.
 	g2 := 0
 	for g2 == gidOfKeyword(kw("kx"), cfg.GroupCount) || g2 == gidOfKeyword(kw("ky"), cfg.GroupCount) {
 		g2++
 	}
-	n2.Gid = g2
+	net.gids[n2.ID] = int32(g2)
 
 	rsp := &ResponseMsg{File: f, QueryKws: q, Providers: []cache.Provider{{Peer: 3, LocID: 0}}}
 	DicasKeys{}.CacheResponse(net, n1, rsp)
@@ -328,7 +330,7 @@ func TestLocawareCachesProvidersAndRequester(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(5), lineEdges(5), cfg)
 	f := fname("loc", "aware")
 	n2 := net.Node(2)
-	n2.Gid = gidOfName(f, cfg.GroupCount)
+	net.gids[n2.ID] = int32(gidOfName(f, cfg.GroupCount))
 	rsp := &ResponseMsg{
 		File:      f,
 		Providers: []cache.Provider{{Peer: 4, LocID: 7}},
@@ -356,7 +358,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("ans")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f, cfg.GroupCount)
+	net.gids[n1.ID] = int32(gidOfName(f, cfg.GroupCount))
 	q := &QueryMsg{pq: &pendingQuery{origin: 2, originLoc: 9}}
 	Locaware{}.OnAnswer(net, n1, q, f)
 	ps := providers(n1.RI, f, net.Engine.Now())
@@ -365,7 +367,7 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	}
 	// Non-matching gid: no insertion.
 	n0 := net.Node(0)
-	n0.Gid = (n1.Gid + 1) % cfg.GroupCount
+	net.gids[n0.ID] = (net.gids[n1.ID] + 1) % int32(cfg.GroupCount)
 	Locaware{}.OnAnswer(net, n0, q, f)
 	if providers(n0.RI, f, net.Engine.Now()) != nil {
 		t.Fatal("non-matching gid node cached on answer")
@@ -414,14 +416,14 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	net := testNet(t, Locaware{}, linePoints(4), lineEdges(4), cfg)
 	f := fname("bloomy", "file")
 	n2 := net.Node(2)
-	n2.Gid = gidOfName(f, cfg.GroupCount)
+	net.gids[n2.ID] = int32(gidOfName(f, cfg.GroupCount))
 	n2.RI.Put(f, 3, 0, 0)
 
 	// Before gossip, node 2 has announced no BF -> no match.
 	n1 := net.Node(1)
 	kw := query("bloomy")
 	q := testBranch(net, kw, 0, 1)
-	targets := Locaware{}.Forward(net, n1, q, eligOf(net, q))
+	targets := Locaware{}.Forward(net, n1.ID, q, eligOf(net, q))
 	for _, tgt := range targets {
 		if tgt == 2 {
 			if n2.announced != nil {
@@ -431,7 +433,7 @@ func TestBloomGossipAndRouting(t *testing.T) {
 	}
 	// Run past one gossip period; now BF matches and routing prefers 2.
 	net.Engine.RunUntil(6*sim.Second, 0)
-	targets = Locaware{}.Forward(net, n1, q, eligOf(net, q))
+	targets = Locaware{}.Forward(net, n1.ID, q, eligOf(net, q))
 	if len(targets) != 1 || targets[0] != 2 {
 		t.Fatalf("BF routing targets = %v, want [2]", targets)
 	}
@@ -454,7 +456,7 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	// Make middle nodes cache-eligible.
 	want := gidOfName(f, cfg.GroupCount)
 	for i := overlay.PeerID(1); i <= 4; i++ {
-		net.Node(i).Gid = want
+		net.gids[i] = int32(want)
 	}
 	net.SubmitQuery(0, query("pop"))
 	net.Engine.RunUntil(40*sim.Second, 0)
@@ -927,7 +929,7 @@ func TestTracingGossip(t *testing.T) {
 	net.SetTracer(buf)
 	f := fname("gossiped")
 	n1 := net.Node(1)
-	n1.Gid = gidOfName(f, cfg.GroupCount)
+	net.gids[n1.ID] = int32(gidOfName(f, cfg.GroupCount))
 	n1.RI.Put(f, 2, 0, 0)
 	net.Engine.RunUntil(3*sim.Second, 0)
 	// Neighbour copies installed after delivery.
@@ -975,9 +977,9 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	// Force all neighbours to a non-matching Gid.
 	q := testBranch(net, query("zzz"), 0)
 	for i := 1; i <= 4; i++ {
-		net.Node(overlay.PeerID(i)).Gid = (int(q.pq.gid) + 1) % cfg.GroupCount
+		net.gids[i] = (q.pq.gid + 1) % int32(cfg.GroupCount)
 	}
-	targets := Dicas{}.Forward(net, net.Node(0), q, eligOf(net, q))
+	targets := Dicas{}.Forward(net, 0, q, eligOf(net, q))
 	if len(targets) != fallbackFanout {
 		t.Fatalf("fallback fanout produced %d targets, want %d", len(targets), fallbackFanout)
 	}
@@ -1012,7 +1014,7 @@ func TestIDHashesMatchSpellings(t *testing.T) {
 			for i, k := range ids {
 				words[i] = fmt.Sprintf("kw%05d", k)
 			}
-			if got, want := n.bloomPositions(nil, keywords.NewQuery(ids[0])), n.bf.AppendIndexes(nil, words[0]); !slices.Equal(got, want) {
+			if got, want := n.bloomPositions(nil, keywords.NewQuery(ids[0])), n.shared.scratch.AppendIndexes(nil, words[0]); !slices.Equal(got, want) {
 				t.Fatalf("pool %d: Bloom positions of %s = %v, want %v", size, words[0], got, want)
 			}
 			slices.Sort(words)

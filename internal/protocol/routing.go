@@ -11,13 +11,12 @@ import (
 // forward ships q from peer p to the neighbours the behaviour selects among
 // the candidates: p's neighbours the query has not visited. The sender is
 // on the path and a graph has no self-loops, so that one test is the whole
-// predicate — and this is its only call site. A query out of TTL ends here,
-// before p's node is read.
+// predicate — and this is its only call site. forward reads no node; the
+// behaviour reads p's if it needs to.
 func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 	if q.TTL <= 0 {
 		return
 	}
-	n := net.nodes[p]
 	elig := net.eligBuf[:0]
 	for _, nb := range net.Graph.Neighbors(p) {
 		if !q.onPath(nb) {
@@ -25,7 +24,7 @@ func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 		}
 	}
 	net.eligBuf = elig[:0]
-	for _, t := range net.Behavior.Forward(net, n, q, elig) {
+	for _, t := range net.Behavior.Forward(net, p, q, elig) {
 		branch := net.acquireMsg()
 		branch.ID = q.ID
 		branch.pq = q.pq
@@ -133,11 +132,11 @@ func (net *Network) acquireMsg() *QueryMsg {
 
 // gidOrFallback is the tail every selective protocol's preference chain
 // ends in: the candidates in group want, or, when there is none, the
-// last-resort set.
-func (net *Network) gidOrFallback(want int, elig []overlay.PeerID) []overlay.PeerID {
+// last-resort set. It reads the gids column, not the candidates' nodes.
+func (net *Network) gidOrFallback(want int32, elig []overlay.PeerID) []overlay.PeerID {
 	out := net.targetBuf()
 	for _, nb := range elig {
-		if net.nodes[nb].Gid == want {
+		if net.gids[nb] == want {
 			out = append(out, nb)
 		}
 	}

@@ -19,7 +19,7 @@ type recordingBehavior struct {
 	calls int
 }
 
-func (r *recordingBehavior) Forward(_ *Network, _ *Node, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
+func (r *recordingBehavior) Forward(_ *Network, _ overlay.PeerID, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
 	r.elig = append(r.elig[:0], elig...)
 	r.calls++
 	return nil

@@ -13,7 +13,8 @@ import (
 // with files injected, withdrawn and migrated at phase entries, on a small
 // response index (8 filenames, two-minute TTL) so capacity eviction and
 // full expiry both happen, and checks at the end of the run that every
-// peer's storage and index signatures equal their recomputation.
+// peer's storage and index signatures and neighbour-filter fold equal their
+// recomputation, and that the gid column holds the gid stream's draws.
 func TestSignaturesStayExactUnderChurn(t *testing.T) {
 	steady, _ := scenario.Lookup("steady-churn")
 	churn := steady.Phases[0].Churn
@@ -38,6 +39,12 @@ func TestSignaturesStayExactUnderChurn(t *testing.T) {
 		s.RunMeasured(200, 800)
 		if p := s.Network.StaleSignature(); p >= 0 {
 			t.Fatalf("%s: peer %d's signatures differ from their recomputation", b.Name(), p)
+		}
+		gids := sim.NewRNG(cfg.Seed).Stream("gid")
+		for p, g := range s.Network.Gids() {
+			if want := gids.Intn(cfg.Protocol.GroupCount); int(g) != want {
+				t.Fatalf("%s: peer %d's gid is %d, the gid stream drew %d", b.Name(), p, g, want)
+			}
 		}
 		full := 0
 		for _, n := range s.Network.Nodes() {

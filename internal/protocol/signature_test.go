@@ -7,14 +7,16 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/bloom"
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// exactSigs recomputes n's two signatures from scratch, keyword by keyword:
-// every keyword of every stored file, and of every cached filename.
+// exactSigs recomputes n's signature row from scratch: keyword by keyword,
+// every keyword of every stored file and of every cached filename, and bit
+// by bit, every set position of every neighbour filter copy n holds.
 func exactSigs(n *Node) peerSig {
 	var s peerSig
 	for _, f := range n.files {
@@ -25,6 +27,14 @@ func exactSigs(n *Node) peerSig {
 	for f := range n.RI.Files() {
 		for i := range f.K() {
 			s.index |= keywordBit(f.KeywordAt(i))
+		}
+	}
+	m := uint32(max(n.shared.filters.m, bloom.MinBits))
+	for _, c := range n.neighborBF {
+		for i := range m {
+			if c.bf.TestIndexes([]uint32{i}) {
+				s.nbFold |= 1 << (i % 64)
+			}
 		}
 	}
 	return s
@@ -180,4 +190,60 @@ func (net *Network) StaleSignature() overlay.PeerID {
 		}
 	}
 	return -1
+}
+
+// Gids returns the group id column, one entry per peer.
+func (net *Network) Gids() []int32 { return net.gids }
+
+// TestFoldScreenPassesEveryMatch: a node receives random announcements
+// from up to eight neighbours, new links and replacements, many of which
+// drop bits the replaced copy had; the filters hold 0–4 keywords of a
+// 40-keyword pool, so the node's fold runs from sparse to full. After every
+// install nbFold equals its recomputation, and for random queries the fold
+// screen lets through every query one of the held copies passes: the screen
+// skips the Bloom tier only where the tier would find nothing.
+func TestFoldScreenPassesEveryMatch(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	spell := func(id keywords.ID) string { return string(id.AppendSpelling(nil)) }
+	screened, matched := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		nodes, _ := newNodes(1, cache.DefaultConfig(), true, 1200, 6)
+		n := nodes[0]
+		links := 1 + r.Intn(8)
+		for op := 0; op < 30; op++ {
+			f := n.shared.filters.carve()
+			f.Reset()
+			for range r.Intn(5) {
+				f.Add(spell(keywords.ID(r.Intn(40))))
+			}
+			n.setNeighborBloom(overlay.PeerID(r.Intn(links)), f)
+			if got, want := n.sig().nbFold, exactSigs(n).nbFold; got != want {
+				t.Fatalf("trial %d op %d: nbFold %#x, recomputed %#x", trial, op, got, want)
+			}
+			for range 10 {
+				ids := make([]keywords.ID, 1+r.Intn(keywords.MaxK))
+				for i := range ids {
+					ids[i] = keywords.ID(r.Intn(40))
+				}
+				kwIdx := n.bloomPositions(nil, keywords.NewQuery(ids...))
+				passes := bloom.FoldIndexes(kwIdx)&^n.sig().nbFold == 0
+				if !passes {
+					screened++
+				}
+				for _, c := range n.neighborBF {
+					if c.bf.TestIndexes(kwIdx) {
+						matched++
+						if !passes {
+							t.Fatalf("trial %d op %d: the screen stops %v, which peer %d's copy matches", trial, op, ids, c.peer)
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	if screened < 1000 || matched < 1000 {
+		t.Fatalf("%d queries screened out, %d matched a copy; the stream does not exercise both", screened, matched)
+	}
+	t.Logf("%d queries screened out, %d matched a copy", screened, matched)
 }
