@@ -344,60 +344,6 @@ func TestAggregateWindowsEmpty(t *testing.T) {
 	}
 }
 
-func TestPhaseWindows(t *testing.T) {
-	c := NewCollectorWith(CollectorConfig{Phases: []PhaseMark{
-		{Name: "calm", End: 2}, {Name: "storm", End: 4}, {Name: "after", End: 6},
-	}})
-	c.Record(QueryRecord{Messages: 10, Success: true, DownloadRTT: 100, SameLocality: true, FromCache: true, Hops: 2})
-	c.Record(QueryRecord{Messages: 20})
-	c.Record(QueryRecord{Messages: 2, Success: true, DownloadRTT: 50, Hops: 4})
-	c.Record(QueryRecord{Messages: 4, Success: true, DownloadRTT: 70, SameLocality: true, Hops: 2})
-	c.Record(QueryRecord{Messages: 8})
-
-	// Two sealed phases plus the in-progress partial third.
-	ws := c.PhaseWindows()
-	if len(ws) != 3 {
-		t.Fatalf("got %d phase windows, want 3: %+v", len(ws), ws)
-	}
-	calm := ws[0]
-	if calm.Phase != "calm" || calm.Start != 0 || calm.End != 2 || calm.Queries != 2 {
-		t.Fatalf("calm span = %+v", calm)
-	}
-	if calm.AvgMessagesPerQuery != 15 || calm.SuccessRate != 0.5 || calm.AvgDownloadRTTMs != 100 {
-		t.Fatalf("calm figures = %+v", calm)
-	}
-	if calm.SameLocalityRate != 1 || calm.CacheHitRate != 1 || calm.AvgHops != 2 {
-		t.Fatalf("calm secondary = %+v", calm)
-	}
-	storm := ws[1]
-	if storm.Phase != "storm" || storm.Start != 2 || storm.End != 4 || storm.Queries != 2 {
-		t.Fatalf("storm span = %+v", storm)
-	}
-	if storm.SuccessRate != 1 || storm.AvgDownloadRTTMs != 60 || storm.AvgHops != 3 {
-		t.Fatalf("storm figures = %+v", storm)
-	}
-	if storm.SameLocalityRate != 0.5 || storm.CacheHitRate != 0 {
-		t.Fatalf("storm secondary = %+v", storm)
-	}
-	partial := ws[2]
-	if partial.Phase != "after" || partial.Start != 4 || partial.End != 5 || partial.Queries != 1 {
-		t.Fatalf("partial span = %+v", partial)
-	}
-	if partial.AvgMessagesPerQuery != 8 || partial.SuccessRate != 0 {
-		t.Fatalf("partial figures = %+v", partial)
-	}
-
-	// Completing the run seals the final phase at its mark.
-	c.Record(QueryRecord{Messages: 6, Success: true, DownloadRTT: 30, Hops: 1})
-	ws = c.PhaseWindows()
-	if len(ws) != 3 || ws[2].End != 6 || ws[2].Queries != 2 {
-		t.Fatalf("final phase = %+v", ws[len(ws)-1])
-	}
-	if ws[2].AvgMessagesPerQuery != 7 || ws[2].SuccessRate != 0.5 || ws[2].AvgDownloadRTTMs != 30 {
-		t.Fatalf("final figures = %+v", ws[2])
-	}
-}
-
 func TestPhaseWindowsIndependentOfCheckpoints(t *testing.T) {
 	// Phase marks and figure checkpoints are separate grids over the same
 	// stream; configuring both must not perturb either.

@@ -11,33 +11,6 @@ import (
 // core's default world uses.
 var paperBuild = BuildConfig{AvgDegree: 3, MaxDegree: 12}
 
-func TestGraphBasics(t *testing.T) {
-	g := NewGraph(5)
-	if g.N() != 5 || g.Edges() != 0 || g.OnlineCount() != 5 {
-		t.Fatalf("fresh graph: %v", g)
-	}
-	if err := g.AddLink(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddLink(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if g.Edges() != 1 {
-		t.Fatalf("duplicate link counted: edges=%d", g.Edges())
-	}
-	if !g.Linked(0, 1) || !g.Linked(1, 0) {
-		t.Fatal("link not symmetric")
-	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Fatal("degree wrong")
-	}
-	g.RemoveLink(0, 1)
-	if g.Edges() != 0 || g.Linked(0, 1) {
-		t.Fatal("remove failed")
-	}
-	g.RemoveLink(0, 1) // no-op
-}
-
 func TestGraphErrors(t *testing.T) {
 	g := NewGraph(3)
 	if err := g.AddLink(0, 0); err != ErrSelfLink {

@@ -3,6 +3,7 @@ package protocol
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/cache"
@@ -68,9 +69,14 @@ func gossipRound(net *Network, round int) {
 // node's response index before each, and returns the mean allocations of a
 // round's publish, rebuild, announce, deliver and install, leaving out the
 // response-index changes that feed it (a cached filename allocates its
-// index entry).
+// index entry). It counts as TestWorkLedger does: after two collections
+// (the second frees what sync.Pool victim caches held through the first),
+// with the collector off, so no background cycle lands in a round's count.
 func roundAllocs(net *Network, from, rounds, stride int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for r := from; r < from+rounds; r++ {

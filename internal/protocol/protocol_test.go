@@ -139,74 +139,6 @@ func eligOf(net *Network, q *QueryMsg) []overlay.PeerID {
 	return elig
 }
 
-func TestFloodingFindsStorageHit(t *testing.T) {
-	cfg := DefaultConfig()
-	net := testNet(t, Flooding{}, linePoints(5), lineEdges(5), cfg)
-	f := fname("needle", "in", "stack")
-	net.Node(4).AddFile(f)
-
-	net.SubmitQuery(0, query("needle"))
-	runAll(net)
-
-	c := net.Collector
-	if c.Submitted() != 1 {
-		t.Fatalf("submitted = %d", c.Submitted())
-	}
-	if c.SuccessRate() != 1 {
-		t.Fatal("query should succeed over a 4-hop line within TTL 7")
-	}
-	recs := c.Records()
-	if recs[0].Hops != 4 {
-		t.Fatalf("hops = %d, want 4", recs[0].Hops)
-	}
-	// Line of 5: 4 query forwards + 4 response hops = 8 messages.
-	if recs[0].Messages != 8 {
-		t.Fatalf("messages = %d, want 8", recs[0].Messages)
-	}
-	// The requester became a provider (natural replication, §3.1).
-	if _, ok := net.Node(0).fileIndex(f); !ok {
-		t.Fatal("requester did not become a provider")
-	}
-}
-
-func TestFloodingTTLBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TTL = 3
-	net := testNet(t, Flooding{}, linePoints(6), lineEdges(6), cfg)
-	net.Node(5).AddFile(fname("far"))
-	net.SubmitQuery(0, query("far"))
-	runAll(net)
-	if net.Collector.SuccessRate() != 0 {
-		t.Fatal("TTL 3 must not reach 5 hops away")
-	}
-	// Messages: exactly TTL forwards down the line.
-	if got := net.Collector.Records()[0].Messages; got != 3 {
-		t.Fatalf("messages = %d, want 3", got)
-	}
-}
-
-func TestFloodingDuplicateSuppression(t *testing.T) {
-	// Diamond: 0-1, 0-2, 1-3, 2-3. Node 3 receives the query twice but
-	// must process it once; total sends still counted.
-	cfg := DefaultConfig()
-	net := testNet(t, Flooding{}, []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 50}, {X: 200, Y: 150}, {X: 300, Y: 100}},
-		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
-	net.Node(3).AddFile(fname("dup"))
-	net.SubmitQuery(0, query("dup"))
-	runAll(net)
-	recs := net.Collector.Records()
-	if !recs[0].Success {
-		t.Fatal("diamond search failed")
-	}
-	// 0→1, 0→2 (2 msgs); 1→3, 2→3 (2 msgs); node 3 answers once; response
-	// 2 hops. Second arrival at 3 is suppressed (no further traffic).
-	// Also 1→... and 2→... only have neighbor 3 beyond sender. Total = 4
-	// query + 2 response = 6.
-	if recs[0].Messages != 6 {
-		t.Fatalf("messages = %d, want 6", recs[0].Messages)
-	}
-}
-
 func TestLocalStorageHitIsFree(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
@@ -217,20 +149,6 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 	rec := net.Collector.Records()[0]
 	if !rec.Success || rec.Messages != 0 || rec.DownloadRTT != 0 {
 		t.Fatalf("local hit: %+v", rec)
-	}
-}
-
-func TestQueryFailureRecorded(t *testing.T) {
-	cfg := DefaultConfig()
-	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
-	net.SubmitQuery(0, query("absent"))
-	runAll(net)
-	rec := net.Collector.Records()[0]
-	if rec.Success {
-		t.Fatal("phantom success")
-	}
-	if rec.Messages != 2 {
-		t.Fatalf("messages = %d, want 2 (line flood)", rec.Messages)
 	}
 }
 
@@ -393,7 +311,7 @@ func TestLocawareSelectProviderPrefersLocality(t *testing.T) {
 
 func TestLocawareSelectProviderMinRTTFallback(t *testing.T) {
 	cfg := DefaultConfig()
-	pts := []netmodel.Point{{X: 50, Y: 50}, {X: 900, Y: 900}, {X: 100, Y: 100}}
+	pts := []netmodel.Point{{X: 50, Y: 50}, {X: 900, Y: 900}, {X: 100, Y: 100}, {X: 0, Y: 0}}
 	net := testNet(t, Locaware{}, pts, [][2]int{{0, 1}, {1, 2}}, cfg)
 	req := net.Node(0)
 	// Neither provider shares the requester's locId; peer 2 is closer.
@@ -405,88 +323,16 @@ func TestLocawareSelectProviderMinRTTFallback(t *testing.T) {
 	if !ok || got.Peer != 2 {
 		t.Fatalf("min-RTT fallback failed: got peer %d", got.Peer)
 	}
+	// Peers 2 and 3 are equally far: the first listed, the most recent,
+	// wins the tie.
+	tie := []cache.Provider{{Peer: 3, LocID: req.Loc + 3}, {Peer: 2, LocID: req.Loc + 2}}
+	if got, _ := (Locaware{}).SelectProvider(net, req, tie); got.Peer != 3 {
+		t.Fatalf("an RTT tie went to peer %d, want the first listed, 3", got.Peer)
+	}
 	if _, ok := (Locaware{}).SelectProvider(net, req, nil); ok {
 		t.Fatal("empty provider list should fail")
 	}
 }
-
-func TestBloomGossipAndRouting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BloomGossipPeriod = 5 * sim.Second
-	net := testNet(t, Locaware{}, linePoints(4), lineEdges(4), cfg)
-	f := fname("bloomy", "file")
-	n2 := net.Node(2)
-	net.gids[n2.ID] = int32(gidOfName(f, cfg.GroupCount))
-	n2.RI.Put(f, 3, 0, 0)
-
-	// Before gossip, node 2 has announced no BF -> no match.
-	n1 := net.Node(1)
-	kw := query("bloomy")
-	q := testBranch(net, kw, 0, 1)
-	targets := Locaware{}.Forward(net, n1.ID, q, eligOf(net, q))
-	for _, tgt := range targets {
-		if tgt == 2 {
-			if n2.announced != nil {
-				t.Fatal("node 2 announced a BF before gossip")
-			}
-		}
-	}
-	// Run past one gossip period; now BF matches and routing prefers 2.
-	net.Engine.RunUntil(6*sim.Second, 0)
-	targets = Locaware{}.Forward(net, n1.ID, q, eligOf(net, q))
-	if len(targets) != 1 || targets[0] != 2 {
-		t.Fatalf("BF routing targets = %v, want [2]", targets)
-	}
-	if net.ControlMessages() == 0 {
-		t.Fatal("gossip produced no control messages")
-	}
-	if net.ControlBits() == 0 {
-		t.Fatal("gossip accounted no delta bits")
-	}
-}
-
-func TestLocawareEndToEndCacheHit(t *testing.T) {
-	// First query populates caches, second query (from a different peer)
-	// must hit a cached index before reaching storage.
-	cfg := DefaultConfig()
-	cfg.BloomGossipPeriod = time1s()
-	net := testNet(t, Locaware{}, linePoints(6), lineEdges(6), cfg)
-	f := fname("pop", "song")
-	net.Node(5).AddFile(f)
-	// Make middle nodes cache-eligible.
-	want := gidOfName(f, cfg.GroupCount)
-	for i := overlay.PeerID(1); i <= 4; i++ {
-		net.gids[i] = int32(want)
-	}
-	net.SubmitQuery(0, query("pop"))
-	net.Engine.RunUntil(40*sim.Second, 0)
-	// Caches along the path now hold f with providers {5, 0}.
-	cached := 0
-	for i := overlay.PeerID(1); i <= 4; i++ {
-		if providers(net.Node(i).RI, f, net.Engine.Now()) != nil {
-			cached++
-		}
-	}
-	if cached == 0 {
-		t.Fatal("no reverse-path node cached the response")
-	}
-	before := net.Collector.Submitted()
-	_ = before
-	net.SubmitQuery(1, query("song"))
-	net.Engine.RunUntil(80*sim.Second, 0)
-	recs := net.Collector.Records()
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if !recs[1].Success {
-		t.Fatal("second query failed despite cached indexes")
-	}
-	if recs[1].Messages >= recs[0].Messages+3 {
-		t.Fatalf("cached query not cheaper: first=%d second=%d", recs[0].Messages, recs[1].Messages)
-	}
-}
-
-func time1s() sim.Time { return sim.Second }
 
 func TestChurnOfflineProvidersFiltered(t *testing.T) {
 	cfg := DefaultConfig()
@@ -846,8 +692,13 @@ func TestNetworkStringAndAccessors(t *testing.T) {
 	if net.Node(1).ID != 1 {
 		t.Fatal("Node accessor broken")
 	}
-	if len(net.Node(0).files) != 0 {
-		t.Fatal("fresh node has files")
+	if len(net.Node(0).files) != 0 || net.StaleBloomFallbacks() != 0 {
+		t.Fatal("fresh node has files, or the vestigial stale-fallback count is not 0")
+	}
+	n, f := net.Node(0), fname("file")
+	n.AddFile(f)
+	if !n.RemoveFile(f) || n.RemoveFile(f) || len(n.files) != 0 {
+		t.Fatalf("storage after adding and removing %v twice: %v", f, n.files)
 	}
 }
 
@@ -856,69 +707,94 @@ type eventLog []trace.Event
 
 func (l *eventLog) Emit(e trace.Event) { *l = append(*l, e) }
 
-// countKind returns how many of the logged events have kind k.
-func countKind(buf *eventLog, k trace.Kind) int {
-	n := 0
-	for _, e := range *buf {
-		if e.Kind == k {
-			n++
+// checkStory requires the logged events, each as "query:kind span<-parent
+// peer from detail", to be want in emission order and time order.
+func checkStory(t *testing.T, buf *eventLog, want []string) {
+	t.Helper()
+	var got []string
+	for i, e := range *buf {
+		if i > 0 && e.At < (*buf)[i-1].At {
+			t.Fatalf("event %d (%v) precedes its predecessor in time", i, e.Kind)
 		}
+		got = append(got, fmt.Sprintf("%d:%v %d<-%d peer %d from %d %s", e.Query, e.Kind, e.Span, e.Parent, e.Peer, e.From, e.Detail))
 	}
-	return n
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
+// TestTracingLifecycle: a query's events form the span tree trace.Event
+// documents. Forwards hang under the forward that delivered the query to
+// their sender, a hit under the forward it arrived on, each response hop
+// under the previous one, a cached entry and the download under the hop that
+// delivered the response, and the finalize under the root. A phase entry
+// belongs to no query and no peer. A hit at the origin itself, in its storage
+// (query 2: query 1 replicated the file there) or its response index
+// (query 3), hangs under the root and crosses no link.
 func TestTracingLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
-	net := testNet(t, Flooding{}, linePoints(4), lineEdges(4), cfg)
+	cfg.GroupCount = 1 // every peer caches every response
+	net := testNet(t, Dicas{}, linePoints(4), lineEdges(4), cfg)
 	buf := &eventLog{}
-	net.SetTracer(buf)
-	f := fname("traced", "file")
-	net.Node(3).AddFile(f)
+	if net.SetTracer(buf); !net.TraceEnabled() {
+		t.Fatal("a network with a tracer reports tracing disabled")
+	}
+	net.EmitControl(trace.PhaseEnter, "phase=warm")
+	net.Node(3).AddFile(fname("traced", "file"))
 	net.SubmitQuery(0, query("traced"))
 	runAll(net)
-
-	if countKind(buf, trace.QuerySubmit) != 1 {
-		t.Fatalf("submits = %d", countKind(buf, trace.QuerySubmit))
-	}
-	if countKind(buf, trace.QueryForward) != 3 {
-		t.Fatalf("forwards = %d, want 3 (line)", countKind(buf, trace.QueryForward))
-	}
-	if countKind(buf, trace.StorageHit) != 1 {
-		t.Fatalf("storage hits = %d", countKind(buf, trace.StorageHit))
-	}
-	if countKind(buf, trace.ResponseHop) != 3 {
-		t.Fatalf("response hops = %d", countKind(buf, trace.ResponseHop))
-	}
-	if countKind(buf, trace.DownloadComplete) != 1 {
-		t.Fatalf("downloads = %d", countKind(buf, trace.DownloadComplete))
-	}
-	if countKind(buf, trace.QueryFailed) != 0 {
-		t.Fatal("successful query traced as failed")
-	}
-	// Events for query 1 are a coherent story in time order.
-	evs := *buf // the run's only query
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("trace not in time order")
-		}
-	}
+	net.SubmitQuery(0, query("traced", "file"))
+	net.Node(1).RI.Put(fname("held"), 2, net.Node(2).Loc, net.Engine.Now())
+	net.SubmitQuery(1, query("held"))
+	runAll(net)
+	checkStory(t, buf, []string{
+		"0:phase 0<-0 peer -1 from -1 phase=warm",
+		"1:submit 1<-0 peer 0 from -1 q{kw00040}",
+		"1:forward 2<-1 peer 1 from 0 ",
+		"1:forward 3<-2 peer 2 from 1 ",
+		"1:forward 4<-3 peer 3 from 2 ",
+		"1:storage-hit 5<-4 peer 3 from 2 kw00014_kw00040",
+		"1:response-hop 6<-5 peer 2 from 3 ",
+		"1:cached 7<-6 peer 2 from -1 kw00014_kw00040",
+		"1:response-hop 8<-6 peer 1 from 2 ",
+		"1:cached 9<-8 peer 1 from -1 kw00014_kw00040",
+		"1:response-hop 10<-8 peer 0 from 1 ",
+		"1:cached 11<-10 peer 0 from -1 kw00014_kw00040",
+		"1:download 12<-10 peer 0 from 3 kw00014_kw00040 rtt=243.9ms sameLoc=false",
+		"1:finalize 13<-1 peer 0 from -1 ",
+		"2:submit 1<-0 peer 0 from -1 q{kw00014,kw00040}",
+		"2:storage-hit 2<-1 peer 0 from -1 kw00014_kw00040",
+		"3:submit 1<-0 peer 1 from -1 q{kw00017}",
+		"3:cache-hit 2<-1 peer 1 from -1 kw00017",
+		"3:download 3<-2 peer 1 from 2 kw00017 rtt=88.0ms sameLoc=true",
+		"2:finalize 3<-1 peer 0 from -1 ",
+		"3:finalize 4<-1 peer 1 from -1 ",
+	})
 }
 
+// TestTracingFailureAndDuplicate: on a diamond each of peers 2 and 3 hears
+// the query twice and drops the later copy, under the forward it arrived
+// on; the failure and the finalize hang under the root.
 func TestTracingFailureAndDuplicate(t *testing.T) {
 	cfg := DefaultConfig()
-	// Diamond so node 3 sees a duplicate.
 	net := testNet(t, Flooding{}, []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 50}, {X: 200, Y: 150}, {X: 300, Y: 100}},
 		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
 	buf := &eventLog{}
 	net.SetTracer(buf)
 	net.SubmitQuery(0, query("absent"))
 	runAll(net)
-	if countKind(buf, trace.QueryFailed) != 1 {
-		t.Fatalf("failed = %d", countKind(buf, trace.QueryFailed))
-	}
-	if countKind(buf, trace.QueryDuplicate) == 0 {
-		t.Fatal("diamond should produce a duplicate delivery")
-	}
+	checkStory(t, buf, []string{
+		"1:submit 1<-0 peer 0 from -1 q{kw00001}",
+		"1:forward 2<-1 peer 1 from 0 ",
+		"1:forward 3<-1 peer 2 from 0 ",
+		"1:forward 4<-2 peer 3 from 1 ",
+		"1:forward 5<-3 peer 3 from 2 ",
+		"1:forward 6<-4 peer 2 from 3 ",
+		"1:duplicate 7<-5 peer 3 from 2 ",
+		"1:duplicate 8<-6 peer 2 from 3 ",
+		"1:failed 9<-1 peer 0 from -1 ",
+		"1:finalize 10<-1 peer 0 from -1 ",
+	})
 }
 
 func TestTracingGossip(t *testing.T) {
@@ -1060,40 +936,12 @@ func TestConfigFallbacks(t *testing.T) {
 	if c.TTL != 7 || c.GroupCount != 4 || c.FinalizeAfter != 30*sim.Second {
 		t.Fatalf("defaults are not the paper's: %+v", c)
 	}
-}
-
-// TestLateBloomInstallIsWhatWasSent: an install event owns the copy of
-// the announcement it was sent with, so one that fires after two more
-// announcements installs what it carried, not the sender's newer filter,
-// and a later install replaces it with what that one carried.
-func TestLateBloomInstallIsWhatWasSent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BloomGossipPeriod = 0
-	net := testNet(t, Locaware{}, linePoints(2), lineEdges(2), cfg)
-	n := net.Node(0)
-	// publish caches a filename of the given keyword and announces it.
-	publish := func(kw string) {
-		n.RI.Put(fname(kw), 1, 0, 0)
-		if n.PublishBloom(nil).Empty() {
-			t.Fatalf("adding %q announced nothing", kw)
+	// Under Bloom routing any positive gossip period, one tick too, posts
+	// the first round, unless there is no peer to gossip.
+	c.BloomGossipPeriod = 1
+	for peers := range 2 {
+		if lw := testNet(t, Locaware{}, linePoints(peers), nil, c); queued(lw.Engine) != uint64(peers) {
+			t.Fatalf("a 1-tick gossip period over %d peers posted %d events, want %d", peers, queued(lw.Engine), peers)
 		}
-	}
-	publish("alpha")
-	sent := CloneFilter(net, n.announced)
-	late := net.acquireBloomInstall(1, n)
-	publish("far")
-	publish("song")
-	late.Fire(net.Engine)
-	got := net.Node(1).NeighborBloom(0)
-	if got == nil || !got.Equal(sent) {
-		t.Fatal("the late install did not install the announcement it was sent with")
-	}
-	if got.Equal(n.announced) || got == n.announced {
-		t.Fatal("the late install picked up the sender's newer announcement")
-	}
-	publish("zeta")
-	net.acquireBloomInstall(1, n).Fire(net.Engine)
-	if got := net.Node(1).NeighborBloom(0); !got.Equal(n.announced) || got == n.announced {
-		t.Fatal("a later install did not replace the copy with its own")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -289,44 +288,6 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 	}
 	if want := map[string]uint64{"count": 2, "event": 1}; !reflect.DeepEqual(e.EventsByKind(), want) {
 		t.Fatalf("events by kind = %v, want %v", e.EventsByKind(), want)
-	}
-}
-
-// TestHeapPropertyQuick drives the queue with random timestamps and checks
-// events come out in non-decreasing time order with FIFO tie-breaks.
-func TestHeapPropertyQuick(t *testing.T) {
-	prop := func(delays []uint16) bool {
-		if len(delays) == 0 {
-			return true
-		}
-		e := NewEngine()
-		type rec struct {
-			at  Time
-			seq int
-		}
-		var got []rec
-		for i, d := range delays {
-			i := i
-			e.PostEvent(Time(d), fn(func(eng *Engine) {
-				got = append(got, rec{eng.Now(), i})
-			}))
-		}
-		e.Run(0)
-		if len(got) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].at < got[i-1].at {
-				return false
-			}
-			if got[i].at == got[i-1].at && got[i].seq < got[i-1].seq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -658,3 +658,37 @@ func TestCompareHonorsWorkers(t *testing.T) {
 		t.Fatal("Compare results differ across worker counts")
 	}
 }
+
+// TestOneGroupDicasEqualsDicasKeys is relation 24(a): at one group (M = 1)
+// every filename and every keyword hashes to group 0, which every peer
+// joins, so Dicas' filename placement and Dicas-Keys' keyword placement
+// pick the same peers. The two make the same record for every query and
+// the same result but for its name, static and under churn.
+func TestOneGroupDicasEqualsDicasKeys(t *testing.T) {
+	seeds := int64(10)
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, churn := range []bool{false, true} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			o := fastOptions(seed)
+			o.Peers, o.Groups, o.RetainRecords = 300, 1, true
+			if churn {
+				o.Scenario = mustScenario(t, "steady-churn")
+			}
+			d, errD := Run(o, ProtocolDicas, 50, 200)
+			k, errK := Run(o, ProtocolDicasKeys, 50, 200)
+			if errD != nil || errK != nil {
+				t.Fatal(errD, errK)
+			}
+			for i := range min(len(d.Records), len(k.Records)) {
+				if d.Records[i] != k.Records[i] {
+					t.Fatalf("churn %v seed %d: query %d is %+v under Dicas, %+v under Dicas-Keys", churn, seed, i+1, d.Records[i], k.Records[i])
+				}
+			}
+			if k.Protocol = d.Protocol; !reflect.DeepEqual(d, k) {
+				t.Fatalf("churn %v seed %d: results differ\nDicas      %+v\nDicas-Keys %+v", churn, seed, *d, *k)
+			}
+		}
+	}
+}
