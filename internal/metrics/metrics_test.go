@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"github.com/p2prepro/locaware/internal/stats"
 )
 
 func rec(msgs int, success bool, rtt float64, same bool, hops int) QueryRecord {
@@ -394,26 +396,29 @@ func TestAggregatePhases(t *testing.T) {
 			{Phase: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.25, AvgMessagesPerQuery: 8, AvgDownloadRTTMs: 140, SameLocalityRate: 0, CacheHitRate: 0.5, AvgHops: 3},
 		},
 		{
-			{Phase: "calm", Start: 0, End: 4, Queries: 4, SuccessRate: 0.7, AvgMessagesPerQuery: 4, AvgDownloadRTTMs: 80, SameLocalityRate: 0.3, CacheHitRate: 0.75, AvgHops: 4},
-			{Phase: "wave", Start: 4, End: 8, Queries: 4, SuccessRate: 0.35, AvgMessagesPerQuery: 6, AvgDownloadRTTMs: 120, SameLocalityRate: 0.2, CacheHitRate: 0.7, AvgHops: 5},
+			{Phase: "calm", Start: 0, End: 4, Queries: 3, SuccessRate: 0.7, AvgMessagesPerQuery: 4, AvgDownloadRTTMs: 80, SameLocalityRate: 0.3, CacheHitRate: 0.75, AvgHops: 4},
+			{Phase: "wave", Start: 4, End: 8, Queries: 2, SuccessRate: 0.35, AvgMessagesPerQuery: 6, AvgDownloadRTTMs: 120, SameLocalityRate: 0.2, CacheHitRate: 0.7, AvgHops: 5},
 		},
 	}
 	ps := AggregatePhases(trials)
 	if len(ps) != 2 {
 		t.Fatalf("got %d phase stats, want 2", len(ps))
 	}
-	calm := ps[0]
-	if calm.Phase != "calm" || calm.Start != 0 || calm.End != 4 {
-		t.Fatalf("phase 0 identity = %+v", calm)
+	if calm := ps[0].SuccessRate; calm.N != 2 || calm.Mean != 0.6 {
+		t.Fatalf("calm success = %+v", calm)
 	}
-	if calm.SuccessRate.N != 2 || calm.SuccessRate.Mean != 0.6 {
-		t.Fatalf("calm success = %+v", calm.SuccessRate)
+	// Every one of the seven summaries takes its own field of both trials.
+	of := func(a, b float64) stats.Summary { return stats.Summarize([]float64{a, b}) }
+	want := []PhaseStats{
+		{Phase: "calm", Start: 0, End: 4, Queries: of(4, 3), SuccessRate: of(0.5, 0.7), AvgMessagesPerQuery: of(6, 4),
+			AvgDownloadRTTMs: of(100, 80), SameLocalityRate: of(0.5, 0.3), CacheHitRate: of(0.25, 0.75), AvgHops: of(2, 4)},
+		{Phase: "wave", Start: 4, End: 8, Queries: of(4, 2), SuccessRate: of(0.25, 0.35), AvgMessagesPerQuery: of(8, 6),
+			AvgDownloadRTTMs: of(140, 120), SameLocalityRate: of(0, 0.2), CacheHitRate: of(0.5, 0.7), AvgHops: of(3, 5)},
 	}
-	if calm.AvgMessagesPerQuery.Mean != 5 || calm.AvgDownloadRTTMs.Mean != 90 {
-		t.Fatalf("calm msgs/rtt = %+v / %+v", calm.AvgMessagesPerQuery, calm.AvgDownloadRTTMs)
-	}
-	if ps[1].Phase != "wave" || ps[1].SuccessRate.Mean != 0.3 {
-		t.Fatalf("wave = %+v", ps[1])
+	for k := range want {
+		if !reflect.DeepEqual(ps[k], want[k]) {
+			t.Fatalf("phase %d:\n got %+v\nwant %+v", k, ps[k], want[k])
+		}
 	}
 }
 

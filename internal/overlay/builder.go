@@ -11,7 +11,11 @@ type BuildConfig struct {
 	AvgDegree float64
 	// MaxDegree caps any single peer's degree (0 = uncapped). Gnutella
 	// clients typically cap neighbour lists; a loose cap also prevents
-	// degenerate hubs in small graphs.
+	// degenerate hubs in small graphs. Connectivity comes first: an
+	// arriving peer that draws no peer below the cap in 16 tries links
+	// anyway. At a cap of 2 that happens (30 peers at AvgDegree 2: 182
+	// peers past the cap over 100 seeds, in 99 of the builds); caps of 3 to
+	// 12 never went past (30 and 200 peers, AvgDegree 2, 3 and 6, 100 seeds).
 	MaxDegree int
 }
 

@@ -199,6 +199,32 @@ func TestBuildRandomDeterministic(t *testing.T) {
 	}
 }
 
+// TestMaxDegreeCapHolds builds where the cap binds — 600 links for 200
+// peers capped at 7 fill most peers to the cap — and churns: no build, leave
+// repair or rejoin may take a peer past MaxDegree.
+func TestMaxDegreeCapHolds(t *testing.T) {
+	const n, maxDegree = 200, 7
+	churn := ChurnConfig{LeaveProb: 0.1, JoinProb: 0.5, AvgDegree: 6, MaxDegree: maxDegree, MinOnlineFraction: 0.5}
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := BuildRandom(n, BuildConfig{AvgDegree: 6, MaxDegree: maxDegree}, r)
+		atCap := 0
+		for step := 0; step <= 20; step++ {
+			for p := PeerID(0); p < n; p++ {
+				if d := g.Degree(p); d > maxDegree {
+					t.Fatalf("seed %d after %d churn steps: peer %d has degree %d, cap %d", seed, step, p, d, maxDegree)
+				} else if d == maxDegree {
+					atCap++
+				}
+			}
+			ChurnStep(g, churn, r)
+		}
+		if atCap == 0 {
+			t.Fatalf("seed %d: no peer ever reached the cap; the test does not bind it", seed)
+		}
+	}
+}
+
 func TestRandomOnlinePeer(t *testing.T) {
 	g := NewGraph(4)
 	g.Leave(0)

@@ -40,10 +40,9 @@ func (blind) SelectProvider(_ *Network, _ *Node, provs []cache.Provider) (cache.
 func (Flooding) Name() string { return "Flooding" }
 
 // CacheConfig implements Behavior. Flooding performs no index caching; the
-// cache is kept at minimum size and never written.
+// cache holds one filename and is never written.
 func (Flooding) CacheConfig(base cache.Config) cache.Config {
 	base.MaxFilenames = 1
-	base.MaxProvidersPerFile = 1
 	return base
 }
 

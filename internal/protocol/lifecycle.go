@@ -61,9 +61,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	// index.
 	if f, ok := net.storageMatch(origin, q, pq.sig); ok {
 		pq.answered = true
-		pq.rtt = 0
 		pq.sameLoc = true
-		pq.hops = 0
 		net.counts.StorageHits++
 		net.emitFile(trace.StorageHit, pq, id, trace.RootSpan, origin, -1, f)
 		return id

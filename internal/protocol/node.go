@@ -209,9 +209,7 @@ func (n *Node) fileIndex(f keywords.Filename) (int, bool) {
 
 // AddFile inserts f into the node's shared storage.
 func (n *Node) AddFile(f keywords.Filename) {
-	if i, ok := n.fileIndex(f); ok {
-		n.files[i] = f
-	} else {
+	if i, ok := n.fileIndex(f); !ok {
 		n.files = slices.Insert(n.files, i, f)
 	}
 	n.sig().storage |= fileSig(f)

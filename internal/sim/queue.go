@@ -1,9 +1,14 @@
 package sim
 
+import "math/bits"
+
 // The engine's pending-event store is one 4-ary min-heap whose entries
 // carry the event itself: (at, seq, ev). Four children per node halve the
 // depth of a binary heap and keep a node's children on adjacent cache
-// lines, which is what a pop's sift-down pays for.
+// lines, which is what a pop's sift-down pays for. A full group of four
+// children is settled by a branch-free tournament (earlier): which sibling
+// is least depends on the data, so a compare-and-branch scan mispredicts
+// about once per level.
 //
 // Ordering contract: pops come out in strictly increasing (at, seq). seq is
 // the engine's scheduling sequence, so same-instant events are FIFO. The
@@ -24,6 +29,17 @@ func qentLess(a, b qent) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// earlier returns whichever of slots i and j of g holds the earlier
+// (at, seq), without a branch: the borrow out of the 128-bit subtraction
+// g[i] - g[j] (seq the low word, at the high) is 1 exactly when g[i] comes
+// first. Queued times are never negative (PostEventAt refuses the past and
+// the clock starts at zero), so the unsigned compare of at is the signed one.
+func earlier(g *[heapArity]qent, i, j int) int {
+	_, borrow := bits.Sub64(g[i].seq, g[j].seq, 0)
+	_, borrow = bits.Sub64(uint64(g[i].at), uint64(g[j].at), borrow)
+	return j ^ (i^j)&-int(borrow)
 }
 
 // heapArity is the heap's branching factor.
@@ -83,9 +99,14 @@ func (q *eventQueue) pop() (qent, bool) {
 			break
 		}
 		least := child
-		for c, end := child+1, min(child+heapArity, n); c < end; c++ {
-			if qentLess(ents[c], ents[least]) {
-				least = c
+		if child+heapArity <= n {
+			g := (*[heapArity]qent)(ents[child:])
+			least += earlier(g, earlier(g, 0, 1), earlier(g, 2, 3))
+		} else {
+			for c := child + 1; c < n; c++ {
+				if qentLess(ents[c], ents[least]) {
+					least = c
+				}
 			}
 		}
 		if !qentLess(ents[least], last) {

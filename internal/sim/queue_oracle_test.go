@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -223,5 +226,52 @@ func TestQueueOracleSparseBurst(t *testing.T) {
 	}
 	if w.q.Len() != 0 || w.heap.Len() != 0 {
 		t.Fatalf("queues not drained (queue %d, oracle %d)", w.q.Len(), w.heap.Len())
+	}
+}
+
+// TestQueuePopsInSortOrder holds the tournament to a sort: each stream is
+// pushed with its sequence numbers shuffled, so seq order is not push
+// order, and must pop in (at, seq) order. The streams are heavy at ties
+// (seq alone decides), every heap size from 1 to 9 (each partial last
+// group of siblings), times of 0, and times and sequence numbers at the top
+// of their ranges, where the 128-bit borrow runs through both words.
+func TestQueuePopsInSortOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	check := func(name string, ats []Time, seqBase uint64) {
+		t.Helper()
+		var q eventQueue
+		want := make([]qent, len(ats))
+		for i, s := range r.Perm(len(ats)) {
+			want[i] = qent{at: ats[i], seq: seqBase + uint64(s)}
+			q.push(want[i])
+		}
+		slices.SortFunc(want, func(a, b qent) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq)) })
+		for i, w := range want {
+			if got, ok := q.pop(); !ok || got.at != w.at || got.seq != w.seq {
+				t.Fatalf("%s: pop %d of %d = (%d,%d) ok=%v, want (%d,%d)", name, i, len(want), got.at, got.seq, ok, w.at, w.seq)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("%s: %d entries left after %d pops", name, q.Len(), len(want))
+		}
+	}
+	draw := func(n int, at func() Time) []Time {
+		ats := make([]Time, n)
+		for i := range ats {
+			ats[i] = at()
+		}
+		return ats
+	}
+	for trial := 0; trial < 20; trial++ {
+		check("ties", draw(2000, func() Time { return Time(r.Intn(3)) * Second }), 0)
+		check("zero", draw(500, func() Time { return 0 }), 0)
+		check("zero or one", draw(500, func() Time { return Time(r.Intn(2)) }), 0)
+		check("top", draw(500, func() Time { return math.MaxInt64 - Time(r.Intn(3)) }), math.MaxUint64-500)
+		check("bottom and top", draw(500, func() Time { return Time(r.Intn(2)) * math.MaxInt64 }), math.MaxUint64-500)
+	}
+	for n := 1; n <= 9; n++ {
+		for trial := 0; trial < 500; trial++ {
+			check("small", draw(n, func() Time { return Time(r.Intn(3)) }), 0)
+		}
 	}
 }

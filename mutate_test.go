@@ -25,18 +25,17 @@ var mutatePkgs = flag.String("mutate", "", "comma-separated internal packages to
 
 // mutationFloors are measured scores (killed / viable, allow-listed
 // equivalents excluded) a package may not fall below.
-var mutationFloors = map[string]float64{"metrics": 0.8333}
+var mutationFloors = map[string]float64{"metrics": 0.9358}
 
 // Why a survivor behaves like the original, for reasons several share.
 const (
 	scratch   = "the scratch is resliced to length 0 before every use"
 	alloc     = "allocation only: the same values, kept in fresh or larger memory"
 	noTracer  = "without a tracer no one reads the span emit returns"
-	unread    = "Flooding never writes its response index, so its provider bound is never read"
-	zeroed    = "acquirePending zeroes the state, so the field is 0 already"
 	screen    = "it only loosens a screen; the exact test behind the screen decides"
 	probe     = "the probe still finds every key and a free slot: the table is never half full"
 	firstWins = "the first candidate replaces the initial best: a neighbour's degree is >= 1"
+	uniqueSeq = "seq is unique per engine, so no two queued entries tie on it"
 )
 
 // equivalentMutants allow-lists the survivors no test can kill, each with
@@ -50,18 +49,21 @@ var equivalentMutants = map[string]string{
 	"lifecycle.go:48:3:del": scratch, "response.go:116:3:del": scratch,
 	"network.go:354:38": alloc, "network.go:355:38": alloc,
 	"network.go:356:38": alloc, "network.go:357:38": alloc, "node.go:72:27": alloc, "node.go:139:23": alloc,
-	"node.go:157:58:dec": alloc, "node.go:268:16": alloc, "node.go:295:11": alloc, "node.go:75:18:inc": alloc,
+	"node.go:157:58:dec": alloc, "node.go:266:16": alloc, "node.go:293:11": alloc, "node.go:75:18:inc": alloc,
 	"routing.go:128:3:del": alloc, "routing.go:128:53": alloc, "lifecycle.go:19:13:rel": alloc,
 	"gossip.go:53:3:del": alloc, "response.go:69:3:del": alloc, "network.go:394:10": noTracer,
-	"network.go:418:10": noTracer, "flooding.go:46:2:del": unread, "flooding.go:46:29": unread,
-	"lifecycle.go:64:3:del": zeroed, "lifecycle.go:66:3:del": zeroed, "node.go:99:90:inc": screen,
+	"network.go:418:10": noTracer, "node.go:99:90:inc": screen,
 	"node.go:188:27:inc": screen, "network.go:162:17": probe, "network.go:162:69:inc": probe,
 	"routing.go:166:19": firstWins, "routing.go:166:23": firstWins,
 	"locaware.go:99:22":     "math.Inf of any sign >= 0 is +Inf",
 	"network.go:206:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
-	"node.go:213:3:del":     "the stored filename is equal to f",
 	"response.go:19:23:dec": "comparing ms[0] with itself changes nothing",
 	"routing.go:180:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
+	"queue.go:29:15:rel":    "inside a.at != b.at, < and <= agree",
+	"queue.go:31:15:rel":    uniqueSeq,
+	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
+	"queue.go:102:22:rel":   "the scalar loop picks the same least child of a full group",
+	"queue.go:106:21:dec":   "comparing ents[child] with itself changes nothing",
 }
 
 func allowListed(id string) bool {
