@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -104,7 +107,8 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestRunResumeByteIdentity is the kill-and-resume contract: a campaign
 // interrupted after a subset of cells, then resumed, executes only the
 // missing cells (locked by the Executed run counter) and produces output
-// byte-identical to the uninterrupted golden CSV.
+// byte-identical to the uninterrupted golden CSV. Its progress lines count
+// the resumed cells as done, and none is logged once Run has returned.
 func TestRunResumeByteIdentity(t *testing.T) {
 	base := core.DefaultConfig()
 	golden := goldenCSV(t)
@@ -125,8 +129,17 @@ func TestRunResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resume: only cells 1 and 3 may execute.
-	camp, stats, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true})
+	// Resume: only cells 1 and 3 may execute, one after the other.
+	var lines []string
+	var returned, late atomic.Bool
+	camp, stats, err := Run(base, tinySpec(), 1, Options{Checkpoint: dir, Resume: true,
+		Progress: time.Nanosecond, // the shortest interval still ticks
+		Logf: func(format string, args ...any) {
+			lines = append(lines, fmt.Sprintf(format, args...))
+			time.Sleep(time.Millisecond) // a slow sink Run must still outlast
+			late.Store(late.Load() || returned.Load())
+		}})
+	returned.Store(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +151,26 @@ func TestRunResumeByteIdentity(t *testing.T) {
 	}
 	if got := camp.CSV(); got != golden {
 		t.Fatalf("resumed campaign CSV differs from uninterrupted golden:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
+	}
+	// Every line counts 2 to 4 cells done; a rate shows once cell 1 is.
+	most, rated := 0, 0
+	for _, l := range lines {
+		var done, cells, resumed int
+		if n, _ := fmt.Sscanf(l, "progress: %d/%d done (%d resumed)", &done, &cells, &resumed); n == 3 {
+			if done < 2 || done > cells || resumed != 2 || done == 2 && strings.Contains(l, "cells/s") {
+				t.Fatalf("progress line %q: want 2 to 4 of 4 cells done, 2 resumed, no rate before a computed cell", l)
+			}
+			most = max(most, done)
+			if strings.Contains(l, "cells/s") {
+				rated++
+			}
+		}
+	}
+	if !slices.Contains(lines, "resumed 2/4 cells from "+dir) || most < 3 || rated == 0 {
+		t.Fatalf("want the resume count and a line counting a computed cell at a rate: %q", lines)
+	}
+	if time.Sleep(5 * time.Millisecond); late.Load() {
+		t.Fatal("a progress line was still being logged after Run returned")
 	}
 
 	// A second resume finds everything checkpointed and computes nothing.
@@ -193,8 +226,8 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	if err := os.WriteFile(store.Path(1), []byte("{this is not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Cell 2: well-formed but from a different campaign.
-	foreign := fmt.Sprintf(`{"version":%d,"spec_hash":"deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef","cell":{"index":2}}`, checkpointVersion)
+	// Cell 2: well-formed but from another campaign, one with no hash.
+	foreign := fmt.Sprintf(`{"version":%d,"spec_hash":"","cell":{"index":2}}`, checkpointVersion)
 	if err := os.WriteFile(store.Path(2), []byte(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +246,7 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	if len(stats.Warnings) < 3 {
 		t.Fatalf("want >= 3 damage warnings, got %v", stats.Warnings)
 	}
-	for i, substr := range map[int]string{0: "corrupted or truncated", 1: "corrupted or truncated", 2: "belongs to campaign"} {
+	for i, substr := range map[int]string{0: "corrupted or truncated", 1: "corrupted or truncated", 2: "belongs to campaign (none), this one is " + plan.Hash()[:12] + " (cell"} {
 		found := false
 		name := filepath.Base(store.Path(i))
 		for _, w := range stats.Warnings {
@@ -238,6 +271,27 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	if stats2.Resumed != 4 || stats2.Executed != 0 || len(stats2.Warnings) != 0 {
 		t.Fatalf("post-recovery resume: resumed %d executed %d warnings %v, want 4/0/none",
 			stats2.Resumed, stats2.Executed, stats2.Warnings)
+	}
+
+	// A file that decodes under the campaign's hash but carries another
+	// seed is rejected by identity, reported and logged, and its cell re-runs.
+	loaded, _, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *loaded[3]
+	forged.Seed++
+	if err := store.Put(&forged); err != nil {
+		t.Fatal(err)
+	}
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	_, stats3, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats3.Resumed != 3 || len(stats3.Warnings) != 1 || !strings.Contains(stats3.Warnings[0], "cell 3 rejected") || !slices.Contains(logged, stats3.Warnings[0]) {
+		t.Fatalf("forged seed: resumed %d, warnings %q, logged %q; want 3 and one logged rejection of cell 3", stats3.Resumed, stats3.Warnings, logged)
 	}
 }
 

@@ -380,13 +380,21 @@ func TestPhaseWindowsIndependentOfCheckpoints(t *testing.T) {
 	}
 }
 
+// TestPhaseMarkValidation: marks must ascend from a first end of at least 1.
 func TestPhaseMarkValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("misordered phase marks must panic")
-		}
-	}()
-	NewCollectorWith(CollectorConfig{Phases: []PhaseMark{{Name: "a", End: 5}, {Name: "b", End: 5}}})
+	for _, c := range []struct {
+		ends   []int
+		panics bool
+	}{{[]int{5, 5}, true}, {[]int{0}, true}, {[]int{1}, false}} {
+		func() {
+			defer func() {
+				if got := recover() != nil; got != c.panics {
+					t.Errorf("phase marks ending %v: panicked %v, want %v", c.ends, got, c.panics)
+				}
+			}()
+			NewCollectorWith(CollectorConfig{Phases: marks(c.ends...)})
+		}()
+	}
 }
 
 func TestAggregatePhases(t *testing.T) {

@@ -885,7 +885,7 @@ func TestIDHashesMatchSpellings(t *testing.T) {
 	}
 	for _, size := range []int{20, 9000, keywords.MaxPool} {
 		for id := 0; id < size; id++ {
-			ids := []keywords.ID{keywords.ID(id), keywords.ID((id*7919 + 1) % size), keywords.ID((id*104729 + 2) % size)}
+			ids := []keywords.ID{keywords.ID(id), keywords.ID((id*7919 + 1) % size), keywords.ID((int64(id)*104729 + 2) % int64(size))}
 			words := make([]string, len(ids))
 			for i, k := range ids {
 				words[i] = fmt.Sprintf("kw%05d", k)

@@ -41,8 +41,11 @@ func TestScaleIntensityScalesMagnitudes(t *testing.T) {
 	if crowd.RateFactor != 7 { // 1 + (4-1)*2
 		t.Fatalf("rate factor = %g, want excess-scaled 7", crowd.RateFactor)
 	}
-	if crowd.HotFiles != 16 {
-		t.Fatalf("hot files = %d, want 16", crowd.HotFiles)
+	if crowd.HotFiles != 16 || scaleCount(1, 3) != 3 {
+		t.Fatalf("hot files = %d and 1 scales by 3 to %d, want 16 and 3", crowd.HotFiles, scaleCount(1, 3))
+	}
+	if crowd.ZipfS < 1.79 || crowd.ZipfS > 1.81 { // 1 + (1.4-1)*2
+		t.Fatalf("zipf override = %g, want excess-scaled 1.8", crowd.ZipfS)
 	}
 	ro, _ := Lookup("regional-outage")
 	outage := ro.ScaleIntensity(0.5).Phases[1].Events[0]
@@ -64,6 +67,9 @@ func TestScaleIntensityClampsAndValidates(t *testing.T) {
 			if err := scaled.Validate(); err != nil {
 				t.Fatalf("%q scaled by %g is invalid: %v", s.Name, f, err)
 			}
+		}
+		if !reflect.DeepEqual(s.ScaleIntensity(-0.5), s.ScaleIntensity(0)) {
+			t.Fatalf("%q: a negative intensity must clamp to 0", s.Name)
 		}
 	}
 	cw, _ := Lookup("churn-waves")
@@ -96,6 +102,18 @@ func TestScaleIntensityZeroKeepsBaseZipf(t *testing.T) {
 }
 
 func TestScaleIntensityZeroDropsNoOpEvents(t *testing.T) {
+	for _, c := range []struct {
+		e    EventSpec
+		f    float64
+		keep bool
+	}{{EventSpec{Kind: KindFlashCrowd, HotFiles: 3}, 0, false}, {EventSpec{Kind: KindFlashCrowd, HotFiles: 1}, 1, true},
+		{EventSpec{Kind: KindFlashCrowd, ZipfS: 1}, 1, true}, {EventSpec{Kind: KindInjectFiles, Files: 1}, 1, true},
+		{EventSpec{Kind: KindDegradeRegion, LatencyFactor: 3}, 0, false}, {EventSpec{Kind: KindDegradeRegion, LatencyFactor: 3}, 0.25, true},
+		{EventSpec{Kind: KindDegradeRegion, LinkDropFrac: 0.5}, 1, true}} {
+		if _, keep := scaleEvent(c.e, c.f); keep != c.keep {
+			t.Errorf("%+v at intensity %g: kept %v, want %v", c.e, c.f, keep, c.keep)
+		}
+	}
 	cw, _ := Lookup("churn-waves")
 	zero := cw.ScaleIntensity(0)
 	if n := len(zero.Phases[1].Events); n != 0 {

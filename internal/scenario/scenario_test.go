@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,9 +11,6 @@ import (
 )
 
 func TestBuiltinsValidateAndResolve(t *testing.T) {
-	if len(builtins()) < 6 {
-		t.Fatalf("registry has %d built-ins, want >= 6", len(builtins()))
-	}
 	for _, s := range builtins() {
 		if err := s.Validate(); err != nil {
 			t.Errorf("built-in %q invalid: %v", s.Name, err)
@@ -60,50 +58,80 @@ func TestLookupAndNames(t *testing.T) {
 }
 
 func TestMarksTinyRuns(t *testing.T) {
-	s, _ := Lookup("flashcrowd") // 4 phases
-	if _, err := s.Marks(3); err == nil {
+	flash, _ := Lookup("flashcrowd") // 4 phases
+	if _, err := flash.Marks(3); err == nil {
 		t.Error("Marks accepted fewer measured queries than phases")
 	}
-	marks, err := s.Marks(4)
-	if err != nil {
-		t.Fatalf("Marks(4): %v", err)
-	}
-	for i, m := range marks {
-		if m.End != i+1 {
-			t.Fatalf("Marks(4) = %v, want one query per phase", marks)
+	// Every phase gets a query, the last phases keep room for theirs.
+	for _, c := range []struct {
+		s    *Spec
+		want []int
+	}{{flash, []int{1, 2, 3, 4}},
+		{&Spec{Name: "thin head", Phases: []PhaseSpec{{Name: "a", Fraction: 0.001}, {Name: "b", Fraction: 0.001}, {Name: "c", Fraction: 1}}}, []int{1, 2, 100}},
+		{&Spec{Name: "thin tail", Phases: []PhaseSpec{{Name: "a", Fraction: 1}, {Name: "b", Fraction: 0.001}}}, []int{99, 100}}} {
+		marks, err := c.s.Marks(c.want[len(c.want)-1])
+		for i, end := range c.want {
+			if err != nil || marks[i].End != end {
+				t.Fatalf("%s: marks %v (%v), want ends %v", c.s.Name, marks, err, c.want)
+			}
 		}
 	}
 }
 
 func TestValidateRejections(t *testing.T) {
+	spec := func(p PhaseSpec) Spec { p.Name = "p"; return Spec{Name: "x", Phases: []PhaseSpec{p}} }
+	ev := func(e EventSpec) Spec { return spec(PhaseSpec{Fraction: 1, Events: []EventSpec{e}}) }
+	churn := func(l, j float64) Spec {
+		return spec(PhaseSpec{Fraction: 1, Churn: &ChurnSpec{LeaveProb: l, JoinProb: j}})
+	}
 	cases := []struct {
 		name string
 		spec Spec
+		ok   bool
 	}{
-		{"no name", Spec{Phases: []PhaseSpec{{Name: "p", Fraction: 1}}}},
-		{"no phases", Spec{Name: "x"}},
-		{"zero fraction", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p"}}}},
-		{"unknown kind", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Events: []EventSpec{{Kind: "warp-core-breach"}}}}}},
-		{"wave frac", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Events: []EventSpec{{Kind: KindChurnWave, Frac: 1.5}}}}}},
-		{"empty flash", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Events: []EventSpec{{Kind: KindFlashCrowd}}}}}},
-		{"inject zero", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Events: []EventSpec{{Kind: KindInjectFiles}}}}}},
-		{"degrade nothing", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Events: []EventSpec{{Kind: KindDegradeRegion, Localities: 1}}}}}},
-		{"bad churn prob", Spec{Name: "x", Phases: []PhaseSpec{{Name: "p", Fraction: 1,
-			Churn: &ChurnSpec{LeaveProb: 2}}}}},
+		{"no name", Spec{Phases: []PhaseSpec{{Name: "p", Fraction: 1}}}, false},
+		{"no phases", Spec{Name: "x"}, false},
+		{"zero fraction", spec(PhaseSpec{}), false},
+		{"negative churn interval", Spec{Name: "x", ChurnIntervalS: -0.5, Phases: []PhaseSpec{{Name: "p", Fraction: 1}}}, false},
+		{"unknown kind", ev(EventSpec{Kind: "warp-core-breach"}), false},
+		{"wave frac", ev(EventSpec{Kind: KindChurnWave, Frac: 1.5}), false},
+		{"zero wave", ev(EventSpec{Kind: KindChurnWave}), false},
+		{"negative wave", ev(EventSpec{Kind: KindChurnWave, Frac: -0.5}), false},
+		{"whole wave", ev(EventSpec{Kind: KindChurnWave, Frac: 1}), true},
+		{"empty flash", ev(EventSpec{Kind: KindFlashCrowd}), false},
+		{"negative hot set", ev(EventSpec{Kind: KindFlashCrowd, HotFiles: -1, RateFactor: 1}), false},
+		{"negative rate", ev(EventSpec{Kind: KindFlashCrowd, HotFiles: 1, RateFactor: -0.5}), false},
+		{"negative exponent", ev(EventSpec{Kind: KindFlashCrowd, HotFiles: 1, ZipfS: -0.5}), false},
+		{"hot set only", ev(EventSpec{Kind: KindFlashCrowd, HotFiles: 1}), true},
+		{"rate only", ev(EventSpec{Kind: KindFlashCrowd, RateFactor: 0.5}), true},
+		{"exponent only", ev(EventSpec{Kind: KindFlashCrowd, ZipfS: 0.5}), true},
+		{"inject zero", ev(EventSpec{Kind: KindInjectFiles}), false},
+		{"inject one", ev(EventSpec{Kind: KindInjectFiles, Files: 1}), true},
+		{"negative copies", ev(EventSpec{Kind: KindInjectFiles, Files: 1, Copies: -1}), false},
+		{"no localities", ev(EventSpec{Kind: KindDegradeRegion, LatencyFactor: 2}), false},
+		{"degrade nothing", ev(EventSpec{Kind: KindDegradeRegion, Localities: 1}), false},
+		{"factor 1", ev(EventSpec{Kind: KindDegradeRegion, Localities: 1, LatencyFactor: 1}), true},
+		{"link drop only", ev(EventSpec{Kind: KindDegradeRegion, Localities: 1, LinkDropFrac: 0.5}), true},
+		{"link drop above 1", ev(EventSpec{Kind: KindDegradeRegion, Localities: 1, LatencyFactor: 2, LinkDropFrac: 1.5}), false},
+		{"negative link drop", ev(EventSpec{Kind: KindDegradeRegion, Localities: 1, LatencyFactor: 2, LinkDropFrac: -0.5}), false},
+		{"bad churn prob", churn(2, 0), false}, {"negative leave", churn(-0.5, 0), false},
+		{"negative join", churn(0, -0.5), false}, {"join above 1", churn(0, 1.5), false}, {"certain churn", churn(1, 1), true},
 	}
 	for _, c := range cases {
-		if err := c.spec.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted invalid spec", c.name)
+		if err := c.spec.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate returned %v", c.name, err)
 		}
 	}
 }
 
+// TestParseSpecJSONRoundTrip: every built-in scenario round-trips through
+// JSON, and the registry's JSON is pinned in testdata/builtins.json, so a
+// scenario that changes what it runs changes that file deliberately.
 func TestParseSpecJSONRoundTrip(t *testing.T) {
+	all, _ := json.MarshalIndent(builtins(), "", "  ")
+	if want, err := os.ReadFile("testdata/builtins.json"); err != nil || string(want) != string(all) {
+		t.Errorf("the built-in scenarios differ from testdata/builtins.json (%v)", err)
+	}
 	for _, s := range builtins() {
 		data, err := json.Marshal(s)
 		if err != nil {

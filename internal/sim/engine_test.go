@@ -12,9 +12,6 @@ func TestTimeConversions(t *testing.T) {
 	if FromMillis(1.5) != 1500*Microsecond {
 		t.Fatalf("FromMillis(1.5) = %v", FromMillis(1.5))
 	}
-	if FromMillis(-3) != 0 {
-		t.Fatalf("negative millis should clamp to zero")
-	}
 	if FromSeconds(2) != 2*Second {
 		t.Fatalf("FromSeconds(2) = %v", FromSeconds(2))
 	}
@@ -34,6 +31,12 @@ func TestTimeString(t *testing.T) {
 		{500 * Microsecond, "500us"},
 		{2 * Millisecond, "2.000ms"},
 		{3 * Second, "3.000s"},
+		{Minute, "60.000s"},
+		{Hour, "3600.000s"},
+		{FromMillis(0.5), "500us"},
+		{FromMillis(-0.5), "0us"}, // a negative input clamps to zero
+		{FromSeconds(0.0005), "500us"},
+		{FromSeconds(-0.5), "0us"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -162,6 +165,11 @@ func TestRunUntilDeadline(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("second phase delivered %d, want 2", n)
 	}
+	// A deadline already passed delivers nothing and leaves the clock alone.
+	e.PostEvent(Second, fn(func(*Engine) {}))
+	if n = e.RunUntil(10*Millisecond, 0); n != 0 || e.Now() != 40*Millisecond {
+		t.Fatalf("past deadline delivered %d with the clock at %v, want 0 at 40ms", n, e.Now())
+	}
 }
 
 func TestMaxEvents(t *testing.T) {
@@ -207,16 +215,22 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 	e.SetHorizon(50 * Millisecond)
 	fired := 0
 	e.PostEvent(40*Millisecond, fn(func(*Engine) { fired++ }))
+	e.PostEvent(50*Millisecond, fn(func(*Engine) { fired++ })) // at the horizon: kept
 	e.PostEvent(60*Millisecond, fn(func(*Engine) { fired++ }))
 	if err := e.PostEventAt(60*Millisecond, fn(func(*Engine) { fired++ })); err != nil {
 		t.Fatalf("horizon drop should not error: %v", err)
 	}
-	if e.Scheduled() != 1 {
-		t.Fatalf("scheduled = %d, want 1 (horizon drops are not queued)", e.Scheduled())
+	if e.Scheduled() != 2 {
+		t.Fatalf("scheduled = %d, want 2 (horizon drops are not queued)", e.Scheduled())
 	}
 	e.Run(0)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+	// A one-tick horizon still drops what lies beyond it.
+	one := NewEngine()
+	if one.SetHorizon(1); one.PostEventAt(2, fn(func(*Engine) {})) != nil || one.Scheduled() != 0 {
+		t.Fatal("a one-tick horizon queued an event at tick 2")
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -112,9 +113,15 @@ func TestStdlibFloatBits(t *testing.T) {
 			return 0
 		}, 0, 0xcbe587fc622088a5},
 	}
+	// GOARCH=386 computes math.Pow differently, yet every root golden is
+	// byte-identical there: no figure reaches the bits that differ.
+	on386 := map[string]uint64{"math.Pow": 0x140b39bed7eb5b86}
 	for _, c := range cases {
 		var d floatDigest
 		tail := c.run(&d)
+		if w, ok := on386[c.name]; ok && runtime.GOARCH == "386" {
+			c.want = w
+		}
 		if d.h != c.want {
 			t.Errorf("%s: the bits of %d results digest to %#x, want %#x: this GOARCH computes %s differently, and the goldens will move",
 				c.name, d.n, d.h, c.want, c.name)

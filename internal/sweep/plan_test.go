@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,12 +185,19 @@ func TestPlanVerifyCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first, err := p.RunCellAt(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cr, err := p.RunCellAt(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.VerifyCell(cr); err != nil {
-		t.Fatalf("genuine cell must verify: %v", err)
+	if err := errors.Join(p.VerifyCell(first), p.VerifyCell(cr)); err != nil {
+		t.Fatalf("genuine cells must verify: %v", err)
+	}
+	if got := p.Protocols(); !reflect.DeepEqual(got, tinySpec().Protocols) {
+		t.Fatalf("plan protocols %v, want the spec's %v", got, tinySpec().Protocols)
 	}
 	bad := []struct {
 		label  string
@@ -198,6 +206,8 @@ func TestPlanVerifyCell(t *testing.T) {
 		{"nil protocols", func(c *CellResult) { c.Protocols = nil }},
 		{"wrong seed", func(c *CellResult) { c.Seed++ }},
 		{"out of range", func(c *CellResult) { c.Index = 99 }},
+		{"one past the grid", func(c *CellResult) { c.Index = 4 }},
+		{"negative index", func(c *CellResult) { c.Index = -1 }},
 		{"wrong coordinates", func(c *CellResult) { c.Coords[0].Value = 1234 }},
 		{"one coordinate spelling the whole label", func(c *CellResult) {
 			c.Coords = []Coordinate{{Param: "peers=60 cache-filenames", Value: 50}}

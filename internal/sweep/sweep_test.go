@@ -10,9 +10,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
 	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -75,10 +77,46 @@ func TestCellSeed(t *testing.T) {
 			t.Fatalf("CellSeed and TrialSeed alias at index %d", i)
 		}
 	}
+	// A campaign seeded neither by its spec nor by its base roots at 1.
+	base := core.DefaultConfig()
+	base.Seed = 0
+	if p, err := NewPlan(base, tinySpec()); err != nil {
+		t.Fatal(err)
+	} else if p.r.cells[1].Seed != CellSeed(1, 1) {
+		t.Fatalf("unseeded campaign: cell 1 seed %d, want CellSeed(1, 1)", p.r.cells[1].Seed)
+	}
+}
+
+// TestExemplarIsTheCellsSlowestTrace: a traced campaign's exemplar is the
+// slowest first trace of any of the cell's runs, the earliest (protocol,
+// trial) winning a tie, as a fold over the cell's runs recomputes it.
+func TestExemplarIsTheCellsSlowestTrace(t *testing.T) {
+	base := core.DefaultConfig()
+	base.TracePolicy = &trace.Policy{SlowestN: 1}
+	camp, err := runGrid(base, tinySpec(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _ := NewPlan(base, tinySpec())
+	r := plan.r
+	for i, cell := range camp.Cells {
+		var want *ExemplarTrace
+		core.RunGrid(r.cellCfgs[i:i+1], r.behaviors, r.trials, r.spec.Warmup, r.spec.Queries, 1, func(_, proto int, runs []*core.RunResult) {
+			for trial, run := range runs {
+				if ex := exemplarOf(run, r.names[proto], trial); ex != nil && (want == nil || ex.LatencySeconds > want.LatencySeconds) {
+					want = ex
+				}
+			}
+		})
+		if want == nil || !reflect.DeepEqual(cell.Exemplar, want) {
+			t.Fatalf("cell %d exemplar %+v, want the slowest first trace %+v", i, cell.Exemplar, want)
+		}
+	}
 }
 
 func TestSpecValidation(t *testing.T) {
 	base := tinySpec()
+	base.Queries = 1 // the least a campaign may measure
 	if err := base.Validate(); err != nil {
 		t.Fatalf("tiny spec must validate: %v", err)
 	}
@@ -104,6 +142,11 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) {
 			s.Axes = []Axis{{Param: ParamIntensity, Values: []float64{-1}}}
 		},
+		func(s *Spec) { s.Axes = append(s.Axes, Axis{Param: ParamScenario}) },
+		func(s *Spec) {
+			s.Axes = append(s.Axes, Axis{Param: ParamScenario, Scenarios: []string{"baseline"}, Values: []float64{1}})
+		},
+		func(s *Spec) { s.Axes = append(s.Axes, Axis{Param: ParamIntensity}) },
 	}
 	// A protocol or an axis point named twice would run a cell twice, and
 	// the figures would show it once: refused, naming spec and repeat.
@@ -190,7 +233,18 @@ func TestParseSpecRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestSpecJSONRoundTrip: every built-in campaign round-trips through JSON,
+// and the registry's JSON is pinned in testdata/builtins.json, so a
+// campaign that changes what it runs changes that file deliberately.
 func TestSpecJSONRoundTrip(t *testing.T) {
+	all, _ := json.MarshalIndent(Builtins(), "", "  ")
+	golden := filepath.Join("testdata", "builtins.json")
+	if *updateGolden && os.WriteFile(golden, all, 0o644) != nil {
+		t.Fatalf("writing %s", golden)
+	}
+	if want, err := os.ReadFile(golden); err != nil || string(want) != string(all) {
+		t.Errorf("the built-in campaigns differ from %s (%v); run with -update after a deliberate change", golden, err)
+	}
 	for _, s := range Builtins() {
 		data, err := json.Marshal(s)
 		if err != nil {
@@ -207,8 +261,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestBuiltinsResolve(t *testing.T) {
-	if len(Builtins()) < 4 {
-		t.Fatalf("want at least 4 built-in campaigns, have %d", len(Builtins()))
+	if d, one := (&Spec{}).FigureKeys(), (&Spec{Figures: []string{"hops"}}).FigureKeys(); len(d) != 3 || d[0] != "success" || len(one) != 1 {
+		t.Fatalf("figure keys %v by default and %v for one figure, want the paper's three and that one", d, one)
 	}
 	for _, s := range Builtins() {
 		if err := s.Validate(); err != nil {
@@ -228,12 +282,6 @@ func TestBuiltinsResolve(t *testing.T) {
 			if MetricTitle(key) == "" {
 				t.Fatalf("builtin %q: metric %q has no title", s.Name, key)
 			}
-		}
-	}
-	// The paper's six parameter studies are registry entries.
-	for _, name := range []string{"landmark-sweep", "cache-sweep", "bloom-sweep", "group-sweep", "churn-sweep", "size-sweep"} {
-		if _, ok := Lookup(name); !ok {
-			t.Fatalf("%s missing from registry", name)
 		}
 	}
 	names := Names()
@@ -261,6 +309,9 @@ func TestCellsExpansionOrder(t *testing.T) {
 	for i, c := range cells {
 		if c.Index != i {
 			t.Fatalf("cell %d carries index %d", i, c.Index)
+		}
+		if label := fmt.Sprintf("peers=%g ttl=%g", want[i][0], want[i][1]); c.Label() != label {
+			t.Fatalf("cell %d is labelled %q, want %q", i, c.Label(), label)
 		}
 		if c.Coords[0].Value != want[i][0] || c.Coords[1].Value != want[i][1] {
 			t.Fatalf("cell %d = %s, want peers=%g ttl=%g", i, c.Label(), want[i][0], want[i][1])
@@ -305,35 +356,38 @@ func TestScenarioAxisConfig(t *testing.T) {
 	if half.LeaveProb != full.LeaveProb/2 || half.JoinProb != full.JoinProb/2 {
 		t.Fatalf("intensity scaling misapplied: half=%+v full=%+v", half, full)
 	}
+	// Intensity 0, an axis of one value, is applied: the wave phase's churn stops.
+	zero := tinySpec()
+	zero.Axes = []Axis{{Param: ParamIntensity, Values: []float64{0}}}
+	if r, err := resolve(core.DefaultConfig(), zero); err != nil || r.cellCfgs[0].Scenario.Phases[1].Churn.LeaveProb != 0 {
+		t.Fatalf("intensity 0 left the wave's churn on (%v)", err)
+	}
 }
 
-// TestGoldenSweepCSV locks the tiny 2×2×2 campaign's full tidy CSV. Any
-// refactor that drifts a single cell value breaks this byte-for-byte
-// comparison; regenerate deliberately with
+// TestGoldenSweepCSV locks the tiny 2×2×2 campaign's full tidy CSV and its
+// per-phase CSV. Any refactor that drifts a single cell or phase value
+// breaks this byte-for-byte comparison; regenerate deliberately with
 // `go test ./internal/sweep -run TestGoldenSweepCSV -update`.
 func TestGoldenSweepCSV(t *testing.T) {
 	camp, err := runGrid(core.DefaultConfig(), tinySpec(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := camp.CSV()
-	path := filepath.Join("testdata", "golden_sweep_2x2x2.csv")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	for file, got := range map[string]string{"golden_sweep_2x2x2.csv": camp.CSV(), "golden_sweep_2x2x2_phases.csv": camp.PhaseCSV()} {
+		path := filepath.Join("testdata", file)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading golden file (regenerate with -update): %v", err)
 		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("sweep CSV drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		if got != string(want) {
+			t.Fatalf("sweep CSV drifted from golden file %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		}
 	}
 }
 
@@ -439,28 +493,6 @@ func checkCellIsolation(t *testing.T, spec *Spec, nonZero string) {
 	}
 }
 
-// TestSweepScenarioProducesPhases asserts the streamed aggregator carries
-// the per-phase windows through to the campaign cells.
-func TestSweepScenarioProducesPhases(t *testing.T) {
-	camp, err := runGrid(core.DefaultConfig(), tinySpec(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range camp.Cells {
-		for _, p := range cell.Protocols {
-			if len(p.Phases) != 4 {
-				t.Fatalf("cell %d %s: %d phases, want churn-waves' 4", cell.Index, p.Protocol, len(p.Phases))
-			}
-			if p.Phases[0].SuccessRate.N != camp.Trials {
-				t.Fatalf("phase sample pools %d trials, want %d", p.Phases[0].SuccessRate.N, camp.Trials)
-			}
-		}
-	}
-	if camp.PhaseCSV() == "" {
-		t.Fatal("scenario campaign must export a phase CSV")
-	}
-}
-
 func TestRunCellOutOfRange(t *testing.T) {
 	p, err := NewPlan(core.DefaultConfig(), tinySpec())
 	if err != nil {
@@ -507,5 +539,26 @@ func TestFigureExports(t *testing.T) {
 	csv, err := camp.FigureCSV("rtt", "cache-filenames")
 	if err != nil || !strings.HasPrefix(csv, "cache-filenames,") {
 		t.Fatalf("figure csv: %v\n%s", err, csv)
+	}
+
+	// A single-trial scenario axis: the value's position is x, the name
+	// its CSV coordinate, and the points carry no error bars.
+	scen := &Campaign{Spec: &Spec{Axes: []Axis{{Param: ParamScenario, Scenarios: []string{"baseline", "flashcrowd"}}}}, Trials: 1}
+	for i, name := range scen.Spec.Axes[0].Scenarios {
+		scen.Cells = append(scen.Cells, CellResult{Cell: Cell{Index: i, Coords: []Coordinate{{Param: ParamScenario, Scenario: name}}},
+			Protocols: []ProtocolCell{{Protocol: "Locaware"}}})
+	}
+	series, _ = scen.FigureSeries("success", "")
+	if len(series) != 1 || !reflect.DeepEqual(series[0].Xs, []float64{0, 1}) || series[0].HasErrs() {
+		t.Fatalf("scenario-axis series %+v, want one curve at x 0 and 1 without error bars", series)
+	}
+	if !strings.Contains(scen.CSV(), "\n1,flashcrowd,Locaware,1,") {
+		t.Fatalf("scenario-axis CSV does not name the scenario:\n%s", scen.CSV())
+	}
+	if cps := scen.CellsPerSecond(); cps != 0 {
+		t.Fatalf("no elapsed time: %g cells/s, want 0", cps)
+	}
+	if scen.Elapsed = time.Nanosecond; scen.CellsPerSecond() < 1e9 {
+		t.Fatalf("2 cells in 1ns: %g cells/s, want 2e9", scen.CellsPerSecond())
 	}
 }

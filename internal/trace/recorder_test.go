@@ -101,6 +101,14 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 	if len(traces) != 1 || traces[0].Query != 1 {
 		t.Fatalf("tie kept query %d, want 1", traces[0].Query)
 	}
+	// Query 4 is in flight while query 3 evicts query 1, then evicts 3:
+	// its buffer is refilled from the window the first eviction freed.
+	r.Emit(Event{At: 3 * sim.Second, Kind: QuerySubmit, Query: 4, Span: RootSpan, Peer: 2, From: -1})
+	emitQuery(r, 3, 3, 3*sim.Second, 1, 3*sim.Second+2*l, 33*sim.Second, false)
+	r.Emit(Event{At: 40 * sim.Second, Kind: QueryFinalize, Query: 4, Span: 1, Parent: RootSpan, Peer: 2, From: -1})
+	if traces = r.Traces(); len(traces) != 1 || traces[0].Query != 4 || len(traces[0].Events) != 1 {
+		t.Fatalf("kept %+v, want query 4 with its submit", traces)
+	}
 }
 
 // TestFlightRecorderLocalStorageHit locks the local-answer completion rule:
@@ -157,6 +165,9 @@ func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
 }
 
 func TestFlightRecorderEventCap(t *testing.T) {
+	if got := (Policy{}).maxEvents(); got != 256 {
+		t.Fatalf("an unset cap keeps %d events a query, want 256", got)
+	}
 	r := NewFlightRecorder(Policy{KeepFailed: true, MaxEventsPerQuery: 4}, sim.Millisecond)
 	emitQuery(r, 1, 5, sim.Second, 10, 0, sim.Second+30*sim.Second, true)
 	traces := r.Traces()

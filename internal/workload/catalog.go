@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -53,13 +54,15 @@ func DefaultCatalog() CatalogConfig {
 
 // nameSpace returns how many distinct filenames of k keywords a pool of n
 // keywords holds: C(n, k), with k clamped to n as Pool.RandomFilename clamps
-// it; within Validate's bounds, at most C(MaxPool, MaxK) ≈ 1.7e14.
+// it; within Validate's bounds, at most C(MaxPool, MaxK) ≈ 1.7e14. The
+// product is taken in uint64 and saturates at math.MaxInt, which a 32-bit
+// int reaches at the paper's C(9000, 3).
 func nameSpace(n, k int) int {
-	c := 1
+	c := uint64(1)
 	for i := range min(k, n) {
-		c = c * (n - i) / (i + 1)
+		c = c * uint64(n-i) / uint64(i+1)
 	}
-	return c
+	return int(min(c, math.MaxInt))
 }
 
 // Validate reports whether the catalogue can exist: its keywords spell at

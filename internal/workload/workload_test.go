@@ -405,7 +405,8 @@ func TestCatalogConfigValidate(t *testing.T) {
 		{3, 1, true},
 		{30, 3000, true}, // C(30,3) = 4060
 		{DefaultCatalog().KeywordPool, DefaultCatalog().NumFiles, true},
-		{keywords.MaxPool, math.MaxInt, false}, // C(100000,3) ≈ 1.7e14 fits an int
+		// C(100000,3) ≈ 1.7e14 fits a 64-bit int and saturates a 32-bit one
+		{keywords.MaxPool, math.MaxInt, math.MaxInt == math.MaxInt32},
 	} {
 		cfg := CatalogConfig{NumFiles: tc.files, KeywordPool: tc.pool, KeywordsPerFile: 3}
 		err := cfg.Validate()

@@ -1,10 +1,8 @@
 package locaware
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -45,96 +43,6 @@ func TestRunSweepIsCheckpointedWithNoOptions(t *testing.T) {
 	}
 	if plain.CSV() != string(want) {
 		t.Fatalf("facade sweep CSV drifted from the sweep engine's golden\n--- got ---\n%s--- want ---\n%s", plain.CSV(), want)
-	}
-}
-
-// TestCampaignFacade locks the facade-level resume contract on a shrunken
-// built-in sweep: fingerprints are stable across calls and sensitive to
-// options, an interrupted-then-resumed checkpointed run recomputes only
-// the missing cells, and its CSV equals a plain RunSweep byte for byte.
-func TestCampaignFacade(t *testing.T) {
-	o := sweepOptions()
-	o.Workers = 4
-	sw := tinyTestSweep(t, "cache-sweep")
-
-	h1, err := SweepFingerprint(o, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := SweepFingerprint(o, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 || len(h1) != 64 {
-		t.Fatalf("fingerprint unstable or malformed: %q vs %q", h1, h2)
-	}
-	o2 := o
-	o2.Seed = o.Seed + 1
-	h3, err := SweepFingerprint(o2, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3 == h1 {
-		t.Fatal("fingerprint ignores the seed")
-	}
-
-	plain, err := RunSweep(o, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	var lines []string
-	copt := CampaignOptions{Checkpoint: dir, Resume: true,
-		Logf: func(format string, args ...any) { lines = append(lines, format) }}
-	res, stats, err := RunSweepCheckpointed(o, sw, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Resumed != 0 || stats.Executed != stats.Cells {
-		t.Fatalf("cold checkpointed run: %+v", stats)
-	}
-	if res.CSV() != plain.CSV() {
-		t.Fatal("checkpointed run CSV differs from plain RunSweep")
-	}
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "resumed %d/%d cells") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no resume progress line logged; got %q", lines)
-	}
-
-	res2, stats2, err := RunSweepCheckpointed(o, sw, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.Resumed != stats.Cells || stats2.Executed != 0 {
-		t.Fatalf("warm resume recomputed cells: %+v", stats2)
-	}
-	if res2.CSV() != plain.CSV() {
-		t.Fatal("resumed run CSV differs from plain RunSweep")
-	}
-
-	// Options.Observer is the only way to instrument a campaign: it must
-	// reach every cell run and stay inert.
-	o.Observer = NewObserver()
-	observed, err := RunSweep(o, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observed.CSV() != plain.CSV() {
-		t.Fatal("observed run CSV differs from plain RunSweep")
-	}
-	var sb strings.Builder
-	if err := o.Observer.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("protocol_queries_submitted_total %d\n", observed.Runs()*(sw.Warmup()+sw.Queries()))
-	if !strings.Contains(sb.String(), want) {
-		t.Fatalf("Options.Observer missed cell runs: want %q in\n%s", want, sb.String())
 	}
 }
 

@@ -60,9 +60,6 @@ func TestRunBasic(t *testing.T) {
 	if res.AvgMessagesPerQuery <= 0 {
 		t.Fatalf("messages = %v", res.AvgMessagesPerQuery)
 	}
-	if res.Events == 0 || res.SimulatedSeconds <= 0 {
-		t.Fatalf("accounting: %+v", res)
-	}
 }
 
 func TestRunAllProtocols(t *testing.T) {
@@ -77,16 +74,22 @@ func TestRunAllProtocols(t *testing.T) {
 	}
 }
 
+// refusesBadCalls checks that an entry point refuses an unknown protocol,
+// zero measured queries and a negative warm-up.
+func refusesBadCalls(t *testing.T, call func(p Protocol, warmup, queries int) error) {
+	t.Helper()
+	for _, c := range []struct {
+		p               Protocol
+		warmup, queries int
+	}{{"bogus", 0, 10}, {ProtocolLocaware, 0, 0}, {ProtocolLocaware, -1, 10}} {
+		if call(c.p, c.warmup, c.queries) == nil {
+			t.Errorf("protocol %q, warm-up %d, %d queries accepted", c.p, c.warmup, c.queries)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(fastOptions(3), Protocol("bogus"), 0, 10); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := Run(fastOptions(3), ProtocolLocaware, 0, 0); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-	if _, err := Run(fastOptions(3), ProtocolLocaware, -1, 10); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
+	refusesBadCalls(t, func(p Protocol, w, q int) error { _, err := Run(fastOptions(3), p, w, q); return err })
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -120,52 +123,11 @@ func TestLocawareGossipAccounted(t *testing.T) {
 	}
 }
 
-func TestCompareAndFigures(t *testing.T) {
-	cmp, err := Compare(fastOptions(6), nil, 50, 100, []int{50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Sets) != 4 {
-		t.Fatalf("sets = %d", len(cmp.Sets))
-	}
-	if cmp.Set(ProtocolLocaware) == nil || cmp.Set("bogus") != nil {
-		t.Fatal("Set lookup broken")
-	}
-	for _, set := range cmp.Sets {
-		if len(set.Trials) != 1 || set.SuccessRate.N != 1 || set.SuccessRate.Mean != set.Trials[0].SuccessRate {
-			t.Fatalf("%s: unreplicated set is not its one run: %+v", set.Protocol, set.SuccessRate)
-		}
-	}
-	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
-		series := cmp.cmp.FigureSeries(string(f))
-		if len(series) != 4 || series[0].HasErrs() {
-			t.Fatalf("%s series = %d (errs=%v)", f, len(series), series[0].HasErrs())
-		}
-		tbl := cmp.FigureTable(f)
-		if !strings.Contains(tbl, "Locaware") || !strings.Contains(tbl, "Flooding") {
-			t.Fatalf("%s table missing protocols:\n%s", f, tbl)
-		}
-		csv := cmp.FigureCSV(f)
-		if !strings.HasPrefix(csv, "queries,") {
-			t.Fatalf("%s csv header: %q", f, strings.SplitN(csv, "\n", 2)[0])
-		}
-	}
-	h := cmp.Headlines()
-	if h.TrafficReductionVsFlooding >= 0 {
-		t.Fatalf("traffic reduction = %v, want negative", h.TrafficReductionVsFlooding)
-	}
-}
-
 func TestCompareErrors(t *testing.T) {
-	if _, err := Compare(fastOptions(7), []Protocol{"nope"}, 0, 10, nil); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := Compare(fastOptions(7), nil, 0, 0, nil); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-	if _, err := Compare(fastOptions(7), nil, -1, 10, nil); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
+	refusesBadCalls(t, func(p Protocol, w, q int) error {
+		_, err := Compare(fastOptions(7), []Protocol{p}, w, q, nil)
+		return err
+	})
 }
 
 // TestRepeatedProtocolRefused: a protocol named twice would run twice and
@@ -180,25 +142,6 @@ func TestRepeatedProtocolRefused(t *testing.T) {
 		"axes": [{"param": "ttl", "values": [3, 5]}]}`))
 	if err == nil || !strings.Contains(err.Error(), `"twice"`) || !strings.Contains(err.Error(), `"Locaware"`) {
 		t.Fatalf("sweep spec with Locaware twice: %v", err)
-	}
-}
-
-func TestOptionsLowering(t *testing.T) {
-	o := DefaultOptions()
-	o.Peers = 123
-	o.Landmarks = 3
-	o.TTL = 5
-	o.CacheFilenames = 10
-	cfg := o.coreConfig()
-	if cfg.NumPeers != 123 || cfg.Landmarks != 3 || cfg.Protocol.TTL != 5 ||
-		cfg.Protocol.Cache.MaxFilenames != 10 {
-		t.Fatalf("lowering lost fields: %+v", cfg)
-	}
-	// Zero-value options still produce a runnable config.
-	var zero Options
-	cfg = zero.coreConfig()
-	if cfg.NumPeers <= 0 || cfg.Protocol.TTL <= 0 {
-		t.Fatalf("zero options not defaulted: %+v", cfg)
 	}
 }
 
@@ -328,67 +271,6 @@ func TestChurnOption(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderKeepsEveryQuery: a slowest-N heap as large as the run
-// never evicts, so the recorder keeps every query — the keep-all mode
-// `locaware trace` prints as a timeline. Each trace tells one whole story (one
-// submit, one download-or-failed outcome, in time order), and a per-query
-// cap keeps each query's first events and counts the rest.
-func TestFlightRecorderKeepsEveryQuery(t *testing.T) {
-	const queries = 20
-	run := func(maxEvents int) *Result {
-		o := fastOptions(20)
-		o.FlightRecorder = &FlightRecorder{SlowestN: queries, MaxEventsPerQuery: maxEvents}
-		res, err := Run(o, ProtocolLocaware, 0, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Traces) != queries {
-			t.Fatalf("retained %d traces, want one per query (%d)", len(res.Traces), queries)
-		}
-		return res
-	}
-	full := run(0)
-	byQuery := map[uint64]*Trace{}
-	for _, tr := range full.Traces {
-		byQuery[tr.Query] = tr
-		submits, outcomes := 0, 0
-		for i, e := range tr.Events {
-			switch e.Kind.String() {
-			case "submit":
-				submits++
-			case "download", "failed":
-				outcomes++
-			}
-			if i > 0 && e.At < tr.Events[i-1].At {
-				t.Fatalf("query %d: events out of time order", tr.Query)
-			}
-		}
-		if submits != 1 || outcomes != 1 || tr.Dropped != 0 {
-			t.Fatalf("query %d: %d submits, %d outcomes, %d dropped; want 1, 1, 0", tr.Query, submits, outcomes, tr.Dropped)
-		}
-	}
-	if len(byQuery) != queries {
-		t.Fatalf("traces cover %d distinct queries, want %d", len(byQuery), queries)
-	}
-
-	const tiny = 3
-	dropped := 0
-	for _, tr := range run(tiny).Traces {
-		whole := byQuery[tr.Query]
-		if n := min(tiny, len(whole.Events)); !reflect.DeepEqual(tr.Events, whole.Events[:n]) {
-			t.Fatalf("query %d: capped trace kept %d events, want the query's first %d", tr.Query, len(tr.Events), n)
-		}
-		if len(tr.Events)+tr.Dropped != len(whole.Events) {
-			t.Fatalf("query %d: kept %d + dropped %d, want the %d an uncapped run keeps",
-				tr.Query, len(tr.Events), tr.Dropped, len(whole.Events))
-		}
-		dropped += tr.Dropped
-	}
-	if dropped == 0 {
-		t.Fatal("a 3-event cap dropped nothing")
-	}
-}
-
 // TestImpossibleCatalogueIsAnError: Options no run could honour are refused
 // by every entry point that takes Options, with an error naming the fields:
 // a keyword pool too small to name the catalogue's files (at the parent
@@ -470,35 +352,6 @@ func TestCompareRefusesCheckpointsItCannotPlot(t *testing.T) {
 	}
 }
 
-func TestLocalitiesReport(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Peers = 500
-	rep4, err := Localities(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep4.Landmarks != 4 || rep4.PossibleLocIDs != 24 {
-		t.Fatalf("report = %+v", rep4)
-	}
-	if rep4.OccupiedLocIDs == 0 || rep4.OccupiedLocIDs > 24 {
-		t.Fatalf("occupied = %d", rep4.OccupiedLocIDs)
-	}
-	if rep4.MeanPeersPerLocality <= 0 || rep4.LargestLocality <= 0 {
-		t.Fatalf("report = %+v", rep4)
-	}
-	opts.Landmarks = 5
-	rep5, err := Localities(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep5.PossibleLocIDs != 120 {
-		t.Fatalf("5 landmarks possible = %d", rep5.PossibleLocIDs)
-	}
-	if rep5.MeanPeersPerLocality >= rep4.MeanPeersPerLocality {
-		t.Fatal("5 landmarks should scatter peers more thinly (§5.1)")
-	}
-}
-
 func TestRunTrialsSingleTrialMatchesRun(t *testing.T) {
 	o := fastOptions(30)
 	single, err := Run(o, ProtocolLocaware, 20, 60)
@@ -540,16 +393,7 @@ func TestRunTrialsWorkerCountInvariant(t *testing.T) {
 }
 
 func TestRunTrialsErrors(t *testing.T) {
-	o := fastOptions(32)
-	if _, err := RunTrials(o, Protocol("bogus"), 0, 10); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := RunTrials(o, ProtocolLocaware, 0, 0); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-	if _, err := RunTrials(o, ProtocolLocaware, -1, 10); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
+	refusesBadCalls(t, func(p Protocol, w, q int) error { _, err := RunTrials(fastOptions(32), p, w, q); return err })
 }
 
 func TestCompareReplicatedDeterministicAcrossWorkers(t *testing.T) {
@@ -599,33 +443,16 @@ func TestCompareReplicatedFiguresAndHeadlines(t *testing.T) {
 	if !strings.Contains(csv, "Locaware_ci95") {
 		t.Fatalf("csv missing ci column: %q", strings.SplitN(csv, "\n", 2)[0])
 	}
-	series := cmp.cmp.FigureSeries(string(FigureSearchTraffic))
-	if len(series) != 4 || !series[0].HasErrs() {
-		t.Fatal("series missing error bars")
-	}
 	h := cmp.Headlines()
 	if h.TrafficReductionVsFlooding >= 0 {
 		t.Fatalf("traffic reduction = %v, want negative", h.TrafficReductionVsFlooding)
-	}
-	for _, set := range cmp.Sets {
-		if set.SuccessRate.N != 2 || len(set.Trials) != 2 {
-			t.Fatalf("%s: %+v", set.Protocol, set.SuccessRate)
-		}
 	}
 }
 
 func TestCompareReplicatedErrors(t *testing.T) {
 	o := fastOptions(35)
 	o.Trials = 3 // replication never bypasses validation
-	if _, err := Compare(o, []Protocol{"nope"}, 0, 10, nil); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := Compare(o, nil, 0, 0, nil); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-	if _, err := Compare(o, nil, -1, 10, nil); err == nil {
-		t.Fatal("negative warmup accepted")
-	}
+	refusesBadCalls(t, func(p Protocol, w, q int) error { _, err := Compare(o, []Protocol{p}, w, q, nil); return err })
 }
 
 func TestEstimateString(t *testing.T) {
@@ -639,23 +466,6 @@ func TestEstimateStringSingleTrial(t *testing.T) {
 	e := Estimate{N: 1, Mean: 0.431}
 	if e.String() != "0.431" {
 		t.Fatalf("single-trial Estimate.String() = %q, want bare mean", e.String())
-	}
-}
-
-func TestCompareHonorsWorkers(t *testing.T) {
-	o := fastOptions(36)
-	o.Workers = 1
-	a, err := Compare(o, []Protocol{ProtocolFlooding, ProtocolLocaware}, 10, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Workers = 8
-	b, err := Compare(o, []Protocol{ProtocolFlooding, ProtocolLocaware}, 10, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Sets, b.Sets) {
-		t.Fatal("Compare results differ across worker counts")
 	}
 }
 

@@ -19,13 +19,14 @@ import (
 	"time"
 )
 
-// mutatePkgs names the packages under internal/ TestMutate mutates, as in
-// -mutate=protocol,sim; unset, it skips, as goldens rewrite only on -update.
-var mutatePkgs = flag.String("mutate", "", "comma-separated internal packages to mutation-test")
+// mutatePkgs names the packages TestMutate mutates, as in -mutate=protocol,sim:
+// a package under internal/, or . for the root package. Unset, it skips, as
+// goldens rewrite only on -update.
+var mutatePkgs = flag.String("mutate", "", "comma-separated packages to mutation-test: internal ones by name, . for the root")
 
 // mutationFloors are measured scores (killed / viable, allow-listed
 // equivalents excluded) a package may not fall below.
-var mutationFloors = map[string]float64{"metrics": 0.9358}
+var mutationFloors = map[string]float64{"metrics": 0.9615, "sweep": 1, "scenario": 0.991, "campaign": 1}
 
 // Why a survivor behaves like the original, for reasons several share.
 const (
@@ -36,6 +37,14 @@ const (
 	probe     = "the probe still finds every key and a free slot: the table is never half full"
 	firstWins = "the first candidate replaces the initial best: a neighbour's degree is >= 1"
 	uniqueSeq = "seq is unique per engine, so no two queued entries tie on it"
+	boundary  = "at the boundary both branches give the same value"
+	scaledPos = "validated non-negative values times an intensity f >= 0 are never negative"
+	errFirst  = "every caller returns the error before it reads the index"
+	dirSync   = "a skipped directory fsync shows only after a power cut, which no test makes"
+	oneTrial  = "a spec's 0 trials and Options.Trials 0 or 1 all resolve to one trial"
+	mixZero   = "the seed mixer returns 0 or 1 for one (root, cell) pair in 2^64, which no test can find"
+	noHot     = "a hot set of 0 swaps nothing and re-sets the unchanged ranking and exponent"
+	fileSync  = "a skipped or unchecked file fsync shows only after a power cut or a failing disk, which no test makes"
 )
 
 // equivalentMutants allow-lists the survivors no test can kill, each with
@@ -64,6 +73,22 @@ var equivalentMutants = map[string]string{
 	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
 	"queue.go:102:22:rel":   "the scalar loop picks the same least child of a full group",
 	"queue.go:106:21:dec":   "comparing ents[child] with itself changes nothing",
+	"engine.go:109:11:rel":  boundary, "event.go:47:8:rel": boundary, "event.go:55:7:rel": boundary,
+	"intensity.go:31:7:rel": boundary, "intensity.go:104:7:rel": boundary, "intensity.go:104:10:dec": boundary,
+	"intensity.go:115:7:rel": boundary, "intensity.go:118:7:rel": boundary, "intensity.go:108:12": scaledPos,
+	"intensity.go:108:14": scaledPos, "intensity.go:109:10": scaledPos, "intensity.go:115:9:dec": scaledPos,
+	"intensity.go:116:10": scaledPos, "export.go:169:9": errFirst,
+	"checkpoint.go:104:3:del": dirSync, "checkpoint.go:116:9:rel": dirSync, "locaware.go:537:8:rel": boundary,
+	"locaware_campaign.go:35:34:rel": oneTrial, "locaware_campaign.go:35:36": oneTrial,
+	"spec.go:362:10:inc": mixZero, "spec.go:363:3:del": mixZero, "run.go:66:24:dec": "the one caller passes only runs that kept a trace",
+	"runtime.go:211:16:rel": noHot, "runtime.go:211:18:dec": noHot, "runtime.go:214:10:rel": boundary, "runtime.go:236:15:inc": boundary,
+	"runtime.go:302:7:rel": boundary, "runtime.go:363:7:rel": boundary, "spec.go:239:43:rel": boundary, "runtime.go:353:32:inc": alloc,
+	"runtime.go:321:21:rel": "SetLatencyFactor stores a factor below 1 as 1, and 1 scales no RTT", "runtime.go:321:23:dec": "SetLatencyFactor stores a factor below 1 as 1",
+	"runtime.go:333:12:dec": "Neighbors of an id outside the graph is empty", "runtime.go:333:17:rel": "Neighbors of an id outside the graph is empty",
+	"runtime.go:336:10:rel": "the graph has no self-links", "runtime.go:361:17:rel": "locIds are distinct, so ids[i] == ids[j] only for i == j", "runtime.go:342:29:rel": "a uniform draw equals the drop fraction with probability about 2^-53",
+	"spec.go:245:2:del": "the last cumulative fraction is the total exactly, so the last end is measured already", "runtime.go:202:3:del": "Validate refuses an unknown kind before Attach, so the default case never runs",
+	"runtime.go:227:18:rel": "SetRateFactor ignores a factor <= 0 itself", "runtime.go:227:20:dec": "SetRateFactor ignores a factor <= 0 itself", "checkpoint.go:94:9:rel": fileSync, "checkpoint.go:95:3:del": fileSync, "checkpoint.go:97:30:rel": fileSync, "checkpoint.go:179:12:rel": boundary,
+	"checkpoint.go:179:14": "a campaign hash is 64 hex characters or empty, never 11 to 13", "checkpoint.go:66:29": "0o754 and 0o756 leave the owner, the one process that uses the store, rwx as 0o755 does",
 }
 
 func allowListed(id string) bool {
@@ -150,14 +175,24 @@ func TestMutate(t *testing.T) {
 	}
 }
 
-func mutatePackage(t *testing.T, pkg, cache string) {
-	dir, _ := filepath.Abs(filepath.Join("internal", pkg))
-	fset := token.NewFileSet()
+// parsePackage parses the non-test files of pkg (an internal package's name,
+// or . for the root) and returns them with the go test argument naming it.
+func parsePackage(t *testing.T, fset *token.FileSet, pkg string) (files map[string]*ast.File, target string) {
+	dir, name, target := filepath.Join("internal", pkg), pkg, "./internal/"+pkg
+	if pkg == "." {
+		dir, name, target = ".", "locaware", "."
+	}
+	dir, _ = filepath.Abs(dir)
 	parsed, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, parser.ParseComments)
-	if err != nil || parsed[pkg] == nil {
+	if err != nil || parsed[name] == nil {
 		t.Fatalf("parsing package %s in %s: %v", pkg, dir, err)
 	}
-	files := parsed[pkg].Files
+	return parsed[name].Files, target
+}
+
+func mutatePackage(t *testing.T, pkg, cache string) {
+	fset := token.NewFileSet()
+	files, target := parsePackage(t, fset, pkg)
 	tmp, start := t.TempDir(), time.Now()
 	var viable, unviable, killed, equivalent int
 	for _, m := range mutantsOf(fset, files) {
@@ -168,7 +203,7 @@ func mutatePackage(t *testing.T, pkg, cache string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		killers, bad := runMutant(t, tmp, cache, m, src.Bytes(), "./internal/"+pkg)
+		killers, bad := runMutant(t, tmp, cache, m, src.Bytes(), target)
 		switch {
 		case bad:
 			unviable++
@@ -193,9 +228,11 @@ func mutatePackage(t *testing.T, pkg, cache string) {
 }
 
 // runMutant overlays the mutated file from tmp (the source tree is never
-// written) and runs the package's tests, then the root goldens, under -short
-// in one child shell at a time, its address space capped. No golden runs on
-// an unviable mutant, nor, under -short, on one the package's tests kill.
+// written) and runs the package's tests, then the root package's, under
+// -short in one child shell at a time, its address space capped. The root
+// run skips the dead-code gate, which reads the unmutated files. No root
+// test runs on an unviable mutant, nor, under -short, on one the package's
+// tests kill; a root mutant runs the root tests once.
 func runMutant(t *testing.T, tmp, cache string, m mutant, src []byte, pkg string) (killers []string, unviable bool) {
 	file := filepath.Join(tmp, "mutant.go")
 	overlay := filepath.Join(tmp, "overlay.json")
@@ -209,11 +246,15 @@ func runMutant(t *testing.T, tmp, cache string, m mutant, src []byte, pkg string
 		out, _ := cmd.Output()
 		return out
 	}
+	const root = "-skip=TestNoTestOnlyProductionCode ."
+	if pkg == "." {
+		return parseRun(goTest(root))
+	}
 	out := goTest(pkg)
 	if killers, unviable = parseRun(out); unviable || testing.Short() && len(killers) > 0 {
 		return killers, unviable
 	}
-	return parseRun(append(out, goTest("-run=Golden .")...))
+	return parseRun(append(out, goTest(root)...))
 }
 
 // parseRun reads go test -json output. A build failure makes the mutant
@@ -249,4 +290,29 @@ func parseRun(out []byte) (killers []string, unviable bool) {
 	}
 	sort.Strings(killers)
 	return killers, unviable
+}
+
+// TestEquivalentMutantsResolve keeps the allow-list in step with the code
+// without running a mutant: every key must name a mutant, or a site, that
+// mutantsOf generates in exactly one package, so an edit that moves a listed
+// line cannot leave a stale entry behind.
+func TestEquivalentMutantsResolve(t *testing.T) {
+	dirs, _ := filepath.Glob("internal/*")
+	packages := map[string]int{}
+	for _, pkg := range append(dirs, ".") {
+		fset := token.NewFileSet()
+		files, _ := parsePackage(t, fset, strings.TrimPrefix(pkg, "internal/"))
+		keys := map[string]bool{}
+		for _, m := range mutantsOf(fset, files) {
+			keys[m.id], keys[m.id[:strings.LastIndex(m.id, ":")]] = true, true
+		}
+		for k := range keys {
+			packages[k]++
+		}
+	}
+	for key := range equivalentMutants {
+		if packages[key] != 1 {
+			t.Errorf("equivalentMutants key %s names a mutant in %d packages, not 1", key, packages[key])
+		}
+	}
 }
