@@ -78,7 +78,7 @@ func BenchmarkFig4SuccessRate(b *testing.B) {
 func BenchmarkBuiltinCampaigns(b *testing.B) {
 	for _, name := range SweepNames() {
 		b.Run(name, func(b *testing.B) {
-			sw, err := SweepByName(name)
+			sw, err := LoadSweep(name)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func newFlagSet(name string) *config {
 	case "sweep":
 		fs.StringVar(&c.out, "out", "", "directory to write the campaign's CSV exports into")
 		fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint finished cells into this directory (one content-addressed file per cell); a re-run resumes")
-		fs.DurationVar(&c.progress, "progress", 0, "print one progress summary per interval (done/rate/ETA), e.g. -progress 5s")
+		fs.DurationVar(&c.progress, "progress", 0, "print a progress summary (done/rate/ETA) as a cell finishes, at most once per interval, e.g. -progress 5s")
 	}
 	return c
 }
@@ -283,7 +283,7 @@ func runScenario(c *config) {
 	if c.arg == "list" {
 		fmt.Println("== Built-in scenarios")
 		for _, name := range locaware.ScenarioNames() {
-			sc, err := locaware.ScenarioByName(name)
+			sc, err := locaware.LoadScenario(name)
 			check(err)
 			fmt.Printf("%-16s %-10s %s\n", sc.Name(),
 				fmt.Sprintf("%d phases", len(sc.PhaseNames())), sc.Description())
@@ -338,7 +338,7 @@ func runSweep(c *config) {
 	if c.arg == "list" {
 		fmt.Println("== Built-in sweep campaigns")
 		for _, name := range locaware.SweepNames() {
-			sw, err := locaware.SweepByName(name)
+			sw, err := locaware.LoadSweep(name)
 			check(err)
 			fmt.Printf("%-18s %-9s %s\n", sw.Name(),
 				fmt.Sprintf("%d cells", sw.NumCells()), sw.Description())

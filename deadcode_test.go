@@ -8,11 +8,15 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // deadCodeAllowed is every declaration TestNoTestOnlyProductionCode accepts
@@ -480,4 +484,41 @@ func (g *deadCodeGate) verdict(d gateDecl) string {
 		return "called only by tests"
 	}
 	return "called by nothing"
+}
+
+// TestDocsCiteDeclaredTests: every test README.md or the verify skill names
+// is declared in some _test.go, so a deleted or renamed test cannot stay
+// cited. pkg.TestX names a test, Type.TestX or x.TestX( a method, and a
+// trailing * a prefix.
+func TestDocsCiteDeclaredTests(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	var declared []string
+	for _, pattern := range []string{"*_test.go", "*/*_test.go", "*/*/*_test.go"} {
+		files, _ := filepath.Glob(pattern)
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				declared = append(declared, string(m[1]))
+			}
+		}
+	}
+	cite := regexp.MustCompile(`\b((?:\w+\.)*)(Test[A-Z0-9]\w*)([*(]?)`)
+	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(text), -1) {
+			qual, name, tail := strings.TrimSuffix(m[1], "."), m[2], m[3]
+			if tail == "(" || qual != "" && unicode.IsUpper(rune(qual[strings.LastIndex(qual, ".")+1])) {
+				continue
+			}
+			if !slices.ContainsFunc(declared, func(d string) bool { return d == name || tail == "*" && strings.HasPrefix(d, name) }) {
+				t.Errorf("%s cites %s%s, which no _test.go declares", doc, name, tail)
+			}
+		}
+	}
 }

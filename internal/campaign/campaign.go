@@ -16,11 +16,9 @@ package campaign
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/p2prepro/locaware/internal/core"
-	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/sweep"
 )
 
@@ -40,11 +38,13 @@ type Options struct {
 	// reported in RunStats.Warnings and their cells re-run.
 	Resume bool
 	// Logf receives human-facing lines (resume counts, checkpoint
-	// warnings, progress summaries); nil discards them. With Progress set
-	// it is called from Run's ticker goroutine as well as the caller's.
+	// warnings, progress summaries) on Run's calling goroutine; nil
+	// discards them.
 	Logf func(format string, args ...any)
-	// Progress, when > 0, prints one summary line per interval
-	// (done/resumed counts, EWMA rate, ETA) on Logf.
+	// Progress, when > 0, logs a summary line (done/resumed counts, rate,
+	// ETA) when a computed cell lands at least Progress after the last
+	// line, or after Run started for the first. The rate is the cells
+	// computed so far over the time since Run started.
 	Progress time.Duration
 }
 
@@ -159,22 +159,8 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	start := time.Now()
-	var done atomic.Int64
-	done.Store(int64(pr.stats.Resumed))
-	if opt.Progress > 0 {
-		// The loop gets the stats as they stand before any cell runs: the
-		// cell callback below writes pr.stats while the loop is live.
-		stats := pr.stats
-		stop := make(chan struct{})
-		finished := make(chan struct{})
-		go func() {
-			defer close(finished)
-			runProgressLoop(opt, stats, &done, stop)
-		}()
-		// Wait the ticker out so no Logf call outlives Run.
-		defer func() { close(stop); <-finished }()
-	}
+	start := now()
+	last := start
 	err = pr.plan.RunCells(pr.missing(), workers, func(cr *sweep.CellResult) {
 		if pr.store != nil {
 			if err := pr.store.Put(cr); err != nil {
@@ -187,36 +173,26 @@ func Run(base core.Config, spec *sweep.Spec, workers int, opt Options) (*sweep.C
 		}
 		pr.camp.Cells[cr.Index] = *cr
 		pr.stats.Executed++
-		done.Add(1)
+		if t := now(); opt.Progress > 0 && t.Sub(last) >= opt.Progress {
+			last = t
+			logProgress(opt, pr.stats, t.Sub(start))
+		}
 	})
 	if err != nil {
 		return nil, pr.stats, err
 	}
-	pr.camp.Elapsed = time.Since(start)
+	pr.camp.Elapsed = now().Sub(start)
 	return pr.camp, pr.stats, nil
 }
 
-// runProgressLoop prints one line per interval with completion, rate and
-// ETA, until the runner closes stop.
-func runProgressLoop(opt Options, stats RunStats, done *atomic.Int64, stop <-chan struct{}) {
-	var rate obs.RateEWMA
-	t := time.NewTicker(opt.Progress)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			d := done.Load()
-			rate.Observe(float64(d), now)
-			line := fmt.Sprintf("progress: %d/%d done (%d resumed)", d, stats.Cells, stats.Resumed)
-			if r := rate.Rate(); r > 0 {
-				line += fmt.Sprintf(", %.2f cells/s", r)
-			}
-			if eta, ok := rate.ETA(float64(stats.Cells) - float64(d)); ok {
-				line += fmt.Sprintf(", eta %s", eta.Round(time.Second))
-			}
-			opt.logf("%s", line)
-		}
-	}
+// now is Run's clock, a variable so a test can step it.
+var now = time.Now
+
+// logProgress logs one progress line: the cells done, the rate of the
+// cells computed in the elapsed time, and the time the rest take at it.
+func logProgress(opt Options, st RunStats, elapsed time.Duration) {
+	done := st.Resumed + st.Executed
+	eta := time.Duration(float64(elapsed) / float64(st.Executed) * float64(st.Cells-done))
+	opt.logf("progress: %d/%d done (%d resumed), %.2f cells/s, eta %s",
+		done, st.Cells, st.Resumed, float64(st.Executed)/elapsed.Seconds(), eta.Round(time.Second))
 }

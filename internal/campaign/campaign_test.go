@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,21 +36,25 @@ func tinySpec() *sweep.Spec {
 	}
 }
 
-func goldenCSV(t testing.TB) string {
+// must fails the test on a non-nil error.
+func must(t testing.TB, err error) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "golden_sweep_2x2x2.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+func goldenCSV(t testing.TB) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "golden_sweep_2x2x2.csv"))
+	must(t, err)
 	return string(data)
 }
 
 func tinyPlan(t testing.TB) *sweep.Plan {
 	t.Helper()
 	p, err := sweep.NewPlan(core.DefaultConfig(), tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return p
 }
 
@@ -59,24 +62,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	plan := tinyPlan(t)
 	dir := t.TempDir()
 	store, err := OpenStore(dir, plan.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	cr, err := plan.RunCellAt(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put(cr); err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
+	must(t, store.Put(cr))
 	// Overwrite must be idempotent (-resume=false re-runs over existing files).
-	if err := store.Put(cr); err != nil {
-		t.Fatal(err)
-	}
+	must(t, store.Put(cr))
 	loaded, warnings, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
@@ -94,9 +87,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// No stray temp files after committed writes.
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("leaked temp file %s", e.Name())
@@ -107,8 +98,9 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestRunResumeByteIdentity is the kill-and-resume contract: a campaign
 // interrupted after a subset of cells, then resumed, executes only the
 // missing cells (locked by the Executed run counter) and produces output
-// byte-identical to the uninterrupted golden CSV. Its progress lines count
-// the resumed cells as done, and none is logged once Run has returned.
+// byte-identical to the uninterrupted golden CSV. Under a 1 ns interval
+// every computed cell logs one progress line, which counts the resumed
+// cells as done.
 func TestRunResumeByteIdentity(t *testing.T) {
 	base := core.DefaultConfig()
 	golden := goldenCSV(t)
@@ -118,31 +110,21 @@ func TestRunResumeByteIdentity(t *testing.T) {
 	// checkpointed, then the process died.
 	plan := tinyPlan(t)
 	store, err := OpenStore(dir, plan.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if err := plan.RunCells([]int{0, 2}, 4, func(cr *sweep.CellResult) {
-		if err := store.Put(cr); err != nil {
-			t.Fatal(err)
-		}
+		must(t, store.Put(cr))
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Resume: only cells 1 and 3 may execute, one after the other.
 	var lines []string
-	var returned, late atomic.Bool
 	camp, stats, err := Run(base, tinySpec(), 1, Options{Checkpoint: dir, Resume: true,
-		Progress: time.Nanosecond, // the shortest interval still ticks
+		Progress: time.Nanosecond, // every computed cell outlasts it
 		Logf: func(format string, args ...any) {
 			lines = append(lines, fmt.Sprintf(format, args...))
-			time.Sleep(time.Millisecond) // a slow sink Run must still outlast
-			late.Store(late.Load() || returned.Load())
 		}})
-	returned.Store(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats.Resumed != 2 {
 		t.Fatalf("resumed %d cells, want 2", stats.Resumed)
 	}
@@ -152,32 +134,24 @@ func TestRunResumeByteIdentity(t *testing.T) {
 	if got := camp.CSV(); got != golden {
 		t.Fatalf("resumed campaign CSV differs from uninterrupted golden:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
 	}
-	// Every line counts 2 to 4 cells done; a rate shows once cell 1 is.
-	most, rated := 0, 0
-	for _, l := range lines {
+	// The resume count, then one line per computed cell: 3 and 4 of 4
+	// done, 2 resumed, at a rate, with an ETA.
+	if len(lines) != 1+stats.Executed || lines[0] != "resumed 2/4 cells from "+dir {
+		t.Fatalf("want the resume count and %d progress lines: %q", stats.Executed, lines)
+	}
+	for k, l := range lines[1:] {
 		var done, cells, resumed int
-		if n, _ := fmt.Sscanf(l, "progress: %d/%d done (%d resumed)", &done, &cells, &resumed); n == 3 {
-			if done < 2 || done > cells || resumed != 2 || done == 2 && strings.Contains(l, "cells/s") {
-				t.Fatalf("progress line %q: want 2 to 4 of 4 cells done, 2 resumed, no rate before a computed cell", l)
-			}
-			most = max(most, done)
-			if strings.Contains(l, "cells/s") {
-				rated++
-			}
+		var rate float64
+		var eta string
+		n, _ := fmt.Sscanf(l, "progress: %d/%d done (%d resumed), %g cells/s, eta %s", &done, &cells, &resumed, &rate, &eta)
+		if n != 5 || done != 3+k || cells != 4 || resumed != 2 || rate <= 0 {
+			t.Fatalf("progress line %q: want %d/4 done (2 resumed) at a positive rate", l, 3+k)
 		}
-	}
-	if !slices.Contains(lines, "resumed 2/4 cells from "+dir) || most < 3 || rated == 0 {
-		t.Fatalf("want the resume count and a line counting a computed cell at a rate: %q", lines)
-	}
-	if time.Sleep(5 * time.Millisecond); late.Load() {
-		t.Fatal("a progress line was still being logged after Run returned")
 	}
 
 	// A second resume finds everything checkpointed and computes nothing.
 	camp2, stats2, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats2.Resumed != 4 || stats2.Executed != 0 {
 		t.Fatalf("full resume: resumed %d executed %d, want 4/0", stats2.Resumed, stats2.Executed)
 	}
@@ -187,9 +161,7 @@ func TestRunResumeByteIdentity(t *testing.T) {
 
 	// Resume disabled: checkpoints are ignored and every cell recomputes.
 	_, stats3, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: false})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats3.Resumed != 0 || stats3.Executed != 4 {
 		t.Fatalf("resume disabled: resumed %d executed %d, want 0/4", stats3.Resumed, stats3.Executed)
 	}
@@ -209,34 +181,22 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	}
 	plan := tinyPlan(t)
 	store, err := OpenStore(dir, plan.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 
 	// Cell 0: truncated mid-document (simulates a torn write on a
 	// filesystem without atomic rename semantics).
 	data, err := os.ReadFile(store.Path(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.Path(0), data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
+	must(t, os.WriteFile(store.Path(0), data[:len(data)/2], 0o644))
 	// Cell 1: not JSON at all.
-	if err := os.WriteFile(store.Path(1), []byte("{this is not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(store.Path(1), []byte("{this is not json"), 0o644))
 	// Cell 2: well-formed but from another campaign, one with no hash.
 	foreign := fmt.Sprintf(`{"version":%d,"spec_hash":"","cell":{"index":2}}`, checkpointVersion)
-	if err := os.WriteFile(store.Path(2), []byte(foreign), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(store.Path(2), []byte(foreign), 0o644))
 	// Cell 3 stays valid.
 
 	camp, stats, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats.Resumed != 1 {
 		t.Fatalf("resumed %d cells, want only the intact cell 3", stats.Resumed)
 	}
@@ -265,9 +225,7 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 
 	// The recovery run rewrote valid checkpoints: the next resume is total.
 	_, stats2, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats2.Resumed != 4 || stats2.Executed != 0 || len(stats2.Warnings) != 0 {
 		t.Fatalf("post-recovery resume: resumed %d executed %d warnings %v, want 4/0/none",
 			stats2.Resumed, stats2.Executed, stats2.Warnings)
@@ -276,22 +234,16 @@ func TestRunSurvivesDamagedCheckpoints(t *testing.T) {
 	// A file that decodes under the campaign's hash but carries another
 	// seed is rejected by identity, reported and logged, and its cell re-runs.
 	loaded, _, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	forged := *loaded[3]
 	forged.Seed++
-	if err := store.Put(&forged); err != nil {
-		t.Fatal(err)
-	}
+	must(t, store.Put(&forged))
 	var logged []string
 	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	_, stats3, err := Run(base, tinySpec(), 4, Options{Checkpoint: dir, Resume: true, Logf: logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats3.Resumed != 3 || len(stats3.Warnings) != 1 || !strings.Contains(stats3.Warnings[0], "cell 3 rejected") || !slices.Contains(logged, stats3.Warnings[0]) {
-		t.Fatalf("forged seed: resumed %d, warnings %q, logged %q; want 3 and one logged rejection of cell 3", stats3.Resumed, stats3.Warnings, logged)
+	must(t, err)
+	if stats3.Resumed != 3 || len(stats3.Warnings) != 1 || !strings.Contains(stats3.Warnings[0], "cell 3 rejected") || !slices.Contains(logged, stats3.Warnings[0]) || len(logged) != 2 {
+		t.Fatalf("forged seed: resumed %d, warnings %q, logged %q; want 3, one logged rejection of cell 3 and the resume count, no progress line", stats3.Resumed, stats3.Warnings, logged)
 	}
 }
 
@@ -308,14 +260,10 @@ func TestResumeAfterByteFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, err := OpenStore(dir, tinyPlan(t).Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	path := store.Path(1)
 	intact, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	r := rand.New(rand.NewSource(18))
 	type flip struct {
 		at   int
@@ -334,13 +282,9 @@ func TestResumeAfterByteFlips(t *testing.T) {
 	for _, f := range flips {
 		data := bytes.Clone(intact)
 		data[f.at] ^= f.mask
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		must(t, os.WriteFile(path, data, 0o644))
 		camp, stats, err := Run(base, tinySpec(), 2, Options{Checkpoint: dir, Resume: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		switch {
 		case stats.Resumed == 3 && len(stats.Warnings) == 1 && strings.Contains(stats.Warnings[0], filepath.Base(path)):
 			skipped++
@@ -368,12 +312,8 @@ func TestRunSurvivesCheckpointWriteFailure(t *testing.T) {
 	base := core.DefaultConfig()
 	dir := t.TempDir()
 	store, err := OpenStore(dir, tinyPlan(t).Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(store.Path(1), "x"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
+	must(t, os.MkdirAll(filepath.Join(store.Path(1), "x"), 0o755))
 	var logged []string
 	opt := Options{Checkpoint: dir, Resume: true, Logf: func(format string, args ...any) {
 		logged = append(logged, fmt.Sprintf(format, args...))
@@ -400,9 +340,7 @@ func TestRunSurvivesCheckpointWriteFailure(t *testing.T) {
 		}
 	}
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("failed write leaked temp file %s", e.Name())
@@ -412,9 +350,7 @@ func TestRunSurvivesCheckpointWriteFailure(t *testing.T) {
 	// The obstacle is still there: a re-run resumes the three durable cells
 	// and recomputes exactly the one whose file is missing.
 	camp2, stats2, err := Run(base, tinySpec(), 2, Options{Checkpoint: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if stats2.Resumed != 3 || stats2.Executed != 1 || len(stats2.Warnings) != 1 {
 		t.Fatalf("re-run after a failed write: %+v, want 3 resumed, 1 executed, 1 warning", stats2)
 	}
@@ -432,23 +368,15 @@ func TestStoreRejectsWrongVersion(t *testing.T) {
 	docs := map[int][]byte{99: []byte(`{"version":99,"spec_hash":"` + plan.Hash() + `","cell":{"index":0}}`)}
 	for v := 2; v < checkpointVersion; v++ {
 		data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("cell_v%d.json", v)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		docs[v] = data
 	}
 	for v, doc := range docs {
 		store, err := OpenStore(t.TempDir(), plan.Hash())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(store.Path(0), doc, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
+		must(t, os.WriteFile(store.Path(0), doc, 0o644))
 		cells, warnings, err := store.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if len(cells) != 0 {
 			t.Fatalf("version %d checkpoint must not load", v)
 		}
@@ -495,16 +423,10 @@ func TestCheckpointShapeGolden(t *testing.T) {
 		},
 	}
 	store, err := OpenStore(t.TempDir(), "0123456789abcdef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put(cr); err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
+	must(t, store.Put(cr))
 	got, err := os.ReadFile(store.Path(cr.Index))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	golden := filepath.Join("testdata", fmt.Sprintf("cell_v%d.json", checkpointVersion))
 	want, err := os.ReadFile(golden)
 	if err != nil {

@@ -23,25 +23,15 @@ package core
 // chain fits inside one window (see TestStreamLastJobFinishesFirst).
 
 import (
+	"cmp"
 	"runtime"
-	"sync"
 )
 
-// clampWorkers resolves a requested worker count against a job count:
-// requested <= 0 means one worker per CPU, and the result is clamped to
-// [1, jobs] so no goroutine ever sits idle.
+// clampWorkers resolves a requested worker count against a positive job
+// count: requested <= 0 means one worker per CPU, and the result is at
+// most jobs so no goroutine ever sits idle.
 func clampWorkers(requested, jobs int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if jobs > 0 && w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(cmp.Or(max(requested, 0), runtime.NumCPU()), jobs)
 }
 
 // Stream runs fn(i) for every i in [0, n) across at most workers goroutines
@@ -54,55 +44,46 @@ func clampWorkers(requested, jobs int) int {
 // reorder buffer even when job 0 is the slowest of the batch. workers <= 0
 // selects runtime.NumCPU(); one worker takes the same path, running its
 // jobs one at a time on one goroutine, in index order.
+//
+// The workers are the only goroutines Stream starts: the calling goroutine
+// dispatches between results. Closing jobs on return ends the workers, each
+// past its last fn call once every result is in.
 func Stream[T any](n, workers int, fn func(i int) T, consume func(i int, v T)) {
 	if n <= 0 {
 		return
 	}
 	w := clampWorkers(workers, n)
+	window := 2 * w
 	type item struct {
-		i int
-		v T
+		i  int
+		v  T
+		ok bool // a parked result not yet consumed
 	}
-	var (
-		jobs    = make(chan int)
-		results = make(chan item, w)
-		// window caps dispatched-but-unconsumed jobs: the dispatch-window
-		// contract above.
-		window = make(chan struct{}, 2*w)
-		wg     sync.WaitGroup
-	)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
+	// Each channel holds a whole window of outstanding jobs: no send blocks.
+	jobs := make(chan int, window)
+	results := make(chan item, window)
+	defer close(jobs)
+	for range w {
 		go func() {
-			defer wg.Done()
 			for i := range jobs {
-				results <- item{i, fn(i)}
+				results <- item{i, fn(i), true}
 			}
 		}()
 	}
-	go func() {
-		for i := 0; i < n; i++ {
-			window <- struct{}{}
-			jobs <- i
+	// Reorder buffer: result i parks in slot i % window until i is next;
+	// the outstanding indexes span less than a window, so none collide.
+	parked := make([]item, window)
+	sent := 0
+	for next := 0; next < n; {
+		for ; sent < n && sent < next+window; sent++ {
+			jobs <- sent
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	// Reorder buffer: park early finishers until their index is next.
-	pending := make(map[int]T, 2*w)
-	next := 0
-	for it := range results {
-		pending[it.i] = it.v
-		for {
-			v, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			consume(next, v)
+		it := <-results
+		parked[it.i%window] = it
+		for slot := &parked[next%window]; slot.ok; slot = &parked[next%window] {
+			consume(next, slot.v)
+			*slot = item{}
 			next++
-			<-window
 		}
 	}
 }

@@ -8,21 +8,14 @@ import (
 )
 
 func TestWorkersClamping(t *testing.T) {
-	want := runtime.NumCPU()
-	if want > 100 {
-		want = 100
-	}
-	if got := clampWorkers(0, 100); got != want {
-		t.Fatalf("clampWorkers(0, 100) = %d, want %d", got, want)
-	}
-	if got := clampWorkers(8, 3); got != 3 {
-		t.Fatalf("clampWorkers(8, 3) = %d, want clamp to jobs", got)
-	}
-	if got := clampWorkers(-2, 1); got != 1 {
-		t.Fatalf("clampWorkers(-2, 1) = %d", got)
-	}
-	if got := clampWorkers(5, 100); got != 5 {
-		t.Fatalf("clampWorkers(5, 100) = %d", got)
+	cpus := runtime.NumCPU()
+	for _, c := range []struct{ requested, jobs, want int }{
+		{0, 100, min(cpus, 100)}, {-2, 100, min(cpus, 100)}, {0, 1, 1}, {-2, 1, 1},
+		{1, 100, 1}, {5, 100, 5}, {8, 3, 3}, {3, 3, 3},
+	} {
+		if got := clampWorkers(c.requested, c.jobs); got != c.want {
+			t.Errorf("clampWorkers(%d, %d) = %d, want %d", c.requested, c.jobs, got, c.want)
+		}
 	}
 }
 
@@ -76,25 +69,33 @@ func TestStreamRunsEveryJobExactlyOnce(t *testing.T) {
 
 // TestStreamSlowHead makes job 0 the slowest of the batch; the dispatch
 // window must bound the reorder buffer without deadlocking, and delivery
-// must still start at index 0.
+// must still start at index 0. No job beyond the window starts before job
+// 0 is delivered.
 func TestStreamSlowHead(t *testing.T) {
-	var done int32
+	const workers, window = 8, 16
+	var done atomic.Int32
+	var beyond atomic.Bool // a job past the window has started
 	next := 0
-	Stream(100, 8, func(i int) int {
+	Stream(100, workers, func(i int) int {
+		if i >= window {
+			beyond.Store(true)
+		}
 		if i == 0 {
-			// Busy-wait until later jobs have finished, forcing reordering
-			// pressure. The threshold must stay below the dispatch window
-			// (2×8 outstanding jobs): while job 0 blocks delivery, only the
-			// other 15 windowed jobs can complete.
-			for atomic.LoadInt32(&done) < 10 {
+			// Busy-wait until every other windowed job has finished,
+			// forcing reordering pressure: while job 0 blocks delivery,
+			// only the other window-1 jobs can run.
+			for done.Load() < window-1 {
 				runtime.Gosched()
 			}
 		}
-		atomic.AddInt32(&done, 1)
+		done.Add(1)
 		return i
 	}, func(i, v int) {
 		if i != next || v != i {
 			t.Fatalf("delivery %d carried (%d, %d)", next, i, v)
+		}
+		if i == 0 && beyond.Load() {
+			t.Fatalf("a job past the window of %d started before job 0 was delivered", window)
 		}
 		next++
 	})

@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func render(t *testing.T, reg *Registry) string {
@@ -80,10 +80,14 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestHandlerServesMetricsAndPprof fetches /metrics and the pprof heap
+// page, and matches every pprof route's pattern without fetching it: the
+// profile and trace routes would record for 30 s.
 func TestHandlerServesMetricsAndPprof(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add(Stats{CacheHits: 1})
-	srv := httptest.NewServer(Handler(reg))
+	h := Handler(reg)
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 
 	for path, want := range map[string]string{
@@ -103,32 +107,13 @@ func TestHandlerServesMetricsAndPprof(t *testing.T) {
 		if want != "" && !strings.Contains(string(body[:n]), want) {
 			t.Fatalf("%s missing %q:\n%s", path, want, body[:n])
 		}
+		if ct := resp.Header.Get("Content-Type"); path == "/metrics" && ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Fatalf("/metrics Content-Type %q, want the Prometheus text format's", ct)
+		}
 	}
-}
-
-func TestRateEWMA(t *testing.T) {
-	var r RateEWMA
-	t0 := time.Unix(1000, 0)
-	r.Observe(0, t0)
-	if r.Rate() != 0 {
-		t.Fatal("rate before second sample should be 0")
-	}
-	// 2 items/sec sustained for four 30 s half-lives converges near 2.
-	for i := 1; i <= 24; i++ {
-		r.Observe(float64(2*5*i), t0.Add(time.Duration(i)*5*time.Second))
-	}
-	if rate := r.Rate(); rate < 1.5 || rate > 2.5 {
-		t.Fatalf("rate = %g, want ~2", rate)
-	}
-	eta, ok := r.ETA(20)
-	if !ok {
-		t.Fatal("ETA unavailable despite positive rate")
-	}
-	if eta < 5*time.Second || eta > 15*time.Second {
-		t.Fatalf("ETA = %v, want ~10s", eta)
-	}
-	var unprimed RateEWMA
-	if _, ok := unprimed.ETA(5); ok {
-		t.Fatal("ETA from unprimed tracker should be unavailable")
+	for _, route := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile", "/debug/pprof/symbol", "/debug/pprof/trace"} {
+		if _, pattern := h.(*http.ServeMux).Handler(httptest.NewRequest("GET", route, nil)); pattern != route {
+			t.Errorf("%s is served by pattern %q, want its own route", route, pattern)
+		}
 	}
 }

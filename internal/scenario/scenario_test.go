@@ -2,12 +2,16 @@ package scenario
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/netmodel"
 	"github.com/p2prepro/locaware/internal/overlay"
+	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/sim"
+	"github.com/p2prepro/locaware/internal/workload"
 )
 
 func TestBuiltinsValidateAndResolve(t *testing.T) {
@@ -204,5 +208,45 @@ func TestChurnIntervalDefault(t *testing.T) {
 	s.ChurnIntervalS = 2.5
 	if s.ChurnInterval() != sim.FromSeconds(2.5) {
 		t.Fatalf("interval %v, want 2.5s", s.ChurnInterval())
+	}
+}
+
+// TestRegionAndMigrationOnAHandBuiltWorld runs two events on four peers
+// in a line: peers 0 and 1 by the first of two landmarks, 2 and 3 by the
+// second, so the two localities tie at two peers. A one-locality
+// degrade-region cut takes the lower locId. Peers 1 to 3 share the one
+// target file, so migrating it leaves peer 0 the only peer it can move to.
+func TestRegionAndMigrationOnAHandBuiltWorld(t *testing.T) {
+	src := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	pts := []netmodel.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 90, Y: 0}, {X: 100, Y: 0}}
+	model := netmodel.NewModel(pts, 100, netmodel.LatencyConfig{MinRTT: 10, MaxRTT: 500}, 0)
+	loc := netmodel.NewLocator(model, netmodel.FixedLandmarks([]netmodel.Point{pts[0], pts[3]}))
+	net := protocol.NewNetwork(sim.NewEngine(), overlay.NewGraph(4), model, loc, protocol.Flooding{},
+		protocol.DefaultConfig(), src(1), src(2))
+	cat := workload.NewCatalog(workload.CatalogConfig{NumFiles: 1, KeywordPool: 3, KeywordsPerFile: 3}, src(3))
+	gen := workload.NewGeneratorOver(4, workload.DefaultGen(), cat, []workload.FileID{0}, src(4))
+	rt := &Runtime{w: World{Catalog: cat, Gen: gen, Net: net}, eventRng: src(5)}
+	low, high := loc.LocID(0), loc.LocID(2)
+	if loc.LocID(1) != low || loc.LocID(3) != high || low == high {
+		t.Fatalf("locIds %v: want two localities of two peers", []netmodel.LocID{low, loc.LocID(1), high, loc.LocID(3)})
+	}
+	lowPair, highPair := [2]int{0, 1}, [2]int{2, 3}
+	if low > high {
+		lowPair, highPair = highPair, lowPair
+	}
+	lowRTT, highRTT := model.RTT(lowPair[0], lowPair[1]), model.RTT(highPair[0], highPair[1])
+	rt.apply(EventSpec{Kind: KindDegradeRegion, Localities: 1, LatencyFactor: 3})
+	if lo, hi := model.RTT(lowPair[0], lowPair[1]), model.RTT(highPair[0], highPair[1]); lo != 3*lowRTT || hi != highRTT {
+		t.Errorf("RTTs in the lower and the higher locId of the tie are %g and %g, want %g and %g", lo, hi, 3*lowRTT, highRTT)
+	}
+	f := cat.File(0)
+	for p := 1; p < 4; p++ {
+		net.Node(overlay.PeerID(p)).AddFile(f)
+	}
+	rt.apply(EventSpec{Kind: KindMigrateProviders, Files: 1})
+	for p, want := range []bool{true, false, false, false} {
+		if got := net.Node(overlay.PeerID(p)).RemoveFile(f); got != want {
+			t.Errorf("after migration peer %d holds the file: %v, want %v", p, got, want)
+		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 // directory receiving one content-addressed file per finished cell (""
 // disables checkpointing; files bind to SweepFingerprint), Resume loads
 // existing checkpoints and executes only the missing cells, Logf receives
-// resume counts, checkpoint warnings and — every Progress interval, when
-// > 0 — a done/rate/ETA summary line. Instrumentation and tracing are not
-// campaign options: set Options.Observer / Options.FlightRecorder, which
-// reach every cell run.
+// resume counts, checkpoint warnings and, when Progress > 0, a
+// done/rate/ETA line as a computed cell lands at least Progress after the
+// last. Instrumentation and tracing are not campaign options: set
+// Options.Observer / Options.FlightRecorder, which reach every cell run.
 type CampaignOptions = campaign.Options
 
 // CampaignStats reports how a campaign's cells were obtained: the grid
@@ -29,7 +29,7 @@ type CampaignStats = campaign.RunStats
 // (and therefore the content hash) given identical options.
 func campaignSpec(o Options, sw *Sweep) (*sweep.Spec, error) {
 	if sw == nil {
-		return nil, errors.New("locaware: nil *Sweep argument (obtain one from SweepByName, ParseSweep or LoadSweep)")
+		return nil, errors.New("locaware: nil *Sweep argument (obtain one from LoadSweep or ParseSweep)")
 	}
 	spec := *sw.spec
 	if spec.Trials <= 0 && o.Trials > 0 {

@@ -54,7 +54,7 @@ func TestRunSweepIsCheckpointedWithNoOptions(t *testing.T) {
 // left the configuration for a constant, together with the checkpoint
 // format's version 4, which re-runs those checkpoints anyway.
 func TestFingerprintIgnoresRecordRetention(t *testing.T) {
-	sw, err := SweepByName("ttl-sweep")
+	sw, err := LoadSweep("ttl-sweep")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestCompareMatchesParentCapture(t *testing.T) {
 // output contract; regenerate with -update only for a deliberate change.
 func TestGoldenRunJSON(t *testing.T) {
 	o := goldenOptions()
-	sc, err := ScenarioByName("churn-waves")
+	sc, err := LoadScenario("churn-waves")
 	if err != nil {
 		t.Fatal(err)
 	}

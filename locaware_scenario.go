@@ -18,8 +18,8 @@ import (
 // and scenario reproduce the run byte-for-byte at any worker count — and
 // every metric is additionally reported per phase.
 //
-// Obtain one from the built-in registry (ScenarioByName, ScenarioNames) or
-// from JSON (ParseScenario); new scenarios need no code.
+// Obtain one by built-in name or spec file (LoadScenario, ScenarioNames)
+// or from JSON (ParseScenario); new scenarios need no code.
 type Scenario struct {
 	spec *scenario.Spec
 }
@@ -29,16 +29,6 @@ var ErrUnknownScenario = errors.New("locaware: unknown scenario")
 
 // ScenarioNames lists the built-in scenario registry, sorted.
 func ScenarioNames() []string { return scenario.Names() }
-
-// ScenarioByName returns a built-in scenario.
-func ScenarioByName(name string) (*Scenario, error) {
-	spec, ok := scenario.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (have %s)", ErrUnknownScenario, name,
-			strings.Join(scenario.Names(), ", "))
-	}
-	return &Scenario{spec: spec}, nil
-}
 
 // ParseScenario decodes and validates a JSON scenario spec; see the README
 // "Scenarios" section for the schema. Unknown fields are rejected.
@@ -55,10 +45,11 @@ func ParseScenario(data []byte) (*Scenario, error) {
 // file instead. The locaware command resolves every scenario argument
 // (scenario NAME|PATH, and -scenario on run and trace) through it.
 func LoadScenario(nameOrPath string) (*Scenario, error) {
-	if sc, err := ScenarioByName(nameOrPath); err == nil {
-		return sc, nil
+	if spec, ok := scenario.Lookup(nameOrPath); ok {
+		return &Scenario{spec: spec}, nil
 	} else if !looksLikePath(nameOrPath) {
-		return nil, err
+		return nil, fmt.Errorf("%w: %q (have %s)", ErrUnknownScenario, nameOrPath,
+			strings.Join(scenario.Names(), ", "))
 	}
 	data, err := os.ReadFile(nameOrPath)
 	if err != nil {

@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -12,7 +13,7 @@ import (
 
 func mustScenario(t *testing.T, name string) *Scenario {
 	t.Helper()
-	sc, err := ScenarioByName(name)
+	sc, err := LoadScenario(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +140,8 @@ func TestScenarioPhaseAccounting(t *testing.T) {
 // unresolvable timelines fail with errors, not panics, on every entry
 // point.
 func TestScenarioErrors(t *testing.T) {
-	if _, err := ScenarioByName("nope"); err == nil {
-		t.Fatal("unknown scenario name accepted")
+	if _, err := LoadScenario("nope"); !errors.Is(err, ErrUnknownScenario) {
+		t.Fatalf("unknown scenario name: %v, want ErrUnknownScenario", err)
 	}
 	// 4 phases cannot tile 3 measured queries.
 	o := goldenOptions()
@@ -159,7 +160,7 @@ func TestScenarioErrors(t *testing.T) {
 // TestScenarioRegistry locks the public registry surface.
 func TestScenarioRegistry(t *testing.T) {
 	for _, name := range ScenarioNames() {
-		sc, err := ScenarioByName(name)
+		sc, err := LoadScenario(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,8 @@ func TestGoldenScenarioTable(t *testing.T) {
 // built-in does (tiny and oversized hot sets, factors at and below 1, unset
 // copies and rates, more copies than peers, fast churn, every file removed).
 func TestGoldenScenarioRuns(t *testing.T) {
-	edges, err := ParseScenario([]byte(`{"name": "edges", "churn_interval_s": 1, "phases": [
+	path := filepath.Join(t.TempDir(), "edges.json") // read back through LoadScenario's file branch
+	_ = os.WriteFile(path, []byte(`{"name": "edges", "churn_interval_s": 1, "phases": [
 	  {"name": "a", "fraction": 1, "churn": {"leave_prob": 0.3, "join_prob": 0.05, "min_online_fraction": 0.9},
 	   "events": [{"kind": "flash-crowd", "hot_files": 1, "rate_factor": 2, "zipf_s": 0.8}]},
 	  {"name": "b", "fraction": 1, "events": [{"kind": "flash-crowd", "hot_files": 5000}, {"kind": "flash-crowd", "rate_factor": 0.5},
@@ -207,7 +209,8 @@ func TestGoldenScenarioRuns(t *testing.T) {
 	  {"name": "c", "fraction": 1, "events": [{"kind": "restore-region"}, {"kind": "inject-files", "files": 30},
 	    {"kind": "inject-files", "files": 5, "copies": 500}, {"kind": "migrate-providers", "files": 5000},
 	    {"kind": "degrade-region", "localities": 30, "latency_factor": 0.5, "link_drop_frac": 0.1}]},
-	  {"name": "d", "fraction": 1, "events": [{"kind": "remove-files", "files": 5000}]}]}`))
+	  {"name": "d", "fraction": 1, "events": [{"kind": "remove-files", "files": 5000}]}]}`), 0o644) // a failed write fails the load
+	edges, err := LoadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ func looksLikePath(arg string) bool { return strings.ContainsAny(arg, "./\\") }
 // campaign at a different worker count) reproduces byte-identically, and
 // every cell equals a standalone Compare of the same configuration.
 //
-// Obtain one from the built-in registry (SweepByName, SweepNames) or from
-// JSON (ParseSweep); new campaigns need no code.
+// Obtain one by built-in name or spec file (LoadSweep, SweepNames) or
+// from JSON (ParseSweep); new campaigns need no code.
 type Sweep struct {
 	spec *sweep.Spec
 }
@@ -40,16 +40,6 @@ var ErrUnknownSweep = errors.New("locaware: unknown sweep")
 
 // SweepNames lists the built-in campaign registry, sorted.
 func SweepNames() []string { return sweep.Names() }
-
-// SweepByName returns a built-in campaign.
-func SweepByName(name string) (*Sweep, error) {
-	spec, ok := sweep.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q (have %s)", ErrUnknownSweep, name,
-			strings.Join(sweep.Names(), ", "))
-	}
-	return &Sweep{spec: spec}, nil
-}
 
 // ParseSweep decodes and validates a JSON campaign spec; see the README
 // "Sweeps" section for the schema. Unknown fields are rejected.
@@ -151,10 +141,11 @@ func (s *Sweep) WithBase(param string, value float64) (*Sweep, error) {
 // first; an argument containing path characters is read as a JSON spec
 // file instead.
 func LoadSweep(nameOrPath string) (*Sweep, error) {
-	if sw, err := SweepByName(nameOrPath); err == nil {
-		return sw, nil
+	if spec, ok := sweep.Lookup(nameOrPath); ok {
+		return &Sweep{spec: spec}, nil
 	} else if !looksLikePath(nameOrPath) {
-		return nil, err
+		return nil, fmt.Errorf("%w: %q (have %s)", ErrUnknownSweep, nameOrPath,
+			strings.Join(sweep.Names(), ", "))
 	}
 	data, err := os.ReadFile(nameOrPath)
 	if err != nil {

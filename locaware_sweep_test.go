@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ func sweepOptions() Options {
 
 func mustSweep(t *testing.T, name string) *Sweep {
 	t.Helper()
-	sw, err := SweepByName(name)
+	sw, err := LoadSweep(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +160,8 @@ func TestSweepErrors(t *testing.T) {
 			t.Fatalf("nil sweep: got %v, want an error naming the *Sweep argument", err)
 		}
 	}
-	if _, err := SweepByName("no-such-campaign"); err == nil {
-		t.Fatal("unknown campaign name must error")
+	if _, err := LoadSweep("no-such-campaign"); !errors.Is(err, ErrUnknownSweep) {
+		t.Fatalf("unknown campaign name: %v, want ErrUnknownSweep", err)
 	}
 	sw := mustSweep(t, "ttl-sweep")
 	r, err := RunSweep(sweepOptions(), sw.WithTrials(1).WithBudget(10, 30))
@@ -187,7 +188,7 @@ func TestSweepRegistry(t *testing.T) {
 		t.Fatalf("want at least 4 built-in campaigns, have %v", names)
 	}
 	for _, name := range names {
-		sw, err := SweepByName(name)
+		sw, err := LoadSweep(name)
 		if err != nil {
 			t.Fatal(err)
 		}
