@@ -144,8 +144,8 @@ func (g *deadCodeGate) parse() {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+		if match, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !match || err != nil {
+			return err // a file the build constraints exclude, or not Go
 		}
 		f, err := parser.ParseFile(g.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -489,7 +489,10 @@ func (g *deadCodeGate) verdict(d gateDecl) string {
 // TestDocsCiteDeclaredTests: every test README.md or the verify skill names
 // is declared in some _test.go, so a deleted or renamed test cannot stay
 // cited. pkg.TestX names a test, Type.TestX or x.TestX( a method, and a
-// trailing * a prefix.
+// trailing * a prefix. So too every exported pkg.Name README.md cites, pkg
+// one of this module's internal packages, is declared at the top level of
+// that package (its tests included); the verify skill is exempt there, as
+// its deleted-design list names deleted types on purpose.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
 	var declared []string
@@ -519,6 +522,24 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 			if !slices.ContainsFunc(declared, func(d string) bool { return d == name || tail == "*" && strings.HasPrefix(d, name) }) {
 				t.Errorf("%s cites %s%s, which no _test.go declares", doc, name, tail)
 			}
+		}
+	}
+	readme, _ := os.ReadFile("README.md") // read without error above
+	names := map[string]map[string]bool{} // top-level names by internal package
+	for _, m := range regexp.MustCompile(`\b(\w+)\.([A-Z]\w*)`).FindAllStringSubmatch(string(readme), -1) {
+		if pkg := m[1]; names[pkg] == nil {
+			names[pkg] = map[string]bool{}
+			pkgs, _ := parser.ParseDir(token.NewFileSet(), filepath.Join("internal", pkg), nil, 0) // none unless internal
+			for _, p := range pkgs {
+				for _, f := range p.Files {
+					for name := range f.Scope.Objects {
+						names[pkg][name] = true
+					}
+				}
+			}
+		}
+		if len(names[m[1]]) > 0 && !names[m[1]][m[2]] {
+			t.Errorf("README.md cites %s.%s, which internal/%s does not declare", m[1], m[2], m[1])
 		}
 	}
 }

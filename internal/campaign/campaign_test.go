@@ -409,7 +409,7 @@ func TestCheckpointShapeGolden(t *testing.T) {
 			{Param: sweep.ParamPeers, Value: 60},
 			{Param: sweep.ParamScenario, Scenario: "churn-waves"},
 		}},
-		Protocols: []sweep.ProtocolCell{{
+		Protocols: []core.TrialCell{{
 			Protocol: "Locaware",
 			Summary: core.TrialSummary{
 				PhaseStats:      window("", 0, 120),

@@ -30,7 +30,7 @@ func FuzzStoreLoad(f *testing.F) {
 	encode := func(damage func(*checkpointFile, *sweep.CellResult)) []byte {
 		c := *cr
 		c.Coords = append([]sweep.Coordinate(nil), cr.Coords...)
-		c.Protocols = append([]sweep.ProtocolCell(nil), cr.Protocols...)
+		c.Protocols = append(cr.Protocols[:0:0], cr.Protocols...)
 		cf := checkpointFile{Version: checkpointVersion, SpecHash: plan.Hash()}
 		damage(&cf, &c)
 		cell, err := json.Marshal(&c)

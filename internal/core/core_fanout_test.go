@@ -1,11 +1,30 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// stream runs Stream under a watchdog in the test goroutine: a deadlock
+// ends the binary naming Stream in seconds, and this file sorts before
+// core_test.go, whose tests reach Stream through RunGrid.
+func stream[T any](n, workers int, fn func(i int) T, consume func(i int, v T)) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Stream(n, workers, fn, consume)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		// Its stuck goroutines would hang every later test.
+		panic(fmt.Sprintf("Stream(%d jobs, %d workers) did not return in 10 s: it deadlocked", n, workers))
+	}
+}
 
 func TestWorkersClamping(t *testing.T) {
 	cpus := runtime.NumCPU()
@@ -22,9 +41,9 @@ func TestWorkersClamping(t *testing.T) {
 func TestStreamDeliversInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 0, 256} { // 256: more workers than jobs
 		var seen []int
-		Stream(200, workers, func(i int) int { return i * 3 }, func(i, v int) {
+		stream(200, workers, func(i int) int { return i * 3 }, func(i, v int) {
 			if v != i*3 {
-				t.Fatalf("workers=%d: consume(%d, %d)", workers, i, v)
+				t.Errorf("workers=%d: consume(%d, %d)", workers, i, v)
 			}
 			seen = append(seen, i)
 		})
@@ -41,8 +60,8 @@ func TestStreamDeliversInIndexOrder(t *testing.T) {
 
 func TestStreamEmpty(t *testing.T) {
 	called := false
-	Stream(0, 4, func(i int) int { return i }, func(int, int) { called = true })
-	Stream(-1, 4, func(i int) int { return i }, func(int, int) { called = true })
+	stream(0, 4, func(i int) int { return i }, func(int, int) { called = true })
+	stream(-1, 4, func(i int) int { return i }, func(int, int) { called = true })
 	if called {
 		t.Fatal("consume called for empty job set")
 	}
@@ -53,7 +72,7 @@ func TestStreamEmpty(t *testing.T) {
 func TestStreamRunsEveryJobExactlyOnce(t *testing.T) {
 	var calls [2000]int32
 	delivered := 0
-	Stream(len(calls), 16, func(i int) struct{} {
+	stream(len(calls), 16, func(i int) struct{} {
 		atomic.AddInt32(&calls[i], 1)
 		return struct{}{}
 	}, func(int, struct{}) { delivered++ })
@@ -76,7 +95,7 @@ func TestStreamSlowHead(t *testing.T) {
 	var done atomic.Int32
 	var beyond atomic.Bool // a job past the window has started
 	next := 0
-	Stream(100, workers, func(i int) int {
+	stream(100, workers, func(i int) int {
 		if i >= window {
 			beyond.Store(true)
 		}
@@ -92,10 +111,10 @@ func TestStreamSlowHead(t *testing.T) {
 		return i
 	}, func(i, v int) {
 		if i != next || v != i {
-			t.Fatalf("delivery %d carried (%d, %d)", next, i, v)
+			t.Errorf("delivery %d carried (%d, %d)", next, i, v)
 		}
 		if i == 0 && beyond.Load() {
-			t.Fatalf("a job past the window of %d started before job 0 was delivered", window)
+			t.Errorf("a job past the window of %d started before job 0 was delivered", window)
 		}
 		next++
 	})
@@ -123,7 +142,7 @@ func TestStreamLastJobFinishesFirst(t *testing.T) {
 	var completionOrder []int32
 	var mu sync.Mutex
 	next := 0
-	Stream(n, n, func(i int) int {
+	stream(n, n, func(i int) int {
 		<-finished[i+1]
 		mu.Lock()
 		completionOrder = append(completionOrder, int32(i))
@@ -132,7 +151,7 @@ func TestStreamLastJobFinishesFirst(t *testing.T) {
 		return i * 7
 	}, func(i, v int) {
 		if i != next || v != i*7 {
-			t.Fatalf("delivery %d carried (%d, %d)", next, i, v)
+			t.Errorf("delivery %d carried (%d, %d)", next, i, v)
 		}
 		next++
 	})

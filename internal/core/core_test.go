@@ -302,46 +302,22 @@ func TestFloodingCachesNothing(t *testing.T) {
 func TestRunComparisonPaired(t *testing.T) {
 	cfg := smallConfig(8)
 	cmp := RunTrialComparison(cfg, Baselines(), 1, 50, 100, 0)
-	if len(cmp.Cells) != 4 || len(cmp.Order) != 4 {
-		t.Fatalf("results: %v", cmp.Order)
+	if len(cmp.Cells) != 4 {
+		t.Fatalf("results: %d cells", len(cmp.Cells))
 	}
-	for _, name := range []string{"Flooding", "Dicas", "Dicas-Keys", "Locaware"} {
-		cell, ok := cmp.Cells[name]
-		if !ok {
-			t.Fatalf("missing %s", name)
+	for i, cell := range cmp.Cells {
+		if name := Baselines()[i].Name(); cell.Protocol != name {
+			t.Fatalf("cell %d is %s, want %s", i, cell.Protocol, name)
 		}
 		if len(cell.Runs) != 1 || cell.Runs[0].Collector.Submitted() != 100 {
-			t.Fatalf("%s: %d runs, first submitted %d", name, len(cell.Runs), cell.Runs[0].Collector.Submitted())
+			t.Fatalf("%s: %d runs, first submitted %d", cell.Protocol, len(cell.Runs), cell.Runs[0].Collector.Submitted())
 		}
 	}
 	// Flooding must dominate traffic.
-	fl := cmp.Cells["Flooding"].Summary.AvgMessagesPerQuery.Mean
-	la := cmp.Cells["Locaware"].Summary.AvgMessagesPerQuery.Mean
+	fl := cmp.cell("Flooding").Summary.AvgMessagesPerQuery.Mean
+	la := cmp.cell("Locaware").Summary.AvgMessagesPerQuery.Mean
 	if la >= fl {
 		t.Fatalf("locaware traffic %v >= flooding %v", la, fl)
-	}
-}
-
-func TestFigureSeriesExtraction(t *testing.T) {
-	cfg := smallConfig(9)
-	cfg.Protocol.Collector.Checkpoints = []int{20, 40, 60}
-	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 1, 20, 60, 0)
-	for _, fig := range []string{Fig2DownloadDistance, Fig3SearchTraffic, Fig4SuccessRate} {
-		series := cmp.FigureSeries(fig)
-		if len(series) != 2 {
-			t.Fatalf("%s: %d series", fig, len(series))
-		}
-		for _, s := range series {
-			if len(s.Xs) != 3 {
-				t.Fatalf("%s/%s: %d points, want 3", fig, s.Name, len(s.Xs))
-			}
-			if s.Xs[0] != 20 || s.Xs[2] != 60 {
-				t.Fatalf("%s/%s xs = %v", fig, s.Name, s.Xs)
-			}
-		}
-	}
-	if got := cmp.FigureSeries("not-a-figure"); len(got[0].Xs) != 0 {
-		t.Fatal("unknown figure should yield empty series")
 	}
 }
 
@@ -355,20 +331,6 @@ func TestTenSteps(t *testing.T) {
 	if tiny := tenSteps(3); len(tiny) != 3 || tiny[2] != 3 {
 		t.Fatalf("tiny run checkpoints = %v", tiny)
 	}
-}
-
-func TestHeadlines(t *testing.T) {
-	cfg := smallConfig(10)
-	cmp := RunTrialComparison(cfg, Baselines(), 1, 150, 150, 0)
-	h := cmp.Headlines()
-	if h.TrafficReductionVsFlooding > -0.5 {
-		t.Fatalf("traffic reduction %v, expected strongly negative", h.TrafficReductionVsFlooding)
-	}
-	// Partial comparisons do not panic.
-	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}}, 1, 0, 30, 0)
-	_ = partial.Headlines()
-	empty := &TrialComparison{Cells: map[string]*TrialCell{}}
-	_ = empty.Headlines()
 }
 
 func TestChurnRun(t *testing.T) {
@@ -415,8 +377,8 @@ func TestLocawareBeatsDicasWarm(t *testing.T) {
 	// harness; here we assert non-inferiority to keep the test robust).
 	cfg := smallConfig(12)
 	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Dicas{}, protocol.Locaware{}}, 1, 400, 400, 0)
-	di := cmp.Cells["Dicas"].Summary.SuccessRate.Mean
-	la := cmp.Cells["Locaware"].Summary.SuccessRate.Mean
+	di := cmp.cell("Dicas").Summary.SuccessRate.Mean
+	la := cmp.cell("Locaware").Summary.SuccessRate.Mean
 	if la < di*0.95 {
 		t.Fatalf("locaware %0.3f markedly below dicas %0.3f", la, di)
 	}
@@ -425,10 +387,18 @@ func TestLocawareBeatsDicasWarm(t *testing.T) {
 func TestFloodingSuccessDominates(t *testing.T) {
 	cfg := smallConfig(13)
 	cmp := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 1, 100, 200, 0)
-	fl := cmp.Cells["Flooding"].Summary.SuccessRate.Mean
-	la := cmp.Cells["Locaware"].Summary.SuccessRate.Mean
+	fl := cmp.cell("Flooding").Summary.SuccessRate.Mean
+	la := cmp.cell("Locaware").Summary.SuccessRate.Mean
 	if fl <= la {
 		t.Fatalf("flooding %0.3f should beat locaware %0.3f on success (Fig. 4)", fl, la)
+	}
+}
+
+// skipAllocBudget skips an allocation budget under -short and under the
+// race detector, whose own allocations move the count.
+func skipAllocBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
 	}
 }
 
@@ -461,9 +431,7 @@ func TestFloodingSuccessDominates(t *testing.T) {
 // that turns into the bitmap only where the bitmap is smaller; its budgets
 // are those + 10 %.
 func TestHotPathAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
-	}
+	skipAllocBudget(t)
 	for _, c := range []struct {
 		b                  protocol.Behavior
 		peers              int
@@ -521,9 +489,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 // their windows and the growth of the target list. The budgets are the
 // measured values + 10 %.
 func TestWorldBuildAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
-	}
+	skipAllocBudget(t)
 	for _, c := range []struct {
 		peers                    int
 		allocBudget, bytesBudget float64 // per peer
@@ -557,9 +523,7 @@ func TestWorldBuildAllocBudget(t *testing.T) {
 // own nodes, response-index tables and graph copy keep the ratio above
 // 0.75 at this size. The budget is the measured ratio + 10 %.
 func TestRunGridSharesTheWorld(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
-	}
+	skipAllocBudget(t)
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	cfg.NumPeers = 1000

@@ -16,21 +16,6 @@ func tenSteps(measured int) []int {
 	return cps
 }
 
-// Figure identifiers for the paper's three evaluation figures.
-const (
-	Fig2DownloadDistance = "fig2-download-distance"
-	Fig3SearchTraffic    = "fig3-search-traffic"
-	Fig4SuccessRate      = "fig4-success-rate"
-)
-
-// figureMetric maps each figure to the key of the metric it plots
-// (metrics.Metrics).
-var figureMetric = map[string]string{
-	Fig2DownloadDistance: "rtt",
-	Fig3SearchTraffic:    "msgs",
-	Fig4SuccessRate:      "success",
-}
-
 // Headline summarises the paper's three headline claims over a
 // comparison.
 type Headline struct {

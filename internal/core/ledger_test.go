@@ -152,9 +152,7 @@ func ledgerGrid() ledgerRow {
 // repeat. -update rewrites the file; a change that moves a row shows the
 // old and new rows in CHANGES.md.
 func TestWorkLedger(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the race detector's own allocations move the count; the race pass runs -short")
-	}
+	skipAllocBudget(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rows := []ledgerRow{
 		ledgerRun("Locaware 2000 peers", protocol.Locaware{}, 2000, 500, 2000),

@@ -20,59 +20,40 @@ type TrialSummary struct {
 	CachedFilenames stats.Summary
 }
 
-// TrialCell is one (behaviour × config) experiment cell replicated across
-// trials: per-trial run results in trial order plus their aggregation.
+// TrialCell is one protocol's result at one experiment cell, replicated
+// across trials: the cross-trial aggregates a comparison, a sweep and a
+// checkpoint file share, plus the runs when the caller keeps them.
 type TrialCell struct {
-	// Runs[t] is trial t's full result.
-	Runs []*RunResult
+	// Protocol is the protocol name.
+	Protocol string
 	// Summary aggregates the headline metrics across trials.
 	Summary TrialSummary
-	// PhaseStats aggregates the scenario phase windows across trials,
+	// Phases aggregates the scenario phase windows across trials,
 	// phase-aligned — per-phase mean ± CI error bars. Nil unless the cell
 	// ran under a scenario.
-	PhaseStats []metrics.PhaseStats
+	Phases []metrics.PhaseStats
+	// Runs[t] is trial t's full result; nil in a sweep cell, which folds
+	// its runs and drops them.
+	Runs []*RunResult `json:"-"`
 }
 
-// aggregateRuns pools one window list per run, position-aligned across
-// trials (nil when no run has a window).
-func aggregateRuns(runs []*RunResult, windows func(*metrics.Collector) []metrics.PhaseWindow) []metrics.PhaseStats {
-	perTrial := make([][]metrics.PhaseWindow, len(runs))
-	for i, r := range runs {
-		perTrial[i] = windows(r.Collector)
-	}
-	return metrics.AggregatePhases(perTrial)
-}
-
-// AggregateRunPhases aggregates every run's scenario-phase windows
-// phase-aligned across trials. It returns nil when the runs carry no phase
-// windows (no scenario configured).
-func AggregateRunPhases(runs []*RunResult) []metrics.PhaseStats {
-	return aggregateRuns(runs, (*metrics.Collector).PhaseWindows)
-}
-
-// SummarizeTrials aggregates the headline run metrics of replicated runs
-// (at least one) into cross-trial sample statistics, folding values in run
-// (trial) order so equal run sequences always produce bit-identical float
-// sums.
-func SummarizeTrials(runs []*RunResult) TrialSummary {
+// NewTrialCell pools protocol's replicated runs (at least one) into its
+// cell, folding values in run (trial) order so equal run sequences always
+// produce bit-identical float sums. The cell does not keep the runs.
+func NewTrialCell(protocol string, runs []*RunResult) TrialCell {
 	n := len(runs)
-	ctl := make([]float64, 0, n)
-	kbit := make([]float64, 0, n)
-	cached := make([]float64, 0, n)
-	for _, r := range runs {
-		ctl = append(ctl, float64(r.ControlMessages))
-		kbit = append(kbit, float64(r.ControlBits)/1000)
-		cached = append(cached, float64(r.CacheFilenames))
+	whole, perTrial := make([]metrics.PhaseWindow, n), make([][]metrics.PhaseWindow, n)
+	phases := make([][]metrics.PhaseWindow, n)
+	ctl, kbits, cached := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, r := range runs {
+		whole[i] = r.Collector.RunWindow()
+		perTrial[i], phases[i] = whole[i:i+1], r.Collector.PhaseWindows()
+		ctl[i], kbits[i], cached[i] = float64(r.ControlMessages), float64(r.ControlBits)/1000, float64(r.CacheFilenames)
 	}
-	whole := aggregateRuns(runs, func(c *metrics.Collector) []metrics.PhaseWindow {
-		return []metrics.PhaseWindow{c.RunWindow()}
-	})
-	return TrialSummary{
-		PhaseStats:      whole[0],
-		ControlMessages: stats.Summarize(ctl),
-		ControlKbits:    stats.Summarize(kbit),
-		CachedFilenames: stats.Summarize(cached),
-	}
+	return TrialCell{Protocol: protocol, Phases: metrics.AggregatePhases(phases), Summary: TrialSummary{
+		PhaseStats:      metrics.AggregatePhases(perTrial)[0],
+		ControlMessages: stats.Summarize(ctl), ControlKbits: stats.Summarize(kbits), CachedFilenames: stats.Summarize(cached),
+	}}
 }
 
 // TrialComparison is a paired multi-protocol, multi-trial experiment: every
@@ -81,12 +62,8 @@ func SummarizeTrials(runs []*RunResult) TrialSummary {
 // so each trial is a paired comparison. One behaviour or one trial is the
 // same experiment with that dimension pinned to 1.
 type TrialComparison struct {
-	// Cells maps protocol name to its replicated cell.
-	Cells map[string]*TrialCell
-	// Order preserves behaviour order for stable presentation.
-	Order []string
-	// Trials is the replication count.
-	Trials int
+	// Cells holds each behaviour's cell, runs attached, in behaviour order.
+	Cells []TrialCell
 }
 
 // TrialCount is the number of trials a request for n runs: n, or one when
@@ -142,52 +119,57 @@ func RunTrialComparison(cfg Config, behaviors []protocol.Behavior, trials, warmu
 	if len(cfg.Protocol.Collector.Checkpoints) == 0 {
 		cfg.Protocol.Collector.Checkpoints = tenSteps(measured)
 	}
-	cmp := &TrialComparison{Cells: make(map[string]*TrialCell, len(behaviors))}
+	cmp := &TrialComparison{Cells: make([]TrialCell, 0, len(behaviors))}
 	RunGrid([]Config{cfg}, behaviors, trials, warmup, measured, workers, func(_, b int, runs []*RunResult) {
-		name := behaviors[b].Name()
-		cmp.Cells[name] = &TrialCell{Runs: runs, Summary: SummarizeTrials(runs), PhaseStats: AggregateRunPhases(runs)}
-		cmp.Order = append(cmp.Order, name)
-		cmp.Trials = len(runs)
+		cell := NewTrialCell(behaviors[b].Name(), runs)
+		cell.Runs = runs
+		cmp.Cells = append(cmp.Cells, cell)
 	})
 	return cmp
 }
 
-// FigureSeries extracts a figure's curves with cross-trial error bars: one
-// series per protocol, y = the trial-mean windowed metric at each
-// checkpoint, err = its 95% confidence half-width. With a single trial the
-// means are the run's own window values and no error bars are attached, so
-// tables and CSV render bare numbers. Per-window values expose the trends
-// the paper reports (Locaware's download distance improving as replication
-// spreads providers, the others staying flat).
-func (c *TrialComparison) FigureSeries(fig string) []*stats.Series {
-	m, known := metrics.MetricByKey(figureMetric[fig])
+// FigureSeries extracts the curves of the metric with the given key
+// (metrics.Metrics) with cross-trial error bars: one series per protocol,
+// y = the trial-mean windowed metric at each checkpoint, err = its 95%
+// confidence half-width. With a single trial the means are the run's own
+// window values and no error bars show, so tables and CSV render bare
+// numbers. An unknown key yields empty series. Per-window values expose the
+// trends the paper reports (Locaware's download distance improving as
+// replication spreads providers, the others staying flat).
+func (c *TrialComparison) FigureSeries(key string) []*stats.Series {
+	m, known := metrics.MetricByKey(key)
 	var out []*stats.Series
-	for _, name := range c.Order {
-		cell := c.Cells[name]
-		s := &stats.Series{Name: name}
+	for _, cell := range c.Cells {
+		s := &stats.Series{Name: cell.Protocol}
 		out = append(out, s)
 		if !known {
 			continue
 		}
-		for _, w := range aggregateRuns(cell.Runs, (*metrics.Collector).Windows) {
-			y := m.Of(&w)
-			if c.Trials > 1 {
-				s.AddErr(float64(w.End), y.Mean, y.CI95())
-			} else {
-				s.Add(float64(w.End), y.Mean)
-			}
+		perTrial := make([][]metrics.PhaseWindow, len(cell.Runs))
+		for i, r := range cell.Runs {
+			perTrial[i] = r.Collector.Windows()
+		}
+		for _, w := range metrics.AggregatePhases(perTrial) {
+			s.Add(float64(w.End), *m.Of(&w))
 		}
 	}
 	return out
 }
 
+// cell returns the named protocol's cell, or nil when it was not compared.
+func (c *TrialComparison) cell(protocol string) *TrialCell {
+	for i := range c.Cells {
+		if c.Cells[i].Protocol == protocol {
+			return &c.Cells[i]
+		}
+	}
+	return nil
+}
+
 // Headlines computes the paper's headline claims from trial-mean metrics
 // (a single trial's means are its final cumulative values).
 func (c *TrialComparison) Headlines() Headline {
-	la := c.Cells["Locaware"]
-	fl := c.Cells["Flooding"]
-	di := c.Cells["Dicas"]
-	dk := c.Cells["Dicas-Keys"]
+	la, fl, di, dk := c.cell("Locaware"), c.cell("Flooding"), c.cell("Dicas"), c.cell("Dicas-Keys")
 	var h Headline
 	if la == nil {
 		return h

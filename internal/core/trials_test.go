@@ -16,7 +16,7 @@ import (
 
 // runTrials is the one-behaviour case of the comparison runner.
 func runTrials(cfg Config, b protocol.Behavior, trials, warmup, measured, workers int) *TrialCell {
-	return RunTrialComparison(cfg, []protocol.Behavior{b}, trials, warmup, measured, workers).Cells[b.Name()]
+	return &RunTrialComparison(cfg, []protocol.Behavior{b}, trials, warmup, measured, workers).Cells[0]
 }
 
 func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
@@ -35,16 +35,6 @@ func TestRunTrialsSingleTrialMatchesSequentialRun(t *testing.T) {
 	}
 	if cell.Summary.SuccessRate.N != 1 || cell.Summary.SuccessRate.Mean != seq.Collector.SuccessRate() {
 		t.Fatalf("summary = %+v", cell.Summary.SuccessRate)
-	}
-}
-
-func TestRunTrialsWorkerCountInvariant(t *testing.T) {
-	cfg := smallConfig(22)
-	cfg.NumPeers = 120
-	a := runTrials(cfg, protocol.Locaware{}, 4, 10, 40, 1)
-	b := runTrials(cfg, protocol.Locaware{}, 4, 10, 40, 8)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Workers=1 and Workers=8 produced different aggregated results")
 	}
 }
 
@@ -85,29 +75,24 @@ func TestTrialComparisonWorkerCountInvariant(t *testing.T) {
 func TestTrialComparisonSingleTrialMatchesCollectorWindows(t *testing.T) {
 	cfg := smallConfig(25)
 	tc := RunTrialComparison(cfg, Baselines(), 1, 20, 60, 4)
-	if w := tc.Cells["Locaware"].Runs[0].Collector.Windows(); tc.Trials != 1 || len(w) != 10 {
-		t.Fatalf("shape: trials=%d windows=%d, want ten equal steps", tc.Trials, len(w))
+	if w := tc.cell("Locaware").Runs[0].Collector.Windows(); len(w) != 10 {
+		t.Fatalf("shape: windows=%d, want ten equal steps", len(w))
 	}
-	pick := map[string]func(metrics.PhaseWindow) float64{
-		Fig2DownloadDistance: func(w metrics.PhaseWindow) float64 { return w.AvgDownloadRTTMs },
-		Fig3SearchTraffic:    func(w metrics.PhaseWindow) float64 { return w.AvgMessagesPerQuery },
-		Fig4SuccessRate:      func(w metrics.PhaseWindow) float64 { return w.SuccessRate },
-	}
-	for fig, y := range pick {
-		for i, s := range tc.FigureSeries(fig) {
-			name := tc.Order[i]
-			if len(tc.Cells[name].Runs) != 1 {
-				t.Fatalf("%s: %d runs, want 1", name, len(tc.Cells[name].Runs))
+	for _, m := range metrics.Metrics {
+		for i, s := range tc.FigureSeries(m.Key) {
+			name := tc.Cells[i].Protocol
+			if len(tc.Cells[i].Runs) != 1 {
+				t.Fatalf("%s: %d runs, want 1", name, len(tc.Cells[i].Runs))
 			}
-			windows := tc.Cells[name].Runs[0].Collector.Windows()
+			windows := tc.Cells[i].Runs[0].Collector.Windows()
 			if s.Name != name || len(s.Xs) != len(windows) || s.HasErrs() {
 				t.Fatalf("%s/%s: series %q has %d points (errs=%v), run has %d windows",
-					fig, name, s.Name, len(s.Xs), s.HasErrs(), len(windows))
+					m.Key, name, s.Name, len(s.Xs), s.HasErrs(), len(windows))
 			}
 			for j, w := range windows {
-				if s.Xs[j] != float64(w.End) || s.Ys[j] != y(w) {
+				if s.Xs[j] != float64(w.End) || s.Ys[j] != m.Value(&w) {
 					t.Fatalf("%s/%s point %d: series (%v, %v) != window (%d, %v)",
-						fig, name, j, s.Xs[j], s.Ys[j], w.End, y(w))
+						m.Key, name, j, s.Xs[j], s.Ys[j], w.End, m.Value(&w))
 				}
 			}
 		}
@@ -123,7 +108,7 @@ func TestTrialComparisonPairedAcrossBehaviors(t *testing.T) {
 	behaviors := []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}}
 	tc := RunTrialComparison(cfg, behaviors, 2, 0, 30, 4)
 	for _, b := range behaviors {
-		for tr, run := range tc.Cells[b.Name()].Runs {
+		for tr, run := range tc.cell(b.Name()).Runs {
 			direct := cfg
 			direct.Seed = sim.TrialSeed(cfg.Seed, tr)
 			direct.Protocol.Collector.Checkpoints = tenSteps(30)
@@ -139,22 +124,22 @@ func TestTrialComparisonFigureSeriesErrorBars(t *testing.T) {
 	cfg.NumPeers = 120
 	cfg.Protocol.Collector.Checkpoints = []int{30, 60}
 	tc := RunTrialComparison(cfg, []protocol.Behavior{protocol.Flooding{}, protocol.Locaware{}}, 3, 10, 60, 0)
-	for _, fig := range []string{Fig2DownloadDistance, Fig3SearchTraffic, Fig4SuccessRate} {
+	for _, fig := range []string{"rtt", "msgs", "success"} {
 		series := tc.FigureSeries(fig)
 		if len(series) != 2 {
 			t.Fatalf("%s: %d series", fig, len(series))
 		}
 		for _, s := range series {
-			if len(s.Xs) != 2 {
-				t.Fatalf("%s/%s: %d points", fig, s.Name, len(s.Xs))
+			if len(s.Xs) != 2 || s.Xs[0] != 30 || s.Xs[1] != 60 {
+				t.Fatalf("%s/%s: xs = %v, want the checkpoints 30 and 60", fig, s.Name, s.Xs)
 			}
 			if !s.HasErrs() || len(s.Errs) != len(s.Xs) {
 				t.Fatalf("%s/%s: missing error bars", fig, s.Name)
 			}
 		}
 	}
-	if got := tc.FigureSeries("not-a-figure"); len(got[0].Xs) != 0 {
-		t.Fatal("unknown figure should yield empty series")
+	if got := tc.FigureSeries("not-a-metric"); len(got[0].Xs) != 0 {
+		t.Fatal("unknown metric should yield empty series")
 	}
 }
 
@@ -166,10 +151,10 @@ func TestTrialHeadlines(t *testing.T) {
 	if h.TrafficReductionVsFlooding >= 0 {
 		t.Fatalf("traffic reduction = %v, want negative", h.TrafficReductionVsFlooding)
 	}
-	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}},
-		1, 0, 20, 0)
+	// A partial comparison (no Dicas, so no distance headline) does not panic.
+	partial := RunTrialComparison(cfg, []protocol.Behavior{protocol.Locaware{}, protocol.Flooding{}, protocol.DicasKeys{}}, 1, 0, 20, 0)
 	_ = partial.Headlines()
-	empty := &TrialComparison{Cells: map[string]*TrialCell{}}
+	empty := &TrialComparison{}
 	_ = empty.Headlines()
 }
 

@@ -31,45 +31,40 @@ type PhaseStats struct {
 func AggregatePhases(trials [][]PhaseWindow) []PhaseStats {
 	n := 0
 	for _, ws := range trials {
-		if len(ws) > n {
-			n = len(ws)
-		}
+		n = max(n, len(ws))
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]PhaseStats, n)
+	var vals []float64 // one trial's value per sample, reused for every pool
 	for k := range out {
-		var q, rtt, mpq, sr, loc, hit, hops []float64
+		ps := &out[k]
+		vals = vals[:0]
 		for _, ws := range trials {
-			if k >= len(ws) {
-				continue
+			if k < len(ws) {
+				if len(vals) == 0 {
+					ps.Phase, ps.Start, ps.End = ws[k].Phase, ws[k].Start, ws[k].End
+				}
+				vals = append(vals, float64(ws[k].Queries))
 			}
-			w := ws[k]
-			if len(q) == 0 {
-				out[k].Phase, out[k].Start, out[k].End = w.Phase, w.Start, w.End
-			}
-			q = append(q, float64(w.Queries))
-			rtt = append(rtt, w.AvgDownloadRTTMs)
-			mpq = append(mpq, w.AvgMessagesPerQuery)
-			sr = append(sr, w.SuccessRate)
-			loc = append(loc, w.SameLocalityRate)
-			hit = append(hit, w.CacheHitRate)
-			hops = append(hops, w.AvgHops)
 		}
-		out[k].Queries = stats.Summarize(q)
-		out[k].AvgDownloadRTTMs = stats.Summarize(rtt)
-		out[k].AvgMessagesPerQuery = stats.Summarize(mpq)
-		out[k].SuccessRate = stats.Summarize(sr)
-		out[k].SameLocalityRate = stats.Summarize(loc)
-		out[k].CacheHitRate = stats.Summarize(hit)
-		out[k].AvgHops = stats.Summarize(hops)
+		ps.Queries = stats.Summarize(vals)
+		for _, m := range Metrics {
+			vals = vals[:0]
+			for _, ws := range trials {
+				if k < len(ws) {
+					vals = append(vals, m.Value(&ws[k]))
+				}
+			}
+			*m.Of(ps) = stats.Summarize(vals)
+		}
 	}
 	return out
 }
 
-// Metric is one entry of the query-metric set: how the exporters name it
-// and where it sits in a cross-trial PhaseStats.
+// Metric is one entry of the query-metric set: how the exporters name it,
+// where it sits in one trial's PhaseWindow and in a cross-trial PhaseStats.
 type Metric struct {
 	// Key is the short name the figure exporters accept.
 	Key string
@@ -77,18 +72,26 @@ type Metric struct {
 	Column string
 	// Title heads the metric's table in reports.
 	Title string
-	// Of selects the metric's cross-trial summary.
-	Of func(*PhaseStats) stats.Summary
+	// Value reads the metric from one trial's window.
+	Value func(*PhaseWindow) float64
+	// Of points at the metric's cross-trial summary.
+	Of func(*PhaseStats) *stats.Summary
 }
 
 // Metrics is the query-metric set in presentation order.
 var Metrics = []Metric{
-	{"success", "success", "success rate", func(s *PhaseStats) stats.Summary { return s.SuccessRate }},
-	{"msgs", "msgs_per_query", "search traffic (messages/query)", func(s *PhaseStats) stats.Summary { return s.AvgMessagesPerQuery }},
-	{"rtt", "download_rtt_ms", "download distance (ms)", func(s *PhaseStats) stats.Summary { return s.AvgDownloadRTTMs }},
-	{"sameloc", "same_locality", "same-locality download rate", func(s *PhaseStats) stats.Summary { return s.SameLocalityRate }},
-	{"cachehit", "cache_hit", "cache hit rate", func(s *PhaseStats) stats.Summary { return s.CacheHitRate }},
-	{"hops", "hops", "hops to first hit", func(s *PhaseStats) stats.Summary { return s.AvgHops }},
+	{"success", "success", "success rate",
+		func(w *PhaseWindow) float64 { return w.SuccessRate }, func(s *PhaseStats) *stats.Summary { return &s.SuccessRate }},
+	{"msgs", "msgs_per_query", "search traffic (messages/query)",
+		func(w *PhaseWindow) float64 { return w.AvgMessagesPerQuery }, func(s *PhaseStats) *stats.Summary { return &s.AvgMessagesPerQuery }},
+	{"rtt", "download_rtt_ms", "download distance (ms)",
+		func(w *PhaseWindow) float64 { return w.AvgDownloadRTTMs }, func(s *PhaseStats) *stats.Summary { return &s.AvgDownloadRTTMs }},
+	{"sameloc", "same_locality", "same-locality download rate",
+		func(w *PhaseWindow) float64 { return w.SameLocalityRate }, func(s *PhaseStats) *stats.Summary { return &s.SameLocalityRate }},
+	{"cachehit", "cache_hit", "cache hit rate",
+		func(w *PhaseWindow) float64 { return w.CacheHitRate }, func(s *PhaseStats) *stats.Summary { return &s.CacheHitRate }},
+	{"hops", "hops", "hops to first hit",
+		func(w *PhaseWindow) float64 { return w.AvgHops }, func(s *PhaseStats) *stats.Summary { return &s.AvgHops }},
 }
 
 // MetricByKey looks a metric up by its exporter key.

@@ -7,32 +7,43 @@ import (
 
 // Series is a named sequence of (x, y) points, the unit the figure
 // regeneration harness prints (one Series per curve in a paper figure).
-// Errs, when non-empty, holds a symmetric error half-width per point
-// (e.g. a 95% CI across replicated trials) and is rendered as y±err.
+// Errs holds each point's symmetric error half-width (the 95% CI across
+// replicated trials), rendered as y±err once some point pooled more than
+// one trial.
 type Series struct {
 	Name string
 	Xs   []float64
 	Ys   []float64
 	Errs []float64
+	bars bool
 }
 
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
+// Add appends the point (x, y's mean) with y's 95% CI half-width.
+func (s *Series) Add(x float64, y Summary) {
 	s.Xs = append(s.Xs, x)
-	s.Ys = append(s.Ys, y)
+	s.Ys = append(s.Ys, y.Mean)
+	s.Errs = append(s.Errs, y.CI95())
+	s.bars = s.bars || y.N > 1
 }
 
-// AddErr appends a point with a symmetric error half-width.
-func (s *Series) AddErr(x, y, err float64) {
-	s.Add(x, y)
-	for len(s.Errs) < len(s.Xs)-1 {
-		s.Errs = append(s.Errs, 0)
+// HasErrs reports whether the series carries error bars: whether some
+// point pooled more than one trial.
+func (s *Series) HasErrs() bool { return s.bars }
+
+// grid is the union of the series' x values, in first-seen order.
+func grid(series []*Series) []float64 {
+	var xs []float64
+	seen := map[float64]bool{}
+	for _, s := range series {
+		for _, x := range s.Xs {
+			if !seen[x] {
+				seen[x] = true
+				xs = append(xs, x)
+			}
+		}
 	}
-	s.Errs = append(s.Errs, err)
+	return xs
 }
-
-// HasErrs reports whether the series carries error bars.
-func (s *Series) HasErrs() bool { return len(s.Errs) > 0 }
 
 // Table renders a set of series sharing the same x grid as an aligned
 // text table with the given x-column header. Series with mismatched grids
@@ -41,24 +52,13 @@ func Table(xHeader string, series []*Series) string {
 	if len(series) == 0 {
 		return ""
 	}
-	// Collect the union x grid, preserving first-seen order.
-	var grid []float64
-	seen := map[float64]bool{}
-	for _, s := range series {
-		for _, x := range s.Xs {
-			if !seen[x] {
-				seen[x] = true
-				grid = append(grid, x)
-			}
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", xHeader)
 	for _, s := range series {
 		fmt.Fprintf(&b, " %14s", s.Name)
 	}
 	b.WriteByte('\n')
-	for _, x := range grid {
+	for _, x := range grid(series) {
 		// %g keeps fractional x grids (intensity sweeps) readable and
 		// renders integer grids exactly as %.0f did.
 		fmt.Fprintf(&b, "%-12s", fmt.Sprintf("%g", x))
@@ -92,17 +92,7 @@ func CSV(xHeader string, series []*Series) string {
 		}
 	}
 	b.WriteByte('\n')
-	var grid []float64
-	seen := map[float64]bool{}
-	for _, s := range series {
-		for _, x := range s.Xs {
-			if !seen[x] {
-				seen[x] = true
-				grid = append(grid, x)
-			}
-		}
-	}
-	for _, x := range grid {
+	for _, x := range grid(series) {
 		fmt.Fprintf(&b, "%g", x)
 		for _, s := range series {
 			y, e, ok := lookupPoint(s, x)
@@ -127,11 +117,8 @@ func CSV(xHeader string, series []*Series) string {
 func lookupPoint(s *Series, x float64) (y, err float64, ok bool) {
 	for i, sx := range s.Xs {
 		if sx == x {
-			if i < len(s.Errs) {
-				err = s.Errs[i]
-			}
-			return s.Ys[i], err, true
+			return s.Ys[i], s.Errs[i], true
 		}
 	}
-	return 0, 0, false
+	return
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -49,31 +50,35 @@ func TestRelativeChange(t *testing.T) {
 	}
 }
 
+// one is a point that pooled a single trial; two pools a pair.
+func one(y float64) Summary { return Summary{N: 1, Mean: y} }
+
+var two = Summarize([]float64{11, 13})
+
 func TestSeriesBasics(t *testing.T) {
 	s := &Series{Name: "locaware"}
 	if len(s.Xs) != 0 || s.HasErrs() {
 		t.Fatal("empty series accessors")
 	}
-	s.Add(100, 1.5)
-	s.Add(200, 2.5)
+	s.Add(100, one(1.5))
+	s.Add(200, one(2.5))
 	if len(s.Xs) != 2 || s.Xs[1] != 200 || s.Ys[1] != 2.5 || s.HasErrs() {
 		t.Fatalf("series = %+v", s)
 	}
 }
 
 func TestTableAndCSV(t *testing.T) {
-	a := &Series{Name: "flooding"}
-	b := &Series{Name: "locaware"}
+	a, b := &Series{Name: "flooding"}, &Series{Name: "locaware"}
 	for _, x := range []float64{100, 200, 300} {
-		a.Add(x, x/10)
-		b.Add(x, x/20)
+		a.Add(x, one(x/10))
+		b.Add(x, one(x/20))
 	}
 	tbl := Table("queries", []*Series{a, b})
 	if !strings.Contains(tbl, "flooding") || !strings.Contains(tbl, "locaware") {
 		t.Fatalf("table missing headers:\n%s", tbl)
 	}
-	if !strings.Contains(tbl, "100") || !strings.Contains(tbl, "10.000") {
-		t.Fatalf("table missing data:\n%s", tbl)
+	if !strings.Contains(tbl, "100") || !strings.Contains(tbl, "10.000") || strings.Contains(tbl, "±") {
+		t.Fatalf("single-trial table wants bare means:\n%s", tbl)
 	}
 	csv := CSV("queries", []*Series{a, b})
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
@@ -89,53 +94,52 @@ func TestTableAndCSV(t *testing.T) {
 }
 
 func TestTableMismatchedGrids(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Add(100, 1)
-	b := &Series{Name: "b"}
-	b.Add(200, 2)
+	a, b := &Series{Name: "a"}, &Series{Name: "b"}
+	a.Add(100, one(1))
+	b.Add(200, two)
 	tbl := Table("x", []*Series{a, b})
 	if !strings.Contains(tbl, "-") {
 		t.Fatalf("missing blank cell marker:\n%s", tbl)
+	}
+	if csv := CSV("x", []*Series{a, b}); csv != fmt.Sprintf("x,a,b,b_ci95\n100,1,,\n200,,12,%g\n", two.CI95()) {
+		t.Fatalf("mismatched grids leave blank CSV cells:\n%s", csv)
 	}
 	if Table("x", nil) != "" {
 		t.Fatal("empty input should render empty")
 	}
 }
 
+// TestSeriesErrBars: one point pooling two trials gives the series error
+// bars, and its point that pooled one trial renders ±0.000.
 func TestSeriesErrBars(t *testing.T) {
 	s := &Series{Name: "Locaware"}
-	s.Add(10, 0.5) // first point without an error bar
-	s.AddErr(20, 0.6, 0.05)
-	if !s.HasErrs() || len(s.Errs) != 2 || s.Errs[0] != 0 || s.Errs[1] != 0.05 {
+	s.Add(10, one(0.5))
+	s.Add(20, two)
+	if !s.HasErrs() || len(s.Errs) != 2 || s.Errs[0] != 0 || s.Errs[1] != two.CI95() || two.CI95() == 0 {
 		t.Fatalf("errs = %v", s.Errs)
 	}
 	tbl := Table("queries", []*Series{s})
-	if !strings.Contains(tbl, "0.600±0.050") {
-		t.Fatalf("table missing error bar:\n%s", tbl)
+	if !strings.Contains(tbl, "0.500±0.000") || !strings.Contains(tbl, "12.000±1.960") {
+		t.Fatalf("table missing error bars:\n%s", tbl)
 	}
 	csv := CSV("queries", []*Series{s})
-	if !strings.HasPrefix(csv, "queries,Locaware,Locaware_ci95\n") {
-		t.Fatalf("csv header: %q", strings.SplitN(csv, "\n", 2)[0])
-	}
-	if !strings.Contains(csv, "20,0.6,0.05") {
-		t.Fatalf("csv missing error column:\n%s", csv)
+	if want := fmt.Sprintf("queries,Locaware,Locaware_ci95\n10,0.5,0\n20,12,%g\n", two.CI95()); csv != want {
+		t.Fatalf("csv:\n%s\nwant:\n%s", csv, want)
 	}
 }
 
+// TestErrSeriesMixedWithPlain: in one CSV only the error-barred series
+// gets a _ci95 column.
 func TestErrSeriesMixedWithPlain(t *testing.T) {
-	plain := &Series{Name: "Flooding"}
-	plain.Add(10, 400)
-	errd := &Series{Name: "Locaware"}
-	errd.AddErr(10, 12, 1.5)
-	csv := CSV("queries", []*Series{plain, errd})
-	if !strings.HasPrefix(csv, "queries,Flooding,Locaware,Locaware_ci95\n") {
-		t.Fatalf("csv header: %q", strings.SplitN(csv, "\n", 2)[0])
-	}
-	if !strings.Contains(csv, "10,400,12,1.5") {
-		t.Fatalf("csv rows:\n%s", csv)
+	plain, errd := &Series{Name: "Flooding"}, &Series{Name: "Locaware"}
+	plain.Add(10, one(400))
+	errd.Add(10, two)
+	csv := CSV("queries", []*Series{plain, errd, plain})
+	if want := fmt.Sprintf("queries,Flooding,Locaware,Locaware_ci95,Flooding\n10,400,12,%g,400\n", two.CI95()); csv != want {
+		t.Fatalf("csv:\n%s\nwant:\n%s", csv, want)
 	}
 	tbl := Table("queries", []*Series{plain, errd})
-	if !strings.Contains(tbl, "400.000") || !strings.Contains(tbl, "12.000±1.500") {
+	if !strings.Contains(tbl, "400.000") || strings.Contains(tbl, "400.000±") || !strings.Contains(tbl, "12.000±1.960") {
 		t.Fatalf("table rows:\n%s", tbl)
 	}
 }

@@ -41,7 +41,7 @@ func Metrics() []string {
 // metricOf resolves a metric key, reporting whether it is known.
 func metricOf(key string) (metric, bool) {
 	if m, ok := metrics.MetricByKey(key); ok {
-		return metric{m.Key, m.Title, func(s *core.TrialSummary) stats.Summary { return m.Of(&s.PhaseStats) }}, true
+		return metric{m.Key, m.Title, func(s *core.TrialSummary) stats.Summary { return *m.Of(&s.PhaseStats) }}, true
 	}
 	for _, m := range runMetrics {
 		if m.key == key {
@@ -53,7 +53,7 @@ func metricOf(key string) (metric, bool) {
 
 // MetricSummary selects one cross-trial summary from a protocol cell by
 // metric key, reporting whether the key is known.
-func MetricSummary(p ProtocolCell, key string) (stats.Summary, bool) {
+func MetricSummary(p core.TrialCell, key string) (stats.Summary, bool) {
 	m, ok := metricOf(key)
 	if !ok {
 		return stats.Summary{}, false
@@ -221,12 +221,7 @@ func (c *Campaign) FigureSeries(metric, axisParam string) ([]*stats.Series, erro
 				byKey[key] = s
 				order = append(order, key)
 			}
-			sum := m.of(&p.Summary)
-			if c.Trials > 1 {
-				s.AddErr(xOf(cell), sum.Mean, sum.CI95())
-			} else {
-				s.Add(xOf(cell), sum.Mean)
-			}
+			s.Add(xOf(cell), m.of(&p.Summary))
 		}
 	}
 	out := make([]*stats.Series, len(order))

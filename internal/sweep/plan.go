@@ -150,7 +150,7 @@ func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error 
 	var exLat sim.Time
 	core.RunGrid(cfgs, r.behaviors, r.trials, r.spec.Warmup, r.spec.Queries, workers, func(pos, proto int, runs []*core.RunResult) {
 		if proto == 0 {
-			cr = &CellResult{Cell: r.cells[cells[pos]], Protocols: make([]ProtocolCell, len(r.behaviors))}
+			cr = &CellResult{Cell: r.cells[cells[pos]], Protocols: make([]core.TrialCell, len(r.behaviors))}
 		}
 		// Exemplar fold: strictly slower wins, so ties keep the earliest
 		// (protocol, trial).
@@ -160,11 +160,7 @@ func (p *Plan) RunCells(cells []int, workers int, sink func(*CellResult)) error 
 				exLat = run.Traces[0].Latency
 			}
 		}
-		cr.Protocols[proto] = ProtocolCell{
-			Protocol: r.names[proto],
-			Summary:  core.SummarizeTrials(runs),
-			Phases:   core.AggregateRunPhases(runs),
-		}
+		cr.Protocols[proto] = core.NewTrialCell(r.names[proto], runs)
 		if proto == len(r.behaviors)-1 {
 			sink(cr)
 		}

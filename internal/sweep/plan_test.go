@@ -218,7 +218,7 @@ func TestPlanVerifyCell(t *testing.T) {
 	for _, tc := range bad {
 		clone := *cr
 		clone.Coords = append([]Coordinate(nil), cr.Coords...)
-		clone.Protocols = append([]ProtocolCell(nil), cr.Protocols...)
+		clone.Protocols = append([]core.TrialCell(nil), cr.Protocols...)
 		tc.mutate(&clone)
 		if err := p.VerifyCell(&clone); err == nil {
 			t.Fatalf("%s must fail verification", tc.label)

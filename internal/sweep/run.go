@@ -9,28 +9,16 @@ import (
 	"github.com/p2prepro/locaware/internal/protocol"
 )
 
-// ProtocolCell is one protocol's replicated result at one grid point: the
-// cross-trial summary of the headline metrics plus, under a scenario, the
-// phase-aligned cross-trial phase windows.
-type ProtocolCell struct {
-	// Protocol is the protocol name.
-	Protocol string
-	// Summary aggregates the headline metrics across the cell's trials —
-	// identical to the Summary a standalone core.RunTrialComparison of
-	// this cell produces, since both fan out through core.RunGrid.
-	Summary core.TrialSummary
-	// Phases aggregates the scenario phase windows across trials; nil
-	// without a scenario.
-	Phases []metrics.PhaseStats
-}
-
 // CellResult is one fully aggregated grid point: its identity (index,
-// seed, coordinates) plus one ProtocolCell per campaign protocol, in
-// protocol-set order.
+// seed, coordinates) plus one core.TrialCell per campaign protocol, in
+// protocol-set order. A cell's Summary is identical to the one a
+// standalone core.RunTrialComparison of the cell produces, since both fan
+// out through core.RunGrid and pool through core.NewTrialCell.
 type CellResult struct {
 	Cell
-	// Protocols holds the per-protocol aggregates in campaign order.
-	Protocols []ProtocolCell
+	// Protocols holds the per-protocol aggregates in campaign order,
+	// without their runs.
+	Protocols []core.TrialCell
 	// Exemplar is the cell's worst-case query trace — the highest-latency
 	// trace any of the cell's runs retained — kept alongside the
 	// aggregates so a campaign surfaces concrete causal evidence, not just

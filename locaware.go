@@ -370,6 +370,10 @@ const (
 	FigureSuccessRate      Figure = "fig4-success-rate"
 )
 
+// figureKey maps each figure to the key of the metric it plots
+// (metrics.Metrics).
+var figureKey = map[Figure]string{FigureDownloadDistance: "rtt", FigureSearchTraffic: "msgs", FigureSuccessRate: "success"}
+
 // Estimate is a cross-trial sample statistic of one metric, in the
 // metric's unit: N, the number of trials it pools; Mean, StdDev, Min and
 // Max, the sample mean, standard deviation and range; CI95(), the 95%
@@ -414,7 +418,7 @@ func newTrialsResult(p Protocol, cell *core.TrialCell) *TrialsResult {
 		ControlMessages:     sum.ControlMessages,
 		ControlKbits:        sum.ControlKbits,
 		CachedFilenames:     sum.CachedFilenames,
-		Phases:              cell.PhaseStats,
+		Phases:              cell.Phases,
 	}
 	for _, r := range cell.Runs {
 		tr.Trials = append(tr.Trials, newResult(p, r))
@@ -462,8 +466,8 @@ func Compare(o Options, protocols []Protocol, warmup, queries int, checkpoints [
 	}
 	tc := core.RunTrialComparison(cfg, behaviors, o.Trials, warmup, queries, o.Workers)
 	out := &Comparison{cmp: tc}
-	for i, name := range tc.Order {
-		out.Sets = append(out.Sets, newTrialsResult(protocols[i], tc.Cells[name]))
+	for i := range tc.Cells {
+		out.Sets = append(out.Sets, newTrialsResult(protocols[i], &tc.Cells[i]))
 	}
 	return out, nil
 }
@@ -483,13 +487,13 @@ func (c *Comparison) Set(p Protocol) *TrialsResult {
 // checkpoint and one column per protocol — the same rows the paper's plots
 // show; replicated cells read mean±ci95.
 func (c *Comparison) FigureTable(f Figure) string {
-	return stats.Table("queries", c.cmp.FigureSeries(string(f)))
+	return stats.Table("queries", c.cmp.FigureSeries(figureKey[f]))
 }
 
 // FigureCSV renders the figure as CSV for external plotting, with a
 // <protocol>_ci95 column per protocol when more than one trial ran.
 func (c *Comparison) FigureCSV(f Figure) string {
-	return stats.CSV("queries", c.cmp.FigureSeries(string(f)))
+	return stats.CSV("queries", c.cmp.FigureSeries(figureKey[f]))
 }
 
 // Headlines reports the paper's three headline claims measured on this

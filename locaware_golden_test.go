@@ -158,7 +158,7 @@ func TestGoldenMatchesTrialsPath(t *testing.T) {
 		t.Fatalf("Trials=1/Workers=8 differs from the default Compare:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	for _, f := range []Figure{FigureDownloadDistance, FigureSearchTraffic, FigureSuccessRate} {
-		for _, s := range tc.cmp.FigureSeries(string(f)) {
+		for _, s := range tc.cmp.FigureSeries(figureKey[f]) {
 			if s.HasErrs() {
 				t.Fatalf("%s/%s: single trial must render without error bars", f, s.Name)
 			}
