@@ -29,8 +29,8 @@ func TestNewSimulationAssembly(t *testing.T) {
 	if g := s.Network.Graph; g.N() != 200 || g.Edges() == 0 {
 		t.Fatalf("graph: %v", g)
 	}
-	if len(s.Network.Nodes()) != 200 {
-		t.Fatalf("nodes = %d", len(s.Network.Nodes()))
+	if n := s.Network.Node(199); n.ID != 199 {
+		t.Fatalf("node 199 has id %d", n.ID)
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
@@ -406,30 +406,16 @@ func skipAllocBudget(t *testing.T) {
 // bytes in the tree: MemStats.Mallocs and TotalAlloc across RunMeasured on
 // one fixed seed, measured the way benchmark/measure.go measures
 // allocs_per_query and bytes_per_query on its flood-2k and locaware-2k
-// worlds (shortened). The counts repeat for a seed to within a few runtime
-// allocations — 6.0 and 5.1 per query when the budgets were set — and sit
-// far below what per-node seen maps and a path allocated per message cost
-// (452 and 11.7 on the same worlds), or what spelling keywords as strings
-// cost (9.8 and 8.8). The byte budgets are the measured 19 200 and 429 B per
-// query + 10 %; with the pairwise RTT memo (a map holding every pair a
-// message or download had crossed) these rows read 24 735 and 516, and the
-// benchmark's flood-2k 19 408 B/query against ≈ 13 650 without it. The
-// Locaware row read 5.02 allocs and 428 B per query until each node's
-// neighbour-filter table was made once at its degree and the announcement
-// delta shared one network scratch; it read 3.90 and 393 then. The response
-// index became a sorted slice carved from blocks, lookups came to fill the
-// network's scratch, and Bloom copies, neighbour-filter tables and query
-// positions came to be carved from blocks: the Locaware row went from 3.90
-// allocs and 393 B per query to 0.142 and 320, the Dicas-Keys row from 2.19
-// and 199 to 0.170 and 87. Their budgets are those + 10 %. The Flooding row
-// moved 5.32–5.64 between identical runs while the RTT model kept its
-// generators in a sync.Pool, which empties at GC; with a free list on the
-// model it reads 5.20 at every GOGC and GOMAXPROCS, and its allocation
-// budget is that + 10 %. The 20 000-peer Locaware row, the locaware-20k
-// workload's shape, read 0.179 allocs and 608 B per query while every query
-// held an N-bit seen bitmap, and 0.087 and 459 once the set became a table
-// that turns into the bitmap only where the bitmap is smaller; its budgets
-// are those + 10 %.
+// worlds (shortened) and on locaware-20k's shape. The counts repeat for a
+// seed to within a few runtime allocations (Flooding moved 5.32–5.64 while
+// the RTT model kept its generators in a sync.Pool, which empties at GC),
+// and sit far below what a path allocated per message (452 and 11.7 allocs
+// per query at 2 000 peers), keywords spelt as strings (9.8 and 8.8) or a
+// pairwise RTT memo (24 735 and 516 B) cost. Each budget is its row's
+// measured value + 10 %: Flooding 5.20 allocs and 15 984 B per query (18 969
+// B with 8-byte peer ids and a network pointer on every QueryMsg), Locaware
+// 0.142 and 320, Dicas-Keys 0.170 and 87, Locaware at 20 000 peers 0.087
+// and 459 (0.179 and 608 when every query held an N-bit seen bitmap).
 func TestHotPathAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	for _, c := range []struct {
@@ -438,7 +424,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 		warmup, measured   int
 		budget, byteBudget float64
 	}{
-		{protocol.Flooding{}, 2000, 0, 25, 5.72, 21120},
+		{protocol.Flooding{}, 2000, 0, 25, 5.72, 17580},
 		{protocol.Locaware{}, 2000, 500, 2000, 0.156, 352},
 		{protocol.DicasKeys{}, 2000, 500, 2000, 0.187, 96},
 		{protocol.Locaware{}, 20000, 1000, 4000, 0.096, 505},
@@ -469,33 +455,24 @@ func TestHotPathAllocBudget(t *testing.T) {
 
 // TestWorldBuildAllocBudget holds the allocations and bytes per peer of
 // building a world in the tree: MemStats.Mallocs and TotalAlloc across
-// NewSimulation of a Locaware world with the paper's catalogue. At 200
-// peers the count read 3566 when its budget was first set, against 39 980
-// when the catalogue spelt its keywords as strings and the placement kept
-// a map per peer, and 3166 once each peer stopped keeping a published copy
-// of its filter; the bytes read 616 696, against 1 067 896 with 16-bit
-// Bloom counters and the published copy. Per-peer state then came to be
-// built table by table — one allocation per table for the filters, the
-// response indexes, the storage and the adjacency, and none to locate a
-// peer — and the 200-peer world went from 2964 allocs and 476 168 B to 504
-// and 432 632. At 20 000 peers it went from 14.5 allocs per peer to 2.2,
-// and read 659 B per peer. Then the response indexes dropped their maps for
-// sorted slices carved on first use: 2.525 → 1.530 allocs per peer at 200
-// peers (2163 → 2155 B), 2.181 → 1.182 at 20 000 (659 → 643 B). Then the
-// placement handed out views instead of each peer's copy of its files and
-// the catalogue's name map became an open-addressed table of int32: 1.530 →
-// 0.490 allocs per peer at 200 peers (2155 → 1477 B), 1.182 → 0.181 at
-// 20 000 (643 → 613 B). What is left is mostly the adjacencies that outgrow
-// their windows and the growth of the target list. The budgets are the
-// measured values + 10 %.
+// NewSimulation of a Locaware world with the paper's catalogue. Per-peer
+// state is built table by table — one allocation per table for the
+// filters, the response indexes, the storage and the adjacency, and none to
+// locate a peer — so the 200-peer world's 39 980 allocations (keywords
+// spelt as strings, a map per peer's placement) fell to 99, and the 20 000-
+// peer world's 14.5 per peer to 0.181. What is left is mostly the
+// adjacencies that outgrow their windows and the growth of the target
+// list. The budgets are the measured values + 10 %: 0.495 allocations and
+// 1 238 B per peer at 200 peers, 0.181 and 394 B at 20 000 (1 282 and 432 B
+// with 8-byte peer ids and a pointer per node).
 func TestWorldBuildAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	for _, c := range []struct {
 		peers                    int
 		allocBudget, bytesBudget float64 // per peer
 	}{
-		{200, 0.539, 1625},
-		{20000, 0.199, 674},
+		{200, 0.539, 1362},
+		{20000, 0.199, 433},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -149,8 +150,8 @@ func ledgerGrid() ledgerRow {
 // or pushes per query that differ at all fail it, and so do allocations,
 // bytes per query or heap bytes per peer more than 1 % above the row.
 // Within the test a run has one P and no GC, which makes every count
-// repeat. -update rewrites the file; a change that moves a row shows the
-// old and new rows in CHANGES.md.
+// repeat. -update rewrites the file and logs each field it moves; a change
+// that moves a row shows the old and new rows in CHANGES.md.
 func TestWorkLedger(t *testing.T) {
 	skipAllocBudget(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -163,7 +164,22 @@ func TestWorkLedger(t *testing.T) {
 	for _, r := range rows {
 		t.Logf("%+v", r)
 	}
+	data, err := os.ReadFile(ledgerPath)
+	var want []ledgerRow
+	if err == nil {
+		err = json.Unmarshal(data, &want)
+	}
 	if *updateLedger {
+		for i := range min(len(want), len(rows)) { // log each moved field
+			a, b := reflect.ValueOf(want[i]), reflect.ValueOf(rows[i])
+			for f := range a.NumField() {
+				if x, y := a.Field(f), b.Field(f); x.CanFloat() && x.Float() != y.Float() {
+					t.Logf("%s %s: %g → %g (%+.2f %%)", want[i].Name, a.Type().Field(f).Tag.Get("json"), x.Float(), y.Float(), 100*(y.Float()/x.Float()-1))
+				} else if !x.Equal(y) {
+					t.Logf("%s %s: %v → %v", want[i].Name, a.Type().Field(f).Tag.Get("json"), x, y)
+				}
+			}
+		}
 		data, err := json.MarshalIndent(rows, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -173,12 +189,7 @@ func TestWorkLedger(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(ledgerPath)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var want []ledgerRow
-	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(rows) {

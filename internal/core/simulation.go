@@ -258,9 +258,9 @@ func (s *Simulation) RunMeasured(warmup, measured int) *RunResult {
 		Duration:        s.Engine.Now(),
 		Events:          s.Engine.Processed(),
 	}
-	for _, n := range s.Network.Nodes() {
-		res.CacheFilenames += n.RI.Len()
-		res.CacheProviderEntries += n.RI.TotalProviderEntries()
+	for p := range overlay.PeerID(s.Network.Graph.N()) {
+		res.CacheFilenames += s.Network.Node(p).RI.Len()
+		res.CacheProviderEntries += s.Network.Node(p).RI.TotalProviderEntries()
 	}
 	s.finishObs(res)
 	if s.recorder != nil {

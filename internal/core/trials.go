@@ -75,8 +75,9 @@ func TrialCount(n int) int { return max(n, 1) }
 // per CPU). Trial t of cfgs[c] runs under sim.TrialSeed(cfgs[c].Seed, t);
 // everything else in the config is shared, so the trials sample seed space
 // at one parameter point. A trial's behaviours are cut from one World,
-// built by the first of its jobs to start and released after its last: the
-// last run cut gets its graph and catalogue, the others copies. Warmup
+// built by the first of its jobs to start; the last run cut takes its graph
+// and catalogue, the others copies, and that cut releases the world, so
+// the grid's table keeps only its empty shell. Warmup
 // queries run first and their records are discarded. sink receives each
 // (config, behaviour)'s runs in trial order, configs and behaviours in
 // index order, on the calling goroutine. Results are identical for every
@@ -100,7 +101,6 @@ func RunGrid(cfgs []Config, behaviors []protocol.Behavior, trials, warmup, measu
 		if cell[b] = append(cell[b], r); b < nb-1 {
 			return
 		}
-		worlds[k] = nil
 		if k%trials < trials-1 {
 			return
 		}

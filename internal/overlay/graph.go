@@ -14,8 +14,9 @@ import (
 )
 
 // PeerID identifies a peer; it doubles as the peer's index into the physical
-// network model, so overlay identity and physical identity stay aligned.
-type PeerID int
+// network model, so overlay identity and physical identity stay aligned. It
+// is 4 bytes at every word size: core's Param.Check caps peers at MaxInt32.
+type PeerID int32
 
 // Graph is an undirected overlay graph over peers 0..n-1. Peers may be
 // marked offline (churn); offline peers keep their identity but have no

@@ -37,7 +37,7 @@ func BenchmarkDeliveryMiss(b *testing.B) {
 				sigs[i] = querySig(qs[i])
 			}
 			pq := net.acquirePending(1, 0, absent)
-			msg := &QueryMsg{net: net, ID: 1, pq: pq, Path: []overlay.PeerID{0, 0}}
+			msg := &QueryMsg{ID: 1, pq: pq, Path: []overlay.PeerID{0, 0}}
 			hits := net.counts.StorageHits
 			b.ResetTimer()
 			for i := range b.N {
@@ -99,7 +99,7 @@ func BenchmarkLocawareForward(b *testing.B) {
 			if len(ps) == 0 {
 				b.Fatalf("%s: no peer of %d", c.name, peers)
 			}
-			msg := &QueryMsg{net: net}
+			msg := &QueryMsg{}
 			b.ResetTimer()
 			for i := range b.N {
 				j := i % len(ps)

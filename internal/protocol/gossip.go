@@ -14,7 +14,8 @@ import (
 // full snapshot — the delta is what the wire would carry. An online peer's
 // neighbours are online: the graph never lists an offline peer's links.
 func (net *Network) gossipBlooms() {
-	for _, n := range net.nodes {
+	for i := range net.nodes {
+		n := &net.nodes[i]
 		if !net.Graph.Online(n.ID) {
 			continue
 		}
@@ -48,7 +49,7 @@ type bloomInstallEvent struct {
 func (ev *bloomInstallEvent) EventName() string { return "bloom-install" }
 
 func (ev *bloomInstallEvent) Fire(*sim.Engine) {
-	n := ev.net.nodes[ev.dst]
+	n := &ev.net.nodes[ev.dst]
 	if n.neighborBF == nil {
 		n.neighborBF = sim.Carve(&ev.net.nbBlock, ev.net.Graph.Degree(ev.dst))
 	}

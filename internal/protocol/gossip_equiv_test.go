@@ -61,7 +61,8 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 	}
 	announced := make([]*bloom.Filter, cfg.NumPeers) // oracle's copy of each peer's last announcement
 	before := make([]*bloom.Filter, cfg.NumPeers)    // the network's, frozen just before the round
-	for i, n := range net.Nodes() {
+	for i := range cfg.NumPeers {
+		n := net.Node(overlay.PeerID(i))
 		announced[i] = protocol.CloneFilter(net, lastAnnounced(net, n))
 		before[i] = protocol.CloneFilter(net, lastAnnounced(net, n))
 	}
@@ -80,7 +81,8 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 		}
 		pending = false
 		var got []announce
-		for i, n := range net.Nodes() {
+		for i := range cfg.NumPeers {
+			n := net.Node(overlay.PeerID(i))
 			d, err := bloom.DiffFiltersInto(before[i], lastAnnounced(net, n), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -106,8 +108,9 @@ func TestGossipRoundsMatchFullScanOracle(t *testing.T) {
 		}
 		rounds++
 		want = want[:0]
-		for i, n := range net.Nodes() {
+		for i := range cfg.NumPeers {
 			pid := overlay.PeerID(i)
+			n := net.Node(pid)
 			_ = before[i].CopyFrom(lastAnnounced(net, n))
 			view := riView(net, n)
 			if !g.Online(pid) {

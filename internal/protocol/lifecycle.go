@@ -51,7 +51,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	if !net.Graph.Online(origin) {
 		return id
 	}
-	n := net.nodes[origin]
+	n := &net.nodes[origin]
 	pq.markSeen(origin)
 	// Hashed once per query: every hop tests its neighbours' filters by
 	// these positions, and first their fold against its own nbFold.

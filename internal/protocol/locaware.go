@@ -42,7 +42,7 @@ func (Locaware) CacheConfig(base cache.Config) cache.Config { return base }
 func (Locaware) Forward(net *Network, p overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
 	pq := q.pq
 	if pq.fold&^net.sigs[p].nbFold == 0 {
-		n := net.nodes[p]
+		n := &net.nodes[p]
 		bfMatched := net.targetBuf()
 		for _, nb := range elig {
 			if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(pq.kwIdx) {

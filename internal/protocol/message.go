@@ -34,12 +34,11 @@ type QueryID uint64
 // by the network: a message is valid only during its delivery, and state
 // that outlives it (response paths) must be copied out.
 type QueryMsg struct {
-	net *Network
-	ID  QueryID
+	ID QueryID
 	// pq is the query's shared state, copied branch to branch so a delivery
 	// looks nothing up by ID. Once the query is finalised the pooled value
 	// may serve a newer one, which receiveQuery detects by pq.id != ID;
-	// nothing else of pq is read before that check.
+	// nothing of pq but its fixed network (pq.net) is read before that check.
 	pq *pendingQuery
 	// TTL is the remaining hop budget; the paper bounds searches at 7.
 	TTL int32
@@ -60,8 +59,8 @@ func (q *QueryMsg) EventName() string { return "query-deliver" }
 // Fire implements sim.Event: the branch lands on the last peer of its path
 // and returns to the pool.
 func (q *QueryMsg) Fire(*sim.Engine) {
-	q.net.receiveQuery(q.Path[len(q.Path)-1], q)
-	q.net.msgPool.Put(q)
+	q.pq.net.receiveQuery(q.Path[len(q.Path)-1], q)
+	q.pq.net.msgPool.Put(q)
 }
 
 // onPath reports whether p already appears on the query's path.
@@ -76,13 +75,12 @@ func (q *QueryMsg) onPath(p overlay.PeerID) bool {
 // most once at any instant. It carries its own copies of the requester and
 // the keywords because it outlives the query's finalisation.
 type ResponseMsg struct {
-	net *Network
 	// dst is the peer the scheduled delivery lands on; sendResponse sets it.
 	dst overlay.PeerID
 	ID  QueryID
 	// pq is the query's state, read only after checking pq.id == ID, as a
 	// branch does: once the query is finalised the pooled value may serve a
-	// newer one.
+	// newer one. pq.net, which never changes, is read unchecked.
 	pq *pendingQuery
 	// File is the satisfying filename.
 	File keywords.Filename
@@ -115,4 +113,4 @@ func (rsp *ResponseMsg) EventName() string { return "response-deliver" }
 
 // Fire implements sim.Event. The response stays with its delivery chain:
 // deliverResponse either completes and releases it or posts the next hop.
-func (rsp *ResponseMsg) Fire(*sim.Engine) { rsp.net.deliverResponse(rsp.dst, rsp) }
+func (rsp *ResponseMsg) Fire(*sim.Engine) { rsp.pq.net.deliverResponse(rsp.dst, rsp) }

@@ -96,8 +96,9 @@ type Behavior interface {
 // Memory is O(visited) per in-flight query: seen is a 1 KB table that
 // doubles at half full, and the N/8-byte bitmap only where the bitmap is the
 // smaller. After 25 000 Locaware queries at 100 000 peers the heap holds
-// 678 B per peer, against 995 when every query held the bitmap.
+// 460 B per peer, against 995 when every query held the bitmap.
 type pendingQuery struct {
+	// net never changes: the query's messages reach their network here.
 	net *Network
 	// id is the query this value serves; finalize zeroes it and a recycled
 	// value carries a newer one, so a message whose ID differs is a
@@ -262,14 +263,15 @@ type Network struct {
 	Collector *metrics.Collector
 	Config    Config
 
-	// nodes is the flat per-peer state table, built table by table at
-	// network build (newNodes; the tendermint-simulator layout: contiguous
-	// state, pointer-stable because no table ever grows). sigs is the
-	// signature column newNodes builds with it and gids the group id of
-	// each peer in [0, M) (§3.2), both indexed by peer: a delivery reads a
-	// peer's rows first, and its node only if the rows let it. gids is
-	// int32 because M is bounded only by MaxInt32.
-	nodes []*Node
+	// nodes is the flat per-peer table of node values, built table by table
+	// at network build (newNodes; the tendermint-simulator layout: contiguous
+	// state, pointer-stable because no table ever grows); a loop takes
+	// &nodes[i], since a copy would lose its writes. sigs is the signature
+	// column newNodes builds with it and gids the group id of each peer in
+	// [0, M) (§3.2), both indexed by peer: a delivery reads a peer's rows
+	// first, and its node only if the rows let it. gids is int32 because M
+	// is bounded only by MaxInt32.
+	nodes []Node
 	sigs  []peerSig
 	gids  []int32
 
@@ -358,8 +360,8 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 	}
 	net.nodes, net.sigs = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
 	net.gids = make([]int32, len(net.nodes))
-	for i, n := range net.nodes {
-		net.gids[i], n.Loc = int32(gidRng.Intn(cfg.GroupCount)), loc.LocID(i)
+	for i := range net.nodes {
+		net.gids[i], net.nodes[i].Loc = int32(gidRng.Intn(cfg.GroupCount)), loc.LocID(i)
 	}
 	if b.UsesBloom() && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
 		eng.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})
@@ -422,10 +424,7 @@ func (net *Network) emitFile(k trace.Kind, pq *pendingQuery, id QueryID, parent 
 }
 
 // Node returns peer p's protocol state.
-func (net *Network) Node(p overlay.PeerID) *Node { return net.nodes[p] }
-
-// Nodes returns the node table (shared slice; callers must not mutate).
-func (net *Network) Nodes() []*Node { return net.nodes }
+func (net *Network) Node(p overlay.PeerID) *Node { return &net.nodes[p] }
 
 // ControlMessages returns the number of Bloom gossip messages sent.
 func (net *Network) ControlMessages() uint64 { return net.controlMessages }

@@ -15,6 +15,11 @@ import (
 // reads every candidate's, so it lives in the network's dense gids column.
 type Node struct {
 	ID overlay.PeerID
+	// dirty is raised by any change to RI: BF_n over the keywords of RI's
+	// filenames (§4.2) has changed, and PublishBloom rebuilds it from RI (in
+	// place of §4.2's counting filter). Between publishes nothing reads it,
+	// so a node keeps no filter of its own; it shares the 4-byte ID's word.
+	dirty bool
 	// Loc is the node's physical locality.
 	Loc netmodel.LocID
 	// files is the shared storage, in filename order. Peers that
@@ -27,12 +32,6 @@ type Node struct {
 	// filters change, the block its filter copies are carved from, and the
 	// filter its publish rebuilds into.
 	shared *nodeTables
-
-	// dirty is raised by any change to RI: BF_n over the keywords of RI's
-	// filenames (§4.2) has changed, and PublishBloom rebuilds it from RI (in
-	// place of §4.2's counting filter). Between publishes nothing reads it,
-	// so a node keeps no filter of its own.
-	dirty bool
 	// announced is what the node last announced, nil before its first
 	// announcement; install events carry their own copies of it. Both are
 	// carved from shared.filters.
@@ -139,12 +138,12 @@ func (b bloomSync) FilenameEvicted(keywords.Filename) {
 const storageWindow = 4 // a node's first storage capacity: the evaluation places 3 files per peer
 
 // newNodes builds count nodes table by table, one allocation per table: the
-// nodes and pointers to them, their signature column, their response
-// indexes and their storage windows (capped, so a node that outgrows one
-// reallocates alone); when useBloom (Locaware variants only), one scratch
-// filter serves them all. The caller sets Loc.
-func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) ([]*Node, []peerSig) {
-	nodes, ptrs := make([]Node, count), make([]*Node, count)
+// nodes, their signature column, their response indexes and their storage
+// windows (capped, so a node that outgrows one reallocates alone); when
+// useBloom (Locaware variants only), one scratch filter serves them all.
+// The caller sets Loc.
+func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK int) ([]Node, []peerSig) {
+	nodes := make([]Node, count)
 	shared := &nodeTables{sigs: make([]peerSig, count), filters: filterBlock{m: bloomBits, k: bloomK}}
 	if useBloom {
 		shared.scratch = bloom.New(bloomBits, bloomK)
@@ -156,9 +155,8 @@ func newNodes(count int, cacheCfg cache.Config, useBloom bool, bloomBits, bloomK
 		n.ID = overlay.PeerID(i)
 		n.files = files[i*storageWindow : i*storageWindow : (i+1)*storageWindow]
 		n.RI, n.shared = &ris[i], shared
-		ptrs[i] = n
 	}
-	return ptrs, shared.sigs
+	return nodes, shared.sigs
 }
 
 // NeighborBloom returns this node's copy of neighbour nb's announced

@@ -69,7 +69,7 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 		net.respPool.Put(rsp)
 		return // reverse path broken by churn; response is lost
 	}
-	n := net.nodes[p]
+	n := &net.nodes[p]
 	before := n.RI.Inserts() + n.RI.Refreshes()
 	net.Behavior.CacheResponse(net, n, rsp)
 	if n.RI.Inserts()+n.RI.Refreshes() != before {

@@ -71,7 +71,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	}
 	// Storage hit?
 	if f, ok := net.storageMatch(p, pq.q, pq.sig); ok {
-		n := net.nodes[p]
+		n := &net.nodes[p]
 		net.counts.StorageHits++
 		hit := net.emitFile(trace.StorageHit, pq, q.ID, q.span, p, from, f)
 		rsp := net.newResponse(q, f, true, hit)
@@ -82,7 +82,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	}
 	// Response-index hit?
 	if ms := net.lookupRI(p, pq.q, pq.sig, net.Engine.Now()); len(ms) != 0 {
-		n := net.nodes[p]
+		n := &net.nodes[p]
 		m := net.selectIndexMatch(ms, pq.originLoc)
 		net.counts.CacheHits++
 		hit := net.emitFile(trace.CacheHit, pq, q.ID, q.span, p, from, m.File)
@@ -107,7 +107,7 @@ func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bo
 	pq := q.pq
 	rsp := net.respPool.Get()
 	*rsp = ResponseMsg{
-		net: net, ID: q.ID, pq: pq, File: f, Providers: rsp.Providers[:0],
+		ID: q.ID, pq: pq, File: f, Providers: rsp.Providers[:0],
 		QueryKws: pq.q, Origin: pq.origin, OriginLoc: pq.originLoc,
 		HitHops: len(q.Path) - 1, FromStorage: fromStorage, span: hit,
 		Path: append(rsp.Path[:0], q.Path[:len(q.Path)-1]...),
@@ -117,14 +117,12 @@ func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bo
 
 // acquireMsg takes a query message from the pool; whoever does owns it
 // until its delivery event has fired and Puts it back (a dropped event's is
-// left to the GC). A fresh one is bound to the network and gets its Path
-// sized for the longest path there is (the origin plus TTL hops), so it
-// never regrows; the backing arrays are carved from blocks, as the pool
-// carves the messages.
+// left to the GC). A fresh one gets its Path sized for the longest path
+// there is (the origin plus TTL hops), so it never regrows; the backing
+// arrays are carved from blocks, as the pool carves the messages.
 func (net *Network) acquireMsg() *QueryMsg {
 	m := net.msgPool.Get()
 	if m.Path == nil {
-		m.net = net
 		m.Path = sim.Carve(&net.pathBlock, net.Config.TTL+1)
 	}
 	return m

@@ -12,7 +12,7 @@ import (
 
 // seenNet is a network of n peers as far as the duplicate-suppression set
 // is concerned: the set reads only the peer count.
-func seenNet(n int) *Network { return &Network{nodes: make([]*Node, n)} }
+func seenNet(n int) *Network { return &Network{nodes: make([]Node, n)} }
 
 // seenPeers lists the peers pq's set holds, in peer order, asking the set
 // itself: a copy of pq marks every peer once, and a peer is in the set iff
@@ -120,14 +120,21 @@ func TestSeenSetWarmReuseAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPendingQueryStays144Bytes: the set is one slice header, and its count
-// sits in the padding beside the bools and spans. Every in-flight query
-// holds one pendingQuery, so a larger one shows in every workload's bytes
-// per query. With 4-byte words (GOARCH=386) it is 108 bytes.
-func TestPendingQueryStays144Bytes(t *testing.T) {
-	want := map[uintptr]uintptr{8: 144, 4: 108}[unsafe.Sizeof(uintptr(0))]
-	if got := unsafe.Sizeof(pendingQuery{}); got != want {
-		t.Fatalf("pendingQuery is %d bytes, want %d", got, want)
+// TestHotLayoutSizes pins the measured sizes of what every query, branch,
+// answer and peer holds, at 8- and 4-byte words (GOARCH=386): a larger one
+// shows in every workload's bytes per query or heap per peer. 64 QueryMsgs,
+// which reach their network through pq, fill the 3 072-B size class.
+func TestHotLayoutSizes(t *testing.T) {
+	word := unsafe.Sizeof(uintptr(0))
+	for name, c := range map[string][3]uintptr{ // size, want at 8, want at 4
+		"pendingQuery": {unsafe.Sizeof(pendingQuery{}), 144, 108},
+		"QueryMsg":     {unsafe.Sizeof(QueryMsg{}), 48, 32},
+		"ResponseMsg":  {unsafe.Sizeof(ResponseMsg{}), 144, 96},
+		"Node":         {unsafe.Sizeof(Node{}), 88, 48},
+	} {
+		if want := map[uintptr]uintptr{8: c[1], 4: c[2]}[word]; c[0] != want {
+			t.Errorf("%s is %d bytes at %d-byte words, want %d", name, c[0], word, want)
+		}
 	}
 }
 

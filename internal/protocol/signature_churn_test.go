@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/core"
+	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
@@ -47,8 +48,8 @@ func TestSignaturesStayExactUnderChurn(t *testing.T) {
 			}
 		}
 		full := 0
-		for _, n := range s.Network.Nodes() {
-			if n.RI.Len() == cfg.Protocol.Cache.MaxFilenames {
+		for p := range overlay.PeerID(cfg.NumPeers) {
+			if s.Network.Node(p).RI.Len() == cfg.Protocol.Cache.MaxFilenames {
 				full++
 			}
 		}

@@ -90,9 +90,9 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 		r, rs := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(-seed))
 		var gnet Network
 		gnet.nodes, gnet.sigs = newNodes(1, cfg, true, 1200, 8)
-		guarded := gnet.nodes[0]
+		guarded := &gnet.nodes[0]
 		plainNodes, _ := newNodes(1, cfg, false, 0, 0)
-		plain := plainNodes[0]
+		plain := &plainNodes[0]
 		pick := func(r *rand.Rand, n int) []keywords.ID {
 			out := make([]keywords.ID, n)
 			for i := range out {
@@ -184,8 +184,8 @@ func TestLookupGuardMatchesIndex(t *testing.T) {
 // StaleSignature returns the first peer whose signature row is not its own
 // node's, or differs from its recomputation, and -1 when every row is exact.
 func (net *Network) StaleSignature() overlay.PeerID {
-	for i, n := range net.nodes {
-		if n.sig() != &net.sigs[i] || net.sigs[i] != exactSigs(n) {
+	for i := range net.nodes {
+		if n := &net.nodes[i]; n.sig() != &net.sigs[i] || net.sigs[i] != exactSigs(n) {
 			return overlay.PeerID(i)
 		}
 	}
@@ -208,7 +208,7 @@ func TestFoldScreenPassesEveryMatch(t *testing.T) {
 	screened, matched := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		nodes, _ := newNodes(1, cache.DefaultConfig(), true, 1200, 6)
-		n := nodes[0]
+		n := &nodes[0]
 		links := 1 + r.Intn(8)
 		for op := 0; op < 30; op++ {
 			f := n.shared.filters.carve()

@@ -264,8 +264,8 @@ func (rt *Runtime) injectFiles(e EventSpec) {
 func (rt *Runtime) removeFiles(e EventSpec) {
 	for _, id := range rt.pickTargets(e.Files) {
 		f := rt.w.Catalog.File(id)
-		for _, n := range rt.w.Net.Nodes() {
-			n.RemoveFile(f)
+		for p := range overlay.PeerID(rt.w.Net.Graph.N()) {
+			rt.w.Net.Node(p).RemoveFile(f)
 		}
 	}
 }
@@ -278,10 +278,10 @@ func (rt *Runtime) migrateProviders(e EventSpec) {
 		f := rt.w.Catalog.File(id)
 		moved := 0
 		excluded := make(map[overlay.PeerID]bool)
-		for _, n := range rt.w.Net.Nodes() {
-			if n.RemoveFile(f) {
+		for p := range overlay.PeerID(rt.w.Net.Graph.N()) {
+			if rt.w.Net.Node(p).RemoveFile(f) {
 				moved++
-				excluded[n.ID] = true
+				excluded[p] = true
 			}
 		}
 		for c := 0; c < moved; c++ {

@@ -51,23 +51,23 @@ const (
 // why the mutant behaves like the original. A key is a mutant's id, or its
 // site (file:line:col) for every mutant there.
 var equivalentMutants = map[string]string{
-	"gossip.go:25:28:inc": scratch, "network.go:203:22:inc": scratch, "network.go:354:35:inc": scratch,
-	"network.go:355:35:inc": scratch, "network.go:356:35:inc": scratch, "network.go:357:35:inc": scratch,
+	"gossip.go:26:28:inc": scratch, "network.go:204:22:inc": scratch, "network.go:356:35:inc": scratch,
+	"network.go:357:35:inc": scratch, "network.go:358:35:inc": scratch, "network.go:359:35:inc": scratch,
 	"response.go:131:2:del": scratch, "response.go:131:21:inc": scratch, "routing.go:26:2:del": scratch,
-	"routing.go:26:22:inc": scratch, "routing.go:173:2:del": scratch, "routing.go:173:19:inc": scratch,
+	"routing.go:26:22:inc": scratch, "routing.go:171:2:del": scratch, "routing.go:171:19:inc": scratch,
 	"lifecycle.go:48:3:del": scratch, "response.go:116:3:del": scratch,
-	"network.go:354:38": alloc, "network.go:355:38": alloc,
-	"network.go:356:38": alloc, "network.go:357:38": alloc, "node.go:72:27": alloc, "node.go:139:23": alloc,
-	"node.go:157:58:dec": alloc, "node.go:266:16": alloc, "node.go:293:11": alloc, "node.go:75:18:inc": alloc,
-	"routing.go:128:3:del": alloc, "routing.go:128:53": alloc, "lifecycle.go:19:13:rel": alloc,
-	"gossip.go:53:3:del": alloc, "response.go:69:3:del": alloc, "network.go:394:10": noTracer,
-	"network.go:418:10": noTracer, "node.go:99:90:inc": screen,
-	"node.go:188:27:inc": screen, "network.go:162:17": probe, "network.go:162:69:inc": probe,
-	"routing.go:166:19": firstWins, "routing.go:166:23": firstWins,
+	"network.go:356:38": alloc, "network.go:357:38": alloc,
+	"network.go:358:38": alloc, "network.go:359:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
+	"node.go:156:58:dec": alloc, "node.go:264:16": alloc, "node.go:291:11": alloc, "node.go:74:18:inc": alloc,
+	"routing.go:126:3:del": alloc, "routing.go:126:53": alloc, "lifecycle.go:19:13:rel": alloc,
+	"gossip.go:54:3:del": alloc, "response.go:69:3:del": alloc, "network.go:396:10": noTracer,
+	"network.go:420:10": noTracer, "node.go:98:90:inc": screen,
+	"node.go:186:27:inc": screen, "network.go:163:17": probe, "network.go:163:69:inc": probe,
+	"routing.go:164:19": firstWins, "routing.go:164:23": firstWins,
 	"locaware.go:99:22":     "math.Inf of any sign >= 0 is +Inf",
-	"network.go:206:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
+	"network.go:207:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
 	"response.go:19:23:dec": "comparing ms[0] with itself changes nothing",
-	"routing.go:180:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
+	"routing.go:178:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
 	"queue.go:29:15:rel":    "inside a.at != b.at, < and <= agree",
 	"queue.go:31:15:rel":    uniqueSeq,
 	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
