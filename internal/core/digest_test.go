@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/p2prepro/locaware/internal/protocol"
+	"github.com/p2prepro/locaware/internal/scenario"
 )
 
 // benchmarkDigest is benchmark/measure.go's digestRun, copied: the benchmark
@@ -52,6 +53,26 @@ func TestRunDigestsPinned(t *testing.T) {
 		}
 		if got != c.digest {
 			t.Errorf("%s at %d peers, %d+%d queries: digest %s, want %s", c.b.Name(), c.peers, c.warmup, c.measured, got, c.digest)
+		}
+	}
+}
+
+// TestAblationsCompose is relation 24(e): a row is its mechanisms and
+// nothing else, so the Locaware row with Bloom routing, multi-provider
+// indexes, learning and locId selection off, relabelled "Dicas", runs the
+// Dicas row's digest, static and under steady-churn.
+func TestAblationsCompose(t *testing.T) {
+	bare := protocol.Locaware{}.Spec()
+	bare.Label, bare.Bloom, bare.MultiProvider, bare.Learn, bare.LocSelect = "Dicas", false, false, false, false
+	churn, _ := scenario.Lookup("steady-churn")
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, scen := range []*scenario.Spec{nil, churn} {
+			cfg := DefaultConfig()
+			cfg.Seed, cfg.NumPeers, cfg.Scenario = seed, 300, scen
+			want := NewSimulation(cfg, protocol.Dicas{}).RunMeasured(200, 600).Digest()
+			if got := NewSimulation(cfg, bare).RunMeasured(200, 600).Digest(); got != want {
+				t.Errorf("seed %d, scenario %v: the bare Locaware row's digest %s, Dicas' %s", seed, scen != nil, got, want)
+			}
 		}
 	}
 }

@@ -99,12 +99,10 @@ func BenchmarkLocawareForward(b *testing.B) {
 			if len(ps) == 0 {
 				b.Fatalf("%s: no peer of %d", c.name, peers)
 			}
-			msg := &QueryMsg{}
 			b.ResetTimer()
 			for i := range b.N {
 				j := i % len(ps)
-				msg.pq = pqs[j]
-				Locaware{}.Forward(net, ps[j], msg, net.Graph.Neighbors(ps[j]))
+				net.targets(ps[j], pqs[j], net.Graph.Neighbors(ps[j]))
 			}
 			b.ReportMetric(float64(len(ps))/peers, "share")
 		})

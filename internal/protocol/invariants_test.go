@@ -204,7 +204,7 @@ func TestProtocolInvariantsRandomized(t *testing.T) {
 				// Non-gossiping protocols must fully drain; gossiping
 				// protocols legitimately keep their periodic control
 				// pending.
-				if !b.UsesBloom() && queued(net.Engine) != 0 {
+				if !b.Spec().Bloom && queued(net.Engine) != 0 {
 					t.Fatalf("%s: %d events leaked", label, queued(net.Engine))
 				}
 				audit.check(t, label)

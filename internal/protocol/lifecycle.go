@@ -24,11 +24,20 @@ func (net *Network) acquirePending(id QueryID, origin overlay.PeerID, q keywords
 	seen, seenN := net.resetSeen(pq.seen)
 	*pq = pendingQuery{
 		net: net, id: id, q: q, origin: origin, originLoc: net.nodes[origin].Loc,
-		// Hashed once per query: every Gid-routing hop consults the same value.
-		gid: int32(gidOfQuery(q, net.Config.GroupCount)), sig: querySig(q),
+		gid: net.routingGid(q), sig: querySig(q),
 		seen: seen, seenN: seenN, kwIdx: pq.kwIdx[:0],
 	}
 	return pq
+}
+
+// routingGid is the group of q's routing key under the row: its first
+// keyword's under RouteKeywordGid, else the whole query's. It is hashed once
+// per query, at submission; every Gid-routing hop consults the same value.
+func (net *Network) routingGid(q keywords.Query) int32 {
+	if net.spec.Routing == RouteKeywordGid && q.K() != 0 {
+		return int32(gidOfKeyword(q.KeywordAt(0), net.Config.GroupCount))
+	}
+	return int32(gidOfQuery(q, net.Config.GroupCount))
 }
 
 // SubmitQuery injects a query at peer origin at the current virtual time:
@@ -67,7 +76,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 		return id
 	}
 	if ms := net.lookupRI(origin, q, pq.sig, net.Engine.Now()); len(ms) != 0 {
-		if prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(ms[0].Providers)); ok {
+		if prov, ok := net.selectProvider(n, ms[0].Providers); ok {
 			pq.fromCache = true
 			net.counts.CacheHits++
 			hit := net.emitFile(trace.CacheHit, pq, id, trace.RootSpan, origin, -1, ms[0].File)

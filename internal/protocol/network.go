@@ -54,39 +54,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Behavior is a protocol's decision logic. One Network instance runs one
-// behaviour; the figure harness runs a Network per curve.
-type Behavior interface {
-	// Name identifies the protocol in results.
-	Name() string
-	// UsesBloom reports whether nodes maintain and gossip Bloom filters.
-	UsesBloom() bool
-	// CacheConfig adapts the base cache bounds for this protocol (e.g. the
-	// Dicas baselines keep a single provider per filename, §5.2: "the
-	// response index in Locaware has for each file more possibilities of
-	// providers than in Dicas").
-	CacheConfig(base cache.Config) cache.Config
-	// Forward selects, among elig, the peers p forwards q to. p is an id,
-	// not a node: a hop reads the peer's dense rows, and its node only if
-	// it must. elig is the candidate slice Network.forward built for this
-	// hop: p's neighbours the query has not visited, in neighbour order. It
-	// is the network's scratch — an implementation may read it and return
-	// it or a subslice of it, never write to it or keep it. The returned
-	// slice is consumed before the next Forward call, so implementations
-	// may also return the network's target buffer (Network.targetBuf()).
-	Forward(net *Network, p overlay.PeerID, q *QueryMsg, elig []overlay.PeerID) []overlay.PeerID
-	// CacheResponse lets reverse-path node n cache the response per the
-	// protocol's placement rule.
-	CacheResponse(net *Network, n *Node, rsp *ResponseMsg)
-	// OnAnswer runs at the answering node; Locaware inserts the requester
-	// as a new provider here (§4.1.2).
-	OnAnswer(net *Network, n *Node, q *QueryMsg, f keywords.Filename)
-	// SelectProvider picks the download source among the response's
-	// providers at the requester. The provs slice is scratch owned by the
-	// network; implementations must not retain it.
-	SelectProvider(net *Network, requester *Node, provs []cache.Provider) (cache.Provider, bool)
-}
-
 // pendingQuery is everything the network keeps for one in-flight query: the
 // requester-side record and the state every delivery consults. Each
 // QueryMsg and ResponseMsg points at it, so no delivery looks anything up.
@@ -127,10 +94,10 @@ type pendingQuery struct {
 	// seenN is how many keys seen's table holds, or -1 while seen is the
 	// bitmap.
 	seenN int32
-	// gid caches gidOfQuery(q, M), the group id every Gid-routing hop
-	// consults. It, hops and messages are 32-bit so that they fill the
-	// words beside seenN, which keeps pendingQuery at 144 B with sig and
-	// fold.
+	// gid is the group id of the row's routing key, hashed once at
+	// submission: every Gid-routing hop consults it. It, hops and messages
+	// are 32-bit so that they fill the words beside seenN, which keeps
+	// pendingQuery at 144 B with sig and fold.
 	gid, hops, messages int32
 	// seen is the duplicate-suppression set (Gnutella semantics), the peers
 	// that handled the query: an open-addressed table of peer+1 keys (0 is
@@ -234,7 +201,7 @@ type ForwardStats struct {
 	GidMatched uint64
 	// Fallback counts last-resort forwards (highest-degree + random).
 	Fallback uint64
-	// FloodAll counts blind forwards (Flooding only).
+	// FloodAll counts blind forwards (RouteAll).
 	FloodAll uint64
 }
 
@@ -251,7 +218,7 @@ type Counts struct {
 	PendingHighWater uint64
 }
 
-// Network binds the substrates and one protocol behaviour into a runnable
+// Network binds the substrates and one protocol row into a runnable
 // system. It is single-threaded: every event fires on the goroutine that
 // runs Engine, so none of its state needs a lock.
 type Network struct {
@@ -259,9 +226,12 @@ type Network struct {
 	Graph     *overlay.Graph
 	Model     *netmodel.Model
 	Locator   *netmodel.Locator
-	Behavior  Behavior
 	Collector *metrics.Collector
 	Config    Config
+
+	// spec is the protocol row every routing, caching and download decision
+	// branches on.
+	spec Spec
 
 	// nodes is the flat per-peer table of node values, built table by table
 	// at network build (newNodes; the tendermint-simulator layout: contiguous
@@ -304,7 +274,7 @@ type Network struct {
 
 	// Reusable scratch buffers for the per-event selection loops, each
 	// filled and fully consumed within one event delivery: the hop's
-	// candidates, the behaviour's target list, the fallback set, the live
+	// candidates, its targets, the fallback set, the live
 	// providers, and a response-index lookup's matches and their providers.
 	eligBuf  []overlay.PeerID
 	fwdBuf   []overlay.PeerID
@@ -337,8 +307,9 @@ type Network struct {
 }
 
 // NewNetwork assembles a network. cfg is used as given: callers start from
-// DefaultConfig, which states every default once. gidRng draws each node's
-// random Gid; protoRng drives protocol tie-breaking.
+// DefaultConfig, which states every default once. The network runs b's row.
+// gidRng draws each node's random Gid; protoRng drives protocol
+// tie-breaking.
 func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmodel.Locator,
 	b Behavior, cfg Config, gidRng, protoRng *rand.Rand) *Network {
 	net := &Network{
@@ -346,7 +317,7 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		Graph:     g,
 		Model:     m,
 		Locator:   loc,
-		Behavior:  b,
+		spec:      b.Spec(),
 		Collector: metrics.NewCollectorWith(cfg.Collector),
 		Config:    cfg,
 		rng:       protoRng,
@@ -358,12 +329,12 @@ func NewNetwork(eng *sim.Engine, g *overlay.Graph, m *netmodel.Model, loc *netmo
 		fbBuf:   make([]overlay.PeerID, 0, 64),
 		provBuf: make([]cache.Provider, 0, 16),
 	}
-	net.nodes, net.sigs = newNodes(g.N(), b.CacheConfig(cfg.Cache), b.UsesBloom(), cfg.BloomBits, cfg.BloomK)
+	net.nodes, net.sigs = newNodes(g.N(), net.spec.CacheConfig(cfg.Cache), net.spec.Bloom, cfg.BloomBits, cfg.BloomK)
 	net.gids = make([]int32, len(net.nodes))
 	for i := range net.nodes {
 		net.gids[i], net.nodes[i].Loc = int32(gidRng.Intn(cfg.GroupCount)), loc.LocID(i)
 	}
-	if b.UsesBloom() && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
+	if net.spec.Bloom && cfg.BloomGossipPeriod > 0 && len(net.nodes) > 0 {
 		eng.PostEvent(cfg.BloomGossipPeriod, &gossipRoundEvent{net: net, period: cfg.BloomGossipPeriod})
 	}
 	return net
@@ -443,12 +414,7 @@ func (net *Network) Forwarding() ForwardStats { return net.forwarding }
 // Counts returns the run's query lifecycle and lookup tallies.
 func (net *Network) Counts() Counts { return net.counts }
 
-// targetBuf returns the empty buffer Behavior.Forward implementations
-// accumulate their target list into. The buffer is valid until the next
-// Forward call; the network consumes it immediately.
-func (net *Network) targetBuf() []overlay.PeerID { return net.fwdBuf[:0] }
-
 // String describes the network.
 func (net *Network) String() string {
-	return fmt.Sprintf("network{%s n=%d}", net.Behavior.Name(), len(net.nodes))
+	return fmt.Sprintf("network{%s n=%d}", net.spec.Label, len(net.nodes))
 }

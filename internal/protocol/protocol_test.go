@@ -119,7 +119,7 @@ func testBranch(net *Network, q keywords.Query, path ...overlay.PeerID) *QueryMs
 	origin := net.Node(path[0])
 	kwIdx := origin.bloomPositions(nil, q)
 	pq := &pendingQuery{
-		net: net, q: q, sig: querySig(q), gid: int32(gidOfQuery(q, net.Config.GroupCount)), origin: origin.ID, originLoc: origin.Loc,
+		net: net, q: q, sig: querySig(q), gid: net.routingGid(q), origin: origin.ID, originLoc: origin.Loc,
 		kwIdx: kwIdx, fold: bloom.FoldIndexes(kwIdx),
 	}
 	return &QueryMsg{pq: pq, TTL: int32(net.Config.TTL - (len(path) - 1)), Path: path}
@@ -196,7 +196,7 @@ func TestDicasSingleProviderPerFile(t *testing.T) {
 		},
 		Origin: 0,
 	}
-	Dicas{}.CacheResponse(net, n1, rsp)
+	net.cacheResponse(n1, rsp)
 	ps := providers(n1.RI, f, net.Engine.Now())
 	if len(ps) != 1 {
 		t.Fatalf("dicas cached %d providers, want 1", len(ps))
@@ -232,8 +232,8 @@ func TestDicasKeysCachesPerQueryKeyword(t *testing.T) {
 	net.gids[n2.ID] = int32(g2)
 
 	rsp := &ResponseMsg{File: f, QueryKws: q, Providers: []cache.Provider{{Peer: 3, LocID: 0}}}
-	DicasKeys{}.CacheResponse(net, n1, rsp)
-	DicasKeys{}.CacheResponse(net, n2, rsp)
+	net.cacheResponse(n1, rsp)
+	net.cacheResponse(n2, rsp)
 	now := net.Engine.Now()
 	if providers(n1.RI, f, now) == nil {
 		t.Fatal("keyword-group node did not cache")
@@ -255,7 +255,7 @@ func TestLocawareCachesProvidersAndRequester(t *testing.T) {
 		Origin:    0,
 		OriginLoc: 3,
 	}
-	Locaware{}.CacheResponse(net, n2, rsp)
+	net.cacheResponse(n2, rsp)
 	ps := providers(n2.RI, f, net.Engine.Now())
 	if len(ps) != 2 {
 		t.Fatalf("cached %d providers, want provider+requester: %+v", len(ps), ps)
@@ -277,16 +277,16 @@ func TestLocawareOnAnswerAddsRequester(t *testing.T) {
 	f := fname("ans")
 	n1 := net.Node(1)
 	net.gids[n1.ID] = int32(gidOfName(f, cfg.GroupCount))
-	q := &QueryMsg{pq: &pendingQuery{origin: 2, originLoc: 9}}
-	Locaware{}.OnAnswer(net, n1, q, f)
+	pq := &pendingQuery{origin: 2, originLoc: 9}
+	net.learn(n1, pq, f)
 	ps := providers(n1.RI, f, net.Engine.Now())
 	if len(ps) != 1 || ps[0].Peer != 2 || ps[0].LocID != 9 {
-		t.Fatalf("OnAnswer cache = %+v", ps)
+		t.Fatalf("learn cache = %+v", ps)
 	}
 	// Non-matching gid: no insertion.
 	n0 := net.Node(0)
 	net.gids[n0.ID] = (net.gids[n1.ID] + 1) % int32(cfg.GroupCount)
-	Locaware{}.OnAnswer(net, n0, q, f)
+	net.learn(n0, pq, f)
 	if providers(n0.RI, f, net.Engine.Now()) != nil {
 		t.Fatal("non-matching gid node cached on answer")
 	}
@@ -303,7 +303,7 @@ func TestLocawareSelectProviderPrefersLocality(t *testing.T) {
 		{Peer: 1, LocID: req.Loc + 1},
 		{Peer: 2, LocID: req.Loc},
 	}
-	got, ok := Locaware{}.SelectProvider(net, req, provs)
+	got, ok := net.selectProvider(req, provs)
 	if !ok || got.Peer != 2 {
 		t.Fatalf("locality preference failed: %+v", got)
 	}
@@ -319,17 +319,17 @@ func TestLocawareSelectProviderMinRTTFallback(t *testing.T) {
 		{Peer: 1, LocID: req.Loc + 1},
 		{Peer: 2, LocID: req.Loc + 2},
 	}
-	got, ok := Locaware{}.SelectProvider(net, req, provs)
+	got, ok := net.selectProvider(req, provs)
 	if !ok || got.Peer != 2 {
 		t.Fatalf("min-RTT fallback failed: got peer %d", got.Peer)
 	}
 	// Peers 2 and 3 are equally far: the first listed, the most recent,
 	// wins the tie.
 	tie := []cache.Provider{{Peer: 3, LocID: req.Loc + 3}, {Peer: 2, LocID: req.Loc + 2}}
-	if got, _ := (Locaware{}).SelectProvider(net, req, tie); got.Peer != 3 {
+	if got, _ := net.selectProvider(req, tie); got.Peer != 3 {
 		t.Fatalf("an RTT tie went to peer %d, want the first listed, 3", got.Peer)
 	}
-	if _, ok := (Locaware{}).SelectProvider(net, req, nil); ok {
+	if _, ok := net.selectProvider(req, nil); ok {
 		t.Fatal("empty provider list should fail")
 	}
 }
@@ -340,10 +340,7 @@ func TestChurnOfflineProvidersFiltered(t *testing.T) {
 	req := net.Node(0)
 	provs := []cache.Provider{{Peer: 3, LocID: req.Loc}}
 	net.Graph.Leave(3)
-	if live := net.liveProviders(provs); len(live) != 0 {
-		t.Fatal("offline provider not filtered")
-	}
-	if _, ok := (Locaware{}).SelectProvider(net, req, net.liveProviders(provs)); ok {
+	if _, ok := net.selectProvider(req, provs); ok {
 		t.Fatal("selection should fail with all providers offline")
 	}
 }
@@ -605,43 +602,6 @@ func TestSelectIndexMatchPrefersOriginLocality(t *testing.T) {
 	}
 }
 
-func TestBehaviorNamesAndBloomFlags(t *testing.T) {
-	cases := []struct {
-		b     Behavior
-		name  string
-		bloom bool
-	}{
-		{Flooding{}, "Flooding", false},
-		{Dicas{}, "Dicas", false},
-		{DicasKeys{}, "Dicas-Keys", false},
-		{Locaware{}, "Locaware", true},
-	}
-	for _, c := range cases {
-		if c.b.Name() != c.name {
-			t.Errorf("Name = %q, want %q", c.b.Name(), c.name)
-		}
-		if c.b.UsesBloom() != c.bloom {
-			t.Errorf("%s UsesBloom = %v", c.name, c.b.UsesBloom())
-		}
-	}
-}
-
-func TestCacheConfigAdaptation(t *testing.T) {
-	base := cache.DefaultConfig()
-	if got := (Dicas{}).CacheConfig(base); got.MaxProvidersPerFile != 1 {
-		t.Fatal("dicas should keep one provider per file")
-	}
-	if got := (DicasKeys{}).CacheConfig(base); got.MaxProvidersPerFile != 1 {
-		t.Fatal("dicas-keys should keep one provider per file")
-	}
-	if got := (Locaware{}).CacheConfig(base); got.MaxProvidersPerFile != base.MaxProvidersPerFile {
-		t.Fatal("locaware should keep multi-provider bound")
-	}
-	if got := (Flooding{}).CacheConfig(base); got.MaxFilenames != 1 {
-		t.Fatal("flooding cache should be degenerate")
-	}
-}
-
 func TestGidHelpers(t *testing.T) {
 	m := 8
 	f := fname("k1", "k2", "k3")
@@ -852,7 +812,7 @@ func TestFallbackFanoutRespected(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		net.gids[i] = (q.pq.gid + 1) % int32(cfg.GroupCount)
 	}
-	targets := Dicas{}.Forward(net, 0, q, eligOf(net, q))
+	targets := net.targets(0, q.pq, eligOf(net, q))
 	if len(targets) != fallbackFanout {
 		t.Fatalf("fallback fanout produced %d targets, want %d", len(targets), fallbackFanout)
 	}
@@ -904,16 +864,6 @@ func TestIDHashesMatchSpellings(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDicasKeysRoutingKeyword(t *testing.T) {
-	q := query("zeta", "alpha")
-	if routingKeyword(q) != query("alpha") {
-		t.Fatalf("routing keyword = %v, want canonical first", routingKeyword(q))
-	}
-	if routingKeyword(keywords.Query{}) != (keywords.Query{}) {
-		t.Fatal("empty query routing keyword should be empty")
 	}
 }
 

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"slices"
 	"strconv"
 
@@ -48,6 +49,23 @@ func (net *Network) orderProvidersForOrigin(dst []cache.Provider, ps []cache.Pro
 	return dst
 }
 
+// places reports whether peer p caches the index of f, found for query q,
+// under the row's placement rule (Eq. 1).
+func (net *Network) places(p overlay.PeerID, f keywords.Filename, q keywords.Query) bool {
+	m := net.Config.GroupCount
+	switch net.spec.Placement {
+	case PlaceFilenameGid:
+		return gidOfName(f, m) == int(net.gids[p])
+	case PlaceKeywordGid:
+		for i := range q.K() {
+			if gidOfKeyword(q.KeywordAt(i), m) == int(net.gids[p]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // sendResponse walks the response one hop back along the reverse path,
 // letting each traversed node apply the protocol's caching rule, and
 // completes the query at the origin. The response is mutated in place as it
@@ -70,17 +88,33 @@ func (net *Network) deliverResponse(p overlay.PeerID, rsp *ResponseMsg) {
 		return // reverse path broken by churn; response is lost
 	}
 	n := &net.nodes[p]
-	before := n.RI.Inserts() + n.RI.Refreshes()
-	net.Behavior.CacheResponse(net, n, rsp)
-	if n.RI.Inserts()+n.RI.Refreshes() != before {
-		net.emitFile(trace.ResponseCached, rsp.pq, rsp.ID, rsp.span, p, -1, rsp.File)
-	}
+	net.cacheResponse(n, rsp)
 	if p == rsp.Origin {
 		net.completeQuery(n, rsp)
 		net.respPool.Put(rsp)
 		return
 	}
 	net.sendResponse(p, rsp)
+}
+
+// cacheResponse applies the row's placement at reverse-path node n: a
+// placing peer stores every provider rsp carries and, under Learn, the
+// requester as a new one (§4.1.2's worked example: B caches (D,1) and
+// (A,3)).
+func (net *Network) cacheResponse(n *Node, rsp *ResponseMsg) {
+	if !net.places(n.ID, rsp.File, rsp.QueryKws) {
+		return
+	}
+	before, now := n.RI.Inserts()+n.RI.Refreshes(), net.Engine.Now()
+	for _, p := range rsp.Providers {
+		n.RI.Put(rsp.File, p.Peer, p.LocID, now)
+	}
+	if net.spec.Learn && rsp.Origin != n.ID {
+		n.RI.Put(rsp.File, rsp.Origin, rsp.OriginLoc, now)
+	}
+	if n.RI.Inserts()+n.RI.Refreshes() != before {
+		net.emitFile(trace.ResponseCached, rsp.pq, rsp.ID, rsp.span, n.ID, -1, rsp.File)
+	}
 }
 
 // completeQuery runs requester-side provider selection and download
@@ -90,7 +124,7 @@ func (net *Network) completeQuery(n *Node, rsp *ResponseMsg) {
 	if pq.id != rsp.ID || pq.answered {
 		return
 	}
-	prov, ok := net.Behavior.SelectProvider(net, n, net.liveProviders(rsp.Providers))
+	prov, ok := net.selectProvider(n, rsp.Providers)
 	if !ok {
 		return // all advertised providers are gone; await another response
 	}
@@ -118,16 +152,35 @@ func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f ke
 	}
 }
 
-// liveProviders filters out offline providers (stale indexes under churn)
-// into the provider scratch buffer, consumed synchronously by
-// SelectProvider.
-func (net *Network) liveProviders(ps []cache.Provider) []cache.Provider {
-	out := net.provBuf[:0]
+// selectProvider picks the download source at requester n among the online
+// providers of ps (an index under churn goes stale): under LocSelect the
+// §5.1 rule, a provider in n's locality, else the least measured RTT;
+// otherwise the first — a protocol blind to location has no basis for
+// preferring one copy over another. It fails when no provider is online.
+func (net *Network) selectProvider(n *Node, ps []cache.Provider) (cache.Provider, bool) {
+	live := net.provBuf[:0]
 	for _, p := range ps {
 		if net.Graph.Online(p.Peer) {
-			out = append(out, p)
+			live = append(live, p)
 		}
 	}
-	net.provBuf = out[:0]
-	return out
+	net.provBuf = live[:0]
+	if len(live) == 0 {
+		return cache.Provider{}, false
+	}
+	if !net.spec.LocSelect {
+		return live[0], true
+	}
+	for _, p := range live {
+		if p.LocID == n.Loc {
+			return p, true
+		}
+	}
+	best, bestRTT := live[0], math.Inf(1)
+	for _, p := range live {
+		if rtt := net.Model.RTT(int(n.ID), int(p.Peer)); rtt < bestRTT {
+			best, bestRTT = p, rtt
+		}
+	}
+	return best, true
 }

@@ -8,11 +8,10 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// forward ships q from peer p to the neighbours the behaviour selects among
-// the candidates: p's neighbours the query has not visited. The sender is
-// on the path and a graph has no self-loops, so that one test is the whole
-// predicate — and this is its only call site. forward reads no node; the
-// behaviour reads p's if it needs to.
+// forward ships q from peer p to the targets the row selects among the
+// candidates: p's neighbours the query has not visited. The sender is on the
+// path and a graph has no self-loops, so that one test is the whole
+// predicate — and this is its only call site.
 func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 	if q.TTL <= 0 {
 		return
@@ -24,7 +23,7 @@ func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 		}
 	}
 	net.eligBuf = elig[:0]
-	for _, t := range net.Behavior.Forward(net, p, q, elig) {
+	for _, t := range net.targets(p, q.pq, elig) {
 		branch := net.acquireMsg()
 		branch.ID = q.ID
 		branch.pq = q.pq
@@ -34,6 +33,37 @@ func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 		net.send(p, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
 	}
+}
+
+// targets selects among elig, in neighbour order, the peers p forwards pq
+// to, in §4.2's preference order. Under Bloom routing these are the
+// candidates whose filter matches every query keyword; p's node is read
+// only when pq's fold lies within p's nbFold, since otherwise no copy can
+// match. Failing that, RouteAll takes every candidate, and Gid routing
+// those in pq's group, else the fallback set. targets returns elig, the
+// network's target buffer or the fallback buffer, all consumed before the
+// next hop.
+func (net *Network) targets(p overlay.PeerID, pq *pendingQuery, elig []overlay.PeerID) []overlay.PeerID {
+	if net.spec.Bloom {
+		if pq.fold&^net.sigs[p].nbFold == 0 {
+			n := &net.nodes[p]
+			out := net.fwdBuf[:0]
+			for _, nb := range elig {
+				if bf := n.NeighborBloom(nb); bf != nil && bf.TestIndexes(pq.kwIdx) {
+					out = append(out, nb)
+				}
+			}
+			if len(out) > 0 {
+				net.forwarding.BloomMatched += uint64(len(out))
+				return out
+			}
+		}
+	}
+	if net.spec.Routing == RouteAll {
+		net.forwarding.FloodAll += uint64(len(elig))
+		return elig
+	}
+	return net.gidOrFallback(pq.gid, elig)
 }
 
 // send schedules delivery of a typed message event over link a->b with the
@@ -76,7 +106,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		hit := net.emitFile(trace.StorageHit, pq, q.ID, q.span, p, from, f)
 		rsp := net.newResponse(q, f, true, hit)
 		rsp.Providers = append(rsp.Providers, cache.Provider{Peer: p, LocID: n.Loc, LastSeen: net.Engine.Now()})
-		net.Behavior.OnAnswer(net, n, q, f)
+		net.learn(n, pq, f)
 		net.sendResponse(p, rsp)
 		return
 	}
@@ -88,12 +118,23 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 		hit := net.emitFile(trace.CacheHit, pq, q.ID, q.span, p, from, m.File)
 		rsp := net.newResponse(q, m.File, false, hit)
 		rsp.Providers = net.orderProvidersForOrigin(rsp.Providers, m.Providers, pq.originLoc)
-		net.Behavior.OnAnswer(net, n, q, m.File)
+		net.learn(n, pq, m.File)
 		net.sendResponse(p, rsp)
 		return
 	}
 	net.counts.CacheMisses++
 	net.forward(p, q)
+}
+
+// learn is natural-replication learning at answering peer n: under Learn,
+// where the row's placement caches f, n records the requester as a new
+// provider ("peer B then adds in its RI the entry (E,1) as a new provider
+// of f", §4.1.2). n is never the requester, which marked itself seen at
+// submission.
+func (net *Network) learn(n *Node, pq *pendingQuery, f keywords.Filename) {
+	if net.spec.Learn && net.places(n.ID, f, pq.q) {
+		n.RI.Put(f, pq.origin, pq.originLoc, net.Engine.Now())
+	}
 }
 
 // newResponse takes a response from the pool and resets every field, keeping
@@ -128,11 +169,11 @@ func (net *Network) acquireMsg() *QueryMsg {
 	return m
 }
 
-// gidOrFallback is the tail every selective protocol's preference chain
-// ends in: the candidates in group want, or, when there is none, the
-// last-resort set. It reads the gids column, not the candidates' nodes.
+// gidOrFallback is the tail of selective routing: the candidates in group
+// want, or, when there is none, the last-resort set. It reads the gids
+// column, not the candidates' nodes.
 func (net *Network) gidOrFallback(want int32, elig []overlay.PeerID) []overlay.PeerID {
-	out := net.targetBuf()
+	out := net.fwdBuf[:0]
 	for _, nb := range elig {
 		if net.gids[nb] == want {
 			out = append(out, nb)

@@ -5,25 +5,10 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/sim"
 )
-
-// recordingBehavior is Flooding that forwards nothing and keeps the
-// candidate slice each Forward call was handed.
-type recordingBehavior struct {
-	Flooding
-	elig  []overlay.PeerID
-	calls int
-}
-
-func (r *recordingBehavior) Forward(_ *Network, _ overlay.PeerID, _ *QueryMsg, elig []overlay.PeerID) []overlay.PeerID {
-	r.elig = append(r.elig[:0], elig...)
-	r.calls++
-	return nil
-}
 
 // randomSimplePath walks g from a random peer over unvisited neighbours for
 // up to maxHops hops; it stops early at a dead end.
@@ -45,14 +30,14 @@ func randomSimplePath(g *overlay.Graph, maxHops int, r *rand.Rand) []overlay.Pee
 }
 
 // TestForwardCandidatesMatchDeletedPredicate: over random overlays and
-// random simple paths, the candidate slice forward hands the behaviour is,
-// in neighbour order, what the per-behaviour loops used to compute —
-// neither the sender nor any peer on the path.
+// random simple paths, the candidates forward hands the row are, in
+// neighbour order, what the per-behaviour loops used to compute — neither
+// the sender nor any peer on the path. Flooding sends one branch to each,
+// and they are left in the hop's scratch.
 func TestForwardCandidatesMatchDeletedPredicate(t *testing.T) {
 	nonEmpty := 0
 	for seed := int64(1); seed <= 5; seed++ {
-		rec := &recordingBehavior{}
-		net, _ := randomNet(t, rec, seed, 150)
+		net, _ := randomNet(t, Flooding{}, seed, 150)
 		r := rand.New(rand.NewSource(seed * 31))
 		if seed > 3 { // a churned overlay: peers gone, others rewired
 			for i := 0; i < 5; i++ {
@@ -63,15 +48,13 @@ func TestForwardCandidatesMatchDeletedPredicate(t *testing.T) {
 			// TTL-1 hops at most, so the branch still has budget to forward.
 			path := randomSimplePath(net.Graph, net.Config.TTL-1, r)
 			q := testBranch(net, query("k"), path...)
-			calls := rec.calls
+			sent := net.Engine.Scheduled()
 			net.forward(path[len(path)-1], q)
-			if rec.calls != calls+1 {
-				t.Fatalf("seed %d path %v: forward called the behaviour %d times", seed, path, rec.calls-calls)
+			want := eligOf(net, q)
+			if got := net.eligBuf[:net.Engine.Scheduled()-sent]; !slices.Equal(got, want) {
+				t.Fatalf("seed %d path %v: candidates %v, want %v", seed, path, got, want)
 			}
-			if want := eligOf(net, q); !slices.Equal(rec.elig, want) {
-				t.Fatalf("seed %d path %v: candidates %v, want %v", seed, path, rec.elig, want)
-			}
-			if len(rec.elig) > 0 {
+			if len(want) > 0 {
 				nonEmpty++
 			}
 		}
@@ -169,34 +152,40 @@ func TestFallbackMatchesTwoPassReference(t *testing.T) {
 	}
 }
 
-// noDownload is Flooding whose requester never accepts a provider: queries
-// and responses flow in full, yet no peer gains a file, so a repeated batch
-// meets the identical world.
-type noDownload struct{ Flooding }
-
-func (noDownload) SelectProvider(*Network, *Node, []cache.Provider) (cache.Provider, bool) {
-	return cache.Provider{}, false
-}
-
 // TestMessagePoolsReachSteadyState: a message is its own event, so each is
 // taken from its pool once per send and Put back once, when it fires (a
 // response, when its walk ends). Once the engine has drained, every message
 // and response a delivery ever carried is therefore on its free list, once
 // — a missed Put would leave the list shorter than that, a double Put
 // longer — and a second identical batch of overlapping queries leaves both
-// lists exactly as long as the first left them.
+// lists exactly as long as the first left them. Under Flooding only the
+// downloads change the world, so each batch starts from the first one's
+// storage.
 func TestMessagePoolsReachSteadyState(t *testing.T) {
-	net, files := randomNet(t, noDownload{}, 11, 150)
-	msgs, resps := map[*QueryMsg]bool{}, map[*ResponseMsg]bool{}
+	net, files := randomNet(t, Flooding{}, 11, 150)
+	held, sigs := make([][]keywords.Filename, len(net.nodes)), slices.Clone(net.sigs)
+	for p := range held {
+		held[p] = slices.Clone(net.nodes[p].files)
+	}
+	msgs, resps := map[*QueryMsg]*overlay.PeerID{}, map[*ResponseMsg]bool{}
 	net.Engine.SetObserver(func(_ sim.Time, ev sim.Event) {
 		switch m := ev.(type) {
 		case *QueryMsg:
-			msgs[m] = true
+			// Sized for the longest path, a message's path array is its own
+			// for good: a recycled message is given no other.
+			if path, ok := msgs[m]; ok && path != &m.Path[0] {
+				t.Fatal("a recycled message was given a second path array")
+			}
+			msgs[m] = &m.Path[0]
 		case *ResponseMsg:
 			resps[m] = true
 		}
 	})
 	batch := func(label string) (int, int) {
+		for p := range held {
+			net.nodes[p].files = slices.Clone(held[p])
+		}
+		copy(net.sigs, sigs)
 		r := rand.New(rand.NewSource(5))
 		start := net.Engine.Now()
 		for i := 0; i < 40; i++ {

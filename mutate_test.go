@@ -26,7 +26,7 @@ var mutatePkgs = flag.String("mutate", "", "comma-separated packages to mutation
 
 // mutationFloors are measured scores (killed / viable, allow-listed
 // equivalents excluded) a package may not fall below.
-var mutationFloors = map[string]float64{"metrics": 0.9718, "sweep": 1, "scenario": 1, "campaign": 1, "obs": 1}
+var mutationFloors = map[string]float64{"protocol": 1, "metrics": 0.9718, "sweep": 1, "scenario": 1, "campaign": 1, "obs": 1}
 
 // Why a survivor behaves like the original, for reasons several share.
 const (
@@ -51,23 +51,23 @@ const (
 // why the mutant behaves like the original. A key is a mutant's id, or its
 // site (file:line:col) for every mutant there.
 var equivalentMutants = map[string]string{
-	"gossip.go:26:28:inc": scratch, "network.go:204:22:inc": scratch, "network.go:356:35:inc": scratch,
-	"network.go:357:35:inc": scratch, "network.go:358:35:inc": scratch, "network.go:359:35:inc": scratch,
-	"response.go:131:2:del": scratch, "response.go:131:21:inc": scratch, "routing.go:26:2:del": scratch,
-	"routing.go:26:22:inc": scratch, "routing.go:171:2:del": scratch, "routing.go:171:19:inc": scratch,
-	"lifecycle.go:48:3:del": scratch, "response.go:116:3:del": scratch,
-	"network.go:356:38": alloc, "network.go:357:38": alloc,
-	"network.go:358:38": alloc, "network.go:359:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
+	"gossip.go:26:28:inc": scratch, "network.go:171:22:inc": scratch, "network.go:327:35:inc": scratch,
+	"network.go:328:35:inc": scratch, "network.go:329:35:inc": scratch, "network.go:330:35:inc": scratch,
+	"response.go:167:2:del": scratch, "response.go:167:22:inc": scratch, "routing.go:25:2:del": scratch,
+	"routing.go:25:22:inc": scratch, "routing.go:212:2:del": scratch, "routing.go:212:19:inc": scratch,
+	"lifecycle.go:57:3:del": scratch, "response.go:150:3:del": scratch,
+	"network.go:327:38": alloc, "network.go:328:38": alloc,
+	"network.go:329:38": alloc, "network.go:330:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
 	"node.go:156:58:dec": alloc, "node.go:264:16": alloc, "node.go:291:11": alloc, "node.go:74:18:inc": alloc,
-	"routing.go:126:3:del": alloc, "routing.go:126:53": alloc, "lifecycle.go:19:13:rel": alloc,
-	"gossip.go:54:3:del": alloc, "response.go:69:3:del": alloc, "network.go:396:10": noTracer,
-	"network.go:420:10": noTracer, "node.go:98:90:inc": screen,
-	"node.go:186:27:inc": screen, "network.go:163:17": probe, "network.go:163:69:inc": probe,
-	"routing.go:164:19": firstWins, "routing.go:164:23": firstWins,
-	"locaware.go:99:22":     "math.Inf of any sign >= 0 is +Inf",
-	"network.go:207:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
-	"response.go:19:23:dec": "comparing ms[0] with itself changes nothing",
-	"routing.go:178:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
+	"routing.go:167:53:inc": alloc, "lifecycle.go:19:13:rel": alloc,
+	"gossip.go:54:3:del": alloc, "response.go:87:3:del": alloc, "network.go:367:10": noTracer,
+	"network.go:391:10": noTracer, "node.go:98:90:inc": screen,
+	"node.go:186:27:inc": screen, "network.go:130:17": probe, "network.go:130:69:inc": probe,
+	"routing.go:205:19": firstWins, "routing.go:205:23": firstWins,
+	"response.go:179:37":    "math.Inf of any sign >= 0 is +Inf",
+	"network.go:174:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
+	"response.go:20:23:dec": "comparing ms[0] with itself changes nothing",
+	"routing.go:219:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
 	"queue.go:29:15:rel":    "inside a.at != b.at, < and <= agree",
 	"queue.go:31:15:rel":    uniqueSeq,
 	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
