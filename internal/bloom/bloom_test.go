@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -444,13 +445,8 @@ func TestDiffFiltersInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Flipped) != len(want.Flipped) {
+	if !slices.Equal(got.Flipped, want.Flipped) {
 		t.Fatalf("Into diff = %v, want %v", got.Flipped, want.Flipped)
-	}
-	for i := range got.Flipped {
-		if got.Flipped[i] != want.Flipped[i] {
-			t.Fatalf("Into diff = %v, want %v", got.Flipped, want.Flipped)
-		}
 	}
 	if &got.Flipped[0] != &buf[:1][0] {
 		t.Fatal("DiffFiltersInto did not reuse the caller's buffer")

@@ -363,13 +363,8 @@ func TestPhaseWindowsIndependentOfCheckpoints(t *testing.T) {
 		without.Record(r)
 	}
 	a, b := with.Windows(), without.Windows()
-	if len(a) != len(b) {
-		t.Fatalf("window counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("window %d drifted with phases configured: %+v vs %+v", i, a[i], b[i])
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("windows drifted with phases configured: %+v vs %+v", a, b)
 	}
 	ws := with.PhaseWindows()
 	if len(ws) != 1 || ws[0].Queries != 4 || ws[0].AvgMessagesPerQuery != 6 || ws[0].SuccessRate != 0.5 {

@@ -36,9 +36,6 @@ func DefaultChurn() ChurnConfig {
 // population (of g.N()); the wave never shrinks below it. The departed
 // peers are returned in departure order.
 func BurstLeave(g *Graph, frac, minOnlineFrac float64, maxDegree int, r *rand.Rand) []PeerID {
-	if frac <= 0 {
-		return nil
-	}
 	online := make([]PeerID, 0, g.N())
 	for i := 0; i < g.N(); i++ {
 		if g.Online(PeerID(i)) {
@@ -66,19 +63,13 @@ func BurstLeave(g *Graph, frac, minOnlineFrac float64, maxDegree int, r *rand.Ra
 // one wave, rewiring each to ~avgDegree random online neighbours. It
 // returns the joined peers in join order.
 func BurstJoin(g *Graph, frac, avgDegree float64, maxDegree int, r *rand.Rand) []PeerID {
-	if frac <= 0 {
-		return nil
-	}
 	offline := make([]PeerID, 0, g.N())
 	for i := 0; i < g.N(); i++ {
 		if p := PeerID(i); !g.Online(p) {
 			offline = append(offline, p)
 		}
 	}
-	count := int(float64(frac*float64(len(offline))) + 0.5)
-	if count > len(offline) {
-		count = len(offline)
-	}
+	count := min(int(float64(frac*float64(len(offline)))+0.5), len(offline))
 	if count <= 0 {
 		return nil
 	}
@@ -93,11 +84,13 @@ func BurstJoin(g *Graph, frac, avgDegree float64, maxDegree int, r *rand.Rand) [
 }
 
 // ChurnStep applies one round of the churn process to g and returns the
-// peers that left and those that joined during this round. A running online
+// peers that left and those that joined during this round, in slices that
+// are the graph's own and valid until the next ChurnStep. A running online
 // count spares the floor test before each departure a scan of every peer.
 func ChurnStep(g *Graph, cfg ChurnConfig, r *rand.Rand) (left, joined []PeerID) {
 	minOnline := int(cfg.MinOnlineFraction * float64(g.N()))
 	online := g.OnlineCount()
+	left, joined = g.left[:0], g.joined[:0]
 	for i := 0; i < g.N(); i++ {
 		p := PeerID(i)
 		if g.Online(p) {
@@ -119,5 +112,6 @@ func ChurnStep(g *Graph, cfg ChurnConfig, r *rand.Rand) (left, joined []PeerID) 
 			joined = append(joined, p)
 		}
 	}
+	g.left, g.joined = left, joined
 	return left, joined
 }

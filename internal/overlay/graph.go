@@ -30,6 +30,9 @@ type Graph struct {
 	nbrs   [][]PeerID
 	online []bool
 	edges  int
+	// former, left and joined are what Leave and ChurnStep return, reused
+	// call to call so a departure allocates nothing once they have grown.
+	former, left, joined []PeerID
 }
 
 // Errors returned by graph mutations.
@@ -141,19 +144,20 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // Leave takes p offline, removing all its links. It returns the former
-// neighbour set so churn logic can repair connectivity.
+// neighbour set so churn logic can repair connectivity; the slice is the
+// graph's own and valid until the next Leave.
 func (g *Graph) Leave(p PeerID) []PeerID {
 	if !g.valid(p) || !g.online[p] {
 		return nil
 	}
 	// Copy before unlinking: RemoveLink mutates the internal list that
 	// Neighbors aliases.
-	former := append([]PeerID(nil), g.nbrs[p]...)
-	for _, q := range former {
+	g.former = append(g.former[:0], g.nbrs[p]...)
+	for _, q := range g.former {
 		g.RemoveLink(p, q)
 	}
 	g.online[p] = false
-	return former
+	return g.former
 }
 
 // Join brings p back online with no links; the caller wires it to new

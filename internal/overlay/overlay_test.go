@@ -46,13 +46,8 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 	ns := g.Neighbors(5)
 	want := []PeerID{1, 3, 7, 9}
-	if len(ns) != len(want) {
-		t.Fatalf("neighbors = %v", ns)
-	}
-	for i := range want {
-		if ns[i] != want[i] {
-			t.Fatalf("neighbors = %v, want %v", ns, want)
-		}
+	if !slices.Equal(ns, want) {
+		t.Fatalf("neighbors = %v, want %v", ns, want)
 	}
 }
 
@@ -187,14 +182,8 @@ func TestBuildRandomDeterministic(t *testing.T) {
 		t.Fatal("same-seed builds differ in edge count")
 	}
 	for i := 0; i < 300; i++ {
-		n1, n2 := g1.Neighbors(PeerID(i)), g2.Neighbors(PeerID(i))
-		if len(n1) != len(n2) {
+		if !slices.Equal(g1.Neighbors(PeerID(i)), g2.Neighbors(PeerID(i))) {
 			t.Fatalf("peer %d neighbor sets differ", i)
-		}
-		for j := range n1 {
-			if n1[j] != n2[j] {
-				t.Fatalf("peer %d neighbor sets differ", i)
-			}
 		}
 	}
 }
@@ -296,6 +285,13 @@ func TestChurnStep(t *testing.T) {
 	if frac := float64(g.OnlineCount()) / 300; frac < cfg.MinOnlineFraction {
 		t.Fatalf("online fraction %.2f below floor", frac)
 	}
+	// A round's lists and a departure's former neighbours are the graph's
+	// own: once they have grown, churning isolated peers allocates nothing.
+	iso, flip := NewGraph(64), ChurnConfig{LeaveProb: 1, JoinProb: 1}
+	ChurnStep(iso, flip, r) // all leave; AllocsPerRun's warm-up, all join
+	if n := testing.AllocsPerRun(4, func() { ChurnStep(iso, flip, r) }); n != 0 {
+		t.Fatalf("a churn round of isolated peers allocated %.1f times", n)
+	}
 }
 
 func TestChurnPreservesDensity(t *testing.T) {
@@ -383,11 +379,9 @@ func TestBurstLeaveAndJoin(t *testing.T) {
 	}
 
 	// The floor caps a wave that would collapse the overlay.
-	left = BurstLeave(g, 1.0, 0.5, 12, r)
-	if g.OnlineCount() != 100 {
+	if BurstLeave(g, 1.0, 0.5, 12, r); g.OnlineCount() != 100 {
 		t.Fatalf("floor breached: %d online", g.OnlineCount())
 	}
-	_ = left
 
 	joined := BurstJoin(g, 1.0, 3, 12, r)
 	if len(joined) != 100 || g.OnlineCount() != 200 {
@@ -402,6 +396,9 @@ func TestBurstLeaveAndJoin(t *testing.T) {
 	if got := BurstLeave(g, 0, 0.5, 12, r); got != nil {
 		t.Fatalf("zero-intensity wave departed %v", got)
 	}
+	if len(BurstLeave(g, 0.005, 0.5, 12, r)) != 1 || len(BurstJoin(g, 0.5, 3, 12, r)) != 1 {
+		t.Fatal("a wave of 0.5 % of 200 peers, or half its one peer's rejoin, did not round to one")
+	}
 	if got := BurstJoin(g, 0.5, 3, 12, r); got != nil {
 		t.Fatalf("join with nobody offline returned %v", got)
 	}
@@ -414,13 +411,8 @@ func TestBurstLeaveDeterministic(t *testing.T) {
 	}
 	g1, l1 := build()
 	g2, l2 := build()
-	if len(l1) != len(l2) {
-		t.Fatalf("wave sizes differ: %d vs %d", len(l1), len(l2))
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("departure order differs at %d: %v vs %v", i, l1[i], l2[i])
-		}
+	if !slices.Equal(l1, l2) {
+		t.Fatalf("departures differ: %v vs %v", l1, l2)
 	}
 	if g1.Edges() != g2.Edges() || g1.OnlineCount() != g2.OnlineCount() {
 		t.Fatal("post-wave graphs differ")

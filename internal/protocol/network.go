@@ -59,7 +59,7 @@ func DefaultConfig() Config {
 // QueryMsg and ResponseMsg points at it, so no delivery looks anything up.
 // It is also the query's finalize event, posted once at submission
 // FinalizeAfter ahead (see Fire). Instances are pooled: finalize returns
-// them to the network's free list.
+// them to the network's free list; a fresh one's seen set is carved.
 // Memory is O(visited) per in-flight query: seen is a 1 KB table that
 // doubles at half full, and the N/8-byte bitmap only where the bitmap is the
 // smaller. After 25 000 Locaware queries at 100 000 peers the heap holds
@@ -142,13 +142,18 @@ func (pq *pendingQuery) markSeen(p overlay.PeerID) (dup bool) {
 }
 
 // resetSeen empties a pooled value's set, clearing only what its last query
-// used, or makes a fresh value's: the bitmap where it is no larger than a
-// fresh table (N ≤ 8 192), else a table carved from the network's block.
+// used, or carves a fresh value's from seenBlock: the bitmap where it is no
+// larger than a fresh table (N ≤ 8 192), else a table, 64 to a block. A
+// bitmap block is one table's size, so a 25-query flood at 2 000 peers
+// leaves under 1 KB of it unused, not 10 KB.
 func (net *Network) resetSeen(seen []uint32) ([]uint32, int32) {
 	clear(seen)
 	if words := (len(net.nodes) + 31) / 32; words <= seenSlots {
 		if seen == nil {
-			seen = make([]uint32, words)
+			if len(net.seenBlock) < words {
+				net.seenBlock = make([]uint32, seenSlots)
+			}
+			seen, net.seenBlock = net.seenBlock[:words:words], net.seenBlock[words:]
 		}
 		return seen, -1
 	}
@@ -264,10 +269,11 @@ type Network struct {
 	msgPool  sim.Pool[QueryMsg]
 	respPool sim.Pool[ResponseMsg]
 	biPool   sim.Pool[bloomInstallEvent]
-	// What is left of the blocks sim.Carve cuts windows from: fresh messages'
-	// paths, fresh queries' Bloom positions and visited tables, nodes'
-	// neighbour-filter tables.
+	// What is left of the blocks fresh values' windows are cut from: query
+	// and response paths, response providers, queries' Bloom positions and
+	// visited sets, nodes' neighbour-filter tables.
 	pathBlock []overlay.PeerID
+	provBlock []cache.Provider
 	kwBlock   []uint32
 	seenBlock []uint32
 	nbBlock   []neighborFilter

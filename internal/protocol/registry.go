@@ -75,11 +75,12 @@ func (s Spec) Name() string { return s.Label }
 func (s Spec) Spec() Spec { return s }
 
 // CacheConfig implements Behavior: a row that places nothing keeps one
-// filename, never written; one without MultiProvider one provider a file.
+// filename of one provider, never written; one without MultiProvider one
+// provider a file. The provider bound sizes a fresh response's providers.
 func (s Spec) CacheConfig(base cache.Config) cache.Config {
 	switch {
 	case s.Placement == PlaceNone:
-		base.MaxFilenames = 1
+		base.MaxFilenames, base.MaxProvidersPerFile = 1, 1
 	case !s.MultiProvider:
 		base.MaxProvidersPerFile = 1
 	}

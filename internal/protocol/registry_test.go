@@ -16,7 +16,7 @@ var baselineRows = []struct {
 	bloom, firstKeyword bool
 	files, provs        int
 }{
-	{Flooding{}, "Flooding", false, false, 1, base.MaxProvidersPerFile},
+	{Flooding{}, "Flooding", false, false, 1, 1},
 	{Dicas{}, "Dicas", false, false, base.MaxFilenames, 1},
 	{DicasKeys{}, "Dicas-Keys", false, true, base.MaxFilenames, 1},
 	{Locaware{}, "Locaware", true, false, base.MaxFilenames, base.MaxProvidersPerFile},
@@ -31,7 +31,8 @@ func TestBehaviorNamesAndBloomFlags(t *testing.T) {
 	}
 }
 
-// TestCacheConfigAdaptation: one filename for Flooding, one provider for Dicas.
+// TestCacheConfigAdaptation: one filename of one provider for Flooding, one
+// provider for Dicas.
 func TestCacheConfigAdaptation(t *testing.T) {
 	for _, c := range baselineRows {
 		if got := c.b.CacheConfig(base); got.MaxFilenames != c.files || got.MaxProvidersPerFile != c.provs {

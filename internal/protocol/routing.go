@@ -143,10 +143,15 @@ func (net *Network) learn(n *Node, pq *pendingQuery, f keywords.Filename) {
 // recycled once the query is finalised, so the response keeps pq only for
 // the id-checked accounting) and the reverse path; hit is the hit's trace
 // span. It is the one place a pooled response is reset; the walk's end only
-// Puts it back.
+// Puts it back. A fresh one's path and providers are carved as acquireMsg
+// carves a path, with room for the longest path and an entry's providers.
 func (net *Network) newResponse(q *QueryMsg, f keywords.Filename, fromStorage bool, hit int32) *ResponseMsg {
 	pq := q.pq
 	rsp := net.respPool.Get()
+	if rsp.Path == nil {
+		rsp.Path = sim.Carve(&net.pathBlock, net.Config.TTL+1)
+		rsp.Providers = sim.Carve(&net.provBlock, net.spec.CacheConfig(net.Config.Cache).MaxProvidersPerFile)
+	}
 	*rsp = ResponseMsg{
 		ID: q.ID, pq: pq, File: f, Providers: rsp.Providers[:0],
 		QueryKws: pq.q, Origin: pq.origin, OriginLoc: pq.originLoc,

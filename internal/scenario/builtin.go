@@ -6,8 +6,10 @@ import (
 	"github.com/p2prepro/locaware/internal/overlay"
 )
 
-// builtins constructs the registry afresh (specs are mutable data; every
-// caller gets its own copy).
+// registry holds the built-in scenarios, built once. Specs are mutable
+// data, so Lookup hands out copies.
+var registry = builtins()
+
 func builtins() []*Spec {
 	dc := overlay.DefaultChurn()
 	return []*Spec{
@@ -96,11 +98,11 @@ func builtins() []*Spec {
 	}
 }
 
-// Lookup resolves a built-in scenario by name.
+// Lookup resolves a built-in scenario by name to a copy of its spec.
 func Lookup(name string) (*Spec, bool) {
-	for _, s := range builtins() {
+	for _, s := range registry {
 		if s.Name == name {
-			return s, true
+			return s.clone(), true
 		}
 	}
 	return nil, false
@@ -108,9 +110,8 @@ func Lookup(name string) (*Spec, bool) {
 
 // Names lists the built-in scenario names, sorted.
 func Names() []string {
-	bs := builtins()
-	names := make([]string, len(bs))
-	for i, s := range bs {
+	names := make([]string, len(registry))
+	for i, s := range registry {
 		names[i] = s.Name
 	}
 	sort.Strings(names)

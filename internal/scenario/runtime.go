@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/p2prepro/locaware/internal/metrics"
@@ -209,11 +210,8 @@ func (rt *Runtime) apply(e EventSpec) {
 // world instead of merely amplifying it.
 func (rt *Runtime) flashCrowd(e EventSpec) {
 	if e.HotFiles > 0 {
-		targets := rt.w.Gen.Targets()
-		hot := e.HotFiles
-		if hot > len(targets) {
-			hot = len(targets)
-		}
+		targets := slices.Clone(rt.w.Gen.Targets())
+		hot := min(e.HotFiles, len(targets))
 		// Partial Fisher–Yates: draw the hot set into the head positions.
 		for i := 0; i < hot; i++ {
 			j := i + rt.eventRng.Intn(len(targets)-i)
@@ -298,10 +296,8 @@ func (rt *Runtime) migrateProviders(e EventSpec) {
 // pickTargets draws up to n distinct files from the current queryable
 // ranking, uniformly.
 func (rt *Runtime) pickTargets(n int) []workload.FileID {
-	targets := rt.w.Gen.Targets()
-	if n > len(targets) {
-		n = len(targets)
-	}
+	targets := slices.Clone(rt.w.Gen.Targets())
+	n = min(n, len(targets))
 	for i := 0; i < n; i++ {
 		j := i + rt.eventRng.Intn(len(targets)-i)
 		targets[i], targets[j] = targets[j], targets[i]

@@ -3,8 +3,9 @@ package sim
 // Pool recycles values of one type. Get pops the LIFO free list, or carves
 // a zero T from a 64-value block when the list is empty, so growth costs
 // one allocation per block and fresh values sit contiguously; Put pushes a
-// value back. A full block is abandoned to its outstanding pointers, so
-// every pointer handed out stays valid. The zero value is ready to use.
+// value back. The free list starts with a block's room and doubles past
+// it. A full block is abandoned to its outstanding pointers, so every
+// pointer handed out stays valid. The zero value is ready to use.
 //
 // A Pool is not synchronised: it belongs to one simulation, whose events
 // all fire on the goroutine that runs its engine. The repo's one pooling
@@ -27,6 +28,9 @@ func (p *Pool[T]) Get() *T {
 	}
 	if len(p.block) == cap(p.block) {
 		p.block = make([]T, 0, poolBlockLen)
+		if p.free == nil {
+			p.free = make([]*T, 0, poolBlockLen)
+		}
 	}
 	p.block = p.block[:len(p.block)+1]
 	return &p.block[len(p.block)-1]

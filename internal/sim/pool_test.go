@@ -50,4 +50,15 @@ func TestPoolReuseAndGrowth(t *testing.T) {
 			t.Fatalf("value %d clobbered after pool growth: %d", i, v[0])
 		}
 	}
+	// The free list starts with a block's room: a fresh pool's first Get and
+	// a block of Puts cost two allocations, not a block and seven doublings.
+	if n := testing.AllocsPerRun(1, func() {
+		var r Pool[[4]int]
+		r.Get()
+		for _, v := range live[:poolBlockLen] {
+			r.Put(v)
+		}
+	}); n != 2 {
+		t.Fatalf("a fresh pool's Get and a block of Puts cost %.1f allocations, want two", n)
+	}
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/p2prepro/locaware/internal/core"
@@ -71,11 +72,11 @@ func MetricTitle(key string) string {
 // writeCoords appends a cell's axis-value columns to a tidy-CSV row.
 func writeCoords(b *strings.Builder, cell CellResult) {
 	for _, co := range cell.Coords {
-		b.WriteByte(',')
 		if co.Param == ParamScenario {
+			b.WriteByte(',')
 			b.WriteString(co.Scenario)
 		} else {
-			b.WriteString(g(co.Value))
+			writeG(b, co.Value)
 		}
 	}
 }
@@ -85,7 +86,8 @@ func writeCoords(b *strings.Builder, cell CellResult) {
 func writeMetrics(b *strings.Builder, ps *metrics.PhaseStats) {
 	for _, m := range metrics.Metrics {
 		s := m.Of(ps)
-		fmt.Fprintf(b, ",%s,%s", g(s.Mean), g(s.CI95()))
+		writeG(b, s.Mean)
+		writeG(b, s.CI95())
 	}
 }
 
@@ -105,10 +107,13 @@ func (c *Campaign) csvHeader(b *strings.Builder, identity string) {
 	b.WriteByte('\n')
 }
 
-// g formats a float the way every sweep export does: shortest
-// round-trippable decimal, so files are stable across platforms and diffs
-// stay readable.
-func g(v float64) string { return fmt.Sprintf("%g", v) }
+// writeG appends a comma and a float the way every sweep export formats
+// one, as %g prints it: shortest round-trippable decimal, so files are
+// stable across platforms and diffs stay readable. It formats on the stack.
+func writeG(b *strings.Builder, v float64) {
+	buf := [32]byte{','}
+	b.Write(strconv.AppendFloat(buf[:1], v, 'g', -1, 64))
+}
 
 // CSV renders the campaign as one tidy table: a row per (cell × protocol)
 // carrying the cell index, one column per axis parameter, the protocol,

@@ -44,8 +44,10 @@ type Generator struct {
 	// targets is the queryable file set, Zipf rank order. Per §3.3 of the
 	// paper, queries request files of PF — the set of popularly *shared*
 	// files, each provided by at least one peer — so the experiment
-	// harness restricts targets to initially placed files.
+	// harness restricts targets to initially placed files. While shared
+	// (the caller's list, or one Targets handed out) a change copies it.
 	targets []FileID
+	shared  bool
 	zipf    *Zipf
 	n       int
 	r       *rand.Rand
@@ -59,12 +61,13 @@ type Generator struct {
 // NewGeneratorOver creates a generator whose queries target only the given
 // files. Targets should be in ascending id order: catalogue ids are
 // popularity ranks, so the Zipf head lands on the most popular queryable
-// files.
+// files, which the caller must not modify.
 func NewGeneratorOver(n int, cfg GenConfig, cat *Catalog, targets []FileID, r *rand.Rand) *Generator {
 	return &Generator{
 		cfg:        cfg,
 		cat:        cat,
-		targets:    slices.Clone(targets),
+		targets:    targets,
+		shared:     true,
 		zipf:       NewZipf(len(targets), cfg.ZipfS, r),
 		n:          n,
 		r:          r,
@@ -97,23 +100,27 @@ func (g *Generator) SetZipfS(s float64) {
 // ZipfS returns the current popularity exponent.
 func (g *Generator) ZipfS() float64 { return g.cfg.ZipfS }
 
-// Targets returns a copy of the current target ranking (most popular
-// first).
+// Targets returns the current target ranking (most popular first), which
+// the caller must not modify: the generator copies it before a change.
 func (g *Generator) Targets() []FileID {
-	return slices.Clone(g.targets)
+	g.shared = true
+	return g.targets
 }
 
 // SetTargets replaces the target ranking — position is popularity rank, so
 // reordering re-ranks popularity (flash crowds promote a hot set to the
 // head) and the Zipf sampler is rebuilt over the new length.
 func (g *Generator) SetTargets(ts []FileID) {
-	g.targets = append(g.targets[:0], ts...)
-	g.zipf = NewZipf(len(g.targets), g.cfg.ZipfS, g.r)
+	g.targets = g.targets[:0]
+	g.AddTargets(ts...)
 }
 
 // AddTargets appends newly queryable files at the unpopular tail of the
 // ranking (content injection makes them reachable by queries).
 func (g *Generator) AddTargets(ts ...FileID) {
+	if g.shared {
+		g.targets, g.shared = slices.Clone(g.targets), false
+	}
 	g.targets = append(g.targets, ts...)
 	g.zipf = NewZipf(len(g.targets), g.cfg.ZipfS, g.r)
 }

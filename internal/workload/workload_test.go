@@ -329,13 +329,8 @@ func TestMatchingFilesEqualsLinearScan(t *testing.T) {
 		f := c.File(FileID(r.Intn(c.Size())))
 		q := keywords.ExtractQuery(f, r)
 		got, want := c.MatchingFiles(q), bruteMatch(c, q)
-		if len(got) != len(want) {
-			t.Fatalf("query %v: index found %d files, scan %d", q, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("query %v: index order %v != scan order %v", q, got, want)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %v: index found %v, scan %v", q, got, want)
 		}
 	}
 	// Queries with keywords outside the pool match nothing, cheaply.
@@ -479,6 +474,11 @@ func TestGeneratorDynamics(t *testing.T) {
 	hot := []FileID{41, 17, 53}
 	rest := g.Targets()
 	g.SetTargets(append(append([]FileID{}, hot...), rest...))
+	ranked := g.Targets()
+	g.SetTargets(rest) // writes into neither the world's list nor one handed out
+	if g.SetTargets(ranked); !slices.Equal(rest, allFiles(c)) || ranked[0] != 41 {
+		t.Fatalf("re-ranking wrote into a shared list: the world's %v, one handed out %v", rest[:3], ranked[:3])
+	}
 	g.SetZipfS(1.5)
 	if g.ZipfS() != 1.5 {
 		t.Fatalf("ZipfS() = %v after SetZipfS(1.5) — calm events restore via this getter", g.ZipfS())

@@ -45,29 +45,32 @@ const (
 	mixZero   = "the seed mixer returns 0 or 1 for one (root, cell) pair in 2^64, which no test can find"
 	noHot     = "a hot set of 0 swaps nothing and re-sets the unchanged ranking and exponent"
 	fileSync  = "a skipped or unchecked file fsync shows only after a power cut or a failing disk, which no test makes"
+	drawTie   = "a uniform draw equals the probability with probability about 2^-53"
 )
 
 // equivalentMutants allow-lists the survivors no test can kill, each with
 // why the mutant behaves like the original. A key is a mutant's id, or its
 // site (file:line:col) for every mutant there.
 var equivalentMutants = map[string]string{
-	"gossip.go:26:28:inc": scratch, "network.go:171:22:inc": scratch, "network.go:327:35:inc": scratch,
-	"network.go:328:35:inc": scratch, "network.go:329:35:inc": scratch, "network.go:330:35:inc": scratch,
+	"gossip.go:26:28:inc": scratch, "network.go:176:22:inc": scratch, "network.go:333:35:inc": scratch,
+	"network.go:334:35:inc": scratch, "network.go:335:35:inc": scratch, "network.go:336:35:inc": scratch,
 	"response.go:167:2:del": scratch, "response.go:167:22:inc": scratch, "routing.go:25:2:del": scratch,
-	"routing.go:25:22:inc": scratch, "routing.go:212:2:del": scratch, "routing.go:212:19:inc": scratch,
+	"routing.go:25:22:inc": scratch, "routing.go:217:2:del": scratch, "routing.go:217:19:inc": scratch,
 	"lifecycle.go:57:3:del": scratch, "response.go:150:3:del": scratch,
-	"network.go:327:38": alloc, "network.go:328:38": alloc,
-	"network.go:329:38": alloc, "network.go:330:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
+	"network.go:333:38": alloc, "network.go:334:38": alloc,
+	"network.go:335:38": alloc, "network.go:336:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
 	"node.go:156:58:dec": alloc, "node.go:264:16": alloc, "node.go:291:11": alloc, "node.go:74:18:inc": alloc,
-	"routing.go:167:53:inc": alloc, "lifecycle.go:19:13:rel": alloc,
-	"gossip.go:54:3:del": alloc, "response.go:87:3:del": alloc, "network.go:367:10": noTracer,
-	"network.go:391:10": noTracer, "node.go:98:90:inc": screen,
+	"routing.go:172:53:inc": alloc, "lifecycle.go:19:13:rel": alloc, "network.go:153:26:rel": alloc, "routing.go:151:14:rel": alloc,
+	"routing.go:152:3:del": alloc, "routing.go:152:55": alloc, "routing.go:153:3:del": alloc, "pool.go:44:17:rel": alloc, "pool.go:30:23:inc": alloc,
+	"churn.go:40:11:dec": "Online of an id outside the graph is false", "churn.go:40:16:rel": "Online of an id outside the graph is false", "churn.go:46:69:rel": boundary,
+	"gossip.go:54:3:del": alloc, "response.go:87:3:del": alloc, "network.go:373:10": noTracer,
+	"network.go:397:10": noTracer, "node.go:98:90:inc": screen,
 	"node.go:186:27:inc": screen, "network.go:130:17": probe, "network.go:130:69:inc": probe,
-	"routing.go:205:19": firstWins, "routing.go:205:23": firstWins,
+	"routing.go:210:19": firstWins, "routing.go:210:23": firstWins,
 	"response.go:179:37":    "math.Inf of any sign >= 0 is +Inf",
-	"network.go:174:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
+	"network.go:179:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
 	"response.go:20:23:dec": "comparing ms[0] with itself changes nothing",
-	"routing.go:219:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
+	"routing.go:224:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
 	"queue.go:29:15:rel":    "inside a.at != b.at, < and <= agree",
 	"queue.go:31:15:rel":    uniqueSeq,
 	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
@@ -77,19 +80,19 @@ var equivalentMutants = map[string]string{
 	"intensity.go:31:7:rel": boundary, "intensity.go:104:7:rel": boundary, "intensity.go:104:10:dec": boundary,
 	"intensity.go:115:7:rel": boundary, "intensity.go:118:7:rel": boundary, "intensity.go:108:12": scaledPos,
 	"intensity.go:108:14": scaledPos, "intensity.go:109:10": scaledPos, "intensity.go:115:9:dec": scaledPos,
-	"intensity.go:116:10": scaledPos, "export.go:169:9": errFirst,
+	"intensity.go:116:10": scaledPos, "export.go:174:9": errFirst, "pool.go:20:22": "every test reads the block length by name",
+	"export.go:114:10": "31 or 33 bytes hold the comma and the longest shortest-'g' float, 24 bytes", "export.go:115:48:inc": "any negative precision formats the shortest decimal",
 	"checkpoint.go:104:3:del": dirSync, "checkpoint.go:116:9:rel": dirSync, "locaware.go:541:8:rel": boundary,
 	"locaware_campaign.go:35:34:rel": oneTrial, "locaware_campaign.go:35:36": oneTrial,
 	"spec.go:362:10:inc": mixZero, "spec.go:363:3:del": mixZero, "run.go:54:24:dec": "the one caller passes only runs that kept a trace",
-	"runtime.go:211:16:rel": noHot, "runtime.go:211:18:dec": noHot, "runtime.go:214:10:rel": boundary, "runtime.go:236:15:inc": boundary,
-	"runtime.go:302:7:rel": boundary, "runtime.go:363:7:rel": boundary, "spec.go:239:43:rel": boundary, "runtime.go:353:32:inc": alloc,
-	"runtime.go:321:21:rel": "SetLatencyFactor stores a factor below 1 as 1, and 1 scales no RTT", "runtime.go:321:23:dec": "SetLatencyFactor stores a factor below 1 as 1",
-	"runtime.go:333:12:dec": "Neighbors of an id outside the graph is empty", "runtime.go:333:17:rel": "Neighbors of an id outside the graph is empty",
-	"runtime.go:336:10:rel": "the graph has no self-links", "runtime.go:361:17:rel": "locIds are distinct, so ids[i] == ids[j] only for i == j", "runtime.go:342:29:rel": "a uniform draw equals the drop fraction with probability about 2^-53",
-	"spec.go:245:2:del": "the last cumulative fraction is the total exactly, so the last end is measured already", "runtime.go:202:3:del": "Validate refuses an unknown kind before Attach, so the default case never runs",
-	"runtime.go:227:18:rel": "SetRateFactor ignores a factor <= 0 itself", "runtime.go:227:20:dec": "SetRateFactor ignores a factor <= 0 itself", "checkpoint.go:94:9:rel": fileSync, "checkpoint.go:95:3:del": fileSync, "checkpoint.go:97:30:rel": fileSync, "checkpoint.go:179:12:rel": boundary,
+	"runtime.go:212:16:rel": noHot, "runtime.go:212:18:dec": noHot, "runtime.go:234:15:inc": boundary, "runtime.go:359:7:rel": boundary, "spec.go:239:43:rel": boundary, "runtime.go:349:32:inc": alloc,
+	"runtime.go:317:21:rel": "SetLatencyFactor stores a factor below 1 as 1, and 1 scales no RTT", "runtime.go:317:23:dec": "SetLatencyFactor stores a factor below 1 as 1",
+	"runtime.go:329:12:dec": "Neighbors of an id outside the graph is empty", "runtime.go:329:17:rel": "Neighbors of an id outside the graph is empty",
+	"runtime.go:332:10:rel": "the graph has no self-links", "runtime.go:357:17:rel": "locIds are distinct, so ids[i] == ids[j] only for i == j", "runtime.go:338:29:rel": drawTie, "churn.go:97:41:rel": drawTie, "churn.go:108:25:rel": drawTie,
+	"spec.go:245:2:del": "the last cumulative fraction is the total exactly, so the last end is measured already", "runtime.go:203:3:del": "Validate refuses an unknown kind before Attach, so the default case never runs",
+	"runtime.go:225:18:rel": "SetRateFactor ignores a factor <= 0 itself", "runtime.go:225:20:dec": "SetRateFactor ignores a factor <= 0 itself", "checkpoint.go:94:9:rel": fileSync, "checkpoint.go:95:3:del": fileSync, "checkpoint.go:97:30:rel": fileSync, "checkpoint.go:179:12:rel": boundary,
 	"checkpoint.go:179:14": "a campaign hash is 64 hex characters or empty, never 11 to 13", "checkpoint.go:66:29": "0o754 and 0o756 leave the owner, the one process that uses the store, rwx as 0o755 does",
-	"runtime.go:359:26:rel": "inside census[ids[i]] != census[ids[j]], > and >= agree",
+	"runtime.go:355:26:rel": "inside census[ids[i]] != census[ids[j]], > and >= agree",
 	"fanout.go:52:7:rel":    boundary, "fanout.go:52:10:dec": boundary,
 }
 
