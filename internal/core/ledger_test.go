@@ -150,12 +150,11 @@ func ledgerGrid() ledgerRow {
 // or pushes per query that differ at all fail it, and so do allocations,
 // bytes per query or heap bytes per peer more than 1 % above the row.
 // Within the test a run has one P and no GC, so every count repeats but
-// three of the grid row's allocations, 688 B: RunGrid's worker goroutine
+// two of the grid row's allocations, 544 B: RunGrid's worker goroutine
 // (448 B) and the sudog it parks on its jobs channel (96 B) come from
-// runtime caches an earlier test may have filled, and the engine's
-// qe.ev.(Named) grows its type-assertion cache (144 B) at random, about
-// once in 1 024 misses. Alone, as pinned and as CI also runs it, the row
-// reads up to 0.0025 allocs and 0.57 B per query more than in the package.
+// runtime caches an earlier test may have filled. Alone, as pinned and as
+// CI also runs it, the row reads 0.0017 allocs and 0.45 B per query more
+// than in the package.
 // -update rewrites the file and logs each field it moves; a change that
 // moves a row shows the old and new rows in CHANGES.md.
 func TestWorkLedger(t *testing.T) {

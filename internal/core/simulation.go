@@ -80,13 +80,18 @@ func NewWorld(cfg Config, runs int) *World {
 	// files some peer actually provides are queryable. Catalogue ids are
 	// popularity ranks, so ascending id order keeps the Zipf head on
 	// popular files.
-	provided := make([]bool, catalog.Size())
+	// The generator shares the list for the whole run, so it is made at
+	// its length.
+	provided, count := make([]bool, catalog.Size()), 0
 	for p := range cfg.NumPeers {
 		for _, fid := range placement.Files(p) {
-			provided[fid] = true
+			if !provided[fid] {
+				provided[fid] = true
+				count++
+			}
 		}
 	}
-	var targets []workload.FileID
+	targets := make([]workload.FileID, 0, count)
 	for fid, ok := range provided {
 		if ok {
 			targets = append(targets, workload.FileID(fid))

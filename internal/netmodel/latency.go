@@ -25,7 +25,10 @@ func DefaultLatency() LatencyConfig {
 // spare, the generators for the pairs the closed form cannot draw, behind
 // its mutex. The optional per-peer latency factors (regional-degradation
 // dynamics) are written only between events on the owning simulation's
-// engine goroutine.
+// engine goroutine. The memo lives with the links instead: a protocol
+// network stores a link's healthy OneWay in the overlay row's delay slot
+// on its first message and reads it from there while no factor is set
+// (Degraded), so per message it calls the model only off the links.
 type Model struct {
 	cfg   LatencyConfig
 	pts   []Point
@@ -122,6 +125,10 @@ func (m *Model) SetLatencyFactor(i int, factor float64) {
 
 // ClearLatencyFactors restores every path to its healthy latency.
 func (m *Model) ClearLatencyFactors() { m.factors = nil }
+
+// Degraded reports whether some latency factor is set, that is, whether
+// RTT may differ from a pair's healthy value.
+func (m *Model) Degraded() bool { return m.factors != nil }
 
 // RTTToPoint returns the RTT in milliseconds between peer a and an arbitrary
 // point (used for landmark probes). No jitter is applied: landmark probes in

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,7 +37,8 @@ func churnStepRescan(g *Graph, cfg ChurnConfig, r *rand.Rand) (left, joined []Pe
 // the same draws as recounting the online peers before each one. Twin
 // worlds churn side by side over 60 seeds, under a mild process and one
 // harsh enough that the online floor binds mid-round, and after every
-// round the departures, the arrivals and the whole graph must agree.
+// round the departures, the arrivals and the whole graph must agree, and
+// ChurnStep's graph keeps its delay slots with their ids (checkDelays).
 func TestChurnStepMatchesRescanOracle(t *testing.T) {
 	configs := []ChurnConfig{
 		DefaultChurn(),
@@ -48,6 +50,7 @@ func TestChurnStepMatchesRescanOracle(t *testing.T) {
 			got := BuildRandom(150, paperBuild, rand.New(rand.NewSource(seed)))
 			want := BuildRandom(150, paperBuild, rand.New(rand.NewSource(seed)))
 			rg, rw := rand.New(rand.NewSource(seed*31)), rand.New(rand.NewSource(seed*31))
+			fill, delay := rand.New(rand.NewSource(-seed)), delayModel(got.N(), seed)
 			for step := 0; step < 8; step++ {
 				left, joined := ChurnStep(got, cfg, rg)
 				wantLeft, wantJoined, b := churnStepRescan(want, cfg, rw)
@@ -60,6 +63,7 @@ func TestChurnStepMatchesRescanOracle(t *testing.T) {
 						t.Fatalf("seed %d config %d step %d: peer %d differs from the oracle", seed, ci, step, p)
 					}
 				}
+				checkDelays(t, got, delay, fill, func() string { return fmt.Sprintf("seed %d config %d step %d", seed, ci, step) })
 			}
 		}
 	}

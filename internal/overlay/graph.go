@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // PeerID identifies a peer; it doubles as the peer's index into the physical
@@ -22,9 +24,13 @@ type PeerID int32
 // marked offline (churn); offline peers keep their identity but have no
 // links.
 //
-// Adjacency is one ascending slice per peer: the hot Neighbors call returns
+// Adjacency is one ascending row per peer: the hot Neighbors call returns
 // it without allocating or sorting, and Linked, AddLink and RemoveLink
-// binary-search it (degrees are a handful, capped at MaxDegree).
+// binary-search it (degrees are a handful, capped at MaxDegree). A row sits
+// in a window of 2w 32-bit slots, its ids in the first w and each link's
+// delay slot (see LinkDelay) in the second, at the same index: at a window
+// of four, one cache line holds both. nbrs[p] is the row's ids with the
+// whole window as capacity, so w is cap(nbrs[p])/2.
 type Graph struct {
 	n      int
 	nbrs   [][]PeerID
@@ -33,6 +39,8 @@ type Graph struct {
 	// former, left and joined are what Leave and ChurnStep return, reused
 	// call to call so a departure allocates nothing once they have grown.
 	former, left, joined []PeerID
+	// block is what a row that outgrows its window moves into.
+	block []PeerID
 }
 
 // Errors returned by graph mutations.
@@ -96,11 +104,33 @@ func (g *Graph) AddLink(a, b PeerID) error {
 		return nil
 	}
 	j, _ := slices.BinarySearch(g.nbrs[b], a)
-	g.nbrs[a] = slices.Insert(g.nbrs[a], i, b)
-	g.nbrs[b] = slices.Insert(g.nbrs[b], j, a)
+	g.insert(a, i, b)
+	g.insert(b, j, a)
 	g.edges++
 	return nil
 }
+
+// insert puts q, its delay unknown, at index i of p's row. A full window
+// moves, ids and delays together, into one of twice the room carved from
+// the graph's block.
+func (g *Graph) insert(p PeerID, i int, q PeerID) {
+	r := g.nbrs[p]
+	if w := cap(r) / 2; len(r) == w {
+		grown := sim.Carve(&g.block, 2*max(2*w, 4))[:len(r)]
+		copy(grown, r)
+		copy(delays(grown), delays(r)[:len(r)])
+		r = grown
+	}
+	r = r[:len(r)+1]
+	d := delays(r)
+	copy(r[i+1:], r[i:])
+	copy(d[i+1:len(r)], d[i:])
+	r[i], d[i] = q, 0
+	g.nbrs[p] = r
+}
+
+// delays is the delay half of row r's window.
+func delays(r []PeerID) []PeerID { return r[cap(r)/2 : cap(r)] }
 
 // RemoveLink deletes the undirected link a—b if present.
 func (g *Graph) RemoveLink(a, b PeerID) {
@@ -109,9 +139,18 @@ func (g *Graph) RemoveLink(a, b PeerID) {
 		return
 	}
 	j, _ := slices.BinarySearch(g.nbrs[b], a)
-	g.nbrs[a] = slices.Delete(g.nbrs[a], i, i+1)
-	g.nbrs[b] = slices.Delete(g.nbrs[b], j, j+1)
+	g.remove(a, i)
+	g.remove(b, j)
 	g.edges--
+}
+
+// remove deletes index i of p's row, its delay slot with it.
+func (g *Graph) remove(p PeerID, i int) {
+	r := g.nbrs[p]
+	d := delays(r)
+	copy(r[i:], r[i+1:])
+	copy(d[i:len(r)-1], d[i+1:len(r)])
+	g.nbrs[p] = r[:len(r)-1]
 }
 
 // Linked reports whether a and b are neighbours.
@@ -120,18 +159,47 @@ func (g *Graph) Linked(a, b PeerID) bool {
 	return ok
 }
 
+// LinkDelay returns the delay slot of link a→b in a's row, and the link's
+// index in Neighbors(a); i is -1 when a and b are not linked. A slot holds
+// what SetLinkDelay last stored for the link, from either end, and 0 until
+// then: a new link and every slot of a Clone start at 0. The row is
+// scanned, not searched: it is a handful of ids the caller has usually
+// just read.
+func (g *Graph) LinkDelay(a, b PeerID) (d uint32, i int) {
+	if !g.valid(a) {
+		return 0, -1
+	}
+	r := g.nbrs[a]
+	for i, q := range r {
+		if q == b {
+			return uint32(delays(r)[i]), i
+		}
+	}
+	return 0, -1
+}
+
+// SetLinkDelay stores d as the delay of the link at index i of a's row,
+// the index LinkDelay returned, in the slots at both its ends: a link is
+// undirected, and so is its delay.
+func (g *Graph) SetLinkDelay(a PeerID, i int, d uint32) {
+	b := g.nbrs[a][i]
+	j, _ := slices.BinarySearch(g.nbrs[b], a)
+	delays(g.nbrs[a])[i], delays(g.nbrs[b])[j] = PeerID(d), PeerID(d)
+}
+
 // Degree returns the number of neighbours of p (0 if offline or invalid).
 func (g *Graph) Degree(p PeerID) int { return len(g.Neighbors(p)) }
 
 // Neighbors returns p's neighbour list in ascending order — deterministic
 // iteration, which the simulator relies on for reproducible runs. The
-// returned slice is the graph's internal table: callers must not mutate or
-// retain it across graph mutations.
+// returned slice is the graph's internal table, its capacity clipped to its
+// length: callers must not mutate or retain it across graph mutations.
 func (g *Graph) Neighbors(p PeerID) []PeerID {
 	if !g.valid(p) {
 		return nil
 	}
-	return g.nbrs[p]
+	r := g.nbrs[p]
+	return r[:len(r):len(r)]
 }
 
 // AvgDegree returns the mean degree over online peers.
@@ -193,8 +261,8 @@ func (g *Graph) RandomOnlinePeer(r *rand.Rand, excluded map[PeerID]bool) PeerID 
 	}
 }
 
-// Clone returns an independent copy of g. Every adjacency keeps its
-// capacity as a window of one block, so the copy grows as g would.
+// Clone returns an independent copy of g. Every row keeps its window in
+// one block, so the copy grows as g would; its delay slots start at 0.
 func (g *Graph) Clone() *Graph {
 	slots := 0
 	for _, nb := range g.nbrs {

@@ -1,9 +1,13 @@
 package overlay
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"github.com/p2prepro/locaware/internal/netmodel"
+	"github.com/p2prepro/locaware/internal/sim"
 )
 
 // setGraph is the oracle: the overlay as one set of neighbours per peer,
@@ -101,16 +105,45 @@ func (o *setGraph) components() []int {
 	return sizes
 }
 
+// delayModel is the physical network whose one-way delays, in µs, a
+// simulation stores in the overlay's delay slots.
+func delayModel(n int, seed int64) func(a, b PeerID) uint32 {
+	pts := netmodel.Place(n, netmodel.DefaultPlacement(), rand.New(rand.NewSource(seed)))
+	m := netmodel.NewModel(pts, netmodel.DefaultPlacement().Side, netmodel.DefaultLatency(), seed)
+	return func(a, b PeerID) uint32 { return uint32(sim.FromMillis(m.OneWay(int(a), int(b)))) }
+}
+
+// checkDelays holds every row's delay slots to its ids: LinkDelay finds
+// each neighbour at its index in Neighbors, and a filled slot holds the
+// model's delay for that pair. It then fills about half the empty slots, so
+// the next mutation has filled slots to move.
+func checkDelays(t *testing.T, g *Graph, delay func(a, b PeerID) uint32, r *rand.Rand, where func() string) {
+	t.Helper()
+	for p := PeerID(0); int(p) < g.N(); p++ {
+		for i, q := range g.Neighbors(p) {
+			d, j := g.LinkDelay(p, q)
+			if j != i || d != 0 && d != delay(p, q) {
+				t.Fatalf("%s: link %d→%d at index %d: slot %d at index %d, model %d", where(), p, q, i, d, j, delay(p, q))
+			}
+			if d == 0 && r.Intn(2) == 0 {
+				g.SetLinkDelay(p, i, delay(p, q))
+			}
+		}
+	}
+}
+
 // TestGraphMatchesSetOracle drives Graph and the oracle through the same
 // random AddLink / RemoveLink / Leave / Join / RewireJoin sequence and
 // requires every read — Linked, Degree, Neighbors (ascending), Edges,
 // Online, component sizes — to agree after every step. Graph keeps
 // adjacency once, as sorted slices; the oracle is what the deleted
-// per-peer maps were.
+// per-peer maps were. Rows grow from empty past two windows (AddLink has
+// no degree cap), every 50th step works on a Clone, and each row's delay
+// slots stay with their ids throughout (checkDelays).
 func TestGraphMatchesSetOracle(t *testing.T) {
 	const n, maxDegree = 14, 5
 	for seed := int64(1); seed <= 4; seed++ {
-		r := rand.New(rand.NewSource(seed))
+		r, fill, delay := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(-seed)), delayModel(n, seed)
 		g, o := NewGraph(n), newSetGraph(n)
 		ops := [5]int{}
 		for step := 0; step < 2500; step++ {
@@ -155,8 +188,8 @@ func TestGraphMatchesSetOracle(t *testing.T) {
 						seed, step, p, g.Degree(p), g.Online(p), len(want), o.online[p])
 				}
 				for q := PeerID(0); q < n; q++ {
-					if g.Linked(p, q) != o.sets[p][q] {
-						t.Fatalf("seed %d step %d: Linked(%d,%d) = %v, oracle %v", seed, step, p, q, g.Linked(p, q), o.sets[p][q])
+					if _, i := g.LinkDelay(p, q); g.Linked(p, q) != o.sets[p][q] || (i >= 0) != o.sets[p][q] {
+						t.Fatalf("seed %d step %d: Linked(%d,%d) = %v (slot index %d), oracle %v", seed, step, p, q, g.Linked(p, q), i, o.sets[p][q])
 					}
 				}
 			}
@@ -165,6 +198,10 @@ func TestGraphMatchesSetOracle(t *testing.T) {
 			}
 			if got, want := components(g), o.components(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: components %v, oracle %v", seed, step, got, want)
+			}
+			checkDelays(t, g, delay, fill, func() string { return fmt.Sprintf("seed %d step %d", seed, step) })
+			if step%50 == 49 {
+				g = g.Clone()
 			}
 		}
 		for i, c := range ops {

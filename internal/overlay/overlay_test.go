@@ -129,12 +129,17 @@ func TestBuildRandomPaperScale(t *testing.T) {
 // TestBuildRandomWindowsAreDisjoint: BuildRandom carves every adjacency
 // from one block, each window capped at its own slots. Growing one peer far
 // past its window, and its twenty new neighbours one slot each, must leave
-// every other peer's list as it was, bar the new links.
+// every other peer's list as it was, bar the new links, and every link's
+// filled delay slot as it was: a row moves with its delays.
 func TestBuildRandomWindowsAreDisjoint(t *testing.T) {
 	g := BuildRandom(200, paperBuild, rand.New(rand.NewSource(3)))
 	before := make([][]PeerID, g.N())
+	slot := func(p, q PeerID) uint32 { return uint32(min(p, q))<<16 | uint32(max(p, q)) }
 	for p := range before {
 		before[p] = slices.Clone(g.Neighbors(PeerID(p)))
+		for i, q := range before[p] {
+			g.SetLinkDelay(PeerID(p), i, slot(PeerID(p), q))
+		}
 	}
 	hub, added := PeerID(100), map[PeerID]bool{}
 	for q := PeerID(0); len(added) < 20; q++ {
@@ -157,6 +162,11 @@ func TestBuildRandomWindowsAreDisjoint(t *testing.T) {
 		slices.Sort(want)
 		if got := g.Neighbors(PeerID(p)); !slices.Equal(got, want) {
 			t.Fatalf("peer %d: neighbours %v, want %v", p, got, want)
+		}
+		for _, q := range want {
+			if d, _ := g.LinkDelay(PeerID(p), q); d != slot(PeerID(p), q) && (d != 0 || slices.Contains(before[p], q)) {
+				t.Fatalf("link %d→%d: delay slot %d", p, q, d)
+			}
 		}
 	}
 }

@@ -216,3 +216,43 @@ func TestMessagePoolsReachSteadyState(t *testing.T) {
 			msgs2, resps2, msgs1, resps1)
 	}
 }
+
+// TestLinkDelaySlotYieldsToDegradation: a link's first message fills its
+// delay slot with the model's healthy one-way delay; while a latency factor
+// touches an endpoint, the next message over the link takes the degraded
+// delay and leaves the slot alone, and once the factors are cleared the
+// slot's delay applies again — whatever the slot holds, so it is read, not
+// recomputed.
+func TestLinkDelaySlotYieldsToDegradation(t *testing.T) {
+	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), DefaultConfig())
+	hop := func() sim.Time {
+		start := net.Engine.Now()
+		net.send(0, 1, fn(func(*sim.Engine) {}))
+		net.Engine.Run(0)
+		return net.Engine.Now() - start - net.Config.ProcessingDelay
+	}
+	healthy := sim.FromMillis(net.Model.OneWay(0, 1))
+	if d := hop(); d != healthy {
+		t.Fatalf("first hop took %d µs, the model's delay is %d", d, healthy)
+	}
+	slot, i := net.Graph.LinkDelay(0, 1)
+	if sim.Time(slot) != healthy {
+		t.Fatalf("slot holds %d after the first hop, want %d", slot, healthy)
+	}
+	net.Model.SetLatencyFactor(1, 3)
+	degraded := sim.FromMillis(net.Model.OneWay(0, 1))
+	if d := hop(); d != degraded || d == healthy {
+		t.Fatalf("degraded hop took %d µs, want %d (healthy %d)", d, degraded, healthy)
+	}
+	if s, _ := net.Graph.LinkDelay(0, 1); s != slot {
+		t.Fatalf("degradation rewrote the slot: %d, was %d", s, slot)
+	}
+	net.Model.ClearLatencyFactors()
+	if d := hop(); d != healthy {
+		t.Fatalf("restored hop took %d µs, want %d", d, healthy)
+	}
+	net.Graph.SetLinkDelay(0, i, slot+1)
+	if d := hop(); d != healthy+1 {
+		t.Fatalf("hop took %d µs with the slot at %d", d, slot+1)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 )
 
 // Engine is a single-threaded discrete-event simulator. All scheduling and
@@ -28,8 +29,10 @@ type Engine struct {
 	observer func(at Time, ev Event)
 	// kinds, when non-nil, tallies deliveries per event kind, and queueHW
 	// the deepest queue a delivery left behind (see CountKinds); nil costs
-	// one branch per delivery.
+	// one branch per delivery. names holds the kind of each dynamic event
+	// type delivered so far.
 	kinds   map[string]uint64
+	names   map[reflect.Type]string
 	queueHW int
 }
 
@@ -114,14 +117,7 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 		e.queue.pop()
 		e.now = qe.at
 		if e.kinds != nil {
-			// Named events count under their constant name, anonymous ones
-			// share one bucket: a map update and a compare, no allocation
-			// once every kind has been seen.
-			kind := "event"
-			if n, ok := qe.ev.(Named); ok {
-				kind = n.EventName()
-			}
-			e.kinds[kind]++
+			e.kinds[e.kindOf(qe.ev)]++
 			e.queueHW = max(e.queueHW, e.queue.Len())
 		}
 		if e.observer != nil {
@@ -134,10 +130,34 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 	return delivered
 }
 
+// namedType is the Named interface, which kindOf converts events to.
+var namedType = reflect.TypeFor[Named]()
+
+// kindOf is ev's kind: its EventName when ev is Named, else "event", the
+// one bucket anonymous events share. Each dynamic type is named once per
+// engine, through reflect: an ev.(Named) assertion's runtime cache grows at
+// random, so identical runs would allocate it at different times.
+func (e *Engine) kindOf(ev Event) string {
+	t := reflect.TypeOf(ev)
+	kind, ok := e.names[t]
+	if !ok {
+		kind = "event"
+		if t.Implements(namedType) {
+			var n Named
+			reflect.ValueOf(&n).Elem().Set(reflect.ValueOf(ev))
+			kind = n.EventName()
+		}
+		e.names[t] = kind
+	}
+	return kind
+}
+
 // CountKinds makes the engine tally every delivery by event kind and track
 // the queue-depth high water; call it before the run. Off, EventsByKind and
 // QueueHighWater stay zero.
-func (e *Engine) CountKinds() { e.kinds = make(map[string]uint64) }
+func (e *Engine) CountKinds() {
+	e.kinds, e.names = make(map[string]uint64), make(map[reflect.Type]string)
+}
 
 // EventsByKind returns the deliveries counted per kind so far — the engine's
 // own map, not a copy: a later Run keeps counting into it.
