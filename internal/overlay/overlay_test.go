@@ -32,6 +32,11 @@ func TestGraphErrors(t *testing.T) {
 	if g.Linked(-1, 0) || g.Degree(-5) != 0 || g.Neighbors(-1) != nil {
 		t.Fatal("invalid ids should be inert")
 	}
+	for _, p := range []PeerID{-1, 0} { // an invalid id, and a peer not linked to 2
+		if d, i := g.LinkDelay(p, 2); d != 0 || i != -1 {
+			t.Fatalf("LinkDelay(%d, 2) = %d, %d; want 0, -1", p, d, i)
+		}
+	}
 	if g.Online(-1) {
 		t.Fatal("invalid id online")
 	}

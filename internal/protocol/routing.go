@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"math"
-
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
 	"github.com/p2prepro/locaware/internal/overlay"
@@ -72,15 +70,15 @@ func (net *Network) targets(p overlay.PeerID, pq *pendingQuery, elig []overlay.P
 // physical one-way latency plus processing delay. The latency is the
 // link's delay slot in a's overlay row, which the caller has just read; the
 // model computes it only for a slot still empty, a pair no longer linked,
-// or while some latency factor is set. A healthy delay that fits fills the
-// slots at both ends of the link (the model is symmetric); 0, which marks
-// a slot empty, is computed again.
+// or while some latency factor is set. A healthy delay that fits a slot
+// fills the slots at both ends of the link (the model is symmetric); 0,
+// which marks a slot empty, is computed again.
 func (net *Network) send(a, b overlay.PeerID, ev sim.Event) {
 	d, i := net.Graph.LinkDelay(a, b)
 	delay := sim.Time(d)
 	if d == 0 || net.Model.Degraded() {
 		delay = sim.FromMillis(net.Model.OneWay(int(a), int(b)))
-		if i >= 0 && !net.Model.Degraded() && delay > 0 && delay <= math.MaxUint32 {
+		if i >= 0 && !net.Model.Degraded() && sim.Time(uint32(delay)) == delay {
 			net.Graph.SetLinkDelay(a, i, uint32(delay))
 		}
 	}

@@ -250,22 +250,26 @@ func TestProcessedScheduledCounters(t *testing.T) {
 // TestPostEventZeroAlloc locks the hot path: scheduling and firing a
 // pooled event allocates nothing in steady state (the queue entry holds the
 // event itself, and a pointer-typed Event in the interface field does not
-// box).
+// box), with kinds counted too once the event's type has been named.
 func TestPostEventZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	var log []int
 	ev := &countEvent{log: &log, tag: 0}
-	// Warm the queue's and the log's capacity.
-	e.PostEvent(Millisecond, ev)
-	e.Run(0)
-	log = log[:0]
-	n := testing.AllocsPerRun(200, func() {
-		log = log[:0]
+	for _, counted := range []bool{false, true} {
+		if counted {
+			e.CountKinds()
+		}
+		// Warm the queue's and the log's capacity, and the kind's name.
 		e.PostEvent(Millisecond, ev)
 		e.Run(0)
-	})
-	if n != 0 {
-		t.Fatalf("PostEvent+Run allocated %.1f per cycle, want 0", n)
+		n := testing.AllocsPerRun(200, func() {
+			log = log[:0]
+			e.PostEvent(Millisecond, ev)
+			e.Run(0)
+		})
+		if n != 0 {
+			t.Fatalf("PostEvent+Run (kinds counted: %v) allocated %.1f per cycle, want 0", counted, n)
+		}
 	}
 }
 

@@ -54,23 +54,25 @@ const (
 var equivalentMutants = map[string]string{
 	"gossip.go:26:28:inc": scratch, "network.go:176:22:inc": scratch, "network.go:333:35:inc": scratch,
 	"network.go:334:35:inc": scratch, "network.go:335:35:inc": scratch, "network.go:336:35:inc": scratch,
-	"response.go:167:2:del": scratch, "response.go:167:22:inc": scratch, "routing.go:27:2:del": scratch,
-	"routing.go:27:22:inc": scratch, "routing.go:231:2:del": scratch, "routing.go:231:19:inc": scratch,
+	"response.go:167:2:del": scratch, "response.go:167:22:inc": scratch, "routing.go:25:2:del": scratch,
+	"routing.go:25:22:inc": scratch, "routing.go:229:2:del": scratch, "routing.go:229:19:inc": scratch,
 	"lifecycle.go:57:3:del": scratch, "response.go:150:3:del": scratch,
 	"network.go:333:38": alloc, "network.go:334:38": alloc,
 	"network.go:335:38": alloc, "network.go:336:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
 	"node.go:156:58:dec": alloc, "node.go:264:16": alloc, "node.go:291:11": alloc, "node.go:74:18:inc": alloc,
-	"routing.go:186:53:inc": alloc, "lifecycle.go:19:13:rel": alloc, "network.go:153:26:rel": alloc, "routing.go:165:14:rel": alloc,
-	"routing.go:166:3:del": alloc, "routing.go:166:55": alloc, "routing.go:167:3:del": alloc, "pool.go:44:17:rel": alloc, "pool.go:30:23:inc": alloc,
+	"routing.go:184:53:inc": alloc, "lifecycle.go:19:13:rel": alloc, "network.go:153:26:rel": alloc, "routing.go:163:14:rel": alloc,
+	"routing.go:164:3:del": alloc, "routing.go:164:55": alloc, "routing.go:165:3:del": alloc, "pool.go:44:17:rel": alloc, "pool.go:30:23:inc": alloc,
+	"simulation.go:85:51": alloc, "builder.go:37:9": alloc, "builder.go:37:17": alloc, "builder.go:37:43": alloc, "builder.go:37:48": alloc,
+	"graph.go:119:32:inc": alloc, "graph.go:119:38:inc": alloc, "graph.go:119:43": alloc, "graph.go:152:18:dec": "copy moves min(len(dst), len(src)) elements either way",
 	"churn.go:40:11:dec": "Online of an id outside the graph is false", "churn.go:40:16:rel": "Online of an id outside the graph is false", "churn.go:46:69:rel": boundary,
 	"gossip.go:54:3:del": alloc, "response.go:87:3:del": alloc, "network.go:373:10": noTracer,
 	"network.go:397:10": noTracer, "node.go:98:90:inc": screen,
 	"node.go:186:27:inc": screen, "network.go:130:17": probe, "network.go:130:69:inc": probe,
-	"routing.go:224:19": firstWins, "routing.go:224:23": firstWins,
+	"routing.go:222:19": firstWins, "routing.go:222:23": firstWins,
 	"response.go:179:37":    "math.Inf of any sign >= 0 is +Inf",
 	"network.go:179:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
 	"response.go:20:23:dec": "comparing ms[0] with itself changes nothing",
-	"routing.go:238:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
+	"routing.go:236:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
 	"queue.go:29:15:rel":    "inside a.at != b.at, < and <= agree",
 	"queue.go:31:15:rel":    uniqueSeq,
 	"queue.go:40:46:inc":    uniqueSeq + "; a borrow-in of 1 compares seq by <=",
