@@ -465,13 +465,12 @@ func TestHotPathAllocBudget(t *testing.T) {
 // filters, the response indexes, the storage and the adjacency, and none to
 // locate a peer — so the 200-peer world's 39 980 allocations (keywords
 // spelt as strings, a map per peer's placement) fell to 99, and the 20 000-
-// peer world's 14.5 per peer to 0.181, most of it adjacencies that
-// outgrew their windows one at a time. A grown row now moves into a window
-// carved from a block, and the target list is made at its length: 0.295
+// peer world's 14.5 per peer to 0.181. Grown adjacency rows are carved
+// from a block and the target list is made at its length: 0.295
 // allocations and 1 196 B per peer at 200 peers, 0.00575 and 412 B at
-// 20 000 (the adjacency windows hold the links' delay slots beside the ids,
-// +16 B per peer at degree 3). The budgets are the measured values + 10 %,
-// but for the 20 000-peer bytes, which stay at the earlier 433.
+// 20 000 (each adjacency window holds its links' delay slots beside the
+// ids, 16 B a peer at degree 3). The budgets are the measured values
+// + 10 %, but for the 20 000-peer bytes, which stay at 433.
 func TestWorldBuildAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	for _, c := range []struct {
