@@ -112,11 +112,16 @@ func (g *Graph) AddLink(a, b PeerID) error {
 
 // insert puts q, its delay unknown, at index i of p's row. A full window
 // moves, ids and delays together, into one of twice the room carved from
-// the graph's block.
+// the graph's block. A new block holds ⌈n/16⌉ such windows, at most 64:
+// a small graph grows few rows.
 func (g *Graph) insert(p PeerID, i int, q PeerID) {
 	r := g.nbrs[p]
 	if w := cap(r) / 2; len(r) == w {
-		grown := sim.Carve(&g.block, 2*max(2*w, 4))[:len(r)]
+		size := 2 * max(2*w, 4)
+		if len(g.block) < size {
+			g.block = make([]PeerID, size*min((g.n+15)/16, 64))
+		}
+		grown := sim.Carve(&g.block, size)[:len(r)]
 		copy(grown, r)
 		copy(delays(grown), delays(r)[:len(r)])
 		r = grown

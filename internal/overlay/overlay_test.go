@@ -176,6 +176,23 @@ func TestBuildRandomWindowsAreDisjoint(t *testing.T) {
 	}
 }
 
+// TestGrowthBlockSizedToGraph: a row that outgrows its window is carved
+// from a block of ⌈n/16⌉ windows, at most 64, and a block is used up
+// before the next is made. A bare row's first window holds 4 ids and their
+// 4 delays.
+func TestGrowthBlockSizedToGraph(t *testing.T) {
+	const size = 8
+	for _, c := range []struct{ n, windows int }{{96, 6}, {97, 7}, {2000, 64}} {
+		g := NewGraph(c.n)
+		for k := 1; k <= c.windows+1; k++ {
+			g.insert(PeerID(k), 0, 0)
+			if want := size * (c.windows - (k-1)%c.windows - 1); len(g.block) != want {
+				t.Fatalf("%d peers, %d rows grown: %d slots left in the block, want %d", c.n, k, len(g.block), want)
+			}
+		}
+	}
+}
+
 func TestBuildRandomSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	if g := BuildRandom(0, paperBuild, r); g.N() != 0 {

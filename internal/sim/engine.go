@@ -11,8 +11,10 @@ import (
 // needs locks. This mirrors PeerSim's event-driven engine, which the paper's
 // evaluation is built on.
 //
-// Pending events sit in a 4-ary min-heap of (at, seq, event) entries (see
-// queue.go); the engine owns no other event storage.
+// Pending events sit in a two-tier queue of (at, seq, event) entries (see
+// queue.go): a ring of time buckets for those due within about half a
+// second of the last delivery, a 4-ary min-heap for the rest. The engine
+// owns no other event storage.
 type Engine struct {
 	now   Time
 	queue eventQueue
@@ -58,31 +60,30 @@ func (e *Engine) Scheduled() uint64 { return e.scheduled }
 // learns its end while running sets it then and keeps running.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
-// PostEventAt queues ev to fire at absolute virtual time at. With a pooled
-// concrete event it allocates nothing in steady state. An event beyond the
-// horizon is dropped without error, so callers near the end of a run need
-// no special casing.
+// PostEventAt queues ev to fire at absolute virtual time at, as PostEvent
+// does; a time before the clock is refused with ErrPast.
 func (e *Engine) PostEventAt(at Time, ev Event) error {
 	if at < e.now {
 		return ErrPast
 	}
-	if e.horizon > 0 && at > e.horizon {
-		return nil
-	}
-	e.queue.push(qent{at: at, seq: e.scheduled, ev: ev})
-	e.scheduled++
+	e.PostEvent(at-e.now, ev)
 	return nil
 }
 
 // PostEvent queues ev to fire after delay; it panics on a negative delay
-// (the only invalid input).
+// (the only invalid input). With a pooled concrete event it allocates
+// nothing in steady state. An event beyond the horizon is dropped without
+// error, so callers near the end of a run need no special casing.
 func (e *Engine) PostEvent(delay Time, ev Event) {
-	if delay < 0 {
+	at := e.now + delay
+	if at < e.now { // a negative delay, or one past the end of time
 		panic(ErrPast)
 	}
-	if err := e.PostEventAt(e.now+delay, ev); err != nil {
-		panic(err)
+	if e.horizon > 0 && at > e.horizon {
+		return
 	}
+	e.queue.push(qent{at: at, seq: e.scheduled, ev: ev})
+	e.scheduled++
 }
 
 // Run processes events until the queue drains, the next event lies beyond
@@ -100,21 +101,21 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 	var delivered uint64
 	for maxEvents == 0 || delivered < maxEvents {
-		qe, ok := e.queue.peek()
-		if !ok {
+		next := e.queue.peek()
+		if next == nil {
 			break
 		}
 		end := deadline
 		if e.horizon > 0 {
 			end = min(end, e.horizon)
 		}
-		if qe.at > end {
+		if next.at > end {
 			if end > e.now && end != Time(math.MaxInt64) {
 				e.now = end
 			}
 			break
 		}
-		e.queue.pop()
+		qe, _ := e.queue.pop()
 		e.now = qe.at
 		if e.kinds != nil {
 			e.kinds[e.kindOf(qe.ev)]++

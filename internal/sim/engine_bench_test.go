@@ -39,19 +39,27 @@ func (ev *benchChainEvent) Fire(e *Engine) {
 }
 
 // benchQueue is the surface BenchmarkQueuePushPop drives: the engine's
-// queue and the binary-heap oracle both have it.
+// two-tier queue, its far tier alone and the binary-heap oracle all have it.
 type benchQueue interface {
 	push(qent)
 	pop() (qent, bool)
 }
 
-// BenchmarkQueuePushPop measures one push plus one pop on the two queue
-// shapes a protocol run produces, for the engine's 4-ary heap and for the
-// test-only binary heap kept as its oracle. "dense" is a standing queue of
-// 4096 near-clustered timestamps with periodic far-future timers and
-// interleaved push/pop (Locaware at 20 000 peers); "sparse-burst" is
-// sparseBurst — a handful of standing timers, then a flood of ≈1400
-// link-latency deliveries, repeated (Flooding at the paper's arrival rate).
+// BenchmarkQueuePushPop measures one push plus one pop on four queue
+// shapes, for the engine's two-tier queue, for its 4-ary heap alone (the
+// single-tier queue it replaced) and for the test-only binary heap kept as
+// its oracle:
+//   - "dense" is a standing queue of 4096 timestamps within 2 ms, with
+//     periodic far-future timers and interleaved push/pop (Locaware at
+//     20 000 peers, its link delays squeezed into four buckets);
+//   - "sparse-burst" is sparseBurst: a handful of standing timers, then a
+//     flood of ≈1400 link-latency deliveries, repeated (Flooding at the
+//     paper's arrival rate);
+//   - "clustered" pushes 4096 entries inside one bucket width in random
+//     order, then pops them all: the ring's worst case, each push a walk
+//     of its bucket's sorted list;
+//   - "far" is a standing queue of 4096 timers all beyond the near window,
+//     so the ring only costs its tier test.
 func BenchmarkQueuePushPop(b *testing.B) {
 	xorshift := func() func(mod int64) int64 {
 		x := uint64(0x9e3779b97f4a7c15)
@@ -62,17 +70,14 @@ func BenchmarkQueuePushPop(b *testing.B) {
 			return int64(x % uint64(mod))
 		}
 	}
-	dense := func(b *testing.B, q benchQueue) {
+	// standing keeps depth entries queued, each push drawn by at from the
+	// clock, the last popped time.
+	standing := func(b *testing.B, q benchQueue, at func(now Time) Time) {
 		const depth = 4096
 		var seq uint64
 		var now Time
-		next := xorshift()
 		push := func() {
-			at := now + Time(next(2000))
-			if next(50) == 0 {
-				at = now + 30*Second + Time(next(int64(Second)))
-			}
-			q.push(qent{at: at, seq: seq})
+			q.push(qent{at: at(now), seq: seq})
 			seq++
 		}
 		for i := 0; i < depth; i++ {
@@ -84,6 +89,19 @@ func BenchmarkQueuePushPop(b *testing.B) {
 			e, _ := q.pop()
 			now = e.at
 		}
+	}
+	dense := func(b *testing.B, q benchQueue) {
+		next := xorshift()
+		standing(b, q, func(now Time) Time {
+			if next(50) == 0 {
+				return now + 30*Second + Time(next(int64(Second)))
+			}
+			return now + Time(next(2000))
+		})
+	}
+	far := func(b *testing.B, q benchQueue) {
+		next := xorshift()
+		standing(b, q, func(now Time) Time { return now + nearWindow + Time(next(int64(30*Second))) })
 	}
 	sparse := func(b *testing.B, q benchQueue) {
 		var seq uint64
@@ -98,11 +116,28 @@ func BenchmarkQueuePushPop(b *testing.B) {
 				return e.at, ok
 			})
 	}
+	clustered := func(b *testing.B, q benchQueue) {
+		const batch = 4096
+		next := xorshift()
+		var seq uint64
+		var bucket Time
+		for done := 0; done < b.N; done += batch {
+			for i := 0; i < batch; i++ {
+				q.push(qent{at: bucket + Time(next(int64(bucketWidth))), seq: seq})
+				seq++
+			}
+			for i := 0; i < batch; i++ {
+				q.pop()
+			}
+			bucket += bucketWidth
+		}
+	}
 	for _, shape := range []struct {
 		name string
 		run  func(*testing.B, benchQueue)
-	}{{"dense", dense}, {"sparse-burst", sparse}} {
-		b.Run(shape.name+"/quad", func(b *testing.B) { shape.run(b, &eventQueue{}) })
+	}{{"dense", dense}, {"sparse-burst", sparse}, {"clustered", clustered}, {"far", far}} {
+		b.Run(shape.name+"/two-tier", func(b *testing.B) { shape.run(b, &eventQueue{}) })
+		b.Run(shape.name+"/quad-heap", func(b *testing.B) { shape.run(b, &quadHeap{}) })
 		b.Run(shape.name+"/binary-oracle", func(b *testing.B) { shape.run(b, &heapQueue{}) })
 	}
 }

@@ -29,7 +29,10 @@ func TestTimeString(t *testing.T) {
 		want string
 	}{
 		{500 * Microsecond, "500us"},
+		{Millisecond - 1, "999us"},
+		{Millisecond, "1.000ms"},
 		{2 * Millisecond, "2.000ms"},
+		{Second, "1.000s"},
 		{3 * Second, "3.000s"},
 		{Minute, "60.000s"},
 		{Hour, "3600.000s"},
@@ -135,13 +138,16 @@ func TestSchedulePastRejected(t *testing.T) {
 
 func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 	e := NewEngine()
-	fired := false
+	fired := 0
 	e.PostEvent(10*Millisecond, fn(func(eng *Engine) {
-		eng.PostEvent(0, fn(func(*Engine) { fired = true }))
+		eng.PostEvent(0, fn(func(*Engine) { fired++ }))
+		if err := eng.PostEventAt(eng.Now(), fn(func(*Engine) { fired++ })); err != nil {
+			t.Fatal(err)
+		}
 	}))
 	e.Run(0)
-	if !fired {
-		t.Fatal("zero-delay follow-up did not fire")
+	if fired != 2 {
+		t.Fatalf("%d of 2 follow-ups at the current instant fired", fired)
 	}
 	if e.Now() != 10*Millisecond {
 		t.Fatalf("clock advanced unexpectedly: %v", e.Now())
@@ -227,11 +233,14 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
-	// A one-tick horizon still drops what lies beyond it.
+	// A one-tick horizon still drops what lies beyond it, and leaves what
+	// was queued beyond it undelivered.
 	one := NewEngine()
-	if one.SetHorizon(1); one.PostEventAt(2, fn(func(*Engine) {})) != nil || one.Scheduled() != 0 {
+	one.PostEventAt(2, fn(func(*Engine) { t.Fatal("delivered an event past a one-tick horizon") }))
+	if one.SetHorizon(1); one.PostEventAt(2, fn(func(*Engine) {})) != nil || one.Scheduled() != 1 {
 		t.Fatal("a one-tick horizon queued an event at tick 2")
 	}
+	one.Run(0)
 }
 
 func TestProcessedScheduledCounters(t *testing.T) {
@@ -335,21 +344,43 @@ func TestQueueRandomizedPushPop(t *testing.T) {
 	}
 }
 
-// TestQueuePopClearsVacatedSlot: the slot a pop vacates at the tail of the
-// heap's backing array must not keep its event reachable.
+// TestQueuePopClearsVacatedSlot: no node a pop frees to the slab and no
+// slot it vacates at the tail of the far heap's backing array keeps its
+// event reachable. Half the entries are near, half far.
 func TestQueuePopClearsVacatedSlot(t *testing.T) {
 	var q eventQueue
-	const n = 100
+	const n = 200
 	for i := 0; i < n; i++ {
-		q.push(qent{at: Time((i * 37) % n), seq: uint64(i), ev: anonEvent{}})
+		at := Time((i*37)%100) * Millisecond
+		if i%2 == 1 {
+			at += nearWindow
+		}
+		q.push(qent{at: at, seq: uint64(i), ev: anonEvent{}})
 	}
+	if q.near != n/2 || len(q.far.ents) != n/2 {
+		t.Fatalf("%d near and %d far entries, want %d of each", q.near, len(q.far.ents), n/2)
+	}
+	free := func(popped int) int {
+		k := 0
+		for f := q.free; f != nil; f = f.next {
+			if f.ev != nil {
+				t.Fatalf("after %d pops a free node holds its event", popped)
+			}
+			k++
+		}
+		return k
+	}
+	nodes := free(0) + q.near
 	for popped := 1; popped <= n; popped++ {
 		if e, ok := q.pop(); !ok || e.ev == nil {
 			t.Fatalf("pop %d lost its event", popped)
 		}
-		for i, e := range q.ents[:n] {
-			if live := i < n-popped; (e.ev != nil) != live {
-				t.Fatalf("after %d pops slot %d holds event=%v, want live=%v", popped, i, e.ev != nil, live)
+		if k := free(popped); k+q.near != nodes {
+			t.Fatalf("after %d pops %d nodes free and %d queued, want %d in all", popped, k, q.near, nodes)
+		}
+		for i, e := range q.far.ents[:cap(q.far.ents)] {
+			if live := i < len(q.far.ents); (e.ev != nil) != live {
+				t.Fatalf("after %d pops far slot %d holds event=%v, want live=%v", popped, i, e.ev != nil, live)
 			}
 		}
 	}

@@ -82,7 +82,14 @@ func (w *oracleWorld) push(at Time) {
 // pop advances both queues to their next delivery and asserts the (at, seq)
 // keys match. Returns false when both queues are exhausted.
 func (w *oracleWorld) pop() bool {
+	var peeked qent
+	if p := w.q.peek(); p != nil {
+		peeked = *p
+	}
 	got, gotOK := w.q.pop()
+	if got.at != peeked.at || got.seq != peeked.seq {
+		w.t.Fatalf("delivery %d: peek saw (%d,%d), pop took (%d,%d)", w.delivered, peeked.at, peeked.seq, got.at, got.seq)
+	}
 	heapEnt, heapOK := w.heap.pop()
 	if gotOK != heapOK {
 		w.t.Fatalf("after %d deliveries: queue ok=%v oracle ok=%v", w.delivered, gotOK, heapOK)
@@ -273,5 +280,190 @@ func TestQueuePopsInSortOrder(t *testing.T) {
 		for trial := 0; trial < 500; trial++ {
 			check("small", draw(n, func() Time { return Time(r.Intn(3)) }), 0)
 		}
+	}
+}
+
+// tiers reports where the queue holds its entries: near in the ring, far in
+// the heap.
+func (w *oracleWorld) tiers() (near, far int) { return w.q.near, len(w.q.far.ents) }
+
+// TestQueueOracleWindowEdges pushes at the near window's last microsecond,
+// which joins the ring, and at the first beyond it, which joins the heap,
+// among random near pushes and pops; the window runs from the start of the
+// last popped instant's bucket.
+func TestQueueOracleWindowEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	w := newOracleWorld(t)
+	for round := 0; round < 500; round++ {
+		beyond := (w.now>>bucketShift)<<bucketShift + nearWindow
+		near, far := w.tiers()
+		w.push(beyond - 1)
+		w.push(beyond)
+		if n, f := w.tiers(); n != near+1 || f != far+1 {
+			t.Fatalf("round %d: window ends at %d, pushes there made near %d→%d, far %d→%d", round, beyond, near, n, far, f)
+		}
+		for i := r.Intn(8); i > 0; i-- {
+			w.push(w.now + Time(r.Intn(int(nearWindow))))
+		}
+		for i := r.Intn(10); i > 0; i-- {
+			w.pop()
+		}
+	}
+	for w.pop() {
+	}
+}
+
+// TestQueueOracleEqualTimesAcrossTiers queues a far entry and then, once
+// the clock has moved its time into the window, a near entry at the same
+// instant: the far one has the smaller seq and pops first.
+func TestQueueOracleEqualTimesAcrossTiers(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	w := newOracleWorld(t)
+	for round := 0; round < 300; round++ {
+		at := w.now + nearWindow + Time(r.Intn(int(bucketWidth)))
+		_, far := w.tiers()
+		w.push(at)
+		if _, f := w.tiers(); f != far+1 {
+			t.Fatalf("round %d: push at %d from %d stayed near", round, at, w.now)
+		}
+		w.push(at - nearWindow/2)
+		for w.now < at-nearWindow/2 {
+			w.pop()
+		}
+		near, _ := w.tiers()
+		w.push(at)
+		if n, _ := w.tiers(); n != near+1 {
+			t.Fatalf("round %d: push at %d from %d went far", round, at, w.now)
+		}
+	}
+	for w.pop() {
+	}
+	// The queue orders by key, not by push order: pushed after the far
+	// entry at the same instant, a near entry with the smaller seq pops
+	// first.
+	var q eventQueue
+	q.push(qent{at: nearWindow, seq: 9})
+	q.push(qent{at: bucketWidth, seq: 0})
+	q.pop()
+	q.push(qent{at: nearWindow, seq: 1})
+	if q.near != 1 || len(q.far.ents) != 1 {
+		t.Fatalf("%d near and %d far entries, want one of each", q.near, len(q.far.ents))
+	}
+	for _, seq := range []uint64{1, 9} {
+		if p := q.peek(); p.seq != seq {
+			t.Fatalf("peek saw seq %d, want %d", p.seq, seq)
+		}
+		if e, _ := q.pop(); e.seq != seq {
+			t.Fatalf("popped seq %d, want %d", e.seq, seq)
+		}
+	}
+}
+
+// TestNearWindowCoversLinkDelays: a message sent at the end of a bucket
+// over the default model's longest link (276 ms one way) plus the 1 ms
+// processing delay still lands in the ring.
+func TestNearWindowCoversLinkDelays(t *testing.T) {
+	if longest := bucketWidth - 1 + 277*Millisecond; longest >= nearWindow {
+		t.Fatalf("a %v delivery falls outside the %v near window", longest, nearWindow)
+	}
+}
+
+// TestQueueAllocatesPerChunk: the slab grows by chunks that each double
+// it, 64 nodes first, and the heap's first push makes room for 64 entries,
+// so k pushes allocate about log2(k/64) times, not once per push.
+func TestQueueAllocatesPerChunk(t *testing.T) {
+	for _, c := range []struct {
+		near, far int
+		allocs    float64
+	}{{64, 0, 1}, {65, 0, 2}, {192, 0, 2}, {193, 0, 3}, {0, 64, 1}, {0, 65, 2}} {
+		got := testing.AllocsPerRun(5, func() {
+			var q eventQueue
+			for i := 0; i < c.near; i++ {
+				q.push(qent{at: Time(i), seq: uint64(i)})
+			}
+			for i := 0; i < c.far; i++ {
+				q.push(qent{at: nearWindow + Time(i), seq: uint64(i)})
+			}
+		})
+		if got != c.allocs {
+			t.Errorf("%d near and %d far pushes: %v allocations, want %v", c.near, c.far, got, c.allocs)
+		}
+	}
+}
+
+// TestQueueOracleAllFar runs a stream whose every delay is beyond the near
+// window: the ring stays empty and the heap alone orders the pops.
+func TestQueueOracleAllFar(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	w := newOracleWorld(t)
+	for op := 0; op < 20000; op++ {
+		if r.Intn(100) < 55 {
+			w.push(w.now + nearWindow + Time(r.Intn(int(Minute))))
+		} else {
+			w.pop()
+		}
+		if near, _ := w.tiers(); near != 0 {
+			t.Fatalf("op %d: %d entries near", op, near)
+		}
+	}
+	for w.pop() {
+	}
+	if w.delivered == 0 {
+		t.Fatal("delivered nothing")
+	}
+}
+
+// seqEvent is an event that carries its scheduling sequence number.
+type seqEvent uint64
+
+func (seqEvent) Fire(*Engine) {}
+
+// TestRunUntilDeadlineMatchesOracle posts through the engine after
+// RunUntil's deadline has moved the clock past the last pop, so that a
+// delay the window covers from the clock can lie beyond it from the last
+// popped instant, which the queue's tiers are measured from; the
+// deliveries must still come in the oracle's order.
+func TestRunUntilDeadlineMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	e := NewEngine()
+	var oracle heapQueue
+	post := func(at Time) {
+		seq := e.Scheduled()
+		if err := e.PostEventAt(at, seqEvent(seq)); err != nil {
+			t.Fatal(err)
+		}
+		oracle.push(qent{at: at, seq: seq})
+	}
+	delivered := 0
+	e.SetObserver(func(at Time, ev Event) {
+		want, _ := oracle.pop()
+		if got := uint64(ev.(seqEvent)); at != want.at || got != want.seq {
+			t.Fatalf("delivery %d: (%d,%d), oracle (%d,%d)", delivered, at, got, want.at, want.seq)
+		}
+		delivered++
+	})
+	farAfterJump := 0
+	for round := 0; round < 200; round++ {
+		for i := 1 + r.Intn(20); i > 0; i-- {
+			post(e.Now() + Time(r.Intn(int(nearWindow))))
+		}
+		e.RunUntil(e.Now()+Time(r.Intn(int(2*nearWindow))), 0)
+		// The clock now sits at the deadline when the queue ran dry of
+		// earlier events; delays up to the window from here straddle the
+		// window measured from the last pop.
+		far := len(e.queue.far.ents)
+		for i := 1 + r.Intn(20); i > 0; i-- {
+			post(e.Now() + Time(r.Intn(int(nearWindow))))
+		}
+		if len(e.queue.far.ents) > far {
+			farAfterJump++
+		}
+	}
+	e.Run(0)
+	if oracle.Len() != 0 || e.queue.Len() != 0 {
+		t.Fatalf("%d oracle and %d queued entries left", oracle.Len(), e.queue.Len())
+	}
+	if farAfterJump == 0 {
+		t.Fatal("no post after a deadline went to the far tier")
 	}
 }
