@@ -51,7 +51,7 @@ type benchQueue interface {
 // its oracle:
 //   - "dense" is a standing queue of 4096 timestamps within 2 ms, with
 //     periodic far-future timers and interleaved push/pop (Locaware at
-//     20 000 peers, its link delays squeezed into four buckets);
+//     20 000 peers, its link delays squeezed into two or three buckets);
 //   - "sparse-burst" is sparseBurst: a handful of standing timers, then a
 //     flood of ≈1400 link-latency deliveries, repeated (Flooding at the
 //     paper's arrival rate);

@@ -60,7 +60,7 @@ const (
 	nearWindow = ringLen * bucketWidth
 	ringWords  = ringLen / 64
 	// firstChunk is the node count of the slab's first chunk, each later
-	// chunk doubling the slab, and the far heap's first capacity.
+	// chunk twice the one before, and the far heap's first capacity.
 	firstChunk = 64
 )
 
@@ -86,7 +86,7 @@ type eventQueue struct {
 	base, first int64
 	near        int
 	// free lists the nodes not in use; chunk is the node count of the
-	// newest chunk, which is as large as all the ones before it.
+	// newest chunk, twice that of the one before.
 	free  *qnode
 	chunk int
 }
@@ -134,7 +134,7 @@ func (q *eventQueue) push(e qent) {
 }
 
 // pushSlow pushes a far entry onto the heap, or carves the next chunk of
-// nodes, as large as the slab so far, onto the free list and pushes again.
+// nodes, twice the last, onto the free list and pushes again.
 // The heap's first push makes room for firstChunk entries at once: growing
 // by append from empty would take seven allocations.
 func (q *eventQueue) pushSlow(e qent) {

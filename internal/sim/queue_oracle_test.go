@@ -368,8 +368,8 @@ func TestNearWindowCoversLinkDelays(t *testing.T) {
 	}
 }
 
-// TestQueueAllocatesPerChunk: the slab grows by chunks that each double
-// it, 64 nodes first, and the heap's first push makes room for 64 entries,
+// TestQueueAllocatesPerChunk: the slab grows by chunks of 64, 128, 256
+// nodes and so on, and the heap's first push makes room for 64 entries,
 // so k pushes allocate about log2(k/64) times, not once per push.
 func TestQueueAllocatesPerChunk(t *testing.T) {
 	for _, c := range []struct {
