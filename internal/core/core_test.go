@@ -414,7 +414,10 @@ func skipAllocBudget(t *testing.T) {
 // 20 000 peers 0.087 and 459 (0.179 and 608 when every query held an N-bit
 // seen bitmap), and campaign-grid's shape, Flooding at 400 peers under
 // steady-churn at the sweeps' rate, 0.493 and 1 037 (1.337 and 1 042 while
-// a run allocated per fresh query and departure, not per block).
+// a run allocated per fresh query and departure, not per block). The last
+// row is Locaware with the benchmark's flight recorder attached (KeepFailed,
+// SlowestN 8): 0.478 and 1 811, where a recorder that spelt every event's
+// detail and kept a map of in-flight queries cost 2.09 and 1 260.
 func TestHotPathAllocBudget(t *testing.T) {
 	skipAllocBudget(t)
 	for _, c := range []struct {
@@ -422,17 +425,21 @@ func TestHotPathAllocBudget(t *testing.T) {
 		peers              int
 		warmup, measured   int
 		budget, byteBudget float64
-		churn              bool
+		churn, traced      bool
 	}{
-		{protocol.Flooding{}, 2000, 0, 25, 3.96, 17580, false},
-		{protocol.Locaware{}, 2000, 500, 2000, 0.156, 352, false},
-		{protocol.DicasKeys{}, 2000, 500, 2000, 0.187, 96, false},
-		{protocol.Locaware{}, 20000, 1000, 4000, 0.096, 505, false},
-		{protocol.Flooding{}, 400, 60, 240, 0.543, 1141, true},
+		{protocol.Flooding{}, 2000, 0, 25, 3.96, 17580, false, false},
+		{protocol.Locaware{}, 2000, 500, 2000, 0.156, 352, false, false},
+		{protocol.DicasKeys{}, 2000, 500, 2000, 0.187, 96, false, false},
+		{protocol.Locaware{}, 20000, 1000, 4000, 0.096, 505, false, false},
+		{protocol.Flooding{}, 400, 60, 240, 0.543, 1141, true, false},
+		{protocol.Locaware{}, 2000, 500, 2000, 0.526, 1992, false, true},
 	} {
 		cfg := DefaultConfig()
 		cfg.Seed = 1
 		cfg.NumPeers = c.peers
+		if c.traced {
+			cfg.TracePolicy = &trace.Policy{KeepFailed: true, SlowestN: 8}
+		}
 		if c.churn {
 			cfg.Scenario, _ = scenario.Lookup("steady-churn")
 			cfg.Gen.RatePerPeer = 0.01

@@ -14,44 +14,34 @@ import (
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
-// runFingerprint reduces a run to the values a determinism lock cares
-// about.
-type runFingerprint struct {
-	Success  float64
-	Messages float64
-	RTT      float64
-	Events   uint64
-	Control  uint64
-	Cache    int
-}
-
 // TestRecorderDoesNotPerturbRun locks the inertness contract: attaching a
-// flight recorder changes no metric and no per-query record — byte-identical
-// to the untraced run.
+// flight recorder changes no simulated statistic (the run's Digest) and no
+// per-query record. Every protocol row on a static world, and Locaware under
+// steady-churn.
 func TestRecorderDoesNotPerturbRun(t *testing.T) {
-	run := func(pol *trace.Policy) (runFingerprint, []metrics.QueryRecord) {
-		cfg := benchConfig(300, 17)
-		cfg.Protocol.Collector = metrics.CollectorConfig{RetainRecords: true}
-		cfg.TracePolicy = pol
-		s := NewSimulation(cfg, protocol.Locaware{})
-		res := s.RunMeasured(50, 150)
-		fp := runFingerprint{
-			Success:  res.Collector.SuccessRate(),
-			Messages: res.Collector.AvgMessagesPerQuery(),
-			RTT:      res.Collector.AvgDownloadRTT(),
-			Events:   res.Events,
-			Control:  res.ControlMessages,
-			Cache:    res.CacheFilenames,
+	type row struct {
+		b    protocol.Behavior
+		scen string
+	}
+	rows := []row{{protocol.Locaware{}, "steady-churn"}}
+	for _, b := range Baselines() {
+		rows = append(rows, row{b, ""})
+	}
+	for _, c := range rows {
+		run := func(pol *trace.Policy) (string, []metrics.QueryRecord) {
+			cfg := benchConfig(300, 17)
+			cfg.Protocol.Collector = metrics.CollectorConfig{RetainRecords: true}
+			cfg.Scenario, _ = scenario.Lookup(c.scen)
+			cfg.TracePolicy = pol
+			res := NewSimulation(cfg, c.b).RunMeasured(50, 150)
+			return res.Digest(), res.Collector.Records()
 		}
-		return fp, res.Collector.Records()
-	}
-	plainFp, plainRecs := run(nil)
-	tracedFp, tracedRecs := run(&trace.Policy{SlowestN: 8, KeepFailed: true})
-	if !reflect.DeepEqual(plainFp, tracedFp) {
-		t.Fatalf("recorder perturbed metrics:\n  plain  %+v\n  traced %+v", plainFp, tracedFp)
-	}
-	if !reflect.DeepEqual(plainRecs, tracedRecs) {
-		t.Fatal("recorder perturbed per-query records")
+		plainDigest, plainRecs := run(nil)
+		tracedDigest, tracedRecs := run(&trace.Policy{SlowestN: 8, KeepFailed: true})
+		if plainDigest != tracedDigest || !reflect.DeepEqual(plainRecs, tracedRecs) || len(plainRecs) != 150 {
+			t.Errorf("%s/%q: the recorder perturbed the run: digest %s, untraced %s; records equal %v",
+				c.b.Name(), c.scen, tracedDigest, plainDigest, reflect.DeepEqual(plainRecs, tracedRecs))
+		}
 	}
 }
 
@@ -81,23 +71,30 @@ func TestRunResultCarriesTraces(t *testing.T) {
 	}
 }
 
-// tee hands every event to both the raw log and the recorder.
+// tee hands every event to both the raw log, spelt, and the recorder.
 type tee struct {
 	log []trace.Event
 	rec *trace.FlightRecorder
 }
 
-func (t *tee) Emit(e trace.Event) {
+func (t *tee) Emit(r trace.Record) {
+	t.log = append(t.log, r.Event())
+	t.rec.Emit(r)
+}
+
+func (t *tee) Phase(e trace.Event) {
 	t.log = append(t.log, e)
-	t.rec.Emit(e)
+	t.rec.Phase(e)
 }
 
 // TestKeepAllRecorderIsTheRawStream is the oracle behind `locaware trace`'s
 // one sink: a recorder whose slowest-N heap is as large as the run keeps
 // every query, and each kept trace is exactly the raw stream's events for
 // that query in emission order, less the finalize marker the recorder
-// consumes; its phases are exactly the raw stream's phase entries. Small
-// randomized worlds, three protocols, static and under churn-waves.
+// consumes; its phases are exactly the raw stream's phase entries. Queries
+// finalize in submission order, so the recorder's window of in-flight ids
+// only ever retires its oldest. Small randomized worlds, three protocols,
+// static and under churn-waves.
 func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for _, b := range []protocol.Behavior{protocol.Flooding{}, protocol.Dicas{}, protocol.Locaware{}} {
@@ -113,17 +110,22 @@ func TestKeepAllRecorderIsTheRawStream(t *testing.T) {
 			s.Network.SetTracer(sink)
 			s.RunMeasured(warmup, measured)
 
+			label := fmt.Sprintf("%s/%q seed %d", b.Name(), scen, seed)
 			want := map[uint64][]trace.Event{}
 			var phases []trace.Event
+			var finalized uint64
 			for _, e := range sink.log {
 				switch {
 				case e.Kind == trace.PhaseEnter:
 					phases = append(phases, e)
 				case e.Kind != trace.QueryFinalize:
 					want[e.Query] = append(want[e.Query], e)
+				case e.Query != finalized+1:
+					t.Fatalf("%s: query %d finalized after query %d", label, e.Query, finalized)
+				default:
+					finalized = e.Query
 				}
 			}
-			label := fmt.Sprintf("%s/%q seed %d", b.Name(), scen, seed)
 			kept := sink.rec.Traces()
 			if len(kept) != warmup+measured || len(want) != len(kept) {
 				t.Fatalf("%s: recorder kept %d traces, raw stream has %d queries, run submitted %d",

@@ -94,10 +94,11 @@ func auditDeliveries(net *Network) *deliveryAudit {
 	return a
 }
 
-func (a *deliveryAudit) Emit(ev trace.Event) {
+func (a *deliveryAudit) Phase(trace.Event) {}
+func (a *deliveryAudit) Emit(ev trace.Record) {
 	switch ev.Kind {
 	case trace.QuerySubmit:
-		a.origin[ev.Query] = ev.Peer
+		a.origin[ev.Query] = int(ev.Peer)
 	case trace.QueryDuplicate:
 		a.handled[[2]uint64{ev.Query, uint64(ev.Peer)}]--
 		a.dups++

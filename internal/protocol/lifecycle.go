@@ -53,9 +53,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	net.counts.PendingHighWater = max(net.counts.PendingHighWater, net.counts.Submitted-net.counts.Finalized)
 	net.Engine.PostEvent(net.Config.FinalizeAfter, pq)
 	if net.tracer != nil {
-		d := q.AppendString(net.detailBuf[:0])
-		net.detailBuf = d
-		net.emit(trace.QuerySubmit, pq, id, 0, origin, -1, string(d))
+		net.record(pq, id, trace.Record{Kind: trace.QuerySubmit, Peer: int32(origin), From: -1, Keys: q})
 	}
 	if !net.Graph.Online(origin) {
 		return id
@@ -116,9 +114,9 @@ func (net *Network) finalize(pq *pendingQuery) {
 	id := pq.id
 	net.counts.Finalized++
 	if !pq.answered {
-		net.emit(trace.QueryFailed, pq, id, trace.RootSpan, pq.origin, -1, "")
+		net.emit(trace.QueryFailed, pq, id, trace.RootSpan, pq.origin, -1)
 	}
-	net.emit(trace.QueryFinalize, pq, id, trace.RootSpan, pq.origin, -1, "")
+	net.emit(trace.QueryFinalize, pq, id, trace.RootSpan, pq.origin, -1)
 	if id > net.warmup {
 		net.Collector.Record(queryRecord(pq))
 	}

@@ -301,15 +301,11 @@ type Network struct {
 	controlBits     uint64
 	counts          Counts
 
-	// tracer, when non-nil, receives a structured event for every step of a
-	// query's life and every scenario phase entry (set via SetTracer). In a
-	// run it is the trace.FlightRecorder core attaches; every emit, and
-	// every detail string, is skipped when it is nil.
+	// tracer, when non-nil, receives a record of every step of a query's
+	// life and every scenario phase entry (set via SetTracer). In a run it
+	// is the trace.FlightRecorder core attaches; every emit is skipped when
+	// it is nil.
 	tracer trace.Tracer
-	// detailBuf is the reusable scratch trace-detail strings are built in,
-	// so a traced hot path pays one string copy per annotated event instead
-	// of a fmt.Sprintf.
-	detailBuf []byte
 }
 
 // NewNetwork assembles a network. cfg is used as given: callers start from
@@ -358,46 +354,41 @@ func (net *Network) TraceEnabled() bool { return net.tracer != nil }
 // current virtual time; scenario phase boundaries use it.
 func (net *Network) EmitControl(k trace.Kind, detail string) {
 	if net.tracer != nil {
-		net.tracer.Emit(trace.Event{At: net.Engine.Now(), Kind: k, Peer: -1, From: -1, Detail: detail})
+		net.tracer.Phase(trace.Event{At: net.Engine.Now(), Kind: k, Peer: -1, From: -1, Detail: detail})
 	}
 }
 
-// emit sends one of query id's trace events when a tracer is attached and
-// returns the span id it gave the event: the query's next one, hung under
-// parent. A response that outlives its query finds pq recycled (pq.id !=
-// id); its event gets span 0 and leaves the newer query's counter alone.
-// Untraced, emit returns 0 after one nil test; detail annotations that cost
-// an allocation are built by the call sites behind their own tracer check.
-func (net *Network) emit(k trace.Kind, pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID, detail string) int32 {
+// emit hands the tracer, when one is attached, query id's record of kind k
+// at peer, from the counterpart from, and returns the span id it gave it:
+// the query's next one, hung under parent. Untraced, it returns 0 after
+// one nil test.
+func (net *Network) emit(k trace.Kind, pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID) int32 {
 	if net.tracer == nil {
 		return 0
 	}
-	var span int32
-	if pq.id == id {
-		pq.spans++
-		span = pq.spans
-	}
-	net.tracer.Emit(trace.Event{
-		At:     net.Engine.Now(),
-		Kind:   k,
-		Query:  uint64(id),
-		Span:   span,
-		Parent: parent,
-		Peer:   int(peer),
-		From:   int(from),
-		Detail: detail,
-	})
-	return span
+	return net.record(pq, id, trace.Record{Kind: k, Parent: parent, Peer: int32(peer), From: int32(from)})
 }
 
-// emitFile is emit with f's name as the detail, spelt only when a tracer
-// is attached.
+// emitFile is emit with the file f names.
 func (net *Network) emitFile(k trace.Kind, pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID, f keywords.Filename) int32 {
 	if net.tracer == nil {
 		return 0
 	}
-	net.detailBuf = f.AppendName(net.detailBuf[:0])
-	return net.emit(k, pq, id, parent, peer, from, string(net.detailBuf))
+	return net.record(pq, id, trace.Record{Kind: k, Parent: parent, Peer: int32(peer), From: int32(from), File: f})
+}
+
+// record stamps r with the virtual time, query id and span id and hands it
+// to the tracer. A response that outlives its query finds pq recycled
+// (pq.id != id); its record gets span 0 and leaves the newer query's
+// counter alone.
+func (net *Network) record(pq *pendingQuery, id QueryID, r trace.Record) int32 {
+	if pq.id == id {
+		pq.spans++
+		r.Span = pq.spans
+	}
+	r.At, r.Query = net.Engine.Now(), uint64(id)
+	net.tracer.Emit(r)
+	return r.Span
 }
 
 // Node returns peer p's protocol state.

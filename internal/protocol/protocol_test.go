@@ -659,10 +659,11 @@ func TestNetworkStringAndAccessors(t *testing.T) {
 	}
 }
 
-// eventLog is a Tracer keeping every event in emission order.
+// eventLog is a Tracer keeping every event, spelt, in emission order.
 type eventLog []trace.Event
 
-func (l *eventLog) Emit(e trace.Event) { *l = append(*l, e) }
+func (l *eventLog) Emit(r trace.Record) { *l = append(*l, r.Event()) }
+func (l *eventLog) Phase(e trace.Event) { *l = append(*l, e) }
 
 // checkStory requires the logged events, each as "query:kind span<-parent
 // peer from detail", to be want in emission order and time order.

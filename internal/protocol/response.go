@@ -3,7 +3,6 @@ package protocol
 import (
 	"math"
 	"slices"
-	"strconv"
 
 	"github.com/p2prepro/locaware/internal/cache"
 	"github.com/p2prepro/locaware/internal/keywords"
@@ -76,7 +75,7 @@ func (net *Network) sendResponse(from overlay.PeerID, rsp *ResponseMsg) {
 	if rsp.pq.id == rsp.ID { // finalised queries stop counting
 		rsp.pq.messages++
 	}
-	rsp.span = net.emit(trace.ResponseHop, rsp.pq, rsp.ID, rsp.span, rsp.dst, from, "")
+	rsp.span = net.emit(trace.ResponseHop, rsp.pq, rsp.ID, rsp.span, rsp.dst, from)
 	net.send(from, rsp.dst, rsp)
 }
 
@@ -142,13 +141,8 @@ func (net *Network) completeDownload(id QueryID, pq *pendingQuery, n *Node, f ke
 	pq.hops = int32(hops)
 	n.AddFile(f)
 	if net.tracer != nil {
-		d := f.AppendName(net.detailBuf[:0])
-		d = append(d, " rtt="...)
-		d = strconv.AppendFloat(d, pq.rtt, 'f', 1, 64)
-		d = append(d, "ms sameLoc="...)
-		d = strconv.AppendBool(d, pq.sameLoc)
-		net.detailBuf = d
-		net.emit(trace.DownloadComplete, pq, id, parent, n.ID, prov.Peer, string(d))
+		net.record(pq, id, trace.Record{Kind: trace.DownloadComplete, Parent: parent, Peer: int32(n.ID), From: int32(prov.Peer),
+			File: f, RTT: pq.rtt, SameLoc: pq.sameLoc})
 	}
 }
 

@@ -29,7 +29,7 @@ func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 		branch.pq = q.pq
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
-		branch.span = net.emit(trace.QueryForward, q.pq, q.ID, q.span, t, p, "")
+		branch.span = net.emit(trace.QueryForward, q.pq, q.ID, q.span, t, p)
 		net.send(p, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
 	}
@@ -108,7 +108,7 @@ func (net *Network) receiveQuery(p overlay.PeerID, q *QueryMsg) {
 	// forward it arrived on.
 	from := q.Path[len(q.Path)-2]
 	if pq.markSeen(p) {
-		net.emit(trace.QueryDuplicate, pq, q.ID, q.span, p, from, "")
+		net.emit(trace.QueryDuplicate, pq, q.ID, q.span, p, from)
 		return // duplicate: already counted at send time
 	}
 	// Storage hit?

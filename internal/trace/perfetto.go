@@ -34,78 +34,46 @@ type pfEvent struct {
 	Args *pfArgs `json:"args,omitempty"`
 }
 
-type pfFile struct {
-	TraceEvents     []pfEvent `json:"traceEvents"`
-	DisplayTimeUnit string    `json:"displayTimeUnit"`
-}
-
-// WritePerfetto exports span trees (plus optional scenario phase events) as
-// a Chrome/Perfetto trace: one track (tid) per peer named "peer N", every
-// span a complete ("X") event on its landing peer's track, phase entries as
-// global instant ("i") events. Output order is deterministic: track
-// metadata in ascending peer order, then the trees in the given order, each
-// depth-first, then phases. Load the file at ui.perfetto.dev or
-// chrome://tracing.
+// WritePerfetto exports span trees and scenario phase entries as a
+// Chrome/Perfetto trace (load it at ui.perfetto.dev or chrome://tracing):
+// one track (tid) per peer named "peer N", in ascending peer order, then
+// every span as a complete ("X") event on its landing peer's track, the
+// trees in the given order, each depth-first, then each phase entry as a
+// global instant ("i") event.
 func WritePerfetto(w io.Writer, trees []*SpanTree, phases []Event) error {
-	var ids []int
+	var spans []pfEvent
 	for _, t := range trees {
 		if t != nil {
-			ids = appendPeers(ids, t.Root)
+			spans = appendSpan(spans, t.Root, t.Query)
 		}
+	}
+	var ids []int
+	for _, e := range spans {
+		ids = append(ids, e.Tid)
 	}
 	slices.Sort(ids)
-	ids = slices.Compact(ids)
-
-	evs := make([]pfEvent, 0, 2*len(ids))
-	for _, p := range ids {
-		evs = append(evs, pfEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: p,
-			Args: &pfArgs{Name: fmt.Sprintf("peer %d", p)},
-		})
+	evs := make([]pfEvent, 0, len(spans)+len(phases)+len(ids))
+	for _, p := range slices.Compact(ids) {
+		evs = append(evs, pfEvent{Name: "thread_name", Ph: "M", Tid: p, Args: &pfArgs{Name: fmt.Sprintf("peer %d", p)}})
 	}
-	for _, t := range trees {
-		if t != nil {
-			evs = appendSpan(evs, t.Root, t.Query)
-		}
-	}
+	evs = append(evs, spans...)
 	for _, e := range phases {
-		evs = append(evs, pfEvent{
-			Name: e.Detail, Ph: "i", Ts: int64(e.At), Pid: 0, Tid: 0, S: "g",
-		})
+		evs = append(evs, pfEvent{Name: e.Detail, Ph: "i", Ts: int64(e.At), S: "g"})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(pfFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []pfEvent `json:"traceEvents"`
+		DisplayTimeUnit string    `json:"displayTimeUnit"`
+	}{evs, "ms"})
 }
 
-// appendPeers appends the peer of every span in s's subtree to ids.
-func appendPeers(ids []int, s *Span) []int {
-	if s.Peer >= 0 {
-		ids = append(ids, s.Peer)
-	}
-	for _, c := range s.Children {
-		ids = appendPeers(ids, c)
-	}
-	return ids
-}
-
+// appendSpan appends s's subtree to evs, depth-first, each span on its
+// landing peer's track and at least 1 µs wide: zero-width events vanish in
+// the viewers.
 func appendSpan(evs []pfEvent, s *Span, query uint64) []pfEvent {
-	if s == nil {
-		return evs
-	}
 	if s.Peer >= 0 {
-		dur := int64(s.End - s.Start)
-		if dur < 1 {
-			dur = 1 // zero-width events vanish in the UI
-		}
-		args := &pfArgs{Query: query, Detail: s.Detail, Open: s.Open,
-			PropMs: s.Propagation.Milliseconds(), ProcMs: s.Processing.Milliseconds()}
-		if s.From >= 0 {
-			args.From = s.From
-		}
-		evs = append(evs, pfEvent{
-			Name: s.label(), Ph: "X", Ts: int64(s.Start), Dur: dur,
-			Pid: 0, Tid: s.Peer, Args: args,
-		})
+		evs = append(evs, pfEvent{Name: s.label(), Ph: "X", Ts: int64(s.Start), Dur: max(int64(s.End-s.Start), 1), Tid: s.Peer,
+			Args: &pfArgs{Query: query, From: max(s.From, 0), Detail: s.Detail, Open: s.Open,
+				PropMs: s.Propagation.Milliseconds(), ProcMs: s.Processing.Milliseconds()}})
 	}
 	for _, c := range s.Children {
 		evs = appendSpan(evs, c, query)

@@ -7,24 +7,27 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// query emits a minimal query lifecycle into r: submit at t0 on origin, a
-// chain of depth forwards, each under the one before, then either a download
-// at doneAt or a failure, and the finalize marker at finAt.
-func emitQuery(r *FlightRecorder, q uint64, origin int, t0 sim.Time, depth int, doneAt, finAt sim.Time, failed bool) {
-	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: origin, From: -1})
+// emitQuery emits a minimal query lifecycle into r: submit at t0 on origin,
+// a chain of depth forwards, each under the one before, then either a
+// download at doneAt or a failure, and the finalize marker at finAt.
+func emitQuery(r *FlightRecorder, q uint64, origin int32, t0 sim.Time, depth int, doneAt, finAt sim.Time, failed bool) {
+	r.Emit(Record{At: t0, Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: origin, From: -1})
 	prev, span := origin, RootSpan
-	for i := 0; i < depth; i++ {
+	for i := range int32(depth) {
 		at := t0 + sim.Time(i+1)*sim.Millisecond
-		r.Emit(Event{At: at, Kind: QueryForward, Query: q, Span: span + 1, Parent: span, Peer: prev + 100 + i, From: prev})
+		r.Emit(Record{At: at, Kind: QueryForward, Query: q, Span: span + 1, Parent: span, Peer: prev + 100 + i, From: prev})
 		prev, span = prev+100+i, span+1
 	}
 	if failed {
-		r.Emit(Event{At: finAt, Kind: QueryFailed, Query: q, Span: span + 1, Parent: RootSpan, Peer: origin, From: -1})
+		r.Emit(Record{At: finAt, Kind: QueryFailed, Query: q, Span: span + 1, Parent: RootSpan, Peer: origin, From: -1})
 	} else if doneAt > 0 {
-		r.Emit(Event{At: doneAt, Kind: DownloadComplete, Query: q, Span: span + 1, Parent: span, Peer: origin, From: -1})
+		r.Emit(Record{At: doneAt, Kind: DownloadComplete, Query: q, Span: span + 1, Parent: span, Peer: origin, From: -1})
 	}
-	r.Emit(Event{At: finAt, Kind: QueryFinalize, Query: q, Span: span + 2, Parent: RootSpan, Peer: origin, From: -1})
+	r.Emit(Record{At: finAt, Kind: QueryFinalize, Query: q, Span: span + 2, Parent: RootSpan, Peer: origin, From: -1})
 }
+
+// inFlight is the recorder's count of open query ids.
+func inFlight(r *FlightRecorder) uint64 { return r.next - r.base }
 
 func TestFlightRecorderKeepFailed(t *testing.T) {
 	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
@@ -42,8 +45,8 @@ func TestFlightRecorderKeepFailed(t *testing.T) {
 	if tr.Latency != 30*sim.Second {
 		t.Fatalf("failed latency = %v, want 30s", tr.Latency)
 	}
-	if len(r.active) != 0 {
-		t.Fatalf("in-flight = %d after finalize", len(r.active))
+	if inFlight(r) != 0 {
+		t.Fatalf("in-flight = %d after finalize", inFlight(r))
 	}
 }
 
@@ -73,7 +76,7 @@ func TestFlightRecorderSlowestN(t *testing.T) {
 	}
 	for i, l := range lat {
 		t0 := sim.Time(i+1) * sim.Second
-		emitQuery(r, uint64(i+1), i, t0, 1, t0+l, t0+30*sim.Second, false)
+		emitQuery(r, uint64(i+1), int32(i), t0, 1, t0+l, t0+30*sim.Second, false)
 	}
 	traces := r.Traces()
 	if len(traces) != 3 {
@@ -101,13 +104,56 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 	if len(traces) != 1 || traces[0].Query != 1 {
 		t.Fatalf("tie kept query %d, want 1", traces[0].Query)
 	}
-	// Query 4 is in flight while query 3 evicts query 1, then evicts 3:
-	// its buffer is refilled from the window the first eviction freed.
-	r.Emit(Event{At: 3 * sim.Second, Kind: QuerySubmit, Query: 4, Span: RootSpan, Peer: 2, From: -1})
-	emitQuery(r, 3, 3, 3*sim.Second, 1, 3*sim.Second+2*l, 33*sim.Second, false)
-	r.Emit(Event{At: 40 * sim.Second, Kind: QueryFinalize, Query: 4, Span: 1, Parent: RootSpan, Peer: 2, From: -1})
-	if traces = r.Traces(); len(traces) != 1 || traces[0].Query != 4 || len(traces[0].Events) != 1 {
+	// Query 4 is in flight while query 3 evicts query 1; then 4 finalizes
+	// slower still, with only its submission, and evicts 3. A submission
+	// that skips an id while queries are in flight is ignored.
+	r.Emit(Record{At: 3 * sim.Second, Kind: QuerySubmit, Query: 3, Span: RootSpan, Peer: 3, From: -1})
+	r.Emit(Record{At: 3 * sim.Second, Kind: QuerySubmit, Query: 4, Span: RootSpan, Peer: 2, From: -1})
+	r.Emit(Record{At: 3 * sim.Second, Kind: QuerySubmit, Query: 6, Span: RootSpan, Peer: 6, From: -1})
+	r.Emit(Record{At: 3*sim.Second + 2*l, Kind: DownloadComplete, Query: 3, Span: 2, Parent: RootSpan, Peer: 3, From: 7})
+	r.Emit(Record{At: 33 * sim.Second, Kind: QueryFinalize, Query: 3, Span: 3, Parent: RootSpan, Peer: 3, From: -1})
+	if traces = r.Traces(); len(traces) != 1 || traces[0].Query != 3 || inFlight(r) != 1 {
+		t.Fatalf("kept %+v with %d in flight, want query 3 and query 4 in flight", traces, inFlight(r))
+	}
+	r.Emit(Record{At: 40 * sim.Second, Kind: QueryFinalize, Query: 4, Span: 2, Parent: RootSpan, Peer: 2, From: -1})
+	r.Emit(Record{At: 40 * sim.Second, Kind: QueryFinalize, Query: 6, Span: 2, Parent: RootSpan, Peer: 6, From: -1})
+	if traces = r.Traces(); len(traces) != 1 || traces[0].Query != 4 || len(traces[0].Events) != 1 || inFlight(r) != 0 {
 		t.Fatalf("kept %+v, want query 4 with its submit", traces)
+	}
+}
+
+// TestFlightRecorderWindow: the in-flight window grows past its first ring
+// by doubling, a query finalized ahead of an older one waits for it before
+// the window's start moves, and every query keeps its own records.
+func TestFlightRecorderWindow(t *testing.T) {
+	r := NewFlightRecorder(Policy{SlowestN: 100}, sim.Millisecond)
+	const n = 40
+	for q := uint64(1); q <= n; q++ {
+		r.Emit(Record{At: sim.Time(q), Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: int32(q), From: -1})
+		r.Emit(Record{At: sim.Time(q), Kind: QueryForward, Query: q, Span: 2, Parent: RootSpan, Peer: int32(q + 1), From: int32(q)})
+	}
+	fin := func(q uint64) {
+		r.Emit(Record{At: sim.Second + sim.Time(q), Kind: QueryFinalize, Query: q, Span: 3, Parent: RootSpan, Peer: int32(q), From: -1})
+	}
+	fin(2)
+	if inFlight(r) != n || len(r.ring) != 64 {
+		t.Fatalf("%d in flight in a ring of %d, want %d in 64", inFlight(r), len(r.ring), n)
+	}
+	fin(1)
+	if inFlight(r) != n-2 {
+		t.Fatalf("%d in flight after the two oldest finalized, want %d", inFlight(r), n-2)
+	}
+	for q := uint64(3); q <= n; q++ {
+		fin(q)
+	}
+	traces := r.Traces()
+	if len(traces) != n || inFlight(r) != 0 {
+		t.Fatalf("kept %d traces with %d in flight, want %d and none", len(traces), inFlight(r), n)
+	}
+	for _, tr := range traces {
+		if len(tr.Events) != 2 || tr.Events[1].Peer != int(tr.Query+1) || tr.Hops != 1 {
+			t.Fatalf("query %d kept %+v", tr.Query, tr.Events)
+		}
 	}
 }
 
@@ -119,16 +165,16 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 func TestFlightRecorderLocalStorageHit(t *testing.T) {
 	r := NewFlightRecorder(Policy{SlowestN: 2}, sim.Millisecond)
 	// Query 1: local storage hit at submit time.
-	r.Emit(Event{At: sim.Second, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 5, From: -1})
-	r.Emit(Event{At: sim.Second, Kind: StorageHit, Query: 1, Span: 2, Parent: 1, Peer: 5, From: -1})
-	r.Emit(Event{At: sim.Second + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 3, Parent: 1, Peer: 5, From: -1})
+	r.Emit(Record{At: sim.Second, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 5, From: -1})
+	r.Emit(Record{At: sim.Second, Kind: StorageHit, Query: 1, Span: 2, Parent: 1, Peer: 5, From: -1})
+	r.Emit(Record{At: sim.Second + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 3, Parent: 1, Peer: 5, From: -1})
 	// Query 2: remote storage hit, download completes 80ms in.
 	t0 := 2 * sim.Second
-	r.Emit(Event{At: t0, Kind: QuerySubmit, Query: 2, Span: 1, Peer: 6, From: -1})
-	r.Emit(Event{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 2, Span: 2, Parent: 1, Peer: 7, From: 6})
-	r.Emit(Event{At: t0 + 30*sim.Millisecond, Kind: StorageHit, Query: 2, Span: 3, Parent: 2, Peer: 7, From: -1})
-	r.Emit(Event{At: t0 + 80*sim.Millisecond, Kind: DownloadComplete, Query: 2, Span: 4, Parent: 3, Peer: 6, From: 7})
-	r.Emit(Event{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 2, Span: 5, Parent: 1, Peer: 6, From: -1})
+	r.Emit(Record{At: t0, Kind: QuerySubmit, Query: 2, Span: 1, Peer: 6, From: -1})
+	r.Emit(Record{At: t0 + 10*sim.Millisecond, Kind: QueryForward, Query: 2, Span: 2, Parent: 1, Peer: 7, From: 6})
+	r.Emit(Record{At: t0 + 30*sim.Millisecond, Kind: StorageHit, Query: 2, Span: 3, Parent: 2, Peer: 7, From: -1})
+	r.Emit(Record{At: t0 + 80*sim.Millisecond, Kind: DownloadComplete, Query: 2, Span: 4, Parent: 3, Peer: 6, From: 7})
+	r.Emit(Record{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 2, Span: 5, Parent: 1, Peer: 6, From: -1})
 	traces := r.Traces()
 	if len(traces) != 2 {
 		t.Fatalf("kept %d traces, want 2", len(traces))
@@ -148,7 +194,7 @@ func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
 	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
 	for q := uint64(1); q <= maxKeep+3; q++ {
 		t0 := sim.Time(q) * sim.Second
-		emitQuery(r, q, int(q), t0, 1, 0, t0+30*sim.Second, true)
+		emitQuery(r, q, int32(q), t0, 1, 0, t0+30*sim.Second, true)
 	}
 	traces := r.Traces()
 	if len(traces) != maxKeep {
@@ -159,13 +205,13 @@ func TestFlightRecorderMaxKeepOverflow(t *testing.T) {
 			t.Fatalf("kept query %d, an overflow past the first %d", tr.Query, maxKeep)
 		}
 	}
-	if len(r.active) != 0 {
-		t.Fatalf("%d overflowed buffers still in flight", len(r.active))
+	if inFlight(r) != 0 {
+		t.Fatalf("%d overflowed buffers still in flight", inFlight(r))
 	}
 }
 
 func TestFlightRecorderEventCap(t *testing.T) {
-	if got := (Policy{}).maxEvents(); got != 256 {
+	if got := NewFlightRecorder(Policy{}, 0).maxEvents; got != 256 {
 		t.Fatalf("an unset cap keeps %d events a query, want 256", got)
 	}
 	r := NewFlightRecorder(Policy{KeepFailed: true, MaxEventsPerQuery: 4}, sim.Millisecond)
@@ -215,14 +261,14 @@ func TestFlightRecorderWhyCombines(t *testing.T) {
 
 func TestFlightRecorderPhasesAndStragglers(t *testing.T) {
 	r := NewFlightRecorder(Policy{KeepFailed: true}, sim.Millisecond)
-	r.Emit(Event{At: sim.Second, Kind: PhaseEnter, Detail: "surge"})
+	r.Phase(Event{At: sim.Second, Kind: PhaseEnter, Peer: -1, From: -1, Detail: "surge"})
 	// Events for a query never submitted (e.g. in flight before attach).
-	r.Emit(Event{At: sim.Second, Kind: QueryForward, Query: 9, Span: 2, Parent: 1, Peer: 1, From: 0})
-	r.Emit(Event{At: 2 * sim.Second, Kind: QueryFinalize, Query: 9, Span: 3, Parent: 1, Peer: 0, From: -1})
+	r.Emit(Record{At: sim.Second, Kind: QueryForward, Query: 9, Span: 2, Parent: 1, Peer: 1, From: 0})
+	r.Emit(Record{At: 2 * sim.Second, Kind: QueryFinalize, Query: 9, Span: 3, Parent: 1, Peer: 0, From: -1})
 	if ph := r.Phases(); len(ph) != 1 || ph[0].Detail != "surge" {
 		t.Fatalf("phases = %+v", ph)
 	}
-	if len(r.Traces()) != 0 || len(r.active) != 0 {
+	if len(r.Traces()) != 0 || inFlight(r) != 0 {
 		t.Fatal("straggler events must be ignored")
 	}
 }

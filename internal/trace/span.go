@@ -7,32 +7,25 @@ import (
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
-// Span is one node of a query's causal tree: either a link span (a query
-// forward or a response hop, with a real duration from send to receipt) or
-// a point span (submit, hit, cached, duplicate, download, failed — an
-// instant at one peer).
+// Span is one node of a query's causal tree: a link span (a query forward
+// or a response hop, from send to receipt) or a point span (submit, hit,
+// cached, duplicate, download, failed: an instant at one peer).
 type Span struct {
-	// Kind is the trace kind the span was built from.
-	Kind Kind
+	Kind Kind // the kind of the event the span was built from
 	// Peer is the peer the span lands on (the link target, or the acting
-	// peer for point spans); From is the event's counterpart peer (the link
-	// source for link spans, -1 when there is none).
+	// peer); From the event's counterpart (the link source, -1 for none).
 	Peer, From int
-	// Start and End bound the span. A link span starts when the message is
-	// sent and ends when the target processes it; point spans have
-	// Start == End.
+	// Start and End bound the span: a link span ends when the target
+	// processes the message, a point span has Start == End.
 	Start, End sim.Time
 	// Open marks a link span no child closed: the message died in flight
 	// (TTL exhausted at the target, target offline, or the run ended).
 	Open bool
 	// Propagation and Processing split a closed link span's latency:
-	// Processing is the per-hop protocol processing cost (clipped to the
-	// span), Propagation the remaining wire time.
+	// the per-hop processing delay (clipped to the span) and the wire time.
 	Propagation, Processing sim.Time
-	// Detail is the source event's annotation.
-	Detail string
-	// Children are causally dependent spans, in event order.
-	Children []*Span
+	Detail                  string  // the source event's annotation
+	Children                []*Span // causally dependent spans, in event order
 }
 
 // label renders the span's head: "fwd 3→7", "resp 7→3", or the point kind.
@@ -47,59 +40,39 @@ func (s *Span) label() string {
 	}
 }
 
-// close ends open link span s at the first event it caused, the proof the
-// message arrived then, and splits its latency: the processing constant
-// (clipped to the span) and the propagation rest.
-func (s *Span) close(at, processing sim.Time) {
-	s.Open = false
-	s.End = at
-	s.Processing = min(processing, at-s.Start)
-	s.Propagation = at - s.Start - s.Processing
-}
-
-// SpanTree is one query's reconstructed causal tree.
+// SpanTree is one query's reconstructed causal tree: its Root spans the
+// query's life (submit to download or finalize) at the origin peer, Spans
+// counts every span, root included, and Latency is the root's duration.
 type SpanTree struct {
-	// Query is the query id.
-	Query uint64
-	// Root is the query's lifetime span (submit to download/finalize),
-	// rooted at the origin peer.
-	Root *Span
-	// Spans counts every span in the tree, root included.
-	Spans int
-	// Failed reports the query finalised without an answer.
-	Failed bool
-	// Latency is the root span's duration.
+	Query   uint64
+	Root    *Span
+	Spans   int
+	Failed  bool // the query was finalised without an answer
 	Latency sim.Time
 }
 
-// BuildSpanTree rebuilds query q's span tree from its flat events
-// (emission order, as a FlightRecorder stores them) in one pass. Every
-// event but the finalize marker is one span, kept at its Span id and hung
-// under the span its Parent names (the root when that span is missing). A
-// link span — a forward or a response hop — is open from its send until
-// the first event hung under it, which closes it: the message arrived
-// then. processing is the protocol's per-hop processing delay, which splits
-// each closed link span's latency into processing + propagation. Spans no
-// event closed stay Open, their End clipped to the tree's end. Events of
-// other queries are ignored. Returns nil when the events contain no
-// QuerySubmit.
+// BuildSpanTree rebuilds query q's span tree from its events, in emission
+// order, in one pass. Every event but the finalize marker is one span, kept
+// at its Span id and hung under the span its Parent names (the root when
+// that span is missing). A link span is open from its send until the first
+// event hung under it, which closes it: the message arrived then. Its
+// latency splits into processing, the run's per-hop processing delay, and
+// propagation. Spans no event closed stay Open, their End clipped to the
+// tree's end. Returns nil when the events hold no QuerySubmit.
 func BuildSpanTree(q uint64, events []Event, processing sim.Time) *SpanTree {
 	t := &SpanTree{Query: q}
-	var (
-		spans       []*Span // by span id
-		end, doneAt sim.Time
-		done        bool
-	)
+	var spans []*Span // by span id
+	var end sim.Time  // the last event's time, or the download's
+	done := false
 	for _, e := range events {
-		if e.Query != q {
-			continue
+		if !done {
+			end = max(end, e.At)
 		}
-		end = max(end, e.At)
 		switch e.Kind {
 		case QueryFinalize:
 			continue // end-of-life marker: bounds the tree but adds no span
 		case DownloadComplete:
-			doneAt, done = e.At, true
+			done = true
 		case QueryFailed:
 			t.Failed = true
 		}
@@ -111,8 +84,10 @@ func BuildSpanTree(q uint64, events []Event, processing sim.Time) *SpanTree {
 			if int(e.Parent) < len(spans) && spans[e.Parent] != nil {
 				parent = spans[e.Parent]
 			}
-			if parent.Open {
-				parent.close(e.At, processing)
+			if parent.Open { // the message arrived now
+				parent.Open, parent.End = false, e.At
+				parent.Processing = min(processing, e.At-parent.Start)
+				parent.Propagation = e.At - parent.Start - parent.Processing
 			}
 			parent.Children = append(parent.Children, s)
 		case e.Kind == QuerySubmit:
@@ -128,9 +103,6 @@ func BuildSpanTree(q uint64, events []Event, processing sim.Time) *SpanTree {
 	}
 	if t.Root == nil {
 		return nil
-	}
-	if done {
-		end = doneAt
 	}
 	t.Root.End = max(end, t.Root.Start)
 	t.Latency = t.Root.End - t.Root.Start
@@ -163,9 +135,7 @@ func (t *SpanTree) Render() string {
 }
 
 func renderSpan(sb *strings.Builder, s *Span, t0 sim.Time, depth int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteString("  ")
-	}
+	sb.WriteString(strings.Repeat("  ", depth))
 	switch {
 	case s.Open:
 		fmt.Fprintf(sb, "%s [+%s …] open", s.label(), s.Start-t0)

@@ -53,26 +53,25 @@ const (
 // why the mutant behaves like the original. A key is a mutant's id, or its
 // site (file:line:col) for every mutant there.
 var equivalentMutants = map[string]string{
-	"gossip.go:26:28:inc": scratch, "network.go:176:22:inc": scratch, "network.go:333:35:inc": scratch,
-	"network.go:334:35:inc": scratch, "network.go:335:35:inc": scratch, "network.go:336:35:inc": scratch,
-	"response.go:167:2:del": scratch, "response.go:167:22:inc": scratch, "routing.go:25:2:del": scratch,
+	"gossip.go:26:28:inc": scratch, "network.go:176:22:inc": scratch, "network.go:329:35:inc": scratch,
+	"network.go:330:35:inc": scratch, "network.go:331:35:inc": scratch, "network.go:332:35:inc": scratch,
+	"response.go:161:2:del": scratch, "response.go:161:22:inc": scratch, "routing.go:25:2:del": scratch,
 	"routing.go:25:22:inc": scratch, "routing.go:229:2:del": scratch, "routing.go:229:19:inc": scratch,
-	"lifecycle.go:57:3:del": scratch, "response.go:150:3:del": scratch,
-	"network.go:333:38": alloc, "network.go:334:38": alloc,
-	"network.go:335:38": alloc, "network.go:336:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
+	"network.go:329:38": alloc, "network.go:330:38": alloc,
+	"network.go:331:38": alloc, "network.go:332:38": alloc, "node.go:71:27": alloc, "node.go:138:23": alloc,
 	"node.go:156:58:dec": alloc, "node.go:264:16": alloc, "node.go:291:11": alloc, "node.go:74:18:inc": alloc,
 	"routing.go:184:53:inc": alloc, "lifecycle.go:19:13:rel": alloc, "network.go:153:26:rel": alloc, "routing.go:163:14:rel": alloc,
 	"routing.go:164:3:del": alloc, "routing.go:164:55": alloc, "routing.go:165:3:del": alloc, "pool.go:44:17:rel": alloc, "pool.go:30:23:inc": alloc,
 	"simulation.go:85:51": alloc, "builder.go:37:9": alloc, "builder.go:37:17": alloc, "builder.go:37:43": alloc, "builder.go:37:48": alloc,
 	"graph.go:120:19:inc": alloc, "graph.go:156:18:dec": "copy moves min(len(dst), len(src)) elements either way",
 	"churn.go:40:11:dec": "Online of an id outside the graph is false", "churn.go:40:16:rel": "Online of an id outside the graph is false", "churn.go:46:69:rel": boundary,
-	"gossip.go:54:3:del": alloc, "response.go:87:3:del": alloc, "network.go:373:10": noTracer,
-	"network.go:397:10": noTracer, "node.go:98:90:inc": screen,
+	"gossip.go:54:3:del": alloc, "response.go:86:3:del": alloc, "network.go:367:10": noTracer,
+	"network.go:375:10": noTracer, "node.go:98:90:inc": screen,
 	"node.go:186:27:inc": screen, "network.go:130:17": probe, "network.go:130:69:inc": probe,
 	"routing.go:222:19": firstWins, "routing.go:222:23": firstWins,
-	"response.go:179:37":    "math.Inf of any sign >= 0 is +Inf",
+	"response.go:173:37":    "math.Inf of any sign >= 0 is +Inf",
 	"network.go:179:7:rel":  "at n == words a table and the bitmap are one size and answer alike",
-	"response.go:20:23:dec": "comparing ms[0] with itself changes nothing",
+	"response.go:19:23:dec": "comparing ms[0] with itself changes nothing",
 	"routing.go:236:18:inc": "copy moves min(len(dst), len(src)) = best elements either way",
 	"queue.go:42:15:rel":    "inside a.at != b.at, < and <= agree",
 	"queue.go:44:15:rel":    uniqueSeq, "queue.go:164:80:rel": uniqueSeq,
