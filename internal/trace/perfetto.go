@@ -7,9 +7,8 @@ import (
 	"slices"
 )
 
-// pfArgs is a Perfetto event's args payload. Name is set only on
-// thread_name metadata events, where the viewers read args.name as the
-// track label.
+// pfArgs is a Perfetto event's args payload. Name is set only on a
+// thread_name metadata event: the viewers read it as the track label.
 type pfArgs struct {
 	Name   string  `json:"name,omitempty"`
 	Query  uint64  `json:"query,omitempty"`
@@ -20,9 +19,8 @@ type pfArgs struct {
 	Open   bool    `json:"open,omitempty"`
 }
 
-// pfEvent is one entry of the Chrome trace-event format (the JSON both
-// chrome://tracing and ui.perfetto.dev load). ts/dur are microseconds —
-// exactly the simulator's native tick.
+// pfEvent is one entry of the Chrome trace-event format, which both viewers
+// load; ts and dur are microseconds, the simulator's own tick.
 type pfEvent struct {
 	Name string  `json:"name"`
 	Ph   string  `json:"ph"`

@@ -63,9 +63,8 @@ func (t *QueryTrace) Render() string {
 	return ""
 }
 
-// flight is one in-flight query's records (the submission first) and
-// running outcome. depth is each forward's chain length by span id: one
-// more than the span it hangs under's.
+// flight is one in-flight query's records, the submission first, and its
+// running outcome; depth is each forward's chain length, by span id.
 type flight struct {
 	recs               []Record
 	depth              []int32
@@ -75,20 +74,19 @@ type flight struct {
 }
 
 // FlightRecorder is a tail-sampling Tracer: it buffers each query's records
-// only while the query is in flight, and on QueryFinalize keeps the trace
-// iff it matches the retention policy, so a huge run's outliers are caught
-// in constant memory. The network numbers queries densely and finalizes
-// each a fixed time after its submission, so the queries in flight are the
-// ids [base, next), each in its ring slot, whose buffers every query landing
-// there reuses. Events are spelt only for retained queries, by Traces.
+// while it is in flight and at QueryFinalize keeps the trace iff it matches
+// the policy, so a huge run's outliers are caught in constant memory. The
+// network numbers queries densely and finalizes each a fixed time after
+// its submission: the queries in flight are the ids [base, next), each in
+// its ring slot, whose buffers the next query there reuses. Only Traces
+// spells Events, for the retained queries.
 type FlightRecorder struct {
 	pol        Policy
 	maxEvents  int
 	processing sim.Time
 	ring       []flight // a power of two long
 	base, next uint64
-	// A fresh slot's first windows are carved from blocks: a long finalize
-	// horizon keeps every query of a fast run in flight in its own slot.
+	// A fresh slot's first windows are carved from these blocks.
 	recBlock   []Record
 	depthBlock []int32
 	kept, slow []*QueryTrace
@@ -104,9 +102,8 @@ func NewFlightRecorder(pol Policy, processing sim.Time) *FlightRecorder {
 // Phase implements Tracer.
 func (r *FlightRecorder) Phase(e Event) { r.phases = append(r.phases, e) }
 
-// Emit implements Tracer. A submission whose id does not follow the last
-// one while queries are in flight, and a record of a query not in flight
-// (finalized, or submitted before the recorder attached), are ignored.
+// Emit implements Tracer. It ignores a submission that skips an id while
+// queries are in flight, and a record of a query not in flight.
 func (r *FlightRecorder) Emit(rec Record) {
 	if rec.Kind == QuerySubmit {
 		r.submit(rec)
@@ -229,11 +226,9 @@ func (r *FlightRecorder) Traces() []*QueryTrace {
 	out = append(append(out, r.kept...), r.slow...)
 	sort.SliceStable(out, func(i, j int) bool { return slowLess(out[j], out[i]) })
 	for _, t := range out {
-		if t.Events == nil {
-			t.Events = make([]Event, len(t.recs))
-			for i, rec := range t.recs {
-				t.Events[i] = rec.Event()
-			}
+		t.Events = slices.Grow(t.Events, len(t.recs)-len(t.Events))
+		for _, rec := range t.recs[len(t.Events):] {
+			t.Events = append(t.Events, rec.Event())
 		}
 	}
 	return out
