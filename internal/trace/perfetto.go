@@ -68,11 +68,9 @@ func WritePerfetto(w io.Writer, trees []*SpanTree, phases []Event) error {
 // landing peer's track and at least 1 µs wide: zero-width events vanish in
 // the viewers.
 func appendSpan(evs []pfEvent, s *Span, query uint64) []pfEvent {
-	if s.Peer >= 0 {
-		evs = append(evs, pfEvent{Name: s.label(), Ph: "X", Ts: int64(s.Start), Dur: max(int64(s.End-s.Start), 1), Tid: s.Peer,
-			Args: &pfArgs{Query: query, From: max(s.From, 0), Detail: s.Detail, Open: s.Open,
-				PropMs: s.Propagation.Milliseconds(), ProcMs: s.Processing.Milliseconds()}})
-	}
+	evs = append(evs, pfEvent{Name: s.label(), Ph: "X", Ts: int64(s.Start), Dur: max(int64(s.End-s.Start), 1), Tid: s.Peer,
+		Args: &pfArgs{Query: query, From: max(s.From, 0), Detail: s.Detail, Open: s.Open,
+			PropMs: s.Propagation.Milliseconds(), ProcMs: s.Processing.Milliseconds()}})
 	for _, c := range s.Children {
 		evs = appendSpan(evs, c, query)
 	}

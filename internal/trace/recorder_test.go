@@ -124,14 +124,17 @@ func TestFlightRecorderSlowestTie(t *testing.T) {
 
 // TestFlightRecorderWindow: the in-flight window grows past its first ring
 // by doubling, a query finalized ahead of an older one waits for it before
-// the window's start moves, and every query keeps its own records.
+// the window's start moves, and every query keeps its own records: a full
+// ring drops a record of the id after its last, which shares the oldest
+// query's slot.
 func TestFlightRecorderWindow(t *testing.T) {
 	r := NewFlightRecorder(Policy{SlowestN: 100}, sim.Millisecond)
-	const n = 40
+	const n = 64
 	for q := uint64(1); q <= n; q++ {
 		r.Emit(Record{At: sim.Time(q), Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: int32(q), From: -1})
 		r.Emit(Record{At: sim.Time(q), Kind: QueryForward, Query: q, Span: 2, Parent: RootSpan, Peer: int32(q + 1), From: int32(q)})
 	}
+	r.Emit(Record{At: n, Kind: QueryForward, Query: n + 1, Span: 3, Parent: RootSpan, Peer: 0, From: n + 1})
 	fin := func(q uint64) {
 		r.Emit(Record{At: sim.Second + sim.Time(q), Kind: QueryFinalize, Query: q, Span: 3, Parent: RootSpan, Peer: int32(q), From: -1})
 	}
@@ -248,8 +251,8 @@ func TestFlightRecorderEventCap(t *testing.T) {
 // TestFlightRecorderWhyCombines checks a trace matching several criteria
 // reports them all and is kept once.
 func TestFlightRecorderWhyCombines(t *testing.T) {
-	r := NewFlightRecorder(Policy{KeepFailed: true, MinHops: 2}, sim.Millisecond)
-	emitQuery(r, 1, 5, sim.Second, 3, 0, sim.Second+30*sim.Second, true)
+	r := NewFlightRecorder(Policy{KeepFailed: true, MinHops: 1}, sim.Millisecond)
+	emitQuery(r, 1, 5, sim.Second, 1, 0, sim.Second+30*sim.Second, true)
 	traces := r.Traces()
 	if len(traces) != 1 {
 		t.Fatalf("kept %d traces, want 1", len(traces))
@@ -394,11 +397,15 @@ func TestSpanTreeCrossingResponses(t *testing.T) {
 	}
 }
 
+// TestSpanTreeOpenSpans: a forward no event closes stays open to the
+// tree's end, and an event naming a span that is not there hangs under the
+// root.
 func TestSpanTreeOpenSpans(t *testing.T) {
 	t0 := sim.Second
 	events := []Event{
 		{At: t0, Kind: QuerySubmit, Query: 1, Span: 1, Peer: 0, From: -1},
 		{At: t0, Kind: QueryForward, Query: 1, Span: 2, Parent: 1, Peer: 1, From: 0},
+		{At: t0 + sim.Millisecond, Kind: QueryDuplicate, Query: 1, Span: 5, Parent: 3, Peer: 0, From: 2},
 		{At: t0 + 30*sim.Second, Kind: QueryFailed, Query: 1, Span: 3, Parent: 1, Peer: 0, From: -1},
 		{At: t0 + 30*sim.Second, Kind: QueryFinalize, Query: 1, Span: 4, Parent: 1, Peer: 0, From: -1},
 	}
@@ -409,6 +416,9 @@ func TestSpanTreeOpenSpans(t *testing.T) {
 	fwd := tree.Root.Children[0]
 	if !fwd.Open || fwd.End != tree.Root.End {
 		t.Fatalf("never-received forward should be open to the tree's end: %+v", fwd)
+	}
+	if len(tree.Root.Children) != 3 || tree.Root.Children[1].Kind != QueryDuplicate {
+		t.Fatalf("root children = %+v, want the forward, the stray duplicate and the failure", tree.Root.Children)
 	}
 	if !strings.Contains(tree.Render(), "open") {
 		t.Fatalf("render missing open marker:\n%s", tree.Render())
