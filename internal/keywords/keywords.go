@@ -154,6 +154,12 @@ func NewQuery(kws ...ID) Query { return Query{makeSet(kws)} }
 // Hash returns the hash of the query's keywords named as a filename.
 func (q Query) Hash() uint32 { return q.hash() }
 
+// Filename returns the filename of exactly q's keywords.
+func (q Query) Filename() Filename { return Filename{set: q.set, hash: q.hash()} }
+
+// Query returns the query of exactly f's keywords.
+func (f Filename) Query() Query { return Query{f.set} }
+
 // String renders the query.
 func (q Query) String() string { return string(q.AppendString(nil)) }
 

@@ -53,7 +53,7 @@ func (net *Network) SubmitQuery(origin overlay.PeerID, q keywords.Query) QueryID
 	net.counts.PendingHighWater = max(net.counts.PendingHighWater, net.counts.Submitted-net.counts.Finalized)
 	net.Engine.PostEvent(net.Config.FinalizeAfter, pq)
 	if net.tracer != nil {
-		net.record(pq, id, trace.Record{Kind: trace.QuerySubmit, Peer: int32(origin), From: -1, Keys: q})
+		net.record(pq, id, trace.Record{Kind: trace.QuerySubmit, Peer: int32(origin), From: -1, File: q.Filename()})
 	}
 	if !net.Graph.Online(origin) {
 		return id

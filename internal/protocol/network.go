@@ -377,6 +377,16 @@ func (net *Network) emitFile(k trace.Kind, pq *pendingQuery, id QueryID, parent 
 	return net.record(pq, id, trace.Record{Kind: k, Parent: parent, Peer: int32(peer), From: int32(from), File: f})
 }
 
+// emitForward is emit for branch, q's forward from p to t: its chain from
+// the origin is its path less the origin.
+func (net *Network) emitForward(q, branch *QueryMsg, p, t overlay.PeerID) int32 {
+	if net.tracer == nil {
+		return 0
+	}
+	return net.record(q.pq, q.ID, trace.Record{Kind: trace.QueryForward, Parent: q.span, Peer: int32(t), From: int32(p),
+		Hops: int32(len(branch.Path) - 1)})
+}
+
 // record stamps r with the virtual time, query id and span id and hands it
 // to the tracer. A response that outlives its query finds pq recycled
 // (pq.id != id); its record gets span 0 and leaves the newer query's

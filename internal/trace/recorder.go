@@ -64,10 +64,9 @@ func (t *QueryTrace) Render() string {
 }
 
 // flight is one in-flight query's records, the submission first, and its
-// running outcome; depth is each forward's chain length, by span id.
+// running outcome.
 type flight struct {
 	recs               []Record
-	depth              []int32
 	hops, dropped      int
 	doneAt             sim.Time
 	done, failed, live bool
@@ -86,9 +85,7 @@ type FlightRecorder struct {
 	processing sim.Time
 	ring       []flight // a power of two long
 	base, next uint64
-	// A fresh slot's first windows are carved from these blocks.
-	recBlock   []Record
-	depthBlock []int32
+	recBlock   []Record // a fresh slot's first window is carved from it
 	kept, slow []*QueryTrace
 	phases     []Event
 }
@@ -125,11 +122,7 @@ func (r *FlightRecorder) Emit(rec Record) {
 		}
 		return
 	case QueryForward:
-		for int(max(rec.Span, rec.Parent)) >= len(f.depth) {
-			f.depth = append(f.depth, 0)
-		}
-		f.depth[rec.Span] = f.depth[rec.Parent] + 1
-		f.hops = max(f.hops, int(f.depth[rec.Span]))
+		f.hops = max(f.hops, int(rec.Hops))
 	case DownloadComplete:
 		f.doneAt, f.done = rec.At, true
 	case StorageHit:
@@ -166,9 +159,9 @@ func (r *FlightRecorder) submit(rec Record) {
 	}
 	f := &r.ring[r.next&uint64(len(r.ring)-1)]
 	if f.recs == nil {
-		f.recs, f.depth = sim.Carve(&r.recBlock, 64), sim.Carve(&r.depthBlock, 64)
+		f.recs = sim.Carve(&r.recBlock, 64)
 	}
-	*f = flight{recs: append(f.recs[:0], rec), depth: f.depth[:0], live: true}
+	*f = flight{recs: append(f.recs[:0], rec), live: true}
 	r.next++
 }
 
@@ -178,9 +171,13 @@ func (r *FlightRecorder) retain(fin Record, f *flight) {
 	if f.done {
 		lat = f.doneAt - f.recs[0].At
 	}
+	// A kept trace takes the slot's records; the next query there carves
+	// a fresh window.
 	keep := func(why string) *QueryTrace {
-		return &QueryTrace{Query: fin.Query, Latency: lat, Hops: f.hops, Failed: f.failed, Why: why,
-			Dropped: f.dropped, processing: r.processing, recs: slices.Clone(f.recs)}
+		t := &QueryTrace{Query: fin.Query, Latency: lat, Hops: f.hops, Failed: f.failed, Why: why,
+			Dropped: f.dropped, processing: r.processing, recs: f.recs}
+		f.recs = nil
+		return t
 	}
 	why := ""
 	if f.failed && r.pol.KeepFailed {

@@ -15,7 +15,7 @@ func emitQuery(r *FlightRecorder, q uint64, origin int32, t0 sim.Time, depth int
 	prev, span := origin, RootSpan
 	for i := range int32(depth) {
 		at := t0 + sim.Time(i+1)*sim.Millisecond
-		r.Emit(Record{At: at, Kind: QueryForward, Query: q, Span: span + 1, Parent: span, Peer: prev + 100 + i, From: prev})
+		r.Emit(Record{At: at, Kind: QueryForward, Query: q, Span: span + 1, Parent: span, Peer: prev + 100 + i, From: prev, Hops: i + 1})
 		prev, span = prev+100+i, span+1
 	}
 	if failed {
@@ -132,7 +132,7 @@ func TestFlightRecorderWindow(t *testing.T) {
 	const n = 64
 	for q := uint64(1); q <= n; q++ {
 		r.Emit(Record{At: sim.Time(q), Kind: QuerySubmit, Query: q, Span: RootSpan, Peer: int32(q), From: -1})
-		r.Emit(Record{At: sim.Time(q), Kind: QueryForward, Query: q, Span: 2, Parent: RootSpan, Peer: int32(q + 1), From: int32(q)})
+		r.Emit(Record{At: sim.Time(q), Kind: QueryForward, Query: q, Span: 2, Parent: RootSpan, Peer: int32(q + 1), From: int32(q), Hops: 1})
 	}
 	r.Emit(Record{At: n, Kind: QueryForward, Query: n + 1, Span: 3, Parent: RootSpan, Peer: 0, From: n + 1})
 	fin := func(q uint64) {

@@ -95,10 +95,12 @@ type Record struct {
 	RTT          float64 // a download's RTT to its provider, in ms
 	Span, Parent int32
 	Peer, From   int32
-	File         keywords.Filename // the file a hit, a cached response or a download names
-	Keys         keywords.Query    // the query a submission names
-	Kind         Kind
-	SameLoc      bool // a download's provider shares the requester's locality
+	// File is the file a hit, a cached response or a download names, or
+	// the keywords of the query a submission names.
+	File    keywords.Filename
+	Hops    int32 // a forward's chain length from the origin
+	Kind    Kind
+	SameLoc bool // a download's provider shares the requester's locality
 }
 
 // Event spells the record as an Event.
@@ -106,7 +108,7 @@ func (r Record) Event() Event {
 	var d []byte
 	switch r.Kind {
 	case QuerySubmit:
-		d = r.Keys.AppendString(d)
+		d = r.File.Query().AppendString(d)
 	case StorageHit, CacheHit, ResponseCached:
 		d = r.File.AppendName(d)
 	case DownloadComplete:

@@ -101,9 +101,8 @@ var equivalentMutants = map[string]string{
 	"checkpoint.go:179:14": "a campaign hash is 64 hex characters or empty, never 11 to 13", "checkpoint.go:66:29": "0o754 and 0o756 leave the owner, the one process that uses the store, rwx as 0o755 does",
 	"runtime.go:355:26:rel": "inside census[ids[i]] != census[ids[j]], > and >= agree",
 	"fanout.go:52:7:rel":    boundary, "fanout.go:52:10:dec": boundary,
-	"recorder.go:168:12:rel": alloc, "recorder.go:169:3:del": alloc, "recorder.go:169:44": alloc, "recorder.go:169:74": alloc,
-	"recorder.go:229:3:del": alloc, "recorder.go:171:61:inc": "depth[0] belongs to no span: a forward hangs under the root, span 1, or a forward",
-	"recorder.go:217:20:rel": "inside a.Latency != b.Latency, < and <= agree", "recorder.go:219:17:rel": "query ids are unique, so no two traces tie on them",
+	"recorder.go:161:12:rel": alloc, "recorder.go:162:3:del": alloc, "recorder.go:162:35": alloc, "recorder.go:226:3:del": alloc,
+	"recorder.go:214:20:rel": "inside a.Latency != b.Latency, < and <= agree", "recorder.go:216:17:rel": "query ids are unique, so no two traces tie on them",
 	"trace.go:50:24:dec": "a RootSpan of 0 names the missing span, under which the same spans hang at the root; protocol's story tests, which a trace mutant does not run, pin 1",
 }
 
