@@ -94,7 +94,7 @@ func BenchmarkInstrumentedPathAllocs(b *testing.B) {
 // tail-sampling flight recorder attached (SlowestN 8). Every query of the
 // run is in flight at once, each in a ring slot whose first record window
 // is carved from a block, and only the retained queries' events are spelt:
-// 1.14 allocs/query where the untraced path reads 0.42 (7.80 when every
+// 0.83 allocs/query where the untraced path reads 0.42 (7.80 when every
 // event's detail was spelt as it was emitted). TestHotPathAllocBudget's
 // traced row holds the budget.
 func BenchmarkFlightRecorderPathAllocs(b *testing.B) {
