@@ -377,14 +377,12 @@ func (net *Network) emitFile(k trace.Kind, pq *pendingQuery, id QueryID, parent 
 	return net.record(pq, id, trace.Record{Kind: k, Parent: parent, Peer: int32(peer), From: int32(from), File: f})
 }
 
-// emitForward is emit for branch, q's forward from p to t: its chain from
-// the origin is its path less the origin.
-func (net *Network) emitForward(q, branch *QueryMsg, p, t overlay.PeerID) int32 {
+// emitForward is emit for a forward, hops links from the origin.
+func (net *Network) emitForward(pq *pendingQuery, id QueryID, parent int32, peer, from overlay.PeerID, hops int32) int32 {
 	if net.tracer == nil {
 		return 0
 	}
-	return net.record(q.pq, q.ID, trace.Record{Kind: trace.QueryForward, Parent: q.span, Peer: int32(t), From: int32(p),
-		Hops: int32(len(branch.Path) - 1)})
+	return net.record(pq, id, trace.Record{Kind: trace.QueryForward, Parent: parent, Peer: int32(peer), From: int32(from), Hops: hops})
 }
 
 // record stamps r with the virtual time, query id and span id and hands it

@@ -29,7 +29,7 @@ func (net *Network) forward(p overlay.PeerID, q *QueryMsg) {
 		branch.pq = q.pq
 		branch.TTL = q.TTL - 1
 		branch.Path = append(append(branch.Path[:0], q.Path...), t)
-		branch.span = net.emitForward(q, branch, p, t)
+		branch.span = net.emitForward(q.pq, q.ID, q.span, t, p, int32(len(branch.Path)-1))
 		net.send(p, t, branch)
 		q.pq.messages++ // forward only runs for a query still pending
 	}

@@ -26,7 +26,7 @@ var mutatePkgs = flag.String("mutate", "", "comma-separated packages to mutation
 
 // mutationFloors are measured scores (killed / viable, allow-listed
 // equivalents excluded) a package may not fall below.
-var mutationFloors = map[string]float64{"protocol": 1, "metrics": 0.9718, "sweep": 1, "scenario": 1, "campaign": 1, "obs": 1, "sim": 1}
+var mutationFloors = map[string]float64{"protocol": 1, "metrics": 0.9718, "sweep": 1, "scenario": 1, "campaign": 1, "obs": 1, "sim": 1, "trace": 1}
 
 // Why a survivor behaves like the original, for reasons several share.
 const (
@@ -66,7 +66,7 @@ var equivalentMutants = map[string]string{
 	"graph.go:120:19:inc": alloc, "graph.go:156:18:dec": "copy moves min(len(dst), len(src)) elements either way",
 	"churn.go:40:11:dec": "Online of an id outside the graph is false", "churn.go:40:16:rel": "Online of an id outside the graph is false", "churn.go:46:69:rel": boundary,
 	"gossip.go:54:3:del": alloc, "response.go:86:3:del": alloc, "network.go:367:10": noTracer,
-	"network.go:375:10": noTracer, "network.go:384:10": noTracer, "node.go:98:90:inc": screen,
+	"network.go:375:10": noTracer, "network.go:383:10": noTracer, "node.go:98:90:inc": screen,
 	"node.go:186:27:inc": screen, "network.go:130:17": probe, "network.go:130:69:inc": probe,
 	"routing.go:222:19": firstWins, "routing.go:222:23": firstWins,
 	"response.go:173:37":    "math.Inf of any sign >= 0 is +Inf",
