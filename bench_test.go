@@ -1,16 +1,16 @@
 // Benchmarks regenerating every figure of the Locaware paper's evaluation
-// (§5.2) plus the built-in sweep campaigns listed under "Command-line
-// harness" in README.md. Each figure bench runs the paired comparison at a
-// reduced-but-representative scale and reports the figure's metric per
-// protocol via b.ReportMetric, so `go test -bench=.` reproduces the paper's
-// rows. Absolute wall-clock time of a bench iteration is simulator speed,
-// not a paper metric.
+// (§5.2) plus the built-in sweep campaigns of README.md § Sweeps. Each
+// figure bench runs the paired comparison at a reduced-but-representative
+// scale and reports the figure's metric per protocol via b.ReportMetric, so
+// `go test -bench=.` reproduces the paper's rows. Absolute wall-clock time
+// of a bench iteration is simulator speed, not a paper metric.
 //
-// Paper-scale regeneration (1000 peers) lives in cmd/locaware; the
-// benches use 400 peers so the full suite completes in minutes. The shape
-// of every comparison (who wins, by roughly what factor) is preserved. The
-// README's "Command-line harness" section gives the paper-scale commands
-// (`locaware fig all`), "Scaling" the hot-path cost at 2000 peers, and
+// Paper-scale regeneration (1000 peers) lives in cmd/locaware; the benches
+// use 400 peers so the full suite completes in minutes, and preserve the
+// shape of every comparison (who wins, by roughly what factor).
+// README.md § The command gives the paper-scale commands (`locaware fig
+// all`). internal/core/testdata/ledger.json pins the hot path's cost per
+// query, BENCHMARK.json's workloads measure it, and
 // testdata/golden_compare_200peers.txt pins the 200-peer Fig. 3/4 table.
 package locaware
 

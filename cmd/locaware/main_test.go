@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -40,6 +43,34 @@ func TestTraceHelpPrintsItsDefaults(t *testing.T) {
 		}
 		if f.DefValue != def || !strings.Contains(help.String(), line) {
 			t.Errorf("-%s defaults to %s, want %s printed by -h:\n%s", name, f.DefValue, def, help.String())
+		}
+	}
+}
+
+// Every locaware line in a fenced block of README.md or the verify skill
+// parses as main parses it: subcommand, flags and positional argument. A
+// shell comment, pipe or redirection ends the command.
+func TestQuotedCommandsParse(t *testing.T) {
+	cmd := regexp.MustCompile(`(?:^|[\s/])locaware (\w+)([^#|>;&]*)`)
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile(doc)
+		fenced, quoted := false, 0
+		for _, line := range strings.Split(string(src), "\n") {
+			fenced = fenced != strings.HasPrefix(strings.TrimSpace(line), "```")
+			if m := cmd.FindStringSubmatch(line); fenced && m != nil {
+				fs := newFlagSet(m[1]).fs
+				fs.Init(m[1], flag.ContinueOnError)
+				err, arg := fs.Parse(strings.Fields(m[2])), ""
+				if err == nil && fs.NArg() > 0 && positional[m[1]] != "" {
+					arg, err = fs.Arg(0), fs.Parse(fs.Args()[1:])
+				}
+				if quoted++; commands[m[1]] == nil || err != nil || fs.NArg() > 0 || arg == "" && positional[m[1]] != "" {
+					t.Errorf("%s quotes %q: %v, arguments %q", doc, strings.TrimSpace(line), err, fs.Args())
+				}
+			}
+		}
+		if quoted == 0 {
+			t.Errorf("%s quotes no locaware command in a fenced block (%v)", doc, err)
 		}
 	}
 }

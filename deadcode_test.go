@@ -1,6 +1,7 @@
 package locaware
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -17,6 +18,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"github.com/p2prepro/locaware/internal/core"
 )
 
 // deadCodeAllowed is every declaration TestNoTestOnlyProductionCode accepts
@@ -541,5 +544,71 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 		if len(names[m[1]]) > 0 && !names[m[1]][m[2]] {
 			t.Errorf("README.md cites %s.%s, which internal/%s does not declare", m[1], m[2], m[1])
 		}
+	}
+}
+
+// TestDocPointersResolve: README.md, a space, a section sign, a space and a
+// heading, on one line of a .go, .yml, .sh or .md file outside benchmark/,
+// name a ## or ### heading of it (the root's other .md files are records);
+// a path:line citation in README.md or the verify skill names one file.
+func TestDocPointersResolve(t *testing.T) {
+	readme, _ := os.ReadFile("README.md") // TestDocsCiteDeclaredTests fails without it
+	var heads []string
+	for _, m := range regexp.MustCompile(`(?m)^###? (.+)$`).FindAllStringSubmatch(string(readme), -1) {
+		heads = append(heads, regexp.QuoteMeta(m[1]))
+	}
+	pointer, valid := regexp.MustCompile(`README\.md \x{a7}`), regexp.MustCompile(`README\.md \x{a7} (?:`+strings.Join(heads, "|")+`)(?:\W|$)`)
+	var files []string
+	if err := filepath.WalkDir(".", func(f string, d fs.DirEntry, err error) error {
+		if f == ".git" || f == ".bench_build" {
+			return filepath.SkipDir
+		} else if err != nil || d.IsDir() {
+			return err
+		}
+		files = append(files, f)
+		if ext := filepath.Ext(f); strings.HasPrefix(f, "benchmark/") || !slices.Contains([]string{".go", ".yml", ".sh", ".md"}, ext) || ext == ".md" && f != "README.md" && !strings.Contains(f, "/") {
+			return nil
+		}
+		src, err := os.ReadFile(f)
+		for i, line := range strings.Split(string(src), "\n") {
+			if len(pointer.FindAllString(line, -1)) != len(valid.FindAllString(line, -1)) {
+				t.Errorf("%s:%d points to no ## or ### heading of README.md: %s", f, i+1, strings.TrimSpace(line))
+			}
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile(`([\w./-]+\.(?:go|md|json|yml|sh|txt|csv)):(\d+)`)
+	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		text, _ := os.ReadFile(doc)
+		for _, m := range cite.FindAllStringSubmatch(string(text), -1) {
+			hits := slices.DeleteFunc(slices.Clone(files), func(f string) bool { return f != m[1] && !strings.HasSuffix(f, "/"+m[1]) })
+			if n, _ := strconv.Atoi(m[2]); len(hits) != 1 {
+				t.Errorf("%s cites %s:%s, which names %d files: %v", doc, m[1], m[2], len(hits), hits)
+			} else if src, _ := os.ReadFile(hits[0]); n < 1 || n > strings.Count(strings.TrimSuffix(string(src), "\n"), "\n")+1 {
+				t.Errorf("%s cites %s:%s, past the end of %s", doc, m[1], m[2], hits[0])
+			}
+		}
+	}
+}
+
+// TestReadmeParamTable: README.md's table between its params markers renders
+// core.Params: name, core.DefaultConfig value and Doc; -update rewrites it.
+func TestReadmeParamTable(t *testing.T) {
+	want, d := "| parameter | default | what it sets |\n|---|---|---|\n", core.DefaultConfig()
+	for _, p := range core.Params {
+		want += fmt.Sprintf("| `%s` | %s | %s |\n", p.Name, strconv.FormatFloat(p.Get(&d), 'g', -1, 64), p.Doc)
+	}
+	readme, _ := os.ReadFile("README.md")
+	const begin, end = "<!-- params: generated from core.Params by TestReadmeParamTable -->\n", "<!-- params end -->\n"
+	before, rest, _ := strings.Cut(string(readme), begin)
+	got, after, ok := strings.Cut(rest, end) // rest is empty without begin
+	if *updateGolden && ok {
+		if err := os.WriteFile("README.md", []byte(before+begin+want+end+after), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if got != want || !ok {
+		t.Errorf("README.md's table between %q and %q is not core.Params (-update rewrites it); want:\n%s", begin, end, want)
 	}
 }

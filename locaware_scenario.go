@@ -30,8 +30,8 @@ var ErrUnknownScenario = errors.New("locaware: unknown scenario")
 // ScenarioNames lists the built-in scenario registry, sorted.
 func ScenarioNames() []string { return scenario.Names() }
 
-// ParseScenario decodes and validates a JSON scenario spec; see the README
-// "Scenarios" section for the schema. Unknown fields are rejected.
+// ParseScenario decodes and validates a JSON scenario spec; the schema is
+// in README.md § Scenarios. Unknown fields are rejected.
 func ParseScenario(data []byte) (*Scenario, error) {
 	spec, err := scenario.ParseSpec(data)
 	if err != nil {

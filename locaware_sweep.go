@@ -41,8 +41,8 @@ var ErrUnknownSweep = errors.New("locaware: unknown sweep")
 // SweepNames lists the built-in campaign registry, sorted.
 func SweepNames() []string { return sweep.Names() }
 
-// ParseSweep decodes and validates a JSON campaign spec; see the README
-// "Sweeps" section for the schema. Unknown fields are rejected.
+// ParseSweep decodes and validates a JSON campaign spec; the schema is in
+// README.md § Sweeps. Unknown fields are rejected.
 func ParseSweep(data []byte) (*Sweep, error) {
 	spec, err := sweep.ParseSpec(data)
 	if err != nil {
