@@ -31,7 +31,7 @@
 //
 // Phases may additionally run the periodic leave/rejoin churn process at a
 // per-phase intensity. Scenarios are plain data: the built-in registry
-// (Lookup, Names) covers the common shapes, and ParseSpec loads custom ones from
+// (Lookup, Names) covers the common shapes, and ParseSpec loads new ones from
 // JSON so new scenarios need no code. Per-phase metrics come from the
 // streaming metrics collector, which seals a full-metric PhaseWindow at
 // each boundary (see Spec.Marks).
